@@ -35,14 +35,17 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Short fuzz pass over the URL decomposition (the most adversarial
-# input surface). Found inputs land in internal/urlx/testdata/fuzz and
-# become permanent regression seeds.
+# input surface) and over the search kernel against its map-and-sort
+# reference on fuzzer-built corpora. Found inputs land in the package's
+# testdata/fuzz and become permanent regression seeds.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/urlx
+	$(GO) test -fuzz=FuzzQueryMatchesReference -fuzztime=10s ./internal/search
 
-# The nightly workflow's longer pass over the same surface.
+# The nightly workflow's longer pass over the same surfaces.
 fuzz-long:
 	$(GO) test -fuzz=FuzzParse -fuzztime=60s ./internal/urlx
+	$(GO) test -fuzz=FuzzQueryMatchesReference -fuzztime=60s ./internal/search
 
 # Nightly storage soak: 100k appends with supersede churn and
 # concurrent compaction, then a reopen-and-verify pass. Too slow for
@@ -159,13 +162,15 @@ registry-check:
 
 # Allocation contracts in a non-race build: 0 allocs on the warm
 # cached-score path (flat model + pooled vectors + precomputed
-# analysis), a fixed budget on the full-extraction path, and 0 allocs
-# on the per-request admission check in the serving layer. These tests
+# analysis), a fixed budget on the full-extraction path, 0 allocs on
+# the per-request admission check in the serving layer, one (the
+# results) per index query and a fixed budget per target
+# identification. These tests
 # skip themselves under -race (the detector's own allocations would
 # poison the counts), so the race suite alone would never run them —
 # this target is what makes the zero-alloc claims CI-enforced.
 alloc-check:
-	$(GO) test -count=1 -run Alloc ./internal/ml ./internal/features ./internal/core ./internal/serve
+	$(GO) test -count=1 -run Alloc ./internal/ml ./internal/features ./internal/core ./internal/serve ./internal/search ./internal/target
 
 # 10-second CPU profile of a running kpserve started with the pprof
 # listener bound (kpserve -debug-addr :6060). Writes cpu.pprof; inspect

@@ -20,6 +20,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -460,6 +461,34 @@ func BenchmarkTargetIdentification(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = id.Identify(a)
+	}
+}
+
+// BenchmarkSearchQuery times the index kernel on the two queries
+// Identify issues for the benchmark phishing page: step 1's boosted
+// keyterms, and step 2's prominent keyterms plus the landing mld terms.
+// Warm, a query allocates its returned results and nothing else.
+func BenchmarkSearchQuery(b *testing.B) {
+	r := benchSetup(b)
+	a := webpage.Analyze(benchSnapshot(b, true))
+	kt := target.ExtractKeyterms(a, target.DefaultKeyterms)
+	step1 := kt.Boosted
+	if len(step1) == 0 {
+		step1 = kt.Prominent
+	}
+	step2 := append(slices.Clone(kt.Prominent), terms.Extract(a.Land.UnicodeRDN())...)
+	for _, bc := range []struct {
+		shape string
+		query []string
+	}{{"step1", step1}, {"step2", step2}} {
+		b.Run("shape="+bc.shape, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if res := r.Corpus.Engine.Query(bc.query, target.DefaultResults); len(res) == 0 {
+					b.Fatal("no results")
+				}
+			}
+		})
 	}
 }
 

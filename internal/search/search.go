@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -36,26 +35,30 @@ type Result struct {
 }
 
 // Engine is an in-memory inverted index. Add and Query may be used
-// concurrently.
+// concurrently. An Engine must not be copied after first use.
 type Engine struct {
 	mu       sync.RWMutex
 	docs     []indexedDoc
-	postings map[string][]posting // term → (doc, tf)
+	postings map[string][]posting // term → (doc, tf/len), ascending doc id
+	rdnIDs   map[string]int32     // RDN → small int, in first-seen order
+	scratch  sync.Pool            // *queryScratch
 }
 
 type indexedDoc struct {
 	doc Doc
-	len int
+	rdn int32 // rdnIDs[doc.RDN]
 }
 
 type posting struct {
-	doc int
-	tf  int
+	doc int32
+	w   float64 // term frequency over document length
 }
 
 // NewEngine returns an empty index.
 func NewEngine() *Engine {
-	return &Engine{postings: make(map[string][]posting)}
+	e := &Engine{postings: make(map[string][]posting), rdnIDs: make(map[string]int32)}
+	e.scratch.New = func() any { return &queryScratch{seen: make(map[string]struct{})} }
+	return e
 }
 
 // Add indexes a document. Empty-term documents are ignored.
@@ -65,14 +68,20 @@ func (e *Engine) Add(d Doc) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	id := len(e.docs)
+	id := int32(len(e.docs))
+	rdn, ok := e.rdnIDs[d.RDN]
+	if !ok {
+		rdn = int32(len(e.rdnIDs))
+		e.rdnIDs[d.RDN] = rdn
+	}
 	counts := make(map[string]int, len(d.Terms))
 	for _, t := range d.Terms {
 		counts[t]++
 	}
-	e.docs = append(e.docs, indexedDoc{doc: d, len: len(d.Terms)})
+	e.docs = append(e.docs, indexedDoc{doc: d, rdn: rdn})
+	n := float64(len(d.Terms))
 	for t, c := range counts {
-		e.postings[t] = append(e.postings[t], posting{doc: id, tf: c})
+		e.postings[t] = append(e.postings[t], posting{doc: id, w: float64(c) / n})
 	}
 }
 
@@ -101,9 +110,56 @@ func (e *Engine) IDF(term string) float64 {
 	return math.Log(1 + n/df)
 }
 
-// Query scores documents against the query terms with TF-IDF and returns
-// the top-k results deduplicated by RDN (a real engine returns distinct
-// sites at the top). Deterministic: ties break by RDN.
+// queryScratch is the working memory of one Query, pooled per engine.
+// Between queries acc and best are all zero and docs, rdns and seen are
+// empty: a query undoes exactly what it touched, so reuse costs
+// O(touched), not O(index).
+type queryScratch struct {
+	acc  []float64           // doc id → accumulated score
+	docs []int32             // doc ids with acc != 0
+	best []int32             // RDN id → 1 + its best doc (0: none yet)
+	rdns []int32             // RDN ids with best != 0; then the candidates, their best docs
+	seen map[string]struct{} // query terms already visited
+}
+
+// after reports whether doc a ranks after doc b: lower score, then
+// greater RDN, then later insertion.
+func (s *queryScratch) after(docs []indexedDoc, a, b int32) bool {
+	if s.acc[a] != s.acc[b] {
+		return s.acc[a] < s.acc[b]
+	}
+	if docs[a].rdn != docs[b].rdn {
+		return docs[a].doc.RDN > docs[b].doc.RDN
+	}
+	return a > b
+}
+
+// siftDown restores heap h, whose root ranks after all below it, once
+// h[i] has been replaced.
+func (s *queryScratch) siftDown(docs []indexedDoc, h []int32, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && s.after(docs, h[c+1], h[c]) {
+			c++
+		}
+		if !s.after(docs, h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// Query scores documents against the distinct query terms with TF-IDF
+// and returns the k best, one per RDN (a real engine returns distinct
+// sites at the top): an RDN is represented by its best document. The
+// order is total, so equal inputs give equal results: score descending,
+// then RDN ascending, then insertion order. A score sums its terms'
+// weights in query order, which makes it bit-reproducible. Warm, the
+// returned slice is the only allocation.
 func (e *Engine) Query(queryTerms []string, k int) []Result {
 	if k <= 0 || len(queryTerms) == 0 {
 		return nil
@@ -114,53 +170,77 @@ func (e *Engine) Query(queryTerms []string, k int) []Result {
 	if n == 0 {
 		return nil
 	}
-	scores := make(map[int]float64)
-	seen := map[string]struct{}{}
+	// Sized under the read lock: no Add can outgrow it before release.
+	s := e.scratch.Get().(*queryScratch)
+	if len(s.acc) < len(e.docs) {
+		s.acc = make([]float64, len(e.docs))
+	}
+	if len(s.best) < len(e.rdnIDs) {
+		s.best = make([]int32, len(e.rdnIDs))
+	}
+
 	for _, qt := range queryTerms {
-		if _, dup := seen[qt]; dup {
+		if _, dup := s.seen[qt]; dup {
 			continue
 		}
-		seen[qt] = struct{}{}
+		s.seen[qt] = struct{}{}
 		posts := e.postings[qt]
 		if len(posts) == 0 {
 			continue
 		}
 		idf := math.Log(1 + n/float64(len(posts)))
 		for _, p := range posts {
-			tf := float64(p.tf) / float64(e.docs[p.doc].len)
-			scores[p.doc] += tf * idf
+			if s.acc[p.doc] == 0 { // weights are positive: zero means untouched
+				s.docs = append(s.docs, p.doc)
+			}
+			// The conversion rounds the product before the sum, so no
+			// platform fuses the two into one differently-rounded step.
+			s.acc[p.doc] += float64(p.w * idf)
 		}
 	}
-	if len(scores) == 0 {
-		return nil
-	}
-	type scored struct {
-		doc   int
-		score float64
-	}
-	all := make([]scored, 0, len(scores))
-	for d, s := range scores {
-		all = append(all, scored{d, s})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
+	for _, d := range s.docs {
+		r := e.docs[d].rdn
+		if b := s.best[r]; b == 0 {
+			s.best[r] = d + 1
+			s.rdns = append(s.rdns, r)
+		} else if s.after(e.docs, b-1, d) {
+			s.best[r] = d + 1
 		}
-		return e.docs[all[i].doc].doc.RDN < e.docs[all[j].doc].doc.RDN
-	})
+	}
+	// One candidate per RDN, its best document; then the k best of them,
+	// selected in a heap over h and popped last-ranked first.
+	cand := s.rdns
+	for i, r := range cand {
+		cand[i], s.best[r] = s.best[r]-1, 0
+	}
+	k = min(k, len(cand))
+	h := cand[:k]
+	for i := k/2 - 1; i >= 0; i-- {
+		s.siftDown(e.docs, h, i)
+	}
+	for _, d := range cand[k:] {
+		if s.after(e.docs, h[0], d) {
+			h[0] = d
+			s.siftDown(e.docs, h, 0)
+		}
+	}
 	var out []Result
-	byRDN := map[string]struct{}{}
-	for _, s := range all {
-		d := e.docs[s.doc].doc
-		if _, dup := byRDN[d.RDN]; dup {
-			continue
-		}
-		byRDN[d.RDN] = struct{}{}
-		out = append(out, Result{RDN: d.RDN, MLD: d.MLD, URL: d.URL, Score: s.score})
-		if len(out) == k {
-			break
-		}
+	if k > 0 {
+		out = make([]Result, k)
 	}
+	for i := k - 1; i >= 0; i-- {
+		doc := &e.docs[h[0]].doc
+		out[i] = Result{RDN: doc.RDN, MLD: doc.MLD, URL: doc.URL, Score: s.acc[h[0]]}
+		h[0] = h[i]
+		s.siftDown(e.docs, h[:i], 0)
+	}
+
+	for _, d := range s.docs {
+		s.acc[d] = 0
+	}
+	s.docs, s.rdns = s.docs[:0], s.rdns[:0]
+	clear(s.seen)
+	e.scratch.Put(s)
 	return out
 }
 

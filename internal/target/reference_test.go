@@ -1,0 +1,348 @@
+package target
+
+import (
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"knowphish/internal/crawl"
+	"knowphish/internal/ocr"
+	"knowphish/internal/racecheck"
+	"knowphish/internal/search"
+	"knowphish/internal/terms"
+	"knowphish/internal/webgen"
+	"knowphish/internal/webpage"
+)
+
+// The reference below is Identify as it stood before the single term
+// table: two statistics maps, a copied page-term set, full sorts for the
+// keyterms and a cloned set for the OCR step. It is kept verbatim (names
+// prefixed ref) as the differential oracle for TestIdentifyMatchesReference;
+// containsOwn is shared, it did not change.
+
+// keytermsFromStats ranks already-accumulated term statistics, so
+// Identify can reuse one termStats pass for both keyterm extraction and
+// candidate evidence.
+func refKeytermsFromStats(score map[string]float64, sources map[string]int, n int) Keyterms {
+	if n <= 0 {
+		n = DefaultKeyterms
+	}
+	type scored struct {
+		term    string
+		score   float64
+		sources int
+	}
+	all := make([]scored, 0, len(score))
+	for t, s := range score {
+		all = append(all, scored{term: t, score: s, sources: sources[t]})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].score != all[j].score {
+			return all[i].score > all[j].score
+		}
+		return all[i].term < all[j].term
+	})
+	var kt Keyterms
+	for _, s := range all {
+		if len(kt.Prominent) == n {
+			break
+		}
+		kt.Prominent = append(kt.Prominent, s.term)
+	}
+	// Boosted: multi-source terms, ranked by source count first — a term
+	// the owner repeats across title, text, copyright and URL is the
+	// page's subject.
+	boosted := make([]scored, 0, len(all))
+	for _, s := range all {
+		if s.sources >= 2 {
+			boosted = append(boosted, s)
+		}
+	}
+	sort.Slice(boosted, func(i, j int) bool {
+		if boosted[i].sources != boosted[j].sources {
+			return boosted[i].sources > boosted[j].sources
+		}
+		if boosted[i].score != boosted[j].score {
+			return boosted[i].score > boosted[j].score
+		}
+		return boosted[i].term < boosted[j].term
+	})
+	for _, s := range boosted {
+		if len(kt.Boosted) == n {
+			break
+		}
+		kt.Boosted = append(kt.Boosted, s.term)
+	}
+	return kt
+}
+
+// termStats accumulates, per term, the summed probability across the
+// keyterm sources and the number of sources containing it. Sources are
+// visited in fixed order and terms in sorted order, so the float
+// accumulation is bit-reproducible.
+func refTermStats(a *webpage.Analysis) (score map[string]float64, sources map[string]int) {
+	score = make(map[string]float64)
+	sources = make(map[string]int)
+	for _, id := range keytermSources {
+		d := a.Dist(id)
+		for _, t := range d.Terms() {
+			score[t] += d.P(t)
+			sources[t]++
+		}
+	}
+	return score, sources
+}
+
+// Identify runs the full process on an analyzed page.
+func referenceIdentify(id *Identifier, a *webpage.Analysis) Result {
+	k := id.K
+	if k <= 0 {
+		k = DefaultKeyterms
+	}
+	nres := id.Results
+	if nres <= 0 {
+		nres = DefaultResults
+	}
+	score, sources := refTermStats(a)
+	res := Result{Keyterms: refKeytermsFromStats(score, sources, k)}
+
+	// The page's full term set is the evidence pool for candidate
+	// filtering; external RDNs are strong evidence (the phish links to
+	// its target's real site).
+	pageTerms := make(map[string]struct{}, len(score))
+	for t := range score {
+		pageTerms[t] = struct{}{}
+	}
+	extRDNs := refExternalRDNs(a)
+
+	// Step 1: boosted prominent terms.
+	q1 := res.Keyterms.Boosted
+	if len(q1) == 0 {
+		q1 = res.Keyterms.Prominent
+	}
+	r1 := id.Engine.Query(q1, nres)
+	if containsOwn(r1, a) {
+		res.Verdict, res.StepsUsed = VerdictLegitimate, 1
+		return res
+	}
+
+	// Step 2: prominent terms plus the landing mld terms, the paper's
+	// second, more site-specific query.
+	q2 := refAppendUnique(res.Keyterms.Prominent, terms.Extract(a.Land.UnicodeRDN()))
+	r2 := id.Engine.Query(q2, nres)
+	if containsOwn(r2, a) {
+		res.Verdict, res.StepsUsed = VerdictLegitimate, 2
+		return res
+	}
+
+	// Step 3: rank the returned domains as candidate targets.
+	res.Candidates = refRankCandidates([][]search.Result{r1, r2}, pageTerms, extRDNs, a)
+	if len(res.Candidates) > 0 {
+		res.Verdict, res.StepsUsed = VerdictPhish, 3
+		return res
+	}
+	res.StepsUsed = 3
+
+	// Step 4: OCR fallback over the screenshot layer, for pages whose
+	// HTML carries no usable terms (image-only phish kits).
+	if len(a.Snap.ScreenshotTerms) > 0 {
+		rec := id.OCR
+		if rec == nil {
+			rec = &ocr.Recognizer{}
+		}
+		dist := terms.FromStrings(rec.Recognize(a.Snap.ScreenshotTerms))
+		res.UsedOCR = true
+		res.OCRProminent = dist.TopN(k)
+		res.StepsUsed = 4
+		if len(res.OCRProminent) > 0 {
+			r3 := id.Engine.Query(res.OCRProminent, nres)
+			if containsOwn(r3, a) {
+				res.Verdict = VerdictLegitimate
+				return res
+			}
+			ocrTerms := make(map[string]struct{}, len(pageTerms)+dist.Len())
+			for t := range pageTerms {
+				ocrTerms[t] = struct{}{}
+			}
+			for _, t := range dist.Terms() {
+				ocrTerms[t] = struct{}{}
+			}
+			res.Candidates = refRankCandidates([][]search.Result{r1, r2, r3}, ocrTerms, extRDNs, a)
+			if len(res.Candidates) > 0 {
+				res.Verdict = VerdictPhish
+				return res
+			}
+		}
+	}
+
+	res.Verdict = VerdictSuspicious
+	return res
+}
+
+// externalRDNs collects the RDNs of links leaving the controlled domain
+// set — where a phish points at its target's real site.
+func refExternalRDNs(a *webpage.Analysis) map[string]struct{} {
+	out := make(map[string]struct{})
+	for _, p := range a.ExtLog {
+		if p.RDN != "" {
+			out[p.RDN] = struct{}{}
+		}
+	}
+	for _, p := range a.ExtLink {
+		if p.RDN != "" {
+			out[p.RDN] = struct{}{}
+		}
+	}
+	return out
+}
+
+// rankCandidates turns search results into a ranked candidate target
+// list. A returned domain becomes a candidate only when the page shows
+// evidence of referencing it: a page term that is a substring of the
+// candidate's mld (the phish spells its target's name somewhere) or an
+// external link to the candidate. Evidence accumulates across queries;
+// ranking is by evidence count, then search relevance, then RDN.
+func refRankCandidates(resultSets [][]search.Result, pageTerms map[string]struct{}, extRDNs map[string]struct{}, a *webpage.Analysis) []Candidate {
+	acc := make(map[string]*Candidate)
+	for _, rs := range resultSets {
+		for _, r := range rs {
+			if _, own := a.ControlledRDNs[r.RDN]; own {
+				continue
+			}
+			evidence := 0
+			if _, linked := extRDNs[r.RDN]; linked {
+				evidence += 2
+			}
+			for t := range pageTerms {
+				if len(t) >= terms.MinTermLength && strings.Contains(r.MLD, t) {
+					evidence++
+				}
+			}
+			if evidence == 0 {
+				continue
+			}
+			c, ok := acc[r.RDN]
+			if !ok {
+				c = &Candidate{RDN: r.RDN, MLD: r.MLD}
+				acc[r.RDN] = c
+			}
+			c.Count += evidence
+			c.Score += r.Score
+		}
+	}
+	if len(acc) == 0 {
+		return nil
+	}
+	out := make([]Candidate, 0, len(acc))
+	for _, c := range acc {
+		out = append(out, *c)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
+		}
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].RDN < out[j].RDN
+	})
+	return out
+}
+
+// appendUnique appends the extras to base, skipping duplicates, without
+// modifying base.
+func refAppendUnique(base, extras []string) []string {
+	out := make([]string, 0, len(base)+len(extras))
+	seen := make(map[string]struct{}, len(base)+len(extras))
+	for _, t := range base {
+		if _, dup := seen[t]; dup {
+			continue
+		}
+		seen[t] = struct{}{}
+		out = append(out, t)
+	}
+	for _, t := range extras {
+		if _, dup := seen[t]; dup {
+			continue
+		}
+		seen[t] = struct{}{}
+		out = append(out, t)
+	}
+	return out
+}
+
+// TestIdentifyMatchesReference holds Identify to the reference on
+// phishing and legitimate pages: keyterms, step, candidates (scores
+// bit-equal) and OCR terms. The set must reach every step of the
+// process, or the paths that differ between the two went uncompared.
+func TestIdentifyMatchesReference(t *testing.T) {
+	c := corpus(t)
+	id := New(c.Engine)
+	var snaps []*webpage.Snapshot
+	for _, ex := range c.PhishBrand.Examples {
+		snaps = append(snaps, ex.Snapshot)
+	}
+	for _, ex := range c.LangTests[webgen.English].Examples {
+		snaps = append(snaps, ex.Snapshot)
+	}
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 200; i++ {
+		site := c.World.NewPhishSite(rng, c.World.RandomPhishOptions(rng))
+		snap, err := crawl.VisitSite(c.World, site)
+		if err != nil {
+			t.Fatalf("visit: %v", err)
+		}
+		snaps = append(snaps, snap)
+	}
+	steps := map[int]int{}
+	ocrRanked := 0
+	for _, snap := range snaps {
+		a := webpage.Analyze(snap)
+		got, want := id.Identify(a), referenceIdentify(id, a)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Identify differs from the reference:\n got %+v\nwant %+v", snap.StartingURL, got, want)
+		}
+		if kt := ExtractKeyterms(a, id.K); !reflect.DeepEqual(kt, want.Keyterms) {
+			t.Fatalf("%s: ExtractKeyterms = %+v, reference %+v", snap.StartingURL, kt, want.Keyterms)
+		}
+		steps[got.StepsUsed]++
+		if got.UsedOCR && len(got.Candidates) > 0 {
+			ocrRanked++
+		}
+	}
+	for step := 1; step <= 4; step++ {
+		if steps[step] == 0 {
+			t.Errorf("no page of %d ended at step %d (reached: %v)", len(snaps), step, steps)
+		}
+	}
+	if ocrRanked == 0 {
+		t.Error("no page ranked candidates from OCR terms: the step-4 evidence path went uncompared")
+	}
+}
+
+// identifyAllocBudget bounds one warm identification of a phishing page
+// that runs both queries and ranks candidates: the term table, the two
+// bounded selections and keyterm slices, the second query's terms, two
+// result slices and the candidates: 19 on the page measured.
+const identifyAllocBudget = 24
+
+func TestIdentifyAllocs(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c := corpus(t)
+	id := New(c.Engine)
+	for _, ex := range c.PhishBrand.Examples {
+		a := webpage.Analyze(ex.Snapshot)
+		if res := id.Identify(a); res.StepsUsed != 3 || len(res.Candidates) == 0 {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(100, func() { id.Identify(a) }); allocs > identifyAllocBudget {
+			t.Errorf("Identify allocated %.1f times per run, budget %d", allocs, identifyAllocBudget)
+		}
+		return
+	}
+	t.Fatal("no phishing page reached candidate ranking")
+}

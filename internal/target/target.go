@@ -24,12 +24,14 @@
 package target
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"knowphish/internal/ocr"
 	"knowphish/internal/search"
 	"knowphish/internal/terms"
+	"knowphish/internal/urlx"
 	"knowphish/internal/webpage"
 )
 
@@ -110,81 +112,89 @@ type Keyterms struct {
 // analyzed page, at most n of each. Deterministic: ties break
 // lexicographically.
 func ExtractKeyterms(a *webpage.Analysis, n int) Keyterms {
-	score, sources := termStats(a)
-	return keytermsFromStats(score, sources, n)
+	return keytermsFromStats(termStats(a), n)
 }
 
-// keytermsFromStats ranks already-accumulated term statistics, so
-// Identify can reuse one termStats pass for both keyterm extraction and
-// candidate evidence.
-func keytermsFromStats(score map[string]float64, sources map[string]int, n int) Keyterms {
-	if n <= 0 {
-		n = DefaultKeyterms
-	}
-	type scored struct {
-		term    string
-		score   float64
-		sources int
-	}
-	all := make([]scored, 0, len(score))
-	for t, s := range score {
-		all = append(all, scored{term: t, score: s, sources: sources[t]})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
-		}
-		return all[i].term < all[j].term
-	})
-	var kt Keyterms
-	for _, s := range all {
-		if len(kt.Prominent) == n {
-			break
-		}
-		kt.Prominent = append(kt.Prominent, s.term)
-	}
-	// Boosted: multi-source terms, ranked by source count first — a term
-	// the owner repeats across title, text, copyright and URL is the
-	// page's subject.
-	boosted := make([]scored, 0, len(all))
-	for _, s := range all {
-		if s.sources >= 2 {
-			boosted = append(boosted, s)
-		}
-	}
-	sort.Slice(boosted, func(i, j int) bool {
-		if boosted[i].sources != boosted[j].sources {
-			return boosted[i].sources > boosted[j].sources
-		}
-		if boosted[i].score != boosted[j].score {
-			return boosted[i].score > boosted[j].score
-		}
-		return boosted[i].term < boosted[j].term
-	})
-	for _, s := range boosted {
-		if len(kt.Boosted) == n {
-			break
-		}
-		kt.Boosted = append(kt.Boosted, s.term)
-	}
-	return kt
+// termStat is what the keyterm sources say about one term.
+type termStat struct {
+	score   float64 // probability summed across the sources
+	sources int     // number of sources containing the term
 }
 
-// termStats accumulates, per term, the summed probability across the
-// keyterm sources and the number of sources containing it. Sources are
-// visited in fixed order and terms in sorted order, so the float
-// accumulation is bit-reproducible.
-func termStats(a *webpage.Analysis) (score map[string]float64, sources map[string]int) {
-	score = make(map[string]float64)
-	sources = make(map[string]int)
+// termStats builds the page's one term table: every term of the
+// keyterm sources with its statistics. Keyterm ranking reads the
+// values; candidate evidence reads the keys, the page's full term set.
+// Sources are visited in fixed order and terms in sorted order, so the
+// float accumulation is bit-reproducible.
+func termStats(a *webpage.Analysis) map[string]termStat {
+	table := make(map[string]termStat, a.Dist(webpage.DistText).Len())
 	for _, id := range keytermSources {
 		d := a.Dist(id)
 		for _, t := range d.Terms() {
-			score[t] += d.P(t)
-			sources[t]++
+			st := table[t]
+			st.score += d.P(t)
+			st.sources++
+			table[t] = st
 		}
 	}
-	return score, sources
+	return table
+}
+
+type rankedTerm struct {
+	term string
+	termStat
+}
+
+// byProminence orders terms by summed probability, ties lexicographic.
+func byProminence(a, b rankedTerm) int {
+	return cmp.Or(cmp.Compare(b.score, a.score), strings.Compare(a.term, b.term))
+}
+
+// byBoost orders terms by source count first — a term the owner repeats
+// across title, text, copyright and URL is the page's subject.
+func byBoost(a, b rankedTerm) int {
+	return cmp.Or(cmp.Compare(b.sources, a.sources), byProminence(a, b))
+}
+
+// keepBest inserts c into top, the at most n best terms so far in rank
+// order; a full top drops its last to make room. The orders are total,
+// so the selection does not depend on the order candidates arrive in.
+func keepBest(top []rankedTerm, c rankedTerm, n int, order func(a, b rankedTerm) int) []rankedTerm {
+	i, _ := slices.BinarySearchFunc(top, c, order)
+	if i == n {
+		return top
+	}
+	return slices.Insert(top[:min(len(top), n-1)], i, c)
+}
+
+// keytermsFromStats selects the keyterms from an already-built term
+// table: the n most prominent terms, and the n best among those at
+// least two sources share.
+func keytermsFromStats(table map[string]termStat, n int) Keyterms {
+	if n <= 0 {
+		n = DefaultKeyterms
+	}
+	prominent := make([]rankedTerm, 0, min(n, len(table)))
+	boosted := make([]rankedTerm, 0, min(n, len(table)))
+	for t, st := range table {
+		c := rankedTerm{t, st}
+		prominent = keepBest(prominent, c, n, byProminence)
+		if st.sources >= 2 {
+			boosted = keepBest(boosted, c, n, byBoost)
+		}
+	}
+	return Keyterms{Boosted: termsOf(boosted), Prominent: termsOf(prominent)}
+}
+
+func termsOf(ranked []rankedTerm) []string {
+	if len(ranked) == 0 {
+		return nil
+	}
+	out := make([]string, len(ranked))
+	for i, r := range ranked {
+		out[i] = r.term
+	}
+	return out
 }
 
 // Candidate is one potential phishing target.
@@ -246,17 +256,10 @@ func (id *Identifier) Identify(a *webpage.Analysis) Result {
 	if nres <= 0 {
 		nres = DefaultResults
 	}
-	score, sources := termStats(a)
-	res := Result{Keyterms: keytermsFromStats(score, sources, k)}
-
-	// The page's full term set is the evidence pool for candidate
-	// filtering; external RDNs are strong evidence (the phish links to
-	// its target's real site).
-	pageTerms := make(map[string]struct{}, len(score))
-	for t := range score {
-		pageTerms[t] = struct{}{}
-	}
-	extRDNs := externalRDNs(a)
+	// The table's key set doubles as the evidence pool for candidate
+	// filtering.
+	pageTerms := termStats(a)
+	res := Result{Keyterms: keytermsFromStats(pageTerms, k)}
 
 	// Step 1: boosted prominent terms.
 	q1 := res.Keyterms.Boosted
@@ -271,7 +274,12 @@ func (id *Identifier) Identify(a *webpage.Analysis) Result {
 
 	// Step 2: prominent terms plus the landing mld terms, the paper's
 	// second, more site-specific query.
-	q2 := appendUnique(res.Keyterms.Prominent, terms.Extract(a.Land.UnicodeRDN()))
+	q2 := slices.Clone(res.Keyterms.Prominent)
+	for _, t := range terms.Extract(a.Land.UnicodeRDN()) {
+		if !slices.Contains(q2, t) {
+			q2 = append(q2, t)
+		}
+	}
 	r2 := id.Engine.Query(q2, nres)
 	if containsOwn(r2, a) {
 		res.Verdict, res.StepsUsed = VerdictLegitimate, 2
@@ -279,7 +287,7 @@ func (id *Identifier) Identify(a *webpage.Analysis) Result {
 	}
 
 	// Step 3: rank the returned domains as candidate targets.
-	res.Candidates = rankCandidates([][]search.Result{r1, r2}, pageTerms, extRDNs, a)
+	res.Candidates = rankCandidates([][]search.Result{r1, r2}, pageTerms, nil, a)
 	if len(res.Candidates) > 0 {
 		res.Verdict, res.StepsUsed = VerdictPhish, 3
 		return res
@@ -303,14 +311,7 @@ func (id *Identifier) Identify(a *webpage.Analysis) Result {
 				res.Verdict = VerdictLegitimate
 				return res
 			}
-			ocrTerms := make(map[string]struct{}, len(pageTerms)+dist.Len())
-			for t := range pageTerms {
-				ocrTerms[t] = struct{}{}
-			}
-			for _, t := range dist.Terms() {
-				ocrTerms[t] = struct{}{}
-			}
-			res.Candidates = rankCandidates([][]search.Result{r1, r2, r3}, ocrTerms, extRDNs, a)
+			res.Candidates = rankCandidates([][]search.Result{r1, r2, r3}, pageTerms, dist.Terms(), a)
 			if len(res.Candidates) > 0 {
 				res.Verdict = VerdictPhish
 				return res
@@ -322,21 +323,12 @@ func (id *Identifier) Identify(a *webpage.Analysis) Result {
 	return res
 }
 
-// externalRDNs collects the RDNs of links leaving the controlled domain
-// set — where a phish points at its target's real site.
-func externalRDNs(a *webpage.Analysis) map[string]struct{} {
-	out := make(map[string]struct{})
-	for _, p := range a.ExtLog {
-		if p.RDN != "" {
-			out[p.RDN] = struct{}{}
-		}
-	}
-	for _, p := range a.ExtLink {
-		if p.RDN != "" {
-			out[p.RDN] = struct{}{}
-		}
-	}
-	return out
+// linksTo reports whether a link leaving the controlled domain set
+// points at rdn — strong evidence: a phish links to its target's real
+// site.
+func linksTo(a *webpage.Analysis, rdn string) bool {
+	to := func(p urlx.Parts) bool { return p.RDN == rdn }
+	return rdn != "" && (slices.ContainsFunc(a.ExtLog, to) || slices.ContainsFunc(a.ExtLink, to))
 }
 
 // containsOwn reports whether any search result names a domain the page
@@ -356,75 +348,49 @@ func containsOwn(results []search.Result, a *webpage.Analysis) bool {
 
 // rankCandidates turns search results into a ranked candidate target
 // list. A returned domain becomes a candidate only when the page shows
-// evidence of referencing it: a page term that is a substring of the
-// candidate's mld (the phish spells its target's name somewhere) or an
-// external link to the candidate. Evidence accumulates across queries;
-// ranking is by evidence count, then search relevance, then RDN.
-func rankCandidates(resultSets [][]search.Result, pageTerms map[string]struct{}, extRDNs map[string]struct{}, a *webpage.Analysis) []Candidate {
-	acc := make(map[string]*Candidate)
+// evidence of referencing it: a term of the page (or, in step 4, of its
+// screenshot) that is a substring of the candidate's mld — the phish
+// spells its target's name somewhere — or an external link to the
+// candidate. Evidence accumulates across queries; ranking is by
+// evidence count, then search relevance, then RDN.
+func rankCandidates(resultSets [][]search.Result, pageTerms map[string]termStat, ocrTerms []string, a *webpage.Analysis) []Candidate {
+	spelled := func(mld, t string) bool {
+		return len(t) >= terms.MinTermLength && strings.Contains(mld, t)
+	}
+	var out []Candidate
 	for _, rs := range resultSets {
 		for _, r := range rs {
 			if _, own := a.ControlledRDNs[r.RDN]; own {
 				continue
 			}
 			evidence := 0
-			if _, linked := extRDNs[r.RDN]; linked {
+			if linksTo(a, r.RDN) {
 				evidence += 2
 			}
 			for t := range pageTerms {
-				if len(t) >= terms.MinTermLength && strings.Contains(r.MLD, t) {
+				if spelled(r.MLD, t) {
+					evidence++
+				}
+			}
+			for _, t := range ocrTerms {
+				if _, onPage := pageTerms[t]; !onPage && spelled(r.MLD, t) {
 					evidence++
 				}
 			}
 			if evidence == 0 {
 				continue
 			}
-			c, ok := acc[r.RDN]
-			if !ok {
-				c = &Candidate{RDN: r.RDN, MLD: r.MLD}
-				acc[r.RDN] = c
+			i := slices.IndexFunc(out, func(c Candidate) bool { return c.RDN == r.RDN })
+			if i < 0 {
+				i = len(out)
+				out = append(out, Candidate{RDN: r.RDN, MLD: r.MLD})
 			}
-			c.Count += evidence
-			c.Score += r.Score
+			out[i].Count += evidence
+			out[i].Score += r.Score
 		}
 	}
-	if len(acc) == 0 {
-		return nil
-	}
-	out := make([]Candidate, 0, len(acc))
-	for _, c := range acc {
-		out = append(out, *c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].RDN < out[j].RDN
+	slices.SortFunc(out, func(x, y Candidate) int {
+		return cmp.Or(cmp.Compare(y.Count, x.Count), cmp.Compare(y.Score, x.Score), strings.Compare(x.RDN, y.RDN))
 	})
-	return out
-}
-
-// appendUnique appends the extras to base, skipping duplicates, without
-// modifying base.
-func appendUnique(base, extras []string) []string {
-	out := make([]string, 0, len(base)+len(extras))
-	seen := make(map[string]struct{}, len(base)+len(extras))
-	for _, t := range base {
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
-		out = append(out, t)
-	}
-	for _, t := range extras {
-		if _, dup := seen[t]; dup {
-			continue
-		}
-		seen[t] = struct{}{}
-		out = append(out, t)
-	}
 	return out
 }

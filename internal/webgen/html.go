@@ -103,10 +103,9 @@ func (spec pageSpec) screenshotText() []string {
 	return out
 }
 
-func escapeHTML(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+var htmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func escapeHTML(s string) string { return htmlEscaper.Replace(s) }
 
 func maxInt(a, b int) int {
 	if a > b {

@@ -161,6 +161,8 @@ func homographMLD(rng *rand.Rand, mld string) (string, bool) {
 	return urlx.EncodeHost(string(runes)), true
 }
 
+var digitLookAlikes = strings.NewReplacer("l", "1", "o", "0", "e", "3", "i", "1")
+
 // typosquat derives a near-miss of mld: character swap, doubling,
 // omission, or digit substitution.
 func typosquat(rng *rand.Rand, mld string) string {
@@ -178,8 +180,7 @@ func typosquat(rng *rand.Rand, mld string) string {
 		b[i], b[i-1] = b[i-1], b[i]
 		return string(b)
 	case 3: // digit look-alike
-		r := strings.NewReplacer("l", "1", "o", "0", "e", "3", "i", "1")
-		squatted := r.Replace(mld)
+		squatted := digitLookAlikes.Replace(mld)
 		if squatted == mld {
 			return mld + fmt.Sprintf("%d", rng.Intn(10))
 		}
