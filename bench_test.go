@@ -551,13 +551,13 @@ func BenchmarkServeScore(b *testing.B) {
 	}
 }
 
-// BenchmarkCoalescedScore measures the cross-request scoring coalescer:
-// conc concurrent callers funnel into shared node-major kernel passes
-// (internal/coalesce), with the per-stage memo tables cold (disabled, so
-// every request recomputes but still batches) or warm (pre-populated, so
-// requests ride the content-addressed fast path). Per-op time is one
-// scored page. The warm sub-benchmarks are the steady-state claim:
-// repeated content must be near-free and allocation-free.
+// BenchmarkCoalescedScore measures the content-addressed stage memo
+// (internal/coalesce) under conc concurrent callers, with the per-stage
+// memo tables cold (disabled, so every request computes every stage) or
+// warm (pre-populated, so requests ride the content-addressed fast
+// path). Per-op time is one scored page. The warm sub-benchmarks are
+// the steady-state claim: repeated content must be near-free and
+// allocation-free.
 func BenchmarkCoalescedScore(b *testing.B) {
 	r := benchSetup(b)
 	d, err := r.Detector(0)
@@ -587,7 +587,7 @@ func BenchmarkCoalescedScore(b *testing.B) {
 			b.Run(fmt.Sprintf("conc=%d/memo=%s", conc, mode), func(b *testing.B) {
 				memo := 0 // default table size
 				if mode == "cold" {
-					memo = -1 // disabled: batching without memoization
+					memo = -1 // memoization disabled
 				}
 				coal := coalesce.New(coalesce.Config{MemoEntries: memo})
 				if mode == "warm" {
@@ -609,11 +609,6 @@ func BenchmarkCoalescedScore(b *testing.B) {
 						}
 					}
 				})
-				b.StopTimer()
-				st := coal.Snapshot()
-				if st.Batches > 0 {
-					b.ReportMetric(float64(st.BatchedItems)/float64(st.Batches), "items/batch")
-				}
 			})
 		}
 	}

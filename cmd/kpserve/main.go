@@ -118,10 +118,7 @@ func run() error {
 		workers   = flag.Int("workers", 0, "batch fan-out cap (0 = GOMAXPROCS)")
 		cacheSize = flag.Int("cache", serve.DefaultCacheSize, "verdict cache entries (negative disables)")
 		maxBatch  = flag.Int("max-batch", serve.DefaultMaxBatch, "max pages per batch or stream request")
-
-		coalesceWindow = flag.Duration("coalesce-window", coalesce.DefaultWindow, "cross-request scoring coalescer gather window (negative disables coalescing and stage memoization)")
-		coalesceMax    = flag.Int("coalesce-max", coalesce.DefaultMaxBatch, "max requests per coalesced node-major kernel pass")
-		memoSize       = flag.Int("memo-size", coalesce.DefaultMemoEntries, "entries per content-addressed stage memo table (negative disables memoization, keeps batching)")
+		memoSize  = flag.Int("memo-size", coalesce.DefaultMemoEntries, "entries per content-addressed stage memo table (negative disables memoization)")
 		deadline  = flag.Duration("deadline", 0, "default per-request scoring deadline (0 = none; requests may set their own deadline_ms)")
 		explain   = flag.String("explain", "none", "default explain level for v2 requests: none, top or full")
 		topN      = flag.Int("explain-top", 0, "default contribution count of a 'top' explanation (0 = library default)")
@@ -263,22 +260,11 @@ func run() error {
 	}
 	identifier := target.New(engine)
 
-	// One coalescer serves every scoring path — the HTTP surface and the
-	// feed drain coalesce into the same batches and share the same memo
-	// tables, so a page seen on the feed warms interactive requests.
-	var coal *coalesce.Coalescer
-	if *coalesceWindow >= 0 {
-		coal = coalesce.New(coalesce.Config{
-			Window:      *coalesceWindow,
-			MaxBatch:    *coalesceMax,
-			MemoEntries: *memoSize,
-			Workers:     *workers,
-		})
-		logger.Info("scoring coalescer armed",
-			"window", *coalesceWindow, "max_batch", *coalesceMax, "memo_entries", *memoSize)
-	} else {
-		logger.Info("scoring coalescer disabled")
-	}
+	// One stage memo serves every scoring path — the HTTP surface and
+	// the feed drain share the same memo tables, so a page seen on the
+	// feed warms interactive requests.
+	coal := coalesce.New(coalesce.Config{MemoEntries: *memoSize})
+	logger.Info("stage memo armed", "memo_entries_per_table", *memoSize)
 
 	// The durable verdict store and the feed scheduler on top of it.
 	// Feed ingestion needs a crawl source; only the self-train path has
@@ -347,10 +333,8 @@ func run() error {
 			if lc != nil {
 				feedCfg.OnVerdict = lc.OnVerdict
 			}
-			if coal != nil {
-				feedCfg.Score = func(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest) (core.Verdict, error) {
-					return coal.Do(ctx, pipe, req, coalesce.CacheDefault, nil)
-				}
+			feedCfg.Score = func(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest) (core.Verdict, error) {
+				return coal.Do(ctx, pipe, req, coalesce.CacheDefault, nil)
 			}
 			if sched, err = feed.New(feedCfg); err != nil {
 				return err
@@ -404,7 +388,6 @@ func run() error {
 		CacheSize:       *cacheSize,
 		MaxBatch:        *maxBatch,
 		Coalescer:       coal,
-		CoalesceWindow:  *coalesceWindow,
 		DefaultDeadline: *deadline,
 		DefaultExplain:  explainLevel,
 		ExplainTopN:     *topN,

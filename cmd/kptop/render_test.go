@@ -47,9 +47,8 @@ func testFrame(at time.Time) *frame {
 				Batches:      100,
 				BatchedItems: 450,
 				Bypassed:     7,
-				FlushFull:    20, FlushAdaptive: 70, FlushTimer: 10,
-				Analysis: coalesce.TableStats{Hits: 300, Misses: 150, Entries: 150},
-				Score:    coalesce.TableStats{Hits: 225, Misses: 225, Entries: 150},
+				Analysis:     coalesce.TableStats{Hits: 300, Misses: 150, Entries: 150},
+				Score:        coalesce.TableStats{Hits: 225, Misses: 225, Entries: 150},
 			},
 			Tracing: &obs.Summary{Stages: []obs.StageSummary{
 				{Stage: "score", Count: 1100, Windows: []obs.WindowSummary{
@@ -86,7 +85,7 @@ func TestRenderFrame(t *testing.T) {
 		"admission shed level 0 -> 2",
 		"batches 100",
 		"items 450 (avg 4.5)",
-		"flush full/adaptive/timer 20/70/10",
+		"bypassed 7",
 		"analysis  67% (150)",
 		"score  50% (150)",
 		"features -",

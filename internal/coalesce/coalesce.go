@@ -1,34 +1,27 @@
-// Package coalesce implements cross-request micro-batched scoring with
-// content-addressed per-stage memoization.
+// Package coalesce is the content-addressed stage memo in front of the
+// scoring pipeline.
 //
-// Concurrent score calls are gathered for a bounded window and scored
-// in one node-major traversal of the flattened ensemble
-// (core.Pipeline.ScoreCoalesced), so the model's nodes stream through
-// the cache once per batch instead of once per request. Batching is a
-// scheduling change only: scores are bit-for-bit identical to
-// per-request AnalyzeCtx calls.
+// Four sharded LRU tables memoize the pipeline stages independently,
+// keyed by the page's 128-bit content key (webpage.ContentKey): snapshot
+// analysis and the extracted feature vector are model-independent and
+// survive model promotion; the detector score and the
+// target-identification result are stamped with the model version and
+// invalidated when a new champion is promoted.
 //
-// Layered on top, four sharded LRU tables memoize the pipeline stages
-// independently, keyed by the page's 128-bit content fingerprint
-// (webpage.ContentKey): snapshot analysis and the extracted feature
-// vector are model-independent and survive model promotion; the
-// detector score and the target-identification result are stamped with
-// the model version and invalidated when a new champion is promoted.
-//
-// The coalescer has no background goroutine: the first request to open
-// a batch becomes its leader, waits out the window (or until the batch
-// fills, or until every in-flight submitter has joined — the adaptive
-// flush that keeps a lone request from paying the window as latency),
-// runs the batched kernel, and wakes the followers.
+// Coalescer.Do hashes the page, looks the four stages up, hands what it
+// found to the pipeline's one stage machine
+// (core.Pipeline.AnalyzeStagedCtx), and writes back what had to be
+// computed. It runs on the caller's goroutine — no queue, no timer, no
+// background work — and its verdicts are identical to per-request
+// AnalyzeCtx calls. Nothing is batched: the package and type names are
+// kept for the callers and metric names that carry them.
 package coalesce
 
 import (
 	"context"
 	"encoding/hex"
 	"errors"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"knowphish/internal/core"
 	"knowphish/internal/target"
@@ -42,7 +35,7 @@ const (
 	// CacheDefault reads and writes the memo tables.
 	CacheDefault CacheControl = iota
 	// CacheNoMemo neither reads nor writes: the request computes every
-	// stage and leaves no trace (batching still applies).
+	// stage and leaves no trace.
 	CacheNoMemo
 	// CacheRefresh recomputes every stage and overwrites the memos —
 	// write-only, the forced-revalidation mode.
@@ -76,49 +69,29 @@ func ParseCacheControl(s string) (CacheControl, error) {
 	}
 }
 
-// Defaults applied by New for zero Config fields.
-const (
-	// DefaultWindow is the coalescing window: how long a batch leader
-	// waits for company before scoring what it has.
-	DefaultWindow = 200 * time.Microsecond
-	// DefaultMaxBatch caps one coalesced pass.
-	DefaultMaxBatch = 64
-	// DefaultMemoEntries is each memo table's capacity.
-	DefaultMemoEntries = 1 << 16
-)
+// DefaultMemoEntries is each memo table's capacity when Config leaves
+// it zero.
+const DefaultMemoEntries = 1 << 16
 
 // Config configures a Coalescer.
 type Config struct {
-	// Window bounds how long a batch leader waits for more requests.
-	// 0 means DefaultWindow; negative means never wait (each flush
-	// takes only the requests already queued).
-	Window time.Duration
-	// MaxBatch caps the items of one coalesced pass (0 = DefaultMaxBatch).
-	MaxBatch int
 	// MemoEntries is the capacity of each of the four stage tables
-	// (0 = DefaultMemoEntries; negative disables memoization — the
-	// coalescer still batches).
+	// (0 = DefaultMemoEntries; negative disables memoization — Do still
+	// fingerprints the page and scores it).
 	MemoEntries int
-	// Workers bounds the per-batch fan-out of the analysis and target
-	// stages (0 = GOMAXPROCS).
-	Workers int
 }
 
 // Stats is a point-in-time snapshot of coalescer activity.
 type Stats struct {
-	// Batches is the number of coalesced passes run.
-	Batches uint64 `json:"batches"`
-	// BatchedItems is the total requests scored through passes; divided
-	// by Batches it gives the mean batch size.
+	// Batches and BatchedItems both report the number of staged scoring
+	// passes — every Do that was not bypassed. They are two names for
+	// one counter, kept because the metrics surface and the repo
+	// benchmark read the pair.
+	Batches      uint64 `json:"batches"`
 	BatchedItems uint64 `json:"batched_items"`
-	// FlushFull / FlushAdaptive / FlushTimer count passes by trigger:
-	// batch hit MaxBatch, every in-flight submitter had joined, or the
-	// window expired.
-	FlushFull     uint64 `json:"flush_full"`
-	FlushAdaptive uint64 `json:"flush_adaptive"`
-	FlushTimer    uint64 `json:"flush_timer"`
-	// Bypassed counts requests routed around the coalescer (explain or
-	// feature-masked requests, which are per-request by nature).
+	// Bypassed counts requests routed around the memo (explain or
+	// feature-masked requests, whose stages are not the page's canonical
+	// results).
 	Bypassed uint64 `json:"bypassed"`
 
 	Analysis TableStats `json:"analysis"`
@@ -151,98 +124,32 @@ type targetEntry struct {
 	ver string
 }
 
-// item is one request inside the batching machinery; pooled, with a
-// reusable wake channel.
-type item struct {
-	ci      core.CoalesceItem
-	pipe    *core.Pipeline
-	done    chan struct{}
-	grouped bool
-}
-
-// batch is one open coalescing window; pooled by its leader.
-type batch struct {
-	items    []*item
-	sealed   bool
-	reason   uint8
-	sealedCh chan struct{} // capacity 1: a follower sealing wakes the leader
-	timer    *time.Timer
-	kernel   []*core.CoalesceItem // scratch for the grouped kernel call
-}
-
-const (
-	reasonFull = iota
-	reasonAdaptive
-	reasonTimer
-)
-
-// Coalescer batches concurrent scoring calls and memoizes their stages.
-// The zero value is not usable; build one with New. A nil *Coalescer is
+// Coalescer memoizes the scoring pipeline's stages by page content. The
+// zero value is not usable; build one with New. A nil *Coalescer is
 // valid and degrades Do to a plain AnalyzeCtx call.
 type Coalescer struct {
-	window   time.Duration
-	maxBatch int
-	workers  int
-
-	mu       sync.Mutex
-	cur      *batch
-	inflight atomic.Int64 // Do calls not yet part of a sealed batch
-
-	itemPool  sync.Pool
-	batchPool sync.Pool
-
 	analysis *memoTable[analysisEntry]
 	features *memoTable[[]float64]
 	score    *memoTable[scoreEntry]
 	target   *memoTable[targetEntry]
 
-	batches       atomic.Uint64
-	batchedItems  atomic.Uint64
-	flushFull     atomic.Uint64
-	flushAdaptive atomic.Uint64
-	flushTimer    atomic.Uint64
-	bypassed      atomic.Uint64
+	passes   atomic.Uint64
+	bypassed atomic.Uint64
 }
 
 // New builds a Coalescer from cfg (zero fields take the package
 // defaults).
 func New(cfg Config) *Coalescer {
-	if cfg.Window == 0 {
-		cfg.Window = DefaultWindow
-	}
-	if cfg.Window < 0 {
-		cfg.Window = 0
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
 	memo := cfg.MemoEntries
 	if memo == 0 {
 		memo = DefaultMemoEntries
 	}
-	c := &Coalescer{
-		window:   cfg.Window,
-		maxBatch: cfg.MaxBatch,
-		workers:  cfg.Workers,
+	return &Coalescer{
 		analysis: newMemoTable[analysisEntry](memo),
 		features: newMemoTable[[]float64](memo),
 		score:    newMemoTable[scoreEntry](memo),
 		target:   newMemoTable[targetEntry](memo),
 	}
-	c.itemPool.New = func() any { return &item{done: make(chan struct{}, 1)} }
-	c.batchPool.New = func() any {
-		t := time.NewTimer(time.Hour)
-		if !t.Stop() {
-			<-t.C
-		}
-		return &batch{
-			items:    make([]*item, 0, c.maxBatch),
-			sealedCh: make(chan struct{}, 1),
-			timer:    t,
-			kernel:   make([]*core.CoalesceItem, 0, c.maxBatch),
-		}
-	}
-	return c
 }
 
 // Fingerprint returns the hex form of a content key, as exposed in
@@ -256,15 +163,15 @@ func Fingerprint(k webpage.Key128) string {
 	return hex.EncodeToString(b[:])
 }
 
-// Do scores one request through the coalescer: memo lookups, batched
-// kernel, memo write-back. The verdict is identical to what
-// pipe.AnalyzeCtx would produce, with ContentFingerprint set; when prov
-// is non-nil it is filled with each stage's provenance (memo vs
-// computed; empty for stages that did not run).
+// Do scores one request through the memo: content hash, memo lookups,
+// one staged pipeline pass, memo write-back. The verdict is identical
+// to what pipe.AnalyzeCtx would produce, with ContentFingerprint set;
+// when prov is non-nil it is filled with each stage's provenance (memo
+// vs computed; empty for stages that did not run).
 //
 // Explain and feature-masked requests are per-request by nature and are
 // transparently routed to pipe.AnalyzeCtx. A nil receiver routes
-// everything there — callers need no "is coalescing on" branches.
+// everything there — callers need no "is memoization on" branches.
 func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest, cc CacheControl, prov *core.MemoProvenance) (core.Verdict, error) {
 	if c == nil || req.Explains() || req.FeatureMask() != 0 {
 		if c != nil {
@@ -281,250 +188,87 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 	if snap == nil {
 		return core.Verdict{}, core.ErrNoSnapshot
 	}
-	if d := req.Deadline(); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-
-	// Count this call in-flight before the hash and memo lookups, not
-	// at submission: the adaptive flush asks "is anyone else on their
-	// way to this batch?", and a request spending microseconds hashing
-	// its snapshot is exactly the company worth waiting for.
-	c.inflight.Add(1)
+	c.passes.Add(1)
 
 	key := webpage.ContentKey(snap)
 	ver := pipe.Detector.Version()
 	reads := cc == CacheDefault
 	writes := cc != CacheNoMemo
 
-	it := c.itemPool.Get().(*item)
-	it.pipe = pipe
-	it.grouped = false
-	it.ci = core.CoalesceItem{Ctx: ctx, Req: req}
-
+	var st core.StageResults
 	fp := ""
 	if reads {
 		if e, ok := c.analysis.Get(key); ok {
-			it.ci.Analysis, fp = e.a, e.fp
+			st.Analysis, fp = e.a, e.fp
 		}
 		if v, ok := c.features.Get(key); ok {
-			it.ci.Vector = v
+			st.Vector = v
 		}
 		if e, ok := c.score.Get(key); ok && e.ver == ver {
-			it.ci.HasScore, it.ci.Score = true, e.score
+			st.HasScore, st.Score = true, e.score
 			if fp == "" {
 				fp = e.fp
 			}
 		}
 		if e, ok := c.target.Get(key); ok && e.ver == ver {
-			it.ci.TargetResult = e.res
+			st.TargetResult = e.res
 		}
 	}
-	// Keep the extracted vector on the heap when someone will outlive
-	// the pass with it: the caller (vector capture) or the feature memo.
-	memoWantsVector := writes && c.features != nil && it.ci.Vector == nil
-	it.ci.KeepVector = req.CapturesVector() || memoWantsVector
+	// The feature memo wants the vector whenever it does not hold it.
+	st.KeepVector = writes && c.features != nil && st.Vector == nil
 
-	c.submit(it)
-
-	v, err := it.ci.Verdict, it.ci.Err
-	computed := it.ci.Computed
-	if err == nil {
-		if fp == "" {
-			fp = Fingerprint(key)
+	v, err := pipe.AnalyzeStagedCtx(ctx, req, &st)
+	if err != nil {
+		return core.Verdict{}, err
+	}
+	if fp == "" {
+		fp = Fingerprint(key)
+	}
+	v.ContentFingerprint = fp
+	computed := st.Computed
+	if writes {
+		if computed&core.StageMaskAnalysis != 0 {
+			c.analysis.Put(key, analysisEntry{a: st.Analysis, fp: fp})
 		}
-		v.ContentFingerprint = fp
-		if writes {
-			if computed&core.StageMaskAnalysis != 0 && it.ci.Analysis != nil {
-				c.analysis.Put(key, analysisEntry{a: it.ci.Analysis, fp: fp})
-			}
-			if computed&core.StageMaskFeatures != 0 && it.ci.Vector != nil {
-				c.features.Put(key, it.ci.Vector)
-			}
-			if computed&core.StageMaskScore != 0 {
-				c.score.Put(key, scoreEntry{score: v.Score, ver: v.ModelVersion, fp: fp})
-			}
-			if computed&core.StageMaskTarget != 0 && v.TargetRun {
-				res := v.Target
-				c.target.Put(key, targetEntry{res: &res, ver: v.ModelVersion})
-			}
+		if computed&core.StageMaskFeatures != 0 && st.Vector != nil {
+			c.features.Put(key, st.Vector)
 		}
-		if prov != nil {
-			*prov = core.MemoProvenance{}
-			switch {
-			case computed&core.StageMaskAnalysis != 0:
-				prov.Analysis = core.ProvComputed
-			case it.ci.Analysis != nil:
-				prov.Analysis = core.ProvMemo
-			}
-			switch {
-			case computed&core.StageMaskFeatures != 0:
-				prov.Features = core.ProvComputed
-			case it.ci.Vector != nil && !it.ci.HasScore:
-				prov.Features = core.ProvMemo
-			}
-			if it.ci.HasScore {
-				prov.Score = core.ProvMemo
-			} else if computed&core.StageMaskScore != 0 {
-				prov.Score = core.ProvComputed
-			}
-			if v.TargetRun {
-				if computed&core.StageMaskTarget != 0 {
-					prov.Target = core.ProvComputed
-				} else {
-					prov.Target = core.ProvMemo
-				}
+		if computed&core.StageMaskScore != 0 {
+			c.score.Put(key, scoreEntry{score: v.Score, ver: v.ModelVersion, fp: fp})
+		}
+		if computed&core.StageMaskTarget != 0 {
+			res := v.Target
+			c.target.Put(key, targetEntry{res: &res, ver: v.ModelVersion})
+		}
+	}
+	if prov != nil {
+		*prov = core.MemoProvenance{}
+		switch {
+		case computed&core.StageMaskAnalysis != 0:
+			prov.Analysis = core.ProvComputed
+		case st.Analysis != nil:
+			prov.Analysis = core.ProvMemo
+		}
+		switch {
+		case computed&core.StageMaskFeatures != 0:
+			prov.Features = core.ProvComputed
+		case st.Vector != nil && !st.HasScore:
+			prov.Features = core.ProvMemo
+		}
+		if st.HasScore {
+			prov.Score = core.ProvMemo
+		} else {
+			prov.Score = core.ProvComputed
+		}
+		if v.TargetRun {
+			if computed&core.StageMaskTarget != 0 {
+				prov.Target = core.ProvComputed
+			} else {
+				prov.Target = core.ProvMemo
 			}
 		}
 	}
-	c.itemPool.Put(it)
-	return v, err
-}
-
-// submit places it into the open batch, leading a new one if none is
-// open, and returns once the item has been scored.
-func (c *Coalescer) submit(it *item) {
-	c.mu.Lock()
-	b := c.cur
-	leader := false
-	if b == nil {
-		b = c.batchPool.Get().(*batch)
-		b.items = b.items[:0]
-		b.sealed = false
-		c.cur = b
-		leader = true
-	}
-	b.items = append(b.items, it)
-	n := len(b.items)
-	if n >= c.maxBatch {
-		c.sealLocked(b, reasonFull)
-	} else if c.window == 0 || c.inflight.Load() == int64(n) {
-		// Everyone currently submitting is already in this batch:
-		// waiting longer can only add latency, never company.
-		c.sealLocked(b, reasonAdaptive)
-	}
-	sealed := b.sealed
-	c.mu.Unlock()
-
-	if !leader {
-		<-it.done
-		return
-	}
-	if !sealed {
-		b.timer.Reset(c.window)
-		select {
-		case <-b.sealedCh:
-			if !b.timer.Stop() {
-				<-b.timer.C
-			}
-		case <-b.timer.C:
-			c.mu.Lock()
-			if !b.sealed {
-				c.sealLocked(b, reasonTimer)
-			}
-			c.mu.Unlock()
-		}
-	}
-	// Drain the seal token (present unless the timer path sealed).
-	select {
-	case <-b.sealedCh:
-	default:
-	}
-	c.lead(b, it)
-	c.batchPool.Put(b)
-}
-
-// sealLocked closes b to new items (c.mu held). The submitters it
-// contains leave the in-flight gauge: they can no longer join anything.
-func (c *Coalescer) sealLocked(b *batch, reason uint8) {
-	if b.sealed {
-		return
-	}
-	b.sealed = true
-	b.reason = reason
-	c.inflight.Add(int64(-len(b.items)))
-	if c.cur == b {
-		c.cur = nil
-	}
-	select {
-	case b.sealedCh <- struct{}{}:
-	default:
-	}
-}
-
-// errBatchPanic marks followers' items when the leader's kernel pass
-// panicked before writing their verdicts.
-var errBatchPanic = errors.New("coalesce: batch aborted by a panicking batchmate")
-
-// lead runs the sealed batch's kernel pass and wakes the followers —
-// even on panic, so a kernel bug surfaces on the leader's goroutine
-// (where the server's per-request recover contains it) instead of
-// hanging every follower.
-func (c *Coalescer) lead(b *batch, own *item) {
-	defer func() {
-		if r := recover(); r != nil {
-			for _, o := range b.items {
-				// Only items the pass never finished: a completed
-				// batchmate keeps its verdict.
-				if o != own && o.ci.Err == nil && o.ci.Verdict.Label == "" {
-					o.ci.Err = errBatchPanic
-				}
-			}
-			wakeFollowers(b, own)
-			panic(r)
-		}
-		wakeFollowers(b, own)
-	}()
-
-	c.batches.Add(1)
-	c.batchedItems.Add(uint64(len(b.items)))
-	switch b.reason {
-	case reasonFull:
-		c.flushFull.Add(1)
-	case reasonAdaptive:
-		c.flushAdaptive.Add(1)
-	default:
-		c.flushTimer.Add(1)
-	}
-
-	// One kernel pass per distinct pipeline: a promotion landing
-	// mid-window means neighbors in one batch may score under different
-	// champions, and each must score under its own.
-	for i := range b.items {
-		if b.items[i].grouped {
-			continue
-		}
-		pipe := b.items[i].pipe
-		b.kernel = b.kernel[:0]
-		for j := i; j < len(b.items); j++ {
-			if o := b.items[j]; !o.grouped && o.pipe == pipe {
-				o.grouped = true
-				b.kernel = append(b.kernel, &o.ci)
-			}
-		}
-		// The batch context is deliberately background: one item's
-		// cancellation must never cut down its batchmates. Per-item
-		// contexts ride on each CoalesceItem.
-		if err := pipe.ScoreCoalesced(context.Background(), b.kernel, c.workers); err != nil {
-			for _, ci := range b.kernel {
-				if ci.Err == nil {
-					ci.Err = err
-				}
-			}
-		}
-	}
-}
-
-// wakeFollowers releases every batch member except the leader's own
-// item. The buffered send cannot block: each item waits for exactly one
-// token per pass.
-func wakeFollowers(b *batch, own *item) {
-	for _, o := range b.items {
-		if o != own {
-			o.done <- struct{}{}
-		}
-	}
+	return v, nil
 }
 
 // InvalidateModel flushes the model-dependent memo tables (detector
@@ -545,16 +289,14 @@ func (c *Coalescer) Snapshot() Stats {
 	if c == nil {
 		return Stats{}
 	}
+	passes := c.passes.Load()
 	return Stats{
-		Batches:       c.batches.Load(),
-		BatchedItems:  c.batchedItems.Load(),
-		FlushFull:     c.flushFull.Load(),
-		FlushAdaptive: c.flushAdaptive.Load(),
-		FlushTimer:    c.flushTimer.Load(),
-		Bypassed:      c.bypassed.Load(),
-		Analysis:      c.analysis.stats(),
-		Features:      c.features.stats(),
-		Score:         c.score.stats(),
-		Target:        c.target.stats(),
+		Batches:      passes,
+		BatchedItems: passes,
+		Bypassed:     c.bypassed.Load(),
+		Analysis:     c.analysis.stats(),
+		Features:     c.features.stats(),
+		Score:        c.score.stats(),
+		Target:       c.target.stats(),
 	}
 }

@@ -68,8 +68,8 @@ func mixedSnaps(t testing.TB, n int) []*webpage.Snapshot {
 	return out
 }
 
-// TestDoMatchesAnalyzeCtx pins the whole coalescer — batching plus
-// memoization, cold and warm — to per-request AnalyzeCtx verdicts.
+// TestDoMatchesAnalyzeCtx pins the memoized path, cold and warm, to
+// per-request AnalyzeCtx verdicts.
 func TestDoMatchesAnalyzeCtx(t *testing.T) {
 	_, pipe := fixtures(t)
 	c := New(Config{})
@@ -257,11 +257,10 @@ func TestVersionStampBlocksStaleReads(t *testing.T) {
 }
 
 // TestDeadlinePropagation pins that one request's expired deadline
-// produces its own error and never poisons batchmates coalesced into
-// the same window.
+// produces its own error and never poisons concurrent requests.
 func TestDeadlinePropagation(t *testing.T) {
 	_, pipe := fixtures(t)
-	c := New(Config{Window: 5 * time.Millisecond, MemoEntries: -1})
+	c := New(Config{MemoEntries: -1})
 	snaps := mixedSnaps(t, 6)
 
 	var wg sync.WaitGroup
@@ -296,7 +295,7 @@ func TestDeadlinePropagation(t *testing.T) {
 func TestConcurrentPromoteAndScore(t *testing.T) {
 	corp, pipe := fixtures(t)
 	ctx := context.Background()
-	c := New(Config{Window: 50 * time.Microsecond})
+	c := New(Config{})
 	snaps := mixedSnaps(t, 16)
 
 	// A second champion to swap in and out.
@@ -396,8 +395,8 @@ func TestNilCoalescerDegradesToDirect(t *testing.T) {
 	}
 }
 
-// TestExplainBypass pins that explain requests route around batching
-// and memoization but still produce full verdicts.
+// TestExplainBypass pins that explain requests route around
+// memoization but still produce full verdicts.
 func TestExplainBypass(t *testing.T) {
 	_, pipe := fixtures(t)
 	c := New(Config{})
@@ -419,7 +418,7 @@ func TestExplainBypass(t *testing.T) {
 }
 
 // TestWarmPathZeroAllocs pins the steady-state cost of a fully
-// memoized request: content hash, four table hits, one batch pass —
+// memoized request: content hash, four table hits, one staged pass —
 // zero heap allocations.
 func TestWarmPathZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
@@ -444,63 +443,6 @@ func TestWarmPathZeroAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm coalesced request allocated %.1f times per run, want 0", allocs)
-	}
-}
-
-// TestCoalescingActuallyBatches drives concurrent requests through a
-// generous window and checks that passes carried more than one item.
-// The in-flight gauge is held up artificially so the adaptive flush
-// cannot fire: on a single-CPU box goroutines serialize and would
-// otherwise each (correctly) solo-flush, making window-based batching
-// untestable; pinning the gauge forces the leader to wait out its
-// window while the scheduler runs the other submitters into the batch.
-func TestCoalescingActuallyBatches(t *testing.T) {
-	_, pipe := fixtures(t)
-	c := New(Config{Window: 20 * time.Millisecond, MemoEntries: -1})
-	snaps := mixedSnaps(t, 32)
-	c.inflight.Add(int64(len(snaps)))
-	defer c.inflight.Add(int64(-len(snaps)))
-	var wg sync.WaitGroup
-	for _, snap := range snaps {
-		wg.Add(1)
-		go func(snap *webpage.Snapshot) {
-			defer wg.Done()
-			if _, err := c.Do(context.Background(), pipe, core.NewScoreRequest(snap), CacheDefault, nil); err != nil {
-				t.Error(err)
-			}
-		}(snap)
-	}
-	wg.Wait()
-	st := c.Snapshot()
-	if st.Batches == 0 {
-		t.Fatal("no batches ran")
-	}
-	if st.BatchedItems != uint64(len(snaps)) {
-		t.Fatalf("batched items = %d, want %d", st.BatchedItems, len(snaps))
-	}
-	if st.Batches == st.BatchedItems {
-		t.Fatalf("every batch had exactly one item (%d batches) — coalescing never happened", st.Batches)
-	}
-	if st.FlushTimer == 0 {
-		t.Fatalf("no window-expiry flush recorded: %+v", st)
-	}
-}
-
-// TestAdaptiveFlushSkipsTheWindow pins the solo fast path: a lone
-// request — nobody else in flight — must not pay the window as latency.
-func TestAdaptiveFlushSkipsTheWindow(t *testing.T) {
-	_, pipe := fixtures(t)
-	c := New(Config{Window: 250 * time.Millisecond, MemoEntries: -1})
-	snap := mixedSnaps(t, 1)[0]
-	start := time.Now()
-	if _, err := c.Do(context.Background(), pipe, core.NewScoreRequest(snap), CacheDefault, nil); err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(start); took > 100*time.Millisecond {
-		t.Fatalf("solo request took %v — it waited out the coalescing window", took)
-	}
-	if st := c.Snapshot(); st.FlushAdaptive != 1 {
-		t.Fatalf("flush reasons %+v, want one adaptive flush", st)
+		t.Fatalf("warm memoized request allocated %.1f times per run, want 0", allocs)
 	}
 }

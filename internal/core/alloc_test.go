@@ -187,42 +187,38 @@ func TestHoistedOptionsAllocContract(t *testing.T) {
 	}
 }
 
-// TestScoreCoalescedWarmPathZeroAllocs pins the coalescer's warm-memo
-// steady state: with analysis and score both memo-supplied, a coalesced
-// pass over a reused item must not touch the allocator (beyond what the
-// caller itself reuses).
+// TestScoreCoalescedWarmPathZeroAllocs pins the memo's warm steady
+// state: with the score (and, for a positive, the target result)
+// supplied, a staged pass analyses nothing and must not touch the
+// allocator.
 func TestScoreCoalescedWarmPathZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	c := corpus(t)
 	d := trainDetector(t, c, 0)
-	pipe := &Pipeline{Detector: d}
-	snap := c.LangTests[webgen.English].Snapshots()[0]
-	a := webpage.Analyze(snap)
+	pipe := &Pipeline{Detector: d, Identifier: target.New(c.Engine)}
 	ctx := context.Background()
-
-	req := NewScoreRequest(snap)
-	seed := &CoalesceItem{Req: req, Analysis: a}
-	items := []*CoalesceItem{seed}
-	if err := pipe.ScoreCoalesced(ctx, items, 1); err != nil {
-		t.Fatal(err)
-	}
-	score := seed.Verdict.Score
-	allocs := testing.AllocsPerRun(200, func() {
-		*seed = CoalesceItem{
-			Req: req, Analysis: a,
-			HasScore: true, Score: score,
-		}
-		if err := pipe.ScoreCoalesced(ctx, items, 1); err != nil {
+	for _, snap := range []*webpage.Snapshot{c.LangTests[webgen.English].Snapshots()[0], c.PhishTest.Snapshots()[0]} {
+		req := NewScoreRequest(snap)
+		cold, err := pipe.AnalyzeCtx(ctx, req)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if seed.Err != nil || seed.Verdict.Score != score {
-			t.Fatal("warm coalesced verdict diverged")
+		tres := &cold.Target
+		if !cold.TargetRun {
+			tres = nil
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm coalesced pass allocated %.1f times per run, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			st := StageResults{HasScore: true, Score: cold.Score, TargetResult: tres}
+			v, err := pipe.AnalyzeStagedCtx(ctx, req, &st)
+			if err != nil || v.Score != cold.Score || v.FinalPhish != cold.FinalPhish || st.Computed != 0 {
+				t.Fatal("warm staged verdict diverged")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("warm staged pass (target run: %v) allocated %.1f times per run, want 0", cold.TargetRun, allocs)
+		}
 	}
 }
 

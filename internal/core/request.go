@@ -78,7 +78,7 @@ type ScoreOption func(*ScoreRequest)
 func NewScoreRequest(snap *webpage.Snapshot, opts ...ScoreOption) ScoreRequest {
 	// Option-free requests never take the request's address, so they
 	// build entirely on the caller's stack — the hot default for the
-	// feed drain and coalesced scoring. With options, &req flows into
+	// feed drain and memoized scoring. With options, &req flows into
 	// the option closures and escape analysis materializes the request
 	// on the heap: one allocation, regardless of option count.
 	if len(opts) == 0 {
@@ -154,13 +154,6 @@ func (r *ScoreRequest) Explains() bool { return r.explain != ExplainNone }
 // never FP-checked — so verdict caches must not store them as the
 // page's canonical outcome.
 func (r *ScoreRequest) SkipsTarget() bool { return r.skipTarget }
-
-// Deadline returns the per-request deadline (0 = none).
-func (r *ScoreRequest) Deadline() time.Duration { return r.deadline }
-
-// CapturesVector reports whether the request retains the extracted
-// feature vector on the verdict (WithVectorCapture).
-func (r *ScoreRequest) CapturesVector() bool { return r.captureVector }
 
 // FeatureMask returns the feature-set restriction applied by
 // WithFeatureSet (0 = none). Masked requests score an ablated vector,

@@ -1,0 +1,242 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"testing"
+	"time"
+
+	"knowphish/internal/features"
+	"knowphish/internal/target"
+	"knowphish/internal/webpage"
+)
+
+// stagedPages picks one detector positive and one detector negative, so
+// both sides of the target-identification branch are exercised.
+func stagedPages(t *testing.T, p *Pipeline) map[string]*webpage.Snapshot {
+	t.Helper()
+	c := corpus(t)
+	pick := func(snaps []*webpage.Snapshot, positive bool) *webpage.Snapshot {
+		for _, s := range snaps {
+			v, err := p.Detector.ScoreCtx(context.Background(), NewScoreRequest(s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.DetectorPhish == positive {
+				return s
+			}
+		}
+		t.Fatalf("fixture has no page with DetectorPhish=%v", positive)
+		return nil
+	}
+	return map[string]*webpage.Snapshot{
+		"phish": pick(c.PhishTest.Snapshots(), true),
+		"legit": pick(c.LegTrain.Snapshots(), false),
+	}
+}
+
+// TestScoreCoalescedMatchesAnalyzeCtx is the differential proof that the
+// staged entry point is AnalyzeCtx: for every subset of pre-supplied
+// stages the verdict is equal apart from Timings, and Computed names
+// exactly the stages that had to run.
+func TestScoreCoalescedMatchesAnalyzeCtx(t *testing.T) {
+	_, p := verdictFixtures(t)
+	ctx := context.Background()
+	const supA, supV, supS, supT = 1, 2, 4, 8
+	options := []struct {
+		name          string
+		opts          []ScoreOption
+		skip, capture bool
+	}{
+		{name: "default"},
+		{name: "skip_target", opts: []ScoreOption{WithoutTargetID()}, skip: true},
+		{name: "capture", opts: []ScoreOption{WithVectorCapture()}, capture: true},
+	}
+	for page, snap := range stagedPages(t, p) {
+		// One cold pass yields every stage result to pre-supply.
+		cold := StageResults{KeepVector: true}
+		coldV, err := p.AnalyzeStagedCtx(ctx, NewScoreRequest(snap), &cold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A negative has no target result; supplying one anyway must be
+		// ignored, not trusted.
+		tres := target.Result{Verdict: target.VerdictLegitimate, StepsUsed: 99}
+		if coldV.TargetRun {
+			tres = coldV.Target
+		}
+		for _, o := range options {
+			req := NewScoreRequest(snap, o.opts...)
+			want, err := p.AnalyzeCtx(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Timings = StageTimings{}
+			identifies := want.DetectorPhish && !o.skip
+			for sup := 0; sup < 16; sup++ {
+				var st StageResults
+				if sup&supA != 0 {
+					st.Analysis = cold.Analysis
+				}
+				if sup&supV != 0 {
+					st.Vector = cold.Vector
+				}
+				if sup&supS != 0 {
+					st.HasScore, st.Score = true, coldV.Score
+				}
+				if sup&supT != 0 {
+					st.TargetResult = &tres
+				}
+				got, err := p.AnalyzeStagedCtx(ctx, req, &st)
+				if err != nil {
+					t.Fatalf("%s/%s/supplied=%04b: %v", page, o.name, sup, err)
+				}
+				got.Timings = StageTimings{}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s/supplied=%04b: staged verdict\n%+v\ndiverges from AnalyzeCtx\n%+v", page, o.name, sup, got, want)
+				}
+
+				var need StageMask
+				if sup&supS == 0 {
+					need |= StageMaskScore
+				}
+				if sup&supV == 0 && (sup&supS == 0 || o.capture) {
+					need |= StageMaskFeatures
+				}
+				if identifies && sup&supT == 0 {
+					need |= StageMaskTarget
+				}
+				// Analysis feeds extraction and identification; before
+				// classification any page may still need identifying.
+				mayIdentify := !o.skip && sup&supT == 0 && (sup&supS == 0 || want.DetectorPhish)
+				if sup&supA == 0 && (need&StageMaskFeatures != 0 || mayIdentify) {
+					need |= StageMaskAnalysis
+				}
+				if st.Computed != need {
+					t.Fatalf("%s/%s/supplied=%04b: Computed=%04b, want %04b", page, o.name, sup, st.Computed, need)
+				}
+			}
+		}
+	}
+}
+
+// TestScoreCoalescedMemoInputs pins the output half of StageResults:
+// what a pass had to compute comes back for the caller to memoize, and
+// the vector only when KeepVector asked for it.
+func TestScoreCoalescedMemoInputs(t *testing.T) {
+	_, p := verdictFixtures(t)
+	ctx := context.Background()
+	snap := stagedPages(t, p)["phish"]
+
+	var pooled StageResults
+	if _, err := p.AnalyzeStagedCtx(ctx, NewScoreRequest(snap), &pooled); err != nil {
+		t.Fatal(err)
+	}
+	if pooled.Analysis == nil {
+		t.Fatal("computed analysis was not handed back")
+	}
+	if pooled.Vector != nil {
+		t.Fatal("pooled extraction leaked its vector without KeepVector")
+	}
+
+	kept := StageResults{KeepVector: true}
+	cold, err := p.AnalyzeStagedCtx(ctx, NewScoreRequest(snap), &kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kept.Vector) != features.TotalCount {
+		t.Fatalf("KeepVector retained %d features, want %d", len(kept.Vector), features.TotalCount)
+	}
+
+	// A supplied score alone does not need the vector — unless the
+	// caller asks to keep it, which runs extraction just for that.
+	refill := StageResults{Analysis: kept.Analysis, HasScore: true, Score: cold.Score, KeepVector: true}
+	if _, err := p.AnalyzeStagedCtx(ctx, NewScoreRequest(snap, WithoutTargetID()), &refill); err != nil {
+		t.Fatal(err)
+	}
+	if refill.Computed != StageMaskFeatures || !reflect.DeepEqual(refill.Vector, kept.Vector) {
+		t.Fatalf("KeepVector over a supplied score: Computed=%04b, vector match=%v", refill.Computed, reflect.DeepEqual(refill.Vector, kept.Vector))
+	}
+}
+
+// TestScoreCoalescedPerItemContext pins that a call whose context has
+// expired fails with its own cause before running any stage, and leaves
+// the stage results usable by the next call.
+func TestScoreCoalescedPerItemContext(t *testing.T) {
+	_, p := verdictFixtures(t)
+	snap := stagedPages(t, p)["phish"]
+	dead, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	var st StageResults
+	if _, err := p.AnalyzeStagedCtx(dead, NewScoreRequest(snap), &st); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired context: err = %v, want DeadlineExceeded", err)
+	}
+	if st.Computed != 0 {
+		t.Fatalf("expired call ran stages: %04b", st.Computed)
+	}
+	v, err := p.AnalyzeStagedCtx(context.Background(), NewScoreRequest(snap), &st)
+	if err != nil || v.Label == "" {
+		t.Fatalf("healthy call after an expired one: %+v, %v", v.Outcome, err)
+	}
+}
+
+// TestScoreCoalescedFeatureMask checks the ablation option through the
+// staged entry point: the mask applies to a supplied vector without
+// touching it, and a supplied score — the unmasked page's — is not
+// trusted for the masked request.
+func TestScoreCoalescedFeatureMask(t *testing.T) {
+	_, p := verdictFixtures(t)
+	ctx := context.Background()
+	snap := corpus(t).PhishTest.Examples[1].Snapshot
+	req := NewScoreRequest(snap, WithFeatureSet(features.F1))
+	want, err := p.AnalyzeCtx(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cold := StageResults{KeepVector: true}
+	full, err := p.AnalyzeStagedCtx(ctx, NewScoreRequest(snap), &cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := append([]float64(nil), cold.Vector...)
+	st := StageResults{Analysis: cold.Analysis, Vector: cold.Vector, HasScore: true, Score: full.Score}
+	got, err := p.AnalyzeStagedCtx(ctx, req, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Score != want.Score || got.FeatureSet != want.FeatureSet {
+		t.Fatalf("masked staged score %v/%q != %v/%q", got.Score, got.FeatureSet, want.Score, want.FeatureSet)
+	}
+	if st.Computed&StageMaskScore == 0 {
+		t.Fatal("masked request reused the unmasked score")
+	}
+	if !reflect.DeepEqual(cold.Vector, before) {
+		t.Fatal("mask modified the supplied vector in place")
+	}
+}
+
+// TestScoreCoalescedNilIdentifier covers detector-only pipelines: no
+// identification, and so no analysis for a supplied positive either.
+func TestScoreCoalescedNilIdentifier(t *testing.T) {
+	_, p := verdictFixtures(t)
+	bare := &Pipeline{Detector: p.Detector}
+	ctx := context.Background()
+	snap := stagedPages(t, p)["phish"]
+	var st StageResults
+	v, err := bare.AnalyzeStagedCtx(ctx, NewScoreRequest(snap), &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.TargetRun || !v.FinalPhish {
+		t.Fatalf("nil identifier verdict: %+v", v.Outcome)
+	}
+	warm := StageResults{HasScore: true, Score: v.Score}
+	if _, err := bare.AnalyzeStagedCtx(ctx, NewScoreRequest(snap), &warm); err != nil {
+		t.Fatal(err)
+	}
+	if warm.Computed != 0 {
+		t.Fatalf("supplied positive without an identifier computed %04b", warm.Computed)
+	}
+}

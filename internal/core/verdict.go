@@ -83,9 +83,10 @@ type Verdict struct {
 	// track per-feature population shift without re-extracting). Never
 	// serialized.
 	Vector []float64 `json:"-"`
-	// ContentFingerprint is the sha256 content identity of the scored
-	// page (webpage.Fingerprint) — the value the v2 surface derives its
-	// ETag from. Set by the memoizing/coalescing path; plain ScoreCtx
+	// ContentFingerprint is the hex form of the page's 128-bit xxhash
+	// content key (webpage.ContentKey, rendered by coalesce.Fingerprint)
+	// — the value the v2 surface derives its ETag from. Set by the
+	// memoizing path (coalesce.Coalescer.Do); plain ScoreCtx / AnalyzeCtx
 	// verdicts leave it empty rather than paying the hash for callers
 	// that never read it.
 	ContentFingerprint string `json:"content_fingerprint,omitempty"`
@@ -138,6 +139,52 @@ func ctxCause(ctx context.Context) error {
 	return nil
 }
 
+// StageMask identifies the pipeline stages one call computed (as
+// opposed to receiving pre-supplied, or skipping).
+type StageMask uint8
+
+const (
+	// StageMaskAnalysis marks snapshot analysis.
+	StageMaskAnalysis StageMask = 1 << iota
+	// StageMaskFeatures marks feature extraction.
+	StageMaskFeatures
+	// StageMaskScore marks GBM classification.
+	StageMaskScore
+	// StageMaskTarget marks target identification.
+	StageMaskTarget
+)
+
+// StageResults carries per-stage results into and out of one
+// AnalyzeStagedCtx call. The caller pre-fills whatever it already holds
+// for the page (internal/coalesce's content-addressed memo tables are
+// the intended caller); the stage machine runs only the rest and
+// reports what it ran in Computed.
+type StageResults struct {
+	// Analysis is the page analysis: input when pre-filled, output when
+	// the call had to analyse.
+	Analysis *webpage.Analysis
+	// Vector is the full extracted feature vector: input when
+	// pre-filled, output when the call had to extract and KeepVector is
+	// set. Without KeepVector extraction runs in pooled buffers that
+	// never escape, and Vector stays nil.
+	Vector []float64
+	// KeepVector asks for Vector as an output: extraction lands on the
+	// heap, and runs even when a supplied Score alone would not need it.
+	KeepVector bool
+	// HasScore marks Score as the page's detector score under this
+	// detector, skipping extraction and classification. Explain and
+	// feature-masked requests recompute regardless: their score is not
+	// the canonical one, and evidence needs the model-space vector.
+	HasScore bool
+	// Score is the supplied detector score (meaningful with HasScore).
+	Score float64
+	// TargetResult is the supplied target-identification result of a
+	// detector positive (nil → identify when needed).
+	TargetResult *target.Result
+	// Computed reports which stages the call ran.
+	Computed StageMask
+}
+
 // ScoreCtx scores one page with cancellation: ctx (tightened by the
 // request's deadline, if any) is observed between pipeline stages, so a
 // cancelled or expired request stops consuming CPU at the next stage
@@ -145,7 +192,7 @@ func ctxCause(ctx context.Context) error {
 // never runs — use Pipeline.AnalyzeCtx for the full system. On
 // cancellation the zero Verdict and context.Cause are returned.
 func (d *Detector) ScoreCtx(ctx context.Context, req ScoreRequest) (Verdict, error) {
-	return d.scoreCtx(ctx, req, nil)
+	return d.scoreCtx(ctx, req, nil, nil)
 }
 
 // AnalyzeCtx runs the full detection → target-identification pipeline
@@ -153,15 +200,29 @@ func (d *Detector) ScoreCtx(ctx context.Context, req ScoreRequest) (Verdict, err
 // context-aware, explainable successor of Analyze: identical scores and
 // final calls, plus label, evidence and timings.
 func (p *Pipeline) AnalyzeCtx(ctx context.Context, req ScoreRequest) (Verdict, error) {
-	return p.Detector.scoreCtx(ctx, req, p.Identifier)
+	return p.Detector.scoreCtx(ctx, req, p.Identifier, nil)
 }
 
-// scoreCtx is the shared stage machine behind ScoreCtx and AnalyzeCtx.
+// AnalyzeStagedCtx is AnalyzeCtx over pre-supplied stage results: the
+// verdict is the one AnalyzeCtx would produce (apart from Timings, which
+// report 0 for stages that did not run), computed from st where it is
+// filled and written back to st where it was not.
+func (p *Pipeline) AnalyzeStagedCtx(ctx context.Context, req ScoreRequest, st *StageResults) (Verdict, error) {
+	return p.Detector.scoreCtx(ctx, req, p.Identifier, st)
+}
+
+// scoreCtx is the one stage machine behind ScoreCtx, AnalyzeCtx and
+// AnalyzeStagedCtx (st is nil for the first two).
 //
-// The fast path — no explanation, no vector capture — runs on pooled
-// feature vectors: the extracted vector never outlives the call, so it
-// is borrowed from features.GetVector and returned at every exit.
-// Combined with a request-supplied analysis (WithAnalysis) and the
+// A stage runs only when something downstream consumes its result: a
+// supplied score needs no vector, and a supplied negative — or a
+// positive with a supplied target result — needs no analysis either,
+// which is what makes a fully memoised request cheap (analysis is the
+// expensive stage).
+//
+// Unless the vector must outlive the call (capture, explanation,
+// KeepVector) it is extracted into a pooled buffer returned at every
+// exit. Combined with a supplied analysis (WithAnalysis) and the
 // model's flattened tree layout this makes a warm score fully
 // allocation-free (pinned by TestScoreCtxWarmPathZeroAllocs).
 //
@@ -169,10 +230,17 @@ func (p *Pipeline) AnalyzeCtx(ctx context.Context, req ScoreRequest) (Verdict, e
 // as a span reusing the StageTimings clock reads — tracing adds no extra
 // time.Now calls, and an untraced context costs one allocation-free
 // Value lookup (pinned by TestScoreCtxUntracedZeroAllocs).
-func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Identifier) (Verdict, error) {
+func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Identifier, st *StageResults) (Verdict, error) {
 	t0 := time.Now()
 	tr := obs.TraceFrom(ctx)
-	a := req.analysis
+	var none StageResults
+	if st == nil {
+		st = &none
+	}
+	a := st.Analysis
+	if a == nil {
+		a = req.analysis
+	}
 	if req.Snapshot == nil && a == nil {
 		return Verdict{}, ErrNoSnapshot
 	}
@@ -189,87 +257,110 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 	v.Threshold = d.threshold
 	v.ModelVersion = d.version
 
-	// Stage 1: snapshot analysis — skipped (and reported as 0 ns) when
-	// the request carries a precomputed analysis.
-	if a == nil {
+	masked := req.featureSet != 0 && req.featureSet != features.All
+	hasScore := st.HasScore && !masked && !req.Explains()
+	keepVec := st.KeepVector || req.captureVector || req.Explains()
+	vec := st.Vector
+	extract := vec == nil && (!hasScore || keepVec)
+	// Identification runs on detector positives; before classification
+	// any page may turn out to be one.
+	mayIdentify := id != nil && !req.skipTarget && st.TargetResult == nil &&
+		(!hasScore || st.Score >= d.threshold)
+
+	// Stage 1: snapshot analysis, the input of extraction and
+	// identification.
+	if a == nil && (extract || mayIdentify) {
 		ts := time.Now()
 		a = webpage.Analyze(req.Snapshot)
 		v.Timings.AnalyzeNS = time.Since(ts).Nanoseconds()
 		tr.Span(obs.StageAnalyze, ts, v.Timings.AnalyzeNS)
+		st.Analysis = a
+		st.Computed |= StageMaskAnalysis
 		if err := ctxCause(ctx); err != nil {
 			return Verdict{}, err
 		}
 	}
 
-	// Stage 2: feature extraction (plus the optional ablation mask).
-	// vecBuf / projBuf are the pooled buffers of the fast path; nil when
-	// the vector must outlive the call (capture, explanation).
-	ts := time.Now()
+	// Stage 2: feature extraction. vecBuf / projBuf are the pooled
+	// buffers; vecBuf stays nil when the vector must outlive the call.
 	var vecBuf, projBuf *[]float64
-	var vec []float64
-	if !req.captureVector && !req.Explains() {
-		vecBuf = features.GetVector()
-		*vecBuf = d.extractor.AppendFeatures((*vecBuf)[:0], a)
-		vec = *vecBuf
-	} else {
-		vec = d.extractor.Extract(a)
+	if extract {
+		ts := time.Now()
+		if keepVec {
+			vec = d.extractor.Extract(a)
+			st.Vector = vec
+		} else {
+			vecBuf = features.GetVector()
+			*vecBuf = d.extractor.AppendFeatures((*vecBuf)[:0], a)
+			vec = *vecBuf
+		}
+		v.Timings.FeaturesNS = time.Since(ts).Nanoseconds()
+		tr.Span(obs.StageExtract, ts, v.Timings.FeaturesNS)
+		st.Computed |= StageMaskFeatures
+		if err := ctxCause(ctx); err != nil {
+			features.PutVector(vecBuf)
+			return Verdict{}, err
+		}
 	}
-	if req.featureSet != 0 && req.featureSet != features.All {
+	// The ablation mask copies: st.Vector stays the full vector.
+	if masked {
 		vec = features.Mask(vec, req.featureSet)
 		v.FeatureSet = req.featureSet.String()
 	}
-	v.Timings.FeaturesNS = time.Since(ts).Nanoseconds()
-	tr.Span(obs.StageExtract, ts, v.Timings.FeaturesNS)
 	if req.captureVector {
 		v.Vector = vec
 	}
-	if err := ctxCause(ctx); err != nil {
-		features.PutVector(vecBuf)
-		return Verdict{}, err
-	}
 
-	// Stage 3: classification.
-	ts = time.Now()
-	modelVec := vec
-	if d.columns != nil {
-		if vecBuf != nil {
+	// Stage 3: classification, in the detector's trained column space.
+	var modelVec []float64
+	if hasScore {
+		v.Score = st.Score
+	} else {
+		ts := time.Now()
+		modelVec = vec
+		if d.columns != nil {
 			projBuf = features.GetVector()
 			modelVec = appendProjected((*projBuf)[:0], vec, d.columns)
 			*projBuf = modelVec
-		} else {
-			modelVec = d.projected(vec)
 		}
+		v.Score = d.model.Score(modelVec)
+		v.Timings.ScoreNS = time.Since(ts).Nanoseconds()
+		tr.Span(obs.StageScore, ts, v.Timings.ScoreNS)
+		st.Computed |= StageMaskScore
 	}
-	v.Score = d.model.Score(modelVec)
 	v.DetectorPhish = v.Score >= d.threshold
 	v.FinalPhish = v.DetectorPhish
-	v.Timings.ScoreNS = time.Since(ts).Nanoseconds()
-	tr.Span(obs.StageScore, ts, v.Timings.ScoreNS)
 
 	// Stage 4: target identification confirms detector positives and
 	// overturns false ones (Section VI-D).
 	if id != nil && v.DetectorPhish && !req.skipTarget {
-		if err := ctxCause(ctx); err != nil {
-			features.PutVector(vecBuf)
-			features.PutVector(projBuf)
-			return Verdict{}, err
-		}
-		ts = time.Now()
 		v.TargetRun = true
-		v.Target = id.Identify(a)
+		if st.TargetResult != nil {
+			v.Target = *st.TargetResult
+		} else {
+			if err := ctxCause(ctx); err != nil {
+				features.PutVector(vecBuf)
+				features.PutVector(projBuf)
+				return Verdict{}, err
+			}
+			ts := time.Now()
+			v.Target = id.Identify(a)
+			v.Timings.TargetNS = time.Since(ts).Nanoseconds()
+			tr.Span(obs.StageIdentify, ts, v.Timings.TargetNS)
+			st.Computed |= StageMaskTarget
+		}
 		if v.Target.Verdict == target.VerdictLegitimate {
 			v.FinalPhish = false
 		}
-		v.Timings.TargetNS = time.Since(ts).Nanoseconds()
-		tr.Span(obs.StageIdentify, ts, v.Timings.TargetNS)
 	}
 
 	// Stage 5: evidence.
 	if req.Explains() {
 		if err := ctxCause(ctx); err != nil {
+			features.PutVector(projBuf)
 			return Verdict{}, err
 		}
-		ts = time.Now()
+		ts := time.Now()
 		contribs, bias := d.model.Contributions(modelVec)
 		v.Explanation = &Explanation{
 			Bias:          bias,

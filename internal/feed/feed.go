@@ -96,10 +96,9 @@ type Config struct {
 	// the classic behavior.
 	Detectors core.DetectorSource
 	// Score optionally overrides how the drain scores a snapshot.
-	// kpserve wires the serving layer's cross-request coalescer here, so
-	// feed traffic batches into the same node-major kernel passes and
-	// shares the same per-stage memo tables as the HTTP surface. Nil
-	// scores through pipe.AnalyzeCtx directly.
+	// kpserve wires the serving layer's stage memo (coalesce.Coalescer)
+	// here, so feed traffic shares the same per-stage memo tables as the
+	// HTTP surface. Nil scores through pipe.AnalyzeCtx directly.
 	Score func(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest) (core.Verdict, error)
 	// OnVerdict, when set, observes every successfully scored URL (after
 	// persistence) with its snapshot and verdict — the drift-monitoring

@@ -85,41 +85,6 @@ func (f *flatGBM) appendTree(t *Tree) int32 {
 	return emit(0)
 }
 
-// rawBatch accumulates raw (log-odds) scores for every row of xs into
-// out (len(out) must equal len(xs)) in node-major order: the outer loop
-// walks trees, the inner loop rows, so one tree's nodes stay
-// cache-resident while every row of the batch traverses them. A
-// row-major loop re-streams the whole ensemble (thousands of nodes)
-// through the cache once per row; tree-interleaving streams it once per
-// batch. Per row the arithmetic is identical to raw — init, then each
-// tree's leaf in boosting order — so batch scores are bit-for-bit equal
-// to per-row scores (pinned by TestScoreBatchMatchesScore).
-func (f *flatGBM) rawBatch(xs [][]float64, out []float64) {
-	for j := range out {
-		out[j] = f.init
-	}
-	lr := f.lr
-	nodes := f.nodes
-	for _, root := range f.roots {
-		for j, x := range xs {
-			i := root
-			nx := int32(len(x))
-			for {
-				n := nodes[i]
-				if n.feature < 0 {
-					out[j] += lr * n.thrVal
-					break
-				}
-				if n.feature < nx && x[n.feature] <= n.thrVal {
-					i = n.left
-				} else {
-					i = n.right
-				}
-			}
-		}
-	}
-}
-
 // raw returns the ensemble's raw (log-odds) score for x, accumulated
 // in the same per-tree order as the reference walk.
 func (f *flatGBM) raw(x []float64) float64 {

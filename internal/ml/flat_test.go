@@ -85,46 +85,6 @@ func TestFlatHandlesHandEditedTrees(t *testing.T) {
 	}
 }
 
-// TestScoreBatchMatchesScore pins the node-major batch kernel to the
-// per-row walk bit-for-bit, across batch sizes (including rows of
-// mismatched width, which take the out-of-range split branch) — the
-// tree-interleaved traversal is a cache optimization, not a numerical
-// change.
-func TestScoreBatchMatchesScore(t *testing.T) {
-	m, x := trainFlatFixture(t)
-	ragged := append([][]float64{nil, {1.5}}, x...)
-	for _, size := range []int{1, 2, 7, 64, len(ragged)} {
-		batch := ragged[:size]
-		out := make([]float64, size)
-		m.ScoreBatchInto(out, batch)
-		for i, row := range batch {
-			if want := m.Score(row); out[i] != want {
-				t.Fatalf("size %d row %d: batch score %v != Score %v (must be bit-for-bit)", size, i, out[i], want)
-			}
-		}
-	}
-	m.ScoreBatchInto(nil, nil) // empty batch is a no-op
-}
-
-// TestScoreBatchDoesNotAllocate pins the coalescer's scoring kernel off
-// the heap: the caller supplies both slices, so a warm batch pass must
-// not touch the allocator.
-func TestScoreBatchDoesNotAllocate(t *testing.T) {
-	if racecheck.Enabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	m, x := trainFlatFixture(t)
-	batch := x[:32]
-	out := make([]float64, len(batch))
-	m.ScoreBatchInto(out, batch) // build the flat layout outside the measured runs
-	allocs := testing.AllocsPerRun(100, func() {
-		m.ScoreBatchInto(out, batch)
-	})
-	if allocs != 0 {
-		t.Fatalf("ScoreBatchInto allocated %.1f times per run, want 0", allocs)
-	}
-}
-
 func TestFlatScoreDoesNotAllocate(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")

@@ -207,25 +207,6 @@ func (m *GBM) ScoreAll(x [][]float64) []float64 {
 	return out
 }
 
-// ScoreBatchInto scores every row of xs into out (len(out) must equal
-// len(xs)) in one node-major pass over the flattened ensemble: the tree
-// loop is outermost, so each tree's nodes are streamed through the
-// cache once per batch instead of once per row. Scores are bit-for-bit
-// identical to per-row Score calls, and the call does not allocate —
-// this is the cross-request coalescer's scoring kernel.
-func (m *GBM) ScoreBatchInto(out []float64, xs [][]float64) {
-	if len(out) != len(xs) {
-		panic("ml: ScoreBatchInto length mismatch")
-	}
-	if len(xs) == 0 {
-		return
-	}
-	m.flatten().rawBatch(xs, out)
-	for i, z := range out {
-		out[i] = sigmoid(z)
-	}
-}
-
 // Predict classifies x with the given discrimination threshold: class 1
 // (phishing) when Score(x) >= threshold. The paper sets threshold = 0.7,
 // favoring legitimate predictions.

@@ -88,9 +88,8 @@ type MetricsSnapshot struct {
 	// phish-rate shift, shadow-scoring and retrain/promotion counters)
 	// when the lifecycle controller is configured.
 	Lifecycle *drift.LifecycleStatus `json:"lifecycle,omitempty"`
-	// Coalesce reports the scoring coalescer's batching counters and
-	// the hit/miss/eviction stats of the four per-stage memo tables
-	// (absent when coalescing is disabled).
+	// Coalesce reports the stage memo's staged-pass counters and the
+	// hit/miss/eviction stats of the four per-stage memo tables.
 	Coalesce *coalesce.Stats `json:"coalesce,omitempty"`
 
 	LatencyMeanUS int64 `json:"latency_mean_us"`

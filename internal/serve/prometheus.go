@@ -45,42 +45,35 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 		p.Counter("knowphish_cache_evictions_total", "Verdict-cache evictions.", float64(s.cache.Evictions()))
 	}
 
-	// Scoring coalescer and per-stage memo tables.
-	if s.coal != nil {
-		cs := s.coal.Snapshot()
-		p.Counter("knowphish_coalesce_batches_total", "Coalesced scoring passes run.", float64(cs.Batches))
-		p.Counter("knowphish_coalesce_batched_items_total", "Requests scored through coalesced passes.", float64(cs.BatchedItems))
-		p.Counter("knowphish_coalesce_bypassed_total", "Requests routed around the coalescer (explain or feature-masked).", float64(cs.Bypassed))
-		p.FamilyL("knowphish_coalesce_flush_total", "Coalesced passes by flush trigger.", "counter", []obs.LabeledSample{
-			{Labels: []obs.Label{{Name: "reason", Value: "adaptive"}}, Value: float64(cs.FlushAdaptive)},
-			{Labels: []obs.Label{{Name: "reason", Value: "full"}}, Value: float64(cs.FlushFull)},
-			{Labels: []obs.Label{{Name: "reason", Value: "timer"}}, Value: float64(cs.FlushTimer)},
-		})
-		tables := []struct {
-			name string
-			st   coalesce.TableStats
-		}{
-			{"analysis", cs.Analysis},
-			{"features", cs.Features},
-			{"score", cs.Score},
-			{"target", cs.Target},
-		}
-		hits := make([]obs.LabeledSample, 0, len(tables))
-		misses := make([]obs.LabeledSample, 0, len(tables))
-		evictions := make([]obs.LabeledSample, 0, len(tables))
-		entries := make([]obs.LabeledSample, 0, len(tables))
-		for _, t := range tables {
-			l := []obs.Label{{Name: "table", Value: t.name}}
-			hits = append(hits, obs.LabeledSample{Labels: l, Value: float64(t.st.Hits)})
-			misses = append(misses, obs.LabeledSample{Labels: l, Value: float64(t.st.Misses)})
-			evictions = append(evictions, obs.LabeledSample{Labels: l, Value: float64(t.st.Evictions)})
-			entries = append(entries, obs.LabeledSample{Labels: l, Value: float64(t.st.Entries)})
-		}
-		p.FamilyL("knowphish_memo_hits_total", "Per-stage memo-table hits.", "counter", hits)
-		p.FamilyL("knowphish_memo_misses_total", "Per-stage memo-table misses.", "counter", misses)
-		p.FamilyL("knowphish_memo_evictions_total", "Per-stage memo-table LRU evictions.", "counter", evictions)
-		p.FamilyL("knowphish_memo_entries", "Per-stage memo-table entries resident.", "gauge", entries)
+	// Stage memo: staged passes and per-stage memo tables.
+	cs := s.coal.Snapshot()
+	p.Counter("knowphish_coalesce_batches_total", "Staged scoring passes run.", float64(cs.Batches))
+	p.Counter("knowphish_coalesce_batched_items_total", "Requests scored through staged scoring passes.", float64(cs.BatchedItems))
+	p.Counter("knowphish_coalesce_bypassed_total", "Requests routed around the stage memo (explain or feature-masked).", float64(cs.Bypassed))
+	tables := []struct {
+		name string
+		st   coalesce.TableStats
+	}{
+		{"analysis", cs.Analysis},
+		{"features", cs.Features},
+		{"score", cs.Score},
+		{"target", cs.Target},
 	}
+	hits := make([]obs.LabeledSample, 0, len(tables))
+	misses := make([]obs.LabeledSample, 0, len(tables))
+	evictions := make([]obs.LabeledSample, 0, len(tables))
+	entries := make([]obs.LabeledSample, 0, len(tables))
+	for _, t := range tables {
+		l := []obs.Label{{Name: "table", Value: t.name}}
+		hits = append(hits, obs.LabeledSample{Labels: l, Value: float64(t.st.Hits)})
+		misses = append(misses, obs.LabeledSample{Labels: l, Value: float64(t.st.Misses)})
+		evictions = append(evictions, obs.LabeledSample{Labels: l, Value: float64(t.st.Evictions)})
+		entries = append(entries, obs.LabeledSample{Labels: l, Value: float64(t.st.Entries)})
+	}
+	p.FamilyL("knowphish_memo_hits_total", "Per-stage memo-table hits.", "counter", hits)
+	p.FamilyL("knowphish_memo_misses_total", "Per-stage memo-table misses.", "counter", misses)
+	p.FamilyL("knowphish_memo_evictions_total", "Per-stage memo-table LRU evictions.", "counter", evictions)
+	p.FamilyL("knowphish_memo_entries", "Per-stage memo-table entries resident.", "gauge", entries)
 
 	// Request latency histograms.
 	p.Histogram("knowphish_request_duration_seconds", "Scoring-endpoint request latency.", &m.latency)

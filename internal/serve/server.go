@@ -137,25 +137,16 @@ type Config struct {
 	// request does not set its own deadline_ms (0 → no deadline). It
 	// bounds pipeline work, not time spent queued for a worker slot.
 	DefaultDeadline time.Duration
-	// CoalesceWindow bounds how long the scoring coalescer waits to
-	// gather concurrent requests into one batched ensemble traversal
-	// (0 → coalesce.DefaultWindow; negative → coalescing disabled,
-	// every request scores through the per-request path). A lone
-	// request never pays the window: the coalescer flushes as soon as
-	// no other request is on its way.
-	CoalesceWindow time.Duration
-	// CoalesceMax caps one coalesced pass (0 → coalesce.DefaultMaxBatch).
-	CoalesceMax int
 	// MemoEntries is the capacity of each per-stage memo table —
 	// analysis, feature vector, detector score, target result — keyed
 	// by content fingerprint (0 → coalesce.DefaultMemoEntries;
-	// negative → memoization disabled while batching stays on).
+	// negative → memoization disabled: every request computes every
+	// stage, still fingerprinted for its ETag).
 	MemoEntries int
-	// Coalescer optionally injects a pre-built scoring coalescer shared
-	// with other subsystems (kpserve scores the feed drain through the
-	// same one, so feed traffic warms the HTTP surface's memo tables and
-	// vice versa). When nil, the server builds its own from
-	// CoalesceWindow / CoalesceMax / MemoEntries.
+	// Coalescer optionally injects a pre-built stage memo shared with
+	// other subsystems (kpserve scores the feed drain through the same
+	// one, so feed traffic warms the HTTP surface's memo tables and vice
+	// versa). When nil, the server builds its own from MemoEntries.
 	Coalescer *coalesce.Coalescer
 	// DefaultExplain is the explain level applied when a v2 request
 	// does not set one. v1 adapters never explain (their wire format
@@ -214,13 +205,10 @@ type Server struct {
 	defaultExplain  core.ExplainLevel
 	explainTopN     int
 	cache           *verdictCache
-	// coal is the cross-request scoring coalescer: concurrent score
-	// calls batch into one node-major ensemble traversal, with
-	// per-stage content-addressed memoization layered on top. The
-	// verdict cache above is L1 (whole outcomes by URL + content); the
-	// coalescer's memo tables are L2 (per-stage results by content
-	// alone). Nil when coalescing is disabled — every call site goes
-	// through coal.Do, which nil-degrades to a plain AnalyzeCtx.
+	// coal is the content-addressed stage memo every scoring call goes
+	// through. The verdict cache above is L1 (whole outcomes by URL +
+	// content); coal's memo tables are L2 (per-stage results by content
+	// key).
 	coal *coalesce.Coalescer
 	// defaultOpts / defaultOptsSkip / v1Opts are the hoisted option
 	// slices of the common request shapes, built once in New so the
@@ -316,13 +304,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.scoreSem = make(chan struct{}, s.workers)
 	s.coal = cfg.Coalescer
-	if s.coal == nil && cfg.CoalesceWindow >= 0 {
-		s.coal = coalesce.New(coalesce.Config{
-			Window:      cfg.CoalesceWindow,
-			MaxBatch:    cfg.CoalesceMax,
-			MemoEntries: cfg.MemoEntries,
-			Workers:     s.workers,
-		})
+	if s.coal == nil {
+		s.coal = coalesce.New(coalesce.Config{MemoEntries: cfg.MemoEntries})
 	}
 	// Hoist the option slices of the common request shapes: an
 	// option-free v2 request, the same with skip_target, and the v1
@@ -440,10 +423,8 @@ func (s *Server) Metrics() MetricsSnapshot {
 		ls := s.lifecycle.Status()
 		snap.Lifecycle = &ls
 	}
-	if s.coal != nil {
-		cs := s.coal.Snapshot()
-		snap.Coalesce = &cs
-	}
+	cs := s.coal.Snapshot()
+	snap.Coalesce = &cs
 	if s.tracer != nil {
 		ts := s.tracer.Summary()
 		snap.Tracing = &ts
@@ -680,13 +661,12 @@ func (s *Server) boundedCtx(ctx context.Context, pri int, fn func()) error {
 }
 
 // scoreSnap scores one snapshot through the verdict cache and the
-// scoring coalescer with the given request options. It returns the
+// stage memo with the given request options. It returns the
 // verdict, whether it was served from cache, and a context error
 // (cancellation or deadline) when scoring was cut short. cc governs
 // both cache layers: no-memo skips reads and writes, refresh skips
-// reads but overwrites. When prov is non-nil it receives the
-// coalescer's per-stage provenance (zero on a verdict-cache hit or
-// with coalescing disabled).
+// reads but overwrites. When prov is non-nil it receives the memo's
+// per-stage provenance (zero on a verdict-cache hit).
 //
 // Explain requests always recompute: the cache stores bare outcomes,
 // not per-feature evidence, and explanation cost is exactly what the
@@ -801,11 +781,10 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 // once the batch was cut short. The whole batch scores on one pipe — a
 // hot-swap mid-batch must not split a batch across models.
 //
-// Items score through the coalescer, so the concurrent fan-out below
-// folds into node-major kernel passes (and shares the memo tables with
-// every other scoring path) while the v1 wire format stays byte for
-// byte what the per-request path produced — outcomes are bit-identical
-// by construction, pinned by the goldens.
+// Items score through the stage memo, sharing its tables with every
+// other scoring path, while the v1 wire format stays byte for byte
+// what the per-request path produced — outcomes are bit-identical by
+// construction, pinned by the goldens.
 func (s *Server) analyzeBatch(ctx context.Context, pri int, pipe *core.Pipeline, snaps []*webpage.Snapshot, workers int) ([]core.Outcome, error) {
 	out := make([]core.Outcome, len(snaps))
 	errs := make([]error, len(snaps))

@@ -200,8 +200,7 @@ func (s *Server) handleScoreV2(w http.ResponseWriter, r *http.Request) {
 }
 
 // V2BatchRequest scores many pages in one call on the v2 surface. The
-// embedded options apply to every page; concurrent items coalesce into
-// shared node-major kernel passes.
+// embedded options apply to every page.
 type V2BatchRequest struct {
 	Pages []PageRequest `json:"pages"`
 	ScoreOptions
@@ -219,10 +218,9 @@ type V2BatchResponse struct {
 
 // handleScoreBatchV2 is the batch form of /v2/score: the same verdict
 // documents (fingerprints, memo provenance, cache semantics), fanned
-// out over the worker pool and funneled through the coalescer so the
-// batch scores in node-major passes. Like v1, a deadline or
-// cancellation anywhere fails the whole batch — per-item failure
-// isolation is what /v2/score/stream is for.
+// out over the worker pool through the shared stage memo. Like v1, a
+// deadline or cancellation anywhere fails the whole batch — per-item
+// failure isolation is what /v2/score/stream is for.
 func (s *Server) handleScoreBatchV2(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	var req V2BatchRequest

@@ -170,6 +170,44 @@ func TestSegmentedSupersedeAndCompact(t *testing.T) {
 	}
 }
 
+// TestReopenSupersedeScan reopens from a snapshot (bulkLoad/lazy), then
+// appends a record that supersedes a snapshot row whose landing URL has
+// a single entry.
+func TestReopenSupersedeScan(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	s, err := openSegmented(Config{Path: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		rec := Record{URL: "http://u" + string(rune('a'+i)) + ".test/", LandingURL: "http://u" + string(rune('a'+i)) + ".test/", Fingerprint: "fp", ScoredAt: time.Now()}
+		if err := s.Append(ctx, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = openSegmented(Config{Path: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// Supersede ua's record: same landing URL + fingerprint.
+	rec := Record{URL: "http://ua.test/", LandingURL: "http://ua.test/", Fingerprint: "fp", ScoredAt: time.Now()}
+	if err := s.Append(ctx, rec); err != nil {
+		t.Fatal(err)
+	}
+	page, err := s.Scan(ctx, Query{Limit: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Records) != 5 {
+		t.Fatalf("got %d records, want 5", len(page.Records))
+	}
+}
+
 func TestSegmentedAutomaticCompaction(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "verdicts")
 	s := segOpen(t, Config{Path: dir, SegmentBytes: 512, CompactEvery: 8})
