@@ -8,7 +8,7 @@ GO ?= go
 # bench-* targets below inherit it by not setting BENCH. Override per
 # run with BENCH=<regexp>.
 
-.PHONY: all build test race race-cover bench bench-smoke bench-compare bench-gate bench-json fuzz-smoke fuzz-long store-stress load-smoke overload-smoke cover fmt fmt-check vet staticcheck vulncheck serve registry-check alloc-check profile ci
+.PHONY: all build test race race-cover bench bench-smoke bench-compare bench-gate bench-json fuzz-smoke fuzz-long store-stress load-smoke overload-smoke cover fmt fmt-check vet staticcheck vulncheck serve registry-check alloc-check loc profile ci
 
 all: build
 
@@ -35,17 +35,21 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Short fuzz pass over the URL decomposition (the most adversarial
-# input surface) and over the search kernel against its map-and-sort
-# reference on fuzzer-built corpora. Found inputs land in the package's
-# testdata/fuzz and become permanent regression seeds.
+# input surface), over the search kernel against its map-and-sort
+# reference on fuzzer-built corpora, and over the content identity's
+# preimage (distinct snapshots never share bytes or a key). Found
+# inputs land in the package's testdata/fuzz and become permanent
+# regression seeds.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/urlx
 	$(GO) test -fuzz=FuzzQueryMatchesReference -fuzztime=10s ./internal/search
+	$(GO) test -fuzz=FuzzPreimageInjective -fuzztime=10s ./internal/webpage
 
 # The nightly workflow's longer pass over the same surfaces.
 fuzz-long:
 	$(GO) test -fuzz=FuzzParse -fuzztime=60s ./internal/urlx
 	$(GO) test -fuzz=FuzzQueryMatchesReference -fuzztime=60s ./internal/search
+	$(GO) test -fuzz=FuzzPreimageInjective -fuzztime=60s ./internal/webpage
 
 # Nightly storage soak: 100k appends with supersede churn and
 # concurrent compaction, then a reopen-and-verify pass. Too slow for
@@ -161,16 +165,24 @@ registry-check:
 	$(GO) test -count=1 -run 'TestRoundTrip|TestSaveIsDeterministic' ./internal/registry
 
 # Allocation contracts in a non-race build: every test named *Alloc*
-# in the module — 0 allocs on the warm scoring and memoized paths, the
-# content hash, memo lookups, admission check, trace lookup and SLO
-# observation; fixed budgets on full extraction, index queries and
-# target identification. These tests skip themselves under -race (the
+# in the module — 0 allocs on the warm scoring and memoized paths (a
+# cache hit through the server's scoreSnap included), the content hash,
+# memo lookups, admission check, trace lookup and SLO observation;
+# fixed budgets on full extraction, index queries and target
+# identification. These tests skip themselves under -race (the
 # detector's own allocations would poison the counts), so the race
 # suite alone would never run them — this target is what makes the
 # zero-alloc claims CI-enforced. It runs over ./... so a new contract
 # is enforced by being named, not by being listed here.
 alloc-check:
 	$(GO) test -count=1 -run Alloc ./...
+
+# Size of the program: non-test Go lines and files tracked by git,
+# outside the frozen benchmark/ harness. "Net-negative" and "N% fewer
+# lines" criteria (ROADMAP items 2 and 4) are read off this command.
+LOC_FILES = git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/'
+loc:
+	@echo "non-test Go outside benchmark/: $$($(LOC_FILES) | xargs cat | wc -l) lines in $$($(LOC_FILES) | wc -l) files"
 
 # 10-second CPU profile of a running kpserve started with the pprof
 # listener bound (kpserve -debug-addr :6060). Writes cpu.pprof; inspect

@@ -493,10 +493,12 @@ func BenchmarkSearchQuery(b *testing.B) {
 }
 
 // BenchmarkServeScore drives the HTTP serving path end to end: one batch
-// request of mixed phish/legit pages through Server.ServeHTTP, with the
-// verdict cache disabled so every iteration does the full pipeline. The
-// workers sub-benchmarks show batch scoring scaling from serial to
-// GOMAXPROCS fan-out.
+// request of mixed phish/legit pages through Server.ServeHTTP. The same
+// 32 pages are replayed, so after the first iteration every page is a
+// memo hit: what is measured is request decode, snapshot hashing, memo
+// lookups and response encode, not the pipeline (BenchmarkScoreHotPath
+// and BenchmarkCoalescedScore/memo=cold measure that). The workers
+// sub-benchmarks show the batch fan-out from serial to GOMAXPROCS.
 func BenchmarkServeScore(b *testing.B) {
 	r := benchSetup(b)
 	d, err := r.Detector(0)
@@ -529,7 +531,6 @@ func BenchmarkServeScore(b *testing.B) {
 				Detector:   d,
 				Identifier: target.New(r.Corpus.Engine),
 				Workers:    workers,
-				CacheSize:  -1, // measure scoring, not cache hits
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -645,6 +646,26 @@ func BenchmarkMemoLookup(b *testing.B) {
 		if _, err := coal.Do(ctx, pipe, req, coalesce.CacheDefault, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkContentKey is the cost of the system's one content identity:
+// the length-prefixed preimage of a crawled page built in a pooled
+// buffer and one sha256 pass over it. Every scoring request pays it
+// exactly once, hit or miss, so the gate gives it a trajectory and
+// holds it to zero allocations.
+func BenchmarkContentKey(b *testing.B) {
+	r := benchSetup(b)
+	rng := rand.New(rand.NewSource(13))
+	site := r.Corpus.World.NewPhishSite(rng, r.Corpus.World.RandomPhishOptions(rng))
+	snap, err := crawl.VisitSite(r.Corpus.World, site)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		webpage.ContentKey(snap)
 	}
 }
 

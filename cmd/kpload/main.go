@@ -161,7 +161,7 @@ func runLoad(args []string) error {
 	endpoint := fs.String("endpoint", "feed", "endpoint to load: feed (POST /v1/feed batches) or score (POST /v1/score, one uncached page per request)")
 	shedBackoff := fs.Duration("shed-backoff", loadgen.DefaultShedBackoff, "cap on how long a worker honors a shed 503's Retry-After")
 	pageBytes := fs.Int("page-bytes", loadgen.DefaultPageBytes, "with -endpoint score: approximate HTML size per submitted page (bigger = more server work per request)")
-	cacheMix := fs.Float64("cache-mix", 0, "with -endpoint score: fraction (0..1) of requests replaying a small hot page set — warm traffic for the verdict cache and the coalescer's stage memos")
+	cacheMix := fs.Float64("cache-mix", 0, "with -endpoint score: fraction (0..1) of requests replaying a small hot page set — warm traffic answered from the stage memo")
 	jsonOut := fs.String("json", "", "also write the report as JSON (the LOAD_PR.json artifact)")
 	seed := fs.Int64("seed", 42, "with -self: the service seed (detector, world)")
 	scale := fs.Int("scale", 20, "with -self: corpus downscale divisor for self-training (higher = faster boot)")

@@ -116,9 +116,8 @@ func run() error {
 		rankPath  = flag.String("ranking", "", "popularity list CSV from kpgen (optional)")
 		indexPath = flag.String("index", "", "search index JSON (optional; required with -model for target identification)")
 		workers   = flag.Int("workers", 0, "batch fan-out cap (0 = GOMAXPROCS)")
-		cacheSize = flag.Int("cache", serve.DefaultCacheSize, "verdict cache entries (negative disables)")
 		maxBatch  = flag.Int("max-batch", serve.DefaultMaxBatch, "max pages per batch or stream request")
-		memoSize  = flag.Int("memo-size", coalesce.DefaultMemoEntries, "entries per content-addressed stage memo table (negative disables memoization)")
+		memoSize  = flag.Int("memo-size", coalesce.DefaultMemoEntries, "entries per content-addressed stage memo table (negative: no verdict reuse, every request computes every stage)")
 		deadline  = flag.Duration("deadline", 0, "default per-request scoring deadline (0 = none; requests may set their own deadline_ms)")
 		explain   = flag.String("explain", "none", "default explain level for v2 requests: none, top or full")
 		topN      = flag.Int("explain-top", 0, "default contribution count of a 'top' explanation (0 = library default)")
@@ -385,7 +384,6 @@ func run() error {
 		Lifecycle:       lc,
 		Identifier:      identifier,
 		Workers:         *workers,
-		CacheSize:       *cacheSize,
 		MaxBatch:        *maxBatch,
 		Coalescer:       coal,
 		DefaultDeadline: *deadline,

@@ -6,7 +6,9 @@
 // analysis and the extracted feature vector are model-independent and
 // survive model promotion; the detector score and the
 // target-identification result are stamped with the model version and
-// invalidated when a new champion is promoted.
+// invalidated when a new champion is promoted. These tables are the
+// only verdict reuse in the process: a request for which every stage is
+// found is what the serving layer reports as a cache hit.
 //
 // Coalescer.Do hashes the page, looks the four stages up, hands what it
 // found to the pipeline's one stage machine
@@ -19,7 +21,6 @@ package coalesce
 
 import (
 	"context"
-	"encoding/hex"
 	"errors"
 	"sync/atomic"
 
@@ -152,17 +153,6 @@ func New(cfg Config) *Coalescer {
 	}
 }
 
-// Fingerprint returns the hex form of a content key, as exposed in
-// Verdict.ContentFingerprint and the v2 ETag.
-func Fingerprint(k webpage.Key128) string {
-	var b [16]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(k.Hi >> (56 - 8*i))
-		b[8+i] = byte(k.Lo >> (56 - 8*i))
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // Do scores one request through the memo: content hash, memo lookups,
 // one staged pipeline pass, memo write-back. The verdict is identical
 // to what pipe.AnalyzeCtx would produce, with ContentFingerprint set;
@@ -190,7 +180,7 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 	}
 	c.passes.Add(1)
 
-	key := webpage.ContentKey(snap)
+	key := req.ContentKey(snap)
 	ver := pipe.Detector.Version()
 	reads := cc == CacheDefault
 	writes := cc != CacheNoMemo
@@ -222,7 +212,7 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 		return core.Verdict{}, err
 	}
 	if fp == "" {
-		fp = Fingerprint(key)
+		fp = key.String()
 	}
 	v.ContentFingerprint = fp
 	computed := st.Computed
@@ -270,6 +260,11 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 	}
 	return v, nil
 }
+
+// Enabled reports whether the tables hold anything: false for a nil
+// Coalescer or one built with negative MemoEntries, where every request
+// computes every stage.
+func (c *Coalescer) Enabled() bool { return c != nil && c.score != nil }
 
 // InvalidateModel flushes the model-dependent memo tables (detector
 // score, target result) — the promotion hook. Analysis and feature

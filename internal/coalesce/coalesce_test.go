@@ -111,7 +111,7 @@ func TestFingerprintStableAcrossPaths(t *testing.T) {
 	c := New(Config{})
 	ctx := context.Background()
 	snap := mixedSnaps(t, 1)[0]
-	want := Fingerprint(webpage.ContentKey(snap))
+	want := webpage.Fingerprint(snap)
 	for _, cc := range []CacheControl{CacheDefault, CacheNoMemo, CacheRefresh, CacheDefault} {
 		v, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), cc, nil)
 		if err != nil {

@@ -1,11 +1,10 @@
 package coalesce
 
-// Sharded LRU memo tables keyed by content fingerprint. The layout
-// mirrors internal/serve's verdict cache (16 shards, each a map over an
-// intrusive recency list) but is generic over the stage value, so the
-// four stage tables — analysis, feature vector, detector score, target
-// result — share one implementation. Lookups on a warm table perform no
-// heap allocations; inserts box one entry.
+// Sharded LRU memo tables keyed by content key: 16 shards, each a map
+// over a recency list, generic over the stage value so the four stage
+// tables — analysis, feature vector, detector score, target result —
+// share one implementation. Lookups on a warm table perform no heap
+// allocations; inserts box one entry.
 
 import (
 	"container/list"

@@ -67,6 +67,7 @@ type ScoreRequest struct {
 	featureSet    features.Set
 	captureVector bool
 	analysis      *webpage.Analysis
+	contentKey    webpage.Key128 // zero: not supplied
 }
 
 // ScoreOption is a functional option of NewScoreRequest.
@@ -149,12 +150,6 @@ func WithAnalysis(a *webpage.Analysis) ScoreOption {
 // Explains reports whether the request asks for an explanation.
 func (r *ScoreRequest) Explains() bool { return r.explain != ExplainNone }
 
-// SkipsTarget reports whether the request opted out of target
-// identification. Such verdicts are partial — a detector positive was
-// never FP-checked — so verdict caches must not store them as the
-// page's canonical outcome.
-func (r *ScoreRequest) SkipsTarget() bool { return r.skipTarget }
-
 // FeatureMask returns the feature-set restriction applied by
 // WithFeatureSet (0 = none). Masked requests score an ablated vector,
 // so content-addressed caches must not treat their stages as the
@@ -164,6 +159,25 @@ func (r *ScoreRequest) FeatureMask() features.Set { return r.featureSet }
 // PrecomputedAnalysis returns the analysis supplied by WithAnalysis
 // (nil when the request analyzes its snapshot itself).
 func (r *ScoreRequest) PrecomputedAnalysis() *webpage.Analysis { return r.analysis }
+
+// WithContentKey returns the request carrying its page's content
+// identity, for a caller that already hashed the page (a batch deduping
+// its pages) so the memoizing path does not hash it again. k must be
+// webpage.ContentKey of the request's snapshot. A method rather than a
+// ScoreOption: options cost a heap allocation per request.
+func (r ScoreRequest) WithContentKey(k webpage.Key128) ScoreRequest {
+	r.contentKey = k
+	return r
+}
+
+// ContentKey returns the page's content identity: the one supplied by
+// WithContentKey, else the hash of snap.
+func (r *ScoreRequest) ContentKey(snap *webpage.Snapshot) webpage.Key128 {
+	if r.contentKey != (webpage.Key128{}) {
+		return r.contentKey
+	}
+	return webpage.ContentKey(snap)
+}
 
 // topFeatures resolves the contribution cap for the request's level.
 func (r *ScoreRequest) topFeatures() int {

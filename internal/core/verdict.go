@@ -83,12 +83,13 @@ type Verdict struct {
 	// track per-feature population shift without re-extracting). Never
 	// serialized.
 	Vector []float64 `json:"-"`
-	// ContentFingerprint is the hex form of the page's 128-bit xxhash
-	// content key (webpage.ContentKey, rendered by coalesce.Fingerprint)
-	// — the value the v2 surface derives its ETag from. Set by the
-	// memoizing path (coalesce.Coalescer.Do); plain ScoreCtx / AnalyzeCtx
-	// verdicts leave it empty rather than paying the hash for callers
-	// that never read it.
+	// ContentFingerprint is the page's content identity
+	// (webpage.Fingerprint: 32 hex digits of sha256 over landing URL and
+	// content) — the memo key, the stem of the v2 ETag and the
+	// fingerprint the feed stores. Set by the memoizing path
+	// (coalesce.Coalescer.Do); plain ScoreCtx / AnalyzeCtx verdicts
+	// leave it empty rather than paying the hash for callers that never
+	// read it.
 	ContentFingerprint string `json:"content_fingerprint,omitempty"`
 	// Memo reports, per pipeline stage, whether the stage's result was
 	// served from the content-addressed memo tables or computed fresh.
@@ -114,11 +115,12 @@ type MemoProvenance struct {
 	Target   string `json:"target,omitempty"`
 }
 
-// MakeVerdict wraps an already-computed Outcome in the v2 envelope —
-// the rehydration path for cached and stored outcomes, where the
-// scoring stages did not rerun (timings zero, no explanation).
-func MakeVerdict(out Outcome, threshold float64) Verdict {
-	return Verdict{Outcome: out, Label: label(out.FinalPhish), Threshold: threshold}
+// Hit reports whether the verdict was assembled from memo alone: the
+// score was found and no stage had to run. (The zero provenance of a
+// verdict that never went through the memo is not a hit.)
+func (p MemoProvenance) Hit() bool {
+	return p.Score == ProvMemo && p.Analysis != ProvComputed &&
+		p.Features != ProvComputed && p.Target != ProvComputed
 }
 
 func label(phish bool) string {

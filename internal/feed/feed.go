@@ -464,10 +464,16 @@ func (s *Scheduler) process(it *item) {
 		return
 	}
 	out := v.Outcome
+	// A verdict scored through the stage memo already carries the page's
+	// identity; only the plain and explain paths still have to hash.
+	fp := v.ContentFingerprint
+	if fp == "" {
+		fp = webpage.Fingerprint(snap)
+	}
 	rec := store.Record{
 		URL:          it.url,
 		LandingURL:   snap.LandingURL,
-		Fingerprint:  webpage.Fingerprint(snap),
+		Fingerprint:  fp,
 		Outcome:      out,
 		ModelVersion: v.ModelVersion,
 		Explanation:  v.Explanation,

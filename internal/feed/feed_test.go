@@ -1,6 +1,7 @@
 package feed
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"knowphish/internal/coalesce"
 	"knowphish/internal/core"
 	"knowphish/internal/crawl"
 	"knowphish/internal/dataset"
@@ -16,6 +18,7 @@ import (
 	"knowphish/internal/store"
 	"knowphish/internal/target"
 	"knowphish/internal/webgen"
+	"knowphish/internal/webpage"
 )
 
 var (
@@ -93,6 +96,40 @@ func TestNewValidatesConfig(t *testing.T) {
 	}
 	if _, err := New(Config{Fetcher: fetcherFunc(func(string) (*webgen.Page, bool) { return nil, false })}); err == nil {
 		t.Error("nil pipeline: want error")
+	}
+}
+
+// TestFingerprintSameOnEveryScoringPath: the stored fingerprint is the
+// page's one identity whether the drain took it from a memoized verdict
+// or had to hash the snapshot itself.
+func TestFingerprintSameOnEveryScoringPath(t *testing.T) {
+	c, pipe := fixtures(t)
+	site := c.World.NewPhishSite(newRand(1), c.World.RandomPhishOptions(newRand(2)))
+	fetcher := crawl.Compose(site, c.World)
+	snap, err := crawl.Visit(fetcher, site.StartURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := webpage.Fingerprint(snap)
+	coal := coalesce.New(coalesce.Config{})
+	for name, score := range map[string]func(context.Context, *core.Pipeline, core.ScoreRequest) (core.Verdict, error){
+		"plain": nil,
+		"memo": func(ctx context.Context, p *core.Pipeline, req core.ScoreRequest) (core.Verdict, error) {
+			return coal.Do(ctx, p, req, coalesce.CacheDefault, nil)
+		},
+	} {
+		st := newStore(t)
+		s, err := New(Config{Fetcher: fetcher, Pipeline: pipe, Store: st.Backend(), DomainRate: -1, Score: score})
+		if err != nil {
+			t.Fatalf("%s: New: %v", name, err)
+		}
+		if err := s.Enqueue(site.StartURL); err != nil {
+			t.Fatalf("%s: Enqueue: %v", name, err)
+		}
+		drain(t, s)
+		if rec, ok := st.Get(site.StartURL); !ok || rec.Fingerprint != want {
+			t.Errorf("%s: stored fingerprint %q, want %q", name, rec.Fingerprint, want)
+		}
 	}
 }
 

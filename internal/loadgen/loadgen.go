@@ -128,8 +128,8 @@ type Config struct {
 	ScrapeInterval time.Duration
 	// CacheMix is the fraction (0..1) of score-mode requests that
 	// replay one of a small hot set of already-submitted pages instead
-	// of a unique URL — warm traffic that exercises the verdict cache
-	// and the coalescer's stage memos the way real feed duplicates do
+	// of a unique URL — warm traffic answered from the stage memo, the
+	// way real feed duplicates are
 	// (0 → every request unique; ignored in feed mode).
 	CacheMix float64
 }
@@ -392,7 +392,7 @@ func (r *run) shoot(ctx context.Context) {
 	var path string
 	var urlCount int64
 	if r.cfg.Endpoint == "score" {
-		// A unique query string per request defeats the verdict cache,
+		// A unique query string per request defeats the stage memo,
 		// so every accepted request pays the full scoring pipeline —
 		// the work the latency SLO budgets. With CacheMix set, that
 		// fraction of requests replays the hot set instead, so the run

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"math/rand"
 	"net/http"
 	"path/filepath"
@@ -261,24 +260,16 @@ func TestErrorResponsesExcludedFromLatency(t *testing.T) {
 }
 
 // TestCacheEvictionsExported covers the /metrics eviction counter: an
-// undersized cache under distinct-page traffic must report evictions.
+// undersized memo under distinct-page traffic must report evictions in
+// the table whose entries are the cached verdicts.
 func TestCacheEvictionsExported(t *testing.T) {
-	s := newServer(t, func(cfg *Config) { cfg.CacheSize = 16 }) // 1 entry/shard
-	for i := 0; i < 64; i++ {
-		var resp ScoreResponse
-		page := PageRequest{
-			HTML:       fmt.Sprintf("<title>page %d</title><body>content %d</body>", i, i),
-			LandingURL: fmt.Sprintf("http://host%d.test/", i),
-		}
-		if code := call(t, s, http.MethodPost, "/v1/score", page, &resp); code != http.StatusOK {
-			t.Fatalf("score %d: status = %d", i, code)
-		}
+	s := newServer(t, func(cfg *Config) { cfg.MemoEntries = 16 }) // 1 entry/shard
+	scoreDistinctPages(t, s, 64)
+	m := s.Metrics().Coalesce.Score
+	if m.Evictions == 0 {
+		t.Errorf("score-memo evictions = 0, want > 0 for 64 pages in a 16-entry table")
 	}
-	m := s.Metrics()
-	if m.CacheEvictions <= 0 {
-		t.Errorf("cache evictions = %d, want > 0 for 64 pages in a 16-entry cache", m.CacheEvictions)
-	}
-	if m.CacheEntries+int(m.CacheEvictions) < 64 {
-		t.Errorf("entries %d + evictions %d < 64 pages", m.CacheEntries, m.CacheEvictions)
+	if m.Entries+int(m.Evictions) != 64 {
+		t.Errorf("entries %d + evictions %d != 64 pages", m.Entries, m.Evictions)
 	}
 }

@@ -64,11 +64,14 @@ type MetricsSnapshot struct {
 	// StreamedItems counts result lines delivered on /v2/score/stream.
 	StreamedItems int64 `json:"streamed_items"`
 
-	CacheHits      int64   `json:"cache_hits"`
-	CacheMisses    int64   `json:"cache_misses"`
-	CacheHitRate   float64 `json:"cache_hit_rate"`
-	CacheEntries   int     `json:"cache_entries"`
-	CacheEvictions int64   `json:"cache_evictions"`
+	// CacheHits and CacheMisses count default-mode requests (and v1
+	// within-batch duplicates, as hits) answered without and with
+	// computing a pipeline stage; requests that cannot hit — no-memo,
+	// refresh, explain — count in neither. Table sizes and evictions are
+	// under Coalesce.
+	CacheHits    int64   `json:"cache_hits"`
+	CacheMisses  int64   `json:"cache_misses"`
+	CacheHitRate float64 `json:"cache_hit_rate"`
 
 	// ModelVersion is the registry version currently serving traffic
 	// ("" for a detector loaded outside a registry). During a
@@ -145,7 +148,7 @@ type ShedMetrics struct {
 }
 
 // Snapshot captures the current counters.
-func (m *Metrics) Snapshot(cacheEntries int) MetricsSnapshot {
+func (m *Metrics) Snapshot() MetricsSnapshot {
 	hits, miss := m.cacheHits.Load(), m.cacheMiss.Load()
 	rate := 0.0
 	if hits+miss > 0 {
@@ -165,7 +168,6 @@ func (m *Metrics) Snapshot(cacheEntries int) MetricsSnapshot {
 		CacheHits:    hits,
 		CacheMisses:  miss,
 		CacheHitRate: rate,
-		CacheEntries: cacheEntries,
 
 		LatencyMeanUS: m.latency.Mean(),
 		LatencyP50US:  m.latency.Percentile(50),

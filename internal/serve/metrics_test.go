@@ -55,15 +55,12 @@ func TestMetricsSnapshotCounters(t *testing.T) {
 	m.cacheHits.Add(2)
 	m.cacheMiss.Add(2)
 	m.latency.Observe(time.Millisecond)
-	snap := m.Snapshot(7)
+	snap := m.Snapshot()
 	if snap.Requests != 5 || snap.PagesScored != 3 || snap.PhishVerdicts != 1 {
 		t.Errorf("counters: %+v", snap)
 	}
 	if snap.CacheHitRate != 0.5 {
 		t.Errorf("hit rate = %v, want 0.5", snap.CacheHitRate)
-	}
-	if snap.CacheEntries != 7 {
-		t.Errorf("entries = %d", snap.CacheEntries)
 	}
 	if snap.LatencyP50US <= 0 {
 		t.Errorf("p50 = %d", snap.LatencyP50US)
@@ -84,7 +81,7 @@ func TestMetricsConcurrentObserve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	snap := m.Snapshot(0)
+	snap := m.Snapshot()
 	if snap.Requests != 8000 {
 		t.Errorf("requests = %d, want 8000", snap.Requests)
 	}

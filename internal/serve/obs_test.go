@@ -156,6 +156,10 @@ func TestPrometheusExpositionGrammar(t *testing.T) {
 		"knowphish_http_requests_total":      "counter",
 		"knowphish_pages_scored_total":       "counter",
 		"knowphish_requests_in_flight":       "gauge",
+		"knowphish_cache_hits_total":         "counter",
+		"knowphish_cache_misses_total":       "counter",
+		"knowphish_memo_evictions_total":     "counter",
+		"knowphish_memo_entries":             "gauge",
 		"knowphish_request_duration_seconds": "histogram",
 		"knowphish_stage_duration_seconds":   "histogram",
 		"knowphish_traces_finished_total":    "counter",
@@ -176,6 +180,14 @@ func TestPrometheusExpositionGrammar(t *testing.T) {
 	} {
 		if got := types[fam]; got != typ {
 			t.Errorf("family %s: TYPE %q, want %q", fam, got, typ)
+		}
+	}
+
+	// One definition per signal: cached-verdict sizes and evictions are
+	// the memo families above, not a second pair under the cache prefix.
+	for _, fam := range []string{"knowphish_cache_entries", "knowphish_cache_evictions_total"} {
+		if _, ok := types[fam]; ok {
+			t.Errorf("family %s is still exported; it duplicates knowphish_memo_*{table=\"score\"}", fam)
 		}
 	}
 

@@ -37,13 +37,9 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	p.Counter("knowphish_requests_cancelled_total", "Requests cut short by client disconnect.", float64(m.cancelled.Load()))
 	p.Counter("knowphish_streamed_items_total", "Result lines delivered on the streaming endpoint.", float64(m.streamed.Load()))
 
-	// Verdict cache.
-	p.Counter("knowphish_cache_hits_total", "Verdict-cache hits.", float64(m.cacheHits.Load()))
-	p.Counter("knowphish_cache_misses_total", "Verdict-cache misses.", float64(m.cacheMiss.Load()))
-	p.Gauge("knowphish_cache_entries", "Verdict-cache entries resident.", float64(s.cacheLen()))
-	if s.cache != nil {
-		p.Counter("knowphish_cache_evictions_total", "Verdict-cache evictions.", float64(s.cache.Evictions()))
-	}
+	// Whole-verdict reuse (sizes and evictions: the memo tables below).
+	p.Counter("knowphish_cache_hits_total", "Default-mode requests answered without computing a stage.", float64(m.cacheHits.Load()))
+	p.Counter("knowphish_cache_misses_total", "Default-mode requests that computed at least one stage.", float64(m.cacheMiss.Load()))
 
 	// Stage memo: staged passes and per-stage memo tables.
 	cs := s.coal.Snapshot()

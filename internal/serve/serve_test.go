@@ -149,7 +149,7 @@ func TestScoreCaching(t *testing.T) {
 
 func TestScoreCacheDisabled(t *testing.T) {
 	c, _ := fixtures(t)
-	s := newServer(t, func(cfg *Config) { cfg.CacheSize = -1 })
+	s := newServer(t, func(cfg *Config) { cfg.MemoEntries = -1 })
 	snap := c.PhishTest.Examples[0].Snapshot
 	var resp ScoreResponse
 	call(t, s, http.MethodPost, "/v1/score", PageRequest{Snapshot: snap}, &resp)
@@ -226,7 +226,7 @@ func TestBatchEndpointDeterministicAcrossWorkers(t *testing.T) {
 	var reference BatchResponse
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		// Fresh server per worker count so caching cannot mask differences.
-		s := newServer(t, func(cfg *Config) { cfg.CacheSize = -1 })
+		s := newServer(t, nil)
 		var resp BatchResponse
 		code := call(t, s, http.MethodPost, "/v1/score/batch", BatchRequest{Pages: pages, Workers: workers}, &resp)
 		if code != http.StatusOK {
@@ -313,7 +313,7 @@ func TestBatchDeduplicatesLandingURLs(t *testing.T) {
 func TestCacheNotPoisonableByContent(t *testing.T) {
 	s := newServer(t, nil)
 	// Two different pages claiming the same landing URL must not share
-	// a verdict: the cache key fingerprints the content.
+	// a verdict: the memo key fingerprints the content.
 	benign := PageRequest{HTML: "<p>gardening tips and recipes</p>", LandingURL: "http://contested.test/"}
 	phishy := PageRequest{
 		HTML:       `<title>Login</title><body>verify your password now<form><input type="password"></form></body>`,
@@ -334,13 +334,25 @@ func TestCacheNotPoisonableByContent(t *testing.T) {
 	if !c.Cached {
 		t.Error("identical resubmission did not hit the cache")
 	}
+	// The same bytes under another landing URL are another page: URL
+	// features read the landing URL, so its verdict is not reusable.
+	moved := benign
+	moved.LandingURL = "http://elsewhere.test/"
+	var d ScoreResponse
+	call(t, s, http.MethodPost, "/v1/score", moved, &d)
+	if d.Cached {
+		t.Error("same content under a different landing URL reused a cached verdict")
+	}
+	if m := s.Metrics(); m.PagesScored != 3 || m.CacheHits != 1 || m.CacheMisses != 3 {
+		t.Errorf("scored %d, hits %d, misses %d; want 3, 1, 3", m.PagesScored, m.CacheHits, m.CacheMisses)
+	}
 }
 
 func TestBatchNoDedupWhenCacheDisabled(t *testing.T) {
 	c, _ := fixtures(t)
-	s := newServer(t, func(cfg *Config) { cfg.CacheSize = -1 })
-	// Caching off means the operator rejected verdict reuse by landing
-	// URL; same-URL pages must then each be scored.
+	s := newServer(t, func(cfg *Config) { cfg.MemoEntries = -1 })
+	// Memo off means the operator rejected verdict reuse; identical
+	// pages must then each be scored.
 	page := PageRequest{Snapshot: c.PhishTest.Examples[0].Snapshot}
 	var resp BatchResponse
 	call(t, s, http.MethodPost, "/v1/score/batch",

@@ -34,9 +34,9 @@
 // promotion is picked up by the next request — one atomic load, no lock
 // on the hot path, no restart, and in-flight requests finish on the
 // model they started with. Every verdict and stored record is stamped
-// with the model_version that produced it, and cached verdicts are
+// with the model_version that produced it, and memoized scores are
 // version-gated so a promoted model is never shadowed by its
-// predecessor's cache entries.
+// predecessor's entries.
 //
 // Every scoring path is context-aware end to end: the request context
 // (plus an optional per-request deadline) reaches the pipeline through
@@ -48,11 +48,12 @@
 //
 // Scoring fans out over the shared worker-pool primitive
 // (internal/pool) under a server-wide concurrency bound, so a burst of
-// concurrent batches cannot oversubscribe the cores. A sharded LRU
-// cache keyed by landing URL plus a content fingerprint absorbs
-// repeated lookups of the same page — phishing campaigns funnel many
-// lures to one landing page — without letting one client's submission
-// define the verdict for a URL it does not own.
+// concurrent batches cannot oversubscribe the cores. The
+// content-addressed stage memo (internal/coalesce), keyed by sha256
+// over landing URL and content, absorbs repeated lookups of the same
+// page — phishing campaigns funnel many lures to one landing page —
+// without letting one client's submission define the verdict for a URL
+// it does not own.
 package serve
 
 import (
@@ -87,8 +88,6 @@ import (
 
 // Defaults for Config zero values.
 const (
-	// DefaultCacheSize is the total verdict-cache capacity in entries.
-	DefaultCacheSize = 4096
 	// DefaultMaxBatch bounds the page count of one batch request and
 	// the item count of one stream request.
 	DefaultMaxBatch = 1024
@@ -125,9 +124,6 @@ type Config struct {
 	// Workers bounds concurrent pipeline executions across the whole
 	// server and caps the per-batch fan-out (0 → GOMAXPROCS).
 	Workers int
-	// CacheSize is the verdict-cache capacity in entries
-	// (0 → DefaultCacheSize, negative → caching disabled).
-	CacheSize int
 	// MaxBatch bounds pages per batch or stream request
 	// (0 → DefaultMaxBatch).
 	MaxBatch int
@@ -140,7 +136,7 @@ type Config struct {
 	// MemoEntries is the capacity of each per-stage memo table —
 	// analysis, feature vector, detector score, target result — keyed
 	// by content fingerprint (0 → coalesce.DefaultMemoEntries;
-	// negative → memoization disabled: every request computes every
+	// negative → no verdict reuse at all: every request computes every
 	// stage, still fingerprinted for its ETag).
 	MemoEntries int
 	// Coalescer optionally injects a pre-built stage memo shared with
@@ -204,11 +200,8 @@ type Server struct {
 	defaultDeadline time.Duration
 	defaultExplain  core.ExplainLevel
 	explainTopN     int
-	cache           *verdictCache
 	// coal is the content-addressed stage memo every scoring call goes
-	// through. The verdict cache above is L1 (whole outcomes by URL +
-	// content); coal's memo tables are L2 (per-stage results by content
-	// key).
+	// through — the only verdict reuse in the server.
 	coal *coalesce.Coalescer
 	// defaultOpts / defaultOptsSkip / v1Opts are the hoisted option
 	// slices of the common request shapes, built once in New so the
@@ -321,13 +314,6 @@ func New(cfg Config) (*Server, error) {
 	if s.defaultDeadline > 0 {
 		s.v1Opts = []core.ScoreOption{core.WithDeadline(s.defaultDeadline)}
 	}
-	if cfg.CacheSize >= 0 {
-		size := cfg.CacheSize
-		if size == 0 {
-			size = DefaultCacheSize
-		}
-		s.cache = newVerdictCache(size)
-	}
 	// Endpoint classes group routes for windowed latency, SLO
 	// observation and admission control (see admission.go). The
 	// cumulative latency histogram still tracks the scoring endpoints
@@ -401,10 +387,7 @@ func (s *Server) pipeline() (*core.Pipeline, error) {
 // Metrics returns a snapshot of the serving counters, including feed,
 // store and model-lifecycle stats when those subsystems are wired in.
 func (s *Server) Metrics() MetricsSnapshot {
-	snap := s.metrics.Snapshot(s.cacheLen())
-	if s.cache != nil {
-		snap.CacheEvictions = s.cache.Evictions()
-	}
+	snap := s.metrics.Snapshot()
 	if det := s.source.Current(); det != nil {
 		snap.ModelVersion = det.Version()
 	}
@@ -447,13 +430,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		snap.SLO = &st
 	}
 	return snap
-}
-
-func (s *Server) cacheLen() int {
-	if s.cache == nil {
-		return 0
-	}
-	return s.cache.Len()
 }
 
 // ---------------------------------------------------------------------
@@ -506,9 +482,9 @@ type ScoreResponse struct {
 	core.Outcome
 	// LandingURL identifies the scored page.
 	LandingURL string `json:"landing_url,omitempty"`
-	// Cached reports whether the verdict was reused — from the verdict
-	// cache, or from an identical landing URL earlier in the same batch
-	// — rather than freshly computed.
+	// Cached reports whether the verdict was reused — every stage found
+	// in the memo, or an identical page earlier in the same batch —
+	// rather than freshly computed.
 	Cached bool `json:"cached"`
 }
 
@@ -634,7 +610,7 @@ type errorResponse struct {
 // boundedCtx runs fn under the server-wide CPU-work bound, giving up
 // without running it when ctx is done first — a disconnected client
 // waiting for a slot must not consume one. Every CPU-heavy stage — HTML
-// parsing, cache-key hashing, pipeline scoring, target identification —
+// parsing, content hashing, pipeline scoring, target identification —
 // goes through it, so a burst of concurrent requests cannot run more
 // than Workers heavy executions at once. The deferred release survives
 // a panic in fn.
@@ -660,67 +636,44 @@ func (s *Server) boundedCtx(ctx context.Context, pri int, fn func()) error {
 	return nil
 }
 
-// scoreSnap scores one snapshot through the verdict cache and the
-// stage memo with the given request options. It returns the
-// verdict, whether it was served from cache, and a context error
-// (cancellation or deadline) when scoring was cut short. cc governs
-// both cache layers: no-memo skips reads and writes, refresh skips
-// reads but overwrites. When prov is non-nil it receives the memo's
-// per-stage provenance (zero on a verdict-cache hit).
+// scoreSnap scores one request through the stage memo — the single
+// scoring path of every endpoint. It returns the verdict, whether it
+// was a cache hit, and a context error (cancellation, deadline, shed)
+// when scoring was cut short.
 //
-// Explain requests always recompute: the cache stores bare outcomes,
-// not per-feature evidence, and explanation cost is exactly what the
-// client opted into. They touch no hit/miss counters (they can never
-// hit, and counting them as misses would depress a rate no cache
-// sizing could fix) but still refresh the cached outcome.
-func (s *Server) scoreSnap(ctx context.Context, pri int, pipe *core.Pipeline, snap *webpage.Snapshot, req core.ScoreRequest, cc coalesce.CacheControl, prov *core.MemoProvenance) (core.Verdict, bool, error) {
-	version := pipe.Detector.Version()
-	// The key is built into a pooled buffer and looked up as bytes; a
-	// string is only materialized when an outcome is actually stored, so
-	// the dominant outcomes of this function — a cache hit, or a miss on
-	// an uncacheable page — never put the key on the heap.
-	var keyBuf *[]byte
-	if s.cache != nil && cc != coalesce.CacheNoMemo {
-		keyBuf = keyPool.Get().(*[]byte)
-		if err := s.boundedCtx(ctx, pri, func() { *keyBuf = appendCacheKey((*keyBuf)[:0], snap) }); err != nil {
-			putKeyBuf(keyBuf)
-			return core.Verdict{}, false, err
-		}
-		if len(*keyBuf) != 0 && !req.Explains() && cc == coalesce.CacheDefault {
-			// Hits are version-gated: after a champion hot-swap, entries
-			// scored by the predecessor read as misses and the page is
-			// re-scored by the model actually serving.
-			if out, fp, ok := s.cache.GetBytes(*keyBuf, version); ok {
-				putKeyBuf(keyBuf)
-				s.metrics.cacheHits.Add(1)
-				v := core.MakeVerdict(out, pipe.Detector.Threshold())
-				v.ModelVersion = version
-				v.ContentFingerprint = fp
-				return v, true, nil
-			}
-			s.metrics.cacheMiss.Add(1)
-		}
-	}
-	var v core.Verdict
-	var err error
-	if berr := s.boundedCtx(ctx, pri, func() { v, err = s.coal.Do(ctx, pipe, req, cc, prov) }); berr != nil {
+// A hit is a verdict for which no stage had to run: every result the
+// request needs was in the memo under the serving model version. It
+// carries no timings and no provenance. Anything partially computed is
+// a miss with per-stage provenance in Verdict.Memo. cache_hits /
+// cache_misses count exactly those two outcomes for default-mode
+// requests; no-memo and refresh requests ask for recomputation, and
+// explain requests bypass the memo (evidence is never memoized), so
+// neither can hit and neither depresses the rate.
+func (s *Server) scoreSnap(ctx context.Context, pri int, pipe *core.Pipeline, req core.ScoreRequest, cc coalesce.CacheControl) (core.Verdict, bool, error) {
+	var (
+		v    core.Verdict
+		prov core.MemoProvenance
+		err  error
+	)
+	if berr := s.boundedCtx(ctx, pri, func() { v, err = s.coal.Do(ctx, pipe, req, cc, &prov) }); berr != nil {
 		err = berr
 	}
 	if err != nil {
-		if keyBuf != nil {
-			putKeyBuf(keyBuf)
-		}
 		return core.Verdict{}, false, err
 	}
+	if prov.Hit() {
+		s.metrics.cacheHits.Add(1)
+		v.Timings = core.StageTimings{}
+		return v, true, nil
+	}
 	s.recordOutcome(v.Outcome)
-	// A skip_target verdict is partial (no FP-removal pass); caching it
-	// would hand later full requests a weaker outcome than they asked
-	// for. Such requests may read the cache but never define it.
-	if keyBuf != nil {
-		if !req.SkipsTarget() {
-			s.cache.Put(string(*keyBuf), v.Outcome, version, v.ContentFingerprint)
+	if prov != (core.MemoProvenance{}) {
+		if cc == coalesce.CacheDefault {
+			s.metrics.cacheMiss.Add(1)
 		}
-		putKeyBuf(keyBuf)
+		// Copied so that only a miss puts the provenance on the heap.
+		p := prov
+		v.Memo = &p
 	}
 	return v, false, nil
 }
@@ -767,7 +720,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	v, cached, err := s.scoreSnap(ctx, prioInteractive, pipe, snap, core.NewScoreRequest(snap, s.v1Opts...), coalesce.CacheDefault, nil)
+	v, cached, err := s.scoreSnap(ctx, prioInteractive, pipe, core.NewScoreRequest(snap, s.v1Opts...), coalesce.CacheDefault)
 	if err != nil {
 		s.failCtx(w, err)
 		return
@@ -775,37 +728,71 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, http.StatusOK, ScoreResponse{Outcome: v.Outcome, LandingURL: snap.LandingURL, Cached: cached})
 }
 
-// analyzeBatch fans snapshots out over the worker pool; every execution
-// still passes through the server-wide scoring bound and observes ctx
-// between items. It returns the outcomes, or the first context error
-// once the batch was cut short. The whole batch scores on one pipe — a
-// hot-swap mid-batch must not split a batch across models.
-//
-// Items score through the stage memo, sharing its tables with every
-// other scoring path, while the v1 wire format stays byte for byte
-// what the per-request path produced — outcomes are bit-identical by
-// construction, pinned by the goldens.
-func (s *Server) analyzeBatch(ctx context.Context, pri int, pipe *core.Pipeline, snaps []*webpage.Snapshot, workers int) ([]core.Outcome, error) {
-	out := make([]core.Outcome, len(snaps))
-	errs := make([]error, len(snaps))
-	poolErr := pool.ForEachIndexCtx(ctx, len(snaps), workers, func(i int) {
-		if berr := s.boundedCtx(ctx, pri, func() {
-			v, err := s.coal.Do(ctx, pipe, core.NewScoreRequest(snaps[i], s.v1Opts...), coalesce.CacheDefault, nil)
-			if err != nil {
-				errs[i] = err
-				return
+// beginBatch validates a batch's size and resolves what the whole
+// request shares: the pipeline — one model scores a batch end to end, a
+// hot-swap must not split it — and the fan-out width, the server's
+// worker count capped by the client's workers field. It reports
+// ok=false after writing the error response itself.
+func (s *Server) beginBatch(w http.ResponseWriter, n, reqWorkers int) (pipe *core.Pipeline, workers int, ok bool) {
+	if n == 0 {
+		s.fail(w, http.StatusBadRequest, errors.New("empty batch"))
+		return nil, 0, false
+	}
+	if n > s.maxBatch {
+		s.metrics.batchRejected.Add(1)
+		s.fail(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("batch of %d exceeds limit %d", n, s.maxBatch))
+		return nil, 0, false
+	}
+	pipe, err := s.pipeline()
+	if err != nil {
+		s.fail(w, http.StatusServiceUnavailable, err)
+		return nil, 0, false
+	}
+	workers = s.workers
+	if reqWorkers > 0 && reqWorkers < workers {
+		workers = reqWorkers
+	}
+	return pipe, workers, true
+}
+
+// fanOut runs fn for every index on up to workers goroutines and
+// returns what cut the batch short: ctx's own error, or the item errors
+// joined. Neither batch wire format has a per-item error slot, so one
+// failed item fails the request.
+func fanOut(ctx context.Context, n, workers int, fn func(i int) error) error {
+	errs := make([]error, n)
+	if err := pool.ForEachIndexCtx(ctx, n, workers, func(i int) { errs[i] = fn(i) }); err != nil {
+		return err
+	}
+	return errors.Join(errs...)
+}
+
+// resolvePages resolves a batch's pages to snapshots. Resolution parses
+// HTML, the dominant pre-scoring cost of a raw-HTML batch, so it fans
+// out under the server-wide bound like scoring does; with keys non-nil
+// each page is hashed into it in the same pass. It reports ok=false
+// after writing the error response itself.
+func (s *Server) resolvePages(ctx context.Context, w http.ResponseWriter, pages []PageRequest, workers int, keys []webpage.Key128) ([]*webpage.Snapshot, bool) {
+	snaps := make([]*webpage.Snapshot, len(pages))
+	bad := make([]error, len(pages))
+	if err := fanOut(ctx, len(pages), workers, func(i int) error {
+		return s.boundedCtx(ctx, prioBatch, func() {
+			if snaps[i], bad[i] = pages[i].snapshot(); bad[i] == nil && keys != nil {
+				keys[i] = webpage.ContentKey(snaps[i])
 			}
-			out[i] = v.Outcome
-		}); berr != nil {
-			errs[i] = berr
-		}
-	})
-	for _, err := range errs {
+		})
+	}); err != nil {
+		s.failCtx(w, err)
+		return nil, false
+	}
+	for i, err := range bad {
 		if err != nil {
-			return out, err
+			s.fail(w, http.StatusBadRequest, fmt.Errorf("page %d: %w", i, err))
+			return nil, false
 		}
 	}
-	return out, poolErr
+	return snaps, true
 }
 
 func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
@@ -814,152 +801,60 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if len(req.Pages) == 0 {
-		s.fail(w, http.StatusBadRequest, errors.New("empty batch"))
+	pipe, workers, ok := s.beginBatch(w, len(req.Pages), req.Workers)
+	if !ok {
 		return
 	}
-	if len(req.Pages) > s.maxBatch {
-		s.metrics.batchRejected.Add(1)
-		s.fail(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d exceeds limit %d", len(req.Pages), s.maxBatch))
-		return
-	}
-	pipe, err := s.pipeline()
-	if err != nil {
-		s.fail(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	version := pipe.Detector.Version()
 	ctx := r.Context()
-	// One fan-out width for the whole request: the client's workers
-	// field caps every stage, not just scoring.
-	workers := s.workers
-	if req.Workers > 0 && req.Workers < workers {
-		workers = req.Workers
+	// Within-batch dedupe: campaigns funnel many lures to one landing
+	// page, so identical pages (one content key) score once per batch
+	// and the repeats answer as cache hits. It is the memo's reuse
+	// applied before the first copy has been written back, and goes
+	// with it: a server whose memo is disabled scores every page.
+	var keys []webpage.Key128
+	if s.coal.Enabled() {
+		keys = make([]webpage.Key128, len(req.Pages))
 	}
-
-	// Snapshot resolution parses HTML and is the dominant pre-scoring
-	// cost of a raw-HTML batch; doing it serially would bound batch
-	// throughput no matter how many workers score. Fan it out too.
-	snaps := make([]*webpage.Snapshot, len(req.Pages))
-	pageErrs := make([]error, len(req.Pages))
-	if err := pool.ForEachIndexCtx(ctx, len(req.Pages), workers, func(i int) {
-		if berr := s.boundedCtx(ctx, prioBatch, func() { snaps[i], pageErrs[i] = req.Pages[i].snapshot() }); berr != nil {
-			pageErrs[i] = berr
+	snaps, ok := s.resolvePages(ctx, w, req.Pages, workers, keys)
+	if !ok {
+		return
+	}
+	// first[i] is the index of the first page with page i's content.
+	first := make([]int, len(snaps))
+	seen := make(map[webpage.Key128]int, len(keys))
+	for i := range first {
+		first[i] = i
+	}
+	for i, k := range keys {
+		if j, dup := seen[k]; dup {
+			first[i] = j
+		} else {
+			seen[k] = i
 		}
+	}
+	results := make([]ScoreResponse, len(snaps))
+	if err := fanOut(ctx, len(snaps), workers, func(i int) error {
+		if first[i] != i {
+			return nil
+		}
+		req := core.NewScoreRequest(snaps[i], s.v1Opts...)
+		if keys != nil {
+			req = req.WithContentKey(keys[i])
+		}
+		v, cached, err := s.scoreSnap(ctx, prioBatch, pipe, req, coalesce.CacheDefault)
+		results[i] = ScoreResponse{Outcome: v.Outcome, LandingURL: snaps[i].LandingURL, Cached: cached}
+		return err
 	}); err != nil {
 		s.failCtx(w, err)
 		return
 	}
-	for i, err := range pageErrs {
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				s.failCtx(w, err)
-				return
-			}
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("page %d: %w", i, err))
-			return
-		}
-	}
-
-	results := make([]ScoreResponse, len(snaps))
-	// Cache keys are only needed — and only computed — when caching is
-	// enabled; with it disabled there is nothing to look up or dedupe.
-	var keys []string
-	if s.cache != nil {
-		keys = make([]string, len(snaps))
-		if err := pool.ForEachIndexCtx(ctx, len(snaps), workers, func(i int) {
-			_ = s.boundedCtx(ctx, prioBatch, func() { keys[i] = cacheKey(snaps[i]) })
-		}); err != nil {
-			s.failCtx(w, err)
-			return
-		}
-	}
-	// Serve cache hits first, then fan the misses out over the worker
-	// pool under the server-wide scoring bound. Within-batch duplicates
-	// count as cache hits below, so cache_hit_rate matches the reuse
-	// the client observes in the cached response flags.
-	var missIdx []int
-	if s.cache != nil {
-		for i, snap := range snaps {
-			if out, _, ok := s.cache.Get(keys[i], version); ok {
-				s.metrics.cacheHits.Add(1)
-				results[i] = ScoreResponse{Outcome: out, LandingURL: snap.LandingURL, Cached: true}
-			} else {
-				missIdx = append(missIdx, i)
-			}
-		}
-	} else {
-		missIdx = make([]int, len(snaps))
-		for i := range snaps {
-			missIdx[i] = i
-		}
-	}
-	if len(missIdx) > 0 {
-		// Dedupe misses sharing a cache key — identical pages, since
-		// the key fingerprints the content: campaigns funnel many lures
-		// to one landing page, and scoring it once per batch is the
-		// same verdict-reuse assumption the cache makes. It therefore
-		// only applies while caching is enabled; with the cache
-		// disabled every page scores individually (uniq is missIdx
-		// itself, no bookkeeping), and uncacheable pages always do.
-		uniq := missIdx
-		var resultAt []int // per missIdx entry: position in uniq; nil = identity
-		if s.cache != nil {
-			firstAt := make(map[string]int, len(missIdx))
-			resultAt = make([]int, 0, len(missIdx))
-			uniq = make([]int, 0, len(missIdx))
-			for _, i := range missIdx {
-				// Uncacheable pages (empty key) touch no counters: they
-				// can never hit, and counting them as misses would
-				// depress a hit rate no cache sizing could fix.
-				if key := keys[i]; key != "" {
-					if j, ok := firstAt[key]; ok {
-						resultAt = append(resultAt, j)
-						s.metrics.cacheHits.Add(1)
-						continue
-					}
-					firstAt[key] = len(uniq)
-					s.metrics.cacheMiss.Add(1)
-				}
-				resultAt = append(resultAt, len(uniq))
-				uniq = append(uniq, i)
-			}
-		}
-		missSnaps := make([]*webpage.Snapshot, len(uniq))
-		for j, i := range uniq {
-			missSnaps[j] = snaps[i]
-		}
-		outcomes, err := s.analyzeBatch(ctx, prioBatch, pipe, missSnaps, workers)
-		if err != nil {
-			// v1 has no per-item error slot: a deadline anywhere fails
-			// the batch (504), a disconnect just stops the work.
-			s.failCtx(w, err)
-			return
-		}
-		for _, out := range outcomes {
-			s.recordOutcome(out)
-		}
-		if s.cache != nil {
-			for j, i := range uniq {
-				// The v1 batch path caches outcomes without a fingerprint:
-				// its wire format never surfaces one, and a later v2 hit on
-				// the same key simply responds without an ETag.
-				s.cache.Put(keys[i], outcomes[j], version, "")
-			}
-		}
-		for k, i := range missIdx {
-			j := k
-			if resultAt != nil {
-				j = resultAt[k]
-			}
-			results[i] = ScoreResponse{
-				Outcome:    outcomes[j],
-				LandingURL: snaps[i].LandingURL,
-				// A within-batch duplicate reused an identical page's
-				// verdict and reports so, like a verdict-cache hit.
-				Cached: uniq[j] != i,
-			}
+	for i, j := range first {
+		if j != i {
+			// Counted as a hit so cache_hit_rate matches the reuse the
+			// client observes in the cached flags.
+			s.metrics.cacheHits.Add(1)
+			results[i] = results[j]
+			results[i].Cached = true
 		}
 	}
 	s.metrics.scoreBatch.Observe(time.Since(t0))
@@ -1205,7 +1100,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		GoVersion:     buildGoVersion,
 		VCSRevision:   buildVCSRevision,
 		Workers:       s.workers,
-		CacheEnabled:  s.cache != nil,
+		CacheEnabled:  s.coal.Enabled(),
 		FeedEnabled:   s.feed != nil,
 		StoreEnabled:  s.store != nil,
 	}

@@ -172,8 +172,7 @@ func (s *Server) scoreStreamItem(ctx context.Context, idx int, it streamItem) V2
 		res.Error = err.Error()
 		return res
 	}
-	var prov core.MemoProvenance
-	v, cached, err := s.scoreSnap(ctx, prioBatch, pipe, snap, core.NewScoreRequest(snap, opts...), cc, &prov)
+	v, cached, err := s.scoreSnap(ctx, prioBatch, pipe, core.NewScoreRequest(snap, opts...), cc)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 			// This item ran out of its own budget; the stream lives on.
@@ -182,9 +181,6 @@ func (s *Server) scoreStreamItem(ctx context.Context, idx int, it streamItem) V2
 			res.Error = err.Error()
 		}
 		return res
-	}
-	if prov != (core.MemoProvenance{}) {
-		v.Memo = &prov
 	}
 	res.V2ScoreResponse = &V2ScoreResponse{Verdict: v, LandingURL: snap.LandingURL, Cached: cached}
 	return res

@@ -147,7 +147,7 @@ func TestStreamFlushesThroughInstrumentation(t *testing.T) {
 	const n = 200
 	s := newServer(t, func(cfg *Config) {
 		cfg.Workers = 1
-		cfg.CacheSize = -1
+		cfg.MemoEntries = -1
 	})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -198,8 +198,8 @@ func heavyStreamBody(n int) *bytes.Buffer {
 func TestScoreStreamStopsOnClientDisconnect(t *testing.T) {
 	const n = 600
 	s := newServer(t, func(cfg *Config) {
-		cfg.Workers = 1    // serialize scoring so the stream takes a while
-		cfg.CacheSize = -1 // every item is distinct work
+		cfg.Workers = 1      // serialize scoring so the stream takes a while
+		cfg.MemoEntries = -1 // every item is distinct work
 	})
 	ts := httptest.NewServer(s)
 	defer ts.Close()

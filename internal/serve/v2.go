@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -10,7 +8,6 @@ import (
 
 	"knowphish/internal/coalesce"
 	"knowphish/internal/core"
-	"knowphish/internal/pool"
 	"knowphish/internal/target"
 	"knowphish/internal/webpage"
 )
@@ -32,10 +29,10 @@ type ScoreOptions struct {
 	// SkipTarget skips target identification even for detector
 	// positives: cheaper, raw detector call only.
 	SkipTarget bool `json:"skip_target,omitempty"`
-	// CacheControl selects how the request interacts with the verdict
-	// cache and the per-stage memo tables: "default" (or absent) reads
-	// and writes, "no-memo" neither reads nor writes, "refresh"
-	// recomputes every stage and overwrites — the forced revalidation.
+	// CacheControl selects how the request interacts with the per-stage
+	// memo tables: "default" (or absent) reads and writes, "no-memo"
+	// neither reads nor writes, "refresh" recomputes every stage and
+	// overwrites — the forced revalidation.
 	CacheControl string `json:"cache_control,omitempty"`
 }
 
@@ -176,14 +173,10 @@ func (s *Server) handleScoreV2(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	var prov core.MemoProvenance
-	v, cached, err := s.scoreSnap(ctx, prioInteractive, pipe, snap, core.NewScoreRequest(snap, opts...), cc, &prov)
+	v, cached, err := s.scoreSnap(ctx, prioInteractive, pipe, core.NewScoreRequest(snap, opts...), cc)
 	if err != nil {
 		s.failCtx(w, err)
 		return
-	}
-	if prov != (core.MemoProvenance{}) {
-		v.Memo = &prov
 	}
 	if etag := scoreETag(&v); etag != "" {
 		w.Header().Set("ETag", etag)
@@ -227,75 +220,28 @@ func (s *Server) handleScoreBatchV2(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if len(req.Pages) == 0 {
-		s.fail(w, http.StatusBadRequest, errors.New("empty batch"))
-		return
-	}
-	if len(req.Pages) > s.maxBatch {
-		s.metrics.batchRejected.Add(1)
-		s.fail(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d exceeds limit %d", len(req.Pages), s.maxBatch))
-		return
-	}
 	opts, cc, err := s.coreOptions(req.ScoreOptions)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	pipe, err := s.pipeline()
-	if err != nil {
-		s.fail(w, http.StatusServiceUnavailable, err)
+	pipe, workers, ok := s.beginBatch(w, len(req.Pages), req.Workers)
+	if !ok {
 		return
 	}
 	ctx := r.Context()
-	workers := s.workers
-	if req.Workers > 0 && req.Workers < workers {
-		workers = req.Workers
-	}
-
-	snaps := make([]*webpage.Snapshot, len(req.Pages))
-	pageErrs := make([]error, len(req.Pages))
-	if err := pool.ForEachIndexCtx(ctx, len(req.Pages), workers, func(i int) {
-		if berr := s.boundedCtx(ctx, prioBatch, func() { snaps[i], pageErrs[i] = req.Pages[i].snapshot() }); berr != nil {
-			pageErrs[i] = berr
-		}
-	}); err != nil {
-		s.failCtx(w, err)
+	snaps, ok := s.resolvePages(ctx, w, req.Pages, workers, nil)
+	if !ok {
 		return
 	}
-	for i, err := range pageErrs {
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				s.failCtx(w, err)
-				return
-			}
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("page %d: %w", i, err))
-			return
-		}
-	}
-
 	out := make([]V2ScoreResponse, len(snaps))
-	provs := make([]core.MemoProvenance, len(snaps))
-	itemErrs := make([]error, len(snaps))
-	if err := pool.ForEachIndexCtx(ctx, len(snaps), workers, func(i int) {
-		v, cached, err := s.scoreSnap(ctx, prioBatch, pipe, snaps[i], core.NewScoreRequest(snaps[i], opts...), cc, &provs[i])
-		if err != nil {
-			itemErrs[i] = err
-			return
-		}
-		if provs[i] != (core.MemoProvenance{}) {
-			v.Memo = &provs[i]
-		}
+	if err := fanOut(ctx, len(snaps), workers, func(i int) error {
+		v, cached, err := s.scoreSnap(ctx, prioBatch, pipe, core.NewScoreRequest(snaps[i], opts...), cc)
 		out[i] = V2ScoreResponse{Verdict: v, LandingURL: snaps[i].LandingURL, Cached: cached}
+		return err
 	}); err != nil {
 		s.failCtx(w, err)
 		return
-	}
-	for _, err := range itemErrs {
-		if err != nil {
-			s.failCtx(w, err)
-			return
-		}
 	}
 	s.metrics.scoreBatch.Observe(time.Since(t0))
 	s.reply(w, http.StatusOK, V2BatchResponse{

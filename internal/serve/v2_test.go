@@ -135,7 +135,7 @@ func TestScoreV2BadOptions(t *testing.T) {
 
 func TestScoreV2SkipTarget(t *testing.T) {
 	c, _ := fixtures(t)
-	s := newServer(t, func(cfg *Config) { cfg.CacheSize = -1 })
+	s := newServer(t, nil)
 	// Find a detector positive and confirm skip_target suppresses the
 	// identification stage end to end.
 	for i, ex := range c.PhishTest.Examples {
@@ -167,7 +167,9 @@ func TestScoreV2SkipTarget(t *testing.T) {
 // (no FP-removal pass) and must not become the cached canonical outcome
 // a later full request — v1 or v2 — gets served. Found live: a v2
 // skip_target warm-up downgraded subsequent v1 responses to
-// target_run=false.
+// target_run=false. With one memo it holds by construction: the score
+// and the target result live in separate tables, and a full request is
+// only a hit when both are there.
 func TestSkipTargetDoesNotPoisonCache(t *testing.T) {
 	c, _ := fixtures(t)
 	s := newServer(t, nil)
@@ -194,14 +196,22 @@ func TestSkipTargetDoesNotPoisonCache(t *testing.T) {
 		if !full.TargetRun {
 			t.Fatal("v1 request lost the target-identification pass")
 		}
-		// The full verdict IS cached, and skip_target readers may reuse it.
+		// A skip_target reader of the now fully scored page gets what it
+		// asked for, from the score memo alone ...
 		var again V2ScoreResponse
 		call(t, s, http.MethodPost, "/v2/score", V2ScoreRequest{
 			PageRequest:  PageRequest{Snapshot: ex.Snapshot},
 			ScoreOptions: ScoreOptions{SkipTarget: true},
 		}, &again)
-		if !again.Cached || !again.TargetRun {
-			t.Errorf("skip_target reader did not reuse the canonical cached verdict: %+v", again.Outcome)
+		if !again.Cached || again.TargetRun || again.Score != full.Score {
+			t.Errorf("skip_target reader: cached=%v target_run=%v score=%v; want a score-only hit of %v",
+				again.Cached, again.TargetRun, again.Score, full.Score)
+		}
+		// ... and the full verdict is a hit for full readers.
+		var fullAgain ScoreResponse
+		call(t, s, http.MethodPost, "/v1/score", PageRequest{Snapshot: ex.Snapshot}, &fullAgain)
+		if !fullAgain.Cached || !fullAgain.TargetRun {
+			t.Errorf("full reader: cached=%v target_run=%v; want a hit with the target result", fullAgain.Cached, fullAgain.TargetRun)
 		}
 		return
 	}
@@ -258,7 +268,6 @@ func TestServerDefaultExplain(t *testing.T) {
 	s := newServer(t, func(cfg *Config) {
 		cfg.DefaultExplain = core.ExplainTop
 		cfg.ExplainTopN = 4
-		cfg.CacheSize = -1
 	})
 	var resp V2ScoreResponse
 	call(t, s, http.MethodPost, "/v2/score",

@@ -90,9 +90,14 @@ type Record struct {
 	LandingURL string `json:"landing_url"`
 	// RDN is the registered domain of the landing URL ("" for IP hosts).
 	RDN string `json:"rdn,omitempty"`
-	// Fingerprint is the content fingerprint (webpage.Fingerprint) of
-	// the scored snapshot. Records sharing LandingURL+Fingerprint are
-	// verdicts about the same page; only the newest matters.
+	// Fingerprint is the content identity (webpage.Fingerprint, 32 hex
+	// digits) of the scored snapshot — the verdict's
+	// content_fingerprint. Records sharing LandingURL+Fingerprint are
+	// verdicts about the same page; only the newest matters. Records
+	// written before the identity became one value carry a 64-hex
+	// sha256 of another preimage; they are never rewritten, so a page
+	// re-ingested across that upgrade leaves its old record
+	// un-superseded.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Outcome is the pipeline verdict.
 	Outcome core.Outcome `json:"outcome"`

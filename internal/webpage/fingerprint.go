@@ -5,14 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"sync"
-
-	"knowphish/internal/xxh"
 )
 
-// preimagePool recycles the canonical-encoding buffer AppendFingerprint
-// hashes. Fingerprints are computed per request on the serving hot path
-// (cache keys) and per record in the store, so the preimage — which can
-// be page-sized — must not be rebuilt on the heap each time.
+// preimagePool recycles the canonical-encoding buffer ContentKey
+// hashes. The key is computed per request on the serving hot path, so
+// the preimage — which can be page-sized — must not be rebuilt on the
+// heap each time.
 var preimagePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4<<10)
@@ -25,22 +23,33 @@ var preimagePool = sync.Pool{
 // buffers pinned in the pool serving every later small page.
 const maxPooledPreimage = 1 << 20
 
-// Fingerprint hashes every content field of a snapshot into a stable hex
-// digest. Two snapshots share a fingerprint exactly when a browser
-// recorded identical data sources for them, so a fingerprint plus the
-// landing URL identifies "the same page" for verdict reuse: the serving
-// cache keys on it, and the verdict store uses it to decide when a newer
-// verdict supersedes an older one for the same landing URL. sha256 keeps
-// the identity collision-resistant even against adversarial content.
-func Fingerprint(snap *Snapshot) string {
-	return string(AppendFingerprint(nil, snap))
+// Key128 is the identity of "the same page": the first 128 bits of
+// sha256 over an injective encoding of the landing URL and every
+// content field of a snapshot. It is the one identity the system
+// trusts — the stage memo's table key, the v2 content_fingerprint and
+// ETag stem, and the verdict store's supersede key are all this value
+// — so it has to hold against a client who chooses the page bytes:
+// sha256 is collision-resistant, 128 bits keep the birthday bound out
+// of reach, and the length-prefixed preimage leaves no two distinct
+// snapshots with the same bytes to hash.
+type Key128 struct {
+	Hi, Lo uint64
 }
 
-// AppendFingerprint appends the hex fingerprint of snap to dst and
-// returns the extended slice — the allocation-free form of Fingerprint
-// (the preimage is built in a pooled buffer and hashed on the stack).
-// The digest is byte-identical to Fingerprint's.
-func AppendFingerprint(dst []byte, snap *Snapshot) []byte {
+// String renders the key as 32 lower-case hex digits.
+func (k Key128) String() string {
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[:8], k.Hi)
+	binary.BigEndian.PutUint64(b[8:], k.Lo)
+	return hex.EncodeToString(b[:])
+}
+
+// ContentKey returns the content identity of a snapshot. The landing
+// URL is part of it because feature extraction reads the landing URL:
+// two snapshots differing only there must not share memoized stages or
+// a verdict. The preimage is built in a pooled buffer and hashed on the
+// stack; ContentKey never allocates.
+func ContentKey(snap *Snapshot) Key128 {
 	bp := preimagePool.Get().(*[]byte)
 	b := appendPreimage((*bp)[:0], snap)
 	sum := sha256.Sum256(b)
@@ -48,12 +57,22 @@ func AppendFingerprint(dst []byte, snap *Snapshot) []byte {
 		*bp = b
 		preimagePool.Put(bp)
 	}
-	return hex.AppendEncode(dst, sum[:])
+	return Key128{Hi: binary.BigEndian.Uint64(sum[:8]), Lo: binary.BigEndian.Uint64(sum[8:16])}
 }
 
-// appendPreimage appends the canonical content encoding of snap — the
-// shared preimage of the sha256 fingerprint and the XXH64 content key.
+// Fingerprint is ContentKey in its string form — what verdicts, ETags
+// and store records carry.
+func Fingerprint(snap *Snapshot) string {
+	return ContentKey(snap).String()
+}
+
+// appendPreimage appends the canonical encoding of snap. Every string
+// is length-prefixed and every list count-prefixed, in a fixed field
+// order, so the encoding is injective: distinct field tuples never
+// share a preimage (a separator byte would not do — page text may
+// contain any byte, NUL included).
 func appendPreimage(b []byte, snap *Snapshot) []byte {
+	b = fpString(b, snap.LandingURL)
 	b = fpString(b, snap.StartingURL)
 	b = fpList(b, snap.RedirectionChain)
 	b = fpList(b, snap.LoggedLinks)
@@ -63,55 +82,22 @@ func appendPreimage(b []byte, snap *Snapshot) []byte {
 	b = fpString(b, snap.Text)
 	b = fpString(b, snap.Copyright)
 	b = fpString(b, snap.Language)
-	var counts [24]byte
-	binary.LittleEndian.PutUint64(counts[0:], uint64(snap.InputCount))
-	binary.LittleEndian.PutUint64(counts[8:], uint64(snap.ImageCount))
-	binary.LittleEndian.PutUint64(counts[16:], uint64(snap.IFrameCount))
-	return append(b, counts[:]...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(snap.InputCount))
+	b = binary.LittleEndian.AppendUint64(b, uint64(snap.ImageCount))
+	return binary.LittleEndian.AppendUint64(b, uint64(snap.IFrameCount))
 }
 
-// Key128 is a 128-bit content key: two independently seeded XXH64 sums
-// over the same preimage. 64 bits is too narrow for a table that serves
-// verdicts (a collision would hand one page another page's verdict);
-// two seeded sums push the collision probability back to the 128-bit
-// birthday bound at double the hashing cost of one pass — still far
-// below the sha256 identity's.
-type Key128 struct {
-	Hi, Lo uint64
-}
-
-// ContentKey returns the memoization key of a snapshot: XXH64 over the
-// landing URL plus the canonical content preimage. The landing URL is
-// part of this key — unlike the sha256 fingerprint, which identifies
-// "the same recorded content" — because feature extraction reads the
-// landing URL, so two snapshots differing only there must not share
-// memoized stages. The preimage is built in a pooled buffer and hashed
-// on the stack; ContentKey never allocates.
-func ContentKey(snap *Snapshot) Key128 {
-	bp := preimagePool.Get().(*[]byte)
-	b := fpString((*bp)[:0], snap.LandingURL)
-	b = appendPreimage(b, snap)
-	k := Key128{Hi: xxh.Sum64(b, 1), Lo: xxh.Sum64(b, 0)}
-	if cap(b) <= maxPooledPreimage {
-		*bp = b
-		preimagePool.Put(bp)
-	}
-	return k
-}
-
-// fpString appends one length-delimited string of the canonical
-// preimage encoding: the bytes followed by a 0 separator.
+// fpString appends one string of the preimage: an 8-byte length, then
+// the bytes.
 func fpString(b []byte, s string) []byte {
-	b = append(b, s...)
-	return append(b, 0)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(s)))
+	return append(b, s...)
 }
 
-// fpList appends a string list: an 8-byte length prefix, then each
-// element fpString-encoded.
+// fpList appends a string list: an 8-byte count, then each element
+// fpString-encoded.
 func fpList(b []byte, ss []string) []byte {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(ss)))
-	b = append(b, n[:]...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(ss)))
 	for _, s := range ss {
 		b = fpString(b, s)
 	}

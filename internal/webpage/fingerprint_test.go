@@ -1,6 +1,9 @@
 package webpage
 
 import (
+	"bytes"
+	"regexp"
+	"slices"
 	"testing"
 
 	"knowphish/internal/racecheck"
@@ -25,8 +28,8 @@ func fpSnap() *Snapshot {
 }
 
 // TestContentKeyStable pins that equal content yields equal keys and
-// that every identity-bearing field — including the landing URL, which
-// the sha256 fingerprint deliberately excludes — perturbs the key.
+// that every kind of identity-bearing field — URL, text, count —
+// perturbs the key.
 func TestContentKeyStable(t *testing.T) {
 	a, b := fpSnap(), fpSnap()
 	if ContentKey(a) != ContentKey(b) {
@@ -51,19 +54,21 @@ func TestContentKeyStable(t *testing.T) {
 	}
 }
 
-// TestContentKeyDiffersFromFingerprintIdentity checks the one deliberate
-// divergence from the sha256 identity: two snapshots with identical
-// content but different landing URLs share a fingerprint (same recorded
-// content) yet must not share a content key (features read the landing
-// URL).
-func TestContentKeyDiffersFromFingerprintIdentity(t *testing.T) {
+// TestFingerprintIsContentKeyHex pins that there is one identity: the
+// fingerprint is the content key rendered as 32 hex digits, landing URL
+// included.
+func TestFingerprintIsContentKeyHex(t *testing.T) {
 	a, b := fpSnap(), fpSnap()
-	b.LandingURL = "http://elsewhere.example/"
-	if Fingerprint(a) != Fingerprint(b) {
-		t.Fatal("fingerprint unexpectedly covers the landing URL")
+	fp := Fingerprint(a)
+	if fp != ContentKey(a).String() {
+		t.Fatalf("Fingerprint %q is not the content key %q", fp, ContentKey(a))
 	}
-	if ContentKey(a) == ContentKey(b) {
-		t.Fatal("content key must cover the landing URL")
+	if !regexp.MustCompile(`^[0-9a-f]{32}$`).MatchString(fp) {
+		t.Fatalf("fingerprint %q is not 32 lower-case hex digits", fp)
+	}
+	b.LandingURL = "http://elsewhere.example/"
+	if Fingerprint(b) == fp {
+		t.Fatal("fingerprint does not cover the landing URL")
 	}
 }
 
@@ -78,4 +83,102 @@ func TestContentKeyZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { ContentKey(snap) }); n != 0 {
 		t.Fatalf("ContentKey allocates %.1f per run, want 0", n)
 	}
+}
+
+// TestPreimageInjective pins the identity against a client who moves
+// bytes across field boundaries. The first pair — reachable over JSON
+// with a \u0000 escape — is what a separator byte cannot tell apart.
+func TestPreimageInjective(t *testing.T) {
+	for name, pair := range map[string][2]Snapshot{
+		"nul moves title to text": {{Title: "x\x00y", Text: ""}, {Title: "x", Text: "y\x00"}},
+		"fields swapped":          {{Title: "a", Text: "b"}, {Title: "b", Text: "a"}},
+		"element split":           {{HREFLinks: []string{"ab"}}, {HREFLinks: []string{"a", "b"}}},
+		"element changes list":    {{LoggedLinks: []string{"u"}}, {HREFLinks: []string{"u"}}},
+		"url moves to chain":      {{StartingURL: "u"}, {RedirectionChain: []string{"u"}}},
+		"landing vs starting":     {{LandingURL: "u"}, {StartingURL: "u"}},
+		"text vs count bytes":     {{Language: "\x01\x00\x00\x00\x00\x00\x00\x00"}, {InputCount: 1}},
+	} {
+		a, b := pair[0], pair[1]
+		if bytes.Equal(appendPreimage(nil, &a), appendPreimage(nil, &b)) {
+			t.Errorf("%s: distinct snapshots share a preimage", name)
+		}
+		if ContentKey(&a) == ContentKey(&b) || Fingerprint(&a) == Fingerprint(&b) {
+			t.Errorf("%s: distinct snapshots share an identity", name)
+		}
+	}
+}
+
+// fuzzSnap carves a snapshot out of fuzzer bytes: a string takes a
+// length byte and up to that many of the bytes after it, a list a count
+// byte first. Running out of input leaves the remaining fields empty,
+// so every input is a snapshot, and one mutated length byte shifts
+// content — a NUL included — into the neighbouring field.
+func fuzzSnap(data []byte) *Snapshot {
+	str := func() string {
+		if len(data) == 0 {
+			return ""
+		}
+		n := min(int(data[0])%8, len(data)-1)
+		s := string(data[1 : 1+n])
+		data = data[1+n:]
+		return s
+	}
+	list := func() []string {
+		if len(data) == 0 {
+			return nil
+		}
+		n := int(data[0]) % 4
+		data = data[1:]
+		var ss []string
+		for range n {
+			ss = append(ss, str())
+		}
+		return ss
+	}
+	count := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		n := int(int8(data[0]))
+		data = data[1:]
+		return n
+	}
+	return &Snapshot{
+		LandingURL: str(), StartingURL: str(),
+		RedirectionChain: list(), LoggedLinks: list(), HREFLinks: list(), ScreenshotTerms: list(),
+		Title: str(), Text: str(), Copyright: str(), Language: str(),
+		InputCount: count(), ImageCount: count(), IFrameCount: count(),
+	}
+}
+
+// sameFields compares the field tuples the identity covers (a nil and
+// an empty list are the same tuple).
+func sameFields(a, b *Snapshot) bool {
+	return a.LandingURL == b.LandingURL && a.StartingURL == b.StartingURL &&
+		slices.Equal(a.RedirectionChain, b.RedirectionChain) &&
+		slices.Equal(a.LoggedLinks, b.LoggedLinks) &&
+		slices.Equal(a.HREFLinks, b.HREFLinks) &&
+		slices.Equal(a.ScreenshotTerms, b.ScreenshotTerms) &&
+		a.Title == b.Title && a.Text == b.Text && a.Copyright == b.Copyright && a.Language == b.Language &&
+		a.InputCount == b.InputCount && a.ImageCount == b.ImageCount && a.IFrameCount == b.IFrameCount
+}
+
+// FuzzPreimageInjective builds two snapshots from fuzzer bytes and
+// requires that they share preimage bytes, and a key, exactly when
+// their field tuples are equal.
+func FuzzPreimageInjective(f *testing.F) {
+	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x03x\x00y\x00"), []byte("\x00\x00\x00\x00\x00\x00\x01x\x02y\x00"))
+	f.Add([]byte("\x01u"), []byte("\x00\x01u"))
+	f.Add([]byte("\x00\x00\x00\x00\x01\x02ab"), []byte("\x00\x00\x00\x00\x02\x01a\x01b"))
+	f.Add([]byte{}, []byte{0})
+	f.Fuzz(func(t *testing.T, x, y []byte) {
+		a, b := fuzzSnap(x), fuzzSnap(y)
+		same := sameFields(a, b)
+		if got := bytes.Equal(appendPreimage(nil, a), appendPreimage(nil, b)); got != same {
+			t.Fatalf("preimages equal = %v for field tuples equal = %v\na: %+v\nb: %+v", got, same, a, b)
+		}
+		if got := ContentKey(a) == ContentKey(b); got != same {
+			t.Fatalf("keys equal = %v for field tuples equal = %v\na: %+v\nb: %+v", got, same, a, b)
+		}
+	})
 }

@@ -241,32 +241,3 @@ func TestEmptySnapshot(t *testing.T) {
 		t.Errorf("H²(empty,empty) = %v, want 0", got)
 	}
 }
-
-func TestAppendFingerprintMatchesFingerprint(t *testing.T) {
-	snap := &Snapshot{
-		StartingURL:      "http://lure.test/a",
-		LandingURL:       "https://land.test/b",
-		RedirectionChain: []string{"http://lure.test/a", "https://land.test/b"},
-		LoggedLinks:      []string{"https://cdn.test/x.js"},
-		HREFLinks:        []string{"https://land.test/help"},
-		ScreenshotTerms:  []string{"secure", "login"},
-		Title:            "t", Text: "body text", Copyright: "c", Language: "en",
-		InputCount: 1, ImageCount: 2, IFrameCount: 3,
-	}
-	want := Fingerprint(snap)
-	if got := string(AppendFingerprint(nil, snap)); got != want {
-		t.Fatalf("AppendFingerprint = %s, want %s", got, want)
-	}
-	// Appends to an existing prefix rather than overwriting it.
-	got := AppendFingerprint([]byte("k\x00"), snap)
-	if string(got) != "k\x00"+want {
-		t.Fatalf("AppendFingerprint with prefix = %q", got)
-	}
-	// Distinct content must fingerprint differently (separator and
-	// length framing keep field boundaries unambiguous).
-	other := *snap
-	other.Title, other.Text = snap.Text, snap.Title
-	if Fingerprint(&other) == want {
-		t.Fatal("swapped fields share a fingerprint")
-	}
-}

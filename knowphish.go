@@ -441,8 +441,9 @@ func AnalyzePage(s *Snapshot) *PageAnalysis { return webpage.Analyze(s) }
 // heap allocation.
 func WithAnalysis(a *PageAnalysis) ScoreOption { return core.WithAnalysis(a) }
 
-// Fingerprint hashes a snapshot's content fields into the stable page
-// identity used by the verdict cache and the store's compaction.
+// Fingerprint hashes a snapshot's landing URL and content fields into
+// the page identity (32 hex digits of sha256) that keys the stage memo,
+// stems the v2 ETag and decides which stored verdict supersedes which.
 func Fingerprint(s *Snapshot) string { return webpage.Fingerprint(s) }
 
 // LoadSearchEngine restores an index saved with SearchEngine.Save (kpgen

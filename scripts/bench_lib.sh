@@ -10,5 +10,5 @@
 # serves no traffic, so it runs (its delta is informative) but is not
 # held to the threshold; layout=flat, the production path, is.
 
-KEY_BENCHES='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkStoreAppend|BenchmarkStoreScan|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkAdmission|BenchmarkTargetIdentification|BenchmarkSearchQuery'
-KEY_GATE='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict/layout=flat|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkStoreAppend|BenchmarkStoreScan|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkAdmission|BenchmarkTargetIdentification|BenchmarkSearchQuery'
+KEY_BENCHES='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkContentKey|BenchmarkStoreAppend|BenchmarkStoreScan|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkAdmission|BenchmarkTargetIdentification|BenchmarkSearchQuery'
+KEY_GATE='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict/layout=flat|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkContentKey|BenchmarkStoreAppend|BenchmarkStoreScan|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkAdmission|BenchmarkTargetIdentification|BenchmarkSearchQuery'
