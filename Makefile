@@ -36,20 +36,23 @@ bench-smoke:
 
 # Short fuzz pass over the URL decomposition (the most adversarial
 # input surface), over the search kernel against its map-and-sort
-# reference on fuzzer-built corpora, and over the content identity's
-# preimage (distinct snapshots never share bytes or a key). Found
+# reference on fuzzer-built corpora, over the content identity's
+# preimage (distinct snapshots never share bytes or a key), and over
+# the migration reader of operator-supplied legacy verdict logs. Found
 # inputs land in the package's testdata/fuzz and become permanent
 # regression seeds.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/urlx
 	$(GO) test -fuzz=FuzzQueryMatchesReference -fuzztime=10s ./internal/search
 	$(GO) test -fuzz=FuzzPreimageInjective -fuzztime=10s ./internal/webpage
+	$(GO) test -fuzz=FuzzLegacyRead -fuzztime=10s ./internal/store
 
 # The nightly workflow's longer pass over the same surfaces.
 fuzz-long:
 	$(GO) test -fuzz=FuzzParse -fuzztime=60s ./internal/urlx
 	$(GO) test -fuzz=FuzzQueryMatchesReference -fuzztime=60s ./internal/search
 	$(GO) test -fuzz=FuzzPreimageInjective -fuzztime=60s ./internal/webpage
+	$(GO) test -fuzz=FuzzLegacyRead -fuzztime=60s ./internal/store
 
 # Nightly storage soak: 100k appends with supersede churn and
 # concurrent compaction, then a reopen-and-verify pass. Too slow for
@@ -73,19 +76,11 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond vet. Two passes:
-#   1. the SA correctness checks everywhere, minus deprecation (SA1019)
-#      — internal packages implement the deprecated wrappers and the v1
-#      adapters, so they legitimately call deprecated API;
-#   2. deprecation checks gated to the non-internal surface (root
-#      library, examples, commands), which must stay on the v2 API.
-# Tests are excluded from pass 2: the facade tests pin the deprecated
-# wrappers' behavior on purpose. Skips gracefully when the binary is
+# Static analysis beyond vet. Skips gracefully when the binary is
 # missing so offline dev machines are not blocked.
 staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then \
-		staticcheck -checks SA,-SA1019 ./... && \
-		staticcheck -tests=false -checks SA1019 . ./examples/... ./cmd/... ; \
+		staticcheck -checks SA ./... ; \
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi

@@ -952,16 +952,12 @@ func BenchmarkAnalyzeBatchCancelled(b *testing.B) {
 	}
 }
 
-// storeBenchOpen opens a fresh verdict store of the named engine.
-// Automatic compaction is disabled so the append and scan benchmarks
-// measure the engine's steady-state path, not compaction scheduling.
-func storeBenchOpen(b *testing.B, engine string) store.Backend {
+// storeBenchOpen opens a fresh segmented verdict store. Automatic
+// compaction is disabled so the append and scan benchmarks measure the
+// engine's steady-state path, not compaction scheduling.
+func storeBenchOpen(b *testing.B) store.Backend {
 	b.Helper()
-	path := filepath.Join(b.TempDir(), "verdicts")
-	if engine == store.BackendLegacy {
-		path = filepath.Join(b.TempDir(), "verdicts.jsonl")
-	}
-	st, err := store.Open(store.Config{Path: path, Backend: engine, CompactEvery: -1})
+	st, err := store.Open(store.Config{Path: filepath.Join(b.TempDir(), "verdicts"), CompactEvery: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -982,97 +978,85 @@ func storeBenchRecord(i int) store.Record {
 }
 
 // BenchmarkStoreAppend measures one durable verdict append per
-// iteration — frame encoding plus the buffered segment write for the
-// segmented WAL, one JSON line for the legacy log.
+// iteration — frame encoding plus the buffered segment write. The
+// sub-benchmark name dates from when a second engine ran beside it;
+// it is kept so the gate's history stays comparable.
 func BenchmarkStoreAppend(b *testing.B) {
-	for _, engine := range []string{store.BackendSegmented, store.BackendLegacy} {
-		b.Run("backend="+engine, func(b *testing.B) {
-			st := storeBenchOpen(b, engine)
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := st.Append(ctx, storeBenchRecord(i)); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("backend="+store.BackendSegmented, func(b *testing.B) {
+		st := storeBenchOpen(b)
+		ctx := context.Background()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := st.Append(ctx, storeBenchRecord(i)); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkStoreScan measures one 100-record newest-first query page
 // over a 4096-record store — the /v1 and /v2 verdicts read path. The
-// segmented engine pays a disk read per record (its index holds
-// locations, not records); the legacy engine serves from its in-memory
-// map.
+// engine pays a disk read per record (its index holds locations, not
+// records).
 func BenchmarkStoreScan(b *testing.B) {
 	const records = 4096
-	for _, engine := range []string{store.BackendSegmented, store.BackendLegacy} {
-		b.Run("backend="+engine, func(b *testing.B) {
-			st := storeBenchOpen(b, engine)
+	b.Run("backend="+store.BackendSegmented, func(b *testing.B) {
+		st := storeBenchOpen(b)
+		ctx := context.Background()
+		for i := 0; i < records; i++ {
+			if err := st.Append(ctx, storeBenchRecord(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			page, err := st.Scan(ctx, store.Query{Limit: 100})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(page.Records) != 100 {
+				b.Fatalf("page = %d records, want 100", len(page.Records))
+			}
+		}
+	})
+}
+
+// BenchmarkStoreReopen measures cold-start time over an existing
+// verdict log — the restart-recovery path: load a binary snapshot and
+// replay only the frames past its watermark.
+func BenchmarkStoreReopen(b *testing.B) {
+	for _, records := range []int{10000, 100000} {
+		b.Run(fmt.Sprintf("backend=%s/records=%d", store.BackendSegmented, records), func(b *testing.B) {
+			cfg := store.Config{Path: filepath.Join(b.TempDir(), "verdicts"), CompactEvery: -1}
+			st, err := store.Open(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			ctx := context.Background()
 			for i := 0; i < records; i++ {
 				if err := st.Append(ctx, storeBenchRecord(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				page, err := st.Scan(ctx, store.Query{Limit: 100})
+				st, err := store.Open(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(page.Records) != 100 {
-					b.Fatalf("page = %d records, want 100", len(page.Records))
+				if st.Len() != records {
+					b.Fatalf("reopened Len = %d, want %d", st.Len(), records)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkStoreReopen measures cold-start time over an existing
-// verdict log — the restart-recovery path. The segmented engine loads
-// a binary snapshot and replays only the frames past its watermark;
-// the legacy engine re-parses every JSON line. The records=100000
-// sub-benchmarks are the PR's fast-start acceptance measurement:
-// segmented reopen must be ≥10× faster than legacy.
-func BenchmarkStoreReopen(b *testing.B) {
-	for _, records := range []int{10000, 100000} {
-		for _, engine := range []string{store.BackendSegmented, store.BackendLegacy} {
-			b.Run(fmt.Sprintf("backend=%s/records=%d", engine, records), func(b *testing.B) {
-				path := filepath.Join(b.TempDir(), "verdicts")
-				if engine == store.BackendLegacy {
-					path = filepath.Join(b.TempDir(), "verdicts.jsonl")
-				}
-				st, err := store.Open(store.Config{Path: path, Backend: engine, CompactEvery: -1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ctx := context.Background()
-				for i := 0; i < records; i++ {
-					if err := st.Append(ctx, storeBenchRecord(i)); err != nil {
-						b.Fatal(err)
-					}
-				}
+				b.StopTimer() // measure the open, not the close
 				if err := st.Close(); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					st, err := store.Open(store.Config{Path: path, Backend: engine, CompactEvery: -1})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if st.Len() != records {
-						b.Fatalf("reopened Len = %d, want %d", st.Len(), records)
-					}
-					b.StopTimer() // measure the open, not the close
-					if err := st.Close(); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
-			})
-		}
+				b.StartTimer()
+			}
+		})
 	}
 }
 

@@ -11,10 +11,10 @@
 // persist, queryable at GET /v1/verdicts and, with cursor pagination,
 // GET /v2/verdicts).
 //
-// Verdicts persist in a segmented write-ahead log by default (-store
-// names its directory); -store-backend selects the legacy single-file
-// JSONL engine or an in-memory store instead, and a legacy log found
-// at the -store path is migrated into segments on first open.
+// Verdicts persist in a segmented write-ahead log (-store names its
+// directory); a legacy single-file JSONL log found at the -store path
+// is migrated into segments on first open and kept, byte-identical, as
+// "<path>.pre-migration.jsonl".
 //
 // Repeatable -feed-src flags (NAME=KIND:URL; kinds json, csv, ndjson)
 // attach external feed connectors on top of the feed pipeline: each is
@@ -124,8 +124,7 @@ func run() error {
 		scale     = flag.Int("scale", 25, "corpus scale for the self-train path")
 		seed      = flag.Int64("seed", 1, "seed for the self-train path")
 
-		storePath    = flag.String("store", "", "verdict store path (enables GET /v1/verdicts and /v2/verdicts; with the self-train world, also POST /v1/feed). The default segmented engine uses it as a directory; a legacy JSONL log found there is migrated in place on first open")
-		storeEngine  = flag.String("store-backend", store.BackendSegmented, "storage engine: segmented (WAL directory), legacy (single JSONL log) or memory")
+		storePath    = flag.String("store", "", "verdict store path (enables GET /v1/verdicts and /v2/verdicts; with the self-train world, also POST /v1/feed). The segmented engine uses it as a directory; a legacy JSONL log found there is migrated in place on first open")
 		segmentBytes = flag.Int("segment-bytes", store.DefaultSegmentBytes, "segmented engine: bytes per WAL segment before it seals")
 		storeSync    = flag.Bool("store-sync", false, "fsync the verdict store on every append")
 		compactEvery = flag.Int("compact-every", store.DefaultCompactEvery, "appends between verdict-store compactions (negative: never)")
@@ -275,7 +274,6 @@ func run() error {
 	if *storePath != "" {
 		st, err = store.Open(store.Config{
 			Path:            *storePath,
-			Backend:         *storeEngine,
 			Sync:            *storeSync,
 			CompactEvery:    *compactEvery,
 			MaxExplainBytes: *maxExplain,

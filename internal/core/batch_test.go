@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -23,6 +24,15 @@ func batchSnapshots(t *testing.T) []*webpage.Snapshot {
 	return snaps
 }
 
+// requests wraps bare snapshots in default ScoreRequests.
+func requests(snaps []*webpage.Snapshot) []ScoreRequest {
+	reqs := make([]ScoreRequest, len(snaps))
+	for i, s := range snaps {
+		reqs[i] = NewScoreRequest(s)
+	}
+	return reqs
+}
+
 func TestScoreBatchMatchesSequential(t *testing.T) {
 	c := corpus(t)
 	d := trainDetector(t, c, 0)
@@ -30,10 +40,17 @@ func TestScoreBatchMatchesSequential(t *testing.T) {
 
 	sequential := make([]float64, len(snaps))
 	for i, s := range snaps {
-		sequential[i] = d.Score(s)
+		sequential[i] = refScore(d, s)
 	}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0), 0} {
-		got := d.ScoreBatch(snaps, workers)
+		vs, err := d.ScoreBatchCtx(context.Background(), requests(snaps), workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got := make([]float64, len(vs))
+		for i, v := range vs {
+			got[i] = v.Score
+		}
 		if !reflect.DeepEqual(sequential, got) {
 			t.Fatalf("workers=%d: batch scores differ from sequential", workers)
 		}
@@ -48,10 +65,17 @@ func TestAnalyzeBatchMatchesSequential(t *testing.T) {
 
 	sequential := make([]Outcome, len(snaps))
 	for i, s := range snaps {
-		sequential[i] = p.Analyze(s)
+		sequential[i] = refOutcome(p, s)
 	}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0), 0} {
-		got := p.AnalyzeBatch(snaps, workers)
+		vs, err := p.AnalyzeBatchCtx(context.Background(), requests(snaps), workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got := make([]Outcome, len(vs))
+		for i, v := range vs {
+			got[i] = v.Outcome
+		}
 		if !reflect.DeepEqual(sequential, got) {
 			t.Fatalf("workers=%d: batch outcomes differ from sequential", workers)
 		}
@@ -61,16 +85,22 @@ func TestAnalyzeBatchMatchesSequential(t *testing.T) {
 func TestBatchEmptyAndEdge(t *testing.T) {
 	c := corpus(t)
 	d := trainDetector(t, c, 0)
-	if got := d.ScoreBatch(nil, 4); got != nil {
-		t.Errorf("empty ScoreBatch: got %v", got)
+	if got, err := d.ScoreBatchCtx(context.Background(), nil, 4); err != nil || len(got) != 0 {
+		t.Errorf("empty ScoreBatchCtx: got %v, err %v", got, err)
 	}
 	p := &Pipeline{Detector: d, Identifier: target.New(c.Engine)}
-	if got := p.AnalyzeBatch(nil, 4); got != nil {
-		t.Errorf("empty AnalyzeBatch: got %v", got)
+	if got, err := p.AnalyzeBatchCtx(context.Background(), nil, 4); err != nil || len(got) != 0 {
+		t.Errorf("empty AnalyzeBatchCtx: got %v, err %v", got, err)
 	}
 	// More workers than items must not deadlock or skip entries.
-	snaps := batchSnapshots(t)[:3]
-	if got := d.ScoreBatch(snaps, 64); len(got) != 3 {
-		t.Errorf("3-item batch with 64 workers: %d results", len(got))
+	reqs := requests(batchSnapshots(t)[:3])
+	got, err := d.ScoreBatchCtx(context.Background(), reqs, 64)
+	if err != nil || len(got) != 3 {
+		t.Fatalf("3-item batch with 64 workers: %d results, err %v", len(got), err)
+	}
+	for i, v := range got {
+		if v == nil {
+			t.Errorf("3-item batch with 64 workers: result %d skipped", i)
+		}
 	}
 }

@@ -7,7 +7,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -137,18 +136,10 @@ func (d *Detector) FeatureSet() features.Set { return d.set }
 // Model exposes the underlying ensemble (read-only use).
 func (d *Detector) Model() *ml.GBM { return d.model }
 
-// Score returns the phishing confidence of a snapshot in [0,1].
-//
-// Deprecated: use ScoreCtx, which accepts a context (cancellation,
-// deadlines) and returns a rich Verdict. Score remains as a thin
-// wrapper over it and produces identical confidences.
-func (d *Detector) Score(s *webpage.Snapshot) float64 {
-	return d.ScoreAnalysis(webpage.Analyze(s))
-}
-
-// ScoreAnalysis scores an already-analyzed page. It is a low-level
-// building block (the experiment runners share one analysis across
-// models); request-scoped callers want ScoreCtx.
+// ScoreAnalysis scores an already-analyzed page with a fresh full
+// extraction. It is a low-level building block (the experiment runners
+// share one analysis across models) and the slow reference path the
+// tests hold ScoreCtx to; request-scoped callers want ScoreCtx.
 func (d *Detector) ScoreAnalysis(a *webpage.Analysis) float64 {
 	v := d.extractor.Extract(a)
 	return d.ScoreVector(v)
@@ -157,14 +148,6 @@ func (d *Detector) ScoreAnalysis(a *webpage.Analysis) float64 {
 // ScoreVector scores a precomputed full 212-feature vector.
 func (d *Detector) ScoreVector(v []float64) float64 {
 	return d.model.Score(d.projected(v))
-}
-
-// IsPhish classifies a snapshot at the detector's threshold.
-//
-// Deprecated: use ScoreCtx and read Verdict.DetectorPhish (or
-// Verdict.FinalPhish after the full pipeline).
-func (d *Detector) IsPhish(s *webpage.Snapshot) bool {
-	return d.Score(s) >= d.threshold
 }
 
 // FeatureWeight pairs a feature name with its importance (how many
@@ -274,19 +257,4 @@ type Outcome struct {
 	Target target.Result `json:"target,omitzero"`
 	// FinalPhish is the pipeline's verdict after FP removal.
 	FinalPhish bool `json:"final_phish"`
-}
-
-// Analyze runs the full pipeline on a snapshot.
-//
-// Deprecated: use AnalyzeCtx, which accepts a context (cancellation,
-// deadlines) and returns a rich Verdict. Analyze remains as a thin
-// wrapper over it and produces identical outcomes.
-func (p *Pipeline) Analyze(s *webpage.Snapshot) Outcome {
-	v, err := p.AnalyzeCtx(context.Background(), NewScoreRequest(s))
-	if err != nil {
-		// Background context never cancels; the only error is a nil
-		// snapshot, which the historical API surfaced as a panic.
-		panic(err)
-	}
-	return v.Outcome
 }

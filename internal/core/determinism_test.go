@@ -40,8 +40,8 @@ func TestFullPipelineDeterminism(t *testing.T) {
 		t.Fatal("corpus sizes differ across builds")
 	}
 	for i, ex := range c1.PhishTest.Examples {
-		a := d1.Score(ex.Snapshot)
-		b := d2.Score(c2.PhishTest.Examples[i].Snapshot)
+		a := refScore(d1, ex.Snapshot)
+		b := refScore(d2, c2.PhishTest.Examples[i].Snapshot)
 		if a != b {
 			t.Fatalf("example %d: scores differ across identical builds: %v vs %v", i, a, b)
 		}

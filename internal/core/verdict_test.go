@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -36,13 +37,13 @@ func TestAnalyzeCtxMatchesAnalyze(t *testing.T) {
 		if i == 25 {
 			break
 		}
-		want := p.Analyze(ex.Snapshot)
+		want := refOutcome(p, ex.Snapshot)
 		v, err := p.AnalyzeCtx(context.Background(), NewScoreRequest(ex.Snapshot))
 		if err != nil {
 			t.Fatalf("AnalyzeCtx: %v", err)
 		}
-		if v.Score != want.Score || v.FinalPhish != want.FinalPhish || v.DetectorPhish != want.DetectorPhish {
-			t.Fatalf("verdict %+v diverges from legacy outcome %+v", v.Outcome, want)
+		if !reflect.DeepEqual(v.Outcome, want) {
+			t.Fatalf("verdict %+v diverges from the reference outcome %+v", v.Outcome, want)
 		}
 		wantLabel := LabelLegitimate
 		if want.FinalPhish {
@@ -228,8 +229,8 @@ func TestAnalyzeBatchCtxPartialResults(t *testing.T) {
 		if v == nil {
 			t.Fatalf("result %d missing without cancellation", i)
 		}
-		if want := p.Analyze(reqs[i].Snapshot); v.Score != want.Score {
-			t.Fatalf("result %d: score %v, want %v", i, v.Score, want.Score)
+		if want := refScore(p.Detector, reqs[i].Snapshot); v.Score != want {
+			t.Fatalf("result %d: score %v, want %v", i, v.Score, want)
 		}
 	}
 

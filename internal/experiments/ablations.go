@@ -281,7 +281,7 @@ func (r *Runner) AblationUnseenBrands() (*Table, error) {
 	}
 	ourScores := make([]float64, len(testSnaps))
 	for i, s := range testSnaps {
-		ourScores[i] = ours.Score(s)
+		ourScores[i] = ours.ScoreAnalysis(webpage.Analyze(s))
 	}
 	ourConf := ml.Evaluate(ourScores, testLabels, core.DefaultThreshold)
 

@@ -59,14 +59,31 @@ func fixtures(t *testing.T) (*dataset.Corpus, *core.Pipeline) {
 	return fixCorp, fixPipe
 }
 
-func newStore(t *testing.T) *store.Store {
+// openStore opens a verdict store with auto-close.
+func openStore(t *testing.T, cfg store.Config) store.Backend {
 	t.Helper()
-	st, err := store.OpenLegacy(store.Config{Path: filepath.Join(t.TempDir(), "v.jsonl")})
+	st, err := store.Open(cfg)
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
 	}
 	t.Cleanup(func() { _ = st.Close() })
 	return st
+}
+
+// newStore is the in-memory engine; tests that reopen use openStore on
+// a directory.
+func newStore(t *testing.T) store.Backend {
+	return openStore(t, store.Config{Backend: store.BackendMemory})
+}
+
+// get reads the newest record for url.
+func get(t *testing.T, st store.Backend, url string) (store.Record, bool) {
+	t.Helper()
+	rec, ok, err := st.Get(context.Background(), url)
+	if err != nil {
+		t.Fatalf("Get(%s): %v", url, err)
+	}
+	return rec, ok
 }
 
 // fetcherFunc adapts a function to crawl.Fetcher.
@@ -119,7 +136,7 @@ func TestFingerprintSameOnEveryScoringPath(t *testing.T) {
 		},
 	} {
 		st := newStore(t)
-		s, err := New(Config{Fetcher: fetcher, Pipeline: pipe, Store: st.Backend(), DomainRate: -1, Score: score})
+		s, err := New(Config{Fetcher: fetcher, Pipeline: pipe, Store: st, DomainRate: -1, Score: score})
 		if err != nil {
 			t.Fatalf("%s: New: %v", name, err)
 		}
@@ -127,7 +144,7 @@ func TestFingerprintSameOnEveryScoringPath(t *testing.T) {
 			t.Fatalf("%s: Enqueue: %v", name, err)
 		}
 		drain(t, s)
-		if rec, ok := st.Get(site.StartURL); !ok || rec.Fingerprint != want {
+		if rec, ok := get(t, st, site.StartURL); !ok || rec.Fingerprint != want {
 			t.Errorf("%s: stored fingerprint %q, want %q", name, rec.Fingerprint, want)
 		}
 	}
@@ -135,7 +152,8 @@ func TestFingerprintSameOnEveryScoringPath(t *testing.T) {
 
 func TestEndToEndIngestion(t *testing.T) {
 	c, pipe := fixtures(t)
-	st := newStore(t)
+	dir := filepath.Join(t.TempDir(), "verdicts")
+	st := openStore(t, store.Config{Path: dir})
 
 	// A phishing site plus two brand front pages, all resolvable through
 	// one composite fetcher.
@@ -143,7 +161,7 @@ func TestEndToEndIngestion(t *testing.T) {
 	fetcher := crawl.Compose(site, c.World)
 
 	s, err := New(Config{
-		Fetcher: fetcher, Pipeline: pipe, Store: st.Backend(),
+		Fetcher: fetcher, Pipeline: pipe, Store: st,
 		Workers: 2, DomainRate: -1,
 	})
 	if err != nil {
@@ -168,7 +186,7 @@ func TestEndToEndIngestion(t *testing.T) {
 		t.Fatalf("store has %d records, want %d", st.Len(), len(urls))
 	}
 	// The phishing URL's verdict is queryable by its starting URL.
-	rec, ok := st.Get(site.StartURL)
+	rec, ok := get(t, st, site.StartURL)
 	if !ok {
 		t.Fatalf("no record for %s", site.StartURL)
 	}
@@ -179,11 +197,12 @@ func TestEndToEndIngestion(t *testing.T) {
 		t.Errorf("record missing fingerprint/landing: %+v", rec)
 	}
 
-	// Verdicts survive a reload from disk.
-	if err := st.Reload(); err != nil {
-		t.Fatalf("Reload: %v", err)
+	// Verdicts survive a reopen from disk.
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	if again, ok := st.Get(site.StartURL); !ok || again.Outcome.Score != rec.Outcome.Score {
+	st = openStore(t, store.Config{Path: dir})
+	if again, ok := get(t, st, site.StartURL); !ok || again.Outcome.Score != rec.Outcome.Score {
 		t.Errorf("record changed across reload: %+v vs %+v", again, rec)
 	}
 }
@@ -306,7 +325,7 @@ func TestPerDomainRateLimiting(t *testing.T) {
 	// Burst 1, 50 tokens/s: a campaign of 4 URLs on one domain must be
 	// spread over ~60ms while the other domain's URL flows immediately.
 	s, err := New(Config{
-		Fetcher: staticFetcher, Pipeline: pipe, Store: st.Backend(),
+		Fetcher: staticFetcher, Pipeline: pipe, Store: st,
 		Workers: 2, DomainRate: 50, DomainBurst: 1,
 	})
 	if err != nil {
@@ -386,7 +405,7 @@ func TestRetryWithBackoffThenSuccess(t *testing.T) {
 		return c.World.Fetch(u)
 	})
 	s, err := New(Config{
-		Fetcher: flaky, Pipeline: pipe, Store: st.Backend(),
+		Fetcher: flaky, Pipeline: pipe, Store: st,
 		Workers: 1, MaxAttempts: 4, RetryBackoff: time.Millisecond, DomainRate: -1,
 	})
 	if err != nil {
@@ -400,7 +419,7 @@ func TestRetryWithBackoffThenSuccess(t *testing.T) {
 	if stats.Processed != 1 || stats.Failed != 0 || stats.Retries != 2 {
 		t.Fatalf("stats = %+v, want processed=1 retries=2", stats)
 	}
-	if rec, ok := st.Get(url); !ok || rec.Error != "" {
+	if rec, ok := get(t, st, url); !ok || rec.Error != "" {
 		t.Errorf("expected clean verdict after retries, got %+v ok=%v", rec, ok)
 	}
 }
@@ -410,7 +429,7 @@ func TestRetryBudgetExhaustionPersistsFailure(t *testing.T) {
 	st := newStore(t)
 	dead := fetcherFunc(func(string) (*webgen.Page, bool) { return nil, false })
 	s, err := New(Config{
-		Fetcher: dead, Pipeline: pipe, Store: st.Backend(),
+		Fetcher: dead, Pipeline: pipe, Store: st,
 		Workers: 1, MaxAttempts: 3, RetryBackoff: time.Millisecond, DomainRate: -1,
 	})
 	if err != nil {
@@ -425,7 +444,7 @@ func TestRetryBudgetExhaustionPersistsFailure(t *testing.T) {
 	if stats.Failed != 1 || stats.Processed != 0 || stats.Retries != 2 {
 		t.Fatalf("stats = %+v, want failed=1 retries=2", stats)
 	}
-	rec, ok := st.Get(url)
+	rec, ok := get(t, st, url)
 	if !ok || rec.Error == "" {
 		t.Fatalf("failure not persisted: %+v ok=%v", rec, ok)
 	}
@@ -514,7 +533,7 @@ func TestPanicInPipelineContained(t *testing.T) {
 	_, pipe := fixtures(t)
 	st := newStore(t)
 	boom := fetcherFunc(func(string) (*webgen.Page, bool) { panic("malformed page") })
-	s, err := New(Config{Fetcher: boom, Pipeline: pipe, Store: st.Backend(), Workers: 2, DomainRate: -1})
+	s, err := New(Config{Fetcher: boom, Pipeline: pipe, Store: st, Workers: 2, DomainRate: -1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -535,9 +554,10 @@ func TestPanicInPipelineContained(t *testing.T) {
 // record, subject to the store's explanation size cap.
 func TestFeedExplainPersistsEvidence(t *testing.T) {
 	c, pipe := fixtures(t)
-	st := newStore(t)
+	dir := filepath.Join(t.TempDir(), "verdicts")
+	st := openStore(t, store.Config{Path: dir})
 	s, err := New(Config{
-		Fetcher: c.World, Pipeline: pipe, Store: st.Backend(),
+		Fetcher: c.World, Pipeline: pipe, Store: st,
 		Workers: 2, DomainRate: -1, Explain: core.ExplainTop,
 	})
 	if err != nil {
@@ -555,7 +575,7 @@ func TestFeedExplainPersistsEvidence(t *testing.T) {
 	drain(t, s)
 	withEvidence := 0
 	for _, u := range urls {
-		rec, ok := st.Get(u)
+		rec, ok := get(t, st, u)
 		if !ok {
 			t.Fatalf("no record for %s", u)
 		}
@@ -569,11 +589,12 @@ func TestFeedExplainPersistsEvidence(t *testing.T) {
 	if withEvidence == 0 {
 		t.Error("no persisted verdict carries evidence despite Explain: top")
 	}
-	// The evidence survives a reload from disk.
-	if err := st.Reload(); err != nil {
-		t.Fatalf("Reload: %v", err)
+	// The evidence survives a reopen from disk.
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	rec, ok := st.Get(urls[0])
+	st = openStore(t, store.Config{Path: dir})
+	rec, ok := get(t, st, urls[0])
 	if !ok || rec.Explanation == nil {
 		t.Errorf("evidence lost across reload: %+v ok=%v", rec, ok)
 	}
@@ -582,14 +603,10 @@ func TestFeedExplainPersistsEvidence(t *testing.T) {
 // TestStoreExplanationSizeCap proves oversized evidence is shed while
 // the verdict itself persists.
 func TestStoreExplanationSizeCap(t *testing.T) {
-	st, err := store.OpenLegacy(store.Config{
-		Path:            filepath.Join(t.TempDir(), "capped.jsonl"),
+	st := openStore(t, store.Config{
+		Backend:         store.BackendMemory,
 		MaxExplainBytes: 64, // far below any real explanation
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
 	rec := store.Record{
 		URL:        "http://x.test/",
 		LandingURL: "http://x.test/",
@@ -601,10 +618,10 @@ func TestStoreExplanationSizeCap(t *testing.T) {
 			},
 		},
 	}
-	if err := st.Append(rec); err != nil {
+	if err := st.Append(context.Background(), rec); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	got, ok := st.Get("http://x.test/")
+	got, ok := get(t, st, "http://x.test/")
 	if !ok {
 		t.Fatal("capped record not stored")
 	}
@@ -615,20 +632,13 @@ func TestStoreExplanationSizeCap(t *testing.T) {
 		t.Errorf("explanations_dropped = %d, want 1", st.Stats().ExplanationsDropped)
 	}
 	// Negative cap: never persist evidence.
-	st2, err := store.OpenLegacy(store.Config{
-		Path:            filepath.Join(t.TempDir(), "noexpl.jsonl"),
-		MaxExplainBytes: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
+	st2 := openStore(t, store.Config{Backend: store.BackendMemory, MaxExplainBytes: -1})
 	small := rec
 	small.Explanation = &core.Explanation{Bias: 1}
-	if err := st2.Append(small); err != nil {
+	if err := st2.Append(context.Background(), small); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := st2.Get("http://x.test/"); got.Explanation != nil {
+	if got, _ := get(t, st2, "http://x.test/"); got.Explanation != nil {
 		t.Error("negative cap still persisted evidence")
 	}
 }

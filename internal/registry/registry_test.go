@@ -13,6 +13,7 @@ import (
 	"knowphish/internal/features"
 	"knowphish/internal/ml"
 	"knowphish/internal/webgen"
+	"knowphish/internal/webpage"
 )
 
 var (
@@ -102,8 +103,8 @@ func TestRoundTrip(t *testing.T) {
 		if i >= 16 {
 			break
 		}
-		want := det.Score(ex.Snapshot)
-		got := loaded.Detector.Score(ex.Snapshot)
+		want := det.ScoreAnalysis(webpage.Analyze(ex.Snapshot))
+		got := loaded.Detector.ScoreAnalysis(webpage.Analyze(ex.Snapshot))
 		if want != got {
 			t.Fatalf("example %d: loaded model scores %v, original %v", i, got, want)
 		}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"math/rand"
 	"net/http"
 	"path/filepath"
@@ -17,21 +18,18 @@ import (
 // feedServer assembles a server with the full ingestion pipeline wired
 // in: a store in a temp dir and a scheduler crawling the synthetic
 // world plus any extra sites.
-func feedServer(t *testing.T, extra []crawl.Fetcher, mutate func(*feed.Config)) (*Server, *feed.Scheduler, *store.Store) {
+func feedServer(t *testing.T, extra []crawl.Fetcher, mutate func(*feed.Config)) (*Server, *feed.Scheduler, store.Backend) {
 	t.Helper()
 	c, d := fixtures(t)
-	// The legacy JSONL engine keeps this test's in-place Reload
-	// semantics; the segmented engine is covered by the golden and
-	// migration tests.
-	st, err := store.OpenLegacy(store.Config{Path: filepath.Join(t.TempDir(), "verdicts.jsonl")})
+	st, err := store.Open(store.Config{Path: filepath.Join(t.TempDir(), "verdicts")})
 	if err != nil {
-		t.Fatalf("store.OpenLegacy: %v", err)
+		t.Fatalf("store.Open: %v", err)
 	}
 	t.Cleanup(func() { _ = st.Close() })
 	fcfg := feed.Config{
 		Fetcher:  crawl.Compose(append(extra, c.World)...),
 		Pipeline: &core.Pipeline{Detector: d, Identifier: target.New(c.Engine)},
-		Store:    st.Backend(),
+		Store:    st,
 		Workers:  2,
 	}
 	if mutate != nil {
@@ -46,7 +44,7 @@ func feedServer(t *testing.T, extra []crawl.Fetcher, mutate func(*feed.Config)) 
 		Detector:   d,
 		Identifier: target.New(c.Engine),
 		Feed:       sched,
-		Store:      st.Backend(),
+		Store:      st,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -56,7 +54,7 @@ func feedServer(t *testing.T, extra []crawl.Fetcher, mutate func(*feed.Config)) 
 
 // TestFeedEndToEnd is the PR's acceptance path: a synthetic-world
 // phishing URL enters via POST /v1/feed, its verdict appears in
-// GET /v1/verdicts, and the verdict survives a store restart (Reload).
+// GET /v1/verdicts, and the verdict survives a store restart.
 func TestFeedEndToEnd(t *testing.T) {
 	c, _ := fixtures(t)
 	rng := rand.New(rand.NewSource(9))
@@ -88,19 +86,6 @@ func TestFeedEndToEnd(t *testing.T) {
 		t.Fatalf("record = %+v", rec)
 	}
 
-	// Restart the store from disk: the same verdict must come back.
-	if err := st.Reload(); err != nil {
-		t.Fatalf("Reload: %v", err)
-	}
-	var vr2 VerdictsResponse
-	if code := call(t, s, http.MethodGet, query, nil, &vr2); code != http.StatusOK {
-		t.Fatalf("GET after Reload status = %d", code)
-	}
-	if vr2.Count != 1 || vr2.Records[0].Seq != rec.Seq ||
-		vr2.Records[0].Outcome.Score != rec.Outcome.Score {
-		t.Fatalf("verdict changed across restart: %+v vs %+v", vr2.Records, rec)
-	}
-
 	// When identification named a target, the record is also reachable
 	// through the target index.
 	if rec.Target != "" {
@@ -124,6 +109,26 @@ func TestFeedEndToEnd(t *testing.T) {
 	}
 	if m.Store == nil || m.Store.Records != 1 {
 		t.Errorf("store metrics = %+v, want 1 record", m.Store)
+	}
+
+	// Restart the store from disk: a server over the reopened directory
+	// answers with the same verdict.
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	reopened, err := store.Open(store.Config{Path: st.Path()})
+	if err != nil {
+		t.Fatalf("reopening the store: %v", err)
+	}
+	t.Cleanup(func() { _ = reopened.Close() })
+	s2 := newServer(t, func(cfg *Config) { cfg.Store = reopened })
+	var vr2 VerdictsResponse
+	if code := call(t, s2, http.MethodGet, query, nil, &vr2); code != http.StatusOK {
+		t.Fatalf("GET after restart status = %d", code)
+	}
+	if vr2.Count != 1 || vr2.Records[0].Seq != rec.Seq ||
+		vr2.Records[0].Outcome.Score != rec.Outcome.Score {
+		t.Fatalf("verdict changed across restart: %+v vs %+v", vr2.Records, rec)
 	}
 }
 
@@ -205,10 +210,10 @@ func TestVerdictsQueryValidation(t *testing.T) {
 		ScoredAt: time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)}
 	recent := store.Record{URL: "http://new.test/", LandingURL: "http://new.test/", Fingerprint: "b",
 		ScoredAt: time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)}
-	if err := st.Append(old); err != nil {
+	if err := st.Append(context.Background(), old); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append(recent); err != nil {
+	if err := st.Append(context.Background(), recent); err != nil {
 		t.Fatal(err)
 	}
 	var vr VerdictsResponse

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -116,7 +117,11 @@ func TestScoreEndpoint(t *testing.T) {
 			t.Errorf("landing url %q, want %q", resp.LandingURL, ex.Snapshot.LandingURL)
 		}
 		// The serving path must agree exactly with the direct pipeline.
-		want := pipe.Analyze(ex.Snapshot)
+		v, err := pipe.AnalyzeCtx(context.Background(), core.NewScoreRequest(ex.Snapshot))
+		if err != nil {
+			t.Fatalf("AnalyzeCtx: %v", err)
+		}
+		want := v.Outcome
 		if resp.Score != want.Score || resp.FinalPhish != want.FinalPhish ||
 			resp.DetectorPhish != want.DetectorPhish {
 			t.Errorf("served outcome %+v != direct outcome %+v", resp.Outcome, want)

@@ -16,8 +16,9 @@ import (
 
 // verdictsFixture is the deterministic corpus behind the /v1/verdicts
 // goldens: supersede churn, targeted phish, a terminal error and two
-// model versions, all with fixed timestamps so the legacy JSONL bytes
-// at testdata/golden_verdicts_store.jsonl never drift.
+// model versions, all with fixed timestamps. The removed JSONL engine
+// wrote these records to testdata/golden_verdicts_store.jsonl; nothing
+// writes that format any more, so the file is frozen.
 func verdictsFixture() []store.Record {
 	base := time.Date(2026, 7, 20, 8, 0, 0, 0, time.UTC)
 	recs := []store.Record{
@@ -68,37 +69,12 @@ func copyVerdictsFixture(t *testing.T) string {
 }
 
 // TestV1VerdictsGolden pins the /v1/verdicts wire format byte for byte
-// across storage engines: the same committed legacy corpus is served
-// once by the legacy JSONL engine and once by the segmented engine
-// after a one-shot migration, and both must match the same goldens —
-// the proof that the v2 storage redesign is invisible to v1 clients.
+// across storage engines: the committed legacy JSONL corpus is served
+// by the segmented engine after a one-shot migration, the records it
+// was written from are served by the memory engine, and both must
+// match the same goldens — the proof that the storage engine is
+// invisible to v1 clients and that migration loses nothing.
 func TestV1VerdictsGolden(t *testing.T) {
-	if *updateGolden {
-		// Regenerate the fixture corpus first so the goldens below are
-		// produced from exactly what is committed.
-		s, err := store.OpenLegacy(store.Config{
-			Path: filepath.Join(t.TempDir(), "verdicts.jsonl"), CompactEvery: -1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range verdictsFixture() {
-			if err := s.Append(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(s.Path())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join("testdata", verdictsFixtureFile), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	queries := []struct{ name, query string }{
 		{"all", "/v1/verdicts"},
 		{"by_target", "/v1/verdicts?target=novabank.com"},
@@ -111,12 +87,17 @@ func TestV1VerdictsGolden(t *testing.T) {
 		name string
 		open func(t *testing.T) store.Backend
 	}{
-		{"legacy", func(t *testing.T) store.Backend {
-			s, err := store.OpenLegacy(store.Config{Path: copyVerdictsFixture(t), CompactEvery: -1})
+		{"memory", func(t *testing.T) store.Backend {
+			b, err := store.Open(store.Config{Backend: store.BackendMemory})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return s.Backend()
+			for _, r := range verdictsFixture() {
+				if err := b.Append(context.Background(), r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return b
 		}},
 		{"migrated", func(t *testing.T) store.Backend {
 			// store.Open sees the legacy JSONL file and migrates it into
@@ -145,8 +126,8 @@ func TestV1VerdictsGolden(t *testing.T) {
 					got := rec.Body.Bytes()
 					path := filepath.Join("testdata", "golden_v1_verdicts_"+q.name+".json")
 					if *updateGolden {
-						if be.name != "legacy" {
-							return // goldens are authored by the legacy engine
+						if be.name != "migrated" {
+							return // goldens are authored from the committed corpus
 						}
 						if err := os.WriteFile(path, got, 0o644); err != nil {
 							t.Fatal(err)

@@ -2,11 +2,11 @@ package store
 
 import "sort"
 
-// entry is one live record's index row. Every engine shares it: the
-// memory and legacy engines keep the record inline in rec; the
-// segmented engine keeps only the on-disk location (seg/off/n) and
-// loads the record from its segment on demand, so a store of millions
-// of verdicts costs index-row memory, not record memory.
+// entry is one live record's index row. Both engines share it: the
+// memory engine keeps the record inline in rec; the segmented engine
+// keeps only the on-disk location (seg/off/n) and loads the record from
+// its segment on demand, so a store of millions of verdicts costs
+// index-row memory, not record memory.
 type entry struct {
 	seq      uint64
 	start    string // Record.URL ("" when equal to landing)
@@ -23,7 +23,7 @@ type entry struct {
 	// them and maybeShrink reclaims them in bulk.
 	dead bool
 
-	rec *Record // inline record (memory and legacy engines)
+	rec *Record // inline record (memory engine)
 
 	seg uint64 // segmented engine: segment ID holding the frame
 	off int64  // frame offset within the segment

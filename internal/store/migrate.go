@@ -1,7 +1,11 @@
 package store
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -18,13 +22,14 @@ const migrationSideSuffix = ".migrating"
 // identically before and after.
 //
 // The dance is crash-safe at every step: the segmented store is built
-// in a side directory ("<Path>.migrating") while the legacy log is
-// untouched; the log is then renamed to its backup name
-// ("<Path>.pre-migration.jsonl") and the side directory renamed into
-// place. A crash before the first rename leaves the legacy log
-// authoritative (a stale side directory is discarded and rebuilt on the
-// next attempt); a crash between the renames leaves the path absent and
-// the finished side directory present, which the next open completes.
+// in a side directory ("<Path>.migrating") while the legacy log is only
+// read, never written; the log is then renamed to its backup name
+// ("<Path>.pre-migration.jsonl"), byte-identical to what was found, and
+// the side directory renamed into place. A crash before the first
+// rename leaves the legacy log authoritative (a stale side directory is
+// discarded and rebuilt on the next attempt); a crash between the
+// renames leaves the path absent and the finished side directory
+// present, which the next open completes.
 func maybeMigrate(cfg Config) error {
 	side := cfg.Path + migrationSideSuffix
 	fi, err := os.Stat(cfg.Path)
@@ -33,8 +38,8 @@ func maybeMigrate(cfg Config) error {
 		return nil // already a segment directory
 	case os.IsNotExist(err):
 		// Resume a crash between the two renames: the side directory,
-		// if present, is complete (it is renamed away before the legacy
-		// log is) — install it.
+		// if present, is complete (the legacy log is renamed away only
+		// after it is closed) — install it.
 		if _, serr := os.Stat(side); serr == nil {
 			return os.Rename(side, cfg.Path)
 		}
@@ -43,16 +48,13 @@ func maybeMigrate(cfg Config) error {
 		return err
 	}
 
-	// Read every live record out of the legacy log. MaxExplainBytes is
-	// effectively unbounded here: whatever survived the original
-	// append-time cap must survive migration byte-for-byte.
-	src, err := openLegacy(Config{Path: cfg.Path, CompactEvery: -1, MaxExplainBytes: 1 << 30})
+	recs, read, err := readLegacy(cfg.Path)
 	if err != nil {
 		return err
 	}
-	recs := src.liveAscending()
-	if err := src.Close(); err != nil {
-		return err
+	if unread := fi.Size() - read; unread > 0 {
+		cfg.Logger.Warn("legacy verdict log not read to its end; the backup keeps the rest",
+			"path", cfg.Path, "offset", read, "unread_bytes", unread, "backup", cfg.Path+migrationBackupSuffix)
 	}
 
 	if err := os.RemoveAll(side); err != nil {
@@ -68,9 +70,8 @@ func maybeMigrate(cfg Config) error {
 		return err
 	}
 	for _, rec := range recs {
-		r := *rec
 		dst.mu.Lock()
-		err := dst.appendLocked(&r, true)
+		err := dst.appendLocked(rec, true)
 		dst.mu.Unlock()
 		if err != nil {
 			_ = dst.Close()
@@ -89,9 +90,56 @@ func maybeMigrate(cfg Config) error {
 	if err := os.Rename(side, cfg.Path); err != nil {
 		return err
 	}
-	if cfg.Logger != nil {
-		cfg.Logger.Info("migrated legacy verdict log to segmented layout",
-			"path", cfg.Path, "records", len(recs), "backup", cfg.Path+migrationBackupSuffix)
-	}
+	cfg.Logger.Info("migrated legacy verdict log to segmented layout",
+		"path", cfg.Path, "records", len(recs), "backup", cfg.Path+migrationBackupSuffix)
 	return nil
+}
+
+// readLegacy reads the live records out of a legacy verdict log — a
+// single JSONL file, one Record per line, written in ascending Seq, a
+// later line superseding an earlier one with the same key — without
+// writing to it. Replay stops at the first line that engine could not
+// have written whole: unterminated (a torn final append), unparsable,
+// or with a Seq not above the line before it; nothing past such a line
+// can be trusted. It returns the newest record per key, ascending by
+// Seq, and the offset replay stopped at (the file size when every line
+// was read).
+func readLegacy(path string) (live []*Record, read int64, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer f.Close()
+	r := bufio.NewReaderSize(f, 64<<10)
+	var recs []*Record // file order; a superseded record's slot is nil
+	newest := make(map[string]int)
+	var lastSeq uint64
+	for {
+		line, rerr := r.ReadBytes('\n')
+		if rerr == io.EOF {
+			break // any bytes in line are an unterminated tail
+		}
+		if rerr != nil {
+			return nil, 0, fmt.Errorf("reading %s: %w", path, rerr)
+		}
+		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
+			rec := new(Record)
+			if json.Unmarshal(trimmed, rec) != nil || rec.Seq <= lastSeq {
+				break
+			}
+			lastSeq = rec.Seq
+			if old, ok := newest[rec.key()]; ok {
+				recs[old] = nil
+			}
+			newest[rec.key()] = len(recs)
+			recs = append(recs, rec)
+		}
+		read += int64(len(line))
+	}
+	for _, rec := range recs {
+		if rec != nil {
+			live = append(live, rec)
+		}
+	}
+	return live, read, nil
 }

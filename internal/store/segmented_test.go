@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -17,15 +16,7 @@ import (
 // instance never runs its orderly shutdown.
 func segOpen(t *testing.T, cfg Config) *segStore {
 	t.Helper()
-	if cfg.Path == "" {
-		cfg.Path = filepath.Join(t.TempDir(), "verdicts")
-	}
-	b, err := Open(cfg)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	t.Cleanup(func() { _ = b.Close() })
-	return b.(*segStore)
+	return openEngine(t, BackendSegmented, cfg).(*segStore)
 }
 
 func ctxb() context.Context { return context.Background() }
@@ -234,21 +225,8 @@ func TestSegmentedAutomaticCompaction(t *testing.T) {
 }
 
 // TestScanOrderDeterministic pins the ordering guarantee: every query
-// path on every engine returns strictly descending Seq. The legacy
-// engine's target-filtered path historically leaned on map slices;
-// the shared pageLocked sort now pins it.
+// path on every engine returns strictly descending Seq.
 func TestScanOrderDeterministic(t *testing.T) {
-	backends := map[string]Backend{}
-	seg := segOpen(t, Config{Path: filepath.Join(t.TempDir(), "seg"), SegmentBytes: 1024})
-	backends[BackendSegmented] = seg
-	backends[BackendMemory] = newMemStore(Config{})
-	leg, err := Open(Config{Path: filepath.Join(t.TempDir(), "v.jsonl"), Backend: BackendLegacy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = leg.Close() })
-	backends[BackendLegacy] = leg
-
 	queries := []Query{
 		{},
 		{Target: "brand.com"},
@@ -257,7 +235,8 @@ func TestScanOrderDeterministic(t *testing.T) {
 		{PhishOnly: true},
 		{Target: "brand.com", PhishOnly: true, Limit: 4},
 	}
-	for name, b := range backends {
+	for _, name := range engines {
+		b := openEngine(t, name, Config{SegmentBytes: 1024})
 		for i := 0; i < 30; i++ {
 			r := rec("http://start.test/"+strconv.Itoa(i), "http://shared.test/", "fp"+strconv.Itoa(i%10), "", i%2 == 0)
 			if i%3 == 0 {
@@ -285,39 +264,18 @@ func TestScanOrderDeterministic(t *testing.T) {
 				t.Fatalf("%s: unfiltered scan returned nothing", name)
 			}
 		}
-		// Select on the legacy engine directly keeps the same order.
-		if name == BackendLegacy {
-			lb := b.(*legacyBackend)
-			out := lb.s.Select(Query{Target: "brand.com"})
-			for j := 1; j < len(out); j++ {
-				if out[j-1].Seq <= out[j].Seq {
-					t.Fatalf("legacy Select by target: order violated at %d", j)
-				}
-			}
-			// 10 generations carried the target but only the newest
-			// per landing+fingerprint is live: i∈{21,24,27}.
-			if len(out) != 3 {
-				t.Fatalf("legacy Select by target = %d records, want 3", len(out))
-			}
+		// 10 generations carried the target but only the newest per
+		// landing+fingerprint is live: i∈{21,24,27}.
+		if page, err := b.Scan(ctxb(), Query{Target: "brand.com"}); err != nil || len(page.Records) != 3 {
+			t.Fatalf("%s: by target = %d records (err %v), want 3", name, len(page.Records), err)
 		}
 	}
 }
 
 func TestScanCursorPagination(t *testing.T) {
-	for _, backend := range []string{BackendSegmented, BackendLegacy, BackendMemory} {
+	for _, backend := range engines {
 		t.Run(backend, func(t *testing.T) {
-			cfg := Config{Backend: backend, SegmentBytes: 1024}
-			switch backend {
-			case BackendSegmented:
-				cfg.Path = filepath.Join(t.TempDir(), "seg")
-			case BackendLegacy:
-				cfg.Path = filepath.Join(t.TempDir(), "v.jsonl")
-			}
-			b, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = b.Close() })
+			b := openEngine(t, backend, Config{SegmentBytes: 1024})
 			for i := 0; i < 23; i++ {
 				r := rec("http://u.test/"+strconv.Itoa(i), "http://u.test/"+strconv.Itoa(i), "fp", "", i%2 == 0)
 				if i%3 == 0 {
@@ -571,98 +529,6 @@ func TestCompactionNeverBlocksAppends(t *testing.T) {
 	}
 	if st := s.Stats(); st.Compactions != 1 || st.Superseded == 0 {
 		t.Fatalf("stats = %+v, want a completed compaction", st)
-	}
-}
-
-// TestMigration proves the one-shot JSONL→segmented migration preserves
-// every record and every index.
-func TestMigration(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "verdicts.jsonl")
-	leg, err := OpenLegacy(Config{Path: path, CompactEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 50; i++ {
-		r := rec("http://start.test/"+strconv.Itoa(i), "http://land.test/"+strconv.Itoa(i%20), "fp"+strconv.Itoa(i%2), "", i%2 == 0)
-		r.ScoredAt = base.Add(time.Duration(i) * time.Hour)
-		if i%4 == 0 {
-			r.Target = "brand.com"
-		}
-		if i%3 == 0 {
-			r.ModelVersion = "v1"
-		} else {
-			r.ModelVersion = "v2"
-		}
-		if i == 13 {
-			r.Error = "fetch: connection refused"
-		}
-		if err := leg.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := leg.Select(Query{})
-	if err := leg.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Opening the default backend over the JSONL file migrates it.
-	b, err := Open(Config{Path: path})
-	if err != nil {
-		t.Fatalf("Open (migrating): %v", err)
-	}
-	t.Cleanup(func() { _ = b.Close() })
-	if st, err := os.Stat(path); err != nil || !st.IsDir() {
-		t.Fatalf("path after migration: %v (dir=%v), want segment directory", err, st != nil && st.IsDir())
-	}
-	if _, err := os.Stat(path + migrationBackupSuffix); err != nil {
-		t.Fatalf("backup of original log missing: %v", err)
-	}
-
-	got := scanAll(t, b, Query{}, 7)
-	wantJSON, _ := json.Marshal(want)
-	gotJSON, _ := json.Marshal(got)
-	if string(wantJSON) != string(gotJSON) {
-		t.Fatalf("migrated records differ:\nwant %s\ngot  %s", wantJSON, gotJSON)
-	}
-	// Every secondary index answers identically to pre-migration.
-	checks := []Query{
-		{Target: "brand.com"},
-		{ModelVersion: "v1"},
-		{URL: "http://land.test/3"},
-		{URL: "http://start.test/3"},
-		{Since: base.Add(24 * time.Hour), Until: base.Add(36 * time.Hour)},
-		{PhishOnly: true},
-	}
-	legAgain, err := OpenLegacy(Config{Path: path + migrationBackupSuffix})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legAgain.Close()
-	for qi, q := range checks {
-		wantRecs := legAgain.Select(q)
-		page, err := b.Scan(ctxb(), q)
-		if err != nil {
-			t.Fatalf("query %d: %v", qi, err)
-		}
-		wj, _ := json.Marshal(wantRecs)
-		gj, _ := json.Marshal(page.Records)
-		if string(wj) != string(gj) {
-			t.Fatalf("query %d differs after migration:\nwant %s\ngot  %s", qi, wj, gj)
-		}
-	}
-
-	// Reopening is a no-op migration: still a directory, same records.
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	b2, err := Open(Config{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b2.Close()
-	if b2.Len() != len(want) {
-		t.Fatalf("Len after re-open = %d, want %d", b2.Len(), len(want))
 	}
 }
 

@@ -4,7 +4,7 @@
 // secondary indexes (by URL, by identified target brand, by model
 // version, by time range) with cursor-based pagination.
 //
-// Three engines implement Backend:
+// Two engines implement Backend:
 //
 //   - segmented (the default): a segmented write-ahead log. Records are
 //     appended to a fixed-size active segment as CRC-framed JSON;
@@ -23,11 +23,10 @@
 //     store lock and only the index repointing takes it.
 //   - memory: the same index with records held in RAM and no files —
 //     the test engine.
-//   - legacy: the original single-file JSONL log (one self-contained
-//     JSON document per line, whole-file reload and compaction),
-//     kept as an adapter for existing logs. Open migrates a legacy
-//     file to the segmented layout one-shot when asked for the
-//     segmented engine over a path that holds a JSONL log.
+//
+// The original single-file JSONL log (one JSON document per line) is no
+// longer an engine: Open reads such a file once, read-only, and migrates
+// it to the segmented layout.
 //
 // This is the persistence layer the paper's deployment sketch (Section
 // VI) needs but the batch evaluation never built: verdicts outlive the
@@ -54,8 +53,6 @@ import (
 const (
 	// BackendSegmented is the segmented write-ahead log, the default.
 	BackendSegmented = "segmented"
-	// BackendLegacy is the single-file JSONL log.
-	BackendLegacy = "legacy"
 	// BackendMemory is the in-memory engine (tests; nothing persists).
 	BackendMemory = "memory"
 )
@@ -132,15 +129,15 @@ func (r *Record) key() string { return r.LandingURL + "\x00" + r.Fingerprint }
 
 // Config assembles a Backend.
 type Config struct {
-	// Path locates the store: a directory for the segmented engine, a
-	// JSONL file for the legacy engine (created, with parents, if
-	// missing). Ignored by the memory engine. Required otherwise.
+	// Path locates the segmented engine's directory (created, with
+	// parents, if missing). A path that holds a legacy JSONL file is
+	// migrated one-shot: the records are rewritten into a segment
+	// directory at Path and the original file is kept beside it,
+	// byte-identical, as "<Path>.pre-migration.jsonl". Ignored by the
+	// memory engine. Required otherwise.
 	Path string
-	// Backend selects the engine: BackendSegmented (the default, ""),
-	// BackendLegacy or BackendMemory. Opening the segmented engine over
-	// a path that holds a legacy JSONL file migrates it one-shot: the
-	// records are rewritten into a segment directory at Path and the
-	// original file is kept beside it as "<Path>.pre-migration.jsonl".
+	// Backend selects the engine: BackendSegmented (the default, "") or
+	// BackendMemory.
 	Backend string
 	// Sync forces an fsync after every append. Durable against power
 	// loss, but serializes appends on disk latency; leave false when
@@ -305,7 +302,7 @@ type Backend interface {
 // returns its engine behind the Backend interface. With the default
 // segmented backend, a cfg.Path holding a legacy JSONL log is migrated
 // one-shot into the segmented layout first (the original file survives
-// as "<Path>.pre-migration.jsonl").
+// byte-identical as "<Path>.pre-migration.jsonl").
 func Open(cfg Config) (Backend, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
@@ -313,12 +310,8 @@ func Open(cfg Config) (Backend, error) {
 	switch cfg.Backend {
 	case BackendMemory:
 		return newMemStore(cfg), nil
-	case BackendLegacy:
-		s, err := openLegacy(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &legacyBackend{s: s}, nil
+	case "legacy":
+		return nil, errors.New(`store: the "legacy" backend was removed; open the path with the default backend, which migrates the JSONL log and keeps it as a backup`)
 	case "", BackendSegmented:
 		if cfg.Path == "" {
 			return nil, errors.New("store: Config.Path is required")
@@ -328,8 +321,8 @@ func Open(cfg Config) (Backend, error) {
 		}
 		return openSegmented(cfg)
 	default:
-		return nil, fmt.Errorf("store: unknown backend %q (want %q, %q or %q)",
-			cfg.Backend, BackendSegmented, BackendLegacy, BackendMemory)
+		return nil, fmt.Errorf("store: unknown backend %q (want %q or %q)",
+			cfg.Backend, BackendSegmented, BackendMemory)
 	}
 }
 

@@ -2,6 +2,7 @@ package knowphish_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -43,8 +44,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	caught := 0
 	for _, ex := range corpus.PhishTest.Examples {
-		out := pipe.Analyze(ex.Snapshot)
-		if out.FinalPhish {
+		v, err := pipe.AnalyzeCtx(context.Background(), knowphish.NewScoreRequest(ex.Snapshot))
+		if err != nil {
+			t.Fatalf("AnalyzeCtx: %v", err)
+		}
+		if v.FinalPhish {
 			caught++
 		}
 	}
@@ -62,8 +66,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("LoadDetector: %v", err)
 	}
 	snap := corpus.PhishTest.Examples[0].Snapshot
-	if a, b := det.Score(snap), back.Score(snap); math.Abs(a-b) > 1e-12 {
-		t.Errorf("roundtrip score mismatch: %v vs %v", a, b)
+	req := knowphish.NewScoreRequest(snap)
+	va, errA := det.ScoreCtx(context.Background(), req)
+	vb, errB := back.ScoreCtx(context.Background(), req)
+	if errA != nil || errB != nil || math.Abs(va.Score-vb.Score) > 1e-12 {
+		t.Errorf("roundtrip score mismatch: %v (%v) vs %v (%v)", va.Score, errA, vb.Score, errB)
 	}
 
 	// The model lifecycle through the facade: register, promote, swap —

@@ -8,7 +8,9 @@
 # resulting (sub-)benchmark names. They differ in one deliberate way:
 # BenchmarkGBMPredict/layout=tree is the retained reference walk — it
 # serves no traffic, so it runs (its delta is informative) but is not
-# held to the threshold; layout=flat, the production path, is.
+# held to the threshold; layout=flat, the production path, is. The
+# store benchmarks are gated by their full backend=segmented names so a
+# base ref that still ran a second engine does not read as a removal.
 
 KEY_BENCHES='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkContentKey|BenchmarkStoreAppend|BenchmarkStoreScan|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkAdmission|BenchmarkTargetIdentification|BenchmarkSearchQuery'
-KEY_GATE='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict/layout=flat|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkContentKey|BenchmarkStoreAppend|BenchmarkStoreScan|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkAdmission|BenchmarkTargetIdentification|BenchmarkSearchQuery'
+KEY_GATE='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict/layout=flat|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkContentKey|BenchmarkStoreAppend/backend=segmented|BenchmarkStoreScan/backend=segmented|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkAdmission|BenchmarkTargetIdentification|BenchmarkSearchQuery'
