@@ -34,25 +34,36 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# Short fuzz pass over the URL decomposition (the most adversarial
-# input surface), over the search kernel against its map-and-sort
-# reference on fuzzer-built corpora, over the content identity's
-# preimage (distinct snapshots never share bytes or a key), and over
-# the migration reader of operator-supplied legacy verdict logs. Found
-# inputs land in the package's testdata/fuzz and become permanent
-# regression seeds.
+# Short fuzz pass over every surface that takes attacker- or operator-
+# chosen bytes: the URL decomposition; the HTML scanner, the term kernel
+# and webpage.Analyze, each against the map-and-string implementation it
+# replaced (kept verbatim in reference_test.go); the search kernel
+# against its map-and-sort reference on fuzzer-built corpora; the content
+# identity's preimage (distinct snapshots never share bytes or a key);
+# the NDJSON feed connector; and the migration reader of legacy verdict
+# logs. Found inputs land in the package's testdata/fuzz and become
+# permanent regression seeds. FUZZTIME is per target.
+FUZZ_TARGETS = \
+	FuzzParse:./internal/urlx \
+	FuzzParse:./internal/htmlx \
+	FuzzParseMatchesReference:./internal/htmlx \
+	FuzzDistributionMatchesReference:./internal/terms \
+	FuzzAnalyzeMatchesReference:./internal/webpage \
+	FuzzPreimageInjective:./internal/webpage \
+	FuzzQueryMatchesReference:./internal/search \
+	FuzzNDJSONSource:./internal/feedsrc \
+	FuzzLegacyRead:./internal/store
+
+FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/urlx
-	$(GO) test -fuzz=FuzzQueryMatchesReference -fuzztime=10s ./internal/search
-	$(GO) test -fuzz=FuzzPreimageInjective -fuzztime=10s ./internal/webpage
-	$(GO) test -fuzz=FuzzLegacyRead -fuzztime=10s ./internal/store
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $${t%%:*} $${t#*:} ($(FUZZTIME))"; \
+		$(GO) test -run='^$$' -fuzz="^$${t%%:*}\$$" -fuzztime=$(FUZZTIME) "$${t#*:}"; \
+	done
 
 # The nightly workflow's longer pass over the same surfaces.
 fuzz-long:
-	$(GO) test -fuzz=FuzzParse -fuzztime=60s ./internal/urlx
-	$(GO) test -fuzz=FuzzQueryMatchesReference -fuzztime=60s ./internal/search
-	$(GO) test -fuzz=FuzzPreimageInjective -fuzztime=60s ./internal/webpage
-	$(GO) test -fuzz=FuzzLegacyRead -fuzztime=60s ./internal/store
+	$(MAKE) fuzz-smoke FUZZTIME=60s
 
 # Nightly storage soak: 100k appends with supersede churn and
 # concurrent compaction, then a reopen-and-verify pass. Too slow for

@@ -16,12 +16,13 @@ import (
 
 // fullPathAllocBudget bounds the allocations of one cold ScoreCtx call
 // (webpage.Analyze + extraction + classification) on the corpus's legit
-// fixture page. Analysis dominates — URL parsing and the fourteen term
-// distributions inherently build strings and maps — so the budget is a
-// regression tripwire for that stage, not a zero claim. The fixture
-// page measures ~1040; the margin absorbs Go-runtime variation, not
-// code growth.
-const fullPathAllocBudget = 1500
+// fixture page. Analysis is nearly all of it, and within it urlx.Parse:
+// the page has 31 links and each decomposition costs about six
+// allocations; the link lists take one array each and the fourteen term
+// distributions three between them. The fixture page measures 174
+// (about 1040 before the map-free term kernel); the margin absorbs
+// Go-runtime variation, not code growth.
+const fullPathAllocBudget = 200
 
 func TestScoreCtxWarmPathZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -26,6 +29,35 @@ func runner(t *testing.T) *Runner {
 		sharedRunner = r
 	}
 	return sharedRunner
+}
+
+var update = flag.Bool("update", false, "rewrite the pinned table renderings under testdata/")
+
+// pinRendering asserts that tab renders byte-for-byte as the committed
+// testdata/<name>.txt. The runner's seeds are fixed, so the paper's
+// tables are deterministic; the *Shape floors would not notice a
+// ten-point recall drop, the pinned bytes notice a last-digit one.
+// -update regenerates after a deliberate change to the detector.
+func pinRendering(t *testing.T, name string, tab *Table) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".txt")
+	got := tab.Render()
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from its pinned rendering (-update only for a deliberate detector change)\n--- got\n%s--- want\n%s", name, got, want)
+	}
 }
 
 // parseCell converts a numeric table cell (possibly with % suffix).
@@ -64,6 +96,7 @@ func TestTableVIShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TableVI: %v", err)
 	}
+	pinRendering(t, "table_vi", tab)
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6 languages", len(tab.Rows))
 	}
@@ -98,6 +131,7 @@ func TestTableVIIShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TableVII: %v", err)
 	}
+	pinRendering(t, "table_vii", tab)
 	if len(tab.Rows) != 10 {
 		t.Fatalf("rows = %d, want 10 (5 metrics x 2 scenarios)", len(tab.Rows))
 	}
@@ -234,6 +268,7 @@ func TestTableIXShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TableIX: %v", err)
 	}
+	pinRendering(t, "table_ix", tab)
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 (top-1/2/3)", len(tab.Rows))
 	}
@@ -260,6 +295,7 @@ func TestTableXShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TableX: %v", err)
 	}
+	pinRendering(t, "table_x", tab)
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6 (3 baselines + 3 of ours)", len(tab.Rows))
 	}
@@ -278,6 +314,7 @@ func TestFPReductionShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FPReduction: %v", err)
 	}
+	pinRendering(t, "fp_reduction", tab)
 	var before, after float64
 	for _, row := range tab.Rows {
 		switch row[0] {

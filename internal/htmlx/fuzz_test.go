@@ -1,7 +1,6 @@
 package htmlx
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -9,28 +8,7 @@ import (
 // plain `go test` only the seed corpus runs; `go test -fuzz=FuzzParse`
 // explores further.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"",
-		"<",
-		"<<<<>>>>",
-		"<a",
-		"<a href=",
-		`<a href="unterminated`,
-		"<!--",
-		"<!-- <script> -->",
-		"<script><script><script>",
-		"</closing-only>",
-		"<title><title><title>",
-		"<iframe src='a'><iframe src='b'>",
-		strings.Repeat("<div>", 2000),
-		"<p>" + strings.Repeat("&amp;", 500),
-		"\x00\x01\x02<body>\xff\xfe</body>",
-		"<input type=><img src=><form action=>",
-		"<a href='a' href='b' href='c'>dup</a>",
-		"<A HREF=HTTP://X.EXAMPLE/>case</A>",
-		"<style>body{}</style><style>again",
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

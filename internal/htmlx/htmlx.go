@@ -8,10 +8,24 @@
 // are frequently malformed, and all downstream consumers only need
 // term-level content, so recovering gracefully matters more than tree
 // fidelity.
+//
+// Parse is one pass over the source with pooled working memory. A tag's
+// attributes are recorded, as written, in one small slice reused from
+// tag to tag; the four names Parse reads (href, src, action, type) are
+// looked up case-folded from the back, so the last duplicate wins as it
+// would in a map, and no per-tag map exists. Text and title accumulate
+// in pooled byte buffers that are entity-decoded and whitespace-
+// collapsed in place, then copied out once. Aliasing rule: a Document
+// may reference the source string (link values are substrings of it)
+// and its own Text (Copyright can be), never the pooled buffers.
 package htmlx
 
 import (
+	"bytes"
 	"strings"
+	"sync"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Document holds the extracted elements of one HTML document.
@@ -40,136 +54,232 @@ type Document struct {
 	IFrameSrcs []string `json:"iframe_srcs,omitempty"`
 }
 
+// lowerTag appends the lower-case form of an ASCII tag name to dst, or
+// returns nil for a name longer than any tag Parse acts on.
+func lowerTag(dst []byte, name string) []byte {
+	if len(name) > cap(dst) {
+		return nil
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// attr is one attribute of the tag being scanned, name as written.
+type attr struct{ name, val string }
+
+// parser is the working memory of one Parse call.
+type parser struct {
+	text, title       []byte
+	attrs             []attr
+	href, res, iframe []string
+}
+
+var parserPool = sync.Pool{New: func() any { return new(parser) }}
+
+// release empties p and returns it to the pool. The attribute and link
+// scratch hold substrings of the source, which must not stay reachable
+// from the pool.
+func (p *parser) release() {
+	p.text, p.title = p.text[:0], p.title[:0]
+	clear(p.attrs)
+	clear(p.href)
+	clear(p.res)
+	clear(p.iframe)
+	p.href, p.res, p.iframe = p.href[:0], p.res[:0], p.iframe[:0]
+	parserPool.Put(p)
+}
+
 // Parse scans src and extracts the document elements.
 func Parse(src string) Document {
+	p := parserPool.Get().(*parser)
+	defer p.release()
 	var (
-		doc       Document
-		text      strings.Builder
-		title     strings.Builder
-		inTitle   bool
-		skipUntil string // closing tag name that ends a skipped element
+		doc     Document
+		inTitle bool
+		// skipUntil is the closing tag name that ends a skipped element;
+		// tagBuf holds the current tag's lower-case name ("noscript" and
+		// "textarea" are the longest Parse acts on).
+		skipBuf, tagBuf [8]byte
+		skipUntil       = skipBuf[:0]
 	)
 	i := 0
 	n := len(src)
 	for i < n {
 		lt := strings.IndexByte(src[i:], '<')
 		if lt < 0 {
-			appendText(&text, &title, inTitle, skipUntil, src[i:])
+			p.chars(src[i:], inTitle, len(skipUntil) > 0)
 			break
 		}
-		appendText(&text, &title, inTitle, skipUntil, src[i:i+lt])
+		p.chars(src[i:i+lt], inTitle, len(skipUntil) > 0)
 		i += lt
-		tag, attrs, selfClose, closing, next := scanTag(src, i)
-		if tag == "" {
+		name, selfClose, closing, next := p.scanTag(src, i)
+		if name == "" {
 			// Stray '<': treat as text.
-			appendText(&text, &title, inTitle, skipUntil, "<")
+			p.chars("<", inTitle, len(skipUntil) > 0)
 			i++
 			continue
 		}
 		i = next
+		tag := lowerTag(tagBuf[:0], name)
 		if closing {
-			switch tag {
+			switch string(tag) {
 			case "title":
 				inTitle = false
-			case skipUntil:
-				skipUntil = ""
+			case string(skipUntil):
+				skipUntil = skipBuf[:0]
 			}
 			// Closing block elements break words.
-			text.WriteByte(' ')
+			p.text = append(p.text, ' ')
 			continue
 		}
-		if skipUntil != "" {
+		if len(skipUntil) > 0 {
 			continue
 		}
-		switch tag {
+		switch string(tag) {
 		case "title":
 			if !selfClose {
 				inTitle = true
 			}
 		case "script", "style", "noscript":
 			if !selfClose {
-				skipUntil = tag
+				skipUntil = append(skipBuf[:0], tag...)
 			}
-			if srcAttr := attrs["src"]; srcAttr != "" {
-				doc.ResourceLinks = append(doc.ResourceLinks, srcAttr)
+			if s := p.attr("src"); s != "" {
+				p.res = append(p.res, s)
 			}
 		case "a", "area":
-			if href := attrs["href"]; href != "" && !strings.HasPrefix(href, "javascript:") && !strings.HasPrefix(href, "#") {
-				doc.HREFLinks = append(doc.HREFLinks, href)
+			if href := p.attr("href"); href != "" && !strings.HasPrefix(href, "javascript:") && !strings.HasPrefix(href, "#") {
+				p.href = append(p.href, href)
 			}
 		case "img":
 			doc.ImageCount++
-			if s := attrs["src"]; s != "" {
-				doc.ResourceLinks = append(doc.ResourceLinks, s)
+			if s := p.attr("src"); s != "" {
+				p.res = append(p.res, s)
 			}
 		case "iframe", "frame":
 			doc.IFrameCount++
-			if s := attrs["src"]; s != "" {
-				doc.ResourceLinks = append(doc.ResourceLinks, s)
-				doc.IFrameSrcs = append(doc.IFrameSrcs, s)
+			if s := p.attr("src"); s != "" {
+				p.res = append(p.res, s)
+				p.iframe = append(p.iframe, s)
 			}
 		case "embed", "source", "audio", "video", "track":
-			if s := attrs["src"]; s != "" {
-				doc.ResourceLinks = append(doc.ResourceLinks, s)
+			if s := p.attr("src"); s != "" {
+				p.res = append(p.res, s)
 			}
 		case "link":
-			if h := attrs["href"]; h != "" {
-				doc.ResourceLinks = append(doc.ResourceLinks, h)
+			if h := p.attr("href"); h != "" {
+				p.res = append(p.res, h)
 			}
 		case "form":
-			if a := attrs["action"]; a != "" {
-				doc.ResourceLinks = append(doc.ResourceLinks, a)
+			if a := p.attr("action"); a != "" {
+				p.res = append(p.res, a)
 			}
 		case "input":
-			typ := strings.ToLower(attrs["type"])
-			if typ != "hidden" && typ != "submit" && typ != "button" && typ != "image" {
+			typ := p.attr("type")
+			if !lowerEquals(typ, "hidden") && !lowerEquals(typ, "submit") && !lowerEquals(typ, "button") && !lowerEquals(typ, "image") {
 				doc.InputCount++
 			}
 		case "textarea", "select":
 			doc.InputCount++
 		case "br", "p", "div", "td", "tr", "li", "h1", "h2", "h3", "h4", "h5", "h6":
-			text.WriteByte(' ')
+			p.text = append(p.text, ' ')
 		}
 	}
-	doc.Title = collapseSpace(title.String())
-	doc.Text = collapseSpace(decodeEntities(text.String()))
+	doc.Title = string(collapseSpace(p.title))
+	doc.Text = string(collapseSpace(decodeEntities(p.text)))
 	doc.Copyright = extractCopyright(doc.Text)
+
+	// One array for the three link lists, each capacity-limited to its
+	// own part; an empty list stays nil.
+	if total := len(p.href) + len(p.res) + len(p.iframe); total > 0 {
+		all := make([]string, 0, total)
+		cut := func(l []string) []string {
+			if len(l) == 0 {
+				return nil
+			}
+			start := len(all)
+			all = append(all, l...)
+			return all[start:len(all):len(all)]
+		}
+		doc.HREFLinks, doc.ResourceLinks, doc.IFrameSrcs = cut(p.href), cut(p.res), cut(p.iframe)
+	}
 	return doc
 }
 
-func appendText(text, title *strings.Builder, inTitle bool, skipUntil, s string) {
-	if s == "" || skipUntil != "" {
-		return
+// chars appends character data to the title or the text, unless it sits
+// inside a skipped element.
+func (p *parser) chars(s string, inTitle, skipping bool) {
+	switch {
+	case skipping:
+	case inTitle:
+		p.title = append(p.title, s...)
+	default:
+		p.text = append(p.text, s...)
 	}
-	if inTitle {
-		title.WriteString(s)
-		return
-	}
-	text.WriteString(s)
 }
 
-// scanTag parses the tag beginning at src[i] == '<'. It returns the
-// lowercase tag name, its attributes, whether it is self-closing, whether
-// it is a closing tag, and the index just past the '>'.
-func scanTag(src string, i int) (tag string, attrs map[string]string, selfClose, closing bool, next int) {
+// attr returns the value of the last attribute of the current tag whose
+// lower-cased name is name, or "".
+func (p *parser) attr(name string) string {
+	for i := len(p.attrs) - 1; i >= 0; i-- {
+		if lowerEquals(p.attrs[i].name, name) {
+			return p.attrs[i].val
+		}
+	}
+	return ""
+}
+
+// lowerEquals reports strings.ToLower(s) == lower for a lower-case
+// lower, without building the lower-cased string.
+func lowerEquals(s, lower string) bool { return lowerPrefix(s, lower) == len(s) }
+
+// lowerPrefix returns how many bytes at the start of s spell lower
+// (itself lower case) once lower-cased rune by rune, or -1 when s does
+// not begin with it.
+func lowerPrefix(s, lower string) int {
+	n := 0
+	for _, want := range lower {
+		c, size := utf8.DecodeRuneInString(s[n:])
+		if size == 0 || unicode.ToLower(c) != want {
+			return -1
+		}
+		n += size
+	}
+	return n
+}
+
+// scanTag parses the tag beginning at src[i] == '<' and records its
+// attributes in p.attrs. It returns the tag name as written ("" for a
+// stray '<', "!" for comments and declarations), whether the tag is
+// self-closing, whether it is a closing tag, and the index just past
+// the '>'.
+func (p *parser) scanTag(src string, i int) (name string, selfClose, closing bool, next int) {
+	clear(p.attrs)
+	p.attrs = p.attrs[:0]
 	n := len(src)
 	j := i + 1
 	if j >= n {
-		return "", nil, false, false, i + 1
+		return "", false, false, i + 1
 	}
 	if src[j] == '!' || src[j] == '?' {
 		// Comment, doctype or processing instruction: skip to '>'
 		// (handling <!-- --> comments properly).
 		if strings.HasPrefix(src[j:], "!--") {
 			if end := strings.Index(src[j+3:], "-->"); end >= 0 {
-				return "!comment", nil, true, false, j + 3 + end + 3
+				return "!", true, false, j + 3 + end + 3
 			}
-			return "!comment", nil, true, false, n
+			return "!", true, false, n
 		}
 		if end := strings.IndexByte(src[j:], '>'); end >= 0 {
-			return "!decl", nil, true, false, j + end + 1
+			return "!", true, false, j + end + 1
 		}
-		return "!decl", nil, true, false, n
+		return "!", true, false, n
 	}
 	if src[j] == '/' {
 		closing = true
@@ -180,11 +290,10 @@ func scanTag(src string, i int) (tag string, attrs map[string]string, selfClose,
 		j++
 	}
 	if j == start {
-		return "", nil, false, false, i + 1
+		return "", false, false, i + 1
 	}
-	tag = strings.ToLower(src[start:j])
+	name = src[start:j]
 	// Scan attributes until '>'.
-	attrs = map[string]string{}
 	for j < n && src[j] != '>' {
 		// Skip whitespace and slashes.
 		for j < n && (src[j] == ' ' || src[j] == '\t' || src[j] == '\n' || src[j] == '\r' || src[j] == '/') {
@@ -201,7 +310,7 @@ func scanTag(src string, i int) (tag string, attrs map[string]string, selfClose,
 		for j < n && src[j] != '=' && src[j] != '>' && src[j] != ' ' && src[j] != '\t' && src[j] != '\n' && src[j] != '\r' && src[j] != '/' {
 			j++
 		}
-		name := strings.ToLower(src[aStart:j])
+		a := attr{name: src[aStart:j]}
 		// Skip whitespace before '='.
 		for j < n && (src[j] == ' ' || src[j] == '\t') {
 			j++
@@ -211,7 +320,6 @@ func scanTag(src string, i int) (tag string, attrs map[string]string, selfClose,
 			for j < n && (src[j] == ' ' || src[j] == '\t') {
 				j++
 			}
-			var val string
 			if j < n && (src[j] == '"' || src[j] == '\'') {
 				quote := src[j]
 				j++
@@ -219,7 +327,7 @@ func scanTag(src string, i int) (tag string, attrs map[string]string, selfClose,
 				for j < n && src[j] != quote {
 					j++
 				}
-				val = src[vStart:j]
+				a.val = src[vStart:j]
 				if j < n {
 					j++
 				}
@@ -228,13 +336,11 @@ func scanTag(src string, i int) (tag string, attrs map[string]string, selfClose,
 				for j < n && src[j] != ' ' && src[j] != '\t' && src[j] != '\n' && src[j] != '\r' && src[j] != '>' {
 					j++
 				}
-				val = src[vStart:j]
+				a.val = src[vStart:j]
 			}
-			if name != "" {
-				attrs[name] = val
-			}
-		} else if name != "" {
-			attrs[name] = ""
+		}
+		if a.name != "" {
+			p.attrs = append(p.attrs, a)
 		}
 	}
 	if j < n && src[j] == '>' {
@@ -243,71 +349,140 @@ func scanTag(src string, i int) (tag string, attrs map[string]string, selfClose,
 	if j > i+1 && j-2 >= 0 && j-2 < n && src[j-2] == '/' {
 		selfClose = true
 	}
-	return tag, attrs, selfClose, closing, j
+	return name, selfClose, closing, j
 }
 
 func isNameChar(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '-' || c == '_' || c == ':'
 }
 
-var entityReplacer = strings.NewReplacer(
-	"&amp;", "&",
-	"&lt;", "<",
-	"&gt;", ">",
-	"&quot;", `"`,
-	"&apos;", "'",
-	"&nbsp;", " ",
-	"&copy;", "©",
-	"&#169;", "©",
-	"&reg;", "®",
-	"&eacute;", "é",
-	"&egrave;", "è",
-	"&agrave;", "à",
-	"&ccedil;", "ç",
-	"&uuml;", "ü",
-	"&ouml;", "ö",
-	"&auml;", "ä",
-	"&ntilde;", "ñ",
-)
-
-func decodeEntities(s string) string {
-	if !strings.Contains(s, "&") {
-		return s
-	}
-	return entityReplacer.Replace(s)
+// entities are the character references Parse decodes, name → text.
+// Every replacement is shorter than its "&name;".
+var entities = [...][2]string{
+	{"amp", "&"}, {"lt", "<"}, {"gt", ">"}, {"quot", `"`}, {"apos", "'"}, {"nbsp", " "},
+	{"copy", "©"}, {"#169", "©"}, {"reg", "®"}, {"eacute", "é"}, {"egrave", "è"}, {"agrave", "à"},
+	{"ccedil", "ç"}, {"uuml", "ü"}, {"ouml", "ö"}, {"auml", "ä"}, {"ntilde", "ñ"},
 }
 
-func collapseSpace(s string) string {
-	return strings.Join(strings.Fields(s), " ")
+// maxEntityName is the longest name in entities.
+const maxEntityName = len("eacute")
+
+// decodeEntities replaces the references of entities in place, left to
+// right without rescanning ("&amp;lt;" becomes "&lt;"); the write
+// position never passes the read position.
+func decodeEntities(b []byte) []byte {
+	r := bytes.IndexByte(b, '&')
+	if r < 0 {
+		return b
+	}
+	w := r
+scan:
+	for r < len(b) {
+		if b[r] == '&' {
+			window := b[r+1 : min(len(b), r+maxEntityName+2)]
+			if semi := bytes.IndexByte(window, ';'); semi > 0 {
+				for _, e := range entities {
+					if string(window[:semi]) == e[0] {
+						w += copy(b[w:], e[1])
+						r += semi + 2
+						continue scan
+					}
+				}
+			}
+		}
+		b[w] = b[r]
+		w++
+		r++
+	}
+	return b[:w]
+}
+
+// collapseSpace rewrites b in place as strings.Join(strings.Fields(b),
+// " "): runs of unicode.IsSpace runes become one space, leading and
+// trailing ones vanish, and bytes that are not valid UTF-8 are kept as
+// they are.
+func collapseSpace(b []byte) []byte {
+	w := 0
+	pending := false // a space is owed before the next field byte
+	for r := 0; r < len(b); {
+		c, size := rune(b[r]), 1
+		if c >= utf8.RuneSelf {
+			c, size = utf8.DecodeRune(b[r:])
+		}
+		if unicode.IsSpace(c) {
+			pending = w > 0
+		} else {
+			if pending {
+				b[w] = ' '
+				w++
+				pending = false
+			}
+			w += copy(b[w:], b[r:r+size])
+		}
+		r += size
+	}
+	return b[:w]
 }
 
 // extractCopyright returns the sentence-ish span around a copyright marker
 // (©, "copyright", "(c)") in text, or "" when none is present. The paper
 // uses the copyright notice as one of the five keyterm sources for target
 // identification.
+//
+// The earliest marker is found on text itself, comparing rune by rune
+// under unicode.ToLower: lower-casing a copy changes byte lengths (Ⱥ
+// grows, İ and the Kelvin sign shrink), so an offset into the copy does
+// not index the original.
 func extractCopyright(text string) string {
-	lower := strings.ToLower(text)
-	idx := -1
-	for _, marker := range []string{"©", "copyright", "(c)"} {
-		if i := strings.Index(lower, marker); i >= 0 && (idx < 0 || i < idx) {
-			idx = i
-		}
-	}
+	idx := findCopyrightMarker(text)
 	if idx < 0 {
 		return ""
 	}
-	// Take up to 12 whitespace-separated tokens starting at the marker.
+	// Take up to 12 whitespace-separated tokens starting at the marker,
+	// trimmed at a sentence boundary if one appears after the first.
 	span := text[idx:]
-	fields := strings.Fields(span)
-	if len(fields) > 12 {
-		fields = fields[:12]
-	}
-	// Trim at a sentence boundary if one appears.
-	for i, f := range fields {
-		if strings.HasSuffix(f, ".") && i > 0 {
-			fields = fields[:i+1]
+	end := 0
+	for rest, n := span, 0; n < 12 && rest != ""; n++ {
+		field := rest
+		if stop := strings.IndexFunc(rest, unicode.IsSpace); stop >= 0 {
+			field = rest[:stop]
+		}
+		end = len(span) - len(rest) + len(field)
+		if n > 0 && strings.HasSuffix(field, ".") {
 			break
 		}
+		rest = strings.TrimLeftFunc(rest[len(field):], unicode.IsSpace)
 	}
-	return strings.Join(fields, " ")
+	notice := span[:end]
+	// Parse hands in collapsed text, where the tokens are already joined
+	// by single spaces and the notice is a substring.
+	if !strings.Contains(notice, "  ") && strings.IndexFunc(notice, func(r rune) bool { return r != ' ' && unicode.IsSpace(r) }) < 0 {
+		return notice
+	}
+	return strings.Join(strings.Fields(notice), " ")
+}
+
+// findCopyrightMarker returns the offset of the earliest "©",
+// "copyright" or "(c)" in text, any case, or -1. A marker can only
+// begin at one of four bytes — no other rune lower-cases to 'c', '(' or
+// '©' — so the scan is bytewise and the rune-wise comparison runs only
+// behind those.
+func findCopyrightMarker(text string) int {
+	for i := 0; i < len(text); i++ {
+		switch text[i] {
+		case 'c', 'C':
+			if lowerPrefix(text[i+1:], "opyright") >= 0 {
+				return i
+			}
+		case '(':
+			if lowerPrefix(text[i+1:], "c)") >= 0 {
+				return i
+			}
+		case "©"[0]:
+			if strings.HasPrefix(text[i:], "©") {
+				return i
+			}
+		}
+	}
+	return -1
 }

@@ -130,9 +130,10 @@ func termStats(a *webpage.Analysis) map[string]termStat {
 	table := make(map[string]termStat, a.Dist(webpage.DistText).Len())
 	for _, id := range keytermSources {
 		d := a.Dist(id)
-		for _, t := range d.Terms() {
+		probs := d.Probs()
+		for i, t := range d.Terms() {
 			st := table[t]
-			st.score += d.P(t)
+			st.score += probs[i]
 			st.sources++
 			table[t] = st
 		}

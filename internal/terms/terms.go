@@ -8,11 +8,25 @@
 // (e.g. B, β, b̀, b̂ → b). Everything outside A splits the input. The scheme
 // is deliberately language-independent: no dictionary, no stop-word list,
 // no stemming.
+//
+// A Distribution holds its distinct terms sorted, every one a substring
+// of a single backing string, beside a parallel probability slice.
+// Sorted order is what the Hellinger merge needs anyway, so lookups are
+// a binary search over it and no hash map is built: a page has fourteen
+// distributions, most of them a handful of terms, and each one is kept
+// alive in the serving memo tables long after it was built. They are
+// built by a pooled Builder that folds and splits its input straight
+// into a byte arena, sorts the occurrences and run-length counts them —
+// three allocations (backing string, terms, probabilities) for one
+// distribution or for all fourteen of a page built together, none of
+// them aliasing the pooled arena.
 package terms
 
 import (
+	"bytes"
+	"slices"
 	"sort"
-	"strings"
+	"sync"
 	"unicode"
 )
 
@@ -50,27 +64,13 @@ func Canonicalize(r rune) rune {
 }
 
 // Extract splits s into terms per the paper's scheme. The returned slice
-// preserves occurrence order and repetitions (one entry per occurrence),
-// which NewDistribution needs to compute probabilities.
+// preserves occurrence order and repetitions (one entry per occurrence);
+// its strings share one backing string.
 func Extract(s string) []string {
-	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() >= MinTermLength {
-			out = append(out, cur.String())
-		}
-		cur.Reset()
-	}
-	for _, r := range s {
-		c := Canonicalize(r)
-		if c < 0 {
-			flush()
-			continue
-		}
-		cur.WriteRune(c)
-	}
-	flush()
-	return out
+	b := AcquireBuilder()
+	defer b.Release()
+	b.Add(s)
+	return b.occurrences()
 }
 
 // Count returns len(Extract(s)) without materializing the terms: the
@@ -111,13 +111,171 @@ func AppendFolded(dst []byte, s string) []byte {
 	return dst
 }
 
-// ExtractAll extracts terms from every string in ss, concatenated in order.
-func ExtractAll(ss []string) []string {
-	var out []string
-	for _, s := range ss {
-		out = append(out, Extract(s)...)
+// Builder accumulates term occurrences and builds their distributions.
+// Add folds and splits text by Extract's rule directly into a byte
+// arena, so no per-term string or []string exists on the way. A Builder
+// comes from AcquireBuilder and goes back with Release; between the two
+// it builds any number of distributions, one by one (Build) or several
+// that are kept together in one set of arrays (Next, BuildAll). Nothing
+// a Builder returns references its scratch.
+type Builder struct {
+	arena  []byte // folded occurrences, back to back
+	ends   []int  // ends[i]: end offset of occurrence i in arena
+	bounds []int  // bounds[k]: len(ends) when Next closed distribution k
+	perm   []int  // occurrence indexes, sorted by term within a distribution
+}
+
+var builderPool = sync.Pool{New: func() any { return new(Builder) }}
+
+// AcquireBuilder returns an empty Builder from the pool.
+func AcquireBuilder() *Builder { return builderPool.Get().(*Builder) }
+
+// Release returns b, emptied, to the pool; b must not be used afterwards.
+func (b *Builder) Release() {
+	b.reset()
+	builderPool.Put(b)
+}
+
+func (b *Builder) reset() {
+	b.arena = b.arena[:0]
+	b.ends = b.ends[:0]
+	b.bounds = b.bounds[:0]
+}
+
+// Add appends the terms of s as occurrences. A term never spans two
+// Add calls: the end of s splits like any character outside the
+// alphabet.
+func (b *Builder) Add(s string) {
+	start := len(b.arena)
+	for _, r := range s {
+		if c := Canonicalize(r); c >= 0 {
+			b.arena = append(b.arena, byte(c))
+			continue
+		}
+		start = b.cut(start)
 	}
+	b.cut(start)
+}
+
+// cut closes the run that began at start: kept as an occurrence when
+// long enough, dropped from the arena otherwise. It returns where the
+// next run begins.
+func (b *Builder) cut(start int) int {
+	if len(b.arena)-start >= MinTermLength {
+		b.ends = append(b.ends, len(b.arena))
+	} else {
+		b.arena = b.arena[:start]
+	}
+	return len(b.arena)
+}
+
+// addOccurrence appends t as one occurrence exactly as given.
+func (b *Builder) addOccurrence(t string) {
+	b.arena = append(b.arena, t...)
+	b.ends = append(b.ends, len(b.arena))
+}
+
+// occurrence returns the bytes of occurrence i.
+func (b *Builder) occurrence(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = b.ends[i-1]
+	}
+	return b.arena[start:b.ends[i]]
+}
+
+// sorted returns the bytes of the i-th occurrence in sorted order.
+func (b *Builder) sorted(i int) []byte { return b.occurrence(b.perm[i]) }
+
+// startsRun reports whether the i-th occurrence in sorted order is the
+// first of its term in the distribution whose occurrences begin at lo.
+func (b *Builder) startsRun(i, lo int) bool {
+	return i == lo || !bytes.Equal(b.sorted(i), b.sorted(i-1))
+}
+
+// occurrences returns the accumulated occurrences in order, cut from one
+// copy of the arena, and empties the builder.
+func (b *Builder) occurrences() []string {
+	if len(b.ends) == 0 {
+		return nil
+	}
+	backing := string(b.arena)
+	out := make([]string, len(b.ends))
+	start := 0
+	for i, end := range b.ends {
+		out[i] = backing[start:end]
+		start = end
+	}
+	b.reset()
 	return out
+}
+
+// Next closes the distribution the preceding Add calls fed; the Add
+// calls that follow feed another one.
+func (b *Builder) Next() { b.bounds = append(b.bounds, len(b.ends)) }
+
+// Build returns the distribution of the occurrences added since the
+// last Build and empties the builder for the next one.
+func (b *Builder) Build() Distribution {
+	var d [1]Distribution
+	b.Next()
+	b.BuildAll(d[:])
+	return d[0]
+}
+
+// BuildAll stores the distributions closed by Next, in order, in dst
+// (one element per Next call) and empties the builder. Sorting a
+// distribution's occurrences bytewise puts equal terms next to each
+// other, so counting is a run-length pass and the distinct terms come
+// out in the order sort.Strings would give them. The distributions
+// share three allocations — one backing string, one term slice, one
+// probability slice — and each is cut from them capacity-limited.
+func (b *Builder) BuildAll(dst []Distribution) {
+	b.perm = b.perm[:0]
+	for i := range b.ends {
+		b.perm = append(b.perm, i)
+	}
+	// Sort each distribution and stage its distinct terms, in order,
+	// behind the occurrences in the arena.
+	staged, distinct, lo := len(b.arena), 0, 0
+	for _, hi := range b.bounds {
+		slices.SortFunc(b.perm[lo:hi], func(x, y int) int {
+			return bytes.Compare(b.occurrence(x), b.occurrence(y))
+		})
+		for i := lo; i < hi; i++ {
+			if b.startsRun(i, lo) {
+				distinct++
+				b.arena = append(b.arena, b.sorted(i)...)
+			}
+		}
+		lo = hi
+	}
+	clear(dst)
+	if distinct > 0 {
+		rest := string(b.arena[staged:])
+		terms := make([]string, 0, distinct)
+		probs := make([]float64, 0, distinct)
+		lo = 0
+		for k, hi := range b.bounds {
+			first := len(terms)
+			for i := lo; i < hi; {
+				j := i + 1
+				for j < hi && !b.startsRun(j, lo) {
+					j++
+				}
+				size := len(b.sorted(i))
+				terms = append(terms, rest[:size])
+				probs = append(probs, float64(j-i)/float64(hi-lo))
+				rest = rest[size:]
+				i = j
+			}
+			if last := len(terms); last > first {
+				dst[k] = Distribution{terms: terms[first:last:last], probs: probs[first:last:last], total: hi - lo}
+			}
+			lo = hi
+		}
+	}
+	b.reset()
 }
 
 // Distribution is a probabilistic term distribution D_S: each extracted
@@ -127,48 +285,44 @@ func ExtractAll(ss []string) []string {
 // Terms are stored sorted so that every numeric traversal (Hellinger
 // distance, probability sums) visits them in a fixed order — floating-
 // point accumulation is order-sensitive, and the whole repository
-// guarantees bit-identical results for identical inputs.
+// guarantees bit-identical results for identical inputs. The same order
+// serves lookups: P, Contains and ContainsBytes binary-search it, so a
+// distribution carries no index beside its two slices.
 type Distribution struct {
-	terms []string  // sorted ascending
+	terms []string  // sorted ascending, substrings of one backing string
 	probs []float64 // parallel to terms
-	index map[string]int
 	total int
 }
 
 // NewDistribution builds a distribution from a multiset of term
-// occurrences. An empty occurrence list yields the empty distribution.
+// occurrences, taken as given (no folding, no minimum length). An empty
+// occurrence list yields the empty distribution.
 func NewDistribution(occurrences []string) Distribution {
-	if len(occurrences) == 0 {
-		return Distribution{}
-	}
-	counts := make(map[string]int, len(occurrences))
+	b := AcquireBuilder()
+	defer b.Release()
 	for _, t := range occurrences {
-		counts[t]++
+		b.addOccurrence(t)
 	}
-	ts := make([]string, 0, len(counts))
-	for t := range counts {
-		ts = append(ts, t)
-	}
-	sort.Strings(ts)
-	probs := make([]float64, len(ts))
-	index := make(map[string]int, len(ts))
-	n := float64(len(occurrences))
-	for i, t := range ts {
-		probs[i] = float64(counts[t]) / n
-		index[t] = i
-	}
-	return Distribution{terms: ts, probs: probs, index: index, total: len(occurrences)}
+	return b.Build()
 }
 
 // FromText extracts terms from s and builds their distribution.
 func FromText(s string) Distribution {
-	return NewDistribution(Extract(s))
+	b := AcquireBuilder()
+	defer b.Release()
+	b.Add(s)
+	return b.Build()
 }
 
 // FromStrings extracts terms from every string and builds the combined
 // distribution.
 func FromStrings(ss []string) Distribution {
-	return NewDistribution(ExtractAll(ss))
+	b := AcquireBuilder()
+	defer b.Release()
+	for _, s := range ss {
+		b.Add(s)
+	}
+	return b.Build()
 }
 
 // Empty reports whether the distribution has no terms.
@@ -183,7 +337,7 @@ func (d Distribution) TotalOccurrences() int { return d.total }
 
 // P returns the probability of term t, or 0 if absent.
 func (d Distribution) P(t string) float64 {
-	if i, ok := d.index[t]; ok {
+	if i, ok := slices.BinarySearch(d.terms, t); ok {
 		return d.probs[i]
 	}
 	return 0
@@ -191,20 +345,32 @@ func (d Distribution) P(t string) float64 {
 
 // Contains reports whether term t occurs in the distribution.
 func (d Distribution) Contains(t string) bool {
-	_, ok := d.index[t]
+	_, ok := slices.BinarySearch(d.terms, t)
 	return ok
 }
 
-// ContainsBytes is Contains for a byte-slice term, allocation-free (the
-// map lookup converts without copying).
+// ContainsBytes is Contains for a byte-slice term, allocation-free (a
+// string conversion inside a comparison does not copy).
 func (d Distribution) ContainsBytes(t []byte) bool {
-	_, ok := d.index[string(t)]
-	return ok
+	lo, hi := 0, len(d.terms)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if d.terms[mid] < string(t) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(d.terms) && d.terms[lo] == string(t)
 }
 
 // Terms returns the distinct terms in sorted order. The slice is shared;
 // callers must not modify it.
 func (d Distribution) Terms() []string { return d.terms }
+
+// Probs returns the probabilities parallel to Terms. The slice is
+// shared; callers must not modify it.
+func (d Distribution) Probs() []float64 { return d.probs }
 
 // TermSet returns the support of the distribution as a set.
 func (d Distribution) TermSet() map[string]struct{} {
@@ -215,26 +381,12 @@ func (d Distribution) TermSet() map[string]struct{} {
 	return out
 }
 
-// SubstringProbabilitySum returns the sum of probabilities of terms that
-// are substrings of target. Used by feature set f3: "sum of probability
-// from terms of D that are substrings of starting/landing mld".
-// Deterministic: terms are visited in sorted order.
-func (d Distribution) SubstringProbabilitySum(target string) float64 {
-	if target == "" {
-		return 0
-	}
-	var sum float64
-	for i, t := range d.terms {
-		if strings.Contains(target, t) {
-			sum += d.probs[i]
-		}
-	}
-	return sum
-}
-
-// SubstringProbabilitySumBytes is SubstringProbabilitySum for a
-// byte-slice target. It is allocation-free: the substring scan compares
-// bytes in place instead of converting either side to a string.
+// SubstringProbabilitySumBytes returns the sum of probabilities of terms
+// that are substrings of target. Used by feature set f3: "sum of
+// probability from terms of D that are substrings of starting/landing
+// mld". Deterministic: terms are visited in sorted order. It is
+// allocation-free: the substring scan compares bytes in place instead
+// of converting either side to a string.
 func (d Distribution) SubstringProbabilitySumBytes(target []byte) float64 {
 	if len(target) == 0 {
 		return 0

@@ -146,12 +146,12 @@ func TestTopN(t *testing.T) {
 func TestSubstringProbabilitySum(t *testing.T) {
 	d := NewDistribution([]string{"bank", "america", "bank", "login"})
 	// "bank" and "america" are substrings of "bankofamerica".
-	got := d.SubstringProbabilitySum("bankofamerica")
+	got := d.SubstringProbabilitySumBytes([]byte("bankofamerica"))
 	want := 0.5 + 0.25
 	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("SubstringProbabilitySum = %v, want %v", got, want)
+		t.Errorf("SubstringProbabilitySumBytes = %v, want %v", got, want)
 	}
-	if d.SubstringProbabilitySum("") != 0 {
+	if d.SubstringProbabilitySumBytes(nil) != 0 {
 		t.Error("empty target should yield 0")
 	}
 }
@@ -310,10 +310,8 @@ func TestBytesVariantsMatchStringAPI(t *testing.T) {
 			t.Errorf("ContainsBytes(%q) = %v, want %v", term, got, want)
 		}
 	}
-	for _, target := range []string{"", "securebank", "bank", "xyz", "loginsecurelogin"} {
-		got := d.SubstringProbabilitySumBytes([]byte(target))
-		want := d.SubstringProbabilitySum(target)
-		if got != want {
+	for target, want := range map[string]float64{"": 0, "securebank": 0.75, "bank": 0.25, "xyz": 0, "loginsecurelogin": 0.75} {
+		if got := d.SubstringProbabilitySumBytes([]byte(target)); got != want {
 			t.Errorf("SubstringProbabilitySumBytes(%q) = %v, want %v", target, got, want)
 		}
 	}

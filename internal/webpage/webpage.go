@@ -10,7 +10,9 @@
 package webpage
 
 import (
+	"slices"
 	"strings"
+	"sync"
 
 	"knowphish/internal/htmlx"
 	"knowphish/internal/terms"
@@ -199,8 +201,15 @@ type Analysis struct {
 	// IntLink/ExtLink likewise for HREF links.
 	IntLog, ExtLog, IntLink, ExtLink []urlx.Parts
 
-	dists map[DistID]terms.Distribution
+	dists [DistImage + 1]terms.Distribution // indexed by DistID
 }
+
+// linkScratch is the per-call working memory of Analyze: the parsed
+// URLs of one list, before they are copied into the exact-size arrays
+// the Analysis keeps.
+type linkScratch struct{ parts []urlx.Parts }
+
+var linkScratchPool = sync.Pool{New: func() any { return new(linkScratch) }}
 
 // Analyze parses and classifies every URL of the snapshot and computes all
 // fourteen term distributions.
@@ -208,16 +217,21 @@ func Analyze(s *Snapshot) *Analysis {
 	a := &Analysis{
 		Snap:           s,
 		ControlledRDNs: make(map[string]struct{}),
-		dists:          make(map[DistID]terms.Distribution, 14),
 	}
+	sc := linkScratchPool.Get().(*linkScratch)
+	defer func() {
+		// Parts hold strings of the snapshot; do not pin them in the pool.
+		clear(sc.parts)
+		linkScratchPool.Put(sc)
+	}()
+
 	a.Start, _ = urlx.Parse(s.StartingURL)
-	a.Land, _ = urlx.Parse(s.LandingURL)
-	for _, u := range s.RedirectionChain {
-		p, err := urlx.Parse(u)
-		if err != nil {
-			continue
-		}
-		a.Chain = append(a.Chain, p)
+	a.Land, _ = a.parseURL(s.LandingURL)
+	a.parse(sc, s.RedirectionChain)
+	if len(sc.parts) > 0 {
+		a.Chain = slices.Clone(sc.parts)
+	}
+	for _, p := range a.Chain {
 		if p.RDN != "" {
 			a.ControlledRDNs[p.RDN] = struct{}{}
 		}
@@ -231,30 +245,70 @@ func Analyze(s *Snapshot) *Analysis {
 		a.ControlledRDNs[a.Land.RDN] = struct{}{}
 	}
 
-	for _, u := range s.LoggedLinks {
-		p, err := urlx.Parse(u)
-		if err != nil {
-			continue
-		}
-		if a.isInternal(p) {
-			a.IntLog = append(a.IntLog, p)
-		} else {
-			a.ExtLog = append(a.ExtLog, p)
-		}
-	}
-	for _, u := range s.HREFLinks {
-		p, err := urlx.Parse(u)
-		if err != nil {
-			continue
-		}
-		if a.isInternal(p) {
-			a.IntLink = append(a.IntLink, p)
-		} else {
-			a.ExtLink = append(a.ExtLink, p)
-		}
-	}
+	a.IntLog, a.ExtLog = a.classify(sc, s.LoggedLinks)
+	a.IntLink, a.ExtLink = a.classify(sc, s.HREFLinks)
 	a.buildDistributions()
 	return a
+}
+
+// parseURL is urlx.Parse, except that the starting and the landing URL
+// are not decomposed again: a chain repeats both, and pages link to
+// themselves.
+func (a *Analysis) parseURL(u string) (urlx.Parts, error) {
+	switch {
+	case u == a.Start.Raw && u != "":
+		return a.Start, nil
+	case u == a.Land.Raw && u != "":
+		return a.Land, nil
+	}
+	return urlx.Parse(u)
+}
+
+// parse fills sc.parts with the decomposition of every URL of urls that
+// urlx accepts, in order.
+func (a *Analysis) parse(sc *linkScratch, urls []string) {
+	clear(sc.parts)
+	sc.parts = sc.parts[:0]
+	for _, u := range urls {
+		if p, err := a.parseURL(u); err == nil {
+			sc.parts = append(sc.parts, p)
+		}
+	}
+}
+
+// classify parses urls and splits them into internal and external
+// links, each in input order. Both lists are cut from one array of
+// exactly the parsed count, capacity-limited so an append to one cannot
+// reach the other; a class without members is nil.
+func (a *Analysis) classify(sc *linkScratch, urls []string) (internal, external []urlx.Parts) {
+	a.parse(sc, urls)
+	if len(sc.parts) == 0 {
+		return nil, nil
+	}
+	n := 0
+	for i := range sc.parts {
+		if a.isInternal(sc.parts[i]) {
+			n++
+		}
+	}
+	all := make([]urlx.Parts, len(sc.parts))
+	in, ex := 0, n
+	for _, p := range sc.parts {
+		if a.isInternal(p) {
+			all[in] = p
+			in++
+		} else {
+			all[ex] = p
+			ex++
+		}
+	}
+	if n > 0 {
+		internal = all[:n:n]
+	}
+	if n < len(all) {
+		external = all[n:]
+	}
+	return internal, external
 }
 
 // isInternal classifies a URL as internal when its RDN belongs to the
@@ -271,98 +325,84 @@ func (a *Analysis) isInternal(p urlx.Parts) bool {
 	return ok
 }
 
-// Dist returns the term distribution identified by id.
-func (a *Analysis) Dist(id DistID) terms.Distribution { return a.dists[id] }
+// Dist returns the term distribution identified by id; an id outside
+// Table I reads as the empty distribution.
+func (a *Analysis) Dist(id DistID) terms.Distribution {
+	if id < 0 || int(id) >= len(a.dists) {
+		return terms.Distribution{}
+	}
+	return a.dists[id]
+}
 
+// buildDistributions feeds the sources of Table I, in DistID order,
+// through one pooled builder; the fourteen distributions are built
+// together and share their arrays.
 func (a *Analysis) buildDistributions() {
-	a.dists[DistText] = terms.FromText(a.Snap.Text)
-	a.dists[DistTitle] = terms.FromText(a.Snap.Title)
-	a.dists[DistCopyright] = terms.FromText(a.Snap.Copyright)
-	a.dists[DistImage] = terms.FromStrings(a.Snap.ScreenshotTerms)
+	b := terms.AcquireBuilder()
+	defer b.Release()
+	for id := DistText; id <= DistImage; id++ {
+		a.addSource(b, id)
+		b.Next()
+	}
+	b.BuildAll(a.dists[DistText:])
+}
 
-	a.dists[DistStart] = terms.FromText(a.Start.FreeURL())
-	a.dists[DistLand] = terms.FromText(a.Land.FreeURL())
+// addSource adds the terms of distribution id's source to b.
+func (a *Analysis) addSource(b *terms.Builder, id DistID) {
+	switch id {
+	case DistText:
+		b.Add(a.Snap.Text)
+	case DistTitle:
+		b.Add(a.Snap.Title)
+	case DistCopyright:
+		b.Add(a.Snap.Copyright)
+	case DistImage:
+		for _, s := range a.Snap.ScreenshotTerms {
+			b.Add(s)
+		}
+	case DistStart:
+		addFreeURL(b, a.Start)
+	case DistLand:
+		addFreeURL(b, a.Land)
+	case DistIntLog:
+		addFreeURL(b, a.IntLog...)
+	case DistIntLink:
+		addFreeURL(b, a.IntLink...)
+	case DistExtLog:
+		addFreeURL(b, a.ExtLog...)
+	case DistExtLink:
+		addFreeURL(b, a.ExtLink...)
 	// RDN distributions decode punycode first: an IDN homograph domain
 	// ("xn--pypal-…") contributes the terms of its unicode form, which
 	// the §III-B canonicalization folds back to base letters —
 	// recovering the brand term the homograph hides.
-	a.dists[DistStartRDN] = terms.FromText(a.Start.UnicodeRDN())
-	a.dists[DistLandRDN] = terms.FromText(a.Land.UnicodeRDN())
-
-	a.dists[DistIntLog] = freeURLDist(a.IntLog)
-	a.dists[DistIntLink] = freeURLDist(a.IntLink)
-	a.dists[DistExtLog] = freeURLDist(a.ExtLog)
-	a.dists[DistExtLink] = freeURLDist(a.ExtLink)
-
-	// Dintrdn: RDNs of internal links, both HREF and logged (Table I).
-	var intRDNs []string
-	for _, p := range a.IntLog {
-		intRDNs = append(intRDNs, terms.Extract(p.RDN)...)
+	case DistStartRDN:
+		b.Add(a.Start.UnicodeRDN())
+	case DistLandRDN:
+		b.Add(a.Land.UnicodeRDN())
+	case DistIntRDN:
+		// RDNs of internal links, both HREF and logged (Table I).
+		addRDNs(b, a.IntLog)
+		addRDNs(b, a.IntLink)
+	case DistExtRDN:
+		// RDNs of external logged links (Table I).
+		addRDNs(b, a.ExtLog)
 	}
-	for _, p := range a.IntLink {
-		intRDNs = append(intRDNs, terms.Extract(p.RDN)...)
-	}
-	a.dists[DistIntRDN] = terms.NewDistribution(intRDNs)
-
-	// Dextrdn: RDNs of external logged links (Table I).
-	var extRDNs []string
-	for _, p := range a.ExtLog {
-		extRDNs = append(extRDNs, terms.Extract(p.RDN)...)
-	}
-	a.dists[DistExtRDN] = terms.NewDistribution(extRDNs)
 }
 
-func freeURLDist(ps []urlx.Parts) terms.Distribution {
-	var occ []string
-	for _, p := range ps {
-		occ = append(occ, terms.Extract(p.FreeURL())...)
+// addFreeURL adds the FreeURL terms of ps component-wise: FreeURL joins
+// subdomains, path and query with a space, which splits terms exactly
+// as the end of a component does, so the joined string is never built.
+func addFreeURL(b *terms.Builder, ps ...urlx.Parts) {
+	for i := range ps {
+		b.Add(ps[i].Subdomains)
+		b.Add(ps[i].Path)
+		b.Add(ps[i].Query)
 	}
-	return terms.NewDistribution(occ)
 }
 
-// AllRDNs returns every distinct RDN observed anywhere in the snapshot
-// (chain, logged links, HREF links), used by target identification.
-func (a *Analysis) AllRDNs() []string {
-	set := make(map[string]struct{})
-	add := func(ps []urlx.Parts) {
-		for _, p := range ps {
-			if p.RDN != "" {
-				set[p.RDN] = struct{}{}
-			}
-		}
+func addRDNs(b *terms.Builder, ps []urlx.Parts) {
+	for i := range ps {
+		b.Add(ps[i].RDN)
 	}
-	add(a.Chain)
-	add(a.IntLog)
-	add(a.ExtLog)
-	add(a.IntLink)
-	add(a.ExtLink)
-	out := make([]string, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	return out
-}
-
-// AllMLDs returns every distinct mld observed in the snapshot's URLs
-// (starting, landing, logged and HREF links), used by target
-// identification step 1.
-func (a *Analysis) AllMLDs() []string {
-	set := make(map[string]struct{})
-	addOne := func(p urlx.Parts) {
-		if p.MLD != "" {
-			set[p.MLD] = struct{}{}
-		}
-	}
-	addOne(a.Start)
-	addOne(a.Land)
-	for _, group := range [][]urlx.Parts{a.IntLog, a.ExtLog, a.IntLink, a.ExtLink} {
-		for _, p := range group {
-			addOne(p)
-		}
-	}
-	out := make([]string, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	return out
 }

@@ -3,8 +3,6 @@ package webpage
 import (
 	"encoding/json"
 	"reflect"
-	"sort"
-	"strings"
 	"testing"
 
 	"knowphish/internal/terms"
@@ -207,26 +205,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(*s, back) {
 		t.Errorf("roundtrip mismatch:\n got %+v\nwant %+v", back, *s)
-	}
-}
-
-func TestAllRDNsAndMLDs(t *testing.T) {
-	a := Analyze(sampleSnapshot())
-	rdns := a.AllRDNs()
-	sort.Strings(rdns)
-	joined := strings.Join(rdns, " ")
-	for _, want := range []string{"bit.example", "examplebank.com", "thirdparty.net", "example.org"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("AllRDNs missing %q: %v", want, rdns)
-		}
-	}
-	mlds := a.AllMLDs()
-	sort.Strings(mlds)
-	joinedM := strings.Join(mlds, " ")
-	for _, want := range []string{"bit", "examplebank", "thirdparty", "example"} {
-		if !strings.Contains(joinedM, want) {
-			t.Errorf("AllMLDs missing %q: %v", want, mlds)
-		}
 	}
 }
 
