@@ -35,9 +35,10 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Short fuzz pass over every surface that takes attacker- or operator-
-# chosen bytes: the URL decomposition; the HTML scanner, the term kernel
-# and webpage.Analyze, each against the map-and-string implementation it
-# replaced (kept verbatim in reference_test.go); the search kernel
+# chosen bytes: the URL decomposition, the HTML scanner, the term kernel
+# and webpage.Analyze, each against the implementation it replaced (kept
+# verbatim in reference_test.go); the score-request scanner against
+# encoding/json, its fallback; the search kernel
 # against its map-and-sort reference on fuzzer-built corpora; the content
 # identity's preimage (distinct snapshots never share bytes or a key);
 # the NDJSON feed connector; and the migration reader of legacy verdict
@@ -52,7 +53,8 @@ FUZZ_TARGETS = \
 	FuzzPreimageInjective:./internal/webpage \
 	FuzzQueryMatchesReference:./internal/search \
 	FuzzNDJSONSource:./internal/feedsrc \
-	FuzzLegacyRead:./internal/store
+	FuzzLegacyRead:./internal/store \
+	FuzzDecodeDoc:./internal/serve
 
 FUZZTIME ?= 10s
 fuzz-smoke:

@@ -552,6 +552,76 @@ func BenchmarkServeScore(b *testing.B) {
 	}
 }
 
+// discardWriter is a ResponseWriter that keeps nothing, so a benchmark
+// of a handler does not measure httptest's recorder.
+type discardWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+
+// BenchmarkDecodeScoreRequest prices reading and decoding one /v2/score
+// body. The serving layer has no public decoder, so one op is a POST
+// whose cache_control the handler rejects right after decoding: pooled
+// body read + decode + a one-line 400. path=fast is the body as
+// json.Marshal writes it, which the strict scanner takes; path=fallback
+// is the same body with its first key spelled "HTML", which only
+// encoding/json accepts. Request and writer are reused, so allocs/op is
+// the handler's own.
+func BenchmarkDecodeScoreRequest(b *testing.B) {
+	r := benchSetup(b)
+	d, err := r.Detector(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := serve.New(serve.Config{Detector: d, Identifier: target.New(r.Corpus.Engine)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var page *webgen.Page
+	for page == nil || len(page.HTML) < 3000 {
+		site := r.Corpus.World.NewLegitSite(rng, webgen.LegitOptions{Lang: webgen.English})
+		page = site.Pages[site.StartURL]
+	}
+	fast, err := json.Marshal(serve.V2ScoreRequest{
+		PageRequest: serve.PageRequest{
+			HTML:             page.HTML,
+			StartingURL:      page.URL,
+			LandingURL:       page.URL,
+			RedirectionChain: []string{page.URL, page.URL},
+		},
+		ScoreOptions: serve.ScoreOptions{CacheControl: "rejected-after-decode"},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fallback := bytes.Replace(fast, []byte(`{"html":`), []byte(`{"HTML":`), 1)
+	for _, bc := range []struct {
+		name string
+		body []byte
+	}{{"path=fast", fast}, {"path=fallback", fallback}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rd := bytes.NewReader(bc.body)
+			req := httptest.NewRequest(http.MethodPost, "/v2/score", rd)
+			w := &discardWriter{header: http.Header{}}
+			b.SetBytes(int64(len(bc.body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(bc.body)
+				srv.ServeHTTP(w, req)
+				if w.status != http.StatusBadRequest {
+					b.Fatalf("status %d, want the 400 for the unknown cache_control", w.status)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCoalescedScore measures the content-addressed stage memo
 // (internal/coalesce) under conc concurrent callers, with the per-stage
 // memo tables cold (disabled, so every request computes every stage) or

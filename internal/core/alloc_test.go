@@ -16,13 +16,14 @@ import (
 
 // fullPathAllocBudget bounds the allocations of one cold ScoreCtx call
 // (webpage.Analyze + extraction + classification) on the corpus's legit
-// fixture page. Analysis is nearly all of it, and within it urlx.Parse:
-// the page has 31 links and each decomposition costs about six
-// allocations; the link lists take one array each and the fourteen term
-// distributions three between them. The fixture page measures 174
-// (about 1040 before the map-free term kernel); the margin absorbs
-// Go-runtime variation, not code growth.
-const fullPathAllocBudget = 200
+// fixture page. Analysis is all of it: the Analysis, the controlled-RDN
+// map, one array per link list and three for the fourteen term
+// distributions together; urlx.Parse cuts every part from the URL it
+// is given, so the page's 31 links add nothing. The fixture page
+// measures 9 (174 while urlx split and joined labels, about 1040 before
+// the map-free term kernel); the margin absorbs Go-runtime variation,
+// not code growth.
+const fullPathAllocBudget = 11
 
 func TestScoreCtxWarmPathZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {

@@ -1,0 +1,349 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
+	"knowphish/internal/racecheck"
+	"knowphish/internal/webgen"
+)
+
+// oracleDecode is the decoder decodeDoc replaced and still falls back
+// to: encoding/json with unknown fields disallowed and nothing allowed
+// after the document.
+func oracleDecode(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return errTrailingData
+	}
+	return nil
+}
+
+// checkDoc holds b to the scanner's contract for both document types:
+// a document it takes decodes to exactly what encoding/json decodes, a
+// document it declines leaves the destination as it was, and decodeDoc
+// ends with encoding/json's value and error text either way. It reports
+// whether the v2 scanner took the document.
+func checkDoc(t testing.TB, b []byte) bool {
+	t.Helper()
+	marker := V2ScoreRequest{
+		PageRequest:  PageRequest{HTML: "kept", RedirectionChain: []string{"kept"}},
+		ScoreOptions: ScoreOptions{Explain: "kept", TopFeatures: 7, SkipTarget: true},
+	}
+
+	var want V2ScoreRequest
+	wantErr := oracleDecode(b, &want)
+	var got V2ScoreRequest
+	took := scanScoreDoc(b, &got.PageRequest, &got.ScoreOptions)
+	switch {
+	case took && wantErr != nil:
+		t.Fatalf("scanner took %q, encoding/json says %v", b, wantErr)
+	case took && !reflect.DeepEqual(got, want):
+		t.Fatalf("scanner decoded %q to\n %#v\nencoding/json to\n %#v", b, got, want)
+	case !took:
+		kept := marker
+		kept.RedirectionChain = []string{"kept"}
+		if scanScoreDoc(b, &kept.PageRequest, &kept.ScoreOptions) || !reflect.DeepEqual(kept, marker) {
+			t.Fatalf("scanner declined %q but wrote %#v", b, kept)
+		}
+	}
+	var viaDoc V2ScoreRequest
+	if err := decodeDoc(b, &viaDoc); !sameError(err, wantErr) || !reflect.DeepEqual(viaDoc, want) {
+		t.Fatalf("decodeDoc(%q) = %#v, %v; encoding/json %#v, %v", b, viaDoc, err, want, wantErr)
+	}
+
+	// The v1 document: the same scanner with the option keys declined.
+	var wantPage, gotPage, viaDocPage PageRequest
+	wantErr = oracleDecode(b, &wantPage)
+	if scanScoreDoc(b, &gotPage, nil) {
+		if wantErr != nil || !reflect.DeepEqual(gotPage, wantPage) {
+			t.Fatalf("v1 scanner decoded %q to %#v; encoding/json %#v, %v", b, gotPage, wantPage, wantErr)
+		}
+	} else if !reflect.DeepEqual(gotPage, PageRequest{}) {
+		t.Fatalf("v1 scanner declined %q but wrote %#v", b, gotPage)
+	}
+	if err := decodeDoc(b, &viaDocPage); !sameError(err, wantErr) || !reflect.DeepEqual(viaDocPage, wantPage) {
+		t.Fatalf("decodeDoc(%q) = %#v, %v; encoding/json %#v, %v", b, viaDocPage, err, wantPage, wantErr)
+	}
+	return took
+}
+
+func sameError(a, b error) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return a.Error() == b.Error()
+}
+
+// canonicalDocs must be taken by the scanner.
+var canonicalDocs = []string{
+	`{}`,
+	` { } `,
+	`{"html":"<p>x</p>","landing_url":"http://a.test/"}`,
+	"\t{ \"html\" : \"<p>x</p>\" ,\r\n \"landing_url\" : \"http://a.test/\" }\n",
+	`{"landing_url":"http://a.test/","starting_url":"http://b.test/","html":"x"}`,
+	`{"html":"","starting_url":"","landing_url":"","explain":"","cache_control":""}`,
+	`{"html":"x","landing_url":"u","redirection_chain":[]}`,
+	`{"html":"x","landing_url":"u","redirection_chain":[ ]}`,
+	`{"html":"x","landing_url":"u","redirection_chain":["http://a.test/"]}`,
+	`{"html":"x","landing_url":"u","redirection_chain":[ "a" , "b/c" ,"" ]}`,
+	`{"html":"x","landing_url":"u","explain":"top","top_features":4,"deadline_ms":250,"skip_target":true,"cache_control":"no-memo"}`,
+	`{"skip_target":false,"deadline_ms":0,"top_features":-0}`,
+	`{"deadline_ms":-12,"top_features":-3}`,
+	`{"deadline_ms":999999999999999999}`,
+	// Every escape, as json.Marshal writes them and as a hand may.
+	`{"html":"\u003cp\u003e \"q\" \/ \u00e9 \u00E9 \n\r\t\b\f \\ \u0026 \u2028\u2029 \u0000 \u001f \ufffd \uffff \ud7ff\ue000\u003c\/p\u003e"}`,
+	"{\"html\":\"raw \u00e9 \u65e5\u672c\u8a9e \U0001F600 \x7f \ud7ff \ue000 \ufffd \U0010FFFF\"}",
+	`{"html":"\\u003c is not an escape"}`,
+}
+
+// declinedDocs must be left to encoding/json, which accepts some of
+// them (with another meaning than the bytes suggest) and rejects others.
+var declinedDocs = []string{
+	``,
+	` `,
+	`null`,
+	`[]`,
+	`"html"`,
+	`{"snapshot":{"landing_url":"http://a.test/"}}`,
+	`{"snapshot":null}`,
+	`{"html":null}`,
+	`{"redirection_chain":null}`,
+	`{"redirection_chain":[null]}`,
+	`{"redirection_chain":["a",1]}`,
+	`{"redirection_chain":["a",]}`,
+	`{"redirection_chain":"a"}`,
+	`{"html":"a","html":"b"}`,
+	`{"HTML":"a"}`,
+	`{"Html":"a","html":"b"}`,
+	`{"landing_URL":"a"}`,
+	`{"\u0068tml":"a"}`,
+	`{"unknown":"a"}`,
+	`{"":"a"}`,
+	`{"html":1}`,
+	`{"html":true}`,
+	`{"html":["a"]}`,
+	`{"skip_target":"true"}`,
+	`{"skip_target":1}`,
+	`{"skip_target":truex}`,
+	`{"skip_target":TRUE}`,
+	`{"deadline_ms":"5"}`,
+	`{"deadline_ms":1.5}`,
+	`{"deadline_ms":1e3}`,
+	`{"deadline_ms":01}`,
+	`{"deadline_ms":-}`,
+	`{"deadline_ms":+1}`,
+	`{"deadline_ms":1000000000000000000}`,
+	`{"deadline_ms":99999999999999999999}`,
+	`{"top_features":2.0}`,
+	`{"html":"a` + "\n" + `b"}`,
+	`{"html":"a` + "\x00" + `b"}`,
+	`{"html":"a` + "\x1f" + `b"}`,
+	`{"html":"bad utf8 ` + "\xff" + `"}`,
+	`{"html":"cut utf8 ` + "\xe6\x97" + `"}`,
+	`{"html":"encoded surrogate ` + "\xed\xa0\x80" + `"}`,
+	`{"html":"\ud83d\ude00"}`,
+	`{"html":"\ud83d"}`,
+	`{"html":"\ude00 lone low"}`,
+	`{"html":"\x41"}`,
+	`{"html":"\u12"}`,
+	`{"html":"\u12g4"}`,
+	`{"html":"\`,
+	`{"html":"\u`,
+	`{"html":"unterminated}`,
+	`{"html":"a"`,
+	`{"html":"a",}`,
+	`{"html":"a" "landing_url":"b"}`,
+	`{"html" "a"}`,
+	`{"html":}`,
+	`{html:"a"}`,
+	`{,}`,
+	`{"html":"a"}{"html":"b"}`,
+	`{"html":"a"} garbage`,
+	`{"html":"a"} {}`,
+	`{"html":"a"}` + "\x00",
+	"\xef\xbb\xbf" + `{"html":"a"}`,
+	"\v" + `{"html":"a"}`,
+}
+
+func TestDecodeDocMatchesEncodingJSON(t *testing.T) {
+	for _, doc := range canonicalDocs {
+		if !checkDoc(t, []byte(doc)) {
+			t.Errorf("scanner declined the canonical document %q", doc)
+		}
+	}
+	for _, doc := range declinedDocs {
+		if checkDoc(t, []byte(doc)) {
+			t.Errorf("scanner took %q", doc)
+		}
+	}
+
+	// Option keys belong to the v2 document only.
+	var page PageRequest
+	if scanScoreDoc([]byte(`{"html":"x","explain":"top"}`), &page, nil) {
+		t.Error("v1 scanner took an option key")
+	}
+
+	// What clients send: pages of generated sites in the six evaluation
+	// languages, marshalled by encoding/json.
+	w := webgen.New(webgen.Config{Seed: 18, Brands: 40, RankedGenerics: 40, VocabularyWords: 80})
+	rng := rand.New(rand.NewSource(18))
+	var bodies [][]byte
+	for len(bodies) < 200 {
+		lang := webgen.Languages[len(bodies)%len(webgen.Languages)]
+		site := w.NewLegitSite(rng, webgen.LegitOptions{Lang: lang})
+		if len(bodies)%3 == 0 {
+			site = w.NewPhishSite(rng, webgen.PhishOptions{Lang: lang})
+		}
+		for u, p := range site.Pages {
+			if p.HTML == "" {
+				continue
+			}
+			body, err := json.Marshal(V2ScoreRequest{
+				PageRequest:  PageRequest{HTML: p.HTML, StartingURL: site.StartURL, LandingURL: u, RedirectionChain: []string{site.StartURL, u}},
+				ScoreOptions: ScoreOptions{Explain: "top", TopFeatures: len(bodies), SkipTarget: len(bodies)%2 == 0},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies = append(bodies, body)
+		}
+	}
+	for _, body := range bodies {
+		if !checkDoc(t, body) {
+			t.Fatalf("scanner declined a marshalled request: %.200q", body)
+		}
+	}
+
+	// No prefix of a document is a document; none may panic either.
+	body := bodies[0]
+	for n := 0; n < len(body); n++ {
+		if checkDoc(t, body[:n:n]) {
+			t.Fatalf("scanner took the %d-byte prefix of a %d-byte document", n, len(body))
+		}
+	}
+}
+
+func FuzzDecodeDoc(f *testing.F) {
+	for _, doc := range canonicalDocs {
+		f.Add([]byte(doc))
+	}
+	for _, doc := range declinedDocs {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) { checkDoc(t, b) })
+}
+
+// scoreBody is a canonical /v2/score body of about 6 KB: some 3.5 KB of
+// HTML (markup escaped as json.Marshal escapes it), two URLs and a
+// two-entry chain.
+func scoreBody(t testing.TB) []byte {
+	t.Helper()
+	var html strings.Builder
+	html.WriteString("<html><head><title>Account sign-in</title></head><body>")
+	for i := 0; html.Len() < 3500; i++ {
+		html.WriteString(`<p class="row">Please <a href="http://login.example.test/step?id=`)
+		html.WriteString(strings.Repeat("x", i%7))
+		html.WriteString(`&amp;next=1">confirm</a> your details — "now"</p>` + "\n")
+	}
+	html.WriteString("</body></html>")
+	body, err := json.Marshal(V2ScoreRequest{PageRequest: PageRequest{
+		HTML:             html.String(),
+		StartingURL:      "http://short.example.test/r/1",
+		LandingURL:       "https://login.example.test/signin",
+		RedirectionChain: []string{"http://short.example.test/r/1", "https://login.example.test/signin"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestDecodeScoreAllocBudget pins what reading and decoding a score
+// request costs once the pool is warm: the limit reader, the HTML, two
+// URLs, the chain and its two entries — each string once, at its exact
+// size — and nothing that scales with the body a second time. The
+// json.Decoder it replaced made 22 allocations and 24.6 KB of this body.
+func TestDecodeScoreAllocBudget(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s := newServer(t, nil)
+	body := scoreBody(t)
+	rd := bytes.NewReader(body)
+	r := httptest.NewRequest(http.MethodPost, "/v2/score", rd)
+	w := httptest.NewRecorder()
+	var req V2ScoreRequest
+	decode := func() {
+		rd.Reset(body)
+		req = V2ScoreRequest{}
+		if !s.decode(w, r, &req) {
+			t.Fatalf("decode failed: %s", w.Body.String())
+		}
+	}
+	decode()
+	if len(req.HTML) < 3500 || len(req.RedirectionChain) != 2 {
+		t.Fatalf("decoded %d bytes of HTML, chain %q", len(req.HTML), req.RedirectionChain)
+	}
+
+	const runs = 200
+	allocs := testing.AllocsPerRun(runs, decode)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	perDecode := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d-byte body: %.0f allocs, %d B per decode", len(body), allocs, perDecode)
+	if allocs > 8 {
+		t.Errorf("decode allocated %.0f times, budget 8", allocs)
+	}
+	if limit := uint64(len(body)) + 512; perDecode > limit {
+		t.Errorf("decode allocated %d B for a %d-byte body, budget %d", perDecode, len(body), limit)
+	}
+}
+
+// TestBodyPoolDropsLargeBuffers: the buffer a 2 MiB body was read into
+// is garbage, not pool content; an ordinary one is kept.
+func TestBodyPoolDropsLargeBuffers(t *testing.T) {
+	s := newServer(t, func(cfg *Config) { cfg.MaxBodyBytes = 4 << 20 })
+	for _, tc := range []struct {
+		htmlBytes int
+		pooled    bool
+	}{{4 << 10, true}, {2 << 20, false}} {
+		body, err := json.Marshal(PageRequest{HTML: strings.Repeat("x", tc.htmlBytes), LandingURL: "http://big.test/"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// What decode does with the body, keeping hold of the buffer.
+		buf := getBuf()
+		r := httptest.NewRequest(http.MethodPost, "/v1/score", bytes.NewReader(body))
+		if _, err := buf.ReadFrom(http.MaxBytesReader(httptest.NewRecorder(), r.Body, s.maxBody)); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() != len(body) {
+			t.Fatalf("read %d of %d bytes", buf.Len(), len(body))
+		}
+		if got := putBuf(buf); got != tc.pooled {
+			t.Errorf("%d-byte body: buffer of capacity %d pooled = %v, want %v", len(body), buf.Cap(), got, tc.pooled)
+		}
+		// And the endpoint itself takes a body of that size.
+		var resp ScoreResponse
+		if code := call(t, s, http.MethodPost, "/v1/score", json.RawMessage(body), &resp); code != http.StatusOK {
+			t.Errorf("%d-byte body: status %d", len(body), code)
+		}
+	}
+}

@@ -374,6 +374,33 @@ func TestOversizedBodyRejectedWith413(t *testing.T) {
 	if code := call(t, s, http.MethodPost, "/v1/score", big, &resp); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("status = %d, want 413", code)
 	}
+
+	// The body is read before it is parsed, so size wins over syntax: a
+	// body that is both over the limit and malformed from its first byte
+	// is a 413 (it was a 400 while the decoder read from the socket and
+	// met the syntax error first). Within the limit it stays a 400.
+	for _, tc := range []struct {
+		body string
+		code int
+		text string
+	}{
+		{"not json " + strings.Repeat("x", 1024), http.StatusRequestEntityTooLarge, "request body exceeds 256 bytes"},
+		{`{"html":"x","landing_url":"http://a.test/"} ` + strings.Repeat("x", 1024), http.StatusRequestEntityTooLarge, "request body exceeds 256 bytes"},
+		{"not json", http.StatusBadRequest, "decoding request: invalid character 'o' in literal null (expecting 'u')"},
+	} {
+		for _, path := range []string{"/v1/score", "/v2/score", "/v2/score/batch"} {
+			req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(tc.body))
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			resp = errorResponse{}
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Code != tc.code || resp.Error != tc.text {
+				t.Errorf("%s %.20q: status %d %q, want %d %q", path, tc.body, rec.Code, resp.Error, tc.code, tc.text)
+			}
+		}
+	}
 }
 
 func TestTargetEndpoint(t *testing.T) {

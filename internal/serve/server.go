@@ -57,18 +57,15 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
 	"runtime/debug"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -1185,53 +1182,15 @@ func (s *Server) recordOutcome(out core.Outcome) {
 	}
 }
 
-// decode parses the JSON body into v, replying with 400 on malformed
-// JSON and 413 on bodies over the size limit.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.fail(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", s.maxBody))
-			return false
-		}
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return false
-	}
-	// One JSON document per request: trailing content means a garbled
-	// or concatenated body that would otherwise be silently truncated.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		s.fail(w, http.StatusBadRequest, errors.New("decoding request: trailing data after JSON document"))
-		return false
-	}
-	return true
-}
-
-// replyPool recycles response-encoding buffers. Marshaling into a
-// pooled buffer first (instead of streaming into the ResponseWriter)
-// reuses the encoder's working memory across requests and lets the
-// response carry a Content-Length.
-var replyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledReply caps the buffer capacity returned to replyPool: one
-// giant batch response must not pin megabytes in the pool forever.
-const maxPooledReply = 1 << 20
-
 func (s *Server) reply(w http.ResponseWriter, status int, v any) {
-	buf := replyPool.Get().(*bytes.Buffer)
-	buf.Reset()
+	buf := getBuf()
+	defer putBuf(buf)
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		// Nothing was written yet, so the failure can still be reported
 		// as a real error status (pre-pool encoding failed after the
 		// header and could only be counted).
 		s.metrics.errors.Add(1)
 		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
-		if buf.Cap() <= maxPooledReply {
-			replyPool.Put(buf)
-		}
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -1240,9 +1199,6 @@ func (s *Server) reply(w http.ResponseWriter, status int, v any) {
 	if _, err := w.Write(buf.Bytes()); err != nil {
 		// Headers are gone; nothing to do but count it.
 		s.metrics.errors.Add(1)
-	}
-	if buf.Cap() <= maxPooledReply {
-		replyPool.Put(buf)
 	}
 }
 

@@ -65,7 +65,7 @@ func (s *Server) handleScoreStream(w http.ResponseWriter, r *http.Request) {
 	// Each line is encoded into a reused buffer and written in one call:
 	// the encoder's working memory amortizes across the stream instead
 	// of being re-grown per item, and the transport sees whole lines.
-	buf := replyPool.Get().(*bytes.Buffer)
+	buf := getBuf()
 	enc := json.NewEncoder(buf)
 	for res := range results {
 		buf.Reset()
@@ -82,9 +82,7 @@ func (s *Server) handleScoreStream(w http.ResponseWriter, r *http.Request) {
 		}
 		s.metrics.streamed.Add(1)
 	}
-	if buf.Cap() <= maxPooledReply {
-		replyPool.Put(buf)
-	}
+	putBuf(buf)
 	if ctx.Err() != nil {
 		s.metrics.cancelled.Add(1)
 	}
@@ -116,12 +114,10 @@ func (s *Server) readStreamItems(w http.ResponseWriter, r *http.Request) ([]stre
 			return nil, false
 		}
 		var it streamItem
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
 		// A malformed line becomes a per-item error in the response
 		// stream; killing the whole stream for one bad line would throw
 		// away every good item behind it.
-		it.parseErr = dec.Decode(&it.req)
+		it.parseErr = decodeDoc(line, &it.req)
 		items = append(items, it)
 	}
 	if err := sc.Err(); err != nil {

@@ -105,6 +105,52 @@ func TestScoreStreamPerItemErrors(t *testing.T) {
 	}
 }
 
+// TestStreamLineTrailingDataIsItemError: a line is one document, held to
+// the rule /v2/score holds a body to. Two concatenated documents and
+// some garbage used to answer with a verdict for the first document and
+// drop the rest without a word.
+func TestStreamLineTrailingDataIsItemError(t *testing.T) {
+	s := newServer(t, nil)
+	const line = `{"html":"<p>a</p>","landing_url":"http://a.test/"}{"html":"<p>b</p>","landing_url":"http://b.test/"} garbage`
+
+	var single errorResponse
+	req := httptest.NewRequest(http.MethodPost, "/v2/score", strings.NewReader(line))
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if err := json.Unmarshal(rec.Body.Bytes(), &single); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusBadRequest || single.Error != "decoding request: trailing data after JSON document" {
+		t.Fatalf("/v2/score: status %d, error %q", rec.Code, single.Error)
+	}
+
+	body := line + "\n" + `{"html":"<p>c</p>","landing_url":"http://c.test/"}` + "\n"
+	req = httptest.NewRequest(http.MethodPost, "/v2/score/stream", strings.NewReader(body))
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+	}
+	byIdx := map[int]V2StreamResult{}
+	sc := bufio.NewScanner(rec.Body)
+	for sc.Scan() {
+		var res V2StreamResult
+		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
+			t.Fatal(err)
+		}
+		byIdx[res.Index] = res
+	}
+	if len(byIdx) != 2 {
+		t.Fatalf("got %d result lines, want 2", len(byIdx))
+	}
+	if got := byIdx[0]; got.Error != "decoding item: trailing data after JSON document" || got.V2ScoreResponse != nil {
+		t.Errorf("concatenated line answered %+v, want the trailing-data item error and no verdict", got)
+	}
+	if got := byIdx[1]; got.Error != "" || got.V2ScoreResponse == nil || got.LandingURL != "http://c.test/" {
+		t.Errorf("the line after it answered %+v", got)
+	}
+}
+
 func TestScoreStreamOverLimitRejected(t *testing.T) {
 	s := newServer(t, func(cfg *Config) { cfg.MaxBatch = 4 })
 	req := httptest.NewRequest(http.MethodPost, "/v2/score/stream", streamBody(5))

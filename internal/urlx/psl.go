@@ -69,31 +69,44 @@ func (l *PSL) PublicSuffix(fqdn string) string {
 	if fqdn == "" {
 		return ""
 	}
-	labels := strings.Split(fqdn, ".")
-	best := ""
-	for i := 0; i < len(labels); i++ {
-		candidate := strings.Join(labels[i:], ".")
+	return fqdn[l.suffixStart(fqdn):]
+}
+
+// suffixStart returns where the public suffix of h starts; h is a
+// non-empty lower-cased host without trailing dots. Every candidate the
+// algorithm looks up is a suffix of h beginning at a label, so it walks
+// the label starts and slices. len(h) means an exception rule matched
+// the last label alone and the suffix is empty.
+func (l *PSL) suffixStart(h string) int {
+	best, prev, start := -1, -1, 0
+	for {
+		candidate := h[start:]
+		dot := strings.IndexByte(candidate, '.')
 		if _, ok := l.exceptions[candidate]; ok {
 			// Exception rule: the suffix is one label shorter.
-			if i+1 < len(labels) {
-				return strings.Join(labels[i+1:], ".")
+			if dot < 0 {
+				return len(h)
 			}
-			return ""
+			return start + dot + 1
 		}
-		if _, ok := l.rules[candidate]; ok && len(candidate) > len(best) {
-			best = candidate
+		// Candidates only get shorter, so the first match is the longest.
+		if _, ok := l.rules[candidate]; ok && best < 0 {
+			best = start
 		}
-		if i > 0 {
-			if _, ok := l.wildcards[candidate]; ok {
-				wild := strings.Join(labels[i-1:], ".")
-				if len(wild) > len(best) {
-					best = wild
-				}
+		if prev >= 0 {
+			// A wildcard rule matches one label more than its base.
+			if _, ok := l.wildcards[candidate]; ok && (best < 0 || prev < best) {
+				best = prev
 			}
 		}
+		if dot < 0 {
+			break
+		}
+		prev, start = start, start+dot+1
 	}
-	if best == "" {
-		return labels[len(labels)-1]
+	if best < 0 {
+		// No rule matched: the last label is the suffix.
+		return start
 	}
 	return best
 }

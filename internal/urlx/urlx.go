@@ -132,26 +132,27 @@ func (l *PSL) Parse(raw string) (Parts, error) {
 		return p, nil
 	}
 
-	ps := l.PublicSuffix(p.FQDN)
-	p.PublicSuffix = ps
-	labels := strings.Split(p.FQDN, ".")
-	psLabels := 0
-	if ps != "" {
-		psLabels = strings.Count(ps, ".") + 1
-	}
-	if psLabels >= len(labels) {
+	// Every part below is a substring of the lower-cased host: the
+	// public suffix is h[ps:], the main level domain the label before
+	// it, the registered domain both together and the subdomains what
+	// precedes them.
+	h := p.FQDN
+	ps := l.suffixStart(h)
+	p.PublicSuffix = h[ps:]
+	if ps == 0 {
 		// The whole FQDN is a public suffix (e.g. "co.uk" itself):
 		// no registrable domain.
 		return p, nil
 	}
-	p.MLD = labels[len(labels)-psLabels-1]
-	if ps == "" {
-		p.RDN = p.MLD
-	} else {
-		p.RDN = p.MLD + "." + ps
+	mldEnd := len(h)
+	if ps < len(h) {
+		mldEnd = ps - 1
 	}
-	if extra := len(labels) - psLabels - 1; extra > 0 {
-		p.Subdomains = strings.Join(labels[:extra], ".")
+	mld := strings.LastIndexByte(h[:mldEnd], '.') + 1
+	p.MLD = h[mld:mldEnd]
+	p.RDN = h[mld:]
+	if mld > 0 {
+		p.Subdomains = h[:mld-1]
 	}
 	return p, nil
 }
@@ -272,21 +273,25 @@ func isIPLiteral(host string) bool {
 		// Contains a colon after port stripping: IPv6.
 		return true
 	}
-	parts := strings.Split(host, ".")
-	if len(parts) != 4 {
-		return false
-	}
-	for _, p := range parts {
-		if !isDigits(p) || len(p) > 3 {
+	// Dotted quad: four runs of one to three digits, each at most 255.
+	parts, digits, v := 1, 0, 0
+	for i := 0; i < len(host); i++ {
+		switch c := host[i]; {
+		case c == '.':
+			if digits == 0 {
+				return false
+			}
+			parts++
+			digits, v = 0, 0
+		case c >= '0' && c <= '9':
+			digits++
+			v = v*10 + int(c-'0')
+			if digits > 3 || v > 255 {
+				return false
+			}
+		default:
 			return false
 		}
-		v := 0
-		for i := 0; i < len(p); i++ {
-			v = v*10 + int(p[i]-'0')
-		}
-		if v > 255 {
-			return false
-		}
 	}
-	return true
+	return parts == 4 && digits > 0
 }

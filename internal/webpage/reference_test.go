@@ -394,11 +394,12 @@ func TestAnalyzeConcurrent(t *testing.T) {
 }
 
 // analyzeAllocBudget bounds one Analyze of the English test snapshot:
-// the Analysis, the controlled-RDN map, one backing array per link list,
-// three allocations for the fourteen distributions together, and what
-// urlx.Parse costs per URL. 86 measured; the map-per-distribution
-// kernel took 607.
-const analyzeAllocBudget = 150
+// the Analysis, the controlled-RDN map, one backing array per link list
+// and three allocations for the fourteen distributions together;
+// urlx.Parse allocates only for a host that is not already lower-case.
+// 9 measured (86 while urlx split and joined labels; the
+// map-per-distribution kernel took 607).
+const analyzeAllocBudget = 11
 
 func TestAnalyzeAllocBudget(t *testing.T) {
 	if racecheck.Enabled {
@@ -409,7 +410,9 @@ func TestAnalyzeAllocBudget(t *testing.T) {
 	if s == nil || len(s.HREFLinks) == 0 || len(s.LoggedLinks) == 0 || s.Text == "" {
 		t.Fatalf("test page is degenerate: %+v", s)
 	}
-	if n := testing.AllocsPerRun(50, func() { Analyze(s) }); n > analyzeAllocBudget {
+	n := testing.AllocsPerRun(50, func() { Analyze(s) })
+	t.Logf("Analyze: %.0f allocs/page (budget %d)", n, analyzeAllocBudget)
+	if n > analyzeAllocBudget {
 		t.Errorf("Analyze allocated %.0f times per page, budget %d", n, analyzeAllocBudget)
 	}
 }

@@ -14,5 +14,5 @@
 # BenchmarkAnalyze is anchored (the -N suffix is the GOMAXPROCS tag) so
 # BenchmarkAnalyzeCtx and BenchmarkAnalyzeBatchCancelled stay out.
 
-KEY_BENCHES='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkContentKey|BenchmarkStoreAppend|BenchmarkStoreScan|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkAdmission|BenchmarkTargetIdentification|BenchmarkSearchQuery|BenchmarkAnalyze$|BenchmarkFeatureExtraction|BenchmarkTermExtraction'
-KEY_GATE='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict/layout=flat|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkContentKey|BenchmarkStoreAppend/backend=segmented|BenchmarkStoreScan/backend=segmented|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkAdmission|BenchmarkTargetIdentification|BenchmarkSearchQuery|BenchmarkAnalyze(-|$)|BenchmarkFeatureExtraction|BenchmarkTermExtraction'
+KEY_BENCHES='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkContentKey|BenchmarkStoreAppend|BenchmarkStoreScan|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkAdmission|BenchmarkTargetIdentification|BenchmarkSearchQuery|BenchmarkAnalyze$|BenchmarkFeatureExtraction|BenchmarkTermExtraction|BenchmarkDecodeScoreRequest'
+KEY_GATE='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict/layout=flat|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkContentKey|BenchmarkStoreAppend/backend=segmented|BenchmarkStoreScan/backend=segmented|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkAdmission|BenchmarkTargetIdentification|BenchmarkSearchQuery|BenchmarkAnalyze(-|$)|BenchmarkFeatureExtraction|BenchmarkTermExtraction|BenchmarkDecodeScoreRequest'
