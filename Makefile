@@ -8,7 +8,7 @@ GO ?= go
 # bench-* targets below inherit it by not setting BENCH. Override per
 # run with BENCH=<regexp>.
 
-.PHONY: all build test race race-cover bench bench-smoke bench-compare bench-gate bench-json fuzz-smoke fuzz-long store-stress load-smoke overload-smoke cover fmt fmt-check vet staticcheck vulncheck serve registry-check alloc-check loc profile ci
+.PHONY: all build test race race-cover bench bench-smoke bench-compare bench-gate bench-json fuzz-smoke fuzz-long store-stress load-smoke overload-smoke cover fmt fmt-check vet staticcheck vulncheck serve registry-check alloc-check assembly-check loc profile ci
 
 all: build
 
@@ -185,9 +185,22 @@ registry-check:
 alloc-check:
 	$(GO) test -count=1 -run Alloc ./...
 
+# One process assembly: outside internal/app, the knowphish facade,
+# serve.New's own default memo, tests and the frozen benchmark/ harness,
+# nothing constructs a server, a feed scheduler, a stage memo or a
+# verdict store — kpserve, `kpload run -self` and BenchmarkLoadEndToEnd
+# all go through app.Start, and a second wiring cannot quietly regrow.
+ASSEMBLY_CTORS = \b(serve\.New|feed\.New|coalesce\.New|store\.Open)\(
+assembly-check:
+	@out="$$(git grep -n -E '$(ASSEMBLY_CTORS)' -- '*.go' ':!*_test.go' \
+		':!internal/app/' ':!knowphish.go' ':!benchmark/' \
+		| grep -v '^internal/serve/server\.go:.*coalesce\.New(')"; \
+	if [ -n "$$out" ]; then \
+		echo "constructed outside internal/app:" >&2; echo "$$out" >&2; exit 1; fi
+
 # Size of the program: non-test Go lines and files tracked by git,
 # outside the frozen benchmark/ harness. "Net-negative" and "N% fewer
-# lines" criteria (ROADMAP items 2 and 4) are read off this command.
+# lines" criteria (ROADMAP item 6) are read off this command.
 LOC_FILES = git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/'
 loc:
 	@echo "non-test Go outside benchmark/: $$($(LOC_FILES) | xargs cat | wc -l) lines in $$($(LOC_FILES) | wc -l) files"
@@ -201,4 +214,4 @@ profile:
 	curl -fsS "http://$(DEBUG_ADDR)/debug/pprof/profile?seconds=10" -o cpu.pprof
 	@echo "wrote cpu.pprof; inspect with: $(GO) tool pprof cpu.pprof"
 
-ci: fmt-check vet staticcheck vulncheck build race-cover registry-check alloc-check bench-smoke fuzz-smoke
+ci: fmt-check vet staticcheck vulncheck assembly-check build race-cover registry-check alloc-check bench-smoke fuzz-smoke

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -27,6 +28,7 @@ import (
 	"testing"
 	"time"
 
+	"knowphish/internal/app"
 	"knowphish/internal/coalesce"
 	"knowphish/internal/core"
 	"knowphish/internal/crawl"
@@ -1167,8 +1169,9 @@ func BenchmarkAdmission(b *testing.B) {
 }
 
 // BenchmarkLoadEndToEnd is the macro benchmark behind `make load-smoke`
-// and the bench gate: a complete in-process kpserve (detector, feed
-// pipeline, in-memory verdict store) on a real HTTP listener, loaded by
+// and the bench gate: the kpserve process assembly (internal/app —
+// detector, feed pipeline draining through the shared stage memo,
+// tracer, in-memory verdict store) on a real HTTP listener, loaded by
 // the internal/loadgen closed loop with a fixed request budget per
 // iteration. One op is one full load run; the reported url/s is the
 // sustained submission throughput, and the benchmark fails if the
@@ -1191,33 +1194,25 @@ func BenchmarkLoadEndToEnd(b *testing.B) {
 	var last loadgen.Report
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		st, err := store.Open(store.Config{Backend: store.BackendMemory})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sched, err := feed.New(feed.Config{
-			Fetcher:    world,
-			Pipeline:   &core.Pipeline{Detector: d, Identifier: target.New(r.Corpus.Engine)},
-			Store:      st,
-			DomainRate: -1,
+		a, err := app.Start(app.Config{
+			World:        &app.World{Detector: d, Engine: r.Corpus.Engine, Fetcher: world},
+			StoreBackend: store.BackendMemory,
+			DomainRate:   -1,
+			Trace:        true,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		srv, err := serve.New(serve.Config{
-			Detector:   d,
-			Identifier: target.New(r.Corpus.Engine),
-			Feed:       sched,
-			Store:      st,
-		})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
 		}
-		ts := httptest.NewServer(srv)
+		served := make(chan error, 1)
+		go func() { served <- a.Serve(ln) }()
 		b.StartTimer()
 
 		rep, err := loadgen.Run(context.Background(), loadgen.Config{
-			TargetURL:      ts.URL,
+			TargetURL:      "http://" + ln.Addr().String(),
 			Corpus:         corpus,
 			Workers:        runtime.GOMAXPROCS(0),
 			Requests:       budget,
@@ -1228,19 +1223,21 @@ func BenchmarkLoadEndToEnd(b *testing.B) {
 		}
 
 		b.StopTimer()
-		if dropped := sched.Drain(time.Now().Add(30 * time.Second)); dropped != 0 {
-			b.Fatalf("drain dropped %d accepted URLs", dropped)
+		if err := a.Close(); err != nil {
+			b.Fatal(err)
 		}
-		fs := sched.Stats()
+		if err := <-served; err != nil {
+			b.Fatal(err)
+		}
+		fs := a.Feed.Stats()
+		if fs.Dropped != 0 {
+			b.Fatalf("drain dropped %d accepted URLs", fs.Dropped)
+		}
 		if fs.Processed+fs.Failed != fs.Accepted {
 			b.Fatalf("verdict loss: accepted %d, processed %d + failed %d", fs.Accepted, fs.Processed, fs.Failed)
 		}
 		if rep.Errors > 0 {
 			b.Fatalf("load run saw %d request errors", rep.Errors)
-		}
-		ts.Close()
-		if err := st.Close(); err != nil {
-			b.Fatal(err)
 		}
 		last = rep
 		b.StartTimer()

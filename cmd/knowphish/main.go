@@ -17,10 +17,10 @@ import (
 	"math/rand"
 	"os"
 
+	"knowphish/internal/app"
 	"knowphish/internal/core"
 	"knowphish/internal/crawl"
 	"knowphish/internal/dataset"
-	"knowphish/internal/ml"
 	"knowphish/internal/target"
 	"knowphish/internal/webgen"
 	"knowphish/internal/webpage"
@@ -44,21 +44,11 @@ func run() error {
 	flag.Parse()
 
 	fmt.Printf("building world and training detector (scale 1/%d)...\n", *scale)
-	corpus, err := dataset.Build(dataset.Config{
-		Seed:              *seed,
-		Scale:             *scale,
-		World:             webgen.Config{Seed: *seed + 1},
-		SkipLanguageTests: true,
-	})
+	corpus, err := app.BuildCorpus(*scale, *seed)
 	if err != nil {
 		return err
 	}
-	snaps := append(corpus.LegTrain.Snapshots(), corpus.PhishTrain.Snapshots()...)
-	labels := append(corpus.LegTrain.Labels(), corpus.PhishTrain.Labels()...)
-	det, err := core.Train(snaps, labels, core.TrainConfig{
-		GBM:  ml.GBMConfig{Trees: 100, MaxDepth: 4, Subsample: 0.8, MinLeaf: 5, Seed: *seed + 2},
-		Rank: corpus.World.Ranking(),
-	})
+	det, _, err := app.TrainDemo(corpus, *seed)
 	if err != nil {
 		return err
 	}

@@ -24,9 +24,11 @@
 // -qps > 0 arrivals are paced at the target rate regardless of response
 // times (an open loop), so reported latency includes queueing delay,
 // the number closed loops hide. -self skips the network target and
-// boots a complete in-process kpserve (self-trained detector, feed
-// pipeline, in-memory verdict store) on a loopback listener, then loads
-// it: a one-command macro benchmark needing nothing running.
+// starts the kpserve process assembly (internal/app: self-trained
+// detector, feed pipeline draining through the shared stage memo,
+// tracer, in-memory verdict store) on a loopback listener, then loads
+// it: a one-command macro benchmark needing nothing running, measuring
+// the same wiring kpserve serves with.
 //
 // Overload testing: -endpoint score drives uncached POST /v1/score
 // requests instead of feed batches; with -self, repeatable -slo specs
@@ -57,25 +59,13 @@ import (
 	"syscall"
 	"time"
 
-	"knowphish/internal/core"
-	"knowphish/internal/dataset"
-	"knowphish/internal/feed"
+	"knowphish/internal/app"
 	"knowphish/internal/loadgen"
-	"knowphish/internal/ml"
-	"knowphish/internal/obs"
 	"knowphish/internal/serve"
 	"knowphish/internal/slo"
 	"knowphish/internal/store"
-	"knowphish/internal/target"
 	"knowphish/internal/webgen"
 )
-
-// multiFlag collects a repeatable string flag (-slo may be given once
-// per objective).
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -135,8 +125,8 @@ func runGen(args []string) error {
 }
 
 // genCorpus lists every persistent brand page of the world a kpserve
-// started with -seed serveSeed crawls. The +1 mirrors kpserve's
-// buildCorpus: the world seed is the service seed plus one.
+// started with -seed serveSeed crawls. The +1 mirrors app.BuildCorpus:
+// the world seed is the service seed plus one.
 func genCorpus(serveSeed int64) []string {
 	w := webgen.New(webgen.Config{Seed: serveSeed + 1})
 	var urls []string
@@ -163,16 +153,21 @@ func runLoad(args []string) error {
 	pageBytes := fs.Int("page-bytes", loadgen.DefaultPageBytes, "with -endpoint score: approximate HTML size per submitted page (bigger = more server work per request)")
 	cacheMix := fs.Float64("cache-mix", 0, "with -endpoint score: fraction (0..1) of requests replaying a small hot page set — warm traffic answered from the stage memo")
 	jsonOut := fs.String("json", "", "also write the report as JSON (the LOAD_PR.json artifact)")
-	seed := fs.Int64("seed", 42, "with -self: the service seed (detector, world)")
-	scale := fs.Int("scale", 20, "with -self: corpus downscale divisor for self-training (higher = faster boot)")
-	feedWorkers := fs.Int("feed-workers", 0, "with -self: feed pipeline workers (0 = GOMAXPROCS)")
-	feedQueue := fs.Int("feed-queue", 0, "with -self: feed queue depth (0 = default)")
-	serveWorkers := fs.Int("serve-workers", 0, "with -self: serve worker-pool bound (0 = GOMAXPROCS); lower it to make overload reachable")
-	var sloSpecs multiFlag
-	fs.Var(&sloSpecs, "slo", "with -self: SLO objective spec, e.g. \"score:p99<250ms,avail>99.9\" (repeatable)")
-	sloFast := fs.Duration("slo-fast", slo.DefaultFastWindow, "with -self -slo: fast burn-rate window")
-	sloSlow := fs.Duration("slo-slow", slo.DefaultSlowWindow, "with -self -slo: slow burn-rate window")
-	sloHold := fs.Duration("slo-holddown", slo.DefaultHoldDown, "with -self -slo: state fall hold-down")
+	// The -self server is the kpserve assembly with an in-memory verdict
+	// store; these flags bind to the same app.Config fields kpserve's do.
+	selfCfg := app.Config{StoreBackend: store.BackendMemory, Trace: true}
+	fs.Int64Var(&selfCfg.Seed, "seed", 42, "with -self: the service seed (detector, world)")
+	fs.IntVar(&selfCfg.Scale, "scale", 20, "with -self: corpus downscale divisor for self-training (higher = faster boot)")
+	fs.IntVar(&selfCfg.FeedWorkers, "feed-workers", 0, "with -self: feed pipeline workers (0 = GOMAXPROCS)")
+	fs.IntVar(&selfCfg.FeedQueue, "feed-queue", 0, "with -self: feed queue depth (0 = default)")
+	fs.IntVar(&selfCfg.Workers, "serve-workers", 0, "with -self: serve worker-pool bound (0 = GOMAXPROCS); lower it to make overload reachable")
+	fs.Func("slo", "with -self: SLO objective spec, e.g. \"score:p99<250ms,avail>99.9\" (repeatable)", func(v string) error {
+		selfCfg.SLO = append(selfCfg.SLO, v)
+		return nil
+	})
+	fs.DurationVar(&selfCfg.SLOFast, "slo-fast", slo.DefaultFastWindow, "with -self -slo: fast burn-rate window")
+	fs.DurationVar(&selfCfg.SLOSlow, "slo-slow", slo.DefaultSlowWindow, "with -self -slo: slow burn-rate window")
+	fs.DurationVar(&selfCfg.SLOHoldDown, "slo-holddown", slo.DefaultHoldDown, "with -self -slo: state fall hold-down")
 	expectShed := fs.Bool("expect-shed", false, "assert the run engaged load shedding, lost no accepted work, and recovered (exits nonzero otherwise)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -180,7 +175,7 @@ func runLoad(args []string) error {
 	if *expectShed && !*self {
 		return fmt.Errorf("-expect-shed requires -self (it scrapes the server's ledger and waits for recovery)")
 	}
-	if *expectShed && len(sloSpecs) == 0 {
+	if *expectShed && len(selfCfg.SLO) == 0 {
 		return fmt.Errorf("-expect-shed requires at least one -slo objective (nothing sheds without an SLO engine)")
 	}
 	if (*targetURL == "") == !*self {
@@ -199,20 +194,33 @@ func runLoad(args []string) error {
 	}
 
 	if *self {
-		srv, shutdown, err := bootSelf(selfConfig{
-			seed: *seed, scale: *scale,
-			feedWorkers: *feedWorkers, feedQueue: *feedQueue,
-			serveWorkers: *serveWorkers,
-			sloSpecs:     sloSpecs,
-			sloFast:      *sloFast, sloSlow: *sloSlow, sloHold: *sloHold,
-		})
+		fmt.Fprintf(os.Stderr, "kpload: self mode — training detector (seed %d, scale %d)\n", selfCfg.Seed, selfCfg.Scale)
+		a, err := app.Start(selfCfg)
 		if err != nil {
 			return err
 		}
-		defer shutdown()
-		*targetURL = srv
+		// Close drains the feed before it closes the store.
+		defer func() {
+			err := a.Close()
+			fs := a.Feed.Stats()
+			fmt.Fprintf(os.Stderr, "kpload: self server drained — processed %d, failed %d, dropped %d, store appends %d\n",
+				fs.Processed, fs.Failed, fs.Dropped, a.Store.Stats().Appends)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "kpload: self server shutdown:", err)
+			}
+		}()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return err
+		}
+		go func() {
+			if err := a.Serve(ln); err != nil {
+				fmt.Fprintln(os.Stderr, "kpload: self server:", err)
+			}
+		}()
+		*targetURL = "http://" + ln.Addr().String()
 		if corpus == nil {
-			corpus = genCorpus(*seed)
+			corpus = genCorpus(selfCfg.Seed)
 		}
 	}
 	if len(corpus) == 0 {
@@ -339,120 +347,4 @@ func readCorpus(path string) ([]string, error) {
 		return nil, err
 	}
 	return urls, nil
-}
-
-type selfConfig struct {
-	seed         int64
-	scale        int
-	feedWorkers  int
-	feedQueue    int
-	serveWorkers int
-	sloSpecs     []string
-	sloFast      time.Duration
-	sloSlow      time.Duration
-	sloHold      time.Duration
-}
-
-// bootSelf stands up a complete in-process kpserve — self-trained
-// detector, synthetic world as crawl source, feed pipeline, in-memory
-// verdict store — on a loopback listener, and returns its base URL plus
-// a shutdown function that drains the feed before exiting.
-func bootSelf(cfg selfConfig) (string, func(), error) {
-	fmt.Fprintf(os.Stderr, "kpload: self mode — training detector (seed %d, scale %d)\n", cfg.seed, cfg.scale)
-	corpus, err := dataset.Build(dataset.Config{
-		Seed:              cfg.seed,
-		Scale:             cfg.scale,
-		World:             webgen.Config{Seed: cfg.seed + 1},
-		SkipLanguageTests: true,
-	})
-	if err != nil {
-		return "", nil, err
-	}
-	snaps := append(corpus.LegTrain.Snapshots(), corpus.PhishTrain.Snapshots()...)
-	labels := append(corpus.LegTrain.Labels(), corpus.PhishTrain.Labels()...)
-	det, err := core.Train(snaps, labels, core.TrainConfig{
-		GBM:  ml.GBMConfig{Trees: 100, MaxDepth: 4, Subsample: 0.8, MinLeaf: 5, Seed: cfg.seed + 2},
-		Rank: corpus.World.Ranking(),
-	})
-	if err != nil {
-		return "", nil, err
-	}
-	identifier := target.New(corpus.Engine)
-
-	st, err := store.Open(store.Config{Backend: store.BackendMemory})
-	if err != nil {
-		return "", nil, err
-	}
-	sched, err := feed.New(feed.Config{
-		Fetcher:    corpus.World,
-		Pipeline:   &core.Pipeline{Detector: det, Identifier: identifier},
-		Store:      st,
-		Workers:    cfg.feedWorkers,
-		QueueDepth: cfg.feedQueue,
-	})
-	if err != nil {
-		st.Close()
-		return "", nil, err
-	}
-	// With -slo specs the self server gets the full SLO stack: engine,
-	// event journal, and a ticking goroutine, exactly as kpserve wires
-	// them — so -expect-shed exercises the real overload behavior.
-	var eng *slo.Engine
-	var journal *obs.Journal
-	if len(cfg.sloSpecs) > 0 {
-		objs, err := slo.ParseObjectives(cfg.sloSpecs)
-		if err != nil {
-			st.Close()
-			return "", nil, err
-		}
-		journal = obs.NewJournal(0)
-		eng = slo.New(slo.Config{
-			Objectives: objs,
-			FastWindow: cfg.sloFast,
-			SlowWindow: cfg.sloSlow,
-			HoldDown:   cfg.sloHold,
-			Journal:    journal,
-		})
-	}
-	handler, err := serve.New(serve.Config{
-		Detector:   det,
-		Identifier: identifier,
-		Feed:       sched,
-		Store:      st,
-		Workers:    cfg.serveWorkers,
-		SLO:        eng,
-		Journal:    journal,
-	})
-	if err != nil {
-		sched.Drain(time.Now())
-		st.Close()
-		return "", nil, err
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		sched.Drain(time.Now())
-		st.Close()
-		return "", nil, err
-	}
-	hs := &http.Server{Handler: handler}
-	go hs.Serve(ln)
-	tickCtx, stopTick := context.WithCancel(context.Background())
-	if eng != nil {
-		go eng.Run(tickCtx, 0)
-	}
-
-	shutdown := func() {
-		stopTick()
-		shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		hs.Shutdown(shCtx)
-		dropped := sched.Drain(time.Now().Add(10 * time.Second))
-		fs := sched.Stats()
-		ss := st.Stats()
-		fmt.Fprintf(os.Stderr, "kpload: self server drained — processed %d, failed %d, dropped %d, store appends %d\n",
-			fs.Processed, fs.Failed, dropped, ss.Appends)
-		st.Close()
-	}
-	return "http://" + ln.Addr().String(), shutdown, nil
 }

@@ -22,8 +22,8 @@ import (
 	"fmt"
 	"os"
 
+	"knowphish/internal/app"
 	"knowphish/internal/core"
-	"knowphish/internal/dataset"
 	"knowphish/internal/features"
 	"knowphish/internal/ml"
 	"knowphish/internal/registry"
@@ -60,12 +60,7 @@ func run() error {
 	}
 
 	fmt.Printf("building corpus (scale 1/%d)...\n", *scale)
-	corpus, err := dataset.Build(dataset.Config{
-		Seed:              *seed,
-		Scale:             *scale,
-		World:             webgen.Config{Seed: *seed + 1},
-		SkipLanguageTests: true,
-	})
+	corpus, err := app.BuildCorpus(*scale, *seed)
 	if err != nil {
 		return err
 	}

@@ -1,0 +1,475 @@
+// Package app is the process assembly: the one place that builds the
+// serving stack — event journal → SLO engine → tracer → model source →
+// target identifier → stage memo → verdict store → model lifecycle →
+// feed scheduler → feed connectors → serve.Server — and the one place
+// that takes it down again in order. cmd/kpserve binds its flags to
+// Config and listens; `kpload run -self` and BenchmarkLoadEndToEnd call
+// Start with a memory store and their own worker counts. What they
+// measure is therefore what kpserve runs: one stage memo shared by the
+// HTTP surface and the feed drain, the same tracer, the same shutdown
+// order.
+//
+// `make assembly-check` keeps it the only place: outside this package,
+// the knowphish facade, serve.New's own default memo, tests and the
+// frozen benchmark/ harness, nothing constructs a server, a feed
+// scheduler, a stage memo or a verdict store.
+package app
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"log/slog"
+	"net"
+	"net/http"
+	"strings"
+	"sync"
+	"time"
+
+	"knowphish/internal/coalesce"
+	"knowphish/internal/core"
+	"knowphish/internal/drift"
+	"knowphish/internal/feed"
+	"knowphish/internal/feedsrc"
+	"knowphish/internal/obs"
+	"knowphish/internal/serve"
+	"knowphish/internal/slo"
+	"knowphish/internal/store"
+	"knowphish/internal/target"
+)
+
+// DefaultDrainTimeout is how long Close waits for the feed to drain
+// when Config leaves DrainTimeout zero.
+const DefaultDrainTimeout = 30 * time.Second
+
+// shutdownTimeout bounds how long Close waits for in-flight HTTP
+// requests to finish once intake has stopped.
+const shutdownTimeout = 15 * time.Second
+
+// Config describes one process. Every field is what a kpserve flag of
+// the same meaning sets; zero values take the owning package's default
+// unless the field says otherwise.
+type Config struct {
+	// The model source, first match wins: a World the caller already
+	// holds; Registry, a versioned model directory served from an atomic
+	// pointer on top of the self-train corpus (bootstrap-trained when it
+	// has no champion); Model, a detector file from kptrain with its
+	// optional Ranking CSV and search Index; else the self-train recipe —
+	// build the synthetic corpus at Scale/Seed and fit the demo detector.
+	World    *World
+	Registry string
+	Model    string
+	Ranking  string
+	Index    string
+	Scale    int
+	Seed     int64
+
+	// Workers bounds concurrent pipeline executions (0 → GOMAXPROCS).
+	Workers int
+	// MaxBatch bounds pages per batch or stream request.
+	MaxBatch int
+	// MemoEntries is the capacity of each stage memo table (negative:
+	// no verdict reuse).
+	MemoEntries int
+	// Deadline is the default per-request scoring budget (0 → none).
+	Deadline time.Duration
+	// Explain and ExplainTopN are the v2 surface's default evidence.
+	Explain     core.ExplainLevel
+	ExplainTopN int
+
+	// StorePath names the verdict store's directory; StoreBackend picks
+	// the engine (store.BackendMemory needs no path). With neither there
+	// is no store, and without a store no feed.
+	StorePath       string
+	StoreBackend    string
+	StoreSync       bool
+	CompactEvery    int
+	StoreMaxExplain int
+	SegmentBytes    int
+
+	// The feed scheduler runs when there is a store and the model source
+	// has a crawl source (the synthetic world).
+	FeedWorkers int
+	FeedQueue   int
+	DomainRate  float64
+	DomainBurst int
+	FeedRetries int
+	FeedExplain core.ExplainLevel
+	// FeedSources are external connector specs, NAME=KIND:URL with KIND
+	// json, csv or ndjson; they need the feed scheduler.
+	FeedSources     []string
+	FeedSrcCursor   string
+	FeedSrcRate     float64
+	FeedSrcInterval time.Duration
+	// DrainTimeout is the most Close waits for accepted feed URLs to be
+	// scored and persisted (0 → DefaultDrainTimeout).
+	DrainTimeout time.Duration
+
+	// The model lifecycle runs with Registry, a store and a crawl source.
+	ShadowFrac  float64
+	DriftWindow int
+	AutoRetrain bool
+
+	// Logger receives every subsystem's structured logs (nil → discard).
+	Logger *slog.Logger
+	// Trace records per-stage request and feed traces.
+	Trace bool
+	// TraceSlow is the slow-exemplar threshold; zero derives it from the
+	// tightest latency SLO, so the traces an operator keeps are exactly
+	// the requests that burn budget, and falls back to
+	// obs.DefaultSlowThreshold without one.
+	TraceSlow time.Duration
+	// SLO holds objective specs ("score:p99<250ms,avail>99.9"); any arms
+	// the error-budget engine and with it adaptive load shedding.
+	SLO         []string
+	SLOFast     time.Duration
+	SLOSlow     time.Duration
+	SLOHoldDown time.Duration
+	// JournalSize is the event journal's capacity (0 → default).
+	JournalSize int
+}
+
+// App is a running process assembly. Server, Feed and Store are the
+// parts callers read from (metrics, the zero-loss ledger); Feed and
+// Store are nil when the configuration has none.
+type App struct {
+	Server *serve.Server
+	Feed   *feed.Scheduler
+	Store  store.Backend
+
+	logger    *slog.Logger
+	sources   *feedsrc.Mux
+	lifecycle *drift.Lifecycle
+	http      *http.Server
+	drain     time.Duration
+	stopTick  func()
+	closeOnce sync.Once
+	closeErr  error
+}
+
+// Start builds the process described by cfg and starts everything that
+// runs in the background (feed workers, connector polls, the SLO tick).
+// The caller serves HTTP with Serve and ends the process with Close. On
+// error, whatever was already built has been closed again.
+func Start(cfg Config) (_ *App, err error) {
+	a := &App{logger: cfg.Logger, drain: cfg.DrainTimeout}
+	if a.logger == nil {
+		a.logger = obs.NopLogger()
+	}
+	if a.drain <= 0 {
+		a.drain = DefaultDrainTimeout
+	}
+	defer func() {
+		if err != nil {
+			_ = a.Close() // the build error is the one to report
+		}
+	}()
+
+	// The SLO engine and the event journal come before the tracer, which
+	// may take its slow threshold from them.
+	journal := obs.NewJournal(cfg.JournalSize)
+	var eng *slo.Engine
+	if len(cfg.SLO) > 0 {
+		objs, err := slo.ParseObjectives(cfg.SLO)
+		if err != nil {
+			return nil, err
+		}
+		eng = slo.New(slo.Config{
+			Objectives: objs,
+			FastWindow: cfg.SLOFast,
+			SlowWindow: cfg.SLOSlow,
+			HoldDown:   cfg.SLOHoldDown,
+			Journal:    journal,
+		})
+	}
+	slow, slowSource := cfg.TraceSlow, ""
+	if slow == 0 {
+		if target, name := eng.MinLatencyTarget(); target > 0 {
+			slow, slowSource = target, "slo:"+name
+		}
+	}
+	tracer := obs.NewTracer(obs.Config{SlowThreshold: slow, SlowSource: slowSource, Disabled: !cfg.Trace})
+	if eng != nil {
+		a.logger.Info("slo engine armed",
+			"objectives", len(eng.Objectives()),
+			"fast_window", cfg.SLOFast, "slow_window", cfg.SLOSlow, "holddown", cfg.SLOHoldDown,
+			"slow_threshold", tracer.SlowThreshold(), "slow_source", slowSource)
+	}
+
+	m, err := loadWorld(cfg, a.logger)
+	if err != nil {
+		return nil, err
+	}
+	identifier := target.New(m.Engine)
+
+	// One stage memo serves every scoring path — the HTTP surface and
+	// the feed drain share the same tables, so a page seen on the feed
+	// warms interactive requests.
+	coal := coalesce.New(coalesce.Config{MemoEntries: cfg.MemoEntries})
+	a.logger.Info("stage memo armed", "memo_entries_per_table", cfg.MemoEntries)
+
+	// The durable verdict store and the feed scheduler on top of it.
+	// Feed ingestion needs a crawl source; an artifact-mode server
+	// persists nothing by itself but serves /v1/verdicts over an
+	// existing log.
+	if cfg.StorePath != "" || cfg.StoreBackend != "" {
+		a.Store, err = store.Open(store.Config{
+			Path:            cfg.StorePath,
+			Backend:         cfg.StoreBackend,
+			Sync:            cfg.StoreSync,
+			CompactEvery:    cfg.CompactEvery,
+			MaxExplainBytes: cfg.StoreMaxExplain,
+			SegmentBytes:    cfg.SegmentBytes,
+			Logger:          a.logger,
+		})
+		if err != nil {
+			return nil, err
+		}
+		a.logger.Info("verdict store open",
+			"path", cfg.StorePath, "engine", a.Store.Stats().Backend, "records", a.Store.Len())
+	}
+	switch {
+	case a.Store != nil && m.Fetcher != nil:
+		if err := a.startFeed(cfg, m, identifier, coal, tracer); err != nil {
+			return nil, err
+		}
+	case a.Store != nil:
+		a.logger.Warn("the model source has no crawl source; POST /v1/feed disabled (GET /v1/verdicts still serves the store)")
+	case m.reg != nil && cfg.AutoRetrain:
+		a.logger.Warn("auto-retrain needs a store (the retrain corpus); running the registry without the retrain loop")
+	}
+
+	// External feed connectors fan into the scheduler; they only make
+	// sense when the feed pipeline exists to receive them.
+	if len(cfg.FeedSources) > 0 {
+		if a.Feed == nil {
+			return nil, errors.New("feed sources need the feed pipeline: a store and a crawl source (the self-train world)")
+		}
+		if a.sources, err = startFeedSources(cfg, a.Feed, a.logger); err != nil {
+			return nil, err
+		}
+	}
+
+	a.Server, err = serve.New(serve.Config{
+		Detector:        m.Detector,
+		Registry:        m.reg,
+		Lifecycle:       a.lifecycle,
+		Identifier:      identifier,
+		Workers:         cfg.Workers,
+		MaxBatch:        cfg.MaxBatch,
+		Coalescer:       coal,
+		DefaultDeadline: cfg.Deadline,
+		DefaultExplain:  cfg.Explain,
+		ExplainTopN:     cfg.ExplainTopN,
+		Feed:            a.Feed,
+		FeedSources:     a.sources,
+		Store:           a.Store,
+		Tracer:          tracer,
+		Logger:          a.logger,
+		SLO:             eng,
+		Journal:         journal,
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	a.logger.Info("assembled", "index_docs", m.Engine.Len(),
+		"tracing", tracer.Enabled(), "slow_threshold", tracer.SlowThreshold())
+
+	// Full timeout set: without Read/Write/Idle timeouts a client that
+	// trickles a request body (or never reads the response) pins a
+	// goroutine and its buffers indefinitely.
+	a.http = &http.Server{
+		Handler:           a.Server,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       60 * time.Second,
+		WriteTimeout:      120 * time.Second,
+		IdleTimeout:       120 * time.Second,
+	}
+
+	// The SLO engine ticks until Close: burn rates, state machine, shed
+	// level.
+	if eng != nil {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			eng.Run(ctx, 0)
+		}()
+		a.stopTick = func() { cancel(); <-done }
+	}
+	return a, nil
+}
+
+// startFeed builds the model lifecycle (registry mode only) and the
+// feed scheduler scoring through the shared stage memo.
+func (a *App) startFeed(cfg Config, m World, identifier *target.Identifier, coal *coalesce.Coalescer, tracer *obs.Tracer) error {
+	feedCfg := feed.Config{
+		Fetcher:     m.Fetcher,
+		Pipeline:    &core.Pipeline{Detector: m.Detector, Identifier: identifier},
+		Store:       a.Store,
+		Workers:     cfg.FeedWorkers,
+		QueueDepth:  cfg.FeedQueue,
+		DomainRate:  cfg.DomainRate,
+		DomainBurst: cfg.DomainBurst,
+		MaxAttempts: cfg.FeedRetries,
+		Explain:     cfg.FeedExplain,
+		Tracer:      tracer,
+		Logger:      a.logger,
+		Score: func(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest) (core.Verdict, error) {
+			return coal.Do(ctx, pipe, req, coalesce.CacheDefault, nil)
+		},
+	}
+	if m.reg != nil {
+		// The full lifecycle loop needs the registry (models), the store
+		// (retrain corpus) and the world (re-crawl source) — all present.
+		lc, err := drift.NewLifecycle(drift.LifecycleConfig{
+			Registry:       m.reg,
+			Store:          a.Store,
+			Fetcher:        m.Fetcher,
+			Rank:           m.rank,
+			Monitor:        drift.Config{Window: cfg.DriftWindow},
+			ShadowFraction: cfg.ShadowFrac,
+			AutoRetrain:    cfg.AutoRetrain,
+			Seed:           cfg.Seed,
+			Logger:         a.logger,
+		})
+		if err != nil {
+			return err
+		}
+		a.lifecycle = lc
+		a.logger.Info("drift monitor armed",
+			"window", cfg.DriftWindow, "shadow_frac", cfg.ShadowFrac, "auto_retrain", cfg.AutoRetrain)
+		feedCfg.Pipeline.Detector = m.reg.Current()
+		feedCfg.Detectors = m.reg
+		feedCfg.OnVerdict = lc.OnVerdict
+	}
+	var err error
+	a.Feed, err = feed.New(feedCfg)
+	return err
+}
+
+// Serve answers HTTP on ln until Close; it returns nil after a Close
+// and the listener's error otherwise.
+func (a *App) Serve(ln net.Listener) error {
+	a.logger.Info("listening", "addr", ln.Addr().String())
+	if err := a.http.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
+}
+
+// Close takes the process down in dependency order: HTTP intake stops
+// and in-flight requests finish; the SLO tick and the feed connectors
+// stop, so no new URLs arrive; the feed drains — every accepted URL is
+// scored and persisted, or counted dropped after DrainTimeout; the
+// lifecycle stops retraining; and only then the store takes its final
+// sync and closes. It returns what failed — a store that could not
+// flush is an error the process must exit non-zero on. Later calls
+// return the first call's result.
+func (a *App) Close() error {
+	a.closeOnce.Do(func() { a.closeErr = a.close() })
+	return a.closeErr
+}
+
+func (a *App) close() error {
+	var errs []error
+	if a.http != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+		if err := a.http.Shutdown(ctx); err != nil {
+			errs = append(errs, fmt.Errorf("http shutdown: %w", err))
+		}
+		cancel()
+	}
+	if a.Server != nil {
+		m := a.Server.Metrics()
+		a.logger.Info("served", "requests", m.Requests, "pages_scored", m.PagesScored,
+			"cache_hit_rate", m.CacheHitRate)
+	}
+	if a.stopTick != nil {
+		a.stopTick()
+	}
+	if a.sources != nil {
+		// Each source's cursor is already persisted per poll.
+		_ = a.sources.Close() // always nil: it only stops the poll loops
+		for name, ss := range a.sources.Stats() {
+			a.logger.Info("feed source stopped", "source", name,
+				"cursor", ss.Cursor, "enqueued", ss.Enqueued, "fetch_errors", ss.FetchErrors)
+		}
+	}
+	if a.Feed != nil {
+		dropped := a.Feed.Drain(time.Now().Add(a.drain))
+		fs := a.Feed.Stats()
+		a.logger.Info("feed drained", "processed", fs.Processed, "failed", fs.Failed, "dropped", dropped)
+	}
+	if a.lifecycle != nil {
+		a.lifecycle.Close()
+		ls := a.lifecycle.Status()
+		a.logger.Info("lifecycle summary", "champion", ls.ChampionVersion,
+			"retrains", ls.Retrains, "promotions", ls.Promotions, "drift_flagged", ls.Drift.Flagged)
+	}
+	if a.Store != nil {
+		ss := a.Store.Stats()
+		if err := a.Store.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("closing verdict store: %w", err))
+		} else {
+			a.logger.Info("store closed", "records", ss.Records, "appends", ss.Appends, "compactions", ss.Compactions)
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// startFeedSources parses cfg's connector specs and starts the mux that
+// polls them into sink.
+func startFeedSources(cfg Config, sink feedsrc.Sink, logger *slog.Logger) (*feedsrc.Mux, error) {
+	sources, err := parseFeedSources(cfg.FeedSources)
+	if err != nil {
+		return nil, err
+	}
+	rates := make(map[string]float64)
+	if cfg.FeedSrcRate > 0 {
+		for _, s := range sources {
+			rates[s.Name()] = cfg.FeedSrcRate
+		}
+	}
+	mux, err := feedsrc.NewMux(feedsrc.MuxConfig{
+		Sink:      sink,
+		Sources:   sources,
+		Interval:  cfg.FeedSrcInterval,
+		Rates:     rates,
+		CursorDir: cfg.FeedSrcCursor,
+		Logger:    logger,
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range sources {
+		logger.Info("feed source armed", "source", s.Name(), "cursor", s.Cursor())
+	}
+	return mux, nil
+}
+
+// parseFeedSources parses connector specs (NAME=KIND:URL) into
+// connectors. The name tags verdict provenance and names the cursor
+// file; the mux rejects duplicates.
+func parseFeedSources(specs []string) ([]feedsrc.Source, error) {
+	sources := make([]feedsrc.Source, 0, len(specs))
+	for _, spec := range specs {
+		name, rest, _ := strings.Cut(spec, "=")
+		kind, url, _ := strings.Cut(rest, ":")
+		if name == "" || url == "" {
+			return nil, fmt.Errorf("feed source %q: want NAME=KIND:URL", spec)
+		}
+		switch kind {
+		case "json":
+			sources = append(sources, feedsrc.NewJSONFeed(name, url, nil))
+		case "csv":
+			sources = append(sources, feedsrc.NewRankedCSV(name, url, nil, 0))
+		case "ndjson":
+			sources = append(sources, feedsrc.NewNDJSONStream(name, url, nil))
+		default:
+			return nil, fmt.Errorf("feed source %q: unknown kind %q (want json, csv or ndjson)", spec, kind)
+		}
+	}
+	return sources, nil
+}

@@ -200,8 +200,13 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 				fp = e.fp
 			}
 		}
-		if e, ok := c.target.Get(key); ok && e.ver == ver {
-			st.TargetResult = e.res
+		// The target table only ever holds detector positives: probing it
+		// for a page whose memoised score is below the threshold would
+		// count a miss on every warm legitimate hit.
+		if !st.HasScore || st.Score >= pipe.Detector.Threshold() {
+			if e, ok := c.target.Get(key); ok && e.ver == ver {
+				st.TargetResult = e.res
+			}
 		}
 	}
 	// The feature memo wants the vector whenever it does not hold it.

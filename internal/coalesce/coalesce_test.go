@@ -446,3 +446,55 @@ func TestWarmPathZeroAllocs(t *testing.T) {
 		t.Fatalf("warm memoized request allocated %.1f times per run, want 0", allocs)
 	}
 }
+
+// TestWarmLegitimateDoesNotProbeTarget pins the target table's hit
+// rate to the pages it can hold: warm hits on a legitimate page never
+// look it up (it only ever stores detector positives), while a
+// memoised positive still hits it.
+func TestWarmLegitimateDoesNotProbeTarget(t *testing.T) {
+	corp, pipe := fixtures(t)
+	ctx := context.Background()
+	pick := func(exs []*dataset.Example, positive bool) *webpage.Snapshot {
+		for _, ex := range exs {
+			v, err := pipe.AnalyzeCtx(ctx, core.NewScoreRequest(ex.Snapshot))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.TargetRun == positive {
+				return ex.Snapshot
+			}
+		}
+		t.Fatalf("no page with TargetRun=%v in the fixture", positive)
+		return nil
+	}
+	legit, phish := pick(corp.LegTrain.Examples, false), pick(corp.PhishTest.Examples, true)
+
+	const warm = 50
+	c := New(Config{})
+	for _, snap := range []*webpage.Snapshot{legit, phish} {
+		if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := c.Snapshot().Target
+	for i := 0; i < warm; i++ {
+		var prov core.MemoProvenance
+		if _, err := c.Do(ctx, pipe, core.NewScoreRequest(legit), CacheDefault, &prov); err != nil || !prov.Hit() {
+			t.Fatalf("warm legitimate Do: hit=%v err=%v", prov.Hit(), err)
+		}
+	}
+	if after := c.Snapshot().Target; after != before {
+		t.Fatalf("%d warm hits on a legitimate page moved the target table: %+v -> %+v", warm, before, after)
+	}
+	for i := 0; i < warm; i++ {
+		var prov core.MemoProvenance
+		v, err := c.Do(ctx, pipe, core.NewScoreRequest(phish), CacheDefault, &prov)
+		if err != nil || !prov.Hit() || !v.TargetRun {
+			t.Fatalf("warm positive Do: hit=%v target_run=%v err=%v", prov.Hit(), v.TargetRun, err)
+		}
+	}
+	after := c.Snapshot().Target
+	if after.Hits != before.Hits+warm || after.Misses != before.Misses {
+		t.Fatalf("%d warm hits on a positive: target table %+v -> %+v, want +%d hits and no misses", warm, before, after, warm)
+	}
+}

@@ -441,8 +441,9 @@ type StreamResult struct {
 // and delivers each verdict as it completes — out of order — on the
 // returned channel, which is closed once every item has finished or ctx
 // is done. Cancelling ctx stops undelivered work promptly; the consumer
-// should cancel and then drain. This is the engine behind the serving
-// layer's NDJSON streaming endpoint.
+// should cancel and then drain. It is the library form of streaming
+// (exported through the knowphish facade); the serving layer's NDJSON
+// endpoint fans out over internal/pool itself, per item through its memo.
 func (p *Pipeline) AnalyzeStream(ctx context.Context, reqs []ScoreRequest, workers int) <-chan StreamResult {
 	ch := make(chan StreamResult)
 	go func() {

@@ -48,46 +48,14 @@ func (h *Hist) Observe(d time.Duration) {
 // Count returns the number of observations.
 func (h *Hist) Count() int64 { return h.count.Load() }
 
-// SumUS returns the sum of all observations in microseconds.
-func (h *Hist) SumUS() int64 { return h.sumUS.Load() }
-
 // MaxUS returns the largest observation in microseconds.
 func (h *Hist) MaxUS() int64 { return h.maxUS.Load() }
 
 // Percentile returns the upper bound (µs) of the bucket containing the
-// p-th percentile observation, 0 when empty. p in [0, 100]. The bound
-// is clamped to the largest observation actually recorded, so the
-// open-ended last bucket — whose theoretical bound of 2^26 µs ≈ 67 s
-// would otherwise be reported no matter the true value — and a
-// one-sample histogram both answer with a number the data supports.
-func (h *Hist) Percentile(p float64) int64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(p / 100 * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	max := h.maxUS.Load()
-	var seen int64
-	for b := 0; b < NumBuckets; b++ {
-		seen += h.buckets[b].Load()
-		if seen > rank {
-			if b == NumBuckets-1 {
-				// The open-ended last bucket has no meaningful upper
-				// bound; the observed max is the honest answer.
-				return max
-			}
-			bound := int64(1) << uint(b+1)
-			if bound > max {
-				bound = max
-			}
-			return bound
-		}
-	}
-	return max
-}
+// p-th percentile observation, 0 when empty. p in [0, 100]. The rule —
+// including the clamp to the largest observation recorded — is
+// HistSnapshot.Percentile, applied to the current counts.
+func (h *Hist) Percentile(p float64) int64 { return h.snapshot().Percentile(p) }
 
 // Reset zeroes the histogram for reuse. It is atomic per field, not
 // across the histogram: observations racing a reset may be partially
@@ -121,14 +89,16 @@ func (h *Hist) addTo(snap *HistSnapshot) {
 	}
 }
 
-// Mean returns the mean observation in microseconds, 0 when empty.
-func (h *Hist) Mean() int64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return h.sumUS.Load() / n
+// snapshot copies the current counts into a plain value, the form every
+// read-side statistic is computed on.
+func (h *Hist) snapshot() HistSnapshot {
+	var snap HistSnapshot
+	h.addTo(&snap)
+	return snap
 }
+
+// Mean returns the mean observation in microseconds, 0 when empty.
+func (h *Hist) Mean() int64 { return h.snapshot().Mean() }
 
 // BucketBoundUS returns bucket i's inclusive upper bound in
 // microseconds; the last bucket reports -1 (open-ended, rendered as

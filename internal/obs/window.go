@@ -67,9 +67,12 @@ func (s HistSnapshot) Mean() int64 {
 	return s.SumUS / s.N
 }
 
-// Percentile mirrors Hist.Percentile over the snapshot: the upper
-// bound (µs) of the bucket holding the p-th percentile, clamped to the
-// largest observation seen by any merged slot.
+// Percentile returns the upper bound (µs) of the bucket holding the
+// p-th percentile observation, 0 when empty. p in [0, 100]. The bound
+// is clamped to the largest observation seen by any merged histogram,
+// so the open-ended last bucket — whose theoretical bound of 2^26 µs ≈
+// 67 s would otherwise be reported no matter the true value — and a
+// one-sample histogram both answer with a number the data supports.
 func (s HistSnapshot) Percentile(p float64) int64 {
 	if s.N == 0 {
 		return 0

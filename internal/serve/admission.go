@@ -41,7 +41,7 @@ const (
 )
 
 // errShed is returned by boundedCtx when queued work was shed at the
-// worker-slot boundary; failCtx maps it onto the 503 surface.
+// worker-slot boundary; failScore maps it onto the 503 surface.
 var errShed = errors.New("shed: server over its error-budget burn threshold")
 
 // endpointClass groups routes for admission control and windowed
@@ -65,7 +65,7 @@ type endpointClass struct {
 func (s *Server) newClass(name string, priority int, hist *latencyHist, windowed bool) *endpointClass {
 	c := &endpointClass{name: name, priority: priority, hist: hist}
 	if windowed {
-		c.window = obs.NewWindowedHist(s.clock)
+		c.window = obs.NewWindowedHist(s.cfg.Clock)
 	}
 	s.classes = append(s.classes, c)
 	return c
@@ -95,7 +95,7 @@ func (s *Server) writeShed(w http.ResponseWriter) {
 	if sr, ok := w.(*statusRecorder); ok {
 		sr.shed = true
 	}
-	retry := s.slo.RetryAfter()
+	retry := s.cfg.SLO.RetryAfter()
 	if retry <= 0 {
 		retry = 30 * time.Second
 	}
@@ -109,5 +109,5 @@ func (s *Server) writeShed(w http.ResponseWriter) {
 // level. One atomic load on the accept path — this is the check
 // BenchmarkAdmission pins at zero allocations.
 func (s *Server) admit(cls *endpointClass) bool {
-	return cls.priority == 0 || cls.priority > s.slo.ShedLevel()
+	return cls.priority == 0 || cls.priority > s.cfg.SLO.ShedLevel()
 }

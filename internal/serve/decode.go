@@ -49,11 +49,11 @@ func putBuf(buf *bytes.Buffer) bool {
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	buf := getBuf()
 	defer putBuf(buf)
-	if n := r.ContentLength; n > 0 && n <= s.maxBody {
+	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
 		// ReadFrom wants MinRead spare bytes to see EOF without growing.
 		buf.Grow(int(n) + bytes.MinRead)
 	}
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err == nil {
 		err = decodeDoc(buf.Bytes(), v)
 	}
@@ -61,7 +61,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.fail(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", s.maxBody))
+				fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
 			return false
 		}
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))

@@ -331,7 +331,7 @@ func TestBodyPoolDropsLargeBuffers(t *testing.T) {
 		// What decode does with the body, keeping hold of the buffer.
 		buf := getBuf()
 		r := httptest.NewRequest(http.MethodPost, "/v1/score", bytes.NewReader(body))
-		if _, err := buf.ReadFrom(http.MaxBytesReader(httptest.NewRecorder(), r.Body, s.maxBody)); err != nil {
+		if _, err := buf.ReadFrom(http.MaxBytesReader(httptest.NewRecorder(), r.Body, s.cfg.MaxBodyBytes)); err != nil {
 			t.Fatal(err)
 		}
 		if buf.Len() != len(body) {

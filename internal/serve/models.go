@@ -54,28 +54,28 @@ type PromoteResponse struct {
 // lifecycle state; POST triggers a background retrain from the verdict
 // store.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	if s.registry == nil {
+	if s.cfg.Registry == nil {
 		s.fail(w, http.StatusServiceUnavailable, errors.New("model registry is not configured on this server"))
 		return
 	}
 	switch r.Method {
 	case http.MethodGet, http.MethodHead:
 		resp := ModelsResponse{
-			ChampionVersion: s.registry.ChampionVersion(),
-			Models:          s.registry.List(),
+			ChampionVersion: s.cfg.Registry.ChampionVersion(),
+			Models:          s.cfg.Registry.List(),
 		}
 		resp.Count = len(resp.Models)
-		if s.lifecycle != nil {
-			ls := s.lifecycle.Status()
+		if s.cfg.Lifecycle != nil {
+			ls := s.cfg.Lifecycle.Status()
 			resp.Lifecycle = &ls
 		}
 		s.reply(w, http.StatusOK, resp)
 	case http.MethodPost:
-		if s.lifecycle == nil {
+		if s.cfg.Lifecycle == nil {
 			s.fail(w, http.StatusServiceUnavailable, errors.New("retraining needs the lifecycle controller (run kpserve with a store and crawl source)"))
 			return
 		}
-		if err := s.lifecycle.RetrainAsync(); err != nil {
+		if err := s.cfg.Lifecycle.RetrainAsync(); err != nil {
 			// Single-flight: a retrain is already running.
 			s.fail(w, http.StatusConflict, err)
 			return
@@ -94,7 +94,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 // promotion gate rules unless the request forces; with a bare registry
 // the swap is direct.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if s.registry == nil {
+	if s.cfg.Registry == nil {
 		s.fail(w, http.StatusServiceUnavailable, errors.New("model registry is not configured on this server"))
 		return
 	}
@@ -106,17 +106,17 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, errors.New("missing version"))
 		return
 	}
-	from := s.registry.ChampionVersion()
+	from := s.cfg.Registry.ChampionVersion()
 	resp := PromoteResponse{From: from, To: req.Version}
-	if s.lifecycle != nil {
-		gate := s.lifecycle.Decide()
+	if s.cfg.Lifecycle != nil {
+		gate := s.cfg.Lifecycle.Decide()
 		resp.Gate = &gate
-		if _, err := s.lifecycle.Promote(req.Version, req.Force); err != nil {
+		if _, err := s.cfg.Lifecycle.Promote(req.Version, req.Force); err != nil {
 			s.failPromote(w, err)
 			return
 		}
 	} else {
-		if _, err := s.registry.SetChampion(req.Version); err != nil {
+		if _, err := s.cfg.Registry.SetChampion(req.Version); err != nil {
 			s.failPromote(w, err)
 			return
 		}

@@ -1,0 +1,159 @@
+package serve
+
+import (
+	"fmt"
+	"net/http"
+	"runtime"
+	"runtime/debug"
+	"time"
+
+	"knowphish/internal/obs"
+)
+
+// Metrics returns a snapshot of the serving counters, including feed,
+// store and model-lifecycle stats when those subsystems are wired in.
+func (s *Server) Metrics() MetricsSnapshot {
+	snap := s.metrics.Snapshot()
+	if det := s.source.Current(); det != nil {
+		snap.ModelVersion = det.Version()
+	}
+	if s.cfg.Feed != nil {
+		fs := s.cfg.Feed.Stats()
+		snap.Feed = &fs
+	}
+	if s.cfg.FeedSources != nil {
+		snap.FeedSources = s.cfg.FeedSources.Stats()
+	}
+	if s.cfg.Store != nil {
+		ss := s.cfg.Store.Stats()
+		snap.Store = &ss
+	}
+	if s.cfg.Lifecycle != nil {
+		ls := s.cfg.Lifecycle.Status()
+		snap.Lifecycle = &ls
+	}
+	cs := s.coal.Snapshot()
+	snap.Coalesce = &cs
+	if s.cfg.Tracer != nil {
+		ts := s.cfg.Tracer.Summary()
+		snap.Tracing = &ts
+	}
+	snap.Endpoints = make(map[string]EndpointMetrics, len(s.classes))
+	for _, c := range s.classes {
+		em := EndpointMetrics{Priority: c.priority, Shed: c.shed.Load()}
+		if c.window != nil {
+			em.Windows = c.window.Summaries()
+		}
+		snap.Endpoints[c.name] = em
+	}
+	snap.Shed = ShedMetrics{
+		Total:  s.metrics.shedTotal.Load(),
+		Queued: s.metrics.shedQueued.Load(),
+		Level:  s.cfg.SLO.ShedLevel(),
+	}
+	if s.cfg.SLO != nil {
+		st := s.cfg.SLO.Status()
+		snap.SLO = &st
+	}
+	return snap
+}
+
+// buildGoVersion / buildVCSRevision are read once at startup; every
+// /healthz response reuses them.
+var buildGoVersion, buildVCSRevision = readBuildInfo()
+
+func readBuildInfo() (goVersion, revision string) {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return runtime.Version(), ""
+	}
+	goVersion = info.GoVersion
+	for _, kv := range info.Settings {
+		if kv.Key == "vcs.revision" {
+			revision = kv.Value
+		}
+	}
+	return goVersion, revision
+}
+
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	resp := HealthResponse{
+		Status:        "ok",
+		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
+		GoVersion:     buildGoVersion,
+		VCSRevision:   buildVCSRevision,
+		Workers:       s.cfg.Workers,
+		CacheEnabled:  s.coal.Enabled(),
+		FeedEnabled:   s.cfg.Feed != nil,
+		StoreEnabled:  s.cfg.Store != nil,
+	}
+	if det := s.source.Current(); det != nil {
+		resp.Threshold = det.Threshold()
+		resp.ModelVersion = det.Version()
+		if s.cfg.Registry != nil {
+			if m, ok := s.cfg.Registry.Champion(); ok {
+				resp.ModelHash = m.Manifest.Hash
+			}
+		}
+	} else {
+		// Alive but unable to score: a registry-backed server waiting for
+		// its first champion. Liveness probes should not kill it, but the
+		// status string tells operators why scoring answers 503.
+		resp.Status = "no_model"
+	}
+	if s.cfg.SLO != nil {
+		resp.SLOState = s.cfg.SLO.State().String()
+		resp.ShedLevel = s.cfg.SLO.ShedLevel()
+	}
+	s.reply(w, http.StatusOK, resp)
+}
+
+// handleMetrics serves the metrics snapshot. JSON is the frozen default
+// (pinned by goldens); ?format=prometheus switches to the text
+// exposition format for scrapers.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	switch format := r.URL.Query().Get("format"); format {
+	case "", "json":
+		s.reply(w, http.StatusOK, s.Metrics())
+	case "prometheus":
+		s.writePrometheus(w)
+	default:
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (want json or prometheus)", format))
+	}
+}
+
+// handleDebugTraces serves the tracer's retained traces: the recent
+// ring, the slow/error exemplar reservoir and the per-stage summaries.
+// Without a tracer it answers an empty document rather than 404, so
+// dashboards can poll unconditionally.
+func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
+	s.reply(w, http.StatusOK, s.cfg.Tracer.Snapshot())
+}
+
+// handleDebugSLO serves the error-budget engine's full status: per-
+// objective state, fast/slow burn rates, budget remaining and the
+// active shed level. Without an engine it answers the empty "ok"
+// document, so dashboards (kptop) can poll unconditionally.
+func (s *Server) handleDebugSLO(w http.ResponseWriter, r *http.Request) {
+	s.reply(w, http.StatusOK, s.cfg.SLO.Status())
+}
+
+// eventsResponse is the /debug/events document: the retained ring of
+// operational events, newest first, plus the all-time count (total >
+// len(events) means older events were evicted).
+type eventsResponse struct {
+	Events []obs.Event `json:"events"`
+	Total  uint64      `json:"total"`
+}
+
+// handleDebugEvents serves the operational event journal: SLO
+// transitions, shed-level changes and whatever else was wired to the
+// journal (drift flags, promotions, compactions). Without a journal it
+// answers an empty document rather than 404.
+func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
+	evs := s.cfg.Journal.Events()
+	if evs == nil {
+		evs = []obs.Event{}
+	}
+	s.reply(w, http.StatusOK, eventsResponse{Events: evs, Total: s.cfg.Journal.Total()})
+}

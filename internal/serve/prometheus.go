@@ -80,7 +80,7 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	// Classes are sorted by name so the exposition is byte-stable.
 	p.Counter("knowphish_shed_total", "Requests shed by admission control.", float64(m.shedTotal.Load()))
 	p.Counter("knowphish_shed_queued_total", "Of shed requests: shed at the worker-slot boundary after admission.", float64(m.shedQueued.Load()))
-	p.Gauge("knowphish_shed_level", "Current admission shed level (0 = admitting everything).", float64(s.slo.ShedLevel()))
+	p.Gauge("knowphish_shed_level", "Current admission shed level (0 = admitting everything).", float64(s.cfg.SLO.ShedLevel()))
 	classes := make([]*endpointClass, len(s.classes))
 	copy(classes, s.classes)
 	sort.Slice(classes, func(i, j int) bool { return classes[i].name < classes[j].name })
@@ -114,8 +114,8 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	p.FamilyL("knowphish_endpoint_latency_seconds", "Rolling windowed latency quantiles per endpoint class.", "gauge", winQuantiles)
 
 	// SLO engine: worst state, per-objective state and burn rates.
-	if s.slo != nil {
-		st := s.slo.Status()
+	if s.cfg.SLO != nil {
+		st := s.cfg.SLO.Status()
 		p.Gauge("knowphish_slo_state", "Worst objective state (0 ok, 1 warn, 2 page).", float64(stateValue(st.State)))
 		objState := make([]obs.LabeledSample, 0, len(st.Objectives))
 		objBurn := make([]obs.LabeledSample, 0, len(st.Objectives)*2)
@@ -138,8 +138,8 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 
 	// Per-stage pipeline latency from the tracer, one label set per
 	// stage under a single family.
-	if s.tracer != nil {
-		sum := s.tracer.Summary()
+	if s.cfg.Tracer != nil {
+		sum := s.cfg.Tracer.Summary()
 		p.Counter("knowphish_traces_started_total", "Request traces started.", float64(sum.Started))
 		p.Counter("knowphish_traces_finished_total", "Request traces finished.", float64(sum.Finished))
 		p.Counter("knowphish_traces_slow_total", "Finished traces over the slow threshold.", float64(sum.Slow))
@@ -148,7 +148,7 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 		p.HistHeader("knowphish_stage_duration_seconds", "Per-stage pipeline latency of traced requests.")
 		for i, name := range obs.StageNames() {
 			p.HistFromHist("knowphish_stage_duration_seconds",
-				[]obs.Label{{Name: "stage", Value: name}}, s.tracer.StageHist(obs.Stage(i)))
+				[]obs.Label{{Name: "stage", Value: name}}, s.cfg.Tracer.StageHist(obs.Stage(i)))
 		}
 	}
 
@@ -156,8 +156,8 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	// from the registry manifest when one backs this server.
 	if det := s.source.Current(); det != nil {
 		labels := []obs.Label{{Name: "version", Value: det.Version()}}
-		if s.registry != nil {
-			if mod, ok := s.registry.Champion(); ok {
+		if s.cfg.Registry != nil {
+			if mod, ok := s.cfg.Registry.Champion(); ok {
 				labels = append(labels,
 					obs.Label{Name: "hash", Value: mod.Manifest.Hash},
 					obs.Label{Name: "feature_set", Value: mod.Manifest.FeatureSet})
@@ -167,8 +167,8 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	}
 
 	// Ingestion pipeline.
-	if s.feed != nil {
-		fs := s.feed.Stats()
+	if s.cfg.Feed != nil {
+		fs := s.cfg.Feed.Stats()
 		p.Gauge("knowphish_feed_queue_depth", "Queued URLs (ready + deferred).", float64(fs.Depth))
 		p.Gauge("knowphish_feed_in_flight", "URLs being crawled or scored right now.", float64(fs.InFlight))
 		p.Counter("knowphish_feed_accepted_total", "URLs accepted into the queue.", float64(fs.Accepted))
@@ -187,8 +187,8 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	// Feed connectors: one labelled sample per source (and per reason
 	// for the reject family), sorted by name so the exposition is
 	// byte-stable between scrapes.
-	if s.feedSources != nil {
-		stats := s.feedSources.Stats()
+	if s.cfg.FeedSources != nil {
+		stats := s.cfg.FeedSources.Stats()
 		names := make([]string, 0, len(stats))
 		for name := range stats {
 			names = append(names, name)
@@ -236,8 +236,8 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	}
 
 	// Verdict store.
-	if s.store != nil {
-		ss := s.store.Stats()
+	if s.cfg.Store != nil {
+		ss := s.cfg.Store.Stats()
 		p.Gauge("knowphish_store_records", "Live (indexed) verdict records.", float64(ss.Records))
 		p.Gauge("knowphish_store_segments", "Segment files of the segmented engine.", float64(ss.Segments))
 		p.Counter("knowphish_store_appends_total", "Records appended since open.", float64(ss.Appends))
@@ -247,8 +247,8 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	}
 
 	// Drift and model lifecycle.
-	if s.lifecycle != nil {
-		ls := s.lifecycle.Status()
+	if s.cfg.Lifecycle != nil {
+		ls := s.cfg.Lifecycle.Status()
 		p.Gauge("knowphish_drift_score_psi", "Population stability index of the score distribution.", ls.Drift.ScorePSI)
 		p.Gauge("knowphish_drift_max_feature_psi", "Largest per-feature PSI observed.", ls.Drift.MaxFeaturePSI)
 		p.Gauge("knowphish_drift_phish_rate_shift", "Absolute phish-rate shift, current window vs baseline.", ls.Drift.RateShift)

@@ -242,7 +242,7 @@ func TestAdmitAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseObjectives: %v", err)
 	}
-	s := &Server{slo: slo.New(slo.Config{Objectives: objs})}
+	s := &Server{cfg: Config{SLO: slo.New(slo.Config{Objectives: objs})}}
 	cls := &endpointClass{name: "score", priority: prioInteractive}
 	if n := testing.AllocsPerRun(1000, func() {
 		if !s.admit(cls) {
@@ -260,7 +260,7 @@ func BenchmarkAdmission(b *testing.B) {
 	if err != nil {
 		b.Fatalf("ParseObjectives: %v", err)
 	}
-	s := &Server{slo: slo.New(slo.Config{Objectives: objs})}
+	s := &Server{cfg: Config{SLO: slo.New(slo.Config{Objectives: objs})}}
 	cls := &endpointClass{name: "score", priority: prioInteractive}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -9,9 +9,7 @@ import (
 	"fmt"
 	"net/http"
 
-	"knowphish/internal/core"
 	"knowphish/internal/pool"
-	"knowphish/internal/webpage"
 )
 
 // V2StreamResult is one NDJSON line of a /v2/score/stream response:
@@ -54,7 +52,7 @@ func (s *Server) handleScoreStream(w http.ResponseWriter, r *http.Request) {
 	results := make(chan V2StreamResult)
 	go func() {
 		defer close(results)
-		_ = pool.ForEachIndexCtx(ctx, len(items), s.workers, func(i int) {
+		_ = pool.ForEachIndexCtx(ctx, len(items), s.cfg.Workers, func(i int) {
 			res := s.scoreStreamItem(ctx, i, items[i])
 			select {
 			case results <- res:
@@ -91,12 +89,12 @@ func (s *Server) handleScoreStream(w http.ResponseWriter, r *http.Request) {
 // readStreamItems parses the NDJSON request body up to the batch item
 // limit. It reports ok=false after writing the error response itself.
 func (s *Server) readStreamItems(w http.ResponseWriter, r *http.Request) ([]streamItem, bool) {
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	sc := bufio.NewScanner(body)
 	// A single line may carry a full snapshot; let it grow to the body
 	// limit rather than bufio's 64 KiB default.
-	maxLine := int(s.maxBody)
-	if maxLine <= 0 || int64(maxLine) != s.maxBody {
+	maxLine := int(s.cfg.MaxBodyBytes)
+	if maxLine <= 0 || int64(maxLine) != s.cfg.MaxBodyBytes {
 		maxLine = DefaultMaxBodyBytes
 	}
 	sc.Buffer(make([]byte, 64<<10), maxLine)
@@ -107,10 +105,10 @@ func (s *Server) readStreamItems(w http.ResponseWriter, r *http.Request) ([]stre
 		if len(line) == 0 {
 			continue
 		}
-		if len(items) >= s.maxBatch {
+		if len(items) >= s.cfg.MaxBatch {
 			s.metrics.batchRejected.Add(1)
 			s.fail(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("stream exceeds the %d-item limit", s.maxBatch))
+				fmt.Errorf("stream exceeds the %d-item limit", s.cfg.MaxBatch))
 			return nil, false
 		}
 		var it streamItem
@@ -124,7 +122,7 @@ func (s *Server) readStreamItems(w http.ResponseWriter, r *http.Request) ([]stre
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.fail(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", s.maxBody))
+				fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
 		} else {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("reading stream: %w", err))
 		}
@@ -137,7 +135,7 @@ func (s *Server) readStreamItems(w http.ResponseWriter, r *http.Request) ([]stre
 	return items, true
 }
 
-// scoreStreamItem runs one stream item through the shared scoring path,
+// scoreStreamItem runs one stream item through scorePage,
 // folding every per-item failure into the result line. Each item
 // resolves the detector for itself: a stream is long-lived, and a
 // champion promoted mid-stream should score the items still queued —
@@ -150,34 +148,18 @@ func (s *Server) scoreStreamItem(ctx context.Context, idx int, it streamItem) V2
 		return res
 	}
 	opts, cc, err := s.coreOptions(it.req.ScoreOptions)
-	if err != nil {
+	var resp V2ScoreResponse
+	if err == nil {
+		resp, err = s.scorePage(ctx, prioBatch, nil, &it.req.PageRequest, opts, cc)
+	}
+	switch {
+	case err == nil:
+		res.V2ScoreResponse = &resp
+	case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
+		// This item ran out of its own budget; the stream lives on.
+		res.Error = "scoring deadline exceeded"
+	default:
 		res.Error = err.Error()
-		return res
 	}
-	pipe, err := s.pipeline()
-	if err != nil {
-		res.Error = err.Error()
-		return res
-	}
-	var snap *webpage.Snapshot
-	if berr := s.boundedCtx(ctx, prioBatch, func() { snap, err = it.req.PageRequest.snapshot() }); berr != nil {
-		res.Error = berr.Error()
-		return res
-	}
-	if err != nil {
-		res.Error = err.Error()
-		return res
-	}
-	v, cached, err := s.scoreSnap(ctx, prioBatch, pipe, core.NewScoreRequest(snap, opts...), cc)
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-			// This item ran out of its own budget; the stream lives on.
-			res.Error = "scoring deadline exceeded"
-		} else {
-			res.Error = err.Error()
-		}
-		return res
-	}
-	res.V2ScoreResponse = &V2ScoreResponse{Verdict: v, LandingURL: snap.LandingURL, Cached: cached}
 	return res
 }

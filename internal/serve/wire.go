@@ -1,0 +1,245 @@
+package serve
+
+import (
+	"errors"
+
+	"knowphish/internal/core"
+	"knowphish/internal/store"
+	"knowphish/internal/target"
+	"knowphish/internal/webpage"
+)
+
+// PageRequest describes one page to score: either a full snapshot, or
+// raw HTML plus visit metadata (converted with webpage.FromHTML).
+type PageRequest struct {
+	Snapshot *webpage.Snapshot `json:"snapshot,omitempty"`
+
+	HTML             string   `json:"html,omitempty"`
+	StartingURL      string   `json:"starting_url,omitempty"`
+	LandingURL       string   `json:"landing_url,omitempty"`
+	RedirectionChain []string `json:"redirection_chain,omitempty"`
+}
+
+// badPageError marks a page that could not be resolved to a snapshot —
+// the client's mistake (a 400, or a per-item error on the stream), as
+// opposed to a context error that cut scoring short.
+type badPageError struct{ error }
+
+// snapshot resolves the request to a Snapshot; its errors are
+// badPageErrors.
+func (p *PageRequest) snapshot() (*webpage.Snapshot, error) {
+	if p.Snapshot != nil {
+		if p.HTML != "" || p.StartingURL != "" || p.LandingURL != "" || len(p.RedirectionChain) > 0 {
+			// The URLs would be silently ignored in favor of the
+			// snapshot's embedded ones; reject rather than mislead.
+			return nil, badPageError{errors.New("snapshot requests must not also set html, starting_url, landing_url or redirection_chain")}
+		}
+		if p.Snapshot.StartingURL == "" && p.Snapshot.LandingURL == "" {
+			return nil, badPageError{errors.New("snapshot missing starting_url and landing_url")}
+		}
+		return p.Snapshot, nil
+	}
+	if p.HTML == "" {
+		return nil, badPageError{errors.New("missing snapshot or html")}
+	}
+	start := p.StartingURL
+	land := p.LandingURL
+	if land == "" {
+		land = start
+	}
+	if start == "" {
+		start = land
+	}
+	if land == "" {
+		return nil, badPageError{errors.New("html requests need starting_url or landing_url")}
+	}
+	snap := webpage.FromHTML(start, land, p.RedirectionChain, p.HTML)
+	return &snap, nil
+}
+
+// resolve is the resolution step of the score path: the snapshot to
+// score plus its content identity. It parses HTML and hashes the page —
+// CPU work the caller holds a worker slot for.
+func (p *PageRequest) resolve() (*webpage.Snapshot, webpage.Key128, error) {
+	snap, err := p.snapshot()
+	if err != nil {
+		return nil, webpage.Key128{}, err
+	}
+	return snap, webpage.ContentKey(snap), nil
+}
+
+// ScoreResponse is the v1 verdict for one page.
+type ScoreResponse struct {
+	core.Outcome
+	// LandingURL identifies the scored page.
+	LandingURL string `json:"landing_url,omitempty"`
+	// Cached reports whether the verdict was reused — every stage found
+	// in the memo, or an identical page earlier in the same batch —
+	// rather than freshly computed.
+	Cached bool `json:"cached"`
+}
+
+// BatchRequest scores many pages in one call.
+type BatchRequest struct {
+	Pages []PageRequest `json:"pages"`
+	// Workers optionally lowers the fan-out for this request; it is
+	// capped by the server's worker limit.
+	Workers int `json:"workers,omitempty"`
+}
+
+// BatchResponse carries per-page verdicts in request order.
+type BatchResponse struct {
+	Results   []ScoreResponse `json:"results"`
+	Count     int             `json:"count"`
+	ElapsedUS int64           `json:"elapsed_us"`
+}
+
+// TargetResponse is the v1 target identification result for one page.
+type TargetResponse struct {
+	LandingURL string        `json:"landing_url,omitempty"`
+	Result     target.Result `json:"result"`
+}
+
+// ScoreOptions are the per-request knobs of the v2 scoring surface,
+// shared by /v2/score, /v2/score/batch, /v2/target and every
+// /v2/score/stream item.
+type ScoreOptions struct {
+	// DeadlineMS caps the scoring work for this request in
+	// milliseconds (0 → the server's default deadline). The budget
+	// covers pipeline stages, not time queued for a worker slot.
+	DeadlineMS int64 `json:"deadline_ms,omitempty"`
+	// Explain selects evidence: "none", "top" or "full"
+	// ("" → the server's default level).
+	Explain string `json:"explain,omitempty"`
+	// TopFeatures caps a "top" explanation's contribution count
+	// (0 → the server's default).
+	TopFeatures int `json:"top_features,omitempty"`
+	// SkipTarget skips target identification even for detector
+	// positives: cheaper, raw detector call only.
+	SkipTarget bool `json:"skip_target,omitempty"`
+	// CacheControl selects how the request interacts with the per-stage
+	// memo tables: "default" (or absent) reads and writes, "no-memo"
+	// neither reads nor writes, "refresh" recomputes every stage and
+	// overwrites — the forced revalidation.
+	CacheControl string `json:"cache_control,omitempty"`
+}
+
+// V2ScoreRequest is one page plus its scoring options.
+type V2ScoreRequest struct {
+	PageRequest
+	ScoreOptions
+}
+
+// V2ScoreResponse is the rich verdict document of the v2 surface.
+type V2ScoreResponse struct {
+	core.Verdict
+	// LandingURL identifies the scored page.
+	LandingURL string `json:"landing_url,omitempty"`
+	// Cached reports whether the verdict was reused rather than
+	// freshly computed (cached verdicts carry no timings or evidence;
+	// request an explanation to force a fresh computation).
+	Cached bool `json:"cached"`
+}
+
+// V2TargetResponse is the target identification document of the v2
+// surface.
+type V2TargetResponse struct {
+	LandingURL string        `json:"landing_url,omitempty"`
+	Result     target.Result `json:"result"`
+	// ElapsedUS is the identification wall time.
+	ElapsedUS int64 `json:"elapsed_us"`
+}
+
+// V2BatchRequest scores many pages in one call on the v2 surface. The
+// embedded options apply to every page.
+type V2BatchRequest struct {
+	Pages []PageRequest `json:"pages"`
+	ScoreOptions
+	// Workers optionally lowers the fan-out for this request; it is
+	// capped by the server's worker limit.
+	Workers int `json:"workers,omitempty"`
+}
+
+// V2BatchResponse carries per-page verdict documents in request order.
+type V2BatchResponse struct {
+	Results   []V2ScoreResponse `json:"results"`
+	Count     int               `json:"count"`
+	ElapsedUS int64             `json:"elapsed_us"`
+}
+
+// FeedRequest enqueues URLs into the ingestion pipeline.
+type FeedRequest struct {
+	URLs []string `json:"urls"`
+}
+
+// FeedResult is the per-URL acceptance outcome.
+type FeedResult struct {
+	URL      string `json:"url"`
+	Accepted bool   `json:"accepted"`
+	// Reason explains a rejection: "queue_full", "duplicate",
+	// "invalid_url" or "closed".
+	Reason string `json:"reason,omitempty"`
+}
+
+// FeedResponse reports per-URL acceptance in request order. Partial
+// acceptance is normal under backpressure; the response is still 200.
+type FeedResponse struct {
+	Results    []FeedResult `json:"results"`
+	Accepted   int          `json:"accepted"`
+	Rejected   int          `json:"rejected"`
+	QueueDepth int          `json:"queue_depth"`
+}
+
+// VerdictsResponse carries verdict-store records, newest first. It is
+// the frozen /v1/verdicts document: an empty result renders records as
+// null, exactly as v1 always has.
+type VerdictsResponse struct {
+	Records []store.Record `json:"records"`
+	Count   int            `json:"count"`
+}
+
+// VerdictsPageResponse is one /v2/verdicts page, newest first. When
+// next_cursor is present the result was truncated at the limit; pass
+// it back verbatim as ?cursor= to resume the scan exactly after the
+// last record — the cursor stays valid across appends and compactions.
+type VerdictsPageResponse struct {
+	Records    []store.Record `json:"records"`
+	Count      int            `json:"count"`
+	NextCursor string         `json:"next_cursor,omitempty"`
+}
+
+// HealthResponse is the /healthz document.
+type HealthResponse struct {
+	Status        string  `json:"status"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	Threshold     float64 `json:"threshold"`
+	// ModelVersion is the serving champion's registry version ("" for a
+	// detector loaded outside a registry).
+	ModelVersion string `json:"model_version,omitempty"`
+	// ModelHash is the champion artifact's sha256 (registry-backed
+	// servers only) — together with ModelVersion it pins exactly which
+	// model bytes answer this instance's traffic.
+	ModelHash string `json:"model_hash,omitempty"`
+	// GoVersion and VCSRevision identify the running build, read once
+	// from debug.ReadBuildInfo (VCSRevision is empty when the binary
+	// was built outside a VCS checkout, e.g. in tests).
+	GoVersion    string `json:"go_version"`
+	VCSRevision  string `json:"vcs_revision,omitempty"`
+	Workers      int    `json:"workers"`
+	CacheEnabled bool   `json:"cache_enabled"`
+	FeedEnabled  bool   `json:"feed_enabled"`
+	StoreEnabled bool   `json:"store_enabled"`
+	// SLOState is the error-budget engine's worst objective state
+	// ("ok", "warn" or "page"; absent without an SLO engine). A paging
+	// server is still alive — liveness probes must not kill it — but
+	// the field lets a smarter health check or operator see burn at a
+	// glance without a second request.
+	SLOState string `json:"slo_state,omitempty"`
+	// ShedLevel is the active admission shed level (0 = admitting
+	// everything; present only while shedding).
+	ShedLevel int `json:"shed_level,omitempty"`
+}
+
+type errorResponse struct {
+	Error string `json:"error"`
+}
