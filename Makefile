@@ -41,8 +41,10 @@ bench-smoke:
 # encoding/json, its fallback; the search kernel
 # against its map-and-sort reference on fuzzer-built corpora; the content
 # identity's preimage (distinct snapshots never share bytes or a key);
-# the NDJSON feed connector; and the migration reader of legacy verdict
-# logs. Found inputs land in the package's testdata/fuzz and become
+# the NDJSON feed connector; the migration reader of legacy verdict
+# logs; and the segmented store's index-snapshot decoder (arbitrary
+# bytes, bare and under a valid CRC, plus an encode/decode round trip).
+# Found inputs land in the package's testdata/fuzz and become
 # permanent regression seeds. FUZZTIME is per target.
 FUZZ_TARGETS = \
 	FuzzParse:./internal/urlx \
@@ -54,6 +56,7 @@ FUZZ_TARGETS = \
 	FuzzQueryMatchesReference:./internal/search \
 	FuzzNDJSONSource:./internal/feedsrc \
 	FuzzLegacyRead:./internal/store \
+	FuzzDecodeSnapshot:./internal/store \
 	FuzzDecodeDoc:./internal/serve
 
 FUZZTIME ?= 10s

@@ -625,8 +625,8 @@ func BenchmarkDecodeScoreRequest(b *testing.B) {
 }
 
 // BenchmarkCoalescedScore measures the content-addressed stage memo
-// (internal/coalesce) under conc concurrent callers, with the per-stage
-// memo tables cold (disabled, so every request computes every stage) or
+// (internal/coalesce) under conc concurrent callers, with the score and
+// target tables cold (disabled, so every request computes every stage) or
 // warm (pre-populated, so requests ride the content-addressed fast
 // path). Per-op time is one scored page. The warm sub-benchmarks are
 // the steady-state claim: repeated content must be near-free and
@@ -689,7 +689,7 @@ func BenchmarkCoalescedScore(b *testing.B) {
 
 // BenchmarkMemoLookup pins the content-addressed memo fast path: one
 // fully-warm page through Coalescer.Do — content hash, sharded table
-// lookups (analysis, features, score, target) and verdict assembly,
+// lookups (score, then target for a positive) and verdict assembly,
 // with no stage recomputed. This is the per-request overhead every
 // warm request pays, so the gate holds it to microseconds and zero
 // allocations. (internal/coalesce has the table-only microbenchmark.)

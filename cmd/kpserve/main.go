@@ -74,7 +74,7 @@ func run() error {
 	flag.StringVar(&cfg.Index, "index", "", "search index JSON (optional; required with -model for target identification)")
 	flag.IntVar(&cfg.Workers, "workers", 0, "batch fan-out cap (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.MaxBatch, "max-batch", serve.DefaultMaxBatch, "max pages per batch or stream request")
-	flag.IntVar(&cfg.MemoEntries, "memo-size", coalesce.DefaultMemoEntries, "entries per content-addressed stage memo table (negative: no verdict reuse, every request computes every stage)")
+	flag.IntVar(&cfg.MemoEntries, "memo-size", coalesce.DefaultMemoEntries, "entries per content-addressed memo table, score and target: ~200 bytes per scored page plus ~0.8 KB per detector positive, whatever the page size (negative: no verdict reuse, every request computes every stage)")
 	flag.DurationVar(&cfg.Deadline, "deadline", 0, "default per-request scoring deadline (0 = none; requests may set their own deadline_ms)")
 	explain := flag.String("explain", "none", "default explain level for v2 requests: none, top or full")
 	flag.IntVar(&cfg.ExplainTopN, "explain-top", 0, "default contribution count of a 'top' explanation (0 = library default)")

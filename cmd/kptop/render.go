@@ -98,16 +98,10 @@ func renderFrame(prev, cur *frame, color bool) string {
 		}
 	}
 
-	// Stage memo: staged-pass counters and per-stage memo hit rates.
+	// Stage memo: staged passes and the two tables' hit rates.
 	if co := m.Coalesce; co != nil {
-		avg := 0.0
-		if co.Batches > 0 {
-			avg = float64(co.BatchedItems) / float64(co.Batches)
-		}
-		fmt.Fprintf(&b, "\n%scoalesce%s  batches %d   items %d (avg %.1f)   bypassed %d\n",
-			p.bold, p.reset, co.Batches, co.BatchedItems, avg, co.Bypassed)
-		fmt.Fprintf(&b, "  memo hit  analysis %s   features %s   score %s   target %s\n",
-			memoRate(co.Analysis), memoRate(co.Features), memoRate(co.Score), memoRate(co.Target))
+		fmt.Fprintf(&b, "\n%scoalesce%s  passes %d   bypassed %d\n", p.bold, p.reset, co.Batches, co.Bypassed)
+		fmt.Fprintf(&b, "  memo hit  score %s   target %s\n", memoRate(co.Score), memoRate(co.Target))
 	}
 
 	// Feed queue.

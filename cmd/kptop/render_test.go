@@ -45,10 +45,9 @@ func testFrame(at time.Time) *frame {
 			},
 			Coalesce: &coalesce.Stats{
 				Batches:      100,
-				BatchedItems: 450,
+				BatchedItems: 100,
 				Bypassed:     7,
-				Analysis:     coalesce.TableStats{Hits: 300, Misses: 150, Entries: 150},
-				Score:        coalesce.TableStats{Hits: 225, Misses: 225, Entries: 150},
+				Score:        coalesce.TableStats{Hits: 300, Misses: 150, Entries: 150},
 			},
 			Tracing: &obs.Summary{Stages: []obs.StageSummary{
 				{Stage: "score", Count: 1100, Windows: []obs.WindowSummary{
@@ -83,15 +82,18 @@ func TestRenderFrame(t *testing.T) {
 		"2.4ms", // score 1m p99
 		"shed_level",
 		"admission shed level 0 -> 2",
-		"batches 100",
-		"items 450 (avg 4.5)",
+		"passes 100",
 		"bypassed 7",
-		"analysis  67% (150)",
-		"score  50% (150)",
-		"features -",
+		"score  67% (150)",
+		"target -",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("frame missing %q\n%s", want, out)
+		}
+	}
+	for _, gone := range []string{"batches", "items", "avg", "analysis", "features"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("frame still renders %q\n%s", gone, out)
 		}
 	}
 	if strings.Contains(out, "\x1b[") {

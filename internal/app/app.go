@@ -68,8 +68,10 @@ type Config struct {
 	Workers int
 	// MaxBatch bounds pages per batch or stream request.
 	MaxBatch int
-	// MemoEntries is the capacity of each stage memo table (negative:
-	// no verdict reuse).
+	// MemoEntries is the capacity of each of the stage memo's two tables,
+	// score and target (negative: no verdict reuse). About 200 bytes per
+	// scored page plus 0.8 KB per detector positive, whatever the page
+	// size (see coalesce.Config.MemoEntries).
 	MemoEntries int
 	// Deadline is the default per-request scoring budget (0 → none).
 	Deadline time.Duration

@@ -1,32 +1,35 @@
 // Package coalesce is the content-addressed stage memo in front of the
 // scoring pipeline.
 //
-// Four sharded LRU tables memoize the pipeline stages independently,
-// keyed by the page's 128-bit content key (webpage.ContentKey): snapshot
-// analysis and the extracted feature vector are model-independent and
-// survive model promotion; the detector score and the
-// target-identification result are stamped with the model version and
-// invalidated when a new champion is promoted. These tables are the
-// only verdict reuse in the process: a request for which every stage is
-// found is what the serving layer reports as a cache hit.
+// Two sharded LRU tables, keyed by the page's 128-bit content key
+// (webpage.ContentKey), memoize what a verdict is made of: the detector
+// score and, for a detector positive, the target-identification result.
+// Both are stamped with the model version and dropped when a new
+// champion is promoted. The memo keeps verdicts, not pages: no entry
+// references the snapshot, its analysis or its feature vector, so
+// nothing a client sent stays reachable after its response is written,
+// and an entry's size does not depend on the page (see
+// Config.MemoEntries). These tables are the only verdict reuse in the
+// process: a request whose score — and target result, when it needs
+// one — is found is what the serving layer reports as a cache hit.
 //
-// Coalescer.Do hashes the page, looks the four stages up, hands what it
-// found to the pipeline's one stage machine
-// (core.Pipeline.AnalyzeStagedCtx), and writes back what had to be
-// computed. It runs on the caller's goroutine — no queue, no timer, no
-// background work — and its verdicts are identical to per-request
-// AnalyzeCtx calls. Nothing is batched: the package and type names are
-// kept for the callers and metric names that carry them.
+// Coalescer.Do hashes the page, looks the score up and then, for a
+// positive, the target result, hands what it found to the pipeline's
+// one stage machine (core.Pipeline.AnalyzeStagedCtx), and writes back
+// what had to be computed. It runs on the caller's goroutine — no
+// queue, no timer, no background work — and its verdicts are identical
+// to per-request AnalyzeCtx calls. Nothing is batched: the package and
+// type names are kept for the callers and metric names that carry them.
 package coalesce
 
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 
 	"knowphish/internal/core"
 	"knowphish/internal/target"
-	"knowphish/internal/webpage"
 )
 
 // CacheControl selects how one request interacts with the memo tables.
@@ -71,14 +74,22 @@ func ParseCacheControl(s string) (CacheControl, error) {
 }
 
 // DefaultMemoEntries is each memo table's capacity when Config leaves
-// it zero.
+// it zero (see Config.MemoEntries for what that is in bytes).
 const DefaultMemoEntries = 1 << 16
 
 // Config configures a Coalescer.
 type Config struct {
-	// MemoEntries is the capacity of each of the four stage tables
-	// (0 = DefaultMemoEntries; negative disables memoization — Do still
-	// fingerprints the page and scores it).
+	// MemoEntries is the capacity of each of the two tables, score and
+	// target (0 = DefaultMemoEntries; negative disables memoization — Do
+	// still fingerprints the page and scores it). It bounds memory, not
+	// only the entry count, because no entry grows with its page: a
+	// score entry is about 200 bytes (key, score, version, 32-character
+	// fingerprint, list and map nodes), and a target entry — detector
+	// positives only — about 0.8 KB more: at most 30 candidate domains
+	// and 15 key terms, copied out of the page (the one part that is as
+	// long as the page spelled it). The default is ~13 MB of scores when
+	// full, ~65 MB if every page were a positive
+	// (TestHeapAllocRetainedPerPage holds the per-page figure).
 	MemoEntries int
 }
 
@@ -95,21 +106,18 @@ type Stats struct {
 	// results).
 	Bypassed uint64 `json:"bypassed"`
 
+	// Analysis and Features always read zero: there are no such tables.
+	// Like Batches/BatchedItems they stay for the metrics golden and the
+	// repo benchmark, which read the four by name.
 	Analysis TableStats `json:"analysis"`
 	Features TableStats `json:"features"`
 	Score    TableStats `json:"score"`
 	Target   TableStats `json:"target"`
 }
 
-// analysisEntry memoizes the analysis stage. fp carries the hex content
-// fingerprint so warm requests reuse one string forever instead of
-// re-encoding it.
-type analysisEntry struct {
-	a  *webpage.Analysis
-	fp string
-}
-
-// scoreEntry memoizes the detector score for one model version.
+// scoreEntry memoizes the detector score for one model version. fp
+// carries the hex content fingerprint so warm requests reuse one string
+// forever instead of re-encoding it.
 type scoreEntry struct {
 	score float64
 	ver   string
@@ -125,14 +133,29 @@ type targetEntry struct {
 	ver string
 }
 
+// ownedResult is the copy of res the target table keeps. The
+// identifier's term lists are substrings of the analysis's term arenas
+// — page-sized, client-chosen bytes an entry must not keep alive — so
+// they are cloned; candidates name indexed domains, not page bytes.
+func ownedResult(res target.Result) *target.Result {
+	for _, terms := range []*[]string{&res.Keyterms.Boosted, &res.Keyterms.Prominent, &res.OCRProminent} {
+		if *terms != nil {
+			owned := make([]string, len(*terms))
+			for i, t := range *terms {
+				owned[i] = strings.Clone(t)
+			}
+			*terms = owned
+		}
+	}
+	return &res
+}
+
 // Coalescer memoizes the scoring pipeline's stages by page content. The
 // zero value is not usable; build one with New. A nil *Coalescer is
 // valid and degrades Do to a plain AnalyzeCtx call.
 type Coalescer struct {
-	analysis *memoTable[analysisEntry]
-	features *memoTable[[]float64]
-	score    *memoTable[scoreEntry]
-	target   *memoTable[targetEntry]
+	score  *memoTable[scoreEntry]
+	target *memoTable[targetEntry]
 
 	passes   atomic.Uint64
 	bypassed atomic.Uint64
@@ -146,10 +169,8 @@ func New(cfg Config) *Coalescer {
 		memo = DefaultMemoEntries
 	}
 	return &Coalescer{
-		analysis: newMemoTable[analysisEntry](memo),
-		features: newMemoTable[[]float64](memo),
-		score:    newMemoTable[scoreEntry](memo),
-		target:   newMemoTable[targetEntry](memo),
+		score:  newMemoTable[scoreEntry](memo),
+		target: newMemoTable[targetEntry](memo),
 	}
 }
 
@@ -157,7 +178,8 @@ func New(cfg Config) *Coalescer {
 // one staged pipeline pass, memo write-back. The verdict is identical
 // to what pipe.AnalyzeCtx would produce, with ContentFingerprint set;
 // when prov is non-nil it is filled with each stage's provenance (memo
-// vs computed; empty for stages that did not run).
+// vs computed; empty for stages that did not run — analysis and features
+// are only ever computed or empty).
 //
 // Explain and feature-masked requests are per-request by nature and are
 // transparently routed to pipe.AnalyzeCtx. A nil receiver routes
@@ -183,22 +205,13 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 	key := req.ContentKey(snap)
 	ver := pipe.Detector.Version()
 	reads := cc == CacheDefault
-	writes := cc != CacheNoMemo
+	writes := cc != CacheNoMemo && c.Enabled()
 
 	var st core.StageResults
 	fp := ""
 	if reads {
-		if e, ok := c.analysis.Get(key); ok {
-			st.Analysis, fp = e.a, e.fp
-		}
-		if v, ok := c.features.Get(key); ok {
-			st.Vector = v
-		}
 		if e, ok := c.score.Get(key); ok && e.ver == ver {
-			st.HasScore, st.Score = true, e.score
-			if fp == "" {
-				fp = e.fp
-			}
+			st.HasScore, st.Score, fp = true, e.score, e.fp
 		}
 		// The target table only ever holds detector positives: probing it
 		// for a page whose memoised score is below the threshold would
@@ -209,8 +222,6 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 			}
 		}
 	}
-	// The feature memo wants the vector whenever it does not hold it.
-	st.KeepVector = writes && c.features != nil && st.Vector == nil
 
 	v, err := pipe.AnalyzeStagedCtx(ctx, req, &st)
 	if err != nil {
@@ -220,47 +231,29 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 		fp = key.String()
 	}
 	v.ContentFingerprint = fp
-	computed := st.Computed
 	if writes {
-		if computed&core.StageMaskAnalysis != 0 {
-			c.analysis.Put(key, analysisEntry{a: st.Analysis, fp: fp})
-		}
-		if computed&core.StageMaskFeatures != 0 && st.Vector != nil {
-			c.features.Put(key, st.Vector)
-		}
-		if computed&core.StageMaskScore != 0 {
+		if st.Computed&core.StageMaskScore != 0 {
 			c.score.Put(key, scoreEntry{score: v.Score, ver: v.ModelVersion, fp: fp})
 		}
-		if computed&core.StageMaskTarget != 0 {
-			res := v.Target
-			c.target.Put(key, targetEntry{res: &res, ver: v.ModelVersion})
+		if st.Computed&core.StageMaskTarget != 0 {
+			c.target.Put(key, targetEntry{res: ownedResult(v.Target), ver: v.ModelVersion})
 		}
 	}
 	if prov != nil {
-		*prov = core.MemoProvenance{}
-		switch {
-		case computed&core.StageMaskAnalysis != 0:
-			prov.Analysis = core.ProvComputed
-		case st.Analysis != nil:
-			prov.Analysis = core.ProvMemo
+		// A stage that ran is computed; one that did not is otherwise.
+		of := func(stage core.StageMask, otherwise string) string {
+			if st.Computed&stage != 0 {
+				return core.ProvComputed
+			}
+			return otherwise
 		}
-		switch {
-		case computed&core.StageMaskFeatures != 0:
-			prov.Features = core.ProvComputed
-		case st.Vector != nil && !st.HasScore:
-			prov.Features = core.ProvMemo
-		}
-		if st.HasScore {
-			prov.Score = core.ProvMemo
-		} else {
-			prov.Score = core.ProvComputed
+		*prov = core.MemoProvenance{
+			Analysis: of(core.StageMaskAnalysis, ""),
+			Features: of(core.StageMaskFeatures, ""),
+			Score:    of(core.StageMaskScore, core.ProvMemo),
 		}
 		if v.TargetRun {
-			if computed&core.StageMaskTarget != 0 {
-				prov.Target = core.ProvComputed
-			} else {
-				prov.Target = core.ProvMemo
-			}
+			prov.Target = of(core.StageMaskTarget, core.ProvMemo)
 		}
 	}
 	return v, nil
@@ -271,11 +264,9 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 // computes every stage.
 func (c *Coalescer) Enabled() bool { return c != nil && c.score != nil }
 
-// InvalidateModel flushes the model-dependent memo tables (detector
-// score, target result) — the promotion hook. Analysis and feature
-// memos are model-independent and survive. Entries are additionally
-// version-stamped, so even a read racing the flush cannot resurrect a
-// stale score under the new champion.
+// InvalidateModel empties the memo — the promotion hook. Entries are
+// additionally version-stamped, so even a read racing the flush cannot
+// resurrect a stale score under the new champion.
 func (c *Coalescer) InvalidateModel() {
 	if c == nil {
 		return
@@ -294,8 +285,6 @@ func (c *Coalescer) Snapshot() Stats {
 		Batches:      passes,
 		BatchedItems: passes,
 		Bypassed:     c.bypassed.Load(),
-		Analysis:     c.analysis.stats(),
-		Features:     c.features.stats(),
 		Score:        c.score.stats(),
 		Target:       c.target.stats(),
 	}

@@ -3,6 +3,8 @@ package coalesce
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -55,6 +57,39 @@ func fixtures(t testing.TB) (*dataset.Corpus, *core.Pipeline) {
 	return setupCorp, setupPipe
 }
 
+var (
+	secondOnce sync.Once
+	secondPipe *core.Pipeline
+	secondErr  error
+)
+
+// secondChampion is a second trained detector, version "m2", with its
+// own model and its own threshold, over the fixture pipeline's
+// identifier — what a promotion swaps in.
+func secondChampion(t testing.TB) *core.Pipeline {
+	t.Helper()
+	corp, pipe := fixtures(t)
+	secondOnce.Do(func() {
+		snaps := append(corp.LegTrain.Snapshots(), corp.PhishTrain.Snapshots()...)
+		labels := append(corp.LegTrain.Labels(), corp.PhishTrain.Labels()...)
+		var d *core.Detector
+		d, secondErr = core.Train(snaps, labels, core.TrainConfig{
+			Rank:      corp.World.Ranking(),
+			GBM:       ml.GBMConfig{Trees: 30, MaxDepth: 3, Seed: 9},
+			Threshold: 0.4,
+		})
+		if secondErr != nil {
+			return
+		}
+		d.SetVersion("m2")
+		secondPipe = &core.Pipeline{Detector: d, Identifier: pipe.Identifier}
+	})
+	if secondErr != nil {
+		t.Fatalf("second champion: %v", secondErr)
+	}
+	return secondPipe
+}
+
 func mixedSnaps(t testing.TB, n int) []*webpage.Snapshot {
 	t.Helper()
 	c, _ := fixtures(t)
@@ -69,7 +104,9 @@ func mixedSnaps(t testing.TB, n int) []*webpage.Snapshot {
 }
 
 // TestDoMatchesAnalyzeCtx pins the memoized path, cold and warm, to
-// per-request AnalyzeCtx verdicts.
+// per-request AnalyzeCtx verdicts, and the provenance to what the memo
+// holds: a warm request is a hit on score (and target) alone, and the
+// analysis and feature stages are computed or absent, never "memo".
 func TestDoMatchesAnalyzeCtx(t *testing.T) {
 	_, pipe := fixtures(t)
 	c := New(Config{})
@@ -86,21 +123,26 @@ func TestDoMatchesAnalyzeCtx(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Score != want.Score || got.FinalPhish != want.FinalPhish ||
-				got.Label != want.Label || got.TargetRun != want.TargetRun {
+			if !reflect.DeepEqual(got.Outcome, want.Outcome) || got.Label != want.Label {
 				t.Fatalf("round %d snap %d: coalesced %+v != direct %+v", round, i, got.Outcome, want.Outcome)
 			}
 			if got.ContentFingerprint == "" {
 				t.Fatalf("round %d snap %d: no content fingerprint", round, i)
 			}
-			if round > 0 && prov.Score != core.ProvMemo {
-				t.Fatalf("round %d snap %d: warm score provenance %q, want memo", round, i, prov.Score)
+			if round == 0 && (prov.Analysis != core.ProvComputed || prov.Features != core.ProvComputed || prov.Score != core.ProvComputed) {
+				t.Fatalf("snap %d: cold provenance %+v, want analysis, features and score computed", i, prov)
+			}
+			if round > 0 && (!prov.Hit() || prov.Analysis != "" || prov.Features != "") {
+				t.Fatalf("round %d snap %d: warm provenance %+v, want a hit with no analysis or features", round, i, prov)
 			}
 		}
 	}
 	st := c.Snapshot()
-	if st.Score.Hits == 0 || st.Analysis.Hits == 0 {
+	if st.Score.Hits == 0 || st.Target.Hits == 0 {
 		t.Fatalf("warm rounds produced no memo hits: %+v", st)
+	}
+	if st.Analysis != (TableStats{}) || st.Features != (TableStats{}) {
+		t.Fatalf("retired analysis/features stats moved: %+v", st)
 	}
 }
 
@@ -134,8 +176,8 @@ func TestCacheControlSemantics(t *testing.T) {
 	if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheNoMemo, nil); err != nil {
 		t.Fatal(err)
 	}
-	if n := c.Snapshot().Analysis.Entries; n != 0 {
-		t.Fatalf("no-memo wrote %d analysis entries, want 0", n)
+	if st := c.Snapshot(); st.Score.Entries != 0 || st.Target.Entries != 0 {
+		t.Fatalf("no-memo wrote %d score / %d target entries, want 0/0", st.Score.Entries, st.Target.Entries)
 	}
 
 	var prov core.MemoProvenance
@@ -165,11 +207,11 @@ func TestCacheControlSemantics(t *testing.T) {
 	}
 }
 
-// TestInvalidateModelOnPromotion pins the promotion contract: score and
-// target memos flush, analysis and feature memos survive; and a version
-// bump alone (without the flush) already prevents stale hits.
+// TestInvalidateModelOnPromotion pins the promotion contract: the memo
+// empties, and the first request per page under the new champion
+// computes every stage and matches the champion's own direct verdict.
 func TestInvalidateModelOnPromotion(t *testing.T) {
-	corp, pipe := fixtures(t)
+	_, pipe := fixtures(t)
 	ctx := context.Background()
 	c := New(Config{})
 	snaps := mixedSnaps(t, 8)
@@ -179,37 +221,21 @@ func TestInvalidateModelOnPromotion(t *testing.T) {
 		}
 	}
 	before := c.Snapshot()
-	if before.Score.Entries == 0 || before.Analysis.Entries == 0 || before.Target.Entries == 0 {
+	if before.Score.Entries == 0 || before.Target.Entries == 0 {
 		t.Fatalf("fixture produced empty tables: %+v", before)
 	}
 
 	// Promote: new detector (different version), flush hook fires.
-	snaps2 := append(corp.LegTrain.Snapshots(), corp.PhishTrain.Snapshots()...)
-	labels2 := append(corp.LegTrain.Labels(), corp.PhishTrain.Labels()...)
-	d2, err := core.Train(snaps2, labels2, core.TrainConfig{
-		Rank: corp.World.Ranking(),
-		GBM:  ml.GBMConfig{Trees: 30, MaxDepth: 3, Seed: 9},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2.SetVersion("m2")
-	pipe2 := &core.Pipeline{Detector: d2, Identifier: pipe.Identifier}
+	pipe2 := secondChampion(t)
 	c.InvalidateModel()
 
 	after := c.Snapshot()
 	if after.Score.Entries != 0 || after.Target.Entries != 0 {
 		t.Fatalf("promotion left %d score / %d target entries, want 0/0", after.Score.Entries, after.Target.Entries)
 	}
-	if after.Analysis.Entries != before.Analysis.Entries {
-		t.Fatalf("promotion flushed analysis memos: %d -> %d", before.Analysis.Entries, after.Analysis.Entries)
-	}
-	if after.Features.Entries != before.Features.Entries {
-		t.Fatalf("promotion flushed feature memos: %d -> %d", before.Features.Entries, after.Features.Entries)
-	}
 
 	// No stale verdicts: scores under the new champion match its own
-	// direct scoring, and analysis memos keep paying off.
+	// direct scoring, with nothing served from memo.
 	var prov core.MemoProvenance
 	for i, snap := range snaps {
 		got, err := c.Do(ctx, pipe2, core.NewScoreRequest(snap), CacheDefault, &prov)
@@ -223,11 +249,9 @@ func TestInvalidateModelOnPromotion(t *testing.T) {
 		if got.Score != want.Score || got.ModelVersion != "m2" {
 			t.Fatalf("snap %d: post-promotion score %v (model %s) != direct %v", i, got.Score, got.ModelVersion, want.Score)
 		}
-		if prov.Score == core.ProvMemo {
-			t.Fatalf("snap %d: stale score memo survived promotion", i)
-		}
-		if prov.Analysis != core.ProvMemo {
-			t.Fatalf("snap %d: analysis memo did not survive promotion (prov %q)", i, prov.Analysis)
+		if prov.Analysis != core.ProvComputed || prov.Features != core.ProvComputed ||
+			prov.Score != core.ProvComputed || prov.Target == core.ProvMemo {
+			t.Fatalf("snap %d: post-promotion provenance %+v, want every stage computed", i, prov)
 		}
 	}
 }
@@ -289,27 +313,62 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 }
 
+// underPromotion runs score(worker, round) from 8 goroutines, rounds
+// times each, while another goroutine calls promote in a loop, and
+// fails the test with the first non-empty message score returns.
+func underPromotion(t *testing.T, rounds int, promote func(i int), score func(w, round int) string) {
+	t.Helper()
+	stop := make(chan struct{})
+	var promoter sync.WaitGroup
+	promoter.Add(1)
+	go func() {
+		defer promoter.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				promote(i)
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}()
+	const workers = 8
+	var wg sync.WaitGroup
+	fail := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				if msg := score(w, round); msg != "" {
+					fail <- msg
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	promoter.Wait()
+	select {
+	case msg := <-fail:
+		t.Fatal(msg)
+	default:
+	}
+}
+
 // TestConcurrentPromoteAndScore hammers Do against concurrent promotion
 // flushes and version churn; run under -race this is the memo tables'
 // safety net, and every verdict must still be internally consistent.
 func TestConcurrentPromoteAndScore(t *testing.T) {
-	corp, pipe := fixtures(t)
+	_, pipe := fixtures(t)
 	ctx := context.Background()
 	c := New(Config{})
 	snaps := mixedSnaps(t, 16)
 
 	// A second champion to swap in and out.
-	snaps2 := append(corp.LegTrain.Snapshots(), corp.PhishTrain.Snapshots()...)
-	labels2 := append(corp.LegTrain.Labels(), corp.PhishTrain.Labels()...)
-	d2, err := core.Train(snaps2, labels2, core.TrainConfig{
-		Rank: corp.World.Ranking(),
-		GBM:  ml.GBMConfig{Trees: 30, MaxDepth: 3, Seed: 9},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2.SetVersion("m2")
-	pipes := []*core.Pipeline{pipe, {Detector: d2, Identifier: pipe.Identifier}}
+	pipes := []*core.Pipeline{pipe, secondChampion(t)}
 
 	want := make(map[string][2]float64, len(snaps))
 	for _, snap := range snaps {
@@ -324,53 +383,71 @@ func TestConcurrentPromoteAndScore(t *testing.T) {
 		want[snap.LandingURL] = [2]float64{v1.Score, v2.Score}
 	}
 
-	stop := make(chan struct{})
-	var promoter sync.WaitGroup
-	promoter.Add(1)
-	go func() {
-		defer promoter.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				c.InvalidateModel()
-				time.Sleep(200 * time.Microsecond)
-			}
+	underPromotion(t, 30, func(int) { c.InvalidateModel() }, func(w, round int) string {
+		mi := (w + round) % 2
+		snap := snaps[(w*7+round)%len(snaps)]
+		v, err := c.Do(ctx, pipes[mi], core.NewScoreRequest(snap), CacheDefault, nil)
+		if err != nil {
+			return err.Error()
 		}
-	}()
+		if v.Score != want[snap.LandingURL][mi] {
+			return "score under model " + v.ModelVersion + " diverged (stale memo?)"
+		}
+		return ""
+	})
+}
 
-	const workers = 8
-	var wg sync.WaitGroup
-	fail := make(chan string, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for round := 0; round < 30; round++ {
-				p := pipes[(w+round)%2]
-				mi := (w + round) % 2
-				snap := snaps[(w*7+round)%len(snaps)]
-				v, err := c.Do(ctx, p, core.NewScoreRequest(snap), CacheDefault, nil)
-				if err != nil {
-					fail <- err.Error()
-					return
-				}
-				if v.Score != want[snap.LandingURL][mi] {
-					fail <- "score under model " + v.ModelVersion + " diverged (stale memo?)"
-					return
-				}
+// TestPromotionDifferential is the memo path ≡ AnalyzeCtx differential
+// under concurrent promotion: scorers resolve the champion through a
+// SwappableSource, as the serving layer does, while a promoter swaps it
+// between two detectors (different models, different thresholds) and
+// fires the promotion hook. Every verdict must equal, field for field,
+// what the detector named by its own ModelVersion produces directly —
+// no score from one model under another's threshold, label or target
+// result. Run under -race.
+func TestPromotionDifferential(t *testing.T) {
+	_, pipe := fixtures(t)
+	ctx := context.Background()
+	c := New(Config{})
+	snaps := mixedSnaps(t, 12)
+	champions := []*core.Pipeline{secondChampion(t), pipe} // promotion order
+
+	type expect struct {
+		core.Outcome
+		label     string
+		threshold float64
+	}
+	want := make(map[string]map[*webpage.Snapshot]expect, len(champions))
+	for _, p := range champions {
+		ver := p.Detector.Version()
+		want[ver] = make(map[*webpage.Snapshot]expect, len(snaps))
+		for _, snap := range snaps {
+			v, err := p.AnalyzeCtx(ctx, core.NewScoreRequest(snap))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
+			want[ver][snap] = expect{v.Outcome, v.Label, v.Threshold}
+		}
 	}
-	wg.Wait()
-	close(stop)
-	promoter.Wait()
-	select {
-	case msg := <-fail:
-		t.Fatal(msg)
-	default:
+
+	src := core.NewSwappableSource(pipe.Detector)
+	promote := func(i int) {
+		src.Swap(champions[i%2].Detector)
+		c.InvalidateModel()
 	}
+	underPromotion(t, 60, promote, func(w, round int) string {
+		snap := snaps[(w*5+round)%len(snaps)]
+		p := &core.Pipeline{Detector: src.Current(), Identifier: pipe.Identifier}
+		v, err := c.Do(ctx, p, core.NewScoreRequest(snap), CacheDefault, nil)
+		if err != nil {
+			return err.Error()
+		}
+		got := expect{v.Outcome, v.Label, v.Threshold}
+		if exp, ok := want[v.ModelVersion][snap]; !ok || !reflect.DeepEqual(got, exp) {
+			return fmt.Sprintf("verdict under %q mixes models:\n got %+v\nwant %+v", v.ModelVersion, got, exp)
+		}
+		return ""
+	})
 }
 
 // TestNilCoalescerDegradesToDirect pins the nil receiver contract.
@@ -412,14 +489,14 @@ func TestExplainBypass(t *testing.T) {
 	if st.Bypassed != 1 {
 		t.Fatalf("bypassed = %d, want 1", st.Bypassed)
 	}
-	if st.Analysis.Entries != 0 {
+	if st.Score.Entries != 0 || st.Target.Entries != 0 {
 		t.Fatal("bypassed request wrote memos")
 	}
 }
 
 // TestWarmPathZeroAllocs pins the steady-state cost of a fully
-// memoized request: content hash, four table hits, one staged pass —
-// zero heap allocations.
+// memoized request: content hash, score and target hits, one staged
+// pass — zero heap allocations.
 func TestWarmPathZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")

@@ -1,10 +1,9 @@
 package coalesce
 
 // Sharded LRU memo tables keyed by content key: 16 shards, each a map
-// over a recency list, generic over the stage value so the four stage
-// tables — analysis, feature vector, detector score, target result —
-// share one implementation. Lookups on a warm table perform no heap
-// allocations; inserts box one entry.
+// over a recency list, generic over the stage value so the two tables —
+// detector score, target result — share one implementation. Lookups on
+// a warm table perform no heap allocations; inserts box one entry.
 
 import (
 	"container/list"
@@ -113,8 +112,7 @@ func (t *memoTable[V]) Put(k webpage.Key128, v V) {
 	}
 }
 
-// Flush drops every entry — the promotion hook for version-dependent
-// tables.
+// Flush drops every entry — the promotion hook.
 func (t *memoTable[V]) Flush() {
 	if t == nil {
 		return

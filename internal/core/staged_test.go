@@ -37,13 +37,13 @@ func stagedPages(t *testing.T, p *Pipeline) map[string]*webpage.Snapshot {
 }
 
 // TestScoreCoalescedMatchesAnalyzeCtx is the differential proof that the
-// staged entry point is AnalyzeCtx: for every subset of pre-supplied
-// stages the verdict is equal apart from Timings, and Computed names
-// exactly the stages that had to run.
+// staged entry point is AnalyzeCtx: for every subset of the two stages a
+// caller can supply the verdict is equal apart from Timings, and
+// Computed names exactly the stages that had to run.
 func TestScoreCoalescedMatchesAnalyzeCtx(t *testing.T) {
 	_, p := verdictFixtures(t)
 	ctx := context.Background()
-	const supA, supV, supS, supT = 1, 2, 4, 8
+	const supS, supT = 1, 2
 	options := []struct {
 		name          string
 		opts          []ScoreOption
@@ -54,9 +54,8 @@ func TestScoreCoalescedMatchesAnalyzeCtx(t *testing.T) {
 		{name: "capture", opts: []ScoreOption{WithVectorCapture()}, capture: true},
 	}
 	for page, snap := range stagedPages(t, p) {
-		// One cold pass yields every stage result to pre-supply.
-		cold := StageResults{KeepVector: true}
-		coldV, err := p.AnalyzeStagedCtx(ctx, NewScoreRequest(snap), &cold)
+		// One cold pass yields both stage results to pre-supply.
+		coldV, err := p.AnalyzeCtx(ctx, NewScoreRequest(snap))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,14 +73,8 @@ func TestScoreCoalescedMatchesAnalyzeCtx(t *testing.T) {
 			}
 			want.Timings = StageTimings{}
 			identifies := want.DetectorPhish && !o.skip
-			for sup := 0; sup < 16; sup++ {
+			for sup := 0; sup < 4; sup++ {
 				var st StageResults
-				if sup&supA != 0 {
-					st.Analysis = cold.Analysis
-				}
-				if sup&supV != 0 {
-					st.Vector = cold.Vector
-				}
 				if sup&supS != 0 {
 					st.HasScore, st.Score = true, coldV.Score
 				}
@@ -90,18 +83,19 @@ func TestScoreCoalescedMatchesAnalyzeCtx(t *testing.T) {
 				}
 				got, err := p.AnalyzeStagedCtx(ctx, req, &st)
 				if err != nil {
-					t.Fatalf("%s/%s/supplied=%04b: %v", page, o.name, sup, err)
+					t.Fatalf("%s/%s/supplied=%02b: %v", page, o.name, sup, err)
 				}
 				got.Timings = StageTimings{}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%s/supplied=%04b: staged verdict\n%+v\ndiverges from AnalyzeCtx\n%+v", page, o.name, sup, got, want)
+					t.Fatalf("%s/%s/supplied=%02b: staged verdict\n%+v\ndiverges from AnalyzeCtx\n%+v", page, o.name, sup, got, want)
 				}
 
 				var need StageMask
 				if sup&supS == 0 {
 					need |= StageMaskScore
 				}
-				if sup&supV == 0 && (sup&supS == 0 || o.capture) {
+				// The vector feeds classification and capture.
+				if sup&supS == 0 || o.capture {
 					need |= StageMaskFeatures
 				}
 				if identifies && sup&supT == 0 {
@@ -110,53 +104,14 @@ func TestScoreCoalescedMatchesAnalyzeCtx(t *testing.T) {
 				// Analysis feeds extraction and identification; before
 				// classification any page may still need identifying.
 				mayIdentify := !o.skip && sup&supT == 0 && (sup&supS == 0 || want.DetectorPhish)
-				if sup&supA == 0 && (need&StageMaskFeatures != 0 || mayIdentify) {
+				if need&StageMaskFeatures != 0 || mayIdentify {
 					need |= StageMaskAnalysis
 				}
 				if st.Computed != need {
-					t.Fatalf("%s/%s/supplied=%04b: Computed=%04b, want %04b", page, o.name, sup, st.Computed, need)
+					t.Fatalf("%s/%s/supplied=%02b: Computed=%04b, want %04b", page, o.name, sup, st.Computed, need)
 				}
 			}
 		}
-	}
-}
-
-// TestScoreCoalescedMemoInputs pins the output half of StageResults:
-// what a pass had to compute comes back for the caller to memoize, and
-// the vector only when KeepVector asked for it.
-func TestScoreCoalescedMemoInputs(t *testing.T) {
-	_, p := verdictFixtures(t)
-	ctx := context.Background()
-	snap := stagedPages(t, p)["phish"]
-
-	var pooled StageResults
-	if _, err := p.AnalyzeStagedCtx(ctx, NewScoreRequest(snap), &pooled); err != nil {
-		t.Fatal(err)
-	}
-	if pooled.Analysis == nil {
-		t.Fatal("computed analysis was not handed back")
-	}
-	if pooled.Vector != nil {
-		t.Fatal("pooled extraction leaked its vector without KeepVector")
-	}
-
-	kept := StageResults{KeepVector: true}
-	cold, err := p.AnalyzeStagedCtx(ctx, NewScoreRequest(snap), &kept)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kept.Vector) != features.TotalCount {
-		t.Fatalf("KeepVector retained %d features, want %d", len(kept.Vector), features.TotalCount)
-	}
-
-	// A supplied score alone does not need the vector — unless the
-	// caller asks to keep it, which runs extraction just for that.
-	refill := StageResults{Analysis: kept.Analysis, HasScore: true, Score: cold.Score, KeepVector: true}
-	if _, err := p.AnalyzeStagedCtx(ctx, NewScoreRequest(snap, WithoutTargetID()), &refill); err != nil {
-		t.Fatal(err)
-	}
-	if refill.Computed != StageMaskFeatures || !reflect.DeepEqual(refill.Vector, kept.Vector) {
-		t.Fatalf("KeepVector over a supplied score: Computed=%04b, vector match=%v", refill.Computed, reflect.DeepEqual(refill.Vector, kept.Vector))
 	}
 }
 
@@ -182,8 +137,7 @@ func TestScoreCoalescedPerItemContext(t *testing.T) {
 }
 
 // TestScoreCoalescedFeatureMask checks the ablation option through the
-// staged entry point: the mask applies to a supplied vector without
-// touching it, and a supplied score — the unmasked page's — is not
+// staged entry point: a supplied score — the unmasked page's — is not
 // trusted for the masked request.
 func TestScoreCoalescedFeatureMask(t *testing.T) {
 	_, p := verdictFixtures(t)
@@ -194,14 +148,11 @@ func TestScoreCoalescedFeatureMask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cold := StageResults{KeepVector: true}
-	full, err := p.AnalyzeStagedCtx(ctx, NewScoreRequest(snap), &cold)
+	full, err := p.AnalyzeCtx(ctx, NewScoreRequest(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := append([]float64(nil), cold.Vector...)
-	st := StageResults{Analysis: cold.Analysis, Vector: cold.Vector, HasScore: true, Score: full.Score}
+	st := StageResults{HasScore: true, Score: full.Score}
 	got, err := p.AnalyzeStagedCtx(ctx, req, &st)
 	if err != nil {
 		t.Fatal(err)
@@ -211,9 +162,6 @@ func TestScoreCoalescedFeatureMask(t *testing.T) {
 	}
 	if st.Computed&StageMaskScore == 0 {
 		t.Fatal("masked request reused the unmasked score")
-	}
-	if !reflect.DeepEqual(cold.Vector, before) {
-		t.Fatal("mask modified the supplied vector in place")
 	}
 }
 

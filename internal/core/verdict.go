@@ -156,23 +156,15 @@ const (
 	StageMaskTarget
 )
 
-// StageResults carries per-stage results into and out of one
-// AnalyzeStagedCtx call. The caller pre-fills whatever it already holds
-// for the page (internal/coalesce's content-addressed memo tables are
-// the intended caller); the stage machine runs only the rest and
-// reports what it ran in Computed.
+// StageResults carries the model-dependent stage results into one
+// AnalyzeStagedCtx call and reports what the call ran. The caller
+// pre-fills what it already holds for the page under this detector
+// (internal/coalesce's content-addressed memo is the intended caller);
+// the stage machine runs only the rest. Model-independent intermediates
+// — the analysis, the feature vector — are neither supplied nor handed
+// back: a precomputed analysis arrives through WithAnalysis, and the
+// vector leaves only in Verdict.Vector (WithVectorCapture).
 type StageResults struct {
-	// Analysis is the page analysis: input when pre-filled, output when
-	// the call had to analyse.
-	Analysis *webpage.Analysis
-	// Vector is the full extracted feature vector: input when
-	// pre-filled, output when the call had to extract and KeepVector is
-	// set. Without KeepVector extraction runs in pooled buffers that
-	// never escape, and Vector stays nil.
-	Vector []float64
-	// KeepVector asks for Vector as an output: extraction lands on the
-	// heap, and runs even when a supplied Score alone would not need it.
-	KeepVector bool
 	// HasScore marks Score as the page's detector score under this
 	// detector, skipping extraction and classification. Explain and
 	// feature-masked requests recompute regardless: their score is not
@@ -207,8 +199,8 @@ func (p *Pipeline) AnalyzeCtx(ctx context.Context, req ScoreRequest) (Verdict, e
 
 // AnalyzeStagedCtx is AnalyzeCtx over pre-supplied stage results: the
 // verdict is the one AnalyzeCtx would produce (apart from Timings, which
-// report 0 for stages that did not run), computed from st where it is
-// filled and written back to st where it was not.
+// report 0 for stages that did not run), taken from st where it is
+// filled and computed where it is not; st.Computed names what ran.
 func (p *Pipeline) AnalyzeStagedCtx(ctx context.Context, req ScoreRequest, st *StageResults) (Verdict, error) {
 	return p.Detector.scoreCtx(ctx, req, p.Identifier, st)
 }
@@ -222,11 +214,11 @@ func (p *Pipeline) AnalyzeStagedCtx(ctx context.Context, req ScoreRequest, st *S
 // which is what makes a fully memoised request cheap (analysis is the
 // expensive stage).
 //
-// Unless the vector must outlive the call (capture, explanation,
-// KeepVector) it is extracted into a pooled buffer returned at every
-// exit. Combined with a supplied analysis (WithAnalysis) and the
-// model's flattened tree layout this makes a warm score fully
-// allocation-free (pinned by TestScoreCtxWarmPathZeroAllocs).
+// Unless the vector must outlive the call (capture, explanation) it is
+// extracted into a pooled buffer returned at every exit. Combined with
+// a supplied analysis (WithAnalysis) and the model's flattened tree
+// layout this makes a warm score fully allocation-free (pinned by
+// TestScoreCtxWarmPathZeroAllocs).
 //
 // When the request context carries an obs.Trace, each stage is recorded
 // as a span reusing the StageTimings clock reads — tracing adds no extra
@@ -239,10 +231,7 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 	if st == nil {
 		st = &none
 	}
-	a := st.Analysis
-	if a == nil {
-		a = req.analysis
-	}
+	a := req.analysis
 	if req.Snapshot == nil && a == nil {
 		return Verdict{}, ErrNoSnapshot
 	}
@@ -261,9 +250,8 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 
 	masked := req.featureSet != 0 && req.featureSet != features.All
 	hasScore := st.HasScore && !masked && !req.Explains()
-	keepVec := st.KeepVector || req.captureVector || req.Explains()
-	vec := st.Vector
-	extract := vec == nil && (!hasScore || keepVec)
+	keepVec := req.captureVector || req.Explains()
+	extract := !hasScore || keepVec
 	// Identification runs on detector positives; before classification
 	// any page may turn out to be one.
 	mayIdentify := id != nil && !req.skipTarget && st.TargetResult == nil &&
@@ -276,7 +264,6 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 		a = webpage.Analyze(req.Snapshot)
 		v.Timings.AnalyzeNS = time.Since(ts).Nanoseconds()
 		tr.Span(obs.StageAnalyze, ts, v.Timings.AnalyzeNS)
-		st.Analysis = a
 		st.Computed |= StageMaskAnalysis
 		if err := ctxCause(ctx); err != nil {
 			return Verdict{}, err
@@ -285,12 +272,12 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 
 	// Stage 2: feature extraction. vecBuf / projBuf are the pooled
 	// buffers; vecBuf stays nil when the vector must outlive the call.
+	var vec []float64
 	var vecBuf, projBuf *[]float64
 	if extract {
 		ts := time.Now()
 		if keepVec {
 			vec = d.extractor.Extract(a)
-			st.Vector = vec
 		} else {
 			vecBuf = features.GetVector()
 			*vecBuf = d.extractor.AppendFeatures((*vecBuf)[:0], a)
@@ -304,7 +291,6 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 			return Verdict{}, err
 		}
 	}
-	// The ablation mask copies: st.Vector stays the full vector.
 	if masked {
 		vec = features.Mask(vec, req.featureSet)
 		v.FeatureSet = req.featureSet.String()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"knowphish/internal/coalesce"
+	"knowphish/internal/core"
 )
 
 // callHdr is call with request headers and access to the raw recorder
@@ -75,6 +76,41 @@ func TestScoreV2ETagAndConditionalGet(t *testing.T) {
 		if got := rec.Header().Get("ETag"); got != etag {
 			t.Errorf("%s: 304 ETag = %q, want %q", name, got, etag)
 		}
+	}
+
+	// A skip_target verdict of a detector positive is partial and tagged
+	// apart: its tag gets the full request the full body, never a 304
+	// that would leave the client holding a call the target stage may
+	// overturn; the full tag still revalidates.
+	positive := func() (full, skip V2ScoreRequest) {
+		for _, ex := range c.PhishTest.Examples {
+			full = V2ScoreRequest{PageRequest: PageRequest{Snapshot: ex.Snapshot}}
+			skip = full
+			skip.SkipTarget = true
+			var probe V2ScoreResponse
+			call(t, s, http.MethodPost, "/v2/score", skip, &probe)
+			if probe.DetectorPhish {
+				return full, skip
+			}
+		}
+		t.Fatal("no detector positive among the test pages")
+		return
+	}
+	full, skip := positive()
+	skipTag := callHdr(t, s, http.MethodPost, "/v2/score", skip, nil).Header().Get("ETag")
+	rec = callHdr(t, s, http.MethodPost, "/v2/score", full, map[string]string{"If-None-Match": skipTag})
+	fullTag := rec.Header().Get("ETag")
+	if rec.Code != http.StatusOK || rec.Body.Len() == 0 || fullTag == "" || fullTag == skipTag {
+		t.Errorf("skip tag %s on a full request: status = %d, body %d bytes, ETag %s; want 200 with body and a tag of its own",
+			skipTag, rec.Code, rec.Body.Len(), fullTag)
+	}
+	rec = callHdr(t, s, http.MethodPost, "/v2/score", full, map[string]string{"If-None-Match": fullTag})
+	if rec.Code != http.StatusNotModified {
+		t.Errorf("full tag on a full request: status = %d, want 304", rec.Code)
+	}
+	rec = callHdr(t, s, http.MethodPost, "/v2/score", skip, map[string]string{"If-None-Match": skipTag})
+	if rec.Code != http.StatusNotModified {
+		t.Errorf("skip tag on a skip_target request: status = %d, want 304", rec.Code)
 	}
 
 	// A stale tag gets the full body.
@@ -227,9 +263,8 @@ func TestScoreBatchV2(t *testing.T) {
 }
 
 // TestPromoteFlushesMemos pins the invalidation contract end to end
-// over HTTP: promotion flushes the model-dependent memo tables (scores,
-// target results) while the model-independent analysis memos survive,
-// and post-promote verdicts come from the new champion.
+// over HTTP: promotion empties the memo, and the first post-promote
+// verdict of a page computes every stage under the new champion.
 func TestPromoteFlushesMemos(t *testing.T) {
 	c, _ := fixtures(t)
 	s, _ := registryServer(t)
@@ -250,7 +285,7 @@ func TestPromoteFlushesMemos(t *testing.T) {
 	if before == nil {
 		t.Fatal("metrics carry no coalesce stats")
 	}
-	if before.Score.Entries == 0 || before.Analysis.Entries == 0 {
+	if before.Score.Entries == 0 {
 		t.Fatalf("memos not warmed: %+v", before)
 	}
 
@@ -261,12 +296,8 @@ func TestPromoteFlushesMemos(t *testing.T) {
 
 	after := s.Metrics().Coalesce
 	if after.Score.Entries != 0 || after.Target.Entries != 0 {
-		t.Errorf("model-dependent memos survived promotion: score=%d target=%d",
+		t.Errorf("memos survived promotion: score=%d target=%d",
 			after.Score.Entries, after.Target.Entries)
-	}
-	if after.Analysis.Entries != before.Analysis.Entries {
-		t.Errorf("analysis memos flushed by promotion: %d -> %d",
-			before.Analysis.Entries, after.Analysis.Entries)
 	}
 
 	// No stale verdicts: a rescore is served by the new champion.
@@ -279,6 +310,10 @@ func TestPromoteFlushesMemos(t *testing.T) {
 	}
 	if resp.Cached {
 		t.Error("post-promote verdict served from the predecessor's cache")
+	}
+	if m := resp.Memo; m == nil || m.Analysis != core.ProvComputed || m.Features != core.ProvComputed ||
+		m.Score != core.ProvComputed || m.Target == core.ProvMemo {
+		t.Errorf("post-promote provenance %+v; want every stage computed", m)
 	}
 }
 

@@ -192,8 +192,8 @@ func scoreLoop(t *testing.T, s *Server, pages []PageRequest, workers int, stop <
 
 // TestCacheVersionStaleness pins the hot-swap contract on the one path:
 // a promote between two identical requests makes the second a miss
-// scored by the new champion — only the model-independent stages come
-// from memo — while other scorers keep hitting the same tables.
+// scored by the new champion, every stage computed, while other scorers
+// keep hitting the same tables.
 func TestCacheVersionStaleness(t *testing.T) {
 	c, _ := fixtures(t)
 	s, _ := registryServer(t)
@@ -222,8 +222,9 @@ func TestCacheVersionStaleness(t *testing.T) {
 	if swapped.Cached || swapped.ModelVersion != "v0002" {
 		t.Errorf("after the promote: cached=%v model_version=%q; want a miss under v0002", swapped.Cached, swapped.ModelVersion)
 	}
-	if m := swapped.Memo; m == nil || m.Analysis != core.ProvMemo || m.Score != core.ProvComputed {
-		t.Errorf("after the promote: provenance %+v; want analysis from memo, score computed", m)
+	if m := swapped.Memo; m == nil || m.Analysis != core.ProvComputed || m.Features != core.ProvComputed ||
+		m.Score != core.ProvComputed || m.Target == core.ProvMemo {
+		t.Errorf("after the promote: provenance %+v; want every stage computed", m)
 	}
 	if swapped.ContentFingerprint != first.ContentFingerprint {
 		t.Error("the content fingerprint changed with the model")
@@ -262,7 +263,7 @@ func TestCacheConcurrent(t *testing.T) {
 }
 
 // TestScoreSnapWarmAllocs pins the hit path every endpoint shares off
-// the heap: hash, four lookups, verdict assembly — for a negative and
+// the heap: hash, score and target lookups, verdict assembly — for a negative and
 // for a positive carrying a target result.
 func TestScoreSnapWarmAllocs(t *testing.T) {
 	if racecheck.Enabled {

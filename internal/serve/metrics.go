@@ -92,7 +92,8 @@ type MetricsSnapshot struct {
 	// when the lifecycle controller is configured.
 	Lifecycle *drift.LifecycleStatus `json:"lifecycle,omitempty"`
 	// Coalesce reports the stage memo's staged-pass counters and the
-	// hit/miss/eviction stats of the four per-stage memo tables.
+	// hit/miss/eviction stats of its two tables, score and target (the
+	// analysis and features entries are retired and read zero).
 	Coalesce *coalesce.Stats `json:"coalesce,omitempty"`
 
 	LatencyMeanUS int64 `json:"latency_mean_us"`

@@ -191,6 +191,13 @@ func TestPrometheusExpositionGrammar(t *testing.T) {
 		}
 	}
 
+	// The memo families name the two tables that exist.
+	for _, smp := range samples {
+		if smp.name == "knowphish_memo_entries" && smp.labels != `{table="score"}` && smp.labels != `{table="target"}` {
+			t.Errorf("knowphish_memo_entries%s: only the score and target tables exist", smp.labels)
+		}
+	}
+
 	// The per-source reject family carries one sample per reason —
 	// including the mux's own rate_limited shedding — for every wired
 	// source.

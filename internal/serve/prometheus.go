@@ -41,7 +41,7 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	p.Counter("knowphish_cache_hits_total", "Default-mode requests answered without computing a stage.", float64(m.cacheHits.Load()))
 	p.Counter("knowphish_cache_misses_total", "Default-mode requests that computed at least one stage.", float64(m.cacheMiss.Load()))
 
-	// Stage memo: staged passes and per-stage memo tables.
+	// Stage memo: staged passes and the score and target tables.
 	cs := s.coal.Snapshot()
 	p.Counter("knowphish_coalesce_batches_total", "Staged scoring passes run.", float64(cs.Batches))
 	p.Counter("knowphish_coalesce_batched_items_total", "Requests scored through staged scoring passes.", float64(cs.BatchedItems))
@@ -50,8 +50,6 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 		name string
 		st   coalesce.TableStats
 	}{
-		{"analysis", cs.Analysis},
-		{"features", cs.Features},
 		{"score", cs.Score},
 		{"target", cs.Target},
 	}
@@ -66,10 +64,10 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 		evictions = append(evictions, obs.LabeledSample{Labels: l, Value: float64(t.st.Evictions)})
 		entries = append(entries, obs.LabeledSample{Labels: l, Value: float64(t.st.Entries)})
 	}
-	p.FamilyL("knowphish_memo_hits_total", "Per-stage memo-table hits.", "counter", hits)
-	p.FamilyL("knowphish_memo_misses_total", "Per-stage memo-table misses.", "counter", misses)
-	p.FamilyL("knowphish_memo_evictions_total", "Per-stage memo-table LRU evictions.", "counter", evictions)
-	p.FamilyL("knowphish_memo_entries", "Per-stage memo-table entries resident.", "gauge", entries)
+	p.FamilyL("knowphish_memo_hits_total", "Memo-table hits (score, target).", "counter", hits)
+	p.FamilyL("knowphish_memo_misses_total", "Memo-table misses (score, target).", "counter", misses)
+	p.FamilyL("knowphish_memo_evictions_total", "Memo-table LRU evictions (score, target).", "counter", evictions)
+	p.FamilyL("knowphish_memo_entries", "Memo-table entries resident (score, target).", "gauge", entries)
 
 	// Request latency histograms.
 	p.Histogram("knowphish_request_duration_seconds", "Scoring-endpoint request latency.", &m.latency)

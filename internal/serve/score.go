@@ -241,12 +241,19 @@ func (s *Server) coreOptions(o ScoreOptions) ([]core.ScoreOption, coalesce.Cache
 // fingerprint plus the model generation that scored it. The same page
 // under the same champion always carries the same tag; a promotion
 // changes every tag, so clients revalidate exactly when verdicts can
-// change.
+// change. A detector positive whose target stage did not run
+// (skip_target) is a partial verdict — the full pipeline may overturn
+// its final call — and is tagged apart, so its tag never earns a 304
+// on a full request.
 func scoreETag(v *core.Verdict) string {
 	if v.ContentFingerprint == "" {
 		return ""
 	}
-	return `"` + v.ContentFingerprint + "-" + v.ModelVersion + `"`
+	tag := `"` + v.ContentFingerprint + "-" + v.ModelVersion
+	if v.DetectorPhish && !v.TargetRun {
+		tag += "+partial"
+	}
+	return tag + `"`
 }
 
 // etagMatch reports whether an If-None-Match header matches the tag,

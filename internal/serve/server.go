@@ -139,11 +139,14 @@ type Config struct {
 	// request does not set its own deadline_ms (0 → no deadline). It
 	// bounds pipeline work, not time spent queued for a worker slot.
 	DefaultDeadline time.Duration
-	// MemoEntries is the capacity of each per-stage memo table —
-	// analysis, feature vector, detector score, target result — keyed
-	// by content fingerprint (0 → coalesce.DefaultMemoEntries;
-	// negative → no verdict reuse at all: every request computes every
-	// stage, still fingerprinted for its ETag).
+	// MemoEntries is the capacity of each of the two memo tables —
+	// detector score, target result — keyed by content fingerprint
+	// (0 → coalesce.DefaultMemoEntries; negative → no verdict reuse at
+	// all: every request computes every stage, still fingerprinted for
+	// its ETag). Entries do not grow with the page: about 200 bytes per
+	// scored page plus about 0.8 KB per detector positive, so the
+	// default is ~13 MB full, ~65 MB if every page were a positive
+	// (coalesce.Config.MemoEntries has the breakdown).
 	MemoEntries int
 	// Coalescer optionally injects a pre-built stage memo shared with
 	// other subsystems (the process assembly, internal/app, scores the

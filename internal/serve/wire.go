@@ -117,8 +117,8 @@ type ScoreOptions struct {
 	// SkipTarget skips target identification even for detector
 	// positives: cheaper, raw detector call only.
 	SkipTarget bool `json:"skip_target,omitempty"`
-	// CacheControl selects how the request interacts with the per-stage
-	// memo tables: "default" (or absent) reads and writes, "no-memo"
+	// CacheControl selects how the request interacts with the score and
+	// target memo tables: "default" (or absent) reads and writes, "no-memo"
 	// neither reads nor writes, "refresh" recomputes every stage and
 	// overwrites — the forced revalidation.
 	CacheControl string `json:"cache_control,omitempty"`

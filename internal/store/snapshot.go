@@ -47,6 +47,16 @@ const (
 
 var errBadSnapshot = errors.New("store: unreadable snapshot")
 
+// The fewest bytes a row (six one-byte numbers and flags, six empty
+// strings) and a sparse point (two one-byte numbers) can encode to:
+// decodeSnapshot holds the counts it is told against them before it
+// allocates, so a snapshot cannot ask for more memory than a small
+// multiple of its own size.
+const (
+	minSnapshotRowBytes    = 12
+	minSnapshotSparseBytes = 2
+)
+
 // appendSnapshotString appends a length-prefixed string.
 func appendSnapshotString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
@@ -176,7 +186,7 @@ func decodeSnapshot(data []byte) (rows []*entry, nextSeq, watermark uint64, act 
 	act.meta.minSeq = r.uvarint()
 	act.meta.maxSeq = r.uvarint()
 	sparseCount := r.uvarint()
-	if r.bad || sparseCount > uint64(len(body)) {
+	if r.bad || sparseCount > uint64(len(r.buf)/minSnapshotSparseBytes) {
 		return nil, 0, 0, activeState{}, errBadSnapshot
 	}
 	for i := uint64(0); i < sparseCount; i++ {
@@ -185,11 +195,11 @@ func decodeSnapshot(data []byte) (rows []*entry, nextSeq, watermark uint64, act 
 		act.meta.sparse = append(act.meta.sparse, sparsePoint{Seq: seq, Off: off})
 	}
 	count := r.uvarint()
-	if r.bad || count > uint64(len(body)) { // a row is >1 byte; cheap sanity bound
+	if r.bad || count > uint64(len(r.buf)/minSnapshotRowBytes) {
 		return nil, 0, 0, activeState{}, errBadSnapshot
 	}
 	// One contiguous entry block instead of count tiny allocations: the
-	// row count is CRC-protected and bounded by the body size above.
+	// row count is bounded by the bytes left to decode rows from.
 	block := make([]entry, count)
 	rows = make([]*entry, 0, count)
 	for i := uint64(0); i < count; i++ {

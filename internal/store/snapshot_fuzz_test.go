@@ -1,0 +1,90 @@
+package store
+
+import (
+	"context"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+)
+
+// realSnapshot is the snapshot.bin a segmented store leaves on Close.
+func realSnapshot(f *testing.F) []byte {
+	f.Helper()
+	dir := filepath.Join(f.TempDir(), "verdicts")
+	st, err := Open(Config{Backend: BackendSegmented, Path: dir})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range []Record{
+		rec("http://a.test/", "http://a.test/", "fp1", "", true),
+		rec("http://s.test/", "http://b.test/", "fp2", "brand.com", true),
+		rec("http://a.test/", "http://a.test/", "fp1", "brand.com", true), // supersedes the first
+		rec("http://c.test/", "http://c.test/", "fp3", "", false),
+	} {
+		if err := st.Append(context.Background(), r); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
+}
+
+// sealSnapshot wraps body in a valid magic and CRC, so what reaches the
+// row decoder is the body itself rather than a checksum rejection.
+func sealSnapshot(body []byte) []byte {
+	data := append([]byte(snapshotMagic), body...)
+	return binary.LittleEndian.AppendUint32(data, crc32.Checksum(body, castagnoli))
+}
+
+// FuzzDecodeSnapshot feeds decodeSnapshot arbitrary file bytes — the
+// snapshot sits on the operator's disk, and the CRC only guards against
+// accidents. Each input is decoded as read and again as the body of a
+// correctly sealed snapshot. Decoding must never panic, must reject or
+// fully load (no partial index), must not allocate rows the input has
+// no bytes for, and whatever it accepts must survive encodeSnapshot →
+// decodeSnapshot unchanged: rows, sequence numbers, watermark and
+// active state.
+func FuzzDecodeSnapshot(f *testing.F) {
+	real := realSnapshot(f)
+	body := real[len(snapshotMagic) : len(real)-4]
+	f.Add(real)
+	for _, cut := range []int{0, 3, len(snapshotMagic), len(real) / 2, len(real) - 5, len(real) - 1} {
+		f.Add(real[:cut])
+	}
+	f.Add(body)
+	f.Add(body[:len(body)/2])
+	// Counts that promise more rows and sparse points than there are bytes.
+	f.Add(binary.AppendUvarint([]byte{1, 1, 0, 0, 0, 0, 0, 0}, 1<<40))
+	f.Add(binary.AppendUvarint([]byte{1, 1, 0, 0, 0, 0, 0}, 1<<40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, sealSnapshot(data)} {
+			rows, nextSeq, wm, act, err := decodeSnapshot(in)
+			if err != nil {
+				if rows != nil || nextSeq != 0 || wm != 0 || !reflect.DeepEqual(act, activeState{}) {
+					t.Fatalf("rejected snapshot still returned state: %d rows, nextSeq %d, watermark %d, active %+v", len(rows), nextSeq, wm, act)
+				}
+				continue
+			}
+			if len(rows)*minSnapshotRowBytes > len(in) || len(act.meta.sparse)*minSnapshotSparseBytes > len(in) {
+				t.Fatalf("%d rows and %d sparse points out of %d bytes", len(rows), len(act.meta.sparse), len(in))
+			}
+			rows2, nextSeq2, wm2, act2, err := decodeSnapshot(encodeSnapshot(nextSeq, wm, act, rows))
+			if err != nil {
+				t.Fatalf("re-encoded snapshot does not decode: %v", err)
+			}
+			if nextSeq2 != nextSeq || wm2 != wm || !reflect.DeepEqual(act2, act) || !reflect.DeepEqual(rows2, rows) {
+				t.Fatalf("round trip changed the snapshot:\n got %d/%d %+v %d rows\nwant %d/%d %+v %d rows",
+					nextSeq2, wm2, act2, len(rows2), nextSeq, wm, act, len(rows))
+			}
+		}
+	})
+}
