@@ -187,13 +187,21 @@ func (b *treeBuilder) bestSplit(idx []int) (feature int, threshold float64, ok b
 	type fv struct {
 		val    float64
 		target float64
+		row    int
 	}
 	vals := make([]fv, n)
 	for _, f := range b.features {
 		for k, i := range idx {
-			vals[k] = fv{b.x[i][f], b.target[i]}
+			vals[k] = fv{b.x[i][f], b.target[i], i}
 		}
-		sort.Slice(vals, func(a, c int) bool { return vals[a].val < vals[c].val })
+		// Ties by row index: the order is total, so the model does not
+		// depend on which sorting algorithm produced it.
+		sort.Slice(vals, func(a, c int) bool {
+			if vals[a].val != vals[c].val {
+				return vals[a].val < vals[c].val
+			}
+			return vals[a].row < vals[c].row
+		})
 		if vals[0].val == vals[n-1].val {
 			continue // constant feature on this node
 		}
