@@ -18,6 +18,8 @@ build:
 test:
 	$(GO) test ./...
 
+# Covers the parallel corpus build: internal/dataset's determinism test
+# builds at GOMAXPROCS 4.
 race:
 	$(GO) test -race ./...
 
@@ -39,7 +41,9 @@ bench-smoke:
 # and webpage.Analyze, each against the implementation it replaced (kept
 # verbatim in reference_test.go); the score-request scanner against
 # encoding/json, its fallback; the search kernel
-# against its map-and-sort reference on fuzzer-built corpora; the content
+# against its map-and-sort reference on fuzzer-built corpora; the
+# presorted-column tree trainer against the sort-per-node trainer on
+# fuzzer-built tie-heavy matrices; the content
 # identity's preimage (distinct snapshots never share bytes or a key);
 # the NDJSON feed connector; the migration reader of legacy verdict
 # logs; and the segmented store's index-snapshot decoder (arbitrary
@@ -54,6 +58,7 @@ FUZZ_TARGETS = \
 	FuzzAnalyzeMatchesReference:./internal/webpage \
 	FuzzPreimageInjective:./internal/webpage \
 	FuzzQueryMatchesReference:./internal/search \
+	FuzzTrainMatchesReference:./internal/ml \
 	FuzzNDJSONSource:./internal/feedsrc \
 	FuzzLegacyRead:./internal/store \
 	FuzzDecodeSnapshot:./internal/store \

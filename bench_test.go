@@ -455,6 +455,18 @@ func BenchmarkGBMTrain(b *testing.B) {
 	}
 }
 
+// BenchmarkCorpusBuild times the other half of set-up: world
+// generation, the campaigns' crawls and the search index at the scale and
+// recipe every self-trained server boots with (app.BuildCorpus). It runs
+// on all cores; -cpu 1 prices the sequential build.
+func BenchmarkCorpusBuild(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := app.BuildCorpus(20, 42); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTargetIdentification(b *testing.B) {
 	r := benchSetup(b)
 	id := target.New(r.Corpus.Engine)

@@ -75,12 +75,12 @@ func Visit(f Fetcher, startURL string) (*webpage.Snapshot, error) {
 		chain = append(chain, cur)
 	}
 
-	snap := webpage.FromHTML(startURL, cur, chain, page.HTML)
+	doc := htmlx.Parse(page.HTML)
+	snap := webpage.FromDoc(doc, startURL, cur, chain)
 	snap.ScreenshotTerms = append(snap.ScreenshotTerms, page.ScreenshotText...)
 
 	// Fold fetchable iframe content into the page's sources: the paper
 	// treats HTML of IFrames included in the page as part of the page.
-	doc := htmlx.Parse(page.HTML)
 	for _, src := range doc.IFrameSrcs {
 		resolved := webpage.ResolveRef(cur, src)
 		fp, ok := f.Fetch(resolved)

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 
 	"knowphish/internal/crawl"
+	"knowphish/internal/pool"
 	"knowphish/internal/search"
 	"knowphish/internal/webgen"
 	"knowphish/internal/webpage"
@@ -303,9 +304,19 @@ func stringIndexFold(s, sub string) int {
 	return -1
 }
 
+// legChunk is how many drawn sites buildLegCampaign holds before it
+// visits them: enough that a chunk's parallel pass dwarfs starting its
+// workers, few enough that the generated HTML in memory stays ~130 KB.
+const legChunk = 64
+
 // buildLegCampaign generates one legitimate campaign. Every crawled page
 // is added to the search index. When mixedKinds is true a small fraction
 // of hard negatives (news-style pages) is included.
+//
+// Sites are drawn from rng one after another — the draw order is the
+// corpus — a chunk at a time; a chunk's sites are crawled and analysed on
+// all cores (the world is immutable), then appended and indexed in draw
+// order, so examples and doc ids do not depend on the core count.
 func (c *Corpus) buildLegCampaign(rng *rand.Rand, name string, lang webgen.Language, initial, clean int, mixedKinds bool) (*Campaign, error) {
 	if clean < 1 {
 		clean = 1
@@ -313,53 +324,78 @@ func (c *Corpus) buildLegCampaign(rng *rand.Rand, name string, lang webgen.Langu
 	if initial < clean {
 		initial = clean
 	}
-	camp := &Campaign{Name: name, Initial: initial}
-	for i := 0; i < clean; i++ {
-		opts := webgen.LegitOptions{Lang: lang}
-		if mixedKinds && rng.Float64() < 0.08 {
-			opts.NewsStyle = true
+	camp := &Campaign{Name: name, Initial: initial, Examples: make([]*Example, 0, clean)}
+	type visit struct {
+		site *webgen.Site
+		snap *webpage.Snapshot
+		doc  search.Doc
+		err  error
+	}
+	chunk := make([]visit, 0, legChunk)
+	for len(camp.Examples) < clean {
+		chunk = chunk[:0]
+		for len(chunk) < legChunk && len(camp.Examples)+len(chunk) < clean {
+			opts := webgen.LegitOptions{Lang: lang}
+			if mixedKinds && rng.Float64() < 0.08 {
+				opts.NewsStyle = true
+			}
+			// Real-world crawls are never perfectly monolingual: the
+			// training campaign carries a few percent of pages in other
+			// languages (language test sets stay pure, as Intel's
+			// per-language classification made them).
+			if name == "legTrain" && rng.Float64() < 0.04 {
+				opts.Lang = webgen.Languages[rng.Intn(len(webgen.Languages))]
+			}
+			chunk = append(chunk, visit{site: c.World.NewLegitSite(rng, opts)})
 		}
-		// Real-world crawls are never perfectly monolingual: the
-		// training campaign carries a few percent of pages in other
-		// languages (language test sets stay pure, as Intel's
-		// per-language classification made them).
-		if name == "legTrain" && rng.Float64() < 0.04 {
-			opts.Lang = webgen.Languages[rng.Intn(len(webgen.Languages))]
-		}
-		site := c.World.NewLegitSite(rng, opts)
-		snap, err := crawl.VisitSite(c.World, site)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: %s: %w", name, err)
-		}
-		c.indexLegit(snap)
-		camp.Examples = append(camp.Examples, &Example{
-			Snapshot: snap,
-			Label:    0,
-			Kind:     site.Kind.String(),
-			Lang:     site.Lang,
+		pool.ForEachIndex(len(chunk), 0, func(i int) {
+			v := &chunk[i]
+			if v.snap, v.err = crawl.VisitSite(c.World, v.site); v.err == nil {
+				v.doc = legitDoc(v.snap)
+			}
 		})
+		for _, v := range chunk {
+			if v.err != nil {
+				return nil, fmt.Errorf("dataset: %s: %w", name, v.err)
+			}
+			c.Engine.Add(v.doc)
+			camp.Examples = append(camp.Examples, &Example{
+				Snapshot: v.snap,
+				Label:    0,
+				Kind:     v.site.Kind.String(),
+				Lang:     v.site.Lang,
+			})
+		}
 	}
 	return camp, nil
 }
 
-// indexLegit adds a crawled legitimate page to the search engine.
-func (c *Corpus) indexLegit(snap *webpage.Snapshot) {
+// legitDoc is the index document of a crawled legitimate page: each term
+// of its text, title, landing-RDN and copyright distributions, in their
+// sorted order, once per rounded occurrence. A page without a registered
+// domain is not indexed: it gets the zero Doc, which Engine.Add ignores.
+func legitDoc(snap *webpage.Snapshot) search.Doc {
 	a := webpage.Analyze(snap)
 	if a.Land.RDN == "" {
-		return
+		return search.Doc{}
 	}
-	var docTerms []string
-	for _, id := range []webpage.DistID{webpage.DistText, webpage.DistTitle, webpage.DistLandRDN, webpage.DistCopyright} {
+	sources := [...]webpage.DistID{webpage.DistText, webpage.DistTitle, webpage.DistLandRDN, webpage.DistCopyright}
+	total := 0
+	for _, id := range sources {
+		total += a.Dist(id).TotalOccurrences()
+	}
+	docTerms := make([]string, 0, total)
+	for _, id := range sources {
 		d := a.Dist(id)
-		for term := range d.TermSet() {
-			// Weight: one entry per rounded occurrence.
-			n := int(d.P(term)*float64(d.TotalOccurrences()) + 0.5)
+		probs := d.Probs()
+		for i, term := range d.Terms() {
+			n := int(probs[i]*float64(d.TotalOccurrences()) + 0.5)
 			for k := 0; k < n; k++ {
 				docTerms = append(docTerms, term)
 			}
 		}
 	}
-	c.Engine.Add(search.Doc{URL: snap.LandingURL, RDN: a.Land.RDN, MLD: a.Land.MLD, Terms: docTerms})
+	return search.Doc{URL: snap.LandingURL, RDN: a.Land.RDN, MLD: a.Land.MLD, Terms: docTerms}
 }
 
 // NoisyCapture regenerates a raw (pre-cleaning) phishing capture for the

@@ -1,7 +1,10 @@
 package dataset
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"knowphish/internal/webgen"
@@ -121,23 +124,40 @@ func TestEngineIndexed(t *testing.T) {
 	}
 }
 
+// TestBuildDeterministic: a Config decides the corpus byte for byte —
+// every campaign and the saved index — run to run and whatever the core
+// count, i.e. the parallel legitimate-campaign build preserves draw order.
 func TestBuildDeterministic(t *testing.T) {
-	cfg := Config{Seed: 5, Scale: 100, World: webgen.Config{Seed: 6, Brands: 30, RankedGenerics: 40, VocabularyWords: 80}, SkipLanguageTests: true}
-	c1, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cfg := Config{Seed: 5, Scale: 100, World: webgen.Config{Seed: 6, Brands: 30, RankedGenerics: 40, VocabularyWords: 80}}
+	build := func(procs int) (*Corpus, []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		c, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var index bytes.Buffer
+		if err := c.Engine.Save(&index); err != nil {
+			t.Fatal(err)
+		}
+		return c, index.Bytes()
 	}
-	c2, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
+	c1, index1 := build(1)
+	if n := c1.LangTests[webgen.English].Clean(); n <= 2*legChunk {
+		t.Fatalf("English campaign has %d pages: too few to span several chunks of %d", n, legChunk)
 	}
-	if c1.PhishTrain.Clean() != c2.PhishTrain.Clean() {
-		t.Fatal("sizes differ")
-	}
-	for i := range c1.PhishTrain.Examples {
-		a, b := c1.PhishTrain.Examples[i], c2.PhishTrain.Examples[i]
-		if a.Snapshot.StartingURL != b.Snapshot.StartingURL {
-			t.Fatalf("example %d differs: %s vs %s", i, a.Snapshot.StartingURL, b.Snapshot.StartingURL)
+	for _, procs := range []int{1, 4} {
+		c2, index2 := build(procs)
+		if !bytes.Equal(index1, index2) {
+			t.Errorf("GOMAXPROCS 1 then %d: saved indexes differ (%d vs %d bytes)", procs, len(index1), len(index2))
+		}
+		for _, pair := range [][2]*Campaign{
+			{c1.PhishTrain, c2.PhishTrain}, {c1.LegTrain, c2.LegTrain}, {c1.PhishTest, c2.PhishTest},
+			{c1.PhishBrand, c2.PhishBrand}, {c1.LangTests[webgen.English], c2.LangTests[webgen.English]},
+			{c1.LangTests[webgen.Spanish], c2.LangTests[webgen.Spanish]},
+		} {
+			if !reflect.DeepEqual(pair[0], pair[1]) {
+				t.Errorf("GOMAXPROCS 1 then %d: campaign %s differs", procs, pair[0].Name)
+			}
 		}
 	}
 }

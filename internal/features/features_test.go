@@ -330,3 +330,61 @@ func TestSignalDirection(t *testing.T) {
 		}
 	}
 }
+
+// TestExtractFinite: the trainers reject a non-finite feature value, so
+// the extractor must never emit one — over every kind of page the
+// synthetic web generates and over the degenerate snapshots a hostile or
+// broken page reduces to. A failure here is a bug in the feature, not a
+// reason to relax the trainers' check.
+func TestExtractFinite(t *testing.T) {
+	w := webgen.New(webgen.Config{Seed: 7, Brands: 60, RankedGenerics: 80, VocabularyWords: 100})
+	e := &Extractor{Rank: w.Ranking()}
+	names := Names()
+	check := func(label string, snap *webpage.Snapshot) {
+		t.Helper()
+		for _, ext := range []*Extractor{e, {}} { // with and without a ranking
+			for i, x := range ext.ExtractSnapshot(snap) {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Errorf("%s: feature %d (%s) = %v", label, i, names[i], x)
+				}
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 150; i++ {
+		lang := webgen.Languages[i%len(webgen.Languages)]
+		for _, site := range []*webgen.Site{
+			w.NewLegitSite(rng, webgen.LegitOptions{Lang: lang, NewsStyle: i%7 == 0}),
+			w.NewPhishSite(rng, w.RandomPhishOptions(rng)),
+			w.NewClonePhishSite(rng),
+			w.NewParkedSite(rng),
+			w.NewUnavailableSite(rng),
+		} {
+			snap, err := crawl.VisitSite(w, site)
+			if err != nil {
+				t.Fatalf("visiting %s site: %v", site.Kind, err)
+			}
+			check(site.Kind.String()+" "+snap.LandingURL, snap)
+		}
+	}
+
+	const u = "http://example.test/"
+	page := func(url, html string) *webpage.Snapshot {
+		snap := webpage.FromHTML(url, url, nil, html)
+		return &snap
+	}
+	for label, snap := range map[string]*webpage.Snapshot{
+		"zero snapshot":       {},
+		"empty HTML":          page(u, ""),
+		"no links":            page(u, "<title>t</title><body>only some text here</body>"),
+		"links only":          page(u, `<a href="/a"></a><a href="http://other.test/"></a><img src="x.png">`),
+		"empty URLs":          page("", `<title>t</title><body>text <a href="">x</a><a href="#">y</a></body>`),
+		"unparseable URLs":    {StartingURL: "::", LandingURL: "http://", RedirectionChain: []string{"", "%%"}, HREFLinks: []string{"", "://", "http://"}, LoggedLinks: []string{" "}},
+		"IP landing":          page("http://192.0.2.7/a", "<body>login</body>"),
+		"one-character terms": page(u, "<title>a b</title><body>a b c d © e</body>"),
+		"counts without text": {StartingURL: u, LandingURL: u, InputCount: 1 << 30, ImageCount: 1 << 30, IFrameCount: 1 << 30},
+	} {
+		check(label, snap)
+	}
+}

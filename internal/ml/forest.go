@@ -48,7 +48,8 @@ type RandomForest struct {
 	Trees  []Tree       `json:"trees"`
 }
 
-// TrainForest fits a random forest on x with binary labels y.
+// TrainForest fits a random forest on x with binary labels y. Every
+// feature value must be finite.
 func TrainForest(x [][]float64, y []int, cfg ForestConfig) (*RandomForest, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, fmt.Errorf("ml: TrainForest: %d samples vs %d labels", len(x), len(y))
@@ -67,6 +68,10 @@ func TrainForest(x [][]float64, y []int, cfg ForestConfig) (*RandomForest, error
 	if pos == 0 || pos == len(y) {
 		return nil, fmt.Errorf("ml: TrainForest: training set needs both classes")
 	}
+	b, err := newTreeBuilder("TrainForest", x)
+	if err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nFeat := int(cfg.FeatureFraction * float64(dim))
 	if nFeat < 1 {
@@ -82,10 +87,7 @@ func TrainForest(x [][]float64, y []int, cfg ForestConfig) (*RandomForest, error
 			idx[i] = rng.Intn(n)
 		}
 		features := sampleWithoutReplacement(rng, dim, nFeat)
-		tree, _, err := FitTree(x, target, idx, features, treeCfg)
-		if err != nil {
-			return nil, fmt.Errorf("ml: TrainForest tree %d: %w", t, err)
-		}
+		tree, _ := b.fit(target, idx, features, treeCfg)
 		f.Trees = append(f.Trees, *tree)
 	}
 	return f, nil

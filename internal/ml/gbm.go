@@ -82,7 +82,7 @@ type GBM struct {
 }
 
 // TrainGBM fits a boosted ensemble on x (rows = samples) with binary
-// labels y (0 or 1).
+// labels y (0 or 1). Every feature value must be finite.
 func TrainGBM(x [][]float64, y []int, cfg GBMConfig) (*GBM, error) {
 	if len(x) == 0 {
 		return nil, fmt.Errorf("ml: TrainGBM: empty training set")
@@ -106,10 +106,9 @@ func TrainGBM(x [][]float64, y []int, cfg GBMConfig) (*GBM, error) {
 	cfg = cfg.withDefaults()
 	n := len(x)
 	dim := len(x[0])
-	for i, row := range x {
-		if len(row) != dim {
-			return nil, fmt.Errorf("ml: TrainGBM: row %d has %d features, want %d", i, len(row), dim)
-		}
+	b, err := newTreeBuilder("TrainGBM", x)
+	if err != nil {
+		return nil, err
 	}
 
 	m := &GBM{Config: cfg, FeatureCount: dim}
@@ -126,6 +125,7 @@ func TrainGBM(x [][]float64, y []int, cfg GBMConfig) (*GBM, error) {
 	for i := range allIdx {
 		allIdx[i] = i
 	}
+	everyFeature := allFeatures(dim)
 	treeCfg := TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf}
 	nSub := int(cfg.Subsample * float64(n))
 	if nSub < 2 {
@@ -145,14 +145,11 @@ func TrainGBM(x [][]float64, y []int, cfg GBMConfig) (*GBM, error) {
 		if nSub < n {
 			idx = sampleWithoutReplacement(rng, n, nSub)
 		}
-		features := allFeatures(dim)
+		features := everyFeature
 		if nFeat < dim {
 			features = sampleWithoutReplacement(rng, dim, nFeat)
 		}
-		tree, leaves, err := FitTree(x, residual, idx, features, treeCfg)
-		if err != nil {
-			return nil, fmt.Errorf("ml: TrainGBM round %d: %w", round, err)
-		}
+		tree, leaves := b.fit(residual, idx, features, treeCfg)
 		// Newton leaf step for logistic loss:
 		// γ = Σ r_i / Σ p_i (1 − p_i)  over the leaf's samples.
 		for leaf, samples := range leaves {

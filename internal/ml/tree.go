@@ -4,12 +4,18 @@
 // regression (used by the Ma et al. baseline), evaluation metrics
 // (precision/recall/F1/FPR, ROC and AUC, precision–recall curves) and
 // stratified cross-validation. Everything is deterministic given a seed.
+//
+// Tree induction is exact (every distinct value of every candidate
+// feature is tried at every node) and scans a node's samples in
+// ascending feature value, ties by row index; the model no longer
+// depends on the standard library's sort.
 package ml
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // TreeConfig controls regression-tree induction.
@@ -87,19 +93,77 @@ func (t *Tree) LeafIndex(x []float64) int {
 	}
 }
 
-// treeBuilder carries the induction state.
+// treeBuilder fits trees on one training matrix. It is built once per
+// fit and reused for every tree of an ensemble: the matrix is held
+// column-major with each column's rows presorted by (value, row index),
+// so no node ever sorts.
 type treeBuilder struct {
-	x        [][]float64
+	n     int       // rows of x
+	vals  []float64 // column-major x: vals[f*n+row]
+	order []int32   // order[f*n:(f+1)*n]: rows ascending by (value in column f, row)
+
+	// Scratch reused across trees. lists holds 1+len(features) lists of
+	// m rows each: list 0 is the sample in the caller's order, list 1+j
+	// the same multiset ascending by (value in features[j], row). A node
+	// is a range [lo,hi) of every list at once; a split partitions each
+	// of them stably in place.
+	lists  []int32
+	m      int
+	count  []int32 // row → times drawn into the current tree's sample
+	goLeft []bool  // row → side of the split being applied
+	spill  []int32 // right-hand rows of the list being partitioned
+
+	// Per tree.
 	target   []float64
 	cfg      TreeConfig
 	features []int // candidate feature indices (column subsample)
 	nodes    []TreeNode
 	leaves   map[int][]int // leaf node index → sample indices
+	leafRows []int         // backing array of the leaves' sample lists
+}
+
+// newTreeBuilder presorts x's columns. It rejects a ragged matrix and
+// any non-finite value (under NaN no order of a column exists); op
+// prefixes the error.
+func newTreeBuilder(op string, x [][]float64) (*treeBuilder, error) {
+	n, dim := len(x), len(x[0])
+	b := &treeBuilder{
+		n:      n,
+		vals:   make([]float64, n*dim),
+		order:  make([]int32, n*dim),
+		count:  make([]int32, n),
+		goLeft: make([]bool, n),
+	}
+	for i, row := range x {
+		if len(row) != dim {
+			return nil, fmt.Errorf("ml: %s: row %d has %d features, want %d", op, i, len(row), dim)
+		}
+		for f, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("ml: %s: row %d column %d is %v, features must be finite", op, i, f, v)
+			}
+			b.vals[f*n+i] = v
+		}
+	}
+	for f := 0; f < dim; f++ {
+		col, order := b.vals[f*n:(f+1)*n], b.order[f*n:(f+1)*n]
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(a, c int32) int {
+			if r := cmp.Compare(col[a], col[c]); r != 0 {
+				return r
+			}
+			return cmp.Compare(a, c)
+		})
+	}
+	return b, nil
 }
 
 // FitTree builds a regression tree on samples idx (indices into x/target),
 // splitting on the given candidate features. It returns the tree and, for
 // boosting's Newton leaf step, the sample indices grouped per leaf node.
+// Every feature value must be finite.
 func FitTree(x [][]float64, target []float64, idx []int, features []int, cfg TreeConfig) (*Tree, map[int][]int, error) {
 	if len(x) == 0 || len(x) != len(target) {
 		return nil, nil, fmt.Errorf("ml: FitTree: %d samples vs %d targets", len(x), len(target))
@@ -107,76 +171,137 @@ func FitTree(x [][]float64, target []float64, idx []int, features []int, cfg Tre
 	if len(idx) == 0 {
 		return nil, nil, fmt.Errorf("ml: FitTree: empty sample index set")
 	}
-	b := &treeBuilder{
-		x:        x,
-		target:   target,
-		cfg:      cfg.withDefaults(),
-		features: features,
-		leaves:   make(map[int][]int),
+	b, err := newTreeBuilder("FitTree", x)
+	if err != nil {
+		return nil, nil, err
 	}
-	if len(b.features) == 0 {
-		b.features = make([]int, len(x[0]))
-		for i := range b.features {
-			b.features[i] = i
-		}
+	if len(features) == 0 {
+		features = allFeatures(len(x[0]))
 	}
-	b.grow(idx, 0)
-	return &Tree{Nodes: b.nodes}, b.leaves, nil
+	tree, leaves := b.fit(target, idx, features, cfg)
+	return tree, leaves, nil
 }
 
-// grow recursively builds the subtree for samples idx at the given depth
-// and returns the node index.
-func (b *treeBuilder) grow(idx []int, depth int) int {
+// fit builds one tree on the rows idx — a multiset: a bootstrap sample
+// repeats rows — trying the candidate features in the order given.
+func (b *treeBuilder) fit(target []float64, idx, features []int, cfg TreeConfig) (*Tree, map[int][]int) {
+	m := len(idx)
+	b.target, b.cfg, b.features, b.m = target, cfg.withDefaults(), features, m
+	b.nodes, b.leaves, b.leafRows = nil, make(map[int][]int), make([]int, m)
+	if need := (1 + len(features)) * m; len(b.lists) < need {
+		b.lists = make([]int32, need)
+	}
+	if len(b.spill) < m {
+		b.spill = make([]int32, m)
+	}
+	for k, i := range idx {
+		b.lists[k] = int32(i)
+		b.count[i]++
+	}
+	// A feature's list is its presorted column filtered through the
+	// sample: O(n), no sort, a row drawn c times emitted c times.
+	for j, f := range features {
+		list := b.lists[(1+j)*m : (2+j)*m]
+		k := 0
+		for _, row := range b.order[f*b.n : (f+1)*b.n] {
+			for c := b.count[row]; c > 0; c-- {
+				list[k] = row
+				k++
+			}
+		}
+	}
+	for _, i := range idx {
+		b.count[i] = 0
+	}
+	b.grow(0, m, 0)
+	return &Tree{Nodes: b.nodes}, b.leaves
+}
+
+// leaf closes node nodeIdx over the samples [lo,hi) of list 0.
+func (b *treeBuilder) leaf(nodeIdx, lo, hi int, mean float64) int {
+	rows := b.leafRows[lo:hi:hi]
+	for k, i := range b.lists[lo:hi] {
+		rows[k] = int(i)
+	}
+	b.nodes[nodeIdx].Value = mean
+	b.leaves[nodeIdx] = rows
+	return nodeIdx
+}
+
+// grow recursively builds the subtree for the samples [lo,hi) at the
+// given depth and returns the node index.
+func (b *treeBuilder) grow(lo, hi, depth int) int {
 	nodeIdx := len(b.nodes)
 	b.nodes = append(b.nodes, TreeNode{Feature: -1})
 
 	mean := 0.0
-	for _, i := range idx {
+	for _, i := range b.lists[lo:hi] {
 		mean += b.target[i]
 	}
-	mean /= float64(len(idx))
+	mean /= float64(hi - lo)
 
-	if depth >= b.cfg.MaxDepth || len(idx) < 2*b.cfg.MinLeaf {
-		b.nodes[nodeIdx].Value = mean
-		b.leaves[nodeIdx] = idx
-		return nodeIdx
+	if depth >= b.cfg.MaxDepth || hi-lo < 2*b.cfg.MinLeaf {
+		return b.leaf(nodeIdx, lo, hi, mean)
 	}
-
-	feat, thr, ok := b.bestSplit(idx)
+	feat, thr, ok := b.bestSplit(lo, hi)
 	if !ok {
-		b.nodes[nodeIdx].Value = mean
-		b.leaves[nodeIdx] = idx
-		return nodeIdx
+		return b.leaf(nodeIdx, lo, hi, mean)
 	}
 
-	var left, right []int
-	for _, i := range idx {
-		if b.x[i][feat] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
+	// The threshold is a midpoint, which may round onto the upper value:
+	// sides are decided by comparing against it, not by scan position.
+	col := b.vals[feat*b.n : (feat+1)*b.n]
+	nLeft := 0
+	for _, i := range b.lists[lo:hi] {
+		b.goLeft[i] = col[i] <= thr
+		if b.goLeft[i] {
+			nLeft++
 		}
 	}
-	if len(left) < b.cfg.MinLeaf || len(right) < b.cfg.MinLeaf {
-		b.nodes[nodeIdx].Value = mean
-		b.leaves[nodeIdx] = idx
-		return nodeIdx
+	if nLeft < b.cfg.MinLeaf || hi-lo-nLeft < b.cfg.MinLeaf {
+		return b.leaf(nodeIdx, lo, hi, mean)
+	}
+	// Children at the depth limit are never scanned: only the sample
+	// list itself needs splitting for them.
+	split := 1 + len(b.features)
+	if depth+1 >= b.cfg.MaxDepth {
+		split = 1
+	}
+	for j := 0; j < split; j++ {
+		b.partition(b.lists[j*b.m+lo : j*b.m+hi])
 	}
 	b.nodes[nodeIdx].Feature = feat
 	b.nodes[nodeIdx].Threshold = thr
-	l := b.grow(left, depth+1)
-	r := b.grow(right, depth+1)
+	l := b.grow(lo, lo+nLeft, depth+1)
+	r := b.grow(lo+nLeft, hi, depth+1)
 	b.nodes[nodeIdx].Left = l
 	b.nodes[nodeIdx].Right = r
 	return nodeIdx
 }
 
+// partition moves list's goLeft rows to its front, keeping the order
+// within each side.
+func (b *treeBuilder) partition(list []int32) {
+	l, r := 0, 0
+	for _, i := range list {
+		if b.goLeft[i] {
+			list[l] = i
+			l++
+		} else {
+			b.spill[r] = i
+			r++
+		}
+	}
+	copy(list[l:], b.spill[:r])
+}
+
 // bestSplit finds the (feature, threshold) pair maximizing variance
-// reduction over samples idx. It returns ok=false when no split improves.
-func (b *treeBuilder) bestSplit(idx []int) (feature int, threshold float64, ok bool) {
-	n := len(idx)
+// reduction over the samples [lo,hi). It returns ok=false when no split
+// improves.
+func (b *treeBuilder) bestSplit(lo, hi int) (feature int, threshold float64, ok bool) {
+	n := hi - lo
 	var totalSum, totalSq float64
-	for _, i := range idx {
+	for _, i := range b.lists[lo:hi] {
 		v := b.target[i]
 		totalSum += v
 		totalSq += v * v
@@ -184,32 +309,21 @@ func (b *treeBuilder) bestSplit(idx []int) (feature int, threshold float64, ok b
 	baseSSE := totalSq - totalSum*totalSum/float64(n)
 
 	bestGain := 1e-12
-	type fv struct {
-		val    float64
-		target float64
-		row    int
-	}
-	vals := make([]fv, n)
-	for _, f := range b.features {
-		for k, i := range idx {
-			vals[k] = fv{b.x[i][f], b.target[i], i}
-		}
-		// Ties by row index: the order is total, so the model does not
-		// depend on which sorting algorithm produced it.
-		sort.Slice(vals, func(a, c int) bool {
-			if vals[a].val != vals[c].val {
-				return vals[a].val < vals[c].val
-			}
-			return vals[a].row < vals[c].row
-		})
-		if vals[0].val == vals[n-1].val {
+	for j, f := range b.features {
+		list := b.lists[(1+j)*b.m+lo : (1+j)*b.m+hi]
+		col := b.vals[f*b.n : (f+1)*b.n]
+		if col[list[0]] == col[list[n-1]] {
 			continue // constant feature on this node
 		}
 		var leftSum, leftSq float64
+		next := col[list[0]]
 		for k := 0; k < n-1; k++ {
-			leftSum += vals[k].target
-			leftSq += vals[k].target * vals[k].target
-			if vals[k].val == vals[k+1].val {
+			t := b.target[list[k]]
+			leftSum += t
+			leftSq += t * t
+			val := next
+			next = col[list[k+1]]
+			if val == next {
 				continue // can't split between equal values
 			}
 			nl := float64(k + 1)
@@ -224,13 +338,10 @@ func (b *treeBuilder) bestSplit(idx []int) (feature int, threshold float64, ok b
 			if gain > bestGain {
 				bestGain = gain
 				feature = f
-				threshold = (vals[k].val + vals[k+1].val) / 2
+				threshold = (val + next) / 2
 				ok = true
 			}
 		}
-	}
-	if math.IsNaN(threshold) {
-		return 0, 0, false
 	}
 	return feature, threshold, ok
 }

@@ -372,15 +372,6 @@ func (d Distribution) Terms() []string { return d.terms }
 // shared; callers must not modify it.
 func (d Distribution) Probs() []float64 { return d.probs }
 
-// TermSet returns the support of the distribution as a set.
-func (d Distribution) TermSet() map[string]struct{} {
-	out := make(map[string]struct{}, len(d.terms))
-	for _, t := range d.terms {
-		out[t] = struct{}{}
-	}
-	return out
-}
-
 // SubstringProbabilitySumBytes returns the sum of probabilities of terms
 // that are substrings of target. Used by feature set f3: "sum of
 // probability from terms of D that are substrings of starting/landing

@@ -262,19 +262,6 @@ func TestFromTextAndStrings(t *testing.T) {
 	}
 }
 
-func TestTermSet(t *testing.T) {
-	d := FromText("one two three three")
-	set := d.TermSet()
-	if len(set) != 3 {
-		t.Fatalf("TermSet size = %d, want 3", len(set))
-	}
-	for _, want := range []string{"one", "two", "three"} {
-		if _, ok := set[want]; !ok {
-			t.Errorf("TermSet missing %q", want)
-		}
-	}
-}
-
 func TestCountMatchesExtract(t *testing.T) {
 	cases := []string{
 		"",

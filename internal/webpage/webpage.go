@@ -57,7 +57,11 @@ type Snapshot struct {
 // relative links against the landing URL. chain must include starting and
 // landing URLs; when empty it defaults to [starting, landing].
 func FromHTML(startingURL, landingURL string, chain []string, html string) Snapshot {
-	doc := htmlx.Parse(html)
+	return FromDoc(htmlx.Parse(html), startingURL, landingURL, chain)
+}
+
+// FromDoc is FromHTML for a page the caller has already parsed.
+func FromDoc(doc htmlx.Document, startingURL, landingURL string, chain []string) Snapshot {
 	if len(chain) == 0 {
 		if startingURL == landingURL {
 			chain = []string{startingURL}
