@@ -46,8 +46,10 @@ bench-smoke:
 # fuzzer-built tie-heavy matrices; the content
 # identity's preimage (distinct snapshots never share bytes or a key);
 # the NDJSON feed connector; the migration reader of legacy verdict
-# logs; and the segmented store's index-snapshot decoder (arbitrary
-# bytes, bare and under a valid CRC, plus an encode/decode round trip).
+# logs; the segmented store's index-snapshot decoder (arbitrary
+# bytes, bare and under a valid CRC, plus an encode/decode round trip);
+# and its segment replay (arbitrary bytes, bare and behind whole frames,
+# against a walk over the same bytes in memory).
 # Found inputs land in the package's testdata/fuzz and become
 # permanent regression seeds. FUZZTIME is per target.
 FUZZ_TARGETS = \
@@ -62,6 +64,7 @@ FUZZ_TARGETS = \
 	FuzzNDJSONSource:./internal/feedsrc \
 	FuzzLegacyRead:./internal/store \
 	FuzzDecodeSnapshot:./internal/store \
+	FuzzReplaySegment:./internal/store \
 	FuzzDecodeDoc:./internal/serve
 
 FUZZTIME ?= 10s

@@ -1080,8 +1080,8 @@ func BenchmarkStoreAppend(b *testing.B) {
 
 // BenchmarkStoreScan measures one 100-record newest-first query page
 // over a 4096-record store — the /v1 and /v2 verdicts read path. The
-// engine pays a disk read per record (its index holds locations, not
-// records).
+// engine filters and orders from its index and reads the page's frames
+// raw, one pread per run of frames adjacent on disk.
 func BenchmarkStoreScan(b *testing.B) {
 	const records = 4096
 	b.Run("backend="+store.BackendSegmented, func(b *testing.B) {
@@ -1098,11 +1098,49 @@ func BenchmarkStoreScan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(page.Records) != 100 {
-				b.Fatalf("page = %d records, want 100", len(page.Records))
+			if len(page.Payloads) != 100 {
+				b.Fatalf("page = %d records, want 100", len(page.Payloads))
 			}
 		}
 	})
+}
+
+// BenchmarkVerdictsPage measures one GET /v2/verdicts?limit=100 through
+// Server.ServeHTTP over a segmented store of 500 records, request and
+// recorder included (TestVerdictsPageAllocs in internal/serve pins the
+// same call's allocation count): query parsing, the index walk, one
+// read of the page's frames with a CRC check each, and the envelope
+// spliced around the stored documents.
+func BenchmarkVerdictsPage(b *testing.B) {
+	r := benchSetup(b)
+	d, err := r.Detector(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := store.Open(store.Config{Path: filepath.Join(b.TempDir(), "verdicts"), SegmentBytes: 64 << 10, CompactEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = st.Close() })
+	for i := 0; i < 500; i++ {
+		if err := st.Append(context.Background(), storeBenchRecord(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	srv, err := serve.New(serve.Config{Detector: d, Identifier: target.New(r.Corpus.Engine), Store: st})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := httptest.NewRequest(http.MethodGet, "/v2/verdicts?limit=100", nil)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || rec.Body.Len() < 100*100 {
+			b.Fatalf("status %d, %d-byte body: %s", rec.Code, rec.Body.Len(), rec.Body.String())
+		}
+	}
 }
 
 // BenchmarkStoreReopen measures cold-start time over an existing

@@ -429,7 +429,11 @@ func (l *Lifecycle) retrain(ctx context.Context) (registry.Manifest, error) {
 		if err != nil {
 			return registry.Manifest{}, fmt.Errorf("drift: reading retrain corpus: %w", err)
 		}
-		for i, rec := range page.Records {
+		recs, err := page.Decode()
+		if err != nil {
+			return registry.Manifest{}, fmt.Errorf("drift: reading retrain corpus: %w", err)
+		}
+		for i, rec := range recs {
 			if i%32 == 0 && ctx.Err() != nil {
 				return registry.Manifest{}, context.Cause(ctx)
 			}
@@ -447,7 +451,7 @@ func (l *Lifecycle) retrain(ctx context.Context) (registry.Manifest, error) {
 			snaps = append(snaps, snap)
 			labels = append(labels, label)
 		}
-		seen += len(page.Records)
+		seen += len(recs)
 		if page.NextCursor == "" {
 			break
 		}

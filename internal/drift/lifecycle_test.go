@@ -395,7 +395,11 @@ func TestLifecycleEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
-	for _, rec := range page.Records {
+	recs, err := page.Decode()
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	for _, rec := range recs {
 		recVersions[rec.ModelVersion]++
 	}
 	if recVersions["v0001"] == 0 || recVersions["v0002"] == 0 {

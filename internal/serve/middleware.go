@@ -19,10 +19,15 @@ func (s *Server) reply(w http.ResponseWriter, status int, v any) {
 		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
 		return
 	}
+	s.send(w, status, buf.Bytes())
+}
+
+// send writes a complete JSON document as the response.
+func (s *Server) send(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(body); err != nil {
 		// Headers are gone; nothing to do but count it.
 		s.metrics.errors.Add(1)
 	}

@@ -129,31 +129,13 @@ func (s *Server) scanFail(w http.ResponseWriter, err error) {
 }
 
 // handleVerdicts queries the verdict store with the frozen v1 wire
-// format — a thin adapter over the same Scan path /v2/verdicts uses,
-// minus pagination:
+// format — the same Scan and the same writer /v2/verdicts uses, minus
+// pagination:
 //
 //	GET /v1/verdicts?target=brand.com&since=2026-07-29T00:00:00Z
 //	GET /v1/verdicts?url=http://lure.test/&phish_only=true&limit=50
 func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Store == nil {
-		s.fail(w, http.StatusServiceUnavailable, errors.New("verdict store is not configured on this server"))
-		return
-	}
-	q, err := parseVerdictQuery(r, false)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	page, err := s.cfg.Store.Scan(r.Context(), q)
-	if err != nil {
-		s.scanFail(w, err)
-		return
-	}
-	recs := page.Records
-	if len(recs) == 0 {
-		recs = nil // v1 renders an empty result as null; pinned by goldens
-	}
-	s.reply(w, http.StatusOK, VerdictsResponse{Records: recs, Count: len(recs)})
+	s.serveVerdicts(w, r, false)
 }
 
 // handleVerdictsV2 queries the verdict store with cursor pagination:
@@ -162,11 +144,23 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 //	GET /v2/verdicts?model_version=v0002&since=2026-07-01T00:00:00Z&until=2026-08-01T00:00:00Z
 //	GET /v2/verdicts?cursor=<next_cursor from the previous page>
 func (s *Server) handleVerdictsV2(w http.ResponseWriter, r *http.Request) {
+	s.serveVerdicts(w, r, true)
+}
+
+// serveVerdicts answers both verdict endpoints. The store hands back
+// each matching record as the JSON document it holds, which is the
+// document the API emits, so the page is spliced into the envelope as
+// bytes: what a client reads is VerdictsResponse (v1) or
+// VerdictsPageResponse (v2) exactly as json.Encoder would render it,
+// without a Record ever being built. v1 renders an empty result as
+// null and never carries a cursor; v2 renders it as [] — both pinned
+// by goldens.
+func (s *Server) serveVerdicts(w http.ResponseWriter, r *http.Request, v2 bool) {
 	if s.cfg.Store == nil {
 		s.fail(w, http.StatusServiceUnavailable, errors.New("verdict store is not configured on this server"))
 		return
 	}
-	q, err := parseVerdictQuery(r, true)
+	q, err := parseVerdictQuery(r, v2)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -176,13 +170,34 @@ func (s *Server) handleVerdictsV2(w http.ResponseWriter, r *http.Request) {
 		s.scanFail(w, err)
 		return
 	}
-	recs := page.Records
-	if recs == nil {
-		recs = []store.Record{}
+	size := 64 + len(page.NextCursor) // the envelope around the records
+	for _, p := range page.Payloads {
+		size += len(p) + 1
 	}
-	s.reply(w, http.StatusOK, VerdictsPageResponse{
-		Records:    recs,
-		Count:      len(recs),
-		NextCursor: page.NextCursor,
-	})
+	buf := getBuf()
+	defer putBuf(buf)
+	buf.Grow(size)
+	buf.WriteString(`{"records":`)
+	if len(page.Payloads) == 0 && !v2 {
+		buf.WriteString("null")
+	} else {
+		buf.WriteByte('[')
+		for i, p := range page.Payloads {
+			if i > 0 {
+				buf.WriteByte(',')
+			}
+			buf.Write(p)
+		}
+		buf.WriteByte(']')
+	}
+	buf.WriteString(`,"count":`)
+	buf.Write(strconv.AppendInt(buf.AvailableBuffer(), int64(len(page.Payloads)), 10))
+	if v2 && page.NextCursor != "" {
+		// A cursor is "s1-" and base-36 digits: nothing JSON escapes.
+		buf.WriteString(`,"next_cursor":"`)
+		buf.WriteString(page.NextCursor)
+		buf.WriteByte('"')
+	}
+	buf.WriteString("}\n")
+	s.send(w, http.StatusOK, buf.Bytes())
 }

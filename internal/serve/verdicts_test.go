@@ -3,15 +3,20 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
 	"knowphish/internal/core"
+	"knowphish/internal/features"
+	"knowphish/internal/racecheck"
 	"knowphish/internal/store"
+	"knowphish/internal/target"
 )
 
 // verdictsFixture is the deterministic corpus behind the /v1/verdicts
@@ -351,5 +356,286 @@ func TestV2VerdictsSourceFilter(t *testing.T) {
 	}
 	if v1.Count != len(sources) {
 		t.Errorf("v1 with source param returned %d records, want all %d (param must be ignored)", v1.Count, len(sources))
+	}
+}
+
+// spliceCorpus fills b with every record shape the store holds — heavy
+// supersede churn, targets, sources, two model versions, terminal
+// errors, explanations, an identification result, text that JSON
+// escapes (HTML characters, U+2028, a control byte) and invalid UTF-8 —
+// with a compaction in the middle, so a segmented store ends up with
+// compaction outputs, sealed segments and an active one.
+func spliceCorpus(t *testing.T, b store.Backend) {
+	t.Helper()
+	base := time.Date(2026, 9, 1, 6, 0, 0, 0, time.UTC)
+	sources := []string{"", "phishtank", "tranco"}
+	for i := 0; i < 64; i++ {
+		page := i % 23
+		if i < 24 {
+			page = i % 4 // the oldest segments are mostly superseded frames
+		}
+		r := store.Record{
+			URL:          "http://lure.test/" + strconv.Itoa(i),
+			LandingURL:   "http://land.test/" + strconv.Itoa(page),
+			RDN:          "land.test",
+			Fingerprint:  "fp-" + strconv.Itoa(i%2),
+			ModelVersion: "v000" + strconv.Itoa(1+i%2),
+			Source:       sources[i%3],
+			Outcome:      core.Outcome{Score: float64(i) / 64},
+			ScoredAt:     base.Add(time.Duration(i) * time.Minute),
+		}
+		switch {
+		case i%11 == 5:
+			r.Outcome, r.Fingerprint, r.RDN = core.Outcome{}, "", ""
+			r.Error = "fetch: <refused> & gave up\u2028after\x01retries"
+		case i%3 == 0:
+			r.Target = "novabank.com"
+			r.Outcome = core.Outcome{Score: 0.9 + float64(i)/1000, DetectorPhish: true, TargetRun: true, FinalPhish: true,
+				Target: target.Result{Verdict: target.VerdictPhish, StepsUsed: 3,
+					Keyterms:   target.Keyterms{Boosted: []string{"nova", "bank"}, Prominent: []string{"login"}},
+					Candidates: []target.Candidate{{RDN: "novabank.com", MLD: "novabank", Count: 3, Score: 1.0 / 3}}}}
+		}
+		if i%4 == 1 {
+			r.Explanation = &core.Explanation{Bias: -1.25, Contributions: []features.Contribution{
+				{Index: i, Name: "url.dots", Value: float64(i) * 0.1, LogOdds: -1e-7},
+				{Index: 211, Name: "title<mld>", Value: 1e21, LogOdds: 0.5},
+			}}
+		}
+		if i == 40 || i == 63 {
+			r.LandingURL += "?next=\xff\xfe" // a hostile Location header
+		}
+		if err := b.Append(context.Background(), r); err != nil {
+			t.Fatal(err)
+		}
+		if i == 40 {
+			if err := b.Compact(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// spliceBackends opens both engines over spliceCorpus; the segmented
+// one rolls a segment every few records, so pages break into several
+// reads at segment boundaries.
+func spliceBackends(t *testing.T) map[string]store.Backend {
+	t.Helper()
+	out := map[string]store.Backend{}
+	for _, cfg := range []store.Config{
+		{Backend: store.BackendMemory},
+		{Backend: store.BackendSegmented, Path: filepath.Join(t.TempDir(), "verdicts"), SegmentBytes: 2048, CompactEvery: -1},
+	} {
+		b, err := store.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = b.Close() })
+		spliceCorpus(t, b)
+		out[cfg.Backend] = b
+	}
+	if st := out[store.BackendSegmented].Stats(); st.Segments < 3 || st.Compactions != 1 || st.Superseded == 0 {
+		t.Fatalf("segmented fixture = %+v, want several segments and a compaction that dropped frames", st)
+	}
+	return out
+}
+
+// TestVerdictsSpliceMatchesMarshal: the verdict handlers splice stored
+// documents into a hand-written envelope. What a client receives must
+// be, byte for byte, the wire type built from the decoded page and
+// rendered by json.Encoder — the path the handlers used to take.
+func TestVerdictsSpliceMatchesMarshal(t *testing.T) {
+	for name, b := range spliceBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			s := newServer(t, func(cfg *Config) { cfg.Store = b })
+			// get serves path and returns the body beside the reference
+			// rendering of the same query, and the page's cursor.
+			get := func(path string, v2 bool) (got, want []byte, next string) {
+				t.Helper()
+				req := httptest.NewRequest(http.MethodGet, path, nil)
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK || rec.Header().Get("Content-Length") != strconv.Itoa(rec.Body.Len()) {
+					t.Fatalf("GET %s: status %d, Content-Length %q for %d bytes", path, rec.Code, rec.Header().Get("Content-Length"), rec.Body.Len())
+				}
+				q, err := parseVerdictQuery(req, v2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				page, err := b.Scan(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs, err := page.Decode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var doc any
+				switch {
+				case !v2 && len(recs) == 0:
+					doc = VerdictsResponse{}
+				case !v2:
+					doc = VerdictsResponse{Records: recs, Count: len(recs)}
+				default:
+					doc = VerdictsPageResponse{Records: recs, Count: len(recs), NextCursor: page.NextCursor}
+				}
+				var ref bytes.Buffer
+				if err := json.NewEncoder(&ref).Encode(doc); err != nil {
+					t.Fatal(err)
+				}
+				return rec.Body.Bytes(), ref.Bytes(), page.NextCursor
+			}
+			same := func(path string, got, want []byte) {
+				t.Helper()
+				if !bytes.Equal(got, want) {
+					t.Errorf("GET %s:\n got: %s\nwant: %s", path, got, want)
+				}
+			}
+
+			// The query shapes of the v1 goldens.
+			for _, path := range []string{
+				"/v1/verdicts",
+				"/v1/verdicts?target=novabank.com",
+				"/v1/verdicts?url=http://lure.test/57",
+				"/v1/verdicts?url=http://land.test/7",
+				"/v1/verdicts?phish_only=true&limit=2",
+				"/v1/verdicts?since=2026-09-01T06:50:00Z",
+			} {
+				got, want, _ := get(path, false)
+				same(path, got, want)
+				if bytes.Contains(got, []byte("next_cursor")) || !bytes.Contains(got, []byte(`"records":[{`)) {
+					t.Errorf("GET %s: not a v1 document with records: %s", path, got)
+				}
+			}
+			got, want, _ := get("/v1/verdicts?target=unknown.example", false)
+			same("v1 empty", got, want)
+			if string(got) != `{"records":null,"count":0}`+"\n" {
+				t.Errorf("v1 empty result = %s", got)
+			}
+			got, want, _ = get("/v2/verdicts?target=unknown.example", true)
+			same("v2 empty", got, want)
+			if string(got) != `{"records":[],"count":0}`+"\n" {
+				t.Errorf("v2 empty result = %s", got)
+			}
+
+			// Full v2 cursor walks, unfiltered and filtered.
+			for _, filter := range []string{"", "&source=phishtank", "&model_version=v0002&until=2026-09-01T06:58:00Z"} {
+				for _, limit := range []int{1, 7, 100} {
+					pages, records, cursor := 0, 0, ""
+					for {
+						path := "/v2/verdicts?limit=" + strconv.Itoa(limit) + filter
+						if cursor != "" {
+							path += "&cursor=" + cursor
+						}
+						got, want, next := get(path, true)
+						same(path, got, want)
+						var pr VerdictsPageResponse
+						if err := json.Unmarshal(got, &pr); err != nil {
+							t.Fatalf("GET %s: %v", path, err)
+						}
+						if pr.NextCursor != next || bytes.Contains(got, []byte("next_cursor")) != (next != "") {
+							t.Fatalf("GET %s: next_cursor %q in %s, store said %q", path, pr.NextCursor, got, next)
+						}
+						pages++
+						records += pr.Count
+						if cursor = next; cursor == "" {
+							break
+						}
+					}
+					if filter == "" && (records != b.Len() || pages != (b.Len()+limit-1)/limit) {
+						t.Errorf("limit %d: walked %d records over %d pages of a %d-record store", limit, records, pages, b.Len())
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestVerdictsCorruptFrameIs500: the envelope is written only once the
+// whole page passed its CRCs, so a bad frame in the middle is an error
+// document, never the start of a page.
+func TestVerdictsCorruptFrameIs500(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "verdicts")
+	b, err := store.Open(store.Config{Path: dir, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = b.Close() })
+	for i := 0; i < 9; i++ {
+		u := "http://u.test/" + strconv.Itoa(i)
+		if err := b.Append(context.Background(), store.Record{URL: u, LandingURL: u, ScoredAt: time.Unix(int64(i), 0).UTC()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg := filepath.Join(dir, "00000001.seg")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x20
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(t, func(cfg *Config) { cfg.Store = b })
+	for _, path := range []string{"/v1/verdicts", "/v2/verdicts"} {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		var body errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body.Error == "" ||
+			bytes.Contains(rec.Body.Bytes(), []byte("records")) {
+			t.Errorf("GET %s over a corrupt frame: status %d, body %s (decode err %v); want a 500 error document", path, rec.Code, rec.Body.String(), err)
+		}
+	}
+	// The page that stops short of the bad frame is still served.
+	if code := call(t, s, http.MethodGet, "/v2/verdicts?limit=2", nil, nil); code != http.StatusOK {
+		t.Errorf("GET of the newest two: status %d", code)
+	}
+}
+
+// TestVerdictsPageAllocs pins what one 100-record /v2/verdicts page
+// costs through ServeHTTP, request and recorder included: a fixed
+// handful of allocations — query parsing, the index walk, the page
+// buffer, the headers — and none per record. Decoding every frame into
+// a Record and re-marshalling the page made 1 530.
+func TestVerdictsPageAllocs(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	b, err := store.Open(store.Config{Path: filepath.Join(t.TempDir(), "verdicts"), SegmentBytes: 64 << 10, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = b.Close() })
+	for i := 0; i < 500; i++ {
+		r := store.Record{
+			URL:          "http://lure.test/" + strconv.Itoa(i),
+			LandingURL:   "http://land.test/" + strconv.Itoa(i),
+			Fingerprint:  "fp",
+			Target:       "novabank.com",
+			ModelVersion: "v0001",
+			Outcome:      core.Outcome{Score: 0.9, DetectorPhish: true, FinalPhish: true},
+			ScoredAt:     time.Date(2026, 7, 1, 0, 0, i, 0, time.UTC),
+		}
+		if err := b.Append(context.Background(), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := b.Stats(); st.Segments < 2 {
+		t.Fatalf("fixture store has %d segment(s), want several", st.Segments)
+	}
+	s := newServer(t, func(cfg *Config) { cfg.Store = b })
+	var last *httptest.ResponseRecorder
+	allocs := testing.AllocsPerRun(50, func() {
+		req := httptest.NewRequest(http.MethodGet, "/v2/verdicts?limit=100", nil)
+		last = httptest.NewRecorder()
+		s.ServeHTTP(last, req)
+	})
+	var pr VerdictsPageResponse
+	if err := json.Unmarshal(last.Body.Bytes(), &pr); err != nil || last.Code != http.StatusOK || pr.Count != 100 || pr.NextCursor == "" {
+		t.Fatalf("status %d, %d records, cursor %q (err %v); want a full page with a cursor", last.Code, pr.Count, pr.NextCursor, err)
+	}
+	t.Logf("one 100-record page: %.0f allocs", allocs)
+	if allocs > 40 {
+		t.Errorf("one 100-record page = %.0f allocs, budget 40", allocs)
 	}
 }

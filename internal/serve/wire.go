@@ -192,7 +192,10 @@ type FeedResponse struct {
 
 // VerdictsResponse carries verdict-store records, newest first. It is
 // the frozen /v1/verdicts document: an empty result renders records as
-// null, exactly as v1 always has.
+// null, exactly as v1 always has. Clients decode into it; the server
+// writes the same bytes without building one (serveVerdicts splices the
+// stored documents; TestVerdictsSpliceMatchesMarshal holds the two
+// renderings equal), and so for VerdictsPageResponse.
 type VerdictsResponse struct {
 	Records []store.Record `json:"records"`
 	Count   int            `json:"count"`

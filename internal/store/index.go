@@ -3,10 +3,10 @@ package store
 import "sort"
 
 // entry is one live record's index row. Both engines share it: the
-// memory engine keeps the record inline in rec; the segmented engine
-// keeps only the on-disk location (seg/off/n) and loads the record from
-// its segment on demand, so a store of millions of verdicts costs
-// index-row memory, not record memory.
+// memory engine keeps the record's document beside the index, by seq;
+// the segmented engine keeps only the on-disk location (seg/off/n) and
+// reads the frame from its segment on demand, so a store of millions of
+// verdicts costs index-row memory, not record memory.
 type entry struct {
 	seq      uint64
 	start    string // Record.URL ("" when equal to landing)
@@ -23,14 +23,12 @@ type entry struct {
 	// them and maybeShrink reclaims them in bulk.
 	dead bool
 
-	rec *Record // inline record (memory engine)
-
 	seg uint64 // segmented engine: segment ID holding the frame
 	off int64  // frame offset within the segment
 	n   uint32 // full frame length in bytes
 }
 
-// metaOf fills an index row from a record (location and rec left to the
+// metaOf fills an index row from a record (location left to the
 // caller).
 func metaOf(rec *Record) *entry {
 	e := &entry{
@@ -221,7 +219,6 @@ func (ix *memIndex) live() int { return len(ix.bySeq) - ix.holes }
 // sequence slice).
 func (ix *memIndex) unindex(old *entry) {
 	old.dead = true
-	old.rec = nil
 	ix.holes++
 	ix.byURL[old.landing] = seqRemove(ix.byURL, old.landing, old)
 	if old.start != "" {
@@ -277,27 +274,27 @@ func (ix *memIndex) get(url string) *entry {
 // strictly below cursor when hasCursor. more reports whether at least
 // one further matching entry exists past the returned page.
 func (ix *memIndex) scan(q Query, cursor uint64, hasCursor bool) (out []*entry, more bool) {
-	var lists [][]*entry
+	var lists [2][]*entry // only the URL query walks two
 	switch {
 	case q.Target != "":
 		ix.materialize()
-		lists = [][]*entry{ix.byTarget[q.Target]}
+		lists[0] = ix.byTarget[q.Target]
 	case q.URL != "":
 		ix.materialize()
-		lists = [][]*entry{ix.byURL[q.URL], ix.byStart[q.URL]}
+		lists[0], lists[1] = ix.byURL[q.URL], ix.byStart[q.URL]
 	case q.ModelVersion != "":
 		ix.materialize()
-		lists = [][]*entry{ix.byModel[q.ModelVersion]}
+		lists[0] = ix.byModel[q.ModelVersion]
 	default:
-		lists = [][]*entry{ix.bySeq} // no map needed; stays fast on a lazy index
+		lists[0] = ix.bySeq // no map needed; stays fast on a lazy index
+	}
+	if q.Limit > 0 {
+		out = make([]*entry, 0, min(q.Limit, len(lists[0])+len(lists[1])))
 	}
 	// Merge-walk the candidate lists backwards (each ascending by seq)
 	// so the result is strictly descending — the deterministic order
 	// every query path guarantees and cursors encode.
-	pos := make([]int, len(lists))
-	for i, l := range lists {
-		pos[i] = len(l) - 1
-	}
+	pos := [2]int{len(lists[0]) - 1, len(lists[1]) - 1}
 	for {
 		best := -1
 		for i, l := range lists {

@@ -2,18 +2,23 @@ package store
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"sync"
 )
 
-// memStore is the in-memory engine: the shared index with records held
-// inline and nothing on disk. It exists for tests and for callers that
-// want the Backend query surface without persistence.
+// memStore is the in-memory engine: the shared index with each live
+// record's document held beside it and nothing on disk — the segmented
+// engine's read and write paths over bytes in RAM instead of frames in
+// a file. It exists for tests and for callers that want the Backend
+// query surface without persistence.
 type memStore struct {
 	path       string
 	maxExplain int
 
 	mu     sync.Mutex
 	ix     *memIndex
+	docs   map[uint64][]byte // seq → the live record's stored document, never written after insert
 	closed bool
 
 	appends     int64
@@ -23,7 +28,7 @@ type memStore struct {
 }
 
 func newMemStore(cfg Config) *memStore {
-	s := &memStore{path: cfg.Path, maxExplain: cfg.MaxExplainBytes, ix: newMemIndex()}
+	s := &memStore{path: cfg.Path, maxExplain: cfg.MaxExplainBytes, ix: newMemIndex(), docs: map[uint64][]byte{}}
 	if s.maxExplain == 0 {
 		s.maxExplain = DefaultMaxExplainBytes
 	}
@@ -42,11 +47,15 @@ func (s *memStore) Append(ctx context.Context, rec Record) error {
 	if prepare(&rec, s.ix.nextSeq, s.maxExplain) {
 		s.explDropped++
 	}
-	e := metaOf(&rec)
-	e.rec = &rec
-	if displaced, _ := s.ix.insert(e); displaced != nil {
+	payload, err := encodePayload(&rec)
+	if err != nil {
+		return err
+	}
+	s.docs[rec.Seq] = payload
+	if displaced, _ := s.ix.insert(metaOf(&rec)); displaced != nil {
 		// No disk to reclaim from: a superseded record is gone the
 		// moment its replacement lands.
+		delete(s.docs, displaced.seq)
 		s.superseded++
 	}
 	s.appends++
@@ -62,10 +71,15 @@ func (s *memStore) Get(ctx context.Context, url string) (Record, bool, error) {
 	if s.closed {
 		return Record{}, false, ErrClosed
 	}
-	if e := s.ix.get(url); e != nil {
-		return *e.rec, true, nil
+	e := s.ix.get(url)
+	if e == nil {
+		return Record{}, false, nil
 	}
-	return Record{}, false, nil
+	var rec Record
+	if err := json.Unmarshal(s.docs[e.seq], &rec); err != nil {
+		return Record{}, false, fmt.Errorf("store: decoding record: %w", err)
+	}
+	return rec, true, nil
 }
 
 func (s *memStore) Scan(ctx context.Context, q Query) (ScanPage, error) {
@@ -82,15 +96,11 @@ func (s *memStore) Scan(ctx context.Context, q Query) (ScanPage, error) {
 		return ScanPage{}, ErrClosed
 	}
 	ents, more := s.ix.scan(q, cursor, hasCursor)
-	recs := make([]Record, len(ents))
+	payloads := make([]json.RawMessage, len(ents))
 	for i, e := range ents {
-		recs[i] = *e.rec
+		payloads[i] = s.docs[e.seq]
 	}
-	page := ScanPage{Records: recs}
-	if more && len(recs) > 0 {
-		page.NextCursor = encodeCursor(recs[len(recs)-1].Seq)
-	}
-	return page, nil
+	return ScanPage{Payloads: payloads, NextCursor: nextCursor(ents, more)}, nil
 }
 
 // Compact reclaims index holes (there is no log to rewrite).

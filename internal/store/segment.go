@@ -47,27 +47,47 @@ func appendFrame(buf []byte, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// readFrameAt reads and verifies the frame at off using ReadAt (safe
-// for concurrent readers on a shared handle). It returns the payload
-// and the full frame length. Torn, truncated or corrupt frames return
-// errTornFrame.
-func readFrameAt(r io.ReaderAt, off int64) (payload []byte, frameLen int64, err error) {
+// readFrameAt reads and verifies the frame at off by walking its header
+// — the replay path, which has no index yet to say how long the frame
+// is. end is how many bytes the segment holds: a header claiming more
+// payload than the bytes left is torn before anything is allocated for
+// it. It returns the payload and the full frame length. Torn, truncated
+// or corrupt frames return errTornFrame.
+func readFrameAt(r io.ReaderAt, off, end int64) (payload []byte, frameLen int64, err error) {
 	var hdr [frameHeader]byte
+	if end-off < frameHeader {
+		return nil, 0, errTornFrame
+	}
 	if _, err := r.ReadAt(hdr[:], off); err != nil {
 		return nil, 0, errTornFrame
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n > maxFramePayload {
+	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+	if n > maxFramePayload || n > end-off-frameHeader {
 		return nil, 0, errTornFrame
 	}
 	payload = make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(r, off+frameHeader, int64(n)), payload); err != nil {
+	if _, err := r.ReadAt(payload, off+frameHeader); err != nil {
 		return nil, 0, errTornFrame
 	}
 	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
 		return nil, 0, errTornFrame
 	}
-	return payload, frameHeader + int64(n), nil
+	return payload, frameHeader + n, nil
+}
+
+// checkFrame verifies a whole frame read by its indexed length: the
+// header must claim exactly the payload that follows it, and the
+// payload must match its CRC-32C. The payload is frame[frameHeader:].
+func checkFrame(frame []byte) error {
+	if len(frame) <= frameHeader {
+		return errTornFrame
+	}
+	payload := frame[frameHeader:]
+	if binary.LittleEndian.Uint32(frame[0:4]) != uint32(len(payload)) ||
+		binary.LittleEndian.Uint32(frame[4:8]) != crc32.Checksum(payload, castagnoli) {
+		return errTornFrame
+	}
+	return nil
 }
 
 // sparsePoint is one sparse-index row: the frame at Off holds Seq.

@@ -17,8 +17,8 @@ import (
 // would grow past SegmentBytes it is fsynced, described by a sidecar
 // index, and sealed — sealed segments are immutable, which is what lets
 // compaction and recovery reason about them without coordination.
-// Only the index lives in memory; records are loaded from their segment
-// on demand.
+// Only the index lives in memory; frames are read from their segment
+// on demand, by the (segment, offset, length) the index holds.
 //
 // Crash-safety invariants:
 //
@@ -193,7 +193,19 @@ func (s *segStore) recover() error {
 	if len(ids) > 0 {
 		s.lastID = ids[len(ids)-1]
 	}
+	sizes := make(map[uint64]int64, len(ids))
+	for _, id := range ids {
+		if fi, err := os.Stat(segName(s.dir, id)); err == nil {
+			sizes[id] = fi.Size()
+		}
+	}
 	rows, nextSeq, watermark, act, snapOK := loadSnapshot(s.dir)
+	// Reads size their buffers by a row's frame length and trust its
+	// offset, so a snapshot naming a frame its segment does not hold
+	// (the tail of an unsynced active segment lost with the machine, a
+	// segment swapped underneath it) is not loaded at all: the segments
+	// are replayed, which indexes exactly the frames that are there.
+	snapOK = snapOK && rowsFit(rows, sizes)
 	if snapOK {
 		s.ix.bulkLoad(rows)
 		if nextSeq > s.ix.nextSeq {
@@ -230,7 +242,7 @@ func (s *segStore) recover() error {
 			// fast-start path never re-parses the settled part of the
 			// active segment. A shorter file than act.off means the
 			// segment was tampered with; fall back to a full replay.
-			if fi, err := os.Stat(segName(s.dir, id)); err == nil && fi.Size() >= act.off {
+			if sizes[id] >= act.off {
 				start, seed = act.off, act.meta
 			}
 		}
@@ -244,7 +256,7 @@ func (s *segStore) recover() error {
 			// Torn-tail recovery happens here and only here: the one
 			// segment that can legally end mid-frame.
 			activeID, haveActive, activeGood, activeMeta = id, true, good, meta
-			if fi, err := os.Stat(segName(s.dir, id)); err == nil && fi.Size() > good {
+			if sizes[id] > good {
 				if err := os.Truncate(segName(s.dir, id), good); err != nil {
 					return fmt.Errorf("store: truncating torn tail of segment %d: %w", id, err)
 				}
@@ -294,13 +306,18 @@ func (s *segStore) replaySegment(id uint64, start, limit int64, watermark uint64
 		return meta, 0, 0, fmt.Errorf("store: opening segment %d: %w", id, err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return meta, 0, 0, fmt.Errorf("store: sizing segment %d: %w", id, err)
+	}
+	end := fi.Size()
+	if limit >= 0 && limit < end {
+		end = limit
+	}
 	off := start
 	good = start
-	for {
-		if limit >= 0 && off >= limit {
-			break
-		}
-		payload, flen, ferr := readFrameAt(f, off)
+	for off < end {
+		payload, flen, ferr := readFrameAt(f, off, end)
 		if ferr != nil {
 			break // torn tail (or simply the end of the segment)
 		}
@@ -346,9 +363,9 @@ func (s *segStore) appendLocked(rec *Record, keepSeq bool) error {
 	if prepare(rec, seq, s.maxExplain) {
 		s.explDropped++
 	}
-	payload, err := json.Marshal(rec)
+	payload, err := encodePayload(rec)
 	if err != nil {
-		return fmt.Errorf("store: encoding record: %w", err)
+		return err
 	}
 	frame := appendFrame(s.buf[:0], payload)
 	s.buf = frame[:0]
@@ -511,27 +528,57 @@ func (s *segStore) dropReaders(ids []uint64) {
 	s.readers.Unlock()
 }
 
-// loadFrame reads and verifies the raw frame at l.
-func (s *segStore) loadFrame(l frameLoc) ([]byte, error) {
-	f, err := s.reader(l.seg)
+// readAt fills buf from segment seg at off, whole or not at all.
+func (s *segStore) readAt(seg uint64, off int64, buf []byte) error {
+	f, err := s.reader(seg)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	payload, _, err := readFrameAt(f, l.off)
-	return payload, err
+	_, err = f.ReadAt(buf, off)
+	return err
 }
 
-// loadRecord materializes the record at l.
-func (s *segStore) loadRecord(l frameLoc) (Record, error) {
-	payload, err := s.loadFrame(l)
-	if err != nil {
-		return Record{}, err
+// loadPage is every indexed read: it reads the frames at locs (a page,
+// newest first as the index walk found them; or one frame) into one
+// buffer by their indexed lengths and returns their payloads, each
+// verified in place. Frames that lie back to back on disk are read
+// together: a newest-first page over an append-only segment is one
+// descending run, so it usually costs a single pread; a segment
+// boundary, a superseded frame or a filter that skips rows starts the
+// next run.
+func (s *segStore) loadPage(ctx context.Context, locs []frameLoc) ([]json.RawMessage, error) {
+	total := 0
+	for _, l := range locs {
+		total += int(l.n)
 	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return Record{}, fmt.Errorf("store: decoding record in segment %d: %w", l.seg, err)
+	buf := make([]byte, total)
+	payloads := make([]json.RawMessage, len(locs))
+	for i := 0; i < len(locs); {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		j := i + 1
+		for j < len(locs) && locs[j].seg == locs[i].seg && locs[j].off+int64(locs[j].n) == locs[j-1].off {
+			j++
+		}
+		start := locs[j-1].off
+		size := locs[i].off + int64(locs[i].n) - start
+		run := buf[:size]
+		buf = buf[size:]
+		if err := s.readAt(locs[i].seg, start, run); err != nil {
+			return nil, err
+		}
+		for k := i; k < j; k++ {
+			lo := locs[k].off - start
+			hi := lo + int64(locs[k].n)
+			if err := checkFrame(run[lo:hi]); err != nil {
+				return nil, fmt.Errorf("store: frame at segment %d offset %d: %w", locs[k].seg, locs[k].off, err)
+			}
+			payloads[k] = run[lo+frameHeader : hi : hi]
+		}
+		i = j
 	}
-	return rec, nil
+	return payloads, nil
 }
 
 func (s *segStore) Get(ctx context.Context, url string) (Record, bool, error) {
@@ -558,11 +605,16 @@ func (s *segStore) Get(ctx context.Context, url string) (Record, bool, error) {
 		if e == nil {
 			return Record{}, false, nil
 		}
-		rec, err := s.loadRecord(l)
-		if err == nil {
-			return rec, true, nil
+		payloads, err := s.loadPage(ctx, []frameLoc{l})
+		if err != nil {
+			lastErr = err
+			continue
 		}
-		lastErr = err
+		var rec Record
+		if err := json.Unmarshal(payloads[0], &rec); err != nil {
+			return Record{}, false, fmt.Errorf("store: decoding record in segment %d: %w", l.seg, err)
+		}
+		return rec, true, nil
 	}
 	return Record{}, false, lastErr
 }
@@ -587,30 +639,14 @@ func (s *segStore) Scan(ctx context.Context, q Query) (ScanPage, error) {
 		for i, e := range ents {
 			locs[i] = frameLoc{e.seg, e.off, e.n}
 		}
+		next := nextCursor(ents, more)
 		s.mu.Unlock()
-		recs := make([]Record, 0, len(locs))
-		lastErr = nil
-		for i, l := range locs {
-			if i%64 == 0 {
-				if err := ctx.Err(); err != nil {
-					return ScanPage{}, err
-				}
-			}
-			rec, err := s.loadRecord(l)
-			if err != nil {
-				lastErr = err // segment moved underneath us; retry the page
-				break
-			}
-			recs = append(recs, rec)
-		}
-		if lastErr != nil {
+		payloads, err := s.loadPage(ctx, locs)
+		if err != nil {
+			lastErr = err // segment moved underneath us; retry the page
 			continue
 		}
-		page := ScanPage{Records: recs}
-		if more && len(recs) > 0 {
-			page.NextCursor = encodeCursor(recs[len(recs)-1].Seq)
-		}
-		return page, nil
+		return ScanPage{Payloads: payloads, NextCursor: next}, nil
 	}
 	return ScanPage{}, lastErr
 }
@@ -739,16 +775,11 @@ func (s *segStore) runCompact(ctx context.Context) error {
 	out := &compactWriter{s: s}
 	newSegs, err := func() ([]segResult, error) {
 		for i := range items {
-			if i%64 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			payload, err := s.loadFrame(items[i].loc)
+			payloads, err := s.loadPage(ctx, []frameLoc{items[i].loc})
 			if err != nil {
 				return nil, fmt.Errorf("store: compacting segment %d: %w", items[i].loc.seg, err)
 			}
-			loc, err := out.write(payload, items[i].seq)
+			loc, err := out.write(payloads[0], items[i].seq)
 			if err != nil {
 				return nil, err
 			}

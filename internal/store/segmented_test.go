@@ -3,6 +3,8 @@ package store
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,6 +23,16 @@ func segOpen(t *testing.T, cfg Config) *segStore {
 
 func ctxb() context.Context { return context.Background() }
 
+// decodePage parses a page's payloads into records.
+func decodePage(t testing.TB, page ScanPage) []Record {
+	t.Helper()
+	recs, err := page.Decode()
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	return recs
+}
+
 // scanAll drains a backend through cursor pages of the given size.
 func scanAll(t *testing.T, b Backend, q Query, pageSize int) []Record {
 	t.Helper()
@@ -31,7 +43,7 @@ func scanAll(t *testing.T, b Backend, q Query, pageSize int) []Record {
 		if err != nil {
 			t.Fatalf("Scan: %v", err)
 		}
-		out = append(out, page.Records...)
+		out = append(out, decodePage(t, page)...)
 		if page.NextCursor == "" {
 			return out
 		}
@@ -194,8 +206,8 @@ func TestReopenSupersedeScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(page.Records) != 5 {
-		t.Fatalf("got %d records, want 5", len(page.Records))
+	if len(page.Payloads) != 5 {
+		t.Fatalf("got %d records, want 5", len(page.Payloads))
 	}
 }
 
@@ -254,20 +266,21 @@ func TestScanOrderDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s query %d: %v", name, qi, err)
 			}
-			for j := 1; j < len(page.Records); j++ {
-				if page.Records[j-1].Seq <= page.Records[j].Seq {
+			recs := decodePage(t, page)
+			for j := 1; j < len(recs); j++ {
+				if recs[j-1].Seq <= recs[j].Seq {
 					t.Fatalf("%s query %d: order not strictly descending at %d: %d then %d",
-						name, qi, j, page.Records[j-1].Seq, page.Records[j].Seq)
+						name, qi, j, recs[j-1].Seq, recs[j].Seq)
 				}
 			}
-			if len(page.Records) == 0 && !q.PhishOnly && q.Limit == 0 && q.Target == "" && q.URL == "" && q.ModelVersion == "" {
+			if len(recs) == 0 && !q.PhishOnly && q.Limit == 0 && q.Target == "" && q.URL == "" && q.ModelVersion == "" {
 				t.Fatalf("%s: unfiltered scan returned nothing", name)
 			}
 		}
 		// 10 generations carried the target but only the newest per
 		// landing+fingerprint is live: i∈{21,24,27}.
-		if page, err := b.Scan(ctxb(), Query{Target: "brand.com"}); err != nil || len(page.Records) != 3 {
-			t.Fatalf("%s: by target = %d records (err %v), want 3", name, len(page.Records), err)
+		if page, err := b.Scan(ctxb(), Query{Target: "brand.com"}); err != nil || len(page.Payloads) != 3 {
+			t.Fatalf("%s: by target = %d records (err %v), want 3", name, len(page.Payloads), err)
 		}
 	}
 }
@@ -302,8 +315,8 @@ func TestScanCursorPagination(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(filtered, oneShot.Records) {
-				t.Fatalf("paged filter (%d) != one-shot (%d)", len(filtered), len(oneShot.Records))
+			if !reflect.DeepEqual(filtered, decodePage(t, oneShot)) {
+				t.Fatalf("paged filter (%d) != one-shot (%d)", len(filtered), len(oneShot.Payloads))
 			}
 			// The final page reports exhaustion, not a dangling cursor.
 			last, err := b.Scan(ctxb(), Query{Limit: 23})
@@ -329,8 +342,8 @@ func TestScanCursorPagination(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(mid.Records)+len(rest.Records) != 23 {
-				t.Fatalf("resumed walk saw %d records, want 23 (late append excluded)", len(mid.Records)+len(rest.Records))
+			if len(mid.Payloads)+len(rest.Payloads) != 23 {
+				t.Fatalf("resumed walk saw %d records, want 23 (late append excluded)", len(mid.Payloads)+len(rest.Payloads))
 			}
 		})
 	}
@@ -477,8 +490,10 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 // TestCompactionNeverBlocksAppends parks a compaction mid-flight (after
 // its outputs are written, before the index flip — the point where a
 // blocking design would hold the store lock) and asserts appends keep
-// completing promptly. Run under -race this also proves the phases
-// share state safely.
+// completing promptly. A reader walks the store by cursor beside it
+// all — before the flip, across it, and after the victims are unlinked
+// — and must only ever see whole pages in strictly descending seq. Run
+// under -race this also proves the phases share state safely.
 func TestCompactionNeverBlocksAppends(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "v")
 	b, err := Open(Config{Path: dir, SegmentBytes: 1024, CompactEvery: -1})
@@ -502,6 +517,9 @@ func TestCompactionNeverBlocksAppends(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- s.Compact(ctxb()) }()
 	<-parked
+	stopWalks := make(chan struct{})
+	walks := make(chan error, 1)
+	go func() { walks <- walkUntil(s, 7, stopWalks) }()
 
 	// The compaction is live and parked. Appends must not queue behind
 	// it: each one is a lock-hop plus a buffered write, so even a slow
@@ -521,6 +539,10 @@ func TestCompactionNeverBlocksAppends(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
+	close(stopWalks)
+	if err := <-walks; err != nil {
+		t.Fatalf("cursor walk beside appends and compaction: %v", err)
+	}
 	if worst > bound {
 		t.Fatalf("append latency during compaction = %v, want < %v", worst, bound)
 	}
@@ -529,6 +551,48 @@ func TestCompactionNeverBlocksAppends(t *testing.T) {
 	}
 	if st := s.Stats(); st.Compactions != 1 || st.Superseded == 0 {
 		t.Fatalf("stats = %+v, want a completed compaction", st)
+	}
+}
+
+// walkUntil walks b by cursor, pageSize rows at a time, again and again
+// until stop closes, then once more (so one walk always runs against
+// the final state). Every page must decode whole, be full unless it is
+// the last, and continue the walk's strictly descending seq.
+func walkUntil(b Backend, pageSize int, stop <-chan struct{}) error {
+	for last := false; ; {
+		q := Query{Limit: pageSize}
+		prev := uint64(math.MaxUint64)
+		for {
+			page, err := b.Scan(ctxb(), q)
+			if err != nil {
+				return err
+			}
+			recs, err := page.Decode()
+			if err != nil {
+				return err
+			}
+			if page.NextCursor != "" && len(recs) != pageSize {
+				return fmt.Errorf("short page of %d rows with a cursor", len(recs))
+			}
+			for _, r := range recs {
+				if r.Seq >= prev {
+					return fmt.Errorf("seq %d after %d: not strictly descending", r.Seq, prev)
+				}
+				prev = r.Seq
+			}
+			if page.NextCursor == "" {
+				break
+			}
+			q.Cursor = page.NextCursor
+		}
+		if last {
+			return nil
+		}
+		select {
+		case <-stop:
+			last = true
+		default:
+		}
 	}
 }
 
@@ -675,7 +739,7 @@ func TestStoreStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cnt += len(page.Records)
+		cnt += len(page.Payloads)
 		if page.NextCursor == "" {
 			break
 		}

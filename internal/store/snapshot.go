@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -36,7 +37,10 @@ import (
 // still records the segment's true count, seq range, and sparse index.
 //
 // A snapshot that fails its magic or CRC is ignored — recovery falls
-// back to a full segment replay, never to a partial index. The magic
+// back to a full segment replay, never to a partial index. So is one
+// with a row whose frame could not be a frame (no payload, or an end no
+// file offset reaches) or does not lie inside its segment file
+// (rowsFit): reads size their buffers by those numbers. The magic
 // doubles as the format version: KPSNAP2 added the source string, and
 // a store opened with a KPSNAP1 snapshot simply replays its segments
 // once and writes the current format on the next snapshot.
@@ -208,8 +212,13 @@ func decodeSnapshot(data []byte) (rows []*entry, nextSeq, watermark uint64, act 
 		e.scoredAt = r.varint()
 		e.phish = r.byte()&1 != 0
 		e.seg = r.uvarint()
-		e.off = int64(r.uvarint())
-		e.n = uint32(r.uvarint())
+		off, n := r.uvarint(), r.uvarint()
+		// A frame is a header plus a non-empty payload, and its end must
+		// be an offset a file can have.
+		if n <= frameHeader || n > frameHeader+maxFramePayload || off > math.MaxInt64-n {
+			r.bad = true
+		}
+		e.off, e.n = int64(off), uint32(n)
 		e.landing = r.string()
 		e.start = r.string()
 		e.fp = r.string()
@@ -222,6 +231,18 @@ func decodeSnapshot(data []byte) (rows []*entry, nextSeq, watermark uint64, act 
 		rows = append(rows, e)
 	}
 	return rows, nextSeq, watermark, act, nil
+}
+
+// rowsFit reports whether every row's frame [off, off+n) lies inside
+// its segment, given the segment files' sizes (a segment that is not
+// there has none).
+func rowsFit(rows []*entry, sizes map[uint64]int64) bool {
+	for _, e := range rows {
+		if e.off+int64(e.n) > sizes[e.seg] {
+			return false
+		}
+	}
+	return true
 }
 
 // writeSnapshot persists an encoded snapshot atomically.

@@ -50,9 +50,11 @@ func sealSnapshot(body []byte) []byte {
 // accidents. Each input is decoded as read and again as the body of a
 // correctly sealed snapshot. Decoding must never panic, must reject or
 // fully load (no partial index), must not allocate rows the input has
-// no bytes for, and whatever it accepts must survive encodeSnapshot →
-// decodeSnapshot unchanged: rows, sequence numbers, watermark and
-// active state.
+// no bytes for, must not accept a row whose frame could not be one
+// (readers size buffers by it; rowsFit then holds each row to its
+// segment's size, to the byte), and whatever it accepts must survive
+// encodeSnapshot → decodeSnapshot unchanged: rows, sequence numbers,
+// watermark and active state.
 func FuzzDecodeSnapshot(f *testing.F) {
 	real := realSnapshot(f)
 	body := real[len(snapshotMagic) : len(real)-4]
@@ -76,6 +78,24 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 			if len(rows)*minSnapshotRowBytes > len(in) || len(act.meta.sparse)*minSnapshotSparseBytes > len(in) {
 				t.Fatalf("%d rows and %d sparse points out of %d bytes", len(rows), len(act.meta.sparse), len(in))
+			}
+			ends := map[uint64]int64{}
+			for _, e := range rows {
+				end := e.off + int64(e.n)
+				if e.n <= frameHeader || e.off < 0 || end < e.off {
+					t.Fatalf("accepted a row with frame [%d, %d+%d)", e.off, e.off, e.n)
+				}
+				ends[e.seg] = max(ends[e.seg], end)
+			}
+			if !rowsFit(rows, ends) {
+				t.Fatal("rows do not fit segments exactly as long as their last frame's end")
+			}
+			for seg := range ends {
+				ends[seg]--
+				if rowsFit(rows, ends) {
+					t.Fatalf("rows fit segment %d one byte short of its last frame's end", seg)
+				}
+				ends[seg]++
 			}
 			rows2, nextSeq2, wm2, act2, err := decodeSnapshot(encodeSnapshot(nextSeq, wm, act, rows))
 			if err != nil {

@@ -11,7 +11,7 @@
 //     full segments are sealed with a per-segment sparse index sidecar
 //     and become immutable. Only the in-memory index (seq, URLs,
 //     target, model version, timestamp, on-disk location) is held in
-//     RAM — records are read back from their segment on demand, so
+//     RAM — frames are read back from their segment on demand, so
 //     memory stays proportional to the index, not the log. Recovery
 //     loads a binary snapshot of the index plus the log tail past the
 //     snapshot's watermark (skipping sealed segments the snapshot
@@ -21,8 +21,18 @@
 //     landing URL + content fingerprint) without ever blocking appends:
 //     sealed segments are immutable, so the rewrite happens outside the
 //     store lock and only the index repointing takes it.
-//   - memory: the same index with records held in RAM and no files —
-//     the test engine.
+//   - memory: the same index with each record's document held beside
+//     it and no files — the test engine.
+//
+// What both engines hold is the JSON document Append marshalled, and
+// that document is what the HTTP API emits, so the read side never goes
+// through a Record: Scan answers its filters, its order and its cursor
+// from the index alone and returns the matching documents as raw bytes
+// (ScanPage.Payloads) for the handler to splice into its response.
+// What vouches for those bytes is the frame's CRC-32C, checked on every
+// read — the trust compaction already places in a frame when it copies
+// it to a new segment undecoded. Get still decodes: its callers want
+// one record's fields, not its bytes.
 //
 // The original single-file JSONL log (one JSON document per line) is no
 // longer an engine: Open reads such a file once, read-only, and migrates
@@ -36,6 +46,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -232,11 +243,35 @@ type Query struct {
 
 // ScanPage is one page of a cursor-paginated Scan.
 type ScanPage struct {
-	// Records are the matching records, newest first.
-	Records []Record `json:"records"`
+	// Payloads are the matching records, newest first, each the JSON
+	// document the store holds for it — byte for byte what Append
+	// marshalled, CRC-verified on the way out of its segment and not
+	// decoded. They alias memory the engine owns (one page buffer, or
+	// the memory engine's own documents): read-only.
+	//
+	// Append stores only documents that decode and re-encode to
+	// themselves, so splicing a payload into a response is
+	// indistinguishable from marshalling its Record. The one exception
+	// is a frame written before that rule held whose strings carried
+	// invalid UTF-8: it is served as stored, with the six-character
+	// \ufffd escape where a re-encode would write U+FFFD itself — the
+	// same JSON value in other bytes.
+	Payloads []json.RawMessage
 	// NextCursor resumes the scan after the last record of this page.
 	// Empty when the scan is exhausted.
-	NextCursor string `json:"next_cursor,omitempty"`
+	NextCursor string
+}
+
+// Decode parses the page into records, for the callers that want
+// fields rather than bytes.
+func (p ScanPage) Decode() ([]Record, error) {
+	recs := make([]Record, len(p.Payloads))
+	for i, raw := range p.Payloads {
+		if err := json.Unmarshal(raw, &recs[i]); err != nil {
+			return nil, fmt.Errorf("store: decoding record %d of the page: %w", i, err)
+		}
+	}
+	return recs, nil
 }
 
 // ErrBadCursor reports a Query.Cursor that is not a cursor this store
@@ -280,10 +315,12 @@ type Backend interface {
 	// unset), persists it and indexes it.
 	Append(ctx context.Context, rec Record) error
 	// Get returns the newest record whose landing URL or starting URL
-	// equals url.
+	// equals url, decoded.
 	Get(ctx context.Context, url string) (Record, bool, error)
 	// Scan returns one page of live records matching q, newest first,
-	// with a cursor resuming after the page's last record.
+	// with a cursor resuming after the page's last record. Matching and
+	// ordering use the index only; the records come back as the stored
+	// documents (see ScanPage), never decoded.
 	Scan(ctx context.Context, q Query) (ScanPage, error)
 	// Compact reclaims superseded records. The segmented engine merges
 	// sealed segments in place without blocking concurrent appends.
@@ -353,4 +390,41 @@ func prepare(rec *Record, seq uint64, maxExplain int) (explainDropped bool) {
 		rec.Explanation = nil
 	}
 	return drop
+}
+
+// escapedReplacement is how json.Marshal writes a byte that is not
+// valid UTF-8.
+var escapedReplacement = []byte(`\ufffd`)
+
+// encodePayload marshals a prepared record into the document the store
+// keeps and serves. The document must be a fixed point of decode →
+// encode, because readers splice it into responses where they used to
+// re-marshal the decoded record. json.Marshal breaks that in one case:
+// it escapes an invalid UTF-8 byte as \ufffd, which decodes to U+FFFD
+// and re-encodes as the character itself. Such a record (a landing URL
+// out of a hostile Location header, say) is passed through decode →
+// encode once here, and rec is left holding the decoded strings so its
+// index row matches the one a replay of the frame would build.
+func encodePayload(rec *Record) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err == nil && bytes.Contains(payload, escapedReplacement) {
+		var canon Record
+		if err = json.Unmarshal(payload, &canon); err == nil {
+			*rec = canon
+			payload, err = json.Marshal(rec)
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: encoding record: %w", err)
+	}
+	return payload, nil
+}
+
+// nextCursor is the resume token of a page made of ents: the last row's
+// seq when more rows match beyond it.
+func nextCursor(ents []*entry, more bool) string {
+	if !more || len(ents) == 0 {
+		return ""
+	}
+	return encodeCursor(ents[len(ents)-1].seq)
 }

@@ -62,7 +62,7 @@ func TestSelectFilters(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Scan(%+v): %v", q, err)
 				}
-				return page.Records
+				return decodePage(t, page)
 			}
 			if got := len(sel(Query{Target: "brand.com"})); got != 3 {
 				t.Errorf("by target = %d, want 3", got)
