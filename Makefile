@@ -41,7 +41,9 @@ bench-smoke:
 # and webpage.Analyze, each against the implementation it replaced (kept
 # verbatim in reference_test.go); the score-request scanner against
 # encoding/json, its fallback; the search kernel
-# against its map-and-sort reference on fuzzer-built corpora; the
+# against its map-and-sort reference on fuzzer-built corpora; target
+# identification against the reference Identify on fuzzer-written
+# title, text, copyright, URLs, link and screenshot; the
 # presorted-column tree trainer against the sort-per-node trainer on
 # fuzzer-built tie-heavy matrices; the content
 # identity's preimage (distinct snapshots never share bytes or a key);
@@ -60,6 +62,7 @@ FUZZ_TARGETS = \
 	FuzzAnalyzeMatchesReference:./internal/webpage \
 	FuzzPreimageInjective:./internal/webpage \
 	FuzzQueryMatchesReference:./internal/search \
+	FuzzIdentifyMatchesReference:./internal/target \
 	FuzzTrainMatchesReference:./internal/ml \
 	FuzzNDJSONSource:./internal/feedsrc \
 	FuzzLegacyRead:./internal/store \

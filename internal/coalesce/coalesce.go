@@ -25,6 +25,7 @@ package coalesce
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -136,15 +137,28 @@ type targetEntry struct {
 // ownedResult is the copy of res the target table keeps. The
 // identifier's term lists are substrings of the analysis's term arenas
 // — page-sized, client-chosen bytes an entry must not keep alive — so
-// they are cloned; candidates name indexed domains, not page bytes.
+// they are cloned, in one piece: one string holds the bytes of every
+// term and one array the three lists. Candidates name indexed domains,
+// not page bytes, and the identifier returns them at exact size.
 func ownedResult(res target.Result) *target.Result {
-	for _, terms := range []*[]string{&res.Keyterms.Boosted, &res.Keyterms.Prominent, &res.OCRProminent} {
-		if *terms != nil {
-			owned := make([]string, len(*terms))
-			for i, t := range *terms {
-				owned[i] = strings.Clone(t)
-			}
-			*terms = owned
+	lists := [...]*[]string{&res.Keyterms.Boosted, &res.Keyterms.Prominent, &res.OCRProminent}
+	owned := slices.Concat(*lists[0], *lists[1], *lists[2])
+	size := 0
+	for _, t := range owned {
+		size += len(t)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, t := range owned {
+		b.WriteString(t)
+	}
+	backing := b.String()
+	for i, t := range owned {
+		owned[i], backing = backing[:len(t)], backing[len(t):]
+	}
+	for _, list := range lists {
+		if n := len(*list); n > 0 {
+			*list, owned = owned[:n:n], owned[n:]
 		}
 	}
 	return &res

@@ -2,14 +2,17 @@ package coalesce
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"knowphish/internal/core"
 	"knowphish/internal/racecheck"
+	"knowphish/internal/target"
 	"knowphish/internal/webpage"
 )
 
@@ -114,4 +117,46 @@ func TestHeapAllocRetainedPerPage(t *testing.T) {
 		t.Fatalf("%d bytes retained per scored page, budget %d", perPage, budget)
 	}
 	runtime.KeepAlive(c)
+}
+
+// TestOwnedResultAllocs: the copy a target entry keeps equals the
+// result, shares no byte with it (the terms of a real result are
+// substrings of a page-sized arena), keeps its lists apart, and costs
+// one string, one array and the Result itself whatever the term count.
+func TestOwnedResultAllocs(t *testing.T) {
+	arena := strings.Repeat("paypal login account verify secure ", 4)
+	res := target.Result{
+		Verdict: target.VerdictPhish, StepsUsed: 4, UsedOCR: true,
+		Keyterms:     target.Keyterms{Boosted: []string{arena[0:6]}, Prominent: []string{arena[0:6], arena[7:12], arena[13:20]}},
+		OCRProminent: []string{arena[21:27], arena[28:34]},
+		Candidates:   []target.Candidate{{RDN: "paypal.com", MLD: "paypal", Count: 3, Score: 1.5}},
+	}
+	inArena := func(term string) bool {
+		at, lo := uintptr(unsafe.Pointer(unsafe.StringData(term))), uintptr(unsafe.Pointer(unsafe.StringData(arena)))
+		return at >= lo && at < lo+uintptr(len(arena))
+	}
+	owned := ownedResult(res)
+	if !reflect.DeepEqual(*owned, res) {
+		t.Fatalf("owned copy differs:\n got %+v\nwant %+v", *owned, res)
+	}
+	for _, list := range [][]string{owned.Keyterms.Boosted, owned.Keyterms.Prominent, owned.OCRProminent} {
+		if len(list) != cap(list) {
+			t.Errorf("list %q has capacity %d: an append would write into its neighbour", list, cap(list))
+		}
+		for _, term := range list {
+			if inArena(term) {
+				t.Errorf("term %q still points into the page's arena", term)
+			}
+		}
+	}
+	empty := target.Result{Verdict: target.VerdictSuspicious, StepsUsed: 4, UsedOCR: true, OCRProminent: []string{}}
+	if got := ownedResult(empty); !reflect.DeepEqual(*got, empty) {
+		t.Errorf("owned copy of a result without terms = %+v, want %+v", *got, empty)
+	}
+	if racecheck.Enabled {
+		return // allocation counts are not meaningful under -race
+	}
+	if n := testing.AllocsPerRun(100, func() { ownedResult(res) }); n > 3 {
+		t.Errorf("ownedResult allocates %.1f times for %d terms, want at most 3", n, 6)
+	}
 }

@@ -4,6 +4,14 @@
 // phishing pages are never indexed, implementing the paper's assumption
 // that "a search engine would not return a phishing site as a top hit"
 // (new phishs are not yet indexed; old ones are already blacklisted).
+//
+// A query's working memory (score accumulators, touched-document and
+// per-RDN lists) is a queryScratch pooled per engine; it is sized to the
+// index, undoes exactly what a query touched and holds no strings, so it
+// is never dropped. The results are the caller's: AppendQuery appends
+// them to a buffer the caller owns — target identification keeps a
+// page's two or three result sets in its own per-page scratch that way —
+// and Query is AppendQuery into a fresh slice.
 package search
 
 import (
@@ -11,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -38,15 +47,11 @@ type Result struct {
 // concurrently. An Engine must not be copied after first use.
 type Engine struct {
 	mu       sync.RWMutex
-	docs     []indexedDoc
+	docs     []Doc
+	rdnOf    []int32              // doc id → rdnIDs[doc.RDN]: the column ranking reads instead of docs
 	postings map[string][]posting // term → (doc, tf/len), ascending doc id
 	rdnIDs   map[string]int32     // RDN → small int, in first-seen order
 	scratch  sync.Pool            // *queryScratch
-}
-
-type indexedDoc struct {
-	doc Doc
-	rdn int32 // rdnIDs[doc.RDN]
 }
 
 type posting struct {
@@ -57,7 +62,7 @@ type posting struct {
 // NewEngine returns an empty index.
 func NewEngine() *Engine {
 	e := &Engine{postings: make(map[string][]posting), rdnIDs: make(map[string]int32)}
-	e.scratch.New = func() any { return &queryScratch{seen: make(map[string]struct{})} }
+	e.scratch.New = func() any { return new(queryScratch) }
 	return e
 }
 
@@ -78,7 +83,8 @@ func (e *Engine) Add(d Doc) {
 	for _, t := range d.Terms {
 		counts[t]++
 	}
-	e.docs = append(e.docs, indexedDoc{doc: d, rdn: rdn})
+	e.docs = append(e.docs, d)
+	e.rdnOf = append(e.rdnOf, rdn)
 	n := float64(len(d.Terms))
 	for t, c := range counts {
 		e.postings[t] = append(e.postings[t], posting{doc: id, w: float64(c) / n})
@@ -110,42 +116,41 @@ func (e *Engine) IDF(term string) float64 {
 	return math.Log(1 + n/df)
 }
 
-// queryScratch is the working memory of one Query, pooled per engine.
-// Between queries acc and best are all zero and docs, rdns and seen are
+// queryScratch is the working memory of one query, pooled per engine.
+// Between queries acc and best are all zero and docs and rdns are
 // empty: a query undoes exactly what it touched, so reuse costs
 // O(touched), not O(index).
 type queryScratch struct {
-	acc  []float64           // doc id → accumulated score
-	docs []int32             // doc ids with acc != 0
-	best []int32             // RDN id → 1 + its best doc (0: none yet)
-	rdns []int32             // RDN ids with best != 0; then the candidates, their best docs
-	seen map[string]struct{} // query terms already visited
+	acc  []float64 // doc id → accumulated score
+	docs []int32   // doc ids with acc != 0
+	best []int32   // RDN id → 1 + its best doc (0: none yet)
+	rdns []int32   // RDN ids with best != 0; then the candidates, their best docs
 }
 
 // after reports whether doc a ranks after doc b: lower score, then
 // greater RDN, then later insertion.
-func (s *queryScratch) after(docs []indexedDoc, a, b int32) bool {
+func (s *queryScratch) after(e *Engine, a, b int32) bool {
 	if s.acc[a] != s.acc[b] {
 		return s.acc[a] < s.acc[b]
 	}
-	if docs[a].rdn != docs[b].rdn {
-		return docs[a].doc.RDN > docs[b].doc.RDN
+	if e.rdnOf[a] != e.rdnOf[b] {
+		return e.docs[a].RDN > e.docs[b].RDN
 	}
 	return a > b
 }
 
 // siftDown restores heap h, whose root ranks after all below it, once
 // h[i] has been replaced.
-func (s *queryScratch) siftDown(docs []indexedDoc, h []int32, i int) {
+func (s *queryScratch) siftDown(e *Engine, h []int32, i int) {
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
 			return
 		}
-		if c+1 < len(h) && s.after(docs, h[c+1], h[c]) {
+		if c+1 < len(h) && s.after(e, h[c+1], h[c]) {
 			c++
 		}
-		if !s.after(docs, h[c], h[i]) {
+		if !s.after(e, h[c], h[i]) {
 			return
 		}
 		h[i], h[c] = h[c], h[i]
@@ -158,17 +163,25 @@ func (s *queryScratch) siftDown(docs []indexedDoc, h []int32, i int) {
 // sites at the top): an RDN is represented by its best document. The
 // order is total, so equal inputs give equal results: score descending,
 // then RDN ascending, then insertion order. A score sums its terms'
-// weights in query order, which makes it bit-reproducible. Warm, the
-// returned slice is the only allocation.
+// weights in query order, which makes it bit-reproducible. It is
+// AppendQuery into a new slice of exactly the result count: warm, that
+// slice is the only allocation, and a query nothing matches returns nil.
 func (e *Engine) Query(queryTerms []string, k int) []Result {
+	return e.AppendQuery(nil, queryTerms, k)
+}
+
+// AppendQuery appends Query's results to dst and returns the extended
+// slice. Warm, it allocates only to grow dst: into a buffer with room
+// for k more results it allocates nothing.
+func (e *Engine) AppendQuery(dst []Result, queryTerms []string, k int) []Result {
 	if k <= 0 || len(queryTerms) == 0 {
-		return nil
+		return dst
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	n := float64(len(e.docs))
 	if n == 0 {
-		return nil
+		return dst
 	}
 	// Sized under the read lock: no Add can outgrow it before release.
 	s := e.scratch.Get().(*queryScratch)
@@ -179,11 +192,12 @@ func (e *Engine) Query(queryTerms []string, k int) []Result {
 		s.best = make([]int32, len(e.rdnIDs))
 	}
 
-	for _, qt := range queryTerms {
-		if _, dup := s.seen[qt]; dup {
+	for i, qt := range queryTerms {
+		// A repeated term counts once. Queries are a handful of terms, so
+		// looking back over them beats keeping a set.
+		if slices.Contains(queryTerms[:i], qt) {
 			continue
 		}
-		s.seen[qt] = struct{}{}
 		posts := e.postings[qt]
 		if len(posts) == 0 {
 			continue
@@ -199,11 +213,11 @@ func (e *Engine) Query(queryTerms []string, k int) []Result {
 		}
 	}
 	for _, d := range s.docs {
-		r := e.docs[d].rdn
+		r := e.rdnOf[d]
 		if b := s.best[r]; b == 0 {
 			s.best[r] = d + 1
 			s.rdns = append(s.rdns, r)
-		} else if s.after(e.docs, b-1, d) {
+		} else if s.after(e, b-1, d) {
 			s.best[r] = d + 1
 		}
 	}
@@ -216,32 +230,29 @@ func (e *Engine) Query(queryTerms []string, k int) []Result {
 	k = min(k, len(cand))
 	h := cand[:k]
 	for i := k/2 - 1; i >= 0; i-- {
-		s.siftDown(e.docs, h, i)
+		s.siftDown(e, h, i)
 	}
 	for _, d := range cand[k:] {
-		if s.after(e.docs, h[0], d) {
+		if s.after(e, h[0], d) {
 			h[0] = d
-			s.siftDown(e.docs, h, 0)
+			s.siftDown(e, h, 0)
 		}
 	}
-	var out []Result
-	if k > 0 {
-		out = make([]Result, k)
-	}
+	first := len(dst)
+	dst = slices.Grow(dst, k)[:first+k]
 	for i := k - 1; i >= 0; i-- {
-		doc := &e.docs[h[0]].doc
-		out[i] = Result{RDN: doc.RDN, MLD: doc.MLD, URL: doc.URL, Score: s.acc[h[0]]}
+		doc := &e.docs[h[0]]
+		dst[first+i] = Result{RDN: doc.RDN, MLD: doc.MLD, URL: doc.URL, Score: s.acc[h[0]]}
 		h[0] = h[i]
-		s.siftDown(e.docs, h[:i], 0)
+		s.siftDown(e, h[:i], 0)
 	}
 
 	for _, d := range s.docs {
 		s.acc[d] = 0
 	}
 	s.docs, s.rdns = s.docs[:0], s.rdns[:0]
-	clear(s.seen)
 	e.scratch.Put(s)
-	return out
+	return dst
 }
 
 // Docs returns a copy of every indexed document in insertion order.
@@ -249,9 +260,7 @@ func (e *Engine) Docs() []Doc {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	out := make([]Doc, len(e.docs))
-	for i, d := range e.docs {
-		out[i] = d.doc
-	}
+	copy(out, e.docs)
 	return out
 }
 

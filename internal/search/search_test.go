@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -254,12 +255,23 @@ func (r *reference) query(queryTerms []string, k int) []search.Result {
 	return out
 }
 
-// sameResults holds got to want exactly: reflect.DeepEqual compares the
-// scores as float64 values, so a last-bit difference fails.
-func sameResults(t *testing.T, got, want []search.Result, query []string, k int) {
+// sameResults holds both forms of the query — Query, and AppendQuery
+// behind results a caller already holds — to want exactly:
+// reflect.DeepEqual compares the scores as float64 values, so a
+// last-bit difference fails.
+func sameResults(t *testing.T, e *search.Engine, want []search.Result, query []string, k int) {
 	t.Helper()
-	if !reflect.DeepEqual(got, want) {
+	if got := e.Query(query, k); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Query(%q, %d) differs from the reference:\n got %+v\nwant %+v", query, k, got, want)
+	}
+	held := []search.Result{{RDN: "held.example", Score: 1}, {RDN: "held.example", Score: 2}}
+	got := e.AppendQuery(slices.Clone(held), query, k)
+	if !reflect.DeepEqual(got[:len(held)], held) {
+		t.Fatalf("AppendQuery(%q, %d) changed the results it was appending to: %+v", query, k, got[:len(held)])
+	}
+	// No match appends nothing, where Query returns nil.
+	if got = got[len(held):]; len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+		t.Fatalf("AppendQuery(%q, %d) differs from the reference:\n got %+v\nwant %+v", query, k, got, want)
 	}
 }
 
@@ -310,7 +322,7 @@ func TestQueryMatchesReference(t *testing.T) {
 		q := randomQuery(rng, docs, 1+rng.Intn(12))
 		for _, k := range []int{1, 10, len(docs) + 1} {
 			want := ref.query(q, k)
-			sameResults(t, e.Query(q, k), want, q, k)
+			sameResults(t, e, want, q, k)
 			matched += len(want)
 		}
 	}
@@ -318,10 +330,10 @@ func TestQueryMatchesReference(t *testing.T) {
 	// signatures are: every term repeats and most documents match.
 	for i := 0; i < 10; i++ {
 		q := docs[rng.Intn(len(docs))].Terms
-		sameResults(t, e.Query(q, 30), ref.query(q, 30), q, 30)
+		sameResults(t, e, ref.query(q, 30), q, 30)
 	}
 	absent := []string{"absent0", "absent1"}
-	sameResults(t, e.Query(absent, 10), ref.query(absent, 10), absent, 10)
+	sameResults(t, e, ref.query(absent, 10), absent, 10)
 	if matched == 0 {
 		t.Fatal("no query matched a document: the test compared nothing")
 	}
@@ -354,7 +366,7 @@ func FuzzQueryMatchesReference(f *testing.F) {
 			e.Add(search.Doc{URL: fmt.Sprintf("https://%s.example/%d", mld, i), RDN: mld + ".example", MLD: mld, Terms: words(seg[1:])})
 		}
 		q := words(segs[len(segs)-1])
-		sameResults(t, e.Query(q, int(k)), newReference(e.Docs()).query(q, int(k)), q, int(k))
+		sameResults(t, e, newReference(e.Docs()).query(q, int(k)), q, int(k))
 	})
 }
 
@@ -375,10 +387,15 @@ func TestQueryConcurrentWithAdd(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
+			var buf []search.Result
 			for {
 				res := e.Query(q, 10)
+				if g%2 == 1 { // half the readers reuse a buffer of their own
+					buf = e.AppendQuery(buf[:0], q, 10)
+					res = buf
+				}
 				for i := 1; i < len(res); i++ {
 					if res[i].Score > res[i-1].Score {
 						t.Errorf("results out of order while adding: %+v", res)
@@ -391,18 +408,19 @@ func TestQueryConcurrentWithAdd(t *testing.T) {
 				default:
 				}
 			}
-		}()
+		}(g)
 	}
 	for i := 1; i < 2000; i++ {
 		e.Add(doc(i))
 	}
 	close(done)
 	wg.Wait()
-	sameResults(t, e.Query(q, 10), newReference(e.Docs()).query(q, 10), q, 10)
+	sameResults(t, e, newReference(e.Docs()).query(q, 10), q, 10)
 }
 
-// TestQueryAllocs pins the kernel's allocation contract: warm, a query
-// allocates its returned slice and nothing else.
+// TestQueryAllocs pins the kernel's allocation contract: warm, Query
+// allocates its returned slice and nothing else, and AppendQuery into a
+// buffer with room allocates nothing.
 func TestQueryAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -417,6 +435,12 @@ func TestQueryAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(200, func() { e.Query(q, 10) }); allocs > 1 {
 			t.Errorf("Query(%d terms) allocated %.1f times per run, want at most 1 (the results)", len(q), allocs)
+		}
+		buf := make([]search.Result, 0, 30)
+		if allocs := testing.AllocsPerRun(200, func() {
+			buf = e.AppendQuery(e.AppendQuery(buf[:0], q, 10), q, 10) // two result sets in one buffer
+		}); allocs != 0 || len(buf) == 0 {
+			t.Errorf("AppendQuery(%d terms) into a reused buffer allocated %.1f times per run for %d results, want 0", len(q), allocs, len(buf))
 		}
 	}
 }

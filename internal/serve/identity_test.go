@@ -6,16 +6,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"knowphish/internal/coalesce"
 	"knowphish/internal/core"
+	"knowphish/internal/crawl"
 	"knowphish/internal/racecheck"
+	"knowphish/internal/webgen"
 )
 
 var fingerprintField = regexp.MustCompile(`"content_fingerprint":"[0-9a-f]{32}"`)
@@ -290,5 +295,100 @@ func TestScoreSnapWarmAllocs(t *testing.T) {
 		if n != 0 {
 			t.Errorf("page %d: a warm hit allocates %.1f per run, want 0", i, n)
 		}
+	}
+}
+
+// cloakingSite answers one URL with whichever of its two pages is
+// switched on: what a cloaking phish does between its victim and a
+// crawler, or between two visits.
+type cloakingSite struct {
+	pages [2]*webgen.Page
+	shown atomic.Int32
+}
+
+func (c *cloakingSite) Fetch(url string) (*webgen.Page, bool) {
+	if url != c.pages[0].URL {
+		return nil, false
+	}
+	return c.pages[c.shown.Load()], true
+}
+
+// TestCloakingIsTwoPages: one starting and landing URL that answers
+// with different bytes is two pages to every identity the system
+// trusts. Scored over HTTP the two get different fingerprints and
+// ETags, neither is answered from the other's memo entry and neither's
+// tag revalidates the other; crawled through the feed they leave two
+// store fingerprints under the one URL.
+func TestCloakingIsTwoPages(t *testing.T) {
+	const url = "http://cloaked.test/account"
+	site := &cloakingSite{pages: [2]*webgen.Page{
+		{URL: url, HTML: "<title>Sign in</title><body><form><input name=user><input type=password name=pass></form> verify your account</body>"},
+		{URL: url, HTML: "<title>Garden notes</title><body>tomatoes want sun and water</body>"},
+	}}
+	s, sched, _ := feedServer(t, []crawl.Fetcher{site}, nil)
+
+	score := func(shown int, hdr map[string]string) (V2ScoreResponse, *httptest.ResponseRecorder) {
+		t.Helper()
+		body := V2ScoreRequest{PageRequest: PageRequest{HTML: site.pages[shown].HTML, StartingURL: url, LandingURL: url}}
+		rec := callHdr(t, s, http.MethodPost, "/v2/score", body, hdr)
+		var resp V2ScoreResponse
+		if rec.Code == http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+		}
+		return resp, rec
+	}
+	first, recFirst := score(0, nil)
+	second, recSecond := score(1, nil)
+	if recFirst.Code != http.StatusOK || recSecond.Code != http.StatusOK {
+		t.Fatalf("status = %d, %d", recFirst.Code, recSecond.Code)
+	}
+	if first.Cached || second.Cached {
+		t.Errorf("cached = %v, %v: the second fetch was answered from the first's memo entry", first.Cached, second.Cached)
+	}
+	if first.ContentFingerprint == "" || first.ContentFingerprint == second.ContentFingerprint {
+		t.Errorf("content fingerprints %q and %q: want two", first.ContentFingerprint, second.ContentFingerprint)
+	}
+	tagFirst, tagSecond := recFirst.Header().Get("ETag"), recSecond.Header().Get("ETag")
+	if tagFirst == "" || tagFirst == tagSecond {
+		t.Errorf("ETags %q and %q: want two", tagFirst, tagSecond)
+	}
+	for shown, stale := range []string{tagSecond, tagFirst} {
+		if _, rec := score(shown, map[string]string{"If-None-Match": stale}); rec.Code != http.StatusOK {
+			t.Errorf("page %d revalidated against the other page's tag: status %d", shown, rec.Code)
+		}
+	}
+	// Each page has an entry of its own: both are hits now, each with
+	// its own fingerprint.
+	for shown, want := range []V2ScoreResponse{first, second} {
+		if again, _ := score(shown, nil); !again.Cached || again.ContentFingerprint != want.ContentFingerprint || again.Score != want.Score {
+			t.Errorf("page %d again: cached=%v fingerprint %q score %v, want a hit on %q / %v", shown, again.Cached, again.ContentFingerprint, again.Score, want.ContentFingerprint, want.Score)
+		}
+	}
+
+	for shown := range site.pages {
+		site.shown.Store(int32(shown))
+		var fr FeedResponse
+		if code := call(t, s, http.MethodPost, "/v1/feed", FeedRequest{URLs: []string{url}}, &fr); code != http.StatusOK || fr.Accepted != 1 {
+			t.Fatalf("feed %d: status %d, %+v", shown, code, fr)
+		}
+		if !sched.Wait(time.Now().Add(30 * time.Second)) {
+			t.Fatal("ingestion did not finish")
+		}
+	}
+	var vr VerdictsResponse
+	if code := call(t, s, http.MethodGet, "/v1/verdicts?url="+url, nil, &vr); code != http.StatusOK {
+		t.Fatalf("GET /v1/verdicts status = %d", code)
+	}
+	stored := map[string]bool{}
+	for _, rec := range vr.Records {
+		if rec.URL != url || rec.Error != "" {
+			t.Fatalf("record = %+v", rec)
+		}
+		stored[rec.Fingerprint] = true
+	}
+	if len(vr.Records) != 2 || !stored[first.ContentFingerprint] || !stored[second.ContentFingerprint] {
+		t.Errorf("store holds fingerprints %v under %s, want the two the score endpoint gave: %q and %q", stored, url, first.ContentFingerprint, second.ContentFingerprint)
 	}
 }

@@ -3,6 +3,7 @@ package target
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -273,6 +274,21 @@ func refAppendUnique(base, extras []string) []string {
 	return out
 }
 
+// sameAsReference holds Identify and ExtractKeyterms on one analyzed
+// page to the reference: reflect.DeepEqual compares the scores as
+// float64 values, so a last-bit difference fails.
+func sameAsReference(t *testing.T, id *Identifier, a *webpage.Analysis) Result {
+	t.Helper()
+	got, want := id.Identify(a), referenceIdentify(id, a)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s (K=%d): Identify differs from the reference:\n got %+v\nwant %+v", a.Snap.StartingURL, id.K, got, want)
+	}
+	if kt := ExtractKeyterms(a, id.K); !reflect.DeepEqual(kt, want.Keyterms) {
+		t.Fatalf("%s (K=%d): ExtractKeyterms = %+v, reference %+v", a.Snap.StartingURL, id.K, kt, want.Keyterms)
+	}
+	return got
+}
+
 // TestIdentifyMatchesReference holds Identify to the reference on
 // phishing and legitimate pages: keyterms, step, candidates (scores
 // bit-equal) and OCR terms. The set must reach every step of the
@@ -299,14 +315,7 @@ func TestIdentifyMatchesReference(t *testing.T) {
 	steps := map[int]int{}
 	ocrRanked := 0
 	for _, snap := range snaps {
-		a := webpage.Analyze(snap)
-		got, want := id.Identify(a), referenceIdentify(id, a)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: Identify differs from the reference:\n got %+v\nwant %+v", snap.StartingURL, got, want)
-		}
-		if kt := ExtractKeyterms(a, id.K); !reflect.DeepEqual(kt, want.Keyterms) {
-			t.Fatalf("%s: ExtractKeyterms = %+v, reference %+v", snap.StartingURL, kt, want.Keyterms)
-		}
+		got := sameAsReference(t, id, webpage.Analyze(snap))
 		steps[got.StepsUsed]++
 		if got.UsedOCR && len(got.Candidates) > 0 {
 			ocrRanked++
@@ -322,11 +331,143 @@ func TestIdentifyMatchesReference(t *testing.T) {
 	}
 }
 
-// identifyAllocBudget bounds one warm identification of a phishing page
-// that runs both queries and ranks candidates: the term table, the two
-// bounded selections and keyterm slices, the second query's terms, two
-// result slices and the candidates: 19 on the page measured.
-const identifyAllocBudget = 24
+// spelledEngine is a small fixed index whose mlds the shapes below and
+// the fuzz seeds spell: mlds that contain one another, mlds that repeat
+// a substring, one shorter than a term, and one RDN indexed under two
+// mlds (evidence is a property of the mld a result carries).
+func spelledEngine() *search.Engine {
+	e := search.NewEngine()
+	for _, d := range []search.Doc{
+		{RDN: "paypal.com", MLD: "paypal", Terms: []string{"paypal", "pay", "pal", "wallet", "login", "account"}},
+		{RDN: "paypalsecure.net", MLD: "paypalsecure", Terms: []string{"paypal", "paypalsecure", "secure", "login", "verify"}},
+		{RDN: "papapal.org", MLD: "papapal", Terms: []string{"papapal", "pap", "pizza", "account"}},
+		{RDN: "aaaa.io", MLD: "aaaa", Terms: []string{"aaaa", "aaa", "battery", "login"}},
+		{RDN: "ab.co", MLD: "ab", Terms: []string{"short", "login", "account"}},
+		{RDN: "paysphere.com", MLD: "paysphere", Terms: []string{"sphere", "wallet"}},
+		{RDN: "paysphere.com", MLD: "sphere", Terms: []string{"sphere", "transfer", "wallet"}},
+		{RDN: "novabank.com", MLD: "novabank", Terms: []string{"nova", "bank", "novabank", "login", "savings"}},
+	} {
+		d.URL = "https://www." + d.RDN + "/" + d.MLD
+		e.Add(d)
+	}
+	return e
+}
+
+// shapePage is a hand-built page on one URL.
+func shapePage(url, title, text, copyright string, screenshot ...string) *webpage.Snapshot {
+	return &webpage.Snapshot{
+		StartingURL: url, LandingURL: url, RedirectionChain: []string{url},
+		Title: title, Text: text, Copyright: copyright, ScreenshotTerms: screenshot,
+	}
+}
+
+// redirected is snap reached from another starting URL.
+func redirected(start string, snap *webpage.Snapshot) *webpage.Snapshot {
+	snap.StartingURL, snap.RedirectionChain = start, []string{start, snap.LandingURL}
+	return snap
+}
+
+// TestIdentifyMatchesReferenceShapes extends the differential set with
+// the inputs a merge and a substring lookup get wrong, each under a
+// single keyterm, the default and more keyterms than the page has
+// terms.
+func TestIdentifyMatchesReferenceShapes(t *testing.T) {
+	linked := shapePage("http://203.0.113.9/", "", "login savings account", "")
+	linked.HREFLinks = []string{"https://www.novabank.com/login", "https://www.ab.co/"}
+	shapes := map[string]*webpage.Snapshot{
+		// One term in all seven sources, beside terms in one or two.
+		"all seven sources": shapePage("http://paypal.paypal-login.test/paypal?paypal", "paypal", "paypal login account wallet", "paypal inc"),
+		"text only":         shapePage("http://203.0.113.9/", "", "paypal wallet login", ""),
+		"title only":        shapePage("http://203.0.113.9/", "novabank savings", "", ""),
+		"no source at all":  shapePage("http://203.0.113.9/", "", "", ""),
+		// Page terms that are substrings of one another, against mlds
+		// that are too.
+		"nested terms": shapePage("http://nested.test/", "pay", "pay paypal paypalsecure login verify secure", ""),
+		// An mld spells "aaa" twice and "pap" twice: each counts once.
+		"repeated substring": shapePage("http://repeat.test/", "", "aaa aaaa pap papapal apa battery pizza", ""),
+		// ab.co comes back and can never be spelled.
+		"mld shorter than a term": shapePage("http://short.test/", "short", "short login account", ""),
+		// Nothing on the page names a returned mld; the screenshot does,
+		// and repeats page terms ("wallet", and "pay", which paysphere
+		// spells: it must count once, as a page term).
+		"ocr duplicates page terms": shapePage("http://shot.test/", "transfer", "transfer transfer transfer pay wallet", "", "pay wallet sphere transfer", "sphere"),
+		"external link":             linked,
+		// An indexed host: its own domain comes back for its own terms, or
+		// only once the landing RDN's terms join the query.
+		"own site at step 1": shapePage("https://www.novabank.com/login", "novabank", "nova bank login savings", ""),
+		"own site at step 2": redirected("http://short.link/x", shapePage("http://www.novabank.com/", "wallet sphere", "wallet sphere transfer", "")),
+	}
+	e := spelledEngine()
+	steps := map[int]int{}
+	for name, snap := range shapes {
+		a := webpage.Analyze(snap)
+		for _, k := range []int{1, DefaultKeyterms, 1000} {
+			id := &Identifier{Engine: e, K: k, Results: DefaultResults, OCR: &ocr.Recognizer{}}
+			got := sameAsReference(t, id, a)
+			steps[got.StepsUsed]++
+			t.Logf("%-26s K=%-4d step %d %-10s %+v", name, k, got.StepsUsed, got.Verdict, got.Candidates)
+		}
+	}
+	for step := 1; step <= 4; step++ {
+		if steps[step] == 0 {
+			t.Errorf("no shape ended at step %d (reached: %v)", step, steps)
+		}
+	}
+
+	// The shapes are what they claim to be.
+	s := new(identifyScratch)
+	s.mergeTerms(webpage.Analyze(shapes["all seven sources"]))
+	i, ok := slices.BinarySearch(s.terms, "paypal")
+	if !ok || s.stats[i].sources != len(keytermSources) {
+		t.Errorf("\"paypal\" is in %d of the %d sources of the all-sources page", s.stats[i].sources, len(keytermSources))
+	}
+	if !slices.IsSorted(s.terms) || len(slices.Compact(slices.Clone(s.terms))) != len(s.terms) {
+		t.Errorf("the merged table is not sorted and distinct: %q", s.terms)
+	}
+	s = new(identifyScratch)
+	s.mergeTerms(webpage.Analyze(shapes["repeated substring"]))
+	for mld, want := range map[string]int{"aaaa": 2, "papapal": 3, "ab": 0, "": 0, "paypal": 0} {
+		// Against {aaa, aaaa, apa, pap, papapal, battery, pizza, ...}.
+		if got := countSpelled(s.terms, nil, mld); got != want {
+			t.Errorf("countSpelled(%q) = %d over %q, want %d", mld, got, s.terms, want)
+		}
+	}
+}
+
+// FuzzIdentifyMatchesReference lets the fuzzer write every source the
+// identifier reads — title, text, copyright, both URLs, a link and the
+// screenshot — and holds the result to the reference on the fixed
+// engine: keyterms, step, candidates and scores bit-equal. The seeds
+// spell the engine's mlds, so mutations stay near pages that rank
+// candidates.
+func FuzzIdentifyMatchesReference(f *testing.F) {
+	f.Add("paypal", "paypal login account wallet", "paypal inc", "http://paypal.paypal-login.test/paypal", "http://paypal.paypal-login.test/paypal", "https://www.novabank.com/", "", uint8(5))
+	f.Add("pay", "pay paypal paypalsecure aaa pap papapal", "", "http://nested.test/", "http://xn--pypal-4ve.test/", "", "", uint8(1))
+	f.Add("transfer", "transfer transfer pay wallet", "", "http://shot.test/", "http://shot.test/", "http://ab.co/", "pay wallet sphere transfer", uint8(200))
+	f.Add("", "", "", "", "http://203.0.113.9/", "", "novabank savings", uint8(0))
+	e := spelledEngine()
+	f.Fuzz(func(t *testing.T, title, text, copyright, start, land, link, screenshot string, k uint8) {
+		snap := &webpage.Snapshot{
+			StartingURL: start, LandingURL: land, RedirectionChain: []string{start, land},
+			Title: title, Text: text, Copyright: copyright,
+		}
+		if link != "" {
+			snap.HREFLinks = []string{link}
+		}
+		if screenshot != "" {
+			snap.ScreenshotTerms = []string{screenshot}
+		}
+		id := &Identifier{Engine: e, K: int(k), Results: 4, OCR: &ocr.Recognizer{}}
+		sameAsReference(t, id, webpage.Analyze(snap))
+	})
+}
+
+// identifyAllocBudget bounds one warm identification by the step it
+// ends at: what Identify allocates is what it returns. A page confirmed
+// legitimate at step 1 returns its two keyterm lists (measured 2); a
+// phishing page that runs both queries and ranks candidates returns the
+// candidates as well (measured 3).
+var identifyAllocBudget = map[int]float64{1: 2, 3: 4}
 
 func TestIdentifyAllocs(t *testing.T) {
 	if racecheck.Enabled {
@@ -334,15 +475,23 @@ func TestIdentifyAllocs(t *testing.T) {
 	}
 	c := corpus(t)
 	id := New(c.Engine)
-	for _, ex := range c.PhishBrand.Examples {
+	measured := map[int]bool{}
+	examples := append(slices.Clone(c.PhishBrand.Examples), c.LangTests[webgen.English].Examples...)
+	for _, ex := range examples {
 		a := webpage.Analyze(ex.Snapshot)
-		if res := id.Identify(a); res.StepsUsed != 3 || len(res.Candidates) == 0 {
+		res := id.Identify(a)
+		budget, want := identifyAllocBudget[res.StepsUsed]
+		if !want || measured[res.StepsUsed] || (res.StepsUsed == 3 && len(res.Candidates) == 0) {
 			continue
 		}
-		if allocs := testing.AllocsPerRun(100, func() { id.Identify(a) }); allocs > identifyAllocBudget {
-			t.Errorf("Identify allocated %.1f times per run, budget %d", allocs, identifyAllocBudget)
+		measured[res.StepsUsed] = true
+		allocs := testing.AllocsPerRun(100, func() { id.Identify(a) })
+		t.Logf("a page decided at step %d: %.1f allocations per run, budget %.0f", res.StepsUsed, allocs, budget)
+		if allocs > budget {
+			t.Errorf("Identify (step %d) allocated %.1f times per run, budget %.0f", res.StepsUsed, allocs, budget)
 		}
-		return
 	}
-	t.Fatal("no phishing page reached candidate ranking")
+	if !measured[1] || !measured[3] {
+		t.Fatalf("the corpus has no page confirmed at step 1 or none ranked at step 3 (measured: %v)", measured)
+	}
 }

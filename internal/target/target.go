@@ -20,13 +20,28 @@
 //     screenshot layer. Still nothing → suspicious (target unknown).
 //
 // An Identifier is safe for concurrent use: identification only reads
-// its configuration and the search engine's read-locked index.
+// its configuration and the search engine's read-locked index, and works
+// in an identifyScratch of its own.
+//
+// The scratch is everything a page's identification needs and does not
+// return: the page's term table (the k-way merge of the sorted keyterm
+// sources into sorted parallel arrays — no map), the two bounded keyterm
+// selections, step 2's query, the page's result sets back to back, the
+// evidence already computed per returned domain, and the candidates
+// before they are copied out at exact size. One is taken from a
+// sync.Pool per call and goes back when the call returns, with every
+// string it held cleared — terms are substrings of client-chosen page
+// bytes, which a pool must not keep alive — unless the page grew its
+// term table past maxPooledTerms, in which case it is dropped. What
+// Identify allocates is what it returns: the keyterm lists and the
+// candidates.
 package target
 
 import (
 	"cmp"
 	"slices"
 	"strings"
+	"sync"
 
 	"knowphish/internal/ocr"
 	"knowphish/internal/search"
@@ -89,7 +104,7 @@ const DefaultResults = 10
 // V-A): the owner-chosen content sources (title, text, copyright) and
 // the URL sources, whose canonicalized terms recover brand references a
 // homograph or typosquat domain tries to hide.
-var keytermSources = []webpage.DistID{
+var keytermSources = [...]webpage.DistID{
 	webpage.DistTitle,
 	webpage.DistText,
 	webpage.DistCopyright,
@@ -112,7 +127,10 @@ type Keyterms struct {
 // analyzed page, at most n of each. Deterministic: ties break
 // lexicographically.
 func ExtractKeyterms(a *webpage.Analysis, n int) Keyterms {
-	return keytermsFromStats(termStats(a), n)
+	s := scratchPool.Get().(*identifyScratch)
+	defer s.release()
+	s.mergeTerms(a)
+	return s.keyterms(n)
 }
 
 // termStat is what the keyterm sources say about one term.
@@ -121,46 +139,110 @@ type termStat struct {
 	sources int     // number of sources containing the term
 }
 
-// termStats builds the page's one term table: every term of the
-// keyterm sources with its statistics. Keyterm ranking reads the
-// values; candidate evidence reads the keys, the page's full term set.
-// Sources are visited in fixed order and terms in sorted order, so the
-// float accumulation is bit-reproducible.
-func termStats(a *webpage.Analysis) map[string]termStat {
-	table := make(map[string]termStat, a.Dist(webpage.DistText).Len())
-	for _, id := range keytermSources {
-		d := a.Dist(id)
-		probs := d.Probs()
-		for i, t := range d.Terms() {
-			st := table[t]
-			st.score += probs[i]
-			st.sources++
-			table[t] = st
-		}
+// identifyScratch is the working memory of one identification (see the
+// package comment for its lifetime).
+type identifyScratch struct {
+	// The page's term table: the distinct terms of the keyterm sources,
+	// sorted, beside their statistics. Keyterm ranking reads the
+	// statistics; candidate evidence searches the terms.
+	terms []string
+	stats []termStat
+	// The keyterm selections so far: table indexes in rank order.
+	prominent, boosted []int32
+
+	query   []string        // step 2's query
+	results []search.Result // the page's result sets, back to back in step order
+	seen    []domainEvidence
+	cands   []Candidate
+}
+
+// domainEvidence is the evidence count of one returned domain, computed
+// the first time a result names it: the same domains come back from
+// every step.
+type domainEvidence struct {
+	rdn, mld string
+	n        int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(identifyScratch) }}
+
+// maxPooledTerms bounds the term table a pooled scratch keeps: a page
+// with more distinct terms (a hostile one; crawled pages have a few
+// hundred) gets its table for the call and the scratch is dropped.
+const maxPooledTerms = 4096
+
+// emptied returns s zeroed and cut to length 0: a slice that keeps its
+// array and no string alive.
+func emptied[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
+
+// release returns s to the pool holding no strings, or drops it when
+// the page outgrew maxPooledTerms.
+func (s *identifyScratch) release() {
+	if cap(s.terms) > maxPooledTerms {
+		return
 	}
-	return table
+	s.terms, s.stats = emptied(s.terms), s.stats[:0]
+	s.query, s.results = emptied(s.query), emptied(s.results)
+	s.seen, s.cands = emptied(s.seen), emptied(s.cands)
+	scratchPool.Put(s)
 }
 
-type rankedTerm struct {
-	term string
-	termStat
+// mergeTerms builds the page's term table: a k-way merge of the keyterm
+// sources, each already sorted with parallel probabilities. A term's
+// probabilities are added in ascending source order, one source at a
+// time, so its score has the bits a pass over the sources in that order
+// gives it.
+func (s *identifyScratch) mergeTerms(a *webpage.Analysis) {
+	var src [len(keytermSources)]struct {
+		terms []string
+		probs []float64
+	}
+	for i, id := range keytermSources {
+		d := a.Dist(id)
+		src[i].terms, src[i].probs = d.Terms(), d.Probs()
+	}
+	for {
+		least, found := "", false
+		for i := range src {
+			if len(src[i].terms) > 0 && (!found || src[i].terms[0] < least) {
+				least, found = src[i].terms[0], true
+			}
+		}
+		if !found {
+			return
+		}
+		var st termStat
+		for i := range src {
+			if len(src[i].terms) > 0 && src[i].terms[0] == least {
+				st.score += src[i].probs[0]
+				st.sources++
+				src[i].terms, src[i].probs = src[i].terms[1:], src[i].probs[1:]
+			}
+		}
+		s.terms = append(s.terms, least)
+		s.stats = append(s.stats, st)
+	}
 }
 
-// byProminence orders terms by summed probability, ties lexicographic.
-func byProminence(a, b rankedTerm) int {
-	return cmp.Or(cmp.Compare(b.score, a.score), strings.Compare(a.term, b.term))
+// byProminence orders table entries by summed probability, ties
+// lexicographic.
+func (s *identifyScratch) byProminence(a, b int32) int {
+	return cmp.Or(cmp.Compare(s.stats[b].score, s.stats[a].score), strings.Compare(s.terms[a], s.terms[b]))
 }
 
-// byBoost orders terms by source count first — a term the owner repeats
-// across title, text, copyright and URL is the page's subject.
-func byBoost(a, b rankedTerm) int {
-	return cmp.Or(cmp.Compare(b.sources, a.sources), byProminence(a, b))
+// byBoost orders table entries by source count first — a term the owner
+// repeats across title, text, copyright and URL is the page's subject.
+func (s *identifyScratch) byBoost(a, b int32) int {
+	return cmp.Or(cmp.Compare(s.stats[b].sources, s.stats[a].sources), s.byProminence(a, b))
 }
 
-// keepBest inserts c into top, the at most n best terms so far in rank
+// keepBest inserts c into top, the at most n best entries so far in rank
 // order; a full top drops its last to make room. The orders are total,
 // so the selection does not depend on the order candidates arrive in.
-func keepBest(top []rankedTerm, c rankedTerm, n int, order func(a, b rankedTerm) int) []rankedTerm {
+func keepBest(top []int32, c int32, n int, order func(a, b int32) int) []int32 {
 	i, _ := slices.BinarySearchFunc(top, c, order)
 	if i == n {
 		return top
@@ -168,32 +250,30 @@ func keepBest(top []rankedTerm, c rankedTerm, n int, order func(a, b rankedTerm)
 	return slices.Insert(top[:min(len(top), n-1)], i, c)
 }
 
-// keytermsFromStats selects the keyterms from an already-built term
-// table: the n most prominent terms, and the n best among those at
-// least two sources share.
-func keytermsFromStats(table map[string]termStat, n int) Keyterms {
+// keyterms selects the keyterms from the term table: the n most
+// prominent terms, and the n best among those at least two sources
+// share.
+func (s *identifyScratch) keyterms(n int) Keyterms {
 	if n <= 0 {
 		n = DefaultKeyterms
 	}
-	prominent := make([]rankedTerm, 0, min(n, len(table)))
-	boosted := make([]rankedTerm, 0, min(n, len(table)))
-	for t, st := range table {
-		c := rankedTerm{t, st}
-		prominent = keepBest(prominent, c, n, byProminence)
-		if st.sources >= 2 {
-			boosted = keepBest(boosted, c, n, byBoost)
+	s.prominent, s.boosted = s.prominent[:0], s.boosted[:0]
+	for i := range s.terms {
+		s.prominent = keepBest(s.prominent, int32(i), n, s.byProminence)
+		if s.stats[i].sources >= 2 {
+			s.boosted = keepBest(s.boosted, int32(i), n, s.byBoost)
 		}
 	}
-	return Keyterms{Boosted: termsOf(boosted), Prominent: termsOf(prominent)}
+	return Keyterms{Boosted: s.termsOf(s.boosted), Prominent: s.termsOf(s.prominent)}
 }
 
-func termsOf(ranked []rankedTerm) []string {
+func (s *identifyScratch) termsOf(ranked []int32) []string {
 	if len(ranked) == 0 {
 		return nil
 	}
 	out := make([]string, len(ranked))
-	for i, r := range ranked {
-		out[i] = r.term
+	for i, j := range ranked {
+		out[i] = s.terms[j]
 	}
 	return out
 }
@@ -257,38 +337,40 @@ func (id *Identifier) Identify(a *webpage.Analysis) Result {
 	if nres <= 0 {
 		nres = DefaultResults
 	}
-	// The table's key set doubles as the evidence pool for candidate
-	// filtering.
-	pageTerms := termStats(a)
-	res := Result{Keyterms: keytermsFromStats(pageTerms, k)}
+	s := scratchPool.Get().(*identifyScratch)
+	defer s.release()
+	// The table is read twice: its statistics rank the keyterms, and its
+	// sorted terms are what candidate evidence is looked up in.
+	s.mergeTerms(a)
+	res := Result{Keyterms: s.keyterms(k)}
 
 	// Step 1: boosted prominent terms.
 	q1 := res.Keyterms.Boosted
 	if len(q1) == 0 {
 		q1 = res.Keyterms.Prominent
 	}
-	r1 := id.Engine.Query(q1, nres)
-	if containsOwn(r1, a) {
+	s.results = id.Engine.AppendQuery(s.results, q1, nres)
+	if containsOwn(s.results, a) {
 		res.Verdict, res.StepsUsed = VerdictLegitimate, 1
 		return res
 	}
 
 	// Step 2: prominent terms plus the landing mld terms, the paper's
-	// second, more site-specific query.
-	q2 := slices.Clone(res.Keyterms.Prominent)
-	for _, t := range terms.Extract(a.Land.UnicodeRDN()) {
-		if !slices.Contains(q2, t) {
-			q2 = append(q2, t)
-		}
-	}
-	r2 := id.Engine.Query(q2, nres)
-	if containsOwn(r2, a) {
+	// second, more site-specific query. The landing terms follow in the
+	// order the RDN spells them (a relevance score sums in query order)
+	// and are the analysis's own strings; a term both lists hold counts
+	// once, the engine sees to that.
+	s.query = append(s.query, res.Keyterms.Prominent...)
+	s.query = a.Dist(webpage.DistLandRDN).AppendExtract(s.query, a.Land.UnicodeRDN())
+	step2 := len(s.results)
+	s.results = id.Engine.AppendQuery(s.results, s.query, nres)
+	if containsOwn(s.results[step2:], a) {
 		res.Verdict, res.StepsUsed = VerdictLegitimate, 2
 		return res
 	}
 
 	// Step 3: rank the returned domains as candidate targets.
-	res.Candidates = rankCandidates([][]search.Result{r1, r2}, pageTerms, nil, a)
+	res.Candidates = s.rankCandidates(nil, a)
 	if len(res.Candidates) > 0 {
 		res.Verdict, res.StepsUsed = VerdictPhish, 3
 		return res
@@ -307,12 +389,13 @@ func (id *Identifier) Identify(a *webpage.Analysis) Result {
 		res.OCRProminent = dist.TopN(k)
 		res.StepsUsed = 4
 		if len(res.OCRProminent) > 0 {
-			r3 := id.Engine.Query(res.OCRProminent, nres)
-			if containsOwn(r3, a) {
+			step4 := len(s.results)
+			s.results = id.Engine.AppendQuery(s.results, res.OCRProminent, nres)
+			if containsOwn(s.results[step4:], a) {
 				res.Verdict = VerdictLegitimate
 				return res
 			}
-			res.Candidates = rankCandidates([][]search.Result{r1, r2, r3}, pageTerms, dist.Terms(), a)
+			res.Candidates = s.rankCandidates(dist.Terms(), a)
 			if len(res.Candidates) > 0 {
 				res.Verdict = VerdictPhish
 				return res
@@ -347,51 +430,106 @@ func containsOwn(results []search.Result, a *webpage.Analysis) bool {
 	return false
 }
 
-// rankCandidates turns search results into a ranked candidate target
-// list. A returned domain becomes a candidate only when the page shows
-// evidence of referencing it: a term of the page (or, in step 4, of its
-// screenshot) that is a substring of the candidate's mld — the phish
-// spells its target's name somewhere — or an external link to the
-// candidate. Evidence accumulates across queries; ranking is by
-// evidence count, then search relevance, then RDN.
-func rankCandidates(resultSets [][]search.Result, pageTerms map[string]termStat, ocrTerms []string, a *webpage.Analysis) []Candidate {
-	spelled := func(mld, t string) bool {
-		return len(t) >= terms.MinTermLength && strings.Contains(mld, t)
-	}
-	var out []Candidate
-	for _, rs := range resultSets {
-		for _, r := range rs {
-			if _, own := a.ControlledRDNs[r.RDN]; own {
-				continue
-			}
-			evidence := 0
-			if linksTo(a, r.RDN) {
-				evidence += 2
-			}
-			for t := range pageTerms {
-				if spelled(r.MLD, t) {
-					evidence++
-				}
-			}
-			for _, t := range ocrTerms {
-				if _, onPage := pageTerms[t]; !onPage && spelled(r.MLD, t) {
-					evidence++
-				}
-			}
-			if evidence == 0 {
-				continue
-			}
-			i := slices.IndexFunc(out, func(c Candidate) bool { return c.RDN == r.RDN })
-			if i < 0 {
-				i = len(out)
-				out = append(out, Candidate{RDN: r.RDN, MLD: r.MLD})
-			}
-			out[i].Count += evidence
-			out[i].Score += r.Score
+// rankCandidates turns the page's search results so far into a ranked
+// candidate target list. A returned domain becomes a candidate only when
+// the page shows evidence of referencing it: a term of the page (or, in
+// step 4, of its screenshot) that is a substring of the candidate's mld
+// — the phish spells its target's name somewhere — or an external link
+// to the candidate. Evidence accumulates across queries; ranking is by
+// evidence count, then search relevance, then RDN. The list is built in
+// scratch and returned as a copy of exactly its size.
+func (s *identifyScratch) rankCandidates(ocrTerms []string, a *webpage.Analysis) []Candidate {
+	s.seen, s.cands = emptied(s.seen), emptied(s.cands)
+	for _, r := range s.results {
+		if _, own := a.ControlledRDNs[r.RDN]; own {
+			continue
 		}
+		evidence := s.evidence(r, ocrTerms, a)
+		if evidence == 0 {
+			continue
+		}
+		i := slices.IndexFunc(s.cands, func(c Candidate) bool { return c.RDN == r.RDN })
+		if i < 0 {
+			i = len(s.cands)
+			s.cands = append(s.cands, Candidate{RDN: r.RDN, MLD: r.MLD})
+		}
+		s.cands[i].Count += evidence
+		s.cands[i].Score += r.Score
 	}
-	slices.SortFunc(out, func(x, y Candidate) int {
+	if len(s.cands) == 0 {
+		return nil
+	}
+	slices.SortFunc(s.cands, func(x, y Candidate) int {
 		return cmp.Or(cmp.Compare(y.Count, x.Count), cmp.Compare(y.Score, x.Score), strings.Compare(x.RDN, y.RDN))
 	})
+	out := make([]Candidate, len(s.cands))
+	copy(out, s.cands)
 	return out
+}
+
+// evidence returns how strongly the page references the domain r names:
+// 2 for an external link to it, 1 for every page term its mld spells
+// and, in step 4, 1 for every screenshot term not on the page that it
+// spells. It is computed once per domain.
+func (s *identifyScratch) evidence(r search.Result, ocrTerms []string, a *webpage.Analysis) int {
+	for i := range s.seen {
+		if e := &s.seen[i]; e.rdn == r.RDN && e.mld == r.MLD {
+			return e.n
+		}
+	}
+	n := countSpelled(s.terms, nil, r.MLD)
+	if ocrTerms != nil {
+		n += countSpelled(ocrTerms, s.terms, r.MLD)
+	}
+	if linksTo(a, r.RDN) {
+		n += 2
+	}
+	s.seen = append(s.seen, domainEvidence{rdn: r.RDN, mld: r.MLD, n: n})
+	return n
+}
+
+// countSpelled counts the terms of table, sorted and distinct, that are
+// at least terms.MinTermLength long, occur in mld and are not in except
+// (sorted too). It asks the question from the mld's side — which of its
+// distinct substrings does the table hold — so the cost is bounded by
+// the mld, whatever the size of the page: for every start i, the run of
+// table entries that share mld[i:j] is narrowed one byte at a time until
+// it is empty, and an entry that ends where the shared prefix does is
+// mld[i:j] itself.
+func countSpelled(table, except []string, mld string) int {
+	n := 0
+	for i := 0; i+terms.MinTermLength <= len(mld); i++ {
+		lo, hi := 0, len(table)
+		for p := 0; i+p < len(mld) && lo < hi; p++ {
+			c := int(mld[i+p])
+			lo = firstWith(table, lo, hi, p, c)
+			hi = firstWith(table, lo, hi, p, c+1)
+			if lo == hi || len(table[lo]) != p+1 || p+1 < terms.MinTermLength {
+				continue
+			}
+			// table[lo] is mld[i:i+p+1]. A substring the mld repeats
+			// ("pap" in "papapal") counts where it first occurs.
+			if t := table[lo]; strings.Index(mld, t) == i {
+				if _, skip := slices.BinarySearch(except, t); !skip {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// firstWith returns the first index in [lo, hi) of table whose entry has
+// a byte at position p that is at least c, or hi. The entries of the
+// range share their first p bytes, so one that ends there sorts first.
+func firstWith(table []string, lo, hi, p, c int) int {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t := table[mid]; len(t) > p && int(t[p]) >= c {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -130,6 +131,17 @@ func checkText(t testing.TB, s string) {
 		t.Fatalf("Extract(%q) = %q, want %q", s, got, want)
 	}
 	checkAgainstReference(t, FromText(s), refNewDistribution(want))
+	// Over the text's own distribution AppendExtract is Extract, behind
+	// what the caller already holds; over another distribution it keeps
+	// the occurrences that one holds.
+	if got := FromText(s).AppendExtract([]string{"held"}, s); got[0] != "held" || !slices.Equal(got[1:], want) {
+		t.Fatalf("AppendExtract(%q) over its own distribution = %q, want held + %q", s, got, want)
+	}
+	some := FromStrings(want[:len(want)/2])
+	kept := slices.DeleteFunc(slices.Clone(want), func(t string) bool { return !some.Contains(t) })
+	if got := some.AppendExtract(nil, s); !slices.Equal(got, kept) {
+		t.Fatalf("AppendExtract(%q) over the distribution of %q = %q, want %q", s, some.Terms(), got, kept)
+	}
 
 	pieces := strings.Split(s, " ")
 	var occ []string
@@ -238,6 +250,10 @@ func TestBuildAllocBudget(t *testing.T) {
 	term := []byte("secure")
 	if n := testing.AllocsPerRun(100, func() { d.ContainsBytes(term); d.Contains("verify"); d.P("absent") }); n != 0 {
 		t.Errorf("lookups allocate %v times, want 0", n)
+	}
+	buf := make([]string, 0, 256)
+	if n := testing.AllocsPerRun(100, func() { buf = d.AppendExtract(buf[:0], text) }); n != 0 || len(buf) != 200 {
+		t.Errorf("AppendExtract into a buffer with room allocates %v times for %d terms, want 0 for 200", n, len(buf))
 	}
 }
 

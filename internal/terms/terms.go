@@ -349,9 +349,16 @@ func (d Distribution) Contains(t string) bool {
 	return ok
 }
 
-// ContainsBytes is Contains for a byte-slice term, allocation-free (a
-// string conversion inside a comparison does not copy).
+// ContainsBytes is Contains for a byte-slice term, allocation-free.
 func (d Distribution) ContainsBytes(t []byte) bool {
+	_, ok := d.find(t)
+	return ok
+}
+
+// find is the binary search behind the byte-slice lookups: the index of
+// term t and whether d holds it (a string conversion inside a comparison
+// does not copy).
+func (d Distribution) find(t []byte) (int, bool) {
 	lo, hi := 0, len(d.terms)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -361,7 +368,24 @@ func (d Distribution) ContainsBytes(t []byte) bool {
 			hi = mid
 		}
 	}
-	return lo < len(d.terms) && d.terms[lo] == string(t)
+	return lo, lo < len(d.terms) && d.terms[lo] == string(t)
+}
+
+// AppendExtract appends Extract(s) to dst — occurrence order,
+// repetitions kept — taking each term from d's own strings instead of
+// allocating it; an occurrence d does not hold is left out. For a d
+// built from s (webpage.Analysis keeps one per URL part) it is Extract
+// without an allocation.
+func (d Distribution) AppendExtract(dst []string, s string) []string {
+	b := AcquireBuilder()
+	defer b.Release()
+	b.Add(s)
+	for i := range b.ends {
+		if j, ok := d.find(b.occurrence(i)); ok {
+			dst = append(dst, d.terms[j])
+		}
+	}
+	return dst
 }
 
 // Terms returns the distinct terms in sorted order. The slice is shared;
