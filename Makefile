@@ -8,7 +8,7 @@ GO ?= go
 # bench-* targets below inherit it by not setting BENCH. Override per
 # run with BENCH=<regexp>.
 
-.PHONY: all build test race race-cover bench bench-smoke bench-compare bench-gate bench-json fuzz-smoke fuzz-long store-stress load-smoke overload-smoke cover fmt fmt-check vet staticcheck vulncheck serve registry-check alloc-check assembly-check loc profile ci
+.PHONY: all build test race race-cover bench bench-smoke bench-compare bench-gate bench-json fuzz-smoke fuzz-long store-stress load-smoke overload-smoke cover fmt fmt-check vet staticcheck vulncheck serve registry-check alloc-check assembly-check loc config-surface profile ci
 
 all: build
 
@@ -218,6 +218,13 @@ assembly-check:
 LOC_FILES = git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/'
 loc:
 	@echo "non-test Go outside benchmark/: $$($(LOC_FILES) | xargs cat | wc -l) lines in $$($(LOC_FILES) | wc -l) files"
+
+# Size of the program's settable surface: exported fields of every
+# *Config struct under internal/, per package, and the flag counts of
+# `kpserve -h` and `kpload run -h`. Printed next to `make loc` in CI, not
+# gated; "fewer knobs" criteria are read off this command.
+config-surface:
+	@./scripts/config_surface.sh
 
 # 10-second CPU profile of a running kpserve started with the pprof
 # listener bound (kpserve -debug-addr :6060). Writes cpu.pprof; inspect

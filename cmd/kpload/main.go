@@ -26,9 +26,10 @@
 // the number closed loops hide. -self skips the network target and
 // starts the kpserve process assembly (internal/app: self-trained
 // detector, feed pipeline draining through the shared stage memo,
-// tracer, in-memory verdict store) on a loopback listener, then loads
-// it: a one-command macro benchmark needing nothing running, measuring
-// the same wiring kpserve serves with.
+// tracer, a verdict store in a temporary directory removed on exit) on
+// a loopback listener, then loads it: a one-command macro benchmark
+// needing nothing running, measuring the same wiring kpserve serves
+// with.
 //
 // Overload testing: -endpoint score drives uncached POST /v1/score
 // requests instead of feed batches; with -self, repeatable -slo specs
@@ -55,6 +56,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -63,7 +65,6 @@ import (
 	"knowphish/internal/loadgen"
 	"knowphish/internal/serve"
 	"knowphish/internal/slo"
-	"knowphish/internal/store"
 	"knowphish/internal/webgen"
 )
 
@@ -153,9 +154,9 @@ func runLoad(args []string) error {
 	pageBytes := fs.Int("page-bytes", loadgen.DefaultPageBytes, "with -endpoint score: approximate HTML size per submitted page (bigger = more server work per request)")
 	cacheMix := fs.Float64("cache-mix", 0, "with -endpoint score: fraction (0..1) of requests replaying a small hot page set — warm traffic answered from the stage memo")
 	jsonOut := fs.String("json", "", "also write the report as JSON (the LOAD_PR.json artifact)")
-	// The -self server is the kpserve assembly with an in-memory verdict
+	// The -self server is the kpserve assembly with a throwaway verdict
 	// store; these flags bind to the same app.Config fields kpserve's do.
-	selfCfg := app.Config{StoreBackend: store.BackendMemory, Trace: true}
+	selfCfg := app.Config{Trace: true}
 	fs.Int64Var(&selfCfg.Seed, "seed", 42, "with -self: the service seed (detector, world)")
 	fs.IntVar(&selfCfg.Scale, "scale", 20, "with -self: corpus downscale divisor for self-training (higher = faster boot)")
 	fs.IntVar(&selfCfg.FeedWorkers, "feed-workers", 0, "with -self: feed pipeline workers (0 = GOMAXPROCS)")
@@ -194,12 +195,19 @@ func runLoad(args []string) error {
 	}
 
 	if *self {
+		dir, err := os.MkdirTemp("", "kpload-self-")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		selfCfg.StorePath = filepath.Join(dir, "verdicts")
 		fmt.Fprintf(os.Stderr, "kpload: self mode — training detector (seed %d, scale %d)\n", selfCfg.Seed, selfCfg.Scale)
 		a, err := app.Start(selfCfg)
 		if err != nil {
 			return err
 		}
-		// Close drains the feed before it closes the store.
+		// Close drains the feed before it closes the store; the store's
+		// directory goes after that.
 		defer func() {
 			err := a.Close()
 			fs := a.Feed.Stats()

@@ -31,8 +31,8 @@
 //
 // The endpoints are listed in internal/serve's package comment; request
 // formats, the store's on-disk layout and the v1 → v2 migration table
-// are in README.md. cmd/kptop renders /metrics, /debug/slo and
-// /debug/events as a live terminal dashboard.
+// are in README.md. cmd/kptop renders /metrics (which carries the
+// /debug/slo document) and /debug/events as a live terminal dashboard.
 package main
 
 import (
@@ -67,79 +67,10 @@ func main() {
 }
 
 func run() error {
-	var cfg app.Config
-	addr := flag.String("addr", ":8080", "listen address")
-	flag.StringVar(&cfg.Model, "model", "", "detector JSON from kptrain (empty: train a fresh one)")
-	flag.StringVar(&cfg.Ranking, "ranking", "", "popularity list CSV from kpgen (optional)")
-	flag.StringVar(&cfg.Index, "index", "", "search index JSON (optional; required with -model for target identification)")
-	flag.IntVar(&cfg.Workers, "workers", 0, "batch fan-out cap (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.MaxBatch, "max-batch", serve.DefaultMaxBatch, "max pages per batch or stream request")
-	flag.IntVar(&cfg.MemoEntries, "memo-size", coalesce.DefaultMemoEntries, "entries per content-addressed memo table, score and target: ~200 bytes per scored page plus ~0.8 KB per detector positive, whatever the page size (negative: no verdict reuse, every request computes every stage)")
-	flag.DurationVar(&cfg.Deadline, "deadline", 0, "default per-request scoring deadline (0 = none; requests may set their own deadline_ms)")
-	explain := flag.String("explain", "none", "default explain level for v2 requests: none, top or full")
-	flag.IntVar(&cfg.ExplainTopN, "explain-top", 0, "default contribution count of a 'top' explanation (0 = library default)")
-	flag.IntVar(&cfg.Scale, "scale", 25, "corpus scale for the self-train path")
-	flag.Int64Var(&cfg.Seed, "seed", 1, "seed for the self-train path")
-
-	flag.StringVar(&cfg.StorePath, "store", "", "verdict store path (enables GET /v1/verdicts and /v2/verdicts; with the self-train world, also POST /v1/feed). The segmented engine uses it as a directory; a legacy JSONL log found there is migrated in place on first open")
-	flag.IntVar(&cfg.SegmentBytes, "segment-bytes", store.DefaultSegmentBytes, "segmented engine: bytes per WAL segment before it seals")
-	flag.BoolVar(&cfg.StoreSync, "store-sync", false, "fsync the verdict store on every append")
-	flag.IntVar(&cfg.CompactEvery, "compact-every", store.DefaultCompactEvery, "appends between verdict-store compactions (negative: never)")
-	flag.IntVar(&cfg.FeedQueue, "feed-queue", feed.DefaultQueueDepth, "feed queue depth, the backpressure bound")
-	flag.IntVar(&cfg.FeedWorkers, "feed-workers", 0, "feed crawl/score workers (0 = GOMAXPROCS)")
-	flag.Float64Var(&cfg.DomainRate, "domain-rate", feed.DefaultDomainRate, "per-registered-domain crawl rate in URLs/sec (negative: unlimited)")
-	flag.IntVar(&cfg.DomainBurst, "domain-burst", feed.DefaultDomainBurst, "per-domain token-bucket burst")
-	flag.IntVar(&cfg.FeedRetries, "feed-retries", feed.DefaultMaxAttempts, "fetch attempts per URL before the failure is persisted")
-	feedExplain := flag.String("feed-explain", "none", "explain level for feed-ingested verdicts (persisted evidence): none, top or full")
-
-	flag.StringVar(&cfg.FeedSrcCursor, "feed-src-cursor", "", "directory persisting each connector's resume cursor across restarts (empty: in-memory only)")
-	flag.Float64Var(&cfg.FeedSrcRate, "feed-src-rate", 0, "per-connector delivery cap in URLs/sec; excess is shed, not queued (0 = unlimited)")
-	flag.DurationVar(&cfg.FeedSrcInterval, "feed-src-interval", feedsrc.DefaultInterval, "idle poll interval per connector (a poll that yielded items re-polls immediately)")
-	flag.IntVar(&cfg.StoreMaxExplain, "store-max-explain", 0, "verdict-store explanation size cap in bytes (0 = default, negative = never persist evidence)")
-	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", app.DefaultDrainTimeout, "max wait for the feed to drain on shutdown")
-
-	flag.StringVar(&cfg.Registry, "registry", "", "model registry directory (versioned artifacts, /v2/models, zero-downtime champion hot-swap)")
-	flag.Float64Var(&cfg.ShadowFrac, "shadow-frac", 0.25, "fraction of feed traffic the challenger shadow-scores (with -registry)")
-	flag.IntVar(&cfg.DriftWindow, "drift-window", drift.DefaultWindow, "drift-monitor sliding window in observations (with -registry)")
-	flag.BoolVar(&cfg.AutoRetrain, "auto-retrain", false, "close the loop: drift flag triggers retrain from the store, gated challenger promotion follows")
-
-	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn or error")
-	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
-	flag.BoolVar(&cfg.Trace, "trace", true, "record per-stage request traces (GET /debug/traces, stage histograms in /metrics)")
-	traceSlow := flag.Duration("trace-slow", obs.DefaultSlowThreshold, "slow-request threshold: traces over it are kept as exemplars and logged (sampled); with a latency -slo the default derives from the tightest target instead")
-	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof profiling endpoints (empty: disabled)")
-
-	flag.DurationVar(&cfg.SLOFast, "slo-fast", slo.DefaultFastWindow, "SLO fast burn-rate window (is it happening now?)")
-	flag.DurationVar(&cfg.SLOSlow, "slo-slow", slo.DefaultSlowWindow, "SLO slow burn-rate window (is it significant?)")
-	flag.DurationVar(&cfg.SLOHoldDown, "slo-holddown", slo.DefaultHoldDown, "SLO hysteresis: burn must stay below a threshold this long before state or shed level steps down")
-	flag.IntVar(&cfg.JournalSize, "journal-size", 0, "operational event journal capacity in events (GET /debug/events; 0 = default)")
-	flag.Func("feed-src", "external feed connector as NAME=KIND:URL, repeatable; KIND is json (PhishTank/OpenPhish-style feed), csv (ranked benign list) or ndjson (CT-log-style stream)", func(v string) error {
-		cfg.FeedSources = append(cfg.FeedSources, v)
-		return nil
-	})
-	flag.Func("slo", "SLO objective as endpoint:objective[,objective...], e.g. \"score:p99<250ms,avail>99.9\" (repeatable; arms burn-rate alerting at /debug/slo and adaptive load shedding)", func(v string) error {
-		cfg.SLO = append(cfg.SLO, v)
-		return nil
-	})
-	flag.Parse()
-
-	var err error
-	if cfg.Logger, err = obs.NewLogger(os.Stderr, *logLevel, *logFormat); err != nil {
+	cfg, o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
 		return err
 	}
-	if cfg.Explain, err = core.ParseExplainLevel(*explain); err != nil {
-		return err
-	}
-	if cfg.FeedExplain, err = core.ParseExplainLevel(*feedExplain); err != nil {
-		return err
-	}
-	// Only an explicit -trace-slow is a threshold; left alone, the
-	// assembly derives it from the tightest latency SLO.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "trace-slow" {
-			cfg.TraceSlow = *traceSlow
-		}
-	})
 
 	a, err := app.Start(cfg)
 	if err != nil {
@@ -149,7 +80,7 @@ func run() error {
 	// The pprof listener is its own server on its own address, never the
 	// scoring mux: profiling endpoints stay off the public surface unless
 	// an operator binds them explicitly.
-	if *debugAddr != "" {
+	if o.debugAddr != "" {
 		dbg := http.NewServeMux()
 		dbg.HandleFunc("/debug/pprof/", pprof.Index)
 		dbg.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -157,14 +88,14 @@ func run() error {
 		dbg.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dbg.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
-			cfg.Logger.Info("pprof listening", "addr", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, dbg); err != nil {
-				cfg.Logger.Error("pprof listener failed", "addr", *debugAddr, "err", err)
+			cfg.Logger.Info("pprof listening", "addr", o.debugAddr)
+			if err := http.ListenAndServe(o.debugAddr, dbg); err != nil {
+				cfg.Logger.Error("pprof listener failed", "addr", o.debugAddr, "err", err)
 			}
 		}()
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return errors.Join(err, a.Close())
 	}
@@ -181,4 +112,92 @@ func run() error {
 		cfg.Logger.Info("shutting down")
 	}
 	return errors.Join(err, a.Close())
+}
+
+// options are the command-line settings that are not app.Config fields.
+type options struct {
+	addr, debugAddr string
+}
+
+// parseFlags declares kpserve's flags on fs, parses args and returns
+// the process configuration they describe. Every app.Config field but
+// World has a flag (TestEveryConfigFieldHasAFlag).
+func parseFlags(fs *flag.FlagSet, args []string) (app.Config, options, error) {
+	var cfg app.Config
+	var o options
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&cfg.Model, "model", "", "detector JSON from kptrain (empty: train a fresh one)")
+	fs.StringVar(&cfg.Ranking, "ranking", "", "popularity list CSV from kpgen (optional)")
+	fs.StringVar(&cfg.Index, "index", "", "search index JSON (optional; required with -model for target identification)")
+	fs.IntVar(&cfg.Workers, "workers", 0, "batch fan-out cap (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.MaxBatch, "max-batch", serve.DefaultMaxBatch, "max pages per batch or stream request")
+	fs.IntVar(&cfg.MemoEntries, "memo-size", coalesce.DefaultMemoEntries, "entries per content-addressed memo table, score and target: ~200 bytes per scored page plus ~0.8 KB per detector positive, whatever the page size (negative: no verdict reuse, every request computes every stage)")
+	fs.DurationVar(&cfg.Deadline, "deadline", 0, "default per-request scoring deadline (0 = none; requests may set their own deadline_ms)")
+	explain := fs.String("explain", "none", "default explain level for v2 requests: none, top or full")
+	fs.IntVar(&cfg.ExplainTopN, "explain-top", 0, "default contribution count of a 'top' explanation (0 = library default)")
+	fs.IntVar(&cfg.Scale, "scale", 25, "corpus scale for the self-train path")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "seed for the self-train path")
+
+	fs.StringVar(&cfg.StorePath, "store", "", "verdict store path (enables GET /v1/verdicts and /v2/verdicts; with the self-train world, also POST /v1/feed). The segmented engine uses it as a directory; a legacy JSONL log found there is migrated in place on first open")
+	fs.IntVar(&cfg.SegmentBytes, "segment-bytes", store.DefaultSegmentBytes, "segmented engine: bytes per WAL segment before it seals")
+	fs.BoolVar(&cfg.StoreSync, "store-sync", false, "fsync the verdict store on every append")
+	fs.IntVar(&cfg.CompactEvery, "compact-every", store.DefaultCompactEvery, "appends between verdict-store compactions (negative: never)")
+	fs.IntVar(&cfg.FeedQueue, "feed-queue", feed.DefaultQueueDepth, "feed queue depth, the backpressure bound")
+	fs.IntVar(&cfg.FeedWorkers, "feed-workers", 0, "feed crawl/score workers (0 = GOMAXPROCS)")
+	fs.Float64Var(&cfg.DomainRate, "domain-rate", feed.DefaultDomainRate, "per-registered-domain crawl rate in URLs/sec (negative: unlimited)")
+	fs.IntVar(&cfg.DomainBurst, "domain-burst", feed.DefaultDomainBurst, "per-domain token-bucket burst")
+	fs.IntVar(&cfg.FeedRetries, "feed-retries", feed.DefaultMaxAttempts, "fetch attempts per URL before the failure is persisted")
+	feedExplain := fs.String("feed-explain", "none", "explain level for feed-ingested verdicts (persisted evidence): none, top or full")
+
+	fs.StringVar(&cfg.FeedSrcCursor, "feed-src-cursor", "", "directory persisting each connector's resume cursor across restarts (empty: in-memory only)")
+	fs.Float64Var(&cfg.FeedSrcRate, "feed-src-rate", 0, "per-connector delivery cap in URLs/sec; excess is shed, not queued (0 = unlimited)")
+	fs.DurationVar(&cfg.FeedSrcInterval, "feed-src-interval", feedsrc.DefaultInterval, "idle poll interval per connector (a poll that yielded items re-polls immediately)")
+	fs.IntVar(&cfg.StoreMaxExplain, "store-max-explain", 0, "verdict-store explanation size cap in bytes (0 = default, negative = never persist evidence)")
+	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", app.DefaultDrainTimeout, "max wait for the feed to drain on shutdown")
+
+	fs.StringVar(&cfg.Registry, "registry", "", "model registry directory (versioned artifacts, /v2/models, zero-downtime champion hot-swap)")
+	fs.Float64Var(&cfg.ShadowFrac, "shadow-frac", 0.25, "fraction of feed traffic the challenger shadow-scores (with -registry)")
+	fs.IntVar(&cfg.DriftWindow, "drift-window", drift.DefaultWindow, "drift-monitor sliding window in observations (with -registry)")
+	fs.BoolVar(&cfg.AutoRetrain, "auto-retrain", false, "close the loop: drift flag triggers retrain from the store, gated challenger promotion follows")
+
+	logLevel := fs.String("log-level", "info", "structured log level: debug, info, warn or error")
+	logFormat := fs.String("log-format", "text", "structured log encoding: text or json")
+	fs.BoolVar(&cfg.Trace, "trace", true, "record per-stage request traces (GET /debug/traces, stage histograms in /metrics)")
+	traceSlow := fs.Duration("trace-slow", obs.DefaultSlowThreshold, "slow-request threshold: traces over it are kept as exemplars and logged (sampled); with a latency -slo the default derives from the tightest target instead")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "separate listener for net/http/pprof profiling endpoints (empty: disabled)")
+
+	fs.DurationVar(&cfg.SLOFast, "slo-fast", slo.DefaultFastWindow, "SLO fast burn-rate window (is it happening now?)")
+	fs.DurationVar(&cfg.SLOSlow, "slo-slow", slo.DefaultSlowWindow, "SLO slow burn-rate window (is it significant?)")
+	fs.DurationVar(&cfg.SLOHoldDown, "slo-holddown", slo.DefaultHoldDown, "SLO hysteresis: burn must stay below a threshold this long before state or shed level steps down")
+	fs.IntVar(&cfg.JournalSize, "journal-size", 0, "operational event journal capacity in events (GET /debug/events; 0 = default)")
+	fs.Func("feed-src", "external feed connector as NAME=KIND:URL, repeatable; KIND is json (PhishTank/OpenPhish-style feed), csv (ranked benign list) or ndjson (CT-log-style stream)", func(v string) error {
+		cfg.FeedSources = append(cfg.FeedSources, v)
+		return nil
+	})
+	fs.Func("slo", "SLO objective as endpoint:objective[,objective...], e.g. \"score:p99<250ms,avail>99.9\" (repeatable; arms burn-rate alerting at /debug/slo and adaptive load shedding)", func(v string) error {
+		cfg.SLO = append(cfg.SLO, v)
+		return nil
+	})
+	if err := fs.Parse(args); err != nil {
+		return cfg, o, err
+	}
+
+	var err error
+	if cfg.Logger, err = obs.NewLogger(os.Stderr, *logLevel, *logFormat); err != nil {
+		return cfg, o, err
+	}
+	if cfg.Explain, err = core.ParseExplainLevel(*explain); err != nil {
+		return cfg, o, err
+	}
+	if cfg.FeedExplain, err = core.ParseExplainLevel(*feedExplain); err != nil {
+		return cfg, o, err
+	}
+	// Only an explicit -trace-slow is a threshold; left alone, the
+	// assembly derives it from the tightest latency SLO.
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "trace-slow" {
+			cfg.TraceSlow = *traceSlow
+		}
+	})
+	return cfg, o, nil
 }

@@ -1,5 +1,5 @@
 // Command kptop is a zero-dependency terminal dashboard for a running
-// kpserve: it polls GET /metrics and GET /debug/slo and renders, in
+// kpserve: it polls GET /metrics and GET /debug/events and renders, in
 // place, the numbers an operator watches during an incident — request
 // and error rates, windowed latency percentiles (p50/p99/p999 over the
 // rolling 1m/5m/1h windows, per endpoint class and per pipeline stage),
@@ -32,7 +32,6 @@ import (
 
 	"knowphish/internal/obs"
 	"knowphish/internal/serve"
-	"knowphish/internal/slo"
 )
 
 func main() {
@@ -102,8 +101,9 @@ type frame struct {
 	Events  []obs.Event
 }
 
-// fetchFrame polls the server once. /metrics is required; the event
-// journal is optional garnish (older servers don't serve it).
+// fetchFrame polls the server once. /metrics is required, and carries
+// the SLO status whenever the server has an engine; the event journal
+// is optional garnish (older servers don't serve it).
 func fetchFrame(client *http.Client, target string) (*frame, error) {
 	f := &frame{At: time.Now()}
 	if err := getJSON(client, target+"/metrics", &f.Metrics); err != nil {
@@ -114,14 +114,6 @@ func fetchFrame(client *http.Client, target string) (*frame, error) {
 	}
 	if err := getJSON(client, target+"/debug/events", &events); err == nil {
 		f.Events = events.Events
-	}
-	// /metrics embeds the SLO status; fall back to /debug/slo for a
-	// server configured with an engine but scraped mid-wire.
-	if f.Metrics.SLO == nil {
-		var st slo.Status
-		if err := getJSON(client, target+"/debug/slo", &st); err == nil && len(st.Objectives) > 0 {
-			f.Metrics.SLO = &st
-		}
 	}
 	return f, nil
 }

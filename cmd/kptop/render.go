@@ -134,8 +134,18 @@ func rates(prev, cur *frame) (req, shed float64) {
 	if dt <= 0 {
 		return 0, 0
 	}
-	return float64(cur.Metrics.Requests-prev.Metrics.Requests) / dt,
-		float64(cur.Metrics.Shed.Total-prev.Metrics.Shed.Total) / dt
+	return increase(prev.Metrics.Requests, cur.Metrics.Requests) / dt,
+		increase(prev.Metrics.Shed.Total, cur.Metrics.Shed.Total) / dt
+}
+
+// increase is how much a counter grew between two polls. A counter that
+// went down was reset — the server restarted in between — so it grew
+// from zero, as Prometheus' rate() reads it.
+func increase(prev, cur int64) float64 {
+	if cur < prev {
+		prev = 0
+	}
+	return float64(cur - prev)
 }
 
 // pickWindows splits a WindowSummary slice into the 1m/5m/1h entries

@@ -118,6 +118,26 @@ func TestRenderRates(t *testing.T) {
 	}
 }
 
+// TestRenderRatesAcrossRestart: kpserve restarted between the polls, so
+// its counters start again from zero. The rates count from zero too,
+// instead of going negative.
+func TestRenderRatesAcrossRestart(t *testing.T) {
+	at := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+	prev := testFrame(at)
+	cur := testFrame(at.Add(2 * time.Second))
+	cur.Metrics.UptimeSeconds = 1
+	cur.Metrics.Requests = 60
+	cur.Metrics.Shed.Total = 4
+
+	out := renderFrame(prev, cur, false)
+	if !strings.Contains(out, "requests 60 (30.0/s)") {
+		t.Errorf("want 30.0/s request rate counted from zero\n%s", out)
+	}
+	if !strings.Contains(out, "total 4 (2.0/s)") {
+		t.Errorf("want 2.0/s shed rate counted from zero\n%s", out)
+	}
+}
+
 // TestRenderNoEngine pins the degraded layout against a server without
 // an SLO engine: the dashboard must stay useful, not error out.
 func TestRenderNoEngine(t *testing.T) {

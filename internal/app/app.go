@@ -4,10 +4,10 @@
 // feed scheduler → feed connectors → serve.Server — and the one place
 // that takes it down again in order. cmd/kpserve binds its flags to
 // Config and listens; `kpload run -self` and BenchmarkLoadEndToEnd call
-// Start with a memory store and their own worker counts. What they
-// measure is therefore what kpserve runs: one stage memo shared by the
-// HTTP surface and the feed drain, the same tracer, the same shutdown
-// order.
+// Start with a throwaway store directory and their own worker counts.
+// What they measure is therefore what kpserve runs: one stage memo
+// shared by the HTTP surface and the feed drain, the same verdict
+// store, the same tracer, the same shutdown order.
 //
 // `make assembly-check` keeps it the only place: outside this package,
 // the knowphish facade, serve.New's own default memo, tests and the
@@ -79,11 +79,9 @@ type Config struct {
 	Explain     core.ExplainLevel
 	ExplainTopN int
 
-	// StorePath names the verdict store's directory; StoreBackend picks
-	// the engine (store.BackendMemory needs no path). With neither there
+	// StorePath names the verdict store's directory. Without it there
 	// is no store, and without a store no feed.
 	StorePath       string
-	StoreBackend    string
 	StoreSync       bool
 	CompactEvery    int
 	StoreMaxExplain int
@@ -214,10 +212,9 @@ func Start(cfg Config) (_ *App, err error) {
 	// Feed ingestion needs a crawl source; an artifact-mode server
 	// persists nothing by itself but serves /v1/verdicts over an
 	// existing log.
-	if cfg.StorePath != "" || cfg.StoreBackend != "" {
+	if cfg.StorePath != "" {
 		a.Store, err = store.Open(store.Config{
 			Path:            cfg.StorePath,
-			Backend:         cfg.StoreBackend,
 			Sync:            cfg.StoreSync,
 			CompactEvery:    cfg.CompactEvery,
 			MaxExplainBytes: cfg.StoreMaxExplain,

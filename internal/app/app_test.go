@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -37,14 +38,14 @@ func postJSON(t *testing.T, url string, body, out any) {
 }
 
 // TestFeedAndHTTPShareOneMemo drives the assembly the way `kpload run
-// -self` does — self-trained world, memory store, loopback listener —
+// -self` does — self-trained world, throwaway store, loopback listener —
 // and pins its two promises. One stage memo: a page the feed drain
 // scored answers an HTTP score request as a hit with no stage computed.
 // One shutdown order: after Close every accepted URL is accounted for
 // and the store is closed, and closing again is harmless.
 func TestFeedAndHTTPShareOneMemo(t *testing.T) {
 	const seed = 7
-	a, err := Start(Config{Scale: 100, Seed: seed, StoreBackend: store.BackendMemory, Trace: true})
+	a, err := Start(Config{Scale: 100, Seed: seed, StorePath: filepath.Join(t.TempDir(), "verdicts"), Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestFeedAndHTTPShareOneMemo(t *testing.T) {
 // first): Start reports the build error and returns once the partial
 // assembly has been closed again.
 func TestStartUnwindsOnError(t *testing.T) {
-	if _, err := Start(Config{Scale: 200, Seed: 7, StoreBackend: store.BackendMemory, FeedSources: []string{"broken"}}); err == nil {
+	if _, err := Start(Config{Scale: 200, Seed: 7, StorePath: filepath.Join(t.TempDir(), "verdicts"), FeedSources: []string{"broken"}}); err == nil {
 		t.Error("malformed feed source: want an error")
 	}
 	if _, err := Start(Config{Scale: 200, Seed: 7, SLO: []string{"score:p99<"}}); err == nil {

@@ -34,7 +34,8 @@ const (
 	// DefaultHoldout is the held-out fraction of the retrain corpus.
 	DefaultHoldout = 0.25
 	// retrainScanPage is the cursor page size retrain uses when walking
-	// the verdict store; pages keep memory flat regardless of RetrainMax.
+	// the verdict store; pages keep memory flat however many records
+	// DefaultRetrainMax admits.
 	retrainScanPage = 256
 )
 
@@ -71,11 +72,6 @@ type LifecycleConfig struct {
 	// MinShadow gates automatic promotion on live exposure
 	// (0 → DefaultMinShadow).
 	MinShadow int
-	// RetrainMax caps records pulled per retrain (0 → DefaultRetrainMax).
-	RetrainMax int
-	// Holdout is the held-out fraction of the retrain corpus
-	// (0 → DefaultHoldout).
-	Holdout float64
 	// AutoRetrain closes the loop: a drift flag triggers a background
 	// retrain, and a challenger that passes the gate after MinShadow
 	// shadow scores is promoted automatically. Without it the lifecycle
@@ -211,12 +207,6 @@ func NewLifecycle(cfg LifecycleConfig) (*Lifecycle, error) {
 	}
 	if cfg.MinShadow <= 0 {
 		cfg.MinShadow = DefaultMinShadow
-	}
-	if cfg.RetrainMax <= 0 {
-		cfg.RetrainMax = DefaultRetrainMax
-	}
-	if cfg.Holdout <= 0 || cfg.Holdout >= 1 {
-		cfg.Holdout = DefaultHoldout
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -413,7 +403,7 @@ func (l *Lifecycle) retrain(ctx context.Context) (registry.Manifest, error) {
 		return registry.Manifest{}, registry.ErrNoChampion
 	}
 
-	// Page through the newest RetrainMax verdicts with Scan cursors
+	// Page through the newest DefaultRetrainMax verdicts with Scan cursors
 	// instead of materializing one whole-index slice: at production
 	// scale the corpus is a window over millions of records, and the
 	// store streams each page from disk.
@@ -421,8 +411,8 @@ func (l *Lifecycle) retrain(ctx context.Context) (registry.Manifest, error) {
 	var labels []int
 	seen := 0
 	q := store.Query{Limit: retrainScanPage}
-	for seen < l.cfg.RetrainMax {
-		if remaining := l.cfg.RetrainMax - seen; remaining < q.Limit {
+	for seen < DefaultRetrainMax {
+		if remaining := DefaultRetrainMax - seen; remaining < q.Limit {
 			q.Limit = remaining
 		}
 		page, err := l.cfg.Store.Scan(ctx, q)
@@ -512,10 +502,7 @@ func (l *Lifecycle) retrain(ctx context.Context) (registry.Manifest, error) {
 // classes whenever the corpus has them, deterministically for a fixed
 // seed.
 func (l *Lifecycle) split(snaps []*webpage.Snapshot, labels []int) (ts []*webpage.Snapshot, tl []int, hs []*webpage.Snapshot, hl []int) {
-	every := int(1 / l.cfg.Holdout)
-	if every < 2 {
-		every = 2
-	}
+	const every = int(1 / DefaultHoldout)
 	var seen [2]int
 	for i, s := range snaps {
 		y := labels[i]

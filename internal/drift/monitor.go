@@ -35,9 +35,11 @@ import (
 const (
 	// DefaultWindow is the sliding current-window size in observations.
 	DefaultWindow = 256
-	// DefaultScoreBins is the score-histogram bin count over [0,1].
+	// DefaultScoreBins is the score-histogram bin count over [0,1],
+	// capped by the baseline size (see NewMonitor).
 	DefaultScoreBins = 10
-	// DefaultFeatureBins is the per-feature quantile bin count.
+	// DefaultFeatureBins is the per-feature quantile bin count, capped
+	// like DefaultScoreBins.
 	DefaultFeatureBins = 10
 	// DefaultScorePSI flags score-distribution drift. 0.2 is the
 	// conventional "significant shift" PSI threshold.
@@ -57,11 +59,6 @@ type Config struct {
 	// Baseline is how many observations freeze into the reference
 	// window (0 → Window).
 	Baseline int
-	// ScoreBins is the score-histogram resolution (0 → DefaultScoreBins).
-	ScoreBins int
-	// FeatureBins is the per-feature quantile-bin count
-	// (0 → DefaultFeatureBins).
-	FeatureBins int
 	// ScorePSI flags drift when the score-distribution PSI reaches it
 	// (0 → DefaultScorePSI, negative → disabled).
 	ScorePSI float64
@@ -75,10 +72,6 @@ type Config struct {
 	// once the window is full (0 → Window/8, min 1). Evaluation is
 	// O(features × bins); spacing it keeps Observe cheap.
 	EvalEvery int
-	// OnDrift, when set, is called once per flag transition (not per
-	// observation) with the status that crossed a threshold. It runs on
-	// the observing goroutine without the monitor lock held.
-	OnDrift func(Status)
 }
 
 func (c Config) withDefaults() Config {
@@ -87,27 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Baseline <= 0 {
 		c.Baseline = c.Window
-	}
-	if c.ScoreBins <= 0 {
-		c.ScoreBins = DefaultScoreBins
-	}
-	if c.FeatureBins <= 0 {
-		c.FeatureBins = DefaultFeatureBins
-	}
-	// PSI on identical distributions still reads ≈ bins/observations of
-	// pure multinomial noise; with small windows, ten bins would flag
-	// steady traffic. Cap resolution so each bin expects ≥16 baseline
-	// observations (floor of 4 bins to stay a distribution at all).
-	if res := c.Baseline / 16; res < c.ScoreBins || res < c.FeatureBins {
-		if res < 4 {
-			res = 4
-		}
-		if c.ScoreBins > res {
-			c.ScoreBins = res
-		}
-		if c.FeatureBins > res {
-			c.FeatureBins = res
-		}
 	}
 	if c.ScorePSI == 0 {
 		c.ScorePSI = DefaultScorePSI
@@ -127,8 +99,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Status is a drift snapshot — the gauges exported at /metrics and the
-// document a drift flag hands to OnDrift.
+// Status is a drift snapshot — the gauges exported at /metrics.
 type Status struct {
 	// Observations counts everything Observe has seen since the last
 	// Reset, baseline included.
@@ -161,6 +132,9 @@ type Status struct {
 // methods are safe for concurrent use; Observe is O(features) amortized.
 type Monitor struct {
 	cfg Config
+	// scoreBins and featureBins are the histogram resolutions: the
+	// defaults, capped by the baseline size.
+	scoreBins, featureBins int
 
 	mu sync.Mutex
 
@@ -202,7 +176,17 @@ type obs struct {
 // observations freeze into the reference window; drift is evaluated
 // against it afterwards.
 func NewMonitor(cfg Config) *Monitor {
-	return &Monitor{cfg: cfg.withDefaults()}
+	cfg = cfg.withDefaults()
+	// PSI on identical distributions still reads ≈ bins/observations of
+	// pure multinomial noise; with small windows, ten bins would flag
+	// steady traffic. Cap resolution so each bin expects ≥16 baseline
+	// observations (floor of 4 bins to stay a distribution at all).
+	res := max(cfg.Baseline/16, 4)
+	return &Monitor{
+		cfg:         cfg,
+		scoreBins:   min(DefaultScoreBins, res),
+		featureBins: min(DefaultFeatureBins, res),
+	}
 }
 
 // Window returns the resolved sliding-window size — the traffic unit
@@ -213,8 +197,8 @@ func (m *Monitor) Window() int { return m.cfg.Window }
 // confidence, the final phishing call, and (optionally, may be nil) the
 // extracted feature vector for per-feature drift.
 func (m *Monitor) Observe(score float64, phish bool, vec []float64) {
-	var fire *Status
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.observations++
 	if !m.frozen {
 		m.baseScores = append(m.baseScores, score)
@@ -227,23 +211,13 @@ func (m *Monitor) Observe(score float64, phish bool, vec []float64) {
 		if len(m.baseScores) >= m.cfg.Baseline {
 			m.freezeLocked()
 		}
-		m.mu.Unlock()
 		return
 	}
 	m.admitLocked(score, phish, vec)
 	m.sinceEval++
 	if m.ringFull && m.sinceEval >= m.cfg.EvalEvery {
 		m.sinceEval = 0
-		wasFlagged := m.status.Flagged
 		m.evaluateLocked()
-		if m.status.Flagged && !wasFlagged && m.cfg.OnDrift != nil {
-			st := m.statusLocked()
-			fire = &st
-		}
-	}
-	m.mu.Unlock()
-	if fire != nil {
-		m.cfg.OnDrift(*fire)
 	}
 }
 
@@ -251,7 +225,7 @@ func (m *Monitor) Observe(score float64, phish bool, vec []float64) {
 // edges, then discards the raw observations.
 func (m *Monitor) freezeLocked() {
 	n := len(m.baseScores)
-	m.baseHist = make([]float64, m.cfg.ScoreBins)
+	m.baseHist = make([]float64, m.scoreBins)
 	for _, s := range m.baseScores {
 		m.baseHist[m.scoreBin(s)]++
 	}
@@ -275,8 +249,8 @@ func (m *Monitor) freezeLocked() {
 					col = append(col, v[f])
 				}
 			}
-			m.featEdges[f] = quantileEdges(col, m.cfg.FeatureBins)
-			hist := make([]float64, m.cfg.FeatureBins)
+			m.featEdges[f] = quantileEdges(col, m.featureBins)
+			hist := make([]float64, m.featureBins)
 			for _, x := range col {
 				hist[binOf(x, m.featEdges[f])]++
 			}
@@ -291,10 +265,10 @@ func (m *Monitor) freezeLocked() {
 	m.baseScores, m.baseVecs = nil, nil
 	m.ring = make([]obs, m.cfg.Window)
 	m.ringAt, m.ringFull = 0, false
-	m.scoreCount = make([]int, m.cfg.ScoreBins)
+	m.scoreCount = make([]int, m.scoreBins)
 	m.featCount = make([][]int, len(m.featEdges))
 	for f := range m.featCount {
-		m.featCount[f] = make([]int, m.cfg.FeatureBins)
+		m.featCount[f] = make([]int, m.featureBins)
 	}
 	m.phishCount = 0
 	m.sinceEval = 0
@@ -344,7 +318,7 @@ func (m *Monitor) admitLocked(score float64, phish bool, vec []float64) {
 // evaluateLocked recomputes the drift gauges over the full window.
 func (m *Monitor) evaluateLocked() {
 	n := len(m.ring)
-	cur := make([]float64, m.cfg.ScoreBins)
+	cur := make([]float64, m.scoreBins)
 	for i, c := range m.scoreCount {
 		cur[i] = float64(c) / float64(n)
 	}
@@ -366,7 +340,7 @@ func (m *Monitor) evaluateLocked() {
 			}
 			return fmt.Sprintf("feature[%d]", f)
 		}
-		hist := make([]float64, m.cfg.FeatureBins)
+		hist := make([]float64, m.featureBins)
 		driftedPSI := 0.0
 		for f := range m.featCount {
 			total := 0
@@ -393,7 +367,7 @@ func (m *Monitor) evaluateLocked() {
 			// feature drifts only when its PSI clears both the configured
 			// threshold and 5× its own noise floor, which converges to
 			// the bare threshold as windows grow.
-			floor := float64(m.cfg.FeatureBins-1) *
+			floor := float64(m.featureBins-1) *
 				(1/float64(m.baseVecCount) + 1/float64(total))
 			if m.cfg.FeaturePSI > 0 && v >= m.cfg.FeaturePSI && v >= 5*floor && v > driftedPSI {
 				featureDrifted = true
@@ -460,12 +434,12 @@ func (m *Monitor) Reset() {
 
 // scoreBin maps a confidence in [0,1] onto a fixed-width bin.
 func (m *Monitor) scoreBin(s float64) int {
-	b := int(s * float64(m.cfg.ScoreBins))
+	b := int(s * float64(m.scoreBins))
 	if b < 0 {
 		b = 0
 	}
-	if b >= m.cfg.ScoreBins {
-		b = m.cfg.ScoreBins - 1
+	if b >= m.scoreBins {
+		b = m.scoreBins - 1
 	}
 	return b
 }

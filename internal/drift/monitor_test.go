@@ -2,7 +2,6 @@ package drift
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"knowphish/internal/features"
@@ -132,25 +131,25 @@ func TestMonitorVectorlessObservations(t *testing.T) {
 	}
 }
 
-func TestMonitorOnDriftFiresOncePerEpisode(t *testing.T) {
-	var mu sync.Mutex
-	fired := 0
-	cfg := axisCfg(DefaultScorePSI, -1, -1)
-	cfg.OnDrift = func(st Status) {
-		mu.Lock()
-		fired++
-		mu.Unlock()
-		if !st.Flagged {
-			t.Error("OnDrift with unflagged status")
-		}
-	}
-	m := NewMonitor(cfg)
+// TestMonitorFlagLatches: a flag stays up, with the reasons that raised
+// it, after the traffic that raised it is gone — a brief excursion
+// cannot un-flag itself before the lifecycle reacts.
+func TestMonitorFlagLatches(t *testing.T) {
+	m := NewMonitor(axisCfg(DefaultScorePSI, -1, -1))
 	feedN(m, 128, func(int) float64 { return 0.1 }, func(int) bool { return false }, nil)
-	feedN(m, 400, func(int) float64 { return 0.9 }, func(int) bool { return false }, nil)
-	mu.Lock()
-	defer mu.Unlock()
-	if fired != 1 {
-		t.Fatalf("OnDrift fired %d times, want 1 (latched)", fired)
+	feedN(m, 160, func(int) float64 { return 0.9 }, func(int) bool { return false }, nil)
+	if !m.Flagged() {
+		t.Fatal("score shift not flagged")
+	}
+	// The window refills with baseline traffic: the PSI falls back, the
+	// flag does not.
+	feedN(m, 400, func(int) float64 { return 0.1 }, func(int) bool { return false }, nil)
+	st := m.Status()
+	if st.ScorePSI >= DefaultScorePSI {
+		t.Fatalf("window did not return to the baseline: %+v", st)
+	}
+	if !st.Flagged || len(st.Reasons) != 1 || st.Reasons[0] != "score_psi" {
+		t.Fatalf("flag did not latch with its reasons: %+v", st)
 	}
 }
 

@@ -59,9 +59,13 @@ func fixtures(t *testing.T) (*dataset.Corpus, *core.Pipeline) {
 	return fixCorp, fixPipe
 }
 
-// openStore opens a verdict store with auto-close.
+// openStore opens a verdict store (on a fresh directory when cfg.Path
+// is unset) with auto-close.
 func openStore(t *testing.T, cfg store.Config) store.Backend {
 	t.Helper()
+	if cfg.Path == "" {
+		cfg.Path = filepath.Join(t.TempDir(), "verdicts")
+	}
 	st, err := store.Open(cfg)
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
@@ -70,10 +74,10 @@ func openStore(t *testing.T, cfg store.Config) store.Backend {
 	return st
 }
 
-// newStore is the in-memory engine; tests that reopen use openStore on
-// a directory.
+// newStore is a fresh store; tests that reopen use openStore on a
+// directory of their own.
 func newStore(t *testing.T) store.Backend {
-	return openStore(t, store.Config{Backend: store.BackendMemory})
+	return openStore(t, store.Config{})
 }
 
 // get reads the newest record for url.
@@ -604,7 +608,6 @@ func TestFeedExplainPersistsEvidence(t *testing.T) {
 // the verdict itself persists.
 func TestStoreExplanationSizeCap(t *testing.T) {
 	st := openStore(t, store.Config{
-		Backend:         store.BackendMemory,
 		MaxExplainBytes: 64, // far below any real explanation
 	})
 	rec := store.Record{
@@ -632,7 +635,7 @@ func TestStoreExplanationSizeCap(t *testing.T) {
 		t.Errorf("explanations_dropped = %d, want 1", st.Stats().ExplanationsDropped)
 	}
 	// Negative cap: never persist evidence.
-	st2 := openStore(t, store.Config{Backend: store.BackendMemory, MaxExplainBytes: -1})
+	st2 := openStore(t, store.Config{MaxExplainBytes: -1})
 	small := rec
 	small.Explanation = &core.Explanation{Bias: 1}
 	if err := st2.Append(context.Background(), small); err != nil {

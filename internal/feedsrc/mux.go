@@ -20,7 +20,10 @@ const (
 	// DefaultMuxBackoff caps the per-source error backoff.
 	DefaultMuxBackoff = 5 * time.Minute
 	// DefaultDedupeWindow is how many recently delivered URLs the mux
-	// remembers across all sources.
+	// remembers across all sources for cross-source dedupe. The
+	// scheduler dedupes in-flight URLs; this window additionally absorbs
+	// re-deliveries of already-scored URLs (overlapping polls, two feeds
+	// reporting the same campaign).
 	DefaultDedupeWindow = 8192
 )
 
@@ -58,12 +61,6 @@ type MuxConfig struct {
 	// "<name>.cursor" after every successful poll and restores it on
 	// New — the process-restart resume point. Empty = in-memory only.
 	CursorDir string
-	// DedupeWindow is how many recently delivered URLs the mux
-	// remembers for cross-source dedupe (0 → DefaultDedupeWindow,
-	// negative → disabled). The scheduler dedupes in-flight URLs; this
-	// window additionally absorbs re-deliveries of already-scored URLs
-	// (overlapping polls, two feeds reporting the same campaign).
-	DedupeWindow int
 	// Logger receives fetch errors and cursor-persistence failures
 	// (nil → discard).
 	Logger *slog.Logger
@@ -127,11 +124,10 @@ type Mux struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mu      sync.Mutex
-	states  map[string]*sourceState
-	recent  map[string]struct{} // cross-source dedupe window
-	order   []string            // FIFO eviction for recent
-	dedupeN int
+	mu     sync.Mutex
+	states map[string]*sourceState
+	recent map[string]struct{} // cross-source dedupe window
+	order  []string            // FIFO eviction for recent
 }
 
 // NewMux validates the configuration, restores persisted cursors, and
@@ -149,13 +145,6 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 	if cfg.MaxBackoff <= 0 {
 		cfg.MaxBackoff = DefaultMuxBackoff
 	}
-	dedupeN := cfg.DedupeWindow
-	if dedupeN == 0 {
-		dedupeN = DefaultDedupeWindow
-	}
-	if dedupeN < 0 {
-		dedupeN = 0
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
 	}
@@ -163,10 +152,9 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 		cfg.sleep = sleepCtx
 	}
 	m := &Mux{
-		cfg:     cfg,
-		states:  make(map[string]*sourceState, len(cfg.Sources)),
-		recent:  make(map[string]struct{}),
-		dedupeN: dedupeN,
+		cfg:    cfg,
+		states: make(map[string]*sourceState, len(cfg.Sources)),
+		recent: make(map[string]struct{}),
 	}
 	m.ctx, m.cancel = context.WithCancel(context.Background())
 	for _, src := range cfg.Sources {
@@ -260,7 +248,7 @@ func (m *Mux) deliver(st *sourceState, items []Item, cursor string) {
 			m.mu.Unlock()
 			break
 		}
-		if m.dedupeN > 0 && !m.admitURL(it.URL) {
+		if !m.admitURL(it.URL) {
 			m.mu.Lock()
 			st.stats.Rejected.Duplicate++
 			m.mu.Unlock()
@@ -326,7 +314,7 @@ func (m *Mux) admitURL(url string) bool {
 	}
 	m.recent[url] = struct{}{}
 	m.order = append(m.order, url)
-	if len(m.order) > m.dedupeN {
+	if len(m.order) > DefaultDedupeWindow {
 		delete(m.recent, m.order[0])
 		m.order = m.order[1:]
 	}

@@ -8,6 +8,19 @@ import (
 	"knowphish/internal/racecheck"
 )
 
+// scoreReference scores x by walking the serialized per-tree node
+// slices, the layout-naive implementation Score used before the
+// flattened path existed. It is the equivalence oracle: Score must
+// reproduce it bit-for-bit on every input (the flat layout is a cache
+// optimization, not a numerical change).
+func scoreReference(m *GBM, x []float64) float64 {
+	f := m.InitScore
+	for i := range m.Trees {
+		f += m.Config.LearningRate * m.Trees[i].Predict(x)
+	}
+	return sigmoid(f)
+}
+
 // trainFlatFixture fits a small but non-trivial ensemble on a noisy
 // two-signal problem, exercising multi-level trees and both classes.
 func trainFlatFixture(t testing.TB) (*GBM, [][]float64) {
@@ -36,7 +49,7 @@ func trainFlatFixture(t testing.TB) (*GBM, [][]float64) {
 func TestFlatScoreMatchesReference(t *testing.T) {
 	m, x := trainFlatFixture(t)
 	for i, row := range x {
-		got, want := m.Score(row), m.ScoreReference(row)
+		got, want := m.Score(row), scoreReference(m, row)
 		if got != want {
 			t.Fatalf("row %d: flat score %v != reference %v (must be bit-for-bit)", i, got, want)
 		}
@@ -44,7 +57,7 @@ func TestFlatScoreMatchesReference(t *testing.T) {
 	// Short and over-long vectors take the out-of-range branch of the
 	// split comparison; both layouts must agree there too.
 	for _, row := range [][]float64{nil, {1.5}, append(append([]float64{}, x[0]...), 9, 9, 9)} {
-		if got, want := m.Score(row), m.ScoreReference(row); got != want {
+		if got, want := m.Score(row), scoreReference(m, row); got != want {
 			t.Fatalf("len %d: flat score %v != reference %v", len(row), got, want)
 		}
 	}
@@ -76,7 +89,7 @@ func TestFlatHandlesHandEditedTrees(t *testing.T) {
 	m.Trees[0].Nodes[0], m.Trees[0].Nodes[2] = m.Trees[0].Nodes[2], m.Trees[0].Nodes[0]
 	m.Trees[0].Nodes[0].Left, m.Trees[0].Nodes[0].Right = 2, 1
 	for _, x := range [][]float64{{0, 0}, {2, 0}, {1.5, -1}} {
-		if got, want := m.Score(x), m.ScoreReference(x); got != want {
+		if got, want := m.Score(x), scoreReference(m, x); got != want {
 			t.Fatalf("x=%v: flat %v != reference %v", x, got, want)
 		}
 	}

@@ -181,20 +181,6 @@ func (m *GBM) Score(x []float64) float64 {
 	return sigmoid(m.flatten().raw(x))
 }
 
-// ScoreReference scores x by walking the serialized per-tree node
-// slices, the layout-naive implementation Score used before the
-// flattened path existed. It is retained as the equivalence oracle:
-// Score must reproduce it bit-for-bit on every input (the flat layout
-// is a cache optimization, not a numerical change), and the
-// BenchmarkGBMPredict layout=tree variant prices what flattening buys.
-func (m *GBM) ScoreReference(x []float64) float64 {
-	f := m.InitScore
-	for i := range m.Trees {
-		f += m.Config.LearningRate * m.Trees[i].Predict(x)
-	}
-	return sigmoid(f)
-}
-
 // ScoreAll maps Score over rows.
 func (m *GBM) ScoreAll(x [][]float64) []float64 {
 	out := make([]float64, len(x))

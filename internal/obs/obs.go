@@ -156,7 +156,7 @@ func TraceFrom(ctx context.Context) *Trace {
 	return tr
 }
 
-// Defaults for Config zero values.
+// Tracer retention and the default for Config's zero value.
 const (
 	// DefaultRingSize is the recent-trace retention of the ring buffer.
 	DefaultRingSize = 256
@@ -168,11 +168,6 @@ const (
 
 // Config assembles a Tracer.
 type Config struct {
-	// RingSize is the recent-trace retention (0 → DefaultRingSize).
-	RingSize int
-	// ExemplarSize is the slow/error exemplar retention
-	// (0 → DefaultExemplarSize).
-	ExemplarSize int
 	// SlowThreshold is the duration at which a finished trace is
 	// retained as a slow exemplar (0 → DefaultSlowThreshold).
 	SlowThreshold time.Duration
@@ -182,7 +177,7 @@ type Config struct {
 	// carry it as slow_slo so an operator reading /debug/traces knows
 	// which budget the trace was burning.
 	SlowSource string
-	// Disabled starts the tracer off; SetEnabled flips it at runtime.
+	// Disabled makes a tracer that records nothing.
 	Disabled bool
 	// Clock feeds the windowed per-stage histograms, for deterministic
 	// tests (nil → time.Now). Trace timestamps always use time.Now.
@@ -211,8 +206,8 @@ type record struct {
 // histograms. All methods are safe for concurrent use and nil-receiver
 // safe, so an unconfigured server can pass a nil *Tracer everywhere.
 type Tracer struct {
-	enabled atomic.Bool
-	slowNS  atomic.Int64
+	enabled bool
+	slowNS  int64
 	slowSrc string
 
 	pool sync.Pool
@@ -239,47 +234,33 @@ type Tracer struct {
 
 // NewTracer builds a tracer.
 func NewTracer(cfg Config) *Tracer {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = DefaultRingSize
-	}
-	if cfg.ExemplarSize <= 0 {
-		cfg.ExemplarSize = DefaultExemplarSize
-	}
 	if cfg.SlowThreshold <= 0 {
 		cfg.SlowThreshold = DefaultSlowThreshold
 	}
 	t := &Tracer{
-		ring:     make([]record, cfg.RingSize),
-		exemplar: make([]record, cfg.ExemplarSize),
+		enabled:  !cfg.Disabled,
+		slowNS:   cfg.SlowThreshold.Nanoseconds(),
 		slowSrc:  cfg.SlowSource,
+		ring:     make([]record, DefaultRingSize),
+		exemplar: make([]record, DefaultExemplarSize),
 	}
 	for i := range t.windows {
 		t.windows[i] = NewWindowedHist(cfg.Clock)
 	}
 	t.pool.New = func() any { return new(Trace) }
-	t.slowNS.Store(cfg.SlowThreshold.Nanoseconds())
-	t.enabled.Store(!cfg.Disabled)
 	t.idState.Store(uint64(time.Now().UnixNano()) | 1)
 	return t
 }
 
 // Enabled reports whether the tracer records new traces. Nil-safe.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
-
-// SetEnabled flips tracing at runtime. Disabling stops new traces;
-// in-flight ones still finish. Nil-safe no-op.
-func (t *Tracer) SetEnabled(on bool) {
-	if t != nil {
-		t.enabled.Store(on)
-	}
-}
+func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
 
 // SlowThreshold returns the slow-exemplar threshold (0 when nil).
 func (t *Tracer) SlowThreshold() time.Duration {
 	if t == nil {
 		return 0
 	}
-	return time.Duration(t.slowNS.Load())
+	return time.Duration(t.slowNS)
 }
 
 // nextID advances the splitmix64 id stream.
@@ -304,7 +285,7 @@ func (t *Tracer) nextID() uint64 {
 // disabled it returns ctx unchanged and a nil trace — every downstream
 // call is nil-safe, so callers never branch.
 func (t *Tracer) StartRequest(ctx context.Context, endpoint, traceparent string) (context.Context, *Trace) {
-	if t == nil || !t.enabled.Load() {
+	if t == nil || !t.enabled {
 		return ctx, nil
 	}
 	tr := t.pool.Get().(*Trace)
@@ -343,7 +324,7 @@ func (t *Tracer) Finish(tr *Trace) {
 			t.windows[sp.Stage].Observe(time.Duration(sp.DurNS))
 		}
 	}
-	slow := durNS >= t.slowNS.Load()
+	slow := durNS >= t.slowNS
 	if slow {
 		t.slow.Add(1)
 	}
@@ -463,13 +444,13 @@ func (t *Tracer) Summary() Summary {
 	ringN, exN := t.ringN, t.exN
 	t.mu.Unlock()
 	s := Summary{
-		Enabled:      t.enabled.Load(),
+		Enabled:      t.enabled,
 		Started:      t.started.Load(),
 		Finished:     t.finished.Load(),
 		Slow:         t.slow.Load(),
 		Errors:       t.errors.Load(),
 		SpansDropped: t.dropped.Load(),
-		SlowThreshMS: t.slowNS.Load() / int64(time.Millisecond),
+		SlowThreshMS: t.slowNS / int64(time.Millisecond),
 		SlowSource:   t.slowSrc,
 		RetainedRing: int(min64(ringN, uint64(len(t.ring)))),
 		RetainedSlow: int(min64(exN, uint64(len(t.exemplar)))),

@@ -230,29 +230,29 @@ func TestDisabledAndNilTracer(t *testing.T) {
 	if tr2 != nil || ctx2 != context.Background() {
 		t.Fatal("disabled tracer must return the context unchanged")
 	}
-	off.SetEnabled(true)
-	if _, tr3 := off.StartRequest(context.Background(), "x", ""); tr3 == nil {
-		t.Fatal("re-enabled tracer must trace")
+	if s := off.Summary(); s.Enabled || s.Started != 0 {
+		t.Errorf("disabled summary: %+v", s)
 	}
 }
 
 func TestRingBufferWraps(t *testing.T) {
-	tr := NewTracer(Config{RingSize: 4, SlowThreshold: time.Hour})
-	for i := 0; i < 10; i++ {
+	tr := NewTracer(Config{SlowThreshold: time.Hour})
+	const n = DefaultRingSize + 10
+	for i := 0; i < n; i++ {
 		_, trace := tr.StartRequest(context.Background(), "x", "")
 		tr.Finish(trace)
 	}
 	doc := tr.Snapshot()
-	if len(doc.Recent) != 4 {
-		t.Fatalf("retained %d, want ring size 4", len(doc.Recent))
+	if len(doc.Recent) != DefaultRingSize {
+		t.Fatalf("retained %d, want ring size %d", len(doc.Recent), DefaultRingSize)
 	}
-	if s := tr.Summary(); s.Finished != 10 {
+	if s := tr.Summary(); s.Finished != n {
 		t.Errorf("finished = %d", s.Finished)
 	}
 }
 
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer(Config{RingSize: 16, ExemplarSize: 8, SlowThreshold: time.Microsecond})
+	tr := NewTracer(Config{SlowThreshold: time.Microsecond})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -102,7 +103,7 @@ func TestLoadEndToEndWithConnectors(t *testing.T) {
 	}
 	c, d := e2eFixtures(t)
 
-	st, err := store.Open(store.Config{Backend: store.BackendMemory})
+	st, err := store.Open(store.Config{Path: filepath.Join(t.TempDir(), "verdicts")})
 	if err != nil {
 		t.Fatal(err)
 	}

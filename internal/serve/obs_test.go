@@ -409,7 +409,7 @@ func keyPaths(prefix string, v any, out map[string]bool) {
 func fullSurfaceServer(t *testing.T, n int) *Server {
 	t.Helper()
 	c, d := fixtures(t)
-	st, err := store.Open(store.Config{Backend: store.BackendMemory})
+	st, err := store.Open(store.Config{Path: filepath.Join(t.TempDir(), "verdicts")})
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
 	}

@@ -110,16 +110,13 @@ const (
 // Config assembles a Server.
 type Config struct {
 	// Detector is the trained classifier, frozen for the server's
-	// lifetime. Required unless Detectors (or Registry) supplies models.
+	// lifetime. Required unless Registry supplies models.
 	Detector *core.Detector
-	// Detectors optionally serves the detector per request — the model
-	// lifecycle's hot-swap seam. When set, every request resolves the
-	// current champion through it (one atomic load) and Detector is only
-	// used as a fallback while the source has none.
-	Detectors core.DetectorSource
 	// Registry is the versioned model store behind GET/POST /v2/models
-	// and /v2/models/promote (optional). When Detectors is nil the
-	// registry also becomes the detector source.
+	// and /v2/models/promote (optional) — the model lifecycle's hot-swap
+	// seam. When set, every request resolves the current champion
+	// through it (one atomic load) and Detector is only used as a
+	// fallback while the registry has none.
 	Registry *registry.Registry
 	// Lifecycle is the drift-monitoring / retraining controller whose
 	// status is exported at /v2/models and /metrics, and which gates
@@ -231,20 +228,20 @@ type Server struct {
 
 // New validates the configuration and builds a server.
 func New(cfg Config) (*Server, error) {
-	if cfg.Detectors == nil && cfg.Registry != nil {
-		cfg.Detectors = cfg.Registry
-	}
-	if cfg.Detector == nil && cfg.Detectors == nil {
-		return nil, errors.New("serve: Config needs a Detector or a Detectors source")
+	if cfg.Detector == nil && cfg.Registry == nil {
+		return nil, errors.New("serve: Config needs a Detector or a Registry")
 	}
 	if cfg.Identifier == nil {
 		return nil, errors.New("serve: Config.Identifier is required")
 	}
-	source := cfg.Detectors
-	if source == nil {
+	var source core.DetectorSource
+	switch {
+	case cfg.Registry == nil:
 		source = core.StaticSource(cfg.Detector)
-	} else if cfg.Detector != nil {
-		source = fallbackSource{primary: source, fallback: cfg.Detector}
+	case cfg.Detector == nil:
+		source = cfg.Registry
+	default:
+		source = fallbackSource{primary: cfg.Registry, fallback: cfg.Detector}
 	}
 	s := &Server{cfg: cfg, source: source, metrics: newMetrics()}
 	if s.cfg.Logger == nil {

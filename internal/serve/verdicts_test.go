@@ -74,11 +74,11 @@ func copyVerdictsFixture(t *testing.T) string {
 }
 
 // TestV1VerdictsGolden pins the /v1/verdicts wire format byte for byte
-// across storage engines: the committed legacy JSONL corpus is served
-// by the segmented engine after a one-shot migration, the records it
-// was written from are served by the memory engine, and both must
-// match the same goldens — the proof that the storage engine is
-// invisible to v1 clients and that migration loses nothing.
+// across the two ways records reach the store: the committed legacy
+// JSONL corpus is served after a one-shot migration ("migrated"), the
+// records it was written from, held in memory, are appended to a fresh
+// store ("memory"), and both must match the same goldens — the proof
+// that migration loses nothing v1 clients can see.
 func TestV1VerdictsGolden(t *testing.T) {
 	queries := []struct{ name, query string }{
 		{"all", "/v1/verdicts"},
@@ -93,7 +93,7 @@ func TestV1VerdictsGolden(t *testing.T) {
 		open func(t *testing.T) store.Backend
 	}{
 		{"memory", func(t *testing.T) store.Backend {
-			b, err := store.Open(store.Config{Backend: store.BackendMemory})
+			b, err := store.Open(store.Config{Path: filepath.Join(t.TempDir(), "verdicts")})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +157,7 @@ func TestV1VerdictsGolden(t *testing.T) {
 // surface: pages chain through next_cursor without duplicates or gaps,
 // filters compose with pagination, and malformed cursors answer 400.
 func TestV2VerdictsPagination(t *testing.T) {
-	b, err := store.Open(store.Config{Path: filepath.Join(t.TempDir(), "verdicts"), Backend: store.BackendSegmented})
+	b, err := store.Open(store.Config{Path: filepath.Join(t.TempDir(), "verdicts")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestV2VerdictsPagination(t *testing.T) {
 // that connector and composes with pagination, while the frozen /v1
 // surface ignores the parameter entirely.
 func TestV2VerdictsSourceFilter(t *testing.T) {
-	b, err := store.Open(store.Config{Backend: store.BackendMemory})
+	b, err := store.Open(store.Config{Path: filepath.Join(t.TempDir(), "verdicts")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestV2VerdictsSourceFilter(t *testing.T) {
 // supersede churn, targets, sources, two model versions, terminal
 // errors, explanations, an identification result, text that JSON
 // escapes (HTML characters, U+2028, a control byte) and invalid UTF-8 —
-// with a compaction in the middle, so a segmented store ends up with
+// with a compaction in the middle, so the store ends up with
 // compaction outputs, sealed segments and an active one.
 func spliceCorpus(t *testing.T, b store.Backend) {
 	t.Helper()
@@ -415,28 +415,21 @@ func spliceCorpus(t *testing.T, b store.Backend) {
 	}
 }
 
-// spliceBackends opens both engines over spliceCorpus; the segmented
-// one rolls a segment every few records, so pages break into several
-// reads at segment boundaries.
-func spliceBackends(t *testing.T) map[string]store.Backend {
+// spliceStore opens a store over spliceCorpus that rolls a segment
+// every few records, so pages break into several reads at segment
+// boundaries.
+func spliceStore(t *testing.T) store.Backend {
 	t.Helper()
-	out := map[string]store.Backend{}
-	for _, cfg := range []store.Config{
-		{Backend: store.BackendMemory},
-		{Backend: store.BackendSegmented, Path: filepath.Join(t.TempDir(), "verdicts"), SegmentBytes: 2048, CompactEvery: -1},
-	} {
-		b, err := store.Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = b.Close() })
-		spliceCorpus(t, b)
-		out[cfg.Backend] = b
+	b, err := store.Open(store.Config{Path: filepath.Join(t.TempDir(), "verdicts"), SegmentBytes: 2048, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := out[store.BackendSegmented].Stats(); st.Segments < 3 || st.Compactions != 1 || st.Superseded == 0 {
-		t.Fatalf("segmented fixture = %+v, want several segments and a compaction that dropped frames", st)
+	t.Cleanup(func() { _ = b.Close() })
+	spliceCorpus(t, b)
+	if st := b.Stats(); st.Segments < 3 || st.Compactions != 1 || st.Superseded == 0 {
+		t.Fatalf("fixture = %+v, want several segments and a compaction that dropped frames", st)
 	}
-	return out
+	return b
 }
 
 // TestVerdictsSpliceMatchesMarshal: the verdict handlers splice stored
@@ -444,110 +437,109 @@ func spliceBackends(t *testing.T) map[string]store.Backend {
 // be, byte for byte, the wire type built from the decoded page and
 // rendered by json.Encoder — the path the handlers used to take.
 func TestVerdictsSpliceMatchesMarshal(t *testing.T) {
-	for name, b := range spliceBackends(t) {
-		t.Run(name, func(t *testing.T) {
-			s := newServer(t, func(cfg *Config) { cfg.Store = b })
-			// get serves path and returns the body beside the reference
-			// rendering of the same query, and the page's cursor.
-			get := func(path string, v2 bool) (got, want []byte, next string) {
-				t.Helper()
-				req := httptest.NewRequest(http.MethodGet, path, nil)
-				rec := httptest.NewRecorder()
-				s.ServeHTTP(rec, req)
-				if rec.Code != http.StatusOK || rec.Header().Get("Content-Length") != strconv.Itoa(rec.Body.Len()) {
-					t.Fatalf("GET %s: status %d, Content-Length %q for %d bytes", path, rec.Code, rec.Header().Get("Content-Length"), rec.Body.Len())
-				}
-				q, err := parseVerdictQuery(req, v2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				page, err := b.Scan(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				recs, err := page.Decode()
-				if err != nil {
-					t.Fatal(err)
-				}
-				var doc any
-				switch {
-				case !v2 && len(recs) == 0:
-					doc = VerdictsResponse{}
-				case !v2:
-					doc = VerdictsResponse{Records: recs, Count: len(recs)}
-				default:
-					doc = VerdictsPageResponse{Records: recs, Count: len(recs), NextCursor: page.NextCursor}
-				}
-				var ref bytes.Buffer
-				if err := json.NewEncoder(&ref).Encode(doc); err != nil {
-					t.Fatal(err)
-				}
-				return rec.Body.Bytes(), ref.Bytes(), page.NextCursor
+	b := spliceStore(t)
+	t.Run("segmented", func(t *testing.T) {
+		s := newServer(t, func(cfg *Config) { cfg.Store = b })
+		// get serves path and returns the body beside the reference
+		// rendering of the same query, and the page's cursor.
+		get := func(path string, v2 bool) (got, want []byte, next string) {
+			t.Helper()
+			req := httptest.NewRequest(http.MethodGet, path, nil)
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK || rec.Header().Get("Content-Length") != strconv.Itoa(rec.Body.Len()) {
+				t.Fatalf("GET %s: status %d, Content-Length %q for %d bytes", path, rec.Code, rec.Header().Get("Content-Length"), rec.Body.Len())
 			}
-			same := func(path string, got, want []byte) {
-				t.Helper()
-				if !bytes.Equal(got, want) {
-					t.Errorf("GET %s:\n got: %s\nwant: %s", path, got, want)
-				}
+			q, err := parseVerdictQuery(req, v2)
+			if err != nil {
+				t.Fatal(err)
 			}
+			page, err := b.Scan(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, err := page.Decode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc any
+			switch {
+			case !v2 && len(recs) == 0:
+				doc = VerdictsResponse{}
+			case !v2:
+				doc = VerdictsResponse{Records: recs, Count: len(recs)}
+			default:
+				doc = VerdictsPageResponse{Records: recs, Count: len(recs), NextCursor: page.NextCursor}
+			}
+			var ref bytes.Buffer
+			if err := json.NewEncoder(&ref).Encode(doc); err != nil {
+				t.Fatal(err)
+			}
+			return rec.Body.Bytes(), ref.Bytes(), page.NextCursor
+		}
+		same := func(path string, got, want []byte) {
+			t.Helper()
+			if !bytes.Equal(got, want) {
+				t.Errorf("GET %s:\n got: %s\nwant: %s", path, got, want)
+			}
+		}
 
-			// The query shapes of the v1 goldens.
-			for _, path := range []string{
-				"/v1/verdicts",
-				"/v1/verdicts?target=novabank.com",
-				"/v1/verdicts?url=http://lure.test/57",
-				"/v1/verdicts?url=http://land.test/7",
-				"/v1/verdicts?phish_only=true&limit=2",
-				"/v1/verdicts?since=2026-09-01T06:50:00Z",
-			} {
-				got, want, _ := get(path, false)
-				same(path, got, want)
-				if bytes.Contains(got, []byte("next_cursor")) || !bytes.Contains(got, []byte(`"records":[{`)) {
-					t.Errorf("GET %s: not a v1 document with records: %s", path, got)
-				}
+		// The query shapes of the v1 goldens.
+		for _, path := range []string{
+			"/v1/verdicts",
+			"/v1/verdicts?target=novabank.com",
+			"/v1/verdicts?url=http://lure.test/57",
+			"/v1/verdicts?url=http://land.test/7",
+			"/v1/verdicts?phish_only=true&limit=2",
+			"/v1/verdicts?since=2026-09-01T06:50:00Z",
+		} {
+			got, want, _ := get(path, false)
+			same(path, got, want)
+			if bytes.Contains(got, []byte("next_cursor")) || !bytes.Contains(got, []byte(`"records":[{`)) {
+				t.Errorf("GET %s: not a v1 document with records: %s", path, got)
 			}
-			got, want, _ := get("/v1/verdicts?target=unknown.example", false)
-			same("v1 empty", got, want)
-			if string(got) != `{"records":null,"count":0}`+"\n" {
-				t.Errorf("v1 empty result = %s", got)
-			}
-			got, want, _ = get("/v2/verdicts?target=unknown.example", true)
-			same("v2 empty", got, want)
-			if string(got) != `{"records":[],"count":0}`+"\n" {
-				t.Errorf("v2 empty result = %s", got)
-			}
+		}
+		got, want, _ := get("/v1/verdicts?target=unknown.example", false)
+		same("v1 empty", got, want)
+		if string(got) != `{"records":null,"count":0}`+"\n" {
+			t.Errorf("v1 empty result = %s", got)
+		}
+		got, want, _ = get("/v2/verdicts?target=unknown.example", true)
+		same("v2 empty", got, want)
+		if string(got) != `{"records":[],"count":0}`+"\n" {
+			t.Errorf("v2 empty result = %s", got)
+		}
 
-			// Full v2 cursor walks, unfiltered and filtered.
-			for _, filter := range []string{"", "&source=phishtank", "&model_version=v0002&until=2026-09-01T06:58:00Z"} {
-				for _, limit := range []int{1, 7, 100} {
-					pages, records, cursor := 0, 0, ""
-					for {
-						path := "/v2/verdicts?limit=" + strconv.Itoa(limit) + filter
-						if cursor != "" {
-							path += "&cursor=" + cursor
-						}
-						got, want, next := get(path, true)
-						same(path, got, want)
-						var pr VerdictsPageResponse
-						if err := json.Unmarshal(got, &pr); err != nil {
-							t.Fatalf("GET %s: %v", path, err)
-						}
-						if pr.NextCursor != next || bytes.Contains(got, []byte("next_cursor")) != (next != "") {
-							t.Fatalf("GET %s: next_cursor %q in %s, store said %q", path, pr.NextCursor, got, next)
-						}
-						pages++
-						records += pr.Count
-						if cursor = next; cursor == "" {
-							break
-						}
+		// Full v2 cursor walks, unfiltered and filtered.
+		for _, filter := range []string{"", "&source=phishtank", "&model_version=v0002&until=2026-09-01T06:58:00Z"} {
+			for _, limit := range []int{1, 7, 100} {
+				pages, records, cursor := 0, 0, ""
+				for {
+					path := "/v2/verdicts?limit=" + strconv.Itoa(limit) + filter
+					if cursor != "" {
+						path += "&cursor=" + cursor
 					}
-					if filter == "" && (records != b.Len() || pages != (b.Len()+limit-1)/limit) {
-						t.Errorf("limit %d: walked %d records over %d pages of a %d-record store", limit, records, pages, b.Len())
+					got, want, next := get(path, true)
+					same(path, got, want)
+					var pr VerdictsPageResponse
+					if err := json.Unmarshal(got, &pr); err != nil {
+						t.Fatalf("GET %s: %v", path, err)
+					}
+					if pr.NextCursor != next || bytes.Contains(got, []byte("next_cursor")) != (next != "") {
+						t.Fatalf("GET %s: next_cursor %q in %s, store said %q", path, pr.NextCursor, got, next)
+					}
+					pages++
+					records += pr.Count
+					if cursor = next; cursor == "" {
+						break
 					}
 				}
+				if filter == "" && (records != b.Len() || pages != (b.Len()+limit-1)/limit) {
+					t.Errorf("limit %d: walked %d records over %d pages of a %d-record store", limit, records, pages, b.Len())
+				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestVerdictsCorruptFrameIs500: the envelope is written only once the

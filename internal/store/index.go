@@ -2,11 +2,10 @@ package store
 
 import "sort"
 
-// entry is one live record's index row. Both engines share it: the
-// memory engine keeps the record's document beside the index, by seq;
-// the segmented engine keeps only the on-disk location (seg/off/n) and
-// reads the frame from its segment on demand, so a store of millions of
-// verdicts costs index-row memory, not record memory.
+// entry is one live record's index row. It keeps only the on-disk
+// location (seg/off/n) and the store reads the frame from its segment
+// on demand, so a store of millions of verdicts costs index-row memory,
+// not record memory.
 type entry struct {
 	seq      uint64
 	start    string // Record.URL ("" when equal to landing)
@@ -23,7 +22,7 @@ type entry struct {
 	// them and maybeShrink reclaims them in bulk.
 	dead bool
 
-	seg uint64 // segmented engine: segment ID holding the frame
+	seg uint64 // segment ID holding the frame
 	off int64  // frame offset within the segment
 	n   uint32 // full frame length in bytes
 }
@@ -53,10 +52,9 @@ type pageKey struct{ landing, fp string }
 
 func (e *entry) key() pageKey { return pageKey{e.landing, e.fp} }
 
-// memIndex is the in-memory view of the live records, shared by all
-// engines: the supersede map plus the secondary indexes the Scan
-// filters and Get are served from. Not self-locking — the owning engine
-// serializes access.
+// memIndex is the in-memory view of the live records: the supersede
+// map plus the secondary indexes the Scan filters and Get are served
+// from. Not self-locking — the owning store serializes access.
 type memIndex struct {
 	byKey map[pageKey]*entry // supersede identity → newest entry
 

@@ -62,7 +62,6 @@ func maybeMigrate(cfg Config) error {
 	}
 	dstCfg := cfg
 	dstCfg.Path = side
-	dstCfg.Backend = BackendSegmented
 	dstCfg.CompactEvery = -1         // nothing to supersede in a replay
 	dstCfg.MaxExplainBytes = 1 << 30 // preserve stored evidence verbatim
 	dst, err := openSegmented(dstCfg)

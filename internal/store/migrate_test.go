@@ -32,7 +32,7 @@ func legacyLines(t testing.TB, recs []Record) []byte {
 
 // TestMigration proves the one-shot JSONL→segmented migration preserves
 // every record and every index: the migrated store answers exactly like
-// the memory engine fed the same records.
+// a store freshly appended with the same records.
 func TestMigration(t *testing.T) {
 	base := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
 	recs := make([]Record, 50)
@@ -56,7 +56,7 @@ func TestMigration(t *testing.T) {
 	if err := os.WriteFile(path, legacyLines(t, recs), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ref := openEngine(t, BackendMemory, Config{})
+	ref := openStore(t, Config{})
 	for _, r := range recs {
 		if err := ref.Append(ctxb(), r); err != nil {
 			t.Fatal(err)

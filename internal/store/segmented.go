@@ -41,7 +41,6 @@ type segStore struct {
 	segBytes     int64
 	compactEvery int
 	maxExplain   int
-	snapEvery    int
 	log          *slog.Logger
 
 	mu         sync.Mutex
@@ -149,7 +148,6 @@ func openSegmented(cfg Config) (*segStore, error) {
 		segBytes:     int64(cfg.SegmentBytes),
 		compactEvery: cfg.CompactEvery,
 		maxExplain:   cfg.MaxExplainBytes,
-		snapEvery:    cfg.SnapshotEvery,
 		log:          cfg.Logger,
 		ix:           newMemIndex(),
 		sealed:       map[uint64]*sidecar{},
@@ -169,9 +167,6 @@ func openSegmented(cfg Config) (*segStore, error) {
 	}
 	if s.maxExplain == 0 {
 		s.maxExplain = DefaultMaxExplainBytes
-	}
-	if s.snapEvery == 0 {
-		s.snapEvery = DefaultSnapshotEvery
 	}
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", s.dir, err)
@@ -432,7 +427,7 @@ func (s *segStore) sealActiveLocked() error {
 	s.sealed[s.activeID] = sc
 	_ = s.active.Close()
 	s.active = nil
-	if s.snapEvery > 0 && s.sinceSnap >= s.snapEvery {
+	if s.sinceSnap >= DefaultSnapshotEvery {
 		s.sinceSnap = 0
 		data, wm := s.encodeSnapshotLocked()
 		s.wg.Add(1)
@@ -667,7 +662,7 @@ func (s *segStore) Stats() Stats {
 		segs++
 	}
 	return Stats{
-		Backend:             BackendSegmented,
+		Backend:             "segmented",
 		Records:             s.ix.live(),
 		Appends:             s.appends,
 		Compactions:         s.compactions,

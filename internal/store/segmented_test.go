@@ -18,7 +18,7 @@ import (
 // instance never runs its orderly shutdown.
 func segOpen(t *testing.T, cfg Config) *segStore {
 	t.Helper()
-	return openEngine(t, BackendSegmented, cfg).(*segStore)
+	return openStore(t, cfg).(*segStore)
 }
 
 func ctxb() context.Context { return context.Background() }
@@ -237,7 +237,7 @@ func TestSegmentedAutomaticCompaction(t *testing.T) {
 }
 
 // TestScanOrderDeterministic pins the ordering guarantee: every query
-// path on every engine returns strictly descending Seq.
+// path returns strictly descending Seq.
 func TestScanOrderDeterministic(t *testing.T) {
 	queries := []Query{
 		{},
@@ -247,106 +247,102 @@ func TestScanOrderDeterministic(t *testing.T) {
 		{PhishOnly: true},
 		{Target: "brand.com", PhishOnly: true, Limit: 4},
 	}
-	for _, name := range engines {
-		b := openEngine(t, name, Config{SegmentBytes: 1024})
-		for i := 0; i < 30; i++ {
-			r := rec("http://start.test/"+strconv.Itoa(i), "http://shared.test/", "fp"+strconv.Itoa(i%10), "", i%2 == 0)
-			if i%3 == 0 {
-				r.Target = "brand.com"
-			}
-			if i%2 == 1 {
-				r.ModelVersion = "v2"
-			}
-			if err := b.Append(ctxb(), r); err != nil {
-				t.Fatalf("%s: Append: %v", name, err)
+	b := openStore(t, Config{SegmentBytes: 1024})
+	for i := 0; i < 30; i++ {
+		r := rec("http://start.test/"+strconv.Itoa(i), "http://shared.test/", "fp"+strconv.Itoa(i%10), "", i%2 == 0)
+		if i%3 == 0 {
+			r.Target = "brand.com"
+		}
+		if i%2 == 1 {
+			r.ModelVersion = "v2"
+		}
+		if err := b.Append(ctxb(), r); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	for qi, q := range queries {
+		page, err := b.Scan(ctxb(), q)
+		if err != nil {
+			t.Fatalf("query %d: %v", qi, err)
+		}
+		recs := decodePage(t, page)
+		for j := 1; j < len(recs); j++ {
+			if recs[j-1].Seq <= recs[j].Seq {
+				t.Fatalf("query %d: order not strictly descending at %d: %d then %d",
+					qi, j, recs[j-1].Seq, recs[j].Seq)
 			}
 		}
-		for qi, q := range queries {
-			page, err := b.Scan(ctxb(), q)
-			if err != nil {
-				t.Fatalf("%s query %d: %v", name, qi, err)
-			}
-			recs := decodePage(t, page)
-			for j := 1; j < len(recs); j++ {
-				if recs[j-1].Seq <= recs[j].Seq {
-					t.Fatalf("%s query %d: order not strictly descending at %d: %d then %d",
-						name, qi, j, recs[j-1].Seq, recs[j].Seq)
-				}
-			}
-			if len(recs) == 0 && !q.PhishOnly && q.Limit == 0 && q.Target == "" && q.URL == "" && q.ModelVersion == "" {
-				t.Fatalf("%s: unfiltered scan returned nothing", name)
-			}
+		if len(recs) == 0 && !q.PhishOnly && q.Limit == 0 && q.Target == "" && q.URL == "" && q.ModelVersion == "" {
+			t.Fatal("unfiltered scan returned nothing")
 		}
-		// 10 generations carried the target but only the newest per
-		// landing+fingerprint is live: i∈{21,24,27}.
-		if page, err := b.Scan(ctxb(), Query{Target: "brand.com"}); err != nil || len(page.Payloads) != 3 {
-			t.Fatalf("%s: by target = %d records (err %v), want 3", name, len(page.Payloads), err)
-		}
+	}
+	// 10 generations carried the target but only the newest per
+	// landing+fingerprint is live: i∈{21,24,27}.
+	if page, err := b.Scan(ctxb(), Query{Target: "brand.com"}); err != nil || len(page.Payloads) != 3 {
+		t.Fatalf("by target = %d records (err %v), want 3", len(page.Payloads), err)
 	}
 }
 
 func TestScanCursorPagination(t *testing.T) {
-	for _, backend := range engines {
-		t.Run(backend, func(t *testing.T) {
-			b := openEngine(t, backend, Config{SegmentBytes: 1024})
-			for i := 0; i < 23; i++ {
-				r := rec("http://u.test/"+strconv.Itoa(i), "http://u.test/"+strconv.Itoa(i), "fp", "", i%2 == 0)
-				if i%3 == 0 {
-					r.Target = "brand.com"
-				}
-				if err := b.Append(ctxb(), r); err != nil {
-					t.Fatal(err)
-				}
+	t.Run("segmented", func(t *testing.T) {
+		b := openStore(t, Config{SegmentBytes: 1024})
+		for i := 0; i < 23; i++ {
+			r := rec("http://u.test/"+strconv.Itoa(i), "http://u.test/"+strconv.Itoa(i), "fp", "", i%2 == 0)
+			if i%3 == 0 {
+				r.Target = "brand.com"
 			}
-			// Page through everything: no duplicates, no gaps, newest
-			// first end to end.
-			all := scanAll(t, b, Query{}, 5)
-			if len(all) != 23 {
-				t.Fatalf("paged total = %d, want 23", len(all))
-			}
-			for j := 1; j < len(all); j++ {
-				if all[j-1].Seq <= all[j].Seq {
-					t.Fatalf("cross-page order violated at %d", j)
-				}
-			}
-			// A filtered paged walk agrees with the one-shot query.
-			filtered := scanAll(t, b, Query{Target: "brand.com"}, 3)
-			oneShot, err := b.Scan(ctxb(), Query{Target: "brand.com"})
-			if err != nil {
+			if err := b.Append(ctxb(), r); err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(filtered, decodePage(t, oneShot)) {
-				t.Fatalf("paged filter (%d) != one-shot (%d)", len(filtered), len(oneShot.Payloads))
+		}
+		// Page through everything: no duplicates, no gaps, newest
+		// first end to end.
+		all := scanAll(t, b, Query{}, 5)
+		if len(all) != 23 {
+			t.Fatalf("paged total = %d, want 23", len(all))
+		}
+		for j := 1; j < len(all); j++ {
+			if all[j-1].Seq <= all[j].Seq {
+				t.Fatalf("cross-page order violated at %d", j)
 			}
-			// The final page reports exhaustion, not a dangling cursor.
-			last, err := b.Scan(ctxb(), Query{Limit: 23})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if last.NextCursor != "" {
-				t.Fatalf("exact-limit page should exhaust, got cursor %q", last.NextCursor)
-			}
-			// Malformed cursors are rejected, not misread.
-			if _, err := b.Scan(ctxb(), Query{Cursor: "not-a-cursor"}); !errors.Is(err, ErrBadCursor) {
-				t.Fatalf("bad cursor error = %v, want ErrBadCursor", err)
-			}
-			// Appends after a cursor was issued do not disturb the walk.
-			mid, err := b.Scan(ctxb(), Query{Limit: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Append(ctxb(), rec("http://late.test/", "http://late.test/", "fp", "", false)); err != nil {
-				t.Fatal(err)
-			}
-			rest, err := b.Scan(ctxb(), Query{Limit: 1000, Cursor: mid.NextCursor})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(mid.Payloads)+len(rest.Payloads) != 23 {
-				t.Fatalf("resumed walk saw %d records, want 23 (late append excluded)", len(mid.Payloads)+len(rest.Payloads))
-			}
-		})
-	}
+		}
+		// A filtered paged walk agrees with the one-shot query.
+		filtered := scanAll(t, b, Query{Target: "brand.com"}, 3)
+		oneShot, err := b.Scan(ctxb(), Query{Target: "brand.com"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(filtered, decodePage(t, oneShot)) {
+			t.Fatalf("paged filter (%d) != one-shot (%d)", len(filtered), len(oneShot.Payloads))
+		}
+		// The final page reports exhaustion, not a dangling cursor.
+		last, err := b.Scan(ctxb(), Query{Limit: 23})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last.NextCursor != "" {
+			t.Fatalf("exact-limit page should exhaust, got cursor %q", last.NextCursor)
+		}
+		// Malformed cursors are rejected, not misread.
+		if _, err := b.Scan(ctxb(), Query{Cursor: "not-a-cursor"}); !errors.Is(err, ErrBadCursor) {
+			t.Fatalf("bad cursor error = %v, want ErrBadCursor", err)
+		}
+		// Appends after a cursor was issued do not disturb the walk.
+		mid, err := b.Scan(ctxb(), Query{Limit: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Append(ctxb(), rec("http://late.test/", "http://late.test/", "fp", "", false)); err != nil {
+			t.Fatal(err)
+		}
+		rest, err := b.Scan(ctxb(), Query{Limit: 1000, Cursor: mid.NextCursor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(mid.Payloads)+len(rest.Payloads) != 23 {
+			t.Fatalf("resumed walk saw %d records, want 23 (late append excluded)", len(mid.Payloads)+len(rest.Payloads))
+		}
+	})
 }
 
 // TestCrashRecoveryMatrix kills the store mid-append, mid-seal and
@@ -593,34 +589,6 @@ func walkUntil(b Backend, pageSize int, stop <-chan struct{}) error {
 			last = true
 		default:
 		}
-	}
-}
-
-func TestMemoryBackend(t *testing.T) {
-	b, err := Open(Config{Backend: BackendMemory})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := b.Append(ctxb(), rec("http://m.test/", "http://m.test/", "fp", "brand.com", true)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if b.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (supersede)", b.Len())
-	}
-	got, ok, err := b.Get(ctxb(), "http://m.test/")
-	if err != nil || !ok || got.Seq != 3 {
-		t.Fatalf("Get = %+v ok=%v err=%v, want seq 3", got, ok, err)
-	}
-	if st := b.Stats(); st.Backend != BackendMemory || st.Superseded != 2 {
-		t.Fatalf("Stats = %+v", st)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Append(ctxb(), Record{URL: "x", LandingURL: "x"}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Append after Close = %v, want ErrClosed", err)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 func realSnapshot(f *testing.F) []byte {
 	f.Helper()
 	dir := filepath.Join(f.TempDir(), "verdicts")
-	st, err := Open(Config{Backend: BackendSegmented, Path: dir})
+	st, err := Open(Config{Path: dir})
 	if err != nil {
 		f.Fatal(err)
 	}

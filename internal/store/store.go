@@ -1,31 +1,26 @@
 // Package store is the durable verdict store of the feed-ingestion
-// pipeline: every scored URL becomes a Record, persisted by a pluggable
-// storage engine behind the Backend interface and queryable through
-// secondary indexes (by URL, by identified target brand, by model
-// version, by time range) with cursor-based pagination.
+// pipeline: every scored URL becomes a Record, persisted by the storage
+// engine behind the Backend interface and queryable through secondary
+// indexes (by URL, by identified target brand, by model version, by
+// time range) with cursor-based pagination.
 //
-// Two engines implement Backend:
+// The engine is a segmented write-ahead log. Records are appended to a
+// fixed-size active segment as CRC-framed JSON; full segments are
+// sealed with a per-segment sparse index sidecar and become immutable.
+// Only the in-memory index (seq, URLs, target, model version,
+// timestamp, on-disk location) is held in RAM — frames are read back
+// from their segment on demand, so memory stays proportional to the
+// index, not the log. Recovery loads a binary snapshot of the index
+// plus the log tail past the snapshot's watermark (skipping sealed
+// segments the snapshot already covers), and truncates a torn tail on
+// the active segment only. Background merge compaction rewrites sealed
+// segments dropping superseded verdicts (an older record for the same
+// landing URL + content fingerprint) without ever blocking appends:
+// sealed segments are immutable, so the rewrite happens outside the
+// store lock and only the index repointing takes it.
 //
-//   - segmented (the default): a segmented write-ahead log. Records are
-//     appended to a fixed-size active segment as CRC-framed JSON;
-//     full segments are sealed with a per-segment sparse index sidecar
-//     and become immutable. Only the in-memory index (seq, URLs,
-//     target, model version, timestamp, on-disk location) is held in
-//     RAM — frames are read back from their segment on demand, so
-//     memory stays proportional to the index, not the log. Recovery
-//     loads a binary snapshot of the index plus the log tail past the
-//     snapshot's watermark (skipping sealed segments the snapshot
-//     already covers), and truncates a torn tail on the active segment
-//     only. Background merge compaction rewrites sealed segments
-//     dropping superseded verdicts (an older record for the same
-//     landing URL + content fingerprint) without ever blocking appends:
-//     sealed segments are immutable, so the rewrite happens outside the
-//     store lock and only the index repointing takes it.
-//   - memory: the same index with each record's document held beside
-//     it and no files — the test engine.
-//
-// What both engines hold is the JSON document Append marshalled, and
-// that document is what the HTTP API emits, so the read side never goes
+// What a frame holds is the JSON document Append marshalled, and that
+// document is what the HTTP API emits, so the read side never goes
 // through a Record: Scan answers its filters, its order and its cursor
 // from the index alone and returns the matching documents as raw bytes
 // (ScanPage.Payloads) for the handler to splice into its response.
@@ -60,14 +55,6 @@ import (
 	"knowphish/internal/obs"
 )
 
-// Backend names accepted by Config.Backend.
-const (
-	// BackendSegmented is the segmented write-ahead log, the default.
-	BackendSegmented = "segmented"
-	// BackendMemory is the in-memory engine (tests; nothing persists).
-	BackendMemory = "memory"
-)
-
 // Defaults for Config zero values.
 const (
 	// DefaultCompactEvery is the append count between automatic
@@ -75,13 +62,13 @@ const (
 	DefaultCompactEvery = 4096
 	// DefaultMaxExplainBytes is the per-record explanation size cap.
 	DefaultMaxExplainBytes = 8192
-	// DefaultSegmentBytes is the segmented engine's segment size: the
-	// active segment seals and a new one opens when it would grow past
-	// this.
+	// DefaultSegmentBytes is the segment size: the active segment seals
+	// and a new one opens when it would grow past this.
 	DefaultSegmentBytes = 4 << 20
-	// DefaultSnapshotEvery is the segmented engine's append count
-	// between periodic index snapshots (snapshots are also written on
-	// compaction and Close, so a cleanly closed store always fast-starts).
+	// DefaultSnapshotEvery is the append count between periodic index
+	// snapshots, taken at the first seal past it (snapshots are also
+	// written on compaction and Close, so a cleanly closed store always
+	// fast-starts).
 	DefaultSnapshotEvery = 65536
 )
 
@@ -140,16 +127,12 @@ func (r *Record) key() string { return r.LandingURL + "\x00" + r.Fingerprint }
 
 // Config assembles a Backend.
 type Config struct {
-	// Path locates the segmented engine's directory (created, with
-	// parents, if missing). A path that holds a legacy JSONL file is
-	// migrated one-shot: the records are rewritten into a segment
-	// directory at Path and the original file is kept beside it,
-	// byte-identical, as "<Path>.pre-migration.jsonl". Ignored by the
-	// memory engine. Required otherwise.
+	// Path locates the store's directory (created, with parents, if
+	// missing). A path that holds a legacy JSONL file is migrated
+	// one-shot: the records are rewritten into a segment directory at
+	// Path and the original file is kept beside it, byte-identical, as
+	// "<Path>.pre-migration.jsonl". Required.
 	Path string
-	// Backend selects the engine: BackendSegmented (the default, "") or
-	// BackendMemory.
-	Backend string
 	// Sync forces an fsync after every append. Durable against power
 	// loss, but serializes appends on disk latency; leave false when
 	// the OS page cache is trustworthy enough (the default, matching
@@ -157,8 +140,8 @@ type Config struct {
 	// the seal is recorded, whatever this says.
 	Sync bool
 	// CompactEvery triggers compaction after that many appends
-	// (0 → DefaultCompactEvery, negative → never automatically). The
-	// segmented engine compacts in the background; appends never wait.
+	// (0 → DefaultCompactEvery, negative → never automatically).
+	// Compaction runs in the background; appends never wait.
 	CompactEvery int
 	// MaxExplainBytes caps the serialized size of a record's
 	// Explanation (0 → DefaultMaxExplainBytes, negative → never
@@ -167,14 +150,8 @@ type Config struct {
 	// explanation of a 212-feature model can dwarf the verdict it
 	// explains, and an append-only log amplifies that forever.
 	MaxExplainBytes int
-	// SegmentBytes is the segmented engine's segment size
-	// (0 → DefaultSegmentBytes). Ignored by the other engines.
+	// SegmentBytes is the segment size (0 → DefaultSegmentBytes).
 	SegmentBytes int
-	// SnapshotEvery is the segmented engine's append count between
-	// periodic index snapshots (0 → DefaultSnapshotEvery, negative →
-	// snapshot only on compaction and Close). Ignored by the other
-	// engines.
-	SnapshotEvery int
 	// Logger receives the engine's structured logs — compaction results
 	// and failures, legacy-log migration, recovery replay (nil →
 	// discard).
@@ -183,7 +160,7 @@ type Config struct {
 
 // Stats are the store counters exported at /metrics.
 type Stats struct {
-	// Backend names the engine serving the store.
+	// Backend names the engine serving the store: always "segmented".
 	Backend string `json:"backend,omitempty"`
 	// Records is the number of live (indexed) verdicts.
 	Records int `json:"records"`
@@ -200,10 +177,10 @@ type Stats struct {
 	// ExplanationsDropped counts appended records whose evidence was
 	// discarded for exceeding the explanation size cap.
 	ExplanationsDropped int64 `json:"explanations_dropped,omitempty"`
-	// Segments is the segment-file count of the segmented engine.
+	// Segments is the segment-file count.
 	Segments int `json:"segments,omitempty"`
 	// SnapshotSeq is the watermark of the last index snapshot written
-	// by the segmented engine (0 → none yet this process).
+	// (0 → none yet this process).
 	SnapshotSeq uint64 `json:"snapshot_seq,omitempty"`
 	// TailReplayed counts records replayed past the snapshot watermark
 	// when the store was opened — the cost of the last fast-start.
@@ -246,8 +223,7 @@ type ScanPage struct {
 	// Payloads are the matching records, newest first, each the JSON
 	// document the store holds for it — byte for byte what Append
 	// marshalled, CRC-verified on the way out of its segment and not
-	// decoded. They alias memory the engine owns (one page buffer, or
-	// the memory engine's own documents): read-only.
+	// decoded. They alias one page buffer the store owns: read-only.
 	//
 	// Append stores only documents that decode and re-encode to
 	// themselves, so splicing a payload into a response is
@@ -306,7 +282,7 @@ func parseCursor(s string) (seq uint64, ok bool, err error) {
 	return seq, true, nil
 }
 
-// Backend is the pluggable verdict-store engine: append-only writes,
+// Backend is the verdict-store engine: append-only writes,
 // point lookups, cursor-paginated scans over the secondary indexes,
 // and compaction that drops superseded verdicts. All implementations
 // are safe for concurrent use; every method observes ctx.
@@ -322,45 +298,34 @@ type Backend interface {
 	// ordering use the index only; the records come back as the stored
 	// documents (see ScanPage), never decoded.
 	Scan(ctx context.Context, q Query) (ScanPage, error)
-	// Compact reclaims superseded records. The segmented engine merges
-	// sealed segments in place without blocking concurrent appends.
+	// Compact reclaims superseded records, merging sealed segments in
+	// place without blocking concurrent appends.
 	Compact(ctx context.Context) error
 	// Stats returns the engine counters.
 	Stats() Stats
 	// Len returns the number of live records.
 	Len() int
-	// Path locates the store on disk ("" for the memory engine).
+	// Path locates the store on disk.
 	Path() string
 	// Close flushes and closes the store. Further appends fail.
 	Close() error
 }
 
-// Open opens (creating if necessary) the store described by cfg and
-// returns its engine behind the Backend interface. With the default
-// segmented backend, a cfg.Path holding a legacy JSONL log is migrated
-// one-shot into the segmented layout first (the original file survives
-// byte-identical as "<Path>.pre-migration.jsonl").
+// Open opens (creating if necessary) the store at cfg.Path. A cfg.Path
+// holding a legacy JSONL log is migrated one-shot into the segmented
+// layout first (the original file survives byte-identical as
+// "<Path>.pre-migration.jsonl").
 func Open(cfg Config) (Backend, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
 	}
-	switch cfg.Backend {
-	case BackendMemory:
-		return newMemStore(cfg), nil
-	case "legacy":
-		return nil, errors.New(`store: the "legacy" backend was removed; open the path with the default backend, which migrates the JSONL log and keeps it as a backup`)
-	case "", BackendSegmented:
-		if cfg.Path == "" {
-			return nil, errors.New("store: Config.Path is required")
-		}
-		if err := maybeMigrate(cfg); err != nil {
-			return nil, fmt.Errorf("store: migrating legacy log %s: %w", cfg.Path, err)
-		}
-		return openSegmented(cfg)
-	default:
-		return nil, fmt.Errorf("store: unknown backend %q (want %q or %q)",
-			cfg.Backend, BackendSegmented, BackendMemory)
+	if cfg.Path == "" {
+		return nil, errors.New("store: Config.Path is required")
 	}
+	if err := maybeMigrate(cfg); err != nil {
+		return nil, fmt.Errorf("store: migrating legacy log %s: %w", cfg.Path, err)
+	}
+	return openSegmented(cfg)
 }
 
 // prepare fills a record's append-time fields: sequence number,

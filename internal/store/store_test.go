@@ -3,28 +3,22 @@ package store
 import (
 	"errors"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"knowphish/internal/core"
 )
 
-// engines lists every backend Open accepts; engine-independent cases
-// run on each.
-var engines = []string{BackendSegmented, BackendMemory}
-
-// openEngine opens the named engine (on a fresh directory when it needs
-// one and cfg.Path is unset) with auto-close.
-func openEngine(t *testing.T, backend string, cfg Config) Backend {
+// openStore opens a store on a fresh directory (or cfg.Path) with
+// auto-close.
+func openStore(t *testing.T, cfg Config) Backend {
 	t.Helper()
-	cfg.Backend = backend
-	if cfg.Path == "" && backend != BackendMemory {
+	if cfg.Path == "" {
 		cfg.Path = filepath.Join(t.TempDir(), "verdicts")
 	}
 	b, err := Open(cfg)
 	if err != nil {
-		t.Fatalf("Open(%s): %v", backend, err)
+		t.Fatalf("Open: %v", err)
 	}
 	t.Cleanup(func() { _ = b.Close() })
 	return b
@@ -42,65 +36,51 @@ func rec(url, landing, fp, target string, phish bool) Record {
 }
 
 func TestSelectFilters(t *testing.T) {
-	for _, backend := range engines {
-		t.Run(backend, func(t *testing.T) {
-			s := openEngine(t, backend, Config{})
-			base := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
-			for i := 0; i < 6; i++ {
-				r := rec("http://u.test/"+string(rune('a'+i)), "http://u.test/"+string(rune('a'+i)), "fp", "", i%2 == 0)
-				if i%2 == 0 {
-					r.Target = "brand.com"
-				}
-				r.ScoredAt = base.Add(time.Duration(i) * time.Hour)
-				if err := s.Append(ctxb(), r); err != nil {
-					t.Fatal(err)
-				}
+	t.Run("segmented", func(t *testing.T) {
+		s := openStore(t, Config{})
+		base := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
+		for i := 0; i < 6; i++ {
+			r := rec("http://u.test/"+string(rune('a'+i)), "http://u.test/"+string(rune('a'+i)), "fp", "", i%2 == 0)
+			if i%2 == 0 {
+				r.Target = "brand.com"
 			}
-			sel := func(q Query) []Record {
-				t.Helper()
-				page, err := s.Scan(ctxb(), q)
-				if err != nil {
-					t.Fatalf("Scan(%+v): %v", q, err)
-				}
-				return decodePage(t, page)
+			r.ScoredAt = base.Add(time.Duration(i) * time.Hour)
+			if err := s.Append(ctxb(), r); err != nil {
+				t.Fatal(err)
 			}
-			if got := len(sel(Query{Target: "brand.com"})); got != 3 {
-				t.Errorf("by target = %d, want 3", got)
+		}
+		sel := func(q Query) []Record {
+			t.Helper()
+			page, err := s.Scan(ctxb(), q)
+			if err != nil {
+				t.Fatalf("Scan(%+v): %v", q, err)
 			}
-			if got := len(sel(Query{Since: base.Add(3 * time.Hour)})); got != 3 {
-				t.Errorf("since +3h = %d, want 3", got)
-			}
-			if got := len(sel(Query{PhishOnly: true})); got != 3 {
-				t.Errorf("phish only = %d, want 3", got)
-			}
-			if got := sel(Query{Limit: 2}); len(got) != 2 || got[0].Seq < got[1].Seq {
-				t.Errorf("limit 2 newest-first violated: %+v", got)
-			}
-			if got := len(sel(Query{URL: "http://u.test/a"})); got != 1 {
-				t.Errorf("by url = %d, want 1", got)
-			}
-			if got := len(sel(Query{})); got != 6 {
-				t.Errorf("unfiltered = %d, want 6", got)
-			}
-		})
-	}
+			return decodePage(t, page)
+		}
+		if got := len(sel(Query{Target: "brand.com"})); got != 3 {
+			t.Errorf("by target = %d, want 3", got)
+		}
+		if got := len(sel(Query{Since: base.Add(3 * time.Hour)})); got != 3 {
+			t.Errorf("since +3h = %d, want 3", got)
+		}
+		if got := len(sel(Query{PhishOnly: true})); got != 3 {
+			t.Errorf("phish only = %d, want 3", got)
+		}
+		if got := sel(Query{Limit: 2}); len(got) != 2 || got[0].Seq < got[1].Seq {
+			t.Errorf("limit 2 newest-first violated: %+v", got)
+		}
+		if got := len(sel(Query{URL: "http://u.test/a"})); got != 1 {
+			t.Errorf("by url = %d, want 1", got)
+		}
+		if got := len(sel(Query{})); got != 6 {
+			t.Errorf("unfiltered = %d, want 6", got)
+		}
+	})
 }
 
 func TestOpenValidates(t *testing.T) {
 	if _, err := Open(Config{}); err == nil {
 		t.Error("empty path: want error")
-	}
-	if _, err := Open(Config{Path: filepath.Join(t.TempDir(), "x"), Backend: "bogus"}); err == nil {
-		t.Error("unknown backend: want error")
-	}
-	// The removed engine's name is rejected with the way forward, and
-	// nothing is created at the path.
-	gone := filepath.Join(t.TempDir(), "v.jsonl")
-	if _, err := Open(Config{Path: gone, Backend: "legacy"}); err == nil || !strings.Contains(err.Error(), "default backend") {
-		t.Errorf("legacy backend: err = %v, want a hint to open with the default backend", err)
-	}
-	if matches, _ := filepath.Glob(gone + "*"); len(matches) != 0 {
-		t.Errorf("rejected open left %v behind", matches)
 	}
 	// Parent directories are created.
 	path := filepath.Join(t.TempDir(), "deep", "nested", "verdicts")
@@ -116,10 +96,8 @@ func TestOpenValidates(t *testing.T) {
 }
 
 func TestSyncMode(t *testing.T) {
-	for _, backend := range engines {
-		s := openEngine(t, backend, Config{Sync: true})
-		if err := s.Append(ctxb(), rec("http://s.test/", "http://s.test/", "fp", "", false)); err != nil {
-			t.Fatalf("%s: Append with Sync: %v", backend, err)
-		}
+	s := openStore(t, Config{Sync: true})
+	if err := s.Append(ctxb(), rec("http://s.test/", "http://s.test/", "fp", "", false)); err != nil {
+		t.Fatalf("Append with Sync: %v", err)
 	}
 }

@@ -108,9 +108,8 @@ type ServerConfig = serve.Config
 // detector and a target identifier.
 func NewServer(cfg ServerConfig) (*serve.Server, error) { return serve.New(cfg) }
 
-// OpenVerdictStore opens (creating if necessary) a verdict store with
-// the engine named by cfg.Backend — the segmented write-ahead log by
-// default. A legacy JSONL log found at cfg.Path is migrated into
+// OpenVerdictStore opens (creating if necessary) the segmented verdict
+// store at cfg.Path. A legacy JSONL log found there is migrated into
 // segments on first open.
 func OpenVerdictStore(cfg store.Config) (store.Backend, error) { return store.Open(cfg) }
 

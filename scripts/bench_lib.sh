@@ -5,12 +5,11 @@
 # artifact together — they can never silently diverge.
 #
 # KEY_BENCHES selects what runs; KEY_GATE is the gate filter over the
-# resulting (sub-)benchmark names. They differ in one deliberate way:
-# BenchmarkGBMPredict/layout=tree is the retained reference walk — it
-# serves no traffic, so it runs (its delta is informative) but is not
-# held to the threshold; layout=flat, the production path, is. The
-# store benchmarks are gated by their full backend=segmented names so a
-# base ref that still ran a second engine does not read as a removal.
+# resulting (sub-)benchmark names. BenchmarkGBMPredict is gated by its
+# layout=flat name, and the store benchmarks by their full
+# backend=segmented names, so a base ref that still ran the tree-walk
+# layout (now a test oracle in internal/ml) or a second store
+# engine does not read as a removal.
 # BenchmarkVerdictsPage is the same read one layer up: a whole
 # /v2/verdicts page through ServeHTTP.
 # BenchmarkAnalyze is anchored (the -N suffix is the GOMAXPROCS tag) so
