@@ -199,15 +199,16 @@ registry-check:
 alloc-check:
 	$(GO) test -count=1 -run Alloc ./...
 
-# One process assembly: outside internal/app, the knowphish facade,
-# serve.New's own default memo, tests and the frozen benchmark/ harness,
-# nothing constructs a server, a feed scheduler, a stage memo or a
-# verdict store — kpserve, `kpload run -self` and BenchmarkLoadEndToEnd
-# all go through app.Start, and a second wiring cannot quietly regrow.
+# One process assembly: outside internal/app, serve.New's own default
+# memo, tests and the frozen benchmark/ harness, nothing constructs a
+# server, a feed scheduler, a stage memo or a verdict store — kpserve,
+# `kpload run -self` and BenchmarkLoadEndToEnd all go through app.Start,
+# a second wiring cannot quietly regrow, and the knowphish facade builds
+# no server and no store.
 ASSEMBLY_CTORS = \b(serve\.New|feed\.New|coalesce\.New|store\.Open)\(
 assembly-check:
 	@out="$$(git grep -n -E '$(ASSEMBLY_CTORS)' -- '*.go' ':!*_test.go' \
-		':!internal/app/' ':!knowphish.go' ':!benchmark/' \
+		':!internal/app/' ':!benchmark/' \
 		| grep -v '^internal/serve/server\.go:.*coalesce\.New(')"; \
 	if [ -n "$$out" ]; then \
 		echo "constructed outside internal/app:" >&2; echo "$$out" >&2; exit 1; fi

@@ -1,9 +1,9 @@
 // Command kpserve runs the concurrent phishing-scoring service. It is
 // flags, a listener and a signal handler over the process assembly
 // (internal/app), which builds the whole stack — model source, stage
-// memo, verdict store, feed pipeline and connectors, model lifecycle,
-// tracer, SLO engine, serve.Server — and takes it down in order on
-// SIGINT/SIGTERM: HTTP intake, connectors, feed drain, lifecycle, store.
+// memo, verdict store, feed pipeline and connectors, tracer, SLO
+// engine, serve.Server — and takes it down in order on SIGINT/SIGTERM:
+// HTTP intake, connectors, feed drain, store.
 // A verdict store that fails its final flush makes kpserve exit
 // non-zero.
 //
@@ -15,19 +15,18 @@
 //	        -feed-src ct=ndjson:https://ct.example/stream            # external feed connectors
 //	kpserve -addr :8080 -model model.json -ranking data/ranking.csv -index index.json
 //	kpserve -addr :8080 -deadline 250ms -explain top         # bounded, explainable verdicts
-//	kpserve -addr :8080 -registry models/ -store verdicts/ \
-//	        -shadow-frac 0.25 -auto-retrain                  # full model lifecycle
+//	kpserve -addr :8080 -registry models/ -store verdicts/   # versioned models, promoted by hand
 //	kpserve -addr :8080 -slo "score:p99<250ms,avail>99.9"    # error budgets + load shedding
 //
 // The model comes from -model (artifacts written by kptrain and kpgen),
 // from -registry (versioned models behind an atomic pointer, hot-swapped
-// through /v2/models with no restart), or — with neither — from a
-// detector self-trained on the synthetic corpus, a one-command demo. The
-// synthetic world doubles as the crawl source, so outside -model mode
-// -store also enables the feed pipeline (POST /v1/feed → crawl → score →
-// persist) and -feed-src connectors on top of it; with -registry as
-// well, the drift monitor and the -auto-retrain loop. Structured logs go
-// to stderr; -debug-addr binds net/http/pprof on a separate listener.
+// through POST /v2/models/promote with no restart), or — with neither —
+// from a detector self-trained on the synthetic corpus, a one-command
+// demo. The synthetic world doubles as the crawl source, so outside
+// -model mode -store also enables the feed pipeline (POST /v1/feed →
+// crawl → score → persist) and -feed-src connectors on top of it.
+// Structured logs go to stderr; -debug-addr binds net/http/pprof on a
+// separate listener.
 //
 // The endpoints are listed in internal/serve's package comment; request
 // formats, the store's on-disk layout and the v1 → v2 migration table
@@ -50,7 +49,6 @@ import (
 	"knowphish/internal/app"
 	"knowphish/internal/coalesce"
 	"knowphish/internal/core"
-	"knowphish/internal/drift"
 	"knowphish/internal/feed"
 	"knowphish/internal/feedsrc"
 	"knowphish/internal/obs"
@@ -156,9 +154,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (app.Config, options, error) {
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", app.DefaultDrainTimeout, "max wait for the feed to drain on shutdown")
 
 	fs.StringVar(&cfg.Registry, "registry", "", "model registry directory (versioned artifacts, /v2/models, zero-downtime champion hot-swap)")
-	fs.Float64Var(&cfg.ShadowFrac, "shadow-frac", 0.25, "fraction of feed traffic the challenger shadow-scores (with -registry)")
-	fs.IntVar(&cfg.DriftWindow, "drift-window", drift.DefaultWindow, "drift-monitor sliding window in observations (with -registry)")
-	fs.BoolVar(&cfg.AutoRetrain, "auto-retrain", false, "close the loop: drift flag triggers retrain from the store, gated challenger promotion follows")
 
 	logLevel := fs.String("log-level", "info", "structured log level: debug, info, warn or error")
 	logFormat := fs.String("log-format", "text", "structured log encoding: text or json")

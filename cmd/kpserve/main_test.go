@@ -37,9 +37,6 @@ var nonDefault = []string{
 	"-store-max-explain", "-1",
 	"-drain-timeout", "3s",
 	"-registry", "models",
-	"-shadow-frac", "0.5",
-	"-drift-window", "64",
-	"-auto-retrain",
 	"-log-level", "debug",
 	"-log-format", "json",
 	"-trace=false",

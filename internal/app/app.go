@@ -1,18 +1,18 @@
 // Package app is the process assembly: the one place that builds the
 // serving stack — event journal → SLO engine → tracer → model source →
-// target identifier → stage memo → verdict store → model lifecycle →
-// feed scheduler → feed connectors → serve.Server — and the one place
-// that takes it down again in order. cmd/kpserve binds its flags to
-// Config and listens; `kpload run -self` and BenchmarkLoadEndToEnd call
-// Start with a throwaway store directory and their own worker counts.
+// target identifier → stage memo → verdict store → feed scheduler →
+// feed connectors → serve.Server — and the one place that takes it
+// down again in order. cmd/kpserve binds its flags to Config and
+// listens; `kpload run -self` and BenchmarkLoadEndToEnd call Start with
+// a throwaway store directory and their own worker counts.
 // What they measure is therefore what kpserve runs: one stage memo
 // shared by the HTTP surface and the feed drain, the same verdict
 // store, the same tracer, the same shutdown order.
 //
 // `make assembly-check` keeps it the only place: outside this package,
-// the knowphish facade, serve.New's own default memo, tests and the
-// frozen benchmark/ harness, nothing constructs a server, a feed
-// scheduler, a stage memo or a verdict store.
+// serve.New's own default memo, tests and the frozen benchmark/
+// harness, nothing constructs a server, a feed scheduler, a stage memo
+// or a verdict store.
 package app
 
 import (
@@ -28,7 +28,6 @@ import (
 
 	"knowphish/internal/coalesce"
 	"knowphish/internal/core"
-	"knowphish/internal/drift"
 	"knowphish/internal/feed"
 	"knowphish/internal/feedsrc"
 	"knowphish/internal/obs"
@@ -105,11 +104,6 @@ type Config struct {
 	// scored and persisted (0 → DefaultDrainTimeout).
 	DrainTimeout time.Duration
 
-	// The model lifecycle runs with Registry, a store and a crawl source.
-	ShadowFrac  float64
-	DriftWindow int
-	AutoRetrain bool
-
 	// Logger receives every subsystem's structured logs (nil → discard).
 	Logger *slog.Logger
 	// Trace records per-stage request and feed traces.
@@ -139,7 +133,6 @@ type App struct {
 
 	logger    *slog.Logger
 	sources   *feedsrc.Mux
-	lifecycle *drift.Lifecycle
 	http      *http.Server
 	drain     time.Duration
 	stopTick  func()
@@ -234,8 +227,6 @@ func Start(cfg Config) (_ *App, err error) {
 		}
 	case a.Store != nil:
 		a.logger.Warn("the model source has no crawl source; POST /v1/feed disabled (GET /v1/verdicts still serves the store)")
-	case m.reg != nil && cfg.AutoRetrain:
-		a.logger.Warn("auto-retrain needs a store (the retrain corpus); running the registry without the retrain loop")
 	}
 
 	// External feed connectors fan into the scheduler; they only make
@@ -252,7 +243,6 @@ func Start(cfg Config) (_ *App, err error) {
 	a.Server, err = serve.New(serve.Config{
 		Detector:        m.Detector,
 		Registry:        m.reg,
-		Lifecycle:       a.lifecycle,
 		Identifier:      identifier,
 		Workers:         cfg.Workers,
 		MaxBatch:        cfg.MaxBatch,
@@ -300,8 +290,8 @@ func Start(cfg Config) (_ *App, err error) {
 	return a, nil
 }
 
-// startFeed builds the model lifecycle (registry mode only) and the
-// feed scheduler scoring through the shared stage memo.
+// startFeed builds the feed scheduler scoring through the shared stage
+// memo.
 func (a *App) startFeed(cfg Config, m World, identifier *target.Identifier, coal *coalesce.Coalescer, tracer *obs.Tracer) error {
 	feedCfg := feed.Config{
 		Fetcher:     m.Fetcher,
@@ -320,28 +310,10 @@ func (a *App) startFeed(cfg Config, m World, identifier *target.Identifier, coal
 		},
 	}
 	if m.reg != nil {
-		// The full lifecycle loop needs the registry (models), the store
-		// (retrain corpus) and the world (re-crawl source) — all present.
-		lc, err := drift.NewLifecycle(drift.LifecycleConfig{
-			Registry:       m.reg,
-			Store:          a.Store,
-			Fetcher:        m.Fetcher,
-			Rank:           m.rank,
-			Monitor:        drift.Config{Window: cfg.DriftWindow},
-			ShadowFraction: cfg.ShadowFrac,
-			AutoRetrain:    cfg.AutoRetrain,
-			Seed:           cfg.Seed,
-			Logger:         a.logger,
-		})
-		if err != nil {
-			return err
-		}
-		a.lifecycle = lc
-		a.logger.Info("drift monitor armed",
-			"window", cfg.DriftWindow, "shadow_frac", cfg.ShadowFrac, "auto_retrain", cfg.AutoRetrain)
+		// Registry mode: each URL scores on the champion current when it
+		// is picked up, so a promotion reaches the feed on the next item.
 		feedCfg.Pipeline.Detector = m.reg.Current()
 		feedCfg.Detectors = m.reg
-		feedCfg.OnVerdict = lc.OnVerdict
 	}
 	var err error
 	a.Feed, err = feed.New(feedCfg)
@@ -361,11 +333,10 @@ func (a *App) Serve(ln net.Listener) error {
 // Close takes the process down in dependency order: HTTP intake stops
 // and in-flight requests finish; the SLO tick and the feed connectors
 // stop, so no new URLs arrive; the feed drains — every accepted URL is
-// scored and persisted, or counted dropped after DrainTimeout; the
-// lifecycle stops retraining; and only then the store takes its final
-// sync and closes. It returns what failed — a store that could not
-// flush is an error the process must exit non-zero on. Later calls
-// return the first call's result.
+// scored and persisted, or counted dropped after DrainTimeout; and only
+// then the store takes its final sync and closes. It returns what
+// failed — a store that could not flush is an error the process must
+// exit non-zero on. Later calls return the first call's result.
 func (a *App) Close() error {
 	a.closeOnce.Do(func() { a.closeErr = a.close() })
 	return a.closeErr
@@ -400,12 +371,6 @@ func (a *App) close() error {
 		dropped := a.Feed.Drain(time.Now().Add(a.drain))
 		fs := a.Feed.Stats()
 		a.logger.Info("feed drained", "processed", fs.Processed, "failed", fs.Failed, "dropped", dropped)
-	}
-	if a.lifecycle != nil {
-		a.lifecycle.Close()
-		ls := a.lifecycle.Status()
-		a.logger.Info("lifecycle summary", "champion", ls.ChampionVersion,
-			"retrains", ls.Retrains, "promotions", ls.Promotions, "drift_flagged", ls.Drift.Flagged)
 	}
 	if a.Store != nil {
 		ss := a.Store.Stats()

@@ -26,10 +26,8 @@ type World struct {
 	Engine   *search.Engine
 	Fetcher  crawl.Fetcher
 
-	// Registry mode: reg serves the detector instead of Detector, and
-	// rank is the popularity list retraining needs.
-	reg  *registry.Registry
-	rank *ranking.List
+	// Registry mode: reg serves the detector instead of Detector.
+	reg *registry.Registry
 }
 
 // BuildCorpus generates the synthetic world and its campaigns — the
@@ -103,8 +101,7 @@ func openRegistry(cfg Config, logger *slog.Logger) (World, error) {
 	if err != nil {
 		return World{}, err
 	}
-	rank := corpus.World.Ranking()
-	reg, err := registry.Open(cfg.Registry, rank)
+	reg, err := registry.Open(cfg.Registry, corpus.World.Ranking())
 	if err != nil {
 		return World{}, err
 	}
@@ -125,7 +122,7 @@ func openRegistry(cfg Config, logger *slog.Logger) (World, error) {
 	m, _ := reg.Champion()
 	logger.Info("serving champion",
 		"version", m.Manifest.Version, "hash", m.Manifest.Hash[:12], "registered_versions", reg.Len())
-	return World{Engine: corpus.Engine, Fetcher: corpus.World, reg: reg, rank: rank}, nil
+	return World{Engine: corpus.Engine, Fetcher: corpus.World, reg: reg}, nil
 }
 
 // readArtifact decodes the file at path with read.

@@ -60,14 +60,13 @@ type ScoreRequest struct {
 	// Snapshot is the page to score. Required.
 	Snapshot *webpage.Snapshot
 
-	deadline      time.Duration
-	explain       ExplainLevel
-	topN          int
-	skipTarget    bool
-	featureSet    features.Set
-	captureVector bool
-	analysis      *webpage.Analysis
-	contentKey    webpage.Key128 // zero: not supplied
+	deadline   time.Duration
+	explain    ExplainLevel
+	topN       int
+	skipTarget bool
+	featureSet features.Set
+	analysis   *webpage.Analysis
+	contentKey webpage.Key128 // zero: not supplied
 }
 
 // ScoreOption is a functional option of NewScoreRequest.
@@ -127,20 +126,11 @@ func WithFeatureSet(s features.Set) ScoreOption {
 	return func(r *ScoreRequest) { r.featureSet = s }
 }
 
-// WithVectorCapture retains the extracted 212-feature vector on the
-// verdict (Verdict.Vector). The vector already exists at scoring time,
-// so capture costs one slice reference, not a re-extraction; drift
-// monitors use it to watch per-feature population shift on live
-// traffic. The vector is never serialized.
-func WithVectorCapture() ScoreOption {
-	return func(r *ScoreRequest) { r.captureVector = true }
-}
-
 // WithAnalysis supplies a precomputed page analysis (from
 // webpage.Analyze), skipping the analysis stage — the cached-page fast
 // path. Callers that score one page repeatedly (benchmark loops, cache
-// refreshes, multi-model shadow scoring of the same snapshot) analyze
-// once and reuse; with it, the warm scoring path performs zero heap
+// refreshes, several detectors over the same snapshot) analyze once and
+// reuse; with it, the warm scoring path performs zero heap
 // allocations. a must be the analysis of the request's snapshot; when
 // the request has no snapshot, a.Snap stands in for it.
 func WithAnalysis(a *webpage.Analysis) ScoreOption {

@@ -45,13 +45,12 @@ func TestScoreCoalescedMatchesAnalyzeCtx(t *testing.T) {
 	ctx := context.Background()
 	const supS, supT = 1, 2
 	options := []struct {
-		name          string
-		opts          []ScoreOption
-		skip, capture bool
+		name string
+		opts []ScoreOption
+		skip bool
 	}{
 		{name: "default"},
 		{name: "skip_target", opts: []ScoreOption{WithoutTargetID()}, skip: true},
-		{name: "capture", opts: []ScoreOption{WithVectorCapture()}, capture: true},
 	}
 	for page, snap := range stagedPages(t, p) {
 		// One cold pass yields both stage results to pre-supply.
@@ -92,11 +91,8 @@ func TestScoreCoalescedMatchesAnalyzeCtx(t *testing.T) {
 
 				var need StageMask
 				if sup&supS == 0 {
-					need |= StageMaskScore
-				}
-				// The vector feeds classification and capture.
-				if sup&supS == 0 || o.capture {
-					need |= StageMaskFeatures
+					// The vector feeds classification.
+					need |= StageMaskScore | StageMaskFeatures
 				}
 				if identifies && sup&supT == 0 {
 					need |= StageMaskTarget

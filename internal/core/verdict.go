@@ -72,17 +72,12 @@ type Verdict struct {
 	Explanation *Explanation `json:"explanation,omitempty"`
 	// ModelVersion is the registry version of the detector that produced
 	// this verdict ("" when the detector was never registered). During a
-	// champion/challenger hot-swap it is how a consumer tells which model
+	// registry champion hot-swap it is how a consumer tells which model
 	// answered: verdicts in flight at the swap carry the old version,
 	// verdicts after it the new one.
 	ModelVersion string `json:"model_version,omitempty"`
 	// Timings reports per-stage latency.
 	Timings StageTimings `json:"timings"`
-	// Vector is the full extracted feature vector, retained only for
-	// requests built with WithVectorCapture (drift monitoring reads it to
-	// track per-feature population shift without re-extracting). Never
-	// serialized.
-	Vector []float64 `json:"-"`
 	// ContentFingerprint is the page's content identity
 	// (webpage.Fingerprint: 32 hex digits of sha256 over landing URL and
 	// content) — the memo key, the stem of the v2 ETag and the
@@ -163,7 +158,7 @@ const (
 // the stage machine runs only the rest. Model-independent intermediates
 // — the analysis, the feature vector — are neither supplied nor handed
 // back: a precomputed analysis arrives through WithAnalysis, and the
-// vector leaves only in Verdict.Vector (WithVectorCapture).
+// vector never leaves the call.
 type StageResults struct {
 	// HasScore marks Score as the page's detector score under this
 	// detector, skipping extraction and classification. Explain and
@@ -250,8 +245,7 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 
 	masked := req.featureSet != 0 && req.featureSet != features.All
 	hasScore := st.HasScore && !masked && !req.Explains()
-	keepVec := req.captureVector || req.Explains()
-	extract := !hasScore || keepVec
+	extract := !hasScore
 	// Identification runs on detector positives; before classification
 	// any page may turn out to be one.
 	mayIdentify := id != nil && !req.skipTarget && st.TargetResult == nil &&
@@ -271,12 +265,13 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 	}
 
 	// Stage 2: feature extraction. vecBuf / projBuf are the pooled
-	// buffers; vecBuf stays nil when the vector must outlive the call.
+	// buffers; vecBuf stays nil on explain requests, whose vector is not
+	// pooled.
 	var vec []float64
 	var vecBuf, projBuf *[]float64
 	if extract {
 		ts := time.Now()
-		if keepVec {
+		if req.Explains() {
 			vec = d.extractor.Extract(a)
 		} else {
 			vecBuf = features.GetVector()
@@ -294,9 +289,6 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 	if masked {
 		vec = features.Mask(vec, req.featureSet)
 		v.FeatureSet = req.featureSet.String()
-	}
-	if req.captureVector {
-		v.Vector = vec
 	}
 
 	// Stage 3: classification, in the detector's trained column space.

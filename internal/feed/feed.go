@@ -88,7 +88,7 @@ type Config struct {
 	// Required.
 	Pipeline *core.Pipeline
 	// Detectors optionally overrides the pipeline's detector per URL —
-	// the model-lifecycle hot-swap seam. When set (the registry
+	// the model registry's hot-swap seam. When set (the registry
 	// implements it), each item resolves the current champion at scoring
 	// time, so a promotion lands between items with no pause in
 	// ingestion; items already scoring finish on the model they started
@@ -100,14 +100,6 @@ type Config struct {
 	// here, so feed traffic shares the same per-stage memo tables as the
 	// HTTP surface. Nil scores through pipe.AnalyzeCtx directly.
 	Score func(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest) (core.Verdict, error)
-	// OnVerdict, when set, observes every successfully scored URL (after
-	// persistence) with its snapshot and verdict — the drift-monitoring
-	// and shadow-scoring hook. It runs on the worker goroutine: a cheap
-	// hook observes, an expensive one (challenger shadow-scoring) charges
-	// its cost to the feed exactly as a promoted model would. Verdicts
-	// delivered to the hook carry the extracted feature vector
-	// (core.WithVectorCapture).
-	OnVerdict func(snap *webpage.Snapshot, v core.Verdict)
 	// Store persists verdicts (optional; without it verdicts are only
 	// observable through Stats). Any store.Backend engine works; see
 	// store.Open.
@@ -436,11 +428,6 @@ func (s *Scheduler) process(it *item) {
 	if s.cfg.Explain != core.ExplainNone {
 		opts = append(opts, core.WithExplain(s.cfg.Explain))
 	}
-	if s.cfg.OnVerdict != nil {
-		// The drift hook reads per-feature populations; capturing the
-		// vector here costs one slice reference, not a re-extraction.
-		opts = append(opts, core.WithVectorCapture())
-	}
 	// Resolve the detector per item: with a hot-swappable source a model
 	// promotion takes effect on the next URL, not the next restart.
 	pipe := s.cfg.Pipeline
@@ -493,13 +480,6 @@ func (s *Scheduler) process(it *item) {
 		tr.SetError()
 		s.cfg.Logger.Error("feed verdict persistence failed",
 			"url", it.url, "trace_id", tr.TraceID(), "err", err)
-	}
-	if s.cfg.OnVerdict != nil {
-		// After persistence: the hook may trigger a retrain that reads
-		// the store, and this verdict should be part of what it learns
-		// from. Hook panics are contained by process()'s recover and
-		// accounted as failures like any other per-item panic.
-		s.cfg.OnVerdict(snap, v)
 	}
 	s.finish(it, err)
 }

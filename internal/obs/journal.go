@@ -8,8 +8,8 @@ import (
 // Journal is a fixed-size ring of structured operational events — the
 // flight recorder behind GET /debug/events. Subsystems record the
 // moments an operator asks "what happened around then": SLO state
-// transitions, shed episodes starting and ending, drift flags, model
-// promotions, store compactions. Recording is off every hot path
+// transitions, shed episodes starting and ending. Recording is off
+// every hot path
 // (events are rare by definition), so a mutex and per-event allocation
 // are fine here in a package otherwise built from atomics.
 //

@@ -1,8 +1,9 @@
-// Package registry is the versioned model store of the lifecycle
-// subsystem: every trained detector becomes an immutable, content-hashed
-// artifact on disk with a manifest (version, training stats, feature-set
-// hash, creation time), and one version at a time is the champion that
-// live traffic scores with.
+// Package registry is the versioned model store: every trained detector
+// (kptrain -registry, or kpserve's bootstrap) becomes an immutable,
+// content-hashed artifact on disk with a manifest (version, training
+// stats, feature-set hash, creation time), and one version at a time is
+// the champion that live traffic scores with. An operator swaps it with
+// kptrain -promote or POST /v2/models/promote.
 //
 // Layout, under one registry directory:
 //
@@ -47,12 +48,8 @@ import (
 	"knowphish/internal/ranking"
 )
 
-// ErrNoChampion is returned by operations that need a champion when the
-// registry has none yet.
-var ErrNoChampion = errors.New("registry: no champion set")
-
 // TrainingStats records what a model was trained and evaluated on — the
-// provenance a promotion decision reads.
+// provenance an operator reads before promoting it.
 type TrainingStats struct {
 	// Samples is the training-set size.
 	Samples int `json:"samples"`
@@ -64,8 +61,8 @@ type TrainingStats struct {
 	// evaluation ran).
 	HeldOutAUC      float64 `json:"held_out_auc,omitempty"`
 	HeldOutAccuracy float64 `json:"held_out_accuracy,omitempty"`
-	// Source names where the training data came from ("synthetic-corpus",
-	// "verdict-store", ...).
+	// Source names where the training data came from
+	// ("synthetic-corpus", ...).
 	Source string `json:"source,omitempty"`
 }
 
@@ -89,7 +86,8 @@ type Manifest struct {
 	CreatedAt time.Time `json:"created_at"`
 	// Stats is the training provenance.
 	Stats TrainingStats `json:"stats"`
-	// Notes is free-form operator context ("auto-retrain after drift").
+	// Notes is free-form operator context ("kptrain -scale 10 -seed 1
+	// -trees 120").
 	Notes string `json:"notes,omitempty"`
 }
 
@@ -167,9 +165,6 @@ func Open(dir string, rank *ranking.List) (*Registry, error) {
 	}
 	return r, nil
 }
-
-// Dir returns the registry directory.
-func (r *Registry) Dir() string { return r.dir }
 
 // rescanLocked folds versions that appeared in the directory since the
 // last scan into the index — a second process (kptrain -registry

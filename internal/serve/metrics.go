@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"knowphish/internal/coalesce"
-	"knowphish/internal/drift"
 	"knowphish/internal/feed"
 	"knowphish/internal/feedsrc"
 	"knowphish/internal/obs"
@@ -74,8 +73,8 @@ type MetricsSnapshot struct {
 	CacheHitRate float64 `json:"cache_hit_rate"`
 
 	// ModelVersion is the registry version currently serving traffic
-	// ("" for a detector loaded outside a registry). During a
-	// champion/challenger swap it flips atomically with the swap.
+	// ("" for a detector loaded outside a registry). During a champion
+	// swap it flips atomically with the swap.
 	ModelVersion string `json:"model_version,omitempty"`
 
 	// Feed and Store report the ingestion-pipeline counters (queue
@@ -87,10 +86,6 @@ type MetricsSnapshot struct {
 	// fetch/error counts, per-reason rejects), keyed by source name,
 	// when a connector mux is configured.
 	FeedSources map[string]feedsrc.SourceStats `json:"feed_sources,omitempty"`
-	// Lifecycle reports the model-lifecycle gauges (drift PSI values,
-	// phish-rate shift, shadow-scoring and retrain/promotion counters)
-	// when the lifecycle controller is configured.
-	Lifecycle *drift.LifecycleStatus `json:"lifecycle,omitempty"`
 	// Coalesce reports the stage memo's staged-pass counters and the
 	// hit/miss/eviction stats of its two tables, score and target (the
 	// analysis and features entries are retired and read zero).

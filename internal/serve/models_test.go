@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"sync"
 	"testing"
@@ -78,12 +79,30 @@ func TestModelsListAndPromote(t *testing.T) {
 		t.Errorf("manifest missing hashes: %+v", models.Models[0])
 	}
 
-	// Without a lifecycle controller there is no gate: promotion is
-	// direct.
-	var prom PromoteResponse
-	if code := call(t, s, http.MethodPost, "/v2/models/promote", PromoteRequest{Version: "v0002"}, &prom); code != http.StatusOK {
-		t.Fatalf("promote = %d", code)
+	// The list is read-only: there is no retrain to trigger.
+	rec := rawCall(t, s, http.MethodPost, "/v2/models", nil, nil)
+	if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != http.MethodGet {
+		t.Errorf("POST /v2/models = %d, Allow %q; want 405, Allow GET", rec.Code, rec.Header().Get("Allow"))
 	}
+	// There is no promotion gate to force past: "force" is an unknown
+	// field, and the champion is untouched.
+	rec = rawCall(t, s, http.MethodPost, "/v2/models/promote", json.RawMessage(`{"version":"v0002","force":true}`), nil)
+	if rec.Code != http.StatusBadRequest || reg.ChampionVersion() != "v0001" {
+		t.Errorf("promote with force = %d, champion %q; want 400, v0001", rec.Code, reg.ChampionVersion())
+	}
+
+	// Promotion is direct, and its response carries no gate ruling.
+	rec = rawCall(t, s, http.MethodPost, "/v2/models/promote", PromoteRequest{Version: "v0002"}, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("promote = %d", rec.Code)
+	}
+	var doc map[string]json.RawMessage
+	mustUnmarshal(t, rec.Body.Bytes(), &doc)
+	if _, ok := doc["gate"]; ok {
+		t.Errorf("promote response carries a gate: %s", rec.Body.Bytes())
+	}
+	var prom PromoteResponse
+	mustUnmarshal(t, rec.Body.Bytes(), &prom)
 	if !prom.Promoted || prom.From != "v0001" || prom.To != "v0002" {
 		t.Fatalf("promote response = %+v", prom)
 	}
@@ -107,10 +126,6 @@ func TestModelsListAndPromote(t *testing.T) {
 	var out errorResponse
 	if code := call(t, s, http.MethodPost, "/v2/models/promote", PromoteRequest{Version: "v9999"}, &out); code != http.StatusNotFound {
 		t.Errorf("promote unknown version = %d, want 404", code)
-	}
-	// Retraining needs the lifecycle controller.
-	if code := call(t, s, http.MethodPost, "/v2/models", nil, &out); code != http.StatusServiceUnavailable {
-		t.Errorf("POST /v2/models without lifecycle = %d, want 503", code)
 	}
 }
 

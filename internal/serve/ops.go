@@ -10,8 +10,8 @@ import (
 	"knowphish/internal/obs"
 )
 
-// Metrics returns a snapshot of the serving counters, including feed,
-// store and model-lifecycle stats when those subsystems are wired in.
+// Metrics returns a snapshot of the serving counters, including feed
+// and store stats when those subsystems are wired in.
 func (s *Server) Metrics() MetricsSnapshot {
 	snap := s.metrics.Snapshot()
 	if det := s.source.Current(); det != nil {
@@ -27,10 +27,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 	if s.cfg.Store != nil {
 		ss := s.cfg.Store.Stats()
 		snap.Store = &ss
-	}
-	if s.cfg.Lifecycle != nil {
-		ls := s.cfg.Lifecycle.Status()
-		snap.Lifecycle = &ls
 	}
 	cs := s.coal.Snapshot()
 	snap.Coalesce = &cs
@@ -147,9 +143,8 @@ type eventsResponse struct {
 }
 
 // handleDebugEvents serves the operational event journal: SLO
-// transitions, shed-level changes and whatever else was wired to the
-// journal (drift flags, promotions, compactions). Without a journal it
-// answers an empty document rather than 404.
+// transitions and shed-level changes. Without a journal it answers an
+// empty document rather than 404.
 func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
 	evs := s.cfg.Journal.Events()
 	if evs == nil {

@@ -11,11 +11,11 @@ import (
 
 // writePrometheus renders the full metrics surface in the Prometheus
 // text exposition format (version 0.0.4): serving counters and latency
-// histograms, per-stage pipeline histograms from the tracer, feed /
-// store / drift / lifecycle gauges when those subsystems are wired in,
-// the model info metric, and the Go runtime metrics. The JSON document
-// at /metrics stays the frozen default; this is the scrape surface
-// behind ?format=prometheus.
+// histograms, per-stage pipeline histograms from the tracer, feed and
+// store gauges when those subsystems are wired in, the model info
+// metric, and the Go runtime metrics. The JSON document at /metrics
+// stays the frozen default; this is the scrape surface behind
+// ?format=prometheus.
 //
 // Naming follows Prometheus conventions: monotonically increasing
 // values are *_total counters, point-in-time values are gauges,
@@ -244,20 +244,6 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 		p.Counter("knowphish_store_compact_errors_total", "Automatic compactions that failed.", float64(ss.CompactErrors))
 	}
 
-	// Drift and model lifecycle.
-	if s.cfg.Lifecycle != nil {
-		ls := s.cfg.Lifecycle.Status()
-		p.Gauge("knowphish_drift_score_psi", "Population stability index of the score distribution.", ls.Drift.ScorePSI)
-		p.Gauge("knowphish_drift_max_feature_psi", "Largest per-feature PSI observed.", ls.Drift.MaxFeaturePSI)
-		p.Gauge("knowphish_drift_phish_rate_shift", "Absolute phish-rate shift, current window vs baseline.", ls.Drift.RateShift)
-		p.Gauge("knowphish_drift_flagged", "1 while any drift monitor is over its threshold.", boolGauge(ls.Drift.Flagged))
-		p.Counter("knowphish_lifecycle_shadow_scored_total", "Challenger shadow scores.", float64(ls.ShadowScored))
-		p.Counter("knowphish_lifecycle_retrains_total", "Background retrains completed.", float64(ls.Retrains))
-		p.Counter("knowphish_lifecycle_retrain_failures_total", "Background retrains that failed.", float64(ls.RetrainFailures))
-		p.Counter("knowphish_lifecycle_promotions_total", "Champion promotions.", float64(ls.Promotions))
-		p.Gauge("knowphish_lifecycle_retraining", "1 while a background retrain is in flight.", boolGauge(ls.Retraining))
-	}
-
 	// Go runtime.
 	p.WriteRuntimeMetrics()
 
@@ -265,13 +251,6 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 		// Headers are gone; the scrape is torn and the scraper retries.
 		s.metrics.errors.Add(1)
 	}
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // stateValue maps an SLO state string onto the numeric gauge scale

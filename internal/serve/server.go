@@ -23,13 +23,11 @@
 //	                       target, model_version, source and
 //	                       time-range filters (next_cursor resumes
 //	                       the scan)
-//	GET  /v2/models        list registry versions, champion, drift and
-//	                       shadow-scoring gauges
-//	POST /v2/models        trigger a background retrain from the store
-//	POST /v2/models/promote  swap the champion (gated; force overrides)
+//	GET  /v2/models        list registry versions and the champion
+//	POST /v2/models/promote  swap the champion
 //	GET  /healthz          liveness and model metadata
 //	GET  /metrics          request counts, latency percentiles, cache,
-//	                       feed, store and model-lifecycle stats
+//	                       feed and store stats
 //	                       (?format=prometheus for the scrape surface)
 //	GET  /debug/traces     recent + slow/error request traces
 //	GET  /debug/slo        error-budget state, burn rates, shed level
@@ -45,8 +43,8 @@
 // metrics, debug).
 //
 // The detector is resolved through a core.DetectorSource once per
-// request: with a model registry configured, a champion/challenger
-// promotion is picked up by the next request — one atomic load, no lock
+// request: with a model registry configured, a champion promotion is
+// picked up by the next request — one atomic load, no lock
 // on the hot path, no restart, and in-flight requests finish on the
 // model they started with. Every verdict and stored record is stamped
 // with the model_version that produced it, and memoized scores are
@@ -82,7 +80,6 @@ import (
 
 	"knowphish/internal/coalesce"
 	"knowphish/internal/core"
-	"knowphish/internal/drift"
 	"knowphish/internal/feed"
 	"knowphish/internal/feedsrc"
 	"knowphish/internal/obs"
@@ -112,16 +109,12 @@ type Config struct {
 	// Detector is the trained classifier, frozen for the server's
 	// lifetime. Required unless Registry supplies models.
 	Detector *core.Detector
-	// Registry is the versioned model store behind GET/POST /v2/models
-	// and /v2/models/promote (optional) — the model lifecycle's hot-swap
-	// seam. When set, every request resolves the current champion
-	// through it (one atomic load) and Detector is only used as a
-	// fallback while the registry has none.
+	// Registry is the versioned model store behind GET /v2/models and
+	// POST /v2/models/promote (optional) — the hot-swap seam. When set,
+	// every request resolves the current champion through it (one atomic
+	// load) and Detector is only used as a fallback while the registry
+	// has none.
 	Registry *registry.Registry
-	// Lifecycle is the drift-monitoring / retraining controller whose
-	// status is exported at /v2/models and /metrics, and which gates
-	// promotions (optional).
-	Lifecycle *drift.Lifecycle
 	// Identifier is the target identification system. Required.
 	Identifier *target.Identifier
 	// Workers bounds concurrent pipeline executions across the whole
@@ -301,7 +294,7 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/score", s.instrument(s.post(s.handleScore), clsScore))
 	s.mux.HandleFunc("/v1/score/batch", s.instrument(s.post(s.handleScoreBatch), clsBatch))
 	s.mux.HandleFunc("/v1/target", s.instrument(s.post(s.handleTarget), clsTarget))
-	s.mux.HandleFunc("/v2/models", s.instrument(s.handleModels, clsModels))
+	s.mux.HandleFunc("/v2/models", s.instrument(s.get(s.handleModels), clsModels))
 	s.mux.HandleFunc("/v2/models/promote", s.instrument(s.post(s.handlePromote), clsModels))
 	s.mux.HandleFunc("/v1/feed", s.instrument(s.post(s.handleFeed), clsFeed))
 	s.mux.HandleFunc("/v1/verdicts", s.instrument(s.get(s.handleVerdicts), clsVerdicts))

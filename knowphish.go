@@ -14,9 +14,10 @@
 //     detector false positives.
 //
 // The heavy lifting lives in internal packages; this package re-exports
-// the names examples/, the root tests and the README snippets use, and
-// nothing else — the binaries under cmd/ drive the internal packages
-// directly. Experiments against the paper's tables and figures are
+// the names examples/, the root tests and the README snippets use — the
+// detector, the target identifier and the synthetic world — and nothing
+// else: it builds no server and no store. The binaries under cmd/ drive
+// the internal packages directly. Experiments against the paper's tables and figures are
 // driven by cmd/kpexperiments; README.md describes the layout and the
 // experiments.
 package knowphish
@@ -28,15 +29,10 @@ import (
 	"knowphish/internal/core"
 	"knowphish/internal/crawl"
 	"knowphish/internal/dataset"
-	"knowphish/internal/drift"
-	"knowphish/internal/features"
 	"knowphish/internal/ml"
 	"knowphish/internal/ocr"
 	"knowphish/internal/ranking"
-	"knowphish/internal/registry"
 	"knowphish/internal/search"
-	"knowphish/internal/serve"
-	"knowphish/internal/store"
 	"knowphish/internal/target"
 	"knowphish/internal/webgen"
 	"knowphish/internal/webpage"
@@ -61,9 +57,6 @@ type (
 
 // DefaultThreshold is the paper's discrimination threshold (0.7).
 const DefaultThreshold = core.DefaultThreshold
-
-// AllSets selects every feature group f1..f5 of Table III.
-const AllSets = features.All
 
 // ---------------------------------------------------------------------
 // The scoring API: request/verdict pairs with cancellation end to end.
@@ -99,51 +92,6 @@ func WithTopFeatures(n int) core.ScoreOption { return core.WithTopFeatures(n) }
 
 // WithoutTargetID skips target identification on detector positives.
 func WithoutTargetID() core.ScoreOption { return core.WithoutTargetID() }
-
-// ServerConfig assembles the HTTP scoring service of internal/serve.
-type ServerConfig = serve.Config
-
-// NewServer builds the HTTP scoring service (an http.Handler answering
-// the /v1 and /v2 endpoints, /healthz and /metrics) over a trained
-// detector and a target identifier.
-func NewServer(cfg ServerConfig) (*serve.Server, error) { return serve.New(cfg) }
-
-// OpenVerdictStore opens (creating if necessary) the segmented verdict
-// store at cfg.Path. A legacy JSONL log found there is migrated into
-// segments on first open.
-func OpenVerdictStore(cfg store.Config) (store.Backend, error) { return store.Open(cfg) }
-
-// ---------------------------------------------------------------------
-// The model lifecycle subsystem: a versioned, content-hashed model
-// registry serving the current champion behind an atomic pointer
-// (zero-downtime hot swap) and drift monitors over live traffic
-// (score-distribution PSI, per-feature population drift, phish-rate
-// shift).
-
-type (
-	// TrainingStats records a model's training provenance.
-	TrainingStats = registry.TrainingStats
-	// DetectorSource yields the detector scoring paths use right now —
-	// the hot-swap seam of the serving and ingestion layers.
-	DetectorSource = core.DetectorSource
-	// DriftConfig tunes the drift monitor's windows and thresholds.
-	DriftConfig = drift.Config
-)
-
-// OpenModelRegistry opens (creating if necessary) a versioned model
-// registry and loads its champion, if one was promoted. rank is wired
-// into loaded detectors (it is not embedded in artifacts). The registry
-// implements DetectorSource, serving the champion lock-free.
-func OpenModelRegistry(dir string, rank *ranking.List) (*registry.Registry, error) {
-	return registry.Open(dir, rank)
-}
-
-// NewDriftMonitor builds a sliding-window drift monitor.
-func NewDriftMonitor(cfg DriftConfig) *drift.Monitor { return drift.NewMonitor(cfg) }
-
-// FeatureSetHash fingerprints the feature schema of a feature-group
-// selection; models sharing it are hot-swap compatible.
-func FeatureSetHash(set features.Set) string { return registry.FeatureSetHash(set) }
 
 // SnapshotFromHTML builds a Snapshot from raw page HTML plus visit
 // metadata, resolving relative links against the landing URL. Use it to

@@ -72,36 +72,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if errA != nil || errB != nil || math.Abs(va.Score-vb.Score) > 1e-12 {
 		t.Errorf("roundtrip score mismatch: %v (%v) vs %v (%v)", va.Score, errA, vb.Score, errB)
 	}
-
-	// The model lifecycle through the facade: register, promote, swap —
-	// with the verdict naming the model that produced it.
-	reg, err := knowphish.OpenModelRegistry(t.TempDir(), corpus.World.Ranking())
-	if err != nil {
-		t.Fatalf("OpenModelRegistry: %v", err)
-	}
-	man, err := reg.Save(det, knowphish.TrainingStats{Samples: len(snaps), Source: "facade-test"}, "")
-	if err != nil {
-		t.Fatalf("registry Save: %v", err)
-	}
-	if man.FeatureSetHash != knowphish.FeatureSetHash(knowphish.AllSets) {
-		t.Errorf("feature-set hash mismatch: %q", man.FeatureSetHash)
-	}
-	if _, err := reg.SetChampion(man.Version); err != nil {
-		t.Fatalf("SetChampion: %v", err)
-	}
-	var src knowphish.DetectorSource = reg
-	v, err := src.Current().ScoreCtx(t.Context(), knowphish.NewScoreRequest(snap))
-	if err != nil {
-		t.Fatalf("ScoreCtx via registry source: %v", err)
-	}
-	if v.ModelVersion != man.Version {
-		t.Errorf("verdict model version = %q, want %q", v.ModelVersion, man.Version)
-	}
-	mon := knowphish.NewDriftMonitor(knowphish.DriftConfig{Window: 16})
-	mon.Observe(v.Score, v.FinalPhish, nil)
-	if got := mon.Status().Observations; got != 1 {
-		t.Errorf("drift monitor observations = %d", got)
-	}
 }
 
 func TestSnapshotFromHTML(t *testing.T) {

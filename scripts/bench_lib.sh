@@ -15,8 +15,8 @@
 # BenchmarkAnalyze is anchored (the -N suffix is the GOMAXPROCS tag) so
 # BenchmarkAnalyzeCtx and BenchmarkAnalyzeBatchCancelled stay out.
 # BenchmarkGBMTrain and BenchmarkCorpusBuild are the two halves of
-# set-up (every self-trained server, kptrain, a drift retrain and the
-# benchmark's setup_s pay both).
+# set-up (every self-trained server, kptrain and the benchmark's
+# setup_s pay both).
 
 KEY_BENCHES='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkContentKey|BenchmarkStoreAppend|BenchmarkStoreScan|BenchmarkVerdictsPage|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkAdmission|BenchmarkTargetIdentification|BenchmarkSearchQuery|BenchmarkAnalyze$|BenchmarkFeatureExtraction|BenchmarkTermExtraction|BenchmarkDecodeScoreRequest|BenchmarkGBMTrain|BenchmarkCorpusBuild'
 KEY_GATE='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict/layout=flat|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkContentKey|BenchmarkStoreAppend/backend=segmented|BenchmarkStoreScan/backend=segmented|BenchmarkVerdictsPage|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkAdmission|BenchmarkTargetIdentification|BenchmarkSearchQuery|BenchmarkAnalyze(-|$)|BenchmarkFeatureExtraction|BenchmarkTermExtraction|BenchmarkDecodeScoreRequest|BenchmarkGBMTrain|BenchmarkCorpusBuild'
