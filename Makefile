@@ -8,7 +8,7 @@ GO ?= go
 # bench-* targets below inherit it by not setting BENCH. Override per
 # run with BENCH=<regexp>.
 
-.PHONY: all build test race race-cover bench bench-smoke bench-compare bench-gate bench-json fuzz-smoke fuzz-long store-stress load-smoke overload-smoke cover fmt fmt-check vet staticcheck vulncheck serve registry-check alloc-check assembly-check loc config-surface profile ci
+.PHONY: all build test race race-cover bench bench-smoke bench-compare bench-gate bench-json fuzz-smoke fuzz-long store-stress load-smoke overload-smoke cover fmt fmt-check vet staticcheck vulncheck serve registry-check alloc-check assembly-check leaf-check loc config-surface profile ci
 
 all: build
 
@@ -213,6 +213,20 @@ assembly-check:
 	if [ -n "$$out" ]; then \
 		echo "constructed outside internal/app:" >&2; echo "$$out" >&2; exit 1; fi
 
+# The paper as a leaf library: the detector and target identifier's
+# packages import nothing of this module but each other and the
+# stdlib-only worker pool — no tracing, no registry, no serving stack —
+# and they build for the browser (GOOS=js GOARCH=wasm), the client-side
+# deployment the paper argues for (examples/clientside).
+LEAF_PKGS = urlx htmlx terms webpage features ml search target ocr ranking core
+leaf-check:
+	@deps="$$($(GO) list -deps $(addprefix ./internal/,$(LEAF_PKGS)) | grep '^knowphish')"; \
+	out="$$(echo "$$deps" | grep -vxF "$$(printf '%s\n' $(addprefix knowphish/internal/,$(LEAF_PKGS) pool))")"; \
+	if [ -n "$$out" ]; then \
+		echo "outside the paper's leaf closure:" >&2; echo "$$out" >&2; exit 1; fi; \
+	echo "leaf closure: $$(echo "$$deps" | wc -l) packages, paper code and pool only"
+	GOOS=js GOARCH=wasm $(GO) build -o /dev/null ./internal/core ./internal/target ./examples/clientside
+
 # Size of the program: non-test Go lines and files tracked by git,
 # outside the frozen benchmark/ harness. "Net-negative" and "N% fewer
 # lines" criteria (ROADMAP item 6) are read off this command.
@@ -236,4 +250,4 @@ profile:
 	curl -fsS "http://$(DEBUG_ADDR)/debug/pprof/profile?seconds=10" -o cpu.pprof
 	@echo "wrote cpu.pprof; inspect with: $(GO) tool pprof cpu.pprof"
 
-ci: fmt-check vet staticcheck vulncheck assembly-check build race-cover registry-check alloc-check bench-smoke fuzz-smoke
+ci: fmt-check vet staticcheck vulncheck assembly-check leaf-check build race-cover registry-check alloc-check bench-smoke fuzz-smoke

@@ -397,12 +397,14 @@ func BenchmarkScoreHotPath(b *testing.B) {
 
 // BenchmarkTracedScore prices the observability layer on the scoring
 // hot path: the warm ScoreCtx loop of BenchmarkScoreHotPath wrapped in
-// Tracer.StartRequest/Finish. tracing=off is the production default for
-// untraced callers — a disabled tracer returns a nil trace and the
-// scorer's span calls are nil no-ops, so the variant must hold the
-// PR-5 zero-allocation contract. tracing=on records a pooled trace with
-// per-stage spans per iteration; its delta over off is the full cost of
-// tracing a request. The CI benchmark-regression gate watches both.
+// Tracer.StartRequest/Finish, with the verdict's stage timings turned
+// into spans by Trace.Stages as the serving layer does. tracing=off is
+// the production default for untraced callers — a disabled tracer
+// returns a nil trace and Stages is a nil no-op, so the variant must
+// hold the PR-5 zero-allocation contract. tracing=on records a pooled
+// trace with per-stage spans per iteration; its delta over off is the
+// full cost of tracing a request. The CI benchmark-regression gate
+// watches both.
 func BenchmarkTracedScore(b *testing.B) {
 	r := benchSetup(b)
 	d, err := r.Detector(0)
@@ -424,9 +426,13 @@ func BenchmarkTracedScore(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tctx, tr := tracer.StartRequest(ctx, "/bench", "")
-				if _, err := d.ScoreCtx(tctx, warm); err != nil {
+				start := time.Now()
+				v, err := d.ScoreCtx(tctx, warm)
+				if err != nil {
 					b.Fatal(err)
 				}
+				t := &v.Timings
+				tr.Stages(start, t.AnalyzeNS, t.FeaturesNS, t.ScoreNS, t.TargetNS, t.ExplainNS)
 				tracer.Finish(tr)
 			}
 		})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -398,8 +399,8 @@ func TestConcurrentPromoteAndScore(t *testing.T) {
 }
 
 // TestPromotionDifferential is the memo path ≡ AnalyzeCtx differential
-// under concurrent promotion: scorers resolve the champion through a
-// SwappableSource, as the serving layer does, while a promoter swaps it
+// under concurrent promotion: scorers resolve the champion through an
+// atomic pointer, as the serving layer does, while a promoter swaps it
 // between two detectors (different models, different thresholds) and
 // fires the promotion hook. Every verdict must equal, field for field,
 // what the detector named by its own ModelVersion produces directly —
@@ -430,14 +431,15 @@ func TestPromotionDifferential(t *testing.T) {
 		}
 	}
 
-	src := core.NewSwappableSource(pipe.Detector)
+	var src atomic.Pointer[core.Detector]
+	src.Store(pipe.Detector)
 	promote := func(i int) {
-		src.Swap(champions[i%2].Detector)
+		src.Store(champions[i%2].Detector)
 		c.InvalidateModel()
 	}
 	underPromotion(t, 60, promote, func(w, round int) string {
 		snap := snaps[(w*5+round)%len(snaps)]
-		p := &core.Pipeline{Detector: src.Current(), Identifier: pipe.Identifier}
+		p := &core.Pipeline{Detector: src.Load(), Identifier: pipe.Identifier}
 		v, err := c.Do(ctx, p, core.NewScoreRequest(snap), CacheDefault, nil)
 		if err != nil {
 			return err.Error()

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"knowphish/internal/features"
-	"knowphish/internal/obs"
 	"knowphish/internal/racecheck"
 	"knowphish/internal/target"
 	"knowphish/internal/webgen"
@@ -49,64 +48,6 @@ func TestScoreCtxWarmPathZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm ScoreCtx allocated %.1f times per run, want 0", allocs)
-	}
-}
-
-// TestScoreCtxUntracedZeroAllocs pins the observability contract: an
-// untraced context (tracing disabled, or no trace attached) costs the
-// warm scoring path one allocation-free Value lookup — zero allocs, the
-// same bar as TestScoreCtxWarmPathZeroAllocs.
-func TestScoreCtxUntracedZeroAllocs(t *testing.T) {
-	if racecheck.Enabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	c := corpus(t)
-	d := trainDetector(t, c, 0)
-	snap := c.LangTests[webgen.English].Snapshots()[0]
-	a := webpage.Analyze(snap)
-	req := NewScoreRequest(snap, WithAnalysis(a))
-	// A disabled tracer attaches nothing: the context reaching scoreCtx
-	// is exactly what an untraced request sees.
-	tracer := obs.NewTracer(obs.Config{Disabled: true})
-	ctx, tr := tracer.StartRequest(context.Background(), "/v2/score", "")
-	if tr != nil {
-		t.Fatal("disabled tracer produced a trace")
-	}
-	if _, err := d.ScoreCtx(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := d.ScoreCtx(ctx, req); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("untraced warm ScoreCtx allocated %.1f times per run, want 0", allocs)
-	}
-}
-
-// TestScoreCtxTracedRecordsSpans pins the traced side: with a trace on
-// the context the same warm request records extract and score spans,
-// reusing the StageTimings clock reads.
-func TestScoreCtxTracedRecordsSpans(t *testing.T) {
-	c := corpus(t)
-	d := trainDetector(t, c, 0)
-	snap := c.LangTests[webgen.English].Snapshots()[0]
-	req := NewScoreRequest(snap, WithAnalysis(webpage.Analyze(snap)))
-	tracer := obs.NewTracer(obs.Config{})
-	ctx, tr := tracer.StartRequest(context.Background(), "/v2/score", "")
-	if _, err := d.ScoreCtx(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	tracer.Finish(tr)
-	if n := tracer.StageHist(obs.StageExtract).Count(); n != 1 {
-		t.Errorf("extract stage count = %d, want 1", n)
-	}
-	if n := tracer.StageHist(obs.StageScore).Count(); n != 1 {
-		t.Errorf("score stage count = %d, want 1", n)
-	}
-	if n := tracer.StageHist(obs.StageAnalyze).Count(); n != 0 {
-		t.Errorf("analyze stage count = %d, want 0 (stage skipped by WithAnalysis)", n)
 	}
 }
 

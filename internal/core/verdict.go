@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"knowphish/internal/features"
-	"knowphish/internal/obs"
 	"knowphish/internal/pool"
 	"knowphish/internal/target"
 	"knowphish/internal/webpage"
@@ -215,13 +214,11 @@ func (p *Pipeline) AnalyzeStagedCtx(ctx context.Context, req ScoreRequest, st *S
 // layout this makes a warm score fully allocation-free (pinned by
 // TestScoreCtxWarmPathZeroAllocs).
 //
-// When the request context carries an obs.Trace, each stage is recorded
-// as a span reusing the StageTimings clock reads — tracing adds no extra
-// time.Now calls, and an untraced context costs one allocation-free
-// Value lookup (pinned by TestScoreCtxUntracedZeroAllocs).
+// Every stage that runs is measured into Verdict.Timings; a caller that
+// traces its requests turns those timings into spans itself, so the
+// stage machine knows nothing of tracing.
 func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Identifier, st *StageResults) (Verdict, error) {
 	t0 := time.Now()
-	tr := obs.TraceFrom(ctx)
 	var none StageResults
 	if st == nil {
 		st = &none
@@ -257,7 +254,6 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 		ts := time.Now()
 		a = webpage.Analyze(req.Snapshot)
 		v.Timings.AnalyzeNS = time.Since(ts).Nanoseconds()
-		tr.Span(obs.StageAnalyze, ts, v.Timings.AnalyzeNS)
 		st.Computed |= StageMaskAnalysis
 		if err := ctxCause(ctx); err != nil {
 			return Verdict{}, err
@@ -279,7 +275,6 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 			vec = *vecBuf
 		}
 		v.Timings.FeaturesNS = time.Since(ts).Nanoseconds()
-		tr.Span(obs.StageExtract, ts, v.Timings.FeaturesNS)
 		st.Computed |= StageMaskFeatures
 		if err := ctxCause(ctx); err != nil {
 			features.PutVector(vecBuf)
@@ -305,7 +300,6 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 		}
 		v.Score = d.model.Score(modelVec)
 		v.Timings.ScoreNS = time.Since(ts).Nanoseconds()
-		tr.Span(obs.StageScore, ts, v.Timings.ScoreNS)
 		st.Computed |= StageMaskScore
 	}
 	v.DetectorPhish = v.Score >= d.threshold
@@ -326,7 +320,6 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 			ts := time.Now()
 			v.Target = id.Identify(a)
 			v.Timings.TargetNS = time.Since(ts).Nanoseconds()
-			tr.Span(obs.StageIdentify, ts, v.Timings.TargetNS)
 			st.Computed |= StageMaskTarget
 		}
 		if v.Target.Verdict == target.VerdictLegitimate {
@@ -347,7 +340,6 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 			Contributions: features.TopContributions(vec, contribs, d.columns, req.topFeatures()),
 		}
 		v.Timings.ExplainNS = time.Since(ts).Nanoseconds()
-		tr.Span(obs.StageExplain, ts, v.Timings.ExplainNS)
 	}
 
 	v.Label = label(v.FinalPhish)
@@ -402,37 +394,4 @@ func batchCtx(ctx context.Context, reqs []ScoreRequest, workers int, one func(co
 		}
 	})
 	return out, err
-}
-
-// StreamResult is one completed item of an AnalyzeStream call.
-type StreamResult struct {
-	// Index is the item's position in the request slice.
-	Index int
-	// Verdict is the result when Err is nil.
-	Verdict Verdict
-	// Err reports a per-item failure (missing snapshot, per-item
-	// deadline) without ending the stream.
-	Err error
-}
-
-// AnalyzeStream runs the pipeline over reqs with workers-wide fan-out
-// and delivers each verdict as it completes — out of order — on the
-// returned channel, which is closed once every item has finished or ctx
-// is done. Cancelling ctx stops undelivered work promptly; the consumer
-// should cancel and then drain. It is the library form of streaming
-// (exported through the knowphish facade); the serving layer's NDJSON
-// endpoint fans out over internal/pool itself, per item through its memo.
-func (p *Pipeline) AnalyzeStream(ctx context.Context, reqs []ScoreRequest, workers int) <-chan StreamResult {
-	ch := make(chan StreamResult)
-	go func() {
-		defer close(ch)
-		_ = pool.ForEachIndexCtx(ctx, len(reqs), workers, func(i int) {
-			v, err := p.AnalyzeCtx(ctx, reqs[i])
-			select {
-			case ch <- StreamResult{Index: i, Verdict: v, Err: err}:
-			case <-ctx.Done():
-			}
-		})
-	}()
-	return ch
 }

@@ -256,39 +256,3 @@ func TestAnalyzeBatchCtxPartialResults(t *testing.T) {
 		t.Error("pre-cancelled batch reports every result, expected a partial set")
 	}
 }
-
-func TestAnalyzeStreamDeliversAllAndStopsOnCancel(t *testing.T) {
-	c, p := verdictFixtures(t)
-	reqs := make([]ScoreRequest, 0, 16)
-	for i := 0; i < 16; i++ {
-		reqs = append(reqs, NewScoreRequest(c.PhishTest.Examples[i%len(c.PhishTest.Examples)].Snapshot))
-	}
-	seen := make(map[int]bool)
-	for res := range p.AnalyzeStream(context.Background(), reqs, 4) {
-		if res.Err != nil {
-			t.Fatalf("item %d: %v", res.Index, res.Err)
-		}
-		if seen[res.Index] {
-			t.Fatalf("item %d delivered twice", res.Index)
-		}
-		seen[res.Index] = true
-	}
-	if len(seen) != len(reqs) {
-		t.Fatalf("stream delivered %d of %d items", len(seen), len(reqs))
-	}
-
-	// Cancel after the first delivery: the channel must close without
-	// delivering the full set.
-	ctx, cancel := context.WithCancel(context.Background())
-	delivered := 0
-	for range p.AnalyzeStream(ctx, reqs, 2) {
-		delivered++
-		if delivered == 1 {
-			cancel()
-		}
-	}
-	cancel()
-	if delivered == len(reqs) {
-		t.Error("stream delivered every item despite cancellation after the first")
-	}
-}

@@ -42,6 +42,7 @@ import (
 	"knowphish/internal/crawl"
 	"knowphish/internal/obs"
 	"knowphish/internal/pool"
+	"knowphish/internal/registry"
 	"knowphish/internal/store"
 	"knowphish/internal/target"
 	"knowphish/internal/urlx"
@@ -88,13 +89,13 @@ type Config struct {
 	// Required.
 	Pipeline *core.Pipeline
 	// Detectors optionally overrides the pipeline's detector per URL —
-	// the model registry's hot-swap seam. When set (the registry
-	// implements it), each item resolves the current champion at scoring
-	// time, so a promotion lands between items with no pause in
-	// ingestion; items already scoring finish on the model they started
-	// with. Nil freezes Pipeline.Detector for the scheduler's lifetime,
-	// the classic behavior.
-	Detectors core.DetectorSource
+	// the model registry's hot-swap seam. When set, each item resolves
+	// the current champion at scoring time, so a promotion lands between
+	// items with no pause in ingestion; items already scoring finish on
+	// the model they started with. While the registry has no champion,
+	// and always when Detectors is nil, items score on
+	// Pipeline.Detector.
+	Detectors *registry.Registry
 	// Score optionally overrides how the drain scores a snapshot.
 	// kpserve wires the serving layer's stage memo (coalesce.Coalescer)
 	// here, so feed traffic shares the same per-stage memo tables as the
@@ -411,9 +412,9 @@ func (s *Scheduler) process(it *item) {
 		}
 	}()
 	// Each processed URL gets its own trace: the crawl span here, the
-	// scoring stages recorded by core through the context, and the
-	// store-append span below. Finish runs on every exit, including a
-	// contained panic (deferred after the recover, so it runs first).
+	// scoring stages from the verdict's timings, and the store-append
+	// span below. Finish runs on every exit, including a contained panic
+	// (deferred after the recover, so it runs first).
 	ctx, tr := s.cfg.Tracer.StartRequest(s.ctx, "feed", "")
 	defer s.cfg.Tracer.Finish(tr)
 	ts := time.Now()
@@ -438,6 +439,7 @@ func (s *Scheduler) process(it *item) {
 	}
 	req := core.NewScoreRequest(snap, opts...)
 	var v core.Verdict
+	ts = time.Now()
 	if s.cfg.Score != nil {
 		v, err = s.cfg.Score(ctx, pipe, req)
 	} else {
@@ -450,6 +452,8 @@ func (s *Scheduler) process(it *item) {
 		s.drop(it)
 		return
 	}
+	t := &v.Timings
+	tr.Stages(ts, t.AnalyzeNS, t.FeaturesNS, t.ScoreNS, t.TargetNS, t.ExplainNS)
 	out := v.Outcome
 	// A verdict scored through the stage memo already carries the page's
 	// identity; only the plain and explain paths still have to hash.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"knowphish/internal/dataset"
 	"knowphish/internal/features"
 	"knowphish/internal/ml"
+	"knowphish/internal/obs"
 	"knowphish/internal/store"
 	"knowphish/internal/target"
 	"knowphish/internal/webgen"
@@ -208,6 +210,47 @@ func TestEndToEndIngestion(t *testing.T) {
 	st = openStore(t, store.Config{Path: dir})
 	if again, ok := get(t, st, site.StartURL); !ok || again.Outcome.Score != rec.Outcome.Score {
 		t.Errorf("record changed across reload: %+v vs %+v", again, rec)
+	}
+}
+
+// TestTracedItemRecordsEveryStage: one traced URL carries the crawl
+// span, the scoring stages the verdict measured, and the store append,
+// in pipeline order and without overlap.
+func TestTracedItemRecordsEveryStage(t *testing.T) {
+	_, pipe := fixtures(t)
+	st := newStore(t)
+	tracer := obs.NewTracer(obs.Config{})
+	s, err := New(Config{Fetcher: staticFetcher, Pipeline: pipe, Store: st, DomainRate: -1, Tracer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const url = "http://garden.example/tips"
+	if err := s.Enqueue(url); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, s)
+	rec, ok := get(t, st, url)
+	if !ok {
+		t.Fatal("no record stored")
+	}
+	want := []string{"crawl", "analyze", "extract", "score", "store_append"}
+	if rec.Outcome.TargetRun {
+		want = []string{"crawl", "analyze", "extract", "score", "identify", "store_append"}
+	}
+	doc := tracer.Snapshot()
+	if len(doc.Recent) != 1 {
+		t.Fatalf("%d traces retained, want 1", len(doc.Recent))
+	}
+	spans := doc.Recent[0].Spans
+	var got []string
+	for i, sp := range spans {
+		got = append(got, sp.Stage)
+		if i > 0 && sp.OffsetUS < spans[i-1].OffsetUS+spans[i-1].DurUS {
+			t.Errorf("span %s starts inside %s: %+v", sp.Stage, spans[i-1].Stage, spans)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("span stages = %v, want %v", got, want)
 	}
 }
 

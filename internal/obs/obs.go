@@ -2,10 +2,10 @@
 // pipeline tracing, exponential latency histograms, Prometheus text
 // exposition and structured-logging setup. Every serving and ingestion
 // layer threads through it — the serve handlers start a Trace per
-// request, core's stage machine attaches per-stage spans through the
-// request context, the feed scheduler traces crawl → score → persist,
-// and the /metrics and /debug/traces endpoints read the aggregates
-// back out.
+// request and turn each verdict's stage timings into spans (Stages),
+// the feed scheduler traces crawl → score → persist the same way, and
+// the /metrics and /debug/traces endpoints read the aggregates back
+// out. The detector itself (internal/core) never sees a trace.
 //
 // The design constraint is the repository's zero-allocation contract:
 // with tracing disabled (or no trace on the context) the hot scoring
@@ -94,11 +94,33 @@ func (t *Trace) Span(stage Stage, start time.Time, durNS int64) {
 	if t == nil {
 		return
 	}
+	t.span(stage, start.Sub(t.start).Nanoseconds(), durNS)
+}
+
+// Stages records one scoring pass as spans laid end to end from start,
+// in pipeline order: analyze, extract, score, identify, explain, each as
+// long as its measured duration (core.StageTimings). A zero duration is
+// a stage that did not run and records no span. Nil-safe no-op without
+// a trace.
+func (t *Trace) Stages(start time.Time, analyze, extract, score, identify, explain int64) {
+	if t == nil {
+		return
+	}
+	off := start.Sub(t.start).Nanoseconds()
+	for i, d := range [...]int64{analyze, extract, score, identify, explain} {
+		if d > 0 {
+			t.span(StageAnalyze+Stage(i), off, d)
+			off += d
+		}
+	}
+}
+
+func (t *Trace) span(stage Stage, offNS, durNS int64) {
 	if int(t.nspans) >= MaxSpans {
 		t.dropped++
 		return
 	}
-	t.spans[t.nspans] = Span{Stage: stage, OffsetNS: start.Sub(t.start).Nanoseconds(), DurNS: durNS}
+	t.spans[t.nspans] = Span{Stage: stage, OffsetNS: offNS, DurNS: durNS}
 	t.nspans++
 }
 

@@ -172,6 +172,49 @@ func TestTraceSpansAndStageHists(t *testing.T) {
 	}
 }
 
+// TestTraceStagesLaysSpansEndToEnd pins the helper that turns a
+// verdict's stage timings into spans: a stage that did not run (zero
+// duration) records nothing, the rest follow pipeline order back to
+// back from start without overlapping, and together they fit inside
+// the trace.
+func TestTraceStagesLaysSpansEndToEnd(t *testing.T) {
+	tr := NewTracer(Config{SlowThreshold: time.Hour})
+	_, trace := tr.StartRequest(context.Background(), "/v2/score", "")
+	start := time.Now()
+	trace.Stages(start, 3000, 0, 5000, 0, 2000)
+	time.Sleep(20 * time.Microsecond) // the trace outlives its 10µs of stages
+
+	want := []Stage{StageAnalyze, StageScore, StageExplain}
+	got := append([]Span(nil), trace.spans[:trace.nspans]...)
+	if len(got) != len(want) {
+		t.Fatalf("spans = %+v, want stages %v", got, want)
+	}
+	var sum int64
+	for i, sp := range got {
+		if sp.Stage != want[i] {
+			t.Errorf("span %d stage = %v, want %v", i, sp.Stage, want[i])
+		}
+		if sp.DurNS <= 0 {
+			t.Errorf("span %d has duration %d", i, sp.DurNS)
+		}
+		if i > 0 && sp.OffsetNS < got[i-1].OffsetNS+got[i-1].DurNS {
+			t.Errorf("span %d starts at %d, inside span %d (%+v)", i, sp.OffsetNS, i-1, got[i-1])
+		}
+		sum += sp.DurNS
+	}
+	if got[0].OffsetNS != start.Sub(trace.start).Nanoseconds() {
+		t.Errorf("first span offset = %d, want the start's %d", got[0].OffsetNS, start.Sub(trace.start).Nanoseconds())
+	}
+	tr.Finish(trace)
+	rec := tr.ring[0]
+	if last := got[len(got)-1]; last.OffsetNS+last.DurNS > rec.durNS || sum > rec.durNS {
+		t.Errorf("spans end at %d (sum %d), past the trace's %d ns", last.OffsetNS+last.DurNS, sum, rec.durNS)
+	}
+
+	var none *Trace
+	none.Stages(start, 1, 1, 1, 1, 1) // must not panic
+}
+
 func TestTraceSpanOverflowCounted(t *testing.T) {
 	tr := NewTracer(Config{})
 	_, trace := tr.StartRequest(context.Background(), "x", "")

@@ -1,10 +1,14 @@
-// Package pool provides the worker-pool primitive used by every batch
-// entry point in the repository: parallel feature extraction
+// Package pool provides the worker-pool primitive behind every bounded
+// fan-out in the repository: parallel feature extraction
 // (features.ExtractBatch), the library batch methods
-// (core.Detector.ScoreBatch, core.Pipeline.AnalyzeBatch) and the HTTP
-// server's own fan-out (internal/serve). One implementation means one
-// place for pool semantics: order preservation, inline execution at
-// workers==1, GOMAXPROCS defaulting, panic propagation, cancellation.
+// (core.Detector.ScoreBatchCtx, core.Pipeline.AnalyzeBatchCtx), the
+// corpus build (internal/dataset), the feed scheduler's workers and the
+// HTTP server's batch and NDJSON stream fan-out (internal/serve). One
+// implementation means one place for pool semantics: order
+// preservation, inline execution at workers==1, GOMAXPROCS defaulting,
+// panic propagation, cancellation. It imports only the standard
+// library, so it stays inside the detector's leaf closure (make
+// leaf-check).
 //
 // Each call spins up its own short-lived workers; the bound is
 // per-call. Callers that need a process-wide concurrency limit across

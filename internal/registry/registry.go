@@ -20,8 +20,7 @@
 //     state or the new one, never a torn artifact.
 //   - Lock-free hot swap: the champion is served from an atomic pointer.
 //     Scorers resolve it with one atomic load per request
-//     (Registry.Current implements core.DetectorSource); a promotion is
-//     one atomic store. In-flight requests keep the detector they
+//     (Registry.Current); a promotion is one atomic store. In-flight requests keep the detector they
 //     already resolved — a swap never stalls or drops them.
 //
 // The content hash (sha256 of the artifact bytes) makes artifacts
@@ -41,6 +40,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"knowphish/internal/core"
@@ -108,7 +108,7 @@ type Registry struct {
 	manifests map[string]Manifest
 
 	// champion is the hot path: one atomic load per scored request.
-	champion core.SwappableSource
+	champion atomic.Pointer[core.Detector]
 	// championMan mirrors the champion's manifest for introspection
 	// endpoints; guarded by mu (Manifest is not needed on the hot path).
 	championMan *Manifest
@@ -159,7 +159,7 @@ func Open(dir string, rank *ranking.List) (*Registry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("registry: loading champion: %w", err)
 		}
-		r.champion.Swap(m.Detector)
+		r.champion.Store(m.Detector)
 		man := m.Manifest
 		r.championMan = &man
 	}
@@ -222,13 +222,13 @@ func (r *Registry) List() []Manifest {
 }
 
 // Current returns the champion detector (nil when none is promoted).
-// It is one atomic load — the hot-path read behind every scored request
-// — and implements core.DetectorSource.
-func (r *Registry) Current() *core.Detector { return r.champion.Current() }
+// It is one atomic load — the hot-path read behind every scored
+// request.
+func (r *Registry) Current() *core.Detector { return r.champion.Load() }
 
 // Champion returns the champion model and whether one is set.
 func (r *Registry) Champion() (Model, bool) {
-	det := r.champion.Current()
+	det := r.champion.Load()
 	if det == nil {
 		return Model{}, false
 	}
@@ -242,7 +242,7 @@ func (r *Registry) Champion() (Model, bool) {
 
 // ChampionVersion returns the champion's version ("" when none is set).
 func (r *Registry) ChampionVersion() string {
-	det := r.champion.Current()
+	det := r.champion.Load()
 	if det == nil {
 		return ""
 	}
@@ -367,7 +367,7 @@ func (r *Registry) SetChampion(version string) (Model, error) {
 	if err := os.Rename(tmp, filepath.Join(r.dir, championFile)); err != nil {
 		return Model{}, fmt.Errorf("registry: installing %s: %w", championFile, err)
 	}
-	r.champion.Swap(m.Detector)
+	r.champion.Store(m.Detector)
 	man := m.Manifest
 	r.championMan = &man
 	return m, nil

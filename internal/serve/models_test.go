@@ -30,9 +30,9 @@ func trainSmall(t *testing.T, seed int64) *core.Detector {
 	return d
 }
 
-// registryServer builds a server over a two-version registry with
-// v0001 as champion.
-func registryServer(t *testing.T) (*Server, *registry.Registry) {
+// emptyRegistry opens a registry holding v0001 and v0002 and no
+// champion.
+func emptyRegistry(t *testing.T) *registry.Registry {
 	t.Helper()
 	c, _ := fixtures(t)
 	reg, err := registry.Open(t.TempDir(), c.World.Ranking())
@@ -44,6 +44,15 @@ func registryServer(t *testing.T) (*Server, *registry.Registry) {
 			t.Fatalf("Save: %v", err)
 		}
 	}
+	return reg
+}
+
+// registryServer builds a server over a two-version registry with
+// v0001 as champion.
+func registryServer(t *testing.T) (*Server, *registry.Registry) {
+	t.Helper()
+	c, _ := fixtures(t)
+	reg := emptyRegistry(t)
 	if _, err := reg.SetChampion("v0001"); err != nil {
 		t.Fatalf("SetChampion: %v", err)
 	}

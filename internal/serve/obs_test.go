@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -15,13 +16,16 @@ import (
 	"testing"
 	"time"
 
+	"knowphish/internal/coalesce"
 	"knowphish/internal/core"
 	"knowphish/internal/feed"
 	"knowphish/internal/feedsrc"
 	"knowphish/internal/obs"
+	"knowphish/internal/registry"
 	"knowphish/internal/slo"
 	"knowphish/internal/store"
 	"knowphish/internal/target"
+	"knowphish/internal/webpage"
 )
 
 // rawCall sends a request and returns the recorder (for tests that need
@@ -558,6 +562,85 @@ func TestDebugTracesEndpoint(t *testing.T) {
 		if !stages[want] {
 			t.Errorf("scoring trace missing stage %q (got %v)", want, stages)
 		}
+	}
+}
+
+// TestScoreHeldTracesStagesThatRan: the trace owner records a span for
+// each stage the verdict measured and none for a stage that did not
+// run — a supplied analysis leaves no analyze span, and a memo hit ran
+// nothing and leaves no span at all.
+func TestScoreHeldTracesStagesThatRan(t *testing.T) {
+	c, _ := fixtures(t)
+	tracer := obs.NewTracer(obs.Config{})
+	s := newServer(t, func(cfg *Config) { cfg.Tracer = tracer })
+	pipe, err := s.pipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := c.PhishTest.Examples[0].Snapshot
+	stagesOf := func(req core.ScoreRequest) []string {
+		t.Helper()
+		ctx, tr := tracer.StartRequest(context.Background(), "/v2/score", "")
+		if _, _, err := s.scoreHeld(ctx, pipe, req, coalesce.CacheDefault); err != nil {
+			t.Fatal(err)
+		}
+		tracer.Finish(tr)
+		var got []string
+		for _, sp := range tracer.Snapshot().Recent[0].Spans {
+			got = append(got, sp.Stage)
+		}
+		return got
+	}
+	warm := core.NewScoreRequest(snap, core.WithAnalysis(webpage.Analyze(snap)), core.WithoutTargetID())
+	if got := stagesOf(warm); strings.Join(got, ",") != "extract,score" {
+		t.Errorf("warm request spans = %v, want [extract score] (no analyze under WithAnalysis)", got)
+	}
+	if got := stagesOf(warm); len(got) != 0 {
+		t.Errorf("memo hit spans = %v, want none", got)
+	}
+}
+
+// TestDetectorResolution pins the order a server picks its detector in:
+// the registry champion, then Config.Detector, then a 503.
+func TestDetectorResolution(t *testing.T) {
+	c, d := fixtures(t)
+	champion := func(t *testing.T) *registry.Registry {
+		reg := emptyRegistry(t)
+		if _, err := reg.SetChampion("v0001"); err != nil {
+			t.Fatal(err)
+		}
+		return reg
+	}
+	page := V2ScoreRequest{PageRequest: PageRequest{Snapshot: c.PhishTest.Examples[0].Snapshot}}
+	for _, tc := range []struct {
+		name     string
+		registry func(*testing.T) *registry.Registry
+		detector *core.Detector
+		code     int
+		version  string
+	}{
+		{"detector only", nil, d, http.StatusOK, ""},
+		{"champion overrides detector", champion, d, http.StatusOK, "v0001"},
+		{"no champion falls back to detector", emptyRegistry, d, http.StatusOK, ""},
+		{"no champion and no detector", emptyRegistry, nil, http.StatusServiceUnavailable, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Detector: tc.detector, Identifier: target.New(c.Engine)}
+			if tc.registry != nil {
+				cfg.Registry = tc.registry(t)
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var v V2ScoreResponse
+			if code := call(t, s, http.MethodPost, "/v2/score", page, &v); code != tc.code {
+				t.Fatalf("/v2/score = %d, want %d", code, tc.code)
+			}
+			if v.ModelVersion != tc.version {
+				t.Errorf("model_version = %q, want %q", v.ModelVersion, tc.version)
+			}
+		})
 	}
 }
 

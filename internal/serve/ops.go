@@ -14,7 +14,7 @@ import (
 // and store stats when those subsystems are wired in.
 func (s *Server) Metrics() MetricsSnapshot {
 	snap := s.metrics.Snapshot()
-	if det := s.source.Current(); det != nil {
+	if det := s.detector(); det != nil {
 		snap.ModelVersion = det.Version()
 	}
 	if s.cfg.Feed != nil {
@@ -83,7 +83,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		FeedEnabled:   s.cfg.Feed != nil,
 		StoreEnabled:  s.cfg.Store != nil,
 	}
-	if det := s.source.Current(); det != nil {
+	if det := s.detector(); det != nil {
 		resp.Threshold = det.Threshold()
 		resp.ModelVersion = det.Version()
 		if s.cfg.Registry != nil {

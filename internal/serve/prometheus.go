@@ -152,7 +152,7 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 
 	// Model identity: version from the serving detector, artifact hash
 	// from the registry manifest when one backs this server.
-	if det := s.source.Current(); det != nil {
+	if det := s.detector(); det != nil {
 		labels := []obs.Label{{Name: "version", Value: det.Version()}}
 		if s.cfg.Registry != nil {
 			if mod, ok := s.cfg.Registry.Champion(); ok {

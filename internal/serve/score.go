@@ -10,6 +10,7 @@ import (
 
 	"knowphish/internal/coalesce"
 	"knowphish/internal/core"
+	"knowphish/internal/obs"
 	"knowphish/internal/pool"
 	"knowphish/internal/webpage"
 )
@@ -63,12 +64,18 @@ func (s *Server) boundedCtx(ctx context.Context, pri int, fn func()) error {
 // requests; no-memo and refresh requests ask for recomputation, and
 // explain requests bypass the memo (evidence is never memoized), so
 // neither can hit and neither depresses the rate.
+//
+// On a traced request the stages that ran become spans, laid end to end
+// from the call's start (a hit ran none and records none).
 func (s *Server) scoreHeld(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest, cc coalesce.CacheControl) (core.Verdict, bool, error) {
 	var prov core.MemoProvenance
+	start := time.Now()
 	v, err := s.coal.Do(ctx, pipe, req, cc, &prov)
 	if err != nil {
 		return core.Verdict{}, false, err
 	}
+	t := &v.Timings
+	obs.TraceFrom(ctx).Stages(start, t.AnalyzeNS, t.FeaturesNS, t.ScoreNS, t.TargetNS, t.ExplainNS)
 	if prov.Hit() {
 		s.metrics.cacheHits.Add(1)
 		v.Timings = core.StageTimings{}

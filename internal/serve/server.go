@@ -42,14 +42,13 @@
 // reads), models.go, and ops.go with metrics.go / prometheus.go (health,
 // metrics, debug).
 //
-// The detector is resolved through a core.DetectorSource once per
-// request: with a model registry configured, a champion promotion is
-// picked up by the next request — one atomic load, no lock
-// on the hot path, no restart, and in-flight requests finish on the
-// model they started with. Every verdict and stored record is stamped
-// with the model_version that produced it, and memoized scores are
-// version-gated so a promoted model is never shadowed by its
-// predecessor's entries.
+// The detector is resolved once per request (pipeline): with a model
+// registry configured, a champion promotion is picked up by the next
+// request — one atomic load, no lock on the hot path, no restart, and
+// in-flight requests finish on the model they started with. Every
+// verdict and stored record is stamped with the model_version that
+// produced it, and memoized scores are version-gated so a promoted
+// model is never shadowed by its predecessor's entries.
 //
 // Every scoring path is context-aware end to end: the request context
 // (plus an optional per-request deadline) reaches the pipeline through
@@ -189,11 +188,6 @@ type Server struct {
 	// cfg is the configuration with its zero values resolved; every
 	// setting and wired subsystem is read from it.
 	cfg Config
-	// source yields the detector per request. Each HTTP request resolves
-	// it exactly once (pipeline()), so a champion hot-swap lands between
-	// requests, never inside one — a batch is scored end to end by a
-	// single model.
-	source core.DetectorSource
 	// coal is the content-addressed stage memo every scoring call goes
 	// through — the only verdict reuse in the server.
 	coal *coalesce.Coalescer
@@ -227,16 +221,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Identifier == nil {
 		return nil, errors.New("serve: Config.Identifier is required")
 	}
-	var source core.DetectorSource
-	switch {
-	case cfg.Registry == nil:
-		source = core.StaticSource(cfg.Detector)
-	case cfg.Detector == nil:
-		source = cfg.Registry
-	default:
-		source = fallbackSource{primary: cfg.Registry, fallback: cfg.Detector}
-	}
-	s := &Server{cfg: cfg, source: source, metrics: newMetrics()}
+	s := &Server{cfg: cfg, metrics: newMetrics()}
 	if s.cfg.Logger == nil {
 		s.cfg.Logger = obs.NopLogger()
 	}
@@ -312,29 +297,27 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// fallbackSource serves the primary source's detector, falling back to
-// a fixed one while the primary has none (a registry still being
-// bootstrapped).
-type fallbackSource struct {
-	primary  core.DetectorSource
-	fallback *core.Detector
-}
-
-func (f fallbackSource) Current() *core.Detector {
-	if d := f.primary.Current(); d != nil {
-		return d
-	}
-	return f.fallback
-}
-
-// errNoModel is the 503 a scoring request gets from a hot-swappable
-// source that has no champion yet.
+// errNoModel is the 503 a scoring request gets from a registry that has
+// no champion yet when no Detector backs it.
 var errNoModel = errors.New("no model available: the registry has no champion")
 
+// detector is the serving detector: the registry champion, else
+// Config.Detector (the fallback while a registry is bootstrapped), else
+// nil.
+func (s *Server) detector() *core.Detector {
+	if s.cfg.Registry != nil {
+		if d := s.cfg.Registry.Current(); d != nil {
+			return d
+		}
+	}
+	return s.cfg.Detector
+}
+
 // pipeline resolves the detector for one request — exactly once, so a
-// champion hot-swap lands between requests, never inside one.
+// champion hot-swap lands between requests, never inside one: a batch
+// is scored end to end by a single model.
 func (s *Server) pipeline() (*core.Pipeline, error) {
-	det := s.source.Current()
+	det := s.detector()
 	if det == nil {
 		return nil, errNoModel
 	}
