@@ -1178,11 +1178,12 @@ func BenchmarkStoreReopen(b *testing.B) {
 	}
 }
 
-// BenchmarkWindowedHist prices one windowed-latency observation — the
-// cost the serving layer adds to every successful request for the
-// rolling 1m/5m/1h percentile view. The path is two ring-slot epoch
-// checks plus two histogram increments, all atomics; the gate pins it
-// at 0 allocs/op.
+// BenchmarkWindowedHist prices one latency observation — the cost the
+// serving layer adds to every successful request (and the tracer to
+// every span) for its since-boot and rolling 1m/5m/1h percentiles. The
+// path computes the bucket once and feeds three slots: the since-boot
+// histogram and, after one epoch check each, the current 1 s and 1 min
+// ring slots — all atomics; the gate pins it at 0 allocs/op.
 func BenchmarkWindowedHist(b *testing.B) {
 	w := obs.NewWindowedHist(nil)
 	b.ReportAllocs()

@@ -145,13 +145,10 @@ func runLoad(args []string) error {
 	corpusPath := fs.String("corpus", "", "URL corpus file, one per line (-self defaults to the generated world corpus)")
 	qps := fs.Float64("qps", 0, "open-loop target rate in URLs/second (0 = closed loop: measure the ceiling)")
 	workers := fs.Int("workers", loadgen.DefaultWorkersForHost(), "concurrent request workers")
-	ramp := fs.Duration("ramp", 0, "stagger worker start over this window")
 	duration := fs.Duration("duration", 10*time.Second, "run length (ignored with -requests)")
 	requests := fs.Int("requests", 0, "fixed request budget instead of -duration (reproducible runs)")
 	batch := fs.Int("batch", 1, "URLs per /v1/feed request")
 	endpoint := fs.String("endpoint", "feed", "endpoint to load: feed (POST /v1/feed batches) or score (POST /v1/score, one uncached page per request)")
-	shedBackoff := fs.Duration("shed-backoff", loadgen.DefaultShedBackoff, "cap on how long a worker honors a shed 503's Retry-After")
-	pageBytes := fs.Int("page-bytes", loadgen.DefaultPageBytes, "with -endpoint score: approximate HTML size per submitted page (bigger = more server work per request)")
 	cacheMix := fs.Float64("cache-mix", 0, "with -endpoint score: fraction (0..1) of requests replaying a small hot page set — warm traffic answered from the stage memo")
 	jsonOut := fs.String("json", "", "also write the report as JSON (the LOAD_PR.json artifact)")
 	// The -self server is the kpserve assembly with a throwaway verdict
@@ -238,18 +235,15 @@ func runLoad(args []string) error {
 	fmt.Fprintf(os.Stderr, "kpload: loading %s with %d URLs (workers %d, %s)\n",
 		*targetURL, len(corpus), *workers, describeBudget(*requests, *duration))
 	rep, err := loadgen.Run(ctx, loadgen.Config{
-		TargetURL:   *targetURL,
-		Corpus:      corpus,
-		QPS:         *qps,
-		Workers:     *workers,
-		Ramp:        *ramp,
-		Duration:    *duration,
-		Requests:    *requests,
-		BatchSize:   *batch,
-		Endpoint:    *endpoint,
-		ShedBackoff: *shedBackoff,
-		PageBytes:   *pageBytes,
-		CacheMix:    *cacheMix,
+		TargetURL: *targetURL,
+		Corpus:    corpus,
+		QPS:       *qps,
+		Workers:   *workers,
+		Duration:  *duration,
+		Requests:  *requests,
+		BatchSize: *batch,
+		Endpoint:  *endpoint,
+		CacheMix:  *cacheMix,
 	})
 	if err != nil {
 		return err

@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"knowphish/internal/obs"
 	"knowphish/internal/serve"
 )
 
@@ -47,23 +48,25 @@ const (
 	DefaultWorkers = 8
 	// DefaultScrapeInterval is the /metrics queue-depth poll cadence.
 	DefaultScrapeInterval = 200 * time.Millisecond
-	// DefaultShedBackoff caps how long a worker sleeps on a shed 503's
-	// Retry-After before offering load again.
+	// DefaultShedBackoff caps how long a worker honors a shed 503's
+	// Retry-After before offering load again. The server's suggested
+	// backoff can exceed the whole run; the cap keeps pressure on so
+	// the run can observe shedding and recovery.
 	DefaultShedBackoff = time.Second
 )
 
-// DefaultPageBytes is the approximate HTML size score mode submits
-// when Config.PageBytes is unset. Sized so one score costs the server
-// whole milliseconds of parsing and feature extraction — small pages
-// score in ~200µs, which makes overload unreachable at any realistic
-// request rate.
+// DefaultPageBytes is the approximate HTML size of the page score mode
+// submits. Sized so one score costs the server whole milliseconds of
+// parsing and feature extraction — small pages score in ~200µs, which
+// makes overload unreachable at any realistic request rate.
 const DefaultPageBytes = 64 << 10
 
 // buildScorePage renders the page body score mode submits: a phish-like
 // shell (title, login form) padded with linked paragraphs to roughly
-// size bytes, so the real parsing and feature-extraction pipeline does
-// proportional work per request.
-func buildScorePage(size int) string {
+// DefaultPageBytes, so the real parsing and feature-extraction pipeline
+// does proportional work per request.
+func buildScorePage() string {
+	const size = DefaultPageBytes
 	var b strings.Builder
 	b.Grow(size + 512)
 	b.WriteString(`<html><head><title>account verification portal</title></head>` +
@@ -93,10 +96,6 @@ type Config struct {
 	QPS float64
 	// Workers is the concurrent request count (0 → DefaultWorkers).
 	Workers int
-	// Ramp staggers worker start over this window so the target warms
-	// (connection setup, cache fill) instead of taking the full
-	// concurrency as a step function (0 → no ramp).
-	Ramp time.Duration
 	// Duration bounds the run. Ignored when Requests is set.
 	Duration time.Duration
 	// Requests, when positive, runs a fixed request budget instead of a
@@ -110,18 +109,9 @@ type Config struct {
 	// to POST /v1/score, each with a unique starting URL so every
 	// request takes the full scoring path instead of the verdict
 	// cache. Score mode is what the overload smoke drives — it is the
-	// endpoint the latency SLO guards.
+	// endpoint the latency SLO guards; its pages are DefaultPageBytes
+	// of HTML.
 	Endpoint string
-	// ShedBackoff bounds how long a worker honors a 503 Retry-After
-	// before retrying (0 → DefaultShedBackoff). The server's suggested
-	// backoff can exceed the whole run; honoring it with a cap keeps
-	// pressure on so the run can observe shedding and recovery.
-	ShedBackoff time.Duration
-	// PageBytes is the approximate HTML size of the page score mode
-	// submits (0 → DefaultPageBytes). Bigger pages cost the server
-	// proportionally more per request, which is how the overload smoke
-	// makes saturation reachable at moderate request rates.
-	PageBytes int
 	// ScrapeInterval is how often the run polls GET /metrics for the
 	// feed queue depth (0 → DefaultScrapeInterval, negative →
 	// disabled).
@@ -248,17 +238,11 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	if cfg.ScrapeInterval == 0 {
 		cfg.ScrapeInterval = DefaultScrapeInterval
 	}
-	if cfg.ShedBackoff <= 0 {
-		cfg.ShedBackoff = DefaultShedBackoff
-	}
 	switch cfg.Endpoint {
 	case "", "feed":
 		cfg.Endpoint = "feed"
 	case "score":
 		cfg.BatchSize = 1
-		if cfg.PageBytes <= 0 {
-			cfg.PageBytes = DefaultPageBytes
-		}
 	default:
 		return Report{}, fmt.Errorf("loadgen: unknown Endpoint %q (want feed or score)", cfg.Endpoint)
 	}
@@ -271,7 +255,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 		rejected: make(map[string]int64),
 	}
 	if cfg.Endpoint == "score" {
-		r.pageHTML = buildScorePage(cfg.PageBytes)
+		r.pageHTML = buildScorePage()
 	}
 	if r.client == nil {
 		// A dedicated transport with the pool sized to the worker count:
@@ -347,16 +331,8 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Workers; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			if cfg.Ramp > 0 && i > 0 {
-				delay := time.Duration(int64(cfg.Ramp) * int64(i) / int64(cfg.Workers))
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(delay):
-				}
-			}
 			for {
 				if cfg.Requests > 0 && r.budget.Add(-1) < 0 {
 					return
@@ -375,7 +351,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 				}
 				r.shoot(ctx)
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
@@ -445,7 +421,7 @@ func (r *run) shoot(ctx context.Context) {
 	if resp.StatusCode == http.StatusServiceUnavailable {
 		if ra := resp.Header.Get("Retry-After"); ra != "" {
 			r.shed.Add(1)
-			if backoff := retryAfterDelay(ra, r.cfg.ShedBackoff); backoff > 0 {
+			if backoff := retryAfterDelay(ra, DefaultShedBackoff); backoff > 0 {
 				select {
 				case <-ctx.Done():
 				case <-time.After(backoff):
@@ -570,27 +546,22 @@ func (r *run) report(elapsed time.Duration, finalDepth int) Report {
 			sum += l
 		}
 		rep.LatencyMeanUS = sum / int64(n)
-		rep.LatencyP50US = percentile(r.latencies, 0.50)
-		rep.LatencyP90US = percentile(r.latencies, 0.90)
-		rep.LatencyP99US = percentile(r.latencies, 0.99)
-		rep.LatencyP999US = percentile(r.latencies, 0.999)
+		rep.LatencyP50US = percentile(r.latencies, 50)
+		rep.LatencyP90US = percentile(r.latencies, 90)
+		rep.LatencyP99US = percentile(r.latencies, 99)
+		rep.LatencyP999US = percentile(r.latencies, 99.9)
 		rep.LatencyMaxUS = r.latencies[n-1]
 	}
 	return rep
 }
 
-// percentile reads the q-quantile from an ascending-sorted sample set
-// (nearest-rank): exact over the recorded population, no bucketing
-// error — a load report's p999 should not be an approximation.
-func percentile(sorted []int64, q float64) int64 {
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+// percentile reads the p-th percentile (p in [0, 100]) from a
+// non-empty ascending-sorted sample set by the nearest-rank rule the
+// server's histograms use (obs.NearestRank): exact over the recorded
+// population, no bucketing error — a load report's p999 should not be
+// an approximation.
+func percentile(sorted []int64, p float64) int64 {
+	return sorted[obs.NearestRank(p, int64(len(sorted)))-1]
 }
 
 // Table renders the human-readable summary cmd/kpload prints.

@@ -175,15 +175,24 @@ func TestConfigValidation(t *testing.T) {
 func TestPercentileNearestRank(t *testing.T) {
 	s := []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 	for _, tc := range []struct {
-		q    float64
+		p    float64
 		want int64
-	}{{0.50, 50}, {0.90, 90}, {0.99, 100}, {0.999, 100}} {
-		if got := percentile(s, tc.q); got != tc.want {
-			t.Fatalf("p%v = %d, want %d", tc.q*100, got, tc.want)
+	}{{50, 50}, {90, 90}, {99, 100}, {99.9, 100}} {
+		if got := percentile(s, tc.p); got != tc.want {
+			t.Fatalf("p%v = %d, want %d", tc.p, got, tc.want)
 		}
 	}
-	if got := percentile([]int64{42}, 0.999); got != 42 {
+	if got := percentile([]int64{42}, 99.9); got != 42 {
 		t.Fatalf("single sample p999 = %d, want 42", got)
+	}
+	// Nearest rank is the ⌈p·N/100⌉-th smallest: p99 of 160 samples is
+	// the 159th (⌈158.4⌉), where rounding half-up picked the 158th.
+	s = make([]int64, 160)
+	for i := range s {
+		s[i] = int64(i + 1)
+	}
+	if got := percentile(s, 99); got != 159 {
+		t.Fatalf("p99 of 1..160 = %d, want 159", got)
 	}
 }
 

@@ -1,104 +1,29 @@
 package obs
 
 import (
+	"math"
+	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
-// NumBuckets is the bucket count of a Hist. Bucket i covers latencies
-// in [2^i, 2^(i+1)) microseconds; the last bucket is open-ended,
-// catching everything from ~34 s up.
+// NumBuckets is the bucket count of a latency histogram. Bucket i
+// covers latencies in [2^i, 2^(i+1)) microseconds (bucket 0 also takes
+// 0 µs); the last bucket is open-ended, catching everything from ~34 s
+// up.
 const NumBuckets = 26
 
-// Hist is a lock-free exponential latency histogram. Percentiles read
-// from bucket counts are approximate (within a factor of two, the
-// bucket width), which is what operational dashboards need. The zero
-// value is ready to use; all methods are safe for concurrent use.
-type Hist struct {
-	buckets [NumBuckets]atomic.Int64
-	count   atomic.Int64
-	sumUS   atomic.Int64
-	// maxUS tracks the largest observation so the open-ended last
-	// bucket (and any bucket bound past the data) can report a real
-	// value instead of its theoretical 2^26 µs ≈ 67 s upper bound.
-	maxUS atomic.Int64
+// bucketOf returns the bucket holding a latency of us microseconds
+// (us >= 0).
+func bucketOf(us int64) int {
+	b := bits.Len64(uint64(us)) - 1
+	if b < 0 {
+		return 0
+	}
+	if b > NumBuckets-1 {
+		return NumBuckets - 1
+	}
+	return b
 }
-
-// Observe records one duration.
-func (h *Hist) Observe(d time.Duration) {
-	us := d.Microseconds()
-	if us < 0 {
-		us = 0
-	}
-	b := 0
-	for v := us; v > 1 && b < NumBuckets-1; v >>= 1 {
-		b++
-	}
-	h.buckets[b].Add(1)
-	h.count.Add(1)
-	h.sumUS.Add(us)
-	for {
-		cur := h.maxUS.Load()
-		if us <= cur || h.maxUS.CompareAndSwap(cur, us) {
-			break
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Hist) Count() int64 { return h.count.Load() }
-
-// MaxUS returns the largest observation in microseconds.
-func (h *Hist) MaxUS() int64 { return h.maxUS.Load() }
-
-// Percentile returns the upper bound (µs) of the bucket containing the
-// p-th percentile observation, 0 when empty. p in [0, 100]. The rule —
-// including the clamp to the largest observation recorded — is
-// HistSnapshot.Percentile, applied to the current counts.
-func (h *Hist) Percentile(p float64) int64 { return h.snapshot().Percentile(p) }
-
-// Reset zeroes the histogram for reuse. It is atomic per field, not
-// across the histogram: observations racing a reset may be partially
-// retained (a bucket increment surviving while the count was cleared,
-// or vice versa). The windowed-histogram ring calls Reset only on
-// slots a full ring-period stale, where in-flight observers are gone;
-// the residual slop is one sample at a slot boundary, which a
-// dashboard percentile cannot see.
-func (h *Hist) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sumUS.Store(0)
-	h.maxUS.Store(0)
-}
-
-// addTo folds the histogram's current counts into snap. Like
-// Cumulative, the read is not atomic across buckets.
-func (h *Hist) addTo(snap *HistSnapshot) {
-	var n int64
-	for i := 0; i < NumBuckets; i++ {
-		c := h.buckets[i].Load()
-		snap.Buckets[i] += c
-		n += c
-	}
-	snap.N += n
-	snap.SumUS += h.sumUS.Load()
-	if m := h.maxUS.Load(); m > snap.MaxUS {
-		snap.MaxUS = m
-	}
-}
-
-// snapshot copies the current counts into a plain value, the form every
-// read-side statistic is computed on.
-func (h *Hist) snapshot() HistSnapshot {
-	var snap HistSnapshot
-	h.addTo(&snap)
-	return snap
-}
-
-// Mean returns the mean observation in microseconds, 0 when empty.
-func (h *Hist) Mean() int64 { return h.snapshot().Mean() }
 
 // BucketBoundUS returns bucket i's inclusive upper bound in
 // microseconds; the last bucket reports -1 (open-ended, rendered as
@@ -110,17 +35,138 @@ func BucketBoundUS(i int) int64 {
 	return int64(1) << uint(i+1)
 }
 
+// hist is one slot of a WindowedHist: a lock-free exponential latency
+// histogram. The zero value is ready to use.
+type hist struct {
+	buckets [NumBuckets]atomic.Int64
+	sumUS   atomic.Int64
+	// maxUS tracks the largest observation so the open-ended last
+	// bucket (and any bucket bound past the data) can report a real
+	// value instead of its theoretical 2^26 µs ≈ 67 s upper bound.
+	maxUS atomic.Int64
+}
+
+// add records one observation of us microseconds in bucket b.
+func (h *hist) add(b int, us int64) {
+	h.buckets[b].Add(1)
+	h.sumUS.Add(us)
+	for {
+		cur := h.maxUS.Load()
+		if us <= cur || h.maxUS.CompareAndSwap(cur, us) {
+			return
+		}
+	}
+}
+
+// reset zeroes the histogram for reuse. It is atomic per field, not
+// across the histogram: observations racing a reset may be partially
+// retained. The slot ring resets only slots a full ring period stale,
+// where in-flight observers are gone; the residual slop is one sample
+// at a slot boundary, which a dashboard percentile cannot see.
+func (h *hist) reset() {
+	for i := range h.buckets {
+		h.buckets[i].Store(0)
+	}
+	h.sumUS.Store(0)
+	h.maxUS.Store(0)
+}
+
+// addTo folds the histogram's current counts into snap. The read is not
+// atomic across buckets; the snapshot's count is the sum of the buckets
+// it read, so it is always consistent with itself.
+func (h *hist) addTo(snap *HistSnapshot) {
+	for i := range h.buckets {
+		c := h.buckets[i].Load()
+		snap.Buckets[i] += c
+		snap.N += c
+	}
+	snap.SumUS += h.sumUS.Load()
+	if m := h.maxUS.Load(); m > snap.MaxUS {
+		snap.MaxUS = m
+	}
+}
+
+// HistSnapshot is a point-in-time merge of one or more histograms — a
+// plain value with no atomics, so window reads compose slots into one
+// and every statistic (JSON percentiles, Prometheus buckets, kptop) is
+// computed on a stable copy.
+type HistSnapshot struct {
+	Buckets [NumBuckets]int64
+	N       int64
+	SumUS   int64
+	MaxUS   int64
+}
+
+// Count returns the number of observations in the snapshot.
+func (s HistSnapshot) Count() int64 { return s.N }
+
+// Mean returns the mean observation in microseconds, 0 when empty.
+func (s HistSnapshot) Mean() int64 {
+	if s.N == 0 {
+		return 0
+	}
+	return s.SumUS / s.N
+}
+
+// Merge folds o into s.
+func (s *HistSnapshot) Merge(o HistSnapshot) {
+	for i, c := range o.Buckets {
+		s.Buckets[i] += c
+	}
+	s.N += o.N
+	s.SumUS += o.SumUS
+	if o.MaxUS > s.MaxUS {
+		s.MaxUS = o.MaxUS
+	}
+}
+
+// NearestRank returns the 1-based rank of the p-th percentile (p in
+// [0, 100]) of n samples by the nearest-rank rule: the ⌈p·n/100⌉-th
+// smallest, clamped to [1, n]. A product a rounding error above an
+// integer (0.07*100 is 7.000000000000001) counts as that integer.
+func NearestRank(p float64, n int64) int64 {
+	x := p / 100 * float64(n)
+	r := int64(math.Ceil(x - x*1e-12))
+	if r < 1 {
+		return 1
+	}
+	if r > n {
+		return n
+	}
+	return r
+}
+
+// Percentile returns the upper bound (µs) of the bucket holding the
+// p-th percentile observation (NearestRank), 0 when empty. The bound is
+// clamped to the largest observation seen, so the open-ended last
+// bucket — whose theoretical bound of 2^26 µs ≈ 67 s would otherwise be
+// reported no matter the true value — and a one-sample histogram both
+// answer with a number the data supports. Below the last bucket the
+// answer is never under the exact nearest-rank percentile and, for an
+// exact value of 1 µs or more, never over twice it.
+func (s HistSnapshot) Percentile(p float64) int64 {
+	if s.N == 0 {
+		return 0
+	}
+	rank := NearestRank(p, s.N)
+	var seen int64
+	for b := 0; b < NumBuckets-1; b++ {
+		seen += s.Buckets[b]
+		if seen >= rank {
+			return min(BucketBoundUS(b), s.MaxUS)
+		}
+	}
+	return s.MaxUS
+}
+
 // Cumulative fills cum with the cumulative bucket counts (cum[i] =
 // observations at or below bucket i's bound) and returns the total
-// count and microsecond sum. The snapshot is not atomic across
-// buckets; concurrent observes can make the total differ from the last
-// cumulative entry by in-flight observations, which the caller must
-// reconcile (the Prometheus writer pins +Inf to the cumulative total).
-func (h *Hist) Cumulative(cum *[NumBuckets]int64) (count, sumUS int64) {
+// count and microsecond sum. The last entry equals the count.
+func (s HistSnapshot) Cumulative(cum *[NumBuckets]int64) (count, sumUS int64) {
 	var run int64
-	for i := 0; i < NumBuckets; i++ {
-		run += h.buckets[i].Load()
+	for i, c := range s.Buckets {
+		run += c
 		cum[i] = run
 	}
-	return run, h.sumUS.Load()
+	return run, s.SumUS
 }

@@ -1,6 +1,8 @@
 // Package obs is the zero-dependency observability layer: per-request
-// pipeline tracing, exponential latency histograms, Prometheus text
-// exposition and structured-logging setup. Every serving and ingestion
+// pipeline tracing, one latency estimator (WindowedHist: an exponential
+// histogram kept since boot and over trailing 1 m/5 m/1 h windows, read
+// through HistSnapshot), Prometheus text exposition and
+// structured-logging setup. Every serving and ingestion
 // layer threads through it — the serve handlers start a Trace per
 // request and turn each verdict's stage timings into spans (Stages),
 // the feed scheduler traces crawl → score → persist the same way, and
@@ -244,8 +246,7 @@ type Tracer struct {
 	errors   atomic.Int64
 	dropped  atomic.Int64 // spans dropped for exceeding MaxSpans
 
-	stages  [numStages]Hist
-	windows [numStages]*WindowedHist
+	stages [numStages]*WindowedHist
 
 	mu       sync.Mutex
 	ring     []record
@@ -266,8 +267,8 @@ func NewTracer(cfg Config) *Tracer {
 		ring:     make([]record, DefaultRingSize),
 		exemplar: make([]record, DefaultExemplarSize),
 	}
-	for i := range t.windows {
-		t.windows[i] = NewWindowedHist(cfg.Clock)
+	for i := range t.stages {
+		t.stages[i] = NewWindowedHist(cfg.Clock)
 	}
 	t.pool.New = func() any { return new(Trace) }
 	t.idState.Store(uint64(time.Now().UnixNano()) | 1)
@@ -343,7 +344,6 @@ func (t *Tracer) Finish(tr *Trace) {
 		sp := tr.spans[i]
 		if int(sp.Stage) < int(numStages) {
 			t.stages[sp.Stage].Observe(time.Duration(sp.DurNS))
-			t.windows[sp.Stage].Observe(time.Duration(sp.DurNS))
 		}
 	}
 	slow := durNS >= t.slowNS
@@ -377,22 +377,14 @@ func (t *Tracer) Finish(tr *Trace) {
 	t.pool.Put(tr)
 }
 
-// StageHist exposes one stage's latency histogram (nil when the tracer
-// is nil) — the per-stage summary source for /metrics.
-func (t *Tracer) StageHist(s Stage) *Hist {
-	if t == nil || int(s) >= int(numStages) {
-		return nil
-	}
-	return &t.stages[s]
-}
-
-// StageWindow exposes one stage's windowed histogram (nil when the
-// tracer is nil) — the "p99 right now" source for /metrics and kptop.
+// StageWindow exposes one stage's latency histogram (nil when the
+// tracer is nil) — the since-boot and "p99 right now" source for
+// /metrics and kptop.
 func (t *Tracer) StageWindow(s Stage) *WindowedHist {
 	if t == nil || int(s) >= int(numStages) {
 		return nil
 	}
-	return t.windows[s]
+	return t.stages[s]
 }
 
 // ---------------------------------------------------------------------
@@ -479,15 +471,16 @@ func (t *Tracer) Summary() Summary {
 	}
 	s.Stages = make([]StageSummary, 0, numStages)
 	for st := Stage(0); st < numStages; st++ {
-		h := &t.stages[st]
+		w := t.stages[st]
+		h := w.SinceBoot()
 		s.Stages = append(s.Stages, StageSummary{
 			Stage:   st.String(),
 			Count:   h.Count(),
 			MeanUS:  h.Mean(),
 			P50US:   h.Percentile(50),
 			P99US:   h.Percentile(99),
-			MaxUS:   h.MaxUS(),
-			Windows: t.windows[st].Summaries(),
+			MaxUS:   h.MaxUS,
+			Windows: w.Summaries(),
 		})
 	}
 	return s

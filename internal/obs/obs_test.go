@@ -11,15 +11,16 @@ import (
 )
 
 func TestHistPercentileEmpty(t *testing.T) {
-	var h Hist
+	h := NewWindowedHist(nil).SinceBoot()
 	if h.Percentile(50) != 0 || h.Percentile(99) != 0 || h.Mean() != 0 {
 		t.Error("empty histogram must report zero")
 	}
 }
 
 func TestHistPercentileOneSample(t *testing.T) {
-	var h Hist
-	h.Observe(300 * time.Microsecond)
+	w := NewWindowedHist(nil)
+	w.Observe(300 * time.Microsecond)
+	h := w.SinceBoot()
 	// A single sample defines every percentile; the answer must be the
 	// observed value, not the containing bucket's 512 µs upper bound.
 	for _, p := range []float64{0, 50, 99, 100} {
@@ -30,20 +31,21 @@ func TestHistPercentileOneSample(t *testing.T) {
 }
 
 func TestHistPercentileLastBucketClamped(t *testing.T) {
-	var h Hist
+	w := NewWindowedHist(nil)
 	// 10 minutes lands in the open-ended last bucket, whose theoretical
 	// bound is 2^26 µs ≈ 67 s. The percentile must report the real
 	// maximum, not the bucket bound.
-	h.Observe(10 * time.Minute)
+	w.Observe(10 * time.Minute)
 	want := (10 * time.Minute).Microseconds()
-	if got := h.Percentile(99); got != want {
+	if got := w.SinceBoot().Percentile(99); got != want {
 		t.Errorf("p99 = %d µs, want %d (observed max, not the 2^26 bucket bound)", got, want)
 	}
 	// Mixed: fast majority, one extreme outlier — p50 stays in the fast
 	// bucket, p100 reports the outlier's real value.
 	for i := 0; i < 99; i++ {
-		h.Observe(100 * time.Microsecond)
+		w.Observe(100 * time.Microsecond)
 	}
+	h := w.SinceBoot()
 	if p50 := h.Percentile(50); p50 > 256 {
 		t.Errorf("p50 = %d µs, want within the fast bucket", p50)
 	}
@@ -53,23 +55,64 @@ func TestHistPercentileLastBucketClamped(t *testing.T) {
 }
 
 func TestHistBoundNeverExceedsMax(t *testing.T) {
-	var h Hist
-	// 1000 µs lands in bucket [1024, 2048) whose bound is 2048; the
+	w := NewWindowedHist(nil)
+	// 1000 µs lands in bucket [512, 1024) whose bound is 1024; the
 	// reported percentile must clamp to the 1000 µs actually seen.
-	h.Observe(1000 * time.Microsecond)
-	h.Observe(900 * time.Microsecond)
-	if got := h.Percentile(99); got != 1000 {
+	w.Observe(1000 * time.Microsecond)
+	w.Observe(900 * time.Microsecond)
+	if got := w.SinceBoot().Percentile(99); got != 1000 {
 		t.Errorf("p99 = %d µs, want clamped to observed max 1000", got)
 	}
 }
 
+// TestHistPercentileSplit: 90 fast requests and 10 slow ones put p50
+// in the fast bucket and p99 in the slow one.
+func TestHistPercentileSplit(t *testing.T) {
+	w := NewWindowedHist(nil)
+	for i := 0; i < 90; i++ {
+		w.Observe(100 * time.Microsecond)
+	}
+	for i := 0; i < 10; i++ {
+		w.Observe(50 * time.Millisecond)
+	}
+	h := w.SinceBoot()
+	if p50 := h.Percentile(50); p50 != 128 {
+		t.Errorf("p50 = %dµs, want the fast bucket's 128µs bound", p50)
+	}
+	if p99 := h.Percentile(99); p99 != 50_000 {
+		t.Errorf("p99 = %dµs, want the slow samples' 50ms", p99)
+	}
+	if m := h.Mean(); m != (90*100+10*50_000)/100 {
+		t.Errorf("mean = %d", m)
+	}
+}
+
+// TestHistExtremes: a negative duration counts as 0 µs, and one past
+// the last bucket's lower bound lands in the open-ended bucket.
+func TestHistExtremes(t *testing.T) {
+	w := NewWindowedHist(nil)
+	w.Observe(-time.Second)
+	w.Observe(0)
+	w.Observe(10 * time.Minute)
+	h := w.SinceBoot()
+	if h.Count() != 3 || h.Buckets[0] != 2 || h.Buckets[NumBuckets-1] != 1 {
+		t.Errorf("count %d, buckets[0] %d, last bucket %d; want 3, 2, 1", h.Count(), h.Buckets[0], h.Buckets[NumBuckets-1])
+	}
+	if h.SumUS != (10 * time.Minute).Microseconds() {
+		t.Errorf("sum = %d µs; the negative sample must count as 0", h.SumUS)
+	}
+	if h.Percentile(100) != (10 * time.Minute).Microseconds() {
+		t.Errorf("p100 = %d", h.Percentile(100))
+	}
+}
+
 func TestHistCumulative(t *testing.T) {
-	var h Hist
-	h.Observe(1 * time.Microsecond)
-	h.Observe(100 * time.Microsecond)
-	h.Observe(time.Hour) // last bucket
+	w := NewWindowedHist(nil)
+	w.Observe(1 * time.Microsecond)
+	w.Observe(100 * time.Microsecond)
+	w.Observe(time.Hour) // last bucket
 	var cum [NumBuckets]int64
-	count, sum := h.Cumulative(&cum)
+	count, sum := w.SinceBoot().Cumulative(&cum)
 	if count != 3 {
 		t.Fatalf("count = %d", count)
 	}
@@ -83,6 +126,37 @@ func TestHistCumulative(t *testing.T) {
 	}
 	if sum != 1+100+time.Hour.Microseconds() {
 		t.Errorf("sum = %d", sum)
+	}
+}
+
+// TestBucketOf pins the bucket rule: bucket i holds [2^i, 2^(i+1)) µs,
+// bucket 0 also 0 µs, the last bucket everything from 2^25 µs up.
+func TestBucketOf(t *testing.T) {
+	for _, tc := range []struct {
+		us   int64
+		want int
+	}{{0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 2}, {1023, 9}, {1024, 10}, {1<<25 - 1, 24}, {1 << 25, 25}, {1 << 40, 25}} {
+		if got := bucketOf(tc.us); got != tc.want {
+			t.Errorf("bucketOf(%d) = %d, want %d", tc.us, got, tc.want)
+		}
+	}
+}
+
+// TestNearestRank pins the one percentile rule both the server's
+// histograms and kpload's exact sample sets use.
+func TestNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		p    float64
+		n    int64
+		want int64
+	}{
+		{50, 100, 50}, {99, 100, 99}, {99.9, 100, 100}, {100, 100, 100}, {0, 100, 1},
+		{99, 160, 159}, {50, 1, 1}, {99.9, 1000, 999}, {90, 10, 9},
+		{0.07 * 100, 100, 7}, // 7.000000000000001 is rank 7, not 8
+	} {
+		if got := NearestRank(tc.p, tc.n); got != tc.want {
+			t.Errorf("NearestRank(%v, %d) = %d, want %d", tc.p, tc.n, got, tc.want)
+		}
 	}
 }
 
@@ -157,10 +231,10 @@ func TestTraceSpansAndStageHists(t *testing.T) {
 	trace.Span(StageScore, now, int64(300*time.Microsecond))
 	tr.Finish(trace)
 
-	if got := tr.StageHist(StageCrawl).Count(); got != 1 {
+	if got := tr.StageWindow(StageCrawl).SinceBoot().Count(); got != 1 {
 		t.Errorf("crawl stage count = %d", got)
 	}
-	if got := tr.StageHist(StageScore).Mean(); got != 300 {
+	if got := tr.StageWindow(StageScore).SinceBoot().Mean(); got != 300 {
 		t.Errorf("score stage mean = %d µs, want 300", got)
 	}
 	doc := tr.Snapshot()

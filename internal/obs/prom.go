@@ -142,12 +142,12 @@ func (p *PromWriter) HistHeader(name, help string) {
 	p.header(name, help, "histogram")
 }
 
-// HistFromHist renders one Hist as Prometheus histogram samples in
-// seconds, with the given extra labels on every line. Cumulative
-// bucket counts are read in one pass and the +Inf bucket equals the
-// rendered _count, so a scrape is always internally consistent even
-// while observations land concurrently.
-func (p *PromWriter) HistFromHist(name string, labels []Label, h *Hist) {
+// HistFromHist renders one histogram snapshot as Prometheus histogram
+// samples in seconds, with the given extra labels on every line. The
+// snapshot is a stable copy, so the +Inf bucket equals the rendered
+// _count and a scrape is always internally consistent even while
+// observations land concurrently.
+func (p *PromWriter) HistFromHist(name string, labels []Label, h HistSnapshot) {
 	var cum [NumBuckets]int64
 	count, sumUS := h.Cumulative(&cum)
 	lbs := make([]Label, len(labels), len(labels)+1)
@@ -162,8 +162,8 @@ func (p *PromWriter) HistFromHist(name string, labels []Label, h *Hist) {
 }
 
 // Histogram renders one complete unlabeled histogram family from a
-// Hist.
-func (p *PromWriter) Histogram(name, help string, h *Hist) {
+// snapshot.
+func (p *PromWriter) Histogram(name, help string, h HistSnapshot) {
 	p.HistHeader(name, help)
 	p.HistFromHist(name, nil, h)
 }

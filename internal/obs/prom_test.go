@@ -32,13 +32,13 @@ func TestPromWriterFamilies(t *testing.T) {
 }
 
 func TestPromWriterHistogram(t *testing.T) {
-	var h Hist
+	h := NewWindowedHist(nil)
 	h.Observe(100 * time.Microsecond)
 	h.Observe(3 * time.Millisecond)
 	h.Observe(2 * time.Hour) // open-ended last bucket
 	var buf bytes.Buffer
 	w := NewPromWriter(&buf)
-	w.Histogram("lat_seconds", "latency", &h)
+	w.Histogram("lat_seconds", "latency", h.SinceBoot())
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}

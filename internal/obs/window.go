@@ -1,31 +1,33 @@
 package obs
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
 )
 
-// This file is the windowed-telemetry layer: time-bucketed rings of
-// the cumulative primitives (Hist, good/bad counters) that answer
-// "what is p99 *right now*" instead of "since boot". The design is a
-// power-of-two ring of slots, each stamped with the absolute slot
-// index (epoch) its data belongs to. Rotation is lazy and lock-free:
-// the first observer landing in a slot whose epoch is stale CAS-claims
-// it and resets it — there is no background ticker, no rotation work
-// on idle rings, and the hot path stays allocation-free. Slots left
-// behind by an idle gap are never cleared; their stale epochs simply
-// exclude them from window reads, so expiry is correct by
-// construction.
+// This file is the windowed-telemetry layer: time-bucketed rings that
+// answer "what is p99 *right now*" next to "since boot". One ring type
+// serves both users — latency histograms (WindowedHist) and good/bad
+// counters (WindowedCounter). A ring is a power-of-two array of slots,
+// each stamped with the absolute slot index (epoch) its data belongs
+// to. Rotation is lazy: the first observer landing in a slot whose
+// epoch is stale CAS-claims it, resets it and then publishes the new
+// epoch, while observers racing it wait out the reset — there is no
+// background ticker, no rotation work on idle rings, and the hot path
+// stays allocation-free. Slots left behind by an idle gap are never
+// cleared; their stale epochs simply exclude them from window reads, so
+// expiry is correct by construction.
 //
 // Concurrency contract: everything is atomics, so the rings are
 // race-detector clean, but windows are operational aggregates, not
 // ledgers. An observation racing a slot rotation (the observer loaded
 // the epoch a full ring-period ago and only now increments) can land
-// in the slot's next occupancy, and a reader can catch a slot
-// mid-reset. Both misplace at most the racing samples at a slot
-// boundary — invisible to a percentile, and the ring periods (64 s
-// fine, 64 min coarse) make the first case require a goroutine stalled
-// for over a minute between two adjacent instructions.
+// in the slot's next occupancy. That misplaces at most the racing
+// samples — invisible to a percentile, and the ring periods (64 s
+// fine, 64 min coarse) make it require a goroutine stalled for over a
+// minute between two adjacent instructions. A reader skips a slot
+// mid-reset, as its epoch matches no window.
 
 const (
 	// fineSlots x fineSlotDur covers windows up to 64 s at 1 s
@@ -46,95 +48,98 @@ const (
 	Window1h = time.Hour
 )
 
-// HistSnapshot is a point-in-time merge of one or more histograms — a
-// plain value with no atomics, so window reads compose slots into one
-// and percentile math runs on a stable copy.
-type HistSnapshot struct {
-	Buckets [NumBuckets]int64
-	N       int64
-	SumUS   int64
-	MaxUS   int64
+// resettable is the slot payload constraint: a pointer to T that can
+// zero itself when its slot is claimed for a new epoch.
+type resettable[T any] interface {
+	*T
+	reset()
 }
 
-// Count returns the number of observations in the snapshot.
-func (s HistSnapshot) Count() int64 { return s.N }
-
-// Mean returns the mean observation in microseconds, 0 when empty.
-func (s HistSnapshot) Mean() int64 {
-	if s.N == 0 {
-		return 0
-	}
-	return s.SumUS / s.N
-}
-
-// Percentile returns the upper bound (µs) of the bucket holding the
-// p-th percentile observation, 0 when empty. p in [0, 100]. The bound
-// is clamped to the largest observation seen by any merged histogram,
-// so the open-ended last bucket — whose theoretical bound of 2^26 µs ≈
-// 67 s would otherwise be reported no matter the true value — and a
-// one-sample histogram both answer with a number the data supports.
-func (s HistSnapshot) Percentile(p float64) int64 {
-	if s.N == 0 {
-		return 0
-	}
-	rank := int64(p / 100 * float64(s.N))
-	if rank >= s.N {
-		rank = s.N - 1
-	}
-	var seen int64
-	for b := 0; b < NumBuckets; b++ {
-		seen += s.Buckets[b]
-		if seen > rank {
-			if b == NumBuckets-1 {
-				return s.MaxUS
-			}
-			bound := int64(1) << uint(b+1)
-			if bound > s.MaxUS {
-				bound = s.MaxUS
-			}
-			return bound
-		}
-	}
-	return s.MaxUS
-}
-
-// histSlot is one ring slot: the absolute slot index its data belongs
-// to, plus the histogram itself.
-type histSlot struct {
+// slot is one ring slot: the absolute slot index its data belongs to,
+// plus the data.
+type slot[T any] struct {
 	epoch atomic.Int64
-	h     Hist
+	data  T
 }
 
-// claim rotates the slot to epoch abs if it is stale. Returns false
-// when the slot already carries data from the future (an observer
-// using an older clock reading than a racing one — drop rather than
-// pollute the newer slot).
-func (s *histSlot) claim(abs int64) bool {
+// ring is an epoch-stamped slot ring of len(slots) (a power of two)
+// slots of slotDur each.
+type ring[T any, P resettable[T]] struct {
+	slotDur time.Duration
+	slots   []slot[T]
+}
+
+func newRing[T any, P resettable[T]](n int, slotDur time.Duration) ring[T, P] {
+	return ring[T, P]{slotDur: slotDur, slots: make([]slot[T], n)}
+}
+
+// claiming is the epoch a slot carries while its claimer resets it.
+// Publishing the new epoch only after the reset keeps a racing observer
+// from adding into the slot and then having its sample wiped.
+const claiming = -1
+
+// at returns the data of the slot covering nowNS, rotating the slot to
+// that epoch if it is stale. Returns nil when the slot already carries
+// data from the future (an observer using an older clock reading than a
+// racing one — drop rather than pollute the newer slot).
+func (r *ring[T, P]) at(nowNS int64) *T {
+	abs := nowNS / int64(r.slotDur)
+	s := &r.slots[abs&int64(len(r.slots)-1)]
 	for {
 		e := s.epoch.Load()
 		if e == abs {
-			return true
+			return &s.data
+		}
+		if e == claiming {
+			runtime.Gosched()
+			continue
 		}
 		if e > abs {
-			return false
+			return nil
 		}
-		if s.epoch.CompareAndSwap(e, abs) {
-			s.h.Reset()
-			return true
+		if s.epoch.CompareAndSwap(e, claiming) {
+			P(&s.data).reset()
+			s.epoch.Store(abs)
+			return &s.data
 		}
 	}
 }
 
-// WindowedHist records durations into two slot rings — fine (1 s
-// slots) for sub-minute windows, coarse (1 min slots) for the 5 m and
-// 1 h windows — and composes any trailing window into a HistSnapshot.
-// The clock is injectable for tests; construct with NewWindowedHist.
-// All methods are nil-receiver safe so unwired surfaces cost one
-// branch.
+// each calls f on every slot whose epoch falls inside the trailing
+// window ending at nowNS (including the current partial slot), capped
+// at the ring span. Slots with stale epochs (idle gaps, data older than
+// one ring period) are skipped, which is what makes expiry correct
+// without ever clearing memory eagerly.
+func (r *ring[T, P]) each(nowNS int64, window time.Duration, f func(*T)) {
+	absNow := nowNS / int64(r.slotDur)
+	k := int64((window + r.slotDur - 1) / r.slotDur)
+	if k > int64(len(r.slots)) {
+		k = int64(len(r.slots))
+	}
+	for i := int64(0); i < k; i++ {
+		abs := absNow - i
+		if abs < 0 {
+			break
+		}
+		s := &r.slots[abs&int64(len(r.slots)-1)]
+		if s.epoch.Load() == abs {
+			f(&s.data)
+		}
+	}
+}
+
+// WindowedHist is the latency estimator: one since-boot histogram plus
+// two slot rings — fine (1 s slots) for sub-minute windows, coarse
+// (1 min slots) for the 5 m and 1 h windows. Observe computes the
+// bucket once and feeds all three; SinceBoot and Window read them back
+// as HistSnapshots. The clock is injectable for tests; construct with
+// NewWindowedHist. All methods are nil-receiver safe so unwired
+// surfaces cost one branch.
 type WindowedHist struct {
 	clock  func() time.Time
-	fine   [fineSlots]histSlot
-	coarse [coarseSlots]histSlot
+	total  hist
+	fine   ring[hist, *hist]
+	coarse ring[hist, *hist]
 }
 
 // NewWindowedHist builds a windowed histogram. clock nil means
@@ -143,22 +148,40 @@ func NewWindowedHist(clock func() time.Time) *WindowedHist {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &WindowedHist{clock: clock}
+	return &WindowedHist{
+		clock:  clock,
+		fine:   newRing[hist](fineSlots, fineSlotDur),
+		coarse: newRing[hist](coarseSlots, coarseSlotDur),
+	}
 }
 
-// Observe records one duration into the current fine and coarse slots.
+// Observe records one duration (negative durations count as 0) into
+// the since-boot histogram and the current fine and coarse slots.
 // Allocation-free and safe for concurrent use. Nil-safe no-op.
 func (w *WindowedHist) Observe(d time.Duration) {
 	if w == nil {
 		return
 	}
+	us := max(d.Microseconds(), 0)
+	b := bucketOf(us)
+	w.total.add(b, us)
 	now := w.clock().UnixNano()
-	if abs := now / int64(fineSlotDur); w.fine[abs&(fineSlots-1)].claim(abs) {
-		w.fine[abs&(fineSlots-1)].h.Observe(d)
+	if h := w.fine.at(now); h != nil {
+		h.add(b, us)
 	}
-	if abs := now / int64(coarseSlotDur); w.coarse[abs&(coarseSlots-1)].claim(abs) {
-		w.coarse[abs&(coarseSlots-1)].h.Observe(d)
+	if h := w.coarse.at(now); h != nil {
+		h.add(b, us)
 	}
+}
+
+// SinceBoot snapshots every observation since construction. Nil-safe
+// (zero snapshot).
+func (w *WindowedHist) SinceBoot() HistSnapshot {
+	var snap HistSnapshot
+	if w != nil {
+		w.total.addTo(&snap)
+	}
+	return snap
 }
 
 // Window merges the slots covering the trailing window (including the
@@ -170,36 +193,12 @@ func (w *WindowedHist) Window(window time.Duration) HistSnapshot {
 	if w == nil || window <= 0 {
 		return snap
 	}
-	now := w.clock().UnixNano()
-	if window <= fineSlots*fineSlotDur {
-		sumSlots(w.fine[:], now, window, fineSlotDur, &snap)
-	} else {
-		sumSlots(w.coarse[:], now, window, coarseSlotDur, &snap)
+	r := &w.fine
+	if window > fineSlots*fineSlotDur {
+		r = &w.coarse
 	}
+	r.each(w.clock().UnixNano(), window, func(h *hist) { h.addTo(&snap) })
 	return snap
-}
-
-// sumSlots folds every slot whose epoch falls inside the trailing
-// window into snap. Slots with stale epochs (idle gaps, data older
-// than one ring period) are skipped, which is what makes expiry
-// correct without ever clearing memory eagerly.
-func sumSlots(slots []histSlot, nowNS int64, window, slotDur time.Duration, snap *HistSnapshot) {
-	absNow := nowNS / int64(slotDur)
-	k := int64((window + slotDur - 1) / slotDur)
-	if k > int64(len(slots)) {
-		k = int64(len(slots))
-	}
-	for i := int64(0); i < k; i++ {
-		abs := absNow - i
-		if abs < 0 {
-			break
-		}
-		s := &slots[abs&int64(len(slots)-1)]
-		if s.epoch.Load() != abs {
-			continue
-		}
-		s.h.addTo(snap)
-	}
 }
 
 // WindowSummary is the rendered form of one window's percentiles, as
@@ -241,37 +240,22 @@ func (w *WindowedHist) Summaries() []WindowSummary {
 // WindowedCounter: good/bad event counts over trailing windows — the
 // SLI substrate of the SLO engine's burn-rate math.
 
-// counterSlot is one ring slot of good/bad counts.
-type counterSlot struct {
-	epoch atomic.Int64
-	good  atomic.Int64
-	bad   atomic.Int64
+// goodBad is one counter slot's payload.
+type goodBad struct {
+	good, bad atomic.Int64
 }
 
-func (s *counterSlot) claim(abs int64) bool {
-	for {
-		e := s.epoch.Load()
-		if e == abs {
-			return true
-		}
-		if e > abs {
-			return false
-		}
-		if s.epoch.CompareAndSwap(e, abs) {
-			s.good.Store(0)
-			s.bad.Store(0)
-			return true
-		}
-	}
+func (c *goodBad) reset() {
+	c.good.Store(0)
+	c.bad.Store(0)
 }
 
 // WindowedCounter counts good/bad events in a single slot ring sized
 // to cover its longest window at construction. Add is allocation-free;
 // Totals reads any trailing window up to the ring span.
 type WindowedCounter struct {
-	clock   func() time.Time
-	slotDur time.Duration
-	slots   []counterSlot
+	clock func() time.Time
+	ring  ring[goodBad, *goodBad]
 }
 
 // NewWindowedCounter builds a counter ring covering at least span with
@@ -291,7 +275,7 @@ func NewWindowedCounter(span, slotDur time.Duration, clock func() time.Time) *Wi
 	// One extra doubling so the trailing window plus the current
 	// partial slot always fits.
 	n <<= 1
-	return &WindowedCounter{clock: clock, slotDur: slotDur, slots: make([]counterSlot, n)}
+	return &WindowedCounter{clock: clock, ring: newRing[goodBad](n, slotDur)}
 }
 
 // Add records one event. Allocation-free; nil-safe no-op.
@@ -299,9 +283,8 @@ func (c *WindowedCounter) Add(bad bool) {
 	if c == nil {
 		return
 	}
-	abs := c.clock().UnixNano() / int64(c.slotDur)
-	s := &c.slots[abs&int64(len(c.slots)-1)]
-	if !s.claim(abs) {
+	s := c.ring.at(c.clock().UnixNano())
+	if s == nil {
 		return
 	}
 	if bad {
@@ -318,22 +301,9 @@ func (c *WindowedCounter) Totals(window time.Duration) (good, bad int64) {
 	if c == nil || window <= 0 {
 		return 0, 0
 	}
-	absNow := c.clock().UnixNano() / int64(c.slotDur)
-	k := int64((window + c.slotDur - 1) / c.slotDur)
-	if k > int64(len(c.slots)) {
-		k = int64(len(c.slots))
-	}
-	for i := int64(0); i < k; i++ {
-		abs := absNow - i
-		if abs < 0 {
-			break
-		}
-		s := &c.slots[abs&int64(len(c.slots)-1)]
-		if s.epoch.Load() != abs {
-			continue
-		}
+	c.ring.each(c.clock().UnixNano(), window, func(s *goodBad) {
 		good += s.good.Load()
 		bad += s.bad.Load()
-	}
+	})
 	return good, bad
 }

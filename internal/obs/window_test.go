@@ -1,10 +1,15 @@
 package obs
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"knowphish/internal/racecheck"
 )
 
 // fakeClock is an atomically-settable clock for deterministic window
@@ -137,10 +142,10 @@ func TestWindowedHistPartialWindow(t *testing.T) {
 	if full.Count() != 20 {
 		t.Fatalf("1m count = %d, want 20", full.Count())
 	}
-	// Rank 45% falls inside the fast half (p50 of an exact 10/10 split
-	// is the 11th sample, which is slow — same convention as Hist).
-	if p45 := full.Percentile(45); p45 >= 100_000 {
-		t.Errorf("1m p45 = %dµs, want fast-bucket bound < 100ms", p45)
+	// Nearest rank: p50 of an exact 10/10 split is the 10th sample,
+	// the last fast one.
+	if p50 := full.Percentile(50); p50 >= 100_000 {
+		t.Errorf("1m p50 = %dµs, want fast-bucket bound < 100ms", p50)
 	}
 }
 
@@ -211,6 +216,98 @@ func TestWindowedHistConcurrentRotate(t *testing.T) {
 	}
 	if got := w.Window(Window1h).Count(); got != writers*perWriter {
 		t.Errorf("1h count after concurrent rotate = %d, want %d", got, writers*perWriter)
+	}
+	// The since-boot histogram never rotates: it holds every sample.
+	if got := w.SinceBoot().Count(); got != writers*perWriter {
+		t.Errorf("since-boot count after concurrent observes = %d, want %d", got, writers*perWriter)
+	}
+}
+
+// TestWindowedHistSinceBoot: the since-boot histogram sees what the
+// windows see while they cover the data, and keeps it after they
+// expire.
+func TestWindowedHistSinceBoot(t *testing.T) {
+	clk := newFakeClock(windowT0)
+	w := NewWindowedHist(clk.clock())
+	for i := 0; i < 30; i++ {
+		w.Observe(time.Duration(i+1) * time.Millisecond)
+		clk.Advance(time.Second)
+	}
+	if boot, win := w.SinceBoot(), w.Window(Window1m); boot != win {
+		t.Errorf("since-boot %+v != 1m window %+v while the window covers every sample", boot, win)
+	}
+	clk.Advance(2 * time.Hour)
+	w.Observe(time.Millisecond)
+	boot := w.SinceBoot()
+	if boot.Count() != 31 || boot.MaxUS != 30_000 {
+		t.Errorf("since-boot after the windows expired: count %d, max %d µs; want 31, 30000", boot.Count(), boot.MaxUS)
+	}
+	if got := w.Window(Window1h).Count(); got != 1 {
+		t.Errorf("1h count = %d, want 1", got)
+	}
+	if got := (*WindowedHist)(nil).SinceBoot(); got.Count() != 0 {
+		t.Errorf("nil since-boot count = %d", got.Count())
+	}
+}
+
+// TestHistPercentileWithinOneBucket is the server-versus-client
+// agreement as a deterministic property: over random sample sets, the
+// histogram percentile is never below the exact nearest-rank
+// percentile of the raw samples (what kpload reports) and never above
+// twice it — one bucket. The open-ended last bucket reports the
+// observed maximum instead.
+func TestHistPercentileWithinOneBucket(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	sets := [][]int64{append(slices.Repeat([]int64{100}, 99), 50_000)} // 99 fast + 1 slow
+	for i := 0; i < 300; i++ {
+		set := make([]int64, 1+rng.Intn(2000))
+		for j := range set {
+			// Log-uniform over [1 µs, 2^27 µs), into the open bucket.
+			set[j] = int64(math.Exp2(rng.Float64() * 27))
+			if set[j] < 1 {
+				set[j] = 1
+			}
+		}
+		sets = append(sets, set)
+	}
+	now := func() time.Time { return windowT0 }
+	for _, set := range sets {
+		w := NewWindowedHist(now)
+		for _, us := range set {
+			w.Observe(time.Duration(us) * time.Microsecond)
+		}
+		snap := w.Window(Window1m)
+		sorted := slices.Clone(set)
+		slices.Sort(sorted)
+		for _, p := range []float64{50, 90, 99, 99.9} {
+			exact := sorted[int(math.Ceil(p*float64(len(sorted))/100-1e-9))-1]
+			got := snap.Percentile(p)
+			if exact >= 1<<(NumBuckets-1) {
+				if got != sorted[len(sorted)-1] {
+					t.Fatalf("n=%d p%v: exact %d µs is in the open bucket, got %d, want the max %d", len(set), p, exact, got, sorted[len(sorted)-1])
+				}
+				continue
+			}
+			if got < exact || got > 2*exact {
+				t.Fatalf("n=%d p%v: histogram says %d µs, exact is %d µs (want within [exact, 2·exact])", len(set), p, got, exact)
+			}
+		}
+	}
+}
+
+// TestWindowedHistObserveAllocs: Observe is on the per-request path of
+// every instrumented endpoint and every traced stage, and feeds all
+// three slots (since boot, fine, coarse) without allocating.
+func TestWindowedHistObserveAllocs(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	w := NewWindowedHist(nil)
+	if allocs := testing.AllocsPerRun(1000, func() { w.Observe(time.Millisecond) }); allocs != 0 {
+		t.Fatalf("Observe allocated %.1f times per call, want 0", allocs)
+	}
+	if got := w.SinceBoot().Count(); got < 1000 {
+		t.Errorf("since-boot count = %d, want every observation", got)
 	}
 }
 

@@ -44,16 +44,15 @@ const (
 // worker-slot boundary; failScore maps it onto the 503 surface.
 var errShed = errors.New("shed: server over its error-budget burn threshold")
 
-// endpointClass groups routes for admission control and windowed
-// latency: its name is the SLO endpoint label, its priority the shed
-// order, its window the "p99 right now" source for /metrics and kptop.
+// endpointClass groups routes for admission control and latency: its
+// name is the SLO endpoint label, its priority the shed order, its
+// window the since-boot and "p99 right now" source for /metrics and
+// kptop.
 type endpointClass struct {
 	name     string
 	priority int
-	// hist is the cumulative latency histogram the class observes into
-	// (nil for classes excluded from the alerting percentiles).
-	hist *latencyHist
-	// window is the windowed latency ring (nil for ops classes).
+	// window is the class's latency histogram (nil for the classes
+	// excluded from the latency percentiles: stream, models, ops).
 	window *obs.WindowedHist
 	// shed counts requests this class rejected at the entry check.
 	shed atomic.Int64
@@ -62,8 +61,8 @@ type endpointClass struct {
 // newClass registers an endpoint class on the server. Classes are
 // created once in New and shared by every route they cover (v1 and v2
 // score land in the same "score" class).
-func (s *Server) newClass(name string, priority int, hist *latencyHist, windowed bool) *endpointClass {
-	c := &endpointClass{name: name, priority: priority, hist: hist}
+func (s *Server) newClass(name string, priority int, windowed bool) *endpointClass {
+	c := &endpointClass{name: name, priority: priority}
 	if windowed {
 		c.window = obs.NewWindowedHist(s.cfg.Clock)
 	}

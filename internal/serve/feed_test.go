@@ -244,8 +244,8 @@ func TestErrorResponsesExcludedFromLatency(t *testing.T) {
 			t.Fatalf("%s %s: status = %d, want an error", r.method, r.path, code)
 		}
 	}
-	if n := s.metrics.latency.Count(); n != 0 {
-		t.Fatalf("latency observations after only-errors = %d, want 0", n)
+	if all, _ := s.latency(); all.N != 0 {
+		t.Fatalf("latency observations after only-errors = %d, want 0", all.N)
 	}
 	if m := s.Metrics(); m.Errors != int64(len(bad)) {
 		t.Errorf("errors = %d, want %d", m.Errors, len(bad))
@@ -259,8 +259,8 @@ func TestErrorResponsesExcludedFromLatency(t *testing.T) {
 	if code := call(t, s, http.MethodPost, "/v1/feed", FeedRequest{URLs: []string{"http://ok.test/"}}, &fr); code != http.StatusOK {
 		t.Fatalf("feed: status = %d", code)
 	}
-	if n := s.metrics.latency.Count(); n != 2 {
-		t.Errorf("latency observations after two successes = %d, want 2", n)
+	if all, _ := s.latency(); all.N != 2 {
+		t.Errorf("latency observations after two successes = %d, want 2", all.N)
 	}
 }
 

@@ -12,14 +12,9 @@ import (
 	"knowphish/internal/store"
 )
 
-// latencyHist is the serving layer's request-latency histogram — the
-// shared obs exponential histogram (26 buckets, bucket i covering
-// [2^i, 2^(i+1)) µs, percentiles clamped to the observed maximum so the
-// open-ended last bucket never reports its theoretical 2^26 µs bound).
-type latencyHist = obs.Hist
-
 // Metrics aggregates the serving counters exposed at /metrics. All
-// fields are updated atomically; reading while serving is safe.
+// fields are updated atomically; reading while serving is safe. The
+// latencies live in the endpoint classes' histograms (Server.latency).
 type Metrics struct {
 	start time.Time
 
@@ -35,8 +30,6 @@ type Metrics struct {
 	streamed      atomic.Int64 // stream result lines delivered
 	shedTotal     atomic.Int64 // requests shed by admission control (all boundaries)
 	shedQueued    atomic.Int64 // of shedTotal: shed at the worker-slot boundary
-	latency       latencyHist  // scoring-endpoint (POST /v1|v2/*) request latency
-	scoreBatch    latencyHist  // per-batch latency
 }
 
 func newMetrics() *Metrics {
@@ -91,6 +84,9 @@ type MetricsSnapshot struct {
 	// analysis and features entries are retired and read zero).
 	Coalesce *coalesce.Stats `json:"coalesce,omitempty"`
 
+	// Latency* are since-boot request latency over every class with a
+	// histogram (score, target, batch, feed, verdicts); BatchLatency*
+	// over the batch class alone.
 	LatencyMeanUS int64 `json:"latency_mean_us"`
 	LatencyP50US  int64 `json:"latency_p50_us"`
 	LatencyP90US  int64 `json:"latency_p90_us"`
@@ -164,13 +160,5 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		CacheHits:    hits,
 		CacheMisses:  miss,
 		CacheHitRate: rate,
-
-		LatencyMeanUS: m.latency.Mean(),
-		LatencyP50US:  m.latency.Percentile(50),
-		LatencyP90US:  m.latency.Percentile(90),
-		LatencyP99US:  m.latency.Percentile(99),
-
-		BatchLatencyMeanUS: m.scoreBatch.Mean(),
-		BatchLatencyP99US:  m.scoreBatch.Percentile(99),
 	}
 }

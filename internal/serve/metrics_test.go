@@ -1,51 +1,11 @@
 package serve
 
 import (
+	"net/http"
 	"sync"
 	"testing"
 	"time"
 )
-
-func TestLatencyHistPercentiles(t *testing.T) {
-	var h latencyHist
-	if h.Percentile(50) != 0 || h.Mean() != 0 {
-		t.Error("empty histogram must report zero")
-	}
-	// 90 fast requests, 10 slow ones.
-	for i := 0; i < 90; i++ {
-		h.Observe(100 * time.Microsecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(50 * time.Millisecond)
-	}
-	p50 := h.Percentile(50)
-	p99 := h.Percentile(99)
-	if p50 > 1000 {
-		t.Errorf("p50 = %dµs, want <= ~256µs bucket", p50)
-	}
-	if p99 < 10_000 {
-		t.Errorf("p99 = %dµs, want in the tens of milliseconds", p99)
-	}
-	if p50 > p99 {
-		t.Errorf("p50 %d > p99 %d", p50, p99)
-	}
-	if m := h.Mean(); m <= 0 {
-		t.Errorf("mean = %d", m)
-	}
-}
-
-func TestLatencyHistExtremes(t *testing.T) {
-	var h latencyHist
-	h.Observe(-time.Second) // clamped, must not panic or corrupt
-	h.Observe(0)
-	h.Observe(10 * time.Minute) // beyond last bucket boundary
-	if h.Count() != 3 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if h.Percentile(100) == 0 {
-		t.Error("p100 of nonempty histogram is zero")
-	}
-}
 
 func TestMetricsSnapshotCounters(t *testing.T) {
 	m := newMetrics()
@@ -54,7 +14,6 @@ func TestMetricsSnapshotCounters(t *testing.T) {
 	m.phish.Add(1)
 	m.cacheHits.Add(2)
 	m.cacheMiss.Add(2)
-	m.latency.Observe(time.Millisecond)
 	snap := m.Snapshot()
 	if snap.Requests != 5 || snap.PagesScored != 3 || snap.PhishVerdicts != 1 {
 		t.Errorf("counters: %+v", snap)
@@ -62,30 +21,94 @@ func TestMetricsSnapshotCounters(t *testing.T) {
 	if snap.CacheHitRate != 0.5 {
 		t.Errorf("hit rate = %v, want 0.5", snap.CacheHitRate)
 	}
-	if snap.LatencyP50US <= 0 {
-		t.Errorf("p50 = %d", snap.LatencyP50US)
-	}
 }
 
 func TestMetricsConcurrentObserve(t *testing.T) {
-	m := newMetrics()
+	s := newServer(t, nil)
+	var score *endpointClass
+	for _, c := range s.classes {
+		if c.name == "score" {
+			score = c
+		}
+	}
+	if score == nil || score.window == nil {
+		t.Fatal("server has no score class with a latency histogram")
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				m.requests.Add(1)
-				m.latency.Observe(time.Duration(i) * time.Microsecond)
+				s.metrics.requests.Add(1)
+				score.window.Observe(time.Duration(i) * time.Microsecond)
 			}
 		}()
 	}
 	wg.Wait()
-	snap := m.Snapshot()
+	snap := s.Metrics()
 	if snap.Requests != 8000 {
 		t.Errorf("requests = %d, want 8000", snap.Requests)
 	}
-	if m.latency.Count() != 8000 {
-		t.Errorf("latency count = %d, want 8000", m.latency.Count())
+	if all, _ := s.latency(); all.Count() != 8000 {
+		t.Errorf("latency count = %d, want 8000", all.Count())
+	}
+}
+
+// TestLatencyLedger pins who observes what: every successful scoring
+// request is one observation of the request-latency histogram and of
+// its endpoint class's window, every successful batch one more of the
+// batch histogram, and error responses and ops probes none.
+func TestLatencyLedger(t *testing.T) {
+	c, _ := fixtures(t)
+	s := newServer(t, nil)
+	const k, j = 3, 2
+	pages := c.PhishTest.Examples
+	for i := 0; i < k; i++ {
+		if code := call(t, s, http.MethodPost, "/v1/score", PageRequest{Snapshot: pages[i].Snapshot}, nil); code != http.StatusOK {
+			t.Fatalf("/v1/score %d: status %d", i, code)
+		}
+	}
+	for i := 0; i < j; i++ {
+		req := V2BatchRequest{Pages: []PageRequest{{Snapshot: pages[k+2*i].Snapshot}, {Snapshot: pages[k+2*i+1].Snapshot}}}
+		if code := call(t, s, http.MethodPost, "/v2/score/batch", req, nil); code != http.StatusOK {
+			t.Fatalf("/v2/score/batch %d: status %d", i, code)
+		}
+	}
+	if code := call(t, s, http.MethodPost, "/v1/score", PageRequest{}, nil); code != http.StatusBadRequest {
+		t.Fatalf("empty page: status %d, want 400", code)
+	}
+	if code := call(t, s, http.MethodGet, "/healthz", nil, nil); code != http.StatusOK {
+		t.Fatalf("/healthz: status %d", code)
+	}
+
+	rec := rawCall(t, s, http.MethodGet, "/metrics?format=prometheus", nil, nil)
+	samples, _ := parseProm(t, rec.Body.String())
+	sample := func(name string) float64 {
+		t.Helper()
+		for _, smp := range samples {
+			if smp.name == name && smp.labels == "" {
+				return smp.value
+			}
+		}
+		t.Fatalf("scrape has no unlabeled %s sample", name)
+		return 0
+	}
+	if got := sample("knowphish_request_duration_seconds_count"); got != k+j {
+		t.Errorf("knowphish_request_duration_seconds_count = %v, want %d", got, k+j)
+	}
+	if got := sample("knowphish_batch_duration_seconds_count"); got != j {
+		t.Errorf("knowphish_batch_duration_seconds_count = %v, want %d", got, j)
+	}
+
+	var m MetricsSnapshot
+	if code := call(t, s, http.MethodGet, "/metrics", nil, &m); code != http.StatusOK {
+		t.Fatalf("/metrics: status %d", code)
+	}
+	if w := m.Endpoints["score"].Windows; len(w) == 0 || w[0].Count != k {
+		t.Errorf("endpoints.score.windows = %+v, want the 1m window counting %d", w, k)
+	}
+	if m.LatencyP50US <= 0 {
+		t.Errorf("latency_p50_us = %d, want > 0", m.LatencyP50US)
 	}
 }

@@ -72,7 +72,8 @@ func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWrite
 const slowLogSample = 8
 
 // instrument wraps a handler with request counting and, when the class
-// carries a histogram, latency capture into it. Only successful
+// carries a histogram, latency capture into it — the one place a
+// request's latency is observed. Only successful
 // responses are observed: microsecond-cheap 4xx rejections would
 // otherwise drag the percentiles operators alert on toward zero.
 //
@@ -128,9 +129,6 @@ func (s *Server) instrument(h http.HandlerFunc, cls *endpointClass) http.Handler
 		// elapsed time is time-until-the-server-noticed, not a service
 		// latency — exclude them like error responses.
 		if rec.status < 400 && r.Context().Err() == nil {
-			if cls.hist != nil {
-				cls.hist.Observe(dur)
-			}
 			cls.window.Observe(dur)
 		}
 		// Feed the error-budget engine: every completed response is an

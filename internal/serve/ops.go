@@ -14,6 +14,13 @@ import (
 // and store stats when those subsystems are wired in.
 func (s *Server) Metrics() MetricsSnapshot {
 	snap := s.metrics.Snapshot()
+	all, batch := s.latency()
+	snap.LatencyMeanUS = all.Mean()
+	snap.LatencyP50US = all.Percentile(50)
+	snap.LatencyP90US = all.Percentile(90)
+	snap.LatencyP99US = all.Percentile(99)
+	snap.BatchLatencyMeanUS = batch.Mean()
+	snap.BatchLatencyP99US = batch.Percentile(99)
 	if det := s.detector(); det != nil {
 		snap.ModelVersion = det.Version()
 	}
@@ -52,6 +59,15 @@ func (s *Server) Metrics() MetricsSnapshot {
 		snap.SLO = &st
 	}
 	return snap
+}
+
+// latency reads the since-boot request latency: all merges every class
+// with a histogram, batch is the batch class's own.
+func (s *Server) latency() (all, batch obs.HistSnapshot) {
+	for _, c := range s.classes {
+		all.Merge(c.window.SinceBoot())
+	}
+	return all, s.batch.window.SinceBoot()
 }
 
 // buildGoVersion / buildVCSRevision are read once at startup; every

@@ -70,8 +70,9 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	p.FamilyL("knowphish_memo_entries", "Memo-table entries resident (score, target).", "gauge", entries)
 
 	// Request latency histograms.
-	p.Histogram("knowphish_request_duration_seconds", "Scoring-endpoint request latency.", &m.latency)
-	p.Histogram("knowphish_batch_duration_seconds", "Per-batch request latency.", &m.scoreBatch)
+	all, batch := s.latency()
+	p.Histogram("knowphish_request_duration_seconds", "Scoring-endpoint request latency.", all)
+	p.Histogram("knowphish_batch_duration_seconds", "Per-batch request latency.", batch)
 
 	// Admission control: shed counters, the active level, and the
 	// per-endpoint rolling latency quantiles the SLO engine steers by.
@@ -146,7 +147,7 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 		p.HistHeader("knowphish_stage_duration_seconds", "Per-stage pipeline latency of traced requests.")
 		for i, name := range obs.StageNames() {
 			p.HistFromHist("knowphish_stage_duration_seconds",
-				[]obs.Label{{Name: "stage", Value: name}}, s.cfg.Tracer.StageHist(obs.Stage(i)))
+				[]obs.Label{{Name: "stage", Value: name}}, s.cfg.Tracer.StageWindow(obs.Stage(i)).SinceBoot())
 		}
 	}
 

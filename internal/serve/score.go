@@ -477,7 +477,6 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 			results[i].Cached = true
 		}
 	}
-	s.metrics.scoreBatch.Observe(time.Since(t0))
 	s.reply(w, http.StatusOK, BatchResponse{
 		Results:   results,
 		Count:     n,
@@ -514,7 +513,6 @@ func (s *Server) handleScoreBatchV2(w http.ResponseWriter, r *http.Request) {
 		s.failScore(w, err)
 		return
 	}
-	s.metrics.scoreBatch.Observe(time.Since(t0))
 	s.reply(w, http.StatusOK, V2BatchResponse{
 		Results:   out,
 		Count:     len(out),

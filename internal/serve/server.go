@@ -198,8 +198,10 @@ type Server struct {
 	defaultOptsSkip []core.ScoreOption
 	v1Opts          []core.ScoreOption
 	metrics         *Metrics
-	// classes lists every endpoint class, for metrics iteration.
+	// classes lists every endpoint class, for metrics iteration; batch
+	// is the one whose histogram the batch latency figures read.
 	classes []*endpointClass
+	batch   *endpointClass
 	// slowSeen counts slow requests for the sampled slow-request log:
 	// logging every slow request during an incident would flood the log
 	// exactly when it matters most, so only every slowLogSample-th one
@@ -256,21 +258,22 @@ func New(cfg Config) (*Server, error) {
 	if s.cfg.DefaultDeadline > 0 {
 		s.v1Opts = []core.ScoreOption{core.WithDeadline(s.cfg.DefaultDeadline)}
 	}
-	// Endpoint classes group routes for windowed latency, SLO
-	// observation and admission control (see admission.go). The
-	// cumulative latency histogram still tracks the scoring endpoints
-	// only; healthz and metrics probes are counted but excluded so
-	// liveness polling cannot dilute the percentiles operators alert
-	// on. The stream endpoint is likewise excluded: a stream's duration
-	// is the client's item count, not the server's latency.
-	clsScore := s.newClass("score", prioInteractive, &s.metrics.latency, true)
-	clsTarget := s.newClass("target", prioInteractive, &s.metrics.latency, true)
-	clsBatch := s.newClass("batch", prioBatch, &s.metrics.latency, true)
-	clsStream := s.newClass("stream", prioBatch, nil, false)
-	clsFeed := s.newClass("feed", prioFeed, &s.metrics.latency, true)
-	clsVerdicts := s.newClass("verdicts", prioBatch, &s.metrics.latency, true)
-	clsModels := s.newClass("models", prioOps, nil, false)
-	clsOps := s.newClass("ops", prioOps, nil, false)
+	// Endpoint classes group routes for latency, SLO observation and
+	// admission control (see admission.go). Only the request endpoints
+	// carry a latency histogram: healthz and metrics probes are counted
+	// but excluded so liveness polling cannot dilute the percentiles
+	// operators alert on. The stream endpoint is likewise excluded: a
+	// stream's duration is the client's item count, not the server's
+	// latency.
+	clsScore := s.newClass("score", prioInteractive, true)
+	clsTarget := s.newClass("target", prioInteractive, true)
+	clsBatch := s.newClass("batch", prioBatch, true)
+	clsStream := s.newClass("stream", prioBatch, false)
+	clsFeed := s.newClass("feed", prioFeed, true)
+	clsVerdicts := s.newClass("verdicts", prioBatch, true)
+	clsModels := s.newClass("models", prioOps, false)
+	clsOps := s.newClass("ops", prioOps, false)
+	s.batch = clsBatch
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v2/score", s.instrument(s.post(s.handleScoreV2), clsScore))
 	s.mux.HandleFunc("/v2/score/batch", s.instrument(s.post(s.handleScoreBatchV2), clsBatch))
