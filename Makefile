@@ -47,9 +47,9 @@ bench-smoke:
 # presorted-column tree trainer against the sort-per-node trainer on
 # fuzzer-built tie-heavy matrices; the content
 # identity's preimage (distinct snapshots never share bytes or a key);
-# the NDJSON feed connector; the migration reader of legacy verdict
-# logs; the segmented store's index-snapshot decoder (arbitrary
-# bytes, bare and under a valid CRC, plus an encode/decode round trip);
+# the NDJSON feed connector; the segmented store's index-snapshot
+# decoder (arbitrary bytes, bare and under a valid CRC, plus an
+# encode/decode round trip);
 # and its segment replay (arbitrary bytes, bare and behind whole frames,
 # against a walk over the same bytes in memory).
 # Found inputs land in the package's testdata/fuzz and become
@@ -65,7 +65,6 @@ FUZZ_TARGETS = \
 	FuzzIdentifyMatchesReference:./internal/target \
 	FuzzTrainMatchesReference:./internal/ml \
 	FuzzNDJSONSource:./internal/feedsrc \
-	FuzzLegacyRead:./internal/store \
 	FuzzDecodeSnapshot:./internal/store \
 	FuzzReplaySegment:./internal/store \
 	FuzzDecodeDoc:./internal/serve

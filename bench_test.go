@@ -399,9 +399,9 @@ func BenchmarkScoreHotPath(b *testing.B) {
 // hot path: the warm ScoreCtx loop of BenchmarkScoreHotPath wrapped in
 // Tracer.StartRequest/Finish, with the verdict's stage timings turned
 // into spans by Trace.Stages as the serving layer does. tracing=off is
-// the production default for untraced callers — a disabled tracer
-// returns a nil trace and Stages is a nil no-op, so the variant must
-// hold the PR-5 zero-allocation contract. tracing=on records a pooled
+// the production default for untraced callers — a nil tracer returns a
+// nil trace and Stages is a nil no-op, so the variant must hold the
+// PR-5 zero-allocation contract. tracing=on records a pooled
 // trace with per-stage spans per iteration; its delta over off is the
 // full cost of tracing a request. The CI benchmark-regression gate
 // watches both.
@@ -420,7 +420,10 @@ func BenchmarkTracedScore(b *testing.B) {
 			name = "tracing=on"
 		}
 		b.Run(name, func(b *testing.B) {
-			tracer := obs.NewTracer(obs.Config{Disabled: !enabled})
+			var tracer *obs.Tracer
+			if enabled {
+				tracer = obs.NewTracer(obs.Config{})
+			}
 			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -784,7 +787,7 @@ func BenchmarkFeedIngest(b *testing.B) {
 	}
 	for _, workers := range workerCounts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			st, err := store.Open(store.Config{Path: filepath.Join(b.TempDir(), "verdicts.jsonl")})
+			st, err := store.Open(store.Config{Path: filepath.Join(b.TempDir(), "verdicts")})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -985,19 +988,18 @@ func BenchmarkAnalyzeCtx(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeBatchCancelled demonstrates bounded work after
+// BenchmarkScoreBatchCancelled demonstrates bounded work after
 // cancellation: a pre-cancelled context over batches of very different
 // sizes costs near-constant time — the pool never starts items once
 // ctx is done, so abandoned requests stop consuming CPU. Compare
 // n=64 with n=1024: without cancellation the latter is 16× the work;
 // cancelled, both cost microseconds.
-func BenchmarkAnalyzeBatchCancelled(b *testing.B) {
+func BenchmarkScoreBatchCancelled(b *testing.B) {
 	r := benchSetup(b)
 	d, err := r.Detector(0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pipe := &core.Pipeline{Detector: d, Identifier: target.New(r.Corpus.Engine)}
 	rng := rand.New(rand.NewSource(13))
 	site := r.Corpus.World.NewPhishSite(rng, r.Corpus.World.RandomPhishOptions(rng))
 	snap, err := crawl.VisitSite(r.Corpus.World, site)
@@ -1014,7 +1016,7 @@ func BenchmarkAnalyzeBatchCancelled(b *testing.B) {
 			cancel()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				vs, err := pipe.AnalyzeBatchCtx(ctx, reqs, 0)
+				vs, err := d.ScoreBatchCtx(ctx, reqs, 0)
 				if err == nil {
 					b.Fatal("cancelled batch reported no error")
 				}
@@ -1245,7 +1247,6 @@ func BenchmarkLoadEndToEnd(b *testing.B) {
 			World:      &app.World{Detector: d, Engine: r.Corpus.Engine, Fetcher: world},
 			StorePath:  filepath.Join(b.TempDir(), "verdicts"),
 			DomainRate: -1,
-			Trace:      true,
 		})
 		if err != nil {
 			b.Fatal(err)

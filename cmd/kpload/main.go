@@ -153,7 +153,7 @@ func runLoad(args []string) error {
 	jsonOut := fs.String("json", "", "also write the report as JSON (the LOAD_PR.json artifact)")
 	// The -self server is the kpserve assembly with a throwaway verdict
 	// store; these flags bind to the same app.Config fields kpserve's do.
-	selfCfg := app.Config{Trace: true}
+	var selfCfg app.Config
 	fs.Int64Var(&selfCfg.Seed, "seed", 42, "with -self: the service seed (detector, world)")
 	fs.IntVar(&selfCfg.Scale, "scale", 20, "with -self: corpus downscale divisor for self-training (higher = faster boot)")
 	fs.IntVar(&selfCfg.FeedWorkers, "feed-workers", 0, "with -self: feed pipeline workers (0 = GOMAXPROCS)")

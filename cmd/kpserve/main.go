@@ -14,7 +14,7 @@
 //	        -feed-src phishtank=json:https://feed.example/phish.json \
 //	        -feed-src ct=ndjson:https://ct.example/stream            # external feed connectors
 //	kpserve -addr :8080 -model model.json -ranking data/ranking.csv -index index.json
-//	kpserve -addr :8080 -deadline 250ms -explain top         # bounded, explainable verdicts
+//	kpserve -addr :8080 -deadline 250ms                      # bounded verdicts
 //	kpserve -addr :8080 -registry models/ -store verdicts/   # versioned models, promoted by hand
 //	kpserve -addr :8080 -slo "score:p99<250ms,avail>99.9"    # error budgets + load shedding
 //
@@ -48,13 +48,10 @@ import (
 
 	"knowphish/internal/app"
 	"knowphish/internal/coalesce"
-	"knowphish/internal/core"
 	"knowphish/internal/feed"
 	"knowphish/internal/feedsrc"
 	"knowphish/internal/obs"
-	"knowphish/internal/serve"
 	"knowphish/internal/slo"
-	"knowphish/internal/store"
 )
 
 func main() {
@@ -128,43 +125,33 @@ func parseFlags(fs *flag.FlagSet, args []string) (app.Config, options, error) {
 	fs.StringVar(&cfg.Ranking, "ranking", "", "popularity list CSV from kpgen (optional)")
 	fs.StringVar(&cfg.Index, "index", "", "search index JSON (optional; required with -model for target identification)")
 	fs.IntVar(&cfg.Workers, "workers", 0, "batch fan-out cap (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.MaxBatch, "max-batch", serve.DefaultMaxBatch, "max pages per batch or stream request")
 	fs.IntVar(&cfg.MemoEntries, "memo-size", coalesce.DefaultMemoEntries, "entries per content-addressed memo table, score and target: ~200 bytes per scored page plus ~0.8 KB per detector positive, whatever the page size (negative: no verdict reuse, every request computes every stage)")
 	fs.DurationVar(&cfg.Deadline, "deadline", 0, "default per-request scoring deadline (0 = none; requests may set their own deadline_ms)")
-	explain := fs.String("explain", "none", "default explain level for v2 requests: none, top or full")
-	fs.IntVar(&cfg.ExplainTopN, "explain-top", 0, "default contribution count of a 'top' explanation (0 = library default)")
 	fs.IntVar(&cfg.Scale, "scale", 25, "corpus scale for the self-train path")
 	fs.Int64Var(&cfg.Seed, "seed", 1, "seed for the self-train path")
 
-	fs.StringVar(&cfg.StorePath, "store", "", "verdict store path (enables GET /v1/verdicts and /v2/verdicts; with the self-train world, also POST /v1/feed). The segmented engine uses it as a directory; a legacy JSONL log found there is migrated in place on first open")
-	fs.IntVar(&cfg.SegmentBytes, "segment-bytes", store.DefaultSegmentBytes, "segmented engine: bytes per WAL segment before it seals")
+	fs.StringVar(&cfg.StorePath, "store", "", "verdict store directory (enables GET /v1/verdicts and /v2/verdicts; with the self-train world, also POST /v1/feed)")
 	fs.BoolVar(&cfg.StoreSync, "store-sync", false, "fsync the verdict store on every append")
-	fs.IntVar(&cfg.CompactEvery, "compact-every", store.DefaultCompactEvery, "appends between verdict-store compactions (negative: never)")
 	fs.IntVar(&cfg.FeedQueue, "feed-queue", feed.DefaultQueueDepth, "feed queue depth, the backpressure bound")
 	fs.IntVar(&cfg.FeedWorkers, "feed-workers", 0, "feed crawl/score workers (0 = GOMAXPROCS)")
 	fs.Float64Var(&cfg.DomainRate, "domain-rate", feed.DefaultDomainRate, "per-registered-domain crawl rate in URLs/sec (negative: unlimited)")
 	fs.IntVar(&cfg.DomainBurst, "domain-burst", feed.DefaultDomainBurst, "per-domain token-bucket burst")
 	fs.IntVar(&cfg.FeedRetries, "feed-retries", feed.DefaultMaxAttempts, "fetch attempts per URL before the failure is persisted")
-	feedExplain := fs.String("feed-explain", "none", "explain level for feed-ingested verdicts (persisted evidence): none, top or full")
 
 	fs.StringVar(&cfg.FeedSrcCursor, "feed-src-cursor", "", "directory persisting each connector's resume cursor across restarts (empty: in-memory only)")
 	fs.Float64Var(&cfg.FeedSrcRate, "feed-src-rate", 0, "per-connector delivery cap in URLs/sec; excess is shed, not queued (0 = unlimited)")
 	fs.DurationVar(&cfg.FeedSrcInterval, "feed-src-interval", feedsrc.DefaultInterval, "idle poll interval per connector (a poll that yielded items re-polls immediately)")
-	fs.IntVar(&cfg.StoreMaxExplain, "store-max-explain", 0, "verdict-store explanation size cap in bytes (0 = default, negative = never persist evidence)")
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", app.DefaultDrainTimeout, "max wait for the feed to drain on shutdown")
 
 	fs.StringVar(&cfg.Registry, "registry", "", "model registry directory (versioned artifacts, /v2/models, zero-downtime champion hot-swap)")
 
 	logLevel := fs.String("log-level", "info", "structured log level: debug, info, warn or error")
 	logFormat := fs.String("log-format", "text", "structured log encoding: text or json")
-	fs.BoolVar(&cfg.Trace, "trace", true, "record per-stage request traces (GET /debug/traces, stage histograms in /metrics)")
-	traceSlow := fs.Duration("trace-slow", obs.DefaultSlowThreshold, "slow-request threshold: traces over it are kept as exemplars and logged (sampled); with a latency -slo the default derives from the tightest target instead")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "separate listener for net/http/pprof profiling endpoints (empty: disabled)")
 
 	fs.DurationVar(&cfg.SLOFast, "slo-fast", slo.DefaultFastWindow, "SLO fast burn-rate window (is it happening now?)")
 	fs.DurationVar(&cfg.SLOSlow, "slo-slow", slo.DefaultSlowWindow, "SLO slow burn-rate window (is it significant?)")
 	fs.DurationVar(&cfg.SLOHoldDown, "slo-holddown", slo.DefaultHoldDown, "SLO hysteresis: burn must stay below a threshold this long before state or shed level steps down")
-	fs.IntVar(&cfg.JournalSize, "journal-size", 0, "operational event journal capacity in events (GET /debug/events; 0 = default)")
 	fs.Func("feed-src", "external feed connector as NAME=KIND:URL, repeatable; KIND is json (PhishTank/OpenPhish-style feed), csv (ranked benign list) or ndjson (CT-log-style stream)", func(v string) error {
 		cfg.FeedSources = append(cfg.FeedSources, v)
 		return nil
@@ -178,21 +165,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (app.Config, options, error) {
 	}
 
 	var err error
-	if cfg.Logger, err = obs.NewLogger(os.Stderr, *logLevel, *logFormat); err != nil {
-		return cfg, o, err
-	}
-	if cfg.Explain, err = core.ParseExplainLevel(*explain); err != nil {
-		return cfg, o, err
-	}
-	if cfg.FeedExplain, err = core.ParseExplainLevel(*feedExplain); err != nil {
-		return cfg, o, err
-	}
-	// Only an explicit -trace-slow is a threshold; left alone, the
-	// assembly derives it from the tightest latency SLO.
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "trace-slow" {
-			cfg.TraceSlow = *traceSlow
-		}
-	})
-	return cfg, o, nil
+	cfg.Logger, err = obs.NewLogger(os.Stderr, *logLevel, *logFormat)
+	return cfg, o, err
 }

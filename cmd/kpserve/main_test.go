@@ -14,38 +14,28 @@ var nonDefault = []string{
 	"-ranking", "ranking.csv",
 	"-index", "index.json",
 	"-workers", "3",
-	"-max-batch", "7",
 	"-memo-size", "99",
 	"-deadline", "250ms",
-	"-explain", "top",
-	"-explain-top", "4",
 	"-scale", "50",
 	"-seed", "9",
 	"-store", "verdicts",
-	"-segment-bytes", "4096",
 	"-store-sync",
-	"-compact-every", "-1",
 	"-feed-queue", "17",
 	"-feed-workers", "2",
 	"-domain-rate", "-1",
 	"-domain-burst", "5",
 	"-feed-retries", "1",
-	"-feed-explain", "full",
 	"-feed-src-cursor", "cursors",
 	"-feed-src-rate", "2.5",
 	"-feed-src-interval", "1s",
-	"-store-max-explain", "-1",
 	"-drain-timeout", "3s",
 	"-registry", "models",
 	"-log-level", "debug",
 	"-log-format", "json",
-	"-trace=false",
-	"-trace-slow", "1s",
 	"-debug-addr", "127.0.0.1:6060",
 	"-slo-fast", "10s",
 	"-slo-slow", "1m",
 	"-slo-holddown", "2s",
-	"-journal-size", "32",
 	"-feed-src", "pt=json:http://feed.test/pt.json",
 	"-slo", "score:p99<250ms",
 }

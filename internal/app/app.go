@@ -65,8 +65,6 @@ type Config struct {
 
 	// Workers bounds concurrent pipeline executions (0 → GOMAXPROCS).
 	Workers int
-	// MaxBatch bounds pages per batch or stream request.
-	MaxBatch int
 	// MemoEntries is the capacity of each of the stage memo's two tables,
 	// score and target (negative: no verdict reuse). About 200 bytes per
 	// scored page plus 0.8 KB per detector positive, whatever the page
@@ -74,17 +72,11 @@ type Config struct {
 	MemoEntries int
 	// Deadline is the default per-request scoring budget (0 → none).
 	Deadline time.Duration
-	// Explain and ExplainTopN are the v2 surface's default evidence.
-	Explain     core.ExplainLevel
-	ExplainTopN int
 
 	// StorePath names the verdict store's directory. Without it there
 	// is no store, and without a store no feed.
-	StorePath       string
-	StoreSync       bool
-	CompactEvery    int
-	StoreMaxExplain int
-	SegmentBytes    int
+	StorePath string
+	StoreSync bool
 
 	// The feed scheduler runs when there is a store and the model source
 	// has a crawl source (the synthetic world).
@@ -93,7 +85,6 @@ type Config struct {
 	DomainRate  float64
 	DomainBurst int
 	FeedRetries int
-	FeedExplain core.ExplainLevel
 	// FeedSources are external connector specs, NAME=KIND:URL with KIND
 	// json, csv or ndjson; they need the feed scheduler.
 	FeedSources     []string
@@ -106,21 +97,15 @@ type Config struct {
 
 	// Logger receives every subsystem's structured logs (nil → discard).
 	Logger *slog.Logger
-	// Trace records per-stage request and feed traces.
-	Trace bool
-	// TraceSlow is the slow-exemplar threshold; zero derives it from the
-	// tightest latency SLO, so the traces an operator keeps are exactly
-	// the requests that burn budget, and falls back to
-	// obs.DefaultSlowThreshold without one.
-	TraceSlow time.Duration
 	// SLO holds objective specs ("score:p99<250ms,avail>99.9"); any arms
-	// the error-budget engine and with it adaptive load shedding.
+	// the error-budget engine and with it adaptive load shedding. The
+	// tightest latency target is also the tracer's slow-exemplar
+	// threshold, so the traces an operator keeps are exactly the
+	// requests that burn budget (obs.DefaultSlowThreshold without one).
 	SLO         []string
 	SLOFast     time.Duration
 	SLOSlow     time.Duration
 	SLOHoldDown time.Duration
-	// JournalSize is the event journal's capacity (0 → default).
-	JournalSize int
 }
 
 // App is a running process assembly. Server, Feed and Store are the
@@ -160,7 +145,7 @@ func Start(cfg Config) (_ *App, err error) {
 
 	// The SLO engine and the event journal come before the tracer, which
 	// may take its slow threshold from them.
-	journal := obs.NewJournal(cfg.JournalSize)
+	journal := obs.NewJournal(0)
 	var eng *slo.Engine
 	if len(cfg.SLO) > 0 {
 		objs, err := slo.ParseObjectives(cfg.SLO)
@@ -175,13 +160,13 @@ func Start(cfg Config) (_ *App, err error) {
 			Journal:    journal,
 		})
 	}
-	slow, slowSource := cfg.TraceSlow, ""
-	if slow == 0 {
-		if target, name := eng.MinLatencyTarget(); target > 0 {
-			slow, slowSource = target, "slo:"+name
-		}
+	// Zero (no latency objective) takes obs.DefaultSlowThreshold.
+	slow, name := eng.MinLatencyTarget()
+	slowSource := ""
+	if slow > 0 {
+		slowSource = "slo:" + name
 	}
-	tracer := obs.NewTracer(obs.Config{SlowThreshold: slow, SlowSource: slowSource, Disabled: !cfg.Trace})
+	tracer := obs.NewTracer(obs.Config{SlowThreshold: slow, SlowSource: slowSource})
 	if eng != nil {
 		a.logger.Info("slo engine armed",
 			"objectives", len(eng.Objectives()),
@@ -207,12 +192,9 @@ func Start(cfg Config) (_ *App, err error) {
 	// existing log.
 	if cfg.StorePath != "" {
 		a.Store, err = store.Open(store.Config{
-			Path:            cfg.StorePath,
-			Sync:            cfg.StoreSync,
-			CompactEvery:    cfg.CompactEvery,
-			MaxExplainBytes: cfg.StoreMaxExplain,
-			SegmentBytes:    cfg.SegmentBytes,
-			Logger:          a.logger,
+			Path:   cfg.StorePath,
+			Sync:   cfg.StoreSync,
+			Logger: a.logger,
 		})
 		if err != nil {
 			return nil, err
@@ -245,11 +227,8 @@ func Start(cfg Config) (_ *App, err error) {
 		Registry:        m.reg,
 		Identifier:      identifier,
 		Workers:         cfg.Workers,
-		MaxBatch:        cfg.MaxBatch,
 		Coalescer:       coal,
 		DefaultDeadline: cfg.Deadline,
-		DefaultExplain:  cfg.Explain,
-		ExplainTopN:     cfg.ExplainTopN,
 		Feed:            a.Feed,
 		FeedSources:     a.sources,
 		Store:           a.Store,
@@ -262,8 +241,7 @@ func Start(cfg Config) (_ *App, err error) {
 		return nil, err
 	}
 
-	a.logger.Info("assembled", "index_docs", m.Engine.Len(),
-		"tracing", tracer.Enabled(), "slow_threshold", tracer.SlowThreshold())
+	a.logger.Info("assembled", "index_docs", m.Engine.Len(), "slow_threshold", tracer.SlowThreshold())
 
 	// Full timeout set: without Read/Write/Idle timeouts a client that
 	// trickles a request body (or never reads the response) pins a
@@ -302,7 +280,6 @@ func (a *App) startFeed(cfg Config, m World, identifier *target.Identifier, coal
 		DomainRate:  cfg.DomainRate,
 		DomainBurst: cfg.DomainBurst,
 		MaxAttempts: cfg.FeedRetries,
-		Explain:     cfg.FeedExplain,
 		Tracer:      tracer,
 		Logger:      a.logger,
 		Score: func(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest) (core.Verdict, error) {

@@ -46,7 +46,7 @@ func postJSON(t *testing.T, url string, body, out any) {
 // and the store is closed, and closing again is harmless.
 func TestFeedAndHTTPShareOneMemo(t *testing.T) {
 	const seed = 7
-	a, err := Start(Config{Scale: 100, Seed: seed, StorePath: filepath.Join(t.TempDir(), "verdicts"), Trace: true})
+	a, err := Start(Config{Scale: 100, Seed: seed, StorePath: filepath.Join(t.TempDir(), "verdicts")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,9 +102,8 @@ type Stats struct {
 	// benchmark read the pair.
 	Batches      uint64 `json:"batches"`
 	BatchedItems uint64 `json:"batched_items"`
-	// Bypassed counts requests routed around the memo (explain or
-	// feature-masked requests, whose stages are not the page's canonical
-	// results).
+	// Bypassed counts requests routed around the memo (explain requests,
+	// whose evidence is never memoized).
 	Bypassed uint64 `json:"bypassed"`
 
 	// Analysis and Features always read zero: there are no such tables.
@@ -195,11 +194,11 @@ func New(cfg Config) *Coalescer {
 // vs computed; empty for stages that did not run — analysis and features
 // are only ever computed or empty).
 //
-// Explain and feature-masked requests are per-request by nature and are
-// transparently routed to pipe.AnalyzeCtx. A nil receiver routes
+// Explain requests are per-request by nature and are transparently
+// routed to pipe.AnalyzeCtx. A nil receiver routes
 // everything there — callers need no "is memoization on" branches.
 func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest, cc CacheControl, prov *core.MemoProvenance) (core.Verdict, error) {
-	if c == nil || req.Explains() || req.FeatureMask() != 0 {
+	if c == nil || req.Explains() {
 		if c != nil {
 			c.bypassed.Add(1)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"knowphish/internal/features"
 	"knowphish/internal/racecheck"
@@ -98,35 +99,40 @@ func TestScoreCtxFullPathAllocBudget(t *testing.T) {
 }
 
 // TestHoistedOptionsAllocContract pins the contract the serving
-// layer's option hoist relies on. An option-free request builds on the
-// stack (zero allocations — the coalescer and feed-drain default).
-// Applying a precomputed option slice costs exactly one allocation —
-// the request materializing on the heap because its address flows into
-// the option closures — independent of option count; the slice and the
-// closures themselves were paid for once at hoist time, never per
-// request.
+// layer's option hoist relies on. An option-free request — no options,
+// or an empty hoisted slice, what a server without a default deadline
+// hoists — builds on the stack (zero allocations). Applying a non-empty
+// precomputed option slice costs exactly one allocation — the request
+// materializing on the heap because its address flows into the option
+// closures — independent of option count; the slice and the closures
+// themselves were paid for once at hoist time, never per request.
 func TestHoistedOptionsAllocContract(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	c := corpus(t)
 	snap := c.LangTests[webgen.English].Snapshots()[0]
+	var none []ScoreOption
 	if allocs := testing.AllocsPerRun(200, func() {
-		req := NewScoreRequest(snap)
+		req := NewScoreRequest(snap, none...)
 		if req.Snapshot == nil {
 			t.Fatal("request lost its snapshot")
 		}
 	}); allocs != 0 {
 		t.Fatalf("option-free NewScoreRequest allocated %.1f times per run, want 0", allocs)
 	}
-	hoisted := []ScoreOption{WithDeadline(0), WithExplain(ExplainNone), WithTopFeatures(0)}
-	if allocs := testing.AllocsPerRun(200, func() {
-		req := NewScoreRequest(snap, hoisted...)
-		if req.Snapshot == nil {
-			t.Fatal("request lost its snapshot")
+	for _, hoisted := range [][]ScoreOption{
+		{WithDeadline(time.Second)},
+		{WithDeadline(time.Second), WithExplain(ExplainTop), WithTopFeatures(4)},
+	} {
+		if allocs := testing.AllocsPerRun(200, func() {
+			req := NewScoreRequest(snap, hoisted...)
+			if req.Snapshot == nil {
+				t.Fatal("request lost its snapshot")
+			}
+		}); allocs != 1 {
+			t.Fatalf("applying a hoisted %d-option slice allocated %.1f times per run, want exactly 1 (the request escape)", len(hoisted), allocs)
 		}
-	}); allocs != 1 {
-		t.Fatalf("applying a hoisted option slice allocated %.1f times per run, want exactly 1 (the request escape)", allocs)
 	}
 }
 
@@ -206,7 +212,8 @@ func TestWithAnalysisMatchesColdPath(t *testing.T) {
 }
 
 // TestPooledVectorsNotSharedAcrossBatches hammers concurrent
-// AnalyzeBatchCtx calls over the same pipeline and verifies every
+// full-pipeline batches (batchCtx over AnalyzeCtx, the fan-out behind
+// ScoreBatchCtx) over the same pipeline and verifies every
 // verdict matches its sequentially computed expectation — the contract
 // that pooled vectors and extraction scratch are never shared between
 // in-flight scorings. Run with -race, this is the allocation tentpole's
@@ -237,7 +244,7 @@ func TestPooledVectorsNotSharedAcrossBatches(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for round := 0; round < 4; round++ {
-				vs, err := pipe.AnalyzeBatchCtx(ctx, reqs, 4)
+				vs, err := batchCtx(ctx, reqs, 4, pipe.AnalyzeCtx)
 				if err != nil {
 					errs <- err
 					return

@@ -68,7 +68,7 @@ func TestAnalyzeBatchMatchesSequential(t *testing.T) {
 		sequential[i] = refOutcome(p, s)
 	}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0), 0} {
-		vs, err := p.AnalyzeBatchCtx(context.Background(), requests(snaps), workers)
+		vs, err := batchCtx(context.Background(), requests(snaps), workers, p.AnalyzeCtx)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -87,10 +87,6 @@ func TestBatchEmptyAndEdge(t *testing.T) {
 	d := trainDetector(t, c, 0)
 	if got, err := d.ScoreBatchCtx(context.Background(), nil, 4); err != nil || len(got) != 0 {
 		t.Errorf("empty ScoreBatchCtx: got %v, err %v", got, err)
-	}
-	p := &Pipeline{Detector: d, Identifier: target.New(c.Engine)}
-	if got, err := p.AnalyzeBatchCtx(context.Background(), nil, 4); err != nil || len(got) != 0 {
-		t.Errorf("empty AnalyzeBatchCtx: got %v, err %v", got, err)
 	}
 	// More workers than items must not deadlock or skip entries.
 	reqs := requests(batchSnapshots(t)[:3])

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"knowphish/internal/features"
 	"knowphish/internal/webpage"
 )
 
@@ -64,7 +63,6 @@ type ScoreRequest struct {
 	explain    ExplainLevel
 	topN       int
 	skipTarget bool
-	featureSet features.Set
 	analysis   *webpage.Analysis
 	contentKey webpage.Key128 // zero: not supplied
 }
@@ -117,15 +115,6 @@ func WithoutTargetID() ScoreOption {
 	return func(r *ScoreRequest) { r.skipTarget = true }
 }
 
-// WithFeatureSet restricts scoring to the feature groups in s by
-// zeroing every other feature before classification — an inference-time
-// ablation ("how would this page score without the f4 evidence?"). The
-// detector's trained projection still applies afterwards; 0 (or the
-// detector's own full set) is a no-op.
-func WithFeatureSet(s features.Set) ScoreOption {
-	return func(r *ScoreRequest) { r.featureSet = s }
-}
-
 // WithAnalysis supplies a precomputed page analysis (from
 // webpage.Analyze), skipping the analysis stage — the cached-page fast
 // path. Callers that score one page repeatedly (benchmark loops, cache
@@ -139,12 +128,6 @@ func WithAnalysis(a *webpage.Analysis) ScoreOption {
 
 // Explains reports whether the request asks for an explanation.
 func (r *ScoreRequest) Explains() bool { return r.explain != ExplainNone }
-
-// FeatureMask returns the feature-set restriction applied by
-// WithFeatureSet (0 = none). Masked requests score an ablated vector,
-// so content-addressed caches must not treat their stages as the
-// page's canonical results.
-func (r *ScoreRequest) FeatureMask() features.Set { return r.featureSet }
 
 // PrecomputedAnalysis returns the analysis supplied by WithAnalysis
 // (nil when the request analyzes its snapshot itself).

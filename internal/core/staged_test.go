@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"knowphish/internal/features"
 	"knowphish/internal/target"
 	"knowphish/internal/webpage"
 )
@@ -129,35 +128,6 @@ func TestScoreCoalescedPerItemContext(t *testing.T) {
 	v, err := p.AnalyzeStagedCtx(context.Background(), NewScoreRequest(snap), &st)
 	if err != nil || v.Label == "" {
 		t.Fatalf("healthy call after an expired one: %+v, %v", v.Outcome, err)
-	}
-}
-
-// TestScoreCoalescedFeatureMask checks the ablation option through the
-// staged entry point: a supplied score — the unmasked page's — is not
-// trusted for the masked request.
-func TestScoreCoalescedFeatureMask(t *testing.T) {
-	_, p := verdictFixtures(t)
-	ctx := context.Background()
-	snap := corpus(t).PhishTest.Examples[1].Snapshot
-	req := NewScoreRequest(snap, WithFeatureSet(features.F1))
-	want, err := p.AnalyzeCtx(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := p.AnalyzeCtx(ctx, NewScoreRequest(snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := StageResults{HasScore: true, Score: full.Score}
-	got, err := p.AnalyzeStagedCtx(ctx, req, &st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Score != want.Score || got.FeatureSet != want.FeatureSet {
-		t.Fatalf("masked staged score %v/%q != %v/%q", got.Score, got.FeatureSet, want.Score, want.FeatureSet)
-	}
-	if st.Computed&StageMaskScore == 0 {
-		t.Fatal("masked request reused the unmasked score")
 	}
 }
 

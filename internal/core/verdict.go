@@ -64,9 +64,6 @@ type Verdict struct {
 	Label string `json:"label"`
 	// Threshold is the discrimination threshold the label used.
 	Threshold float64 `json:"threshold"`
-	// FeatureSet names the feature-group restriction applied by
-	// WithFeatureSet ("" when scoring used the detector's full set).
-	FeatureSet string `json:"feature_set,omitempty"`
 	// Explanation is the per-feature evidence (explain requests only).
 	Explanation *Explanation `json:"explanation,omitempty"`
 	// ModelVersion is the registry version of the detector that produced
@@ -160,9 +157,8 @@ const (
 // vector never leaves the call.
 type StageResults struct {
 	// HasScore marks Score as the page's detector score under this
-	// detector, skipping extraction and classification. Explain and
-	// feature-masked requests recompute regardless: their score is not
-	// the canonical one, and evidence needs the model-space vector.
+	// detector, skipping extraction and classification. Explain requests
+	// recompute regardless: evidence needs the model-space vector.
 	HasScore bool
 	// Score is the supplied detector score (meaningful with HasScore).
 	Score float64
@@ -240,8 +236,7 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 	v.Threshold = d.threshold
 	v.ModelVersion = d.version
 
-	masked := req.featureSet != 0 && req.featureSet != features.All
-	hasScore := st.HasScore && !masked && !req.Explains()
+	hasScore := st.HasScore && !req.Explains()
 	extract := !hasScore
 	// Identification runs on detector positives; before classification
 	// any page may turn out to be one.
@@ -280,10 +275,6 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 			features.PutVector(vecBuf)
 			return Verdict{}, err
 		}
-	}
-	if masked {
-		vec = features.Mask(vec, req.featureSet)
-		v.FeatureSet = req.featureSet.String()
 	}
 
 	// Stage 3: classification, in the detector's trained column space.
@@ -378,12 +369,6 @@ func (d *Detector) ScoreBatchCtx(ctx context.Context, reqs []ScoreRequest, worke
 	return batchCtx(ctx, reqs, workers, func(ctx context.Context, r ScoreRequest) (Verdict, error) {
 		return d.ScoreCtx(ctx, r)
 	})
-}
-
-// AnalyzeBatchCtx runs the full pipeline on many requests concurrently
-// with the same partial-result contract as ScoreBatchCtx.
-func (p *Pipeline) AnalyzeBatchCtx(ctx context.Context, reqs []ScoreRequest, workers int) ([]*Verdict, error) {
-	return batchCtx(ctx, reqs, workers, p.AnalyzeCtx)
 }
 
 func batchCtx(ctx context.Context, reqs []ScoreRequest, workers int, one func(context.Context, ScoreRequest) (Verdict, error)) ([]*Verdict, error) {

@@ -11,7 +11,6 @@ import (
 	"knowphish/internal/dataset"
 	"knowphish/internal/features"
 	"knowphish/internal/target"
-	"knowphish/internal/webpage"
 )
 
 // sigmoid mirrors the ml package's squashing for explanation checks.
@@ -159,34 +158,6 @@ func TestAnalyzeCtxSkipTarget(t *testing.T) {
 	t.Skip("no detector positive in the first 40 test pages")
 }
 
-func TestAnalyzeCtxFeatureSetOverride(t *testing.T) {
-	c, p := verdictFixtures(t)
-	snap := c.PhishTest.Examples[0].Snapshot
-	v, err := p.AnalyzeCtx(context.Background(), NewScoreRequest(snap, WithFeatureSet(features.F1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.FeatureSet != features.F1.String() {
-		t.Errorf("feature set = %q, want %q", v.FeatureSet, features.F1.String())
-	}
-	// The ablated score comes from a masked vector: it must equal
-	// scoring the mask directly.
-	a := webpage.Analyze(snap)
-	full := p.Detector.extractor.Extract(a)
-	want := p.Detector.ScoreVector(features.Mask(full, features.F1))
-	if v.Score != want {
-		t.Errorf("masked score = %v, want %v", v.Score, want)
-	}
-	// The full set is a no-op and reports no override.
-	v, err = p.AnalyzeCtx(context.Background(), NewScoreRequest(snap, WithFeatureSet(features.All)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.FeatureSet != "" || v.Score != p.Detector.ScoreVector(full) {
-		t.Errorf("full-set override altered the verdict: %+v", v)
-	}
-}
-
 func TestScoreCtxCancellation(t *testing.T) {
 	c, p := verdictFixtures(t)
 	snap := c.PhishTest.Examples[0].Snapshot
@@ -218,9 +189,9 @@ func TestAnalyzeBatchCtxPartialResults(t *testing.T) {
 	}
 
 	// Uncancelled: every slot fills, order preserved, no error.
-	vs, err := p.AnalyzeBatchCtx(context.Background(), reqs, 4)
+	vs, err := batchCtx(context.Background(), reqs, 4, p.AnalyzeCtx)
 	if err != nil {
-		t.Fatalf("AnalyzeBatchCtx: %v", err)
+		t.Fatalf("batchCtx: %v", err)
 	}
 	if len(vs) != len(reqs) {
 		t.Fatalf("got %d results, want %d", len(vs), len(reqs))
@@ -239,7 +210,7 @@ func TestAnalyzeBatchCtxPartialResults(t *testing.T) {
 	cause := errors.New("shed load")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
-	vs2, err := p.AnalyzeBatchCtx(ctx, reqs, 2)
+	vs2, err := batchCtx(ctx, reqs, 2, p.AnalyzeCtx)
 	if !errors.Is(err, cause) {
 		t.Fatalf("err = %v, want %v", err, cause)
 	}

@@ -36,22 +36,6 @@ func Indices(s Set) []int {
 	return out
 }
 
-// Mask returns a copy of the full feature vector v with every column
-// outside the groups in s zeroed. It is the inference-time ablation
-// behind the scoring API's feature-set override: zero is each feature's
-// natural absent value, so masking approximates scoring a page that
-// exhibits none of the suppressed evidence without retraining (the
-// trained per-set models of the experiments remain the exact variant).
-func Mask(v []float64, s Set) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		if i < TotalCount && Group(i)&s != 0 {
-			out[i] = x
-		}
-	}
-	return out
-}
-
 // Project copies the columns of x selected by cols into a new matrix,
 // leaving x untouched.
 func Project(x [][]float64, cols []int) [][]float64 {

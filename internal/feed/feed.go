@@ -102,8 +102,7 @@ type Config struct {
 	// HTTP surface. Nil scores through pipe.AnalyzeCtx directly.
 	Score func(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest) (core.Verdict, error)
 	// Store persists verdicts (optional; without it verdicts are only
-	// observable through Stats). Any store.Backend engine works; see
-	// store.Open.
+	// observable through Stats); see store.Open.
 	Store store.Backend
 	// Workers is the crawl/score worker count (0 → GOMAXPROCS).
 	Workers int
@@ -123,11 +122,6 @@ type Config struct {
 	RetryBackoff time.Duration
 	// MaxBackoff caps the exponential retry delay (0 → DefaultMaxBackoff).
 	MaxBackoff time.Duration
-	// Explain scores with the given explain level so persisted verdicts
-	// carry per-feature evidence (subject to the store's size cap).
-	// Default: core.ExplainNone — evidence costs an extra model walk
-	// per URL and log bytes forever.
-	Explain core.ExplainLevel
 	// Tracer, when set, records one trace per processed URL — crawl,
 	// the core scoring stages, store append — alongside the serving
 	// layer's request traces (optional).
@@ -425,10 +419,6 @@ func (s *Scheduler) process(it *item) {
 		s.retryOrFail(it, err)
 		return
 	}
-	var opts []core.ScoreOption
-	if s.cfg.Explain != core.ExplainNone {
-		opts = append(opts, core.WithExplain(s.cfg.Explain))
-	}
 	// Resolve the detector per item: with a hot-swappable source a model
 	// promotion takes effect on the next URL, not the next restart.
 	pipe := s.cfg.Pipeline
@@ -437,7 +427,7 @@ func (s *Scheduler) process(it *item) {
 			pipe = &core.Pipeline{Detector: det, Identifier: pipe.Identifier}
 		}
 	}
-	req := core.NewScoreRequest(snap, opts...)
+	req := core.NewScoreRequest(snap)
 	var v core.Verdict
 	ts = time.Now()
 	if s.cfg.Score != nil {
@@ -456,7 +446,7 @@ func (s *Scheduler) process(it *item) {
 	tr.Stages(ts, t.AnalyzeNS, t.FeaturesNS, t.ScoreNS, t.TargetNS, t.ExplainNS)
 	out := v.Outcome
 	// A verdict scored through the stage memo already carries the page's
-	// identity; only the plain and explain paths still have to hash.
+	// identity; only the plain path still has to hash.
 	fp := v.ContentFingerprint
 	if fp == "" {
 		fp = webpage.Fingerprint(snap)
@@ -467,7 +457,6 @@ func (s *Scheduler) process(it *item) {
 		Fingerprint:  fp,
 		Outcome:      out,
 		ModelVersion: v.ModelVersion,
-		Explanation:  v.Explanation,
 		ScoredAt:     s.now().UTC(),
 		Source:       it.source,
 	}

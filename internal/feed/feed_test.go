@@ -14,7 +14,6 @@ import (
 	"knowphish/internal/core"
 	"knowphish/internal/crawl"
 	"knowphish/internal/dataset"
-	"knowphish/internal/features"
 	"knowphish/internal/ml"
 	"knowphish/internal/obs"
 	"knowphish/internal/store"
@@ -593,98 +592,5 @@ func TestPanicInPipelineContained(t *testing.T) {
 	drain(t, s)
 	if stats := s.Stats(); stats.Failed != 2 {
 		t.Errorf("stats = %+v, want failed=2 (panics contained per item)", stats)
-	}
-}
-
-// TestFeedExplainPersistsEvidence wires the explain level through the
-// whole ingestion path: scheduler → AnalyzeCtx(WithExplain) → store
-// record, subject to the store's explanation size cap.
-func TestFeedExplainPersistsEvidence(t *testing.T) {
-	c, pipe := fixtures(t)
-	dir := filepath.Join(t.TempDir(), "verdicts")
-	st := openStore(t, store.Config{Path: dir})
-	s, err := New(Config{
-		Fetcher: c.World, Pipeline: pipe, Store: st,
-		Workers: 2, DomainRate: -1, Explain: core.ExplainTop,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	urls := []string{
-		c.World.BrandSiteURLs(c.World.Brands[0])[0],
-		c.World.BrandSiteURLs(c.World.Brands[1])[0],
-	}
-	for _, u := range urls {
-		if err := s.Enqueue(u); err != nil {
-			t.Fatalf("Enqueue(%s): %v", u, err)
-		}
-	}
-	drain(t, s)
-	withEvidence := 0
-	for _, u := range urls {
-		rec, ok := get(t, st, u)
-		if !ok {
-			t.Fatalf("no record for %s", u)
-		}
-		if rec.Explanation != nil {
-			withEvidence++
-			if len(rec.Explanation.Contributions) == 0 {
-				t.Errorf("%s: explanation without contributions", u)
-			}
-		}
-	}
-	if withEvidence == 0 {
-		t.Error("no persisted verdict carries evidence despite Explain: top")
-	}
-	// The evidence survives a reopen from disk.
-	if err := st.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	st = openStore(t, store.Config{Path: dir})
-	rec, ok := get(t, st, urls[0])
-	if !ok || rec.Explanation == nil {
-		t.Errorf("evidence lost across reload: %+v ok=%v", rec, ok)
-	}
-}
-
-// TestStoreExplanationSizeCap proves oversized evidence is shed while
-// the verdict itself persists.
-func TestStoreExplanationSizeCap(t *testing.T) {
-	st := openStore(t, store.Config{
-		MaxExplainBytes: 64, // far below any real explanation
-	})
-	rec := store.Record{
-		URL:        "http://x.test/",
-		LandingURL: "http://x.test/",
-		Explanation: &core.Explanation{
-			Bias: 1,
-			Contributions: []features.Contribution{
-				{Index: 1, Name: "f1.start.https_and_some_long_feature_name", Value: 1, LogOdds: 0.5},
-				{Index: 2, Name: "f4.ext_concentration_other_long_name", Value: 2, LogOdds: -0.25},
-			},
-		},
-	}
-	if err := st.Append(context.Background(), rec); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	got, ok := get(t, st, "http://x.test/")
-	if !ok {
-		t.Fatal("capped record not stored")
-	}
-	if got.Explanation != nil {
-		t.Error("oversized explanation persisted past the cap")
-	}
-	if st.Stats().ExplanationsDropped != 1 {
-		t.Errorf("explanations_dropped = %d, want 1", st.Stats().ExplanationsDropped)
-	}
-	// Negative cap: never persist evidence.
-	st2 := openStore(t, store.Config{MaxExplainBytes: -1})
-	small := rec
-	small.Explanation = &core.Explanation{Bias: 1}
-	if err := st2.Append(context.Background(), small); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := get(t, st2, "http://x.test/"); got.Explanation != nil {
-		t.Error("negative cap still persisted evidence")
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"runtime"
@@ -249,6 +250,17 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	if cfg.CacheMix < 0 || cfg.CacheMix > 1 {
 		return Report{}, fmt.Errorf("loadgen: CacheMix %v out of range [0, 1]", cfg.CacheMix)
 	}
+	// The open-loop pacer ticks once per request; time.NewTicker panics
+	// on an interval that rounds to zero.
+	if math.IsNaN(cfg.QPS) || math.IsInf(cfg.QPS, 0) {
+		return Report{}, fmt.Errorf("loadgen: QPS %v is not finite", cfg.QPS)
+	}
+	var tick time.Duration
+	if cfg.QPS > 0 {
+		if tick = time.Duration(float64(time.Second) / cfg.QPS * float64(cfg.BatchSize)); tick < 1 {
+			return Report{}, fmt.Errorf("loadgen: QPS %v with batch %d paces requests %v apart, under the pacer's 1ns", cfg.QPS, cfg.BatchSize, tick)
+		}
+	}
 	r := &run{
 		cfg:      cfg,
 		client:   cfg.Client,
@@ -309,7 +321,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 		}
 		arrivals = make(chan struct{}, depth)
 		go func() {
-			t := time.NewTicker(time.Duration(float64(time.Second) / cfg.QPS * float64(cfg.BatchSize)))
+			t := time.NewTicker(tick)
 			defer t.Stop()
 			for {
 				select {

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -168,6 +169,22 @@ func TestConfigValidation(t *testing.T) {
 	for i, cfg := range cases {
 		if _, err := Run(context.Background(), cfg); err == nil {
 			t.Fatalf("case %d: Run accepted an invalid config", i)
+		}
+	}
+}
+
+// TestQPSOutOfRange: a rate whose pacing interval rounds to zero, or
+// that is not a number at all, is a config error — not a panic in the
+// pacer goroutine that takes the process down.
+func TestQPSOutOfRange(t *testing.T) {
+	srv, _ := stubServer(t, 0, 0)
+	for _, qps := range []float64{2e9, math.Inf(1), math.NaN()} {
+		_, err := Run(context.Background(), Config{
+			TargetURL: srv.URL, Corpus: []string{"http://a.test/"},
+			QPS: qps, Requests: 1, ScrapeInterval: -1,
+		})
+		if err == nil {
+			t.Errorf("QPS %v: Run accepted it", qps)
 		}
 	}
 }

@@ -201,8 +201,6 @@ type Config struct {
 	// carry it as slow_slo so an operator reading /debug/traces knows
 	// which budget the trace was burning.
 	SlowSource string
-	// Disabled makes a tracer that records nothing.
-	Disabled bool
 	// Clock feeds the windowed per-stage histograms, for deterministic
 	// tests (nil → time.Now). Trace timestamps always use time.Now.
 	Clock func() time.Time
@@ -228,9 +226,9 @@ type record struct {
 // Tracer records request traces into a fixed-size ring buffer plus a
 // reservoir of slow/error exemplars, and aggregates per-stage latency
 // histograms. All methods are safe for concurrent use and nil-receiver
-// safe, so an unconfigured server can pass a nil *Tracer everywhere.
+// safe, so an unconfigured server can pass a nil *Tracer everywhere: a
+// nil tracer is the off switch.
 type Tracer struct {
-	enabled bool
 	slowNS  int64
 	slowSrc string
 
@@ -261,7 +259,6 @@ func NewTracer(cfg Config) *Tracer {
 		cfg.SlowThreshold = DefaultSlowThreshold
 	}
 	t := &Tracer{
-		enabled:  !cfg.Disabled,
 		slowNS:   cfg.SlowThreshold.Nanoseconds(),
 		slowSrc:  cfg.SlowSource,
 		ring:     make([]record, DefaultRingSize),
@@ -274,9 +271,6 @@ func NewTracer(cfg Config) *Tracer {
 	t.idState.Store(uint64(time.Now().UnixNano()) | 1)
 	return t
 }
-
-// Enabled reports whether the tracer records new traces. Nil-safe.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
 
 // SlowThreshold returns the slow-exemplar threshold (0 when nil).
 func (t *Tracer) SlowThreshold() time.Duration {
@@ -304,11 +298,11 @@ func (t *Tracer) nextID() uint64 {
 // trace (use a static route string, not a user-controlled one);
 // traceparent, when it carries a valid W3C header, roots the trace in
 // the caller's trace-id and records the caller's span as parent.
-// Returns ctx with the trace attached. When the tracer is nil or
-// disabled it returns ctx unchanged and a nil trace — every downstream
-// call is nil-safe, so callers never branch.
+// Returns ctx with the trace attached. When the tracer is nil it
+// returns ctx unchanged and a nil trace — every downstream call is
+// nil-safe, so callers never branch.
 func (t *Tracer) StartRequest(ctx context.Context, endpoint, traceparent string) (context.Context, *Trace) {
-	if t == nil || !t.enabled {
+	if t == nil {
 		return ctx, nil
 	}
 	tr := t.pool.Get().(*Trace)
@@ -458,7 +452,7 @@ func (t *Tracer) Summary() Summary {
 	ringN, exN := t.ringN, t.exN
 	t.mu.Unlock()
 	s := Summary{
-		Enabled:      t.enabled,
+		Enabled:      true,
 		Started:      t.started.Load(),
 		Finished:     t.finished.Load(),
 		Slow:         t.slow.Load(),

@@ -1,7 +1,7 @@
 // Package pool provides the worker-pool primitive behind every bounded
 // fan-out in the repository: parallel feature extraction
-// (features.ExtractBatch), the library batch methods
-// (core.Detector.ScoreBatchCtx, core.Pipeline.AnalyzeBatchCtx), the
+// (features.ExtractBatch), the library batch method
+// (core.Detector.ScoreBatchCtx), the
 // corpus build (internal/dataset), the feed scheduler's workers and the
 // HTTP server's batch and NDJSON stream fan-out (internal/serve). One
 // implementation means one place for pool semantics: order

@@ -258,7 +258,7 @@ func TestSetChampionUnknownVersion(t *testing.T) {
 	}
 }
 
-// TestHotSwapRace drives concurrent ScoreCtx and AnalyzeBatchCtx
+// TestHotSwapRace drives concurrent ScoreCtx and ScoreBatchCtx
 // against the registry source while the champion is swapped repeatedly.
 // Under -race (CI) this proves the zero-downtime swap contract: no data
 // race, no blocked or failed scorer, and every verdict is attributable

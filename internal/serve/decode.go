@@ -82,7 +82,10 @@ var errTrailingData = errors.New("trailing data after JSON document")
 // Single-page score documents in canonical form are decoded by
 // scanScoreDoc, which copies each string exactly once; everything else,
 // every malformed document included, goes through encoding/json, so all
-// error texts are encoding/json's. The strings stored in v never alias b.
+// error texts are encoding/json's. Every score document json.Marshal
+// writes is canonical (TestMarshalledRequestsTakeFastPath), so only
+// hand-written or malformed documents reach the fallback. The strings
+// stored in v never alias b.
 func decodeDoc(b []byte, v any) error {
 	switch req := v.(type) {
 	case *V2ScoreRequest:

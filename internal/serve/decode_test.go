@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"knowphish/internal/crawl"
 	"knowphish/internal/racecheck"
 	"knowphish/internal/webgen"
 )
@@ -196,43 +197,105 @@ func TestDecodeDocMatchesEncodingJSON(t *testing.T) {
 		t.Error("v1 scanner took an option key")
 	}
 
-	// What clients send: pages of generated sites in the six evaluation
-	// languages, marshalled by encoding/json.
-	w := webgen.New(webgen.Config{Seed: 18, Brands: 40, RankedGenerics: 40, VocabularyWords: 80})
-	rng := rand.New(rand.NewSource(18))
-	var bodies [][]byte
-	for len(bodies) < 200 {
-		lang := webgen.Languages[len(bodies)%len(webgen.Languages)]
-		site := w.NewLegitSite(rng, webgen.LegitOptions{Lang: lang})
-		if len(bodies)%3 == 0 {
-			site = w.NewPhishSite(rng, webgen.PhishOptions{Lang: lang})
-		}
-		for u, p := range site.Pages {
-			if p.HTML == "" {
-				continue
-			}
-			body, err := json.Marshal(V2ScoreRequest{
-				PageRequest:  PageRequest{HTML: p.HTML, StartingURL: site.StartURL, LandingURL: u, RedirectionChain: []string{site.StartURL, u}},
-				ScoreOptions: ScoreOptions{Explain: "top", TopFeatures: len(bodies), SkipTarget: len(bodies)%2 == 0},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bodies = append(bodies, body)
-		}
-	}
-	for _, body := range bodies {
-		if !checkDoc(t, body) {
-			t.Fatalf("scanner declined a marshalled request: %.200q", body)
-		}
-	}
-
 	// No prefix of a document is a document; none may panic either.
-	body := bodies[0]
+	body := scoreBody(t)
 	for n := 0; n < len(body); n++ {
 		if checkDoc(t, body[:n:n]) {
 			t.Fatalf("scanner took the %d-byte prefix of a %d-byte document", n, len(body))
 		}
+	}
+}
+
+// workloadPage resolves a generated site the way the repository
+// benchmark's workloads submit it: redirects followed from the starting
+// URL, the landing page's HTML, the whole chain.
+func workloadPage(w *webgen.World, site *webgen.Site) (PageRequest, bool) {
+	f := crawl.Compose(site, w)
+	p := PageRequest{StartingURL: site.StartURL, LandingURL: site.StartURL, RedirectionChain: []string{site.StartURL}}
+	for {
+		page, ok := f.Fetch(p.LandingURL)
+		if !ok || len(p.RedirectionChain) > 10 {
+			return p, false
+		}
+		if page.RedirectTo == "" {
+			p.HTML = page.HTML
+			return p, p.HTML != ""
+		}
+		p.LandingURL = page.RedirectTo
+		p.RedirectionChain = append(p.RedirectionChain, p.LandingURL)
+	}
+}
+
+// hostileStrings are what encoding/json escapes or rewrites on the way
+// out: HTML-sensitive characters, the JavaScript line separators,
+// invalid UTF-8 (each bad byte becomes \ufffd), control bytes, and
+// runes outside the Basic Multilingual Plane (written raw, never as
+// surrogate pairs).
+var hostileStrings = []string{
+	`<script>a && b</script>`,
+	"line\u2028para\u2029end",
+	"bad \xff\xfe bytes, cut \xe6\x97, encoded surrogate \xed\xa0\x80",
+	"ctl \x00\x01\x08\x0c\x1f\x7f \n\r\t",
+	"astral \U0001F600 \U0010FFFF",
+	`quote " backslash \\ slash /`,
+}
+
+// TestMarshalledRequestsTakeFastPath: every document json.Marshal writes
+// for the pages the benchmark workloads draw — legitimate sites in all
+// six languages and phishing sites with their redirect chains, as
+// PageRequest and as V2ScoreRequest — is taken by scanScoreDoc and
+// decodes to what encoding/json stores, hostile strings included. Only
+// hand-written or malformed documents are left to the fallback.
+func TestMarshalledRequestsTakeFastPath(t *testing.T) {
+	w := webgen.New(webgen.Config{Seed: 29, Brands: 40, RankedGenerics: 40, VocabularyWords: 80})
+	rng := rand.New(rand.NewSource(29))
+	var pages []PageRequest
+	redirected := 0
+	for i := 0; len(pages) < 48; i++ {
+		site := w.NewLegitSite(rng, webgen.LegitOptions{Lang: webgen.Languages[i%len(webgen.Languages)]})
+		if i%2 == 1 {
+			site = w.NewPhishSite(rng, w.RandomPhishOptions(rng))
+		}
+		if p, ok := workloadPage(w, site); ok {
+			pages = append(pages, p)
+			if len(p.RedirectionChain) > 1 {
+				redirected++
+			}
+		}
+	}
+	if redirected == 0 {
+		t.Fatal("no generated page followed a redirect")
+	}
+	check := func(v any) {
+		t.Helper()
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !checkDoc(t, b) {
+			t.Fatalf("scanner declined a marshalled request: %.300q", b)
+		}
+		if _, isPage := v.(PageRequest); isPage {
+			var page PageRequest
+			if !scanScoreDoc(b, &page, nil) {
+				t.Fatalf("v1 scanner declined a marshalled page: %.300q", b)
+			}
+		}
+	}
+	for i, p := range pages {
+		check(p)
+		check(V2ScoreRequest{PageRequest: p})
+		h := hostileStrings[i%len(hostileStrings)]
+		hostile := PageRequest{
+			HTML:             p.HTML + h,
+			StartingURL:      p.StartingURL + h,
+			LandingURL:       p.LandingURL + "#" + h,
+			RedirectionChain: append(append([]string(nil), p.RedirectionChain...), p.LandingURL+"?next="+h),
+		}
+		check(hostile)
+		check(V2ScoreRequest{PageRequest: hostile, ScoreOptions: ScoreOptions{
+			Explain: h, CacheControl: h, TopFeatures: i, DeadlineMS: int64(i) * 7, SkipTarget: i%2 == 0,
+		}})
 	}
 }
 

@@ -45,7 +45,7 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	cs := s.coal.Snapshot()
 	p.Counter("knowphish_coalesce_batches_total", "Staged scoring passes run.", float64(cs.Batches))
 	p.Counter("knowphish_coalesce_batched_items_total", "Requests scored through staged scoring passes.", float64(cs.BatchedItems))
-	p.Counter("knowphish_coalesce_bypassed_total", "Requests routed around the stage memo (explain or feature-masked).", float64(cs.Bypassed))
+	p.Counter("knowphish_coalesce_bypassed_total", "Requests routed around the stage memo (explain requests).", float64(cs.Bypassed))
 	tables := []struct {
 		name string
 		st   coalesce.TableStats

@@ -195,11 +195,11 @@ func (s *Server) resolveDeadline(ms int64) time.Duration {
 	return s.cfg.DefaultDeadline
 }
 
-// coreOptions validates wire options and resolves them against the
-// server defaults into core functional options plus the parsed
-// cache-control mode. It is the single option-validation path of the
-// v2 surface; /v2/target calls it too (discarding the scoring options)
-// so the endpoints reject the same malformed requests.
+// coreOptions validates wire options and resolves them, with the
+// server's default deadline, into core functional options plus the
+// parsed cache-control mode. It is the single option-validation path of
+// the v2 surface; /v2/target calls it too (discarding the scoring
+// options) so the endpoints reject the same malformed requests.
 //
 // The two common request shapes — all options defaulted, with or
 // without skip_target — return slices hoisted once in New instead of
@@ -222,21 +222,14 @@ func (s *Server) coreOptions(o ScoreOptions) ([]core.ScoreOption, coalesce.Cache
 		}
 		return s.defaultOpts, cc, nil
 	}
-	deadline := s.resolveDeadline(o.DeadlineMS)
-	level := s.cfg.DefaultExplain
-	if o.Explain != "" {
-		if level, err = core.ParseExplainLevel(o.Explain); err != nil {
-			return nil, cc, err
-		}
-	}
-	topN := o.TopFeatures
-	if topN == 0 {
-		topN = s.cfg.ExplainTopN
+	level, err := core.ParseExplainLevel(o.Explain)
+	if err != nil {
+		return nil, cc, err
 	}
 	opts := []core.ScoreOption{
-		core.WithDeadline(deadline),
+		core.WithDeadline(s.resolveDeadline(o.DeadlineMS)),
 		core.WithExplain(level),
-		core.WithTopFeatures(topN),
+		core.WithTopFeatures(o.TopFeatures),
 	}
 	if o.SkipTarget {
 		opts = append(opts, core.WithoutTargetID())
@@ -288,7 +281,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	resp, err := s.scorePage(r.Context(), prioInteractive, nil, &req, s.v1Opts, coalesce.CacheDefault)
+	resp, err := s.scorePage(r.Context(), prioInteractive, nil, &req, s.defaultOpts, coalesce.CacheDefault)
 	if err != nil {
 		s.failScore(w, err)
 		return
@@ -461,7 +454,7 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 		if first[i] != i {
 			return nil
 		}
-		v, cached, err := s.scoreSnap(ctx, prioBatch, pipe, core.NewScoreRequest(snaps[i], s.v1Opts...).WithContentKey(keys[i]), coalesce.CacheDefault)
+		v, cached, err := s.scoreSnap(ctx, prioBatch, pipe, core.NewScoreRequest(snaps[i], s.defaultOpts...).WithContentKey(keys[i]), coalesce.CacheDefault)
 		results[i] = ScoreResponse{Outcome: v.Outcome, LandingURL: snaps[i].LandingURL, Cached: cached}
 		return err
 	}); err != nil {

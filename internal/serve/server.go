@@ -143,13 +143,6 @@ type Config struct {
 	// surface's memo tables and vice versa). When nil, the server builds
 	// its own from MemoEntries.
 	Coalescer *coalesce.Coalescer
-	// DefaultExplain is the explain level applied when a v2 request
-	// does not set one. v1 adapters never explain (their wire format
-	// predates evidence).
-	DefaultExplain core.ExplainLevel
-	// ExplainTopN caps ExplainTop contributions when the request does
-	// not set top_features (0 → core.DefaultTopFeatures).
-	ExplainTopN int
 	// Feed is the continuous ingestion scheduler backing POST /v1/feed
 	// (optional; without it the endpoint answers 503).
 	Feed *feed.Scheduler
@@ -159,7 +152,7 @@ type Config struct {
 	FeedSources *feedsrc.Mux
 	// Store is the durable verdict store backing GET /v1/verdicts and
 	// GET /v2/verdicts (optional; without it both endpoints answer
-	// 503). Any store.Backend engine works; see store.Open.
+	// 503); see store.Open.
 	Store store.Backend
 	// Tracer records per-request pipeline traces served at
 	// GET /debug/traces and summarized in /metrics (optional; nil
@@ -191,12 +184,13 @@ type Server struct {
 	// coal is the content-addressed stage memo every scoring call goes
 	// through — the only verdict reuse in the server.
 	coal *coalesce.Coalescer
-	// defaultOpts / defaultOptsSkip / v1Opts are the hoisted option
-	// slices of the common request shapes, built once in New so the
-	// hot paths never rebuild (and re-allocate) them per request.
+	// defaultOpts / defaultOptsSkip are the hoisted option slices of the
+	// common request shapes, built once in New so the hot paths never
+	// rebuild (and re-allocate) them per request. defaultOpts is nil
+	// unless DefaultDeadline is set, so a default request builds on the
+	// stack.
 	defaultOpts     []core.ScoreOption
 	defaultOptsSkip []core.ScoreOption
-	v1Opts          []core.ScoreOption
 	metrics         *Metrics
 	// classes lists every endpoint class, for metrics iteration; batch
 	// is the one whose histogram the batch latency figures read.
@@ -245,19 +239,15 @@ func New(cfg Config) (*Server, error) {
 		s.coal = coalesce.New(coalesce.Config{MemoEntries: cfg.MemoEntries})
 	}
 	// Hoist the option slices of the common request shapes: an
-	// option-free v2 request, the same with skip_target, and the v1
-	// adapters. Built once, they keep per-request option assembly off
-	// the allocator (pinned by TestHoistedOptionsAllocContract in
-	// internal/core and TestCoreOptionsHoisted here).
-	s.defaultOpts = []core.ScoreOption{
-		core.WithDeadline(s.cfg.DefaultDeadline),
-		core.WithExplain(s.cfg.DefaultExplain),
-		core.WithTopFeatures(s.cfg.ExplainTopN),
+	// option-free request (v1, or v2 with every option defaulted) and
+	// the same with skip_target. Built once, they keep per-request
+	// option assembly off the allocator (pinned by
+	// TestHoistedOptionsAllocContract in internal/core and
+	// TestCoreOptionsHoistedSlices here).
+	if s.cfg.DefaultDeadline > 0 {
+		s.defaultOpts = []core.ScoreOption{core.WithDeadline(s.cfg.DefaultDeadline)}
 	}
 	s.defaultOptsSkip = append(append([]core.ScoreOption{}, s.defaultOpts...), core.WithoutTargetID())
-	if s.cfg.DefaultDeadline > 0 {
-		s.v1Opts = []core.ScoreOption{core.WithDeadline(s.cfg.DefaultDeadline)}
-	}
 	// Endpoint classes group routes for latency, SLO observation and
 	// admission control (see admission.go). Only the request endpoints
 	// carry a latency histogram: healthz and metrics probes are counted

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"knowphish/internal/core"
-	"knowphish/internal/features"
 )
 
 func TestScoreV2MatchesV1AndAddsEnvelope(t *testing.T) {
@@ -260,60 +259,5 @@ func TestBatchOverLimitRejectedAndCounted(t *testing.T) {
 	}
 	if m := s.Metrics(); m.PagesScored != 0 {
 		t.Errorf("rejected batch scored %d pages", m.PagesScored)
-	}
-}
-
-func TestServerDefaultExplain(t *testing.T) {
-	c, _ := fixtures(t)
-	s := newServer(t, func(cfg *Config) {
-		cfg.DefaultExplain = core.ExplainTop
-		cfg.ExplainTopN = 4
-	})
-	var resp V2ScoreResponse
-	call(t, s, http.MethodPost, "/v2/score",
-		V2ScoreRequest{PageRequest: PageRequest{Snapshot: c.PhishTest.Examples[0].Snapshot}}, &resp)
-	if resp.Explanation == nil {
-		t.Fatal("server default explain level not applied")
-	}
-	if len(resp.Explanation.Contributions) > 4 {
-		t.Errorf("server ExplainTopN=4 returned %d contributions", len(resp.Explanation.Contributions))
-	}
-	// The request can opt back out.
-	var none V2ScoreResponse
-	call(t, s, http.MethodPost, "/v2/score", V2ScoreRequest{
-		PageRequest:  PageRequest{Snapshot: c.PhishTest.Examples[0].Snapshot},
-		ScoreOptions: ScoreOptions{Explain: "none"},
-	}, &none)
-	if none.Explanation != nil {
-		t.Error("explain=none did not override the server default")
-	}
-}
-
-func TestScoreV2FeatureMaskViaFeaturesPackage(t *testing.T) {
-	// The features-layer mask behind WithFeatureSet: masking to All is
-	// identity, masking to F1 zeroes everything else.
-	v := make([]float64, features.TotalCount)
-	for i := range v {
-		v[i] = float64(i + 1)
-	}
-	all := features.Mask(v, features.All)
-	for i := range all {
-		if all[i] != v[i] {
-			t.Fatalf("Mask(All) altered column %d", i)
-		}
-	}
-	f1 := features.Mask(v, features.F1)
-	idx := features.Indices(features.F1)
-	keep := make(map[int]bool, len(idx))
-	for _, i := range idx {
-		keep[i] = true
-	}
-	for i := range f1 {
-		if keep[i] && f1[i] != v[i] {
-			t.Fatalf("Mask(F1) dropped kept column %d", i)
-		}
-		if !keep[i] && f1[i] != 0 {
-			t.Fatalf("Mask(F1) kept masked column %d", i)
-		}
 	}
 }

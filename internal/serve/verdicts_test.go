@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"knowphish/internal/core"
-	"knowphish/internal/features"
 	"knowphish/internal/racecheck"
 	"knowphish/internal/store"
 	"knowphish/internal/target"
@@ -21,9 +20,7 @@ import (
 
 // verdictsFixture is the deterministic corpus behind the /v1/verdicts
 // goldens: supersede churn, targeted phish, a terminal error and two
-// model versions, all with fixed timestamps. The removed JSONL engine
-// wrote these records to testdata/golden_verdicts_store.jsonl; nothing
-// writes that format any more, so the file is frozen.
+// model versions, all with fixed timestamps.
 func verdictsFixture() []store.Record {
 	base := time.Date(2026, 7, 20, 8, 0, 0, 0, time.UTC)
 	recs := []store.Record{
@@ -31,7 +28,7 @@ func verdictsFixture() []store.Record {
 			Fingerprint: "fp-a", Target: "novabank.com", ModelVersion: "v0001",
 			Outcome: core.Outcome{Score: 0.91, DetectorPhish: true, FinalPhish: true}},
 		// Superseded twice: only the third verdict for land.test/a+fp-a
-		// is live after migration or compaction.
+		// is live.
 		{URL: "http://lure.test/a", LandingURL: "http://land.test/a", RDN: "land.test",
 			Fingerprint: "fp-a", Target: "novabank.com", ModelVersion: "v0001",
 			Outcome: core.Outcome{Score: 0.93, DetectorPhish: true, FinalPhish: true}},
@@ -56,29 +53,10 @@ func verdictsFixture() []store.Record {
 	return recs
 }
 
-const verdictsFixtureFile = "golden_verdicts_store.jsonl"
-
-// copyVerdictsFixture stages the committed legacy JSONL corpus into a
-// temp dir (Open migrates in place, so each case needs its own copy).
-func copyVerdictsFixture(t *testing.T) string {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", verdictsFixtureFile))
-	if err != nil {
-		t.Fatalf("reading fixture corpus (run with -update-golden to create): %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "verdicts.jsonl")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestV1VerdictsGolden pins the /v1/verdicts wire format byte for byte
-// across the two ways records reach the store: the committed legacy
-// JSONL corpus is served after a one-shot migration ("migrated"), the
-// records it was written from, held in memory, are appended to a fresh
-// store ("memory"), and both must match the same goldens — the proof
-// that migration loses nothing v1 clients can see.
+// TestV1VerdictsGolden pins the /v1/verdicts wire format byte for byte:
+// the fixture records, appended to a fresh store ("memory"), must
+// answer every query exactly as the goldens, which are authored from
+// this case with -update-golden.
 func TestV1VerdictsGolden(t *testing.T) {
 	queries := []struct{ name, query string }{
 		{"all", "/v1/verdicts"},
@@ -88,69 +66,44 @@ func TestV1VerdictsGolden(t *testing.T) {
 		{"since", "/v1/verdicts?since=2026-07-20T11:30:00Z"},
 		{"empty", "/v1/verdicts?target=unknown.example"},
 	}
-	backends := []struct {
-		name string
-		open func(t *testing.T) store.Backend
-	}{
-		{"memory", func(t *testing.T) store.Backend {
-			b, err := store.Open(store.Config{Path: filepath.Join(t.TempDir(), "verdicts")})
-			if err != nil {
+	t.Run("memory", func(t *testing.T) {
+		b, err := store.Open(store.Config{Path: filepath.Join(t.TempDir(), "verdicts")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = b.Close() })
+		for _, r := range verdictsFixture() {
+			if err := b.Append(context.Background(), r); err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range verdictsFixture() {
-				if err := b.Append(context.Background(), r); err != nil {
-					t.Fatal(err)
+		}
+		s := newServer(t, func(cfg *Config) { cfg.Store = b })
+		for _, q := range queries {
+			t.Run(q.name, func(t *testing.T) {
+				req := httptest.NewRequest(http.MethodGet, q.query, nil)
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					t.Fatalf("status = %d (body %s)", rec.Code, rec.Body.String())
 				}
-			}
-			return b
-		}},
-		{"migrated", func(t *testing.T) store.Backend {
-			// store.Open sees the legacy JSONL file and migrates it into
-			// a segmented directory before serving.
-			b, err := store.Open(store.Config{Path: copyVerdictsFixture(t)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}},
-	}
-
-	for _, be := range backends {
-		t.Run(be.name, func(t *testing.T) {
-			b := be.open(t)
-			t.Cleanup(func() { _ = b.Close() })
-			s := newServer(t, func(cfg *Config) { cfg.Store = b })
-			for _, q := range queries {
-				t.Run(q.name, func(t *testing.T) {
-					req := httptest.NewRequest(http.MethodGet, q.query, nil)
-					rec := httptest.NewRecorder()
-					s.ServeHTTP(rec, req)
-					if rec.Code != http.StatusOK {
-						t.Fatalf("status = %d (body %s)", rec.Code, rec.Body.String())
+				got := rec.Body.Bytes()
+				path := filepath.Join("testdata", "golden_v1_verdicts_"+q.name+".json")
+				if *updateGolden {
+					if err := os.WriteFile(path, got, 0o644); err != nil {
+						t.Fatal(err)
 					}
-					got := rec.Body.Bytes()
-					path := filepath.Join("testdata", "golden_v1_verdicts_"+q.name+".json")
-					if *updateGolden {
-						if be.name != "migrated" {
-							return // goldens are authored from the committed corpus
-						}
-						if err := os.WriteFile(path, got, 0o644); err != nil {
-							t.Fatal(err)
-						}
-						return
-					}
-					want, err := os.ReadFile(path)
-					if err != nil {
-						t.Fatalf("reading golden (run with -update-golden to create): %v", err)
-					}
-					if !bytes.Equal(got, want) {
-						t.Errorf("%s response drifted from golden %s:\n got: %s\nwant: %s",
-							be.name, path, got, want)
-					}
-				})
-			}
-		})
-	}
+					return
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("reading golden (run with -update-golden to create): %v", err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("response drifted from golden %s:\n got: %s\nwant: %s", path, got, want)
+				}
+			})
+		}
+	})
 }
 
 // TestV2VerdictsPagination covers the cursor-paginated /v2/verdicts
@@ -361,7 +314,7 @@ func TestV2VerdictsSourceFilter(t *testing.T) {
 
 // spliceCorpus fills b with every record shape the store holds — heavy
 // supersede churn, targets, sources, two model versions, terminal
-// errors, explanations, an identification result, text that JSON
+// errors, an identification result, text that JSON
 // escapes (HTML characters, U+2028, a control byte) and invalid UTF-8 —
 // with a compaction in the middle, so the store ends up with
 // compaction outputs, sealed segments and an active one.
@@ -396,10 +349,7 @@ func spliceCorpus(t *testing.T, b store.Backend) {
 					Candidates: []target.Candidate{{RDN: "novabank.com", MLD: "novabank", Count: 3, Score: 1.0 / 3}}}}
 		}
 		if i%4 == 1 {
-			r.Explanation = &core.Explanation{Bias: -1.25, Contributions: []features.Contribution{
-				{Index: i, Name: "url.dots", Value: float64(i) * 0.1, LogOdds: -1e-7},
-				{Index: 211, Name: "title<mld>", Value: 1e21, LogOdds: 0.5},
-			}}
+			r.Outcome.Score = 1e-7 // encoding/json writes an exponent
 		}
 		if i == 40 || i == 63 {
 			r.LandingURL += "?next=\xff\xfe" // a hostile Location header

@@ -108,11 +108,10 @@ type ScoreOptions struct {
 	// milliseconds (0 → the server's default deadline). The budget
 	// covers pipeline stages, not time queued for a worker slot.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Explain selects evidence: "none", "top" or "full"
-	// ("" → the server's default level).
+	// Explain selects evidence: "none" (or absent), "top" or "full".
 	Explain string `json:"explain,omitempty"`
 	// TopFeatures caps a "top" explanation's contribution count
-	// (0 → the server's default).
+	// (0 → core.DefaultTopFeatures).
 	TopFeatures int `json:"top_features,omitempty"`
 	// SkipTarget skips target identification even for detector
 	// positives: cheaper, raw detector call only.

@@ -11,6 +11,9 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
+	"time"
+
+	"knowphish/internal/core"
 )
 
 // Tests of the raw read path: what Scan hands out is the stored
@@ -119,6 +122,41 @@ func TestEscapedFrameServedAsStored(t *testing.T) {
 	}
 	if s.Len() != 1 {
 		t.Errorf("Len = %d, want 1: the canonical record did not supersede the escaped frame", s.Len())
+	}
+}
+
+// TestEvidenceFrameServedAsStored: a frame an older build wrote with
+// per-feature evidence ("explanation", no longer a Record field) is
+// still served byte for byte by Scan, and Get decodes the verdict
+// without it.
+func TestEvidenceFrameServedAsStored(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "verdicts")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	old := Record{Seq: 1, URL: "http://e.test/", LandingURL: "http://e.test/",
+		Outcome:  core.Outcome{Score: 0.9, DetectorPhish: true, FinalPhish: true},
+		ScoredAt: time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)}
+	payload, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evidence := []byte(`,"explanation":{"bias":-1.25,"contributions":[{"index":3,"name":"url.dots","value":2,"log_odds":0.5}]},"scored_at"`)
+	payload = bytes.Replace(payload, []byte(`,"scored_at"`), evidence, 1)
+	if err := os.WriteFile(segName(dir, 1), appendFrame(nil, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := segOpen(t, Config{Path: dir})
+	page, err := s.Scan(ctxb(), Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Payloads) != 1 || !bytes.Equal(page.Payloads[0], payload) {
+		t.Fatalf("payloads = %s, want the frame's bytes %s", page.Payloads, payload)
+	}
+	got, ok, err := s.Get(ctxb(), old.URL)
+	if err != nil || !ok || !reflect.DeepEqual(got, old) {
+		t.Fatalf("Get = %+v, %v, %v; want %+v", got, ok, err, old)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"time"
 
 	"knowphish/internal/obs"
 )
@@ -40,7 +41,6 @@ type segStore struct {
 	syncEvery    bool
 	segBytes     int64
 	compactEvery int
-	maxExplain   int
 	log          *slog.Logger
 
 	mu         sync.Mutex
@@ -58,7 +58,6 @@ type segStore struct {
 	compactions   int64
 	superseded    int64
 	compactErrors int64
-	explDropped   int64
 	tailReplayed  int64
 	snapshotSeq   uint64
 	sinceCompact  int
@@ -147,7 +146,6 @@ func openSegmented(cfg Config) (*segStore, error) {
 		syncEvery:    cfg.Sync,
 		segBytes:     int64(cfg.SegmentBytes),
 		compactEvery: cfg.CompactEvery,
-		maxExplain:   cfg.MaxExplainBytes,
 		log:          cfg.Logger,
 		ix:           newMemIndex(),
 		sealed:       map[uint64]*sidecar{},
@@ -164,9 +162,6 @@ func openSegmented(cfg Config) (*segStore, error) {
 	}
 	if s.compactEvery == 0 {
 		s.compactEvery = DefaultCompactEvery
-	}
-	if s.maxExplain == 0 {
-		s.maxExplain = DefaultMaxExplainBytes
 	}
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", s.dir, err)
@@ -345,18 +340,15 @@ func (s *segStore) Append(ctx context.Context, rec Record) error {
 	if s.closed {
 		return ErrClosed
 	}
-	return s.appendLocked(&rec, false)
+	return s.appendLocked(&rec)
 }
 
-// appendLocked frames and writes one record. keepSeq preserves a
-// pre-assigned sequence number (the migration replay path).
-func (s *segStore) appendLocked(rec *Record, keepSeq bool) error {
-	seq := rec.Seq
-	if !keepSeq || seq == 0 {
-		seq = s.ix.nextSeq
-	}
-	if prepare(rec, seq, s.maxExplain) {
-		s.explDropped++
+// appendLocked sequences, timestamps (when unset), frames and writes
+// one record.
+func (s *segStore) appendLocked(rec *Record) error {
+	rec.Seq = s.ix.nextSeq
+	if rec.ScoredAt.IsZero() {
+		rec.ScoredAt = time.Now().UTC()
 	}
 	payload, err := encodePayload(rec)
 	if err != nil {
@@ -662,16 +654,15 @@ func (s *segStore) Stats() Stats {
 		segs++
 	}
 	return Stats{
-		Backend:             "segmented",
-		Records:             s.ix.live(),
-		Appends:             s.appends,
-		Compactions:         s.compactions,
-		Superseded:          s.superseded,
-		CompactErrors:       s.compactErrors,
-		ExplanationsDropped: s.explDropped,
-		Segments:            segs,
-		SnapshotSeq:         s.snapshotSeq,
-		TailReplayed:        s.tailReplayed,
+		Backend:       "segmented",
+		Records:       s.ix.live(),
+		Appends:       s.appends,
+		Compactions:   s.compactions,
+		Superseded:    s.superseded,
+		CompactErrors: s.compactErrors,
+		Segments:      segs,
+		SnapshotSeq:   s.snapshotSeq,
+		TailReplayed:  s.tailReplayed,
 	}
 }
 

@@ -29,10 +29,6 @@
 // it to a new segment undecoded. Get still decodes: its callers want
 // one record's fields, not its bytes.
 //
-// The original single-file JSONL log (one JSON document per line) is no
-// longer an engine: Open reads such a file once, read-only, and migrates
-// it to the segmented layout.
-//
 // This is the persistence layer the paper's deployment sketch (Section
 // VI) needs but the batch evaluation never built: verdicts outlive the
 // process, and a restarted service answers queries about everything it
@@ -52,7 +48,6 @@ import (
 	"time"
 
 	"knowphish/internal/core"
-	"knowphish/internal/obs"
 )
 
 // Defaults for Config zero values.
@@ -60,8 +55,6 @@ const (
 	// DefaultCompactEvery is the append count between automatic
 	// compactions.
 	DefaultCompactEvery = 4096
-	// DefaultMaxExplainBytes is the per-record explanation size cap.
-	DefaultMaxExplainBytes = 8192
 	// DefaultSegmentBytes is the segment size: the active segment seals
 	// and a new one opens when it would grow past this.
 	DefaultSegmentBytes = 4 << 20
@@ -101,10 +94,6 @@ type Record struct {
 	// the log's history attributable across champion hot-swaps: records
 	// written mid-promotion name whichever model actually scored them.
 	ModelVersion string `json:"model_version,omitempty"`
-	// Explanation is the per-feature evidence behind the verdict, when
-	// the feed scored with an explain level and the serialized evidence
-	// fit under the store's size cap (Config.MaxExplainBytes).
-	Explanation *core.Explanation `json:"explanation,omitempty"`
 	// Target is the top identified target RDN for phishing verdicts
 	// ("" when identification did not run or named nothing).
 	Target string `json:"target,omitempty"`
@@ -128,10 +117,7 @@ func (r *Record) key() string { return r.LandingURL + "\x00" + r.Fingerprint }
 // Config assembles a Backend.
 type Config struct {
 	// Path locates the store's directory (created, with parents, if
-	// missing). A path that holds a legacy JSONL file is migrated
-	// one-shot: the records are rewritten into a segment directory at
-	// Path and the original file is kept beside it, byte-identical, as
-	// "<Path>.pre-migration.jsonl". Required.
+	// missing). Required.
 	Path string
 	// Sync forces an fsync after every append. Durable against power
 	// loss, but serializes appends on disk latency; leave false when
@@ -143,18 +129,10 @@ type Config struct {
 	// (0 → DefaultCompactEvery, negative → never automatically).
 	// Compaction runs in the background; appends never wait.
 	CompactEvery int
-	// MaxExplainBytes caps the serialized size of a record's
-	// Explanation (0 → DefaultMaxExplainBytes, negative → never
-	// persist explanations). Oversized evidence is dropped — the
-	// verdict itself is always kept — and counted in Stats: a full
-	// explanation of a 212-feature model can dwarf the verdict it
-	// explains, and an append-only log amplifies that forever.
-	MaxExplainBytes int
 	// SegmentBytes is the segment size (0 → DefaultSegmentBytes).
 	SegmentBytes int
 	// Logger receives the engine's structured logs — compaction results
-	// and failures, legacy-log migration, recovery replay (nil →
-	// discard).
+	// and failures, recovery replay (nil → discard).
 	Logger *slog.Logger
 }
 
@@ -174,9 +152,6 @@ type Stats struct {
 	// triggering append itself was durable; the rewrite is retried at
 	// the next trigger).
 	CompactErrors int64 `json:"compact_errors,omitempty"`
-	// ExplanationsDropped counts appended records whose evidence was
-	// discarded for exceeding the explanation size cap.
-	ExplanationsDropped int64 `json:"explanations_dropped,omitempty"`
 	// Segments is the segment-file count.
 	Segments int `json:"segments,omitempty"`
 	// SnapshotSeq is the watermark of the last index snapshot written
@@ -311,57 +286,20 @@ type Backend interface {
 	Close() error
 }
 
-// Open opens (creating if necessary) the store at cfg.Path. A cfg.Path
-// holding a legacy JSONL log is migrated one-shot into the segmented
-// layout first (the original file survives byte-identical as
-// "<Path>.pre-migration.jsonl").
+// Open opens (creating if necessary) the store directory at cfg.Path.
+// A path that names anything but a directory is refused.
 func Open(cfg Config) (Backend, error) {
-	if cfg.Logger == nil {
-		cfg.Logger = obs.NopLogger()
-	}
 	if cfg.Path == "" {
 		return nil, errors.New("store: Config.Path is required")
 	}
-	if err := maybeMigrate(cfg); err != nil {
-		return nil, fmt.Errorf("store: migrating legacy log %s: %w", cfg.Path, err)
-	}
 	return openSegmented(cfg)
-}
-
-// prepare fills a record's append-time fields: sequence number,
-// timestamp, and the explanation size cap. It returns whether oversized
-// evidence was dropped.
-func prepare(rec *Record, seq uint64, maxExplain int) (explainDropped bool) {
-	rec.Seq = seq
-	if rec.ScoredAt.IsZero() {
-		rec.ScoredAt = time.Now().UTC()
-	}
-	if rec.Explanation == nil {
-		return false
-	}
-	drop := maxExplain < 0
-	if !drop {
-		// This encodes the explanation once for measurement and the
-		// record marshal that follows encodes it again — accepted:
-		// evidence persistence is an opt-in diagnostic path, and
-		// splicing a pre-encoded RawMessage would leak wire concerns
-		// into the Record type every reader shares.
-		ej, err := json.Marshal(rec.Explanation)
-		drop = err != nil || len(ej) > maxExplain
-	}
-	if drop {
-		// The verdict is the durable fact; oversized evidence is
-		// recomputable on demand and not worth log amplification.
-		rec.Explanation = nil
-	}
-	return drop
 }
 
 // escapedReplacement is how json.Marshal writes a byte that is not
 // valid UTF-8.
 var escapedReplacement = []byte(`\ufffd`)
 
-// encodePayload marshals a prepared record into the document the store
+// encodePayload marshals a sequenced record into the document the store
 // keeps and serves. The document must be a fixed point of decode →
 // encode, because readers splice it into responses where they used to
 // re-marshal the decoded record. json.Marshal breaks that in one case:

@@ -1,8 +1,12 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -92,6 +96,37 @@ func TestOpenValidates(t *testing.T) {
 	// Appending to a closed store fails rather than panicking.
 	if err := s.Append(ctxb(), Record{URL: "x", LandingURL: "x"}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Append after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestOpenRejectsFile: the store path names a directory. A file found
+// there — a one-document-per-line verdict log from an older build, say
+// — is refused and left as it was, never converted or moved aside.
+func TestOpenRejectsFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "verdicts.jsonl")
+	r := rec("http://a.test/", "http://a.test/", "fp", "", true)
+	r.Seq = 1
+	line, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := append(line, '\n')
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := Open(Config{Path: path}); err == nil {
+		_ = b.Close()
+		t.Fatal("Open over a regular file succeeded")
+	} else if !strings.Contains(err.Error(), path) {
+		t.Errorf("error %q does not name the path", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, legacy) {
+		t.Errorf("file at the store path changed: %q (err %v), want %q", got, err, legacy)
+	}
+	for _, side := range []string{path + ".migrating", path + ".pre-migration.jsonl"} {
+		if _, err := os.Stat(side); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: stat err = %v, want not exist", side, err)
+		}
 	}
 }
 

@@ -62,7 +62,7 @@ const DefaultThreshold = core.DefaultThreshold
 // The scoring API: request/verdict pairs with cancellation end to end.
 // Build a ScoreRequest with NewScoreRequest plus functional options,
 // then call ScoreCtx on a detector or Pipeline.AnalyzeCtx (or the
-// batch variants ScoreBatchCtx / AnalyzeBatchCtx). The verdict
+// batch variant ScoreBatchCtx). The verdict
 // carries a label, per-stage timings and — when requested — the exact
 // per-feature log-odds evidence behind the score.
 
