@@ -2,6 +2,7 @@ package coalesce
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -575,5 +576,51 @@ func TestWarmLegitimateDoesNotProbeTarget(t *testing.T) {
 	after := c.Snapshot().Target
 	if after.Hits != before.Hits+warm || after.Misses != before.Misses {
 		t.Fatalf("%d warm hits on a positive: target table %+v -> %+v, want +%d hits and no misses", warm, before, after, warm)
+	}
+}
+
+// TestMemoRescoreAfterAnalysisReuse: a cold request releases its
+// analysis, and the pages scored after it refill that analysis. A
+// re-score of the first page from the memo must encode to the bytes its
+// cold verdict encoded to (timings aside, which differ by nature).
+func TestMemoRescoreAfterAnalysisReuse(t *testing.T) {
+	_, pipe := fixtures(t)
+	c := New(Config{})
+	ctx := context.Background()
+	snaps := mixedSnaps(t, 61)
+	encode := func(v core.Verdict) string {
+		v.Timings = core.StageTimings{}
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	cold, err := c.Do(ctx, pipe, core.NewScoreRequest(snaps[0]), CacheDefault, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cold.TargetRun || len(cold.Target.Keyterms.Prominent) == 0 {
+		t.Fatalf("the first page did not run target identification: %+v", cold.Outcome)
+	}
+	want := encode(cold)
+	for _, snap := range snaps[1:] {
+		if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var prov core.MemoProvenance
+	warm, err := c.Do(ctx, pipe, core.NewScoreRequest(snaps[0]), CacheDefault, &prov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !prov.Hit() {
+		t.Fatalf("re-score missed the memo: %+v", prov)
+	}
+	if got := encode(warm); got != want {
+		t.Fatalf("memo re-score encodes differently:\n got %s\nwant %s", got, want)
+	}
+	if got := encode(cold); got != want {
+		t.Fatalf("the kept cold verdict changed:\n got %s\nwant %s", got, want)
 	}
 }

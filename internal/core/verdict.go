@@ -204,6 +204,12 @@ func (p *Pipeline) AnalyzeStagedCtx(ctx context.Context, req ScoreRequest, st *S
 // which is what makes a fully memoised request cheap (analysis is the
 // expensive stage).
 //
+// An analysis the call computes itself is released when the call
+// returns: the verdict keeps nothing of it (target results hold term
+// strings, which outlive the analysis, never its arrays), so a cold
+// score leaves only its verdict behind. An analysis supplied through
+// WithAnalysis belongs to the caller and is never released here.
+//
 // Unless the vector must outlive the call (capture, explanation) it is
 // extracted into a pooled buffer returned at every exit. Combined with
 // a supplied analysis (WithAnalysis) and the model's flattened tree
@@ -248,6 +254,7 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 	if a == nil && (extract || mayIdentify) {
 		ts := time.Now()
 		a = webpage.Analyze(req.Snapshot)
+		defer a.Release()
 		v.Timings.AnalyzeNS = time.Since(ts).Nanoseconds()
 		st.Computed |= StageMaskAnalysis
 		if err := ctxCause(ctx); err != nil {

@@ -103,9 +103,12 @@ func (e *Extractor) AppendFeatures(dst []float64, a *webpage.Analysis) []float64
 	return dst
 }
 
-// ExtractSnapshot analyzes the snapshot and extracts its features.
+// ExtractSnapshot analyzes the snapshot and extracts its features; the
+// analysis goes back to its pool once the vector is extracted.
 func (e *Extractor) ExtractSnapshot(s *webpage.Snapshot) []float64 {
-	return e.Extract(webpage.Analyze(s))
+	a := webpage.Analyze(s)
+	defer a.Release()
+	return e.Extract(a)
 }
 
 // urlStats computes the nine per-URL features of Table IV.

@@ -1,0 +1,28 @@
+package htmlx_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"knowphish/internal/htmlx"
+	"knowphish/internal/webgen"
+)
+
+// BenchmarkParse parses the landing pages of 500 generated legitimate
+// sites, cycling through the six languages.
+func BenchmarkParse(b *testing.B) {
+	w := webgen.New(webgen.Config{Seed: 5, Brands: 60, RankedGenerics: 80, VocabularyWords: 100})
+	rng := rand.New(rand.NewSource(5))
+	var pages []string
+	for i := 0; len(pages) < 500; i++ {
+		site := w.NewLegitSite(rng, webgen.LegitOptions{Lang: webgen.Languages[i%len(webgen.Languages)]})
+		if p, ok := site.Fetch(site.StartURL); ok && p.HTML != "" {
+			pages = append(pages, p.HTML)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		htmlx.Parse(pages[i%len(pages)])
+	}
+}

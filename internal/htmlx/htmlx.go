@@ -400,29 +400,45 @@ scan:
 // collapseSpace rewrites b in place as strings.Join(strings.Fields(b),
 // " "): runs of unicode.IsSpace runes become one space, leading and
 // trailing ones vanish, and bytes that are not valid UTF-8 are kept as
-// they are.
+// they are. A run of ASCII bytes that are not spaces moves with one
+// copy; only bytes from 0x80 up are decoded as runes.
 func collapseSpace(b []byte) []byte {
 	w := 0
 	pending := false // a space is owed before the next field byte
 	for r := 0; r < len(b); {
-		c, size := rune(b[r]), 1
-		if c >= utf8.RuneSelf {
-			c, size = utf8.DecodeRune(b[r:])
-		}
-		if unicode.IsSpace(c) {
-			pending = w > 0
-		} else {
-			if pending {
-				b[w] = ' '
-				w++
-				pending = false
+		end := r
+		if c := b[r]; c < utf8.RuneSelf {
+			if asciiSpace[c] {
+				pending = w > 0
+				r++
+				continue
 			}
-			w += copy(b[w:], b[r:r+size])
+			end++
+			for end < len(b) && b[end] < utf8.RuneSelf && !asciiSpace[b[end]] {
+				end++
+			}
+		} else {
+			c, size := utf8.DecodeRune(b[r:])
+			end += size
+			if unicode.IsSpace(c) {
+				pending = w > 0
+				r = end
+				continue
+			}
 		}
-		r += size
+		if pending {
+			b[w] = ' '
+			w++
+			pending = false
+		}
+		w += copy(b[w:], b[r:end])
+		r = end
 	}
 	return b[:w]
 }
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // extractCopyright returns the sentence-ish span around a copyright marker
 // (©, "copyright", "(c)") in text, or "" when none is present. The paper

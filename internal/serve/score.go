@@ -153,6 +153,7 @@ func (s *Server) identifyPage(ctx context.Context, page *PageRequest, deadline t
 			defer cancel()
 		}
 		a := webpage.Analyze(snap)
+		defer a.Release()
 		if ictx.Err() != nil {
 			err = context.Cause(ictx)
 			return

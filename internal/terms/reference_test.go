@@ -188,17 +188,33 @@ func TestDistributionMatchesReference(t *testing.T) {
 
 // BuildAll carves several distributions out of shared arrays: each must
 // equal the one built alone, empties included, and an append to one
-// must not reach its neighbour.
+// must not reach its neighbour. BuildAllInto does the same in arrays
+// that still hold an earlier build's terms.
 func TestBuildAllMatchesReference(t *testing.T) {
 	b := AcquireBuilder()
 	defer b.Release()
+	distinct := 0
 	for round := 0; round < 2; round++ {
 		for _, s := range referenceTexts {
 			b.Add(s)
 			b.Next()
 		}
 		got := make([]Distribution, len(referenceTexts))
-		b.BuildAll(got)
+		if round == 0 {
+			b.BuildAll(got)
+			for _, d := range got {
+				distinct += d.Len()
+			}
+		} else {
+			stale, staleProbs := make([]string, distinct+5), make([]float64, distinct+5)
+			for i := range stale {
+				stale[i], staleProbs[i] = "stale", 1
+			}
+			terms, probs := b.BuildAllInto(got, stale, staleProbs)
+			if len(terms) != distinct || len(probs) != distinct || &terms[0] != &stale[0] || &probs[0] != &staleProbs[0] {
+				t.Fatalf("BuildAllInto returned %d terms and %d probabilities outside the arrays it was given, want %d in them", len(terms), len(probs), distinct)
+			}
+		}
 		for i, s := range referenceTexts {
 			checkAgainstReference(t, got[i], refNewDistribution(refExtract(s)))
 			if len(got[i].terms) != cap(got[i].terms) || len(got[i].probs) != cap(got[i].probs) {
@@ -242,6 +258,20 @@ func TestBuildAllocBudget(t *testing.T) {
 	FromText(text) // warm the pool
 	if n := testing.AllocsPerRun(100, func() { FromText(text) }); n > 3 {
 		t.Errorf("FromText allocates %v times, want <= 3 (backing string, terms, probs)", n)
+	}
+	b := AcquireBuilder()
+	defer b.Release()
+	var dst [2]Distribution
+	var terms []string
+	var probs []float64
+	if n := testing.AllocsPerRun(100, func() {
+		b.Add(text)
+		b.Next()
+		b.Add("account verify")
+		b.Next()
+		terms, probs = b.BuildAllInto(dst[:], terms, probs)
+	}); n > 1 {
+		t.Errorf("BuildAllInto into arrays with room allocates %v times, want <= 1 (backing string)", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { FromText("12 34") }); n != 0 {
 		t.Errorf("empty distribution allocates %v times, want 0", n)

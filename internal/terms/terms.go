@@ -20,7 +20,9 @@
 // terms with their counts in a seeded hash table it reuses, and sorts
 // only the distinct terms — three allocations (backing string, terms,
 // probabilities) for one distribution or for all fourteen of a page
-// built together, none of them aliasing the pooled arena.
+// built together, none of them aliasing the pooled arena. A caller that
+// keeps its term and probability arrays for reuse (BuildAllInto) pays
+// only for the backing string.
 package terms
 
 import (
@@ -324,13 +326,22 @@ func (b *Builder) collapseAll() int {
 // distributions share three allocations — one backing string, one term
 // slice, one probability slice — and each is cut from them
 // capacity-limited.
-func (b *Builder) BuildAll(dst []Distribution) {
+func (b *Builder) BuildAll(dst []Distribution) { b.BuildAllInto(dst, nil, nil) }
+
+// BuildAllInto is BuildAll with the term and probability arrays
+// supplied by the caller: the distributions are cut from terms and
+// probs when their capacity allows, and from arrays of exactly the
+// needed size otherwise. It returns the arrays used, cut to the number
+// of distinct terms, for the caller to pass again once nothing reads
+// the distributions any more; the backing string is the one
+// allocation left.
+func (b *Builder) BuildAllInto(dst []Distribution, terms []string, probs []float64) ([]string, []float64) {
 	staged := b.collapseAll()
 	clear(dst)
-	if len(b.uniq) > 0 {
+	n := len(b.uniq)
+	terms, probs = sized(terms, n), sized(probs, n)
+	if n > 0 {
 		rest := string(b.arena[staged:])
-		terms := make([]string, len(b.uniq))
-		probs := make([]float64, len(b.uniq))
 		lo, first := 0, 0
 		for k, hi := range b.bounds {
 			last := b.cuts[k]
@@ -346,6 +357,16 @@ func (b *Builder) BuildAll(dst []Distribution) {
 		}
 	}
 	b.reset()
+	return terms, probs
+}
+
+// sized returns s cut to length n when its capacity allows, else a new
+// slice of exactly n elements; nil for n == 0 on a nil s.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // AppendSorted appends the occurrences of the distributions closed by

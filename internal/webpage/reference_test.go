@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -195,12 +196,20 @@ func refFreeURLDist(ps []urlx.Parts) refDistribution {
 }
 
 // checkAnalysis compares Analyze(s) with the reference on everything an
-// Analysis exposes: URL parts and link lists by reflect.DeepEqual (so a
-// nil list stays nil), and for all fourteen distributions the terms,
-// the probabilities bit for bit, the totals and the three lookups.
+// Analysis exposes (see checkAnalyzed).
 func checkAnalysis(t testing.TB, s *Snapshot) {
 	t.Helper()
-	got, want := Analyze(s), referenceAnalyze(s)
+	checkAnalyzed(t, Analyze(s), s)
+}
+
+// checkAnalyzed compares got, an analysis of s, with the reference on
+// everything an Analysis exposes: URL parts and link lists by
+// reflect.DeepEqual (so a nil list stays nil), and for all fourteen
+// distributions the terms, the probabilities bit for bit, the totals
+// and the three lookups.
+func checkAnalyzed(t testing.TB, got *Analysis, s *Snapshot) {
+	t.Helper()
+	want := referenceAnalyze(s)
 	if got.Snap != s {
 		t.Fatal("Snap is not the analyzed snapshot")
 	}
@@ -366,9 +375,9 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 	}
 }
 
-// The builder and the link scratch are pooled and reached from
-// concurrent handlers and feed workers: analyses made side by side must
-// equal the ones made alone (run under -race in CI).
+// The builder and the analyses are pooled and reached from concurrent
+// handlers and feed workers: analyses made side by side, released or
+// kept, must equal the ones made alone (run under -race in CI).
 func TestAnalyzeConcurrent(t *testing.T) {
 	snaps := referenceSnapshots(60)
 	alone := make([]*Analysis, len(snaps))
@@ -382,9 +391,13 @@ func TestAnalyzeConcurrent(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
 				for i, s := range snaps {
-					if got := Analyze(s); !reflect.DeepEqual(got, alone[i]) {
+					got := Analyze(s)
+					if !reflect.DeepEqual(exposed(got), exposed(alone[i])) {
 						t.Errorf("snapshot %d analyzed concurrently differs from the same snapshot analyzed alone", i)
 						return
+					}
+					if (g+i)%2 == 0 {
+						got.Release()
 					}
 				}
 			}
@@ -393,27 +406,136 @@ func TestAnalyzeConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// analyzeAllocBudget bounds one Analyze of the English test snapshot:
-// the Analysis, the controlled-RDN map, one backing array per link list
-// and three allocations for the fourteen distributions together;
-// urlx.Parse allocates only for a host that is not already lower-case.
-// 9 measured (86 while urlx split and joined labels; the
-// map-per-distribution kernel took 607).
+// exposed is what an Analysis shows its readers, without the arrays it
+// keeps for reuse.
+func exposed(a *Analysis) Analysis {
+	return Analysis{
+		Snap: a.Snap, Start: a.Start, Land: a.Land, Chain: a.Chain, ControlledRDNs: a.ControlledRDNs,
+		IntLog: a.IntLog, ExtLog: a.ExtLog, IntLink: a.IntLink, ExtLink: a.ExtLink, dists: a.dists,
+	}
+}
+
+// analyzeAllocBudget bounds one Analyze of the English test snapshot
+// that is never released: the Analysis, the controlled-RDN map and its
+// first group, one array for the chain and the link lists, and three
+// allocations for the fourteen distributions together; urlx.Parse
+// allocates only for a host that is not already lower-case. 7 measured
+// (9 with an array per link list and a fresh Analysis; 86 while urlx
+// split and joined labels; the map-per-distribution kernel took 607).
 const analyzeAllocBudget = 11
 
-func TestAnalyzeAllocBudget(t *testing.T) {
-	if racecheck.Enabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
+// allocTestPage is the English legitimate page the allocation tests
+// analyse.
+func allocTestPage(t *testing.T) *Snapshot {
+	t.Helper()
 	w := webgen.New(webgen.Config{Seed: 5, Brands: 60, RankedGenerics: 80, VocabularyWords: 100})
 	s := visit(w, w.NewLegitSite(rand.New(rand.NewSource(5)), webgen.LegitOptions{Lang: webgen.English}))
 	if s == nil || len(s.HREFLinks) == 0 || len(s.LoggedLinks) == 0 || s.Text == "" {
 		t.Fatalf("test page is degenerate: %+v", s)
 	}
+	return s
+}
+
+func TestAnalyzeAllocBudget(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s := allocTestPage(t)
 	n := testing.AllocsPerRun(50, func() { Analyze(s) })
 	t.Logf("Analyze: %.0f allocs/page (budget %d)", n, analyzeAllocBudget)
 	if n > analyzeAllocBudget {
 		t.Errorf("Analyze allocated %.0f times per page, budget %d", n, analyzeAllocBudget)
+	}
+}
+
+// TestAnalyzeReleasedAllocs: an owner that releases every analysis
+// reaches a steady state in which Analyze refills pooled arrays, and
+// the one allocation left is the string behind the distinct terms.
+func TestAnalyzeReleasedAllocs(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s := allocTestPage(t)
+	Analyze(s).Release()
+	n := testing.AllocsPerRun(100, func() { Analyze(s).Release() })
+	t.Logf("Analyze + Release: %.0f allocs/page", n)
+	if n > 1 {
+		t.Errorf("Analyze + Release allocated %.0f times per page, want at most 1 (the distinct-term string)", n)
+	}
+}
+
+// TestAnalyzeReusedMatchesReference analyses every reference page on
+// one analysis, reset between pages, in two orders: nothing of one page
+// may show in the next, whatever their sizes.
+func TestAnalyzeReusedMatchesReference(t *testing.T) {
+	snaps := referenceSnapshots(200)
+	backward := slices.Clone(snaps)
+	slices.Reverse(backward)
+	a := new(Analysis)
+	for _, order := range [][]*Snapshot{snaps, backward} {
+		for _, s := range order {
+			a.reset()
+			a.fill(s)
+			checkAnalyzed(t, a, s)
+		}
+	}
+}
+
+// distinctWords returns n distinct lower-case words of at least three
+// letters.
+func distinctWords(n int) []string {
+	words := make([]string, n)
+	for i := range words {
+		word := []byte("zz")
+		for v := i; ; v /= 26 {
+			word = append(word, byte('a'+v%26))
+			if v < 26 {
+				break
+			}
+		}
+		words[i] = string(word)
+	}
+	return words
+}
+
+// TestAnalysisHostilePages: pages that grow one pooled array each past
+// its bound — 100 000 links, 100 000 distinct terms, a chain through
+// 200 registered domains — analyse to the reference, and what they grew
+// is not kept in the pool.
+func TestAnalysisHostilePages(t *testing.T) {
+	const n = 100000
+	words := distinctWords(n)
+	links := make([]string, n)
+	for i := range links {
+		links[i] = "http://other.example/login"
+	}
+	chain := distinctWords(200)
+	for i, w := range chain {
+		chain[i] = "http://" + w + ".example/"
+	}
+	land := "http://bank.example/"
+	for _, s := range []*Snapshot{
+		{StartingURL: land, LandingURL: land, HREFLinks: links},
+		{StartingURL: land, LandingURL: land, Text: strings.Join(words, " ")},
+		{StartingURL: chain[0], LandingURL: land, RedirectionChain: append(chain, land)},
+	} {
+		a := Analyze(s)
+		checkAnalyzed(t, a, s)
+		if cap(a.parts) <= maxPooledParts && cap(a.terms) <= maxPooledTerms && len(a.ControlledRDNs) <= maxPooledRDNs {
+			t.Fatalf("a hostile page grew %d parts, %d terms and %d RDNs, not past the pooling bounds", cap(a.parts), cap(a.terms), len(a.ControlledRDNs))
+		}
+		a.Release()
+		held := make([]*Analysis, 8)
+		for i := range held {
+			held[i] = analysisPool.Get().(*Analysis)
+			h := held[i]
+			if h == a || cap(h.parts) > maxPooledParts || cap(h.terms) > maxPooledTerms || cap(h.probs) > maxPooledTerms || len(h.ControlledRDNs) != 0 {
+				t.Errorf("the pool kept the hostile page's analysis, or one of %d parts, %d terms, %d probabilities and %d RDNs", cap(h.parts), cap(h.terms), cap(h.probs), len(h.ControlledRDNs))
+			}
+		}
+		for _, h := range held {
+			analysisPool.Put(h)
+		}
 	}
 }
 
@@ -427,7 +549,15 @@ func FuzzAnalyzeMatchesReference(f *testing.F) {
 	f.Add("\xff", " ", "<a href=' '><a href=#x><link href='?q'>", []byte("\x00\x00\x02\x03a b\x02//"))
 	f.Fuzz(func(t *testing.T, start, land, html string, carved []byte) {
 		s := FromHTML(start, land, nil, html)
+		c := fuzzSnap(carved)
 		checkAnalysis(t, &s)
-		checkAnalysis(t, fuzzSnap(carved))
+		checkAnalysis(t, c)
+		// Again on an analysis released by the other page.
+		a := Analyze(c)
+		for _, snap := range []*Snapshot{&s, c} {
+			a.reset()
+			a.fill(snap)
+			checkAnalyzed(t, a, snap)
+		}
 	})
 }

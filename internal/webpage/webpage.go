@@ -80,11 +80,21 @@ func FromDoc(doc htmlx.Document, startingURL, landingURL string, chain []string)
 		ImageCount:       doc.ImageCount,
 		IFrameCount:      doc.IFrameCount,
 	}
-	for _, l := range doc.HREFLinks {
-		s.HREFLinks = append(s.HREFLinks, ResolveRef(landingURL, l))
-	}
-	for _, l := range doc.ResourceLinks {
-		s.LoggedLinks = append(s.LoggedLinks, ResolveRef(landingURL, l))
+	// One array for both link lists, each capacity-limited to its own
+	// part; an empty list stays nil.
+	if total := len(doc.HREFLinks) + len(doc.ResourceLinks); total > 0 {
+		all := make([]string, 0, total)
+		resolve := func(refs []string) []string {
+			if len(refs) == 0 {
+				return nil
+			}
+			start := len(all)
+			for _, l := range refs {
+				all = append(all, ResolveRef(landingURL, l))
+			}
+			return all[start:len(all):len(all)]
+		}
+		s.HREFLinks, s.LoggedLinks = resolve(doc.HREFLinks), resolve(doc.ResourceLinks)
 	}
 	return s
 }
@@ -191,6 +201,11 @@ func (d DistID) String() string {
 }
 
 // Analysis is the derived, feature-ready view of a Snapshot.
+//
+// Analyses are pooled. Analyze takes one from the pool and refills the
+// arrays it kept; Release, called by the analysis's owner once nothing
+// reads it any more, hands it back. An analysis that is never released
+// is an ordinary value the garbage collector reclaims.
 type Analysis struct {
 	// Snap is the analyzed snapshot.
 	Snap *Snapshot
@@ -206,34 +221,61 @@ type Analysis struct {
 	IntLog, ExtLog, IntLink, ExtLink []urlx.Parts
 
 	dists [DistImage + 1]terms.Distribution // indexed by DistID
+
+	// The arrays a reused analysis refills: parts is cut into Chain and
+	// the four link lists, terms and probs into the distributions.
+	parts []urlx.Parts
+	terms []string
+	probs []float64
 }
 
-// linkScratch is the per-call working memory of Analyze: the parsed
-// URLs of one list, before they are copied into the exact-size arrays
-// the Analysis keeps.
-type linkScratch struct{ parts []urlx.Parts }
+var analysisPool = sync.Pool{New: func() any { return new(Analysis) }}
 
-var linkScratchPool = sync.Pool{New: func() any { return new(linkScratch) }}
+// Bounds on what a pooled Analysis keeps. A page with more URLs,
+// distinct terms or controlled RDNs than these (a hostile one; crawled
+// pages have a few hundred links and terms) is analysed into arrays of
+// its own, and Release drops them instead of pooling them.
+const (
+	maxPooledParts = 1024 // ≈170 KB of urlx.Parts
+	maxPooledTerms = 4096
+	maxPooledRDNs  = 64
+)
 
 // Analyze parses and classifies every URL of the snapshot and computes all
-// fourteen term distributions.
+// fourteen term distributions. The analysis comes from a pool; see
+// Release for when its owner may return it.
 func Analyze(s *Snapshot) *Analysis {
-	a := &Analysis{
-		Snap:           s,
-		ControlledRDNs: make(map[string]struct{}),
-	}
-	sc := linkScratchPool.Get().(*linkScratch)
-	defer func() {
-		// Parts hold strings of the snapshot; do not pin them in the pool.
-		clear(sc.parts)
-		linkScratchPool.Put(sc)
-	}()
+	a := analysisPool.Get().(*Analysis)
+	a.fill(s)
+	return a
+}
 
+// fill analyzes s into a, an analysis fresh from the pool or reset.
+func (a *Analysis) fill(s *Snapshot) {
+	a.Snap = s
+	if a.ControlledRDNs == nil {
+		a.ControlledRDNs = make(map[string]struct{})
+	}
 	a.Start, _ = urlx.Parse(s.StartingURL)
 	a.Land, _ = a.parseURL(s.LandingURL)
-	a.parse(sc, s.RedirectionChain)
-	if len(sc.parts) > 0 {
-		a.Chain = slices.Clone(sc.parts)
+
+	// One array for the chain and both link lists, each list in its own
+	// part of it.
+	nChain, nLog := len(s.RedirectionChain), len(s.LoggedLinks)
+	if n := nChain + nLog + len(s.HREFLinks); cap(a.parts) < n {
+		a.parts = make([]urlx.Parts, n)
+	} else {
+		a.parts = a.parts[:n]
+	}
+	n := 0
+	for _, u := range s.RedirectionChain {
+		if p, err := a.parseURL(u); err == nil {
+			a.parts[n] = p
+			n++
+		}
+	}
+	if n > 0 {
+		a.Chain = a.parts[:n:n]
 	}
 	for _, p := range a.Chain {
 		if p.RDN != "" {
@@ -249,10 +291,36 @@ func Analyze(s *Snapshot) *Analysis {
 		a.ControlledRDNs[a.Land.RDN] = struct{}{}
 	}
 
-	a.IntLog, a.ExtLog = a.classify(sc, s.LoggedLinks)
-	a.IntLink, a.ExtLink = a.classify(sc, s.HREFLinks)
+	links := a.parts[nChain:]
+	a.IntLog, a.ExtLog = a.classify(links[:nLog:nLog], s.LoggedLinks)
+	a.IntLink, a.ExtLink = a.classify(links[nLog:], s.HREFLinks)
 	a.buildDistributions()
-	return a
+}
+
+// Release returns a to the pool with its arrays zeroed, so that no
+// snapshot or term string stays reachable from the pool — or drops it,
+// when a page grew its arrays past the pooling bounds.
+//
+// Only the owner of an analysis releases it: the caller of Analyze that
+// has not handed it on. After Release nothing may use a, nor hold the
+// Dist(…).Terms() and Probs() slices or the Chain and link lists it
+// gave out: the next Analyze refills them. The term strings themselves
+// stay valid; their bytes are never reused.
+func (a *Analysis) Release() {
+	if cap(a.parts) > maxPooledParts || cap(a.terms) > maxPooledTerms || len(a.ControlledRDNs) > maxPooledRDNs {
+		return
+	}
+	a.reset()
+	analysisPool.Put(a)
+}
+
+// reset empties a, keeping its arrays and its map for the next fill.
+func (a *Analysis) reset() {
+	clear(a.parts)
+	clear(a.terms)
+	clear(a.probs)
+	clear(a.ControlledRDNs)
+	*a = Analysis{ControlledRDNs: a.ControlledRDNs, parts: a.parts[:0], terms: a.terms[:0], probs: a.probs[:0]}
 }
 
 // parseURL is urlx.Parse, except that the starting and the landing URL
@@ -268,49 +336,32 @@ func (a *Analysis) parseURL(u string) (urlx.Parts, error) {
 	return urlx.Parse(u)
 }
 
-// parse fills sc.parts with the decomposition of every URL of urls that
-// urlx accepts, in order.
-func (a *Analysis) parse(sc *linkScratch, urls []string) {
-	clear(sc.parts)
-	sc.parts = sc.parts[:0]
+// classify parses urls into dst, an array of len(urls), and splits them
+// into internal and external links, each in input order: internal ones
+// fill dst from the front and external ones from the back, and the
+// back run is then reversed. Both lists are capacity-limited so an
+// append to one cannot reach the other; a class without members is nil.
+func (a *Analysis) classify(dst []urlx.Parts, urls []string) (internal, external []urlx.Parts) {
+	in, ex := 0, len(dst)
 	for _, u := range urls {
-		if p, err := a.parseURL(u); err == nil {
-			sc.parts = append(sc.parts, p)
+		p, err := a.parseURL(u)
+		if err != nil {
+			continue
 		}
-	}
-}
-
-// classify parses urls and splits them into internal and external
-// links, each in input order. Both lists are cut from one array of
-// exactly the parsed count, capacity-limited so an append to one cannot
-// reach the other; a class without members is nil.
-func (a *Analysis) classify(sc *linkScratch, urls []string) (internal, external []urlx.Parts) {
-	a.parse(sc, urls)
-	if len(sc.parts) == 0 {
-		return nil, nil
-	}
-	n := 0
-	for i := range sc.parts {
-		if a.isInternal(sc.parts[i]) {
-			n++
-		}
-	}
-	all := make([]urlx.Parts, len(sc.parts))
-	in, ex := 0, n
-	for _, p := range sc.parts {
 		if a.isInternal(p) {
-			all[in] = p
+			dst[in] = p
 			in++
 		} else {
-			all[ex] = p
-			ex++
+			ex--
+			dst[ex] = p
 		}
 	}
-	if n > 0 {
-		internal = all[:n:n]
+	slices.Reverse(dst[ex:])
+	if in > 0 {
+		internal = dst[:in:in]
 	}
-	if n < len(all) {
-		external = all[n:]
+	if ex < len(dst) {
+		external = dst[ex:len(dst):len(dst)]
 	}
 	return internal, external
 }
@@ -340,7 +391,7 @@ func (a *Analysis) Dist(id DistID) terms.Distribution {
 
 // buildDistributions feeds the sources of Table I, in DistID order,
 // through one pooled builder; the fourteen distributions are built
-// together and share their arrays.
+// together and share the analysis's term and probability arrays.
 func (a *Analysis) buildDistributions() {
 	b := terms.AcquireBuilder()
 	defer b.Release()
@@ -348,7 +399,7 @@ func (a *Analysis) buildDistributions() {
 		a.addSource(b, id)
 		b.Next()
 	}
-	b.BuildAll(a.dists[DistText:])
+	a.terms, a.probs = b.BuildAllInto(a.dists[DistText:], a.terms, a.probs)
 }
 
 // addSource adds the terms of distribution id's source to b.

@@ -151,6 +151,14 @@ func TestFromHTMLResolvesLinks(t *testing.T) {
 	if len(s.RedirectionChain) != 2 {
 		t.Errorf("default chain = %v", s.RedirectionChain)
 	}
+	// Both lists share one array: an append to one must not write into
+	// the other.
+	if cap(s.HREFLinks) != len(s.HREFLinks) || cap(s.LoggedLinks) != len(s.LoggedLinks) {
+		t.Errorf("link lists have spare capacity: %d/%d and %d/%d", len(s.HREFLinks), cap(s.HREFLinks), len(s.LoggedLinks), cap(s.LoggedLinks))
+	}
+	if s := FromHTML("http://a.example/", "http://a.example/", nil, `<a href="/x">x</a>`); s.LoggedLinks != nil {
+		t.Errorf("a page without resources has LoggedLinks %#v, want nil", s.LoggedLinks)
+	}
 }
 
 func TestFromHTMLSameStartLand(t *testing.T) {
