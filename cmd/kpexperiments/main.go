@@ -1,5 +1,5 @@
 // Command kpexperiments regenerates the paper's tables and figures
-// (DESIGN.md experiment index E1–E12 plus ablations A1–A5).
+// (DESIGN.md experiment index E1–E12 plus ablations A1–A6).
 //
 // Usage:
 //
@@ -10,208 +10,116 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"knowphish/internal/dataset"
 	"knowphish/internal/experiments"
-	"knowphish/internal/webgen"
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "kpexperiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("kpexperiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		runFilter = flag.String("run", "all", "comma list: tableV tableVI tableVII tableVIII tableIX tableX fig2 fig3 fig4 fig5 fig6 fpreduction ablation-split ablation-distance ablation-threshold ablation-trainsize ablation-unseen, or all")
-		scale     = flag.Int("scale", 10, "corpus scale divisor (1 = paper-scale, slow)")
-		seed      = flag.Int64("seed", 1, "seed")
-		outDir    = flag.String("out", "", "directory to also write artifacts into")
+		runFilter = fs.String("run", "all", "comma list of experiments, or all: "+strings.Join(keys(), " "))
+		scale     = fs.Int("scale", 10, "corpus scale divisor (1 = paper-scale, slow)")
+		seed      = fs.Int64("seed", 1, "seed")
+		outDir    = fs.String("out", "", "directory to also write artifacts into")
 	)
-	flag.Parse()
-
-	fmt.Fprintf(os.Stderr, "building corpus (scale 1/%d, seed %d)...\n", *scale, *seed)
-	r, err := experiments.NewRunner(dataset.Config{
-		Seed:  *seed,
-		Scale: *scale,
-		World: webgen.Config{Seed: *seed + 1},
-	})
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	exps, err := selectExperiments(*runFilter)
 	if err != nil {
 		return err
 	}
 
-	wanted := map[string]bool{}
-	for _, name := range strings.Split(*runFilter, ",") {
-		wanted[strings.ToLower(strings.TrimSpace(name))] = true
+	fmt.Fprintf(stderr, "building corpus (scale 1/%d, seed %d)...\n", *scale, *seed)
+	r, err := experiments.NewRunner(dataset.Config{Seed: *seed, Scale: *scale})
+	if err != nil {
+		return err
 	}
-	all := wanted["all"]
-
-	var artifacts []experiments.Artifact
-	addT := func(id string, t *experiments.Table, err error) error {
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		artifacts = append(artifacts, experiments.Artifact{ID: id, Table: t})
-		return nil
-	}
-	addF := func(id string, f *experiments.Figure, err error) error {
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		artifacts = append(artifacts, experiments.Artifact{ID: id, Figure: f})
-		return nil
-	}
-	addFs := func(id string, fs []*experiments.Figure, err error) error {
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		for _, f := range fs {
-			artifacts = append(artifacts, experiments.Artifact{ID: id, Figure: f})
-		}
-		return nil
-	}
-
-	if all && *runFilter == "all" {
-		arts, err := r.RunAll(os.Stderr)
-		if err != nil {
-			return err
-		}
-		artifacts = arts
-	} else {
-		if wanted["tablev"] {
-			if err := addT("E1/TableV", r.TableV(), nil); err != nil {
-				return err
-			}
-		}
-		if wanted["tablevi"] {
-			t, err := r.TableVI()
-			if err := addT("E2/TableVI", t, err); err != nil {
-				return err
-			}
-		}
-		if wanted["fig2"] {
-			fs, err := r.Fig2()
-			if err := addFs("E3/Fig2", fs, err); err != nil {
-				return err
-			}
-		}
-		if wanted["tablevii"] {
-			t, err := r.TableVII()
-			if err := addT("E4/TableVII", t, err); err != nil {
-				return err
-			}
-		}
-		if wanted["fig3"] {
-			f, err := r.Fig3()
-			if err := addF("E5/Fig3", f, err); err != nil {
-				return err
-			}
-		}
-		if wanted["fig4"] {
-			f, err := r.Fig4()
-			if err := addF("E6/Fig4", f, err); err != nil {
-				return err
-			}
-		}
-		if wanted["fig5"] {
-			fs, err := r.Fig5()
-			if err := addFs("E7/Fig5", fs, err); err != nil {
-				return err
-			}
-		}
-		if wanted["fig6"] {
-			f, err := r.Fig6()
-			if err := addF("E8/Fig6", f, err); err != nil {
-				return err
-			}
-		}
-		if wanted["tableviii"] {
-			t, err := r.TableVIII(100)
-			if err := addT("E9/TableVIII", t, err); err != nil {
-				return err
-			}
-		}
-		if wanted["tableix"] {
-			t, err := r.TableIX()
-			if err := addT("E10/TableIX", t, err); err != nil {
-				return err
-			}
-		}
-		if wanted["tablex"] {
-			t, err := r.TableX()
-			if err := addT("E11/TableX", t, err); err != nil {
-				return err
-			}
-		}
-		if wanted["fpreduction"] {
-			t, err := r.FPReduction()
-			if err := addT("E12/FPReduction", t, err); err != nil {
-				return err
-			}
-		}
-		if wanted["ablation-split"] {
-			t, err := r.AblationSplit()
-			if err := addT("A1/Split", t, err); err != nil {
-				return err
-			}
-		}
-		if wanted["ablation-distance"] {
-			t, err := r.AblationDistance()
-			if err := addT("A2/Distance", t, err); err != nil {
-				return err
-			}
-		}
-		if wanted["ablation-threshold"] {
-			t, err := r.AblationThreshold()
-			if err := addT("A3/Threshold", t, err); err != nil {
-				return err
-			}
-		}
-		if wanted["ablation-trainsize"] {
-			t, err := r.AblationTrainSize()
-			if err := addT("A4/TrainSize", t, err); err != nil {
-				return err
-			}
-		}
-		if wanted["ablation-unseen"] {
-			t, err := r.AblationUnseenBrands()
-			if err := addT("A5/UnseenBrands", t, err); err != nil {
-				return err
-			}
-		}
-		if wanted["ablation-classifier"] {
-			t, err := r.AblationClassifier()
-			if err := addT("A6/Classifier", t, err); err != nil {
-				return err
-			}
-		}
-	}
-
-	if len(artifacts) == 0 {
-		return fmt.Errorf("nothing selected by -run %q", *runFilter)
+	artifacts, err := r.Run(exps, stderr)
+	if err != nil {
+		return err
 	}
 	for _, a := range artifacts {
-		fmt.Println(a.Render())
+		fmt.Fprintln(stdout, a.Render())
 	}
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+	if *outDir == "" {
+		return nil
+	}
+	fmt.Fprintf(stderr, "writing %d artifacts to %s\n", len(artifacts), *outDir)
+	return writeArtifacts(*outDir, artifacts)
+}
+
+func keys() []string {
+	ks := make([]string, len(experiments.Index))
+	for i, e := range experiments.Index {
+		ks[i] = e.Key
+	}
+	return ks
+}
+
+// selectExperiments resolves a -run list against the experiment index,
+// in paper order. Names match without regard to case or surrounding
+// space, "all" anywhere selects every experiment, and an unknown name is
+// an error.
+func selectExperiments(list string) ([]experiments.Experiment, error) {
+	known := map[string]bool{"all": true, "": true}
+	for _, k := range keys() {
+		known[k] = true
+	}
+	wanted := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.ToLower(strings.TrimSpace(name))
+		if !known[name] {
+			return nil, fmt.Errorf("-run: unknown experiment %q (want all or one of: %s)", name, strings.Join(keys(), " "))
+		}
+		wanted[name] = true
+	}
+	var exps []experiments.Experiment
+	for _, e := range experiments.Index {
+		if wanted["all"] || wanted[e.Key] {
+			exps = append(exps, e)
+		}
+	}
+	if len(exps) == 0 {
+		return nil, fmt.Errorf("-run %q selects no experiment", list)
+	}
+	return exps, nil
+}
+
+// writeArtifacts writes each artifact into dir as its own file, named
+// after its ID. Two artifacts that would share a file are an error.
+func writeArtifacts(dir string, artifacts []experiments.Artifact) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	clean := strings.NewReplacer("/", "_", ":", "", " ", "_")
+	owner := map[string]string{}
+	for _, a := range artifacts {
+		name := clean.Replace(a.ID) + ".txt"
+		if prev, ok := owner[name]; ok {
+			return fmt.Errorf("artifacts %q and %q would both be written to %s", prev, a.ID, name)
+		}
+		owner[name] = a.ID
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(a.Render()), 0o644); err != nil {
 			return err
 		}
-		for _, a := range artifacts {
-			name := strings.NewReplacer("/", "_", ":", "", " ", "_").Replace(a.ID) + ".txt"
-			path := filepath.Join(*outDir, name)
-			if err := os.WriteFile(path, []byte(a.Render()), 0o644); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d artifacts to %s\n", len(artifacts), *outDir)
 	}
 	return nil
 }

@@ -38,7 +38,7 @@ func run() error {
 	corpus, err := dataset.Build(dataset.Config{
 		Seed:              *seed,
 		Scale:             *scale,
-		World:             webgen.Config{Seed: *seed + 1, Brands: *brands},
+		World:             webgen.Config{Brands: *brands},
 		SkipLanguageTests: *skipLangs,
 	})
 	if err != nil {

@@ -126,8 +126,8 @@ func runGen(args []string) error {
 }
 
 // genCorpus lists every persistent brand page of the world a kpserve
-// started with -seed serveSeed crawls. The +1 mirrors app.BuildCorpus:
-// the world seed is the service seed plus one.
+// started with -seed serveSeed crawls. No corpus is built here, so the
+// +1 restates dataset.Config's rule: the world seed is the seed plus one.
 func genCorpus(serveSeed int64) []string {
 	w := webgen.New(webgen.Config{Seed: serveSeed + 1})
 	var urls []string

@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"knowphish/internal/app"
 	"knowphish/internal/core"
@@ -47,7 +48,7 @@ func run() error {
 		trees       = flag.Int("trees", 120, "boosting rounds")
 		depth       = flag.Int("depth", 4, "tree depth")
 		threshold   = flag.Float64("threshold", core.DefaultThreshold, "discrimination threshold")
-		set         = flag.String("features", "fall", "feature set: f1 f2 f3 f4 f5 f1,5 f2,3,4 fall")
+		set         = flag.String("features", "fall", "feature set: "+setNames())
 	)
 	flag.Parse()
 	if *promote && *registryDir == "" {
@@ -150,25 +151,24 @@ func run() error {
 	return nil
 }
 
+// parseFeatureSet maps a -features value to one of the paper's feature
+// sets by its String name; empty means fall.
 func parseFeatureSet(s string) (features.Set, error) {
-	switch s {
-	case "f1":
-		return features.F1, nil
-	case "f2":
-		return features.F2, nil
-	case "f3":
-		return features.F3, nil
-	case "f4":
-		return features.F4, nil
-	case "f5":
-		return features.F5, nil
-	case "f1,5":
-		return features.F15, nil
-	case "f2,3,4":
-		return features.F234, nil
-	case "fall", "":
+	if s == "" {
 		return features.All, nil
-	default:
-		return 0, fmt.Errorf("unknown feature set %q", s)
 	}
+	for _, set := range features.PaperSets {
+		if set.String() == s {
+			return set, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown feature set %q (want one of: %s)", s, setNames())
+}
+
+func setNames() string {
+	names := make([]string, len(features.PaperSets))
+	for i, set := range features.PaperSets {
+		names[i] = set.String()
+	}
+	return strings.Join(names, " ")
 }

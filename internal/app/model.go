@@ -14,7 +14,6 @@ import (
 	"knowphish/internal/ranking"
 	"knowphish/internal/registry"
 	"knowphish/internal/search"
-	"knowphish/internal/webgen"
 )
 
 // World is a trained stack: the detector, the legitimate-web search
@@ -32,13 +31,12 @@ type World struct {
 
 // BuildCorpus generates the synthetic world and its campaigns — the
 // substrate of the self-train and registry modes, of kptrain and of the
-// knowphish demo. The world's seed is seed+1, which is what lets
+// knowphish demo. dataset gives the world seed+1, which is what lets
 // `kpload gen -seed N` list URLs a `-seed N` server resolves.
 func BuildCorpus(scale int, seed int64) (*dataset.Corpus, error) {
 	return dataset.Build(dataset.Config{
 		Seed:              seed,
 		Scale:             scale,
-		World:             webgen.Config{Seed: seed + 1},
 		SkipLanguageTests: true,
 	})
 }

@@ -81,7 +81,8 @@ type Config struct {
 	// V exactly (100,000-page English set); Scale 10 is the default
 	// fast setting. See EXPERIMENTS.md for shape-stability notes.
 	Scale int
-	// World configures the synthetic web (zero value = defaults).
+	// World configures the synthetic web (zero value = defaults). A zero
+	// World.Seed becomes Seed+1: one seed names both corpus and world.
 	World webgen.Config
 	// SkipLanguageTests drops the five non-English test sets (used by
 	// unit tests and micro-benchmarks).

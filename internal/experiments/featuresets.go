@@ -9,13 +9,6 @@ import (
 	"knowphish/internal/webgen"
 )
 
-// featureSetOrder lists the eight feature-set combinations the paper
-// evaluates (Table VII, Fig. 2, Fig. 5), in its order.
-var featureSetOrder = []features.Set{
-	features.F1, features.F2, features.F3, features.F4, features.F5,
-	features.F15, features.F234, features.All,
-}
-
 // setEval holds both scenarios' metrics for one feature set.
 type setEval struct {
 	set features.Set
@@ -40,8 +33,8 @@ func (r *Runner) evaluateFeatureSets() ([]setEval, error) {
 		return cached, nil
 	}
 	x, y := r.TrainMatrix()
-	out := make([]setEval, 0, len(featureSetOrder))
-	for _, set := range featureSetOrder {
+	out := make([]setEval, 0, len(features.PaperSets))
+	for _, set := range features.PaperSets {
 		ev := setEval{set: set}
 
 		// Scenario 1: cross-validation on the training corpora.

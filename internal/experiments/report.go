@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section VI) plus the design ablations listed in DESIGN.md.
 // Each experiment is a method on Runner returning renderable Tables and
-// Figures; cmd/kpexperiments drives them and bench_test.go wraps each in a
-// benchmark.
+// Figures; Index lists them once, in paper order, for Runner.Run and
+// cmd/kpexperiments, and bench_test.go wraps each in a benchmark.
 package experiments
 
 import (

@@ -52,6 +52,10 @@ const (
 	All  = F1 | F2 | F3 | F4 | F5
 )
 
+// PaperSets lists the eight feature-set combinations the paper evaluates
+// (Table VII, Fig. 2, Fig. 5), in its order.
+var PaperSets = []Set{F1, F2, F3, F4, F5, F15, F234, All}
+
 // String names the set the way the paper does (f1, f2,3,4, fall, ...).
 func (s Set) String() string {
 	if s == All {

@@ -25,8 +25,6 @@ type LRConfig struct {
 	Epochs int
 	// LearningRate is the SGD step size (default 0.1).
 	LearningRate float64
-	// L2 is the ridge penalty (default 1e-6).
-	L2 float64
 	// Seed drives example shuffling.
 	Seed int64
 }
@@ -40,9 +38,6 @@ func (c LRConfig) withDefaults() (LRConfig, error) {
 	}
 	if c.LearningRate <= 0 {
 		c.LearningRate = 0.1
-	}
-	if c.L2 < 0 {
-		c.L2 = 1e-6
 	}
 	return c, nil
 }
@@ -80,8 +75,7 @@ func TrainLogistic(x []SparseVector, y []int, cfg LRConfig) (*LogisticRegression
 				if ent.Index < 0 || ent.Index >= cfg.Dim {
 					continue
 				}
-				w := m.Weights[ent.Index]
-				m.Weights[ent.Index] = w - lr*(g*ent.Value+cfg.L2*w)
+				m.Weights[ent.Index] -= lr * (g * ent.Value)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"knowphish/internal/coalesce"
 	"knowphish/internal/core"
 	"knowphish/internal/crawl"
 	"knowphish/internal/feed"
@@ -268,7 +269,7 @@ func TestErrorResponsesExcludedFromLatency(t *testing.T) {
 // undersized memo under distinct-page traffic must report evictions in
 // the table whose entries are the cached verdicts.
 func TestCacheEvictionsExported(t *testing.T) {
-	s := newServer(t, func(cfg *Config) { cfg.MemoEntries = 16 }) // 1 entry/shard
+	s := newServer(t, func(cfg *Config) { cfg.Coalescer = coalesce.New(coalesce.Config{MemoEntries: 16}) }) // 1 entry/shard
 	scoreDistinctPages(t, s, 64)
 	m := s.Metrics().Coalesce.Score
 	if m.Evictions == 0 {

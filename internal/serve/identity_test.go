@@ -140,7 +140,7 @@ func scoreDistinctPages(t *testing.T, s *Server, n int) (hits int) {
 // TestCacheEviction: the memo is bounded, and an evicted page is
 // recomputed, not served stale or lost.
 func TestCacheEviction(t *testing.T) {
-	s := newServer(t, func(cfg *Config) { cfg.MemoEntries = 16 }) // 1 entry/shard
+	s := newServer(t, func(cfg *Config) { cfg.Coalescer = coalesce.New(coalesce.Config{MemoEntries: 16}) }) // 1 entry/shard
 	const n = 64
 	pass := func() int { return scoreDistinctPages(t, s, n) }
 	if hits := pass(); hits != 0 {
@@ -246,7 +246,7 @@ func TestCacheVersionStaleness(t *testing.T) {
 // every request was a hit or a miss, and exactly the misses scored.
 func TestCacheConcurrent(t *testing.T) {
 	c, _ := fixtures(t)
-	s := newServer(t, func(cfg *Config) { cfg.MemoEntries = 16 })
+	s := newServer(t, func(cfg *Config) { cfg.Coalescer = coalesce.New(coalesce.Config{MemoEntries: 16}) })
 	var pages []PageRequest
 	for i := 0; i < 12; i++ {
 		pages = append(pages, PageRequest{Snapshot: c.PhishTest.Examples[i].Snapshot}, PageRequest{Snapshot: c.LegTrain.Examples[i].Snapshot})

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"knowphish/internal/coalesce"
 	"knowphish/internal/core"
 	"knowphish/internal/dataset"
 	"knowphish/internal/ml"
@@ -154,7 +155,7 @@ func TestScoreCaching(t *testing.T) {
 
 func TestScoreCacheDisabled(t *testing.T) {
 	c, _ := fixtures(t)
-	s := newServer(t, func(cfg *Config) { cfg.MemoEntries = -1 })
+	s := newServer(t, func(cfg *Config) { cfg.Coalescer = coalesce.New(coalesce.Config{MemoEntries: -1}) })
 	snap := c.PhishTest.Examples[0].Snapshot
 	var resp ScoreResponse
 	call(t, s, http.MethodPost, "/v1/score", PageRequest{Snapshot: snap}, &resp)
@@ -355,7 +356,7 @@ func TestCacheNotPoisonableByContent(t *testing.T) {
 
 func TestBatchNoDedupWhenCacheDisabled(t *testing.T) {
 	c, _ := fixtures(t)
-	s := newServer(t, func(cfg *Config) { cfg.MemoEntries = -1 })
+	s := newServer(t, func(cfg *Config) { cfg.Coalescer = coalesce.New(coalesce.Config{MemoEntries: -1}) })
 	// Memo off means the operator rejected verdict reuse; identical
 	// pages must then each be scored.
 	page := PageRequest{Snapshot: c.PhishTest.Examples[0].Snapshot}

@@ -128,20 +128,11 @@ type Config struct {
 	// request does not set its own deadline_ms (0 → no deadline). It
 	// bounds pipeline work, not time spent queued for a worker slot.
 	DefaultDeadline time.Duration
-	// MemoEntries is the capacity of each of the two memo tables —
-	// detector score, target result — keyed by content fingerprint
-	// (0 → coalesce.DefaultMemoEntries; negative → no verdict reuse at
-	// all: every request computes every stage, still fingerprinted for
-	// its ETag). Entries do not grow with the page: about 200 bytes per
-	// scored page plus about 0.8 KB per detector positive, so the
-	// default is ~13 MB full, ~65 MB if every page were a positive
-	// (coalesce.Config.MemoEntries has the breakdown).
-	MemoEntries int
 	// Coalescer optionally injects a pre-built stage memo shared with
 	// other subsystems (the process assembly, internal/app, scores the
 	// feed drain through the same one, so feed traffic warms the HTTP
 	// surface's memo tables and vice versa). When nil, the server builds
-	// its own from MemoEntries.
+	// its own at coalesce.DefaultMemoEntries.
 	Coalescer *coalesce.Coalescer
 	// Feed is the continuous ingestion scheduler backing POST /v1/feed
 	// (optional; without it the endpoint answers 503).
@@ -236,7 +227,7 @@ func New(cfg Config) (*Server, error) {
 	s.scoreSem = make(chan struct{}, s.cfg.Workers)
 	s.coal = cfg.Coalescer
 	if s.coal == nil {
-		s.coal = coalesce.New(coalesce.Config{MemoEntries: cfg.MemoEntries})
+		s.coal = coalesce.New(coalesce.Config{})
 	}
 	// Hoist the option slices of the common request shapes: an
 	// option-free request (v1, or v2 with every option defaulted) and

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"knowphish/internal/coalesce"
 )
 
 // streamBody builds an NDJSON request body of n distinct raw-HTML pages.
@@ -193,7 +195,7 @@ func TestStreamFlushesThroughInstrumentation(t *testing.T) {
 	const n = 200
 	s := newServer(t, func(cfg *Config) {
 		cfg.Workers = 1
-		cfg.MemoEntries = -1
+		cfg.Coalescer = coalesce.New(coalesce.Config{MemoEntries: -1})
 	})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -244,8 +246,8 @@ func heavyStreamBody(n int) *bytes.Buffer {
 func TestScoreStreamStopsOnClientDisconnect(t *testing.T) {
 	const n = 600
 	s := newServer(t, func(cfg *Config) {
-		cfg.Workers = 1      // serialize scoring so the stream takes a while
-		cfg.MemoEntries = -1 // every item is distinct work
+		cfg.Workers = 1                                                // serialize scoring so the stream takes a while
+		cfg.Coalescer = coalesce.New(coalesce.Config{MemoEntries: -1}) // every item is distinct work
 	})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
