@@ -517,6 +517,78 @@ func TestMetricsJSONShapeGolden(t *testing.T) {
 	}
 }
 
+// promFixedLabels are the labels whose values are fixed enumerations;
+// the shape golden keeps them and masks every other label value.
+var promFixedLabels = map[string]bool{"le": true, "table": true, "reason": true, "window": true, "quantile": true, "stage": true}
+
+var promLabelRe = regexp.MustCompile(`([a-zA-Z_][a-zA-Z0-9_]*)="((?:\\\\|\\"|\\n|[^"\\])*)"`)
+
+// promShape reduces a scrape to its shape: every HELP and TYPE line in
+// order, and for every sample outside the go_* runtime families its name
+// and label names, with values dropped and label values masked unless
+// they are fixed enumerations.
+func promShape(t *testing.T, body string) []byte {
+	t.Helper()
+	var sb strings.Builder
+	for _, line := range strings.Split(body, "\n") {
+		if line == "" || strings.HasPrefix(line, "go_") {
+			continue
+		}
+		if !strings.HasPrefix(line, "# ") {
+			m := promSampleRe.FindStringSubmatch(line)
+			if m == nil {
+				t.Fatalf("malformed sample line: %q", line)
+			}
+			line = m[1] + promLabelRe.ReplaceAllStringFunc(m[2], func(l string) string {
+				if name := promLabelRe.FindStringSubmatch(l)[1]; !promFixedLabels[name] {
+					return name + "=_"
+				}
+				return l
+			})
+		}
+		sb.WriteString(line)
+		sb.WriteByte('\n')
+	}
+	return []byte(sb.String())
+}
+
+// TestPrometheusShapeGolden pins the Prometheus exposition's shape —
+// families, their order, HELP and TYPE text, and every sample's name and
+// label set — for the full-surface server and for a registry-backed one,
+// whose model info carries the manifest's hash and feature set.
+// Regenerate with -update-golden.
+func TestPrometheusShapeGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		server func(*testing.T) *Server
+	}{
+		{"golden_prometheus_shape.txt", func(t *testing.T) *Server { return fullSurfaceServer(t, 2) }},
+		{"golden_prometheus_shape_registry.txt", func(t *testing.T) *Server { s, _ := registryServer(t); return s }},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			rec := rawCall(t, tc.server(t), http.MethodGet, "/metrics?format=prometheus", nil, nil)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status = %d", rec.Code)
+			}
+			got := promShape(t, rec.Body.String())
+			path := filepath.Join("testdata", tc.golden)
+			if *updateGolden {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("reading golden (run with -update-golden to create): %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("exposition shape drifted from golden %s:\n got:\n%s\nwant:\n%s", path, got, want)
+			}
+		})
+	}
+}
+
 func TestDebugTracesEndpoint(t *testing.T) {
 	s := tracedServer(t, 3)
 	rec := rawCall(t, s, http.MethodGet, "/debug/traces", nil, nil)
