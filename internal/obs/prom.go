@@ -38,16 +38,18 @@ func (p *PromWriter) printf(format string, args ...any) {
 	_, p.err = fmt.Fprintf(p.w, format, args...)
 }
 
-// header writes the HELP and TYPE lines of one metric family. help is
-// escaped per the exposition grammar (backslash and newline).
-func (p *PromWriter) header(name, help, typ string) {
+// Header writes the HELP and TYPE lines of one metric family; follow it
+// with Sample (or HistFromHist) lines under the same name, one per label
+// set. help is escaped per the exposition grammar (backslash and
+// newline).
+func (p *PromWriter) Header(name, help, typ string) {
 	help = strings.ReplaceAll(help, `\`, `\\`)
 	help = strings.ReplaceAll(help, "\n", `\n`)
 	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// sample writes one sample line.
-func (p *PromWriter) sample(name string, labels []Label, v float64) {
+// Sample writes one sample line of a family begun with Header.
+func (p *PromWriter) Sample(name string, v float64, labels ...Label) {
 	if p.err != nil {
 		return
 	}
@@ -105,41 +107,30 @@ func formatValue(v float64) string {
 
 // Counter writes one unlabeled counter family.
 func (p *PromWriter) Counter(name, help string, v float64) {
-	p.header(name, help, "counter")
-	p.sample(name, nil, v)
+	p.Header(name, help, "counter")
+	p.Sample(name, v)
 }
 
 // Gauge writes one unlabeled gauge family.
 func (p *PromWriter) Gauge(name, help string, v float64) {
-	p.header(name, help, "gauge")
-	p.sample(name, nil, v)
+	p.Header(name, help, "gauge")
+	p.Sample(name, v)
 }
 
 // Info writes the conventional info metric: a gauge fixed at 1 whose
 // labels carry the metadata (model version, content hash, build info).
 func (p *PromWriter) Info(name, help string, labels []Label) {
-	p.header(name, help, "gauge")
-	p.sample(name, labels, 1)
+	p.Header(name, help, "gauge")
+	p.Sample(name, 1, labels...)
 }
 
-// LabeledSample is one labeled sample of a FamilyL family.
-type LabeledSample struct {
-	Labels []Label
-	Value  float64
-}
-
-// FamilyL writes one family of the given type with labeled samples.
-func (p *PromWriter) FamilyL(name, help, typ string, samples []LabeledSample) {
-	p.header(name, help, typ)
-	for _, s := range samples {
-		p.sample(name, s.Labels, s.Value)
+// Family writes one family of the given type with one sample per key,
+// labelled label=keys[i] and valued value(i).
+func (p *PromWriter) Family(name, help, typ, label string, keys []string, value func(i int) float64) {
+	p.Header(name, help, typ)
+	for i, k := range keys {
+		p.Sample(name, value(i), Label{label, k})
 	}
-}
-
-// HistHeader begins a histogram family; follow with HistFromHist (or
-// several, one per label set) under the same name.
-func (p *PromWriter) HistHeader(name, help string) {
-	p.header(name, help, "histogram")
 }
 
 // HistFromHist renders one histogram snapshot as Prometheus histogram
@@ -154,17 +145,17 @@ func (p *PromWriter) HistFromHist(name string, labels []Label, h HistSnapshot) {
 	copy(lbs, labels)
 	for i := 0; i < NumBuckets-1; i++ {
 		bound := float64(BucketBoundUS(i)) / 1e6
-		p.sample(name+"_bucket", append(lbs, Label{"le", formatValue(bound)}), float64(cum[i]))
+		p.Sample(name+"_bucket", float64(cum[i]), append(lbs, Label{"le", formatValue(bound)})...)
 	}
-	p.sample(name+"_bucket", append(lbs, Label{"le", "+Inf"}), float64(count))
-	p.sample(name+"_sum", labels, float64(sumUS)/1e6)
-	p.sample(name+"_count", labels, float64(count))
+	p.Sample(name+"_bucket", float64(count), append(lbs, Label{"le", "+Inf"})...)
+	p.Sample(name+"_sum", float64(sumUS)/1e6, labels...)
+	p.Sample(name+"_count", float64(count), labels...)
 }
 
 // Histogram renders one complete unlabeled histogram family from a
 // snapshot.
 func (p *PromWriter) Histogram(name, help string, h HistSnapshot) {
-	p.HistHeader(name, help)
+	p.Header(name, help, "histogram")
 	p.HistFromHist(name, nil, h)
 }
 
@@ -215,20 +206,20 @@ func (p *PromWriter) float64Histogram(name, help string, h *metrics.Float64Histo
 	if h == nil {
 		return
 	}
-	p.HistHeader(name, help)
+	p.Header(name, help, "histogram")
 	var cum uint64
 	var sum float64
 	for i, n := range h.Counts {
 		cum += n
 		lo, hi := h.Buckets[i], h.Buckets[i+1]
 		if !math.IsInf(hi, 1) {
-			p.sample(name+"_bucket", []Label{{"le", formatValue(hi)}}, float64(cum))
+			p.Sample(name+"_bucket", float64(cum), Label{"le", formatValue(hi)})
 		}
 		if n > 0 && !math.IsInf(lo, -1) && !math.IsInf(hi, 1) {
 			sum += float64(n) * (lo + hi) / 2
 		}
 	}
-	p.sample(name+"_bucket", []Label{{"le", "+Inf"}}, float64(cum))
-	p.sample(name+"_sum", nil, sum)
-	p.sample(name+"_count", nil, float64(cum))
+	p.Sample(name+"_bucket", float64(cum), Label{"le", "+Inf"})
+	p.Sample(name+"_sum", sum)
+	p.Sample(name+"_count", float64(cum))
 }
