@@ -215,7 +215,7 @@ func (s State) String() string {
 	}
 }
 
-// Defaults for Config zero values.
+// Defaults for Config zero values, and the fixed burn-rate thresholds.
 const (
 	DefaultFastWindow = 5 * time.Minute
 	DefaultSlowWindow = time.Hour
@@ -239,10 +239,6 @@ type Config struct {
 	// SlowWindow is the "is it significant" burn window
 	// (0 → DefaultSlowWindow).
 	SlowWindow time.Duration
-	// PageBurn / WarnBurn are the burn-rate thresholds
-	// (0 → DefaultPageBurn / DefaultWarnBurn).
-	PageBurn float64
-	WarnBurn float64
 	// HoldDown is the hysteresis on recovery (0 → DefaultHoldDown).
 	HoldDown time.Duration
 	// Clock is the time source, for deterministic tests (nil →
@@ -302,12 +298,6 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.SlowWindow < cfg.FastWindow {
 		cfg.SlowWindow = cfg.FastWindow
-	}
-	if cfg.PageBurn <= 0 {
-		cfg.PageBurn = DefaultPageBurn
-	}
-	if cfg.WarnBurn <= 0 {
-		cfg.WarnBurn = DefaultWarnBurn
 	}
 	if cfg.HoldDown <= 0 {
 		cfg.HoldDown = DefaultHoldDown
@@ -422,9 +412,9 @@ func (e *Engine) Tick() {
 		// the slow window that it is eating real budget.
 		target := StateOK
 		switch {
-		case fastBurn >= e.cfg.PageBurn && slowBurn >= e.cfg.PageBurn:
+		case fastBurn >= DefaultPageBurn && slowBurn >= DefaultPageBurn:
 			target = StatePage
-		case fastBurn >= e.cfg.WarnBurn && slowBurn >= e.cfg.WarnBurn:
+		case fastBurn >= DefaultWarnBurn && slowBurn >= DefaultWarnBurn:
 			target = StateWarn
 		}
 
@@ -468,11 +458,11 @@ func (e *Engine) Tick() {
 	// cheaper than a queue collapse.
 	shedTarget := int32(0)
 	switch {
-	case maxFastBurn >= 2*e.cfg.PageBurn:
+	case maxFastBurn >= 2*DefaultPageBurn:
 		shedTarget = 3
-	case maxFastBurn >= e.cfg.PageBurn:
+	case maxFastBurn >= DefaultPageBurn:
 		shedTarget = 2
-	case maxFastBurn >= e.cfg.WarnBurn:
+	case maxFastBurn >= DefaultWarnBurn:
 		shedTarget = 1
 	}
 
@@ -605,8 +595,8 @@ func (e *Engine) Status() Status {
 		ShedLevel:    int(e.shedLevel.Load()),
 		FastWindowMS: e.cfg.FastWindow.Milliseconds(),
 		SlowWindowMS: e.cfg.SlowWindow.Milliseconds(),
-		PageBurn:     e.cfg.PageBurn,
-		WarnBurn:     e.cfg.WarnBurn,
+		PageBurn:     DefaultPageBurn,
+		WarnBurn:     DefaultWarnBurn,
 		HoldDownMS:   e.cfg.HoldDown.Milliseconds(),
 		Ticks:        e.ticks,
 	}
