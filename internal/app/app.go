@@ -367,17 +367,11 @@ func startFeedSources(cfg Config, sink feedsrc.Sink, logger *slog.Logger) (*feed
 	if err != nil {
 		return nil, err
 	}
-	rates := make(map[string]float64)
-	if cfg.FeedSrcRate > 0 {
-		for _, s := range sources {
-			rates[s.Name()] = cfg.FeedSrcRate
-		}
-	}
 	mux, err := feedsrc.NewMux(feedsrc.MuxConfig{
 		Sink:      sink,
 		Sources:   sources,
 		Interval:  cfg.FeedSrcInterval,
-		Rates:     rates,
+		Rate:      cfg.FeedSrcRate,
 		CursorDir: cfg.FeedSrcCursor,
 		Logger:    logger,
 	})

@@ -13,11 +13,13 @@ import (
 	"knowphish/internal/obs"
 )
 
-// Mux defaults for Config zero values.
+// Mux defaults for Config zero values, and the fixed backoff cap.
 const (
 	// DefaultInterval is the idle poll interval per source.
 	DefaultInterval = 30 * time.Second
-	// DefaultMuxBackoff caps the per-source error backoff.
+	// DefaultMuxBackoff caps the per-source exponential error backoff.
+	// An explicit Retry-After from the server overrides the exponential
+	// schedule.
 	DefaultMuxBackoff = 5 * time.Minute
 	// DefaultDedupeWindow is how many recently delivered URLs the mux
 	// remembers across all sources for cross-source dedupe. The
@@ -47,16 +49,12 @@ type MuxConfig struct {
 	// DefaultInterval). A poll that yielded items is followed
 	// immediately by another — a hot feed is drained, not sipped.
 	Interval time.Duration
-	// Rates caps a source's delivery rate in URLs/second (by source
-	// name; absent or 0 = unlimited). The cap sheds rather than
-	// blocks: items beyond the source's share are dropped and counted
-	// as rate_limited, so one torrential feed cannot monopolise the
-	// scheduler's queue or stall its siblings.
-	Rates map[string]float64
-	// MaxBackoff caps the per-source exponential error backoff (0 →
-	// DefaultMuxBackoff). An explicit Retry-After from the server
-	// overrides the exponential schedule.
-	MaxBackoff time.Duration
+	// Rate caps each source's delivery rate in URLs/second (0 =
+	// unlimited). The cap sheds rather than blocks: items beyond a
+	// source's share are dropped and counted as rate_limited, so one
+	// torrential feed cannot monopolise the scheduler's queue or stall
+	// its siblings.
+	Rate float64
 	// CursorDir, when set, persists each source's cursor to
 	// "<name>.cursor" after every successful poll and restores it on
 	// New — the process-restart resume point. Empty = in-memory only.
@@ -142,9 +140,6 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
 	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = DefaultMuxBackoff
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
 	}
@@ -206,8 +201,8 @@ func (m *Mux) run(st *sourceState) {
 			m.cfg.Logger.Warn("feed source fetch failed",
 				"source", st.src.Name(), "backoff", wait, "err", err)
 			m.cfg.sleep(m.ctx, wait)
-			if backoff *= 2; backoff > m.cfg.MaxBackoff {
-				backoff = m.cfg.MaxBackoff
+			if backoff *= 2; backoff > DefaultMuxBackoff {
+				backoff = DefaultMuxBackoff
 			}
 			continue
 		}
@@ -277,7 +272,7 @@ func (m *Mux) deliver(st *sourceState, items []Item, cursor string) {
 // configured rate with one interval's worth of burst, so a source that
 // idles briefly may catch up but never exceeds its long-run share.
 func (m *Mux) rateAllowLocked(st *sourceState, now time.Time, n int) int {
-	rate := m.cfg.Rates[st.src.Name()]
+	rate := m.cfg.Rate
 	if rate <= 0 {
 		return n
 	}

@@ -111,7 +111,7 @@ func TestMuxRateShareSheds(t *testing.T) {
 		// 2 URLs/s over a 1 s interval = a burst budget of 2: the
 		// 10-item batch must shed 8.
 		Interval: time.Second,
-		Rates:    map[string]float64{"firehose": 2},
+		Rate:     2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,10 +189,10 @@ func TestMuxBackoffHonorsRetryAfter(t *testing.T) {
 		batches: [][]Item{nil, nil, nil, {{URL: "https://recovered/"}}},
 	}
 	m, err := NewMux(MuxConfig{
-		Sink:       sink,
-		Sources:    []Source{src},
-		Interval:   10 * time.Millisecond,
-		MaxBackoff: 15 * time.Millisecond,
+		Sink:    sink,
+		Sources: []Source{src},
+		// Above half the cap, so one doubling reaches it.
+		Interval: 3 * time.Minute,
 		sleep: func(ctx context.Context, d time.Duration) {
 			mu.Lock()
 			waits = append(waits, d)
@@ -214,8 +214,8 @@ func TestMuxBackoffHonorsRetryAfter(t *testing.T) {
 		t.Errorf("first wait = %v, want the server's 123s Retry-After", waits[0])
 	}
 	// The plain 5xxs fall back to doubling-capped backoff.
-	if waits[1] != 15*time.Millisecond { // 10ms doubled once = 20ms, capped at 15ms
-		t.Errorf("second wait = %v, want 15ms (doubled interval, capped)", waits[1])
+	if waits[1] != DefaultMuxBackoff { // 3m doubled once = 6m, capped at 5m
+		t.Errorf("second wait = %v, want %v (doubled interval, capped)", waits[1], DefaultMuxBackoff)
 	}
 	st := m.Stats()["throttled"]
 	if st.FetchErrors != 3 {
