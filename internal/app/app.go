@@ -271,9 +271,14 @@ func Start(cfg Config) (_ *App, err error) {
 // startFeed builds the feed scheduler scoring through the shared stage
 // memo.
 func (a *App) startFeed(cfg Config, m World, identifier *target.Identifier, coal *coalesce.Coalescer, tracer *obs.Tracer) error {
-	feedCfg := feed.Config{
+	det := m.Detector
+	if m.reg != nil {
+		det = m.reg.Current()
+	}
+	var err error
+	a.Feed, err = feed.New(feed.Config{
 		Fetcher:     m.Fetcher,
-		Pipeline:    &core.Pipeline{Detector: m.Detector, Identifier: identifier},
+		Pipeline:    &core.Pipeline{Detector: det, Identifier: identifier},
 		Store:       a.Store,
 		Workers:     cfg.FeedWorkers,
 		QueueDepth:  cfg.FeedQueue,
@@ -283,17 +288,18 @@ func (a *App) startFeed(cfg Config, m World, identifier *target.Identifier, coal
 		Tracer:      tracer,
 		Logger:      a.logger,
 		Score: func(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest) (core.Verdict, error) {
+			// Registry mode: each URL scores on the champion current when
+			// it is picked up, so a promotion reaches the feed on the next
+			// item; items already scoring finish on the model they started
+			// with.
+			if m.reg != nil {
+				if det := m.reg.Current(); det != nil {
+					pipe = &core.Pipeline{Detector: det, Identifier: identifier}
+				}
+			}
 			return coal.Do(ctx, pipe, req, coalesce.CacheDefault, nil)
 		},
-	}
-	if m.reg != nil {
-		// Registry mode: each URL scores on the champion current when it
-		// is picked up, so a promotion reaches the feed on the next item.
-		feedCfg.Pipeline.Detector = m.reg.Current()
-		feedCfg.Detectors = m.reg
-	}
-	var err error
-	a.Feed, err = feed.New(feedCfg)
+	})
 	return err
 }
 

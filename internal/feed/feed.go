@@ -42,7 +42,6 @@ import (
 	"knowphish/internal/crawl"
 	"knowphish/internal/obs"
 	"knowphish/internal/pool"
-	"knowphish/internal/registry"
 	"knowphish/internal/store"
 	"knowphish/internal/target"
 	"knowphish/internal/urlx"
@@ -88,18 +87,12 @@ type Config struct {
 	// Pipeline scores crawled snapshots and identifies targets.
 	// Required.
 	Pipeline *core.Pipeline
-	// Detectors optionally overrides the pipeline's detector per URL —
-	// the model registry's hot-swap seam. When set, each item resolves
-	// the current champion at scoring time, so a promotion lands between
-	// items with no pause in ingestion; items already scoring finish on
-	// the model they started with. While the registry has no champion,
-	// and always when Detectors is nil, items score on
-	// Pipeline.Detector.
-	Detectors *registry.Registry
-	// Score optionally overrides how the drain scores a snapshot.
-	// kpserve wires the serving layer's stage memo (coalesce.Coalescer)
-	// here, so feed traffic shares the same per-stage memo tables as the
-	// HTTP surface. Nil scores through pipe.AnalyzeCtx directly.
+	// Score optionally overrides how the drain scores a snapshot; it is
+	// handed Pipeline. kpserve wires the serving layer's stage memo
+	// (coalesce.Coalescer) here, so feed traffic shares the same
+	// per-stage memo tables as the HTTP surface, and swaps in the model
+	// registry's current champion per URL. Nil scores through
+	// Pipeline.AnalyzeCtx directly.
 	Score func(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest) (core.Verdict, error)
 	// Store persists verdicts (optional; without it verdicts are only
 	// observable through Stats); see store.Open.
@@ -419,21 +412,13 @@ func (s *Scheduler) process(it *item) {
 		s.retryOrFail(it, err)
 		return
 	}
-	// Resolve the detector per item: with a hot-swappable source a model
-	// promotion takes effect on the next URL, not the next restart.
-	pipe := s.cfg.Pipeline
-	if s.cfg.Detectors != nil {
-		if det := s.cfg.Detectors.Current(); det != nil {
-			pipe = &core.Pipeline{Detector: det, Identifier: pipe.Identifier}
-		}
-	}
 	req := core.NewScoreRequest(snap)
 	var v core.Verdict
 	ts = time.Now()
 	if s.cfg.Score != nil {
-		v, err = s.cfg.Score(ctx, pipe, req)
+		v, err = s.cfg.Score(ctx, s.cfg.Pipeline, req)
 	} else {
-		v, err = pipe.AnalyzeCtx(ctx, req)
+		v, err = s.cfg.Pipeline.AnalyzeCtx(ctx, req)
 	}
 	if err != nil {
 		// The scheduler context was cancelled mid-scoring (expired
