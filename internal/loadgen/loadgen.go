@@ -86,9 +86,6 @@ type Config struct {
 	// TargetURL is the kpserve base URL, e.g. "http://127.0.0.1:8080"
 	// (required).
 	TargetURL string
-	// Client issues the requests (nil → a dedicated client with a
-	// per-request timeout).
-	Client *http.Client
 	// Corpus is the URL set to replay, round-robin (required).
 	Corpus []string
 	// QPS is the open-loop target arrival rate in URL submissions per
@@ -261,24 +258,21 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 			return Report{}, fmt.Errorf("loadgen: QPS %v with batch %d paces requests %v apart, under the pacer's 1ns", cfg.QPS, cfg.BatchSize, tick)
 		}
 	}
+	// A dedicated transport with the pool sized to the worker count:
+	// http.DefaultTransport keeps only 2 idle conns per host, so a
+	// 64-worker run over it thrashes connections and measures the
+	// client's own queueing instead of the server's.
+	tr := &http.Transport{
+		MaxIdleConns:        cfg.Workers,
+		MaxIdleConnsPerHost: cfg.Workers,
+	}
 	r := &run{
 		cfg:      cfg,
-		client:   cfg.Client,
+		client:   &http.Client{Timeout: 30 * time.Second, Transport: tr},
 		rejected: make(map[string]int64),
 	}
 	if cfg.Endpoint == "score" {
 		r.pageHTML = buildScorePage()
-	}
-	if r.client == nil {
-		// A dedicated transport with the pool sized to the worker count:
-		// http.DefaultTransport keeps only 2 idle conns per host, so a
-		// 64-worker run over it thrashes connections and measures the
-		// client's own queueing instead of the server's.
-		tr := &http.Transport{
-			MaxIdleConns:        cfg.Workers,
-			MaxIdleConnsPerHost: cfg.Workers,
-		}
-		r.client = &http.Client{Timeout: 30 * time.Second, Transport: tr}
 	}
 	if cfg.Requests > 0 {
 		r.budget.Store(int64(cfg.Requests))

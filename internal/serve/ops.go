@@ -162,9 +162,5 @@ type eventsResponse struct {
 // transitions and shed-level changes. Without a journal it answers an
 // empty document rather than 404.
 func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
-	evs := s.cfg.Journal.Events()
-	if evs == nil {
-		evs = []obs.Event{}
-	}
-	s.reply(w, http.StatusOK, eventsResponse{Events: evs, Total: s.cfg.Journal.Total()})
+	s.reply(w, http.StatusOK, eventsResponse{Events: s.cfg.Journal.Events(), Total: s.cfg.Journal.Total()})
 }
