@@ -120,8 +120,9 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 		}
 	}
 
-	// Model identity: version from the serving detector, artifact hash
-	// from the registry manifest when one backs this server.
+	// Model identity while a detector serves: the snapshot's version,
+	// and the artifact hash and feature set from the registry manifest
+	// when one backs this server.
 	if s.detector() != nil {
 		labels := []obs.Label{{Name: "version", Value: m.ModelVersion}}
 		if s.cfg.Registry != nil {
