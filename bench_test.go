@@ -1274,11 +1274,10 @@ func BenchmarkLoadEndToEnd(b *testing.B) {
 		b.StartTimer()
 
 		rep, err := loadgen.Run(context.Background(), loadgen.Config{
-			TargetURL:      "http://" + ln.Addr().String(),
-			Corpus:         corpus,
-			Workers:        runtime.GOMAXPROCS(0),
-			Requests:       budget,
-			ScrapeInterval: -1,
+			TargetURL: "http://" + ln.Addr().String(),
+			Corpus:    corpus,
+			Workers:   runtime.GOMAXPROCS(0),
+			Requests:  budget,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -128,7 +128,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (app.Config, options, error) {
 	fs.IntVar(&cfg.MemoEntries, "memo-size", coalesce.DefaultMemoEntries, "entries per content-addressed memo table, score and target: ~200 bytes per scored page plus ~0.8 KB per detector positive, whatever the page size (negative: no verdict reuse, every request computes every stage)")
 	fs.DurationVar(&cfg.Deadline, "deadline", 0, "default per-request scoring deadline (0 = none; requests may set their own deadline_ms)")
 	fs.IntVar(&cfg.Scale, "scale", 25, "corpus scale for the self-train path")
-	fs.Int64Var(&cfg.Seed, "seed", 1, "seed for the self-train path")
+	fs.Int64Var(&cfg.Seed, "seed", app.DefaultSeed, "seed for the self-train path")
 
 	fs.StringVar(&cfg.StorePath, "store", "", "verdict store directory (enables GET /v1/verdicts and /v2/verdicts; with the self-train world, also POST /v1/feed)")
 	fs.BoolVar(&cfg.StoreSync, "store-sync", false, "fsync the verdict store on every append")

@@ -41,6 +41,11 @@ import (
 // when Config leaves DrainTimeout zero.
 const DefaultDrainTimeout = 30 * time.Second
 
+// DefaultSeed is kpserve's -seed default. kpload's -seed defaults to it
+// too, so the URLs kpload replays resolve in the world a default kpserve
+// crawls.
+const DefaultSeed = 1
+
 // shutdownTimeout bounds how long Close waits for in-flight HTTP
 // requests to finish once intake has stopped.
 const shutdownTimeout = 15 * time.Second

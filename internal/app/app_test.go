@@ -59,7 +59,7 @@ func TestFeedAndHTTPShareOneMemo(t *testing.T) {
 	go func() { served <- a.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
 
-	// The same world `kpload gen -seed 7` lists URLs from.
+	// The same world `kpload run -seed 7` replays URLs from.
 	world := webgen.New(webgen.Config{Seed: seed + 1})
 	url := world.BrandSiteURLs(world.Brands[0])[0]
 

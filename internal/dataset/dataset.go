@@ -167,7 +167,7 @@ func Build(cfg Config) (*Corpus, error) {
 	if c.PhishTest, err = c.buildPhishCampaign(rng, "phishTest", paperSizes.phishTestInitial/s, paperSizes.phishTestClean/s, 0, 0.02); err != nil {
 		return nil, err
 	}
-	noHint := maxOf(1, 17*paperSizes.phishBrand/600/s)
+	noHint := max(1, 17*paperSizes.phishBrand/600/s)
 	if c.PhishBrand, err = c.buildPhishCampaign(rng, "phishBrand", paperSizes.phishBrand/s, paperSizes.phishBrand/s, noHint, 0.02); err != nil {
 		return nil, err
 	}
@@ -200,13 +200,6 @@ func Build(cfg Config) (*Corpus, error) {
 		c.LangTests[lang] = camp
 	}
 	return c, nil
-}
-
-func maxOf(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // buildPhishCampaign simulates one PhishTank collection pass: the raw

@@ -41,8 +41,8 @@ func (r *Runner) TableX() (*Table, error) {
 		testLabels = append(testLabels, 0)
 	}
 	nLeg, nPhish := len(english.Examples), len(c.PhishTest.Examples)
-	ratioTT := fmt.Sprintf("1/%d", (nLeg+nPhish)/maxInt(1, len(trainSnaps)))
-	ratioLP := fmt.Sprintf("%d/1", nLeg/maxInt(1, nPhish))
+	ratioTT := fmt.Sprintf("1/%d", (nLeg+nPhish)/max(1, len(trainSnaps)))
+	ratioLP := fmt.Sprintf("%d/1", nLeg/max(1, nPhish))
 
 	evalClassifier := func(clf baselines.Classifier, threshold float64) (ml.Confusion, bool) {
 		scores := make([]float64, len(testSnaps))
@@ -113,8 +113,8 @@ func (r *Runner) TableX() (*Table, error) {
 	confAll := ml.Evaluate(allScores, allLabels, core.DefaultThreshold)
 	t.AddRow("Our method (several)",
 		fmt.Sprintf("%d", totalLeg), fmt.Sprintf("%d", nPhish),
-		fmt.Sprintf("1/%d", (totalLeg+nPhish)/maxInt(1, len(trainSnaps))),
-		fmt.Sprintf("%d/1", totalLeg/maxInt(1, nPhish)), "old/new",
+		fmt.Sprintf("1/%d", (totalLeg+nPhish)/max(1, len(trainSnaps))),
+		fmt.Sprintf("%d/1", totalLeg/max(1, nPhish)), "old/new",
 		fmt.Sprintf("%.4f", confAll.FPR()), fmtF(confAll.Precision(), 3),
 		fmtF(confAll.Recall(), 3), fmtF(confAll.Accuracy(), 3))
 
@@ -128,7 +128,7 @@ func (r *Runner) TableX() (*Table, error) {
 	}
 	t.AddRow("Our method (cross-valid)",
 		fmt.Sprintf("%d", c.LegTrain.Clean()), fmt.Sprintf("%d", c.PhishTrain.Clean()),
-		"4/1", fmt.Sprintf("%d/1", c.LegTrain.Clean()/maxInt(1, c.PhishTrain.Clean())), "cross-valid",
+		"4/1", fmt.Sprintf("%d/1", c.LegTrain.Clean()/max(1, c.PhishTrain.Clean())), "cross-valid",
 		fmt.Sprintf("%.4f", cv.Pooled.FPR()), fmtF(cv.Pooled.Precision(), 3),
 		fmtF(cv.Pooled.Recall(), 3), fmtF(cv.Pooled.Accuracy(), 3))
 
@@ -136,11 +136,4 @@ func (r *Runner) TableX() (*Table, error) {
 		"published systems are represented by re-implemented archetypes (DESIGN.md substitution table)",
 		"expected shape: ours keeps the lowest FPR at comparable recall; Cantina pays search dependence with FPs; URL-only trails on content-borne signals")
 	return t, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -62,7 +62,8 @@ const (
 	// DefaultRetryBackoff is the first retry delay; it doubles per
 	// attempt up to DefaultMaxBackoff.
 	DefaultRetryBackoff = 500 * time.Millisecond
-	// DefaultMaxBackoff caps the exponential retry delay.
+	// DefaultMaxBackoff caps the exponential retry delay; no setting
+	// overrides it.
 	DefaultMaxBackoff = 30 * time.Second
 )
 
@@ -113,8 +114,6 @@ type Config struct {
 	MaxAttempts int
 	// RetryBackoff is the initial retry delay (0 → DefaultRetryBackoff).
 	RetryBackoff time.Duration
-	// MaxBackoff caps the exponential retry delay (0 → DefaultMaxBackoff).
-	MaxBackoff time.Duration
 	// Tracer, when set, records one trace per processed URL — crawl,
 	// the core scoring stages, store append — alongside the serving
 	// layer's request traces (optional).
@@ -225,9 +224,6 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = DefaultRetryBackoff
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = DefaultMaxBackoff
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
@@ -481,8 +477,8 @@ func (s *Scheduler) retryOrFail(it *item, err error) {
 	permanent := errors.Is(err, crawl.ErrRedirectLoop) || errors.Is(err, crawl.ErrEmptyStartURL)
 	if !permanent && it.attempts < s.cfg.MaxAttempts {
 		backoff := s.cfg.RetryBackoff << (it.attempts - 1)
-		if backoff > s.cfg.MaxBackoff || backoff <= 0 {
-			backoff = s.cfg.MaxBackoff
+		if backoff > DefaultMaxBackoff || backoff <= 0 {
+			backoff = DefaultMaxBackoff
 		}
 		s.mu.Lock()
 		if s.aborted {

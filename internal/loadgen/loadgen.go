@@ -2,7 +2,7 @@
 // the end-to-end throughput benchmark: it replays a URL corpus against
 // a running kpserve's POST /v1/feed and measures what the service
 // actually sustains — throughput, latency percentiles, error and drop
-// rates, and the feed queue depth scraped from /metrics.
+// rates, and the feed queue depth each /v1/feed ack reports.
 //
 // Two loop disciplines, because they answer different questions:
 //
@@ -12,8 +12,11 @@
 //     throughput at the configured concurrency.
 //   - Open loop (QPS > 0): arrivals are paced at the target rate
 //     regardless of how fast responses come back, the way real feed
-//     traffic arrives. Latency then includes queueing delay, which is
-//     exactly the number a closed loop hides (coordinated omission).
+//     traffic arrives. Each request's latency counts from its due time,
+//     the tick that scheduled it, not from when a worker got round to
+//     sending it: an arrival queued behind a slow response is charged
+//     the wait, so the percentiles do not omit it (coordinated
+//     omission). The report's send lag reads that wait apart.
 //     Arrivals that find every worker busy and the arrival queue full
 //     are counted as missed, never silently dropped.
 //
@@ -28,11 +31,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,8 +51,6 @@ import (
 const (
 	// DefaultWorkers is the concurrency when Config.Workers is unset.
 	DefaultWorkers = 8
-	// DefaultScrapeInterval is the /metrics queue-depth poll cadence.
-	DefaultScrapeInterval = 200 * time.Millisecond
 	// DefaultShedBackoff caps how long a worker honors a shed 503's
 	// Retry-After before offering load again. The server's suggested
 	// backoff can exceed the whole run; the cap keeps pressure on so
@@ -99,21 +101,14 @@ type Config struct {
 	// Requests, when positive, runs a fixed request budget instead of a
 	// duration — the reproducible mode the benchmark gate uses.
 	Requests int
-	// BatchSize is how many corpus URLs ride one POST /v1/feed request
-	// (0 → 1; ignored in score mode, which is one page per request).
-	BatchSize int
-	// Endpoint selects what the run replays: "feed" (default) posts
-	// URL batches to POST /v1/feed; "score" posts one page per request
+	// Endpoint selects what the run replays: "feed" (default) posts one
+	// URL per request to POST /v1/feed; "score" posts one page per request
 	// to POST /v1/score, each with a unique starting URL so every
 	// request takes the full scoring path instead of the verdict
 	// cache. Score mode is what the overload smoke drives — it is the
 	// endpoint the latency SLO guards; its pages are DefaultPageBytes
 	// of HTML.
 	Endpoint string
-	// ScrapeInterval is how often the run polls GET /metrics for the
-	// feed queue depth (0 → DefaultScrapeInterval, negative →
-	// disabled).
-	ScrapeInterval time.Duration
 	// CacheMix is the fraction (0..1) of score-mode requests that
 	// replay one of a small hot set of already-submitted pages instead
 	// of a unique URL — warm traffic answered from the stage memo, the
@@ -134,15 +129,13 @@ type Report struct {
 	// TargetQPS is the configured arrival rate (0 in closed mode).
 	TargetQPS float64 `json:"target_qps"`
 	Workers   int     `json:"workers"`
-	BatchSize int     `json:"batch_size"`
 	// CacheMix is the configured warm-traffic fraction (score mode).
 	CacheMix float64 `json:"cache_mix,omitempty"`
 	// DurationSeconds is the measured wall-clock span of the run.
 	DurationSeconds float64 `json:"duration_seconds"`
 
-	// Requests counts completed HTTP requests; SustainedQPS is URL
-	// submissions per second actually achieved (requests × batch over
-	// the measured duration).
+	// Requests counts completed HTTP requests, one URL each;
+	// SustainedQPS is URL submissions per second actually achieved.
 	Requests     int64   `json:"requests"`
 	SustainedQPS float64 `json:"sustained_qps"`
 
@@ -182,15 +175,16 @@ type Report struct {
 	LatencyP99US  int64 `json:"latency_p99_us"`
 	LatencyP999US int64 `json:"latency_p999_us"`
 	LatencyMaxUS  int64 `json:"latency_max_us"`
+	// SendLagP99US is the p99 of how late requests were sent after
+	// their due time (open loop; 0 in the closed loop, where a request
+	// is due when it is sent). The latencies include this lag, so a high
+	// value means the generator, not the server, fell behind.
+	SendLagP99US int64 `json:"send_lag_p99_us"`
 
-	// QueueDepthMax is the deepest feed queue observed — from the
-	// per-response queue_depth field and the /metrics scrape combined;
-	// QueueDepthFinal is the depth at the end of the run.
+	// QueueDepthMax is the deepest feed queue any /v1/feed ack
+	// reported; QueueDepthFinal is the last ack's depth.
 	QueueDepthMax   int `json:"queue_depth_max"`
 	QueueDepthFinal int `json:"queue_depth_final"`
-	// ScrapeErrors counts failed /metrics polls (0 when scraping is
-	// disabled).
-	ScrapeErrors int64 `json:"scrape_errors"`
 }
 
 // run is the engine's mutable state while a load test executes.
@@ -199,21 +193,21 @@ type run struct {
 	client   *http.Client
 	pageHTML string // score mode: the page body, built once
 
-	next      atomic.Int64 // corpus round-robin position
-	budget    atomic.Int64 // remaining requests (fixed-budget mode)
-	requests  atomic.Int64
-	submitted atomic.Int64
-	accepted  atomic.Int64
-	errors    atomic.Int64
-	shed      atomic.Int64
-	honored   atomic.Int64
-	missed    atomic.Int64
-	scrapeErr atomic.Int64
+	next     atomic.Int64 // corpus round-robin position
+	budget   atomic.Int64 // remaining requests (fixed-budget mode)
+	requests atomic.Int64
+	accepted atomic.Int64
+	errors   atomic.Int64
+	shed     atomic.Int64
+	honored  atomic.Int64
+	missed   atomic.Int64
 
 	mu        sync.Mutex
-	latencies []int64 // µs, one per completed request
+	latencies []int64 // µs from due time, one per completed request
+	lags      []int64 // µs from due time to send, one per completed request
 	rejected  map[string]int64
 	depthMax  int
+	depthLast int
 }
 
 // Run executes one load test and reports what the service sustained.
@@ -230,17 +224,10 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = DefaultWorkers
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 1
-	}
-	if cfg.ScrapeInterval == 0 {
-		cfg.ScrapeInterval = DefaultScrapeInterval
-	}
 	switch cfg.Endpoint {
-	case "", "feed":
+	case "":
 		cfg.Endpoint = "feed"
-	case "score":
-		cfg.BatchSize = 1
+	case "feed", "score":
 	default:
 		return Report{}, fmt.Errorf("loadgen: unknown Endpoint %q (want feed or score)", cfg.Endpoint)
 	}
@@ -254,8 +241,8 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	}
 	var tick time.Duration
 	if cfg.QPS > 0 {
-		if tick = time.Duration(float64(time.Second) / cfg.QPS * float64(cfg.BatchSize)); tick < 1 {
-			return Report{}, fmt.Errorf("loadgen: QPS %v with batch %d paces requests %v apart, under the pacer's 1ns", cfg.QPS, cfg.BatchSize, tick)
+		if tick = time.Duration(float64(time.Second) / cfg.QPS); tick < 1 {
+			return Report{}, fmt.Errorf("loadgen: QPS %v paces requests %v apart, under the pacer's 1ns", cfg.QPS, tick)
 		}
 	}
 	// A dedicated transport with the pool sized to the worker count:
@@ -282,38 +269,13 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 		defer cancel()
 	}
 
-	// The queue-depth scraper rides its own goroutine for the whole
-	// run; its last successful read is the final depth.
-	scrapeCtx, stopScrape := context.WithCancel(context.Background())
-	var finalDepth atomic.Int64
-	var scrapeWG sync.WaitGroup
-	if cfg.ScrapeInterval > 0 {
-		scrapeWG.Add(1)
-		go func() {
-			defer scrapeWG.Done()
-			t := time.NewTicker(cfg.ScrapeInterval)
-			defer t.Stop()
-			for {
-				r.scrapeDepth(&finalDepth)
-				select {
-				case <-scrapeCtx.Done():
-					return
-				case <-t.C:
-				}
-			}
-		}()
-	}
-
-	// Open loop: a pacer goroutine emits arrivals at the target rate
-	// into a bounded queue (one second of arrivals); workers drain it.
-	// Closed loop: no pacer, workers self-pace on response completion.
-	var arrivals chan struct{}
+	// Open loop: a pacer goroutine emits each arrival's due time at the
+	// target rate into a bounded queue (one second of arrivals); workers
+	// drain it. Closed loop: no pacer, workers self-pace on response
+	// completion.
+	var arrivals chan time.Time
 	if cfg.QPS > 0 {
-		depth := int(cfg.QPS)
-		if depth < cfg.Workers {
-			depth = cfg.Workers
-		}
-		arrivals = make(chan struct{}, depth)
+		arrivals = make(chan time.Time, max(int(cfg.QPS), cfg.Workers))
 		go func() {
 			t := time.NewTicker(tick)
 			defer t.Stop()
@@ -322,9 +284,9 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 				case <-ctx.Done():
 					close(arrivals)
 					return
-				case <-t.C:
+				case due := <-t.C:
 					select {
-					case arrivals <- struct{}{}:
+					case arrivals <- due:
 					default:
 						r.missed.Add(1) // queue full: offered load lost
 					}
@@ -343,11 +305,13 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 				if cfg.Requests > 0 && r.budget.Add(-1) < 0 {
 					return
 				}
+				var due time.Time // zero in the closed loop: due when sent
 				if arrivals != nil {
+					var ok bool
 					select {
 					case <-ctx.Done():
 						return
-					case _, ok := <-arrivals:
+					case due, ok = <-arrivals:
 						if !ok {
 							return
 						}
@@ -355,31 +319,26 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 				} else if ctx.Err() != nil {
 					return
 				}
-				r.shoot(ctx)
+				r.shoot(ctx, due)
 			}
 		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	stopScrape()
-	scrapeWG.Wait()
-
-	return r.report(elapsed, int(finalDepth.Load())), nil
+	return r.report(time.Since(start)), nil
 }
 
-// shoot issues one request (a feed batch or one score page) and
-// records its outcome.
-func (r *run) shoot(ctx context.Context) {
+// shoot issues one request (one feed URL or one score page) due at due
+// (zero: now) and records its outcome.
+func (r *run) shoot(ctx context.Context, due time.Time) {
 	var body []byte
 	var path string
-	var urlCount int64
+	n := r.next.Add(1) - 1
 	if r.cfg.Endpoint == "score" {
 		// A unique query string per request defeats the stage memo,
 		// so every accepted request pays the full scoring pipeline —
 		// the work the latency SLO budgets. With CacheMix set, that
 		// fraction of requests replays the hot set instead, so the run
 		// measures the cached fast path in the advertised proportion.
-		n := r.next.Add(1) - 1
 		var u string
 		if r.cfg.CacheMix > 0 && float64(n%1000) < r.cfg.CacheMix*1000 {
 			hot := n % hotPages
@@ -389,16 +348,9 @@ func (r *run) shoot(ctx context.Context) {
 		}
 		body, _ = json.Marshal(serve.PageRequest{HTML: r.pageHTML, StartingURL: u})
 		path = "/v1/score"
-		urlCount = 1
 	} else {
-		urls := make([]string, r.cfg.BatchSize)
-		for i := range urls {
-			n := r.next.Add(1) - 1
-			urls[i] = r.cfg.Corpus[int(n)%len(r.cfg.Corpus)]
-		}
-		body, _ = json.Marshal(serve.FeedRequest{URLs: urls})
+		body, _ = json.Marshal(serve.FeedRequest{URLs: []string{r.cfg.Corpus[int(n)%len(r.cfg.Corpus)]}})
 		path = "/v1/feed"
-		urlCount = int64(len(urls))
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.cfg.TargetURL+path, bytes.NewReader(body))
 	if err != nil {
@@ -407,8 +359,12 @@ func (r *run) shoot(ctx context.Context) {
 	}
 	req.Header.Set("Content-Type", "application/json")
 	t0 := time.Now()
+	if due.IsZero() {
+		due = t0
+	}
 	resp, err := r.client.Do(req)
-	lat := time.Since(t0).Microseconds()
+	lat := time.Since(due).Microseconds()
+	lag := t0.Sub(due).Microseconds()
 	if err != nil {
 		// A request cut off by the run deadline is neither a completed
 		// request nor a service error — it just did not finish in time.
@@ -437,39 +393,32 @@ func (r *run) shoot(ctx context.Context) {
 			return
 		}
 	}
-	if r.cfg.Endpoint == "score" {
-		var sr serve.ScoreResponse
-		if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&sr) != nil {
-			r.errors.Add(1)
-			return
-		}
-		r.requests.Add(1)
-		r.submitted.Add(urlCount)
-		r.accepted.Add(urlCount)
-		r.mu.Lock()
-		r.latencies = append(r.latencies, lat)
-		r.mu.Unlock()
-		return
-	}
 	var fr serve.FeedResponse
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&fr) != nil {
+	var doc any = &fr
+	if r.cfg.Endpoint == "score" {
+		doc = &serve.ScoreResponse{}
+		fr.Accepted = 1
+	}
+	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(doc) != nil {
 		r.errors.Add(1)
 		return
 	}
 	r.requests.Add(1)
-	r.submitted.Add(urlCount)
 	r.accepted.Add(int64(fr.Accepted))
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.latencies = append(r.latencies, lat)
-	if fr.QueueDepth > r.depthMax {
-		r.depthMax = fr.QueueDepth
+	r.lags = append(r.lags, lag)
+	if r.cfg.Endpoint == "score" {
+		return
 	}
+	r.depthMax = max(r.depthMax, fr.QueueDepth)
+	r.depthLast = fr.QueueDepth
 	for _, res := range fr.Results {
 		if !res.Accepted {
 			r.rejected[res.Reason]++
 		}
 	}
-	r.mu.Unlock()
 }
 
 // retryAfterDelay parses a Retry-After header (delta-seconds form) and
@@ -487,41 +436,16 @@ func retryAfterDelay(ra string, max time.Duration) time.Duration {
 	return d
 }
 
-// scrapeDepth polls GET /metrics for the feed queue depth.
-func (r *run) scrapeDepth(final *atomic.Int64) {
-	resp, err := r.client.Get(r.cfg.TargetURL + "/metrics")
-	if err != nil {
-		r.scrapeErr.Add(1)
-		return
-	}
-	defer resp.Body.Close()
-	var snap serve.MetricsSnapshot
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&snap) != nil {
-		r.scrapeErr.Add(1)
-		return
-	}
-	if snap.Feed == nil {
-		return
-	}
-	final.Store(int64(snap.Feed.Depth))
-	r.mu.Lock()
-	if snap.Feed.Depth > r.depthMax {
-		r.depthMax = snap.Feed.Depth
-	}
-	r.mu.Unlock()
-}
-
 // report assembles the final document from the run's counters.
-func (r *run) report(elapsed time.Duration, finalDepth int) Report {
+func (r *run) report(elapsed time.Duration) Report {
 	rep := Report{
 		Mode:              "closed",
 		TargetQPS:         r.cfg.QPS,
 		Workers:           r.cfg.Workers,
-		BatchSize:         r.cfg.BatchSize,
 		CacheMix:          r.cfg.CacheMix,
 		DurationSeconds:   elapsed.Seconds(),
 		Requests:          r.requests.Load(),
-		URLsSubmitted:     r.submitted.Load(),
+		URLsSubmitted:     r.requests.Load(), // one URL per request
 		Accepted:          r.accepted.Load(),
 		Errors:            r.errors.Load(),
 		Shed:              r.shed.Load(),
@@ -529,8 +453,7 @@ func (r *run) report(elapsed time.Duration, finalDepth int) Report {
 		MissedArrivals:    r.missed.Load(),
 		Rejected:          r.rejected,
 		QueueDepthMax:     r.depthMax,
-		QueueDepthFinal:   finalDepth,
-		ScrapeErrors:      r.scrapeErr.Load(),
+		QueueDepthFinal:   r.depthLast,
 	}
 	if r.cfg.QPS > 0 {
 		rep.Mode = "open"
@@ -545,7 +468,7 @@ func (r *run) report(elapsed time.Duration, finalDepth int) Report {
 		rep.ErrorRate = float64(rep.Errors) / float64(total)
 		rep.ShedRate = float64(rep.Shed) / float64(total)
 	}
-	sort.Slice(r.latencies, func(i, j int) bool { return r.latencies[i] < r.latencies[j] })
+	slices.Sort(r.latencies)
 	if n := len(r.latencies); n > 0 {
 		var sum int64
 		for _, l := range r.latencies {
@@ -557,6 +480,8 @@ func (r *run) report(elapsed time.Duration, finalDepth int) Report {
 		rep.LatencyP99US = percentile(r.latencies, 99)
 		rep.LatencyP999US = percentile(r.latencies, 99.9)
 		rep.LatencyMaxUS = r.latencies[n-1]
+		slices.Sort(r.lags)
+		rep.SendLagP99US = percentile(r.lags, 99)
 	}
 	return rep
 }
@@ -582,22 +507,17 @@ func (r Report) Table() string {
 	}
 	w("mode", "%s", r.Mode)
 	w("target rate", "%s", target)
-	w("workers", "%d (batch %d)", r.Workers, r.BatchSize)
+	w("workers", "%d", r.Workers)
 	if r.CacheMix > 0 {
 		w("cache mix", "%.0f%% warm (hot set of %d pages)", r.CacheMix*100, hotPages)
 	}
 	w("duration", "%.1f s", r.DurationSeconds)
-	w("sustained", "%.1f URL/s (%d requests, %d URLs)", r.SustainedQPS, r.Requests, r.URLsSubmitted)
+	w("sustained", "%.1f URL/s (%d requests)", r.SustainedQPS, r.Requests)
 	w("accepted", "%d (drop rate %.2f%%)", r.Accepted, r.DropRate*100)
 	if len(r.Rejected) > 0 {
-		reasons := make([]string, 0, len(r.Rejected))
-		for reason := range r.Rejected {
-			reasons = append(reasons, reason)
-		}
-		sort.Strings(reasons)
-		parts := make([]string, len(reasons))
-		for i, reason := range reasons {
-			parts[i] = fmt.Sprintf("%s %d", reason, r.Rejected[reason])
+		var parts []string
+		for _, reason := range slices.Sorted(maps.Keys(r.Rejected)) {
+			parts = append(parts, fmt.Sprintf("%s %d", reason, r.Rejected[reason]))
 		}
 		w("rejected", "%s", strings.Join(parts, ", "))
 	}
@@ -611,6 +531,9 @@ func (r Report) Table() string {
 	}
 	w("latency", "p50 %s  p90 %s  p99 %s  p999 %s  max %s",
 		us(r.LatencyP50US), us(r.LatencyP90US), us(r.LatencyP99US), us(r.LatencyP999US), us(r.LatencyMaxUS))
+	if r.Mode == "open" {
+		w("send lag", "p99 %s (counted in latency)", us(r.SendLagP99US))
+	}
 	w("queue depth", "max %d, final %d", r.QueueDepthMax, r.QueueDepthFinal)
 	return b.String()
 }

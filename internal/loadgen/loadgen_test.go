@@ -12,23 +12,15 @@ import (
 	"testing"
 	"time"
 
-	"knowphish/internal/feed"
 	"knowphish/internal/serve"
 )
 
-// feedStatsStub is the /metrics feed block the stub server reports;
-// its depth (7) deliberately exceeds the per-response depth (3) so the
-// tests can tell the scrape path contributed.
-var feedStatsStub = feed.Stats{Depth: 7}
-
-// stubServer fakes kpserve's /v1/feed and /metrics surface: every Nth
-// URL is rejected as queue_full, and /metrics reports a fixed queue
-// depth.
+// stubServer fakes kpserve's /v1/feed: every Nth URL is rejected as
+// queue_full, and every ack reports a fixed queue depth.
 func stubServer(t *testing.T, rejectEvery int, depth int) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	var urlsSeen atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/feed", func(w http.ResponseWriter, r *http.Request) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req serve.FeedRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -48,12 +40,7 @@ func stubServer(t *testing.T, rejectEvery int, depth int) (*httptest.Server, *at
 			resp.Results = append(resp.Results, res)
 		}
 		json.NewEncoder(w).Encode(resp)
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		snap := serve.MetricsSnapshot{Feed: &feedStatsStub}
-		json.NewEncoder(w).Encode(snap)
-	})
-	srv := httptest.NewServer(mux)
+	}))
 	t.Cleanup(srv.Close)
 	return srv, &urlsSeen
 }
@@ -65,7 +52,6 @@ func TestClosedLoopFixedBudget(t *testing.T) {
 		Corpus:    []string{"https://a.example/", "https://b.example/"},
 		Workers:   4,
 		Requests:  40,
-		BatchSize: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,10 +62,10 @@ func TestClosedLoopFixedBudget(t *testing.T) {
 	if rep.Requests != 40 {
 		t.Fatalf("requests = %d, want exactly the 40-request budget", rep.Requests)
 	}
-	if rep.URLsSubmitted != 80 || seen.Load() != 80 {
-		t.Fatalf("urls: report %d, server saw %d, want 80", rep.URLsSubmitted, seen.Load())
+	if rep.URLsSubmitted != 40 || seen.Load() != 40 {
+		t.Fatalf("urls: report %d, server saw %d, want 40", rep.URLsSubmitted, seen.Load())
 	}
-	if rep.Accepted != 80 || rep.DropRate != 0 {
+	if rep.Accepted != 40 || rep.DropRate != 0 {
 		t.Fatalf("accepted = %d drop = %v, want all accepted", rep.Accepted, rep.DropRate)
 	}
 	if rep.Errors != 0 || rep.ErrorRate != 0 {
@@ -93,10 +79,12 @@ func TestClosedLoopFixedBudget(t *testing.T) {
 		t.Fatalf("percentiles not monotone: p50 %d p99 %d p999 %d max %d",
 			rep.LatencyP50US, rep.LatencyP99US, rep.LatencyP999US, rep.LatencyMaxUS)
 	}
-	// Queue depth is visible from both the per-response field and the
-	// /metrics scrape; the stub reports 3 and 7 respectively.
-	if rep.QueueDepthMax != 7 {
-		t.Fatalf("queue depth max = %d, want 7 (scraped beats per-response 3)", rep.QueueDepthMax)
+	if rep.QueueDepthMax != 3 || rep.QueueDepthFinal != 3 {
+		t.Fatalf("queue depth max/final = %d/%d, want the acks' 3/3", rep.QueueDepthMax, rep.QueueDepthFinal)
+	}
+	// A closed-loop request is due when it is sent.
+	if rep.SendLagP99US != 0 {
+		t.Fatalf("closed-loop send lag p99 = %dµs, want 0", rep.SendLagP99US)
 	}
 }
 
@@ -104,12 +92,11 @@ func TestOpenLoopPacesAndCountsRejects(t *testing.T) {
 	srv, _ := stubServer(t, 4, 1) // every 4th URL rejected queue_full
 	start := time.Now()
 	rep, err := Run(context.Background(), Config{
-		TargetURL:      srv.URL,
-		Corpus:         []string{"https://a.example/"},
-		QPS:            200,
-		Workers:        4,
-		Duration:       300 * time.Millisecond,
-		ScrapeInterval: -1,
+		TargetURL: srv.URL,
+		Corpus:    []string{"https://a.example/"},
+		QPS:       200,
+		Workers:   4,
+		Duration:  300 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,17 +124,50 @@ func TestOpenLoopPacesAndCountsRejects(t *testing.T) {
 	}
 }
 
+// TestOpenLoopCountsFromDueTime: one worker, and the server stalls the
+// third request for 400ms. The ~40 arrivals that queue behind the stall
+// were due long before they were sent; their latency counts that wait,
+// so it reaches the tail instead of vanishing from it.
+func TestOpenLoopCountsFromDueTime(t *testing.T) {
+	var seen atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if seen.Add(1) == 3 {
+			time.Sleep(400 * time.Millisecond)
+		}
+		json.NewEncoder(w).Encode(serve.FeedResponse{Accepted: 1})
+	}))
+	defer srv.Close()
+	rep, err := Run(context.Background(), Config{
+		TargetURL: srv.URL,
+		Corpus:    []string{"https://a.example/"},
+		QPS:       100,
+		Workers:   1,
+		Duration:  1500 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 0 || rep.Requests < 140 {
+		t.Fatalf("requests/errors = %d/%d, want ~149/0", rep.Requests, rep.Errors)
+	}
+	if rep.LatencyP90US < 100_000 {
+		t.Fatalf("p90 = %s, want ≥ 100ms: arrivals queued behind the stall must count their wait", us(rep.LatencyP90US))
+	}
+	if rep.SendLagP99US < 100_000 {
+		t.Fatalf("send lag p99 = %s, want ≥ 100ms behind a 400ms stall", us(rep.SendLagP99US))
+	}
+}
+
 func TestErrorsCounted(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	}))
 	defer srv.Close()
 	rep, err := Run(context.Background(), Config{
-		TargetURL:      srv.URL,
-		Corpus:         []string{"https://a.example/"},
-		Workers:        2,
-		Requests:       10,
-		ScrapeInterval: -1,
+		TargetURL: srv.URL,
+		Corpus:    []string{"https://a.example/"},
+		Workers:   2,
+		Requests:  10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +201,7 @@ func TestQPSOutOfRange(t *testing.T) {
 	for _, qps := range []float64{2e9, math.Inf(1), math.NaN()} {
 		_, err := Run(context.Background(), Config{
 			TargetURL: srv.URL, Corpus: []string{"http://a.test/"},
-			QPS: qps, Requests: 1, ScrapeInterval: -1,
+			QPS: qps, Requests: 1,
 		})
 		if err == nil {
 			t.Errorf("QPS %v: Run accepted it", qps)
@@ -215,15 +235,15 @@ func TestPercentileNearestRank(t *testing.T) {
 
 func TestReportTableAndJSON(t *testing.T) {
 	rep := Report{
-		Mode: "open", TargetQPS: 100, Workers: 4, BatchSize: 1,
+		Mode: "open", TargetQPS: 100, Workers: 4,
 		DurationSeconds: 5, Requests: 480, URLsSubmitted: 480,
 		Accepted: 470, Rejected: map[string]int64{"queue_full": 10},
 		SustainedQPS: 96, DropRate: 10.0 / 480,
 		LatencyP50US: 900, LatencyP99US: 4200, LatencyP999US: 9000, LatencyMaxUS: 12000,
-		QueueDepthMax: 64, QueueDepthFinal: 0,
+		SendLagP99US: 350, QueueDepthMax: 64, QueueDepthFinal: 0,
 	}
 	table := rep.Table()
-	for _, want := range []string{"open", "96.0 URL/s", "queue_full 10", "p999 9.0ms", "max 64, final 0"} {
+	for _, want := range []string{"open", "96.0 URL/s", "queue_full 10", "p999 9.0ms", "p99 350µs", "max 64, final 0"} {
 		if !strings.Contains(table, want) {
 			t.Fatalf("table missing %q:\n%s", want, table)
 		}
@@ -241,7 +261,7 @@ func TestReportTableAndJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.SustainedQPS != rep.SustainedQPS || back.Rejected["queue_full"] != 10 {
+	if back.SustainedQPS != rep.SustainedQPS || back.Rejected["queue_full"] != 10 || back.SendLagP99US != 350 {
 		t.Fatalf("round trip mismatch: %+v", back)
 	}
 }

@@ -20,6 +20,7 @@ package obs
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/hex"
 	"sync"
 	"sync/atomic"
@@ -313,10 +314,10 @@ func (t *Tracer) StartRequest(ctx context.Context, endpoint, traceparent string)
 		tr.hasParent = true
 	} else {
 		a, b := t.nextID(), t.nextID()
-		putUint64(tr.id[:8], a)
-		putUint64(tr.id[8:], b)
+		binary.BigEndian.PutUint64(tr.id[:8], a)
+		binary.BigEndian.PutUint64(tr.id[8:], b)
 	}
-	putUint64(tr.spanID[:], t.nextID())
+	binary.BigEndian.PutUint64(tr.spanID[:], t.nextID())
 	t.started.Add(1)
 	return ContextWithTrace(ctx, tr), tr
 }
@@ -460,8 +461,8 @@ func (t *Tracer) Summary() Summary {
 		SpansDropped: t.dropped.Load(),
 		SlowThreshMS: t.slowNS / int64(time.Millisecond),
 		SlowSource:   t.slowSrc,
-		RetainedRing: int(min64(ringN, uint64(len(t.ring)))),
-		RetainedSlow: int(min64(exN, uint64(len(t.exemplar)))),
+		RetainedRing: int(min(ringN, uint64(len(t.ring)))),
+		RetainedSlow: int(min(exN, uint64(len(t.exemplar)))),
 	}
 	s.Stages = make([]StageSummary, 0, numStages)
 	for st := Stage(0); st < numStages; st++ {
@@ -498,7 +499,7 @@ func (t *Tracer) Snapshot() Debug {
 // first. Called with the tracer lock held. slowSrc tags slow records
 // with the SLO their threshold derives from.
 func renderRing(ring []record, n uint64, slowSrc string) []TraceDoc {
-	count := int(min64(n, uint64(len(ring))))
+	count := int(min(n, uint64(len(ring))))
 	out := make([]TraceDoc, 0, count)
 	for i := 0; i < count; i++ {
 		rec := &ring[(n-1-uint64(i))%uint64(len(ring))]
@@ -528,13 +529,6 @@ func renderRing(ring []record, n uint64, slowSrc string) []TraceDoc {
 		out = append(out, doc)
 	}
 	return out
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------
@@ -570,17 +564,4 @@ func allZero(b []byte) bool {
 		}
 	}
 	return true
-}
-
-// putUint64 writes v big-endian into b[:8].
-func putUint64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v >> 56)
-	b[1] = byte(v >> 48)
-	b[2] = byte(v >> 40)
-	b[3] = byte(v >> 32)
-	b[4] = byte(v >> 24)
-	b[5] = byte(v >> 16)
-	b[6] = byte(v >> 8)
-	b[7] = byte(v)
 }

@@ -65,7 +65,7 @@ func renderHTML(spec pageSpec) string {
 		element("  <p>", p, "</p>\n", true)
 		// Interleave links between paragraphs.
 		for j, l := range spec.links {
-			if j%maxInt(len(spec.paragraphs), 1) == i {
+			if j%max(len(spec.paragraphs), 1) == i {
 				link(l)
 			}
 		}
@@ -116,10 +116,3 @@ func (spec pageSpec) screenshotText() []string {
 }
 
 var htmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
