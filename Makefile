@@ -51,7 +51,9 @@ bench-smoke:
 # decoder (arbitrary bytes, bare and under a valid CRC, plus an
 # encode/decode round trip);
 # and its segment replay (arbitrary bytes, bare and behind whole frames,
-# against a walk over the same bytes in memory).
+# against a walk over the same bytes in memory); and the slab memo
+# table against the container/list table it replaced, on fuzzer-written
+# Get/Put/Flush streams.
 # Found inputs land in the package's testdata/fuzz and become
 # permanent regression seeds. FUZZTIME is per target.
 FUZZ_TARGETS = \
@@ -67,7 +69,8 @@ FUZZ_TARGETS = \
 	FuzzNDJSONSource:./internal/feedsrc \
 	FuzzDecodeSnapshot:./internal/store \
 	FuzzReplaySegment:./internal/store \
-	FuzzDecodeDoc:./internal/serve
+	FuzzDecodeDoc:./internal/serve \
+	FuzzMemoTableMatchesReference:./internal/coalesce
 
 FUZZTIME ?= 10s
 fuzz-smoke:

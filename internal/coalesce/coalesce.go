@@ -5,13 +5,17 @@
 // (webpage.ContentKey), memoize what a verdict is made of: the detector
 // score and, for a detector positive, the target-identification result.
 // Both are stamped with the model version and dropped when a new
-// champion is promoted. The memo keeps verdicts, not pages: no entry
-// references the snapshot, its analysis or its feature vector, so
-// nothing a client sent stays reachable after its response is written,
-// and an entry's size does not depend on the page (see
-// Config.MemoEntries). These tables are the only verdict reuse in the
-// process: a request whose score — and target result, when it needs
-// one — is found is what the serving layer reports as a cache hit.
+// champion is promoted. Each shard of a table is a slab — entries in
+// chunks of slots, linked into recency order by slot number and found
+// through an open-addressed index — so an entry costs its data and a
+// few bytes of index, not heap objects of its own. The memo keeps
+// verdicts, not pages: no entry references the snapshot, its analysis
+// or its feature vector, so nothing a client sent stays reachable after
+// its response is written, and an entry's size does not depend on the
+// page (see Config.MemoEntries). These tables are the only verdict
+// reuse in the process: a request whose score — and target result,
+// when it needs one — is found is what the serving layer reports as a
+// cache hit.
 //
 // Coalescer.Do hashes the page, looks the score up and then, for a
 // positive, the target result, hands what it found to the pipeline's
@@ -84,13 +88,14 @@ type Config struct {
 	// target (0 = DefaultMemoEntries; negative disables memoization — Do
 	// still fingerprints the page and scores it). It bounds memory, not
 	// only the entry count, because no entry grows with its page: a
-	// score entry is about 200 bytes (key, score, version, 32-character
-	// fingerprint, list and map nodes), and a target entry — detector
-	// positives only — about 0.8 KB more: at most 30 candidate domains
-	// and 15 key terms, copied out of the page (the one part that is as
-	// long as the page spelled it). The default is ~13 MB of scores when
-	// full, ~65 MB if every page were a positive
-	// (TestHeapAllocRetainedPerPage holds the per-page figure).
+	// score entry is about 120 bytes (a 64-byte slot of key, score,
+	// version and links, the 32-character fingerprint and its index
+	// cells), and a target entry — detector positives only — about
+	// 0.75 KB more: at most 30 candidate domains and 15 key terms, copied
+	// out of the page (the one part that is as long as the page spelled
+	// it). The default is ~8 MB of scores when full, ~57 MB if every page
+	// were a positive (TestHeapAllocRetainedPerScoreEntry and
+	// TestHeapAllocRetainedPerPage hold the per-page figures).
 	MemoEntries int
 }
 

@@ -1,6 +1,9 @@
 package coalesce
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"knowphish/internal/racecheck"
@@ -116,5 +119,221 @@ func BenchmarkMemoLookup(b *testing.B) {
 		if _, ok := tb.Get(key(uint64(i) % n)); !ok {
 			b.Fatal("miss on warm table")
 		}
+	}
+}
+
+// Key modes of the differential streams: keys spread over Hi, keys
+// whose Hi agree in the low 48 bits (what grinding page bytes buys),
+// and keys that all share one Hi — every key of a shard in one probe
+// run, so deletions shift entries across the index's wrap-around.
+const (
+	keysSpread = iota
+	keysGround
+	keysSameHi
+	keyModes
+)
+
+// diffKey is the i-th key of a differential stream's universe. Lo is i,
+// so keys are distinct and spread over the shards in every mode.
+func diffKey(i int, mode int) webpage.Key128 {
+	switch mode {
+	case keysGround:
+		return webpage.Key128{Hi: uint64(i)*0x9e3779b97f4a7c15&^(1<<48-1) | 0x5eedc0ffee00, Lo: uint64(i)}
+	case keysSameHi:
+		return webpage.Key128{Hi: 0x5eedc0ffee00, Lo: uint64(i)}
+	}
+	return key(uint64(i))
+}
+
+// Ops of a differential stream.
+const (
+	opGet = iota
+	opPut
+	opFlush
+)
+
+type memoOp struct {
+	kind byte
+	key  int
+}
+
+// diffMemo drives a slab table and the reference table, both of
+// perShard slots a shard, through ops and fails at the first Get
+// result or stats (whose Entries is Len) that differ. Every 64th op
+// it also checks the slab invariants of the shard the op touched. It
+// returns the reference's final counters.
+func diffMemo(t *testing.T, perShard, mode int, ops []memoOp) TableStats {
+	t.Helper()
+	got, want := newMemoTable[int](perShard*memoShards), newRefTable[int](perShard*memoShards)
+	for n, op := range ops {
+		k := diffKey(op.key, mode)
+		switch op.kind {
+		case opGet:
+			v, ok := got.Get(k)
+			wv, wok := want.Get(k)
+			if v != wv || ok != wok {
+				t.Fatalf("op %d: Get(key %d) = %d,%v, reference %d,%v", n, op.key, v, ok, wv, wok)
+			}
+		case opPut:
+			got.Put(k, n)
+			want.Put(k, n)
+		case opFlush:
+			got.Flush()
+			want.Flush()
+		}
+		if g, w := got.stats(), want.stats(); g != w { // Entries is Len
+			t.Fatalf("op %d (%d on key %d): stats %+v, reference %+v", n, op.kind, op.key, g, w)
+		}
+		if n%64 == 0 || n == len(ops)-1 {
+			checkSlab(t, got.shard(k))
+		}
+	}
+	return want.stats()
+}
+
+// checkSlab fails unless s's recency list links its n slots both ways
+// and the index holds exactly those slots, at most half full, each
+// where a lookup finds it.
+func checkSlab[V any](t *testing.T, s *memoShard[V]) {
+	t.Helper()
+	seen, prev := 0, int32(noSlot)
+	for i := s.head; i != noSlot; i = s.slot(i).next {
+		if s.slot(i).prev != prev || seen == int(s.n) {
+			t.Fatalf("recency list broken at slot %d (prev %d, want %d; %d of %d seen)", i, s.slot(i).prev, prev, seen, s.n)
+		}
+		prev = i
+		seen++
+	}
+	if seen != int(s.n) || s.tail != prev {
+		t.Fatalf("recency list: %d slots ending at %d, shard has %d ending at %d", seen, prev, s.n, s.tail)
+	}
+	cells := 0
+	for _, e := range s.index {
+		if e != 0 {
+			cells++
+		}
+	}
+	if cells != int(s.n) || 2*cells > len(s.index) {
+		t.Fatalf("index holds %d of %d cells for %d slots", cells, len(s.index), s.n)
+	}
+	for i := range s.n {
+		if got := s.find(s.slot(i).key); got != i {
+			t.Fatalf("slot %d's key found at slot %d", i, got)
+		}
+	}
+}
+
+// TestMemoTableMatchesReference: random Get/Put/Flush streams over key
+// universes small enough that shards fill, evict and refill give the
+// slab table and the container/list table it replaced the same
+// results, counters and lengths at every step.
+func TestMemoTableMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 35))
+		perShard := 1 + rng.IntN(300)
+		if seed <= 3 {
+			perShard = []int{1, 2, 33}[seed-1] // one slot, two slots, one past a chunk
+		}
+		mode := int(seed) % keyModes
+		if mode == keysSameHi {
+			perShard = min(perShard, 40) // every probe walks the whole shard
+		}
+		universe := perShard*memoShards + 1 + rng.IntN(2*perShard*memoShards)
+		ops := make([]memoOp, 6*perShard*memoShards+2000)
+		for i := range ops {
+			ops[i] = memoOp{kind: opGet, key: rng.IntN(universe)}
+			switch r := rng.IntN(len(ops)); {
+			case r < 3: // about three flushes a stream
+				ops[i].kind = opFlush
+			case r < len(ops)/2:
+				ops[i].kind = opPut
+			}
+		}
+		t.Run(fmt.Sprintf("seed=%d/slots=%d/universe=%d/mode=%d", seed, perShard, universe, mode), func(t *testing.T) {
+			if st := diffMemo(t, perShard, mode, ops); st.Evictions == 0 {
+				t.Fatalf("no shard filled: %+v", st)
+			}
+		})
+	}
+}
+
+// FuzzMemoTableMatchesReference is the differential test on
+// fuzzer-written streams: three bytes an op (0xff flushes, other even
+// bytes put, odd bytes get; then a big-endian key number).
+func FuzzMemoTableMatchesReference(f *testing.F) {
+	f.Add(uint16(0), uint16(40), uint8(keysSpread), []byte{0, 0, 1, 2, 0, 17, 1, 0, 1, 0xff, 0, 0, 1, 0, 1})
+	// Two slots a shard: the Get of key 0 makes key 16 the one key 32 evicts.
+	f.Add(uint16(1), uint16(95), uint8(keysSameHi), []byte{0, 0, 0, 0, 0, 16, 1, 0, 0, 0, 0, 32, 1, 0, 16, 1, 0, 0, 1, 0, 32})
+	f.Add(uint16(32), uint16(2000), uint8(keysGround), []byte{2, 1, 0, 4, 2, 0, 6, 3, 0, 3, 1, 0})
+	f.Fuzz(func(t *testing.T, slots, universe uint16, mode uint8, stream []byte) {
+		perShard := 1 + int(slots)%300
+		u := 1 + int(universe)%(3*perShard*memoShards)
+		ops := make([]memoOp, 0, len(stream)/3)
+		for ; len(stream) >= 3; stream = stream[3:] {
+			op := memoOp{kind: opGet, key: int(binary.BigEndian.Uint16(stream[1:])) % u}
+			switch b := stream[0]; {
+			case b == 0xff:
+				op.kind = opFlush
+			case b%2 == 0:
+				op.kind = opPut
+			}
+			ops = append(ops, op)
+		}
+		diffMemo(t, perShard, int(mode)%keyModes, ops)
+	})
+}
+
+// TestMemoIndexGroundKeys fills one shard with keys whose Hi agree in
+// their low 48 bits — what grinding sha256 prefixes buys a client — and
+// bounds the longest run of occupied index cells, which is what a
+// lookup that misses walks. An index by Hi's low bits would put all
+// 4 096 keys in one run.
+func TestMemoIndexGroundKeys(t *testing.T) {
+	const n, maxRun = 4096, 96
+	tb := newMemoTable[int](DefaultMemoEntries)
+	rng := rand.New(rand.NewPCG(48, 35))
+	for i := range n {
+		tb.Put(webpage.Key128{Hi: rng.Uint64()&^(1<<48-1) | 0x5eedc0ffee00, Lo: uint64(i) * memoShards}, i)
+	}
+	s := &tb.shards[0]
+	if s.n != n {
+		t.Fatalf("shard holds %d entries, want %d", s.n, n)
+	}
+	run, longest := 0, 0
+	for i := range 2 * len(s.index) { // twice round, for a run across the wrap
+		if run++; s.index[i%len(s.index)] == 0 {
+			run = 0
+		}
+		longest = max(longest, run)
+	}
+	t.Logf("%d ground keys in %d cells: longest probe run %d", n, len(s.index), longest)
+	if longest > maxRun {
+		t.Fatalf("longest probe run %d cells, want at most %d", longest, maxRun)
+	}
+}
+
+// TestMemoTablePutAllocs: inserting new keys allocates nothing per
+// entry, only a chunk every memoChunk slots and an index that doubles
+// (plus the chunk list's own growth). 4 096 inserts fill one shard of a
+// default-size table.
+func TestMemoTablePutAllocs(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 4096
+	keys := make([]webpage.Key128, n)
+	for i := range keys {
+		keys[i] = key(uint64(i) * memoShards)
+	}
+	e := scoreEntry{score: 0.5, ver: "m1", fp: "0123456789abcdef0123456789abcdef"}
+	allocs := testing.AllocsPerRun(5, func() {
+		tb := newMemoTable[scoreEntry](DefaultMemoEntries)
+		for _, k := range keys {
+			tb.Put(k, e)
+		}
+	}) - 1 // the table itself
+	t.Logf("%d inserts of new keys into one shard: %.0f allocations", n, allocs)
+	if per := allocs / n; per > 0.05 {
+		t.Fatalf("%d inserts of new keys allocated %.0f times (%.3f per Put), want at most 0.05 per Put", n, allocs, per)
 	}
 }

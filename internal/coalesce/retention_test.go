@@ -119,6 +119,44 @@ func TestHeapAllocRetainedPerPage(t *testing.T) {
 	runtime.KeepAlive(c)
 }
 
+// TestHeapAllocRetainedPerScoreEntry bounds what a detector-negative
+// page leaves behind — one score entry, no target entry — which is
+// what most scored pages cost. The slab table keeps an entry's key,
+// score, version and links in a chunk slot and its fingerprint in one
+// 32-byte string; a map over a container/list boxed each entry in two
+// more objects and retained about 190 bytes.
+func TestHeapAllocRetainedPerScoreEntry(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("heap retention is not meaningful under -race")
+	}
+	c0, pipe := fixtures(t)
+	ctx := context.Background()
+	const pages, pageBytes, budget = 2000, 8 << 10, 150
+	var bases []*webpage.Snapshot
+	for _, ex := range c0.LegTrain.Examples[:8] {
+		bases = append(bases, ex.Snapshot)
+	}
+	c := New(Config{})
+	before := collect()
+	for i := 0; i < pages; i++ {
+		snap := distinctPage(bases[i%len(bases)], i, pageBytes)
+		if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retained := int64(collect()) - int64(before)
+	st := c.Snapshot()
+	if st.Score.Entries != pages || st.Target.Entries != 0 {
+		t.Fatalf("memo holds %d score / %d target entries after %d distinct legitimate pages", st.Score.Entries, st.Target.Entries, pages)
+	}
+	perEntry := retained / pages
+	t.Logf("%d detector-negative pages of %d bytes: %d bytes retained per score entry", pages, pageBytes, perEntry)
+	if perEntry > budget {
+		t.Fatalf("%d bytes retained per score entry, budget %d", perEntry, budget)
+	}
+	runtime.KeepAlive(c)
+}
+
 // TestOwnedResultAllocs: the copy a target entry keeps equals the
 // result, shares no byte with it (the terms of a real result are
 // substrings of a page-sized arena), keeps its lists apart, and costs
