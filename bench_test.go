@@ -19,6 +19,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -1093,20 +1094,39 @@ func BenchmarkStoreAppend(b *testing.B) {
 // BenchmarkStoreScan measures one 100-record newest-first query page
 // over a 4096-record store — the /v1 and /v2 verdicts read path. The
 // engine filters and orders from its index and reads the page's frames
-// raw, one pread per run of frames adjacent on disk.
+// raw, one pread per run of frames adjacent on disk. The
+// backend=segmented arm is Scan, into a fresh page; form=append is
+// AppendScan into the previous page's storage, as the verdict handler
+// reads with its pooled buffers.
 func BenchmarkStoreScan(b *testing.B) {
 	const records = 4096
-	b.Run("backend=segmented", func(b *testing.B) {
-		st := storeBenchOpen(b)
-		ctx := context.Background()
-		for i := 0; i < records; i++ {
-			if err := st.Append(ctx, storeBenchRecord(i)); err != nil {
-				b.Fatal(err)
-			}
+	st := storeBenchOpen(b) // both arms read one store
+	for i := 0; i < records; i++ {
+		if err := st.Append(context.Background(), storeBenchRecord(i)); err != nil {
+			b.Fatal(err)
 		}
+	}
+	q := store.Query{Limit: 100}
+	b.Run("backend=segmented", func(b *testing.B) {
+		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			page, err := st.Scan(ctx, store.Query{Limit: 100})
+			page, err := st.Scan(ctx, q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(page.Payloads) != 100 {
+				b.Fatalf("page = %d records, want 100", len(page.Payloads))
+			}
+		}
+	})
+	b.Run("backend=segmented/form=append", func(b *testing.B) {
+		ctx := context.Background()
+		var page store.ScanPage
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			page, err = st.AppendScan(ctx, store.ScanPage{Payloads: page.Payloads[:0], Frames: page.Frames[:0]}, q)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1157,26 +1177,37 @@ func BenchmarkVerdictsPage(b *testing.B) {
 
 // BenchmarkStoreReopen measures cold-start time over an existing
 // verdict log — the restart-recovery path: load a binary snapshot and
-// replay only the frames past its watermark.
+// replay only the frames past its watermark. The snapshot=none arms
+// delete snapshot.bin before each timed open, so they time the full
+// replay every segment costs without it: the gap is what the snapshot
+// earns.
 func BenchmarkStoreReopen(b *testing.B) {
 	for _, records := range []int{10000, 100000} {
-		b.Run(fmt.Sprintf("backend=segmented/records=%d", records), func(b *testing.B) {
-			cfg := store.Config{Path: filepath.Join(b.TempDir(), "verdicts"), CompactEvery: -1}
-			st, err := store.Open(cfg)
-			if err != nil {
+		// Both arms reopen one log, built once.
+		cfg := store.Config{Path: filepath.Join(b.TempDir(), fmt.Sprintf("verdicts-%d", records)), CompactEvery: -1}
+		st, err := store.Open(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx := context.Background()
+		for i := 0; i < records; i++ {
+			if err := st.Append(ctx, storeBenchRecord(i)); err != nil {
 				b.Fatal(err)
 			}
-			ctx := context.Background()
-			for i := 0; i < records; i++ {
-				if err := st.Append(ctx, storeBenchRecord(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := st.Close(); err != nil {
-				b.Fatal(err)
-			}
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		reopen := func(b *testing.B, snapshot bool) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if !snapshot {
+					b.StopTimer()
+					if err := os.Remove(filepath.Join(cfg.Path, "snapshot.bin")); err != nil && !os.IsNotExist(err) {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
 				st, err := store.Open(cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -1190,7 +1221,9 @@ func BenchmarkStoreReopen(b *testing.B) {
 				}
 				b.StartTimer()
 			}
-		})
+		}
+		b.Run(fmt.Sprintf("backend=segmented/records=%d", records), func(b *testing.B) { reopen(b, true) })
+		b.Run(fmt.Sprintf("backend=segmented/records=%d/snapshot=none", records), func(b *testing.B) { reopen(b, false) })
 	}
 }
 

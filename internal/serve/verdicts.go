@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"knowphish/internal/feed"
@@ -147,6 +149,30 @@ func (s *Server) handleVerdictsV2(w http.ResponseWriter, r *http.Request) {
 	s.serveVerdicts(w, r, true)
 }
 
+// verdictBufs is the storage one verdict page is served from: the
+// frames the store reads the page into, the payloads aliasing them, and
+// the body the envelope is written into.
+type verdictBufs struct {
+	page store.ScanPage
+	body []byte
+}
+
+// verdictPool recycles verdictBufs across verdict pages, and only
+// there: a page's buffers are page-sized (a default 100-record page is
+// about 20 KB), and the score responses that share bufPool are a few
+// hundred bytes.
+var verdictPool = sync.Pool{New: func() any { return new(verdictBufs) }}
+
+// putVerdictBufs returns vb to the pool unless a buffer grew past
+// maxPooledBuf, as putBuf does: a limit=1000 page must not pin
+// megabytes in the pool.
+func putVerdictBufs(vb *verdictBufs) {
+	if cap(vb.page.Frames) > maxPooledBuf || cap(vb.body) > maxPooledBuf {
+		return
+	}
+	verdictPool.Put(vb)
+}
+
 // serveVerdicts answers both verdict endpoints. The store hands back
 // each matching record as the JSON document it holds, which is the
 // document the API emits, so the page is spliced into the envelope as
@@ -154,7 +180,8 @@ func (s *Server) handleVerdictsV2(w http.ResponseWriter, r *http.Request) {
 // VerdictsPageResponse (v2) exactly as json.Encoder would render it,
 // without a Record ever being built. v1 renders an empty result as
 // null and never carries a cursor; v2 renders it as [] — both pinned
-// by goldens.
+// by goldens. The frames and the body live in pooled buffers, which go
+// back to the pool only once the body is written.
 func (s *Server) serveVerdicts(w http.ResponseWriter, r *http.Request, v2 bool) {
 	if s.cfg.Store == nil {
 		s.fail(w, http.StatusServiceUnavailable, errors.New("verdict store is not configured on this server"))
@@ -165,39 +192,42 @@ func (s *Server) serveVerdicts(w http.ResponseWriter, r *http.Request, v2 bool) 
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	page, err := s.cfg.Store.Scan(r.Context(), q)
+	vb := verdictPool.Get().(*verdictBufs)
+	defer putVerdictBufs(vb)
+	vb.page, err = s.cfg.Store.AppendScan(r.Context(),
+		store.ScanPage{Payloads: vb.page.Payloads[:0], Frames: vb.page.Frames[:0]}, q)
 	if err != nil {
 		s.scanFail(w, err)
 		return
 	}
+	page := vb.page
 	size := 64 + len(page.NextCursor) // the envelope around the records
 	for _, p := range page.Payloads {
 		size += len(p) + 1
 	}
-	buf := getBuf()
-	defer putBuf(buf)
-	buf.Grow(size)
-	buf.WriteString(`{"records":`)
+	body := slices.Grow(vb.body[:0], size)
+	body = append(body, `{"records":`...)
 	if len(page.Payloads) == 0 && !v2 {
-		buf.WriteString("null")
+		body = append(body, "null"...)
 	} else {
-		buf.WriteByte('[')
+		body = append(body, '[')
 		for i, p := range page.Payloads {
 			if i > 0 {
-				buf.WriteByte(',')
+				body = append(body, ',')
 			}
-			buf.Write(p)
+			body = append(body, p...)
 		}
-		buf.WriteByte(']')
+		body = append(body, ']')
 	}
-	buf.WriteString(`,"count":`)
-	buf.Write(strconv.AppendInt(buf.AvailableBuffer(), int64(len(page.Payloads)), 10))
+	body = append(body, `,"count":`...)
+	body = strconv.AppendInt(body, int64(len(page.Payloads)), 10)
 	if v2 && page.NextCursor != "" {
 		// A cursor is "s1-" and base-36 digits: nothing JSON escapes.
-		buf.WriteString(`,"next_cursor":"`)
-		buf.WriteString(page.NextCursor)
-		buf.WriteByte('"')
+		body = append(body, `,"next_cursor":"`...)
+		body = append(body, page.NextCursor...)
+		body = append(body, '"')
 	}
-	buf.WriteString("}\n")
-	s.send(w, http.StatusOK, buf.Bytes())
+	body = append(body, "}\n"...)
+	vb.body = body
+	s.send(w, http.StatusOK, body)
 }

@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -536,9 +541,13 @@ func TestVerdictsCorruptFrameIs500(t *testing.T) {
 
 // TestVerdictsPageAllocs pins what one 100-record /v2/verdicts page
 // costs through ServeHTTP, request and recorder included: a fixed
-// handful of allocations — query parsing, the index walk, the page
-// buffer, the headers — and none per record. Decoding every frame into
-// a Record and re-marshalling the page made 1 530.
+// handful of allocations — query parsing, the cursor, the headers — and
+// none per record. Decoding every frame into a Record and
+// re-marshalling the page made 1 530. In bytes, the page's frames and
+// body come from pooled buffers, so what is left beside the recorder's
+// copy of the body is a few KB that do not grow with the page; reading
+// the frames into a fresh buffer and regrowing the body made about
+// twice the body's size more.
 func TestVerdictsPageAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -576,8 +585,244 @@ func TestVerdictsPageAllocs(t *testing.T) {
 	if err := json.Unmarshal(last.Body.Bytes(), &pr); err != nil || last.Code != http.StatusOK || pr.Count != 100 || pr.NextCursor == "" {
 		t.Fatalf("status %d, %d records, cursor %q (err %v); want a full page with a cursor", last.Code, pr.Count, pr.NextCursor, err)
 	}
-	t.Logf("one 100-record page: %.0f allocs", allocs)
+	// One P, as AllocsPerRun runs: a goroutine that moves to another P
+	// misses the pooled buffers its last page put back on the first.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		req := httptest.NewRequest(http.MethodGet, "/v2/verdicts?limit=100", nil)
+		last = httptest.NewRecorder()
+		s.ServeHTTP(last, req)
+	}
+	runtime.ReadMemStats(&after)
+	perPage := (after.TotalAlloc - before.TotalAlloc) / runs
+	body := uint64(last.Body.Len())
+	t.Logf("one 100-record page: %.0f allocs, %d B for a %d-byte body", allocs, perPage, body)
 	if allocs > 40 {
 		t.Errorf("one 100-record page = %.0f allocs, budget 40", allocs)
+	}
+	if limit := body + 8<<10; perPage > limit {
+		t.Errorf("one 100-record page allocated %d B for a %d-byte body, budget %d", perPage, body, limit)
+	}
+}
+
+// churnRecord is record i of TestVerdictPagesConcurrentReaders' log.
+// Every field is a function of i, so a record whose bytes came from
+// another page, or from a buffer rewritten under it, does not check
+// out; landing URLs repeat every 40 records, so the log is mostly
+// superseded frames and compaction always has work.
+func churnRecord(i int) store.Record {
+	r := store.Record{
+		URL:          "http://lure.test/" + strconv.Itoa(i),
+		LandingURL:   "http://land.test/" + strconv.Itoa(i%40),
+		Fingerprint:  "fp",
+		ModelVersion: "v000" + strconv.Itoa(1+i%2),
+		Source:       []string{"", "phishtank", "tranco"}[i%3],
+		Outcome:      core.Outcome{Score: float64(i%100) / 100},
+		ScoredAt:     time.Date(2026, 9, 1, 6, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Second),
+	}
+	if i%4 == 0 {
+		r.Target = "novabank.com"
+		r.Outcome = core.Outcome{Score: 0.95, DetectorPhish: true, TargetRun: true, FinalPhish: true}
+	}
+	return r
+}
+
+// checkChurnPage decodes a verdicts body and checks every record: it is
+// byte for byte what churnRecord marshals under its seq, it passes
+// keep, and seqs fall strictly, from below before (0: no bound). It
+// returns the page's records and cursor.
+func checkChurnPage(body []byte, before uint64, keep func(store.Record) bool) ([]store.Record, string, error) {
+	var page struct {
+		Records    []json.RawMessage `json:"records"`
+		Count      int               `json:"count"`
+		NextCursor string            `json:"next_cursor"`
+	}
+	if err := json.Unmarshal(body, &page); err != nil {
+		return nil, "", fmt.Errorf("body does not decode: %v: %.200s", err, body)
+	}
+	if page.Count != len(page.Records) {
+		return nil, "", fmt.Errorf("count %d for %d records", page.Count, len(page.Records))
+	}
+	recs := make([]store.Record, len(page.Records))
+	for i, raw := range page.Records {
+		r := &recs[i]
+		if err := json.Unmarshal(raw, r); err != nil {
+			return nil, "", fmt.Errorf("record %d does not decode: %v: %s", i, err, raw)
+		}
+		n, err := strconv.Atoi(strings.TrimPrefix(r.URL, "http://lure.test/"))
+		if err != nil {
+			return nil, "", fmt.Errorf("record %d: url %q", i, r.URL)
+		}
+		want := churnRecord(n)
+		want.Seq = r.Seq
+		if doc, _ := json.Marshal(want); !bytes.Equal(raw, doc) {
+			return nil, "", fmt.Errorf("record %d is not record %d:\n got: %s\nwant: %s", i, n, raw, doc)
+		}
+		if !keep(*r) {
+			return nil, "", fmt.Errorf("record %d (seq %d) does not match the filter: %s", i, r.Seq, raw)
+		}
+		if before != 0 && r.Seq >= before {
+			return nil, "", fmt.Errorf("record %d: seq %d after seq %d", i, r.Seq, before)
+		}
+		before = r.Seq
+	}
+	return recs, page.NextCursor, nil
+}
+
+// slowWriter is a client connection that takes a body a kilobyte at a
+// time, letting other goroutines run in between, as a socket whose
+// buffer is full does.
+type slowWriter struct{ *httptest.ResponseRecorder }
+
+func (w *slowWriter) Write(p []byte) (int, error) {
+	n := 0
+	for len(p) > 0 {
+		runtime.Gosched()
+		m, err := w.ResponseRecorder.Write(p[:min(len(p), 1<<10)])
+		n, p = n+m, p[m:]
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// TestVerdictPagesConcurrentReaders: pages are served from pooled
+// buffers, so a buffer handed back before its body was written would
+// show up as a page made of another page's bytes. While one goroutine
+// appends and another compacts, eight readers page /v2/verdicts (and
+// /v1) with different filters, each taking its bodies slowly; every
+// body must decode, every record must be its own and match its filter,
+// and seqs must fall strictly along each cursor walk. With the writers
+// stopped, concurrent readers of one page must get the same bytes.
+func TestVerdictPagesConcurrentReaders(t *testing.T) {
+	b, err := store.Open(store.Config{Path: filepath.Join(t.TempDir(), "verdicts"), SegmentBytes: 4 << 10, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = b.Close() })
+	const seeded = 300
+	for i := 0; i < seeded; i++ {
+		if err := b.Append(context.Background(), churnRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := newServer(t, func(cfg *Config) { cfg.Store = b })
+	get := func(path string) ([]byte, error) {
+		rec := &slowWriter{httptest.NewRecorder()}
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			return nil, fmt.Errorf("status %d: %s", rec.Code, rec.Body)
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+			return nil, fmt.Errorf("Content-Length %s for %d bytes", cl, rec.Body.Len())
+		}
+		return rec.Body.Bytes(), nil
+	}
+
+	since := churnRecord(seeded / 2).ScoredAt
+	readers := []struct {
+		query string
+		keep  func(store.Record) bool
+	}{
+		{"/v2/verdicts?limit=7", func(store.Record) bool { return true }},
+		{"/v2/verdicts?limit=100", func(store.Record) bool { return true }},
+		{"/v2/verdicts?target=novabank.com&limit=25", func(r store.Record) bool { return r.Target == "novabank.com" }},
+		{"/v2/verdicts?phish_only=true&limit=40", func(r store.Record) bool { return r.Outcome.FinalPhish }},
+		{"/v2/verdicts?source=phishtank&limit=13", func(r store.Record) bool { return r.Source == "phishtank" }},
+		{"/v2/verdicts?model_version=v0002&limit=50", func(r store.Record) bool { return r.ModelVersion == "v0002" }},
+		{"/v2/verdicts?since=" + since.Format(time.RFC3339) + "&limit=30", func(r store.Record) bool { return !r.ScoredAt.Before(since) }},
+		{"/v1/verdicts?url=http://land.test/7&limit=100", func(r store.Record) bool { return r.LandingURL == "http://land.test/7" }},
+	}
+
+	var stop atomic.Bool
+	var writers sync.WaitGroup
+	writers.Add(2)
+	go func() { // appender
+		defer writers.Done()
+		for i := seeded; !stop.Load(); i++ {
+			if err := b.Append(context.Background(), churnRecord(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%8 == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}()
+	go func() { // compactor
+		defer writers.Done()
+		for !stop.Load() {
+			if err := b.Compact(context.Background()); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}()
+	var readersDone sync.WaitGroup
+	for _, rd := range readers {
+		readersDone.Add(1)
+		go func() {
+			defer readersDone.Done()
+			cursor, before := "", uint64(0)
+			for range 40 {
+				path := rd.query
+				if cursor != "" {
+					path += "&cursor=" + cursor
+				}
+				body, err := get(path)
+				if err != nil {
+					t.Errorf("GET %s: %v", path, err)
+					return
+				}
+				recs, next, err := checkChurnPage(body, before, rd.keep)
+				if err != nil {
+					t.Errorf("GET %s: %v", path, err)
+					return
+				}
+				// A walk ends when its cursor does; the next one starts
+				// from the newest record again.
+				cursor, before = next, 0
+				if next != "" {
+					before = recs[len(recs)-1].Seq
+				}
+			}
+		}()
+	}
+	readersDone.Wait()
+	stop.Store(true)
+	writers.Wait()
+	if t.Failed() {
+		return
+	}
+	if st := b.Stats(); st.Compactions == 0 || st.Superseded == 0 {
+		t.Fatalf("store = %+v: compaction never dropped a frame under the readers", st)
+	}
+
+	// Quiet store: one page, read concurrently, is one body.
+	for _, path := range []string{"/v2/verdicts?limit=100&phish_only=true", "/v1/verdicts?target=novabank.com"} {
+		want, err := get(path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		var same sync.WaitGroup
+		for range 8 {
+			same.Add(1)
+			go func() {
+				defer same.Done()
+				for range 10 {
+					got, err := get(path)
+					if err != nil || !bytes.Equal(got, want) {
+						t.Errorf("GET %s: %d bytes (err %v) differ from the %d read before", path, len(got), err, len(want))
+						return
+					}
+				}
+			}()
+		}
+		same.Wait()
 	}
 }

@@ -1,6 +1,9 @@
 package store
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // entry is one live record's index row. It keeps only the on-disk
 // location (seg/off/n) and the store reads the frame from its segment
@@ -267,11 +270,12 @@ func (ix *memIndex) get(url string) *entry {
 	return best
 }
 
-// scan walks the narrowest applicable index newest-first and collects
-// up to limit entries matching q (limit <= 0 → unbounded), starting
-// strictly below cursor when hasCursor. more reports whether at least
+// scan walks the narrowest applicable index newest-first and appends
+// to dst the locations of up to q.Limit entries matching q (<= 0 →
+// unbounded), starting strictly below cursor when hasCursor. last is
+// the seq of the last entry appended; more reports whether at least
 // one further matching entry exists past the returned page.
-func (ix *memIndex) scan(q Query, cursor uint64, hasCursor bool) (out []*entry, more bool) {
+func (ix *memIndex) scan(dst []frameLoc, q Query, cursor uint64, hasCursor bool) (locs []frameLoc, last uint64, more bool) {
 	var lists [2][]*entry // only the URL query walks two
 	switch {
 	case q.Target != "":
@@ -287,12 +291,13 @@ func (ix *memIndex) scan(q Query, cursor uint64, hasCursor bool) (out []*entry, 
 		lists[0] = ix.bySeq // no map needed; stays fast on a lazy index
 	}
 	if q.Limit > 0 {
-		out = make([]*entry, 0, min(q.Limit, len(lists[0])+len(lists[1])))
+		dst = slices.Grow(dst, min(q.Limit, len(lists[0])+len(lists[1])))
 	}
 	// Merge-walk the candidate lists backwards (each ascending by seq)
 	// so the result is strictly descending — the deterministic order
 	// every query path guarantees and cursors encode.
 	pos := [2]int{len(lists[0]) - 1, len(lists[1]) - 1}
+	n := 0
 	for {
 		best := -1
 		for i, l := range lists {
@@ -301,17 +306,19 @@ func (ix *memIndex) scan(q Query, cursor uint64, hasCursor bool) (out []*entry, 
 			}
 		}
 		if best < 0 {
-			return out, false
+			return dst, last, false
 		}
 		e := lists[best][pos[best]]
 		pos[best]--
 		if e.dead || (hasCursor && e.seq >= cursor) || !matches(e, q) {
 			continue
 		}
-		if q.Limit > 0 && len(out) >= q.Limit {
-			return out, true
+		if q.Limit > 0 && n >= q.Limit {
+			return dst, last, true
 		}
-		out = append(out, e)
+		dst = append(dst, frameLoc{e.seg, e.off, e.n})
+		last = e.seq
+		n++
 	}
 }
 

@@ -6,10 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,6 +23,16 @@ import (
 // Tests of the raw read path: what Scan hands out is the stored
 // document, so the document must be the bytes a re-marshal would write,
 // and every length a reader sizes a buffer by must be backed by a file.
+
+// appendFrame appends one framed payload to buf: a frame as Append
+// writes it, for tests that lay segments down by hand.
+func appendFrame(buf []byte, payload []byte) []byte {
+	n := len(buf)
+	buf = append(buf, make([]byte, frameHeader)...)
+	buf = append(buf, payload...)
+	putFrameHeader(buf[n:])
+	return buf
+}
 
 // invalidUTF8 is a record whose every free-text field carries bytes
 // that are not UTF-8 — a landing URL out of a hostile Location header.
@@ -334,4 +348,176 @@ func FuzzReplaySegment(f *testing.F) {
 				k, len(prefix), bare.count, bareGood, with.count, withGood)
 		}
 	})
+}
+
+// churn is record i of the concurrent-read tests: every field follows
+// from i (the starting URL carries it), and landing URLs repeat every
+// 30 records, so most frames are superseded and compaction always has
+// segments to rewrite.
+func churn(i int) Record {
+	r := rec("http://lure.test/"+strconv.Itoa(i), "http://land.test/"+strconv.Itoa(i%30), "fp", "", false)
+	if i%3 == 0 {
+		r.Target, r.Outcome.FinalPhish = "novabank.com", true
+	}
+	r.ScoredAt = r.ScoredAt.Add(time.Duration(i) * time.Second)
+	return r
+}
+
+// TestAppendScanConcurrentCompaction: readers that reuse one page's
+// storage for every AppendScan, while an appender and a compactor run
+// beside them, must always get whole pages of their own records — each
+// payload exactly what its record marshals to, seqs falling strictly
+// along each cursor walk — including pages retried because compaction
+// moved a segment in the middle of the read.
+func TestAppendScanConcurrentCompaction(t *testing.T) {
+	b := openStore(t, Config{SegmentBytes: 2048, CompactEvery: -1})
+	const seeded = 200
+	for i := 0; i < seeded; i++ {
+		if err := b.Append(ctxb(), churn(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := seeded; !stop.Load(); i++ {
+			if err := b.Append(ctxb(), churn(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%8 == 0 {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			if err := b.Compact(ctxb()); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	var readers sync.WaitGroup
+	for _, q := range []Query{{Limit: 5}, {Limit: 40}, {Target: "novabank.com", Limit: 9}, {PhishOnly: true, Limit: 100}} {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var page ScanPage
+			prev := uint64(math.MaxUint64)
+			for range 200 {
+				var err error
+				page, err = b.AppendScan(ctxb(), ScanPage{Payloads: page.Payloads[:0], Frames: page.Frames[:0]}, q)
+				if err != nil {
+					t.Errorf("AppendScan %+v: %v", q, err)
+					return
+				}
+				for _, raw := range page.Payloads {
+					var r Record
+					if err := json.Unmarshal(raw, &r); err != nil {
+						t.Errorf("payload does not decode: %v: %.200s", err, raw)
+						return
+					}
+					n, _ := strconv.Atoi(strings.TrimPrefix(r.URL, "http://lure.test/"))
+					want := churn(n)
+					want.Seq = r.Seq
+					if doc, _ := json.Marshal(want); !bytes.Equal(raw, doc) || r.Seq >= prev || (q.Target != "" && r.Target != q.Target) {
+						t.Errorf("after seq %d, payload %s; want %s", prev, raw, doc)
+						return
+					}
+					prev = r.Seq
+				}
+				if q.Cursor = page.NextCursor; q.Cursor == "" {
+					prev = math.MaxUint64
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	stop.Store(true)
+	wg.Wait()
+	if st := b.Stats(); st.Compactions == 0 || st.Superseded == 0 {
+		t.Errorf("store = %+v: compaction never dropped a frame under the readers", st)
+	}
+}
+
+// TestAppendScanAppends: AppendScan extends what dst already holds,
+// like append — earlier payloads keep their bytes when the frames
+// buffer is regrown under them — and Scan is the same page in fresh
+// storage.
+func TestAppendScanAppends(t *testing.T) {
+	b := openStore(t, Config{})
+	for i := 0; i < 20; i++ {
+		if err := b.Append(ctxb(), churn(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := b.AppendScan(ctxb(), ScanPage{}, Query{Limit: 3})
+	if err != nil || len(first.Payloads) != 3 {
+		t.Fatalf("first page = %d payloads (err %v)", len(first.Payloads), err)
+	}
+	kept := string(first.Payloads[0])
+	both, err := b.AppendScan(ctxb(), first, Query{Limit: 4, Cursor: first.NextCursor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := b.Scan(ctxb(), Query{Limit: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(both.Payloads) != 7 || string(both.Payloads[0]) != kept || both.NextCursor != whole.NextCursor {
+		t.Fatalf("appended page = %d payloads, cursor %q; want 7 and %q", len(both.Payloads), both.NextCursor, whole.NextCursor)
+	}
+	for i := range whole.Payloads {
+		if !bytes.Equal(both.Payloads[i], whole.Payloads[i]) {
+			t.Errorf("payload %d = %s, Scan has %s", i, both.Payloads[i], whole.Payloads[i])
+		}
+	}
+}
+
+// TestAppendScanRetriesAfterCompaction: a compaction that moves a
+// page's segments after the index walk and before the read fails the
+// read; the page is retried from the index, into the same storage, and
+// comes back whole — no payload of the failed attempt is left in it.
+func TestAppendScanRetriesAfterCompaction(t *testing.T) {
+	s := segOpen(t, Config{SegmentBytes: 1024, CompactEvery: -1})
+	for i := 0; i < 120; i++ {
+		if err := s.Append(ctxb(), churn(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := s.Scan(ctxb(), Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walks := 0
+	s.fail.pageRead = func() error {
+		if walks++; walks == 1 {
+			return s.Compact(ctxb())
+		}
+		return nil
+	}
+	prior := json.RawMessage(`{"kept":true}`)
+	page, err := s.AppendScan(ctxb(), ScanPage{Payloads: []json.RawMessage{prior}, Frames: make([]byte, 0, 1<<16)}, Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); walks != 2 || st.Compactions != 1 || st.Superseded == 0 {
+		t.Fatalf("%d index walks, stats %+v; want a compaction that moved frames under the first walk and one retry", walks, st)
+	}
+	if len(page.Payloads) != 1+len(want.Payloads) || !bytes.Equal(page.Payloads[0], prior) {
+		t.Fatalf("page = %d payloads after %s; want %q and the %d of the store", len(page.Payloads), page.Payloads[0], prior, len(want.Payloads))
+	}
+	for i, p := range want.Payloads {
+		if !bytes.Equal(page.Payloads[1+i], p) {
+			t.Fatalf("payload %d = %s, want %s", i, page.Payloads[1+i], p)
+		}
+	}
+	if frames := len(want.Frames); len(page.Frames) != frames {
+		t.Errorf("frames = %d bytes, want the page's %d", len(page.Frames), frames)
+	}
 }

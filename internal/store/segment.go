@@ -40,11 +40,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // errTornFrame marks the end of a segment's readable prefix.
 var errTornFrame = errors.New("store: torn or corrupt frame")
 
-// appendFrame appends one framed payload to buf.
-func appendFrame(buf []byte, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-	return append(buf, payload...)
+// putFrameHeader fills in the header of a frame whose payload was
+// written after frameHeader reserved bytes.
+func putFrameHeader(frame []byte) {
+	payload := frame[frameHeader:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
 }
 
 // readFrameAt reads and verifies the frame at off by walking its header

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -52,7 +53,7 @@ type segStore struct {
 	lastID     uint64 // highest segment ID ever allocated
 	sealed     map[uint64]*sidecar
 	closed     bool
-	buf        []byte // frame scratch, reused under mu
+	enc        *recordEncoder // frame scratch, reused under mu
 
 	appends       int64
 	compactions   int64
@@ -108,7 +109,9 @@ func (m *segMeta) sidecar(bytes int64) *sidecar {
 
 // failpoints are test-only crash injection hooks: a non-nil hook runs
 // immediately before the named durability step and its error aborts the
-// operation there, simulating a kill at that instant.
+// operation there, simulating a kill at that instant. pageRead is the
+// one read-side hook: it opens the window in which a compaction can
+// move a page's segments between the index walk and the read.
 type failpoints struct {
 	appendSync     func() error // before the per-append fsync (Sync mode)
 	sealSync       func() error // before fsyncing the sealing segment
@@ -117,6 +120,7 @@ type failpoints struct {
 	compactInstall func() error // after outputs are visible, before the index flip
 	compactDelete  func() error // before compacted segments are deleted
 	snapshotWrite  func() error // before the snapshot lands
+	pageRead       func() error // after a scan copies its page's locations, before it reads them
 }
 
 func fpcall(f func() error) error {
@@ -149,6 +153,7 @@ func openSegmented(cfg Config) (*segStore, error) {
 		log:          cfg.Logger,
 		ix:           newMemIndex(),
 		sealed:       map[uint64]*sidecar{},
+		enc:          newRecordEncoder(),
 	}
 	if s.log == nil {
 		s.log = obs.NopLogger()
@@ -350,12 +355,10 @@ func (s *segStore) appendLocked(rec *Record) error {
 	if rec.ScoredAt.IsZero() {
 		rec.ScoredAt = time.Now().UTC()
 	}
-	payload, err := encodePayload(rec)
+	frame, err := s.enc.frame(rec)
 	if err != nil {
 		return err
 	}
-	frame := appendFrame(s.buf[:0], payload)
-	s.buf = frame[:0]
 	if s.active == nil {
 		// A previous append sealed the old segment but failed to open
 		// the next one; retry the open.
@@ -525,47 +528,51 @@ func (s *segStore) readAt(seg uint64, off int64, buf []byte) error {
 	return err
 }
 
-// loadPage is every indexed read: it reads the frames at locs (a page,
-// newest first as the index walk found them; or one frame) into one
-// buffer by their indexed lengths and returns their payloads, each
-// verified in place. Frames that lie back to back on disk are read
-// together: a newest-first page over an append-only segment is one
-// descending run, so it usually costs a single pread; a segment
-// boundary, a superseded frame or a filter that skips rows starts the
-// next run.
-func (s *segStore) loadPage(ctx context.Context, locs []frameLoc) ([]json.RawMessage, error) {
+// loadPage is every indexed read: it appends the frames at locs (a
+// page, newest first as the index walk found them; or one frame) to buf
+// by their indexed lengths, verifies each in place and appends its
+// payload to dst. buf grows at most once, to the page's size. Frames
+// that lie back to back on disk are read together: a newest-first page
+// over an append-only segment is one descending run, so it usually
+// costs a single pread; a segment boundary, a superseded frame or a
+// filter that skips rows starts the next run. On error both slices
+// come back at their old lengths.
+func (s *segStore) loadPage(ctx context.Context, dst []json.RawMessage, buf []byte, locs []frameLoc) ([]json.RawMessage, []byte, error) {
 	total := 0
 	for _, l := range locs {
 		total += int(l.n)
 	}
-	buf := make([]byte, total)
-	payloads := make([]json.RawMessage, len(locs))
+	buf = slices.Grow(buf, total)
+	dst = slices.Grow(dst, len(locs))
+	dst0, buf0 := len(dst), len(buf)
 	for i := 0; i < len(locs); {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return dst[:dst0], buf[:buf0], err
 		}
 		j := i + 1
 		for j < len(locs) && locs[j].seg == locs[i].seg && locs[j].off+int64(locs[j].n) == locs[j-1].off {
 			j++
 		}
 		start := locs[j-1].off
-		size := locs[i].off + int64(locs[i].n) - start
-		run := buf[:size]
-		buf = buf[size:]
+		size := int(locs[i].off + int64(locs[i].n) - start)
+		run := buf[len(buf) : len(buf)+size]
 		if err := s.readAt(locs[i].seg, start, run); err != nil {
-			return nil, err
+			return dst[:dst0], buf[:buf0], err
 		}
+		// Newest first: the run's frames are appended in reverse of
+		// their order in it.
 		for k := i; k < j; k++ {
 			lo := locs[k].off - start
 			hi := lo + int64(locs[k].n)
 			if err := checkFrame(run[lo:hi]); err != nil {
-				return nil, fmt.Errorf("store: frame at segment %d offset %d: %w", locs[k].seg, locs[k].off, err)
+				return dst[:dst0], buf[:buf0], fmt.Errorf("store: frame at segment %d offset %d: %w", locs[k].seg, locs[k].off, err)
 			}
-			payloads[k] = run[lo+frameHeader : hi : hi]
+			dst = append(dst, run[lo+frameHeader:hi:hi])
 		}
+		buf = buf[:len(buf)+size]
 		i = j
 	}
-	return payloads, nil
+	return dst, buf, nil
 }
 
 func (s *segStore) Get(ctx context.Context, url string) (Record, bool, error) {
@@ -592,7 +599,7 @@ func (s *segStore) Get(ctx context.Context, url string) (Record, bool, error) {
 		if e == nil {
 			return Record{}, false, nil
 		}
-		payloads, err := s.loadPage(ctx, []frameLoc{l})
+		payloads, _, err := s.loadPage(ctx, nil, nil, []frameLoc{l})
 		if err != nil {
 			lastErr = err
 			continue
@@ -607,35 +614,56 @@ func (s *segStore) Get(ctx context.Context, url string) (Record, bool, error) {
 }
 
 func (s *segStore) Scan(ctx context.Context, q Query) (ScanPage, error) {
+	return s.AppendScan(ctx, ScanPage{}, q)
+}
+
+// locPool recycles the frame locations a scan copies out of the index,
+// so that reading a page into a caller's buffer allocates nothing sized
+// by the page.
+var locPool = sync.Pool{New: func() any { return new([]frameLoc) }}
+
+// maxPooledLocs caps the locations a pooled slice may hold: an
+// unlimited Scan over a large store must not pin its index copy.
+const maxPooledLocs = 4096
+
+func (s *segStore) AppendScan(ctx context.Context, dst ScanPage, q Query) (ScanPage, error) {
 	cursor, hasCursor, err := parseCursor(q.Cursor)
 	if err != nil {
-		return ScanPage{}, err
+		return dst, err
 	}
+	locs := locPool.Get().(*[]frameLoc)
+	defer func() {
+		if cap(*locs) <= maxPooledLocs {
+			locPool.Put(locs)
+		}
+	}()
+	page := dst
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return ScanPage{}, err
+			return dst, err
 		}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			return ScanPage{}, ErrClosed
+			return dst, ErrClosed
 		}
-		ents, more := s.ix.scan(q, cursor, hasCursor)
-		locs := make([]frameLoc, len(ents))
-		for i, e := range ents {
-			locs[i] = frameLoc{e.seg, e.off, e.n}
-		}
-		next := nextCursor(ents, more)
+		var last uint64
+		var more bool
+		*locs, last, more = s.ix.scan((*locs)[:0], q, cursor, hasCursor)
 		s.mu.Unlock()
-		payloads, err := s.loadPage(ctx, locs)
+		if err := fpcall(s.fail.pageRead); err != nil {
+			return dst, err
+		}
+		page.Payloads, page.Frames, err = s.loadPage(ctx, page.Payloads, page.Frames, *locs)
 		if err != nil {
 			lastErr = err // segment moved underneath us; retry the page
 			continue
 		}
-		return ScanPage{Payloads: payloads, NextCursor: next}, nil
+		page.NextCursor = nextCursor(last, more)
+		return page, nil
 	}
-	return ScanPage{}, lastErr
+	return dst, lastErr
 }
 
 func (s *segStore) Len() int {
@@ -760,12 +788,15 @@ func (s *segStore) runCompact(ctx context.Context) error {
 	// their CRC already — into new output segments.
 	out := &compactWriter{s: s}
 	newSegs, err := func() ([]segResult, error) {
+		var one []json.RawMessage
+		var frame []byte
 		for i := range items {
-			payloads, err := s.loadPage(ctx, []frameLoc{items[i].loc})
+			var err error
+			one, frame, err = s.loadPage(ctx, one[:0], frame[:0], []frameLoc{items[i].loc})
 			if err != nil {
 				return nil, fmt.Errorf("store: compacting segment %d: %w", items[i].loc.seg, err)
 			}
-			loc, err := out.write(payloads[0], items[i].seq)
+			loc, err := out.write(frame, items[i].seq)
 			if err != nil {
 				return nil, err
 			}
@@ -858,8 +889,9 @@ func (s *segStore) allocSegID() uint64 {
 	return s.lastID
 }
 
-func (w *compactWriter) write(payload []byte, seq uint64) (frameLoc, error) {
-	frame := appendFrame(nil, payload)
+// write copies one verified frame, header and CRC included, to the
+// output.
+func (w *compactWriter) write(frame []byte, seq uint64) (frameLoc, error) {
 	if w.f != nil && w.off > 0 && w.off+int64(len(frame)) > w.s.segBytes {
 		if err := w.seal(); err != nil {
 			return frameLoc{}, err

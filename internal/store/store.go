@@ -24,10 +24,12 @@
 // through a Record: Scan answers its filters, its order and its cursor
 // from the index alone and returns the matching documents as raw bytes
 // (ScanPage.Payloads) for the handler to splice into its response.
-// What vouches for those bytes is the frame's CRC-32C, checked on every
-// read — the trust compaction already places in a frame when it copies
-// it to a new segment undecoded. Get still decodes: its callers want
-// one record's fields, not its bytes.
+// AppendScan reads them into storage the caller supplies, so a reader
+// that keeps its buffers (the verdict handlers pool theirs) reads a
+// page without allocating for it. What vouches for those bytes is the
+// frame's CRC-32C, checked on every read — the trust compaction already
+// places in a frame when it copies it to a new segment undecoded. Get
+// still decodes: its callers want one record's fields, not its bytes.
 //
 // This is the persistence layer the paper's deployment sketch (Section
 // VI) needs but the batch evaluation never built: verdicts outlive the
@@ -198,7 +200,10 @@ type ScanPage struct {
 	// Payloads are the matching records, newest first, each the JSON
 	// document the store holds for it — byte for byte what Append
 	// marshalled, CRC-verified on the way out of its segment and not
-	// decoded. They alias one page buffer the store owns: read-only.
+	// decoded. They alias Frames and are read-only. The store keeps no
+	// reference to either: a page from Scan is the caller's for as long
+	// as it holds it; a page from AppendScan lives in storage the caller
+	// supplied, and stays valid until the caller reuses that storage.
 	//
 	// Append stores only documents that decode and re-encode to
 	// themselves, so splicing a payload into a response is
@@ -211,6 +216,9 @@ type ScanPage struct {
 	// NextCursor resumes the scan after the last record of this page.
 	// Empty when the scan is exhausted.
 	NextCursor string
+	// Frames is the storage Payloads alias: the page's frames, headers
+	// included, as they were read from their segments.
+	Frames []byte
 }
 
 // Decode parses the page into records, for the callers that want
@@ -271,8 +279,18 @@ type Backend interface {
 	// Scan returns one page of live records matching q, newest first,
 	// with a cursor resuming after the page's last record. Matching and
 	// ordering use the index only; the records come back as the stored
-	// documents (see ScanPage), never decoded.
+	// documents (see ScanPage), never decoded. It is AppendScan into a
+	// fresh page: the page's storage is allocated for it and belongs to
+	// the caller.
 	Scan(ctx context.Context, q Query) (ScanPage, error)
+	// AppendScan is Scan into storage the caller owns: it appends the
+	// page's frames to dst.Frames and their payloads to dst.Payloads,
+	// and returns dst extended, with this page's NextCursor. The
+	// payloads alias the returned Frames, so they are valid until the
+	// caller reuses that buffer — truncated for the next page, or put
+	// back in a pool. Warm, into a dst with room for the page, it
+	// allocates nothing sized by the page. On error the page is dst.
+	AppendScan(ctx context.Context, dst ScanPage, q Query) (ScanPage, error)
 	// Compact reclaims superseded records, merging sealed segments in
 	// place without blocking concurrent appends.
 	Compact(ctx context.Context) error
@@ -299,35 +317,77 @@ func Open(cfg Config) (Backend, error) {
 // valid UTF-8.
 var escapedReplacement = []byte(`\ufffd`)
 
-// encodePayload marshals a sequenced record into the document the store
-// keeps and serves. The document must be a fixed point of decode →
-// encode, because readers splice it into responses where they used to
-// re-marshal the decoded record. json.Marshal breaks that in one case:
-// it escapes an invalid UTF-8 byte as \ufffd, which decodes to U+FFFD
-// and re-encodes as the character itself. Such a record (a landing URL
-// out of a hostile Location header, say) is passed through decode →
-// encode once here, and rec is left holding the decoded strings so its
-// index row matches the one a replay of the frame would build.
-func encodePayload(rec *Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err == nil && bytes.Contains(payload, escapedReplacement) {
+// recordEncoder frames records in a reused buffer: a json.Encoder
+// writes each document straight into buf, where json.Marshal would
+// return it in a fresh slice. Not safe for concurrent use; the store
+// uses it under its lock.
+type recordEncoder struct {
+	je  *json.Encoder
+	buf []byte
+	// rec is the record being encoded: je takes it by pointer, so a copy
+	// held here keeps the caller's record from escaping to the heap.
+	rec Record
+}
+
+func newRecordEncoder() *recordEncoder {
+	e := new(recordEncoder)
+	e.je = json.NewEncoder(e)
+	return e
+}
+
+// Write appends p to buf: the writer je encodes into.
+func (e *recordEncoder) Write(p []byte) (int, error) {
+	e.buf = append(e.buf, p...)
+	return len(p), nil
+}
+
+// frame encodes a sequenced record as one frame and returns it: the
+// encoder's buffer, valid until the next call. The payload is the
+// document the store keeps and serves, and it must be a fixed point of
+// decode → encode, because readers splice it into responses where they
+// used to re-marshal the decoded record. json.Marshal breaks that in
+// one case: it escapes an invalid UTF-8 byte as \ufffd, which decodes
+// to U+FFFD and re-encodes as the character itself. Such a record (a
+// landing URL out of a hostile Location header, say) is passed through
+// decode → encode once here, and rec is left holding the decoded
+// strings so its index row matches the one a replay of the frame would
+// build.
+func (e *recordEncoder) frame(rec *Record) ([]byte, error) {
+	e.buf = append(e.buf[:0], make([]byte, frameHeader)...)
+	err := e.encode(rec)
+	if err == nil && bytes.Contains(e.buf[frameHeader:], escapedReplacement) {
 		var canon Record
-		if err = json.Unmarshal(payload, &canon); err == nil {
+		if err = json.Unmarshal(e.buf[frameHeader:], &canon); err == nil {
 			*rec = canon
-			payload, err = json.Marshal(rec)
+			e.buf = e.buf[:frameHeader]
+			err = e.encode(rec)
 		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: encoding record: %w", err)
 	}
-	return payload, nil
+	putFrameHeader(e.buf)
+	return e.buf, nil
 }
 
-// nextCursor is the resume token of a page made of ents: the last row's
-// seq when more rows match beyond it.
-func nextCursor(ents []*entry, more bool) string {
-	if !more || len(ents) == 0 {
+// encode appends rec's document to buf: json.Marshal's bytes, as an
+// Encoder writes them plus a newline that is cut off here.
+func (e *recordEncoder) encode(rec *Record) error {
+	e.rec = *rec
+	err := e.je.Encode(&e.rec)
+	e.rec = Record{} // holds no strings between appends
+	if err != nil {
+		return err
+	}
+	e.buf = e.buf[:len(e.buf)-1]
+	return nil
+}
+
+// nextCursor is the resume token of a page whose last row holds seq:
+// that seq, when more rows match beyond it.
+func nextCursor(last uint64, more bool) string {
+	if !more {
 		return ""
 	}
-	return encodeCursor(ents[len(ents)-1].seq)
+	return encodeCursor(last)
 }
