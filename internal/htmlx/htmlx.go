@@ -17,7 +17,10 @@
 // in pooled byte buffers that are entity-decoded and whitespace-
 // collapsed in place, then copied out once. Aliasing rule: a Document
 // may reference the source string (link values are substrings of it)
-// and its own Text (Copyright can be), never the pooled buffers.
+// and its own Text (Copyright can be), never the pooled buffers. Its
+// three link lists are parts of one array that belongs to the Document,
+// so its holder may rewrite them in place: webpage.FromDoc resolves
+// HREFLinks and ResourceLinks there instead of copying them.
 package htmlx
 
 import (

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // bufPool recycles the buffers request bodies are read into and
@@ -41,14 +42,18 @@ func putBuf(buf *bytes.Buffer) bool {
 	return true
 }
 
-// decode reads the request body — at most MaxBodyBytes of it — and
-// parses it into v, replying with 413 when the body is over the limit
-// and with 400 when it is not one well-formed JSON document of v's
-// shape. The body is read before it is parsed, so an oversized body is
-// a 413 whatever its bytes are.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+// decode reads the request body — at most MaxBodyBytes of it — into a
+// pooled buffer and parses it into v, replying with 413 when the body
+// is over the limit and with 400 when it is not one well-formed JSON
+// document of v's shape. The body is read before it is parsed, so an
+// oversized body is a 413 whatever its bytes are.
+//
+// A single-page score document's html may be a view of the buffer
+// (decodeDoc), so for one decode returns the buffer, and the caller
+// gives it back with putBuf once it has finished with v. Any other v
+// owns what it holds, and the buffer is back in the pool already.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) (*bytes.Buffer, bool) {
 	buf := getBuf()
-	defer putBuf(buf)
 	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
 		// ReadFrom wants MinRead spare bytes to see EOF without growing.
 		buf.Grow(int(n) + bytes.MinRead)
@@ -57,17 +62,23 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err == nil {
 		err = decodeDoc(buf.Bytes(), v)
 	}
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.fail(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-			return false
+	if err == nil {
+		switch v.(type) {
+		case *PageRequest, *V2ScoreRequest:
+			return buf, true
 		}
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return false
+		putBuf(buf)
+		return nil, true
 	}
-	return true
+	defer putBuf(buf)
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.fail(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
+		return nil, false
+	}
+	s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	return nil, false
 }
 
 // errTrailingData rejects a body or stream line holding more than one
@@ -80,12 +91,14 @@ var errTrailingData = errors.New("trailing data after JSON document")
 // /v2/score/stream line. Unknown fields are errors.
 //
 // Single-page score documents in canonical form are decoded by
-// scanScoreDoc, which copies each string exactly once; everything else,
-// every malformed document included, goes through encoding/json, so all
-// error texts are encoding/json's. Every score document json.Marshal
-// writes is canonical (TestMarshalledRequestsTakeFastPath), so only
-// hand-written or malformed documents reach the fallback. The strings
-// stored in v never alias b.
+// scanScoreDoc; everything else, every malformed document included,
+// goes through encoding/json, so all error texts are encoding/json's.
+// Every score document json.Marshal writes is canonical
+// (TestMarshalledRequestsTakeFastPath), so only hand-written or
+// malformed documents reach the fallback. The strings stored in v never
+// alias b, with one exception: the html of a document scanScoreDoc took
+// is unescaped in place in b and is a view of it, valid only while the
+// caller neither reuses nor rewrites b.
 func decodeDoc(b []byte, v any) error {
 	switch req := v.(type) {
 	case *V2ScoreRequest:
@@ -118,12 +131,14 @@ func decodeDoc(b []byte, v any) error {
 // without fraction or exponent; strings valid UTF-8 with well-formed
 // escapes and no surrogate escapes. For such a document the result is
 // what encoding/json stores. For anything else — snapshot, null, a key
-// in another case, malformed JSON — nothing is written and the caller
-// falls back to encoding/json, which decides what the input means.
+// in another case, malformed JSON — neither page, opts nor b is written
+// and the caller falls back to encoding/json, which decides what the
+// input means.
 //
-// Every string is allocated once, at its unescaped length: memo entries
-// keep the HTML string alive through htmlx's link substrings, so slack
-// in it would be retained heap.
+// The html is not copied: once the whole document has passed, it is
+// unescaped in place, in b — an escape is never shorter than its value
+// — and page.HTML is a view of those bytes. Every other string is
+// allocated once, at its unescaped length.
 func scanScoreDoc(b []byte, page *PageRequest, opts *ScoreOptions) bool {
 	// Decoded into copies, stored once the whole document has passed.
 	s := docScanner{b: b, options: opts != nil}
@@ -131,6 +146,7 @@ func scanScoreDoc(b []byte, page *PageRequest, opts *ScoreOptions) bool {
 	if s.options {
 		o = *opts
 	}
+	var html []byte // as written, until the document has passed
 	if !s.take('{') {
 		return false
 	}
@@ -141,7 +157,7 @@ func scanScoreDoc(b []byte, page *PageRequest, opts *ScoreOptions) bool {
 		}
 		switch string(key) {
 		case "html":
-			ok = s.once(0) && s.string(&p.HTML)
+			ok = s.once(0) && s.raw(&html)
 		case "starting_url":
 			ok = s.once(1) && s.string(&p.StartingURL)
 		case "landing_url":
@@ -174,6 +190,9 @@ func scanScoreDoc(b []byte, page *PageRequest, opts *ScoreOptions) bool {
 	}
 	if s.space(); s.i != len(b) {
 		return false
+	}
+	if s.seen&(1<<0) != 0 { // the html key was met
+		p.HTML = view(unescape(html[:0], html))
 	}
 	*page = p
 	if s.options {
@@ -280,29 +299,38 @@ func hex4(b []byte) rune {
 	return r
 }
 
+// unescape appends the value of a string rawString accepted to dst and
+// returns the result. dst may be raw[:0]: an escape is never shorter
+// than its value, so writing never overtakes reading.
+func unescape(dst, raw []byte) []byte {
+	for {
+		esc := bytes.IndexByte(raw, '\\')
+		if esc < 0 {
+			return append(dst, raw...)
+		}
+		dst = append(dst, raw[:esc]...)
+		if c := raw[esc+1]; c == 'u' {
+			dst = utf8.AppendRune(dst, hex4(raw[esc+2:]))
+			raw = raw[esc+6:]
+		} else {
+			dst = append(dst, escapeValues[strings.IndexByte(escapeChars, c)])
+			raw = raw[esc+2:]
+		}
+	}
+}
+
+// view returns b as a string without copying it. The string is only as
+// constant as b: nothing may write b while the string is in use.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
 // unquote returns the value of a string rawString accepted, in one
 // allocation of n bytes.
 func unquote(raw []byte, n int) string {
 	if n == len(raw) {
 		return string(raw) // no escapes: an escape is longer than its value
 	}
-	var sb strings.Builder
-	sb.Grow(n)
-	for {
-		esc := bytes.IndexByte(raw, '\\')
-		if esc < 0 {
-			sb.Write(raw)
-			return sb.String()
-		}
-		sb.Write(raw[:esc])
-		if c := raw[esc+1]; c == 'u' {
-			sb.WriteRune(hex4(raw[esc+2:]))
-			raw = raw[esc+6:]
-		} else {
-			sb.WriteByte(escapeValues[strings.IndexByte(escapeChars, c)])
-			raw = raw[esc+2:]
-		}
-	}
+	// The new bytes are the string's alone, and never written again.
+	return view(unescape(make([]byte, 0, n), raw))
 }
 
 func (s *docScanner) string(dst *string) bool {
@@ -310,6 +338,13 @@ func (s *docScanner) string(dst *string) bool {
 	if ok {
 		*dst = unquote(raw, n)
 	}
+	return ok
+}
+
+// raw consumes a string and leaves its bytes, escapes and all, in dst.
+func (s *docScanner) raw(dst *[]byte) bool {
+	raw, _, ok := s.rawString()
+	*dst = raw
 	return ok
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -10,11 +11,15 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"knowphish/internal/crawl"
+	"knowphish/internal/htmlx"
 	"knowphish/internal/racecheck"
 	"knowphish/internal/webgen"
+	"knowphish/internal/webpage"
 )
 
 // oracleDecode is the decoder decodeDoc replaced and still falls back
@@ -37,6 +42,11 @@ func oracleDecode(b []byte, v any) error {
 // document it declines leaves the destination as it was, and decodeDoc
 // ends with encoding/json's value and error text either way. It reports
 // whether the v2 scanner took the document.
+//
+// The scanner and decodeDoc each decode a copy of b, in place: what
+// they borrow from their copy must equal encoding/json's owned decode
+// of b (checkBorrowed), and a copy they decline must come back byte
+// for byte as it went in.
 func checkDoc(t testing.TB, b []byte) bool {
 	t.Helper()
 	marker := V2ScoreRequest{
@@ -47,38 +57,80 @@ func checkDoc(t testing.TB, b []byte) bool {
 	var want V2ScoreRequest
 	wantErr := oracleDecode(b, &want)
 	var got V2ScoreRequest
-	took := scanScoreDoc(b, &got.PageRequest, &got.ScoreOptions)
+	in := bytes.Clone(b)
+	took := scanScoreDoc(in, &got.PageRequest, &got.ScoreOptions)
 	switch {
 	case took && wantErr != nil:
 		t.Fatalf("scanner took %q, encoding/json says %v", b, wantErr)
 	case took && !reflect.DeepEqual(got, want):
 		t.Fatalf("scanner decoded %q to\n %#v\nencoding/json to\n %#v", b, got, want)
+	case took:
+		checkBorrowed(t, b, in, &got.PageRequest, &want.PageRequest)
+		if got.ScoreOptions != want.ScoreOptions {
+			t.Fatalf("options of %q changed with the buffer they were decoded from: %#v", b, got.ScoreOptions)
+		}
 	case !took:
 		kept := marker
 		kept.RedirectionChain = []string{"kept"}
-		if scanScoreDoc(b, &kept.PageRequest, &kept.ScoreOptions) || !reflect.DeepEqual(kept, marker) {
+		if scanScoreDoc(in, &kept.PageRequest, &kept.ScoreOptions) || !reflect.DeepEqual(kept, marker) {
 			t.Fatalf("scanner declined %q but wrote %#v", b, kept)
+		}
+		if !bytes.Equal(in, b) {
+			t.Fatalf("scanner declined %q but rewrote it to %q", b, in)
 		}
 	}
 	var viaDoc V2ScoreRequest
-	if err := decodeDoc(b, &viaDoc); !sameError(err, wantErr) || !reflect.DeepEqual(viaDoc, want) {
+	in = bytes.Clone(b)
+	if err := decodeDoc(in, &viaDoc); !sameError(err, wantErr) || !reflect.DeepEqual(viaDoc, want) {
 		t.Fatalf("decodeDoc(%q) = %#v, %v; encoding/json %#v, %v", b, viaDoc, err, want, wantErr)
+	}
+	if !took && !bytes.Equal(in, b) {
+		t.Fatalf("decodeDoc left %q to encoding/json but rewrote it to %q", b, in)
 	}
 
 	// The v1 document: the same scanner with the option keys declined.
 	var wantPage, gotPage, viaDocPage PageRequest
 	wantErr = oracleDecode(b, &wantPage)
-	if scanScoreDoc(b, &gotPage, nil) {
+	in = bytes.Clone(b)
+	if scanScoreDoc(in, &gotPage, nil) {
 		if wantErr != nil || !reflect.DeepEqual(gotPage, wantPage) {
 			t.Fatalf("v1 scanner decoded %q to %#v; encoding/json %#v, %v", b, gotPage, wantPage, wantErr)
 		}
-	} else if !reflect.DeepEqual(gotPage, PageRequest{}) {
-		t.Fatalf("v1 scanner declined %q but wrote %#v", b, gotPage)
+		checkBorrowed(t, b, in, &gotPage, &wantPage)
+	} else if !reflect.DeepEqual(gotPage, PageRequest{}) || !bytes.Equal(in, b) {
+		t.Fatalf("v1 scanner declined %q but wrote %#v, %q", b, gotPage, in)
 	}
-	if err := decodeDoc(b, &viaDocPage); !sameError(err, wantErr) || !reflect.DeepEqual(viaDocPage, wantPage) {
+	if err := decodeDoc(bytes.Clone(b), &viaDocPage); !sameError(err, wantErr) || !reflect.DeepEqual(viaDocPage, wantPage) {
 		t.Fatalf("decodeDoc(%q) = %#v, %v; encoding/json %#v, %v", b, viaDocPage, err, wantPage, wantErr)
 	}
 	return took
+}
+
+// checkBorrowed holds a page the scanner took from in, a copy of b, to
+// the borrowing rule: its html lies in in, and once in is overwritten
+// everything else still equals want, encoding/json's decode of b.
+func checkBorrowed(t testing.TB, b, in []byte, got, want *PageRequest) {
+	t.Helper()
+	if got.HTML != "" && !within(got.HTML, in) {
+		t.Fatalf("html of %q is not a view of the buffer it was decoded from", b)
+	}
+	for i := range in {
+		in[i] = '#'
+	}
+	owned, wantOwned := *got, *want
+	owned.HTML, wantOwned.HTML = "", ""
+	if !reflect.DeepEqual(owned, wantOwned) {
+		t.Fatalf("decoding %q: strings besides html changed with the buffer: %#v", b, owned)
+	}
+}
+
+// within reports whether s lies in the memory of b.
+func within(s string, b []byte) bool {
+	if len(s) == 0 || cap(b) == 0 {
+		return false
+	}
+	p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return p >= lo && p < lo+uintptr(cap(b))
 }
 
 func sameError(a, b error) bool {
@@ -335,10 +387,11 @@ func scoreBody(t testing.TB) []byte {
 }
 
 // TestDecodeScoreAllocBudget pins what reading and decoding a score
-// request costs once the pool is warm: the limit reader, the HTML, two
-// URLs, the chain and its two entries — each string once, at its exact
-// size — and nothing that scales with the body a second time. The
-// json.Decoder it replaced made 22 allocations and 24.6 KB of this body.
+// request costs once the pool is warm: the limit reader, two URLs, the
+// chain and its two entries — each string once, at its exact size —
+// and nothing that scales with the body: the HTML is a view of the
+// pooled body buffer. The json.Decoder it replaced made 22 allocations
+// and 24.6 KB of this body.
 func TestDecodeScoreAllocBudget(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -352,9 +405,11 @@ func TestDecodeScoreAllocBudget(t *testing.T) {
 	decode := func() {
 		rd.Reset(body)
 		req = V2ScoreRequest{}
-		if !s.decode(w, r, &req) {
+		body, ok := s.decode(w, r, &req)
+		if !ok {
 			t.Fatalf("decode failed: %s", w.Body.String())
 		}
+		putBuf(body)
 	}
 	decode()
 	if len(req.HTML) < 3500 || len(req.RedirectionChain) != 2 {
@@ -374,7 +429,7 @@ func TestDecodeScoreAllocBudget(t *testing.T) {
 	if allocs > 8 {
 		t.Errorf("decode allocated %.0f times, budget 8", allocs)
 	}
-	if limit := uint64(len(body)) + 512; perDecode > limit {
+	if limit := uint64(1 << 10); perDecode > limit {
 		t.Errorf("decode allocated %d B for a %d-byte body, budget %d", perDecode, len(body), limit)
 	}
 }
@@ -408,5 +463,194 @@ func TestBodyPoolDropsLargeBuffers(t *testing.T) {
 		if code := call(t, s, http.MethodPost, "/v1/score", json.RawMessage(body), &resp); code != http.StatusOK {
 			t.Errorf("%d-byte body: status %d", len(body), code)
 		}
+	}
+}
+
+// TestBorrowedHTMLDoesNotOutliveResolve: the html of a single-page
+// request is a view of the pooled body buffer, and nothing made of it
+// may still read that buffer once the handler has given it back — not
+// the snapshot, its content key, the response or the memo's entries.
+// Everything is held to what an owned copy of the same html gives.
+func TestBorrowedHTMLDoesNotOutliveResolve(t *testing.T) {
+	// A generated phishing page the detector flags, so that scoring it
+	// writes a target entry to the memo.
+	c, _ := fixtures(t)
+	rng := rand.New(rand.NewSource(3))
+	probe := newServer(t, nil)
+	var canonical []byte
+	for tries := 0; canonical == nil; tries++ {
+		if tries == 50 {
+			t.Fatal("no generated phishing page was a detector positive")
+		}
+		page, ok := workloadPage(c.World, c.World.NewPhishSite(rng, c.World.RandomPhishOptions(rng)))
+		if !ok {
+			continue
+		}
+		page.HTML += `<a href="https://abs.example.test/login">abs</a> <a href="/top/only">top</a> <a href="rel/page.html">rel</a>` +
+			`<iframe src="https://frame.example.test/inner"></iframe><iframe src="frames/local.html"></iframe>` +
+			`<p>Café "sign in" < now</p>`
+		var resp V2ScoreResponse
+		if call(t, probe, http.MethodPost, "/v2/score", page, &resp) == http.StatusOK && resp.TargetRun {
+			b, err := json.Marshal(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			canonical = b
+		}
+	}
+	// json.Marshal writes é raw; a client may escape it.
+	canonical = bytes.ReplaceAll(canonical, []byte("é"), []byte(`\u00e9`))
+	for _, esc := range []string{`\u003c`, `\"`, `\u00e9`} {
+		if !bytes.Contains(canonical, []byte(esc)) {
+			t.Fatalf("the test body has no %s escape", esc)
+		}
+	}
+	// encoding/json matches keys case-insensitively and the scanner does
+	// not, so this body means the same page and is decoded owned.
+	owned := bytes.Replace(canonical, []byte(`"html":`), []byte(`"HTML":`), 1)
+
+	// The snapshot and its key, resolved from the borrowed html.
+	var want PageRequest
+	if err := json.Unmarshal(owned, &want); err != nil {
+		t.Fatal(err)
+	}
+	wantSnap, wantKey, err := want.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got PageRequest
+	body, ok := probe.decode(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/score", bytes.NewReader(canonical)), &got)
+	if !ok {
+		t.Fatal("decode failed")
+	}
+	mem := body.Bytes()
+	mem = mem[:cap(mem)]
+	if !within(got.HTML, mem) {
+		t.Fatal("the html was copied, not borrowed from the body")
+	}
+	snap, key, err := got.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The whole link array htmlx.Parse built, iframe entries included:
+	// the snapshot's two lists, then the sources no list shows.
+	iframes := len(htmlx.Parse(want.HTML).IFrameSrcs)
+	nh, nl := len(snap.HREFLinks), len(snap.LoggedLinks)
+	if nh == 0 || nl == 0 || iframes < 2 {
+		t.Fatalf("the test page has %d href links, %d logged links, %d iframe sources", nh, nl, iframes)
+	}
+	links := unsafe.Slice(unsafe.SliceData(snap.HREFLinks), nh+nl+iframes)
+	if &links[nh] != &snap.LoggedLinks[0] {
+		t.Fatal("the snapshot's link lists are not one array")
+	}
+	for i, l := range links {
+		if within(l, mem) {
+			t.Errorf("link %d %q still points into the request body", i, l)
+		}
+	}
+	for i := range mem {
+		mem[i] = '#'
+	}
+	putBuf(body)
+	if !reflect.DeepEqual(snap, wantSnap) {
+		t.Errorf("snapshot changed with the body it was resolved from:\n %+v\nwant\n %+v", snap, wantSnap)
+	}
+	if key != wantKey || webpage.ContentKey(snap) != wantKey {
+		t.Errorf("content key %x (recomputed %x), want %x", key, webpage.ContentKey(snap), wantKey)
+	}
+
+	// The four endpoints, on twin servers fed the borrowed and the owned
+	// body. The first request scores the page and fills the memo; the
+	// closing /v2/score is answered from it, target entry included,
+	// after every pooled buffer has been overwritten several times over.
+	borrowing, owning := newServer(t, nil), newServer(t, nil)
+	paths := []string{"/v1/score", "/v2/score", "/v1/target", "/v2/target"}
+	for i, path := range append(paths, "/v2/score") {
+		got, err := postRaw(borrowing, path, canonical)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scribblePooledBuffers()
+		want, err := postRaw(owning, path, owned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: borrowed html answered\n %s\nowned html\n %s", path, got, want)
+		}
+		if i == len(paths) {
+			var resp V2ScoreResponse
+			if err := json.Unmarshal(got, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if !resp.Cached || !resp.TargetRun {
+				t.Errorf("the closing /v2/score was not a memo hit with a target result: cached %v, target_run %v", resp.Cached, resp.TargetRun)
+			}
+		}
+	}
+
+	// Concurrent requests, each taking its body buffer from the pool the
+	// others give theirs back to, answer as the owned html does.
+	wantResp := make(map[string][]byte)
+	for _, path := range paths {
+		if wantResp[path], err = postRaw(owning, path, owned); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 16; i++ {
+				path := paths[(g+i)%len(paths)]
+				if got, err := postRaw(borrowing, path, canonical); err != nil || !bytes.Equal(got, wantResp[path]) {
+					t.Errorf("%s, concurrently: %v\n %s\nwant\n %s", path, err, got, wantResp[path])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// postRaw posts body to path and returns the 200 response's bytes, the
+// identification wall time of a /v2/target response zeroed.
+func postRaw(s *Server, path string, body []byte) ([]byte, error) {
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		return nil, fmt.Errorf("%s: status %d: %s", path, rec.Code, rec.Body.String())
+	}
+	if path != "/v2/target" {
+		return rec.Body.Bytes(), nil
+	}
+	var resp V2TargetResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		return nil, err
+	}
+	resp.ElapsedUS = 0
+	return json.Marshal(resp)
+}
+
+// scribblePooledBuffers overwrites the buffers bufPool holds, as the
+// requests that take them next would.
+func scribblePooledBuffers() {
+	var held []*bytes.Buffer
+	for len(held) < 64 {
+		b := bufPool.Get().(*bytes.Buffer)
+		if b.Cap() == 0 {
+			break
+		}
+		b.Reset()
+		mem := b.Bytes()
+		mem = mem[:cap(mem)]
+		for i := range mem {
+			mem[i] = '#'
+		}
+		held = append(held, b)
+	}
+	for _, b := range held {
+		bufPool.Put(b)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"knowphish/internal/feed"
 	"knowphish/internal/store"
 	"knowphish/internal/target"
+	"knowphish/internal/webgen"
 )
 
 // feedServer assembles a server with the full ingestion pipeline wired
@@ -133,21 +135,42 @@ func TestFeedEndToEnd(t *testing.T) {
 	}
 }
 
+// heldFetcher blocks every fetch of url until release is closed,
+// signalling entered when the first one starts; it finds nothing else.
+type heldFetcher struct {
+	url              string
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (f *heldFetcher) Fetch(url string) (*webgen.Page, bool) {
+	if url == f.url {
+		f.once.Do(func() { close(f.entered) })
+		<-f.release
+	}
+	return nil, false
+}
+
 func TestFeedEndpointRejections(t *testing.T) {
-	s, _, _ := feedServer(t, nil, func(cfg *feed.Config) {
+	// The one worker is held inside a fetch for the whole call, so the
+	// depth-1 queue fills and stays full: every result is determined.
+	held := &heldFetcher{url: "http://held.test/", entered: make(chan struct{}), release: make(chan struct{})}
+	s, sched, _ := feedServer(t, []crawl.Fetcher{held}, func(cfg *feed.Config) {
 		cfg.Workers = 1
 		cfg.QueueDepth = 1
-		// A glacial rate keeps accepted URLs parked in the queue so the
-		// depth bound is observable.
-		cfg.DomainRate = 0.001
-		cfg.DomainBurst = 1
+		cfg.MaxAttempts = 1
 	})
+	t.Cleanup(func() { close(held.release) }) // before feedServer's Drain
+	if err := sched.Enqueue(held.url); err != nil {
+		t.Fatal(err)
+	}
+	<-held.entered
 	urls := []string{
 		"not a url at all ://", // invalid: no host
 		"http://parked.test/a", // accepted
 		"http://parked.test/a", // duplicate (in flight)
-		"http://parked.test/b", // queue full (depth 1) or accepted while the worker holds /a
-		"http://parked.test/c", // by now the depth bound must hit
+		"http://parked.test/b", // queue full (depth 1)
+		"http://parked.test/c", // queue full
 	}
 	var fr FeedResponse
 	if code := call(t, s, http.MethodPost, "/v1/feed", FeedRequest{URLs: urls}, &fr); code != http.StatusOK {
@@ -162,11 +185,13 @@ func TestFeedEndpointRejections(t *testing.T) {
 	if fr.Results[2].Accepted || fr.Results[2].Reason != "duplicate" {
 		t.Errorf("result[2] = %+v, want duplicate", fr.Results[2])
 	}
-	if fr.Results[4].Accepted || fr.Results[4].Reason != "queue_full" {
-		t.Errorf("result[4] = %+v, want queue_full", fr.Results[4])
+	for i := 3; i < len(urls); i++ {
+		if fr.Results[i].Accepted || fr.Results[i].Reason != "queue_full" {
+			t.Errorf("result[%d] = %+v, want queue_full", i, fr.Results[i])
+		}
 	}
-	if fr.Accepted+fr.Rejected != len(urls) {
-		t.Errorf("accepted %d + rejected %d != %d", fr.Accepted, fr.Rejected, len(urls))
+	if fr.Accepted != 1 || fr.Rejected != 4 || fr.QueueDepth != 1 {
+		t.Errorf("accepted %d, rejected %d, queue depth %d; want 1, 4, 1", fr.Accepted, fr.Rejected, fr.QueueDepth)
 	}
 
 	// Malformed bodies.

@@ -54,7 +54,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PromoteRequest
-	if !s.decode(w, r, &req) {
+	if _, ok := s.decode(w, r, &req); !ok {
 		return
 	}
 	if req.Version == "" {

@@ -279,9 +279,11 @@ func etagMatch(header, etag string) bool {
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	var req PageRequest
-	if !s.decode(w, r, &req) {
+	body, ok := s.decode(w, r, &req)
+	if !ok {
 		return
 	}
+	defer putBuf(body)
 	resp, err := s.scorePage(r.Context(), prioInteractive, nil, &req, s.defaultOpts, coalesce.CacheDefault)
 	if err != nil {
 		s.failScore(w, err)
@@ -292,9 +294,11 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleScoreV2(w http.ResponseWriter, r *http.Request) {
 	var req V2ScoreRequest
-	if !s.decode(w, r, &req) {
+	body, ok := s.decode(w, r, &req)
+	if !ok {
 		return
 	}
+	defer putBuf(body)
 	opts, cc, err := s.coreOptions(req.ScoreOptions)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
@@ -321,9 +325,11 @@ func (s *Server) handleScoreV2(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTarget(w http.ResponseWriter, r *http.Request) {
 	var req PageRequest
-	if !s.decode(w, r, &req) {
+	body, ok := s.decode(w, r, &req)
+	if !ok {
 		return
 	}
+	defer putBuf(body)
 	resp, err := s.identifyPage(r.Context(), &req, s.cfg.DefaultDeadline)
 	if err != nil {
 		s.failScore(w, err)
@@ -334,9 +340,11 @@ func (s *Server) handleTarget(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTargetV2(w http.ResponseWriter, r *http.Request) {
 	var req V2ScoreRequest
-	if !s.decode(w, r, &req) {
+	body, ok := s.decode(w, r, &req)
+	if !ok {
 		return
 	}
+	defer putBuf(body)
 	if _, _, err := s.coreOptions(req.ScoreOptions); err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -408,7 +416,7 @@ func pageError(i int, err error) error {
 func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	var req BatchRequest
-	if !s.decode(w, r, &req) {
+	if _, ok := s.decode(w, r, &req); !ok {
 		return
 	}
 	pipe, workers, ok := s.beginBatch(w, len(req.Pages), req.Workers)
@@ -486,7 +494,7 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleScoreBatchV2(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	var req V2BatchRequest
-	if !s.decode(w, r, &req) {
+	if _, ok := s.decode(w, r, &req); !ok {
 		return
 	}
 	opts, cc, err := s.coreOptions(req.ScoreOptions)

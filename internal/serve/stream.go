@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 
 	"knowphish/internal/pool"
 )
@@ -116,6 +117,8 @@ func (s *Server) readStreamItems(w http.ResponseWriter, r *http.Request) ([]stre
 		// stream; killing the whole stream for one bad line would throw
 		// away every good item behind it.
 		it.parseErr = decodeDoc(line, &it.req)
+		// The html may be a view of line, which the scanner reuses.
+		it.req.HTML = strings.Clone(it.req.HTML)
 		items = append(items, it)
 	}
 	if err := sc.Err(); err != nil {

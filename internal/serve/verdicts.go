@@ -25,7 +25,7 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FeedRequest
-	if !s.decode(w, r, &req) {
+	if _, ok := s.decode(w, r, &req); !ok {
 		return
 	}
 	if len(req.URLs) == 0 {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"strings"
 
 	"knowphish/internal/core"
 	"knowphish/internal/store"
@@ -54,7 +55,36 @@ func (p *PageRequest) snapshot() (*webpage.Snapshot, error) {
 		return nil, badPageError{errors.New("html requests need starting_url or landing_url")}
 	}
 	snap := webpage.FromHTML(start, land, p.RedirectionChain, p.HTML)
+	ownLinks(&snap)
 	return &snap, nil
+}
+
+// ownLinks moves the snapshot's links into one string of their own.
+// p.HTML may be a view of the request body (decodeDoc), and a link that
+// was absolute in the page is a substring of it; after the move, the
+// snapshot shares nothing with the body, and whatever it reaches — the
+// memo, the store, a response — outlives the handler safely.
+func ownLinks(snap *webpage.Snapshot) {
+	lists := [2][]string{snap.HREFLinks, snap.LoggedLinks}
+	n := 0
+	for _, list := range lists {
+		for _, l := range list {
+			n += len(l)
+		}
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, list := range lists {
+		for _, l := range list {
+			b.WriteString(l)
+		}
+	}
+	all := b.String()
+	for _, list := range lists {
+		for i, l := range list {
+			list[i], all = all[:len(l)], all[len(l):]
+		}
+	}
 }
 
 // resolve is the resolution step of the score path: the snapshot to

@@ -57,10 +57,19 @@ type Snapshot struct {
 // relative links against the landing URL. chain must include starting and
 // landing URLs; when empty it defaults to [starting, landing].
 func FromHTML(startingURL, landingURL string, chain []string, html string) Snapshot {
-	return FromDoc(htmlx.Parse(html), startingURL, landingURL, chain)
+	doc := htmlx.Parse(html)
+	s := FromDoc(doc, startingURL, landingURL, chain)
+	// The iframe sources share the snapshot's link array but no list of
+	// it shows them; as written in html, they would only keep it alive.
+	clear(doc.IFrameSrcs)
+	return s
 }
 
-// FromDoc is FromHTML for a page the caller has already parsed.
+// FromDoc is FromHTML for a page the caller has already parsed. It
+// resolves doc's HREFLinks and ResourceLinks in place, in the array
+// htmlx.Parse built, and the snapshot's link lists are those two
+// slices: afterwards the caller's doc reads the resolved links, and its
+// IFrameSrcs, untouched, stay as written.
 func FromDoc(doc htmlx.Document, startingURL, landingURL string, chain []string) Snapshot {
 	if len(chain) == 0 {
 		if startingURL == landingURL {
@@ -69,34 +78,24 @@ func FromDoc(doc htmlx.Document, startingURL, landingURL string, chain []string)
 			chain = []string{startingURL, landingURL}
 		}
 	}
-	s := Snapshot{
+	for _, refs := range [2][]string{doc.HREFLinks, doc.ResourceLinks} {
+		for i, l := range refs {
+			refs[i] = ResolveRef(landingURL, l)
+		}
+	}
+	return Snapshot{
 		StartingURL:      startingURL,
 		LandingURL:       landingURL,
 		RedirectionChain: chain,
+		LoggedLinks:      doc.ResourceLinks,
 		Title:            doc.Title,
 		Text:             doc.Text,
 		Copyright:        doc.Copyright,
+		HREFLinks:        doc.HREFLinks,
 		InputCount:       doc.InputCount,
 		ImageCount:       doc.ImageCount,
 		IFrameCount:      doc.IFrameCount,
 	}
-	// One array for both link lists, each capacity-limited to its own
-	// part; an empty list stays nil.
-	if total := len(doc.HREFLinks) + len(doc.ResourceLinks); total > 0 {
-		all := make([]string, 0, total)
-		resolve := func(refs []string) []string {
-			if len(refs) == 0 {
-				return nil
-			}
-			start := len(all)
-			for _, l := range refs {
-				all = append(all, ResolveRef(landingURL, l))
-			}
-			return all[start:len(all):len(all)]
-		}
-		s.HREFLinks, s.LoggedLinks = resolve(doc.HREFLinks), resolve(doc.ResourceLinks)
-	}
-	return s
 }
 
 // ResolveRef resolves a possibly relative reference against base. It

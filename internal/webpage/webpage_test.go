@@ -2,9 +2,12 @@ package webpage
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"knowphish/internal/racecheck"
 	"knowphish/internal/terms"
 )
 
@@ -158,6 +161,32 @@ func TestFromHTMLResolvesLinks(t *testing.T) {
 	}
 	if s := FromHTML("http://a.example/", "http://a.example/", nil, `<a href="/x">x</a>`); s.LoggedLinks != nil {
 		t.Errorf("a page without resources has LoggedLinks %#v, want nil", s.LoggedLinks)
+	}
+}
+
+// TestFromHTMLAllocs: FromDoc resolves links in the array htmlx.Parse
+// built, so a page of absolute links (which resolve to themselves)
+// costs its title, its text and one link array — not a second array of
+// resolved links.
+func TestFromHTMLAllocs(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	var html strings.Builder
+	html.WriteString("<title>Example Bank</title><body><p>Sign in to your account</p>")
+	for i := 0; i < 16; i++ {
+		fmt.Fprintf(&html, `<a href="https://www.examplebank.com/p/%d">p</a><img src="https://cdn.example.net/%d.png">`, i, i)
+	}
+	html.WriteString(`<iframe src="https://ads.example.org/frame"></iframe></body>`)
+	page, chain := html.String(), []string{"https://www.examplebank.com/"}
+	s := FromHTML(chain[0], chain[0], chain, page)
+	if len(s.HREFLinks) != 16 || len(s.LoggedLinks) != 17 {
+		t.Fatalf("FromHTML found %d href and %d logged links, want 16 and 17", len(s.HREFLinks), len(s.LoggedLinks))
+	}
+	n := testing.AllocsPerRun(100, func() { FromHTML(chain[0], chain[0], chain, page) })
+	t.Logf("FromHTML: %.0f allocs/page", n)
+	if n > 3 {
+		t.Errorf("FromHTML allocated %.0f times per page, want at most 3 (title, text, one link array)", n)
 	}
 }
 
