@@ -30,9 +30,9 @@ type World struct {
 }
 
 // BuildCorpus generates the synthetic world and its campaigns — the
-// substrate of the self-train and registry modes, of kptrain and of the
-// knowphish demo. dataset gives the world seed+1, which is what lets
-// `kpload run -seed N` replay URLs a `-seed N` server resolves.
+// substrate of the self-train and registry modes and of kptrain.
+// dataset gives the world seed+1, which is what lets `kpload run -seed
+// N` replay URLs a `-seed N` server resolves.
 func BuildCorpus(scale int, seed int64) (*dataset.Corpus, error) {
 	return dataset.Build(dataset.Config{
 		Seed:              seed,

@@ -14,13 +14,22 @@
 // tag to tag; the four names Parse reads (href, src, action, type) are
 // looked up case-folded from the back, so the last duplicate wins as it
 // would in a map, and no per-tag map exists. Text and title accumulate
-// in pooled byte buffers that are entity-decoded and whitespace-
-// collapsed in place, then copied out once. Aliasing rule: a Document
-// may reference the source string (link values are substrings of it)
-// and its own Text (Copyright can be), never the pooled buffers. Its
-// three link lists are parts of one array that belongs to the Document,
-// so its holder may rewrite them in place: webpage.FromDoc resolves
-// HREFLinks and ResourceLinks there instead of copying them.
+// in the parser's byte buffers and are entity-decoded and whitespace-
+// collapsed in place.
+//
+// Page lifetime. A Parser's Parse leaves the elements where the scan
+// built them: the Document's Title, Text and Copyright are views of the
+// parser's buffers, and its link lists are the parser's own arrays,
+// holding substrings of the source. Such a Document lives as long as
+// the parse — until the parser parses again or is Reset — and no longer
+// than the source; whoever keeps a part of it past that copies the
+// part. Its holder may rewrite the link lists in place
+// (webpage.FromDoc resolves links there). The package-level Parse is
+// that parse plus one copy-out into storage of the Document's own: its
+// title and text once each, and its three link lists as parts of one
+// array. Such a Document may reference the source (link values are
+// substrings of it) and its own Text (Copyright is part of it), never
+// a parser's buffers.
 package htmlx
 
 import (
@@ -29,6 +38,7 @@ import (
 	"sync"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // Document holds the extracted elements of one HTML document.
@@ -76,32 +86,84 @@ func lowerTag(dst []byte, name string) []byte {
 // attr is one attribute of the tag being scanned, name as written.
 type attr struct{ name, val string }
 
-// parser is the working memory of one Parse call.
-type parser struct {
+// Parser is the working memory of a parse, kept from page to page. Its
+// zero value is ready to use; a Parser is not safe for concurrent use.
+type Parser struct {
 	text, title       []byte
 	attrs             []attr
 	href, res, iframe []string
 }
 
-var parserPool = sync.Pool{New: func() any { return new(parser) }}
+var parserPool = sync.Pool{New: func() any { return new(Parser) }}
 
-// release empties p and returns it to the pool. The attribute and link
-// scratch hold substrings of the source, which must not stay reachable
-// from the pool.
-func (p *parser) release() {
+// maxPooledBytes bounds the storage a parser may keep for later pages:
+// one page of many megabytes must not pin its buffers in a pool that
+// serves every later small page.
+const maxPooledBytes = 1 << 20
+
+// Reset ends the Document of p's last Parse and empties p. The
+// attribute and link scratch hold substrings of the source, which must
+// not stay reachable from a kept parser. Reset reports whether p is
+// small enough to keep for another page: false when its storage grew
+// past maxPooledBytes, and a pooling caller then drops it.
+func (p *Parser) Reset() bool {
 	p.text, p.title = p.text[:0], p.title[:0]
 	clear(p.attrs)
 	clear(p.href)
 	clear(p.res)
 	clear(p.iframe)
 	p.href, p.res, p.iframe = p.href[:0], p.res[:0], p.iframe[:0]
-	parserPool.Put(p)
+	const attrSize, stringSize = int(unsafe.Sizeof(attr{})), int(unsafe.Sizeof(""))
+	size := cap(p.text) + cap(p.title) + cap(p.attrs)*attrSize + (cap(p.href)+cap(p.res)+cap(p.iframe))*stringSize
+	return size <= maxPooledBytes
 }
 
-// Parse scans src and extracts the document elements.
+// Parse scans src and extracts the document elements into storage of
+// the Document's own (see the package comment).
 func Parse(src string) Document {
-	p := parserPool.Get().(*parser)
-	defer p.release()
+	p := parserPool.Get().(*Parser)
+	doc := own(p.Parse(src))
+	if p.Reset() {
+		parserPool.Put(p)
+	}
+	return doc
+}
+
+// own copies doc out of a parser's storage.
+func own(doc Document) Document {
+	text := strings.Clone(doc.Text)
+	if doc.Copyright != "" {
+		// Copyright is a part of the collapsed Text (extractCopyright
+		// builds a string of its own only for uncollapsed text) that
+		// begins with the earliest marker, so its first occurrence is
+		// that part.
+		at := strings.Index(doc.Text, doc.Copyright)
+		doc.Copyright = text[at : at+len(doc.Copyright)]
+	}
+	doc.Title, doc.Text = strings.Clone(doc.Title), text
+	// One array for the three link lists, each capacity-limited to its
+	// own part; an empty list stays nil.
+	if total := len(doc.HREFLinks) + len(doc.ResourceLinks) + len(doc.IFrameSrcs); total > 0 {
+		all := make([]string, 0, total)
+		cut := func(l []string) []string {
+			if len(l) == 0 {
+				return nil
+			}
+			start := len(all)
+			all = append(all, l...)
+			return all[start:len(all):len(all)]
+		}
+		doc.HREFLinks, doc.ResourceLinks, doc.IFrameSrcs = cut(doc.HREFLinks), cut(doc.ResourceLinks), cut(doc.IFrameSrcs)
+	}
+	return doc
+}
+
+// Parse scans src and extracts the document elements, leaving them in
+// p: the Document is valid until p's next Parse or Reset, and only as
+// long as src (the page lifetime of the package comment). Once p's
+// buffers have grown to the page, it allocates nothing.
+func (p *Parser) Parse(src string) Document {
+	p.Reset()
 	var (
 		doc     Document
 		inTitle bool
@@ -194,30 +256,30 @@ func Parse(src string) Document {
 			p.text = append(p.text, ' ')
 		}
 	}
-	doc.Title = string(collapseSpace(p.title))
-	doc.Text = string(collapseSpace(decodeEntities(p.text)))
+	doc.Title = view(collapseSpace(p.title))
+	doc.Text = view(collapseSpace(decodeEntities(p.text)))
 	doc.Copyright = extractCopyright(doc.Text)
-
-	// One array for the three link lists, each capacity-limited to its
-	// own part; an empty list stays nil.
-	if total := len(p.href) + len(p.res) + len(p.iframe); total > 0 {
-		all := make([]string, 0, total)
-		cut := func(l []string) []string {
-			if len(l) == 0 {
-				return nil
-			}
-			start := len(all)
-			all = append(all, l...)
-			return all[start:len(all):len(all)]
-		}
-		doc.HREFLinks, doc.ResourceLinks, doc.IFrameSrcs = cut(p.href), cut(p.res), cut(p.iframe)
-	}
+	doc.HREFLinks, doc.ResourceLinks, doc.IFrameSrcs = capped(p.href), capped(p.res), capped(p.iframe)
 	return doc
+}
+
+// view returns b as a string without copying it: the string reads
+// whatever b's bytes hold, so it is only valid while they are not
+// rewritten.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// capped returns l without spare capacity, so that an append to it
+// cannot write the parser's array; an empty list is nil.
+func capped(l []string) []string {
+	if len(l) == 0 {
+		return nil
+	}
+	return l[:len(l):len(l)]
 }
 
 // chars appends character data to the title or the text, unless it sits
 // inside a skipped element.
-func (p *parser) chars(s string, inTitle, skipping bool) {
+func (p *Parser) chars(s string, inTitle, skipping bool) {
 	switch {
 	case skipping:
 	case inTitle:
@@ -229,7 +291,7 @@ func (p *parser) chars(s string, inTitle, skipping bool) {
 
 // attr returns the value of the last attribute of the current tag whose
 // lower-cased name is name, or "".
-func (p *parser) attr(name string) string {
+func (p *Parser) attr(name string) string {
 	for i := len(p.attrs) - 1; i >= 0; i-- {
 		if lowerEquals(p.attrs[i].name, name) {
 			return p.attrs[i].val
@@ -262,7 +324,7 @@ func lowerPrefix(s, lower string) int {
 // stray '<', "!" for comments and declarations), whether the tag is
 // self-closing, whether it is a closing tag, and the index just past
 // the '>'.
-func (p *parser) scanTag(src string, i int) (name string, selfClose, closing bool, next int) {
+func (p *Parser) scanTag(src string, i int) (name string, selfClose, closing bool, next int) {
 	clear(p.attrs)
 	p.attrs = p.attrs[:0]
 	n := len(src)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 
 	"knowphish/internal/racecheck"
 	"knowphish/internal/webgen"
@@ -343,9 +344,16 @@ func referencePages(n int) []string {
 	return out
 }
 
+// checkParse holds both endings of the one scanner to the reference:
+// the Document a Parser leaves in its storage, and Parse's copy.
 func checkParse(t testing.TB, src string) {
 	t.Helper()
-	got, want := Parse(src), referenceParse(src)
+	want := referenceParse(src)
+	var p Parser
+	if got := p.Parse(src); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Parser.Parse differs from the reference on %q\n got %#v\nwant %#v", src, got, want)
+	}
+	got := Parse(src)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Parse differs from the reference on %q\n got %#v\nwant %#v", src, got, want)
 	}
@@ -480,6 +488,59 @@ func TestParseAllocsIndependentOfTagCount(t *testing.T) {
 	// however many links there are.
 	if n := allocs("<title>t</title>" + strings.Repeat("<a href=x>y</a><img src=z>", 500)); n > 3 {
 		t.Errorf("a page with 1000 links allocates %.0f times, want <= 3", n)
+	}
+}
+
+// TestParserAllocs: a Parser whose buffers have grown to the page
+// parses it again without allocating — title, text and links stay in
+// its storage — however many links the page has.
+func TestParserAllocs(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	var p Parser
+	for name, src := range map[string]string{
+		"sample": samplePage,
+		"links":  "<title>t</title>" + strings.Repeat(`<a href="https://a.example/x">y &copy; 2015 z</a><img src="https://b.example/z.png">`, 500),
+	} {
+		doc := p.Parse(src)
+		if doc.Title == "" || len(doc.HREFLinks) == 0 {
+			t.Fatalf("%s: parsed %#v", name, doc)
+		}
+		if n := testing.AllocsPerRun(50, func() { p.Parse(src) }); n != 0 {
+			t.Errorf("%s: a warm Parser allocates %.0f times a page, want 0", name, n)
+		}
+	}
+}
+
+// TestOversizedParserIsNotPooled: a parser that a huge page grew past
+// maxPooledBytes — in its text or in its link array — is dropped by
+// Parse instead of pinning that storage in the pool; an ordinary one is
+// kept. Either way Reset leaves nothing of the page reachable.
+func TestOversizedParserIsNotPooled(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		keep      bool
+	}{
+		{"ordinary", samplePage, true},
+		{"text", "<p>" + strings.Repeat("x ", maxPooledBytes/2+1) + "</p>", false},
+		{"links", strings.Repeat("<a href=x>", maxPooledBytes/int(unsafe.Sizeof(""))+1), false},
+	} {
+		var p Parser
+		p.Parse(tc.src)
+		if keep := p.Reset(); keep != tc.keep {
+			t.Errorf("%s page: Reset reports keep = %v, want %v", tc.name, keep, tc.keep)
+		}
+		if len(p.text) != 0 || len(p.title) != 0 || len(p.href) != 0 || len(p.res) != 0 || len(p.iframe) != 0 {
+			t.Errorf("%s page: Reset left the page in the parser", tc.name)
+		}
+		for _, l := range [][]string{p.href[:cap(p.href)], p.res[:cap(p.res)], p.iframe[:cap(p.iframe)]} {
+			for _, v := range l {
+				if v != "" {
+					t.Fatalf("%s page: Reset left the link %q reachable", tc.name, v)
+				}
+			}
+		}
 	}
 }
 

@@ -49,10 +49,11 @@ func putBuf(buf *bytes.Buffer) bool {
 // oversized body is a 413 whatever its bytes are.
 //
 // A single-page score document's html may be a view of the buffer
-// (decodeDoc), so for one decode returns the buffer, and the caller
-// gives it back with putBuf once it has finished with v. Any other v
-// owns what it holds, and the buffer is back in the pool already.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) (*bytes.Buffer, bool) {
+// (decodeDoc), so a PageRequest or V2ScoreRequest keeps it, and the
+// handler's release gives it back once the response is written. Any
+// other v owns what it holds, and the buffer is back in the pool
+// already.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	buf := getBuf()
 	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
 		// ReadFrom wants MinRead spare bytes to see EOF without growing.
@@ -63,22 +64,25 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) (*bytes.B
 		err = decodeDoc(buf.Bytes(), v)
 	}
 	if err == nil {
-		switch v.(type) {
-		case *PageRequest, *V2ScoreRequest:
-			return buf, true
+		switch req := v.(type) {
+		case *PageRequest:
+			req.body = buf
+		case *V2ScoreRequest:
+			req.body = buf
+		default:
+			putBuf(buf)
 		}
-		putBuf(buf)
-		return nil, true
+		return true
 	}
 	defer putBuf(buf)
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		s.fail(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-		return nil, false
+		return false
 	}
 	s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-	return nil, false
+	return false
 }
 
 // errTrailingData rejects a body or stream line holding more than one

@@ -10,13 +10,14 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"unsafe"
 
 	"knowphish/internal/crawl"
-	"knowphish/internal/htmlx"
+	"knowphish/internal/obs"
 	"knowphish/internal/racecheck"
 	"knowphish/internal/webgen"
 	"knowphish/internal/webpage"
@@ -405,11 +406,10 @@ func TestDecodeScoreAllocBudget(t *testing.T) {
 	decode := func() {
 		rd.Reset(body)
 		req = V2ScoreRequest{}
-		body, ok := s.decode(w, r, &req)
-		if !ok {
+		if !s.decode(w, r, &req) {
 			t.Fatalf("decode failed: %s", w.Body.String())
 		}
-		putBuf(body)
+		req.release()
 	}
 	decode()
 	if len(req.HTML) < 3500 || len(req.RedirectionChain) != 2 {
@@ -433,6 +433,59 @@ func TestDecodeScoreAllocBudget(t *testing.T) {
 		t.Errorf("decode allocated %d B for a %d-byte body, budget %d", perDecode, len(body), limit)
 	}
 }
+
+// TestScoreV2WarmHandlerAllocs pins what the /v2/score handler
+// allocates for a memo hit on a page of absolute links, once the pools
+// are warm: the request document and the response boxed for the
+// encoder, the body limit reader, the request's two URLs, its chain and
+// the chain's two entries, the ETag (built in two steps) and the three
+// header values. The page itself costs nothing: its html is a view of
+// the pooled body and its snapshot lives in a pooled webpage.Page until
+// the response is written. Owning the page cost 19 allocations a hit:
+// the title, the text, the link array, the links' string and the
+// snapshot.
+func TestScoreV2WarmHandlerAllocs(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s := newServer(t, nil)
+	body := scoreBody(t)
+	rd := bytes.NewReader(body)
+	r := httptest.NewRequest(http.MethodPost, "/v2/score", rd)
+	w := &discardWriter{header: make(http.Header)}
+	serve := func() {
+		rd.Reset(body)
+		w.status = 0
+		w.body.Reset()
+		s.handleScoreV2(w, r)
+		if w.status != http.StatusOK {
+			t.Fatalf("status %d: %s", w.status, w.body.String())
+		}
+	}
+	serve() // scores the page and fills the memo
+	serve()
+	if !bytes.Contains(w.body.Bytes(), []byte(`"cached":true`)) {
+		t.Fatalf("the second request was not a memo hit: %s", w.body.String())
+	}
+	allocs := testing.AllocsPerRun(200, serve)
+	t.Logf("warm /v2/score hit: %.0f allocs", allocs)
+	if allocs > 14 {
+		t.Errorf("a warm /v2/score hit allocated %.0f times in the handler, want at most 14", allocs)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps the status and the body
+// in storage of its own, so a handler's allocations can be counted
+// without a recorder's.
+type discardWriter struct {
+	header http.Header
+	status int
+	body   bytes.Buffer
+}
+
+func (d *discardWriter) Header() http.Header         { return d.header }
+func (d *discardWriter) Write(b []byte) (int, error) { return d.body.Write(b) }
+func (d *discardWriter) WriteHeader(status int)      { d.status = status }
 
 // TestBodyPoolDropsLargeBuffers: the buffer a 2 MiB body was read into
 // is garbage, not pool content; an ordinary one is kept.
@@ -466,11 +519,15 @@ func TestBodyPoolDropsLargeBuffers(t *testing.T) {
 	}
 }
 
-// TestBorrowedHTMLDoesNotOutliveResolve: the html of a single-page
-// request is a view of the pooled body buffer, and nothing made of it
-// may still read that buffer once the handler has given it back — not
-// the snapshot, its content key, the response or the memo's entries.
-// Everything is held to what an owned copy of the same html gives.
+// TestBorrowedHTMLDoesNotOutliveResolve is the page-lifetime test. A
+// single-page request's html is a view of the pooled body buffer, and
+// the snapshot an html request resolves to lives in pooled parser
+// storage (webpage.BorrowHTML), on every page endpoint: both single
+// and both target endpoints, each item of both batch endpoints and
+// each stream line. Once a handler has returned and both pools have
+// been overwritten, nothing the server keeps or writes may read either:
+// not a memo entry, an ETag, a response or a trace. Everything is held
+// to what a server fed the same page as an owned snapshot answers.
 func TestBorrowedHTMLDoesNotOutliveResolve(t *testing.T) {
 	// A generated phishing page the detector flags, so that scoring it
 	// writes a target entry to the memo.
@@ -505,80 +562,88 @@ func TestBorrowedHTMLDoesNotOutliveResolve(t *testing.T) {
 			t.Fatalf("the test body has no %s escape", esc)
 		}
 	}
-	// encoding/json matches keys case-insensitively and the scanner does
-	// not, so this body means the same page and is decoded owned.
-	owned := bytes.Replace(canonical, []byte(`"html":`), []byte(`"HTML":`), 1)
 
-	// The snapshot and its key, resolved from the borrowed html.
+	// The owned snapshot of the page, and the request that carries it.
 	var want PageRequest
-	if err := json.Unmarshal(owned, &want); err != nil {
+	if err := json.Unmarshal(canonical, &want); err != nil {
 		t.Fatal(err)
 	}
-	wantSnap, wantKey, err := want.resolve()
+	wantSnap := webpage.FromHTML(want.StartingURL, want.LandingURL, want.RedirectionChain, want.HTML)
+	wantKey := webpage.ContentKey(&wantSnap)
+	if len(wantSnap.HREFLinks) == 0 || len(wantSnap.LoggedLinks) == 0 || wantSnap.Copyright == "" {
+		t.Fatalf("the test page has %d href links, %d logged links, copyright %q", len(wantSnap.HREFLinks), len(wantSnap.LoggedLinks), wantSnap.Copyright)
+	}
+	owned, err := json.Marshal(PageRequest{Snapshot: &wantSnap})
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// The borrowed decode and resolution: the html is a view of the
+	// body, and the snapshot resolved from it is the owned one until
+	// the request is released.
 	var got PageRequest
-	body, ok := probe.decode(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/score", bytes.NewReader(canonical)), &got)
-	if !ok {
+	if !probe.decode(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/score", bytes.NewReader(canonical)), &got) {
 		t.Fatal("decode failed")
 	}
-	mem := body.Bytes()
-	mem = mem[:cap(mem)]
-	if !within(got.HTML, mem) {
+	mem := got.body.Bytes()
+	if !within(got.HTML, mem[:cap(mem)]) {
 		t.Fatal("the html was copied, not borrowed from the body")
 	}
 	snap, key, err := got.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The whole link array htmlx.Parse built, iframe entries included:
-	// the snapshot's two lists, then the sources no list shows.
-	iframes := len(htmlx.Parse(want.HTML).IFrameSrcs)
-	nh, nl := len(snap.HREFLinks), len(snap.LoggedLinks)
-	if nh == 0 || nl == 0 || iframes < 2 {
-		t.Fatalf("the test page has %d href links, %d logged links, %d iframe sources", nh, nl, iframes)
+	if snap != &got.page.Snapshot {
+		t.Fatal("an html request's snapshot is not its borrowed page")
 	}
-	links := unsafe.Slice(unsafe.SliceData(snap.HREFLinks), nh+nl+iframes)
-	if &links[nh] != &snap.LoggedLinks[0] {
-		t.Fatal("the snapshot's link lists are not one array")
+	if !reflect.DeepEqual(*snap, wantSnap) || key != wantKey {
+		t.Errorf("borrowed snapshot\n %+v\nkey %x, want\n %+v\nkey %x", *snap, key, wantSnap, wantKey)
 	}
-	for i, l := range links {
-		if within(l, mem) {
-			t.Errorf("link %d %q still points into the request body", i, l)
-		}
-	}
-	for i := range mem {
-		mem[i] = '#'
-	}
-	putBuf(body)
-	if !reflect.DeepEqual(snap, wantSnap) {
-		t.Errorf("snapshot changed with the body it was resolved from:\n %+v\nwant\n %+v", snap, wantSnap)
-	}
-	if key != wantKey || webpage.ContentKey(snap) != wantKey {
-		t.Errorf("content key %x (recomputed %x), want %x", key, webpage.ContentKey(snap), wantKey)
+	got.release()
+	if got.body != nil || got.page != nil {
+		t.Error("release kept the body or the page")
 	}
 
-	// The four endpoints, on twin servers fed the borrowed and the owned
-	// body. The first request scores the page and fills the memo; the
-	// closing /v2/score is answered from it, target entry included,
-	// after every pooled buffer has been overwritten several times over.
-	borrowing, owning := newServer(t, nil), newServer(t, nil)
-	paths := []string{"/v1/score", "/v2/score", "/v1/target", "/v2/target"}
-	for i, path := range append(paths, "/v2/score") {
-		got, err := postRaw(borrowing, path, canonical)
+	// Every page endpoint, on twin servers: one fed the html, one the
+	// owned snapshot. The first request scores the page and fills both
+	// memos, so every later score is a hit; the closing /v2/score is one,
+	// target entry included, after every pooled buffer and page has been
+	// overwritten many times over.
+	borrowing := newServer(t, func(cfg *Config) { cfg.Tracer = obs.NewTracer(obs.Config{}) })
+	owning := newServer(t, nil)
+	batch := func(page []byte) []byte { return []byte(`{"pages":[` + string(page) + `,` + string(page) + `]}`) }
+	stream := func(page []byte) []byte { return []byte(string(page) + "\n" + string(page) + "\n") }
+	endpoints := []struct {
+		path            string
+		borrowed, owned []byte
+	}{
+		{"/v1/score", canonical, owned},
+		{"/v2/score", canonical, owned},
+		{"/v1/target", canonical, owned},
+		{"/v2/target", canonical, owned},
+		{"/v1/score/batch", batch(canonical), batch(owned)},
+		{"/v2/score/batch", batch(canonical), batch(owned)},
+		{"/v2/score/stream", stream(canonical), stream(owned)},
+	}
+	var etag string
+	for i, ep := range append(endpoints, endpoints[1]) {
+		got, gotTag, err := postRaw(borrowing, ep.path, ep.borrowed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		scribblePooledBuffers()
-		want, err := postRaw(owning, path, owned)
+		scribblePages(&wantSnap)
+		want, wantTag, err := postRaw(owning, ep.path, ep.owned)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: borrowed html answered\n %s\nowned html\n %s", path, got, want)
+		if !bytes.Equal(got, want) || gotTag != wantTag {
+			t.Errorf("%s: borrowed page answered\n %s (ETag %s)\nowned snapshot\n %s (ETag %s)", ep.path, got, gotTag, want, wantTag)
 		}
-		if i == len(paths) {
+		if ep.path == "/v2/score" {
+			etag = gotTag
+		}
+		if i == len(endpoints) {
 			var resp V2ScoreResponse
 			if err := json.Unmarshal(got, &resp); err != nil {
 				t.Fatal(err)
@@ -588,49 +653,106 @@ func TestBorrowedHTMLDoesNotOutliveResolve(t *testing.T) {
 			}
 		}
 	}
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v2/score", bytes.NewReader(canonical))
+	req.Header.Set("If-None-Match", etag)
+	borrowing.ServeHTTP(rec, req)
+	if etag == "" || rec.Code != http.StatusNotModified {
+		t.Errorf("revalidating ETag %s after the pools were overwritten: status %d", etag, rec.Code)
+	}
+	rec = httptest.NewRecorder()
+	borrowing.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces", nil))
+	if traces := rec.Body.String(); rec.Code != http.StatusOK || strings.Contains(traces, "##") || strings.Contains(traces, "scribble") {
+		t.Errorf("the retained traces read overwritten storage (status %d):\n%s", rec.Code, traces)
+	}
 
-	// Concurrent requests, each taking its body buffer from the pool the
-	// others give theirs back to, answer as the owned html does.
+	// Concurrent requests, each taking its body buffer and its page from
+	// the pools the others give theirs back to while a fifth goroutine
+	// overwrites both, answer as the owned snapshot does.
 	wantResp := make(map[string][]byte)
-	for _, path := range paths {
-		if wantResp[path], err = postRaw(owning, path, owned); err != nil {
+	for _, ep := range endpoints {
+		if wantResp[ep.path], _, err = postRaw(owning, ep.path, ep.owned); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var wg sync.WaitGroup
+	done := make(chan struct{})
+	scribbled := make(chan struct{})
+	go func() {
+		defer close(scribbled)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				scribblePooledBuffers()
+				scribblePages(&wantSnap)
+			}
+		}
+	}()
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 16; i++ {
-				path := paths[(g+i)%len(paths)]
-				if got, err := postRaw(borrowing, path, canonical); err != nil || !bytes.Equal(got, wantResp[path]) {
-					t.Errorf("%s, concurrently: %v\n %s\nwant\n %s", path, err, got, wantResp[path])
+				ep := endpoints[(g+i)%len(endpoints)]
+				if got, _, err := postRaw(borrowing, ep.path, ep.borrowed); err != nil || !bytes.Equal(got, wantResp[ep.path]) {
+					t.Errorf("%s, concurrently: %v\n %s\nwant\n %s", ep.path, err, got, wantResp[ep.path])
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	close(done)
+	<-scribbled
 }
 
-// postRaw posts body to path and returns the 200 response's bytes, the
-// identification wall time of a /v2/target response zeroed.
-func postRaw(s *Server, path string, body []byte) ([]byte, error) {
+// postRaw posts body to path and returns the 200 response's bytes and
+// its ETag. What legitimately differs between two servers is
+// normalized: the wall times of target and batch responses are zeroed,
+// and stream lines, which complete in any order, are sorted.
+func postRaw(s *Server, path string, body []byte) ([]byte, string, error) {
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 	if rec.Code != http.StatusOK {
-		return nil, fmt.Errorf("%s: status %d: %s", path, rec.Code, rec.Body.String())
+		return nil, "", fmt.Errorf("%s: status %d: %s", path, rec.Code, rec.Body.String())
 	}
-	if path != "/v2/target" {
-		return rec.Body.Bytes(), nil
+	out, etag := rec.Body.Bytes(), rec.Header().Get("ETag")
+	switch path {
+	case "/v2/target", "/v1/score/batch", "/v2/score/batch":
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(out, &doc); err != nil {
+			return nil, "", err
+		}
+		delete(doc, "elapsed_us")
+		b, err := json.Marshal(doc)
+		return b, etag, err
+	case "/v2/score/stream":
+		lines := bytes.SplitAfter(out, []byte("\n"))
+		slices.SortFunc(lines, bytes.Compare)
+		return bytes.Join(lines, nil), etag, nil
 	}
-	var resp V2TargetResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		return nil, err
+	return out, etag, nil
+}
+
+// scribblePages overwrites the pages webpage's pool holds, as the
+// requests that take them next would: each is borrowed for a page
+// whose title, text and links are longer than snap's.
+func scribblePages(snap *webpage.Snapshot) {
+	var html strings.Builder
+	fill := func(n int) string { return strings.Repeat("scribble ", n/len("scribble ")+2) }
+	html.WriteString("<title>" + fill(len(snap.Title)) + "</title><p>" + fill(len(snap.Text)) + "</p>")
+	for range len(snap.HREFLinks) + len(snap.LoggedLinks) + 4 {
+		html.WriteString(`<a href="scribble">x</a><img src="scribble">`)
 	}
-	resp.ElapsedUS = 0
-	return json.Marshal(resp)
+	held := make([]*webpage.Page, 64)
+	for i := range held {
+		held[i] = webpage.BorrowHTML("http://scribble.test/", "http://scribble.test/", nil, html.String())
+	}
+	for _, pg := range held {
+		pg.Release()
+	}
 }
 
 // scribblePooledBuffers overwrites the buffers bufPool holds, as the

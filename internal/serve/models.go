@@ -54,7 +54,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PromoteRequest
-	if _, ok := s.decode(w, r, &req); !ok {
+	if !s.decode(w, r, &req) {
 		return
 	}
 	if req.Version == "" {

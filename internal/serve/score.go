@@ -20,7 +20,8 @@ import (
 // page to one verdict under one worker-slot wait. /v1/score/batch alone
 // resolves first and scores second (scoreSnap), because it dedupes
 // identical pages in between. Both target endpoints are adapters over
-// identifyPage.
+// identifyPage. Every one of them holds its pages borrowed (PageRequest)
+// until its response is written, and then releases them.
 
 // boundedCtx runs fn under the server-wide CPU-work bound, giving up
 // without running it when ctx is done first — a disconnected client
@@ -107,6 +108,7 @@ func (s *Server) scoreSnap(ctx context.Context, pri int, pipe *core.Pipeline, re
 
 // scorePage takes one decoded page to its verdict document under a
 // single worker-slot wait: resolve (HTML parse), content key, scoreHeld.
+// The page stays borrowed until the caller releases it.
 // A nil pipe resolves the serving detector now; a batch passes the one
 // it resolved for all its pages. The error is errNoModel, a
 // badPageError for an unresolvable page, else what cut scoring short
@@ -279,11 +281,10 @@ func etagMatch(header, etag string) bool {
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	var req PageRequest
-	body, ok := s.decode(w, r, &req)
-	if !ok {
+	if !s.decode(w, r, &req) {
 		return
 	}
-	defer putBuf(body)
+	defer req.release()
 	resp, err := s.scorePage(r.Context(), prioInteractive, nil, &req, s.defaultOpts, coalesce.CacheDefault)
 	if err != nil {
 		s.failScore(w, err)
@@ -294,11 +295,10 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleScoreV2(w http.ResponseWriter, r *http.Request) {
 	var req V2ScoreRequest
-	body, ok := s.decode(w, r, &req)
-	if !ok {
+	if !s.decode(w, r, &req) {
 		return
 	}
-	defer putBuf(body)
+	defer req.release()
 	opts, cc, err := s.coreOptions(req.ScoreOptions)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
@@ -325,11 +325,10 @@ func (s *Server) handleScoreV2(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTarget(w http.ResponseWriter, r *http.Request) {
 	var req PageRequest
-	body, ok := s.decode(w, r, &req)
-	if !ok {
+	if !s.decode(w, r, &req) {
 		return
 	}
-	defer putBuf(body)
+	defer req.release()
 	resp, err := s.identifyPage(r.Context(), &req, s.cfg.DefaultDeadline)
 	if err != nil {
 		s.failScore(w, err)
@@ -340,11 +339,10 @@ func (s *Server) handleTarget(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTargetV2(w http.ResponseWriter, r *http.Request) {
 	var req V2ScoreRequest
-	body, ok := s.decode(w, r, &req)
-	if !ok {
+	if !s.decode(w, r, &req) {
 		return
 	}
-	defer putBuf(body)
+	defer req.release()
 	if _, _, err := s.coreOptions(req.ScoreOptions); err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -416,9 +414,10 @@ func pageError(i int, err error) error {
 func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	var req BatchRequest
-	if _, ok := s.decode(w, r, &req); !ok {
+	if !s.decode(w, r, &req) {
 		return
 	}
+	defer releasePages(req.Pages)
 	pipe, workers, ok := s.beginBatch(w, len(req.Pages), req.Workers)
 	if !ok {
 		return
@@ -494,9 +493,10 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleScoreBatchV2(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	var req V2BatchRequest
-	if _, ok := s.decode(w, r, &req); !ok {
+	if !s.decode(w, r, &req) {
 		return
 	}
+	defer releasePages(req.Pages)
 	opts, cc, err := s.coreOptions(req.ScoreOptions)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)

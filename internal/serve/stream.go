@@ -54,7 +54,7 @@ func (s *Server) handleScoreStream(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer close(results)
 		_ = pool.ForEachIndexCtx(ctx, len(items), s.cfg.Workers, func(i int) {
-			res := s.scoreStreamItem(ctx, i, items[i])
+			res := s.scoreStreamItem(ctx, i, &items[i])
 			select {
 			case results <- res:
 			case <-ctx.Done():
@@ -68,12 +68,17 @@ func (s *Server) handleScoreStream(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(buf)
 	for res := range results {
 		buf.Reset()
-		if err := enc.Encode(res); err != nil {
-			continue
+		err := enc.Encode(res)
+		if err == nil {
+			_, err = w.Write(buf.Bytes())
 		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			// The connection is gone; ctx cancellation is already
-			// stopping the producers. Keep draining so they never block.
+		// The line is written, or never will be: nothing reads the
+		// item's page any more.
+		items[res.Index].req.release()
+		if err != nil {
+			// On a write error the connection is gone; ctx cancellation
+			// is already stopping the producers. Keep draining so they
+			// never block.
 			continue
 		}
 		if flusher != nil {
@@ -82,6 +87,11 @@ func (s *Server) handleScoreStream(w http.ResponseWriter, r *http.Request) {
 		s.metrics.streamed.Add(1)
 	}
 	putBuf(buf)
+	// Every producer has returned; an item a cancelled stream never
+	// answered may still hold its page.
+	for i := range items {
+		items[i].req.release()
+	}
 	if ctx.Err() != nil {
 		s.metrics.cancelled.Add(1)
 	}
@@ -144,7 +154,7 @@ func (s *Server) readStreamItems(w http.ResponseWriter, r *http.Request) ([]stre
 // champion promoted mid-stream should score the items still queued —
 // every result line carries the model_version that actually produced
 // it.
-func (s *Server) scoreStreamItem(ctx context.Context, idx int, it streamItem) V2StreamResult {
+func (s *Server) scoreStreamItem(ctx context.Context, idx int, it *streamItem) V2StreamResult {
 	res := V2StreamResult{Index: idx}
 	if it.parseErr != nil {
 		res.Error = fmt.Sprintf("decoding item: %v", it.parseErr)

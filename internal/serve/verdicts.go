@@ -25,7 +25,7 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FeedRequest
-	if _, ok := s.decode(w, r, &req); !ok {
+	if !s.decode(w, r, &req) {
 		return
 	}
 	if len(req.URLs) == 0 {

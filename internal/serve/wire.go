@@ -1,8 +1,8 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
-	"strings"
 
 	"knowphish/internal/core"
 	"knowphish/internal/store"
@@ -11,7 +11,16 @@ import (
 )
 
 // PageRequest describes one page to score: either a full snapshot, or
-// raw HTML plus visit metadata (converted with webpage.FromHTML).
+// raw HTML plus visit metadata (converted with webpage.BorrowHTML).
+//
+// A page request borrows for the life of its request, under the page
+// lifetime rule of package htmlx. Its html may be a view of the body
+// buffer it was decoded from (decodeDoc), and the snapshot an html
+// request resolves to is a webpage.Page whose strings are views of
+// pooled parser storage and of that html. The handler calls release
+// once the response that reads them is written; nothing the server
+// keeps past that reads either (the memo keeps content keys and cloned
+// target results, never snapshot strings).
 type PageRequest struct {
 	Snapshot *webpage.Snapshot `json:"snapshot,omitempty"`
 
@@ -19,6 +28,30 @@ type PageRequest struct {
 	StartingURL      string   `json:"starting_url,omitempty"`
 	LandingURL       string   `json:"landing_url,omitempty"`
 	RedirectionChain []string `json:"redirection_chain,omitempty"`
+
+	body *bytes.Buffer // the pooled buffer HTML may view
+	page *webpage.Page // the borrowed snapshot of an html request
+}
+
+// release ends the request's borrows, handing its page and its body
+// buffer back to their pools. After it nothing may read the request's
+// html or its snapshot.
+func (p *PageRequest) release() {
+	if p.page != nil {
+		p.page.Release()
+		p.page = nil
+	}
+	if p.body != nil {
+		putBuf(p.body)
+		p.body = nil
+	}
+}
+
+// releasePages releases every page of a batch.
+func releasePages(pages []PageRequest) {
+	for i := range pages {
+		pages[i].release()
+	}
 }
 
 // badPageError marks a page that could not be resolved to a snapshot —
@@ -26,8 +59,8 @@ type PageRequest struct {
 // opposed to a context error that cut scoring short.
 type badPageError struct{ error }
 
-// snapshot resolves the request to a Snapshot; its errors are
-// badPageErrors.
+// snapshot resolves the request to a Snapshot, borrowed until release
+// for an html request; its errors are badPageErrors.
 func (p *PageRequest) snapshot() (*webpage.Snapshot, error) {
 	if p.Snapshot != nil {
 		if p.HTML != "" || p.StartingURL != "" || p.LandingURL != "" || len(p.RedirectionChain) > 0 {
@@ -54,37 +87,8 @@ func (p *PageRequest) snapshot() (*webpage.Snapshot, error) {
 	if land == "" {
 		return nil, badPageError{errors.New("html requests need starting_url or landing_url")}
 	}
-	snap := webpage.FromHTML(start, land, p.RedirectionChain, p.HTML)
-	ownLinks(&snap)
-	return &snap, nil
-}
-
-// ownLinks moves the snapshot's links into one string of their own.
-// p.HTML may be a view of the request body (decodeDoc), and a link that
-// was absolute in the page is a substring of it; after the move, the
-// snapshot shares nothing with the body, and whatever it reaches — the
-// memo, the store, a response — outlives the handler safely.
-func ownLinks(snap *webpage.Snapshot) {
-	lists := [2][]string{snap.HREFLinks, snap.LoggedLinks}
-	n := 0
-	for _, list := range lists {
-		for _, l := range list {
-			n += len(l)
-		}
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, list := range lists {
-		for _, l := range list {
-			b.WriteString(l)
-		}
-	}
-	all := b.String()
-	for _, list := range lists {
-		for i, l := range list {
-			list[i], all = all[:len(l)], all[len(l):]
-		}
-	}
+	p.page = webpage.BorrowHTML(start, land, p.RedirectionChain, p.HTML)
+	return &p.page.Snapshot, nil
 }
 
 // resolve is the resolution step of the score path: the snapshot to

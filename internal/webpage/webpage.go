@@ -65,11 +65,45 @@ func FromHTML(startingURL, landingURL string, chain []string, html string) Snaps
 	return s
 }
 
+// Page is a Snapshot in pooled storage, built by BorrowHTML: its title,
+// text and copyright are views of the storage's parser buffers, its
+// link lists are the parser's arrays, and links that were absolute in
+// the html are substrings of it (htmlx's page lifetime). It is valid
+// until Release and only as long as the html; whoever keeps a part of
+// it past that copies the part.
+type Page struct {
+	Snapshot
+	parser htmlx.Parser
+}
+
+var pagePool = sync.Pool{New: func() any { return new(Page) }}
+
+// BorrowHTML is FromHTML into a Page from the pool: once the pool is
+// warm, a page whose links are absolute and whose redirection chain is
+// given costs no allocation. Its owner calls Release when nothing reads
+// the page any more.
+func BorrowHTML(startingURL, landingURL string, chain []string, html string) *Page {
+	pg := pagePool.Get().(*Page)
+	pg.Snapshot = FromDoc(pg.parser.Parse(html), startingURL, landingURL, chain)
+	return pg
+}
+
+// Release ends the page and returns its storage to the pool, or drops
+// it when the page grew the parser past htmlx's bound. After Release
+// nothing may read pg or a string or list of its snapshot.
+func (pg *Page) Release() {
+	pg.Snapshot = Snapshot{}
+	if pg.parser.Reset() {
+		pagePool.Put(pg)
+	}
+}
+
 // FromDoc is FromHTML for a page the caller has already parsed. It
-// resolves doc's HREFLinks and ResourceLinks in place, in the array
-// htmlx.Parse built, and the snapshot's link lists are those two
-// slices: afterwards the caller's doc reads the resolved links, and its
-// IFrameSrcs, untouched, stay as written.
+// resolves doc's HREFLinks and ResourceLinks in place, in the arrays
+// htmlx built, and the snapshot's link lists are those two slices:
+// afterwards the caller's doc reads the resolved links, and its
+// IFrameSrcs, untouched, stay as written. The landing URL is parsed
+// once, on the first relative link.
 func FromDoc(doc htmlx.Document, startingURL, landingURL string, chain []string) Snapshot {
 	if len(chain) == 0 {
 		if startingURL == landingURL {
@@ -78,9 +112,10 @@ func FromDoc(doc htmlx.Document, startingURL, landingURL string, chain []string)
 			chain = []string{startingURL, landingURL}
 		}
 	}
+	base := resolver{base: landingURL}
 	for _, refs := range [2][]string{doc.HREFLinks, doc.ResourceLinks} {
 		for i, l := range refs {
-			refs[i] = ResolveRef(landingURL, l)
+			refs[i] = base.resolve(l)
 		}
 	}
 	return Snapshot{
@@ -102,33 +137,44 @@ func FromDoc(doc htmlx.Document, startingURL, landingURL string, chain []string)
 // handles absolute URLs, scheme-relative (//host/..), absolute paths and
 // relative paths; anything unresolvable is returned unchanged.
 func ResolveRef(base, ref string) string {
-	if ref == "" {
+	r := resolver{base: base}
+	return r.resolve(ref)
+}
+
+// resolver is ResolveRef for one base and many references: the base is
+// parsed once, when the first reference needs it.
+type resolver struct {
+	base             string
+	parsed, ok       bool
+	proto, fqdn, dir string
+}
+
+func (r *resolver) resolve(ref string) string {
+	if ref == "" || strings.Contains(ref, "://") {
 		return ref
 	}
-	if strings.Contains(ref, "://") {
-		return ref
-	}
-	bp, err := urlx.Parse(base)
-	if err != nil {
-		return ref
-	}
-	proto := bp.Protocol
-	if proto == "" {
-		proto = "http"
+	if !r.parsed {
+		r.parsed = true
+		bp, err := urlx.Parse(r.base)
+		if err == nil {
+			r.ok, r.proto, r.fqdn, r.dir = true, bp.Protocol, bp.FQDN, "/"
+			if r.proto == "" {
+				r.proto = "http"
+			}
+			if i := strings.LastIndexByte(bp.Path, '/'); i >= 0 {
+				r.dir = bp.Path[:i+1]
+			}
+		}
 	}
 	switch {
+	case !r.ok:
+		return ref
 	case strings.HasPrefix(ref, "//"):
-		return proto + ":" + ref
+		return r.proto + ":" + ref
 	case strings.HasPrefix(ref, "/"):
-		return proto + "://" + bp.FQDN + ref
+		return r.proto + "://" + r.fqdn + ref
 	default:
-		dir := bp.Path
-		if i := strings.LastIndexByte(dir, '/'); i >= 0 {
-			dir = dir[:i+1]
-		} else {
-			dir = "/"
-		}
-		return proto + "://" + bp.FQDN + dir + ref
+		return r.proto + "://" + r.fqdn + r.dir + ref
 	}
 }
 

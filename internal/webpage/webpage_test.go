@@ -4,11 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"knowphish/internal/htmlx"
 	"knowphish/internal/racecheck"
 	"knowphish/internal/terms"
+	"knowphish/internal/urlx"
 )
 
 func sampleSnapshot() *Snapshot {
@@ -190,6 +193,63 @@ func TestFromHTMLAllocs(t *testing.T) {
 	}
 }
 
+// TestBorrowHTMLMatchesFromHTML: a borrowed page is the snapshot
+// FromHTML owns, default chain included, and releasing it leaves an
+// owned snapshot of the same html untouched.
+func TestBorrowHTMLMatchesFromHTML(t *testing.T) {
+	pages := []struct{ start, land, html string }{
+		{"https://www.site.example.com/dir/start", "https://www.site.example.com/dir/index",
+			`<title>T</title><a href="/abs">a</a><a href="rel/page">b</a><a href="//other.example.net/x">c</a><img src="/img.png"><iframe src="f.html"></iframe><p>&copy; 2015 Site Inc.</p>`},
+		{"http://a.example/", "http://a.example/", `<body>x <a href="https://b.example/">b</a></body>`},
+		{"http://a.example/", "http://a.example/", ""},
+	}
+	for _, pg := range pages {
+		want := FromHTML(pg.start, pg.land, nil, pg.html)
+		kept := FromHTML(pg.start, pg.land, nil, pg.html)
+		for range 3 {
+			got := BorrowHTML(pg.start, pg.land, nil, pg.html)
+			if !reflect.DeepEqual(got.Snapshot, want) {
+				t.Errorf("BorrowHTML(%q)\n %#v\nwant\n %#v", pg.html, got.Snapshot, want)
+			}
+			got.Release()
+			BorrowHTML("http://scribble.test/", "http://scribble.test/", nil, strings.Repeat("<title>scribble</title><a href=s>s</a>", 64)).Release()
+		}
+		if !reflect.DeepEqual(kept, want) {
+			t.Errorf("an owned snapshot changed when borrowed pages were released:\n %#v\nwant\n %#v", kept, want)
+		}
+	}
+}
+
+// TestBorrowHTMLAllocs: once the pool is warm, a borrowed page of
+// absolute links whose redirection chain is given costs no allocation.
+// A request that names no chain pays FromDoc's one default-chain array.
+func TestBorrowHTMLAllocs(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	var html strings.Builder
+	html.WriteString("<title>Example Bank</title><body><p>Sign in to your account</p>")
+	for i := 0; i < 16; i++ {
+		fmt.Fprintf(&html, `<a href="https://www.examplebank.com/p/%d">p</a><img src="https://cdn.example.net/%d.png">`, i, i)
+	}
+	html.WriteString(`<iframe src="https://ads.example.org/frame"></iframe><p>&copy; 2015 Example Bank</p></body>`)
+	page, start, land := html.String(), "http://bit.example/r", "https://www.examplebank.com/"
+	for _, tc := range []struct {
+		chain []string
+		want  float64
+	}{{[]string{start, land}, 0}, {nil, 1}} {
+		pg := BorrowHTML(start, land, tc.chain, page)
+		if len(pg.HREFLinks) != 16 || len(pg.LoggedLinks) != 17 || pg.Copyright == "" {
+			t.Fatalf("BorrowHTML found %d href and %d logged links, copyright %q", len(pg.HREFLinks), len(pg.LoggedLinks), pg.Copyright)
+		}
+		pg.Release()
+		n := testing.AllocsPerRun(100, func() { BorrowHTML(start, land, tc.chain, page).Release() })
+		if n != tc.want {
+			t.Errorf("chain %q: a borrowed page allocated %.0f times, want %.0f", tc.chain, n, tc.want)
+		}
+	}
+}
+
 func TestFromHTMLSameStartLand(t *testing.T) {
 	s := FromHTML("http://a.example/", "http://a.example/", nil, "<body>x</body>")
 	if len(s.RedirectionChain) != 1 {
@@ -209,6 +269,69 @@ func TestResolveRef(t *testing.T) {
 	for _, tt := range tests {
 		if got := ResolveRef(base, tt.ref); got != tt.want {
 			t.Errorf("ResolveRef(%q) = %q, want %q", tt.ref, got, tt.want)
+		}
+	}
+}
+
+// referenceResolveRef is ResolveRef as it was before FromDoc parsed
+// the base once per page: it parses base for every relative ref.
+func referenceResolveRef(base, ref string) string {
+	if ref == "" {
+		return ref
+	}
+	if strings.Contains(ref, "://") {
+		return ref
+	}
+	bp, err := urlx.Parse(base)
+	if err != nil {
+		return ref
+	}
+	proto := bp.Protocol
+	if proto == "" {
+		proto = "http"
+	}
+	switch {
+	case strings.HasPrefix(ref, "//"):
+		return proto + ":" + ref
+	case strings.HasPrefix(ref, "/"):
+		return proto + "://" + bp.FQDN + ref
+	default:
+		dir := bp.Path
+		if i := strings.LastIndexByte(dir, '/'); i >= 0 {
+			dir = dir[:i+1]
+		} else {
+			dir = "/"
+		}
+		return proto + "://" + bp.FQDN + dir + ref
+	}
+}
+
+// TestFromDocResolvesAsResolveRef: FromDoc parses the landing URL once
+// for all of a page's links, and resolves every kind of ref — absolute,
+// scheme-relative, root-relative, relative, parent-relative, empty —
+// exactly as a parse per link does, against bases with and without a
+// scheme, a directory or a query, and against one that does not parse.
+func TestFromDocResolvesAsResolveRef(t *testing.T) {
+	refs := []string{
+		"https://abs.example/x", "//cdn.example.net/lib.js", "/abs/path", "rel", "rel/page.html",
+		"../up.html", "../../up2/", "?q=1", "", "mailto:a@b.example", "/", "//",
+	}
+	bases := []string{
+		"https://www.site.example.com/dir/sub/index.html", "https://www.site.example.com/dir/",
+		"http://site.example", "www.site.example.com/a/b", "https://site.example/a?b=c/d", "HTTPS://Site.Example/A/b",
+		"", "://",
+	}
+	for _, base := range bases {
+		doc := htmlx.Document{HREFLinks: slices.Clone(refs), ResourceLinks: slices.Clone(refs)}
+		snap := FromDoc(doc, base, base, nil)
+		for i, ref := range refs {
+			want := referenceResolveRef(base, ref)
+			if got := ResolveRef(base, ref); got != want {
+				t.Errorf("ResolveRef(%q, %q) = %q, want %q", base, ref, got, want)
+			}
+			if snap.HREFLinks[i] != want || snap.LoggedLinks[i] != want {
+				t.Errorf("FromDoc against %q resolved %q to %q and %q, want %q", base, ref, snap.HREFLinks[i], snap.LoggedLinks[i], want)
+			}
 		}
 	}
 }
