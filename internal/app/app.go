@@ -71,8 +71,8 @@ type Config struct {
 	// Workers bounds concurrent pipeline executions (0 → GOMAXPROCS).
 	Workers int
 	// MemoEntries is the capacity of each of the stage memo's two tables,
-	// score and target (negative: no verdict reuse). About 120 bytes per
-	// scored page plus 0.75 KB per detector positive, whatever the page
+	// score and target (negative: no verdict reuse). About 55 bytes per
+	// scored page plus 0.7 KB per detector positive, whatever the page
 	// size (see coalesce.Config.MemoEntries).
 	MemoEntries int
 	// Deadline is the default per-request scoring budget (0 → none).

@@ -4,18 +4,21 @@
 // Two sharded LRU tables, keyed by the page's 128-bit content key
 // (webpage.ContentKey), memoize what a verdict is made of: the detector
 // score and, for a detector positive, the target-identification result.
-// Both are stamped with the model version and dropped when a new
-// champion is promoted. Each shard of a table is a slab — entries in
-// chunks of slots, linked into recency order by slot number and found
-// through an open-addressed index — so an entry costs its data and a
-// few bytes of index, not heap objects of its own. The memo keeps
-// verdicts, not pages: no entry references the snapshot, its analysis
-// or its feature vector, so nothing a client sent stays reachable after
-// its response is written, and an entry's size does not depend on the
-// page (see Config.MemoEntries). These tables are the only verdict
-// reuse in the process: a request whose score — and target result,
-// when it needs one — is found is what the serving layer reports as a
-// cache hit.
+// Both are stamped with the model version — an interned id, not the
+// string — and dropped when a new champion is promoted. Each shard of a
+// table is a slab — entries in chunks of slots, linked into recency
+// order by slot number and found through an open-addressed index — so
+// an entry costs its data and a few bytes of index, not heap objects of
+// its own. A score slot holds no pointer at all (key, score, version
+// id, links: 40 bytes), so the collector never scans the score table;
+// the 32-hex fingerprint is spelled from the key by whoever renders or
+// stores it. The memo keeps verdicts, not pages: no entry references
+// the snapshot, its analysis or its feature vector, so nothing a client
+// sent stays reachable after its response is written, and an entry's
+// size does not depend on the page (see Config.MemoEntries). These
+// tables are the only verdict reuse in the process: a request whose
+// score — and target result, when it needs one — is found is what the
+// serving layer reports as a cache hit.
 //
 // Coalescer.Do hashes the page, looks the score up and then, for a
 // positive, the target result, hands what it found to the pipeline's
@@ -29,8 +32,10 @@ package coalesce
 import (
 	"context"
 	"errors"
+	"maps"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"knowphish/internal/core"
@@ -86,15 +91,15 @@ const DefaultMemoEntries = 1 << 16
 type Config struct {
 	// MemoEntries is the capacity of each of the two tables, score and
 	// target (0 = DefaultMemoEntries; negative disables memoization — Do
-	// still fingerprints the page and scores it). It bounds memory, not
-	// only the entry count, because no entry grows with its page: a
-	// score entry is about 120 bytes (a 64-byte slot of key, score,
-	// version and links, the 32-character fingerprint and its index
-	// cells), and a target entry — detector positives only — about
-	// 0.75 KB more: at most 30 candidate domains and 15 key terms, copied
-	// out of the page (the one part that is as long as the page spelled
-	// it). The default is ~8 MB of scores when full, ~57 MB if every page
-	// were a positive (TestHeapAllocRetainedPerScoreEntry and
+	// still computes the page's content key and scores it). It bounds
+	// memory, not only the entry count, because no entry grows with its
+	// page: a score entry is about 55 bytes (a 40-byte slot of key,
+	// score, version id and links, and its index cells), and a target
+	// entry — detector positives only — about 0.7 KB more: at most 30
+	// candidate domains and 15 key terms, copied out of the page (the
+	// one part that is as long as the page spelled it). The default is
+	// ~3.6 MB of scores when full, ~50 MB if every page were a positive
+	// (TestHeapAllocRetainedPerScoreEntry and
 	// TestHeapAllocRetainedPerPage hold the per-page figures).
 	MemoEntries int
 }
@@ -120,13 +125,13 @@ type Stats struct {
 	Target   TableStats `json:"target"`
 }
 
-// scoreEntry memoizes the detector score for one model version. fp
-// carries the hex content fingerprint so warm requests reuse one string
-// forever instead of re-encoding it.
+// scoreEntry memoizes the detector score for one model version. It
+// holds no pointer — the slot's key is the page's identity, and callers
+// spell it where they render it — so a score table is never scanned by
+// the collector.
 type scoreEntry struct {
 	score float64
-	ver   string
-	fp    string
+	ver   versionID
 }
 
 // targetEntry memoizes the target-identification result of a detector
@@ -135,8 +140,12 @@ type scoreEntry struct {
 // lookup never copies it onto the heap.
 type targetEntry struct {
 	res *target.Result
-	ver string
+	ver versionID
 }
+
+// versionID stands for one model version string in the memo tables (see
+// Coalescer.versionID).
+type versionID uint32
 
 // ownedResult is the copy of res the target table keeps. The
 // identifier's term lists are substrings of the analysis's term arenas
@@ -175,6 +184,13 @@ type Coalescer struct {
 	score  *memoTable[scoreEntry]
 	target *memoTable[targetEntry]
 
+	// versions maps every model version string an entry was stamped
+	// with to its id. It is copied on write under versionMu and read
+	// without a lock: a registry promotes a handful of versions in a
+	// process's life, and every Do looks one up.
+	versions  atomic.Pointer[map[string]versionID]
+	versionMu sync.Mutex
+
 	passes   atomic.Uint64
 	bypassed atomic.Uint64
 }
@@ -186,15 +202,38 @@ func New(cfg Config) *Coalescer {
 	if memo == 0 {
 		memo = DefaultMemoEntries
 	}
-	return &Coalescer{
+	c := &Coalescer{
 		score:  newMemoTable[scoreEntry](memo),
 		target: newMemoTable[targetEntry](memo),
 	}
+	c.versions.Store(&map[string]versionID{})
+	return c
+}
+
+// versionID interns ver. Equal strings always get the same id and
+// distinct strings distinct ids, so comparing ids is comparing the
+// version strings: an entry hits only under the version that computed
+// it.
+func (c *Coalescer) versionID(ver string) versionID {
+	if id, ok := (*c.versions.Load())[ver]; ok {
+		return id
+	}
+	c.versionMu.Lock()
+	defer c.versionMu.Unlock()
+	old := *c.versions.Load()
+	if id, ok := old[ver]; ok {
+		return id
+	}
+	ids := maps.Clone(old)
+	id := versionID(len(old) + 1) // 0 is no version's id
+	ids[ver] = id
+	c.versions.Store(&ids)
+	return id
 }
 
 // Do scores one request through the memo: content hash, memo lookups,
 // one staged pipeline pass, memo write-back. The verdict is identical
-// to what pipe.AnalyzeCtx would produce, with ContentFingerprint set;
+// to what pipe.AnalyzeCtx would produce, with ContentKey set;
 // when prov is non-nil it is filled with each stage's provenance (memo
 // vs computed; empty for stages that did not run — analysis and features
 // are only ever computed or empty).
@@ -221,21 +260,26 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 	c.passes.Add(1)
 
 	key := req.ContentKey(snap)
-	ver := pipe.Detector.Version()
-	reads := cc == CacheDefault
+	reads := cc == CacheDefault && c.Enabled()
 	writes := cc != CacheNoMemo && c.Enabled()
 
+	// id is the version of the detector that scores this pass: what an
+	// entry must carry to be read, and what the pass stamps its writes
+	// with.
 	var st core.StageResults
-	fp := ""
+	var id versionID
+	if reads || writes {
+		id = c.versionID(pipe.Detector.Version())
+	}
 	if reads {
-		if e, ok := c.score.Get(key); ok && e.ver == ver {
-			st.HasScore, st.Score, fp = true, e.score, e.fp
+		if e, ok := c.score.Get(key); ok && e.ver == id {
+			st.HasScore, st.Score = true, e.score
 		}
 		// The target table only ever holds detector positives: probing it
 		// for a page whose memoised score is below the threshold would
 		// count a miss on every warm legitimate hit.
 		if !st.HasScore || st.Score >= pipe.Detector.Threshold() {
-			if e, ok := c.target.Get(key); ok && e.ver == ver {
+			if e, ok := c.target.Get(key); ok && e.ver == id {
 				st.TargetResult = e.res
 			}
 		}
@@ -245,16 +289,13 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 	if err != nil {
 		return core.Verdict{}, err
 	}
-	if fp == "" {
-		fp = key.String()
-	}
-	v.ContentFingerprint = fp
+	v.ContentKey = key
 	if writes {
 		if st.Computed&core.StageMaskScore != 0 {
-			c.score.Put(key, scoreEntry{score: v.Score, ver: v.ModelVersion, fp: fp})
+			c.score.Put(key, scoreEntry{score: v.Score, ver: id})
 		}
 		if st.Computed&core.StageMaskTarget != 0 {
-			c.target.Put(key, targetEntry{res: ownedResult(v.Target), ver: v.ModelVersion})
+			c.target.Put(key, targetEntry{res: ownedResult(v.Target), ver: id})
 		}
 	}
 	if prov != nil {

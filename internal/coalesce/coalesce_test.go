@@ -1,6 +1,7 @@
 package coalesce
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -128,8 +129,8 @@ func TestDoMatchesAnalyzeCtx(t *testing.T) {
 			if !reflect.DeepEqual(got.Outcome, want.Outcome) || got.Label != want.Label {
 				t.Fatalf("round %d snap %d: coalesced %+v != direct %+v", round, i, got.Outcome, want.Outcome)
 			}
-			if got.ContentFingerprint == "" {
-				t.Fatalf("round %d snap %d: no content fingerprint", round, i)
+			if got.ContentKey != webpage.ContentKey(snap) || got.ContentFingerprint != "" {
+				t.Fatalf("round %d snap %d: content key %v, fingerprint %q: want the page's key, unspelled", round, i, got.ContentKey, got.ContentFingerprint)
 			}
 			if round == 0 && (prov.Analysis != core.ProvComputed || prov.Features != core.ProvComputed || prov.Score != core.ProvComputed) {
 				t.Fatalf("snap %d: cold provenance %+v, want analysis, features and score computed", i, prov)
@@ -148,21 +149,22 @@ func TestDoMatchesAnalyzeCtx(t *testing.T) {
 	}
 }
 
-// TestFingerprintStableAcrossPaths pins that the fingerprint is pure
-// content: same page, any cache-control, any temperature — one value.
+// TestFingerprintStableAcrossPaths pins that the content key is pure
+// content: same page, any cache-control, any temperature — one value,
+// which spells the page's fingerprint.
 func TestFingerprintStableAcrossPaths(t *testing.T) {
 	_, pipe := fixtures(t)
 	c := New(Config{})
 	ctx := context.Background()
 	snap := mixedSnaps(t, 1)[0]
-	want := webpage.Fingerprint(snap)
+	want := webpage.ContentKey(snap)
 	for _, cc := range []CacheControl{CacheDefault, CacheNoMemo, CacheRefresh, CacheDefault} {
 		v, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), cc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.ContentFingerprint != want {
-			t.Fatalf("%v: fingerprint %q, want %q", cc, v.ContentFingerprint, want)
+		if v.ContentKey != want || v.ContentKey.String() != webpage.Fingerprint(snap) {
+			t.Fatalf("%v: content key %v, want %v (fingerprint %s)", cc, v.ContentKey, want, webpage.Fingerprint(snap))
 		}
 	}
 }
@@ -279,6 +281,55 @@ func TestVersionStampBlocksStaleReads(t *testing.T) {
 	}
 	if prov.Score == core.ProvMemo {
 		t.Fatal("score memoized under the old version hit under the new one")
+	}
+}
+
+// TestVersionInterning pins that entries are shared by version string,
+// not by detector: a second *Detector loaded from the same model under
+// the same version hits what the first computed, the same model under
+// another version misses, and the interning table holds one id per
+// distinct version however many requests ran.
+func TestVersionInterning(t *testing.T) {
+	corp, pipe := fixtures(t)
+	ctx := context.Background()
+	var saved bytes.Buffer
+	if err := pipe.Detector.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	twin := func(ver string) *core.Pipeline {
+		d, err := core.Load(bytes.NewReader(saved.Bytes()), corp.World.Ranking())
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.SetVersion(ver)
+		return &core.Pipeline{Detector: d, Identifier: pipe.Identifier}
+	}
+	same, other := twin(pipe.Detector.Version()), twin("m1-other")
+	c := New(Config{})
+	snaps := mixedSnaps(t, 8)
+	do := func(p *core.Pipeline, snap *webpage.Snapshot) core.MemoProvenance {
+		t.Helper()
+		var prov core.MemoProvenance
+		if _, err := c.Do(ctx, p, core.NewScoreRequest(snap), CacheDefault, &prov); err != nil {
+			t.Fatal(err)
+		}
+		return prov
+	}
+	for i, snap := range snaps {
+		do(pipe, snap)
+		if prov := do(same, snap); !prov.Hit() {
+			t.Fatalf("page %d: a second detector under version %q missed: %+v", i, same.Detector.Version(), prov)
+		}
+		if prov := do(other, snap); prov.Score != core.ProvComputed {
+			t.Fatalf("page %d: version %q read an entry of version %q: %+v", i, other.Detector.Version(), pipe.Detector.Version(), prov)
+		}
+	}
+	pipes := []*core.Pipeline{pipe, same, other, secondChampion(t)}
+	for i := range 10_000 {
+		do(pipes[i%len(pipes)], snaps[i%len(snaps)])
+	}
+	if n := len(*c.versions.Load()); n != 3 {
+		t.Fatalf("interned %d version ids for versions m1, m1-other and m2, want 3", n)
 	}
 }
 
@@ -518,7 +569,7 @@ func TestWarmPathZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.ContentFingerprint == "" || prov.Score != core.ProvMemo {
+		if v.ContentKey == (webpage.Key128{}) || prov.Score != core.ProvMemo {
 			t.Fatal("warm request missed the memo")
 		}
 	})

@@ -91,7 +91,7 @@ func TestMemoTableGetZeroAllocs(t *testing.T) {
 	}
 	tb := newMemoTable[scoreEntry](1 << 10)
 	for i := uint64(0); i < 100; i++ {
-		tb.Put(key(i), scoreEntry{score: float64(i), ver: "m1"})
+		tb.Put(key(i), scoreEntry{score: float64(i), ver: 1})
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := uint64(0); i < 100; i++ {
@@ -111,7 +111,7 @@ func BenchmarkMemoLookup(b *testing.B) {
 	tb := newMemoTable[scoreEntry](DefaultMemoEntries)
 	const n = 4096
 	for i := uint64(0); i < n; i++ {
-		tb.Put(key(i), scoreEntry{score: float64(i), ver: "m1"})
+		tb.Put(key(i), scoreEntry{score: float64(i), ver: 1})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -325,7 +325,7 @@ func TestMemoTablePutAllocs(t *testing.T) {
 	for i := range keys {
 		keys[i] = key(uint64(i) * memoShards)
 	}
-	e := scoreEntry{score: 0.5, ver: "m1", fp: "0123456789abcdef0123456789abcdef"}
+	e := scoreEntry{score: 0.5, ver: 1}
 	allocs := testing.AllocsPerRun(5, func() {
 		tb := newMemoTable[scoreEntry](DefaultMemoEntries)
 		for _, k := range keys {

@@ -96,7 +96,7 @@ func TestHeapAllocRetainedPerPage(t *testing.T) {
 	}
 	_, pipe := fixtures(t)
 	ctx := context.Background()
-	const pages, pageBytes, budget = 2000, 8 << 10, 1 << 10
+	const pages, pageBytes, budget = 2000, 8 << 10, 400
 	bases := mixedSnaps(t, 8)
 	c := New(Config{})
 	before := collect()
@@ -122,16 +122,18 @@ func TestHeapAllocRetainedPerPage(t *testing.T) {
 // TestHeapAllocRetainedPerScoreEntry bounds what a detector-negative
 // page leaves behind — one score entry, no target entry — which is
 // what most scored pages cost. The slab table keeps an entry's key,
-// score, version and links in a chunk slot and its fingerprint in one
-// 32-byte string; a map over a container/list boxed each entry in two
-// more objects and retained about 190 bytes.
+// score, version id and links in a 40-byte chunk slot, and nothing
+// else: about 55 bytes with the index cells and chunk headers. Keeping
+// the fingerprint string and the version string in the slot retained
+// about 120 bytes, and a map over a container/list, which boxed each
+// entry in two more objects, about 190.
 func TestHeapAllocRetainedPerScoreEntry(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("heap retention is not meaningful under -race")
 	}
 	c0, pipe := fixtures(t)
 	ctx := context.Background()
-	const pages, pageBytes, budget = 2000, 8 << 10, 150
+	const pages, pageBytes, budget = 2000, 8 << 10, 64
 	var bases []*webpage.Snapshot
 	for _, ex := range c0.LegTrain.Examples[:8] {
 		bases = append(bases, ex.Snapshot)
@@ -155,6 +157,34 @@ func TestHeapAllocRetainedPerScoreEntry(t *testing.T) {
 		t.Fatalf("%d bytes retained per score entry, budget %d", perEntry, budget)
 	}
 	runtime.KeepAlive(c)
+}
+
+// TestScoreSlotHoldsNoPointer pins the score table's slot shape: 40
+// bytes of key, score, version id and links, with no pointer anywhere
+// in it, so the collector never scans a score table and an entry costs
+// no heap object. A string or pointer field added to scoreEntry fails
+// here before it fails a retention budget.
+func TestScoreSlotHoldsNoPointer(t *testing.T) {
+	var slot memoSlot[scoreEntry]
+	if size := unsafe.Sizeof(slot); size != 40 {
+		t.Errorf("memoSlot[scoreEntry] is %d bytes, want 40", size)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("%s is a %s: a score slot must hold no pointer", path, typ)
+		}
+	}
+	walk("memoSlot[scoreEntry]", reflect.TypeOf(slot))
 }
 
 // TestOwnedResultAllocs: the copy a target entry keeps equals the

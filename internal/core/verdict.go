@@ -74,14 +74,21 @@ type Verdict struct {
 	ModelVersion string `json:"model_version,omitempty"`
 	// Timings reports per-stage latency.
 	Timings StageTimings `json:"timings"`
-	// ContentFingerprint is the page's content identity
-	// (webpage.Fingerprint: 32 hex digits of sha256 over landing URL and
-	// content) — the memo key, the stem of the v2 ETag and the
-	// fingerprint the feed stores. Set by the memoizing path
-	// (coalesce.Coalescer.Do); plain ScoreCtx / AnalyzeCtx verdicts
-	// leave it empty rather than paying the hash for callers that never
-	// read it.
+	// ContentFingerprint is the page's content identity spelled as
+	// webpage.Fingerprint does (32 hex digits of sha256 over landing URL
+	// and content) — the stem of the v2 ETag and the fingerprint the
+	// feed stores. It is ContentKey.String(), filled in only where a
+	// verdict is rendered: the v2 score endpoints set it on the
+	// documents they write. No scoring path sets it, so a verdict kept
+	// in memory carries no per-page string.
 	ContentFingerprint string `json:"content_fingerprint,omitempty"`
+	// ContentKey is the page's content identity (webpage.ContentKey),
+	// the memo tables' key. Set by the memoizing path
+	// (coalesce.Coalescer.Do, whatever its cache mode); zero on plain
+	// ScoreCtx / AnalyzeCtx verdicts and on explain requests, which
+	// bypass the memo, so callers that never read it do not pay the
+	// hash. Never encoded: the wire carries ContentFingerprint.
+	ContentKey webpage.Key128 `json:"-"`
 	// Memo reports, per pipeline stage, whether the stage's result was
 	// served from the content-addressed memo tables or computed fresh.
 	// Nil when the verdict did not pass through the memoizing path.

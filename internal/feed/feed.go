@@ -427,15 +427,15 @@ func (s *Scheduler) process(it *item) {
 	tr.Stages(ts, t.AnalyzeNS, t.FeaturesNS, t.ScoreNS, t.TargetNS, t.ExplainNS)
 	out := v.Outcome
 	// A verdict scored through the stage memo already carries the page's
-	// identity; only the plain path still has to hash.
-	fp := v.ContentFingerprint
-	if fp == "" {
-		fp = webpage.Fingerprint(snap)
+	// key; only the plain path still has to hash.
+	key := v.ContentKey
+	if key == (webpage.Key128{}) {
+		key = webpage.ContentKey(snap)
 	}
 	rec := store.Record{
 		URL:          it.url,
 		LandingURL:   snap.LandingURL,
-		Fingerprint:  fp,
+		Fingerprint:  key.String(),
 		Outcome:      out,
 		ModelVersion: v.ModelVersion,
 		ScoredAt:     s.now().UTC(),

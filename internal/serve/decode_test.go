@@ -438,40 +438,82 @@ func TestDecodeScoreAllocBudget(t *testing.T) {
 // allocates for a memo hit on a page of absolute links, once the pools
 // are warm: the request document and the response boxed for the
 // encoder, the body limit reader, the request's two URLs, its chain and
-// the chain's two entries, the ETag (built in two steps) and the three
-// header values. The page itself costs nothing: its html is a view of
-// the pooled body and its snapshot lives in a pooled webpage.Page until
-// the response is written. Owning the page cost 19 allocations a hit:
-// the title, the text, the link array, the links' string and the
-// snapshot.
+// the chain's two entries, the ETag — one string, whose stem is the
+// document's content_fingerprint — and the three header values. The
+// page itself costs nothing: its html is a view of the pooled body and
+// its snapshot lives in a pooled webpage.Page until the response is
+// written. Owning the page cost 19 allocations a hit: the title, the
+// text, the link array, the links' string and the snapshot; spelling
+// the fingerprint apart from the ETag cost one more.
 func TestScoreV2WarmHandlerAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	s := newServer(t, nil)
+	serve, w := warmScoreV2(t, s, "", http.StatusOK)
+	if !bytes.Contains(w.body.Bytes(), []byte(`"cached":true`)) {
+		t.Fatalf("the second request was not a memo hit: %s", w.body.String())
+	}
+	allocs := testing.AllocsPerRun(200, serve)
+	t.Logf("warm /v2/score hit: %.0f allocs", allocs)
+	if allocs > 13 {
+		t.Errorf("a warm /v2/score hit allocated %.0f times in the handler, want at most 13", allocs)
+	}
+}
+
+// TestScoreV2RevalidateHandlerAllocs pins a warm conditional /v2/score
+// whose If-None-Match lists the tag after another one: the handler
+// answers 304 with no body, and walking the candidate list costs
+// nothing: the allocations are the warm hit's, less those of writing
+// the response document (boxing it, its Content-Type and
+// Content-Length values). Splitting the list and building the ETag in
+// two steps made it 11.
+func TestScoreV2RevalidateHandlerAllocs(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	s := newServer(t, nil)
+	_, w := warmScoreV2(t, s, "", http.StatusOK)
+	etag := w.header.Get("ETag")
+	if etag == "" {
+		t.Fatal("a warm /v2/score hit carries no ETag")
+	}
+	serve, w := warmScoreV2(t, s, `"0123456789abcdef0123456789abcdef-v9", W/`+etag, http.StatusNotModified)
+	if w.body.Len() != 0 {
+		t.Fatalf("a 304 wrote a body: %s", w.body.String())
+	}
+	allocs := testing.AllocsPerRun(200, serve)
+	t.Logf("warm /v2/score revalidation: %.0f allocs", allocs)
+	if allocs > 9 {
+		t.Errorf("a warm /v2/score revalidation allocated %.0f times in the handler, want at most 9", allocs)
+	}
+}
+
+// warmScoreV2 sends scoreBody to s's /v2/score handler twice, with
+// If-None-Match set to ifNoneMatch when it is not empty, and returns a
+// function that sends it again — each answer must carry status want —
+// and the writer that holds the last answer.
+func warmScoreV2(t *testing.T, s *Server, ifNoneMatch string, want int) (func(), *discardWriter) {
+	t.Helper()
 	body := scoreBody(t)
 	rd := bytes.NewReader(body)
 	r := httptest.NewRequest(http.MethodPost, "/v2/score", rd)
+	if ifNoneMatch != "" {
+		r.Header.Set("If-None-Match", ifNoneMatch)
+	}
 	w := &discardWriter{header: make(http.Header)}
 	serve := func() {
 		rd.Reset(body)
 		w.status = 0
 		w.body.Reset()
 		s.handleScoreV2(w, r)
-		if w.status != http.StatusOK {
-			t.Fatalf("status %d: %s", w.status, w.body.String())
+		if w.status != want {
+			t.Fatalf("status %d, want %d: %s", w.status, want, w.body.String())
 		}
 	}
 	serve() // scores the page and fills the memo
 	serve()
-	if !bytes.Contains(w.body.Bytes(), []byte(`"cached":true`)) {
-		t.Fatalf("the second request was not a memo hit: %s", w.body.String())
-	}
-	allocs := testing.AllocsPerRun(200, serve)
-	t.Logf("warm /v2/score hit: %.0f allocs", allocs)
-	if allocs > 14 {
-		t.Errorf("a warm /v2/score hit allocated %.0f times in the handler, want at most 14", allocs)
-	}
+	return serve, w
 }
 
 // discardWriter is a ResponseWriter that keeps the status and the body

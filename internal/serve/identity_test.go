@@ -19,8 +19,10 @@ import (
 	"knowphish/internal/coalesce"
 	"knowphish/internal/core"
 	"knowphish/internal/crawl"
+	"knowphish/internal/feed"
 	"knowphish/internal/racecheck"
 	"knowphish/internal/webgen"
+	"knowphish/internal/webpage"
 )
 
 var fingerprintField = regexp.MustCompile(`"content_fingerprint":"[0-9a-f]{32}"`)
@@ -288,7 +290,7 @@ func TestScoreSnapWarmAllocs(t *testing.T) {
 		}
 		n := testing.AllocsPerRun(200, func() {
 			v, cached, err := s.scoreSnap(ctx, prioInteractive, pipe, req, coalesce.CacheDefault)
-			if err != nil || !cached || v.ContentFingerprint == "" || v.TargetRun != (i == 1) {
+			if err != nil || !cached || v.ContentKey == (webpage.Key128{}) || v.TargetRun != (i == 1) {
 				t.Fatalf("page %d: not a full hit: cached=%v err=%v", i, cached, err)
 			}
 		})
@@ -390,5 +392,128 @@ func TestCloakingIsTwoPages(t *testing.T) {
 	}
 	if len(vr.Records) != 2 || !stored[first.ContentFingerprint] || !stored[second.ContentFingerprint] {
 		t.Errorf("store holds fingerprints %v under %s, want the two the score endpoint gave: %q and %q", stored, url, first.ContentFingerprint, second.ContentFingerprint)
+	}
+}
+
+// staticSite answers each of its URLs with one fixed html page.
+type staticSite map[string]string
+
+func (s staticSite) Fetch(url string) (*webgen.Page, bool) {
+	html, ok := s[url]
+	if !ok {
+		return nil, false
+	}
+	return &webgen.Page{URL: url, HTML: html}, true
+}
+
+// TestFingerprintSpelledWhereRendered: the memo keeps a page's key and
+// every place that writes the page's identity out spells it. On a miss
+// and on a hit, the content_fingerprint of a /v2/score document, the
+// stem of its ETag, every /v2/score/batch item's and every
+// /v2/score/stream line's fingerprint, and the fingerprint of a store
+// record the feed wrote through the shared memo are
+// webpage.Fingerprint of the scored snapshot.
+func TestFingerprintSpelledWhereRendered(t *testing.T) {
+	c, _ := fixtures(t)
+	const phishURL, legitURL = "http://spelled.test/login", "http://spelled.test/notes"
+	site := staticSite{
+		phishURL: "<title>Sign in</title><body><form><input name=user><input type=password name=pass></form> verify your account</body>",
+		legitURL: "<title>Garden notes</title><body>tomatoes want sun and water</body>",
+	}
+	var s *Server
+	s, sched, _ := feedServer(t, []crawl.Fetcher{site}, func(fc *feed.Config) {
+		fc.Score = func(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest) (core.Verdict, error) {
+			return s.coal.Do(ctx, pipe, req, coalesce.CacheDefault, nil)
+		}
+	})
+	// Each endpoint scores pages of its own, so its first request is a
+	// miss and its second a hit.
+	pages := func(i int) []PageRequest {
+		return []PageRequest{{Snapshot: c.PhishTest.Examples[i].Snapshot}, {Snapshot: c.LegTrain.Examples[i].Snapshot}}
+	}
+	check := func(where string, p PageRequest, cached, wantCached bool, fp string) {
+		t.Helper()
+		if cached != wantCached {
+			t.Errorf("%s: cached=%v, want %v", where, cached, wantCached)
+		}
+		if want := webpage.Fingerprint(p.Snapshot); fp != want {
+			t.Errorf("%s: fingerprint %q, want %q", where, fp, want)
+		}
+	}
+	for round, hit := range []bool{false, true} {
+		for i, p := range pages(0) {
+			rec := rawCall(t, s, http.MethodPost, "/v2/score", V2ScoreRequest{PageRequest: p}, nil)
+			var d V2ScoreResponse
+			mustUnmarshal(t, rec.Body.Bytes(), &d)
+			where := fmt.Sprintf("/v2/score round %d page %d", round, i)
+			check(where, p, d.Cached, hit, d.ContentFingerprint)
+			if etag := rec.Header().Get("ETag"); len(etag) < 33 || etag[1:33] != d.ContentFingerprint {
+				t.Errorf("%s: ETag %s does not start with the fingerprint %q", where, etag, d.ContentFingerprint)
+			}
+		}
+
+		batch := pages(1)
+		var bd V2BatchResponse
+		mustUnmarshal(t, rawCall(t, s, http.MethodPost, "/v2/score/batch", V2BatchRequest{Pages: batch}, nil).Body.Bytes(), &bd)
+		if len(bd.Results) != len(batch) {
+			t.Fatalf("batch returned %d results for %d pages", len(bd.Results), len(batch))
+		}
+		for i, res := range bd.Results {
+			check(fmt.Sprintf("/v2/score/batch round %d item %d", round, i), batch[i], res.Cached, hit, res.ContentFingerprint)
+		}
+
+		stream := pages(2)
+		var body bytes.Buffer
+		enc := json.NewEncoder(&body)
+		for _, p := range stream {
+			if err := enc.Encode(V2ScoreRequest{PageRequest: p}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/score/stream", &body))
+		lines := bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n"))
+		if len(lines) != len(stream) {
+			t.Fatalf("stream returned %d lines for %d pages: %s", len(lines), len(stream), rec.Body.Bytes())
+		}
+		for _, line := range lines {
+			var res V2StreamResult
+			mustUnmarshal(t, line, &res)
+			if res.V2ScoreResponse == nil {
+				t.Fatalf("stream line %d failed: %s", res.Index, res.Error)
+			}
+			check(fmt.Sprintf("/v2/score/stream round %d line %d", round, res.Index), stream[res.Index], res.Cached, hit, res.ContentFingerprint)
+		}
+	}
+
+	// The feed scores through the server's memo: the first visit of a
+	// URL computes, the second is answered from the entry it left.
+	for round := range 2 {
+		before := s.coal.Snapshot().Score.Hits
+		var fr FeedResponse
+		if code := call(t, s, http.MethodPost, "/v1/feed", FeedRequest{URLs: []string{phishURL, legitURL}}, &fr); code != http.StatusOK || fr.Accepted != 2 {
+			t.Fatalf("feed round %d: status %d, %+v", round, code, fr)
+		}
+		if !sched.Wait(time.Now().Add(30 * time.Second)) {
+			t.Fatal("ingestion did not finish")
+		}
+		if hits := s.coal.Snapshot().Score.Hits - before; hits != uint64(2*round) {
+			t.Fatalf("feed round %d: %d score hits, want %d", round, hits, 2*round)
+		}
+		for _, url := range []string{phishURL, legitURL} {
+			snap, err := crawl.Visit(site, url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var vr VerdictsResponse
+			if code := call(t, s, http.MethodGet, "/v1/verdicts?url="+url, nil, &vr); code != http.StatusOK || len(vr.Records) == 0 {
+				t.Fatalf("GET /v1/verdicts?url=%s: status %d, %d records", url, code, len(vr.Records))
+			}
+			for _, rec := range vr.Records {
+				if want := webpage.Fingerprint(snap); rec.Fingerprint != want {
+					t.Errorf("feed round %d: store record of %s has fingerprint %q, want %q", round, url, rec.Fingerprint, want)
+				}
+			}
+		}
 	}
 }

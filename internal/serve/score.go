@@ -247,28 +247,51 @@ func (s *Server) coreOptions(o ScoreOptions) ([]core.ScoreOption, coalesce.Cache
 // change. A detector positive whose target stage did not run
 // (skip_target) is a partial verdict — the full pipeline may overturn
 // its final call — and is tagged apart, so its tag never earns a 304
-// on a full request.
+// on a full request. The tag is built in one allocation, and the
+// verdict's ContentFingerprint is set to its stem, so the document and
+// the header share it. A verdict without a content key (explain) has
+// no tag.
 func scoreETag(v *core.Verdict) string {
-	if v.ContentFingerprint == "" {
+	if v.ContentKey == (webpage.Key128{}) {
 		return ""
 	}
-	tag := `"` + v.ContentFingerprint + "-" + v.ModelVersion
+	const partial = "+partial"
+	h := v.ContentKey.Hex()
+	var b strings.Builder
+	b.Grow(len(`"-"`) + len(h) + len(v.ModelVersion) + len(partial))
+	b.WriteByte('"')
+	b.Write(h[:])
+	b.WriteByte('-')
+	b.WriteString(v.ModelVersion)
 	if v.DetectorPhish && !v.TargetRun {
-		tag += "+partial"
+		b.WriteString(partial)
 	}
-	return tag + `"`
+	b.WriteByte('"')
+	tag := b.String()
+	v.ContentFingerprint = tag[1 : 1+len(h)]
+	return tag
+}
+
+// spellFingerprint sets the ContentFingerprint of a verdict that is
+// about to be rendered without an ETag (a /v2/score/batch item, a
+// /v2/score/stream line) from its content key.
+func spellFingerprint(v *core.Verdict) {
+	if v.ContentKey != (webpage.Key128{}) {
+		v.ContentFingerprint = v.ContentKey.String()
+	}
 }
 
 // etagMatch reports whether an If-None-Match header matches the tag,
 // per RFC 9110: a comma-separated candidate list, weak-comparison (the
 // W/ prefix is ignored), with "*" matching anything.
 func etagMatch(header, etag string) bool {
-	if header == "" || etag == "" {
+	if etag == "" {
 		return false
 	}
-	for _, c := range strings.Split(header, ",") {
-		c = strings.TrimSpace(c)
-		c = strings.TrimPrefix(c, "W/")
+	for header != "" {
+		var c string
+		c, header, _ = strings.Cut(header, ",")
+		c = strings.TrimPrefix(strings.TrimSpace(c), "W/")
 		if c == etag || c == "*" {
 			return true
 		}
@@ -510,6 +533,7 @@ func (s *Server) handleScoreBatchV2(w http.ResponseWriter, r *http.Request) {
 	out := make([]V2ScoreResponse, len(req.Pages))
 	if err := fanOut(ctx, len(out), workers, func(i int) (err error) {
 		out[i], err = s.scorePage(ctx, prioBatch, pipe, &req.Pages[i], opts, cc)
+		spellFingerprint(&out[i].Verdict)
 		return pageError(i, err)
 	}); err != nil {
 		s.failScore(w, err)

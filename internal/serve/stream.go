@@ -167,6 +167,7 @@ func (s *Server) scoreStreamItem(ctx context.Context, idx int, it *streamItem) V
 	}
 	switch {
 	case err == nil:
+		spellFingerprint(&resp.Verdict)
 		res.V2ScoreResponse = &resp
 	case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
 		// This item ran out of its own budget; the stream lives on.

@@ -36,12 +36,22 @@ type Key128 struct {
 	Hi, Lo uint64
 }
 
-// String renders the key as 32 lower-case hex digits.
+// String renders the key as 32 lower-case hex digits, in one
+// allocation: the string itself.
 func (k Key128) String() string {
+	h := k.Hex()
+	return string(h[:])
+}
+
+// Hex returns the digits String spells, by value, for a caller that
+// builds a longer string around them.
+func (k Key128) Hex() [32]byte {
 	var b [16]byte
 	binary.BigEndian.PutUint64(b[:8], k.Hi)
 	binary.BigEndian.PutUint64(b[8:], k.Lo)
-	return hex.EncodeToString(b[:])
+	var h [32]byte
+	hex.Encode(h[:], b[:])
+	return h
 }
 
 // ContentKey returns the content identity of a snapshot. The landing

@@ -2,6 +2,8 @@ package webpage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"regexp"
 	"slices"
 	"testing"
@@ -82,6 +84,32 @@ func TestContentKeyZeroAllocs(t *testing.T) {
 	ContentKey(snap) // warm the pool
 	if n := testing.AllocsPerRun(200, func() { ContentKey(snap) }); n != 0 {
 		t.Fatalf("ContentKey allocates %.1f per run, want 0", n)
+	}
+}
+
+// TestKey128StringAllocs pins the spelling of a key to one allocation,
+// the string, and to hex.EncodeToString of its 16 big-endian bytes.
+func TestKey128StringAllocs(t *testing.T) {
+	k := Key128{Hi: 0x0123456789abcdef, Lo: 0xfedcba9876543210}
+	if got, want := k.String(), "0123456789abcdeffedcba9876543210"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	k = ContentKey(fpSnap())
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[:8], k.Hi)
+	binary.BigEndian.PutUint64(b[8:], k.Lo)
+	if got, want := k.String(), hex.EncodeToString(b[:]); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	if h := k.Hex(); string(h[:]) != k.String() {
+		t.Fatalf("Hex() = %q, String() = %q", h[:], k.String())
+	}
+	if racecheck.Enabled {
+		return // allocation counts are not meaningful under the race detector
+	}
+	var sink string
+	if n := testing.AllocsPerRun(200, func() { sink = k.String() }); n != 1 || sink == "" {
+		t.Fatalf("Key128.String allocates %.1f per run, want 1", n)
 	}
 }
 
