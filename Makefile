@@ -47,7 +47,7 @@ bench-smoke:
 # presorted-column tree trainer against the sort-per-node trainer on
 # fuzzer-built tie-heavy matrices; the content
 # identity's preimage (distinct snapshots never share bytes or a key);
-# the NDJSON feed connector; the segmented store's index-snapshot
+# the segmented store's index-snapshot
 # decoder (arbitrary bytes, bare and under a valid CRC, plus an
 # encode/decode round trip);
 # and its segment replay (arbitrary bytes, bare and behind whole frames,
@@ -66,7 +66,6 @@ FUZZ_TARGETS = \
 	FuzzQueryMatchesReference:./internal/search \
 	FuzzIdentifyMatchesReference:./internal/target \
 	FuzzTrainMatchesReference:./internal/ml \
-	FuzzNDJSONSource:./internal/feedsrc \
 	FuzzDecodeSnapshot:./internal/store \
 	FuzzReplaySegment:./internal/store \
 	FuzzDecodeDoc:./internal/serve \

@@ -1,18 +1,15 @@
 // Command kpserve runs the concurrent phishing-scoring service. It is
 // flags, a listener and a signal handler over the process assembly
 // (internal/app), which builds the whole stack — model source, stage
-// memo, verdict store, feed pipeline and connectors, tracer, SLO
-// engine, serve.Server — and takes it down in order on SIGINT/SIGTERM:
-// HTTP intake, connectors, feed drain, store.
+// memo, verdict store, feed pipeline, tracer, SLO engine,
+// serve.Server — and takes it down in order on SIGINT/SIGTERM: HTTP
+// intake, feed drain, store.
 // A verdict store that fails its final flush makes kpserve exit
 // non-zero.
 //
 // Usage:
 //
 //	kpserve -addr :8080 -store verdicts/                     # demo + feed
-//	kpserve -addr :8080 -store verdicts/ -feed-src-cursor cursors/ \
-//	        -feed-src phishtank=json:https://feed.example/phish.json \
-//	        -feed-src ct=ndjson:https://ct.example/stream            # external feed connectors
 //	kpserve -addr :8080 -model model.json -ranking data/ranking.csv -index index.json
 //	kpserve -addr :8080 -deadline 250ms                      # bounded verdicts
 //	kpserve -addr :8080 -registry models/ -store verdicts/   # versioned models, promoted by hand
@@ -24,7 +21,7 @@
 // from a detector self-trained on the synthetic corpus, a one-command
 // demo. The synthetic world doubles as the crawl source, so outside
 // -model mode -store also enables the feed pipeline (POST /v1/feed →
-// crawl → score → persist) and -feed-src connectors on top of it.
+// crawl → score → persist).
 // Structured logs go to stderr; -debug-addr binds net/http/pprof on a
 // separate listener.
 //
@@ -49,7 +46,6 @@ import (
 	"knowphish/internal/app"
 	"knowphish/internal/coalesce"
 	"knowphish/internal/feed"
-	"knowphish/internal/feedsrc"
 	"knowphish/internal/obs"
 	"knowphish/internal/slo"
 )
@@ -138,9 +134,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (app.Config, options, error) {
 	fs.IntVar(&cfg.DomainBurst, "domain-burst", feed.DefaultDomainBurst, "per-domain token-bucket burst")
 	fs.IntVar(&cfg.FeedRetries, "feed-retries", feed.DefaultMaxAttempts, "fetch attempts per URL before the failure is persisted")
 
-	fs.StringVar(&cfg.FeedSrcCursor, "feed-src-cursor", "", "directory persisting each connector's resume cursor across restarts (empty: in-memory only)")
-	fs.Float64Var(&cfg.FeedSrcRate, "feed-src-rate", 0, "per-connector delivery cap in URLs/sec; excess is shed, not queued (0 = unlimited)")
-	fs.DurationVar(&cfg.FeedSrcInterval, "feed-src-interval", feedsrc.DefaultInterval, "idle poll interval per connector (a poll that yielded items re-polls immediately)")
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", app.DefaultDrainTimeout, "max wait for the feed to drain on shutdown")
 
 	fs.StringVar(&cfg.Registry, "registry", "", "model registry directory (versioned artifacts, /v2/models, zero-downtime champion hot-swap)")
@@ -152,10 +145,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (app.Config, options, error) {
 	fs.DurationVar(&cfg.SLOFast, "slo-fast", slo.DefaultFastWindow, "SLO fast burn-rate window (is it happening now?)")
 	fs.DurationVar(&cfg.SLOSlow, "slo-slow", slo.DefaultSlowWindow, "SLO slow burn-rate window (is it significant?)")
 	fs.DurationVar(&cfg.SLOHoldDown, "slo-holddown", slo.DefaultHoldDown, "SLO hysteresis: burn must stay below a threshold this long before state or shed level steps down")
-	fs.Func("feed-src", "external feed connector as NAME=KIND:URL, repeatable; KIND is json (PhishTank/OpenPhish-style feed), csv (ranked benign list) or ndjson (CT-log-style stream)", func(v string) error {
-		cfg.FeedSources = append(cfg.FeedSources, v)
-		return nil
-	})
 	fs.Func("slo", "SLO objective as endpoint:objective[,objective...], e.g. \"score:p99<250ms,avail>99.9\" (repeatable; arms burn-rate alerting at /debug/slo and adaptive load shedding)", func(v string) error {
 		cfg.SLO = append(cfg.SLO, v)
 		return nil

@@ -25,9 +25,6 @@ var nonDefault = []string{
 	"-domain-rate", "-1",
 	"-domain-burst", "5",
 	"-feed-retries", "1",
-	"-feed-src-cursor", "cursors",
-	"-feed-src-rate", "2.5",
-	"-feed-src-interval", "1s",
 	"-drain-timeout", "3s",
 	"-registry", "models",
 	"-log-level", "debug",
@@ -36,7 +33,6 @@ var nonDefault = []string{
 	"-slo-fast", "10s",
 	"-slo-slow", "1m",
 	"-slo-holddown", "2s",
-	"-feed-src", "pt=json:http://feed.test/pt.json",
 	"-slo", "score:p99<250ms",
 }
 

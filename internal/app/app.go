@@ -1,10 +1,10 @@
 // Package app is the process assembly: the one place that builds the
 // serving stack — event journal → SLO engine → tracer → model source →
 // target identifier → stage memo → verdict store → feed scheduler →
-// feed connectors → serve.Server — and the one place that takes it
-// down again in order. cmd/kpserve binds its flags to Config and
-// listens; `kpload run -self` and BenchmarkLoadEndToEnd call Start with
-// a throwaway store directory and their own worker counts.
+// serve.Server — and the one place that takes it down again in order.
+// cmd/kpserve binds its flags to Config and listens; `kpload run -self`
+// and BenchmarkLoadEndToEnd call Start with a throwaway store directory
+// and their own worker counts.
 // What they measure is therefore what kpserve runs: one stage memo
 // shared by the HTTP surface and the feed drain, the same verdict
 // store, the same tracer, the same shutdown order.
@@ -22,14 +22,12 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
 	"knowphish/internal/coalesce"
 	"knowphish/internal/core"
 	"knowphish/internal/feed"
-	"knowphish/internal/feedsrc"
 	"knowphish/internal/obs"
 	"knowphish/internal/serve"
 	"knowphish/internal/slo"
@@ -90,12 +88,6 @@ type Config struct {
 	DomainRate  float64
 	DomainBurst int
 	FeedRetries int
-	// FeedSources are external connector specs, NAME=KIND:URL with KIND
-	// json, csv or ndjson; they need the feed scheduler.
-	FeedSources     []string
-	FeedSrcCursor   string
-	FeedSrcRate     float64
-	FeedSrcInterval time.Duration
 	// DrainTimeout is the most Close waits for accepted feed URLs to be
 	// scored and persisted (0 → DefaultDrainTimeout).
 	DrainTimeout time.Duration
@@ -122,7 +114,6 @@ type App struct {
 	Store  store.Backend
 
 	logger    *slog.Logger
-	sources   *feedsrc.Mux
 	http      *http.Server
 	drain     time.Duration
 	stopTick  func()
@@ -131,7 +122,7 @@ type App struct {
 }
 
 // Start builds the process described by cfg and starts everything that
-// runs in the background (feed workers, connector polls, the SLO tick).
+// runs in the background (feed workers, the SLO tick).
 // The caller serves HTTP with Serve and ends the process with Close. On
 // error, whatever was already built has been closed again.
 func Start(cfg Config) (_ *App, err error) {
@@ -216,17 +207,6 @@ func Start(cfg Config) (_ *App, err error) {
 		a.logger.Warn("the model source has no crawl source; POST /v1/feed disabled (GET /v1/verdicts still serves the store)")
 	}
 
-	// External feed connectors fan into the scheduler; they only make
-	// sense when the feed pipeline exists to receive them.
-	if len(cfg.FeedSources) > 0 {
-		if a.Feed == nil {
-			return nil, errors.New("feed sources need the feed pipeline: a store and a crawl source (the self-train world)")
-		}
-		if a.sources, err = startFeedSources(cfg, a.Feed, a.logger); err != nil {
-			return nil, err
-		}
-	}
-
 	a.Server, err = serve.New(serve.Config{
 		Detector:        m.Detector,
 		Registry:        m.reg,
@@ -235,7 +215,6 @@ func Start(cfg Config) (_ *App, err error) {
 		Coalescer:       coal,
 		DefaultDeadline: cfg.Deadline,
 		Feed:            a.Feed,
-		FeedSources:     a.sources,
 		Store:           a.Store,
 		Tracer:          tracer,
 		Logger:          a.logger,
@@ -319,12 +298,11 @@ func (a *App) Serve(ln net.Listener) error {
 }
 
 // Close takes the process down in dependency order: HTTP intake stops
-// and in-flight requests finish; the SLO tick and the feed connectors
-// stop, so no new URLs arrive; the feed drains — every accepted URL is
-// scored and persisted, or counted dropped after DrainTimeout; and only
-// then the store takes its final sync and closes. It returns what
-// failed — a store that could not flush is an error the process must
-// exit non-zero on. Later calls return the first call's result.
+// and in-flight requests finish, so no new URLs arrive; the SLO tick
+// stops; the feed drains — every accepted URL is scored and persisted,
+// or counted dropped after DrainTimeout; and only then the store takes
+// its final sync and closes. It returns what failed — a store that could
+// not flush is an error the process must exit non-zero on. Later calls return the first call's result.
 func (a *App) Close() error {
 	a.closeOnce.Do(func() { a.closeErr = a.close() })
 	return a.closeErr
@@ -347,14 +325,6 @@ func (a *App) close() error {
 	if a.stopTick != nil {
 		a.stopTick()
 	}
-	if a.sources != nil {
-		// Each source's cursor is already persisted per poll.
-		_ = a.sources.Close() // always nil: it only stops the poll loops
-		for name, ss := range a.sources.Stats() {
-			a.logger.Info("feed source stopped", "source", name,
-				"cursor", ss.Cursor, "enqueued", ss.Enqueued, "fetch_errors", ss.FetchErrors)
-		}
-	}
 	if a.Feed != nil {
 		dropped := a.Feed.Drain(time.Now().Add(a.drain))
 		fs := a.Feed.Stats()
@@ -369,53 +339,4 @@ func (a *App) close() error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// startFeedSources parses cfg's connector specs and starts the mux that
-// polls them into sink.
-func startFeedSources(cfg Config, sink feedsrc.Sink, logger *slog.Logger) (*feedsrc.Mux, error) {
-	sources, err := parseFeedSources(cfg.FeedSources)
-	if err != nil {
-		return nil, err
-	}
-	mux, err := feedsrc.NewMux(feedsrc.MuxConfig{
-		Sink:      sink,
-		Sources:   sources,
-		Interval:  cfg.FeedSrcInterval,
-		Rate:      cfg.FeedSrcRate,
-		CursorDir: cfg.FeedSrcCursor,
-		Logger:    logger,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range sources {
-		logger.Info("feed source armed", "source", s.Name(), "cursor", s.Cursor())
-	}
-	return mux, nil
-}
-
-// parseFeedSources parses connector specs (NAME=KIND:URL) into
-// connectors. The name tags verdict provenance and names the cursor
-// file; the mux rejects duplicates.
-func parseFeedSources(specs []string) ([]feedsrc.Source, error) {
-	sources := make([]feedsrc.Source, 0, len(specs))
-	for _, spec := range specs {
-		name, rest, _ := strings.Cut(spec, "=")
-		kind, url, _ := strings.Cut(rest, ":")
-		if name == "" || url == "" {
-			return nil, fmt.Errorf("feed source %q: want NAME=KIND:URL", spec)
-		}
-		switch kind {
-		case "json":
-			sources = append(sources, feedsrc.NewJSONFeed(name, url, nil))
-		case "csv":
-			sources = append(sources, feedsrc.NewRankedCSV(name, url, nil, 0))
-		case "ndjson":
-			sources = append(sources, feedsrc.NewNDJSONStream(name, url, nil))
-		default:
-			return nil, fmt.Errorf("feed source %q: unknown kind %q (want json, csv or ndjson)", spec, kind)
-		}
-	}
-	return sources, nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -183,14 +184,21 @@ func TestRegistryFeedFollowsPromotion(t *testing.T) {
 	}
 }
 
-// TestStartUnwindsOnError runs the early-error path with the store and
-// the feed workers already up (a malformed connector spec is found after
-// both), and with nothing built yet (a malformed SLO spec is found
-// first): Start reports the build error and returns once the partial
-// assembly has been closed again.
+// TestStartUnwindsOnError runs the early-error path with the model
+// built and the store failing to open (its path names a regular file),
+// and with nothing built yet (a malformed SLO spec is found first):
+// Start reports the build error and returns once the partial assembly
+// has been closed again. No configuration error can surface later:
+// once the store and the feed are up, serve.New's two errors (neither
+// a detector nor a registry; no identifier) cannot occur, because Start
+// always passes a model and an identifier.
 func TestStartUnwindsOnError(t *testing.T) {
-	if _, err := Start(Config{Scale: 200, Seed: 7, StorePath: filepath.Join(t.TempDir(), "verdicts"), FeedSources: []string{"broken"}}); err == nil {
-		t.Error("malformed feed source: want an error")
+	file := filepath.Join(t.TempDir(), "verdicts")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Start(Config{Scale: 200, Seed: 7, StorePath: file}); err == nil {
+		t.Error("store path names a regular file: want an error")
 	}
 	if _, err := Start(Config{Scale: 200, Seed: 7, SLO: []string{"score:p99<"}}); err == nil {
 		t.Error("malformed SLO spec: want an error")

@@ -1,6 +1,6 @@
 // Package baselines implements the three archetypes of prior work the
-// paper compares against in Table X (see DESIGN.md for the substitution
-// argument):
+// paper compares against in Table X; the published systems cannot be
+// rerun, so each is re-implemented from its paper:
 //
 //   - Cantina (Zhang et al., WWW'07): TF-IDF keyword signature + search
 //     engine membership test. Content-based, language-dependent, no

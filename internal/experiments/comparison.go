@@ -12,9 +12,9 @@ import (
 )
 
 // TableX reproduces the state-of-the-art comparison (Table X). The
-// published systems cannot be rerun, so the three baseline archetypes are
-// re-implemented (see DESIGN.md) and evaluated on the same corpora as our
-// system, in the same three configurations the paper reports for itself:
+// published systems cannot be rerun, so the three baseline archetypes
+// are re-implemented (internal/baselines) and evaluated on the same
+// corpora as our system, in the same three configurations the paper reports for itself:
 // English scenario, several-languages scenario, and cross-validation.
 func (r *Runner) TableX() (*Table, error) {
 	t := &Table{

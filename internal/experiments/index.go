@@ -6,7 +6,7 @@ import (
 )
 
 // Artifact is one regenerated paper artifact: a table or figure with its
-// experiment id from DESIGN.md.
+// experiment id from Index.
 type Artifact struct {
 	ID     string
 	Table  *Table
@@ -25,7 +25,7 @@ func (a Artifact) Render() string {
 }
 
 // Experiment is one entry of the experiment index: Key selects it on the
-// kpexperiments command line, ID is its DESIGN.md id.
+// kpexperiments command line, ID is its paper-order id (E1–E12, A1–A6).
 type Experiment struct {
 	Key string
 	ID  string

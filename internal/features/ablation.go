@@ -6,11 +6,12 @@ import (
 	"knowphish/internal/webpage"
 )
 
-// This file provides the feature variants used by the design ablations of
-// DESIGN.md: they are NOT part of the paper's 212-feature set, but isolate
-// two design decisions the paper motivates in Section VII-A — the
-// control/constraint split of the URL features and the choice of the
-// Hellinger distance — so the benefit of each can be measured.
+// This file provides the feature variants used by the design ablations
+// (experiments.Index, A1–A6): they are NOT part of the paper's
+// 212-feature set, but isolate two design decisions the paper motivates
+// in Section VII-A — the control/constraint split of the URL features
+// and the choice of the Hellinger distance — so the benefit of each can
+// be measured.
 
 // UnsplitF1Count is the size of the ablated f1 variant: 9 starting + 9
 // landing + 2 merged groups (logged, HREF) × 22 = 62. The internal versus

@@ -245,11 +245,11 @@ func appendF3(out []float64, a *webpage.Analysis, sc *scratch) []float64 {
 }
 
 // appendF4 emits the 13 RDN-usage features (our instantiation of the
-// paper's category, documented in DESIGN.md §4). The internal and
-// external halves of each link class are walked in place — the merged
-// logged/HREF views exist only conceptually — and the distinct-RDN sets
-// live in the reusable scratch maps, so the group allocates nothing
-// once the maps have grown to the traffic's working size.
+// paper's category). The internal and external halves of each link
+// class are walked in place — the merged logged/HREF views exist only
+// conceptually — and the distinct-RDN sets live in the reusable scratch
+// maps, so the group allocates nothing once the maps have grown to the
+// traffic's working size.
 func appendF4(out []float64, a *webpage.Analysis, sc *scratch) []float64 {
 	chainRDNs := distinctRDNs2(sc.set, a.Chain, nil)
 	sameRDN := 0.0

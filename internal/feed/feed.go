@@ -156,7 +156,6 @@ type Stats struct {
 // item is one accepted URL moving through the scheduler.
 type item struct {
 	url      string
-	source   string // feed-connector provenance ("" for direct submits)
 	domain   string // registered domain (rate-limit + dedupe scope)
 	key      string // domain + url, the in-flight dedupe identity
 	attempts int    // fetch attempts made so far
@@ -272,15 +271,6 @@ func New(cfg Config) (*Scheduler, error) {
 // (nil) or rejected with ErrQueueFull, ErrDuplicate, ErrInvalidURL or
 // ErrClosed.
 func (s *Scheduler) Enqueue(url string) error {
-	return s.EnqueueFrom(url, "")
-}
-
-// EnqueueFrom is Enqueue with feed-connector provenance: source names
-// the connector that produced the URL and is carried to the persisted
-// verdict's Record.Source. Provenance plays no part in dedupe — the
-// same URL from two connectors is still one in-flight item, attributed
-// to whichever connector got there first.
-func (s *Scheduler) EnqueueFrom(url, source string) error {
 	parts, err := urlx.Parse(url)
 	domain := parts.RDN
 	if domain == "" {
@@ -308,7 +298,7 @@ func (s *Scheduler) EnqueueFrom(url, source string) error {
 		return fmt.Errorf("%w (depth %d): %s", ErrQueueFull, s.cfg.QueueDepth, url)
 	}
 	s.inflight[key] = struct{}{}
-	s.ready = append(s.ready, &item{url: url, source: source, domain: domain, key: key})
+	s.ready = append(s.ready, &item{url: url, domain: domain, key: key})
 	s.stats.Accepted++
 	s.cond.Signal()
 	return nil
@@ -439,7 +429,6 @@ func (s *Scheduler) process(it *item) {
 		Outcome:      out,
 		ModelVersion: v.ModelVersion,
 		ScoredAt:     s.now().UTC(),
-		Source:       it.source,
 	}
 	if p, perr := urlx.Parse(snap.LandingURL); perr == nil {
 		rec.RDN = p.RDN
@@ -503,7 +492,6 @@ func (s *Scheduler) retryOrFail(it *item, err error) {
 		URL:        it.url,
 		LandingURL: it.url,
 		ScoredAt:   s.now().UTC(),
-		Source:     it.source,
 		Error:      fmt.Sprintf("fetch failed after %d attempts: %v", it.attempts, err),
 	})
 	if perr != nil {

@@ -4,7 +4,7 @@
 // default value 1,000,001. This package loads such lists from disk and also
 // generates deterministic synthetic lists over the synthetic world's
 // legitimate domains (Zipf-ordered), which is our substitute for the real
-// Alexa file (see DESIGN.md).
+// Alexa file.
 package ranking
 
 import (

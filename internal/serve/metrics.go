@@ -6,7 +6,6 @@ import (
 
 	"knowphish/internal/coalesce"
 	"knowphish/internal/feed"
-	"knowphish/internal/feedsrc"
 	"knowphish/internal/obs"
 	"knowphish/internal/slo"
 	"knowphish/internal/store"
@@ -75,10 +74,6 @@ type MetricsSnapshot struct {
 	// those subsystems are configured.
 	Feed  *feed.Stats  `json:"feed,omitempty"`
 	Store *store.Stats `json:"store,omitempty"`
-	// FeedSources reports each feed connector's health (cursor, lag,
-	// fetch/error counts, per-reason rejects), keyed by source name,
-	// when a connector mux is configured.
-	FeedSources map[string]feedsrc.SourceStats `json:"feed_sources,omitempty"`
 	// Coalesce reports the stage memo's staged-pass counters and the
 	// hit/miss/eviction stats of its two tables, score and target (the
 	// analysis and features entries are retired and read zero).

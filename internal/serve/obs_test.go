@@ -19,7 +19,6 @@ import (
 	"knowphish/internal/coalesce"
 	"knowphish/internal/core"
 	"knowphish/internal/feed"
-	"knowphish/internal/feedsrc"
 	"knowphish/internal/obs"
 	"knowphish/internal/registry"
 	"knowphish/internal/slo"
@@ -169,8 +168,6 @@ func TestPrometheusExpositionGrammar(t *testing.T) {
 		"knowphish_traces_finished_total":    "counter",
 		"knowphish_model_info":               "gauge",
 		"knowphish_feed_rejected_total":      "counter",
-		"knowphish_feedsrc_lag_seconds":      "gauge",
-		"knowphish_feedsrc_rejected_total":   "counter",
 		"knowphish_shed_total":               "counter",
 		"knowphish_shed_level":               "gauge",
 		"knowphish_endpoint_shed_total":      "counter",
@@ -199,24 +196,6 @@ func TestPrometheusExpositionGrammar(t *testing.T) {
 	for _, smp := range samples {
 		if smp.name == "knowphish_memo_entries" && smp.labels != `{table="score"}` && smp.labels != `{table="target"}` {
 			t.Errorf("knowphish_memo_entries%s: only the score and target tables exist", smp.labels)
-		}
-	}
-
-	// The per-source reject family carries one sample per reason —
-	// including the mux's own rate_limited shedding — for every wired
-	// source.
-	reasonRe := regexp.MustCompile(`reason="([^"]+)"`)
-	rejectReasons := make(map[string]bool)
-	for _, smp := range samples {
-		if smp.name == "knowphish_feedsrc_rejected_total" && strings.Contains(smp.labels, `source="phishtank"`) {
-			if m := reasonRe.FindStringSubmatch(smp.labels); m != nil {
-				rejectReasons[m[1]] = true
-			}
-		}
-	}
-	for _, want := range []string{"queue_full", "rate_limited", "duplicate", "invalid_url", "closed"} {
-		if !rejectReasons[want] {
-			t.Errorf("knowphish_feedsrc_rejected_total missing reason=%q sample for source phishtank", want)
 		}
 	}
 
@@ -408,8 +387,8 @@ func keyPaths(prefix string, v any, out map[string]bool) {
 
 // fullSurfaceServer builds a server with every optional metrics
 // subsystem this package wires in — tracer, feed scheduler, verdict
-// store, and a feed-source mux with one idle connector — and scores n
-// pages, so the /metrics document carries its complete key surface.
+// store and SLO engine — and scores n pages, so the /metrics document
+// carries its complete key surface.
 func fullSurfaceServer(t *testing.T, n int) *Server {
 	t.Helper()
 	c, d := fixtures(t)
@@ -428,34 +407,19 @@ func fullSurfaceServer(t *testing.T, n int) *Server {
 		t.Fatalf("feed.New: %v", err)
 	}
 	t.Cleanup(func() { sched.Drain(time.Now().Add(10 * time.Second)) })
-	// An idle JSON connector with a fixed name: the shape golden needs
-	// the feed_sources subtree present, not traffic through it.
-	feedSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("[]"))
-	}))
-	t.Cleanup(feedSrv.Close)
-	mux, err := feedsrc.NewMux(feedsrc.MuxConfig{
-		Sink:    sched,
-		Sources: []feedsrc.Source{feedsrc.NewJSONFeed("phishtank", feedSrv.URL, feedSrv.Client())},
-	})
-	if err != nil {
-		t.Fatalf("feedsrc.NewMux: %v", err)
-	}
-	t.Cleanup(func() { _ = mux.Close() })
 	objs, err := slo.ParseObjectives([]string{"score:p99<250ms,avail>99.9"})
 	if err != nil {
 		t.Fatalf("slo.ParseObjectives: %v", err)
 	}
 	journal := obs.NewJournal(0)
 	s, err := New(Config{
-		Detector:    d,
-		Identifier:  target.New(c.Engine),
-		Feed:        sched,
-		FeedSources: mux,
-		Store:       st,
-		Tracer:      obs.NewTracer(obs.Config{}),
-		SLO:         slo.New(slo.Config{Objectives: objs, Journal: journal}),
-		Journal:     journal,
+		Detector:   d,
+		Identifier: target.New(c.Engine),
+		Feed:       sched,
+		Store:      st,
+		Tracer:     obs.NewTracer(obs.Config{}),
+		SLO:        slo.New(slo.Config{Objectives: objs, Journal: journal}),
+		Journal:    journal,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -471,8 +435,7 @@ func fullSurfaceServer(t *testing.T, n int) *Server {
 
 // TestMetricsJSONShapeGolden pins the key shape of the default JSON
 // /metrics document, with every optional subsystem wired in so the
-// optional subtrees (feed, feed_sources, store, tracing) are covered
-// too. The JSON form is the frozen v1 surface — new telemetry must
+// optional subtrees (feed, store, tracing) are covered too. The JSON form is the frozen v1 surface — new telemetry must
 // ride ?format=prometheus or new optional keys, and any removed or
 // renamed key here is a breaking change for deployed dashboards.
 func TestMetricsJSONShapeGolden(t *testing.T) {

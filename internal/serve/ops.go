@@ -28,9 +28,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		fs := s.cfg.Feed.Stats()
 		snap.Feed = &fs
 	}
-	if s.cfg.FeedSources != nil {
-		snap.FeedSources = s.cfg.FeedSources.Stats()
-	}
 	if s.cfg.Store != nil {
 		ss := s.cfg.Store.Stats()
 		snap.Store = &ss

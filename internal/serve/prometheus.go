@@ -150,33 +150,6 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 			func(i int) float64 { return float64(rejected[i]) })
 	}
 
-	// Feed connectors: one labelled sample per source (and per reason
-	// for the reject family).
-	if m.FeedSources != nil {
-		names := slices.Sorted(maps.Keys(m.FeedSources))
-		p.Family("knowphish_feedsrc_lag_seconds", "Seconds since the source's last successful poll (-1 before the first).", "gauge", "source", names,
-			func(i int) float64 { return m.FeedSources[names[i]].LagSeconds })
-		p.Family("knowphish_feedsrc_fetches_total", "Successful polls per source.", "counter", "source", names,
-			func(i int) float64 { return float64(m.FeedSources[names[i]].Fetches) })
-		p.Family("knowphish_feedsrc_fetch_errors_total", "Failed polls per source.", "counter", "source", names,
-			func(i int) float64 { return float64(m.FeedSources[names[i]].FetchErrors) })
-		p.Family("knowphish_feedsrc_items_total", "URLs produced per source.", "counter", "source", names,
-			func(i int) float64 { return float64(m.FeedSources[names[i]].Items) })
-		p.Family("knowphish_feedsrc_enqueued_total", "URLs accepted into the scheduler per source.", "counter", "source", names,
-			func(i int) float64 { return float64(m.FeedSources[names[i]].Enqueued) })
-		p.Family("knowphish_feedsrc_malformed_total", "Feed entries skipped as unusable per source.", "counter", "source", names,
-			func(i int) float64 { return float64(m.FeedSources[names[i]].Malformed) })
-		p.Header("knowphish_feedsrc_rejected_total", "URLs a source produced that were not enqueued, by reason.", "counter")
-		reasons := []string{"queue_full", "rate_limited", "duplicate", "invalid_url", "closed"}
-		for _, name := range names {
-			r := m.FeedSources[name].Rejected
-			for i, n := range []int64{r.QueueFull, r.RateLimited, r.Duplicate, r.Invalid, r.Closed} {
-				p.Sample("knowphish_feedsrc_rejected_total", float64(n),
-					obs.Label{Name: "source", Value: name}, obs.Label{Name: "reason", Value: reasons[i]})
-			}
-		}
-	}
-
 	// Verdict store.
 	if ss := m.Store; ss != nil {
 		p.Gauge("knowphish_store_records", "Live (indexed) verdict records.", float64(ss.Records))

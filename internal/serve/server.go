@@ -80,7 +80,6 @@ import (
 	"knowphish/internal/coalesce"
 	"knowphish/internal/core"
 	"knowphish/internal/feed"
-	"knowphish/internal/feedsrc"
 	"knowphish/internal/obs"
 	"knowphish/internal/registry"
 	"knowphish/internal/slo"
@@ -137,10 +136,6 @@ type Config struct {
 	// Feed is the continuous ingestion scheduler backing POST /v1/feed
 	// (optional; without it the endpoint answers 503).
 	Feed *feed.Scheduler
-	// FeedSources is the connector mux feeding the scheduler from
-	// external URL feeds; wiring it here exports its per-source health
-	// counters at /metrics (optional).
-	FeedSources *feedsrc.Mux
 	// Store is the durable verdict store backing GET /v1/verdicts and
 	// GET /v2/verdicts (optional; without it both endpoints answer
 	// 503); see store.Open.

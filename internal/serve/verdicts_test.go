@@ -243,9 +243,9 @@ func TestV2VerdictsPagination(t *testing.T) {
 	}
 }
 
-// TestV2VerdictsSourceFilter covers the feed-connector provenance
-// filter: /v2/verdicts?source= restricts to records ingested through
-// that connector and composes with pagination, while the frozen /v1
+// TestV2VerdictsSourceFilter covers the provenance filter:
+// /v2/verdicts?source= restricts to records that carry that source
+// and composes with pagination, while the frozen /v1
 // surface ignores the parameter entirely.
 func TestV2VerdictsSourceFilter(t *testing.T) {
 	b, err := store.Open(store.Config{Path: filepath.Join(t.TempDir(), "verdicts")})

@@ -16,7 +16,7 @@ type entry struct {
 	fp       string
 	target   string
 	model    string
-	source   string // Record.Source (feed-connector provenance)
+	source   string // Record.Source (provenance tag)
 	scoredAt int64  // Record.ScoredAt.UnixNano()
 	phish    bool
 
@@ -333,9 +333,8 @@ func matches(e *entry, q Query) bool {
 	if q.ModelVersion != "" && e.model != q.ModelVersion {
 		return false
 	}
-	// Source has no dedicated index: its cardinality is the connector
-	// count (a handful), so a per-source list would cover most of the
-	// log anyway — filtering the seq walk costs the same and keeps the
+	// Source has no dedicated index: it takes a handful of values at
+	// most, so a per-source list would cover most of the log anyway — filtering the seq walk costs the same and keeps the
 	// index (and its snapshot) lean.
 	if q.Source != "" && e.source != q.Source {
 		return false

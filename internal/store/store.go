@@ -99,11 +99,11 @@ type Record struct {
 	// Target is the top identified target RDN for phishing verdicts
 	// ("" when identification did not run or named nothing).
 	Target string `json:"target,omitempty"`
-	// Source names the feed connector that produced the URL ("" for
-	// URLs submitted directly, e.g. over POST /v1/feed) — the
-	// provenance that distinguishes a PhishTank-style report from a
-	// benign-baseline crawl in the same log. Omitted when empty, so
-	// pre-provenance logs render byte-identically.
+	// Source is an optional provenance tag naming where the URL came
+	// from. The feed leaves it empty; a record appended with one, or
+	// read from a log that carries one, keeps it, and Query.Source
+	// filters on it. Omitted when empty, so untagged records render
+	// byte-identically.
 	Source string `json:"source,omitempty"`
 	// ScoredAt is when the verdict was produced (UTC).
 	ScoredAt time.Time `json:"scored_at"`
@@ -174,7 +174,7 @@ type Query struct {
 	URL string
 	// ModelVersion restricts to records scored by that registry version.
 	ModelVersion string
-	// Source restricts to records ingested through that feed connector
+	// Source restricts to records carrying that provenance tag
 	// (Record.Source).
 	Source string
 	// Since restricts to records scored at or after this time
@@ -310,7 +310,13 @@ func Open(cfg Config) (Backend, error) {
 	if cfg.Path == "" {
 		return nil, errors.New("store: Config.Path is required")
 	}
-	return openSegmented(cfg)
+	// A failed open must yield a nil interface, not one holding a nil
+	// *segStore that callers would mistake for an open store.
+	s, err := openSegmented(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // escapedReplacement is how json.Marshal writes a byte that is not

@@ -101,7 +101,9 @@ func TestOpenValidates(t *testing.T) {
 
 // TestOpenRejectsFile: the store path names a directory. A file found
 // there — a one-document-per-line verdict log from an older build, say
-// — is refused and left as it was, never converted or moved aside.
+// — is refused and left as it was, never converted or moved aside. The
+// refusal is a nil Backend: a caller that checks it against nil, as
+// app.Start's unwind does, must see no store.
 func TestOpenRejectsFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "verdicts.jsonl")
 	r := rec("http://a.test/", "http://a.test/", "fp", "", true)
@@ -117,6 +119,8 @@ func TestOpenRejectsFile(t *testing.T) {
 	if b, err := Open(Config{Path: path}); err == nil {
 		_ = b.Close()
 		t.Fatal("Open over a regular file succeeded")
+	} else if b != nil {
+		t.Errorf("Open failed with %v but returned a non-nil Backend %#v", err, b)
 	} else if !strings.Contains(err.Error(), path) {
 		t.Errorf("error %q does not name the path", err)
 	}

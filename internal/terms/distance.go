@@ -58,7 +58,7 @@ func Hellinger(p, q Distribution) float64 {
 
 // TotalVariation computes the total-variation distance
 // ½ Σ |P(x) − Q(x)| ∈ [0,1]. It is used only by the distance-metric
-// ablation (DESIGN.md A2), not by the paper's feature set.
+// ablation (A2 in experiments.Index), not by the paper's feature set.
 func TotalVariation(p, q Distribution) float64 {
 	if p.Empty() && q.Empty() {
 		return 0

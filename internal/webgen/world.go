@@ -3,7 +3,7 @@
 // phishing sites built with the construction and evasion techniques the
 // paper describes (Sections II-A, VII-C), parked domains and unavailable
 // pages. It substitutes for the live web plus the PhishTank and Intel
-// Security URL feeds (see DESIGN.md, substitution table).
+// Security URL feeds.
 //
 // Everything is deterministic given the configured seed.
 package webgen
