@@ -50,8 +50,11 @@ bench-smoke:
 # the segmented store's index-snapshot
 # decoder (arbitrary bytes, bare and under a valid CRC, plus an
 # encode/decode round trip);
-# and its segment replay (arbitrary bytes, bare and behind whole frames,
-# against a walk over the same bytes in memory); and the slab memo
+# its segment replay (arbitrary bytes, bare and behind whole frames,
+# against a walk over the same bytes in memory) and its row-slab index
+# against the pointer index it replaced (kept verbatim in
+# index_reference_test.go), on fuzzer-written append, replay, reopen,
+# compaction and supersede streams; and the slab memo
 # table against the container/list table it replaced, on fuzzer-written
 # Get/Put/Flush streams.
 # Found inputs land in the package's testdata/fuzz and become
@@ -68,6 +71,7 @@ FUZZ_TARGETS = \
 	FuzzTrainMatchesReference:./internal/ml \
 	FuzzDecodeSnapshot:./internal/store \
 	FuzzReplaySegment:./internal/store \
+	FuzzIndexMatchesReference:./internal/store \
 	FuzzDecodeDoc:./internal/serve \
 	FuzzMemoTableMatchesReference:./internal/coalesce
 

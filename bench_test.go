@@ -1,13 +1,12 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (DESIGN.md experiment index E1–E12), the design ablations
+// evaluation (experiments.Index, E1–E12), the design ablations
 // (A1–A5), and micro-benchmarks for the hot paths (term extraction,
 // Hellinger distance, 212-feature extraction, GBM scoring, target
 // identification, crawling).
 //
 // The table/figure benchmarks run the full experiment per iteration on a
 // shared reduced-scale corpus (scale 1/50); cmd/kpexperiments regenerates
-// the same artifacts at any scale. Shapes are scale-stable (see
-// EXPERIMENTS.md).
+// the same artifacts at any scale. Shapes are scale-stable.
 package knowphish_test
 
 import (

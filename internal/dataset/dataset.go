@@ -79,7 +79,7 @@ type Config struct {
 	Seed int64
 	// Scale divides the paper's dataset sizes: Scale 1 reproduces Table
 	// V exactly (100,000-page English set); Scale 10 is the default
-	// fast setting. See EXPERIMENTS.md for shape-stability notes.
+	// fast setting. Table shapes are stable across scales.
 	Scale int
 	// World configures the synthetic web (zero value = defaults). A zero
 	// World.Seed becomes Seed+1: one seed names both corpus and world.

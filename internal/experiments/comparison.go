@@ -133,7 +133,7 @@ func (r *Runner) TableX() (*Table, error) {
 		fmtF(cv.Pooled.Recall(), 3), fmtF(cv.Pooled.Accuracy(), 3))
 
 	t.Notes = append(t.Notes,
-		"published systems are represented by re-implemented archetypes (DESIGN.md substitution table)",
+		"published systems are represented by re-implemented archetypes (internal/baselines)",
 		"expected shape: ours keeps the lowest FPR at comparable recall; Cantina pays search dependence with FPs; URL-only trails on content-borne signals")
 	return t, nil
 }

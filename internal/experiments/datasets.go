@@ -42,7 +42,7 @@ func (r *Runner) TableV() *Table {
 	clean := dataset.CleanCapture(raw)
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("cleaning demo: raw capture of %d pages -> %d after removing unavailable/parked/mislabeled", len(raw), len(clean)),
-		fmt.Sprintf("corpus scale 1/%d of Table V sizes (see EXPERIMENTS.md)", c.Scale()),
+		fmt.Sprintf("corpus scale 1/%d of Table V sizes", c.Scale()),
 	)
 	return t
 }

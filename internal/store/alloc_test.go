@@ -1,12 +1,14 @@
 package store
 
 import (
+	"fmt"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"knowphish/internal/core"
 	"knowphish/internal/racecheck"
 )
 
@@ -125,4 +127,98 @@ func mustScan(t *testing.T, b Backend, q Query) ScanPage {
 		t.Fatal(err)
 	}
 	return page
+}
+
+// feedRecords are n records shaped like the feed's: a distinct landing
+// URL each, a quarter of them reached through a redirect (so they also
+// carry a starting URL), a 32-hex fingerprint, a model version, and a
+// target on the phishing third.
+func feedRecords(n int) []Record {
+	recs := make([]Record, n)
+	t0 := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
+	for i := range recs {
+		land := "http://land" + strconv.Itoa(i) + ".test/login"
+		r := Record{URL: land, LandingURL: land, RDN: "land" + strconv.Itoa(i) + ".test",
+			Fingerprint: fmt.Sprintf("%016x%016x", uint64(i)*0x9e3779b97f4a7c15, uint64(i)),
+			Outcome:     core.Outcome{Score: 0.2}, ModelVersion: "v0001",
+			ScoredAt: t0.Add(time.Duration(i) * time.Second)}
+		if i%4 == 0 {
+			r.URL = "http://lure" + strconv.Itoa(i) + ".test/r"
+		}
+		if i%3 == 0 {
+			r.Outcome = core.Outcome{Score: 0.9, DetectorPhish: true, FinalPhish: true}
+			r.Target = []string{"novabank.com", "paypath.example", "mailbox.example"}[i%9/3]
+		}
+		recs[i] = r
+	}
+	return recs
+}
+
+// liveHeap is the bytes of reachable heap objects, after two
+// collections.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestHeapAllocRetainedPerRecord pins what a stored verdict costs in
+// memory: the live heap a store holds per feed-shaped record, the
+// records' own strings excluded (they are built, and kept, before the
+// first reading). That is the index row and its share of the maps the
+// lookups go through; the frame itself stays on disk. A one-landing
+// shape — a cloaking URL serving ten thousand versions — must keep
+// every version live and find them newest first.
+func TestHeapAllocRetainedPerRecord(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("heap readings are not meaningful under -race")
+	}
+	for _, c := range []struct {
+		records int
+		budget  float64
+	}{{1000, 280}, {100_000, 200}} {
+		recs := feedRecords(c.records)
+		b := openStore(t, Config{CompactEvery: -1})
+		before := liveHeap()
+		for i := range recs {
+			if err := b.Append(ctxb(), recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		perRecord := float64(int64(liveHeap())-int64(before)) / float64(c.records)
+		runtime.KeepAlive(recs)
+		t.Logf("%d records: %.0f B live heap per record", c.records, perRecord)
+		if perRecord > c.budget {
+			t.Errorf("%d records hold %.0f B of live heap per record, budget %.0f", c.records, perRecord, c.budget)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const versions = 10_000
+	b := openStore(t, Config{CompactEvery: -1})
+	const landing = "http://cloak.test/"
+	for i := 0; i < versions; i++ {
+		if err := b.Append(ctxb(), rec(landing, landing, fmt.Sprintf("%032x", i), "", true)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b.Len() != versions {
+		t.Fatalf("Len = %d, want all %d versions live", b.Len(), versions)
+	}
+	if got, ok, err := b.Get(ctxb(), landing); err != nil || !ok || got.Seq != versions {
+		t.Fatalf("Get = seq %d, %v, %v; want the newest, seq %d", got.Seq, ok, err, versions)
+	}
+	got := scanAll(t, b, Query{URL: landing}, 1000)
+	if len(got) != versions {
+		t.Fatalf("Scan(url) = %d records, want %d", len(got), versions)
+	}
+	for i, r := range got {
+		if r.Seq != uint64(versions-i) {
+			t.Fatalf("Scan(url) record %d is seq %d, want %d: not newest first", i, r.Seq, versions-i)
+		}
+	}
 }

@@ -1,386 +1,433 @@
 package store
 
 import (
+	"hash/maphash"
 	"slices"
 	"sort"
 )
 
-// entry is one live record's index row. It keeps only the on-disk
-// location (seg/off/n) and the store reads the frame from its segment
-// on demand, so a store of millions of verdicts costs index-row memory,
-// not record memory.
-type entry struct {
+// rowChunk is the row count, and capacity, of a chunk: 512 rows of 112 B
+// are seven whole pages (256, plus a malloc header, would waste 4 KiB).
+const rowChunk = 512
+
+// noRow ends a chain.
+const noRow = -1
+
+// A row's two flags ride above its frame length, which never reaches
+// them: no frame is longer than frameHeader+maxFramePayload.
+const (
+	rowPhish = 1 << 31 // Record.Outcome.FinalPhish
+	rowDead  = 1 << 30 // superseded: see memIndex
+	rowLen   = rowDead - 1
+)
+
+// The chains a row is linked into (row.next), and seqOrder, the walk
+// down the slab itself.
+const (
+	linkURL = iota
+	linkStart
+	linkTarget
+	linkModel
+	links
+	seqOrder = -1
+)
+
+// row is one record's index row: what Scan filters and orders on, and
+// where the frame is — the store reads it from its segment on demand.
+type row struct {
 	seq      uint64
-	start    string // Record.URL ("" when equal to landing)
-	landing  string
-	fp       string
-	target   string
-	model    string
-	source   string // Record.Source (provenance tag)
 	scoredAt int64  // Record.ScoredAt.UnixNano()
-	phish    bool
+	landing  string // Record.LandingURL
+	start    string // Record.URL ("" when equal to landing)
+	fp       string // Record.Fingerprint
+	seg      uint64 // segment ID holding the frame
+	off      int64  // frame offset within the segment
+	n        uint32 // frame length in bytes, under rowPhish and rowDead
 
-	// dead marks a superseded entry still occupying its bySeq slot.
-	// Holes keep bySeq binary-searchable (the seq stays); scans skip
-	// them and maybeShrink reclaims them in bulk.
-	dead bool
+	target, model, source uint32 // ids in the name table; 0 is ""
 
-	seg uint64 // segment ID holding the frame
-	off int64  // frame offset within the segment
-	n   uint32 // full frame length in bytes
+	// next is the next older row of each chain the row is in, or noRow.
+	next [links]int32
 }
 
-// metaOf fills an index row from a record (location left to the
-// caller).
-func metaOf(rec *Record) *entry {
-	e := &entry{
-		seq:      rec.Seq,
-		landing:  rec.LandingURL,
-		fp:       rec.Fingerprint,
-		target:   rec.Target,
-		model:    rec.ModelVersion,
-		source:   rec.Source,
-		scoredAt: rec.ScoredAt.UnixNano(),
-		phish:    rec.Outcome.FinalPhish,
-	}
-	if rec.URL != rec.LandingURL {
-		e.start = rec.URL
-	}
-	return e
-}
+func (r *row) dead() bool { return r.n&rowDead != 0 }
 
-// pageKey is the supersede identity — a struct key rather than a
-// concatenated string so byKey lookups and bulk loads never allocate.
-type pageKey struct{ landing, fp string }
+func (r *row) loc() frameLoc { return frameLoc{r.seg, r.off, r.n & rowLen} }
 
-func (e *entry) key() pageKey { return pageKey{e.landing, e.fp} }
-
-// memIndex is the in-memory view of the live records: the supersede
-// map plus the secondary indexes the Scan filters and Get are served
-// from. Not self-locking — the owning store serializes access.
+// memIndex is the in-memory view of the live records: one slab of
+// rows, in chunks so that growing it never copies more than one chunk,
+// plus the supersede identity and the chains Scan and Get walk. A row
+// holds no pointer but the strings it shares with its record. A
+// superseded row stays in the slab, dead, until a rebuild, and in a
+// chain until the first walk past it cuts it out. Not self-locking:
+// the owning store serializes every call, reads too, since they write.
 type memIndex struct {
-	byKey map[pageKey]*entry // supersede identity → newest entry
+	chunks [][]row // rowChunk rows each but the last; ascending by seq unless unsorted
+	rows   int32   // rows in the slab, dead ones included
+	holes  int     // dead rows
 
-	// bySeq is every entry ascending by seq; superseded entries stay as
-	// dead holes until maybeShrink. It is both the default scan order
-	// (walked backwards: newest first) and the snapshot iteration order.
-	bySeq []*entry
-	holes int
+	// byKey finds a supersede identity's (landing, fp) live row by a
+	// seeded hash of the pair, probing on past a cell whose row has
+	// other strings. A supersede takes over its key's cell, so no key is
+	// ever removed and no probe stops short.
+	byKey map[uint64]int32
+	seed  maphash.Seed
+	mask  uint64 // every key hash is cut to it; tests narrow it to force collisions
 
-	byURL    map[string][]*entry // landing URL → entries, ascending seq
-	byStart  map[string][]*entry // starting URL (≠ landing) → entries
-	byTarget map[string][]*entry // identified target RDN → entries
-	byModel  map[string][]*entry // model version → entries
+	// Chain heads, each the newest row's number + 1 (so a key or id
+	// with no row reads as noRow): landing URL, starting URL (≠
+	// landing), then by name id, target and model.
+	byURL, byStart    map[string]int32
+	byTarget, byModel []int32
 
-	// lazy holds snapshot rows whose map indexes have not been built
-	// yet (see bulkLoad/materialize). While set, bySeq aliases it and
-	// byKey and the secondary maps are empty.
-	lazy []*entry
+	names []string          // id → target, model or source name; byTarget and byModel grow with it
+	ids   map[string]uint32 // name → id; "" is 0
+
+	// lazy: the rows came from a snapshot and nothing hangs off them
+	// yet, so a read-mostly reopen (the common kpserve restart) serves
+	// newest-first scans straight off the slab. unsorted: a replayed row
+	// landed below a newer one. A read that needs more rebuilds first.
+	lazy, unsorted bool
 
 	nextSeq uint64 // next sequence number to assign (max seen + 1)
 }
 
 func newMemIndex() *memIndex {
-	return &memIndex{
-		byKey:    make(map[pageKey]*entry),
-		byURL:    make(map[string][]*entry),
-		byStart:  make(map[string][]*entry),
-		byTarget: make(map[string][]*entry),
-		byModel:  make(map[string][]*entry),
-		nextSeq:  1,
-	}
+	ix := &memIndex{seed: maphash.MakeSeed(), mask: ^uint64(0), nextSeq: 1}
+	ix.rebuild() // of no rows: makes the maps and the name table
+	return ix
 }
 
-// insert indexes e, superseding any older entry for the same key.
-// Replay order is irrelevant: whatever order segments or log lines
-// arrive in, the highest seq for a key wins, and a duplicate or older
-// frame (compaction crash leftovers, snapshot overlap) is dropped.
-// It returns the entry e displaced, and whether e was actually
-// installed (false → e itself was the stale duplicate).
-func (ix *memIndex) insert(e *entry) (displaced *entry, installed bool) {
-	ix.materialize()
-	if e.seq >= ix.nextSeq {
-		ix.nextSeq = e.seq + 1
-	}
-	k := e.key()
-	if old := ix.byKey[k]; old != nil {
-		if old.seq >= e.seq {
-			return nil, false
-		}
-		ix.unindex(old)
-		displaced = old
-	}
-	ix.byKey[k] = e
-	ix.bySeq = seqInsert(ix.bySeq, e)
-	ix.byURL[e.landing] = seqInsert(ix.byURL[e.landing], e)
-	if e.start != "" {
-		ix.byStart[e.start] = seqInsert(ix.byStart[e.start], e)
-	}
-	if e.target != "" {
-		ix.byTarget[e.target] = seqInsert(ix.byTarget[e.target], e)
-	}
-	if e.model != "" {
-		ix.byModel[e.model] = seqInsert(ix.byModel[e.model], e)
-	}
-	ix.maybeShrink()
-	return displaced, true
-}
+func (ix *memIndex) at(i int32) *row { return &ix.chunks[i/rowChunk][i%rowChunk] }
 
-// bulkLoad seeds an empty index from snapshot rows. A snapshot this
-// engine wrote holds live rows only — strictly seq-ascending, one per
-// key — so bySeq can adopt the slice as-is and the map indexes can be
-// deferred entirely: a read-mostly reopen (the common kpserve restart)
-// serves newest-first scans straight off bySeq and never pays for maps
-// it does not consult. The first operation that needs a map (an append,
-// a Get, a filtered scan, compaction) triggers materialize. Anything
-// violating the snapshot invariants (or a non-empty index) falls back
-// to the checked insert path.
-func (ix *memIndex) bulkLoad(rows []*entry) {
-	ok := len(ix.byKey) == 0 && len(ix.bySeq) == 0 && ix.lazy == nil
-	if ok {
-		var last uint64
-		for _, e := range rows {
-			if e.seq <= last || e.dead {
-				ok = false
-				break
-			}
-			last = e.seq
-		}
-	}
+// live returns the number of live (non-superseded) rows.
+func (ix *memIndex) live() int { return int(ix.rows) - ix.holes }
+
+func (ix *memIndex) intern(s string) uint32 {
+	id, ok := ix.ids[s]
 	if !ok {
-		for _, e := range rows {
-			ix.insert(e)
-		}
-		return
+		id = uint32(len(ix.names))
+		ix.names = append(ix.names, s)
+		ix.ids[s] = id
+		ix.byTarget, ix.byModel = append(ix.byTarget, 0), append(ix.byModel, 0)
 	}
-	ix.bySeq = rows // bulkLoad owns the slice; callers never reuse it
-	ix.lazy = rows
-	if n := len(rows); n > 0 && rows[n-1].seq >= ix.nextSeq {
-		ix.nextSeq = rows[n-1].seq + 1
+	return id
+}
+
+// each yields the live rows in slab order.
+func (ix *memIndex) each(yield func(*row) bool) {
+	for _, ch := range ix.chunks {
+		for k := range ch {
+			if r := &ch[k]; !r.dead() && !yield(r) {
+				return
+			}
+		}
 	}
 }
 
-// materialize builds the deferred map indexes for bulkLoad-ed rows.
-// Presizing avoids the rehash cascade of growing a map to 100k keys one
-// insert at a time, and first-entry lists are full-capacity subslices
-// of rows itself (one backing array for the whole index) rather than
-// 100k single-element allocations; the capped cap makes a later append
-// copy out instead of clobbering the neighboring row.
-func (ix *memIndex) materialize() {
-	rows := ix.lazy
-	if rows == nil {
-		return
+// insert indexes rec, whose frame is at loc, superseding any older row
+// for the same key. Replay order is irrelevant: whatever order segments
+// or log lines arrive in, the highest seq for a key wins, and a
+// duplicate or older frame (compaction crash leftovers, snapshot
+// overlap) is dropped.
+func (ix *memIndex) insert(rec *Record, loc frameLoc) {
+	if ix.lazy {
+		ix.rebuild()
 	}
-	ix.lazy = nil
-	byKey := make(map[pageKey]*entry, len(rows))
-	for _, e := range rows {
-		k := e.key()
-		if _, dup := byKey[k]; dup {
-			// A duplicate key slipped past the CRC (hand-edited
-			// snapshot): re-insert everything through the checked path.
-			ix.bySeq = nil
-			for _, e := range rows {
-				ix.insert(e)
-			}
+	r := row{seq: rec.Seq, scoredAt: rec.ScoredAt.UnixNano(), landing: rec.LandingURL, fp: rec.Fingerprint,
+		seg: loc.seg, off: loc.off, n: loc.n,
+		target: ix.intern(rec.Target), model: ix.intern(rec.ModelVersion), source: ix.intern(rec.Source)}
+	if rec.URL != rec.LandingURL {
+		r.start = rec.URL
+	}
+	if rec.Outcome.FinalPhish {
+		r.n |= rowPhish
+	}
+	ix.add(r)
+	if ix.holes >= 1024 && ix.holes*2 >= int(ix.rows) {
+		ix.rebuild() // amortized O(1) per supersede
+	}
+}
+
+// add links r in unless its key already has a row at least as new,
+// which it otherwise supersedes.
+func (ix *memIndex) add(r row) {
+	if r.seq >= ix.nextSeq {
+		ix.nextSeq = r.seq + 1
+	}
+	h, old := ix.find(r.landing, r.fp)
+	if old != noRow {
+		o := ix.at(old)
+		if o.seq >= r.seq {
 			return
 		}
-		byKey[k] = e
+		o.n |= rowDead
+		ix.holes++
 	}
-	byURL := make(map[string][]*entry, len(rows))
-	for i, e := range rows {
-		if cur, seen := byURL[e.landing]; seen {
-			byURL[e.landing] = append(cur, e)
-		} else {
-			byURL[e.landing] = rows[i : i+1 : i+1]
-		}
-		if e.start != "" {
-			if cur, seen := ix.byStart[e.start]; seen {
-				ix.byStart[e.start] = append(cur, e)
-			} else {
-				ix.byStart[e.start] = rows[i : i+1 : i+1]
-			}
-		}
-		if e.target != "" {
-			ix.byTarget[e.target] = append(ix.byTarget[e.target], e)
-		}
-		if e.model != "" {
-			ix.byModel[e.model] = append(ix.byModel[e.model], e)
-		}
+	i := ix.rows
+	if i > 0 && ix.at(i-1).seq > r.seq {
+		ix.unsorted = true
 	}
-	ix.byKey = byKey
-	ix.byURL = byURL
+	// The new head links past dead ones (the row just superseded, say).
+	r.next = [links]int32{ix.skip(ix.byURL[r.landing]-1, linkURL), noRow, noRow, noRow}
+	ix.byURL[r.landing] = i + 1
+	if r.start != "" {
+		r.next[linkStart], ix.byStart[r.start] = ix.skip(ix.byStart[r.start]-1, linkStart), i+1
+	}
+	if r.target != 0 {
+		r.next[linkTarget], ix.byTarget[r.target] = ix.skip(ix.byTarget[r.target]-1, linkTarget), i+1
+	}
+	if r.model != 0 {
+		r.next[linkModel], ix.byModel[r.model] = ix.skip(ix.byModel[r.model]-1, linkModel), i+1
+	}
+	ix.byKey[h] = i
+	ix.place(r)
 }
 
-// live returns the number of live (non-superseded) entries.
-func (ix *memIndex) live() int { return len(ix.bySeq) - ix.holes }
-
-// unindex removes an entry from the secondary indexes and turns its
-// bySeq slot into a dead hole (an O(1) supersede; bulk reclaim happens
-// in maybeShrink so a hot supersede path never memmoves the whole
-// sequence slice).
-func (ix *memIndex) unindex(old *entry) {
-	old.dead = true
-	ix.holes++
-	ix.byURL[old.landing] = seqRemove(ix.byURL, old.landing, old)
-	if old.start != "" {
-		ix.byStart[old.start] = seqRemove(ix.byStart, old.start, old)
+// skip returns the first live row of a chain from row i down.
+func (ix *memIndex) skip(i int32, link int) int32 {
+	for i != noRow && ix.at(i).dead() {
+		i = ix.at(i).next[link]
 	}
-	if old.target != "" {
-		ix.byTarget[old.target] = seqRemove(ix.byTarget, old.target, old)
-	}
-	if old.model != "" {
-		ix.byModel[old.model] = seqRemove(ix.byModel, old.model, old)
-	}
+	return i
 }
 
-// maybeShrink compacts bySeq once dead holes outnumber live entries
-// (amortized O(1) per supersede).
-func (ix *memIndex) maybeShrink() {
-	if ix.holes < 1024 || ix.holes*2 < len(ix.bySeq) {
-		return
+// first returns the first live row of the chain *h heads (a row number
+// + 1), and cuts the dead rows above it off.
+func (ix *memIndex) first(h *int32, link int) int32 {
+	*h = ix.skip(*h-1, link) + 1
+	return *h - 1
+}
+
+// head is first for a chain headed in a map. A chain it empties keeps
+// its key, heading no row, until a rebuild.
+func (ix *memIndex) head(m map[string]int32, key string, link int) int32 {
+	h := m[key]
+	i := ix.skip(h-1, link)
+	if i+1 != h {
+		m[key] = i + 1
 	}
-	live := ix.bySeq[:0]
-	for _, e := range ix.bySeq {
-		if !e.dead {
-			live = append(live, e)
+	return i
+}
+
+// find returns the byKey cell holding (landing, fp) and its row, or the
+// free cell the key would take and noRow.
+func (ix *memIndex) find(landing, fp string) (h uint64, i int32) {
+	h = (maphash.String(ix.seed, landing)*31 ^ maphash.String(ix.seed, fp)) & ix.mask
+	for ; ; h++ {
+		i, ok := ix.byKey[h]
+		if !ok {
+			return h, noRow
+		}
+		if r := ix.at(i); r.landing == landing && r.fp == fp {
+			return h, i
 		}
 	}
-	// Zero the reclaimed tail so dead entries don't leak through the
-	// retained backing array.
-	for i := len(live); i < len(ix.bySeq); i++ {
-		ix.bySeq[i] = nil
-	}
-	ix.bySeq = live
-	ix.holes = 0
 }
 
-// get returns the newest entry whose landing or starting URL equals
-// url, or nil.
-func (ix *memIndex) get(url string) *entry {
+// place writes r into the slab's next slot.
+func (ix *memIndex) place(r row) {
+	c, k := int(ix.rows/rowChunk), int(ix.rows%rowChunk)
+	if c == len(ix.chunks) {
+		ix.chunks = append(ix.chunks, make([]row, 0, rowChunk))
+	}
+	ch := &ix.chunks[c]
+	if k == len(*ch) {
+		*ch = (*ch)[:k+1]
+	}
+	(*ch)[k] = r
+	ix.rows++
+}
+
+// materialize builds a lazy index's chains and sorts an unsorted one.
+func (ix *memIndex) materialize() {
+	if ix.lazy || ix.unsorted {
+		ix.rebuild()
+	}
+}
+
+// inOrder sorts an unsorted index: what a walk down the slab needs.
+func (ix *memIndex) inOrder() {
+	if ix.unsorted {
+		ix.rebuild()
+	}
+}
+
+// rebuild lays the live rows out again in place, in seq order, and
+// builds every key, head, link and name over them in one pass — into
+// fresh maps, sized for the rows, since Go maps never shrink. A
+// duplicate key (a hand-edited snapshot) is superseded as insert would.
+func (ix *memIndex) rebuild() {
+	if ix.unsorted {
+		sort.Sort(slabOrder{ix})
+	}
+	n, names := ix.rows, ix.names
+	ix.byKey = make(map[uint64]int32, ix.live())
+	ix.byURL, ix.byStart = make(map[string]int32, ix.live()), map[string]int32{}
+	ix.byTarget, ix.byModel = append(ix.byTarget[:0], 0), append(ix.byModel[:0], 0)
+	ix.names, ix.ids = []string{""}, map[string]uint32{"": 0}
+	ix.rows, ix.holes, ix.lazy, ix.unsorted = 0, 0, false, false
+	for i := int32(0); i < n; i++ {
+		// Rows only move down, so the one read here is never one that
+		// add has already overwritten.
+		if r := *ix.at(i); !r.dead() {
+			r.target, r.model, r.source = ix.intern(names[r.target]), ix.intern(names[r.model]), ix.intern(names[r.source])
+			ix.add(r)
+		}
+	}
+	// Release the slots past the last row, and the chunks they empty.
+	for c, ch := range ix.chunks {
+		keep := min(max(int(ix.rows)-c*rowChunk, 0), len(ch))
+		clear(ch[keep:])
+		ix.chunks[c] = ch[:keep]
+	}
+	ix.chunks = slices.DeleteFunc(ix.chunks, func(ch []row) bool { return len(ch) == 0 })
+}
+
+// slabOrder sorts the slab's rows by seq.
+type slabOrder struct{ ix *memIndex }
+
+func (s slabOrder) Len() int           { return int(s.ix.rows) }
+func (s slabOrder) Less(i, j int) bool { return s.ix.at(int32(i)).seq < s.ix.at(int32(j)).seq }
+func (s slabOrder) Swap(i, j int) {
+	a, b := s.ix.at(int32(i)), s.ix.at(int32(j))
+	*a, *b = *b, *a
+}
+
+// search returns the first row number whose seq is at least seq, on a
+// slab in seq order.
+func (ix *memIndex) search(seq uint64) int32 {
+	return int32(sort.Search(int(ix.rows), func(i int) bool { return ix.at(int32(i)).seq >= seq }))
+}
+
+// move repoints the row holding seq, if it is still there and live, at
+// a copy of its frame: compaction's flip. Appends since the copy was
+// taken kept the slab in seq order, and a rebuild only drops rows.
+func (ix *memIndex) move(seq uint64, to frameLoc) {
+	ix.inOrder()
+	if i := ix.search(seq); i < ix.rows {
+		if r := ix.at(i); r.seq == seq && !r.dead() {
+			r.seg, r.off, r.n = to.seg, to.off, r.n&^rowLen|to.n
+		}
+	}
+}
+
+// get returns the location of the newest live row whose landing or
+// starting URL equals url: the newer of two chain heads.
+func (ix *memIndex) get(url string) (frameLoc, bool) {
 	ix.materialize()
-	var best *entry
-	if s := ix.byURL[url]; len(s) > 0 {
-		best = s[len(s)-1]
+	i, j := ix.head(ix.byURL, url, linkURL), ix.head(ix.byStart, url, linkStart)
+	if i == noRow || j != noRow && ix.at(j).seq > ix.at(i).seq {
+		i = j
 	}
-	if s := ix.byStart[url]; len(s) > 0 {
-		if e := s[len(s)-1]; best == nil || e.seq > best.seq {
-			best = e
-		}
+	if i == noRow {
+		return frameLoc{}, false
 	}
-	return best
+	return ix.at(i).loc(), true
 }
 
-// scan walks the narrowest applicable index newest-first and appends
-// to dst the locations of up to q.Limit entries matching q (<= 0 →
+// scan walks the narrowest applicable chain newest-first and appends
+// to dst the locations of up to q.Limit rows matching q (<= 0 →
 // unbounded), starting strictly below cursor when hasCursor. last is
-// the seq of the last entry appended; more reports whether at least
-// one further matching entry exists past the returned page.
+// the seq of the last row appended; more reports whether at least one
+// further matching row exists past the returned page.
 func (ix *memIndex) scan(dst []frameLoc, q Query, cursor uint64, hasCursor bool) (locs []frameLoc, last uint64, more bool) {
-	var lists [2][]*entry // only the URL query walks two
+	if q.Target != "" || q.URL != "" || q.ModelVersion != "" {
+		ix.materialize()
+	} else {
+		ix.inOrder() // no chain needed; stays fast on a lazy index
+	}
+	// The names the query filters on, as ids. A name the table lacks
+	// matches no row.
+	var want [3]uint32
+	for k, name := range [3]string{q.Target, q.ModelVersion, q.Source} {
+		id, ok := ix.ids[name]
+		if !ok {
+			return dst, 0, false
+		}
+		want[k] = id
+	}
+	type walk struct {
+		i    int32
+		link int
+	}
+	ws := [2]walk{{noRow, seqOrder}, {noRow, seqOrder}} // only the URL query walks two
 	switch {
 	case q.Target != "":
-		ix.materialize()
-		lists[0] = ix.byTarget[q.Target]
+		ws[0] = walk{ix.first(&ix.byTarget[want[0]], linkTarget), linkTarget}
 	case q.URL != "":
-		ix.materialize()
-		lists[0], lists[1] = ix.byURL[q.URL], ix.byStart[q.URL]
+		ws[0], ws[1] = walk{ix.head(ix.byURL, q.URL, linkURL), linkURL}, walk{ix.head(ix.byStart, q.URL, linkStart), linkStart}
 	case q.ModelVersion != "":
-		ix.materialize()
-		lists[0] = ix.byModel[q.ModelVersion]
+		ws[0] = walk{ix.first(&ix.byModel[want[1]], linkModel), linkModel}
+	case hasCursor:
+		ws[0].i = ix.search(cursor) - 1
 	default:
-		lists[0] = ix.bySeq // no map needed; stays fast on a lazy index
+		ws[0].i = ix.rows - 1
 	}
 	if q.Limit > 0 {
-		dst = slices.Grow(dst, min(q.Limit, len(lists[0])+len(lists[1])))
+		dst = slices.Grow(dst, min(q.Limit, ix.live()))
 	}
-	// Merge-walk the candidate lists backwards (each ascending by seq)
-	// so the result is strictly descending — the deterministic order
-	// every query path guarantees and cursors encode.
-	pos := [2]int{len(lists[0]) - 1, len(lists[1]) - 1}
+	// Merge-walk the chains (each descending by seq) so the result is
+	// strictly descending — the deterministic order every query path
+	// guarantees and cursors encode.
 	n := 0
 	for {
-		best := -1
-		for i, l := range lists {
-			if pos[i] >= 0 && (best < 0 || l[pos[i]].seq > lists[best][pos[best]].seq) {
-				best = i
-			}
+		w := &ws[0]
+		if ws[1].i != noRow && (w.i == noRow || ix.at(ws[1].i).seq > ix.at(w.i).seq) {
+			w = &ws[1]
 		}
-		if best < 0 {
+		if w.i == noRow {
 			return dst, last, false
 		}
-		e := lists[best][pos[best]]
-		pos[best]--
-		if e.dead || (hasCursor && e.seq >= cursor) || !matches(e, q) {
+		r := ix.at(w.i)
+		if w.link == seqOrder {
+			if w.i--; r.dead() {
+				continue
+			}
+		} else {
+			// A chain walk stands on live rows only: it cuts the dead
+			// ones below r out on its way past.
+			w.i = ix.skip(r.next[w.link], w.link)
+			r.next[w.link] = w.i
+		}
+		if (hasCursor && r.seq >= cursor) || !matches(r, q, want) {
 			continue
 		}
 		if q.Limit > 0 && n >= q.Limit {
 			return dst, last, true
 		}
-		dst = append(dst, frameLoc{e.seg, e.off, e.n})
-		last = e.seq
+		dst = append(dst, r.loc())
+		last = r.seq
 		n++
 	}
 }
 
-// matches applies the Query filters to an index row.
-func matches(e *entry, q Query) bool {
-	if q.Target != "" && e.target != q.Target {
+// matches applies the Query filters to a row; want holds the ids of
+// the query's target, model and source (0 for no filter).
+func matches(r *row, q Query, want [3]uint32) bool {
+	if want[0] != 0 && r.target != want[0] {
 		return false
 	}
-	if q.URL != "" && e.landing != q.URL && e.start != q.URL {
+	if q.URL != "" && r.landing != q.URL && r.start != q.URL {
 		return false
 	}
-	if q.ModelVersion != "" && e.model != q.ModelVersion {
+	if want[1] != 0 && r.model != want[1] {
 		return false
 	}
-	// Source has no dedicated index: it takes a handful of values at
-	// most, so a per-source list would cover most of the log anyway — filtering the seq walk costs the same and keeps the
-	// index (and its snapshot) lean.
-	if q.Source != "" && e.source != q.Source {
+	// Source has no chain: it takes a handful of values at most, so a
+	// per-source chain would cover most of the log anyway — filtering
+	// the seq walk costs the same and keeps the row lean.
+	if want[2] != 0 && r.source != want[2] {
 		return false
 	}
-	if !q.Since.IsZero() && e.scoredAt < q.Since.UnixNano() {
+	if !q.Since.IsZero() && r.scoredAt < q.Since.UnixNano() {
 		return false
 	}
-	if !q.Until.IsZero() && e.scoredAt >= q.Until.UnixNano() {
+	if !q.Until.IsZero() && r.scoredAt >= q.Until.UnixNano() {
 		return false
 	}
-	if q.PhishOnly && !e.phish {
+	if q.PhishOnly && r.n&rowPhish == 0 {
 		return false
 	}
 	return true
-}
-
-// seqInsert adds e to a seq-ascending slice. Appends (the live path)
-// are O(1); out-of-order replay falls back to a binary-searched insert.
-func seqInsert(s []*entry, e *entry) []*entry {
-	if n := len(s); n == 0 || s[n-1].seq < e.seq {
-		return append(s, e)
-	}
-	i := sort.Search(len(s), func(i int) bool { return s[i].seq >= e.seq })
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = e
-	return s
-}
-
-// seqRemove deletes e from the slice at m[k] (emptied keys are removed
-// from the map so one-shot URLs don't pin empty slices forever).
-func seqRemove(m map[string][]*entry, k string, e *entry) []*entry {
-	s := m[k]
-	i := sort.Search(len(s), func(i int) bool { return s[i].seq >= e.seq })
-	if i >= len(s) || s[i] != e {
-		return s
-	}
-	if len(s) == 1 {
-		// Never write into a single-entry list: materialize builds those
-		// as subslices of the bySeq/snapshot backing array, so nilling
-		// the slot would punch a nil into bySeq and crash the next scan.
-		delete(m, k)
-		return nil
-	}
-	copy(s[i:], s[i+1:])
-	s[len(s)-1] = nil
-	s = s[:len(s)-1]
-	return s
 }

@@ -186,7 +186,7 @@ func TestScanRejectsCorruptFrame(t *testing.T) {
 		}
 	}
 	s.mu.Lock()
-	mid := s.ix.bySeq[4]
+	mid := s.ix.at(4).loc()
 	seg, at := mid.seg, mid.off+int64(mid.n)-2 // inside the fifth frame's payload
 	s.mu.Unlock()
 	flipByte(t, segName(dir, seg), at)

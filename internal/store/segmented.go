@@ -194,18 +194,15 @@ func (s *segStore) recover() error {
 			sizes[id] = fi.Size()
 		}
 	}
-	rows, nextSeq, watermark, act, snapOK := loadSnapshot(s.dir)
+	ix, watermark, act, snapOK := loadSnapshot(s.dir)
 	// Reads size their buffers by a row's frame length and trust its
 	// offset, so a snapshot naming a frame its segment does not hold
 	// (the tail of an unsynced active segment lost with the machine, a
 	// segment swapped underneath it) is not loaded at all: the segments
 	// are replayed, which indexes exactly the frames that are there.
-	snapOK = snapOK && rowsFit(rows, sizes)
+	snapOK = snapOK && rowsFit(ix, sizes)
 	if snapOK {
-		s.ix.bulkLoad(rows)
-		if nextSeq > s.ix.nextSeq {
-			s.ix.nextSeq = nextSeq
-		}
+		s.ix = ix
 		s.snapshotSeq = watermark
 	}
 	// The active segment is the newest one never sealed (no sidecar).
@@ -270,7 +267,7 @@ func (s *segStore) recover() error {
 	// replayed past its watermark (or there was no snapshot at all); a
 	// snapshot-complete open stays clean, so closing it again skips the
 	// redundant snapshot rewrite.
-	s.snapDirty = s.tailReplayed > 0 || (!snapOK && len(s.ix.bySeq) > 0)
+	s.snapDirty = s.tailReplayed > 0 || (!snapOK && s.ix.rows > 0)
 	if s.tailReplayed > 0 {
 		// The replay cost of this open — the fast-start gauge an operator
 		// watches after a crash.
@@ -320,16 +317,14 @@ func (s *segStore) replaySegment(id uint64, start, limit int64, watermark uint64
 		if json.Unmarshal(payload, &rec) != nil {
 			break // undecodable payload: treat like a torn frame
 		}
-		e := metaOf(&rec)
-		e.seg, e.off, e.n = id, off, uint32(flen)
-		meta.note(e.seq, off)
-		if !useWM || e.seq > watermark {
+		meta.note(rec.Seq, off)
+		if !useWM || rec.Seq > watermark {
 			replayed++
 		}
 		// insert deduplicates against the snapshot and against
 		// compaction-crash duplicates: an equal-or-older seq for a key
 		// already indexed is dropped.
-		s.ix.insert(e)
+		s.ix.insert(&rec, frameLoc{id, off, uint32(flen)})
 		off += flen
 		good = off
 	}
@@ -390,10 +385,8 @@ func (s *segStore) appendLocked(rec *Record) error {
 		}
 	}
 	s.activeOff += int64(len(frame))
-	e := metaOf(rec)
-	e.seg, e.off, e.n = s.activeID, off, uint32(len(frame))
-	s.ix.insert(e)
-	s.activeMeta.note(e.seq, off)
+	s.ix.insert(rec, frameLoc{s.activeID, off, uint32(len(frame))})
+	s.activeMeta.note(rec.Seq, off)
 	s.snapDirty = true
 	s.appends++
 	s.sinceCompact++
@@ -446,22 +439,17 @@ func (s *segStore) openNextLocked() error {
 	return nil
 }
 
-// encodeSnapshotLocked serializes the live index (bySeq order keeps it
-// seq-ascending) and returns the payload with its watermark.
+// encodeSnapshotLocked serializes the live index, seq-ascending, and
+// returns the payload with its watermark.
 func (s *segStore) encodeSnapshotLocked() (data []byte, watermark uint64) {
-	rows := make([]*entry, 0, s.ix.live())
-	for _, e := range s.ix.bySeq {
-		if !e.dead {
-			rows = append(rows, e)
-		}
-	}
+	s.ix.inOrder()
 	watermark = s.ix.nextSeq - 1
 	s.snapDirty = false
 	var act activeState
 	if s.active != nil {
 		act = activeState{id: s.activeID, off: s.activeOff, meta: s.activeMeta}
 	}
-	return encodeSnapshot(s.ix.nextSeq, watermark, act, rows), watermark
+	return encodeSnapshot(s.ix, watermark, act), watermark
 }
 
 // persistSnapshot writes an encoded snapshot unless a newer one already
@@ -590,13 +578,9 @@ func (s *segStore) Get(ctx context.Context, url string) (Record, bool, error) {
 			s.mu.Unlock()
 			return Record{}, false, ErrClosed
 		}
-		e := s.ix.get(url)
-		var l frameLoc
-		if e != nil {
-			l = frameLoc{e.seg, e.off, e.n}
-		}
+		l, ok := s.ix.get(url)
 		s.mu.Unlock()
-		if e == nil {
+		if !ok {
 			return Record{}, false, nil
 		}
 		payloads, _, err := s.loadPage(ctx, nil, nil, []frameLoc{l})
@@ -730,9 +714,8 @@ func (s *segStore) Compact(ctx context.Context) error {
 }
 
 // compactItem tracks one live frame through a compaction: where it was,
-// which record it is (key+seq), and where its copy landed.
+// which record it is, and where its copy landed.
 type compactItem struct {
-	key    pageKey
 	seq    uint64
 	loc    frameLoc
 	newLoc frameLoc
@@ -753,11 +736,10 @@ func (s *segStore) runCompact(ctx context.Context) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
+	s.ix.inOrder() // the copies go out seq-ascending, as segments hold them
 	liveBySeg := make(map[uint64]int, len(s.sealed)+1)
-	for _, e := range s.ix.bySeq {
-		if !e.dead {
-			liveBySeg[e.seg]++
-		}
+	for r := range s.ix.each {
+		liveBySeg[r.seg]++
 	}
 	var victims []uint64
 	victimFrames := 0
@@ -777,9 +759,9 @@ func (s *segStore) runCompact(ctx context.Context) error {
 		inVictims[id] = true
 	}
 	var items []compactItem
-	for _, e := range s.ix.bySeq {
-		if !e.dead && inVictims[e.seg] {
-			items = append(items, compactItem{key: e.key(), seq: e.seq, loc: frameLoc{e.seg, e.off, e.n}})
+	for r := range s.ix.each {
+		if inVictims[r.seg] {
+			items = append(items, compactItem{seq: r.seq, loc: r.loc()})
 		}
 	}
 	s.mu.Unlock()
@@ -824,11 +806,8 @@ func (s *segStore) runCompact(ctx context.Context) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	s.ix.materialize() // the flip below needs byKey even on a fresh lazy open
 	for _, it := range items {
-		if e := s.ix.byKey[it.key]; e != nil && e.seq == it.seq {
-			e.seg, e.off, e.n = it.newLoc.seg, it.newLoc.off, it.newLoc.n
-		}
+		s.ix.move(it.seq, it.newLoc)
 	}
 	for _, id := range victims {
 		delete(s.sealed, id)

@@ -173,7 +173,7 @@ func TestSegmentedSupersedeAndCompact(t *testing.T) {
 	}
 }
 
-// TestReopenSupersedeScan reopens from a snapshot (bulkLoad/lazy), then
+// TestReopenSupersedeScan reopens from a snapshot (a lazy index), then
 // appends a record that supersedes a snapshot row whose landing URL has
 // a single entry.
 func TestReopenSupersedeScan(t *testing.T) {
@@ -610,31 +610,34 @@ func TestCursorCodec(t *testing.T) {
 }
 
 func TestSnapshotCodec(t *testing.T) {
-	rows := []*entry{
-		{seq: 1, landing: "http://a.test/", fp: "fp1", scoredAt: 12345, phish: true, seg: 1, off: 0, n: 100},
-		{seq: 9, landing: "http://b.test/", start: "http://s.test/", target: "brand.com", model: "v3", scoredAt: -1, seg: 2, off: 4096, n: 220},
-	}
+	ix := newMemIndex()
+	a := rec("http://a.test/", "http://a.test/", "fp1", "", true)
+	a.Seq, a.ScoredAt = 1, time.Unix(0, 12345)
+	b := rec("http://s.test/", "http://b.test/", "", "brand.com", false)
+	b.Seq, b.ModelVersion, b.ScoredAt = 9, "v3", time.Unix(0, -1)
+	ix.insert(&a, frameLoc{1, 0, 100})
+	ix.insert(&b, frameLoc{2, 4096, 220})
 	act := activeState{id: 3, off: 8192, meta: segMeta{count: 7, minSeq: 3, maxSeq: 9, sparse: []sparsePoint{{Seq: 3, Off: 0}}}}
-	data := encodeSnapshot(10, 9, act, rows)
-	got, nextSeq, wm, actOut, err := decodeSnapshot(data)
-	if err != nil || nextSeq != 10 || wm != 9 {
-		t.Fatalf("decode: %v nextSeq=%d wm=%d", err, nextSeq, wm)
+	data := encodeSnapshot(ix, 9, act)
+	got, wm, actOut, err := decodeSnapshot(data)
+	if err != nil || got.nextSeq != 10 || wm != 9 {
+		t.Fatalf("decode: %v nextSeq=%d wm=%d", err, got.nextSeq, wm)
 	}
 	if !reflect.DeepEqual(actOut, act) {
 		t.Fatalf("active state differs: %+v vs %+v", actOut, act)
 	}
-	if len(got) != 2 || !reflect.DeepEqual(got[0], rows[0]) || !reflect.DeepEqual(got[1], rows[1]) {
-		t.Fatalf("rows differ: %+v vs %+v", got, rows)
+	if rows, want := liveRows(got), liveRows(ix); len(rows) != 2 || !reflect.DeepEqual(rows, want) {
+		t.Fatalf("rows differ: %+v vs %+v", rows, want)
 	}
 	// Any corruption is detected, never half-loaded.
 	for i := 0; i < len(data); i += 7 {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0x40
-		if _, _, _, _, err := decodeSnapshot(mut); err == nil {
+		if _, _, _, err := decodeSnapshot(mut); err == nil {
 			t.Fatalf("corruption at byte %d went undetected", i)
 		}
 	}
-	if _, _, _, _, err := decodeSnapshot(data[:len(data)-2]); err == nil {
+	if _, _, _, err := decodeSnapshot(data[:len(data)-2]); err == nil {
 		t.Fatal("truncated snapshot went undetected")
 	}
 }

@@ -77,13 +77,13 @@ type activeState struct {
 	meta segMeta
 }
 
-// encodeSnapshot serializes live index rows (callers pass them seq-
-// ascending so decode can rebuild the bySeq slice with append-only
-// inserts).
-func encodeSnapshot(nextSeq, watermark uint64, act activeState, rows []*entry) []byte {
-	buf := make([]byte, 0, 64+len(rows)*96)
+// encodeSnapshot serializes the index's live rows, seq-ascending (the
+// caller puts an unsorted index in order first), so decode can lay the
+// slab out as it reads.
+func encodeSnapshot(ix *memIndex, watermark uint64, act activeState) []byte {
+	buf := make([]byte, 0, 64+ix.live()*96)
 	buf = append(buf, snapshotMagic...)
-	buf = binary.AppendUvarint(buf, nextSeq)
+	buf = binary.AppendUvarint(buf, ix.nextSeq)
 	buf = binary.AppendUvarint(buf, watermark)
 	buf = binary.AppendUvarint(buf, act.id)
 	buf = binary.AppendUvarint(buf, uint64(act.off))
@@ -95,24 +95,20 @@ func encodeSnapshot(nextSeq, watermark uint64, act activeState, rows []*entry) [
 		buf = binary.AppendUvarint(buf, p.Seq)
 		buf = binary.AppendUvarint(buf, uint64(p.Off))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(rows)))
-	for _, e := range rows {
-		buf = binary.AppendUvarint(buf, e.seq)
-		buf = binary.AppendVarint(buf, e.scoredAt)
-		var flags byte
-		if e.phish {
-			flags |= 1
-		}
-		buf = append(buf, flags)
-		buf = binary.AppendUvarint(buf, e.seg)
-		buf = binary.AppendUvarint(buf, uint64(e.off))
-		buf = binary.AppendUvarint(buf, uint64(e.n))
-		buf = appendSnapshotString(buf, e.landing)
-		buf = appendSnapshotString(buf, e.start)
-		buf = appendSnapshotString(buf, e.fp)
-		buf = appendSnapshotString(buf, e.target)
-		buf = appendSnapshotString(buf, e.model)
-		buf = appendSnapshotString(buf, e.source)
+	buf = binary.AppendUvarint(buf, uint64(ix.live()))
+	for r := range ix.each {
+		buf = binary.AppendUvarint(buf, r.seq)
+		buf = binary.AppendVarint(buf, r.scoredAt)
+		buf = append(buf, byte(r.n>>31)) // bit0: rowPhish
+		buf = binary.AppendUvarint(buf, r.seg)
+		buf = binary.AppendUvarint(buf, uint64(r.off))
+		buf = binary.AppendUvarint(buf, uint64(r.n&rowLen))
+		buf = appendSnapshotString(buf, r.landing)
+		buf = appendSnapshotString(buf, r.start)
+		buf = appendSnapshotString(buf, r.fp)
+		buf = appendSnapshotString(buf, ix.names[r.target])
+		buf = appendSnapshotString(buf, ix.names[r.model])
+		buf = appendSnapshotString(buf, ix.names[r.source])
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[len(snapshotMagic):], castagnoli))
 }
@@ -171,18 +167,21 @@ func (r *snapshotReader) string() string {
 	return s
 }
 
-// decodeSnapshot parses a snapshot payload back into index rows.
-func decodeSnapshot(data []byte) (rows []*entry, nextSeq, watermark uint64, act activeState, err error) {
+// decodeSnapshot parses a snapshot payload back into a lazy index: the
+// rows laid out in the slab and their names interned, nothing else
+// built (see memIndex.lazy).
+func decodeSnapshot(data []byte) (ix *memIndex, watermark uint64, act activeState, err error) {
 	if len(data) < len(snapshotMagic)+4 || string(data[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, 0, 0, act, errBadSnapshot
+		return nil, 0, act, errBadSnapshot
 	}
 	body := data[len(snapshotMagic) : len(data)-4]
 	want := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if crc32.Checksum(body, castagnoli) != want {
-		return nil, 0, 0, act, errBadSnapshot
+		return nil, 0, act, errBadSnapshot
 	}
 	r := &snapshotReader{buf: body, str: string(body)}
-	nextSeq = r.uvarint()
+	ix = newMemIndex()
+	ix.nextSeq = max(r.uvarint(), 1)
 	watermark = r.uvarint()
 	act.id = r.uvarint()
 	act.off = int64(r.uvarint())
@@ -191,26 +190,44 @@ func decodeSnapshot(data []byte) (rows []*entry, nextSeq, watermark uint64, act 
 	act.meta.maxSeq = r.uvarint()
 	sparseCount := r.uvarint()
 	if r.bad || sparseCount > uint64(len(r.buf)/minSnapshotSparseBytes) {
-		return nil, 0, 0, activeState{}, errBadSnapshot
+		return nil, 0, activeState{}, errBadSnapshot
 	}
 	for i := uint64(0); i < sparseCount; i++ {
 		seq := r.uvarint()
 		off := int64(r.uvarint())
 		act.meta.sparse = append(act.meta.sparse, sparsePoint{Seq: seq, Off: off})
 	}
+	// One block holds the rows, cut into the slab's chunks: a single
+	// allocation of whole chunks, sized by a count bounded by the bytes
+	// left to decode rows from.
 	count := r.uvarint()
-	if r.bad || count > uint64(len(r.buf)/minSnapshotRowBytes) {
-		return nil, 0, 0, activeState{}, errBadSnapshot
+	if r.bad || count > uint64(len(r.buf)/minSnapshotRowBytes) || count > math.MaxInt32 {
+		return nil, 0, activeState{}, errBadSnapshot
 	}
-	// One contiguous entry block instead of count tiny allocations: the
-	// row count is bounded by the bytes left to decode rows from.
-	block := make([]entry, count)
-	rows = make([]*entry, 0, count)
-	for i := uint64(0); i < count; i++ {
+	// A name is mostly "" or the one the row before had in its place:
+	// only another one is looked up in the name table.
+	var names [3]string
+	var ids [3]uint32
+	var last uint64
+	name := func(k int) uint32 {
+		s := r.string()
+		if s == "" {
+			return 0
+		}
+		if s != names[k] {
+			names[k], ids[k] = s, ix.intern(s)
+		}
+		return ids[k]
+	}
+	block := make([]row, count, (count+rowChunk-1)/rowChunk*rowChunk)
+	for lo := 0; lo < len(block); lo += rowChunk {
+		ix.chunks = append(ix.chunks, block[lo:min(lo+rowChunk, len(block)):lo+rowChunk])
+	}
+	for i := range block {
 		e := &block[i]
 		e.seq = r.uvarint()
 		e.scoredAt = r.varint()
-		e.phish = r.byte()&1 != 0
+		e.n = uint32(r.byte()&1) << 31 // rowPhish
 		e.seg = r.uvarint()
 		off, n := r.uvarint(), r.uvarint()
 		// A frame is a header plus a non-empty payload, and its end must
@@ -218,27 +235,30 @@ func decodeSnapshot(data []byte) (rows []*entry, nextSeq, watermark uint64, act 
 		if n <= frameHeader || n > frameHeader+maxFramePayload || off > math.MaxInt64-n {
 			r.bad = true
 		}
-		e.off, e.n = int64(off), uint32(n)
+		e.off, e.n = int64(off), e.n|uint32(n)
 		e.landing = r.string()
 		e.start = r.string()
 		e.fp = r.string()
-		e.target = r.string()
-		e.model = r.string()
-		e.source = r.string()
+		e.target, e.model, e.source = name(0), name(1), name(2)
 		if r.bad {
-			return nil, 0, 0, activeState{}, errBadSnapshot
+			return nil, 0, activeState{}, errBadSnapshot
 		}
-		rows = append(rows, e)
+		ix.unsorted = ix.unsorted || e.seq < last
+		if last = e.seq; e.seq >= ix.nextSeq {
+			ix.nextSeq = e.seq + 1
+		}
 	}
-	return rows, nextSeq, watermark, act, nil
+	ix.rows = int32(len(block))
+	ix.lazy = true
+	return ix, watermark, act, nil
 }
 
 // rowsFit reports whether every row's frame [off, off+n) lies inside
 // its segment, given the segment files' sizes (a segment that is not
 // there has none).
-func rowsFit(rows []*entry, sizes map[uint64]int64) bool {
-	for _, e := range rows {
-		if e.off+int64(e.n) > sizes[e.seg] {
+func rowsFit(ix *memIndex, sizes map[uint64]int64) bool {
+	for r := range ix.each {
+		if l := r.loc(); l.off+int64(l.n) > sizes[l.seg] {
 			return false
 		}
 	}
@@ -255,14 +275,14 @@ func writeSnapshot(dir string, data []byte, fp func() error) error {
 
 // loadSnapshot reads and decodes the directory's snapshot; ok is false
 // (full replay) when absent or unreadable.
-func loadSnapshot(dir string) (rows []*entry, nextSeq, watermark uint64, act activeState, ok bool) {
+func loadSnapshot(dir string) (ix *memIndex, watermark uint64, act activeState, ok bool) {
 	data, err := os.ReadFile(filepath.Join(dir, snapshotFile))
 	if err != nil {
-		return nil, 0, 0, act, false
+		return nil, 0, act, false
 	}
-	rows, nextSeq, watermark, act, err = decodeSnapshot(data)
+	ix, watermark, act, err = decodeSnapshot(data)
 	if err != nil {
-		return nil, 0, 0, activeState{}, false
+		return nil, 0, activeState{}, false
 	}
-	return rows, nextSeq, watermark, act, true
+	return ix, watermark, act, true
 }

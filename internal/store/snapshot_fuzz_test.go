@@ -53,8 +53,8 @@ func sealSnapshot(body []byte) []byte {
 // no bytes for, must not accept a row whose frame could not be one
 // (readers size buffers by it; rowsFit then holds each row to its
 // segment's size, to the byte), and whatever it accepts must survive
-// encodeSnapshot → decodeSnapshot unchanged: rows, sequence numbers,
-// watermark and active state.
+// encodeSnapshot → decodeSnapshot unchanged: live rows, sequence
+// numbers, watermark and active state.
 func FuzzDecodeSnapshot(f *testing.F) {
 	real := realSnapshot(f)
 	body := real[len(snapshotMagic) : len(real)-4]
@@ -69,41 +69,43 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(binary.AppendUvarint([]byte{1, 1, 0, 0, 0, 0, 0}, 1<<40))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, sealSnapshot(data)} {
-			rows, nextSeq, wm, act, err := decodeSnapshot(in)
+			ix, wm, act, err := decodeSnapshot(in)
 			if err != nil {
-				if rows != nil || nextSeq != 0 || wm != 0 || !reflect.DeepEqual(act, activeState{}) {
-					t.Fatalf("rejected snapshot still returned state: %d rows, nextSeq %d, watermark %d, active %+v", len(rows), nextSeq, wm, act)
+				if ix != nil || wm != 0 || !reflect.DeepEqual(act, activeState{}) {
+					t.Fatalf("rejected snapshot still returned state: index %v, watermark %d, active %+v", ix != nil, wm, act)
 				}
 				continue
 			}
-			if len(rows)*minSnapshotRowBytes > len(in) || len(act.meta.sparse)*minSnapshotSparseBytes > len(in) {
-				t.Fatalf("%d rows and %d sparse points out of %d bytes", len(rows), len(act.meta.sparse), len(in))
+			if int(ix.rows)*minSnapshotRowBytes > len(in) || len(act.meta.sparse)*minSnapshotSparseBytes > len(in) {
+				t.Fatalf("%d rows and %d sparse points out of %d bytes", ix.rows, len(act.meta.sparse), len(in))
 			}
 			ends := map[uint64]int64{}
-			for _, e := range rows {
-				end := e.off + int64(e.n)
-				if e.n <= frameHeader || e.off < 0 || end < e.off {
-					t.Fatalf("accepted a row with frame [%d, %d+%d)", e.off, e.off, e.n)
+			for r := range ix.each {
+				l := r.loc()
+				end := l.off + int64(l.n)
+				if l.n <= frameHeader || l.off < 0 || end < l.off {
+					t.Fatalf("accepted a row with frame [%d, %d+%d)", l.off, l.off, l.n)
 				}
-				ends[e.seg] = max(ends[e.seg], end)
+				ends[l.seg] = max(ends[l.seg], end)
 			}
-			if !rowsFit(rows, ends) {
+			if !rowsFit(ix, ends) {
 				t.Fatal("rows do not fit segments exactly as long as their last frame's end")
 			}
 			for seg := range ends {
 				ends[seg]--
-				if rowsFit(rows, ends) {
+				if rowsFit(ix, ends) {
 					t.Fatalf("rows fit segment %d one byte short of its last frame's end", seg)
 				}
 				ends[seg]++
 			}
-			rows2, nextSeq2, wm2, act2, err := decodeSnapshot(encodeSnapshot(nextSeq, wm, act, rows))
+			rows := liveRows(ix) // in seq order, a duplicate key superseded
+			ix2, wm2, act2, err := decodeSnapshot(encodeSnapshot(ix, wm, act))
 			if err != nil {
 				t.Fatalf("re-encoded snapshot does not decode: %v", err)
 			}
-			if nextSeq2 != nextSeq || wm2 != wm || !reflect.DeepEqual(act2, act) || !reflect.DeepEqual(rows2, rows) {
+			if rows2 := liveRows(ix2); ix2.nextSeq != ix.nextSeq || wm2 != wm || !reflect.DeepEqual(act2, act) || !reflect.DeepEqual(rows2, rows) {
 				t.Fatalf("round trip changed the snapshot:\n got %d/%d %+v %d rows\nwant %d/%d %+v %d rows",
-					nextSeq2, wm2, act2, len(rows2), nextSeq, wm, act, len(rows))
+					ix2.nextSeq, wm2, act2, len(rows2), ix.nextSeq, wm, act, len(rows))
 			}
 		}
 	})

@@ -10,10 +10,12 @@
 // Only the in-memory index (seq, URLs, target, model version,
 // timestamp, on-disk location) is held in RAM — frames are read back
 // from their segment on demand, so memory stays proportional to the
-// index, not the log. Recovery loads a binary snapshot of the index
-// plus the log tail past the snapshot's watermark (skipping sealed
-// segments the snapshot already covers), and truncates a torn tail on
-// the active segment only. Background merge compaction rewrites sealed
+// index, not the log: about 235 B per record at 1 000 records and
+// 180 B at 100 000, the records' strings aside
+// (TestHeapAllocRetainedPerRecord). Recovery loads a binary snapshot of
+// the index plus the log tail past the snapshot's watermark (skipping
+// sealed segments the snapshot already covers), and truncates a torn
+// tail on the active segment only. Background merge compaction rewrites sealed
 // segments dropping superseded verdicts (an older record for the same
 // landing URL + content fingerprint) without ever blocking appends:
 // sealed segments are immutable, so the rewrite happens outside the
@@ -111,10 +113,6 @@ type Record struct {
 	// after retries) instead of an outcome.
 	Error string `json:"error,omitempty"`
 }
-
-// key is the supersede identity: verdicts sharing it describe the same
-// page content at the same address, and only the newest one is live.
-func (r *Record) key() string { return r.LandingURL + "\x00" + r.Fingerprint }
 
 // Config assembles a Backend.
 type Config struct {
@@ -371,6 +369,11 @@ func (e *recordEncoder) frame(rec *Record) ([]byte, error) {
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: encoding record: %w", err)
+	}
+	// Replay stops at a frame longer than this, so storing one would
+	// lose it, and everything after it, on the next open.
+	if n := len(e.buf) - frameHeader; n > maxFramePayload {
+		return nil, fmt.Errorf("store: record encodes to %d bytes, over the %d-byte frame limit", n, maxFramePayload)
 	}
 	putFrameHeader(e.buf)
 	return e.buf, nil
