@@ -208,8 +208,7 @@ alloc-check:
 # memo, tests and the frozen benchmark/ harness, nothing constructs a
 # server, a feed scheduler, a stage memo or a verdict store — kpserve,
 # `kpload run -self` and BenchmarkLoadEndToEnd all go through app.Start,
-# a second wiring cannot quietly regrow, and the knowphish facade builds
-# no server and no store.
+# and a second wiring cannot quietly regrow.
 ASSEMBLY_CTORS = \b(serve\.New|feed\.New|coalesce\.New|store\.Open)\(
 assembly-check:
 	@out="$$(git grep -n -E '$(ASSEMBLY_CTORS)' -- '*.go' ':!*_test.go' \
@@ -232,10 +231,13 @@ leaf-check:
 	echo "leaf closure: $$(echo "$$deps" | wc -l) packages, paper code and pool only"
 	GOOS=js GOARCH=wasm $(GO) build -o /dev/null ./internal/core ./internal/target ./examples/clientside
 
-# Size of the program: non-test Go lines and files tracked by git,
-# outside the frozen benchmark/ harness. "Net-negative" and "N% fewer
-# lines" criteria (ROADMAP item 6) are read off this command.
-LOC_FILES = git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/'
+# Size of the program: non-test Go lines and files in the working tree
+# (tracked or untracked, not ignored, and present on disk, so an
+# unstaged deletion or a new file counts before `git add`), outside the
+# frozen benchmark/ harness. "Net-negative" and "N% fewer lines"
+# criteria (ROADMAP item 9) are read off this command.
+LOC_FILES = git ls-files -co --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' \
+	| while read -r f; do [ ! -f "$$f" ] || echo "$$f"; done
 loc:
 	@echo "non-test Go outside benchmark/: $$($(LOC_FILES) | xargs cat | wc -l) lines in $$($(LOC_FILES) | wc -l) files"
 

@@ -13,14 +13,16 @@ import (
 	"log"
 	"math/rand"
 
-	"knowphish"
+	"knowphish/internal/core"
+	"knowphish/internal/crawl"
+	"knowphish/internal/dataset"
 	"knowphish/internal/webgen"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	corpus, err := knowphish.BuildCorpus(knowphish.CorpusConfig{
+	corpus, err := dataset.Build(dataset.Config{
 		Seed:              5,
 		Scale:             25,
 		SkipLanguageTests: true,
@@ -30,7 +32,7 @@ func main() {
 	}
 	snaps := append(corpus.LegTrain.Snapshots(), corpus.PhishTrain.Snapshots()...)
 	labels := append(corpus.LegTrain.Labels(), corpus.PhishTrain.Labels()...)
-	detector, err := knowphish.Train(snaps, labels, knowphish.TrainConfig{Rank: corpus.World.Ranking()})
+	detector, err := core.Train(snaps, labels, core.TrainConfig{Rank: corpus.World.Ranking()})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,14 +73,14 @@ func main() {
 	for _, tech := range techniques {
 		// Score each technique's cohort over the context-aware batch
 		// path — the v2 entry point a serving deployment uses.
-		reqs := make([]knowphish.ScoreRequest, 0, perTechnique)
+		reqs := make([]core.ScoreRequest, 0, perTechnique)
 		for i := 0; i < perTechnique; i++ {
 			site := world.NewPhishSite(rng, tech.opts())
-			snap, err := knowphish.VisitSite(world, site)
+			snap, err := crawl.VisitSite(world, site)
 			if err != nil {
 				log.Fatal(err)
 			}
-			reqs = append(reqs, knowphish.NewScoreRequest(snap))
+			reqs = append(reqs, core.NewScoreRequest(snap))
 		}
 		verdicts, err := detector.ScoreBatchCtx(ctx, reqs, 0)
 		if err != nil {

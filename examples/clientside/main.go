@@ -15,14 +15,17 @@ import (
 	"log"
 	"time"
 
-	"knowphish"
+	"knowphish/internal/core"
+	"knowphish/internal/dataset"
+	"knowphish/internal/ranking"
+	"knowphish/internal/webpage"
 )
 
 func main() {
 	log.SetFlags(0)
 
 	// ---- Server side, once: train and export a model. ----------------
-	corpus, err := knowphish.BuildCorpus(knowphish.CorpusConfig{
+	corpus, err := dataset.Build(dataset.Config{
 		Seed:              13,
 		Scale:             50,
 		SkipLanguageTests: true,
@@ -32,7 +35,7 @@ func main() {
 	}
 	snaps := append(corpus.LegTrain.Snapshots(), corpus.PhishTrain.Snapshots()...)
 	labels := append(corpus.LegTrain.Labels(), corpus.PhishTrain.Labels()...)
-	trained, err := knowphish.Train(snaps, labels, knowphish.TrainConfig{Rank: corpus.World.Ranking()})
+	trained, err := core.Train(snaps, labels, core.TrainConfig{Rank: corpus.World.Ranking()})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,11 +51,11 @@ func main() {
 
 	// ---- Client side: everything below uses only the two files and ---
 	// ---- the page content the browser already has. -------------------
-	rank, err := knowphish.ReadRankList(&rankFile)
+	rank, err := ranking.Read(&rankFile)
 	if err != nil {
 		log.Fatal(err)
 	}
-	detector, err := knowphish.LoadDetector(&modelFile, rank)
+	detector, err := core.Load(&modelFile, rank)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,14 +75,14 @@ func main() {
 	// A browser add-on wants bounded latency and a reason it can show
 	// the user — the v2 ScoreCtx request carries both.
 	ctx := context.Background()
-	snap := knowphish.SnapshotFromHTML(
+	snap := webpage.FromHTML(
 		"http://account-verify-check.top/"+brand.MLD+"/login.php",
 		"http://account-verify-check.top/"+brand.MLD+"/login.php",
 		nil, phishHTML)
-	verdict, err := detector.ScoreCtx(ctx, knowphish.NewScoreRequest(&snap,
-		knowphish.WithDeadline(200*time.Millisecond),
-		knowphish.WithExplain(knowphish.ExplainTop),
-		knowphish.WithTopFeatures(4)))
+	verdict, err := detector.ScoreCtx(ctx, core.NewScoreRequest(&snap,
+		core.WithDeadline(200*time.Millisecond),
+		core.WithExplain(core.ExplainTop),
+		core.WithTopFeatures(4)))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,11 +101,11 @@ from our harborfield community garden plots around town</p>
 <a href="/events">Events</a> <a href="/plots">Plots</a> <a href="/about">About</a>
 <img src="/img/garden.jpg">
 </body></html>`
-	snap = knowphish.SnapshotFromHTML(
+	snap = webpage.FromHTML(
 		"https://www.harborfield.org/news",
 		"https://www.harborfield.org/news",
 		nil, legitHTML)
-	verdict, err = detector.ScoreCtx(ctx, knowphish.NewScoreRequest(&snap))
+	verdict, err = detector.ScoreCtx(ctx, core.NewScoreRequest(&snap))
 	if err != nil {
 		log.Fatal(err)
 	}

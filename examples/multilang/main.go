@@ -11,7 +11,8 @@ import (
 	"fmt"
 	"log"
 
-	"knowphish"
+	"knowphish/internal/core"
+	"knowphish/internal/dataset"
 	"knowphish/internal/ml"
 	"knowphish/internal/webgen"
 )
@@ -20,7 +21,7 @@ func main() {
 	log.SetFlags(0)
 
 	fmt.Println("building six-language corpus (this generates ~15k pages)...")
-	corpus, err := knowphish.BuildCorpus(knowphish.CorpusConfig{Seed: 7, Scale: 25})
+	corpus, err := dataset.Build(dataset.Config{Seed: 7, Scale: 25})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func main() {
 	// multilingual-lure but structure-driven.
 	snaps := append(corpus.LegTrain.Snapshots(), corpus.PhishTrain.Snapshots()...)
 	labels := append(corpus.LegTrain.Labels(), corpus.PhishTrain.Labels()...)
-	detector, err := knowphish.Train(snaps, labels, knowphish.TrainConfig{Rank: corpus.World.Ranking()})
+	detector, err := core.Train(snaps, labels, core.TrainConfig{Rank: corpus.World.Ranking()})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,14 +45,14 @@ func main() {
 		}
 		// One context-aware batch per language: the v2 batch path fans
 		// out over all cores and would stop at ctx cancellation.
-		var reqs []knowphish.ScoreRequest
+		var reqs []core.ScoreRequest
 		var truth []int
 		for _, ex := range corpus.PhishTest.Examples {
-			reqs = append(reqs, knowphish.NewScoreRequest(ex.Snapshot))
+			reqs = append(reqs, core.NewScoreRequest(ex.Snapshot))
 			truth = append(truth, 1)
 		}
 		for _, ex := range camp.Examples {
-			reqs = append(reqs, knowphish.NewScoreRequest(ex.Snapshot))
+			reqs = append(reqs, core.NewScoreRequest(ex.Snapshot))
 			truth = append(truth, 0)
 		}
 		verdicts, err := detector.ScoreBatchCtx(ctx, reqs, 0)

@@ -10,8 +10,12 @@ import (
 	"log"
 	"math/rand"
 
-	"knowphish"
+	"knowphish/internal/core"
+	"knowphish/internal/crawl"
+	"knowphish/internal/dataset"
+	"knowphish/internal/target"
 	"knowphish/internal/webgen"
+	"knowphish/internal/webpage"
 )
 
 func main() {
@@ -20,7 +24,7 @@ func main() {
 	// 1. Build the evaluation corpus: a synthetic web with brands,
 	// legitimate sites and phishing campaigns (Table V of the paper,
 	// scaled down 1/50 for a fast start).
-	corpus, err := knowphish.BuildCorpus(knowphish.CorpusConfig{
+	corpus, err := dataset.Build(dataset.Config{
 		Seed:              1,
 		Scale:             50,
 		SkipLanguageTests: true,
@@ -33,7 +37,7 @@ func main() {
 	// pages. The paper's point: this small training set generalizes.
 	snaps := append(corpus.LegTrain.Snapshots(), corpus.PhishTrain.Snapshots()...)
 	labels := append(corpus.LegTrain.Labels(), corpus.PhishTrain.Labels()...)
-	detector, err := knowphish.Train(snaps, labels, knowphish.TrainConfig{
+	detector, err := core.Train(snaps, labels, core.TrainConfig{
 		Rank: corpus.World.Ranking(),
 	})
 	if err != nil {
@@ -42,9 +46,9 @@ func main() {
 	fmt.Printf("trained on %d pages, threshold %.1f\n\n", len(snaps), detector.Threshold())
 
 	// 3. Assemble the pipeline: detection + target identification.
-	pipeline := &knowphish.Pipeline{
+	pipeline := &core.Pipeline{
 		Detector:   detector,
-		Identifier: knowphish.NewTargetIdentifier(corpus.Engine),
+		Identifier: target.New(corpus.Engine),
 	}
 
 	// 4. Classify a fresh legitimate page and a fresh phish.
@@ -53,14 +57,14 @@ func main() {
 
 	ctx := context.Background()
 	legit := world.NewLegitSite(rng, webgen.LegitOptions{Lang: webgen.English})
-	legitSnap, err := knowphish.VisitSite(world, legit)
+	legitSnap, err := crawl.VisitSite(world, legit)
 	if err != nil {
 		log.Fatal(err)
 	}
 	report(analyze(ctx, pipeline, legitSnap), legitSnap)
 
 	phish := world.NewPhishSite(rng, world.RandomPhishOptions(rng))
-	phishSnap, err := knowphish.VisitSite(world, phish)
+	phishSnap, err := crawl.VisitSite(world, phish)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,17 +74,17 @@ func main() {
 
 // analyze runs the v2 pipeline entry point: context-aware, with the top
 // per-feature evidence attached to the verdict.
-func analyze(ctx context.Context, p *knowphish.Pipeline, snap *knowphish.Snapshot) knowphish.Verdict {
-	v, err := p.AnalyzeCtx(ctx, knowphish.NewScoreRequest(snap,
-		knowphish.WithExplain(knowphish.ExplainTop),
-		knowphish.WithTopFeatures(3)))
+func analyze(ctx context.Context, p *core.Pipeline, snap *webpage.Snapshot) core.Verdict {
+	v, err := p.AnalyzeCtx(ctx, core.NewScoreRequest(snap,
+		core.WithExplain(core.ExplainTop),
+		core.WithTopFeatures(3)))
 	if err != nil {
 		log.Fatal(err)
 	}
 	return v
 }
 
-func report(v knowphish.Verdict, snap *knowphish.Snapshot) {
+func report(v core.Verdict, snap *webpage.Snapshot) {
 	fmt.Printf("page:    %s\n", snap.StartingURL)
 	fmt.Printf("score:   %.3f\n", v.Score)
 	fmt.Printf("verdict: %s (threshold %.1f)\n", v.Label, v.Threshold)

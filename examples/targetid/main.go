@@ -6,7 +6,7 @@
 // This example drives the Identifier directly to expose each step. In a
 // full deployment identification runs inside Pipeline.AnalyzeCtx (its
 // outcome lands in Verdict.Target) or over HTTP at POST /v2/target; a
-// request can skip it with knowphish.WithoutTargetID when only the
+// request can skip it with core.WithoutTargetID when only the
 // detector score matters.
 //
 //	go run ./examples/targetid
@@ -17,7 +17,8 @@ import (
 	"log"
 	"math/rand"
 
-	"knowphish"
+	"knowphish/internal/crawl"
+	"knowphish/internal/dataset"
 	"knowphish/internal/target"
 	"knowphish/internal/webgen"
 	"knowphish/internal/webpage"
@@ -26,7 +27,7 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	corpus, err := knowphish.BuildCorpus(knowphish.CorpusConfig{
+	corpus, err := dataset.Build(dataset.Config{
 		Seed:              3,
 		Scale:             50,
 		SkipLanguageTests: true,
@@ -35,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 	world := corpus.World
-	identifier := knowphish.NewTargetIdentifier(corpus.Engine)
+	identifier := target.New(corpus.Engine)
 	rng := rand.New(rand.NewSource(9))
 
 	brand := world.Brands[2]
@@ -44,7 +45,7 @@ func main() {
 	// Case 1: a typical phish with text content.
 	fmt.Println("--- case 1: ordinary phishing page ---")
 	site := world.NewPhishSite(rng, webgen.PhishOptions{Target: brand, Hosting: webgen.HostDedicated})
-	snap, err := knowphish.VisitSite(world, site)
+	snap, err := crawl.VisitSite(world, site)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func main() {
 	// the OCR prominent terms path (step 4) takes over.
 	fmt.Println("--- case 2: image-only phishing page (OCR fallback) ---")
 	site = world.NewPhishSite(rng, webgen.PhishOptions{Target: brand, ImageOnly: true, MinimalText: true})
-	snap, err = knowphish.VisitSite(world, site)
+	snap, err = crawl.VisitSite(world, site)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,14 +64,14 @@ func main() {
 	// Case 3: a legitimate page — the process confirms it and stops.
 	fmt.Println("--- case 3: legitimate page ---")
 	legit := world.NewLegitSite(rng, webgen.LegitOptions{BrandVisit: true})
-	snap, err = knowphish.VisitSite(world, legit)
+	snap, err = crawl.VisitSite(world, legit)
 	if err != nil {
 		log.Fatal(err)
 	}
 	walkthrough(identifier, snap)
 }
 
-func walkthrough(id *knowphish.TargetIdentifier, snap *knowphish.Snapshot) {
+func walkthrough(id *target.Identifier, snap *webpage.Snapshot) {
 	a := webpage.Analyze(snap)
 	kt := target.ExtractKeyterms(a, 5)
 	fmt.Printf("page: %s\n", snap.StartingURL)

@@ -166,6 +166,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader(`{"threshold":0.7,"model":null}`), nil); err == nil {
 		t.Error("empty model: want error")
 	}
+	if _, err := Load(strings.NewReader(`{"threshold":0.7,"model":{"feature_count":0,"trees":[]}}`), nil); err == nil {
+		t.Error("model without trees: want error")
+	}
 }
 
 func TestPipelineReducesFalsePositives(t *testing.T) {

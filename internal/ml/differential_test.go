@@ -2,6 +2,7 @@ package ml
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -57,11 +58,11 @@ func tieHeavyMatrix(rng *rand.Rand, n, dim int) ([][]float64, []int) {
 
 func saved(t testing.TB, m *GBM) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	b, err := json.Marshal(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // checkGBM trains x with both trainers and compares the saved models.

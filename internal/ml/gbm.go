@@ -1,9 +1,7 @@
 package ml
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sync"
@@ -212,27 +210,6 @@ func (m *GBM) FeatureImportance() []int {
 		}
 	}
 	return imp
-}
-
-// Save serializes the model as JSON.
-func (m *GBM) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(m); err != nil {
-		return fmt.Errorf("ml: saving GBM: %w", err)
-	}
-	return nil
-}
-
-// LoadGBM deserializes a model saved with Save.
-func LoadGBM(r io.Reader) (*GBM, error) {
-	var m GBM
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("ml: loading GBM: %w", err)
-	}
-	if m.FeatureCount <= 0 || len(m.Trees) == 0 {
-		return nil, fmt.Errorf("ml: loading GBM: model is empty or malformed")
-	}
-	return &m, nil
 }
 
 func sigmoid(z float64) float64 {

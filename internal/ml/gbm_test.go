@@ -1,10 +1,8 @@
 package ml
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -123,37 +121,6 @@ func TestGBMTrainErrors(t *testing.T) {
 	}
 	if _, err := TrainGBM([][]float64{{1}, {2, 3}}, []int{0, 1}, GBMConfig{}); err == nil {
 		t.Error("ragged rows: want error")
-	}
-}
-
-func TestGBMSaveLoadRoundTrip(t *testing.T) {
-	x, y := makeBlobs(150, 3, 9)
-	m, err := TrainGBM(x, y, GBMConfig{Trees: 15, Seed: 4})
-	if err != nil {
-		t.Fatalf("TrainGBM: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	back, err := LoadGBM(&buf)
-	if err != nil {
-		t.Fatalf("LoadGBM: %v", err)
-	}
-	for i := 0; i < 20; i++ {
-		probe := x[i]
-		if a, b := m.Score(probe), back.Score(probe); math.Abs(a-b) > 1e-12 {
-			t.Fatalf("roundtrip score mismatch: %v vs %v", a, b)
-		}
-	}
-}
-
-func TestLoadGBMRejectsGarbage(t *testing.T) {
-	if _, err := LoadGBM(strings.NewReader("not json")); err == nil {
-		t.Error("garbage input: want error")
-	}
-	if _, err := LoadGBM(strings.NewReader(`{"feature_count":0,"trees":[]}`)); err == nil {
-		t.Error("empty model: want error")
 	}
 }
 

@@ -77,22 +77,6 @@ func (t *Tree) Predict(x []float64) float64 {
 	}
 }
 
-// LeafIndex returns the index in t.Nodes of the leaf x falls into.
-func (t *Tree) LeafIndex(x []float64) int {
-	i := 0
-	for {
-		n := t.Nodes[i]
-		if n.Feature < 0 {
-			return i
-		}
-		if n.Feature < len(x) && x[n.Feature] <= n.Threshold {
-			i = n.Left
-		} else {
-			i = n.Right
-		}
-	}
-}
-
 // treeBuilder fits trees on one training matrix. It is built once per
 // fit and reused for every tree of an ensemble: the matrix is held
 // column-major with each column's rows presorted by (value, row index),

@@ -183,21 +183,6 @@ func TestFeatureSubsetRespected(t *testing.T) {
 	}
 }
 
-func TestLeafIndexMatchesPredict(t *testing.T) {
-	x := [][]float64{{1}, {2}, {10}, {11}}
-	target := []float64{0, 0, 1, 1}
-	tree, _, err := FitTree(x, target, []int{0, 1, 2, 3}, nil, TreeConfig{MaxDepth: 2, MinLeaf: 1})
-	if err != nil {
-		t.Fatalf("FitTree: %v", err)
-	}
-	for _, probe := range [][]float64{{0}, {5}, {100}} {
-		leaf := tree.LeafIndex(probe)
-		if got := tree.Nodes[leaf].Value; got != tree.Predict(probe) {
-			t.Errorf("LeafIndex/Predict mismatch at %v: %v vs %v", probe, got, tree.Predict(probe))
-		}
-	}
-}
-
 func TestEmptyTreePredict(t *testing.T) {
 	var tree Tree
 	if got := tree.Predict([]float64{1}); got != 0 {

@@ -36,11 +36,12 @@
 // The files follow the request's way through the server: wire.go (the
 // request and response documents and page resolution), decode.go (body
 // → document), middleware.go (admission, tracing, SLO observation,
-// reply), score.go (the score path: every scoring endpoint is an adapter
-// over scorePage, both target endpoints over identifyPage) with
-// stream.go for the NDJSON framing, verdicts.go (feed intake and store
-// reads), models.go, and ops.go with metrics.go / prometheus.go (health,
-// metrics, debug).
+// reply), score.go (the score path: every scoring endpoint but
+// /v1/score/batch is an adapter over scorePage; that one resolves every
+// page, dedupes by content key and scores through scoreSnap; both target
+// endpoints are adapters over identifyPage) with stream.go for the
+// NDJSON framing, verdicts.go (feed intake and store reads), models.go,
+// and ops.go with metrics.go / prometheus.go (health, metrics, debug).
 //
 // The detector is resolved once per request (pipeline): with a model
 // registry configured, a champion promotion is picked up by the next

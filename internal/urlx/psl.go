@@ -1,9 +1,6 @@
 package urlx
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"strings"
 	"sync"
 )
@@ -11,7 +8,7 @@ import (
 // PSL is a public suffix list supporting longest-match lookup with
 // wildcard ("*.ck") and exception ("!www.ck") rules, following the
 // publicsuffix.org algorithm. The zero value is unusable; construct with
-// NewPSL or load rules with ReadPSL.
+// NewPSL.
 type PSL struct {
 	rules      map[string]struct{}
 	wildcards  map[string]struct{} // base of "*.<base>" rules
@@ -45,19 +42,6 @@ func (l *PSL) addRule(r string) {
 	default:
 		l.rules[r] = struct{}{}
 	}
-}
-
-// ReadPSL parses rules in publicsuffix.org file format from r.
-func ReadPSL(r io.Reader) (*PSL, error) {
-	l := NewPSL(nil)
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		l.addRule(sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("urlx: reading public suffix list: %w", err)
-	}
-	return l, nil
 }
 
 // PublicSuffix returns the public suffix of fqdn per the PSL algorithm:
@@ -114,7 +98,7 @@ func (l *PSL) suffixStart(h string) int {
 // defaultRules is a representative subset of the public suffix list: the
 // generic TLDs plus the country-code second-level registries relevant to
 // the six evaluation languages and the synthetic world. The paper ships
-// the full list; loading one via ReadPSL gives identical behaviour.
+// the full list; NewPSL over that file's lines gives identical behaviour.
 var defaultRules = []string{
 	"com", "org", "net", "edu", "gov", "mil", "int", "info", "biz",
 	"name", "pro", "mobi", "travel", "jobs", "cat", "tel", "xxx",

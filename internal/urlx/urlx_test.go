@@ -150,23 +150,6 @@ func TestPublicSuffixWholeFQDNIsSuffix(t *testing.T) {
 	}
 }
 
-func TestReadPSL(t *testing.T) {
-	src := "// comment line\ncom\nweird.example\n\n*.wild\n!ok.wild\n"
-	l, err := ReadPSL(strings.NewReader(src))
-	if err != nil {
-		t.Fatalf("ReadPSL: %v", err)
-	}
-	if got := l.PublicSuffix("a.weird.example"); got != "weird.example" {
-		t.Errorf("PublicSuffix(a.weird.example) = %q, want weird.example", got)
-	}
-	if got := l.PublicSuffix("x.y.wild"); got != "y.wild" {
-		t.Errorf("PublicSuffix(x.y.wild) = %q, want y.wild", got)
-	}
-	if got := l.PublicSuffix("ok.wild"); got != "wild" {
-		t.Errorf("PublicSuffix(ok.wild) = %q, want wild", got)
-	}
-}
-
 func TestLevelDomains(t *testing.T) {
 	if got := MustParse("http://a.b.example.com/").LevelDomains(); got != 4 {
 		t.Errorf("LevelDomains = %d, want 4", got)

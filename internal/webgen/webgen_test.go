@@ -317,18 +317,6 @@ func TestUnavailableSite(t *testing.T) {
 	}
 }
 
-func TestBrandByMLD(t *testing.T) {
-	w := testWorld(t)
-	b := w.Brands[5]
-	got, ok := w.BrandByMLD(b.MLD)
-	if !ok || got != b {
-		t.Error("BrandByMLD lookup failed")
-	}
-	if _, ok := w.BrandByMLD("nonexistent"); ok {
-		t.Error("BrandByMLD returned a brand for garbage")
-	}
-}
-
 func TestSiteKindString(t *testing.T) {
 	kinds := map[SiteKind]string{
 		KindBrand: "brand", KindGeneric: "generic", KindPhish: "phish",

@@ -131,7 +131,6 @@ func (s *Site) Fetch(url string) (*Page, bool) {
 type World struct {
 	cfg        Config
 	Brands     []*Brand
-	brandByMLD map[string]*Brand
 	vocab      map[Language]*vocabulary
 	rank       *ranking.List
 	pages      map[string]*Page // persistent brand pages
@@ -156,19 +155,15 @@ func New(cfg Config) *World {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := &World{
-		cfg:        cfg,
-		brandByMLD: make(map[string]*Brand),
-		vocab:      make(map[Language]*vocabulary, len(Languages)),
-		pages:      make(map[string]*Page),
-		rankedRDN:  make(map[Language][]rankedGeneric),
+		cfg:       cfg,
+		vocab:     make(map[Language]*vocabulary, len(Languages)),
+		pages:     make(map[string]*Page),
+		rankedRDN: make(map[Language][]rankedGeneric),
 	}
 	for _, l := range Languages {
 		w.vocab[l] = newVocabulary(l, cfg.VocabularyWords)
 	}
 	w.Brands = generateBrands(rng, cfg.Brands)
-	for _, b := range w.Brands {
-		w.brandByMLD[b.MLD] = b
-	}
 	w.buildInfra(rng)
 	w.buildRankedGenerics(rng)
 	w.buildRanking()
@@ -178,10 +173,7 @@ func New(cfg Config) *World {
 	return w
 }
 
-// Config returns the configuration the world was built with.
-func (w *World) Config() Config { return w.cfg }
-
-// Vocabulary exposes a language's word pools to sibling generators.
+// vocabFor exposes a language's word pools to sibling generators.
 func (w *World) vocabFor(l Language) *vocabulary {
 	if v, ok := w.vocab[l]; ok {
 		return v
@@ -192,12 +184,6 @@ func (w *World) vocabFor(l Language) *vocabulary {
 // Ranking returns the synthetic Alexa-style list: brands first (by brand
 // rank), then the ranked generic pool.
 func (w *World) Ranking() *ranking.List { return w.rank }
-
-// BrandByMLD looks a brand up by its main level domain.
-func (w *World) BrandByMLD(mld string) (*Brand, bool) {
-	b, ok := w.brandByMLD[mld]
-	return b, ok
-}
 
 // Fetch resolves a URL against the world's persistent pages (brand sites).
 func (w *World) Fetch(url string) (*Page, bool) {

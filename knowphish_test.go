@@ -7,17 +7,24 @@ import (
 	"math/rand"
 	"testing"
 
-	"knowphish"
+	"knowphish/internal/core"
+	"knowphish/internal/crawl"
+	"knowphish/internal/dataset"
+	"knowphish/internal/ml"
+	"knowphish/internal/ocr"
+	"knowphish/internal/search"
+	"knowphish/internal/target"
 	"knowphish/internal/webgen"
+	"knowphish/internal/webpage"
 )
 
 // TestPublicAPIEndToEnd drives the whole library exactly the way the
 // README quickstart does: build a corpus, train, classify, identify.
 func TestPublicAPIEndToEnd(t *testing.T) {
-	corpus, err := knowphish.BuildCorpus(knowphish.CorpusConfig{
+	corpus, err := dataset.Build(dataset.Config{
 		Seed:              61,
 		Scale:             100,
-		World:             knowphish.WorldConfig{Seed: 62, Brands: 60, RankedGenerics: 60, VocabularyWords: 100},
+		World:             webgen.Config{Seed: 62, Brands: 60, RankedGenerics: 60, VocabularyWords: 100},
 		SkipLanguageTests: true,
 	})
 	if err != nil {
@@ -26,25 +33,25 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	snaps := append(corpus.LegTrain.Snapshots(), corpus.PhishTrain.Snapshots()...)
 	labels := append(corpus.LegTrain.Labels(), corpus.PhishTrain.Labels()...)
-	det, err := knowphish.Train(snaps, labels, knowphish.TrainConfig{
+	det, err := core.Train(snaps, labels, core.TrainConfig{
 		Rank: corpus.World.Ranking(),
-		GBM:  knowphish.GBMConfig{Trees: 50, MaxDepth: 4, Seed: 3},
+		GBM:  ml.GBMConfig{Trees: 50, MaxDepth: 4, Seed: 3},
 	})
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	if det.Threshold() != knowphish.DefaultThreshold {
+	if det.Threshold() != core.DefaultThreshold {
 		t.Errorf("threshold = %v", det.Threshold())
 	}
 
-	pipe := &knowphish.Pipeline{
+	pipe := &core.Pipeline{
 		Detector:   det,
-		Identifier: knowphish.NewTargetIdentifier(corpus.Engine),
+		Identifier: target.New(corpus.Engine),
 	}
 
 	caught := 0
 	for _, ex := range corpus.PhishTest.Examples {
-		v, err := pipe.AnalyzeCtx(context.Background(), knowphish.NewScoreRequest(ex.Snapshot))
+		v, err := pipe.AnalyzeCtx(context.Background(), core.NewScoreRequest(ex.Snapshot))
 		if err != nil {
 			t.Fatalf("AnalyzeCtx: %v", err)
 		}
@@ -56,17 +63,17 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Errorf("pipeline catch rate = %.2f, want >= 0.7", rate)
 	}
 
-	// Persistence through the facade.
+	// Persistence: Save, then Load against the same ranking list.
 	var buf bytes.Buffer
 	if err := det.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	back, err := knowphish.LoadDetector(&buf, corpus.World.Ranking())
+	back, err := core.Load(&buf, corpus.World.Ranking())
 	if err != nil {
 		t.Fatalf("LoadDetector: %v", err)
 	}
 	snap := corpus.PhishTest.Examples[0].Snapshot
-	req := knowphish.NewScoreRequest(snap)
+	req := core.NewScoreRequest(snap)
 	va, errA := det.ScoreCtx(context.Background(), req)
 	vb, errB := back.ScoreCtx(context.Background(), req)
 	if errA != nil || errB != nil || math.Abs(va.Score-vb.Score) > 1e-12 {
@@ -75,7 +82,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 func TestSnapshotFromHTML(t *testing.T) {
-	snap := knowphish.SnapshotFromHTML(
+	snap := webpage.FromHTML(
 		"http://evil.example/x",
 		"http://evil.example/x",
 		nil,
@@ -95,20 +102,20 @@ func TestSnapshotFromHTML(t *testing.T) {
 }
 
 func TestWorldHelpers(t *testing.T) {
-	w := knowphish.NewWorld(knowphish.WorldConfig{Seed: 63, Brands: 20, RankedGenerics: 30, VocabularyWords: 60})
+	w := webgen.New(webgen.Config{Seed: 63, Brands: 20, RankedGenerics: 30, VocabularyWords: 60})
 	if len(w.Brands) != 20 {
 		t.Fatalf("brands = %d", len(w.Brands))
 	}
-	engine := knowphish.NewSearchEngine()
+	engine := search.NewEngine()
 	if engine.Len() != 0 {
 		t.Error("fresh engine not empty")
 	}
-	if knowphish.NewOCR() == nil {
+	if ocr.Default() == nil {
 		t.Error("NewOCR returned nil")
 	}
 	rng := rand.New(rand.NewSource(1))
 	site := w.NewPhishSite(rng, webgen.PhishOptions{})
-	snap, err := knowphish.VisitSite(w, site)
+	snap, err := crawl.VisitSite(w, site)
 	if err != nil {
 		t.Fatalf("VisitSite: %v", err)
 	}

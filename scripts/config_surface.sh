@@ -12,8 +12,10 @@ trap 'rm -rf "$TMP"' EXIT INT TERM
 
 # One line per struct: "<package dir> <Type>: <n> fields (<names>)".
 # A field line is a tab, then one or more comma-separated names before
-# the type; only exported names count.
-git ls-files 'internal/*.go' | grep -v '_test\.go$' | while read -r f; do
+# the type; only exported names count. Files are those of the working
+# tree: tracked or untracked (not ignored) and present on disk.
+git ls-files -co --exclude-standard 'internal/*.go' | grep -v '_test\.go$' | while read -r f; do
+	[ -f "$f" ] || continue
 	awk -v dir="$(dirname "$f")" '
 		/^type [A-Za-z0-9_]*Config struct \{$/ { name = $2; n = 0; names = ""; in_s = 1; next }
 		in_s && /^\}/ { printf "%s %s: %d fields (%s)\n", dir, name, n, substr(names, 2); in_s = 0; next }
