@@ -54,11 +54,14 @@ bench-smoke:
 # against a walk over the same bytes in memory) and its row-slab index
 # against the pointer index it replaced (kept verbatim in
 # index_reference_test.go), on fuzzer-written append, replay, reopen,
-# compaction and supersede streams; and the slab memo
+# compaction and supersede streams; the slab memo
 # table against the container/list table it replaced, on fuzzer-written
-# Get/Put/Flush streams.
+# Get/Put/Flush streams; and the packed target entry, which must expand
+# to the copy an unpacked entry keeps, on fuzzer-built results.
 # Found inputs land in the package's testdata/fuzz and become
-# permanent regression seeds. FUZZTIME is per target.
+# permanent regression seeds. FUZZTIME is per target. FUZZMINIMIZETIME
+# caps the time spent shrinking each new interesting input (go's default
+# is 60s), so minimising one large input cannot eat a target's budget.
 FUZZ_TARGETS = \
 	FuzzParse:./internal/urlx \
 	FuzzParse:./internal/htmlx \
@@ -73,13 +76,15 @@ FUZZ_TARGETS = \
 	FuzzReplaySegment:./internal/store \
 	FuzzIndexMatchesReference:./internal/store \
 	FuzzDecodeDoc:./internal/serve \
-	FuzzMemoTableMatchesReference:./internal/coalesce
+	FuzzMemoTableMatchesReference:./internal/coalesce \
+	FuzzTargetEntryRoundTrip:./internal/coalesce
 
 FUZZTIME ?= 10s
+FUZZMINIMIZETIME ?= 5s
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $${t%%:*} $${t#*:} ($(FUZZTIME))"; \
-		$(GO) test -run='^$$' -fuzz="^$${t%%:*}\$$" -fuzztime=$(FUZZTIME) "$${t#*:}"; \
+		$(GO) test -run='^$$' -fuzz="^$${t%%:*}\$$" -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) "$${t#*:}"; \
 	done
 
 # The nightly workflow's longer pass over the same surfaces.

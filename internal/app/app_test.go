@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -12,11 +13,13 @@ import (
 	"testing"
 	"time"
 
+	"knowphish/internal/core"
 	"knowphish/internal/crawl"
 	"knowphish/internal/obs"
 	"knowphish/internal/registry"
 	"knowphish/internal/serve"
 	"knowphish/internal/store"
+	"knowphish/internal/target"
 	"knowphish/internal/webgen"
 )
 
@@ -105,6 +108,78 @@ func TestFeedAndHTTPShareOneMemo(t *testing.T) {
 	}
 	if err := a.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestFeedAndHTTPShareOneIdentifier pins that a process builds one
+// target identifier, so one search index: the memo packs a target entry
+// with the index's domain ids, and a packed entry read through another
+// index would be a miss. A detector positive the feed scored must
+// answer an HTTP request as a hit on both tables, its target result
+// equal to the one identified directly.
+func TestFeedAndHTTPShareOneIdentifier(t *testing.T) {
+	const seed = 7
+	ctx := context.Background()
+	corpus, err := BuildCorpus(100, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, _, err := TrainDemo(corpus, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := &core.Pipeline{Detector: det, Identifier: target.New(corpus.Engine)}
+	rng := rand.New(rand.NewSource(seed))
+	var site *webgen.Site
+	var want core.Verdict
+	for i := 0; i < 50 && site == nil; i++ {
+		s := corpus.World.NewPhishSite(rng, corpus.World.RandomPhishOptions(rng))
+		snap, err := crawl.Visit(s, s.StartURL)
+		if err != nil {
+			continue
+		}
+		if v, err := direct.AnalyzeCtx(ctx, core.NewScoreRequest(snap)); err == nil && v.TargetRun {
+			site, want = s, v
+		}
+	}
+	if site == nil {
+		t.Fatal("no generated phish site is a detector positive")
+	}
+
+	a, err := Start(Config{
+		World:     &World{Detector: det, Engine: corpus.Engine, Fetcher: site},
+		StorePath: filepath.Join(t.TempDir(), "verdicts"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go a.Serve(ln)
+	base := "http://" + ln.Addr().String()
+
+	var fed serve.FeedResponse
+	postJSON(t, base+"/v1/feed", serve.FeedRequest{URLs: []string{site.StartURL}}, &fed)
+	if fed.Accepted != 1 || !a.Feed.Wait(time.Now().Add(30*time.Second)) {
+		t.Fatalf("feed did not process the URL: %+v", fed)
+	}
+	snap, err := crawl.Visit(site, site.StartURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scored serve.V2ScoreResponse
+	postJSON(t, base+"/v2/score", serve.V2ScoreRequest{PageRequest: serve.PageRequest{Snapshot: snap}}, &scored)
+	if !scored.Cached || !scored.TargetRun {
+		t.Fatalf("a positive the feed scored must be a full memo hit over HTTP: cached=%v target_run=%v memo=%+v",
+			scored.Cached, scored.TargetRun, scored.Memo)
+	}
+	got, _ := json.Marshal(scored.Target)
+	exp, _ := json.Marshal(want.Target)
+	if !bytes.Equal(got, exp) {
+		t.Fatalf("target from the memo:\n got %s\nwant %s", got, exp)
 	}
 }
 

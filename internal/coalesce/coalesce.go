@@ -12,13 +12,16 @@
 // its own. A score slot holds no pointer at all (key, score, version
 // id, links: 40 bytes), so the collector never scans the score table;
 // the 32-hex fingerprint is spelled from the key by whoever renders or
-// stores it. The memo keeps verdicts, not pages: no entry references
-// the snapshot, its analysis or its feature vector, so nothing a client
-// sent stays reachable after its response is written, and an entry's
-// size does not depend on the page (see Config.MemoEntries). These
-// tables are the only verdict reuse in the process: a request whose
-// score — and target result, when it needs one — is found is what the
-// serving layer reports as a cache hit.
+// stores it. A target entry is stored packed — one pointer-free string
+// naming each candidate by its search-index domain id — and expanded
+// into a shared *target.Result on its first hit. The memo keeps
+// verdicts, not pages: no entry references the snapshot, its analysis
+// or its feature vector, so nothing a client sent stays reachable after
+// its response is written, and an entry's size does not depend on the
+// page (see Config.MemoEntries). These tables are the only verdict
+// reuse in the process: a request whose score — and target result,
+// when it needs one — is found is what the serving layer reports as a
+// cache hit.
 //
 // Coalescer.Do hashes the page, looks the score up and then, for a
 // positive, the target result, hands what it found to the pipeline's
@@ -33,13 +36,13 @@ import (
 	"context"
 	"errors"
 	"maps"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"knowphish/internal/core"
+	"knowphish/internal/search"
 	"knowphish/internal/target"
+	"knowphish/internal/webpage"
 )
 
 // CacheControl selects how one request interacts with the memo tables.
@@ -95,11 +98,16 @@ type Config struct {
 	// memory, not only the entry count, because no entry grows with its
 	// page: a score entry is about 55 bytes (a 40-byte slot of key,
 	// score, version id and links, and its index cells), and a target
-	// entry — detector positives only — about 0.7 KB more: at most 30
-	// candidate domains and 15 key terms, copied out of the page (the
-	// one part that is as long as the page spelled it). The default is
-	// ~3.6 MB of scores when full, ~50 MB if every page were a positive
-	// (TestHeapAllocRetainedPerScoreEntry and
+	// entry — detector positives only — about 240 bytes more: a 56-byte
+	// slot and a packed string of its verdict, at most 30 candidates as
+	// domain ids, and its key terms, copied out of the page (the one
+	// part that is as long as the page spelled it). A target entry's
+	// first hit expands it to about 0.8 KB, the size of the result it
+	// shares with every later hit. The default is ~3.6 MB of scores when
+	// full, ~19 MB if every page were a positive, and ~54 MB if every
+	// one of those had been read again
+	// (TestHeapAllocRetainedPerScoreEntry,
+	// TestHeapAllocRetainedPerTargetEntry and
 	// TestHeapAllocRetainedPerPage hold the per-page figures).
 	MemoEntries int
 }
@@ -135,47 +143,23 @@ type scoreEntry struct {
 }
 
 // targetEntry memoizes the target-identification result of a detector
-// positive for one model version. The result is held by pointer —
-// allocated once at insert, shared read-only by every hit — so a warm
-// lookup never copies it onto the heap.
+// positive for one model version. A new entry is packed: one
+// pointer-free string (packTarget) that names each candidate by its
+// search-index domain id, about 160 bytes where the result it encodes
+// takes 0.75 KB. Its first hit expands it — into the result res points
+// to, which that hit and every later one share read-only, so a warm
+// lookup never copies it onto the heap — and puts the expansion back in
+// place of the string. An entry whose result does not pack holds res
+// from the start.
 type targetEntry struct {
-	res *target.Result
-	ver versionID
+	res    *target.Result
+	packed string
+	ver    versionID
 }
 
 // versionID stands for one model version string in the memo tables (see
 // Coalescer.versionID).
 type versionID uint32
-
-// ownedResult is the copy of res the target table keeps. The
-// identifier's term lists are substrings of the analysis's term arenas
-// — page-sized, client-chosen bytes an entry must not keep alive — so
-// they are cloned, in one piece: one string holds the bytes of every
-// term and one array the three lists. Candidates name indexed domains,
-// not page bytes, and the identifier returns them at exact size.
-func ownedResult(res target.Result) *target.Result {
-	lists := [...]*[]string{&res.Keyterms.Boosted, &res.Keyterms.Prominent, &res.OCRProminent}
-	owned := slices.Concat(*lists[0], *lists[1], *lists[2])
-	size := 0
-	for _, t := range owned {
-		size += len(t)
-	}
-	var b strings.Builder
-	b.Grow(size)
-	for _, t := range owned {
-		b.WriteString(t)
-	}
-	backing := b.String()
-	for i, t := range owned {
-		owned[i], backing = backing[:len(t)], backing[len(t):]
-	}
-	for _, list := range lists {
-		if n := len(*list); n > 0 {
-			*list, owned = owned[:n:n], owned[n:]
-		}
-	}
-	return &res
-}
 
 // Coalescer memoizes the scoring pipeline's stages by page content. The
 // zero value is not usable; build one with New. A nil *Coalescer is
@@ -190,6 +174,12 @@ type Coalescer struct {
 	// process's life, and every Do looks one up.
 	versions  atomic.Pointer[map[string]versionID]
 	versionMu sync.Mutex
+
+	// engine is the search index whose domain ids packed target entries
+	// hold: the first one an entry was packed against. A process has one
+	// identifier, so one engine; a result identified against another is
+	// kept expanded, and a packed entry read through another is a miss.
+	engine atomic.Pointer[search.Engine]
 
 	passes   atomic.Uint64
 	bypassed atomic.Uint64
@@ -280,7 +270,7 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 		// count a miss on every warm legitimate hit.
 		if !st.HasScore || st.Score >= pipe.Detector.Threshold() {
 			if e, ok := c.target.Get(key); ok && e.ver == id {
-				st.TargetResult = e.res
+				st.TargetResult = c.expand(key, e, pipe)
 			}
 		}
 	}
@@ -295,7 +285,7 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 			c.score.Put(key, scoreEntry{score: v.Score, ver: id})
 		}
 		if st.Computed&core.StageMaskTarget != 0 {
-			c.target.Put(key, targetEntry{res: ownedResult(v.Target), ver: id})
+			c.target.Put(key, c.newTargetEntry(pipe.Identifier.Engine, v.Target, id))
 		}
 	}
 	if prov != nil {
@@ -316,6 +306,35 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 		}
 	}
 	return v, nil
+}
+
+// newTargetEntry is the entry that keeps res, identified against eng, for
+// model version ver: packed when eng is the coalescer's engine and res
+// packs, else ownedResult's copy.
+func (c *Coalescer) newTargetEntry(eng *search.Engine, res target.Result, ver versionID) targetEntry {
+	c.engine.CompareAndSwap(nil, eng)
+	if eng == c.engine.Load() {
+		if p, ok := packTarget(eng, res); ok {
+			return targetEntry{packed: p, ver: ver}
+		}
+	}
+	return targetEntry{res: ownedResult(res), ver: ver}
+}
+
+// expand returns the result e holds for key, expanding a packed entry
+// and putting the expansion back in its place unless a write has
+// replaced the entry meanwhile. A packed entry read through a pipeline
+// on another engine is a miss: nil.
+func (c *Coalescer) expand(key webpage.Key128, e targetEntry, pipe *core.Pipeline) *target.Result {
+	if e.res != nil {
+		return e.res
+	}
+	if pipe.Identifier == nil || pipe.Identifier.Engine != c.engine.Load() {
+		return nil
+	}
+	res := expandTarget(pipe.Identifier.Engine, e.packed)
+	replace(c.target, key, e, targetEntry{res: res, ver: e.ver})
+	return res
 }
 
 // Enabled reports whether the tables hold anything: false for a nil

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -548,9 +549,11 @@ func TestExplainBypass(t *testing.T) {
 	}
 }
 
-// TestWarmPathZeroAllocs pins the steady-state cost of a fully
-// memoized request: content hash, score and target hits, one staged
-// pass — zero heap allocations.
+// TestWarmPathZeroAllocs pins the cost of a memoized request on a
+// detector positive. The first hit expands the packed target entry —
+// the Result, its candidate and term arrays and its term bytes, at most
+// four allocations — and every later hit is content hash, score and
+// target hits and one staged pass: zero heap allocations.
 func TestWarmPathZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -558,24 +561,40 @@ func TestWarmPathZeroAllocs(t *testing.T) {
 	_, pipe := fixtures(t)
 	c := New(Config{})
 	ctx := context.Background()
-	snap := mixedSnaps(t, 1)[0]
-	req := core.NewScoreRequest(snap)
+	req := core.NewScoreRequest(positives(t, 1)[0])
+	// One P, as testing.AllocsPerRun runs with; a pool allocates once
+	// for its first use after that changes, and the cold request makes
+	// that use.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	if _, err := c.Do(ctx, pipe, req, CacheDefault, nil); err != nil {
 		t.Fatal(err)
 	}
 	var prov core.MemoProvenance
-	allocs := testing.AllocsPerRun(300, func() {
+	hit := func() {
 		v, err := c.Do(ctx, pipe, req, CacheDefault, &prov)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.ContentKey == (webpage.Key128{}) || prov.Score != core.ProvMemo {
-			t.Fatal("warm request missed the memo")
+		if v.ContentKey == (webpage.Key128{}) || prov.Score != core.ProvMemo || prov.Target != core.ProvMemo {
+			t.Fatalf("warm request missed the memo: %+v", prov)
 		}
-	})
-	if allocs != 0 {
+	}
+	if n := mallocs(hit); n > 4 {
+		t.Fatalf("the first hit allocated %d times, want at most 4 (the expansion)", n)
+	}
+	if allocs := testing.AllocsPerRun(300, hit); allocs != 0 {
 		t.Fatalf("warm memoized request allocated %.1f times per run, want 0", allocs)
 	}
+}
+
+// mallocs counts the heap allocations of one call of f, as
+// testing.AllocsPerRun does over many.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestWarmLegitimateDoesNotProbeTarget pins the target table's hit

@@ -145,6 +145,21 @@ func (t *memoTable[V]) Put(k webpage.Key128, v V) {
 	}
 }
 
+// replace sets k's value to v if it is still old, leaving its recency
+// as it is; an entry written or evicted since old was read stays as it
+// is.
+func replace[V comparable](t *memoTable[V], k webpage.Key128, old, v V) {
+	if t == nil {
+		return
+	}
+	s := t.shard(k)
+	s.mu.Lock()
+	if i := s.find(k); i != noSlot && s.slot(i).val == old {
+		s.slot(i).val = v
+	}
+	s.mu.Unlock()
+}
+
 // Flush drops every entry — the promotion hook.
 func (t *memoTable[V]) Flush() {
 	if t == nil {

@@ -51,6 +51,28 @@ func TestMemoTableUpdateInPlace(t *testing.T) {
 	}
 }
 
+// TestMemoTableReplace pins the expansion's put-back: replace writes
+// only over the value it was given, so an entry written since, or one a
+// flush dropped, stays as it is — a flushed key is not brought back.
+func TestMemoTableReplace(t *testing.T) {
+	tb := newMemoTable[string](memoShards)
+	tb.Put(key(1), "packed")
+	replace(tb, key(1), "packed", "expanded")
+	if v, _ := tb.Get(key(1)); v != "expanded" {
+		t.Fatalf("replace over the value read = %q, want expanded", v)
+	}
+	replace(tb, key(1), "packed", "stale")
+	if v, _ := tb.Get(key(1)); v != "expanded" {
+		t.Fatalf("replace over a value written since = %q, want expanded", v)
+	}
+	tb.Flush()
+	replace(tb, key(1), "expanded", "resurrected")
+	if n := tb.Len(); n != 0 {
+		t.Fatalf("replace brought a flushed key back: Len = %d", n)
+	}
+	replace[string](nil, key(1), "a", "b") // a disabled table ignores it
+}
+
 func TestMemoTableFlush(t *testing.T) {
 	tb := newMemoTable[int](64)
 	for i := uint64(0); i < 20; i++ {

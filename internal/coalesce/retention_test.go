@@ -88,15 +88,16 @@ func TestHeapAllocMemoPinsNoPage(t *testing.T) {
 
 // TestHeapAllocRetainedPerPage bounds what one scored page leaves
 // behind: -memo-size counts entries, and an entry must stay small
-// whatever the page was. Half the pages are detector positives, whose
-// target results are the larger entries.
+// whatever the page was. About a third of the pages are detector
+// positives, whose target entries are the larger ones: about 150 bytes
+// per page in all (about 330 while target entries were kept expanded).
 func TestHeapAllocRetainedPerPage(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("heap retention is not meaningful under -race")
 	}
 	_, pipe := fixtures(t)
 	ctx := context.Background()
-	const pages, pageBytes, budget = 2000, 8 << 10, 400
+	const pages, pageBytes, budget = 2000, 8 << 10, 176
 	bases := mixedSnaps(t, 8)
 	c := New(Config{})
 	before := collect()
@@ -187,33 +188,43 @@ func TestScoreSlotHoldsNoPointer(t *testing.T) {
 	walk("memoSlot[scoreEntry]", reflect.TypeOf(slot))
 }
 
-// TestOwnedResultAllocs: the copy a target entry keeps equals the
-// result, shares no byte with it (the terms of a real result are
-// substrings of a page-sized arena), keeps its lists apart, and costs
-// one string, one array and the Result itself whatever the term count.
+// TestOwnedResultAllocs: both copies a target entry can keep —
+// ownedResult's, and the expansion of a packed entry — equal the result,
+// share no byte with it (the terms of a real result are substrings of a
+// page-sized arena) and keep their lists apart. ownedResult costs one
+// string, one array and the Result itself whatever the term count; an
+// expansion costs that and the candidate array, which ownedResult shares
+// with the identifier's result.
 func TestOwnedResultAllocs(t *testing.T) {
-	arena := strings.Repeat("paypal login account verify secure ", 4)
+	eng := packEngine()
+	arena := strings.Repeat("d07 login account verify secure ", 4)
+	rdn, mld := packDomain(7)
 	res := target.Result{
 		Verdict: target.VerdictPhish, StepsUsed: 4, UsedOCR: true,
-		Keyterms:     target.Keyterms{Boosted: []string{arena[0:6]}, Prominent: []string{arena[0:6], arena[7:12], arena[13:20]}},
-		OCRProminent: []string{arena[21:27], arena[28:34]},
-		Candidates:   []target.Candidate{{RDN: "paypal.com", MLD: "paypal", Count: 3, Score: 1.5}},
+		Keyterms:     target.Keyterms{Boosted: []string{arena[0:3]}, Prominent: []string{arena[0:3], arena[4:9], arena[10:17]}},
+		OCRProminent: []string{arena[18:24], arena[25:31]},
+		Candidates:   []target.Candidate{{RDN: rdn, MLD: mld, Count: 3, Score: 1.5}},
 	}
 	inArena := func(term string) bool {
 		at, lo := uintptr(unsafe.Pointer(unsafe.StringData(term))), uintptr(unsafe.Pointer(unsafe.StringData(arena)))
 		return at >= lo && at < lo+uintptr(len(arena))
 	}
-	owned := ownedResult(res)
-	if !reflect.DeepEqual(*owned, res) {
-		t.Fatalf("owned copy differs:\n got %+v\nwant %+v", *owned, res)
+	packed, ok := packTarget(eng, res)
+	if !ok {
+		t.Fatal("the result did not pack")
 	}
-	for _, list := range [][]string{owned.Keyterms.Boosted, owned.Keyterms.Prominent, owned.OCRProminent} {
-		if len(list) != cap(list) {
-			t.Errorf("list %q has capacity %d: an append would write into its neighbour", list, cap(list))
+	for name, kept := range map[string]*target.Result{"owned": ownedResult(res), "expanded": expandTarget(eng, packed)} {
+		if !reflect.DeepEqual(*kept, res) {
+			t.Fatalf("%s copy differs:\n got %+v\nwant %+v", name, *kept, res)
 		}
-		for _, term := range list {
-			if inArena(term) {
-				t.Errorf("term %q still points into the page's arena", term)
+		for _, list := range [][]string{kept.Keyterms.Boosted, kept.Keyterms.Prominent, kept.OCRProminent} {
+			if len(list) != cap(list) {
+				t.Errorf("%s list %q has capacity %d: an append would write into its neighbour", name, list, cap(list))
+			}
+			for _, term := range list {
+				if inArena(term) {
+					t.Errorf("%s term %q still points into the page's arena", name, term)
+				}
 			}
 		}
 	}
@@ -227,4 +238,46 @@ func TestOwnedResultAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { ownedResult(res) }); n > 3 {
 		t.Errorf("ownedResult allocates %.1f times for %d terms, want at most 3", n, 6)
 	}
+	if n := testing.AllocsPerRun(100, func() { expandTarget(eng, packed) }); n > 4 {
+		t.Errorf("expanding a packed entry allocates %.1f times for %d terms, want at most 4", n, 6)
+	}
+}
+
+// TestHeapAllocRetainedPerTargetEntry bounds what a detector positive
+// leaves behind: its score entry and its target entry, about 295 bytes.
+// A target entry is packed — one string of about 160 bytes that names
+// candidates by domain id, in a 56-byte slot — until its first hit;
+// expanded at insert, as ownedResult keeps it, the same positive
+// retained about 810 bytes.
+func TestHeapAllocRetainedPerTargetEntry(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("heap retention is not meaningful under -race")
+	}
+	_, pipe := fixtures(t)
+	ctx := context.Background()
+	const pages, pageBytes, budget = 2000, 8 << 10, 340
+	bases := positives(t, 8)
+	c := New(Config{})
+	before := collect()
+	for i, n := 0, 0; n < pages; i++ {
+		// Extra text turns some variants negative: score only the others.
+		snap := distinctPage(bases[i%len(bases)], i, pageBytes)
+		if v, err := pipe.AnalyzeCtx(ctx, core.NewScoreRequest(snap)); err != nil || !v.TargetRun {
+			continue
+		}
+		if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, nil); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	retained := int64(collect()) - int64(before)
+	if st := c.Snapshot(); st.Score.Entries != pages || st.Target.Entries != pages {
+		t.Fatalf("memo holds %d score / %d target entries after %d distinct positives", st.Score.Entries, st.Target.Entries, pages)
+	}
+	perPage := retained / pages
+	t.Logf("%d detector positives of %d bytes: %d bytes retained per positive (score and target entry)", pages, pageBytes, perPage)
+	if perPage > budget {
+		t.Fatalf("%d bytes retained per detector positive, budget %d", perPage, budget)
+	}
+	runtime.KeepAlive(c)
 }

@@ -52,6 +52,7 @@ type Engine struct {
 	termIDs  map[string]int32 // term → small int, in first-seen order
 	postings [][]posting      // term id → (doc, tf/len), ascending doc id
 	rdnIDs   map[string]int32 // RDN → small int, in first-seen order
+	rdnDoc   []int32          // RDN id → its first document, the one Domain names it by
 	added    []int32          // Add's scratch: the term ids of the document being added
 	scratch  sync.Pool        // *queryScratch
 }
@@ -85,6 +86,7 @@ func (e *Engine) Add(d Doc) {
 	if !ok {
 		rdn = int32(len(e.rdnIDs))
 		e.rdnIDs[d.RDN] = rdn
+		e.rdnDoc = append(e.rdnDoc, id)
 	}
 	e.docs = append(e.docs, d)
 	e.rdnOf = append(e.rdnOf, rdn)
@@ -130,6 +132,28 @@ func (e *Engine) Len() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return len(e.docs)
+}
+
+// DomainID returns the small int the index knows rdn by, and false for
+// an RDN no document has. Ids are dense, count from 0 in the order
+// their RDNs were first added and never change, so an id stays valid
+// for the engine's life.
+func (e *Engine) DomainID(rdn string) (int32, bool) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	id, ok := e.rdnIDs[rdn]
+	return id, ok
+}
+
+// Domain returns the RDN and MLD of domain id as the first document
+// added under that RDN spells them: the index's own strings, so a
+// caller that keeps them keeps nothing new alive. It panics for an id
+// DomainID did not return.
+func (e *Engine) Domain(id int32) (rdn, mld string) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	d := &e.docs[e.rdnDoc[id]]
+	return d.RDN, d.MLD
 }
 
 // IDF returns the inverse document frequency of term against the index

@@ -130,6 +130,49 @@ func TestQueryDeterministicTieBreak(t *testing.T) {
 	}
 }
 
+// TestDomainIDs pins the domain accessors: every RDN a query can return
+// has an id, ids count from 0 in first-added order and survive later
+// Adds and a Save/Load, and Domain spells an id as its RDN's first
+// document does.
+func TestDomainIDs(t *testing.T) {
+	e := search.NewEngine()
+	e.Add(search.Doc{URL: "u0", RDN: "bbb.example", MLD: "bbb", Terms: []string{"x"}})
+	e.Add(search.Doc{URL: "u1", RDN: "aaa.example", MLD: "aaa", Terms: []string{"x"}})
+	e.Add(search.Doc{URL: "u2", RDN: "bbb.example", MLD: "other", Terms: []string{"x"}})
+	e.Add(search.Doc{URL: "u3", RDN: "empty.example", MLD: "empty"}) // ignored: no terms
+	check := func(e *search.Engine) {
+		t.Helper()
+		for want, rdn := range []string{"bbb.example", "aaa.example"} {
+			id, ok := e.DomainID(rdn)
+			if !ok || id != int32(want) {
+				t.Fatalf("DomainID(%q) = %d, %v; want %d, true", rdn, id, ok, want)
+			}
+			if gotRDN, gotMLD := e.Domain(id); gotRDN != rdn || gotMLD != rdn[:3] {
+				t.Fatalf("Domain(%d) = %q, %q; want %q, %q", id, gotRDN, gotMLD, rdn, rdn[:3])
+			}
+		}
+		for _, rdn := range []string{"empty.example", "", "zzz.example"} {
+			if _, ok := e.DomainID(rdn); ok {
+				t.Fatalf("DomainID(%q) found an RDN no indexed document has", rdn)
+			}
+		}
+	}
+	check(e)
+	e.Add(search.Doc{URL: "u4", RDN: "ccc.example", MLD: "ccc", Terms: []string{"y"}})
+	if id, ok := e.DomainID("ccc.example"); !ok || id != 2 {
+		t.Fatalf("a new RDN got id %d, %v; want 2, true", id, ok)
+	}
+	var buf bytes.Buffer
+	if err := e.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := search.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(loaded)
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	e := engineWithDocs()
 	var buf bytes.Buffer
