@@ -169,8 +169,8 @@ load-smoke:
 # it.
 overload-smoke:
 	$(GO) run ./cmd/kpload run -self -endpoint score -serve-workers 1 \
-		-slo "score:p99<5ms,avail>99" -slo-fast 5s -slo-slow 30s \
-		-slo-holddown 2s -qps 600 -workers 32 -duration 15s \
+		-slo "score:p99<5ms,avail>99" -slo-fast 5s \
+		-qps 600 -workers 32 -duration 15s \
 		-expect-shed -json OVERLOAD_PR.json
 
 # Known-vulnerability scan over the module and its (empty) dependency

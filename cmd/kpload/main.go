@@ -30,16 +30,16 @@
 //
 // Overload testing: -endpoint score drives uncached POST /v1/score
 // requests instead of feed URLs; with -self, repeatable -slo specs
-// (plus -slo-fast/-slo-slow/-slo-holddown and -serve-workers) arm the
-// self server's SLO engine and admission controller. Shed 503s are
-// broken out in the report (shed count, shed rate, Retry-After backoffs
-// honored). -expect-shed turns the run into an overload smoke: it exits
-// nonzero unless shedding engaged, the server's ledger accounts for
-// every accepted request, and the engine recovered to ok afterwards —
-// the OVERLOAD_PR.json artifact in nightly CI:
+// (plus -slo-fast and -serve-workers) arm the self server's SLO engine
+// and admission controller. Shed 503s are broken out in the report
+// (shed count, shed rate, Retry-After backoffs honored). -expect-shed
+// turns the run into an overload smoke: it exits nonzero unless
+// shedding engaged, the server's ledger accounts for every accepted
+// request, and the engine recovered to ok afterwards — the
+// OVERLOAD_PR.json artifact in nightly CI:
 //
 //	kpload run -self -endpoint score -serve-workers 2 \
-//	    -slo "score:p99<250ms,avail>99" -slo-fast 5s -slo-slow 30s -slo-holddown 2s \
+//	    -slo "score:p99<250ms,avail>99" -slo-fast 5s \
 //	    -qps 300 -duration 20s -expect-shed -json OVERLOAD_PR.json
 package main
 
@@ -131,9 +131,7 @@ func parseRunFlags(fs *flag.FlagSet, args []string) (runOptions, error) {
 		o.serve.SLO = append(o.serve.SLO, v)
 		return nil
 	})
-	fs.DurationVar(&o.serve.SLOFast, "slo-fast", slo.DefaultFastWindow, "with -self -slo: fast burn-rate window")
-	fs.DurationVar(&o.serve.SLOSlow, "slo-slow", slo.DefaultSlowWindow, "with -self -slo: slow burn-rate window")
-	fs.DurationVar(&o.serve.SLOHoldDown, "slo-holddown", slo.DefaultHoldDown, "with -self -slo: state fall hold-down")
+	fs.DurationVar(&o.serve.SLOFast, "slo-fast", slo.DefaultFastWindow, "with -self -slo: fast burn-rate window (slow window 12x, hold-down 2/5 of it)")
 	fs.BoolVar(&o.expectShed, "expect-shed", false, "assert the run engaged load shedding, lost no accepted work, and recovered (exits nonzero otherwise)")
 	if err := fs.Parse(args); err != nil {
 		return o, err

@@ -27,7 +27,7 @@ func TestRunFlags(t *testing.T) {
 		}
 	}
 	want := []string{"cache-mix", "duration", "endpoint", "expect-shed", "json", "qps", "scale", "seed",
-		"self", "serve-workers", "slo", "slo-fast", "slo-holddown", "slo-slow", "target", "workers"}
+		"self", "serve-workers", "slo", "slo-fast", "target", "workers"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("run -h flags:\n got %q\nwant %q", got, want)
 	}

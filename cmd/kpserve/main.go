@@ -14,7 +14,7 @@
 //	kpserve -addr :8080 -deadline 250ms                      # bounded verdicts
 //	kpserve -addr :8080 -registry models/ -store verdicts/   # versioned models, promoted by hand
 //	kpserve -addr :8080 -slo "score:p99<250ms,avail>99.9"    # error budgets + load shedding
-//
+
 // The model comes from -model (artifacts written by kptrain and kpgen),
 // from -registry (versioned models behind an atomic pointer, hot-swapped
 // through POST /v2/models/promote with no restart), or — with neither —
@@ -130,9 +130,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (app.Config, options, error) {
 	fs.BoolVar(&cfg.StoreSync, "store-sync", false, "fsync the verdict store on every append")
 	fs.IntVar(&cfg.FeedQueue, "feed-queue", feed.DefaultQueueDepth, "feed queue depth, the backpressure bound")
 	fs.IntVar(&cfg.FeedWorkers, "feed-workers", 0, "feed crawl/score workers (0 = GOMAXPROCS)")
-	fs.Float64Var(&cfg.DomainRate, "domain-rate", feed.DefaultDomainRate, "per-registered-domain crawl rate in URLs/sec (negative: unlimited)")
-	fs.IntVar(&cfg.DomainBurst, "domain-burst", feed.DefaultDomainBurst, "per-domain token-bucket burst")
-	fs.IntVar(&cfg.FeedRetries, "feed-retries", feed.DefaultMaxAttempts, "fetch attempts per URL before the failure is persisted")
+	fs.Float64Var(&cfg.DomainRate, "domain-rate", feed.DefaultDomainRate, "per-registered-domain crawl rate in URLs/sec, with a burst of two seconds of it (negative: unlimited)")
 
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", app.DefaultDrainTimeout, "max wait for the feed to drain on shutdown")
 
@@ -142,9 +140,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (app.Config, options, error) {
 	logFormat := fs.String("log-format", "text", "structured log encoding: text or json")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "separate listener for net/http/pprof profiling endpoints (empty: disabled)")
 
-	fs.DurationVar(&cfg.SLOFast, "slo-fast", slo.DefaultFastWindow, "SLO fast burn-rate window (is it happening now?)")
-	fs.DurationVar(&cfg.SLOSlow, "slo-slow", slo.DefaultSlowWindow, "SLO slow burn-rate window (is it significant?)")
-	fs.DurationVar(&cfg.SLOHoldDown, "slo-holddown", slo.DefaultHoldDown, "SLO hysteresis: burn must stay below a threshold this long before state or shed level steps down")
+	fs.DurationVar(&cfg.SLOFast, "slo-fast", slo.DefaultFastWindow, "SLO fast burn-rate window (is it happening now?); the slow window is 12x it and the recovery hold-down 2/5 of it")
 	fs.Func("slo", "SLO objective as endpoint:objective[,objective...], e.g. \"score:p99<250ms,avail>99.9\" (repeatable; arms burn-rate alerting at /debug/slo and adaptive load shedding)", func(v string) error {
 		cfg.SLO = append(cfg.SLO, v)
 		return nil

@@ -23,16 +23,12 @@ var nonDefault = []string{
 	"-feed-queue", "17",
 	"-feed-workers", "2",
 	"-domain-rate", "-1",
-	"-domain-burst", "5",
-	"-feed-retries", "1",
 	"-drain-timeout", "3s",
 	"-registry", "models",
 	"-log-level", "debug",
 	"-log-format", "json",
 	"-debug-addr", "127.0.0.1:6060",
 	"-slo-fast", "10s",
-	"-slo-slow", "1m",
-	"-slo-holddown", "2s",
 	"-slo", "score:p99<250ms",
 }
 

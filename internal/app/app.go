@@ -87,8 +87,6 @@ type Config struct {
 	FeedWorkers int
 	FeedQueue   int
 	DomainRate  float64
-	DomainBurst int
-	FeedRetries int
 	// DrainTimeout is the most Close waits for accepted feed URLs to be
 	// scored and persisted (0 → DefaultDrainTimeout).
 	DrainTimeout time.Duration
@@ -100,10 +98,8 @@ type Config struct {
 	// tightest latency target is also the tracer's slow-exemplar
 	// threshold, so the traces an operator keeps are exactly the
 	// requests that burn budget (obs.DefaultSlowThreshold without one).
-	SLO         []string
-	SLOFast     time.Duration
-	SLOSlow     time.Duration
-	SLOHoldDown time.Duration
+	SLO     []string
+	SLOFast time.Duration
 }
 
 // App is a running process assembly. Server, Feed and Store are the
@@ -152,8 +148,6 @@ func Start(cfg Config) (_ *App, err error) {
 		eng = slo.New(slo.Config{
 			Objectives: objs,
 			FastWindow: cfg.SLOFast,
-			SlowWindow: cfg.SLOSlow,
-			HoldDown:   cfg.SLOHoldDown,
 			Journal:    journal,
 		})
 	}
@@ -165,9 +159,10 @@ func Start(cfg Config) (_ *App, err error) {
 	}
 	tracer := obs.NewTracer(obs.Config{SlowThreshold: slow, SlowSource: slowSource})
 	if eng != nil {
+		st := eng.Status() // the windows as derived, as /debug/slo shows them
 		a.logger.Info("slo engine armed",
-			"objectives", len(eng.Objectives()),
-			"fast_window", cfg.SLOFast, "slow_window", cfg.SLOSlow, "holddown", cfg.SLOHoldDown,
+			"objectives", len(st.Objectives),
+			"fast_window_ms", st.FastWindowMS, "slow_window_ms", st.SlowWindowMS, "hold_down_ms", st.HoldDownMS,
 			"slow_threshold", tracer.SlowThreshold(), "slow_source", slowSource)
 	}
 
@@ -262,16 +257,14 @@ func (a *App) startFeed(cfg Config, m World, identifier *target.Identifier, coal
 	}
 	var err error
 	a.Feed, err = feed.New(feed.Config{
-		Fetcher:     m.Fetcher,
-		Pipeline:    &core.Pipeline{Detector: det, Identifier: identifier},
-		Store:       a.Store,
-		Workers:     cfg.FeedWorkers,
-		QueueDepth:  cfg.FeedQueue,
-		DomainRate:  cfg.DomainRate,
-		DomainBurst: cfg.DomainBurst,
-		MaxAttempts: cfg.FeedRetries,
-		Tracer:      tracer,
-		Logger:      a.logger,
+		Fetcher:    m.Fetcher,
+		Pipeline:   &core.Pipeline{Detector: det, Identifier: identifier},
+		Store:      a.Store,
+		Workers:    cfg.FeedWorkers,
+		QueueDepth: cfg.FeedQueue,
+		DomainRate: cfg.DomainRate,
+		Tracer:     tracer,
+		Logger:     a.logger,
 		Score: func(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest) (core.Verdict, error) {
 			// Registry mode: each URL scores on the champion current when
 			// it is picked up, so a promotion reaches the feed on the next

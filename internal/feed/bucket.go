@@ -14,15 +14,10 @@ type bucket struct {
 
 // take tries to consume one token at time now. On failure it returns how
 // long until a token will be available, so the caller can defer the work
-// instead of spinning.
+// instead of spinning. A zero bucket is full: its last take is long past.
 func (b *bucket) take(now time.Time, rate, burst float64) (ok bool, wait time.Duration) {
-	if b.last.IsZero() {
-		b.tokens = burst
-	} else if elapsed := now.Sub(b.last).Seconds(); elapsed > 0 {
-		b.tokens += elapsed * rate
-		if b.tokens > burst {
-			b.tokens = burst
-		}
+	if elapsed := now.Sub(b.last).Seconds(); elapsed > 0 {
+		b.tokens = min(burst, b.tokens+elapsed*rate)
 	}
 	b.last = now
 	if b.tokens >= 1 {

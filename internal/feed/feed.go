@@ -16,12 +16,12 @@
 //     window are rejected as duplicates. Once scored, the same URL may
 //     be enqueued again (its new verdict supersedes in the store).
 //   - Per-domain rate limiting: each registered domain has a token
-//     bucket; when a domain is out of tokens its URLs are deferred, not
-//     dropped, and URLs of other domains are processed meanwhile — one
-//     campaign domain cannot starve the crawl budget.
-//   - Bounded retries: transient fetch failures back off exponentially
-//     (capped) up to MaxAttempts, then the failure itself is persisted
-//     so the feed's history is complete.
+//     bucket (deleted once full again); an empty one defers its URLs,
+//     not drops them, while other domains' URLs flow — one campaign
+//     domain cannot starve the crawl budget.
+//   - A failed fetch is final: the fetcher is a static page set, so
+//     the failure is persisted at once and the feed's history is
+//     complete.
 //
 // The worker loop runs on internal/pool — the same primitive behind
 // every batch path in the repository — with per-item panic containment
@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -53,18 +54,8 @@ const (
 	// DefaultQueueDepth bounds accepted-but-unscored URLs.
 	DefaultQueueDepth = 1024
 	// DefaultDomainRate is the per-registered-domain crawl rate
-	// (tokens per second).
+	// (tokens per second); a burst of two seconds of it is 8 tokens.
 	DefaultDomainRate = 4.0
-	// DefaultDomainBurst is the per-domain token-bucket capacity.
-	DefaultDomainBurst = 8
-	// DefaultMaxAttempts is the fetch attempt budget per URL.
-	DefaultMaxAttempts = 3
-	// DefaultRetryBackoff is the first retry delay; it doubles per
-	// attempt up to DefaultMaxBackoff.
-	DefaultRetryBackoff = 500 * time.Millisecond
-	// DefaultMaxBackoff caps the exponential retry delay; no setting
-	// overrides it.
-	DefaultMaxBackoff = 30 * time.Second
 )
 
 // Rejection reasons reported by Enqueue.
@@ -82,8 +73,8 @@ var (
 
 // Config assembles a Scheduler.
 type Config struct {
-	// Fetcher resolves URLs to pages (the synthetic world, or a live
-	// crawler behind the same interface). Required.
+	// Fetcher resolves URLs to pages: the synthetic world or another
+	// static page set, so a failed fetch is final. Required.
 	Fetcher crawl.Fetcher
 	// Pipeline scores crawled snapshots and identifies targets.
 	// Required.
@@ -104,22 +95,15 @@ type Config struct {
 	// (0 → DefaultQueueDepth).
 	QueueDepth int
 	// DomainRate is the per-registered-domain token refill rate in
-	// URLs/second (0 → DefaultDomainRate, negative → unlimited).
+	// URLs/second (0 → DefaultDomainRate, negative → unlimited); the
+	// burst is two seconds of it, max(1, ⌈2·rate⌉).
 	DomainRate float64
-	// DomainBurst is the per-domain bucket capacity
-	// (0 → DefaultDomainBurst).
-	DomainBurst int
-	// MaxAttempts is the fetch attempt budget per URL
-	// (0 → DefaultMaxAttempts).
-	MaxAttempts int
-	// RetryBackoff is the initial retry delay (0 → DefaultRetryBackoff).
-	RetryBackoff time.Duration
 	// Tracer, when set, records one trace per processed URL — crawl,
 	// the core scoring stages, store append — alongside the serving
 	// layer's request traces (optional).
 	Tracer *obs.Tracer
-	// Logger receives the scheduler's structured logs: exhausted fetch
-	// budgets, persistence failures, drops (nil → discard).
+	// Logger receives the scheduler's structured logs: failed fetches,
+	// persistence failures, drops (nil → discard).
 	Logger *slog.Logger
 
 	// now overrides the clock in tests.
@@ -142,10 +126,11 @@ type Stats struct {
 
 	// Processed counts URLs that reached a persisted verdict.
 	Processed int64 `json:"processed"`
-	// Failed counts URLs whose fetch budget was exhausted (their
-	// failure record is persisted too) or whose processing panicked.
+	// Failed counts URLs whose fetch failed (their failure record is
+	// persisted too) or whose processing panicked.
 	Failed int64 `json:"failed"`
-	// Retries counts fetch attempts beyond the first.
+	// Retries counts fetch attempts beyond the first. A failed fetch is
+	// final, so it reads 0; the field stays for the metric's readers.
 	Retries int64 `json:"retries"`
 	// RateDeferred counts deferrals due to an empty domain bucket.
 	RateDeferred int64 `json:"rate_deferred"`
@@ -155,11 +140,10 @@ type Stats struct {
 
 // item is one accepted URL moving through the scheduler.
 type item struct {
-	url      string
-	domain   string // registered domain (rate-limit + dedupe scope)
-	key      string // domain + url, the in-flight dedupe identity
-	attempts int    // fetch attempts made so far
-	readyAt  time.Time
+	url     string
+	domain  string // registered domain (rate-limit + dedupe scope)
+	key     string // domain + url, the in-flight dedupe identity
+	readyAt time.Time
 }
 
 // delayQueue is a min-heap of deferred items by readyAt.
@@ -175,8 +159,9 @@ func (q delayQueue) peek() *item        { return q[0] }
 // Scheduler is the continuous ingestion pipeline. All methods are safe
 // for concurrent use.
 type Scheduler struct {
-	cfg Config
-	now func() time.Time
+	cfg   Config
+	now   func() time.Time
+	burst float64 // each domain bucket's capacity: two seconds of DomainRate
 
 	// ctx is the scheduler's lifetime context, threaded into every
 	// pipeline execution; cancel (called when a Drain deadline expires)
@@ -191,6 +176,7 @@ type Scheduler struct {
 	delayed  delayQueue
 	inflight map[string]struct{}
 	buckets  map[string]*bucket
+	swept    time.Time // last sweep of full buckets
 	active   int
 	closed   bool
 	aborted  bool
@@ -215,21 +201,13 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.DomainRate == 0 {
 		cfg.DomainRate = DefaultDomainRate
 	}
-	if cfg.DomainBurst <= 0 {
-		cfg.DomainBurst = DefaultDomainBurst
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = DefaultMaxAttempts
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
 	}
 	s := &Scheduler{
 		cfg:      cfg,
 		now:      cfg.now,
+		burst:    max(1, math.Ceil(2*cfg.DomainRate)),
 		inflight: make(map[string]struct{}),
 		buckets:  make(map[string]*bucket),
 		done:     make(chan struct{}),
@@ -363,20 +341,32 @@ func (s *Scheduler) takeTokenLocked(domain string, now time.Time) (wait time.Dur
 	if s.cfg.DomainRate < 0 {
 		return 0, false
 	}
+	// A bucket refilled to its burst takes exactly like a fresh one, so
+	// a sweep per refill time deletes those and changes no decision.
+	rate := s.cfg.DomainRate
+	if now.Sub(s.swept) >= time.Duration(s.burst/rate*float64(time.Second)) {
+		s.swept = now
+		for d, b := range s.buckets {
+			if b.tokens+now.Sub(b.last).Seconds()*rate >= s.burst {
+				delete(s.buckets, d)
+			}
+		}
+	}
 	b := s.buckets[domain]
 	if b == nil {
 		b = &bucket{}
 		s.buckets[domain] = b
 	}
-	ok, wait := b.take(now, s.cfg.DomainRate, float64(s.cfg.DomainBurst))
+	ok, wait := b.take(now, rate, s.burst)
 	return wait, !ok
 }
 
 // process runs crawl → score → target-identify → persist for one item,
-// rescheduling it on transient fetch failure. Scoring runs under the
-// scheduler's context, so an expired Drain cuts off in-flight pipeline
-// work at the next stage boundary; such items count as dropped, like
-// their queued siblings. Panics are contained and recorded as failures.
+// or persists a failure record when the fetch fails. Scoring runs under
+// the scheduler's context, so an expired Drain cuts off in-flight
+// pipeline work at the next stage boundary; such items count as
+// dropped, like their queued siblings. Panics are contained and
+// recorded as failures.
 func (s *Scheduler) process(it *item) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -395,7 +385,7 @@ func (s *Scheduler) process(it *item) {
 	tr.Span(obs.StageCrawl, ts, time.Since(ts).Nanoseconds())
 	if err != nil {
 		tr.SetError()
-		s.retryOrFail(it, err)
+		s.fail(it, err)
 		return
 	}
 	req := core.NewScoreRequest(snap)
@@ -458,43 +448,12 @@ func (s *Scheduler) drop(it *item) {
 	s.cond.Broadcast()
 }
 
-// retryOrFail reschedules a transiently failed item with capped
-// exponential backoff, or — once the attempt budget is spent, or the
-// failure is permanent — persists the failure and finishes the item.
-func (s *Scheduler) retryOrFail(it *item, err error) {
-	it.attempts++
-	permanent := errors.Is(err, crawl.ErrRedirectLoop) || errors.Is(err, crawl.ErrEmptyStartURL)
-	if !permanent && it.attempts < s.cfg.MaxAttempts {
-		backoff := s.cfg.RetryBackoff << (it.attempts - 1)
-		if backoff > DefaultMaxBackoff || backoff <= 0 {
-			backoff = DefaultMaxBackoff
-		}
-		s.mu.Lock()
-		if s.aborted {
-			// An expired Drain already swept the queues; re-queueing
-			// would strand this item in inflight with no worker left to
-			// take it. Account it as dropped like its queued siblings.
-			s.mu.Unlock()
-			s.drop(it)
-			return
-		}
-		s.stats.Retries++
-		s.active--
-		it.readyAt = s.now().Add(backoff)
-		heap.Push(&s.delayed, it)
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		return
-	}
-	s.cfg.Logger.Warn("feed fetch budget exhausted",
-		"url", it.url, "attempts", it.attempts, "err", err)
-	perr := s.persist(store.Record{
-		URL:        it.url,
-		LandingURL: it.url,
-		ScoredAt:   s.now().UTC(),
-		Error:      fmt.Sprintf("fetch failed after %d attempts: %v", it.attempts, err),
-	})
-	if perr != nil {
+// fail persists a failed fetch as the URL's record and finishes the
+// item. The fetcher is a static page set: a retry would fail again.
+func (s *Scheduler) fail(it *item, err error) {
+	s.cfg.Logger.Warn("feed fetch failed", "url", it.url, "err", err)
+	rec := store.Record{URL: it.url, LandingURL: it.url, ScoredAt: s.now().UTC(), Error: "fetch failed: " + err.Error()}
+	if perr := s.persist(rec); perr != nil {
 		err = perr
 	}
 	s.finish(it, err)
@@ -570,9 +529,7 @@ func (s *Scheduler) Drain(deadline time.Time) (dropped int) {
 
 	s.mu.Lock()
 	if !finished {
-		// Deadline expired: abandon what is left in the queues. An
-		// in-flight item whose retry lands after this sweep is dropped
-		// by retryOrFail's aborted branch and counted the same way.
+		// Deadline expired: abandon what is left in the queues.
 		n := s.depthLocked()
 		for _, it := range s.ready {
 			delete(s.inflight, it.key)

@@ -3,6 +3,7 @@ package feed
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -368,11 +369,12 @@ func TestInvalidAndClosedRejections(t *testing.T) {
 func TestPerDomainRateLimiting(t *testing.T) {
 	_, pipe := fixtures(t)
 	st := newStore(t)
-	// Burst 1, 50 tokens/s: a campaign of 4 URLs on one domain must be
-	// spread over ~60ms while the other domain's URL flows immediately.
+	// 1 token/s, so a burst of 2: a campaign of 4 URLs on one domain
+	// must be spread over ~2s while the other domain's URL flows
+	// immediately.
 	s, err := New(Config{
 		Fetcher: staticFetcher, Pipeline: pipe, Store: st,
-		Workers: 2, DomainRate: 50, DomainBurst: 1,
+		Workers: 2, DomainRate: 1,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -392,7 +394,7 @@ func TestPerDomainRateLimiting(t *testing.T) {
 	if stats.Processed != int64(len(urls)) {
 		t.Fatalf("stats = %+v, want %d processed", stats, len(urls))
 	}
-	// 4 same-domain URLs against burst 1 must defer at least 2 times
+	// 4 same-domain URLs against burst 2 must defer at least 2 times
 	// (the exact count depends on worker scheduling).
 	if stats.RateDeferred < 2 {
 		t.Errorf("rate_deferred = %d, want >= 2", stats.RateDeferred)
@@ -401,11 +403,12 @@ func TestPerDomainRateLimiting(t *testing.T) {
 
 func TestRateLimitedDomainDoesNotStarveOthers(t *testing.T) {
 	_, pipe := fixtures(t)
-	// One domain with an empty-after-one-token bucket and a glacial
-	// refill; the other domain's URL must still be processed promptly.
+	// 0.5 tokens/s: one domain with an empty-after-one-token bucket and
+	// a glacial refill; the other domain's URL must still be processed
+	// promptly.
 	s, err := New(Config{
 		Fetcher: staticFetcher, Pipeline: pipe,
-		Workers: 1, DomainRate: 0.5, DomainBurst: 1,
+		Workers: 1, DomainRate: 0.5,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -434,50 +437,94 @@ func TestRateLimitedDomainDoesNotStarveOthers(t *testing.T) {
 	drain(t, s)
 }
 
-func TestRetryWithBackoffThenSuccess(t *testing.T) {
-	c, pipe := fixtures(t)
-	st := newStore(t)
-	url := c.World.BrandSiteURLs(c.World.Brands[0])[0]
-	var mu sync.Mutex
-	calls := 0
-	flaky := fetcherFunc(func(u string) (*webgen.Page, bool) {
-		mu.Lock()
-		calls++
-		n := calls
-		mu.Unlock()
-		if n <= 2 {
-			return nil, false // transient: not found twice
+// takeTokens runs n rate checks for domain at time now, as the worker
+// loop does, and returns how many were granted.
+func takeTokens(s *Scheduler, domain string, now time.Time, n int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	granted := 0
+	for i := 0; i < n; i++ {
+		if _, limited := s.takeTokenLocked(domain, now); !limited {
+			granted++
 		}
-		return c.World.Fetch(u)
-	})
-	s, err := New(Config{
-		Fetcher: flaky, Pipeline: pipe, Store: st,
-		Workers: 1, MaxAttempts: 4, RetryBackoff: time.Millisecond, DomainRate: -1,
-	})
+	}
+	return granted
+}
+
+// TestDefaultBurstIsEight: at the default 4 URLs/s a domain's bucket
+// holds two seconds of rate, so one domain gets exactly 8 back-to-back
+// takes and then a deferral.
+func TestDefaultBurstIsEight(t *testing.T) {
+	_, pipe := fixtures(t)
+	t0 := time.Date(2026, 7, 29, 0, 0, 0, 0, time.UTC)
+	s, err := New(Config{Fetcher: staticFetcher, Pipeline: pipe, Workers: 1, now: func() time.Time { return t0 }})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatal(err)
 	}
-	if err := s.Enqueue(url); err != nil {
-		t.Fatalf("Enqueue: %v", err)
+	defer drain(t, s)
+	if got := takeTokens(s, "campaign.test", t0, 8); got != 8 {
+		t.Errorf("%d of 8 back-to-back takes granted", got)
 	}
-	drain(t, s)
-	stats := s.Stats()
-	if stats.Processed != 1 || stats.Failed != 0 || stats.Retries != 2 {
-		t.Fatalf("stats = %+v, want processed=1 retries=2", stats)
-	}
-	if rec, ok := get(t, st, url); !ok || rec.Error != "" {
-		t.Errorf("expected clean verdict after retries, got %+v ok=%v", rec, ok)
+	if got := takeTokens(s, "campaign.test", t0, 1); got != 0 {
+		t.Error("9th back-to-back take granted, want a deferral")
 	}
 }
 
-func TestRetryBudgetExhaustionPersistsFailure(t *testing.T) {
+// TestBucketsShrinkToRecentDomains: a feed of distinct domains must not
+// grow the bucket map without bound. Once the clock passes the refill
+// time, every bucket the flood left is full and goes at the next sweep,
+// so the map holds only the domains seen since.
+func TestBucketsShrinkToRecentDomains(t *testing.T) {
+	_, pipe := fixtures(t)
+	var mu sync.Mutex
+	now := time.Date(2026, 7, 29, 0, 0, 0, 0, time.UTC)
+	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	s, err := New(Config{Fetcher: staticFetcher, Pipeline: pipe, Workers: 1, now: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s)
+	const flood = 10_000
+	for i := 0; i < flood; i++ {
+		if takeTokens(s, fmt.Sprintf("d%d.test", i), clock(), 1) != 1 {
+			t.Fatalf("first take of domain %d denied", i)
+		}
+	}
+	// 2s refills an 8-token bucket at 4 tokens/s.
+	mu.Lock()
+	now = now.Add(2*time.Second + time.Millisecond)
+	mu.Unlock()
+	const recent = 3
+	for i := 0; i < recent; i++ {
+		takeTokens(s, fmt.Sprintf("late%d.test", i), clock(), 1)
+	}
+	// A domain from the flood is back to a fresh bucket's full burst.
+	if got := takeTokens(s, "d0.test", clock(), 9); got != 8 {
+		t.Errorf("flood domain after refill: %d takes granted, want 8", got)
+	}
+	s.mu.Lock()
+	n := len(s.buckets)
+	s.mu.Unlock()
+	if n > recent+1 {
+		t.Errorf("%d buckets after the refill time, want at most %d (the domains seen since)", n, recent+1)
+	}
+}
+
+// TestFailedFetchIsFinal: a URL the fetcher does not hold is persisted
+// as a failure record on its first fetch, and Drain does not wait out
+// a backoff for it.
+func TestFailedFetchIsFinal(t *testing.T) {
 	_, pipe := fixtures(t)
 	st := newStore(t)
-	dead := fetcherFunc(func(string) (*webgen.Page, bool) { return nil, false })
-	s, err := New(Config{
-		Fetcher: dead, Pipeline: pipe, Store: st,
-		Workers: 1, MaxAttempts: 3, RetryBackoff: time.Millisecond, DomainRate: -1,
+	var mu sync.Mutex
+	fetches := 0
+	dead := fetcherFunc(func(string) (*webgen.Page, bool) {
+		mu.Lock()
+		fetches++
+		mu.Unlock()
+		return nil, false
 	})
+	s, err := New(Config{Fetcher: dead, Pipeline: pipe, Store: st, Workers: 1, DomainRate: -1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -485,10 +532,15 @@ func TestRetryBudgetExhaustionPersistsFailure(t *testing.T) {
 	if err := s.Enqueue(url); err != nil {
 		t.Fatalf("Enqueue: %v", err)
 	}
+	start := time.Now()
 	drain(t, s)
+	// One failed fetch and one append: nothing waits to retry.
+	if took := time.Since(start); took >= 500*time.Millisecond {
+		t.Errorf("drain took %v, want no backoff", took)
+	}
 	stats := s.Stats()
-	if stats.Failed != 1 || stats.Processed != 0 || stats.Retries != 2 {
-		t.Fatalf("stats = %+v, want failed=1 retries=2", stats)
+	if stats.Failed != 1 || stats.Processed != 0 || stats.Retries != 0 || fetches != 1 {
+		t.Fatalf("stats = %+v after %d fetches, want failed=1 retries=0 after 1", stats, fetches)
 	}
 	rec, ok := get(t, st, url)
 	if !ok || rec.Error == "" {
@@ -522,56 +574,6 @@ func TestDrainDeadlineDropsRemaining(t *testing.T) {
 	}
 	if st := s.Stats(); st.Dropped != 3 || st.Processed != 0 {
 		t.Errorf("stats = %+v, want dropped=3 processed=0", st)
-	}
-}
-
-// failAfterGate blocks until released, then reports fetch failure.
-type failAfterGate struct {
-	gate    chan struct{}
-	started chan string
-}
-
-func (f *failAfterGate) Fetch(string) (*webgen.Page, bool) {
-	if f.started != nil {
-		select {
-		case f.started <- "":
-		default:
-		}
-	}
-	<-f.gate
-	return nil, false
-}
-
-func TestRetryAfterExpiredDrainCountsDropped(t *testing.T) {
-	_, pipe := fixtures(t)
-	// The worker is wedged in a fetch that will FAIL transiently after
-	// the drain deadline expires. Its retry must not re-queue into the
-	// swept scheduler (that would strand the URL unaccounted); it must
-	// be dropped and counted, so accepted = processed+failed+dropped
-	// still balances.
-	ff := &failAfterGate{gate: make(chan struct{}), started: make(chan string, 1)}
-	s, err := New(Config{Fetcher: ff, Pipeline: pipe, Workers: 1, DomainRate: -1, RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := s.Enqueue("http://wedged.test/"); err != nil {
-		t.Fatalf("Enqueue: %v", err)
-	}
-	<-ff.started
-	// Wide margin between the drain deadline and the gate release so
-	// the fetch reliably returns only after the abort sweep, even on a
-	// loaded CI machine.
-	time.AfterFunc(500*time.Millisecond, func() { close(ff.gate) })
-	dropped := s.Drain(time.Now().Add(50 * time.Millisecond))
-	if dropped != 1 {
-		t.Fatalf("dropped = %d, want 1 (in-flight retry after abort)", dropped)
-	}
-	st := s.Stats()
-	if st.Accepted != st.Processed+st.Failed+st.Dropped {
-		t.Errorf("accounting leak: %+v", st)
-	}
-	if st.Depth != 0 || st.InFlight != 0 {
-		t.Errorf("stranded items: %+v", st)
 	}
 }
 

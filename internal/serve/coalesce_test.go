@@ -255,11 +255,10 @@ func TestScoreBatchV2(t *testing.T) {
 	if code := call(t, s, http.MethodPost, "/v2/score/batch", V2BatchRequest{}, &eresp); code != http.StatusBadRequest {
 		t.Errorf("empty batch: status = %d, want 400", code)
 	}
-	small := newServer(t, func(cfg *Config) { cfg.MaxBatch = 2 })
-	if code := call(t, small, http.MethodPost, "/v2/score/batch", V2BatchRequest{Pages: pages}, &eresp); code != http.StatusRequestEntityTooLarge {
+	if code := call(t, s, http.MethodPost, "/v2/score/batch", V2BatchRequest{Pages: overLimitPages()}, &eresp); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("over-limit batch: status = %d, want 413", code)
 	}
-	if m := small.Metrics(); m.BatchRejected != 1 {
+	if m := s.Metrics(); m.BatchRejected != 1 {
 		t.Errorf("batch_rejected = %d, want 1", m.BatchRejected)
 	}
 }

@@ -42,10 +42,10 @@ func putBuf(buf *bytes.Buffer) bool {
 	return true
 }
 
-// decode reads the request body — at most MaxBodyBytes of it — into a
-// pooled buffer and parses it into v, replying with 413 when the body
-// is over the limit and with 400 when it is not one well-formed JSON
-// document of v's shape. The body is read before it is parsed, so an
+// decode reads the request body — at most DefaultMaxBodyBytes of it —
+// into a pooled buffer and parses it into v, replying with 413 when the
+// body is over the limit and with 400 when it is not one well-formed
+// JSON document of v's shape. The body is read before it is parsed, so an
 // oversized body is a 413 whatever its bytes are.
 //
 // A single-page score document's html may be a view of the buffer
@@ -55,11 +55,11 @@ func putBuf(buf *bytes.Buffer) bool {
 // already.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	buf := getBuf()
-	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
+	if n := r.ContentLength; n > 0 && n <= DefaultMaxBodyBytes {
 		// ReadFrom wants MinRead spare bytes to see EOF without growing.
 		buf.Grow(int(n) + bytes.MinRead)
 	}
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes))
 	if err == nil {
 		err = decodeDoc(buf.Bytes(), v)
 	}
@@ -78,7 +78,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		s.fail(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
+			fmt.Errorf("request body exceeds %d bytes", DefaultMaxBodyBytes))
 		return false
 	}
 	s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))

@@ -532,7 +532,7 @@ func (d *discardWriter) WriteHeader(status int)      { d.status = status }
 // TestBodyPoolDropsLargeBuffers: the buffer a 2 MiB body was read into
 // is garbage, not pool content; an ordinary one is kept.
 func TestBodyPoolDropsLargeBuffers(t *testing.T) {
-	s := newServer(t, func(cfg *Config) { cfg.MaxBodyBytes = 4 << 20 })
+	s := newServer(t, nil)
 	for _, tc := range []struct {
 		htmlBytes int
 		pooled    bool
@@ -544,7 +544,7 @@ func TestBodyPoolDropsLargeBuffers(t *testing.T) {
 		// What decode does with the body, keeping hold of the buffer.
 		buf := getBuf()
 		r := httptest.NewRequest(http.MethodPost, "/v1/score", bytes.NewReader(body))
-		if _, err := buf.ReadFrom(http.MaxBytesReader(httptest.NewRecorder(), r.Body, s.cfg.MaxBodyBytes)); err != nil {
+		if _, err := buf.ReadFrom(http.MaxBytesReader(httptest.NewRecorder(), r.Body, DefaultMaxBodyBytes)); err != nil {
 			t.Fatal(err)
 		}
 		if buf.Len() != len(body) {

@@ -158,7 +158,6 @@ func TestFeedEndpointRejections(t *testing.T) {
 	s, sched, _ := feedServer(t, []crawl.Fetcher{held}, func(cfg *feed.Config) {
 		cfg.Workers = 1
 		cfg.QueueDepth = 1
-		cfg.MaxAttempts = 1
 	})
 	t.Cleanup(func() { close(held.release) }) // before feedServer's Drain
 	if err := sched.Enqueue(held.url); err != nil {

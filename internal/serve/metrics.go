@@ -45,8 +45,8 @@ type MetricsSnapshot struct {
 	InFlight      int64   `json:"in_flight"`
 
 	// BatchRejected counts batch, stream and feed requests refused with
-	// 413 for exceeding the configured item limit — the operator signal
-	// that clients need a bigger MaxBatch or smaller requests.
+	// 413 for exceeding the DefaultMaxBatch item limit — the operator
+	// signal that clients need to send smaller requests.
 	BatchRejected int64 `json:"batch_rejected"`
 	// Cancelled counts requests whose client disconnected (or whose
 	// stream was cut) before the verdict was delivered; their remaining

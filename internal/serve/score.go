@@ -391,10 +391,10 @@ func (s *Server) beginBatch(w http.ResponseWriter, n, reqWorkers int) (pipe *cor
 		s.fail(w, http.StatusBadRequest, errors.New("empty batch"))
 		return nil, 0, false
 	}
-	if n > s.cfg.MaxBatch {
+	if n > DefaultMaxBatch {
 		s.metrics.batchRejected.Add(1)
 		s.fail(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d exceeds limit %d", n, s.cfg.MaxBatch))
+			fmt.Errorf("batch of %d exceeds limit %d", n, DefaultMaxBatch))
 		return nil, 0, false
 	}
 	pipe, err := s.pipeline()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -272,18 +273,22 @@ func TestBatchUsesCache(t *testing.T) {
 	}
 }
 
+// overLimitPages is one page more than a batch may hold.
+func overLimitPages() []PageRequest {
+	pages := make([]PageRequest, DefaultMaxBatch+1)
+	for i := range pages {
+		pages[i] = PageRequest{HTML: "<title>x</title>", LandingURL: fmt.Sprintf("http://site%d.test/", i)}
+	}
+	return pages
+}
+
 func TestBatchLimits(t *testing.T) {
-	c, _ := fixtures(t)
-	s := newServer(t, func(cfg *Config) { cfg.MaxBatch = 2 })
+	s := newServer(t, nil)
 	var resp errorResponse
 	if code := call(t, s, http.MethodPost, "/v1/score/batch", BatchRequest{}, &resp); code != http.StatusBadRequest {
 		t.Errorf("empty batch: status = %d, want 400", code)
 	}
-	over := BatchRequest{Pages: []PageRequest{
-		{Snapshot: c.PhishTest.Examples[0].Snapshot},
-		{Snapshot: c.PhishTest.Examples[1].Snapshot},
-		{Snapshot: c.PhishTest.Examples[2].Snapshot},
-	}}
+	over := BatchRequest{Pages: overLimitPages()}
 	if code := call(t, s, http.MethodPost, "/v1/score/batch", over, &resp); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized batch: status = %d, want 413", code)
 	}
@@ -368,12 +373,19 @@ func TestBatchNoDedupWhenCacheDisabled(t *testing.T) {
 	}
 }
 
+// overLimitBody is prefix, padding and suffix, one byte over
+// DefaultMaxBodyBytes in all.
+func overLimitBody(prefix, suffix string) string {
+	return prefix + strings.Repeat("x", DefaultMaxBodyBytes+1-len(prefix)-len(suffix)) + suffix
+}
+
 func TestOversizedBodyRejectedWith413(t *testing.T) {
-	s := newServer(t, func(cfg *Config) { cfg.MaxBodyBytes = 256 })
-	big := PageRequest{HTML: strings.Repeat("x", 1024), LandingURL: "http://big.test/"}
+	s := newServer(t, nil)
+	const tooBig = "request body exceeds 16777216 bytes"
+	big := overLimitBody(`{"landing_url":"http://big.test/","html":"`, `"}`)
 	var resp errorResponse
-	if code := call(t, s, http.MethodPost, "/v1/score", big, &resp); code != http.StatusRequestEntityTooLarge {
-		t.Errorf("status = %d, want 413", code)
+	if code := call(t, s, http.MethodPost, "/v1/score", json.RawMessage(big), &resp); code != http.StatusRequestEntityTooLarge || resp.Error != tooBig {
+		t.Errorf("status = %d %q, want 413 %q", code, resp.Error, tooBig)
 	}
 
 	// The body is read before it is parsed, so size wins over syntax: a
@@ -385,8 +397,8 @@ func TestOversizedBodyRejectedWith413(t *testing.T) {
 		code int
 		text string
 	}{
-		{"not json " + strings.Repeat("x", 1024), http.StatusRequestEntityTooLarge, "request body exceeds 256 bytes"},
-		{`{"html":"x","landing_url":"http://a.test/"} ` + strings.Repeat("x", 1024), http.StatusRequestEntityTooLarge, "request body exceeds 256 bytes"},
+		{overLimitBody("not json ", ""), http.StatusRequestEntityTooLarge, tooBig},
+		{overLimitBody(`{"html":"x","landing_url":"http://a.test/"} `, ""), http.StatusRequestEntityTooLarge, tooBig},
 		{"not json", http.StatusBadRequest, "decoding request: invalid character 'o' in literal null (expecting 'u')"},
 	} {
 		for _, path := range []string{"/v1/score", "/v2/score", "/v2/score/batch"} {

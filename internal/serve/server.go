@@ -88,10 +88,11 @@ import (
 	"knowphish/internal/target"
 )
 
-// Defaults for Config zero values.
+// Request limits.
 const (
-	// DefaultMaxBatch bounds the page count of one batch request and
-	// the item count of one stream request.
+	// DefaultMaxBatch bounds the page count of one batch request, the
+	// item count of one stream request and the URL count of one feed
+	// request.
 	DefaultMaxBatch = 1024
 	// DefaultMaxBodyBytes bounds request body size.
 	DefaultMaxBodyBytes = 16 << 20
@@ -119,11 +120,6 @@ type Config struct {
 	// Workers bounds concurrent pipeline executions across the whole
 	// server and caps the per-batch fan-out (0 → GOMAXPROCS).
 	Workers int
-	// MaxBatch bounds pages per batch or stream request
-	// (0 → DefaultMaxBatch).
-	MaxBatch int
-	// MaxBodyBytes bounds request bodies (0 → DefaultMaxBodyBytes).
-	MaxBodyBytes int64
 	// DefaultDeadline is the per-request scoring budget applied when a
 	// request does not set its own deadline_ms (0 → no deadline). It
 	// bounds pipeline work, not time spent queued for a worker slot.
@@ -213,12 +209,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if s.cfg.Workers <= 0 {
 		s.cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if s.cfg.MaxBatch <= 0 {
-		s.cfg.MaxBatch = DefaultMaxBatch
-	}
-	if s.cfg.MaxBodyBytes <= 0 {
-		s.cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	s.scoreSem = make(chan struct{}, s.cfg.Workers)
 	s.coal = cfg.Coalescer

@@ -28,7 +28,8 @@ func (c *sloClock) Now() time.Time          { return time.Unix(0, c.ns.Load()) }
 func (c *sloClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
 
 // sloServer builds a server wired to an SLO engine with short windows
-// (fast 10s, slow 60s, hold-down 5s) over the given objective specs.
+// (fast 10s, so slow 120s and hold-down 4s) over the given objective
+// specs.
 func sloServer(t *testing.T, clock *sloClock, specs ...string) (*Server, *slo.Engine, *obs.Journal) {
 	t.Helper()
 	c, d := fixtures(t)
@@ -41,8 +42,6 @@ func sloServer(t *testing.T, clock *sloClock, specs ...string) (*Server, *slo.En
 	eng := slo.New(slo.Config{
 		Objectives: objs,
 		FastWindow: 10 * time.Second,
-		SlowWindow: 60 * time.Second,
-		HoldDown:   5 * time.Second,
 		Clock:      clock.Now,
 		Journal:    journal,
 	})

@@ -100,15 +100,11 @@ func (s *Server) handleScoreStream(w http.ResponseWriter, r *http.Request) {
 // readStreamItems parses the NDJSON request body up to the batch item
 // limit. It reports ok=false after writing the error response itself.
 func (s *Server) readStreamItems(w http.ResponseWriter, r *http.Request) ([]streamItem, bool) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)
 	sc := bufio.NewScanner(body)
 	// A single line may carry a full snapshot; let it grow to the body
 	// limit rather than bufio's 64 KiB default.
-	maxLine := int(s.cfg.MaxBodyBytes)
-	if maxLine <= 0 || int64(maxLine) != s.cfg.MaxBodyBytes {
-		maxLine = DefaultMaxBodyBytes
-	}
-	sc.Buffer(make([]byte, 64<<10), maxLine)
+	sc.Buffer(make([]byte, 64<<10), DefaultMaxBodyBytes)
 
 	var items []streamItem
 	for sc.Scan() {
@@ -116,10 +112,10 @@ func (s *Server) readStreamItems(w http.ResponseWriter, r *http.Request) ([]stre
 		if len(line) == 0 {
 			continue
 		}
-		if len(items) >= s.cfg.MaxBatch {
+		if len(items) >= DefaultMaxBatch {
 			s.metrics.batchRejected.Add(1)
 			s.fail(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("stream exceeds the %d-item limit", s.cfg.MaxBatch))
+				fmt.Errorf("stream exceeds the %d-item limit", DefaultMaxBatch))
 			return nil, false
 		}
 		var it streamItem
@@ -135,7 +131,7 @@ func (s *Server) readStreamItems(w http.ResponseWriter, r *http.Request) ([]stre
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.fail(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
+				fmt.Errorf("request body exceeds %d bytes", DefaultMaxBodyBytes))
 		} else {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("reading stream: %w", err))
 		}

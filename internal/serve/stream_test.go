@@ -154,8 +154,8 @@ func TestStreamLineTrailingDataIsItemError(t *testing.T) {
 }
 
 func TestScoreStreamOverLimitRejected(t *testing.T) {
-	s := newServer(t, func(cfg *Config) { cfg.MaxBatch = 4 })
-	req := httptest.NewRequest(http.MethodPost, "/v2/score/stream", streamBody(5))
+	s := newServer(t, nil)
+	req := httptest.NewRequest(http.MethodPost, "/v2/score/stream", streamBody(DefaultMaxBatch+1))
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusRequestEntityTooLarge {

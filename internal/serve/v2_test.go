@@ -240,13 +240,8 @@ func TestTargetV2(t *testing.T) {
 // over-limit batch answers 413 with a JSON error body AND the rejection
 // is observable at /metrics.
 func TestBatchOverLimitRejectedAndCounted(t *testing.T) {
-	c, _ := fixtures(t)
-	s := newServer(t, func(cfg *Config) { cfg.MaxBatch = 2 })
-	over := BatchRequest{Pages: []PageRequest{
-		{Snapshot: c.PhishTest.Examples[0].Snapshot},
-		{Snapshot: c.PhishTest.Examples[1].Snapshot},
-		{Snapshot: c.PhishTest.Examples[2].Snapshot},
-	}}
+	s := newServer(t, nil)
+	over := BatchRequest{Pages: overLimitPages()}
 	var resp errorResponse
 	if code := call(t, s, http.MethodPost, "/v1/score/batch", over, &resp); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413", code)

@@ -32,10 +32,10 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, errors.New("empty urls list"))
 		return
 	}
-	if len(req.URLs) > s.cfg.MaxBatch {
+	if len(req.URLs) > DefaultMaxBatch {
 		s.metrics.batchRejected.Add(1)
 		s.fail(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("feed of %d URLs exceeds limit %d", len(req.URLs), s.cfg.MaxBatch))
+			fmt.Errorf("feed of %d URLs exceeds limit %d", len(req.URLs), DefaultMaxBatch))
 		return
 	}
 	resp := FeedResponse{Results: make([]FeedResult, len(req.URLs))}

@@ -218,29 +218,21 @@ func (s State) String() string {
 // Defaults for Config zero values, and the fixed burn-rate thresholds.
 const (
 	DefaultFastWindow = 5 * time.Minute
-	DefaultSlowWindow = time.Hour
 	// DefaultPageBurn is the paging burn rate: 14.4× exhausts a 30-day
 	// budget in 50 hours — incident-now territory.
 	DefaultPageBurn = 14.4
 	// DefaultWarnBurn is the ticket-level burn rate: 6× exhausts a
 	// 30-day budget in 5 days.
 	DefaultWarnBurn = 6.0
-	// DefaultHoldDown is how long the burn must stay below a threshold
-	// before state or shed level steps back down.
-	DefaultHoldDown = 2 * time.Minute
 )
 
 // Config assembles an Engine.
 type Config struct {
 	Objectives []Objective
 	// FastWindow is the "is it happening now" burn window
-	// (0 → DefaultFastWindow).
+	// (0 → DefaultFastWindow). The "is it significant" slow window is
+	// 12× it and the recovery hold-down 2/5 of it: 1 h and 2 m at 5 m.
 	FastWindow time.Duration
-	// SlowWindow is the "is it significant" burn window
-	// (0 → DefaultSlowWindow).
-	SlowWindow time.Duration
-	// HoldDown is the hysteresis on recovery (0 → DefaultHoldDown).
-	HoldDown time.Duration
 	// Clock is the time source, for deterministic tests (nil →
 	// time.Now).
 	Clock func() time.Time
@@ -270,9 +262,11 @@ type tracked struct {
 // Engine evaluates objectives. Construct with New; nil engines are
 // inert.
 type Engine struct {
-	cfg   Config
-	clock func() time.Time
-	objs  []*tracked
+	cfg        Config
+	slowWindow time.Duration // 12 × FastWindow
+	holdDown   time.Duration // 2/5 × FastWindow
+	clock      func() time.Time
+	objs       []*tracked
 
 	// shedLevel is atomic, not under mu: the admission controller
 	// loads it on every request.
@@ -293,20 +287,11 @@ func New(cfg Config) *Engine {
 	if cfg.FastWindow <= 0 {
 		cfg.FastWindow = DefaultFastWindow
 	}
-	if cfg.SlowWindow <= 0 {
-		cfg.SlowWindow = DefaultSlowWindow
-	}
-	if cfg.SlowWindow < cfg.FastWindow {
-		cfg.SlowWindow = cfg.FastWindow
-	}
-	if cfg.HoldDown <= 0 {
-		cfg.HoldDown = DefaultHoldDown
-	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = time.Now
 	}
-	e := &Engine{cfg: cfg, clock: clock}
+	e := &Engine{cfg: cfg, slowWindow: 12 * cfg.FastWindow, holdDown: cfg.FastWindow * 2 / 5, clock: clock}
 	// Slot resolution: fine enough that the fast window spans several
 	// slots (burn reacts within a fraction of the window), floored at
 	// 1 s by the counter itself.
@@ -315,7 +300,7 @@ func New(cfg Config) *Engine {
 	for _, obj := range cfg.Objectives {
 		e.objs = append(e.objs, &tracked{
 			obj:      obj,
-			counter:  obs.NewWindowedCounter(cfg.SlowWindow, slotDur, clock),
+			counter:  obs.NewWindowedCounter(e.slowWindow, slotDur, clock),
 			since:    now,
 			lastHigh: now,
 		})
@@ -400,7 +385,7 @@ func (e *Engine) Tick() {
 	for _, t := range e.objs {
 		budget := t.obj.Budget()
 		fg, fb := t.counter.Totals(e.cfg.FastWindow)
-		sg, sb := t.counter.Totals(e.cfg.SlowWindow)
+		sg, sb := t.counter.Totals(e.slowWindow)
 		fastBurn := burn(fg, fb, budget)
 		slowBurn := burn(sg, sb, budget)
 		if fastBurn > maxFastBurn {
@@ -429,7 +414,7 @@ func (e *Engine) Tick() {
 				t.state = target
 				t.since = now
 			}
-		} else if now.Sub(t.lastHigh) >= e.cfg.HoldDown {
+		} else if now.Sub(t.lastHigh) >= e.holdDown {
 			t.state = target
 			t.since = now
 		}
@@ -474,7 +459,7 @@ func (e *Engine) Tick() {
 	if shedTarget >= prevShed {
 		e.shedHigh = now
 		curShed = shedTarget
-	} else if now.Sub(e.shedHigh) >= e.cfg.HoldDown {
+	} else if now.Sub(e.shedHigh) >= e.holdDown {
 		curShed = shedTarget
 	}
 	e.shedLevel.Store(curShed)
@@ -594,10 +579,10 @@ func (e *Engine) Status() Status {
 		State:        e.worst.String(),
 		ShedLevel:    int(e.shedLevel.Load()),
 		FastWindowMS: e.cfg.FastWindow.Milliseconds(),
-		SlowWindowMS: e.cfg.SlowWindow.Milliseconds(),
+		SlowWindowMS: e.slowWindow.Milliseconds(),
 		PageBurn:     DefaultPageBurn,
 		WarnBurn:     DefaultWarnBurn,
-		HoldDownMS:   e.cfg.HoldDown.Milliseconds(),
+		HoldDownMS:   e.holdDown.Milliseconds(),
 		Ticks:        e.ticks,
 	}
 	e.mu.Unlock()

@@ -89,7 +89,7 @@ func (c *testClock) Now() time.Time          { return time.Unix(0, c.ns.Load()) 
 func (c *testClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
 
 // testEngine builds an engine with short windows and an injected
-// clock: fast 10s, slow 60s, hold-down 5s.
+// clock: fast 10s, so slow 120s and hold-down 4s.
 func testEngine(t *testing.T, j *obs.Journal, specs ...string) (*Engine, *testClock) {
 	t.Helper()
 	if len(specs) == 0 {
@@ -103,8 +103,6 @@ func testEngine(t *testing.T, j *obs.Journal, specs ...string) (*Engine, *testCl
 	e := New(Config{
 		Objectives: objs,
 		FastWindow: 10 * time.Second,
-		SlowWindow: 60 * time.Second,
-		HoldDown:   5 * time.Second,
 		Clock:      clk.Now,
 		Journal:    j,
 	})
@@ -164,7 +162,7 @@ func TestEnginePagesAndRecovers(t *testing.T) {
 	}
 
 	// Recovery: good traffic again. State must hold (hysteresis) until
-	// the burn has stayed below threshold for the 5s hold-down AND the
+	// the burn has stayed below threshold for the 4s hold-down AND the
 	// windows have drained.
 	drive(e, clk, 2, 20, 10*time.Millisecond, false)
 	if got := e.State(); got == StateOK {
@@ -204,7 +202,7 @@ func TestEngineFastBlipDoesNotPage(t *testing.T) {
 	// 50s of healthy traffic fills the slow window with good events.
 	drive(e, clk, 50, 50, 10*time.Millisecond, false)
 	// A 2-second blip of slow requests: the fast window burns hot but
-	// the slow window (60s, mostly good) stays under the page burn.
+	// the slow window (120s, mostly good) stays under the page burn.
 	drive(e, clk, 2, 10, 500*time.Millisecond, false)
 	if got := e.State(); got == StatePage {
 		st := e.Status()
@@ -305,8 +303,8 @@ func TestStatusDocument(t *testing.T) {
 	e, clk := testEngine(t, nil)
 	drive(e, clk, 5, 10, time.Millisecond, false)
 	st := e.Status()
-	if st.FastWindowMS != 10_000 || st.SlowWindowMS != 60_000 {
-		t.Errorf("windows = %d/%d ms", st.FastWindowMS, st.SlowWindowMS)
+	if st.FastWindowMS != 10_000 || st.SlowWindowMS != 120_000 || st.HoldDownMS != 4_000 {
+		t.Errorf("windows = %d/%d ms, hold-down %d ms", st.FastWindowMS, st.SlowWindowMS, st.HoldDownMS)
 	}
 	if st.PageBurn != DefaultPageBurn || st.WarnBurn != DefaultWarnBurn {
 		t.Errorf("burn thresholds = %v/%v", st.PageBurn, st.WarnBurn)
@@ -320,6 +318,31 @@ func TestStatusDocument(t *testing.T) {
 	}
 	if strings.Join(names, " ") != "score:avail>99 score:p99<100ms" {
 		t.Errorf("objective order = %v (want sorted by name)", names)
+	}
+}
+
+// TestDerivedWindows pins the engine's shape at the two fast windows
+// in use: the default (5m) keeps the 1h slow window and 2m hold-down
+// the engine has always had, and the overload smoke's 5s gets 60s and
+// 2s.
+func TestDerivedWindows(t *testing.T) {
+	objs, err := ParseObjectives([]string{"score:p99<250ms"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		fast           time.Duration
+		slowMS, holdMS int64
+	}{
+		{0, 3_600_000, 120_000},
+		{5 * time.Minute, 3_600_000, 120_000},
+		{5 * time.Second, 60_000, 2_000},
+	} {
+		st := New(Config{Objectives: objs, FastWindow: tc.fast}).Status()
+		if st.SlowWindowMS != tc.slowMS || st.HoldDownMS != tc.holdMS {
+			t.Errorf("fast window %v: slow_window_ms %d, hold_down_ms %d; want %d, %d",
+				tc.fast, st.SlowWindowMS, st.HoldDownMS, tc.slowMS, tc.holdMS)
+		}
 	}
 }
 

@@ -109,8 +109,8 @@ type Record struct {
 	Source string `json:"source,omitempty"`
 	// ScoredAt is when the verdict was produced (UTC).
 	ScoredAt time.Time `json:"scored_at"`
-	// Error records a terminal ingestion failure (e.g. unreachable
-	// after retries) instead of an outcome.
+	// Error records a terminal ingestion failure (e.g. a URL the
+	// fetcher does not hold) instead of an outcome.
 	Error string `json:"error,omitempty"`
 }
 
