@@ -8,7 +8,7 @@ GO ?= go
 # bench-* targets below inherit it by not setting BENCH. Override per
 # run with BENCH=<regexp>.
 
-.PHONY: all build test race race-cover bench bench-smoke bench-compare bench-gate bench-json fuzz-smoke fuzz-long store-stress load-smoke overload-smoke cover fmt fmt-check vet staticcheck vulncheck serve registry-check alloc-check assembly-check leaf-check loc config-surface profile ci
+.PHONY: all build test race race-cover bench bench-smoke bench-compare bench-gate bench-json fuzz-smoke fuzz-long store-stress load-smoke overload-smoke cover fmt fmt-check vet staticcheck vulncheck serve alloc-check assembly-check leaf-check loc config-surface profile ci
 
 all: build
 
@@ -189,13 +189,6 @@ vulncheck:
 serve:
 	$(GO) run ./cmd/kpserve -addr :8080
 
-# Model-registry artifact round trip: train → Save → Load must score a
-# fixture batch identically, and two same-seed trainings must produce
-# the same content hash (the reproducibility the registry's hashes
-# promise). Uncached (-count=1) so the check really runs per CI push.
-registry-check:
-	$(GO) test -count=1 -run 'TestRoundTrip|TestSaveIsDeterministic' ./internal/registry
-
 # Allocation contracts in a non-race build: every test named *Alloc*
 # in the module — 0 allocs on the warm scoring and memoized paths (a
 # cache hit through the server's scoreSnap included), the content hash,
@@ -224,7 +217,7 @@ assembly-check:
 
 # The paper as a leaf library: the detector and target identifier's
 # packages import nothing of this module but each other and the
-# stdlib-only worker pool — no tracing, no registry, no serving stack —
+# stdlib-only worker pool — no tracing, no store, no serving stack —
 # and they build for the browser (GOOS=js GOARCH=wasm), the client-side
 # deployment the paper argues for (examples/clientside).
 LEAF_PKGS = urlx htmlx terms webpage features ml search target ocr ranking core
@@ -262,4 +255,4 @@ profile:
 	curl -fsS "http://$(DEBUG_ADDR)/debug/pprof/profile?seconds=10" -o cpu.pprof
 	@echo "wrote cpu.pprof; inspect with: $(GO) tool pprof cpu.pprof"
 
-ci: fmt-check vet staticcheck vulncheck assembly-check leaf-check build race-cover registry-check alloc-check bench-smoke fuzz-smoke
+ci: fmt-check vet staticcheck vulncheck assembly-check leaf-check build race-cover alloc-check bench-smoke fuzz-smoke

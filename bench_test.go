@@ -22,7 +22,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -40,7 +39,6 @@ import (
 	"knowphish/internal/loadgen"
 	"knowphish/internal/ml"
 	"knowphish/internal/obs"
-	"knowphish/internal/registry"
 	"knowphish/internal/serve"
 	"knowphish/internal/slo"
 	"knowphish/internal/store"
@@ -876,83 +874,6 @@ func BenchmarkPhishGeneration(b *testing.B) {
 		if !site.IsPhish {
 			b.Fatal("not phish")
 		}
-	}
-}
-
-// BenchmarkHotSwap prices the zero-downtime model swap: the same
-// scoring loop runs against a registry source in steady state
-// (swaps=off) and while a background goroutine promotes champions as
-// fast as the registry allows (swaps=on). The swap path is one atomic
-// store plus cold-path disk IO, and the scoring hot path is one atomic
-// load, so the p99-ns/op metric of the two sub-benchmarks must stay
-// comparable — a swap never stalls in-flight scorers.
-func BenchmarkHotSwap(b *testing.B) {
-	r := benchSetup(b)
-	d, err := r.Detector(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reg, err := registry.Open(b.TempDir(), r.Corpus.World.Ranking())
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Two registered versions of the same artifact: swapping between
-	// them isolates the swap mechanics from model-quality differences.
-	for i := 0; i < 2; i++ {
-		if _, err := reg.Save(d, registry.TrainingStats{Source: "bench"}, ""); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := reg.SetChampion("v0001"); err != nil {
-		b.Fatal(err)
-	}
-	snap := benchSnapshot(b, true)
-	req := core.NewScoreRequest(snap, core.WithoutTargetID())
-	ctx := context.Background()
-
-	for _, swapping := range []bool{false, true} {
-		name := "swaps=off"
-		if swapping {
-			name = "swaps=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			done := make(chan struct{})
-			swapped := make(chan struct{})
-			if swapping {
-				go func() {
-					defer close(swapped)
-					versions := [2]string{"v0002", "v0001"}
-					for i := 0; ; i++ {
-						select {
-						case <-done:
-							return
-						default:
-						}
-						if _, err := reg.SetChampion(versions[i%2]); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			} else {
-				close(swapped)
-			}
-			durations := make([]time.Duration, b.N)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t0 := time.Now()
-				det := reg.Current()
-				if _, err := det.ScoreCtx(ctx, req); err != nil {
-					b.Fatal(err)
-				}
-				durations[i] = time.Since(t0)
-			}
-			b.StopTimer()
-			close(done)
-			<-swapped
-			sort.Slice(durations, func(i, j int) bool { return durations[i] < durations[j] })
-			b.ReportMetric(float64(durations[len(durations)*99/100].Nanoseconds()), "p99-ns/op")
-		})
 	}
 }
 

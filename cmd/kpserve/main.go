@@ -12,16 +12,14 @@
 //	kpserve -addr :8080 -store verdicts/                     # demo + feed
 //	kpserve -addr :8080 -model model.json -ranking data/ranking.csv -index index.json
 //	kpserve -addr :8080 -deadline 250ms                      # bounded verdicts
-//	kpserve -addr :8080 -registry models/ -store verdicts/   # versioned models, promoted by hand
 //	kpserve -addr :8080 -slo "score:p99<250ms,avail>99.9"    # error budgets + load shedding
 
-// The model comes from -model (artifacts written by kptrain and kpgen),
-// from -registry (versioned models behind an atomic pointer, hot-swapped
-// through POST /v2/models/promote with no restart), or — with neither —
-// from a detector self-trained on the synthetic corpus, a one-command
-// demo. The synthetic world doubles as the crawl source, so outside
-// -model mode -store also enables the feed pipeline (POST /v1/feed →
-// crawl → score → persist).
+// The model comes from -model (artifacts written by kptrain and kpgen)
+// or, without it, from a detector self-trained on the synthetic corpus,
+// a one-command demo. The process serves that one model until it exits;
+// to change the model, restart it with a new -model file. The synthetic
+// world doubles as the crawl source, so outside -model mode -store also
+// enables the feed pipeline (POST /v1/feed → crawl → score → persist).
 // Structured logs go to stderr; -debug-addr binds net/http/pprof on a
 // separate listener.
 //
@@ -121,7 +119,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (app.Config, options, error) {
 	fs.StringVar(&cfg.Ranking, "ranking", "", "popularity list CSV from kpgen (optional)")
 	fs.StringVar(&cfg.Index, "index", "", "search index JSON (optional; required with -model for target identification)")
 	fs.IntVar(&cfg.Workers, "workers", 0, "batch fan-out cap (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.MemoEntries, "memo-size", coalesce.DefaultMemoEntries, "entries per content-addressed memo table, score and target: ~55 bytes per scored page plus ~0.24 KB per detector positive (~0.8 KB once it is read again), whatever the page size (negative: no verdict reuse, every request computes every stage)")
+	fs.IntVar(&cfg.MemoEntries, "memo-size", coalesce.DefaultMemoEntries, "entries per content-addressed memo table, score and target: ~45 bytes per scored page plus ~0.23 KB per detector positive (~0.8 KB once it is read again), whatever the page size (negative: no verdict reuse, every request computes every stage)")
 	fs.DurationVar(&cfg.Deadline, "deadline", 0, "default per-request scoring deadline (0 = none; requests may set their own deadline_ms)")
 	fs.IntVar(&cfg.Scale, "scale", 25, "corpus scale for the self-train path")
 	fs.Int64Var(&cfg.Seed, "seed", app.DefaultSeed, "seed for the self-train path")
@@ -133,8 +131,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (app.Config, options, error) {
 	fs.Float64Var(&cfg.DomainRate, "domain-rate", feed.DefaultDomainRate, "per-registered-domain crawl rate in URLs/sec, with a burst of two seconds of it (negative: unlimited)")
 
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", app.DefaultDrainTimeout, "max wait for the feed to drain on shutdown")
-
-	fs.StringVar(&cfg.Registry, "registry", "", "model registry directory (versioned artifacts, /v2/models, zero-downtime champion hot-swap)")
 
 	logLevel := fs.String("log-level", "info", "structured log level: debug, info, warn or error")
 	logFormat := fs.String("log-format", "text", "structured log encoding: text or json")

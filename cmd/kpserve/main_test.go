@@ -24,7 +24,6 @@ var nonDefault = []string{
 	"-feed-workers", "2",
 	"-domain-rate", "-1",
 	"-drain-timeout", "3s",
-	"-registry", "models",
 	"-log-level", "debug",
 	"-log-format", "json",
 	"-debug-addr", "127.0.0.1:6060",

@@ -50,8 +50,8 @@ func renderFrame(prev, cur *frame, color bool) string {
 	var b strings.Builder
 
 	// Header: uptime, rates, in-flight, cache.
-	fmt.Fprintf(&b, "%skptop%s  up %s  model %s\n", p.bold, p.reset,
-		(time.Duration(m.UptimeSeconds) * time.Second).String(), orDash(m.ModelVersion))
+	fmt.Fprintf(&b, "%skptop%s  up %s\n", p.bold, p.reset,
+		(time.Duration(m.UptimeSeconds) * time.Second).String())
 	reqRate, shedRate := rates(prev, cur)
 	fmt.Fprintf(&b, "  requests %d (%.1f/s)   errors %d   in-flight %d   cache hit %.0f%%\n",
 		m.Requests, reqRate, m.Errors, m.InFlight, m.CacheHitRate*100)
@@ -186,13 +186,6 @@ func us(v int64) string {
 	default:
 		return fmt.Sprintf("%.2fs", float64(v)/1_000_000)
 	}
-}
-
-func orDash(s string) string {
-	if s == "" {
-		return "-"
-	}
-	return s
 }
 
 func sortedKeys[V any](m map[string]V) []string {

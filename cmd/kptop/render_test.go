@@ -20,7 +20,6 @@ func testFrame(at time.Time) *frame {
 			Errors:        3,
 			InFlight:      4,
 			CacheHitRate:  0.5,
-			ModelVersion:  "v0007",
 			Shed:          serve.ShedMetrics{Total: 40, Queued: 2, Level: 2},
 			Endpoints: map[string]serve.EndpointMetrics{
 				"score": {Priority: 3, Shed: 38, Windows: []obs.WindowSummary{
@@ -69,7 +68,6 @@ func TestRenderFrame(t *testing.T) {
 
 	for _, want := range []string{
 		"up 1m30s",
-		"model v0007",
 		"requests 1200",
 		"state warn",
 		"shed level 2",

@@ -5,19 +5,14 @@
 // Usage:
 //
 //	kptrain -model model.json -scale 10 -seed 1 -trees 120
-//	kptrain -registry models/ -scale 10 -seed 1    # versioned artifact
 //
-// With -registry the model becomes the next content-hashed version in a
-// model registry (see internal/registry): manifest with training stats,
-// held-out metrics and the feature-set hash, promoted to champion when
-// the registry has none yet (or when -promote is set). Training is
-// deterministic for a fixed -seed, so the artifact's content hash is
-// reproducible across runs — CI checks this round-trips.
+// Training is deterministic for a fixed -seed: the same flags write the
+// same bytes. kpserve -model serves the file; to change the model a
+// server scores with, restart it on a new one.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -27,7 +22,6 @@ import (
 	"knowphish/internal/core"
 	"knowphish/internal/features"
 	"knowphish/internal/ml"
-	"knowphish/internal/registry"
 	"knowphish/internal/webgen"
 )
 
@@ -40,20 +34,15 @@ func main() {
 
 func run() error {
 	var (
-		modelPath   = flag.String("model", "model.json", "output model path (ignored with -registry)")
-		registryDir = flag.String("registry", "", "write the model into this registry directory as the next content-hashed version")
-		promote     = flag.Bool("promote", false, "promote the saved version to champion (implied when the registry has no champion)")
-		scale       = flag.Int("scale", 10, "corpus scale divisor")
-		seed        = flag.Int64("seed", 1, "generation and training seed")
-		trees       = flag.Int("trees", 120, "boosting rounds")
-		depth       = flag.Int("depth", 4, "tree depth")
-		threshold   = flag.Float64("threshold", core.DefaultThreshold, "discrimination threshold")
-		set         = flag.String("features", "fall", "feature set: "+setNames())
+		modelPath = flag.String("model", "model.json", "output model path")
+		scale     = flag.Int("scale", 10, "corpus scale divisor")
+		seed      = flag.Int64("seed", 1, "generation and training seed")
+		trees     = flag.Int("trees", 120, "boosting rounds")
+		depth     = flag.Int("depth", 4, "tree depth")
+		threshold = flag.Float64("threshold", core.DefaultThreshold, "discrimination threshold")
+		set       = flag.String("features", "fall", "feature set: "+setNames())
 	)
 	flag.Parse()
-	if *promote && *registryDir == "" {
-		return errors.New("-promote requires -registry")
-	}
 
 	fset, err := parseFeatureSet(*set)
 	if err != nil {
@@ -105,36 +94,6 @@ func run() error {
 	auc := ml.AUC(scores, truth)
 	fmt.Printf("held-out: precision=%.3f recall=%.3f fpr=%.4f auc=%.4f\n",
 		conf.Precision(), conf.Recall(), conf.FPR(), auc)
-
-	if *registryDir != "" {
-		reg, err := registry.Open(*registryDir, corpus.World.Ranking())
-		if err != nil {
-			return err
-		}
-		phish := 0
-		for _, y := range labels {
-			phish += y
-		}
-		man, err := reg.Save(det, registry.TrainingStats{
-			Samples:         len(snaps),
-			Phish:           phish,
-			Legitimate:      len(snaps) - phish,
-			HeldOutAUC:      auc,
-			HeldOutAccuracy: conf.Accuracy(),
-			Source:          "synthetic-corpus",
-		}, fmt.Sprintf("kptrain -scale %d -seed %d -trees %d", *scale, *seed, *trees))
-		if err != nil {
-			return err
-		}
-		fmt.Printf("registered %s (hash %s) in %s\n", man.Version, man.Hash[:12], *registryDir)
-		if *promote || reg.ChampionVersion() == "" {
-			if _, err := reg.SetChampion(man.Version); err != nil {
-				return err
-			}
-			fmt.Printf("champion: %s\n", man.Version)
-		}
-		return nil
-	}
 
 	f, err := os.Create(*modelPath)
 	if err != nil {

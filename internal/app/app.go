@@ -53,24 +53,22 @@ const shutdownTimeout = 15 * time.Second
 // unless the field says otherwise.
 type Config struct {
 	// The model source, first match wins: a World the caller already
-	// holds; Registry, a versioned model directory served from an atomic
-	// pointer on top of the self-train corpus (bootstrap-trained when it
-	// has no champion); Model, a detector file from kptrain with its
-	// optional Ranking CSV and search Index; else the self-train recipe —
-	// build the synthetic corpus at Scale/Seed and fit the demo detector.
-	World    *World
-	Registry string
-	Model    string
-	Ranking  string
-	Index    string
-	Scale    int
-	Seed     int64
+	// holds; Model, a detector file from kptrain with its optional
+	// Ranking CSV and search Index; else the self-train recipe — build
+	// the synthetic corpus at Scale/Seed and fit the demo detector. The
+	// process serves that one detector until it exits.
+	World   *World
+	Model   string
+	Ranking string
+	Index   string
+	Scale   int
+	Seed    int64
 
 	// Workers bounds concurrent pipeline executions (0 → GOMAXPROCS).
 	Workers int
 	// MemoEntries is the capacity of each of the stage memo's two tables,
-	// score and target (negative: no verdict reuse). About 55 bytes per
-	// scored page plus 0.24 KB per detector positive (0.8 KB once it is
+	// score and target (negative: no verdict reuse). About 45 bytes per
+	// scored page plus 0.23 KB per detector positive (0.8 KB once it is
 	// read again), whatever the page size (see
 	// coalesce.Config.MemoEntries).
 	MemoEntries int
@@ -205,7 +203,6 @@ func Start(cfg Config) (_ *App, err error) {
 
 	a.Server, err = serve.New(serve.Config{
 		Detector:        m.Detector,
-		Registry:        m.reg,
 		Identifier:      identifier,
 		Workers:         cfg.Workers,
 		Coalescer:       coal,
@@ -251,14 +248,10 @@ func Start(cfg Config) (_ *App, err error) {
 // startFeed builds the feed scheduler scoring through the shared stage
 // memo.
 func (a *App) startFeed(cfg Config, m World, identifier *target.Identifier, coal *coalesce.Coalescer, tracer *obs.Tracer) error {
-	det := m.Detector
-	if m.reg != nil {
-		det = m.reg.Current()
-	}
 	var err error
 	a.Feed, err = feed.New(feed.Config{
 		Fetcher:    m.Fetcher,
-		Pipeline:   &core.Pipeline{Detector: det, Identifier: identifier},
+		Pipeline:   &core.Pipeline{Detector: m.Detector, Identifier: identifier},
 		Store:      a.Store,
 		Workers:    cfg.FeedWorkers,
 		QueueDepth: cfg.FeedQueue,
@@ -266,15 +259,6 @@ func (a *App) startFeed(cfg Config, m World, identifier *target.Identifier, coal
 		Tracer:     tracer,
 		Logger:     a.logger,
 		Score: func(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest) (core.Verdict, error) {
-			// Registry mode: each URL scores on the champion current when
-			// it is picked up, so a promotion reaches the feed on the next
-			// item; items already scoring finish on the model they started
-			// with.
-			if m.reg != nil {
-				if det := m.reg.Current(); det != nil {
-					pipe = &core.Pipeline{Detector: det, Identifier: identifier}
-				}
-			}
 			return coal.Do(ctx, pipe, req, coalesce.CacheDefault, nil)
 		},
 	})

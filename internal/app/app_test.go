@@ -16,7 +16,6 @@ import (
 	"knowphish/internal/core"
 	"knowphish/internal/crawl"
 	"knowphish/internal/obs"
-	"knowphish/internal/registry"
 	"knowphish/internal/serve"
 	"knowphish/internal/store"
 	"knowphish/internal/target"
@@ -124,7 +123,7 @@ func TestFeedAndHTTPShareOneIdentifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, _, err := TrainDemo(corpus, seed)
+	det, err := TrainDemo(corpus, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,90 +182,14 @@ func TestFeedAndHTTPShareOneIdentifier(t *testing.T) {
 	}
 }
 
-// TestRegistryFeedFollowsPromotion: in registry mode the feed scores
-// every URL on the champion current when the URL is picked up. URLs fed
-// before a promotion are stored under v0001; after an operator registers
-// v0002 from a second registry handle (what `kptrain -registry` does) and
-// promotes it over HTTP, every URL fed is stored under v0002, and no URL
-// fails on the way.
-func TestRegistryFeedFollowsPromotion(t *testing.T) {
-	const scale, seed = 200, 7
-	dir := t.TempDir()
-	regDir := filepath.Join(dir, "models")
-	a, err := Start(Config{Scale: scale, Seed: seed, Registry: regDir, StorePath: filepath.Join(dir, "verdicts")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go a.Serve(ln)
-	base := "http://" + ln.Addr().String()
-
-	world := webgen.New(webgen.Config{Seed: seed + 1})
-	urls := func(brands ...int) []string {
-		var out []string
-		for _, b := range brands {
-			out = append(out, world.BrandSiteURLs(world.Brands[b])...)
-		}
-		return out
-	}
-	feedAll := func(batch []string, want string) {
-		t.Helper()
-		var fed serve.FeedResponse
-		postJSON(t, base+"/v1/feed", serve.FeedRequest{URLs: batch}, &fed)
-		if fed.Accepted != len(batch) {
-			t.Fatalf("feed accepted %d of %d: %+v", fed.Accepted, len(batch), fed.Results)
-		}
-		if !a.Feed.Wait(time.Now().Add(30 * time.Second)) {
-			t.Fatal("feed did not process the URLs in time")
-		}
-		for _, u := range batch {
-			rec, ok, err := a.Store.Get(context.Background(), u)
-			if err != nil || !ok || rec.Error != "" || rec.ModelVersion != want {
-				t.Fatalf("%s: stored ok=%v err=%v failure=%q model %q, want %s", u, ok, err, rec.Error, rec.ModelVersion, want)
-			}
-		}
-	}
-	feedAll(urls(0, 1), "v0001")
-
-	corpus, err := BuildCorpus(scale, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, stats, err := TrainDemo(corpus, seed+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, err := registry.Open(regDir, corpus.World.Ranking())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man, err := reg.Save(det, stats, "second version"); err != nil || man.Version != "v0002" {
-		t.Fatalf("registering the second version: %+v, %v", man, err)
-	}
-	var prom serve.PromoteResponse
-	postJSON(t, base+"/v2/models/promote", serve.PromoteRequest{Version: "v0002"}, &prom)
-	if !prom.Promoted || prom.From != "v0001" {
-		t.Fatalf("promote: %+v", prom)
-	}
-
-	feedAll(urls(2, 3), "v0002")
-	if fs := a.Feed.Stats(); fs.Failed != 0 {
-		t.Fatalf("%d feed failures", fs.Failed)
-	}
-}
-
 // TestStartUnwindsOnError runs the early-error path with the model
 // built and the store failing to open (its path names a regular file),
 // and with nothing built yet (a malformed SLO spec is found first):
 // Start reports the build error and returns once the partial assembly
 // has been closed again. No configuration error can surface later:
-// once the store and the feed are up, serve.New's two errors (neither
-// a detector nor a registry; no identifier) cannot occur, because Start
-// always passes a model and an identifier.
+// once the store and the feed are up, serve.New's two errors (no
+// detector; no identifier) cannot occur, because Start always passes a
+// model and an identifier.
 func TestStartUnwindsOnError(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "verdicts")
 	if err := os.WriteFile(file, nil, 0o644); err != nil {

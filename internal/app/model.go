@@ -12,7 +12,6 @@ import (
 	"knowphish/internal/dataset"
 	"knowphish/internal/ml"
 	"knowphish/internal/ranking"
-	"knowphish/internal/registry"
 	"knowphish/internal/search"
 )
 
@@ -24,13 +23,10 @@ type World struct {
 	Detector *core.Detector
 	Engine   *search.Engine
 	Fetcher  crawl.Fetcher
-
-	// Registry mode: reg serves the detector instead of Detector.
-	reg *registry.Registry
 }
 
 // BuildCorpus generates the synthetic world and its campaigns — the
-// substrate of the self-train and registry modes and of kptrain.
+// substrate of the self-train mode and of kptrain.
 // dataset gives the world seed+1, which is what lets `kpload run -seed
 // N` replay URLs a `-seed N` server resolves.
 func BuildCorpus(scale int, seed int64) (*dataset.Corpus, error) {
@@ -42,28 +38,14 @@ func BuildCorpus(scale int, seed int64) (*dataset.Corpus, error) {
 }
 
 // TrainDemo fits the demo detector — the fixed recipe of every
-// self-trained server — on the corpus training campaigns, and reports
-// what it trained on.
-func TrainDemo(corpus *dataset.Corpus, seed int64) (*core.Detector, registry.TrainingStats, error) {
+// self-trained server — on the corpus training campaigns.
+func TrainDemo(corpus *dataset.Corpus, seed int64) (*core.Detector, error) {
 	snaps := append(corpus.LegTrain.Snapshots(), corpus.PhishTrain.Snapshots()...)
 	labels := append(corpus.LegTrain.Labels(), corpus.PhishTrain.Labels()...)
-	det, err := core.Train(snaps, labels, core.TrainConfig{
+	return core.Train(snaps, labels, core.TrainConfig{
 		GBM:  ml.GBMConfig{Trees: 100, MaxDepth: 4, Subsample: 0.8, MinLeaf: 5, Seed: seed + 2},
 		Rank: corpus.World.Ranking(),
 	})
-	if err != nil {
-		return nil, registry.TrainingStats{}, err
-	}
-	phish := 0
-	for _, y := range labels {
-		phish += y
-	}
-	return det, registry.TrainingStats{
-		Samples:    len(labels),
-		Phish:      phish,
-		Legitimate: len(labels) - phish,
-		Source:     "synthetic-corpus",
-	}, nil
 }
 
 // loadWorld resolves cfg's model source (see Config).
@@ -71,8 +53,6 @@ func loadWorld(cfg Config, logger *slog.Logger) (World, error) {
 	switch {
 	case cfg.World != nil:
 		return *cfg.World, nil
-	case cfg.Registry != "":
-		return openRegistry(cfg, logger)
 	case cfg.Model != "":
 		return loadArtifacts(cfg.Model, cfg.Ranking, cfg.Index, logger)
 	case cfg.Ranking != "" || cfg.Index != "":
@@ -83,44 +63,8 @@ func loadWorld(cfg Config, logger *slog.Logger) (World, error) {
 	if err != nil {
 		return World{}, err
 	}
-	det, _, err := TrainDemo(corpus, cfg.Seed)
+	det, err := TrainDemo(corpus, cfg.Seed)
 	return World{Detector: det, Engine: corpus.Engine, Fetcher: corpus.World}, err
-}
-
-// openRegistry is registry mode. It rides the self-train world: the
-// corpus supplies the search index, the crawl source and the popularity
-// ranking, while the models come from (or bootstrap into) the registry.
-func openRegistry(cfg Config, logger *slog.Logger) (World, error) {
-	if cfg.Model != "" {
-		return World{}, errors.New("a registry and a model file are mutually exclusive; import a model file with kptrain -registry")
-	}
-	logger.Info("building corpus", "scale", cfg.Scale)
-	corpus, err := BuildCorpus(cfg.Scale, cfg.Seed)
-	if err != nil {
-		return World{}, err
-	}
-	reg, err := registry.Open(cfg.Registry, corpus.World.Ranking())
-	if err != nil {
-		return World{}, err
-	}
-	if reg.ChampionVersion() == "" {
-		logger.Info("registry has no champion; training the initial version", "registry", cfg.Registry)
-		det, stats, err := TrainDemo(corpus, cfg.Seed)
-		if err != nil {
-			return World{}, err
-		}
-		man, err := reg.Save(det, stats, "kpserve bootstrap")
-		if err != nil {
-			return World{}, err
-		}
-		if _, err := reg.SetChampion(man.Version); err != nil {
-			return World{}, err
-		}
-	}
-	m, _ := reg.Champion()
-	logger.Info("serving champion",
-		"version", m.Manifest.Version, "hash", m.Manifest.Hash[:12], "registered_versions", reg.Len())
-	return World{Engine: corpus.Engine, Fetcher: corpus.World, reg: reg}, nil
 }
 
 // readArtifact decodes the file at path with read.

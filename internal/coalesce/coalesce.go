@@ -4,24 +4,24 @@
 // Two sharded LRU tables, keyed by the page's 128-bit content key
 // (webpage.ContentKey), memoize what a verdict is made of: the detector
 // score and, for a detector positive, the target-identification result.
-// Both are stamped with the model version — an interned id, not the
-// string — and dropped when a new champion is promoted. Each shard of a
-// table is a slab — entries in chunks of slots, linked into recency
-// order by slot number and found through an open-addressed index — so
-// an entry costs its data and a few bytes of index, not heap objects of
-// its own. A score slot holds no pointer at all (key, score, version
-// id, links: 40 bytes), so the collector never scans the score table;
-// the 32-hex fingerprint is spelled from the key by whoever renders or
-// stores it. A target entry is stored packed — one pointer-free string
-// naming each candidate by its search-index domain id — and expanded
-// into a shared *target.Result on its first hit. The memo keeps
-// verdicts, not pages: no entry references the snapshot, its analysis
-// or its feature vector, so nothing a client sent stays reachable after
-// its response is written, and an entry's size does not depend on the
-// page (see Config.MemoEntries). These tables are the only verdict
-// reuse in the process: a request whose score — and target result,
-// when it needs one — is found is what the serving layer reports as a
-// cache hit.
+// The tables belong to one detector, the first one a pass goes through:
+// a process serves one model for its lifetime, so an entry carries no
+// model stamp. Each shard of a table is a slab — entries in chunks of
+// slots, linked into recency order by slot number and found through an
+// open-addressed index — so an entry costs its data and a few bytes of
+// index, not heap objects of its own. A score slot holds no pointer at
+// all (key, score and links: 32 bytes), so the collector never scans
+// the score table; the 32-hex fingerprint is spelled from the key by
+// whoever renders or stores it. A target entry is stored packed — one
+// pointer-free string naming each candidate by its search-index domain
+// id — and expanded into a shared *target.Result on its first hit. The
+// memo keeps verdicts, not pages: no entry references the snapshot,
+// its analysis or its feature vector, so nothing a client sent stays
+// reachable after its response is written, and an entry's size does
+// not depend on the page (see Config.MemoEntries). These tables are
+// the only verdict reuse in the process: a request whose score — and
+// target result, when it needs one — is found is what the serving
+// layer reports as a cache hit.
 //
 // Coalescer.Do hashes the page, looks the score up and then, for a
 // positive, the target result, hands what it found to the pipeline's
@@ -35,8 +35,6 @@ package coalesce
 import (
 	"context"
 	"errors"
-	"maps"
-	"sync"
 	"sync/atomic"
 
 	"knowphish/internal/core"
@@ -96,16 +94,16 @@ type Config struct {
 	// target (0 = DefaultMemoEntries; negative disables memoization — Do
 	// still computes the page's content key and scores it). It bounds
 	// memory, not only the entry count, because no entry grows with its
-	// page: a score entry is about 55 bytes (a 40-byte slot of key,
-	// score, version id and links, and its index cells), and a target
-	// entry — detector positives only — about 240 bytes more: a 56-byte
-	// slot and a packed string of its verdict, at most 30 candidates as
-	// domain ids, and its key terms, copied out of the page (the one
-	// part that is as long as the page spelled it). A target entry's
-	// first hit expands it to about 0.8 KB, the size of the result it
-	// shares with every later hit. The default is ~3.6 MB of scores when
-	// full, ~19 MB if every page were a positive, and ~54 MB if every
-	// one of those had been read again
+	// page: a score entry is about 45 bytes (a 32-byte slot of key,
+	// score and links, and its index cells), and a target entry —
+	// detector positives only — about 235 bytes more: a 48-byte slot and
+	// a packed string of its verdict, at most 30 candidates as domain
+	// ids, and its key terms, copied out of the page (the one part that
+	// is as long as the page spelled it). A target entry's first hit
+	// expands it to about 0.8 KB, the size of the result it shares with
+	// every later hit. The default is ~2.9 MB of scores when full, ~18 MB
+	// if every page were a positive, and ~53 MB if every one of those
+	// had been read again
 	// (TestHeapAllocRetainedPerScoreEntry,
 	// TestHeapAllocRetainedPerTargetEntry and
 	// TestHeapAllocRetainedPerPage hold the per-page figures).
@@ -120,8 +118,9 @@ type Stats struct {
 	// benchmark read the pair.
 	Batches      uint64 `json:"batches"`
 	BatchedItems uint64 `json:"batched_items"`
-	// Bypassed counts requests routed around the memo (explain requests,
-	// whose evidence is never memoized).
+	// Bypassed counts requests routed around the memo: explain requests,
+	// whose evidence is never memoized, and passes through a detector the
+	// tables do not belong to.
 	Bypassed uint64 `json:"bypassed"`
 
 	// Analysis and Features always read zero: there are no such tables.
@@ -133,33 +132,25 @@ type Stats struct {
 	Target   TableStats `json:"target"`
 }
 
-// scoreEntry memoizes the detector score for one model version. It
-// holds no pointer — the slot's key is the page's identity, and callers
-// spell it where they render it — so a score table is never scanned by
-// the collector.
+// scoreEntry memoizes the detector score. It holds no pointer — the
+// slot's key is the page's identity, and callers spell it where they
+// render it — so a score table is never scanned by the collector.
 type scoreEntry struct {
 	score float64
-	ver   versionID
 }
 
 // targetEntry memoizes the target-identification result of a detector
-// positive for one model version. A new entry is packed: one
-// pointer-free string (packTarget) that names each candidate by its
-// search-index domain id, about 160 bytes where the result it encodes
-// takes 0.75 KB. Its first hit expands it — into the result res points
-// to, which that hit and every later one share read-only, so a warm
-// lookup never copies it onto the heap — and puts the expansion back in
-// place of the string. An entry whose result does not pack holds res
-// from the start.
+// positive. A new entry is packed: one pointer-free string (packTarget)
+// that names each candidate by its search-index domain id, about 160
+// bytes where the result it encodes takes 0.75 KB. Its first hit
+// expands it — into the result res points to, which that hit and every
+// later one share read-only, so a warm lookup never copies it onto the
+// heap — and puts the expansion back in place of the string. An entry
+// whose result does not pack holds res from the start.
 type targetEntry struct {
 	res    *target.Result
 	packed string
-	ver    versionID
 }
-
-// versionID stands for one model version string in the memo tables (see
-// Coalescer.versionID).
-type versionID uint32
 
 // Coalescer memoizes the scoring pipeline's stages by page content. The
 // zero value is not usable; build one with New. A nil *Coalescer is
@@ -168,12 +159,11 @@ type Coalescer struct {
 	score  *memoTable[scoreEntry]
 	target *memoTable[targetEntry]
 
-	// versions maps every model version string an entry was stamped
-	// with to its id. It is copied on write under versionMu and read
-	// without a lock: a registry promotes a handful of versions in a
-	// process's life, and every Do looks one up.
-	versions  atomic.Pointer[map[string]versionID]
-	versionMu sync.Mutex
+	// detector is the detector the tables belong to: the first one a
+	// pass went through. A process serves one detector, so every pass
+	// goes through it; a pass through another is bypassed, so it can
+	// neither read a score this one computed nor leave one of its own.
+	detector atomic.Pointer[core.Detector]
 
 	// engine is the search index whose domain ids packed target entries
 	// hold: the first one an entry was packed against. A process has one
@@ -192,33 +182,22 @@ func New(cfg Config) *Coalescer {
 	if memo == 0 {
 		memo = DefaultMemoEntries
 	}
-	c := &Coalescer{
+	return &Coalescer{
 		score:  newMemoTable[scoreEntry](memo),
 		target: newMemoTable[targetEntry](memo),
 	}
-	c.versions.Store(&map[string]versionID{})
-	return c
 }
 
-// versionID interns ver. Equal strings always get the same id and
-// distinct strings distinct ids, so comparing ids is comparing the
-// version strings: an entry hits only under the version that computed
-// it.
-func (c *Coalescer) versionID(ver string) versionID {
-	if id, ok := (*c.versions.Load())[ver]; ok {
-		return id
+// owns reports whether d is the detector the tables belong to, pinning
+// d when no pass has pinned one yet. Once the pin is set it is one
+// atomic load.
+func (c *Coalescer) owns(d *core.Detector) bool {
+	p := c.detector.Load()
+	if p == nil {
+		c.detector.CompareAndSwap(nil, d)
+		p = c.detector.Load()
 	}
-	c.versionMu.Lock()
-	defer c.versionMu.Unlock()
-	old := *c.versions.Load()
-	if id, ok := old[ver]; ok {
-		return id
-	}
-	ids := maps.Clone(old)
-	id := versionID(len(old) + 1) // 0 is no version's id
-	ids[ver] = id
-	c.versions.Store(&ids)
-	return id
+	return p == d
 }
 
 // Do scores one request through the memo: content hash, memo lookups,
@@ -229,10 +208,11 @@ func (c *Coalescer) versionID(ver string) versionID {
 // are only ever computed or empty).
 //
 // Explain requests are per-request by nature and are transparently
-// routed to pipe.AnalyzeCtx. A nil receiver routes
+// routed to pipe.AnalyzeCtx, and so is a pass through a detector other
+// than the one the tables belong to (see owns). A nil receiver routes
 // everything there — callers need no "is memoization on" branches.
 func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest, cc CacheControl, prov *core.MemoProvenance) (core.Verdict, error) {
-	if c == nil || req.Explains() {
+	if c == nil || req.Explains() || !c.owns(pipe.Detector) {
 		if c != nil {
 			c.bypassed.Add(1)
 		}
@@ -253,23 +233,16 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 	reads := cc == CacheDefault && c.Enabled()
 	writes := cc != CacheNoMemo && c.Enabled()
 
-	// id is the version of the detector that scores this pass: what an
-	// entry must carry to be read, and what the pass stamps its writes
-	// with.
 	var st core.StageResults
-	var id versionID
-	if reads || writes {
-		id = c.versionID(pipe.Detector.Version())
-	}
 	if reads {
-		if e, ok := c.score.Get(key); ok && e.ver == id {
+		if e, ok := c.score.Get(key); ok {
 			st.HasScore, st.Score = true, e.score
 		}
 		// The target table only ever holds detector positives: probing it
 		// for a page whose memoised score is below the threshold would
 		// count a miss on every warm legitimate hit.
 		if !st.HasScore || st.Score >= pipe.Detector.Threshold() {
-			if e, ok := c.target.Get(key); ok && e.ver == id {
+			if e, ok := c.target.Get(key); ok {
 				st.TargetResult = c.expand(key, e, pipe)
 			}
 		}
@@ -282,10 +255,10 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 	v.ContentKey = key
 	if writes {
 		if st.Computed&core.StageMaskScore != 0 {
-			c.score.Put(key, scoreEntry{score: v.Score, ver: id})
+			c.score.Put(key, scoreEntry{score: v.Score})
 		}
 		if st.Computed&core.StageMaskTarget != 0 {
-			c.target.Put(key, c.newTargetEntry(pipe.Identifier.Engine, v.Target, id))
+			c.target.Put(key, c.newTargetEntry(pipe.Identifier.Engine, v.Target))
 		}
 	}
 	if prov != nil {
@@ -308,17 +281,17 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 	return v, nil
 }
 
-// newTargetEntry is the entry that keeps res, identified against eng, for
-// model version ver: packed when eng is the coalescer's engine and res
-// packs, else ownedResult's copy.
-func (c *Coalescer) newTargetEntry(eng *search.Engine, res target.Result, ver versionID) targetEntry {
+// newTargetEntry is the entry that keeps res, identified against eng:
+// packed when eng is the coalescer's engine and res packs, else
+// ownedResult's copy.
+func (c *Coalescer) newTargetEntry(eng *search.Engine, res target.Result) targetEntry {
 	c.engine.CompareAndSwap(nil, eng)
 	if eng == c.engine.Load() {
 		if p, ok := packTarget(eng, res); ok {
-			return targetEntry{packed: p, ver: ver}
+			return targetEntry{packed: p}
 		}
 	}
-	return targetEntry{res: ownedResult(res), ver: ver}
+	return targetEntry{res: ownedResult(res)}
 }
 
 // expand returns the result e holds for key, expanding a packed entry
@@ -333,7 +306,7 @@ func (c *Coalescer) expand(key webpage.Key128, e targetEntry, pipe *core.Pipelin
 		return nil
 	}
 	res := expandTarget(pipe.Identifier.Engine, e.packed)
-	replace(c.target, key, e, targetEntry{res: res, ver: e.ver})
+	replace(c.target, key, e, targetEntry{res: res})
 	return res
 }
 
@@ -341,17 +314,6 @@ func (c *Coalescer) expand(key webpage.Key128, e targetEntry, pipe *core.Pipelin
 // Coalescer or one built with negative MemoEntries, where every request
 // computes every stage.
 func (c *Coalescer) Enabled() bool { return c != nil && c.score != nil }
-
-// InvalidateModel empties the memo — the promotion hook. Entries are
-// additionally version-stamped, so even a read racing the flush cannot
-// resurrect a stale score under the new champion.
-func (c *Coalescer) InvalidateModel() {
-	if c == nil {
-		return
-	}
-	c.score.Flush()
-	c.target.Flush()
-}
 
 // Snapshot returns current counters.
 func (c *Coalescer) Snapshot() Stats {

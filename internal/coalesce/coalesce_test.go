@@ -1,7 +1,6 @@
 package coalesce
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,7 +8,6 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,7 +50,6 @@ func fixtures(t testing.TB) (*dataset.Corpus, *core.Pipeline) {
 		if setupErr != nil {
 			return
 		}
-		d.SetVersion("m1")
 		setupPipe = &core.Pipeline{Detector: d, Identifier: target.New(setupCorp.Engine)}
 	})
 	if setupErr != nil {
@@ -67,10 +64,9 @@ var (
 	secondErr  error
 )
 
-// secondChampion is a second trained detector, version "m2", with its
-// own model and its own threshold, over the fixture pipeline's
-// identifier — what a promotion swaps in.
-func secondChampion(t testing.TB) *core.Pipeline {
+// secondDetector is a second trained detector, with its own model and
+// its own threshold, over the fixture pipeline's identifier.
+func secondDetector(t testing.TB) *core.Pipeline {
 	t.Helper()
 	corp, pipe := fixtures(t)
 	secondOnce.Do(func() {
@@ -85,11 +81,10 @@ func secondChampion(t testing.TB) *core.Pipeline {
 		if secondErr != nil {
 			return
 		}
-		d.SetVersion("m2")
 		secondPipe = &core.Pipeline{Detector: d, Identifier: pipe.Identifier}
 	})
 	if secondErr != nil {
-		t.Fatalf("second champion: %v", secondErr)
+		t.Fatalf("second detector: %v", secondErr)
 	}
 	return secondPipe
 }
@@ -212,125 +207,107 @@ func TestCacheControlSemantics(t *testing.T) {
 	}
 }
 
-// TestInvalidateModelOnPromotion pins the promotion contract: the memo
-// empties, and the first request per page under the new champion
-// computes every stage and matches the champion's own direct verdict.
-func TestInvalidateModelOnPromotion(t *testing.T) {
+// TestMemoServesOneDetector pins the tables to the first detector a
+// pass goes through. A pass through a second detector returns exactly
+// that detector's own AnalyzeCtx verdict: it reads no entry the first
+// detector wrote, writes none of its own and counts as bypassed, while
+// the first detector keeps hitting its entries. Then, on a fresh memo,
+// both detectors race for the pin: whichever wins it, every verdict is
+// its own detector's, and every pass through the other is bypassed.
+// Run under -race.
+func TestMemoServesOneDetector(t *testing.T) {
 	_, pipe := fixtures(t)
+	second := secondDetector(t)
 	ctx := context.Background()
-	c := New(Config{})
 	snaps := mixedSnaps(t, 8)
-	for _, snap := range snaps {
-		if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, nil); err != nil {
-			t.Fatal(err)
+	pipes := []*core.Pipeline{pipe, second}
+	want := make([][]core.Verdict, len(pipes))
+	differ := 0
+	for p, pl := range pipes {
+		for _, snap := range snaps {
+			v, err := pl.AnalyzeCtx(ctx, core.NewScoreRequest(snap))
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.Timings = core.StageTimings{}
+			want[p] = append(want[p], v)
 		}
 	}
-	before := c.Snapshot()
-	if before.Score.Entries == 0 || before.Target.Entries == 0 {
-		t.Fatalf("fixture produced empty tables: %+v", before)
-	}
-
-	// Promote: new detector (different version), flush hook fires.
-	pipe2 := secondChampion(t)
-	c.InvalidateModel()
-
-	after := c.Snapshot()
-	if after.Score.Entries != 0 || after.Target.Entries != 0 {
-		t.Fatalf("promotion left %d score / %d target entries, want 0/0", after.Score.Entries, after.Target.Entries)
-	}
-
-	// No stale verdicts: scores under the new champion match its own
-	// direct scoring, with nothing served from memo.
-	var prov core.MemoProvenance
-	for i, snap := range snaps {
-		got, err := c.Do(ctx, pipe2, core.NewScoreRequest(snap), CacheDefault, &prov)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := pipe2.AnalyzeCtx(ctx, core.NewScoreRequest(snap))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Score != want.Score || got.ModelVersion != "m2" {
-			t.Fatalf("snap %d: post-promotion score %v (model %s) != direct %v", i, got.Score, got.ModelVersion, want.Score)
-		}
-		if prov.Analysis != core.ProvComputed || prov.Features != core.ProvComputed ||
-			prov.Score != core.ProvComputed || prov.Target == core.ProvMemo {
-			t.Fatalf("snap %d: post-promotion provenance %+v, want every stage computed", i, prov)
+	for i := range snaps {
+		if want[0][i].Score != want[1][i].Score {
+			differ++
 		}
 	}
-}
-
-// TestVersionStampBlocksStaleReads covers the race the flush cannot: an
-// entry written under the old version must miss under the new one even
-// if InvalidateModel was never called.
-func TestVersionStampBlocksStaleReads(t *testing.T) {
-	_, pipe := fixtures(t)
-	ctx := context.Background()
-	c := New(Config{})
-	snap := mixedSnaps(t, 1)[0]
-	if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, nil); err != nil {
-		t.Fatal(err)
+	if differ == 0 {
+		t.Fatal("the two detectors score every page alike: a shared entry would not show")
 	}
-	d := pipe.Detector
-	old := d.Version()
-	d.SetVersion("stamp-check")
-	defer d.SetVersion(old)
-	var prov core.MemoProvenance
-	if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, &prov); err != nil {
-		t.Fatal(err)
-	}
-	if prov.Score == core.ProvMemo {
-		t.Fatal("score memoized under the old version hit under the new one")
-	}
-}
-
-// TestVersionInterning pins that entries are shared by version string,
-// not by detector: a second *Detector loaded from the same model under
-// the same version hits what the first computed, the same model under
-// another version misses, and the interning table holds one id per
-// distinct version however many requests ran.
-func TestVersionInterning(t *testing.T) {
-	corp, pipe := fixtures(t)
-	ctx := context.Background()
-	var saved bytes.Buffer
-	if err := pipe.Detector.Save(&saved); err != nil {
-		t.Fatal(err)
-	}
-	twin := func(ver string) *core.Pipeline {
-		d, err := core.Load(bytes.NewReader(saved.Bytes()), corp.World.Ranking())
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.SetVersion(ver)
-		return &core.Pipeline{Detector: d, Identifier: pipe.Identifier}
-	}
-	same, other := twin(pipe.Detector.Version()), twin("m1-other")
-	c := New(Config{})
-	snaps := mixedSnaps(t, 8)
-	do := func(p *core.Pipeline, snap *webpage.Snapshot) core.MemoProvenance {
-		t.Helper()
+	do := func(c *Coalescer, p int, i int) (core.Verdict, core.MemoProvenance, error) {
 		var prov core.MemoProvenance
-		if _, err := c.Do(ctx, p, core.NewScoreRequest(snap), CacheDefault, &prov); err != nil {
+		v, err := c.Do(ctx, pipes[p], core.NewScoreRequest(snaps[i]), CacheDefault, &prov)
+		v.Timings = core.StageTimings{}
+		return v, prov, err
+	}
+
+	c := New(Config{})
+	for i := range snaps {
+		if _, _, err := do(c, 0, i); err != nil {
 			t.Fatal(err)
 		}
-		return prov
 	}
-	for i, snap := range snaps {
-		do(pipe, snap)
-		if prov := do(same, snap); !prov.Hit() {
-			t.Fatalf("page %d: a second detector under version %q missed: %+v", i, same.Detector.Version(), prov)
+	filled := c.Snapshot()
+	for round := range 2 {
+		for i := range snaps {
+			v, prov, err := do(c, 1, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(v, want[1][i]) || prov != (core.MemoProvenance{}) {
+				t.Fatalf("round %d page %d: the second detector's pass went through the memo (provenance %+v):\n got %+v\nwant %+v", round, i, prov, v.Outcome, want[1][i].Outcome)
+			}
 		}
-		if prov := do(other, snap); prov.Score != core.ProvComputed {
-			t.Fatalf("page %d: version %q read an entry of version %q: %+v", i, other.Detector.Version(), pipe.Detector.Version(), prov)
+	}
+	if st := c.Snapshot(); st.Score != filled.Score || st.Target != filled.Target || st.Bypassed != 2*uint64(len(snaps)) {
+		t.Fatalf("the second detector's passes moved the tables or were not bypassed:\n before %+v\n after  %+v", filled, st)
+	}
+	for i := range snaps {
+		v, prov, err := do(c, 0, i)
+		if err != nil || !prov.Hit() || v.Score != want[0][i].Score {
+			t.Fatalf("page %d: the first detector lost its entry: hit=%v score %v, want %v, err %v", i, prov.Hit(), v.Score, want[0][i].Score, err)
 		}
 	}
-	pipes := []*core.Pipeline{pipe, same, other, secondChampion(t)}
-	for i := range 10_000 {
-		do(pipes[i%len(pipes)], snaps[i%len(snaps)])
+
+	c = New(Config{})
+	const workers, rounds = 8, 3
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for round := range rounds {
+				for i := range snaps {
+					v, _, err := do(c, p, i)
+					if err == nil && (v.Score != want[p][i].Score || v.Label != want[p][i].Label || !reflect.DeepEqual(v.Target, want[p][i].Target)) {
+						err = fmt.Errorf("detector %d round %d page %d: score %v label %s, want %v %s", p, round, i, v.Score, v.Label, want[p][i].Score, want[p][i].Label)
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}(w % 2)
 	}
-	if n := len(*c.versions.Load()); n != 3 {
-		t.Fatalf("interned %d version ids for versions m1, m1-other and m2, want 3", n)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if pinned := c.detector.Load(); pinned != pipe.Detector && pinned != second.Detector {
+		t.Fatalf("pinned %p, neither detector", pinned)
+	}
+	if st := c.Snapshot(); st.Bypassed != workers/2*rounds*uint64(len(snaps)) {
+		t.Fatalf("%d passes bypassed, want the %d of the detector that lost the pin", st.Bypassed, workers/2*rounds*len(snaps))
 	}
 }
 
@@ -367,144 +344,6 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 }
 
-// underPromotion runs score(worker, round) from 8 goroutines, rounds
-// times each, while another goroutine calls promote in a loop, and
-// fails the test with the first non-empty message score returns.
-func underPromotion(t *testing.T, rounds int, promote func(i int), score func(w, round int) string) {
-	t.Helper()
-	stop := make(chan struct{})
-	var promoter sync.WaitGroup
-	promoter.Add(1)
-	go func() {
-		defer promoter.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				promote(i)
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-	}()
-	const workers = 8
-	var wg sync.WaitGroup
-	fail := make(chan string, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for round := 0; round < rounds; round++ {
-				if msg := score(w, round); msg != "" {
-					fail <- msg
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	promoter.Wait()
-	select {
-	case msg := <-fail:
-		t.Fatal(msg)
-	default:
-	}
-}
-
-// TestConcurrentPromoteAndScore hammers Do against concurrent promotion
-// flushes and version churn; run under -race this is the memo tables'
-// safety net, and every verdict must still be internally consistent.
-func TestConcurrentPromoteAndScore(t *testing.T) {
-	_, pipe := fixtures(t)
-	ctx := context.Background()
-	c := New(Config{})
-	snaps := mixedSnaps(t, 16)
-
-	// A second champion to swap in and out.
-	pipes := []*core.Pipeline{pipe, secondChampion(t)}
-
-	want := make(map[string][2]float64, len(snaps))
-	for _, snap := range snaps {
-		v1, err := pipes[0].AnalyzeCtx(ctx, core.NewScoreRequest(snap))
-		if err != nil {
-			t.Fatal(err)
-		}
-		v2, err := pipes[1].AnalyzeCtx(ctx, core.NewScoreRequest(snap))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[snap.LandingURL] = [2]float64{v1.Score, v2.Score}
-	}
-
-	underPromotion(t, 30, func(int) { c.InvalidateModel() }, func(w, round int) string {
-		mi := (w + round) % 2
-		snap := snaps[(w*7+round)%len(snaps)]
-		v, err := c.Do(ctx, pipes[mi], core.NewScoreRequest(snap), CacheDefault, nil)
-		if err != nil {
-			return err.Error()
-		}
-		if v.Score != want[snap.LandingURL][mi] {
-			return "score under model " + v.ModelVersion + " diverged (stale memo?)"
-		}
-		return ""
-	})
-}
-
-// TestPromotionDifferential is the memo path ≡ AnalyzeCtx differential
-// under concurrent promotion: scorers resolve the champion through an
-// atomic pointer, as the serving layer does, while a promoter swaps it
-// between two detectors (different models, different thresholds) and
-// fires the promotion hook. Every verdict must equal, field for field,
-// what the detector named by its own ModelVersion produces directly —
-// no score from one model under another's threshold, label or target
-// result. Run under -race.
-func TestPromotionDifferential(t *testing.T) {
-	_, pipe := fixtures(t)
-	ctx := context.Background()
-	c := New(Config{})
-	snaps := mixedSnaps(t, 12)
-	champions := []*core.Pipeline{secondChampion(t), pipe} // promotion order
-
-	type expect struct {
-		core.Outcome
-		label     string
-		threshold float64
-	}
-	want := make(map[string]map[*webpage.Snapshot]expect, len(champions))
-	for _, p := range champions {
-		ver := p.Detector.Version()
-		want[ver] = make(map[*webpage.Snapshot]expect, len(snaps))
-		for _, snap := range snaps {
-			v, err := p.AnalyzeCtx(ctx, core.NewScoreRequest(snap))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[ver][snap] = expect{v.Outcome, v.Label, v.Threshold}
-		}
-	}
-
-	var src atomic.Pointer[core.Detector]
-	src.Store(pipe.Detector)
-	promote := func(i int) {
-		src.Store(champions[i%2].Detector)
-		c.InvalidateModel()
-	}
-	underPromotion(t, 60, promote, func(w, round int) string {
-		snap := snaps[(w*5+round)%len(snaps)]
-		p := &core.Pipeline{Detector: src.Load(), Identifier: pipe.Identifier}
-		v, err := c.Do(ctx, p, core.NewScoreRequest(snap), CacheDefault, nil)
-		if err != nil {
-			return err.Error()
-		}
-		got := expect{v.Outcome, v.Label, v.Threshold}
-		if exp, ok := want[v.ModelVersion][snap]; !ok || !reflect.DeepEqual(got, exp) {
-			return fmt.Sprintf("verdict under %q mixes models:\n got %+v\nwant %+v", v.ModelVersion, got, exp)
-		}
-		return ""
-	})
-}
-
 // TestNilCoalescerDegradesToDirect pins the nil receiver contract.
 func TestNilCoalescerDegradesToDirect(t *testing.T) {
 	_, pipe := fixtures(t)
@@ -521,7 +360,6 @@ func TestNilCoalescerDegradesToDirect(t *testing.T) {
 	if got.Score != want.Score {
 		t.Fatalf("nil coalescer score %v != direct %v", got.Score, want.Score)
 	}
-	c.InvalidateModel() // must not panic
 	if s := c.Snapshot(); s.Batches != 0 {
 		t.Fatal("nil coalescer reported batches")
 	}

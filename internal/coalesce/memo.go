@@ -23,7 +23,7 @@ import (
 const memoShards = 16
 
 // memoChunk is the slot count of a full chunk: a shard allocates one
-// as it fills past the last, and Flush drops them all.
+// as it fills past the last.
 const memoChunk = 32
 
 // noSlot ends a recency list.
@@ -158,19 +158,6 @@ func replace[V comparable](t *memoTable[V], k webpage.Key128, old, v V) {
 		s.slot(i).val = v
 	}
 	s.mu.Unlock()
-}
-
-// Flush drops every entry — the promotion hook.
-func (t *memoTable[V]) Flush() {
-	if t == nil {
-		return
-	}
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		s.chunks, s.index, s.n, s.head, s.tail = nil, nil, 0, noSlot, noSlot
-		s.mu.Unlock()
-	}
 }
 
 // Len returns the live entry count across shards.

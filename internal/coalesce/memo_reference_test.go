@@ -3,8 +3,9 @@ package coalesce
 // The memo table as it was before the slab: a map over a
 // container/list recency list per shard, allocating a list element and
 // a boxed entry per insert.
-// Kept verbatim (only its names changed) as the oracle the slab table
-// is differentially tested against (memo_test.go).
+// Kept verbatim (only its names changed, and Flush dropped with the
+// slab table's) as the oracle the slab table is differentially tested
+// against (memo_test.go).
 
 import (
 	"container/list"
@@ -106,20 +107,6 @@ func (t *refTable[V]) Put(k webpage.Key128, v V) {
 	s.mu.Unlock()
 	if evicted {
 		t.evictions.Add(1)
-	}
-}
-
-// Flush drops every entry — the promotion hook.
-func (t *refTable[V]) Flush() {
-	if t == nil {
-		return
-	}
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		clear(s.m)
-		s.ll.Init()
-		s.mu.Unlock()
 	}
 }
 

@@ -52,10 +52,10 @@ func TestMemoTableUpdateInPlace(t *testing.T) {
 }
 
 // TestMemoTableReplace pins the expansion's put-back: replace writes
-// only over the value it was given, so an entry written since, or one a
-// flush dropped, stays as it is — a flushed key is not brought back.
+// only over the value it was given, so an entry written since, or one
+// evicted since, stays as it is — an evicted key is not brought back.
 func TestMemoTableReplace(t *testing.T) {
-	tb := newMemoTable[string](memoShards)
+	tb := newMemoTable[string](memoShards) // one slot a shard
 	tb.Put(key(1), "packed")
 	replace(tb, key(1), "packed", "expanded")
 	if v, _ := tb.Get(key(1)); v != "expanded" {
@@ -65,31 +65,12 @@ func TestMemoTableReplace(t *testing.T) {
 	if v, _ := tb.Get(key(1)); v != "expanded" {
 		t.Fatalf("replace over a value written since = %q, want expanded", v)
 	}
-	tb.Flush()
+	tb.Put(key(1+memoShards), "evictor") // key 1's shard: evicts it
 	replace(tb, key(1), "expanded", "resurrected")
-	if n := tb.Len(); n != 0 {
-		t.Fatalf("replace brought a flushed key back: Len = %d", n)
+	if _, ok := tb.Get(key(1)); ok || tb.Len() != 1 {
+		t.Fatalf("replace brought an evicted key back: Len = %d", tb.Len())
 	}
 	replace[string](nil, key(1), "a", "b") // a disabled table ignores it
-}
-
-func TestMemoTableFlush(t *testing.T) {
-	tb := newMemoTable[int](64)
-	for i := uint64(0); i < 20; i++ {
-		tb.Put(key(i), int(i))
-	}
-	tb.Flush()
-	if n := tb.Len(); n != 0 {
-		t.Fatalf("Len = %d after Flush, want 0", n)
-	}
-	if _, ok := tb.Get(key(3)); ok {
-		t.Fatal("entry survived Flush")
-	}
-	// The table stays usable after a flush.
-	tb.Put(key(3), 3)
-	if v, ok := tb.Get(key(3)); !ok || v != 3 {
-		t.Fatal("Put after Flush failed")
-	}
 }
 
 func TestNilMemoTable(t *testing.T) {
@@ -98,7 +79,6 @@ func TestNilMemoTable(t *testing.T) {
 	if _, ok := tb.Get(key(1)); ok {
 		t.Fatal("nil table returned a hit")
 	}
-	tb.Flush()
 	if tb.Len() != 0 || tb.stats() != (TableStats{}) {
 		t.Fatal("nil table reported entries")
 	}
@@ -113,7 +93,7 @@ func TestMemoTableGetZeroAllocs(t *testing.T) {
 	}
 	tb := newMemoTable[scoreEntry](1 << 10)
 	for i := uint64(0); i < 100; i++ {
-		tb.Put(key(i), scoreEntry{score: float64(i), ver: 1})
+		tb.Put(key(i), scoreEntry{score: float64(i)})
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := uint64(0); i < 100; i++ {
@@ -133,7 +113,7 @@ func BenchmarkMemoLookup(b *testing.B) {
 	tb := newMemoTable[scoreEntry](DefaultMemoEntries)
 	const n = 4096
 	for i := uint64(0); i < n; i++ {
-		tb.Put(key(i), scoreEntry{score: float64(i), ver: 1})
+		tb.Put(key(i), scoreEntry{score: float64(i)})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -171,7 +151,6 @@ func diffKey(i int, mode int) webpage.Key128 {
 const (
 	opGet = iota
 	opPut
-	opFlush
 )
 
 type memoOp struct {
@@ -199,9 +178,6 @@ func diffMemo(t *testing.T, perShard, mode int, ops []memoOp) TableStats {
 		case opPut:
 			got.Put(k, n)
 			want.Put(k, n)
-		case opFlush:
-			got.Flush()
-			want.Flush()
 		}
 		if g, w := got.stats(), want.stats(); g != w { // Entries is Len
 			t.Fatalf("op %d (%d on key %d): stats %+v, reference %+v", n, op.kind, op.key, g, w)
@@ -245,7 +221,7 @@ func checkSlab[V any](t *testing.T, s *memoShard[V]) {
 	}
 }
 
-// TestMemoTableMatchesReference: random Get/Put/Flush streams over key
+// TestMemoTableMatchesReference: random Get/Put streams over key
 // universes small enough that shards fill, evict and refill give the
 // slab table and the container/list table it replaced the same
 // results, counters and lengths at every step.
@@ -264,10 +240,7 @@ func TestMemoTableMatchesReference(t *testing.T) {
 		ops := make([]memoOp, 6*perShard*memoShards+2000)
 		for i := range ops {
 			ops[i] = memoOp{kind: opGet, key: rng.IntN(universe)}
-			switch r := rng.IntN(len(ops)); {
-			case r < 3: // about three flushes a stream
-				ops[i].kind = opFlush
-			case r < len(ops)/2:
+			if rng.IntN(len(ops)) < len(ops)/2 {
 				ops[i].kind = opPut
 			}
 		}
@@ -280,8 +253,8 @@ func TestMemoTableMatchesReference(t *testing.T) {
 }
 
 // FuzzMemoTableMatchesReference is the differential test on
-// fuzzer-written streams: three bytes an op (0xff flushes, other even
-// bytes put, odd bytes get; then a big-endian key number).
+// fuzzer-written streams: three bytes an op (an even byte puts, an odd
+// byte gets; then a big-endian key number).
 func FuzzMemoTableMatchesReference(f *testing.F) {
 	f.Add(uint16(0), uint16(40), uint8(keysSpread), []byte{0, 0, 1, 2, 0, 17, 1, 0, 1, 0xff, 0, 0, 1, 0, 1})
 	// Two slots a shard: the Get of key 0 makes key 16 the one key 32 evicts.
@@ -293,10 +266,7 @@ func FuzzMemoTableMatchesReference(f *testing.F) {
 		ops := make([]memoOp, 0, len(stream)/3)
 		for ; len(stream) >= 3; stream = stream[3:] {
 			op := memoOp{kind: opGet, key: int(binary.BigEndian.Uint16(stream[1:])) % u}
-			switch b := stream[0]; {
-			case b == 0xff:
-				op.kind = opFlush
-			case b%2 == 0:
+			if stream[0]%2 == 0 {
 				op.kind = opPut
 			}
 			ops = append(ops, op)
@@ -347,7 +317,7 @@ func TestMemoTablePutAllocs(t *testing.T) {
 	for i := range keys {
 		keys[i] = key(uint64(i) * memoShards)
 	}
-	e := scoreEntry{score: 0.5, ver: 1}
+	e := scoreEntry{score: 0.5}
 	allocs := testing.AllocsPerRun(5, func() {
 		tb := newMemoTable[scoreEntry](DefaultMemoEntries)
 		for _, k := range keys {

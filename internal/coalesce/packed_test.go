@@ -173,7 +173,7 @@ func TestTargetEntryRoundTrip(t *testing.T) {
 		if checkRoundTrip(t, eng, res) {
 			t.Errorf("%s: packed a candidate that does not read back", name)
 		}
-		if e := c.newTargetEntry(eng, res, 1); e.packed != "" || !reflect.DeepEqual(e.res, ownedResult(res)) {
+		if e := c.newTargetEntry(eng, res); e.packed != "" || !reflect.DeepEqual(e.res, ownedResult(res)) {
 			t.Errorf("%s: the entry is not ownedResult's copy: %+v", name, e)
 		}
 	}
@@ -298,12 +298,13 @@ func TestPackedEntryReadsAsMissOnAnotherEngine(t *testing.T) {
 	}
 }
 
-// TestFirstHitsRaceInvalidate: goroutines make the first hits on the
+// TestFirstHitsRaceRewrites: goroutines make the first hits on the
 // same packed entries together — each expands, and at most one
-// expansion is put back in place of the string — while the promotion
-// hook flushes the table under them. Every verdict equals the direct
-// one. Run under -race.
-func TestFirstHitsRaceInvalidate(t *testing.T) {
+// expansion is put back in place of the string — while refresh passes
+// rewrite those entries under them, so a put-back races the newer write
+// that must win over it. Every verdict equals the direct one. Run under
+// -race.
+func TestFirstHitsRaceRewrites(t *testing.T) {
 	_, pipe := fixtures(t)
 	ctx := context.Background()
 	snaps := positives(t, 4)
@@ -328,8 +329,13 @@ func TestFirstHitsRaceInvalidate(t *testing.T) {
 		wg.Add(hitters + 1)
 		go func() {
 			defer wg.Done()
-			for range round % 3 { // none, one or two flushes
-				c.InvalidateModel()
+			for range round % 3 { // none, one or two rewrites of every page
+				for _, snap := range snaps {
+					if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheRefresh, nil); err != nil {
+						errs <- err
+						return
+					}
+				}
 			}
 		}()
 		for range hitters {

@@ -89,7 +89,7 @@ func TestHeapAllocMemoPinsNoPage(t *testing.T) {
 // TestHeapAllocRetainedPerPage bounds what one scored page leaves
 // behind: -memo-size counts entries, and an entry must stay small
 // whatever the page was. About a third of the pages are detector
-// positives, whose target entries are the larger ones: about 150 bytes
+// positives, whose target entries are the larger ones: about 135 bytes
 // per page in all (about 330 while target entries were kept expanded).
 func TestHeapAllocRetainedPerPage(t *testing.T) {
 	if racecheck.Enabled {
@@ -97,7 +97,7 @@ func TestHeapAllocRetainedPerPage(t *testing.T) {
 	}
 	_, pipe := fixtures(t)
 	ctx := context.Background()
-	const pages, pageBytes, budget = 2000, 8 << 10, 176
+	const pages, pageBytes, budget = 2000, 8 << 10, 160
 	bases := mixedSnaps(t, 8)
 	c := New(Config{})
 	before := collect()
@@ -123,18 +123,18 @@ func TestHeapAllocRetainedPerPage(t *testing.T) {
 // TestHeapAllocRetainedPerScoreEntry bounds what a detector-negative
 // page leaves behind — one score entry, no target entry — which is
 // what most scored pages cost. The slab table keeps an entry's key,
-// score, version id and links in a 40-byte chunk slot, and nothing
-// else: about 55 bytes with the index cells and chunk headers. Keeping
-// the fingerprint string and the version string in the slot retained
-// about 120 bytes, and a map over a container/list, which boxed each
-// entry in two more objects, about 190.
+// score and links in a 32-byte chunk slot, and nothing else: about 45
+// bytes with the index cells and chunk headers. Keeping the fingerprint
+// string and a version string in the slot retained about 120 bytes, and
+// a map over a container/list, which boxed each entry in two more
+// objects, about 190.
 func TestHeapAllocRetainedPerScoreEntry(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("heap retention is not meaningful under -race")
 	}
 	c0, pipe := fixtures(t)
 	ctx := context.Background()
-	const pages, pageBytes, budget = 2000, 8 << 10, 64
+	const pages, pageBytes, budget = 2000, 8 << 10, 56
 	var bases []*webpage.Snapshot
 	for _, ex := range c0.LegTrain.Examples[:8] {
 		bases = append(bases, ex.Snapshot)
@@ -160,15 +160,15 @@ func TestHeapAllocRetainedPerScoreEntry(t *testing.T) {
 	runtime.KeepAlive(c)
 }
 
-// TestScoreSlotHoldsNoPointer pins the score table's slot shape: 40
-// bytes of key, score, version id and links, with no pointer anywhere
+// TestScoreSlotHoldsNoPointer pins the score table's slot shape: 32
+// bytes of key, score and links, with no pointer anywhere
 // in it, so the collector never scans a score table and an entry costs
 // no heap object. A string or pointer field added to scoreEntry fails
 // here before it fails a retention budget.
 func TestScoreSlotHoldsNoPointer(t *testing.T) {
 	var slot memoSlot[scoreEntry]
-	if size := unsafe.Sizeof(slot); size != 40 {
-		t.Errorf("memoSlot[scoreEntry] is %d bytes, want 40", size)
+	if size := unsafe.Sizeof(slot); size != 32 {
+		t.Errorf("memoSlot[scoreEntry] is %d bytes, want 32", size)
 	}
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
@@ -244,18 +244,18 @@ func TestOwnedResultAllocs(t *testing.T) {
 }
 
 // TestHeapAllocRetainedPerTargetEntry bounds what a detector positive
-// leaves behind: its score entry and its target entry, about 295 bytes.
-// A target entry is packed — one string of about 160 bytes that names
-// candidates by domain id, in a 56-byte slot — until its first hit;
-// expanded at insert, as ownedResult keeps it, the same positive
-// retained about 810 bytes.
+// leaves behind: its score entry and its target entry, about 280 bytes.
+// A target entry is packed — one string of about 160 bytes that names candidates
+// by domain id, in a 48-byte slot — until its first hit; expanded at
+// insert, as ownedResult keeps it, the same positive retained about 810
+// bytes.
 func TestHeapAllocRetainedPerTargetEntry(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("heap retention is not meaningful under -race")
 	}
 	_, pipe := fixtures(t)
 	ctx := context.Background()
-	const pages, pageBytes, budget = 2000, 8 << 10, 340
+	const pages, pageBytes, budget = 2000, 8 << 10, 320
 	bases := positives(t, 8)
 	c := New(Config{})
 	before := collect()

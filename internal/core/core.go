@@ -53,30 +53,15 @@ type TrainConfig struct {
 }
 
 // Detector is the trained phishing classifier. A Detector is immutable
-// once trained or loaded (SetVersion is called once, before the detector
-// is published), which is what makes lock-free hot-swapping safe: the
-// model registry serves the current champion behind an atomic pointer
-// and scorers read whole detectors, never partially updated ones.
+// once trained or loaded, so any number of goroutines may score through
+// one concurrently.
 type Detector struct {
 	extractor features.Extractor
 	model     *ml.GBM
 	threshold float64
 	set       features.Set
 	columns   []int // projection of the full vector, nil when set == All
-	// version is the model-registry version this detector was saved or
-	// loaded as ("" outside a registry). Stamped into every Verdict so
-	// each score is attributable to the exact artifact that produced it.
-	version string
 }
-
-// Version returns the registry version of the detector ("" when it was
-// never registered).
-func (d *Detector) Version() string { return d.version }
-
-// SetVersion labels the detector with its registry version. Call it
-// before publishing the detector to scorers — a Detector is treated as
-// immutable once it is visible to concurrent ScoreCtx calls.
-func (d *Detector) SetVersion(v string) { d.version = v }
 
 // Train fits a detector on labeled snapshots (label 1 = phishing). The
 // feature vectors are extracted on all cores, each into its own row.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -15,8 +16,21 @@ import (
 // from the same seeds and requires bit-identical scores — the repository-
 // wide guarantee that every table regenerates exactly — and the same saved
 // model whatever the core count the corpus and the training matrix were
-// built on.
+// built on. A different training seed fits different trees and saves
+// different bytes, so equal bytes are evidence of one model.
 func TestFullPipelineDeterminism(t *testing.T) {
+	train := func(c *dataset.Corpus, seed int64) *Detector {
+		snaps := append(c.LegTrain.Snapshots(), c.PhishTrain.Snapshots()...)
+		labels := append(c.LegTrain.Labels(), c.PhishTrain.Labels()...)
+		d, err := Train(snaps, labels, TrainConfig{
+			GBM:  ml.GBMConfig{Trees: 30, MaxDepth: 3, Seed: seed},
+			Rank: c.World.Ranking(),
+		})
+		if err != nil {
+			t.Fatalf("Train: %v", err)
+		}
+		return d
+	}
 	build := func(procs int) (*dataset.Corpus, *Detector) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		c, err := dataset.Build(dataset.Config{
@@ -28,28 +42,23 @@ func TestFullPipelineDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
-		snaps := append(c.LegTrain.Snapshots(), c.PhishTrain.Snapshots()...)
-		labels := append(c.LegTrain.Labels(), c.PhishTrain.Labels()...)
-		d, err := Train(snaps, labels, TrainConfig{
-			GBM:  ml.GBMConfig{Trees: 30, MaxDepth: 3, Seed: 5},
-			Rank: c.World.Ranking(),
-		})
-		if err != nil {
-			t.Fatalf("Train: %v", err)
+		return c, train(c, 5)
+	}
+	saved := func(d *Detector) []byte {
+		var buf bytes.Buffer
+		if err := d.Save(&buf); err != nil {
+			t.Fatal(err)
 		}
-		return c, d
+		return buf.Bytes()
 	}
 	c1, d1 := build(1)
 	c2, d2 := build(4)
-	var m1, m2 bytes.Buffer
-	if err := d1.Save(&m1); err != nil {
-		t.Fatal(err)
+	m1, m2 := saved(d1), saved(d2)
+	if !bytes.Equal(m1, m2) {
+		t.Fatalf("GOMAXPROCS 1 then 4: saved detectors differ (%d vs %d bytes)", len(m1), len(m2))
 	}
-	if err := d2.Save(&m2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(m1.Bytes(), m2.Bytes()) {
-		t.Fatalf("GOMAXPROCS 1 then 4: saved detectors differ (%d vs %d bytes)", m1.Len(), m2.Len())
+	if d6 := train(c1, 6); bytes.Equal(saved(d6), m1) || reflect.DeepEqual(d6.model.Trees, d1.model.Trees) {
+		t.Fatal("training seeds 5 and 6 fitted identical trees or saved identical detectors")
 	}
 	if len(c1.PhishTest.Examples) != len(c2.PhishTest.Examples) {
 		t.Fatal("corpus sizes differ across builds")

@@ -66,12 +66,6 @@ type Verdict struct {
 	Threshold float64 `json:"threshold"`
 	// Explanation is the per-feature evidence (explain requests only).
 	Explanation *Explanation `json:"explanation,omitempty"`
-	// ModelVersion is the registry version of the detector that produced
-	// this verdict ("" when the detector was never registered). During a
-	// registry champion hot-swap it is how a consumer tells which model
-	// answered: verdicts in flight at the swap carry the old version,
-	// verdicts after it the new one.
-	ModelVersion string `json:"model_version,omitempty"`
 	// Timings reports per-stage latency.
 	Timings StageTimings `json:"timings"`
 	// ContentFingerprint is the page's content identity spelled as
@@ -247,7 +241,6 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 
 	var v Verdict
 	v.Threshold = d.threshold
-	v.ModelVersion = d.version
 
 	hasScore := st.HasScore && !req.Explains()
 	extract := !hasScore

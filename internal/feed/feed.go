@@ -82,8 +82,7 @@ type Config struct {
 	// Score optionally overrides how the drain scores a snapshot; it is
 	// handed Pipeline. kpserve wires the serving layer's stage memo
 	// (coalesce.Coalescer) here, so feed traffic shares the same
-	// per-stage memo tables as the HTTP surface, and swaps in the model
-	// registry's current champion per URL. Nil scores through
+	// per-stage memo tables as the HTTP surface. Nil scores through
 	// Pipeline.AnalyzeCtx directly.
 	Score func(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest) (core.Verdict, error)
 	// Store persists verdicts (optional; without it verdicts are only
@@ -413,12 +412,11 @@ func (s *Scheduler) process(it *item) {
 		key = webpage.ContentKey(snap)
 	}
 	rec := store.Record{
-		URL:          it.url,
-		LandingURL:   snap.LandingURL,
-		Fingerprint:  key.String(),
-		Outcome:      out,
-		ModelVersion: v.ModelVersion,
-		ScoredAt:     s.now().UTC(),
+		URL:         it.url,
+		LandingURL:  snap.LandingURL,
+		Fingerprint: key.String(),
+		Outcome:     out,
+		ScoredAt:    s.now().UTC(),
 	}
 	if p, perr := urlx.Parse(snap.LandingURL); perr == nil {
 		rec.RDN = p.RDN

@@ -117,13 +117,6 @@ func (p *PromWriter) Gauge(name, help string, v float64) {
 	p.Sample(name, v)
 }
 
-// Info writes the conventional info metric: a gauge fixed at 1 whose
-// labels carry the metadata (model version, content hash, build info).
-func (p *PromWriter) Info(name, help string, labels []Label) {
-	p.Header(name, help, "gauge")
-	p.Sample(name, 1, labels...)
-}
-
 // Family writes one family of the given type with one sample per key,
 // labelled label=keys[i] and valued value(i).
 func (p *PromWriter) Family(name, help, typ, label string, keys []string, value func(i int) float64) {

@@ -14,7 +14,8 @@ func TestPromWriterFamilies(t *testing.T) {
 	w := NewPromWriter(&buf)
 	w.Counter("x_total", "a counter", 41)
 	w.Gauge("y", "a gauge", 2.5)
-	w.Info("z_info", "an info\nmetric", []Label{{"version", "v1"}, {"hash", `a"b\c`}})
+	w.Header("z_info", "an info\nmetric", "gauge")
+	w.Sample("z_info", 1, Label{"version", "v1"}, Label{"hash", `a"b\c`})
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,8 @@ func callHdr(t *testing.T, s *Server, method, path string, body any, hdr map[str
 
 // TestScoreV2ETagAndConditionalGet pins the v2 cache-validation
 // contract: verdicts carry an ETag derived from the page's content
-// fingerprint and the model generation, and If-None-Match revalidation
-// answers 304 without a body when the tag still holds.
+// fingerprint, "<fingerprint>-", and If-None-Match revalidation answers
+// 304 without a body when the tag still holds.
 func TestScoreV2ETagAndConditionalGet(t *testing.T) {
 	c, _ := fixtures(t)
 	s := newServer(t, nil)
@@ -57,7 +57,7 @@ func TestScoreV2ETagAndConditionalGet(t *testing.T) {
 	if resp.ContentFingerprint == "" {
 		t.Fatal("fresh v2 verdict carries no content fingerprint")
 	}
-	if want := `"` + resp.ContentFingerprint + "-" + resp.ModelVersion + `"`; etag != want {
+	if want := `"` + resp.ContentFingerprint + `-"`; etag != want {
 		t.Errorf("ETag = %s, want %s", etag, want)
 	}
 
@@ -260,61 +260,6 @@ func TestScoreBatchV2(t *testing.T) {
 	}
 	if m := s.Metrics(); m.BatchRejected != 1 {
 		t.Errorf("batch_rejected = %d, want 1", m.BatchRejected)
-	}
-}
-
-// TestPromoteFlushesMemos pins the invalidation contract end to end
-// over HTTP: promotion empties the memo, and the first post-promote
-// verdict of a page computes every stage under the new champion.
-func TestPromoteFlushesMemos(t *testing.T) {
-	c, _ := fixtures(t)
-	s, _ := registryServer(t)
-
-	// Warm the memos under v0001.
-	for i := 0; i < 6; i++ {
-		var resp V2ScoreResponse
-		if code := call(t, s, http.MethodPost, "/v2/score", V2ScoreRequest{
-			PageRequest: PageRequest{Snapshot: c.PhishTest.Examples[i].Snapshot},
-		}, &resp); code != http.StatusOK {
-			t.Fatalf("warm-up %d: status = %d", i, code)
-		}
-		if resp.ModelVersion != "v0001" {
-			t.Fatalf("warm-up scored by %q, want v0001", resp.ModelVersion)
-		}
-	}
-	before := s.Metrics().Coalesce
-	if before == nil {
-		t.Fatal("metrics carry no coalesce stats")
-	}
-	if before.Score.Entries == 0 {
-		t.Fatalf("memos not warmed: %+v", before)
-	}
-
-	var prom PromoteResponse
-	if code := call(t, s, http.MethodPost, "/v2/models/promote", PromoteRequest{Version: "v0002"}, &prom); code != http.StatusOK {
-		t.Fatalf("promote = %d", code)
-	}
-
-	after := s.Metrics().Coalesce
-	if after.Score.Entries != 0 || after.Target.Entries != 0 {
-		t.Errorf("memos survived promotion: score=%d target=%d",
-			after.Score.Entries, after.Target.Entries)
-	}
-
-	// No stale verdicts: a rescore is served by the new champion.
-	var resp V2ScoreResponse
-	call(t, s, http.MethodPost, "/v2/score", V2ScoreRequest{
-		PageRequest: PageRequest{Snapshot: c.PhishTest.Examples[0].Snapshot},
-	}, &resp)
-	if resp.ModelVersion != "v0002" {
-		t.Errorf("post-promote verdict scored by %q, want v0002", resp.ModelVersion)
-	}
-	if resp.Cached {
-		t.Error("post-promote verdict served from the predecessor's cache")
-	}
-	if m := resp.Memo; m == nil || m.Analysis != core.ProvComputed || m.Features != core.ProvComputed ||
-		m.Score != core.ProvComputed || m.Target == core.ProvMemo {
-		t.Errorf("post-promote provenance %+v; want every stage computed", m)
 	}
 }
 

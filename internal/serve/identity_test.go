@@ -162,10 +162,10 @@ func TestCacheEviction(t *testing.T) {
 }
 
 // scoreLoop posts pages[i%len] to /v2/score from workers goroutines
-// until stop is closed, requiring that every response for one (page,
-// model version) carries one score and that hits carry no timings.
+// until stop is closed, requiring that every response for one page
+// carries one score and that hits carry no timings.
 func scoreLoop(t *testing.T, s *Server, pages []PageRequest, workers int, stop <-chan struct{}) *sync.WaitGroup {
-	var seen sync.Map // "page/version" → score
+	var seen sync.Map // page → score
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -184,9 +184,8 @@ func scoreLoop(t *testing.T, s *Server, pages []PageRequest, workers int, stop <
 					t.Errorf("concurrent score: status %d, decode %v", rec.Code, err)
 					return
 				}
-				key := fmt.Sprintf("%d/%s", p, resp.ModelVersion)
-				if prev, dup := seen.LoadOrStore(key, resp.Score); dup && prev != resp.Score {
-					t.Errorf("page %s scored %v and %v", key, prev, resp.Score)
+				if prev, dup := seen.LoadOrStore(p, resp.Score); dup && prev != resp.Score {
+					t.Errorf("page %d scored %v and %v", p, prev, resp.Score)
 				}
 				if resp.Cached && (resp.Timings != core.StageTimings{} || resp.Memo != nil) {
 					t.Errorf("hit carries timings or provenance: %+v", resp)
@@ -195,51 +194,6 @@ func scoreLoop(t *testing.T, s *Server, pages []PageRequest, workers int, stop <
 		}(w)
 	}
 	return &wg
-}
-
-// TestCacheVersionStaleness pins the hot-swap contract on the one path:
-// a promote between two identical requests makes the second a miss
-// scored by the new champion, every stage computed, while other scorers
-// keep hitting the same tables.
-func TestCacheVersionStaleness(t *testing.T) {
-	c, _ := fixtures(t)
-	s, _ := registryServer(t)
-	var pages []PageRequest
-	for _, ex := range c.PhishTest.Examples[1:5] {
-		pages = append(pages, PageRequest{Snapshot: ex.Snapshot})
-	}
-	stop := make(chan struct{})
-	wg := scoreLoop(t, s, pages, 4, stop)
-	defer wg.Wait()
-	defer close(stop)
-
-	// A page only this goroutine scores.
-	own := V2ScoreRequest{PageRequest: PageRequest{Snapshot: c.PhishTest.Examples[0].Snapshot}}
-	var first, hit, swapped, again V2ScoreResponse
-	call(t, s, http.MethodPost, "/v2/score", own, &first)
-	call(t, s, http.MethodPost, "/v2/score", own, &hit)
-	if first.Cached || !hit.Cached || hit.ModelVersion != "v0001" {
-		t.Fatalf("before the promote: cached %v then %v under %q", first.Cached, hit.Cached, hit.ModelVersion)
-	}
-	var prom PromoteResponse
-	if code := call(t, s, http.MethodPost, "/v2/models/promote", PromoteRequest{Version: "v0002"}, &prom); code != http.StatusOK {
-		t.Fatalf("promote = %d", code)
-	}
-	call(t, s, http.MethodPost, "/v2/score", own, &swapped)
-	if swapped.Cached || swapped.ModelVersion != "v0002" {
-		t.Errorf("after the promote: cached=%v model_version=%q; want a miss under v0002", swapped.Cached, swapped.ModelVersion)
-	}
-	if m := swapped.Memo; m == nil || m.Analysis != core.ProvComputed || m.Features != core.ProvComputed ||
-		m.Score != core.ProvComputed || m.Target == core.ProvMemo {
-		t.Errorf("after the promote: provenance %+v; want every stage computed", m)
-	}
-	if swapped.ContentFingerprint != first.ContentFingerprint {
-		t.Error("the content fingerprint changed with the model")
-	}
-	call(t, s, http.MethodPost, "/v2/score", own, &again)
-	if !again.Cached || again.ModelVersion != "v0002" || again.Score != swapped.Score {
-		t.Errorf("new champion's verdict not reused: %+v", again)
-	}
 }
 
 // TestCacheConcurrent hammers a memo too small for its traffic from
@@ -278,18 +232,14 @@ func TestScoreSnapWarmAllocs(t *testing.T) {
 	}
 	c, _ := fixtures(t)
 	s := newServer(t, nil)
-	pipe, err := s.pipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
 	for _, i := range []int{0, 1} { // detector negative, detector positive
 		req := core.NewScoreRequest(c.PhishTest.Examples[i].Snapshot)
-		if _, cached, err := s.scoreSnap(ctx, prioInteractive, pipe, req, coalesce.CacheDefault); err != nil || cached {
+		if _, cached, err := s.scoreSnap(ctx, prioInteractive, req, coalesce.CacheDefault); err != nil || cached {
 			t.Fatalf("page %d warm-up: cached=%v err=%v", i, cached, err)
 		}
 		n := testing.AllocsPerRun(200, func() {
-			v, cached, err := s.scoreSnap(ctx, prioInteractive, pipe, req, coalesce.CacheDefault)
+			v, cached, err := s.scoreSnap(ctx, prioInteractive, req, coalesce.CacheDefault)
 			if err != nil || !cached || v.ContentKey == (webpage.Key128{}) || v.TargetRun != (i == 1) {
 				t.Fatalf("page %d: not a full hit: cached=%v err=%v", i, cached, err)
 			}

@@ -64,11 +64,6 @@ type MetricsSnapshot struct {
 	CacheMisses  int64   `json:"cache_misses"`
 	CacheHitRate float64 `json:"cache_hit_rate"`
 
-	// ModelVersion is the registry version currently serving traffic
-	// ("" for a detector loaded outside a registry). During a champion
-	// swap it flips atomically with the swap.
-	ModelVersion string `json:"model_version,omitempty"`
-
 	// Feed and Store report the ingestion-pipeline counters (queue
 	// depth, throughput, retries; record and compaction counts) when
 	// those subsystems are configured.

@@ -20,7 +20,6 @@ import (
 	"knowphish/internal/core"
 	"knowphish/internal/feed"
 	"knowphish/internal/obs"
-	"knowphish/internal/registry"
 	"knowphish/internal/slo"
 	"knowphish/internal/store"
 	"knowphish/internal/target"
@@ -166,7 +165,6 @@ func TestPrometheusExpositionGrammar(t *testing.T) {
 		"knowphish_request_duration_seconds": "histogram",
 		"knowphish_stage_duration_seconds":   "histogram",
 		"knowphish_traces_finished_total":    "counter",
-		"knowphish_model_info":               "gauge",
 		"knowphish_feed_rejected_total":      "counter",
 		"knowphish_shed_total":               "counter",
 		"knowphish_shed_level":               "gauge",
@@ -517,16 +515,14 @@ func promShape(t *testing.T, body string) []byte {
 
 // TestPrometheusShapeGolden pins the Prometheus exposition's shape —
 // families, their order, HELP and TYPE text, and every sample's name and
-// label set — for the full-surface server and for a registry-backed one,
-// whose model info carries the manifest's hash and feature set.
-// Regenerate with -update-golden.
+// label set — for the full-surface server. Regenerate with
+// -update-golden.
 func TestPrometheusShapeGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
 		server func(*testing.T) *Server
 	}{
 		{"golden_prometheus_shape.txt", func(t *testing.T) *Server { return fullSurfaceServer(t, 2) }},
-		{"golden_prometheus_shape_registry.txt", func(t *testing.T) *Server { s, _ := registryServer(t); return s }},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			rec := rawCall(t, tc.server(t), http.MethodGet, "/metrics?format=prometheus", nil, nil)
@@ -608,15 +604,11 @@ func TestScoreHeldTracesStagesThatRan(t *testing.T) {
 	c, _ := fixtures(t)
 	tracer := obs.NewTracer(obs.Config{})
 	s := newServer(t, func(cfg *Config) { cfg.Tracer = tracer })
-	pipe, err := s.pipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
 	snap := c.PhishTest.Examples[0].Snapshot
 	stagesOf := func(req core.ScoreRequest) []string {
 		t.Helper()
 		ctx, tr := tracer.StartRequest(context.Background(), "/v2/score", "")
-		if _, _, err := s.scoreHeld(ctx, pipe, req, coalesce.CacheDefault); err != nil {
+		if _, _, err := s.scoreHeld(ctx, req, coalesce.CacheDefault); err != nil {
 			t.Fatal(err)
 		}
 		tracer.Finish(tr)
@@ -632,50 +624,6 @@ func TestScoreHeldTracesStagesThatRan(t *testing.T) {
 	}
 	if got := stagesOf(warm); len(got) != 0 {
 		t.Errorf("memo hit spans = %v, want none", got)
-	}
-}
-
-// TestDetectorResolution pins the order a server picks its detector in:
-// the registry champion, then Config.Detector, then a 503.
-func TestDetectorResolution(t *testing.T) {
-	c, d := fixtures(t)
-	champion := func(t *testing.T) *registry.Registry {
-		reg := emptyRegistry(t)
-		if _, err := reg.SetChampion("v0001"); err != nil {
-			t.Fatal(err)
-		}
-		return reg
-	}
-	page := V2ScoreRequest{PageRequest: PageRequest{Snapshot: c.PhishTest.Examples[0].Snapshot}}
-	for _, tc := range []struct {
-		name     string
-		registry func(*testing.T) *registry.Registry
-		detector *core.Detector
-		code     int
-		version  string
-	}{
-		{"detector only", nil, d, http.StatusOK, ""},
-		{"champion overrides detector", champion, d, http.StatusOK, "v0001"},
-		{"no champion falls back to detector", emptyRegistry, d, http.StatusOK, ""},
-		{"no champion and no detector", emptyRegistry, nil, http.StatusServiceUnavailable, ""},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Detector: tc.detector, Identifier: target.New(c.Engine)}
-			if tc.registry != nil {
-				cfg.Registry = tc.registry(t)
-			}
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var v V2ScoreResponse
-			if code := call(t, s, http.MethodPost, "/v2/score", page, &v); code != tc.code {
-				t.Fatalf("/v2/score = %d, want %d", code, tc.code)
-			}
-			if v.ModelVersion != tc.version {
-				t.Errorf("model_version = %q, want %q", v.ModelVersion, tc.version)
-			}
-		})
 	}
 }
 

@@ -21,9 +21,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 	snap.LatencyP99US = all.Percentile(99)
 	snap.BatchLatencyMeanUS = batch.Mean()
 	snap.BatchLatencyP99US = batch.Percentile(99)
-	if det := s.detector(); det != nil {
-		snap.ModelVersion = det.Version()
-	}
 	if s.cfg.Feed != nil {
 		fs := s.cfg.Feed.Stats()
 		snap.Feed = &fs
@@ -91,24 +88,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
 		GoVersion:     buildGoVersion,
 		VCSRevision:   buildVCSRevision,
+		Threshold:     s.cfg.Detector.Threshold(),
 		Workers:       s.cfg.Workers,
 		CacheEnabled:  s.coal.Enabled(),
 		FeedEnabled:   s.cfg.Feed != nil,
 		StoreEnabled:  s.cfg.Store != nil,
-	}
-	if det := s.detector(); det != nil {
-		resp.Threshold = det.Threshold()
-		resp.ModelVersion = det.Version()
-		if s.cfg.Registry != nil {
-			if m, ok := s.cfg.Registry.Champion(); ok {
-				resp.ModelHash = m.Manifest.Hash
-			}
-		}
-	} else {
-		// Alive but unable to score: a registry-backed server waiting for
-		// its first champion. Liveness probes should not kill it, but the
-		// status string tells operators why scoring answers 503.
-		resp.Status = "no_model"
 	}
 	if s.cfg.SLO != nil {
 		resp.SLOState = s.cfg.SLO.State().String()

@@ -13,16 +13,14 @@ import (
 // exposition format (version 0.0.4). Every value the JSON document at
 // /metrics carries comes from one Metrics snapshot, so the two formats
 // read the same numbers; the exposition adds only what the document
-// summarizes — the request and per-stage latency histograms and the
-// registry manifest's hash and feature set — and the Go runtime
-// metrics. JSON stays the default; this is ?format=prometheus.
+// summarizes — the request and per-stage latency histograms — and the
+// Go runtime metrics. JSON stays the default; this is
+// ?format=prometheus.
 //
 // Naming follows Prometheus conventions: monotonically increasing
-// values are *_total counters, point-in-time values are gauges,
-// latencies are *_seconds histograms, and model identity rides on an
-// info metric (a gauge fixed at 1 whose labels carry the metadata).
-// Labelled samples are sorted by label value so the exposition is
-// byte-stable between scrapes.
+// values are *_total counters, point-in-time values are gauges, and
+// latencies are *_seconds histograms. Labelled samples are sorted by
+// label value so the exposition is byte-stable between scrapes.
 func (s *Server) writePrometheus(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", obs.PromContentType)
 	p := obs.NewPromWriter(w)
@@ -118,21 +116,6 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 			p.HistFromHist("knowphish_stage_duration_seconds",
 				[]obs.Label{{Name: "stage", Value: name}}, s.cfg.Tracer.StageWindow(obs.Stage(i)).SinceBoot())
 		}
-	}
-
-	// Model identity while a detector serves: the snapshot's version,
-	// and the artifact hash and feature set from the registry manifest
-	// when one backs this server.
-	if s.detector() != nil {
-		labels := []obs.Label{{Name: "version", Value: m.ModelVersion}}
-		if s.cfg.Registry != nil {
-			if mod, ok := s.cfg.Registry.Champion(); ok {
-				labels = append(labels,
-					obs.Label{Name: "hash", Value: mod.Manifest.Hash},
-					obs.Label{Name: "feature_set", Value: mod.Manifest.FeatureSet})
-			}
-		}
-		p.Info("knowphish_model_info", "The model version serving traffic.", labels)
 	}
 
 	// Ingestion pipeline.

@@ -58,7 +58,7 @@ func (s *Server) boundedCtx(ctx context.Context, pri int, fn func()) error {
 // (cancellation, deadline) when scoring was cut short.
 //
 // A hit is a verdict for which no stage had to run: every result the
-// request needs was in the memo under the serving model version. It
+// request needs was in the memo. It
 // carries no timings and no provenance. Anything partially computed is
 // a miss with per-stage provenance in Verdict.Memo. cache_hits /
 // cache_misses count exactly those two outcomes for default-mode
@@ -68,10 +68,10 @@ func (s *Server) boundedCtx(ctx context.Context, pri int, fn func()) error {
 //
 // On a traced request the stages that ran become spans, laid end to end
 // from the call's start (a hit ran none and records none).
-func (s *Server) scoreHeld(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest, cc coalesce.CacheControl) (core.Verdict, bool, error) {
+func (s *Server) scoreHeld(ctx context.Context, req core.ScoreRequest, cc coalesce.CacheControl) (core.Verdict, bool, error) {
 	var prov core.MemoProvenance
 	start := time.Now()
-	v, err := s.coal.Do(ctx, pipe, req, cc, &prov)
+	v, err := s.coal.Do(ctx, s.pipe, req, cc, &prov)
 	if err != nil {
 		return core.Verdict{}, false, err
 	}
@@ -99,8 +99,8 @@ func (s *Server) scoreHeld(ctx context.Context, pipe *core.Pipeline, req core.Sc
 
 // scoreSnap is scoreHeld behind its own worker-slot wait, for a caller
 // that already resolved the page (/v1/score/batch after its dedupe).
-func (s *Server) scoreSnap(ctx context.Context, pri int, pipe *core.Pipeline, req core.ScoreRequest, cc coalesce.CacheControl) (v core.Verdict, cached bool, err error) {
-	if berr := s.boundedCtx(ctx, pri, func() { v, cached, err = s.scoreHeld(ctx, pipe, req, cc) }); berr != nil {
+func (s *Server) scoreSnap(ctx context.Context, pri int, req core.ScoreRequest, cc coalesce.CacheControl) (v core.Verdict, cached bool, err error) {
+	if berr := s.boundedCtx(ctx, pri, func() { v, cached, err = s.scoreHeld(ctx, req, cc) }); berr != nil {
 		return core.Verdict{}, false, berr
 	}
 	return v, cached, err
@@ -109,16 +109,9 @@ func (s *Server) scoreSnap(ctx context.Context, pri int, pipe *core.Pipeline, re
 // scorePage takes one decoded page to its verdict document under a
 // single worker-slot wait: resolve (HTML parse), content key, scoreHeld.
 // The page stays borrowed until the caller releases it.
-// A nil pipe resolves the serving detector now; a batch passes the one
-// it resolved for all its pages. The error is errNoModel, a
-// badPageError for an unresolvable page, else what cut scoring short
-// (deadline, cancellation, errShed).
-func (s *Server) scorePage(ctx context.Context, pri int, pipe *core.Pipeline, page *PageRequest, opts []core.ScoreOption, cc coalesce.CacheControl) (resp V2ScoreResponse, err error) {
-	if pipe == nil {
-		if pipe, err = s.pipeline(); err != nil {
-			return resp, err
-		}
-	}
+// The error is a badPageError for an unresolvable page, else what cut
+// scoring short (deadline, cancellation, errShed).
+func (s *Server) scorePage(ctx context.Context, pri int, page *PageRequest, opts []core.ScoreOption, cc coalesce.CacheControl) (resp V2ScoreResponse, err error) {
 	if berr := s.boundedCtx(ctx, pri, func() {
 		snap, key, rerr := page.resolve()
 		if rerr != nil {
@@ -126,7 +119,7 @@ func (s *Server) scorePage(ctx context.Context, pri int, pipe *core.Pipeline, pa
 			return
 		}
 		resp.LandingURL = snap.LandingURL
-		resp.Verdict, resp.Cached, err = s.scoreHeld(ctx, pipe, core.NewScoreRequest(snap, opts...).WithContentKey(key), cc)
+		resp.Verdict, resp.Cached, err = s.scoreHeld(ctx, core.NewScoreRequest(snap, opts...).WithContentKey(key), cc)
 	}); berr != nil {
 		err = berr
 	}
@@ -169,18 +162,16 @@ func (s *Server) identifyPage(ctx context.Context, page *PageRequest, deadline t
 }
 
 // failScore converts a score-path error into a response: a page that
-// could not be resolved is the client's 400; no model to score with is a
-// 503; an expired per-request deadline is a 504 the client can act on;
-// queued work shed by the admission controller is a 503 with
-// Retry-After; a cancelled context means the client is gone, so nothing
-// is written and the cancellation is only counted.
+// could not be resolved is the client's 400; an expired per-request
+// deadline is a 504 the client can act on; queued work shed by the
+// admission controller is a 503 with Retry-After; a cancelled context
+// means the client is gone, so nothing is written and the cancellation
+// is only counted.
 func (s *Server) failScore(w http.ResponseWriter, err error) {
 	var bad badPageError
 	switch {
 	case errors.As(err, &bad):
 		s.fail(w, http.StatusBadRequest, bad)
-	case errors.Is(err, errNoModel):
-		s.fail(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.fail(w, http.StatusGatewayTimeout, errors.New("scoring deadline exceeded"))
 	case errors.Is(err, errShed):
@@ -240,14 +231,13 @@ func (s *Server) coreOptions(o ScoreOptions) ([]core.ScoreOption, coalesce.Cache
 	return opts, cc, nil
 }
 
-// scoreETag derives the entity tag of a verdict: the page's content
-// fingerprint plus the model generation that scored it. The same page
-// under the same champion always carries the same tag; a promotion
-// changes every tag, so clients revalidate exactly when verdicts can
-// change. A detector positive whose target stage did not run
-// (skip_target) is a partial verdict — the full pipeline may overturn
-// its final call — and is tagged apart, so its tag never earns a 304
-// on a full request. The tag is built in one allocation, and the
+// scoreETag derives the entity tag of a verdict from the page's content
+// fingerprint: "<32 hex>-", the same page always carrying the same tag.
+// The trailing "-" once preceded a model version; it stays so that tags
+// clients already hold still revalidate. A detector positive whose
+// target stage did not run (skip_target) is a partial verdict — the
+// full pipeline may overturn its final call — and is tagged apart, so
+// its tag never earns a 304 on a full request. The tag is built in one allocation, and the
 // verdict's ContentFingerprint is set to its stem, so the document and
 // the header share it. A verdict without a content key (explain) has
 // no tag.
@@ -258,11 +248,10 @@ func scoreETag(v *core.Verdict) string {
 	const partial = "+partial"
 	h := v.ContentKey.Hex()
 	var b strings.Builder
-	b.Grow(len(`"-"`) + len(h) + len(v.ModelVersion) + len(partial))
+	b.Grow(len(`"-"`) + len(h) + len(partial))
 	b.WriteByte('"')
 	b.Write(h[:])
 	b.WriteByte('-')
-	b.WriteString(v.ModelVersion)
 	if v.DetectorPhish && !v.TargetRun {
 		b.WriteString(partial)
 	}
@@ -308,7 +297,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer req.release()
-	resp, err := s.scorePage(r.Context(), prioInteractive, nil, &req, s.defaultOpts, coalesce.CacheDefault)
+	resp, err := s.scorePage(r.Context(), prioInteractive, &req, s.defaultOpts, coalesce.CacheDefault)
 	if err != nil {
 		s.failScore(w, err)
 		return
@@ -327,7 +316,7 @@ func (s *Server) handleScoreV2(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	resp, err := s.scorePage(r.Context(), prioInteractive, nil, &req.PageRequest, opts, cc)
+	resp, err := s.scorePage(r.Context(), prioInteractive, &req.PageRequest, opts, cc)
 	if err != nil {
 		s.failScore(w, err)
 		return
@@ -381,32 +370,25 @@ func (s *Server) handleTargetV2(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------
 // Batch endpoints.
 
-// beginBatch validates a batch's size and resolves what the whole
-// request shares: the pipeline — one model scores a batch end to end, a
-// hot-swap must not split it — and the fan-out width, the server's
-// worker count capped by the client's workers field. It reports
-// ok=false after writing the error response itself.
-func (s *Server) beginBatch(w http.ResponseWriter, n, reqWorkers int) (pipe *core.Pipeline, workers int, ok bool) {
+// beginBatch validates a batch's size and resolves its fan-out width,
+// the server's worker count capped by the client's workers field. It
+// reports ok=false after writing the error response itself.
+func (s *Server) beginBatch(w http.ResponseWriter, n, reqWorkers int) (workers int, ok bool) {
 	if n == 0 {
 		s.fail(w, http.StatusBadRequest, errors.New("empty batch"))
-		return nil, 0, false
+		return 0, false
 	}
 	if n > DefaultMaxBatch {
 		s.metrics.batchRejected.Add(1)
 		s.fail(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("batch of %d exceeds limit %d", n, DefaultMaxBatch))
-		return nil, 0, false
-	}
-	pipe, err := s.pipeline()
-	if err != nil {
-		s.failScore(w, err)
-		return nil, 0, false
+		return 0, false
 	}
 	workers = s.cfg.Workers
 	if reqWorkers > 0 && reqWorkers < workers {
 		workers = reqWorkers
 	}
-	return pipe, workers, true
+	return workers, true
 }
 
 // fanOut runs fn for every index on up to workers goroutines and
@@ -441,7 +423,7 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer releasePages(req.Pages)
-	pipe, workers, ok := s.beginBatch(w, len(req.Pages), req.Workers)
+	workers, ok := s.beginBatch(w, len(req.Pages), req.Workers)
 	if !ok {
 		return
 	}
@@ -485,7 +467,7 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 		if first[i] != i {
 			return nil
 		}
-		v, cached, err := s.scoreSnap(ctx, prioBatch, pipe, core.NewScoreRequest(snaps[i], s.defaultOpts...).WithContentKey(keys[i]), coalesce.CacheDefault)
+		v, cached, err := s.scoreSnap(ctx, prioBatch, core.NewScoreRequest(snaps[i], s.defaultOpts...).WithContentKey(keys[i]), coalesce.CacheDefault)
 		results[i] = ScoreResponse{Outcome: v.Outcome, LandingURL: snaps[i].LandingURL, Cached: cached}
 		return err
 	}); err != nil {
@@ -525,14 +507,14 @@ func (s *Server) handleScoreBatchV2(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	pipe, workers, ok := s.beginBatch(w, len(req.Pages), req.Workers)
+	workers, ok := s.beginBatch(w, len(req.Pages), req.Workers)
 	if !ok {
 		return
 	}
 	ctx := r.Context()
 	out := make([]V2ScoreResponse, len(req.Pages))
 	if err := fanOut(ctx, len(out), workers, func(i int) (err error) {
-		out[i], err = s.scorePage(ctx, prioBatch, pipe, &req.Pages[i], opts, cc)
+		out[i], err = s.scorePage(ctx, prioBatch, &req.Pages[i], opts, cc)
 		spellFingerprint(&out[i].Verdict)
 		return pageError(i, err)
 	}); err != nil {

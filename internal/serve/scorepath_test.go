@@ -11,18 +11,19 @@ import (
 
 	"knowphish/internal/core"
 	"knowphish/internal/dataset"
+	"knowphish/internal/ml"
 	"knowphish/internal/target"
 	"knowphish/internal/webpage"
 )
 
 // pageResult is what every scoring endpoint says about one page, read
 // out of that endpoint's own response document. The v1 documents carry
-// no label, fingerprint or model version (frozen wire); err is the
+// no label or fingerprint (frozen wire); err is the
 // request-level error body or the stream's per-item error.
 type pageResult struct {
 	score           float64
 	phish, cached   bool
-	label, fp, ver  string
+	label, fp       string
 	err             string
 	status          int
 	retryAfterIsSet bool
@@ -84,7 +85,7 @@ var scoringEndpoints = []struct {
 
 func (r *pageResult) fromV2(d *V2ScoreResponse) {
 	r.score, r.phish, r.cached = d.Score, d.FinalPhish, d.Cached
-	r.label, r.fp, r.ver = d.Label, d.ContentFingerprint, d.ModelVersion
+	r.label, r.fp = d.Label, d.ContentFingerprint
 }
 
 func mustUnmarshal(t *testing.T, b []byte, v any) {
@@ -110,6 +111,23 @@ func askEndpoint(t *testing.T, s *Server, i int, p PageRequest) pageResult {
 	return r
 }
 
+// trainSmall fits a quick detector of its own, apart from the shared
+// fixture's.
+func trainSmall(t *testing.T, seed int64) *core.Detector {
+	t.Helper()
+	c, _ := fixtures(t)
+	snaps := append(c.LegTrain.Snapshots(), c.PhishTrain.Snapshots()...)
+	labels := append(c.LegTrain.Labels(), c.PhishTrain.Labels()...)
+	d, err := core.Train(snaps, labels, core.TrainConfig{
+		Rank: c.World.Ranking(),
+		GBM:  ml.GBMConfig{Trees: 15, MaxDepth: 3, Seed: seed},
+	})
+	if err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	return d
+}
+
 // TestEveryEndpointSameVerdict sends the same phishing page and the
 // same legitimate page through all five scoring endpoints, each on a
 // fresh server: the verdict is the same one everywhere, the first pass
@@ -117,7 +135,6 @@ func askEndpoint(t *testing.T, s *Server, i int, p PageRequest) pageResult {
 func TestEveryEndpointSameVerdict(t *testing.T) {
 	c, _ := fixtures(t)
 	det := trainSmall(t, 21)
-	det.SetVersion("m-test")
 	pipe := &core.Pipeline{Detector: det, Identifier: target.New(c.Engine)}
 	pick := func(exs []*dataset.Example, phish bool) *webpage.Snapshot {
 		for _, ex := range exs {
@@ -163,9 +180,9 @@ func TestEveryEndpointSameVerdict(t *testing.T) {
 			if want.phish {
 				wantLabel = "phishing"
 			}
-			if first.label != wantLabel || first.fp != webpage.Fingerprint(snap) || first.ver != "m-test" {
-				t.Errorf("%s %s: label %q fingerprint %q model %q, want %q %q m-test",
-					name, ep.path, first.label, first.fp, first.ver, wantLabel, webpage.Fingerprint(snap))
+			if first.label != wantLabel || first.fp != webpage.Fingerprint(snap) {
+				t.Errorf("%s %s: label %q fingerprint %q, want %q %q",
+					name, ep.path, first.label, first.fp, wantLabel, webpage.Fingerprint(snap))
 			}
 		}
 	}

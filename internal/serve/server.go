@@ -23,9 +23,7 @@
 //	                       target, model_version, source and
 //	                       time-range filters (next_cursor resumes
 //	                       the scan)
-//	GET  /v2/models        list registry versions and the champion
-//	POST /v2/models/promote  swap the champion
-//	GET  /healthz          liveness and model metadata
+//	GET  /healthz          liveness, threshold and build metadata
 //	GET  /metrics          request counts, latency percentiles, cache,
 //	                       feed and store stats
 //	                       (?format=prometheus for the scrape surface)
@@ -40,16 +38,12 @@
 // /v1/score/batch is an adapter over scorePage; that one resolves every
 // page, dedupes by content key and scores through scoreSnap; both target
 // endpoints are adapters over identifyPage) with stream.go for the
-// NDJSON framing, verdicts.go (feed intake and store reads), models.go,
-// and ops.go with metrics.go / prometheus.go (health, metrics, debug).
+// NDJSON framing, verdicts.go (feed intake and store reads), and ops.go
+// with metrics.go / prometheus.go (health, metrics, debug).
 //
-// The detector is resolved once per request (pipeline): with a model
-// registry configured, a champion promotion is picked up by the next
-// request — one atomic load, no lock on the hot path, no restart, and
-// in-flight requests finish on the model they started with. Every
-// verdict and stored record is stamped with the model_version that
-// produced it, and memoized scores are version-gated so a promoted
-// model is never shadowed by its predecessor's entries.
+// A server scores with one detector for its whole lifetime: New builds
+// the one pipeline every request goes through. To change the model,
+// restart the process with a new artifact.
 //
 // Every scoring path is context-aware end to end: the request context
 // (plus an optional per-request deadline) reaches the pipeline through
@@ -82,7 +76,6 @@ import (
 	"knowphish/internal/core"
 	"knowphish/internal/feed"
 	"knowphish/internal/obs"
-	"knowphish/internal/registry"
 	"knowphish/internal/slo"
 	"knowphish/internal/store"
 	"knowphish/internal/target"
@@ -107,14 +100,8 @@ const (
 // Config assembles a Server.
 type Config struct {
 	// Detector is the trained classifier, frozen for the server's
-	// lifetime. Required unless Registry supplies models.
+	// lifetime. Required.
 	Detector *core.Detector
-	// Registry is the versioned model store behind GET /v2/models and
-	// POST /v2/models/promote (optional) — the hot-swap seam. When set,
-	// every request resolves the current champion through it (one atomic
-	// load) and Detector is only used as a fallback while the registry
-	// has none.
-	Registry *registry.Registry
 	// Identifier is the target identification system. Required.
 	Identifier *target.Identifier
 	// Workers bounds concurrent pipeline executions across the whole
@@ -164,6 +151,8 @@ type Server struct {
 	// cfg is the configuration with its zero values resolved; every
 	// setting and wired subsystem is read from it.
 	cfg Config
+	// pipe is the detector and identifier every page is scored with.
+	pipe *core.Pipeline
 	// coal is the content-addressed stage memo every scoring call goes
 	// through — the only verdict reuse in the server.
 	coal *coalesce.Coalescer
@@ -194,13 +183,17 @@ type Server struct {
 
 // New validates the configuration and builds a server.
 func New(cfg Config) (*Server, error) {
-	if cfg.Detector == nil && cfg.Registry == nil {
-		return nil, errors.New("serve: Config needs a Detector or a Registry")
+	if cfg.Detector == nil {
+		return nil, errors.New("serve: Config.Detector is required")
 	}
 	if cfg.Identifier == nil {
 		return nil, errors.New("serve: Config.Identifier is required")
 	}
-	s := &Server{cfg: cfg, metrics: newMetrics()}
+	s := &Server{
+		cfg:     cfg,
+		pipe:    &core.Pipeline{Detector: cfg.Detector, Identifier: cfg.Identifier},
+		metrics: newMetrics(),
+	}
 	if s.cfg.Logger == nil {
 		s.cfg.Logger = obs.NopLogger()
 	}
@@ -238,7 +231,6 @@ func New(cfg Config) (*Server, error) {
 	clsStream := s.newClass("stream", prioBatch, false)
 	clsFeed := s.newClass("feed", prioFeed, true)
 	clsVerdicts := s.newClass("verdicts", prioBatch, true)
-	clsModels := s.newClass("models", prioOps, false)
 	clsOps := s.newClass("ops", prioOps, false)
 	s.batch = clsBatch
 	s.mux = http.NewServeMux()
@@ -249,8 +241,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/score", s.instrument(s.post(s.handleScore), clsScore))
 	s.mux.HandleFunc("/v1/score/batch", s.instrument(s.post(s.handleScoreBatch), clsBatch))
 	s.mux.HandleFunc("/v1/target", s.instrument(s.post(s.handleTarget), clsTarget))
-	s.mux.HandleFunc("/v2/models", s.instrument(s.get(s.handleModels), clsModels))
-	s.mux.HandleFunc("/v2/models/promote", s.instrument(s.post(s.handlePromote), clsModels))
 	s.mux.HandleFunc("/v1/feed", s.instrument(s.post(s.handleFeed), clsFeed))
 	s.mux.HandleFunc("/v1/verdicts", s.instrument(s.get(s.handleVerdicts), clsVerdicts))
 	s.mux.HandleFunc("/v2/verdicts", s.instrument(s.get(s.handleVerdictsV2), clsVerdicts))
@@ -265,31 +255,4 @@ func New(cfg Config) (*Server, error) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
-}
-
-// errNoModel is the 503 a scoring request gets from a registry that has
-// no champion yet when no Detector backs it.
-var errNoModel = errors.New("no model available: the registry has no champion")
-
-// detector is the serving detector: the registry champion, else
-// Config.Detector (the fallback while a registry is bootstrapped), else
-// nil.
-func (s *Server) detector() *core.Detector {
-	if s.cfg.Registry != nil {
-		if d := s.cfg.Registry.Current(); d != nil {
-			return d
-		}
-	}
-	return s.cfg.Detector
-}
-
-// pipeline resolves the detector for one request — exactly once, so a
-// champion hot-swap lands between requests, never inside one: a batch
-// is scored end to end by a single model.
-func (s *Server) pipeline() (*core.Pipeline, error) {
-	det := s.detector()
-	if det == nil {
-		return nil, errNoModel
-	}
-	return &core.Pipeline{Detector: det, Identifier: s.cfg.Identifier}, nil
 }

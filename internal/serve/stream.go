@@ -145,11 +145,7 @@ func (s *Server) readStreamItems(w http.ResponseWriter, r *http.Request) ([]stre
 }
 
 // scoreStreamItem runs one stream item through scorePage,
-// folding every per-item failure into the result line. Each item
-// resolves the detector for itself: a stream is long-lived, and a
-// champion promoted mid-stream should score the items still queued —
-// every result line carries the model_version that actually produced
-// it.
+// folding every per-item failure into the result line.
 func (s *Server) scoreStreamItem(ctx context.Context, idx int, it *streamItem) V2StreamResult {
 	res := V2StreamResult{Index: idx}
 	if it.parseErr != nil {
@@ -159,7 +155,7 @@ func (s *Server) scoreStreamItem(ctx context.Context, idx int, it *streamItem) V
 	opts, cc, err := s.coreOptions(it.req.ScoreOptions)
 	var resp V2ScoreResponse
 	if err == nil {
-		resp, err = s.scorePage(ctx, prioBatch, nil, &it.req.PageRequest, opts, cc)
+		resp, err = s.scorePage(ctx, prioBatch, &it.req.PageRequest, opts, cc)
 	}
 	switch {
 	case err == nil:

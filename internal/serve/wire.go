@@ -249,13 +249,6 @@ type HealthResponse struct {
 	Status        string  `json:"status"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Threshold     float64 `json:"threshold"`
-	// ModelVersion is the serving champion's registry version ("" for a
-	// detector loaded outside a registry).
-	ModelVersion string `json:"model_version,omitempty"`
-	// ModelHash is the champion artifact's sha256 (registry-backed
-	// servers only) — together with ModelVersion it pins exactly which
-	// model bytes answer this instance's traffic.
-	ModelHash string `json:"model_hash,omitempty"`
 	// GoVersion and VCSRevision identify the running build, read once
 	// from debug.ReadBuildInfo (VCSRevision is empty when the binary
 	// was built outside a VCS checkout, e.g. in tests).

@@ -93,10 +93,10 @@ type Record struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Outcome is the pipeline verdict.
 	Outcome core.Outcome `json:"outcome"`
-	// ModelVersion is the registry version of the detector that produced
-	// the verdict ("" when the detector was never registered). It makes
-	// the log's history attributable across champion hot-swaps: records
-	// written mid-promotion name whichever model actually scored them.
+	// ModelVersion is an optional tag naming the model that produced the
+	// verdict. The feed leaves it empty; like Source, a record appended
+	// with one, or read from a log that carries one, keeps it, and
+	// Query.ModelVersion filters on it. Omitted when empty.
 	ModelVersion string `json:"model_version,omitempty"`
 	// Target is the top identified target RDN for phishing verdicts
 	// ("" when identification did not run or named nothing).
@@ -170,7 +170,8 @@ type Query struct {
 	Target string
 	// URL restricts to records whose landing or starting URL matches.
 	URL string
-	// ModelVersion restricts to records scored by that registry version.
+	// ModelVersion restricts to records carrying that model tag
+	// (Record.ModelVersion).
 	ModelVersion string
 	// Source restricts to records carrying that provenance tag
 	// (Record.Source).
