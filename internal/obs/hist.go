@@ -35,40 +35,43 @@ func BucketBoundUS(i int) int64 {
 	return int64(1) << uint(i+1)
 }
 
-// hist is one slot of a WindowedHist: a lock-free exponential latency
-// histogram. The zero value is ready to use.
-type hist struct {
-	buckets [NumBuckets]atomic.Int64
-	sumUS   atomic.Int64
+// sumMax is the part of a histogram its counter width does not change.
+type sumMax struct {
+	sumUS atomic.Int64
 	// maxUS tracks the largest observation so the open-ended last
 	// bucket (and any bucket bound past the data) can report a real
 	// value instead of its theoretical 2^26 µs ≈ 67 s upper bound.
 	maxUS atomic.Int64
 }
 
-// add records one observation of us microseconds in bucket b.
-func (h *hist) add(b int, us int64) {
-	h.buckets[b].Add(1)
-	h.sumUS.Add(us)
+func (m *sumMax) add(us int64) {
+	m.sumUS.Add(us)
 	for {
-		cur := h.maxUS.Load()
-		if us <= cur || h.maxUS.CompareAndSwap(cur, us) {
+		cur := m.maxUS.Load()
+		if us <= cur || m.maxUS.CompareAndSwap(cur, us) {
 			return
 		}
 	}
 }
 
-// reset zeroes the histogram for reuse. It is atomic per field, not
-// across the histogram: observations racing a reset may be partially
-// retained. The slot ring resets only slots a full ring period stale,
-// where in-flight observers are gone; the residual slop is one sample
-// at a slot boundary, which a dashboard percentile cannot see.
-func (h *hist) reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
+func (m *sumMax) addTo(snap *HistSnapshot) {
+	snap.SumUS += m.sumUS.Load()
+	if v := m.maxUS.Load(); v > snap.MaxUS {
+		snap.MaxUS = v
 	}
-	h.sumUS.Store(0)
-	h.maxUS.Store(0)
+}
+
+// hist is the since-boot histogram of a WindowedHist: a lock-free
+// exponential latency histogram with 64-bit counts.
+type hist struct {
+	buckets [NumBuckets]atomic.Int64
+	sumMax
+}
+
+// add records one observation of us microseconds in bucket b.
+func (h *hist) add(b int, us int64) {
+	h.buckets[b].Add(1)
+	h.sumMax.add(us)
 }
 
 // addTo folds the histogram's current counts into snap. The read is not
@@ -80,10 +83,41 @@ func (h *hist) addTo(snap *HistSnapshot) {
 		snap.Buckets[i] += c
 		snap.N += c
 	}
-	snap.SumUS += h.sumUS.Load()
-	if m := h.maxUS.Load(); m > snap.MaxUS {
-		snap.MaxUS = m
+	h.sumMax.addTo(snap)
+}
+
+// slotHist is a ring slot's histogram: hist with 32-bit bucket counts,
+// which window.go shows cannot overflow.
+type slotHist struct {
+	buckets [NumBuckets]atomic.Uint32
+	sumMax
+}
+
+func (h *slotHist) add(b int, us int64) {
+	h.buckets[b].Add(1)
+	h.sumMax.add(us)
+}
+
+// reset zeroes the slot for reuse, atomic per field only: the ring
+// resets only slots a full ring period stale, so the slop is at most a
+// racing sample at a slot boundary, which no percentile can see.
+func (h *slotHist) reset() {
+	for i := range h.buckets {
+		h.buckets[i].Store(0)
 	}
+	h.sumUS.Store(0)
+	h.maxUS.Store(0)
+}
+
+// addTo is hist.addTo for a slot. A count widens to int64 straight from
+// uint32, so a full bucket reads 2^32−1, never a negative number.
+func (h *slotHist) addTo(snap *HistSnapshot) {
+	for i := range h.buckets {
+		c := int64(h.buckets[i].Load())
+		snap.Buckets[i] += c
+		snap.N += c
+	}
+	h.sumMax.addTo(snap)
 }
 
 // HistSnapshot is a point-in-time merge of one or more histograms — a

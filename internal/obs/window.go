@@ -19,6 +19,12 @@ import (
 // cleared; their stale epochs simply exclude them from window reads, so
 // expiry is correct by construction.
 //
+// A histogram pays only for the windows it has used: its first Observe
+// allocates its rings, and a ring slot counts in 32 bits, 128 bytes
+// with its epoch. A slot cannot overflow: one bucket of a 1 min slot
+// would need 2^32 observations, about 71 million a second. The
+// since-boot histogram, which never resets, keeps 64-bit counts.
+//
 // Concurrency contract: everything is atomics, so the rings are
 // race-detector clean, but windows are operational aggregates, not
 // ledgers. An observation racing a slot rotation (the observer loaded
@@ -128,18 +134,30 @@ func (r *ring[T, P]) each(nowNS int64, window time.Duration, f func(*T)) {
 	}
 }
 
+// histRings holds a WindowedHist's 128 slots in one 16 KB allocation (a
+// Go size class); a histRing is a view of either ring, built on use.
+type histRing = ring[slotHist, *slotHist]
+
+type histRings struct {
+	fine   [fineSlots]slot[slotHist]
+	coarse [coarseSlots]slot[slotHist]
+}
+
+func (rs *histRings) fineRing() histRing   { return histRing{fineSlotDur, rs.fine[:]} }
+func (rs *histRings) coarseRing() histRing { return histRing{coarseSlotDur, rs.coarse[:]} }
+
 // WindowedHist is the latency estimator: one since-boot histogram plus
 // two slot rings — fine (1 s slots) for sub-minute windows, coarse
 // (1 min slots) for the 5 m and 1 h windows. Observe computes the
 // bucket once and feeds all three; SinceBoot and Window read them back
-// as HistSnapshots. The clock is injectable for tests; construct with
-// NewWindowedHist. All methods are nil-receiver safe so unwired
-// surfaces cost one branch.
+// as HistSnapshots. It costs what it records: about 250 bytes until the
+// first Observe installs the rings, about 16.6 KB after. The clock is
+// injectable for tests; construct with NewWindowedHist. All methods are
+// nil-receiver safe so unwired surfaces cost one branch.
 type WindowedHist struct {
-	clock  func() time.Time
-	total  hist
-	fine   ring[hist, *hist]
-	coarse ring[hist, *hist]
+	clock func() time.Time
+	total hist
+	rings atomic.Pointer[histRings] // nil until the first Observe
 }
 
 // NewWindowedHist builds a windowed histogram. clock nil means
@@ -148,16 +166,14 @@ func NewWindowedHist(clock func() time.Time) *WindowedHist {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &WindowedHist{
-		clock:  clock,
-		fine:   newRing[hist](fineSlots, fineSlotDur),
-		coarse: newRing[hist](coarseSlots, coarseSlotDur),
-	}
+	return &WindowedHist{clock: clock}
 }
 
 // Observe records one duration (negative durations count as 0) into
 // the since-boot histogram and the current fine and coarse slots.
-// Allocation-free and safe for concurrent use. Nil-safe no-op.
+// Safe for concurrent use; allocation-free but for the first call,
+// whose CAS installs the rings (a racing loser uses the winner's).
+// Nil-safe no-op.
 func (w *WindowedHist) Observe(d time.Duration) {
 	if w == nil {
 		return
@@ -165,12 +181,16 @@ func (w *WindowedHist) Observe(d time.Duration) {
 	us := max(d.Microseconds(), 0)
 	b := bucketOf(us)
 	w.total.add(b, us)
-	now := w.clock().UnixNano()
-	if h := w.fine.at(now); h != nil {
-		h.add(b, us)
+	rs := w.rings.Load()
+	if rs == nil {
+		w.rings.CompareAndSwap(nil, new(histRings))
+		rs = w.rings.Load()
 	}
-	if h := w.coarse.at(now); h != nil {
-		h.add(b, us)
+	now := w.clock().UnixNano()
+	for _, r := range [...]histRing{rs.fineRing(), rs.coarseRing()} {
+		if h := r.at(now); h != nil {
+			h.add(b, us)
+		}
 	}
 }
 
@@ -193,11 +213,15 @@ func (w *WindowedHist) Window(window time.Duration) HistSnapshot {
 	if w == nil || window <= 0 {
 		return snap
 	}
-	r := &w.fine
-	if window > fineSlots*fineSlotDur {
-		r = &w.coarse
+	rs := w.rings.Load()
+	if rs == nil {
+		return snap
 	}
-	r.each(w.clock().UnixNano(), window, func(h *hist) { h.addTo(&snap) })
+	r := rs.fineRing()
+	if window > fineSlots*fineSlotDur {
+		r = rs.coarseRing()
+	}
+	r.each(w.clock().UnixNano(), window, func(h *slotHist) { h.addTo(&snap) })
 	return snap
 }
 

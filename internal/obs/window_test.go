@@ -3,11 +3,13 @@ package obs
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"knowphish/internal/racecheck"
 )
@@ -297,10 +299,22 @@ func TestHistPercentileWithinOneBucket(t *testing.T) {
 
 // TestWindowedHistObserveAllocs: Observe is on the per-request path of
 // every instrumented endpoint and every traced stage, and feeds all
-// three slots (since boot, fine, coarse) without allocating.
+// three slots (since boot, fine, coarse) without allocating — except
+// the first Observe of a histogram, which installs its rings in one
+// allocation. Window reads allocate nothing.
 func TestWindowedHistObserveAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const runs = 100
+	fresh := make([]*WindowedHist, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range fresh {
+		fresh[i] = NewWindowedHist(nil)
+	}
+	i := 0
+	first := testing.AllocsPerRun(runs, func() { fresh[i].Observe(time.Millisecond); i++ })
+	if first != 1 {
+		t.Fatalf("first Observe allocated %.1f times per call, want 1", first)
 	}
 	w := NewWindowedHist(nil)
 	if allocs := testing.AllocsPerRun(1000, func() { w.Observe(time.Millisecond) }); allocs != 0 {
@@ -308,6 +322,208 @@ func TestWindowedHistObserveAllocs(t *testing.T) {
 	}
 	if got := w.SinceBoot().Count(); got < 1000 {
 		t.Errorf("since-boot count = %d, want every observation", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = w.Window(Window1m); _ = w.Window(Window1h) }); allocs != 0 {
+		t.Errorf("Window allocated %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestWindowedHistRetainedBytes pins what a histogram costs: an unused
+// one holds its since-boot histogram alone, and one that has observed
+// also holds both rings of 64 slots of 128 bytes.
+func TestWindowedHistRetainedBytes(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("heap retention is not meaningful under -race")
+	}
+	if got := unsafe.Sizeof(slot[slotHist]{}); got != 128 {
+		t.Errorf("a ring slot is %d bytes, want 128", got)
+	}
+	collect := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	const n = 1000
+	for _, tc := range []struct {
+		name     string
+		observes int
+		budget   int64
+	}{{"unused", 0, 512}, {"observed once", 1, 17 << 10}} {
+		hs := make([]*WindowedHist, n)
+		before := collect()
+		for i := range hs {
+			hs[i] = NewWindowedHist(nil)
+			for range tc.observes {
+				hs[i].Observe(time.Millisecond)
+			}
+		}
+		per := (collect() - before) / n
+		runtime.KeepAlive(hs)
+		t.Logf("%s: %d bytes retained per histogram", tc.name, per)
+		if per > tc.budget {
+			t.Errorf("%s: %d bytes retained per histogram, budget %d", tc.name, per, tc.budget)
+		}
+	}
+}
+
+// refObs is one observation the reference keeps: when, and how long.
+type refObs struct{ atNS, us int64 }
+
+// refSnapshot buckets the kept observations that keep admits, one
+// bucket bound at a time.
+func refSnapshot(kept []refObs, keep func(refObs) bool) HistSnapshot {
+	var snap HistSnapshot
+	for _, o := range kept {
+		if !keep(o) {
+			continue
+		}
+		b := 0
+		for b < NumBuckets-1 && o.us >= int64(2)<<b {
+			b++
+		}
+		snap.Buckets[b]++
+		snap.N++
+		snap.SumUS += o.us
+		snap.MaxUS = max(snap.MaxUS, o.us)
+	}
+	return snap
+}
+
+// refWindow is the naive reading of a window: every kept observation
+// whose slot lies in the trailing ⌈window/slot⌉ slots (at most 64),
+// choosing 1 s slots up to 64 s and 1 min slots beyond.
+func refWindow(kept []refObs, nowNS int64, window time.Duration) HistSnapshot {
+	slotDur := int64(time.Second)
+	if window > 64*time.Second {
+		slotDur = int64(time.Minute)
+	}
+	k := min((int64(window)+slotDur-1)/slotDur, 64)
+	return refSnapshot(kept, func(o refObs) bool {
+		age := nowNS/slotDur - o.atNS/slotDur
+		return age >= 0 && age < k
+	})
+}
+
+// TestWindowedHistMatchesReference: over random streams of clock
+// advances and durations — idle gaps past both ring periods included —
+// every answer the histogram gives equals the naive reading of the
+// observations it was given.
+func TestWindowedHistMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for stream := 0; stream < 150; stream++ {
+		clk := newFakeClock(windowT0.Add(time.Duration(rng.Int63n(int64(time.Hour)))))
+		w := NewWindowedHist(clk.clock())
+		var kept []refObs
+		for step := 0; step < 200; step++ {
+			switch r := rng.Intn(100); {
+			case r < 60: // same or next few seconds
+				clk.Advance(time.Duration(rng.Int63n(int64(3 * time.Second))))
+			case r < 85: // up to a few minutes
+				clk.Advance(time.Duration(rng.Int63n(int64(5 * time.Minute))))
+			case r < 95: // longer than the fine ring's period
+				clk.Advance(65*time.Second + time.Duration(rng.Int63n(int64(30*time.Minute))))
+			default: // longer than the coarse ring's period
+				clk.Advance(65*time.Minute + time.Duration(rng.Int63n(int64(3*time.Hour))))
+			}
+			if rng.Intn(4) > 0 {
+				d := time.Duration(math.Exp2(rng.Float64()*37)) - time.Microsecond // 0 to ≈ 2^27 µs, and negatives
+				if rng.Intn(20) == 0 {
+					d = -d
+				}
+				w.Observe(d)
+				kept = append(kept, refObs{clk.Now().UnixNano(), max(d.Microseconds(), 0)})
+			}
+			now := clk.Now().UnixNano()
+			all := refSnapshot(kept, func(refObs) bool { return true })
+			if got := w.SinceBoot(); got != all {
+				t.Fatalf("stream %d step %d: since boot %+v, reference %+v", stream, step, got, all)
+			}
+			random := time.Duration(1 + rng.Int63n(int64(2*time.Hour)))
+			for _, win := range []time.Duration{Window1m, Window5m, Window1h, random} {
+				if got, want := w.Window(win), refWindow(kept, now, win); got != want {
+					t.Fatalf("stream %d step %d: window %v %+v, reference %+v", stream, step, win, got, want)
+				}
+			}
+			sums := w.Summaries()
+			for i, win := range []time.Duration{Window1m, Window5m, Window1h} {
+				ref := refWindow(kept, now, win)
+				want := WindowSummary{Window: sums[i].Window, Count: ref.Count(), MeanUS: ref.Mean(),
+					P50US: ref.Percentile(50), P99US: ref.Percentile(99), P999US: ref.Percentile(99.9)}
+				if sums[i] != want {
+					t.Fatalf("stream %d step %d: summary %+v, reference %+v", stream, step, sums[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestSlotCountsWidenUnsigned: a slot bucket one short of full takes
+// one more observation and reads back as 2^32−1 — widened from uint32,
+// never sign-extended through int32.
+func TestSlotCountsWidenUnsigned(t *testing.T) {
+	clk := newFakeClock(windowT0)
+	w := NewWindowedHist(clk.clock())
+	w.Observe(time.Millisecond)
+	b := bucketOf(time.Millisecond.Microseconds())
+	rs, now := w.rings.Load(), clk.Now().UnixNano()
+	fine, coarse := rs.fineRing(), rs.coarseRing()
+	fine.at(now).buckets[b].Store(math.MaxUint32 - 1)
+	coarse.at(now).buckets[b].Store(math.MaxUint32 - 1)
+	w.Observe(time.Millisecond)
+	for _, win := range []time.Duration{Window1m, Window1h} {
+		if snap := w.Window(win); snap.Buckets[b] != 4_294_967_295 || snap.N != 4_294_967_295 {
+			t.Errorf("window %v: bucket %d reads %d of %d, want 4294967295", win, b, snap.Buckets[b], snap.N)
+		}
+	}
+}
+
+// TestWindowedHistConcurrentFirstObserve races the ring install: eight
+// goroutines make the first observations of a fresh histogram while two
+// read windows. One install wins, and no observation is lost to a
+// losing copy.
+func TestWindowedHistConcurrentFirstObserve(t *testing.T) {
+	clk := newFakeClock(windowT0)
+	w := NewWindowedHist(clk.clock())
+	const writers, perWriter = 8, 500
+	start := make(chan struct{})
+	stop := make(chan struct{})
+	var writerWG, readerWG sync.WaitGroup
+	for range 2 {
+		readerWG.Add(1)
+		go func() {
+			defer readerWG.Done()
+			<-start
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_ = w.Window(Window1m)
+				}
+			}
+		}()
+	}
+	for range writers {
+		writerWG.Add(1)
+		go func() {
+			defer writerWG.Done()
+			<-start
+			for range perWriter {
+				w.Observe(time.Millisecond)
+			}
+		}()
+	}
+	close(start)
+	writerWG.Wait()
+	close(stop)
+	readerWG.Wait()
+	if got := w.SinceBoot().N; got != writers*perWriter {
+		t.Errorf("since-boot count = %d, want %d", got, writers*perWriter)
+	}
+	if got := w.Window(Window1m).N; got != writers*perWriter {
+		t.Errorf("1m count = %d, want %d", got, writers*perWriter)
 	}
 }
 

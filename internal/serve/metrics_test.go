@@ -1,7 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -53,6 +59,63 @@ func TestMetricsConcurrentObserve(t *testing.T) {
 	if all, _ := s.latency(); all.Count() != 8000 {
 		t.Errorf("latency count = %d, want 8000", all.Count())
 	}
+}
+
+// heldBody is a request body whose first Read reports the handler has
+// started reading and then waits for release.
+type heldBody struct {
+	entered, release chan struct{}
+	once             sync.Once
+	r                io.Reader
+}
+
+func (b *heldBody) Read(p []byte) (int, error) {
+	b.once.Do(func() { close(b.entered) })
+	<-b.release
+	return b.r.Read(p)
+}
+
+// TestInFlightCountsNoScrape: the in-flight gauge counts requests being
+// served, not the ops request that reads it — an idle server reads 0 in
+// both /metrics formats, and 1 while one score request is held in its
+// handler.
+func TestInFlightCountsNoScrape(t *testing.T) {
+	c, _ := fixtures(t)
+	s := newServer(t, nil)
+	gauge := regexp.MustCompile(`(?m)^knowphish_requests_in_flight (\S+)$`)
+	check := func(want int64) {
+		t.Helper()
+		var m MetricsSnapshot
+		call(t, s, http.MethodGet, "/metrics", nil, &m)
+		prom := rawCall(t, s, http.MethodGet, "/metrics?format=prometheus", nil, nil).Body.String()
+		got := gauge.FindStringSubmatch(prom)
+		if m.InFlight != want || got == nil || got[1] != strconv.FormatInt(want, 10) {
+			t.Errorf("in_flight = %d, knowphish_requests_in_flight = %v; want %d in both", m.InFlight, got, want)
+		}
+	}
+	check(0)
+	page, err := json.Marshal(PageRequest{Snapshot: c.PhishTest.Examples[0].Snapshot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := &heldBody{entered: make(chan struct{}), release: make(chan struct{}), r: bytes.NewReader(page)}
+	done := make(chan int)
+	go func() {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/score", body))
+		done <- rec.Code
+	}()
+	select {
+	case <-body.entered:
+	case code := <-done:
+		t.Fatalf("score request finished with status %d without reading its body", code)
+	}
+	check(1)
+	close(body.release)
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("held score request: status %d", code)
+	}
+	check(0)
 }
 
 // TestLatencyLedger pins who observes what: every successful scoring

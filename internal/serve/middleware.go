@@ -93,8 +93,10 @@ func (s *Server) instrument(h http.HandlerFunc, cls *endpointClass) http.Handler
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		s.metrics.requests.Add(1)
-		s.metrics.inFlight.Add(1)
-		defer s.metrics.inFlight.Add(-1)
+		if cls.priority != prioOps { // a scrape must not count itself
+			s.metrics.inFlight.Add(1)
+			defer s.metrics.inFlight.Add(-1)
+		}
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		if !s.admit(cls) {
 			s.shedClass(rec, cls)
