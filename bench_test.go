@@ -687,13 +687,9 @@ func BenchmarkCoalescedScore(b *testing.B) {
 				}
 				coal := coalesce.New(coalesce.Config{MemoEntries: memo})
 				if mode == "warm" {
-					// Twice: a positive's first hit expands its packed
-					// target entry, and warm measures the hits after.
-					for range 2 {
-						for _, req := range reqs {
-							if _, err := coal.Do(ctx, pipe, req, coalesce.CacheDefault, nil); err != nil {
-								b.Fatal(err)
-							}
+					for _, req := range reqs {
+						if _, err := coal.Do(ctx, pipe, req, coalesce.CacheDefault, nil); err != nil {
+							b.Fatal(err)
 						}
 					}
 				}
@@ -702,8 +698,11 @@ func BenchmarkCoalescedScore(b *testing.B) {
 				b.SetParallelism(conc) // conc goroutines per GOMAXPROCS
 				b.ResetTimer()
 				b.RunParallel(func(pb *testing.PB) {
+					// One lent target buffer per goroutine, as the server
+					// lends one per request.
+					var buf core.TargetBuffer
 					for pb.Next() {
-						req := reqs[int(next.Add(1))%len(reqs)]
+						req := reqs[int(next.Add(1))%len(reqs)].WithTargetBuffer(&buf)
 						if _, err := coal.Do(ctx, pipe, req, coalesce.CacheDefault, nil); err != nil {
 							b.Fatal(err)
 						}
@@ -733,10 +732,11 @@ func BenchmarkMemoLookup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := core.NewScoreRequest(snap)
+	var buf core.TargetBuffer // lent like the server's pooled one
+	req := core.NewScoreRequest(snap).WithTargetBuffer(&buf)
 	ctx := context.Background()
 	coal := coalesce.New(coalesce.Config{})
-	for range 2 { // the miss, then the first hit, which expands the target entry
+	for range 2 { // the miss, then a hit that sizes the lent buffer
 		if _, err := coal.Do(ctx, pipe, req, coalesce.CacheDefault, nil); err != nil {
 			b.Fatal(err)
 		}

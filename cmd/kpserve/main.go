@@ -119,7 +119,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (app.Config, options, error) {
 	fs.StringVar(&cfg.Ranking, "ranking", "", "popularity list CSV from kpgen (optional)")
 	fs.StringVar(&cfg.Index, "index", "", "search index JSON (optional; required with -model for target identification)")
 	fs.IntVar(&cfg.Workers, "workers", 0, "batch fan-out cap (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.MemoEntries, "memo-size", coalesce.DefaultMemoEntries, "entries per content-addressed memo table, score and target: ~45 bytes per scored page plus ~0.23 KB per detector positive (~0.8 KB once it is read again), whatever the page size (negative: no verdict reuse, every request computes every stage)")
+	fs.IntVar(&cfg.MemoEntries, "memo-size", coalesce.DefaultMemoEntries, "entries per content-addressed memo table, score and target: ~45 bytes per scored page plus ~0.23 KB per detector positive, whatever the page size (negative: no verdict reuse, every request computes every stage)")
 	fs.DurationVar(&cfg.Deadline, "deadline", 0, "default per-request scoring deadline (0 = none; requests may set their own deadline_ms)")
 	fs.IntVar(&cfg.Scale, "scale", 25, "corpus scale for the self-train path")
 	fs.Int64Var(&cfg.Seed, "seed", app.DefaultSeed, "seed for the self-train path")

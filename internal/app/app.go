@@ -68,8 +68,8 @@ type Config struct {
 	Workers int
 	// MemoEntries is the capacity of each of the stage memo's two tables,
 	// score and target (negative: no verdict reuse). About 45 bytes per
-	// scored page plus 0.23 KB per detector positive (0.8 KB once it is
-	// read again), whatever the page size (see
+	// scored page plus 0.23 KB per detector positive, whatever the page
+	// size and however often it is read (see
 	// coalesce.Config.MemoEntries).
 	MemoEntries int
 	// Deadline is the default per-request scoring budget (0 → none).

@@ -12,16 +12,17 @@
 // index, not heap objects of its own. A score slot holds no pointer at
 // all (key, score and links: 32 bytes), so the collector never scans
 // the score table; the 32-hex fingerprint is spelled from the key by
-// whoever renders or stores it. A target entry is stored packed — one
-// pointer-free string naming each candidate by its search-index domain
-// id — and expanded into a shared *target.Result on its first hit. The
-// memo keeps verdicts, not pages: no entry references the snapshot,
-// its analysis or its feature vector, so nothing a client sent stays
-// reachable after its response is written, and an entry's size does
-// not depend on the page (see Config.MemoEntries). These tables are
-// the only verdict reuse in the process: a request whose score — and
-// target result, when it needs one — is found is what the serving
-// layer reports as a cache hit.
+// whoever renders or stores it. A target entry is stored packed for
+// its whole life — one pointer-free string naming each candidate by its
+// search-index domain id — and every hit decodes it into storage the
+// request lends (core.ScoreRequest.WithTargetBuffer), so reading an
+// entry never makes it grow. The memo keeps verdicts, not pages: no
+// entry references the snapshot, its analysis or its feature vector, so
+// nothing a client sent stays reachable after its response is written,
+// and an entry's size does not depend on the page (see
+// Config.MemoEntries). These tables are the only verdict reuse in the
+// process: a request whose score — and target result, when it needs
+// one — is found is what the serving layer reports as a cache hit.
 //
 // Coalescer.Do hashes the page, looks the score up and then, for a
 // positive, the target result, hands what it found to the pipeline's
@@ -40,7 +41,6 @@ import (
 	"knowphish/internal/core"
 	"knowphish/internal/search"
 	"knowphish/internal/target"
-	"knowphish/internal/webpage"
 )
 
 // CacheControl selects how one request interacts with the memo tables.
@@ -96,14 +96,12 @@ type Config struct {
 	// memory, not only the entry count, because no entry grows with its
 	// page: a score entry is about 45 bytes (a 32-byte slot of key,
 	// score and links, and its index cells), and a target entry —
-	// detector positives only — about 235 bytes more: a 48-byte slot and
+	// detector positives only — about 230 bytes more: a 40-byte slot and
 	// a packed string of its verdict, at most 30 candidates as domain
 	// ids, and its key terms, copied out of the page (the one part that
-	// is as long as the page spelled it). A target entry's first hit
-	// expands it to about 0.8 KB, the size of the result it shares with
-	// every later hit. The default is ~2.9 MB of scores when full, ~18 MB
-	// if every page were a positive, and ~53 MB if every one of those
-	// had been read again
+	// is as long as the page spelled it). Reading an entry does not
+	// change its size. The default is ~2.9 MB of scores when full and
+	// ~18 MB if every page were a positive
 	// (TestHeapAllocRetainedPerScoreEntry,
 	// TestHeapAllocRetainedPerTargetEntry and
 	// TestHeapAllocRetainedPerPage hold the per-page figures).
@@ -140,17 +138,11 @@ type scoreEntry struct {
 }
 
 // targetEntry memoizes the target-identification result of a detector
-// positive. A new entry is packed: one pointer-free string (packTarget)
-// that names each candidate by its search-index domain id, about 160
-// bytes where the result it encodes takes 0.75 KB. Its first hit
-// expands it — into the result res points to, which that hit and every
-// later one share read-only, so a warm lookup never copies it onto the
-// heap — and puts the expansion back in place of the string. An entry
-// whose result does not pack holds res from the start.
-type targetEntry struct {
-	res    *target.Result
-	packed string
-}
+// positive, packed for the entry's whole life (packTarget): one
+// pointer-free string that names each candidate by its search-index
+// domain id, about 160 bytes where the result it encodes takes 0.75 KB.
+// Every hit decodes it into storage the request lends.
+type targetEntry string
 
 // Coalescer memoizes the scoring pipeline's stages by page content. The
 // zero value is not usable; build one with New. A nil *Coalescer is
@@ -165,10 +157,10 @@ type Coalescer struct {
 	// neither read a score this one computed nor leave one of its own.
 	detector atomic.Pointer[core.Detector]
 
-	// engine is the search index whose domain ids packed target entries
-	// hold: the first one an entry was packed against. A process has one
+	// engine is the search index whose domain ids target entries hold:
+	// the first one an entry was packed against. A process has one
 	// identifier, so one engine; a result identified against another is
-	// kept expanded, and a packed entry read through another is a miss.
+	// not memoized, and an entry read through another is a miss.
 	engine atomic.Pointer[search.Engine]
 
 	passes   atomic.Uint64
@@ -207,6 +199,11 @@ func (c *Coalescer) owns(d *core.Detector) bool {
 // vs computed; empty for stages that did not run — analysis and features
 // are only ever computed or empty).
 //
+// A target result found in the memo is decoded into the buffer the
+// request lends (core.ScoreRequest.WithTargetBuffer), which the
+// verdict's Target then aliases; a request that lends none gets a
+// decode of its own on the heap.
+//
 // Explain requests are per-request by nature and are transparently
 // routed to pipe.AnalyzeCtx, and so is a pass through a detector other
 // than the one the tables belong to (see owns). A nil receiver routes
@@ -242,8 +239,13 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 		// for a page whose memoised score is below the threshold would
 		// count a miss on every warm legitimate hit.
 		if !st.HasScore || st.Score >= pipe.Detector.Threshold() {
-			if e, ok := c.target.Get(key); ok {
-				st.TargetResult = c.expand(key, e, pipe)
+			if e, ok := c.target.Get(key); ok && pipe.Identifier != nil && pipe.Identifier.Engine == c.engine.Load() {
+				buf := req.TargetBuffer()
+				if buf == nil {
+					buf = new(core.TargetBuffer) // the request lends none: arrays of its own
+				}
+				res := decodeTarget(pipe.Identifier.Engine, string(e), buf)
+				st.TargetResult = &res
 			}
 		}
 	}
@@ -258,7 +260,9 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 			c.score.Put(key, scoreEntry{score: v.Score})
 		}
 		if st.Computed&core.StageMaskTarget != 0 {
-			c.target.Put(key, c.newTargetEntry(pipe.Identifier.Engine, v.Target))
+			if e, ok := c.packEntry(pipe.Identifier.Engine, v.Target); ok {
+				c.target.Put(key, e)
+			}
 		}
 	}
 	if prov != nil {
@@ -281,33 +285,16 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 	return v, nil
 }
 
-// newTargetEntry is the entry that keeps res, identified against eng:
-// packed when eng is the coalescer's engine and res packs, else
-// ownedResult's copy.
-func (c *Coalescer) newTargetEntry(eng *search.Engine, res target.Result) targetEntry {
+// packEntry packs res, identified against eng, for the target table. It
+// reports false, and the result is not memoized, when eng is not the
+// coalescer's engine or res does not pack.
+func (c *Coalescer) packEntry(eng *search.Engine, res target.Result) (targetEntry, bool) {
 	c.engine.CompareAndSwap(nil, eng)
-	if eng == c.engine.Load() {
-		if p, ok := packTarget(eng, res); ok {
-			return targetEntry{packed: p}
-		}
+	if eng != c.engine.Load() {
+		return "", false
 	}
-	return targetEntry{res: ownedResult(res)}
-}
-
-// expand returns the result e holds for key, expanding a packed entry
-// and putting the expansion back in its place unless a write has
-// replaced the entry meanwhile. A packed entry read through a pipeline
-// on another engine is a miss: nil.
-func (c *Coalescer) expand(key webpage.Key128, e targetEntry, pipe *core.Pipeline) *target.Result {
-	if e.res != nil {
-		return e.res
-	}
-	if pipe.Identifier == nil || pipe.Identifier.Engine != c.engine.Load() {
-		return nil
-	}
-	res := expandTarget(pipe.Identifier.Engine, e.packed)
-	replace(c.target, key, e, targetEntry{res: res})
-	return res
+	p, ok := packTarget(eng, res)
+	return targetEntry(p), ok
 }
 
 // Enabled reports whether the tables hold anything: false for a nil

@@ -388,10 +388,12 @@ func TestExplainBypass(t *testing.T) {
 }
 
 // TestWarmPathZeroAllocs pins the cost of a memoized request on a
-// detector positive. The first hit expands the packed target entry —
-// the Result, its candidate and term arrays and its term bytes, at most
-// four allocations — and every later hit is content hash, score and
-// target hits and one staged pass: zero heap allocations.
+// detector positive: content hash, score and target hits and one staged
+// pass. The target entry is decoded into the buffer the request lends,
+// so with a buffer that has room — as a pooled one has once it has held
+// a few results — every hit, the first included, makes no heap
+// allocation. A request that lends none pays the decode's candidate and
+// term arrays.
 func TestWarmPathZeroAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -399,29 +401,38 @@ func TestWarmPathZeroAllocs(t *testing.T) {
 	_, pipe := fixtures(t)
 	c := New(Config{})
 	ctx := context.Background()
-	req := core.NewScoreRequest(positives(t, 1)[0])
+	snap := positives(t, 1)[0]
 	// One P, as testing.AllocsPerRun runs with; a pool allocates once
-	// for its first use after that changes, and the cold request makes
+	// for its first use after that changes, and the cold requests make
 	// that use.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	if _, err := c.Do(ctx, pipe, req, CacheDefault, nil); err != nil {
+	if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, nil); err != nil {
 		t.Fatal(err)
 	}
 	var prov core.MemoProvenance
-	hit := func() {
-		v, err := c.Do(ctx, pipe, req, CacheDefault, &prov)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.ContentKey == (webpage.Key128{}) || prov.Score != core.ProvMemo || prov.Target != core.ProvMemo {
-			t.Fatalf("warm request missed the memo: %+v", prov)
+	hit := func(req core.ScoreRequest) func() {
+		return func() {
+			v, err := c.Do(ctx, pipe, req, CacheDefault, &prov)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.ContentKey == (webpage.Key128{}) || prov.Score != core.ProvMemo || prov.Target != core.ProvMemo {
+				t.Fatalf("warm request missed the memo: %+v", prov)
+			}
 		}
 	}
-	if n := mallocs(hit); n > 4 {
-		t.Fatalf("the first hit allocated %d times, want at most 4 (the expansion)", n)
+	// Room for any result: at most 30 candidates, and three term lists
+	// of at most target.DefaultKeyterms terms each.
+	buf := &core.TargetBuffer{Candidates: make([]target.Candidate, 0, 30), Terms: make([]string, 0, 3*target.DefaultKeyterms)}
+	lent := hit(core.NewScoreRequest(snap).WithTargetBuffer(buf))
+	if n := mallocs(lent); n != 0 {
+		t.Fatalf("the first hit into a lent buffer allocated %d times, want 0", n)
 	}
-	if allocs := testing.AllocsPerRun(300, hit); allocs != 0 {
+	if allocs := testing.AllocsPerRun(300, lent); allocs != 0 {
 		t.Fatalf("warm memoized request allocated %.1f times per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(300, hit(core.NewScoreRequest(snap))); allocs > 2 {
+		t.Fatalf("a warm request that lends no buffer allocated %.1f times per run, want at most 2 (the decode's arrays)", allocs)
 	}
 }
 

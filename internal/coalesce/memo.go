@@ -145,21 +145,6 @@ func (t *memoTable[V]) Put(k webpage.Key128, v V) {
 	}
 }
 
-// replace sets k's value to v if it is still old, leaving its recency
-// as it is; an entry written or evicted since old was read stays as it
-// is.
-func replace[V comparable](t *memoTable[V], k webpage.Key128, old, v V) {
-	if t == nil {
-		return
-	}
-	s := t.shard(k)
-	s.mu.Lock()
-	if i := s.find(k); i != noSlot && s.slot(i).val == old {
-		s.slot(i).val = v
-	}
-	s.mu.Unlock()
-}
-
 // Len returns the live entry count across shards.
 func (t *memoTable[V]) Len() int {
 	if t == nil {

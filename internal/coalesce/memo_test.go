@@ -51,28 +51,6 @@ func TestMemoTableUpdateInPlace(t *testing.T) {
 	}
 }
 
-// TestMemoTableReplace pins the expansion's put-back: replace writes
-// only over the value it was given, so an entry written since, or one
-// evicted since, stays as it is — an evicted key is not brought back.
-func TestMemoTableReplace(t *testing.T) {
-	tb := newMemoTable[string](memoShards) // one slot a shard
-	tb.Put(key(1), "packed")
-	replace(tb, key(1), "packed", "expanded")
-	if v, _ := tb.Get(key(1)); v != "expanded" {
-		t.Fatalf("replace over the value read = %q, want expanded", v)
-	}
-	replace(tb, key(1), "packed", "stale")
-	if v, _ := tb.Get(key(1)); v != "expanded" {
-		t.Fatalf("replace over a value written since = %q, want expanded", v)
-	}
-	tb.Put(key(1+memoShards), "evictor") // key 1's shard: evicts it
-	replace(tb, key(1), "expanded", "resurrected")
-	if _, ok := tb.Get(key(1)); ok || tb.Len() != 1 {
-		t.Fatalf("replace brought an evicted key back: Len = %d", tb.Len())
-	}
-	replace[string](nil, key(1), "a", "b") // a disabled table ignores it
-}
-
 func TestNilMemoTable(t *testing.T) {
 	var tb *memoTable[int]
 	tb.Put(key(1), 1)

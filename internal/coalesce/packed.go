@@ -1,17 +1,16 @@
 package coalesce
 
-// Target entries, packed and expanded. A detector positive's target
-// result is stored as one pointer-free string (packTarget) and turned
-// back into a *target.Result on its first hit (expandTarget); after that
-// the entry holds the result, as an entry whose result does not pack
-// always has (ownedResult).
+// Target entries. A detector positive's target result is stored as one
+// pointer-free string (packTarget) for the entry's whole life, and every
+// hit decodes it (decodeTarget) into storage the request lends, so a hit
+// allocates nothing and an entry never grows when it is read.
 
 import (
 	"encoding/binary"
 	"math"
 	"slices"
-	"strings"
 
+	"knowphish/internal/core"
 	"knowphish/internal/search"
 	"knowphish/internal/target"
 )
@@ -37,7 +36,7 @@ func termLists(res *target.Result) [3]*[]string {
 // (varint) and score bits (8 bytes, little endian); per term, Boosted
 // then Prominent then OCRProminent, its length (uvarint) and its bytes.
 // It reports false, and packs nothing, when a candidate's RDN and MLD do
-// not read back from eng as they are: such a result is kept expanded.
+// not read back from eng as they are: such a result is not memoized.
 func packTarget(eng *search.Engine, res target.Result) (string, bool) {
 	var stack [512]byte // a packed entry is about 160 bytes
 	b := stack[:0]
@@ -82,77 +81,50 @@ func packTarget(eng *search.Engine, res target.Result) (string, bool) {
 	return string(b), true
 }
 
-// expandTarget decodes a string packTarget made against eng into the
-// result ownedResult would have kept: candidate strings are eng's own,
-// and the terms share one new string. It allocates at most four times —
-// the Result, the candidate array, the term array and the term bytes.
-func expandTarget(eng *search.Engine, p string) *target.Result {
+// decodeTarget decodes a string packTarget made against eng. The
+// result's lists are slices of buf's arrays, grown as needed: candidate
+// strings are eng's own, read under one lock, and terms are substrings
+// of p, so a decode into arrays large enough allocates nothing.
+func decodeTarget(eng *search.Engine, p string, buf *core.TargetBuffer) target.Result {
 	r := packReader{p}
 	res := target.Result{Verdict: target.Verdict(r.varint()), StepsUsed: int(r.varint())}
 	flags := r.byte()
 	res.UsedOCR = flags&packUsedOCR != 0
-	cands := int(r.uvarint())
+	n := int(r.uvarint())
 	var lens [3]int
 	for i := range lens {
 		lens[i] = int(r.uvarint())
 	}
-	if flags&packCandidates != 0 {
-		res.Candidates = make([]target.Candidate, cands)
-		for i := range res.Candidates {
-			c := &res.Candidates[i]
-			c.RDN, c.MLD = eng.Domain(int32(r.uvarint()))
-			c.Count = int(r.varint())
-			c.Score = math.Float64frombits(r.uint64())
-		}
+	cands := slices.Grow(buf.Candidates[:0], n)[:n]
+	if cands == nil {
+		cands = []target.Candidate{} // an empty list is not a nil one
 	}
-	terms := make([]string, lens[0]+lens[1]+lens[2])
+	var stack [32]int32 // an identifier keeps at most 30 candidates
+	ids := stack[:0]
+	for i := range cands {
+		ids = append(ids, int32(r.uvarint()))
+		cands[i].Count = int(r.varint())
+		cands[i].Score = math.Float64frombits(r.uint64())
+	}
+	eng.Domains(ids, func(i int, rdn, mld string) { cands[i].RDN, cands[i].MLD = rdn, mld })
+	if flags&packCandidates != 0 {
+		res.Candidates = cands[:n:n]
+	}
+	total := lens[0] + lens[1] + lens[2]
+	terms := slices.Grow(buf.Terms[:0], total)[:total]
+	if terms == nil {
+		terms = []string{}
+	}
 	for i := range terms {
 		terms[i] = r.next(int(r.uvarint()))
 	}
-	cloneTerms(terms)
+	buf.Candidates, buf.Terms = cands, terms
 	for i, list := range termLists(&res) {
 		if flags&(packBoosted<<i) != 0 {
 			*list, terms = terms[:lens[i]:lens[i]], terms[lens[i]:]
 		}
 	}
-	return &res
-}
-
-// ownedResult is the copy of res an entry keeps when it does not pack.
-// The identifier's term lists are substrings of the analysis's term
-// arenas — page-sized, client-chosen bytes an entry must not keep alive
-// — so they are cloned, in one piece: one string holds the bytes of
-// every term and one array the three lists. Candidates name indexed
-// domains, not page bytes, and the identifier returns them at exact
-// size.
-func ownedResult(res target.Result) *target.Result {
-	lists := termLists(&res)
-	owned := slices.Concat(*lists[0], *lists[1], *lists[2])
-	cloneTerms(owned)
-	for _, list := range lists {
-		if n := len(*list); n > 0 {
-			*list, owned = owned[:n:n], owned[n:]
-		}
-	}
-	return &res
-}
-
-// cloneTerms points every term at one new string holding all their
-// bytes.
-func cloneTerms(terms []string) {
-	size := 0
-	for _, t := range terms {
-		size += len(t)
-	}
-	var b strings.Builder
-	b.Grow(size)
-	for _, t := range terms {
-		b.WriteString(t)
-	}
-	backing := b.String()
-	for i, t := range terms {
-		terms[i], backing = backing[:len(t)], backing[len(t):]
-	}
+	return res
 }
 
 // packReader reads a packed entry front to back. Its input is always a

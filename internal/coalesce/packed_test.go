@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -69,33 +70,48 @@ func scoreless(cs []target.Candidate) []target.Candidate {
 	return out
 }
 
-// checkRoundTrip packs res against eng and expands it, and fails unless
-// the expansion equals ownedResult(res), keeps each list at its exact
-// size and shares no byte with the packed string. It reports whether
+// checkRoundTrip packs res against eng and decodes it twice, into an
+// empty buffer and into one a larger result left full of other strings,
+// and fails unless each decode equals res, keeps each list at its exact
+// size and takes every term from the packed string. It reports whether
 // res packed.
 func checkRoundTrip(t *testing.T, eng *search.Engine, res target.Result) bool {
 	t.Helper()
-	want := ownedResult(res)
 	p, ok := packTarget(eng, res)
 	if !ok {
 		return false
 	}
-	got := expandTarget(eng, p)
-	if !sameResult(got, want) {
-		t.Fatalf("pack → expand differs from ownedResult:\n got %#v\nwant %#v", *got, *want)
-	}
 	lo := uintptr(unsafe.Pointer(unsafe.StringData(p)))
-	for _, list := range termLists(got) {
-		if len(*list) != cap(*list) {
-			t.Fatalf("list %q has capacity %d: an append would write into its neighbour", *list, cap(*list))
+	for _, buf := range []*core.TargetBuffer{{}, scribbledBuffer(40, 60)} {
+		got := decodeTarget(eng, p, buf)
+		if !sameResult(&got, &res) {
+			t.Fatalf("pack → decode differs from the identifier's result:\n got %#v\nwant %#v", got, res)
 		}
-		for _, term := range *list {
-			if at := uintptr(unsafe.Pointer(unsafe.StringData(term))); len(term) > 0 && at >= lo && at < lo+uintptr(len(p)) {
-				t.Fatalf("term %q points into the packed string: the expansion would keep it alive", term)
+		for _, list := range termLists(&got) {
+			if len(*list) != cap(*list) {
+				t.Fatalf("list %q has capacity %d: an append would write into its neighbour", *list, cap(*list))
+			}
+			for _, term := range *list {
+				if at := uintptr(unsafe.Pointer(unsafe.StringData(term))); len(term) > 0 && (at < lo || at >= lo+uintptr(len(p))) {
+					t.Fatalf("term %q is not a substring of the packed string: the decode copied it", term)
+				}
 			}
 		}
 	}
 	return true
+}
+
+// scribbledBuffer is a lent buffer with room for cands candidates and
+// terms terms, every slot holding a string no result spells.
+func scribbledBuffer(cands, terms int) *core.TargetBuffer {
+	buf := &core.TargetBuffer{Candidates: make([]target.Candidate, cands), Terms: make([]string, terms)}
+	for i := range buf.Candidates {
+		buf.Candidates[i] = target.Candidate{RDN: "scribble.example", MLD: "scribble", Count: -1, Score: -1}
+	}
+	for i := range buf.Terms {
+		buf.Terms[i] = "scribble"
+	}
+	return buf
 }
 
 // positives returns n fixture pages the detector flags, whose verdicts
@@ -119,8 +135,8 @@ func positives(t testing.TB, n int) []*webpage.Snapshot {
 	return nil
 }
 
-// TestTargetEntryRoundTrip: pack then expand is ownedResult, for real
-// identifier results and for the shapes the identifier rarely or never
+// TestTargetEntryRoundTrip: pack then decode is the identifier's own
+// result, for real identifier results and for the shapes the identifier rarely or never
 // makes — nil and empty lists, empty terms, terms past a one-byte
 // length, 30 candidates, a score of -0 — and a result whose candidates
 // do not read back from the engine as they are is not packed.
@@ -173,8 +189,8 @@ func TestTargetEntryRoundTrip(t *testing.T) {
 		if checkRoundTrip(t, eng, res) {
 			t.Errorf("%s: packed a candidate that does not read back", name)
 		}
-		if e := c.newTargetEntry(eng, res); e.packed != "" || !reflect.DeepEqual(e.res, ownedResult(res)) {
-			t.Errorf("%s: the entry is not ownedResult's copy: %+v", name, e)
+		if e, ok := c.packEntry(eng, res); ok || e != "" {
+			t.Errorf("%s: a result that does not pack made an entry: %q", name, e)
 		}
 	}
 
@@ -246,12 +262,12 @@ func FuzzTargetEntryRoundTrip(f *testing.F) {
 	})
 }
 
-// TestPackedEntryReadsAsMissOnAnotherEngine: a packed entry names its
+// TestPackedEntryReadsAsMissOnAnotherEngine: an entry names its
 // candidates by domain id in the engine it was packed against, so a
-// pipeline whose identifier searches another engine never expands it —
-// it reads as a miss, computes its own result and keeps that unpacked.
-// The identifier ids were packed against sees its entry again, as it
-// was.
+// pipeline whose identifier searches another engine never decodes it —
+// it reads as a miss and computes its own result, which is not
+// memoized. The identifier ids were packed against reads its entry
+// again, as it was.
 func TestPackedEntryReadsAsMissOnAnotherEngine(t *testing.T) {
 	corp, pipe := fixtures(t)
 	ctx := context.Background()
@@ -262,8 +278,9 @@ func TestPackedEntryReadsAsMissOnAnotherEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := c.target.Get(key); !ok || e.packed == "" {
-		t.Fatalf("a detector positive's target entry is not packed: %+v", e)
+	packed, ok := c.target.Get(key)
+	if !ok || packed == "" {
+		t.Fatal("a detector positive left no target entry")
 	}
 
 	// The same documents, so the same result, in an engine of its own.
@@ -273,38 +290,94 @@ func TestPackedEntryReadsAsMissOnAnotherEngine(t *testing.T) {
 	}
 	elsewhere := &core.Pipeline{Detector: pipe.Detector, Identifier: target.New(other)}
 	var prov core.MemoProvenance
-	v, err := c.Do(ctx, elsewhere, core.NewScoreRequest(snap), CacheDefault, &prov)
-	if err != nil {
-		t.Fatal(err)
+	for range 2 {
+		v, err := c.Do(ctx, elsewhere, core.NewScoreRequest(snap), CacheDefault, &prov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prov.Score != core.ProvMemo || prov.Target != core.ProvComputed {
+			t.Fatalf("read through another engine: provenance %+v, want the score from the memo and the target computed", prov)
+		}
+		if !reflect.DeepEqual(v.Target, first.Target) {
+			t.Fatalf("another engine over the same documents identified differently:\n got %+v\nwant %+v", v.Target, first.Target)
+		}
 	}
-	if prov.Score != core.ProvMemo || prov.Target != core.ProvComputed {
-		t.Fatalf("read through another engine: provenance %+v, want the score from the memo and the target computed", prov)
-	}
-	if !reflect.DeepEqual(v.Target, first.Target) {
-		t.Fatalf("another engine over the same documents identified differently:\n got %+v\nwant %+v", v.Target, first.Target)
-	}
-	e, ok := c.target.Get(key)
-	if !ok || e.res == nil || e.packed != "" {
-		t.Fatalf("a result identified against another engine was packed: %+v", e)
+	if e, ok := c.target.Get(key); !ok || e != packed {
+		t.Fatalf("a result identified against another engine replaced the entry: %q, want %q", e, packed)
 	}
 
-	// Packed again by the first engine's pipeline, and read back by it.
-	if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheRefresh, nil); err != nil {
-		t.Fatal(err)
-	}
-	v, err = c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, &prov)
+	// The packing engine's pipeline reads its entry back.
+	v, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, &prov)
 	if err != nil || prov.Target != core.ProvMemo || !reflect.DeepEqual(v.Target, first.Target) {
 		t.Fatalf("the packing engine's own read: err=%v provenance %+v target %+v", err, prov, v.Target)
 	}
 }
 
-// TestFirstHitsRaceRewrites: goroutines make the first hits on the
-// same packed entries together — each expands, and at most one
-// expansion is put back in place of the string — while refresh passes
-// rewrite those entries under them, so a put-back races the newer write
-// that must win over it. Every verdict equals the direct one. Run under
-// -race.
-func TestFirstHitsRaceRewrites(t *testing.T) {
+// TestUnpackedPositiveIsRecomputed: a detector positive whose result
+// does not pack is not memoized, so every repeat of the page runs
+// target identification again — provenance computed, no target entry —
+// and answers exactly what the identifier answers. The engine here
+// indexes every RDN first under a conflicting MLD, so no candidate
+// reads back from it.
+func TestUnpackedPositiveIsRecomputed(t *testing.T) {
+	corp, pipe := fixtures(t)
+	ctx := context.Background()
+	conflict := search.NewEngine()
+	seen := make(map[string]bool)
+	for _, d := range corp.Engine.Docs() {
+		if !seen[d.RDN] {
+			seen[d.RDN] = true
+			conflict.Add(search.Doc{URL: "https://" + d.RDN + "/first", RDN: d.RDN, MLD: "first-" + d.MLD, Terms: []string{"first-of-its-rdn"}})
+		}
+		conflict.Add(d)
+	}
+	conflicted := &core.Pipeline{Detector: pipe.Detector, Identifier: target.New(conflict)}
+
+	var snap *webpage.Snapshot
+	var want core.Verdict
+	for _, s := range positives(t, 8) {
+		v, err := conflicted.AnalyzeCtx(ctx, core.NewScoreRequest(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(v.Target.Candidates) > 0 {
+			snap, want = s, v
+			break
+		}
+	}
+	if snap == nil {
+		t.Fatal("no detector positive has a candidate")
+	}
+	if _, ok := packTarget(conflict, want.Target); ok {
+		t.Fatal("a candidate under a conflicting MLD packed")
+	}
+
+	c := New(Config{})
+	buf := &core.TargetBuffer{}
+	for round := range 3 {
+		var prov core.MemoProvenance
+		v, err := c.Do(ctx, conflicted, core.NewScoreRequest(snap).WithTargetBuffer(buf), CacheDefault, &prov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prov.Target != core.ProvComputed || (round > 0 && prov.Score != core.ProvMemo) {
+			t.Fatalf("round %d: provenance %+v, want the target computed (and the score memoized after round 0)", round, prov)
+		}
+		if !reflect.DeepEqual(v.Target, want.Target) || v.FinalPhish != want.FinalPhish {
+			t.Fatalf("round %d: target %+v, want the identifier's %+v", round, v.Target, want.Target)
+		}
+		if c.target.Len() != 0 {
+			t.Fatalf("round %d: an unpacked result left %d target entries", round, c.target.Len())
+		}
+	}
+}
+
+// TestLentBuffersRaceRewrites: goroutines hit the same packed entries
+// together, each decoding into a buffer of its own, while refresh
+// passes rewrite those entries and a churner's inserts evict them from
+// their shards under the hitters. Every verdict equals the direct one.
+// Run under -race.
+func TestLentBuffersRaceRewrites(t *testing.T) {
 	_, pipe := fixtures(t)
 	ctx := context.Background()
 	snaps := positives(t, 4)
@@ -316,48 +389,74 @@ func TestFirstHitsRaceRewrites(t *testing.T) {
 		}
 		want[i] = v
 	}
-	c := New(Config{})
-	for round := range 30 {
-		for _, snap := range snaps { // a packed entry for every page
-			if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheRefresh, nil); err != nil {
-				t.Fatal(err)
-			}
+	c := New(Config{MemoEntries: 4 * memoShards}) // four slots a shard
+	for _, snap := range snaps {
+		if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, nil); err != nil {
+			t.Fatal(err)
 		}
-		const hitters = 8
-		var wg sync.WaitGroup
-		errs := make(chan error, hitters)
-		wg.Add(hitters + 1)
-		go func() {
-			defer wg.Done()
-			for range round % 3 { // none, one or two rewrites of every page
-				for _, snap := range snaps {
-					if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheRefresh, nil); err != nil {
-						errs <- err
-						return
-					}
+	}
+	filler, _ := c.target.Get(webpage.ContentKey(snaps[0]))
+
+	const hitters, sweeps = 8, 30
+	var wg sync.WaitGroup
+	errs := make(chan error, hitters+1)
+	done := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
+	wg.Add(hitters + 1)
+	go func() { // rewrites every entry
+		defer wg.Done()
+		for !stopped() {
+			for _, snap := range snaps {
+				if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheRefresh, nil); err != nil {
+					errs <- err
+					return
 				}
 			}
-		}()
-		for range hitters {
-			go func() {
-				defer wg.Done()
+		}
+	}()
+	for range hitters {
+		go func() {
+			defer wg.Done()
+			buf := &core.TargetBuffer{}
+			for pass := 0; pass < 4 || !stopped(); pass++ {
 				for i, snap := range snaps {
-					v, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, nil)
+					v, err := c.Do(ctx, pipe, core.NewScoreRequest(snap).WithTargetBuffer(buf), CacheDefault, nil)
 					if err != nil {
 						errs <- err
 						return
 					}
 					if !reflect.DeepEqual(v.Target, want[i].Target) || v.FinalPhish != want[i].FinalPhish {
-						errs <- fmt.Errorf("round %d page %d: target %+v, want %+v", round, i, v.Target, want[i].Target)
+						errs <- fmt.Errorf("pass %d page %d: target %+v, want %+v", pass, i, v.Target, want[i].Target)
 						return
 					}
 				}
-			}()
+			}
+		}()
+	}
+	// Evictions: each sweep fills every shard with keys no hitter asks
+	// for, pushing the entries out; the hitters' misses put them back.
+	for n := range uint64(sweeps * 4 * memoShards) {
+		c.target.Put(key(n+1), filler)
+		if n%(4*memoShards) == 0 {
+			runtime.Gosched()
 		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatal(err)
-		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := c.Snapshot().Target
+	t.Logf("target table: %+v", st)
+	if st.Hits == 0 || st.Evictions == 0 {
+		t.Fatalf("the hitters never hit, or nothing was evicted: %+v", st)
 	}
 }

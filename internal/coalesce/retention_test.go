@@ -89,7 +89,7 @@ func TestHeapAllocMemoPinsNoPage(t *testing.T) {
 // TestHeapAllocRetainedPerPage bounds what one scored page leaves
 // behind: -memo-size counts entries, and an entry must stay small
 // whatever the page was. About a third of the pages are detector
-// positives, whose target entries are the larger ones: about 135 bytes
+// positives, whose target entries are the larger ones: about 130 bytes
 // per page in all (about 330 while target entries were kept expanded).
 func TestHeapAllocRetainedPerPage(t *testing.T) {
 	if racecheck.Enabled {
@@ -188,14 +188,13 @@ func TestScoreSlotHoldsNoPointer(t *testing.T) {
 	walk("memoSlot[scoreEntry]", reflect.TypeOf(slot))
 }
 
-// TestOwnedResultAllocs: both copies a target entry can keep —
-// ownedResult's, and the expansion of a packed entry — equal the result,
-// share no byte with it (the terms of a real result are substrings of a
-// page-sized arena) and keep their lists apart. ownedResult costs one
-// string, one array and the Result itself whatever the term count; an
-// expansion costs that and the candidate array, which ownedResult shares
-// with the identifier's result.
-func TestOwnedResultAllocs(t *testing.T) {
+// TestDecodeTargetAllocs: a hit decodes its entry into the buffer the
+// request lends. The decode equals the result, every term is a
+// substring of the packed string (not of the page's arena, which the
+// entry copied them out of) and the lists are kept apart. Into a buffer
+// with room it allocates nothing; into an empty one, the candidate and
+// term arrays, whatever the term count.
+func TestDecodeTargetAllocs(t *testing.T) {
 	eng := packEngine()
 	arena := strings.Repeat("d07 login account verify secure ", 4)
 	rdn, mld := packDomain(7)
@@ -205,50 +204,48 @@ func TestOwnedResultAllocs(t *testing.T) {
 		OCRProminent: []string{arena[18:24], arena[25:31]},
 		Candidates:   []target.Candidate{{RDN: rdn, MLD: mld, Count: 3, Score: 1.5}},
 	}
-	inArena := func(term string) bool {
-		at, lo := uintptr(unsafe.Pointer(unsafe.StringData(term))), uintptr(unsafe.Pointer(unsafe.StringData(arena)))
-		return at >= lo && at < lo+uintptr(len(arena))
-	}
 	packed, ok := packTarget(eng, res)
 	if !ok {
 		t.Fatal("the result did not pack")
 	}
-	for name, kept := range map[string]*target.Result{"owned": ownedResult(res), "expanded": expandTarget(eng, packed)} {
-		if !reflect.DeepEqual(*kept, res) {
-			t.Fatalf("%s copy differs:\n got %+v\nwant %+v", name, *kept, res)
-		}
-		for _, list := range [][]string{kept.Keyterms.Boosted, kept.Keyterms.Prominent, kept.OCRProminent} {
-			if len(list) != cap(list) {
-				t.Errorf("%s list %q has capacity %d: an append would write into its neighbour", name, list, cap(list))
-			}
-			for _, term := range list {
-				if inArena(term) {
-					t.Errorf("%s term %q still points into the page's arena", name, term)
-				}
-			}
-		}
+	within := func(term, s string) bool {
+		at, lo := uintptr(unsafe.Pointer(unsafe.StringData(term))), uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return at >= lo && at < lo+uintptr(len(s))
 	}
-	empty := target.Result{Verdict: target.VerdictSuspicious, StepsUsed: 4, UsedOCR: true, OCRProminent: []string{}}
-	if got := ownedResult(empty); !reflect.DeepEqual(*got, empty) {
-		t.Errorf("owned copy of a result without terms = %+v, want %+v", *got, empty)
+	var buf core.TargetBuffer
+	got := decodeTarget(eng, packed, &buf)
+	if !reflect.DeepEqual(got, res) {
+		t.Fatalf("decode differs:\n got %+v\nwant %+v", got, res)
+	}
+	for _, list := range [][]string{got.Keyterms.Boosted, got.Keyterms.Prominent, got.OCRProminent} {
+		if len(list) != cap(list) {
+			t.Errorf("list %q has capacity %d: an append would write into its neighbour", list, cap(list))
+		}
+		for _, term := range list {
+			if within(term, arena) || !within(term, packed) {
+				t.Errorf("term %q is not a substring of the packed entry", term)
+			}
+		}
 	}
 	if racecheck.Enabled {
 		return // allocation counts are not meaningful under -race
 	}
-	if n := testing.AllocsPerRun(100, func() { ownedResult(res) }); n > 3 {
-		t.Errorf("ownedResult allocates %.1f times for %d terms, want at most 3", n, 6)
+	if n := testing.AllocsPerRun(100, func() { decodeTarget(eng, packed, &buf) }); n != 0 {
+		t.Errorf("a decode into a buffer with room allocates %.1f times, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { expandTarget(eng, packed) }); n > 4 {
-		t.Errorf("expanding a packed entry allocates %.1f times for %d terms, want at most 4", n, 6)
+	if n := testing.AllocsPerRun(100, func() { decodeTarget(eng, packed, &core.TargetBuffer{}) }); n > 2 {
+		t.Errorf("a decode into an empty buffer allocates %.1f times for %d terms, want at most 2", n, 6)
 	}
 }
 
 // TestHeapAllocRetainedPerTargetEntry bounds what a detector positive
-// leaves behind: its score entry and its target entry, about 280 bytes.
-// A target entry is packed — one string of about 160 bytes that names candidates
-// by domain id, in a 48-byte slot — until its first hit; expanded at
-// insert, as ownedResult keeps it, the same positive retained about 810
-// bytes.
+// leaves behind once its entries have been read a few times: its score
+// entry and its target entry, about 265 bytes. A target entry is packed
+// for its whole life — one string of about 160 bytes that names
+// candidates by domain id, in a 40-byte slot — and a hit decodes it
+// into the request's storage. Expanded in place by their first hit, as
+// entries were, the same positives retained about 810 bytes each once
+// read.
 func TestHeapAllocRetainedPerTargetEntry(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("heap retention is not meaningful under -race")
@@ -257,6 +254,7 @@ func TestHeapAllocRetainedPerTargetEntry(t *testing.T) {
 	ctx := context.Background()
 	const pages, pageBytes, budget = 2000, 8 << 10, 320
 	bases := positives(t, 8)
+	var snaps []*webpage.Snapshot
 	c := New(Config{})
 	before := collect()
 	for i, n := 0, 0; n < pages; i++ {
@@ -265,11 +263,27 @@ func TestHeapAllocRetainedPerTargetEntry(t *testing.T) {
 		if v, err := pipe.AnalyzeCtx(ctx, core.NewScoreRequest(snap)); err != nil || !v.TargetRun {
 			continue
 		}
-		if _, err := c.Do(ctx, pipe, core.NewScoreRequest(snap), CacheDefault, nil); err != nil {
-			t.Fatal(err)
-		}
+		snaps = append(snaps, snap)
 		n++
 	}
+	// Written, then read: a lent buffer on one read and none on the rest.
+	buf := &core.TargetBuffer{}
+	for read := range 4 {
+		for _, snap := range snaps {
+			req := core.NewScoreRequest(snap)
+			if read == 1 {
+				req = req.WithTargetBuffer(buf)
+			}
+			var prov core.MemoProvenance
+			if _, err := c.Do(ctx, pipe, req, CacheDefault, &prov); err != nil {
+				t.Fatal(err)
+			}
+			if read > 0 && !prov.Hit() {
+				t.Fatalf("read %d missed the memo: %+v", read, prov)
+			}
+		}
+	}
+	snaps = nil
 	retained := int64(collect()) - int64(before)
 	if st := c.Snapshot(); st.Score.Entries != pages || st.Target.Entries != pages {
 		t.Fatalf("memo holds %d score / %d target entries after %d distinct positives", st.Score.Entries, st.Target.Entries, pages)

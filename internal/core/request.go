@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"knowphish/internal/target"
 	"knowphish/internal/webpage"
 )
 
@@ -65,6 +66,7 @@ type ScoreRequest struct {
 	skipTarget bool
 	analysis   *webpage.Analysis
 	contentKey webpage.Key128 // zero: not supplied
+	targetBuf  *TargetBuffer  // nil: a memo hit's target result is decoded onto the heap
 }
 
 // ScoreOption is a functional option of NewScoreRequest.
@@ -142,6 +144,28 @@ func (r ScoreRequest) WithContentKey(k webpage.Key128) ScoreRequest {
 	r.contentKey = k
 	return r
 }
+
+// TargetBuffer is storage a caller lends a memoizing pass for the
+// target result of a memo hit (WithTargetBuffer): the result's
+// candidate and term lists are decoded into its arrays, which grow to
+// the largest result they have held and are reused after that. The
+// verdict's Target aliases them, so the caller must be done with the
+// verdict before it lends the buffer again.
+type TargetBuffer struct {
+	Candidates []target.Candidate
+	Terms      []string
+}
+
+// WithTargetBuffer returns the request lending buf to the memo (see
+// TargetBuffer), so that a hit on the page's target result allocates
+// nothing. A method rather than a ScoreOption, like WithContentKey.
+func (r ScoreRequest) WithTargetBuffer(buf *TargetBuffer) ScoreRequest {
+	r.targetBuf = buf
+	return r
+}
+
+// TargetBuffer returns the buffer lent by WithTargetBuffer, or nil.
+func (r *ScoreRequest) TargetBuffer() *TargetBuffer { return r.targetBuf }
 
 // ContentKey returns the page's content identity: the one supplied by
 // WithContentKey, else the hash of snap.

@@ -156,6 +156,19 @@ func (e *Engine) Domain(id int32) (rdn, mld string) {
 	return d.RDN, d.MLD
 }
 
+// Domains calls f with the RDN and MLD of each of ids, in order, as
+// Domain spells them, under one read lock: the decode of a memoized
+// target result names up to 30 domains on every hit. f must not call
+// the engine.
+func (e *Engine) Domains(ids []int32, f func(i int, rdn, mld string)) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for i, id := range ids {
+		d := &e.docs[e.rdnDoc[id]]
+		f(i, d.RDN, d.MLD)
+	}
+}
+
 // IDF returns the inverse document frequency of term against the index
 // (log(1 + N/df)); terms absent from the corpus get the maximum weight
 // log(1 + N). The Cantina baseline derives its TF-IDF signatures from

@@ -156,6 +156,12 @@ func TestDomainIDs(t *testing.T) {
 				t.Fatalf("DomainID(%q) found an RDN no indexed document has", rdn)
 			}
 		}
+		ids := []int32{1, 0, 1}
+		var got []string
+		e.Domains(ids, func(i int, rdn, mld string) { got = append(got, fmt.Sprint(i, " ", rdn, " ", mld)) })
+		if want := []string{"0 aaa.example aaa", "1 bbb.example bbb", "2 aaa.example aaa"}; !slices.Equal(got, want) {
+			t.Fatalf("Domains(%v) read %q, want %q", ids, got, want)
+		}
 	}
 	check(e)
 	e.Add(search.Doc{URL: "u4", RDN: "ccc.example", MLD: "ccc", Terms: []string{"y"}})

@@ -16,9 +16,11 @@ import (
 	"testing"
 	"unsafe"
 
+	"knowphish/internal/core"
 	"knowphish/internal/crawl"
 	"knowphish/internal/obs"
 	"knowphish/internal/racecheck"
+	"knowphish/internal/target"
 	"knowphish/internal/webgen"
 	"knowphish/internal/webpage"
 )
@@ -444,20 +446,36 @@ func TestDecodeScoreAllocBudget(t *testing.T) {
 // its snapshot lives in a pooled webpage.Page until the response is
 // written. Owning the page cost 19 allocations a hit: the title, the
 // text, the link array, the links' string and the snapshot; spelling
-// the fingerprint apart from the ETag cost one more.
+// the fingerprint apart from the ETag cost one more. A detector
+// positive's hit costs no more: its target entry is decoded into the
+// request's pooled target buffer (decoded onto the heap, it costs two
+// more).
 func TestScoreV2WarmHandlerAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	s := newServer(t, nil)
-	serve, w := warmScoreV2(t, s, "", http.StatusOK)
-	if !bytes.Contains(w.body.Bytes(), []byte(`"cached":true`)) {
-		t.Fatalf("the second request was not a memo hit: %s", w.body.String())
+	arms := []struct {
+		name string
+		body []byte
+	}{
+		{"legitimate", scoreBody(t)},
+		{"detector positive", positiveBody(t, s, "")},
 	}
-	allocs := testing.AllocsPerRun(200, serve)
-	t.Logf("warm /v2/score hit: %.0f allocs", allocs)
-	if allocs > 13 {
-		t.Errorf("a warm /v2/score hit allocated %.0f times in the handler, want at most 13", allocs)
+	for _, arm := range arms {
+		serve, w := warmScoreV2(t, s, arm.body, "", http.StatusOK)
+		var resp V2ScoreResponse
+		if err := json.Unmarshal(w.body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Cached || resp.TargetRun != (arm.name != "legitimate") {
+			t.Fatalf("%s: the second request was not a memo hit of its kind: %s", arm.name, w.body.String())
+		}
+		allocs := testing.AllocsPerRun(200, serve)
+		t.Logf("warm /v2/score hit, %s: %.0f allocs", arm.name, allocs)
+		if allocs > 13 {
+			t.Errorf("a warm /v2/score hit on a %s page allocated %.0f times in the handler, want at most 13", arm.name, allocs)
+		}
 	}
 }
 
@@ -473,12 +491,12 @@ func TestScoreV2RevalidateHandlerAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	s := newServer(t, nil)
-	_, w := warmScoreV2(t, s, "", http.StatusOK)
+	_, w := warmScoreV2(t, s, scoreBody(t), "", http.StatusOK)
 	etag := w.header.Get("ETag")
 	if etag == "" {
 		t.Fatal("a warm /v2/score hit carries no ETag")
 	}
-	serve, w := warmScoreV2(t, s, `"0123456789abcdef0123456789abcdef-v9", W/`+etag, http.StatusNotModified)
+	serve, w := warmScoreV2(t, s, scoreBody(t), `"0123456789abcdef0123456789abcdef-v9", W/`+etag, http.StatusNotModified)
 	if w.body.Len() != 0 {
 		t.Fatalf("a 304 wrote a body: %s", w.body.String())
 	}
@@ -489,13 +507,12 @@ func TestScoreV2RevalidateHandlerAllocs(t *testing.T) {
 	}
 }
 
-// warmScoreV2 sends scoreBody to s's /v2/score handler twice, with
+// warmScoreV2 sends body to s's /v2/score handler twice, with
 // If-None-Match set to ifNoneMatch when it is not empty, and returns a
 // function that sends it again — each answer must carry status want —
 // and the writer that holds the last answer.
-func warmScoreV2(t *testing.T, s *Server, ifNoneMatch string, want int) (func(), *discardWriter) {
+func warmScoreV2(t *testing.T, s *Server, body []byte, ifNoneMatch string, want int) (func(), *discardWriter) {
 	t.Helper()
-	body := scoreBody(t)
 	rd := bytes.NewReader(body)
 	r := httptest.NewRequest(http.MethodPost, "/v2/score", rd)
 	if ifNoneMatch != "" {
@@ -561,6 +578,32 @@ func TestBodyPoolDropsLargeBuffers(t *testing.T) {
 	}
 }
 
+// positiveBody is the score request document of a generated phishing
+// page, with extra appended to its html, that probe's detector flags:
+// scoring it writes a target entry to the memo.
+func positiveBody(t *testing.T, probe *Server, extra string) []byte {
+	t.Helper()
+	c, _ := fixtures(t)
+	rng := rand.New(rand.NewSource(3))
+	for range 50 {
+		page, ok := workloadPage(c.World, c.World.NewPhishSite(rng, c.World.RandomPhishOptions(rng)))
+		if !ok {
+			continue
+		}
+		page.HTML += extra
+		var resp V2ScoreResponse
+		if call(t, probe, http.MethodPost, "/v2/score", page, &resp) == http.StatusOK && resp.TargetRun {
+			b, err := json.Marshal(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+	}
+	t.Fatal("no generated phishing page was a detector positive")
+	return nil
+}
+
 // TestBorrowedHTMLDoesNotOutliveResolve is the page-lifetime test. A
 // single-page request's html is a view of the pooled body buffer, and
 // the snapshot an html request resolves to lives in pooled parser
@@ -573,30 +616,10 @@ func TestBodyPoolDropsLargeBuffers(t *testing.T) {
 func TestBorrowedHTMLDoesNotOutliveResolve(t *testing.T) {
 	// A generated phishing page the detector flags, so that scoring it
 	// writes a target entry to the memo.
-	c, _ := fixtures(t)
-	rng := rand.New(rand.NewSource(3))
 	probe := newServer(t, nil)
-	var canonical []byte
-	for tries := 0; canonical == nil; tries++ {
-		if tries == 50 {
-			t.Fatal("no generated phishing page was a detector positive")
-		}
-		page, ok := workloadPage(c.World, c.World.NewPhishSite(rng, c.World.RandomPhishOptions(rng)))
-		if !ok {
-			continue
-		}
-		page.HTML += `<a href="https://abs.example.test/login">abs</a> <a href="/top/only">top</a> <a href="rel/page.html">rel</a>` +
-			`<iframe src="https://frame.example.test/inner"></iframe><iframe src="frames/local.html"></iframe>` +
-			`<p>Café "sign in" < now</p>`
-		var resp V2ScoreResponse
-		if call(t, probe, http.MethodPost, "/v2/score", page, &resp) == http.StatusOK && resp.TargetRun {
-			b, err := json.Marshal(page)
-			if err != nil {
-				t.Fatal(err)
-			}
-			canonical = b
-		}
-	}
+	canonical := positiveBody(t, probe, `<a href="https://abs.example.test/login">abs</a> <a href="/top/only">top</a> <a href="rel/page.html">rel</a>`+
+		`<iframe src="https://frame.example.test/inner"></iframe><iframe src="frames/local.html"></iframe>`+
+		`<p>Café "sign in" < now</p>`)
 	// json.Marshal writes é raw; a client may escape it.
 	canonical = bytes.ReplaceAll(canonical, []byte("é"), []byte(`\u00e9`))
 	for _, esc := range []string{`\u003c`, `\"`, `\u00e9`} {
@@ -668,6 +691,7 @@ func TestBorrowedHTMLDoesNotOutliveResolve(t *testing.T) {
 		{"/v2/score/stream", stream(canonical), stream(owned)},
 	}
 	var etag string
+	var missTarget []byte // the target result of the first request, the one miss
 	for i, ep := range append(endpoints, endpoints[1]) {
 		got, gotTag, err := postRaw(borrowing, ep.path, ep.borrowed)
 		if err != nil {
@@ -675,6 +699,26 @@ func TestBorrowedHTMLDoesNotOutliveResolve(t *testing.T) {
 		}
 		scribblePooledBuffers()
 		scribblePages(&wantSnap)
+		scribbleTargetBuffers()
+		// A hit decodes its target result into the request's pooled
+		// target buffer, which the buffers just scribbled over were: the
+		// hit must answer the miss's result byte for byte.
+		switch targets := targetsOf(t, ep.path, got); {
+		case i == 0:
+			if len(targets) != 1 {
+				t.Fatalf("the first request answered %d target results: %s", len(targets), got)
+			}
+			missTarget = targets[0]
+		case ep.path == "/v2/score" || ep.path == "/v2/score/batch" || ep.path == "/v2/score/stream" || ep.path == "/v1/score/batch":
+			if len(targets) == 0 {
+				t.Errorf("%s: no target result in %s", ep.path, got)
+			}
+			for _, tr := range targets {
+				if !bytes.Equal(tr, missTarget) {
+					t.Errorf("%s: the memo hit's target result\n %s\nthe miss's\n %s", ep.path, tr, missTarget)
+				}
+			}
+		}
 		want, wantTag, err := postRaw(owning, ep.path, ep.owned)
 		if err != nil {
 			t.Fatal(err)
@@ -729,6 +773,7 @@ func TestBorrowedHTMLDoesNotOutliveResolve(t *testing.T) {
 			default:
 				scribblePooledBuffers()
 				scribblePages(&wantSnap)
+				scribbleTargetBuffers()
 			}
 		}
 	}()
@@ -776,6 +821,61 @@ func postRaw(s *Server, path string, body []byte) ([]byte, string, error) {
 		return bytes.Join(lines, nil), etag, nil
 	}
 	return out, etag, nil
+}
+
+// targetsOf returns the target result documents of a postRaw response
+// to path, in the order the response holds them (the verdict's, each
+// batch result's or each stream line's).
+func targetsOf(t *testing.T, path string, body []byte) [][]byte {
+	t.Helper()
+	var docs []json.RawMessage
+	switch path {
+	case "/v1/score/batch", "/v2/score/batch":
+		var batch struct{ Results []json.RawMessage }
+		if err := json.Unmarshal(body, &batch); err != nil {
+			t.Fatal(err)
+		}
+		docs = batch.Results
+	case "/v2/score/stream":
+		for _, line := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
+			docs = append(docs, line)
+		}
+	default:
+		docs = []json.RawMessage{body}
+	}
+	var out [][]byte
+	for _, d := range docs {
+		var v struct{ Target json.RawMessage }
+		if err := json.Unmarshal(d, &v); err != nil {
+			t.Fatal(err)
+		}
+		if v.Target != nil {
+			out = append(out, v.Target)
+		}
+	}
+	return out
+}
+
+// scribbleTargetBuffers overwrites the target buffers targetPool holds,
+// as requests that decoded larger results into them would: every slot
+// names a candidate and a term no page here spells.
+func scribbleTargetBuffers() {
+	held := make([]*core.TargetBuffer, 64)
+	for i := range held {
+		b := targetPool.Get().(*core.TargetBuffer)
+		b.Candidates = slices.Grow(b.Candidates[:0], 32)[:32]
+		for j := range b.Candidates {
+			b.Candidates[j] = target.Candidate{RDN: "scribble.example", MLD: "scribble", Count: -1, Score: -1}
+		}
+		b.Terms = slices.Grow(b.Terms[:0], 32)[:32]
+		for j := range b.Terms {
+			b.Terms[j] = "scribble"
+		}
+		held[i] = b
+	}
+	for _, b := range held {
+		targetPool.Put(b)
+	}
 }
 
 // scribblePages overwrites the pages webpage's pool holds, as the

@@ -225,7 +225,9 @@ func TestCacheConcurrent(t *testing.T) {
 
 // TestScoreSnapWarmAllocs pins the hit path every endpoint shares off
 // the heap: hash, score and target lookups, verdict assembly — for a negative and
-// for a positive carrying a target result.
+// for a positive carrying a target result, decoded into the buffer the
+// request lends as every endpoint's does (AllocsPerRun's warm-up call
+// grows it).
 func TestScoreSnapWarmAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -234,7 +236,7 @@ func TestScoreSnapWarmAllocs(t *testing.T) {
 	s := newServer(t, nil)
 	ctx := context.Background()
 	for _, i := range []int{0, 1} { // detector negative, detector positive
-		req := core.NewScoreRequest(c.PhishTest.Examples[i].Snapshot)
+		req := core.NewScoreRequest(c.PhishTest.Examples[i].Snapshot).WithTargetBuffer(&core.TargetBuffer{})
 		if _, cached, err := s.scoreSnap(ctx, prioInteractive, req, coalesce.CacheDefault); err != nil || cached {
 			t.Fatalf("page %d warm-up: cached=%v err=%v", i, cached, err)
 		}

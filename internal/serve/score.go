@@ -108,7 +108,8 @@ func (s *Server) scoreSnap(ctx context.Context, pri int, req core.ScoreRequest, 
 
 // scorePage takes one decoded page to its verdict document under a
 // single worker-slot wait: resolve (HTML parse), content key, scoreHeld.
-// The page stays borrowed until the caller releases it.
+// The page stays borrowed, and the verdict's target result with it, until
+// the caller releases it.
 // The error is a badPageError for an unresolvable page, else what cut
 // scoring short (deadline, cancellation, errShed).
 func (s *Server) scorePage(ctx context.Context, pri int, page *PageRequest, opts []core.ScoreOption, cc coalesce.CacheControl) (resp V2ScoreResponse, err error) {
@@ -119,7 +120,8 @@ func (s *Server) scorePage(ctx context.Context, pri int, page *PageRequest, opts
 			return
 		}
 		resp.LandingURL = snap.LandingURL
-		resp.Verdict, resp.Cached, err = s.scoreHeld(ctx, core.NewScoreRequest(snap, opts...).WithContentKey(key), cc)
+		req := core.NewScoreRequest(snap, opts...).WithContentKey(key).WithTargetBuffer(page.targetBuffer())
+		resp.Verdict, resp.Cached, err = s.scoreHeld(ctx, req, cc)
 	}); berr != nil {
 		err = berr
 	}
@@ -467,7 +469,8 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 		if first[i] != i {
 			return nil
 		}
-		v, cached, err := s.scoreSnap(ctx, prioBatch, core.NewScoreRequest(snaps[i], s.defaultOpts...).WithContentKey(keys[i]), coalesce.CacheDefault)
+		sreq := core.NewScoreRequest(snaps[i], s.defaultOpts...).WithContentKey(keys[i]).WithTargetBuffer(req.Pages[i].targetBuffer())
+		v, cached, err := s.scoreSnap(ctx, prioBatch, sreq, coalesce.CacheDefault)
 		results[i] = ScoreResponse{Outcome: v.Outcome, LandingURL: snaps[i].LandingURL, Cached: cached}
 		return err
 	}); err != nil {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"sync"
 
 	"knowphish/internal/core"
 	"knowphish/internal/store"
@@ -17,10 +18,12 @@ import (
 // lifetime rule of package htmlx. Its html may be a view of the body
 // buffer it was decoded from (decodeDoc), and the snapshot an html
 // request resolves to is a webpage.Page whose strings are views of
-// pooled parser storage and of that html. The handler calls release
-// once the response that reads them is written; nothing the server
-// keeps past that reads either (the memo keeps content keys and cloned
-// target results, never snapshot strings).
+// pooled parser storage and of that html. It also lends the memo a
+// pooled core.TargetBuffer, which the verdict's target result aliases
+// on a memo hit. The handler calls release once the response that reads
+// them is written; nothing the server keeps past that reads any of them
+// (the memo keeps content keys and packed target results, never
+// snapshot strings).
 type PageRequest struct {
 	Snapshot *webpage.Snapshot `json:"snapshot,omitempty"`
 
@@ -29,14 +32,36 @@ type PageRequest struct {
 	LandingURL       string   `json:"landing_url,omitempty"`
 	RedirectionChain []string `json:"redirection_chain,omitempty"`
 
-	body *bytes.Buffer // the pooled buffer HTML may view
-	page *webpage.Page // the borrowed snapshot of an html request
+	body   *bytes.Buffer      // the pooled buffer HTML may view
+	page   *webpage.Page      // the borrowed snapshot of an html request
+	target *core.TargetBuffer // lent to the memo for a hit's target result
 }
 
-// release ends the request's borrows, handing its page and its body
-// buffer back to their pools. After it nothing may read the request's
-// html or its snapshot.
+// targetPool holds the target buffers page requests lend the memo.
+var targetPool = sync.Pool{New: func() any { return new(core.TargetBuffer) }}
+
+// targetBuffer returns the storage the request lends the memo for a
+// hit's target result, taking it from targetPool on first use.
+func (p *PageRequest) targetBuffer() *core.TargetBuffer {
+	if p.target == nil {
+		p.target = targetPool.Get().(*core.TargetBuffer)
+	}
+	return p.target
+}
+
+// release ends the request's borrows, handing its page, its body
+// buffer and its target buffer back to their pools. After it nothing may
+// read the request's html, its snapshot or its verdict's target result.
+// The target buffer's strings are cleared first, so a verdict read too
+// late shows empty terms rather than another page's, and a pooled
+// buffer keeps no evicted entry alive.
 func (p *PageRequest) release() {
+	if p.target != nil {
+		clear(p.target.Candidates[:cap(p.target.Candidates)])
+		clear(p.target.Terms[:cap(p.target.Terms)])
+		targetPool.Put(p.target)
+		p.target = nil
+	}
 	if p.page != nil {
 		p.page.Release()
 		p.page = nil
