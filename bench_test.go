@@ -990,13 +990,12 @@ func storeBenchOpen(b *testing.B) store.Backend {
 
 func storeBenchRecord(i int) store.Record {
 	return store.Record{
-		URL:          fmt.Sprintf("http://lure.test/%d", i),
-		LandingURL:   fmt.Sprintf("http://land.test/%d", i),
-		Fingerprint:  "fp",
-		Target:       "novabank.com",
-		ModelVersion: "v0001",
-		Outcome:      core.Outcome{Score: 0.9, DetectorPhish: true, FinalPhish: true},
-		ScoredAt:     time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Second),
+		URL:         fmt.Sprintf("http://lure.test/%d", i),
+		LandingURL:  fmt.Sprintf("http://land.test/%d", i),
+		Fingerprint: "fp",
+		Target:      "novabank.com",
+		Outcome:     core.Outcome{Score: 0.9, DetectorPhish: true, FinalPhish: true},
+		ScoredAt:    time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Second),
 	}
 }
 

@@ -189,8 +189,7 @@ func Start(cfg Config) (_ *App, err error) {
 		if err != nil {
 			return nil, err
 		}
-		a.logger.Info("verdict store open",
-			"path", cfg.StorePath, "engine", a.Store.Stats().Backend, "records", a.Store.Len())
+		a.logger.Info("verdict store open", "path", cfg.StorePath, "records", a.Store.Len())
 	}
 	switch {
 	case a.Store != nil && m.Fetcher != nil:

@@ -20,9 +20,8 @@
 //	GET  /v1/verdicts      query the durable verdict store (frozen
 //	                       wire format; adapter over the v2 path)
 //	GET  /v2/verdicts      cursor-paginated verdict queries with
-//	                       target, model_version, source and
-//	                       time-range filters (next_cursor resumes
-//	                       the scan)
+//	                       target, url, phish_only and time-range
+//	                       filters (next_cursor resumes the scan)
 //	GET  /healthz          liveness, threshold and build metadata
 //	GET  /metrics          request counts, latency percentiles, cache,
 //	                       feed and store stats

@@ -72,8 +72,10 @@ func feedReason(err error) string {
 
 // parseVerdictQuery builds a store.Query from request parameters. The
 // v1 and v2 verdict endpoints share the core filters (target, url,
-// since, phish_only, limit); the v2 surface adds model_version,
-// source, until and the pagination cursor.
+// since, phish_only, limit); the v2 surface adds until and the
+// pagination cursor. v1 ignores parameters it does not know; v2 refuses
+// model_version and source, filters it no longer has, since answering
+// unfiltered would widen what the client asked for.
 func parseVerdictQuery(r *http.Request, v2 bool) (store.Query, error) {
 	p := r.URL.Query()
 	q := store.Query{
@@ -105,8 +107,11 @@ func parseVerdictQuery(r *http.Request, v2 bool) (store.Query, error) {
 	if !v2 {
 		return q, nil
 	}
-	q.ModelVersion = p.Get("model_version")
-	q.Source = p.Get("source")
+	for _, name := range [...]string{"model_version", "source"} {
+		if p.Has(name) {
+			return q, fmt.Errorf("unsupported filter %s: verdict records carry none", name)
+		}
+	}
 	q.Cursor = p.Get("cursor")
 	if v := p.Get("until"); v != "" {
 		t, err := time.Parse(time.RFC3339, v)
@@ -143,7 +148,7 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 // handleVerdictsV2 queries the verdict store with cursor pagination:
 //
 //	GET /v2/verdicts?target=brand.com&limit=50
-//	GET /v2/verdicts?model_version=v0002&since=2026-07-01T00:00:00Z&until=2026-08-01T00:00:00Z
+//	GET /v2/verdicts?phish_only=true&since=2026-07-01T00:00:00Z&until=2026-08-01T00:00:00Z
 //	GET /v2/verdicts?cursor=<next_cursor from the previous page>
 func (s *Server) handleVerdictsV2(w http.ResponseWriter, r *http.Request) {
 	s.serveVerdicts(w, r, true)

@@ -24,33 +24,31 @@ import (
 )
 
 // verdictsFixture is the deterministic corpus behind the /v1/verdicts
-// goldens: supersede churn, targeted phish, a terminal error and two
-// model versions, all with fixed timestamps.
+// goldens: supersede churn, targeted phish and a terminal error, all
+// with fixed timestamps.
 func verdictsFixture() []store.Record {
 	base := time.Date(2026, 7, 20, 8, 0, 0, 0, time.UTC)
 	recs := []store.Record{
 		{URL: "http://lure.test/a", LandingURL: "http://land.test/a", RDN: "land.test",
-			Fingerprint: "fp-a", Target: "novabank.com", ModelVersion: "v0001",
+			Fingerprint: "fp-a", Target: "novabank.com",
 			Outcome: core.Outcome{Score: 0.91, DetectorPhish: true, FinalPhish: true}},
 		// Superseded twice: only the third verdict for land.test/a+fp-a
 		// is live.
 		{URL: "http://lure.test/a", LandingURL: "http://land.test/a", RDN: "land.test",
-			Fingerprint: "fp-a", Target: "novabank.com", ModelVersion: "v0001",
+			Fingerprint: "fp-a", Target: "novabank.com",
 			Outcome: core.Outcome{Score: 0.93, DetectorPhish: true, FinalPhish: true}},
 		{URL: "http://lure.test/a", LandingURL: "http://land.test/a", RDN: "land.test",
-			Fingerprint: "fp-a", Target: "novabank.com", ModelVersion: "v0002",
+			Fingerprint: "fp-a", Target: "novabank.com",
 			Outcome: core.Outcome{Score: 0.95, DetectorPhish: true, FinalPhish: true}},
 		{URL: "http://shop.test/", LandingURL: "http://shop.test/", RDN: "shop.test",
-			Fingerprint: "fp-s", ModelVersion: "v0001",
-			Outcome: core.Outcome{Score: 0.12}},
+			Fingerprint: "fp-s", Outcome: core.Outcome{Score: 0.12}},
 		{URL: "http://lure.test/b", LandingURL: "http://land.test/b", RDN: "land.test",
-			Fingerprint: "fp-b", Target: "novabank.com", ModelVersion: "v0002",
+			Fingerprint: "fp-b", Target: "novabank.com",
 			Outcome: core.Outcome{Score: 0.88, DetectorPhish: true, FinalPhish: true}},
 		{URL: "http://gone.test/", LandingURL: "http://gone.test/",
 			Error: "fetch: connection refused"},
 		{URL: "http://blog.test/", LandingURL: "http://blog.test/", RDN: "blog.test",
-			Fingerprint: "fp-w", ModelVersion: "v0002",
-			Outcome: core.Outcome{Score: 0.33}},
+			Fingerprint: "fp-w", Outcome: core.Outcome{Score: 0.33}},
 	}
 	for i := range recs {
 		recs[i].ScoredAt = base.Add(time.Duration(i) * time.Hour)
@@ -129,9 +127,7 @@ func TestV2VerdictsPagination(t *testing.T) {
 			ScoredAt:   base.Add(time.Duration(i) * time.Hour),
 		}
 		if i%2 == 0 {
-			r.ModelVersion = "v0001"
-		} else {
-			r.ModelVersion = "v0002"
+			r.Target = "novabank.com"
 		}
 		if err := b.Append(context.Background(), r); err != nil {
 			t.Fatal(err)
@@ -173,7 +169,7 @@ func TestV2VerdictsPagination(t *testing.T) {
 
 	// A filtered paged walk returns exactly the one-shot result.
 	var oneShot VerdictsPageResponse
-	if code := call(t, s, http.MethodGet, "/v2/verdicts?model_version=v0001&limit=1000", nil, &oneShot); code != http.StatusOK {
+	if code := call(t, s, http.MethodGet, "/v2/verdicts?target=novabank.com&limit=1000", nil, &oneShot); code != http.StatusOK {
 		t.Fatalf("one-shot status = %d", code)
 	}
 	if oneShot.NextCursor != "" {
@@ -182,7 +178,7 @@ func TestV2VerdictsPagination(t *testing.T) {
 	var filtered []store.Record
 	cursor = ""
 	for {
-		path := "/v2/verdicts?model_version=v0001&limit=4"
+		path := "/v2/verdicts?target=novabank.com&limit=4"
 		if cursor != "" {
 			path += "&cursor=" + cursor
 		}
@@ -243,104 +239,135 @@ func TestV2VerdictsPagination(t *testing.T) {
 	}
 }
 
-// TestV2VerdictsSourceFilter covers the provenance filter:
-// /v2/verdicts?source= restricts to records that carry that source
-// and composes with pagination, while the frozen /v1
-// surface ignores the parameter entirely.
-func TestV2VerdictsSourceFilter(t *testing.T) {
-	b, err := store.Open(store.Config{Path: filepath.Join(t.TempDir(), "verdicts")})
+// TestV2VerdictsServesOldFrames serves a copy of the store an older
+// build wrote (internal/store/testdata/compat), whose records carry
+// model_version and source members that Record no longer has. Every
+// record comes back as stored, those members included, through target
+// filters and cursor pages alike. The filters on them are gone: v2
+// answers 400 to a request that names either, rather than widening it
+// to every record, and v1 ignores them as it ignores any parameter it
+// does not know.
+func TestV2VerdictsServesOldFrames(t *testing.T) {
+	fixture := filepath.Join("..", "store", "testdata", "compat", "store")
+	dir := filepath.Join(t.TempDir(), "verdicts")
+	if err := os.CopyFS(dir, os.DirFS(fixture)); err != nil {
+		t.Fatal(err)
+	}
+	var stored []byte // every segment's bytes: each served record must be in them
+	segs, err := filepath.Glob(filepath.Join(fixture, "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("fixture segments: %v, %v", segs, err)
+	}
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored = append(stored, data...)
+	}
+	b, err := store.Open(store.Config{Path: dir, CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = b.Close() })
-	base := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
-	sources := []string{"phishtank", "tranco", "phishtank", "", "ctlog", "phishtank"}
-	for i, src := range sources {
-		r := store.Record{
-			URL:        "http://s.test/" + string(rune('a'+i)),
-			LandingURL: "http://s.test/" + string(rune('a'+i)),
-			Source:     src,
-			ScoredAt:   base.Add(time.Duration(i) * time.Minute),
-		}
-		if err := b.Append(context.Background(), r); err != nil {
-			t.Fatal(err)
-		}
-	}
 	s := newServer(t, func(cfg *Config) { cfg.Store = b })
 
-	var pr VerdictsPageResponse
-	if code := call(t, s, http.MethodGet, "/v2/verdicts?source=phishtank", nil, &pr); code != http.StatusOK {
-		t.Fatalf("status = %d", code)
+	// records pages through path, limit records at a time, and returns
+	// every record as served.
+	records := func(path string, limit int) []json.RawMessage {
+		t.Helper()
+		var all []json.RawMessage
+		cursor := ""
+		for {
+			p := path + "&limit=" + strconv.Itoa(limit)
+			if cursor != "" {
+				p += "&cursor=" + cursor
+			}
+			var page struct {
+				Records    []json.RawMessage `json:"records"`
+				NextCursor string            `json:"next_cursor"`
+			}
+			if code := call(t, s, http.MethodGet, p, nil, &page); code != http.StatusOK {
+				t.Fatalf("GET %s: status %d", p, code)
+			}
+			all = append(all, page.Records...)
+			if cursor = page.NextCursor; cursor == "" {
+				return all
+			}
+		}
 	}
-	if pr.Count != 3 {
-		t.Fatalf("source=phishtank returned %d records, want 3", pr.Count)
+	all := records("/v2/verdicts?", 1000)
+	var models, sources int
+	for i, raw := range all {
+		if !bytes.Contains(stored, raw) {
+			t.Errorf("record %d is not a frame of the fixture as stored: %s", i, raw)
+		}
+		models += bytes.Count(raw, []byte(`"model_version":`))
+		sources += bytes.Count(raw, []byte(`"source":`))
 	}
-	for _, r := range pr.Records {
-		if r.Source != "phishtank" {
-			t.Errorf("record %s has source %q, want phishtank", r.URL, r.Source)
+	if len(all) != b.Len() || models != 14 || sources != 3 {
+		t.Fatalf("%d records carrying %d model_version and %d source members; want %d, 14 and 3",
+			len(all), models, sources, b.Len())
+	}
+	var targeted []json.RawMessage
+	for _, raw := range all {
+		if bytes.Contains(raw, []byte(`"target":"novabank.com"`)) {
+			targeted = append(targeted, raw)
+		}
+	}
+	for _, c := range []struct {
+		path  string
+		limit int
+		want  []json.RawMessage
+	}{
+		{"/v2/verdicts?", 3, all},
+		{"/v2/verdicts?target=novabank.com", 1000, targeted},
+		{"/v2/verdicts?target=novabank.com", 2, targeted},
+	} {
+		got := records(c.path, c.limit)
+		if len(got) != len(c.want) || len(c.want) == 0 {
+			t.Fatalf("GET %s by %d: %d records, want %d", c.path, c.limit, len(got), len(c.want))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], c.want[i]) {
+				t.Errorf("GET %s by %d: record %d = %s, want %s", c.path, c.limit, i, got[i], c.want[i])
+			}
 		}
 	}
 
-	// The filter composes with the pagination cursor.
-	var first VerdictsPageResponse
-	if code := call(t, s, http.MethodGet, "/v2/verdicts?source=phishtank&limit=2", nil, &first); code != http.StatusOK {
-		t.Fatalf("paged status = %d", code)
+	for _, path := range []string{"/v2/verdicts?model_version=x", "/v2/verdicts?source=x", "/v2/verdicts?source="} {
+		var e errorResponse
+		if code := call(t, s, http.MethodGet, path, nil, &e); code != http.StatusBadRequest || e.Error == "" {
+			t.Errorf("GET %s: status %d (%q), want 400", path, code, e.Error)
+		}
 	}
-	if first.Count != 2 || first.NextCursor == "" {
-		t.Fatalf("first page = %d records, cursor %q; want 2 with a cursor", first.Count, first.NextCursor)
-	}
-	var rest VerdictsPageResponse
-	if code := call(t, s, http.MethodGet, "/v2/verdicts?source=phishtank&limit=2&cursor="+first.NextCursor, nil, &rest); code != http.StatusOK {
-		t.Fatalf("second page status = %d", code)
-	}
-	if rest.Count != 1 || rest.NextCursor != "" {
-		t.Fatalf("second page = %d records, cursor %q; want the final 1", rest.Count, rest.NextCursor)
-	}
-
-	// An unknown source is an empty result, not an error.
-	var none VerdictsPageResponse
-	if code := call(t, s, http.MethodGet, "/v2/verdicts?source=nosuch", nil, &none); code != http.StatusOK {
-		t.Fatalf("unknown source status = %d", code)
-	}
-	if none.Count != 0 {
-		t.Errorf("unknown source returned %d records", none.Count)
-	}
-
-	// /v1/verdicts predates provenance: the parameter is ignored, not
-	// rejected, and the response still carries every record.
 	var v1 VerdictsResponse
-	if code := call(t, s, http.MethodGet, "/v1/verdicts?source=phishtank", nil, &v1); code != http.StatusOK {
-		t.Fatalf("v1 status = %d", code)
-	}
-	if v1.Count != len(sources) {
-		t.Errorf("v1 with source param returned %d records, want all %d (param must be ignored)", v1.Count, len(sources))
+	if code := call(t, s, http.MethodGet, "/v1/verdicts?source=x&model_version=x", nil, &v1); code != http.StatusOK || v1.Count != len(all) {
+		t.Errorf("v1 naming source and model_version: status %d, %d records; want 200 and all %d", code, v1.Count, len(all))
 	}
 }
 
 // spliceCorpus fills b with every record shape the store holds — heavy
-// supersede churn, targets, sources, two model versions, terminal
-// errors, an identification result, text that JSON
+// supersede churn, targets, terminal errors, an identification
+// result, text that JSON
 // escapes (HTML characters, U+2028, a control byte) and invalid UTF-8 —
 // with a compaction in the middle, so the store ends up with
 // compaction outputs, sealed segments and an active one.
 func spliceCorpus(t *testing.T, b store.Backend) {
 	t.Helper()
 	base := time.Date(2026, 9, 1, 6, 0, 0, 0, time.UTC)
-	sources := []string{"", "phishtank", "tranco"}
 	for i := 0; i < 64; i++ {
 		page := i % 23
 		if i < 24 {
 			page = i % 4 // the oldest segments are mostly superseded frames
 		}
 		r := store.Record{
-			URL:          "http://lure.test/" + strconv.Itoa(i),
-			LandingURL:   "http://land.test/" + strconv.Itoa(page),
-			RDN:          "land.test",
-			Fingerprint:  "fp-" + strconv.Itoa(i%2),
-			ModelVersion: "v000" + strconv.Itoa(1+i%2),
-			Source:       sources[i%3],
-			Outcome:      core.Outcome{Score: float64(i) / 64},
-			ScoredAt:     base.Add(time.Duration(i) * time.Minute),
+			URL:         "http://lure.test/" + strconv.Itoa(i),
+			LandingURL:  "http://land.test/" + strconv.Itoa(page),
+			RDN:         "land.test",
+			Fingerprint: "fp-" + strconv.Itoa(i%2),
+			Outcome:     core.Outcome{Score: float64(i) / 64},
+			ScoredAt:    base.Add(time.Duration(i) * time.Minute),
 		}
 		switch {
 		case i%11 == 5:
@@ -466,7 +493,7 @@ func TestVerdictsSpliceMatchesMarshal(t *testing.T) {
 		}
 
 		// Full v2 cursor walks, unfiltered and filtered.
-		for _, filter := range []string{"", "&source=phishtank", "&model_version=v0002&until=2026-09-01T06:58:00Z"} {
+		for _, filter := range []string{"", "&phish_only=true", "&target=novabank.com&until=2026-09-01T06:58:00Z"} {
 			for _, limit := range []int{1, 7, 100} {
 				pages, records, cursor := 0, 0, ""
 				for {
@@ -559,13 +586,12 @@ func TestVerdictsPageAllocs(t *testing.T) {
 	t.Cleanup(func() { _ = b.Close() })
 	for i := 0; i < 500; i++ {
 		r := store.Record{
-			URL:          "http://lure.test/" + strconv.Itoa(i),
-			LandingURL:   "http://land.test/" + strconv.Itoa(i),
-			Fingerprint:  "fp",
-			Target:       "novabank.com",
-			ModelVersion: "v0001",
-			Outcome:      core.Outcome{Score: 0.9, DetectorPhish: true, FinalPhish: true},
-			ScoredAt:     time.Date(2026, 7, 1, 0, 0, i, 0, time.UTC),
+			URL:         "http://lure.test/" + strconv.Itoa(i),
+			LandingURL:  "http://land.test/" + strconv.Itoa(i),
+			Fingerprint: "fp",
+			Target:      "novabank.com",
+			Outcome:     core.Outcome{Score: 0.9, DetectorPhish: true, FinalPhish: true},
+			ScoredAt:    time.Date(2026, 7, 1, 0, 0, i, 0, time.UTC),
 		}
 		if err := b.Append(context.Background(), r); err != nil {
 			t.Fatal(err)
@@ -615,13 +641,11 @@ func TestVerdictsPageAllocs(t *testing.T) {
 // superseded frames and compaction always has work.
 func churnRecord(i int) store.Record {
 	r := store.Record{
-		URL:          "http://lure.test/" + strconv.Itoa(i),
-		LandingURL:   "http://land.test/" + strconv.Itoa(i%40),
-		Fingerprint:  "fp",
-		ModelVersion: "v000" + strconv.Itoa(1+i%2),
-		Source:       []string{"", "phishtank", "tranco"}[i%3],
-		Outcome:      core.Outcome{Score: float64(i%100) / 100},
-		ScoredAt:     time.Date(2026, 9, 1, 6, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Second),
+		URL:         "http://lure.test/" + strconv.Itoa(i),
+		LandingURL:  "http://land.test/" + strconv.Itoa(i%40),
+		Fingerprint: "fp",
+		Outcome:     core.Outcome{Score: float64(i%100) / 100},
+		ScoredAt:    time.Date(2026, 9, 1, 6, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Second),
 	}
 	if i%4 == 0 {
 		r.Target = "novabank.com"
@@ -723,7 +747,7 @@ func TestVerdictPagesConcurrentReaders(t *testing.T) {
 		return rec.Body.Bytes(), nil
 	}
 
-	since := churnRecord(seeded / 2).ScoredAt
+	since, until := churnRecord(seeded/2).ScoredAt, churnRecord(seeded/3).ScoredAt
 	readers := []struct {
 		query string
 		keep  func(store.Record) bool
@@ -732,8 +756,9 @@ func TestVerdictPagesConcurrentReaders(t *testing.T) {
 		{"/v2/verdicts?limit=100", func(store.Record) bool { return true }},
 		{"/v2/verdicts?target=novabank.com&limit=25", func(r store.Record) bool { return r.Target == "novabank.com" }},
 		{"/v2/verdicts?phish_only=true&limit=40", func(r store.Record) bool { return r.Outcome.FinalPhish }},
-		{"/v2/verdicts?source=phishtank&limit=13", func(r store.Record) bool { return r.Source == "phishtank" }},
-		{"/v2/verdicts?model_version=v0002&limit=50", func(r store.Record) bool { return r.ModelVersion == "v0002" }},
+		{"/v2/verdicts?until=" + until.Format(time.RFC3339) + "&limit=13", func(r store.Record) bool { return r.ScoredAt.Before(until) }},
+		{"/v2/verdicts?target=novabank.com&since=" + since.Format(time.RFC3339) + "&limit=50",
+			func(r store.Record) bool { return r.Target == "novabank.com" && !r.ScoredAt.Before(since) }},
 		{"/v2/verdicts?since=" + since.Format(time.RFC3339) + "&limit=30", func(r store.Record) bool { return !r.ScoredAt.Before(since) }},
 		{"/v1/verdicts?url=http://land.test/7&limit=100", func(r store.Record) bool { return r.LandingURL == "http://land.test/7" }},
 	}

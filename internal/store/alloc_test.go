@@ -131,8 +131,8 @@ func mustScan(t *testing.T, b Backend, q Query) ScanPage {
 
 // feedRecords are n records shaped like the feed's: a distinct landing
 // URL each, a quarter of them reached through a redirect (so they also
-// carry a starting URL), a 32-hex fingerprint, a model version, and a
-// target on the phishing third.
+// carry a starting URL), a 32-hex fingerprint, and a target on the
+// phishing third.
 func feedRecords(n int) []Record {
 	recs := make([]Record, n)
 	t0 := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -140,8 +140,7 @@ func feedRecords(n int) []Record {
 		land := "http://land" + strconv.Itoa(i) + ".test/login"
 		r := Record{URL: land, LandingURL: land, RDN: "land" + strconv.Itoa(i) + ".test",
 			Fingerprint: fmt.Sprintf("%016x%016x", uint64(i)*0x9e3779b97f4a7c15, uint64(i)),
-			Outcome:     core.Outcome{Score: 0.2}, ModelVersion: "v0001",
-			ScoredAt: t0.Add(time.Duration(i) * time.Second)}
+			Outcome:     core.Outcome{Score: 0.2}, ScoredAt: t0.Add(time.Duration(i) * time.Second)}
 		if i%4 == 0 {
 			r.URL = "http://lure" + strconv.Itoa(i) + ".test/r"
 		}

@@ -6,9 +6,11 @@ import (
 	"sort"
 )
 
-// rowChunk is the row count, and capacity, of a chunk: 512 rows of 112 B
-// are seven whole pages (256, plus a malloc header, would waste 4 KiB).
-const rowChunk = 512
+// rowChunk is the row count, and capacity, of a chunk: 1 024 rows of
+// 104 B are thirteen whole 8 KiB runtime pages, the fewest rows that
+// fill whole pages (512 are 6.5, which the allocator rounds up to 7).
+// TestRowChunkFillsWholePages pins the row size this assumes.
+const rowChunk = 1024
 
 // noRow ends a chain.
 const noRow = -1
@@ -27,7 +29,6 @@ const (
 	linkURL = iota
 	linkStart
 	linkTarget
-	linkModel
 	links
 	seqOrder = -1
 )
@@ -44,7 +45,7 @@ type row struct {
 	off      int64  // frame offset within the segment
 	n        uint32 // frame length in bytes, under rowPhish and rowDead
 
-	target, model, source uint32 // ids in the name table; 0 is ""
+	target uint32 // Record.Target's id in the name table; 0 is ""
 
 	// next is the next older row of each chain the row is in, or noRow.
 	next [links]int32
@@ -76,11 +77,11 @@ type memIndex struct {
 
 	// Chain heads, each the newest row's number + 1 (so a key or id
 	// with no row reads as noRow): landing URL, starting URL (≠
-	// landing), then by name id, target and model.
-	byURL, byStart    map[string]int32
-	byTarget, byModel []int32
+	// landing), then target by name id.
+	byURL, byStart map[string]int32
+	byTarget       []int32
 
-	names []string          // id → target, model or source name; byTarget and byModel grow with it
+	names []string          // id → target name; byTarget grows with it
 	ids   map[string]uint32 // name → id; "" is 0
 
 	// lazy: the rows came from a snapshot and nothing hangs off them
@@ -109,7 +110,7 @@ func (ix *memIndex) intern(s string) uint32 {
 		id = uint32(len(ix.names))
 		ix.names = append(ix.names, s)
 		ix.ids[s] = id
-		ix.byTarget, ix.byModel = append(ix.byTarget, 0), append(ix.byModel, 0)
+		ix.byTarget = append(ix.byTarget, 0)
 	}
 	return id
 }
@@ -136,7 +137,7 @@ func (ix *memIndex) insert(rec *Record, loc frameLoc) {
 	}
 	r := row{seq: rec.Seq, scoredAt: rec.ScoredAt.UnixNano(), landing: rec.LandingURL, fp: rec.Fingerprint,
 		seg: loc.seg, off: loc.off, n: loc.n,
-		target: ix.intern(rec.Target), model: ix.intern(rec.ModelVersion), source: ix.intern(rec.Source)}
+		target: ix.intern(rec.Target)}
 	if rec.URL != rec.LandingURL {
 		r.start = rec.URL
 	}
@@ -169,16 +170,13 @@ func (ix *memIndex) add(r row) {
 		ix.unsorted = true
 	}
 	// The new head links past dead ones (the row just superseded, say).
-	r.next = [links]int32{ix.skip(ix.byURL[r.landing]-1, linkURL), noRow, noRow, noRow}
+	r.next = [links]int32{ix.skip(ix.byURL[r.landing]-1, linkURL), noRow, noRow}
 	ix.byURL[r.landing] = i + 1
 	if r.start != "" {
 		r.next[linkStart], ix.byStart[r.start] = ix.skip(ix.byStart[r.start]-1, linkStart), i+1
 	}
 	if r.target != 0 {
 		r.next[linkTarget], ix.byTarget[r.target] = ix.skip(ix.byTarget[r.target]-1, linkTarget), i+1
-	}
-	if r.model != 0 {
-		r.next[linkModel], ix.byModel[r.model] = ix.skip(ix.byModel[r.model]-1, linkModel), i+1
 	}
 	ix.byKey[h] = i
 	ix.place(r)
@@ -264,14 +262,14 @@ func (ix *memIndex) rebuild() {
 	n, names := ix.rows, ix.names
 	ix.byKey = make(map[uint64]int32, ix.live())
 	ix.byURL, ix.byStart = make(map[string]int32, ix.live()), map[string]int32{}
-	ix.byTarget, ix.byModel = append(ix.byTarget[:0], 0), append(ix.byModel[:0], 0)
+	ix.byTarget = append(ix.byTarget[:0], 0)
 	ix.names, ix.ids = []string{""}, map[string]uint32{"": 0}
 	ix.rows, ix.holes, ix.lazy, ix.unsorted = 0, 0, false, false
 	for i := int32(0); i < n; i++ {
 		// Rows only move down, so the one read here is never one that
 		// add has already overwritten.
 		if r := *ix.at(i); !r.dead() {
-			r.target, r.model, r.source = ix.intern(names[r.target]), ix.intern(names[r.model]), ix.intern(names[r.source])
+			r.target = ix.intern(names[r.target])
 			ix.add(r)
 		}
 	}
@@ -332,20 +330,16 @@ func (ix *memIndex) get(url string) (frameLoc, bool) {
 // the seq of the last row appended; more reports whether at least one
 // further matching row exists past the returned page.
 func (ix *memIndex) scan(dst []frameLoc, q Query, cursor uint64, hasCursor bool) (locs []frameLoc, last uint64, more bool) {
-	if q.Target != "" || q.URL != "" || q.ModelVersion != "" {
+	if q.Target != "" || q.URL != "" {
 		ix.materialize()
 	} else {
 		ix.inOrder() // no chain needed; stays fast on a lazy index
 	}
-	// The names the query filters on, as ids. A name the table lacks
+	// The target the query filters on, as an id. A name the table lacks
 	// matches no row.
-	var want [3]uint32
-	for k, name := range [3]string{q.Target, q.ModelVersion, q.Source} {
-		id, ok := ix.ids[name]
-		if !ok {
-			return dst, 0, false
-		}
-		want[k] = id
+	want, ok := ix.ids[q.Target]
+	if !ok {
+		return dst, 0, false
 	}
 	type walk struct {
 		i    int32
@@ -354,11 +348,9 @@ func (ix *memIndex) scan(dst []frameLoc, q Query, cursor uint64, hasCursor bool)
 	ws := [2]walk{{noRow, seqOrder}, {noRow, seqOrder}} // only the URL query walks two
 	switch {
 	case q.Target != "":
-		ws[0] = walk{ix.first(&ix.byTarget[want[0]], linkTarget), linkTarget}
+		ws[0] = walk{ix.first(&ix.byTarget[want], linkTarget), linkTarget}
 	case q.URL != "":
 		ws[0], ws[1] = walk{ix.head(ix.byURL, q.URL, linkURL), linkURL}, walk{ix.head(ix.byStart, q.URL, linkStart), linkStart}
-	case q.ModelVersion != "":
-		ws[0] = walk{ix.first(&ix.byModel[want[1]], linkModel), linkModel}
 	case hasCursor:
 		ws[0].i = ix.search(cursor) - 1
 	default:
@@ -402,22 +394,13 @@ func (ix *memIndex) scan(dst []frameLoc, q Query, cursor uint64, hasCursor bool)
 	}
 }
 
-// matches applies the Query filters to a row; want holds the ids of
-// the query's target, model and source (0 for no filter).
-func matches(r *row, q Query, want [3]uint32) bool {
-	if want[0] != 0 && r.target != want[0] {
+// matches applies the Query filters to a row; target is the id of the
+// query's target (0 for no filter).
+func matches(r *row, q Query, target uint32) bool {
+	if target != 0 && r.target != target {
 		return false
 	}
 	if q.URL != "" && r.landing != q.URL && r.start != q.URL {
-		return false
-	}
-	if want[1] != 0 && r.model != want[1] {
-		return false
-	}
-	// Source has no chain: it takes a handful of values at most, so a
-	// per-source chain would cover most of the log anyway — filtering
-	// the seq walk costs the same and keeps the row lean.
-	if want[2] != 0 && r.source != want[2] {
 		return false
 	}
 	if !q.Since.IsZero() && r.scoredAt < q.Since.UnixNano() {

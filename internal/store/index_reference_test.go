@@ -1,9 +1,10 @@
 package store
 
 // The in-memory index the row slab replaced: one *entry object per
-// record, a seq-ordered pointer slice and four map[string][]*entry
+// record, a seq-ordered pointer slice and map[string][]*entry
 // secondary indexes. It is kept verbatim, types renamed, as the
-// differential oracle of FuzzIndexMatchesReference.
+// differential oracle of FuzzIndexMatchesReference, less the model and
+// source filters the store no longer has.
 
 import (
 	"slices"
@@ -20,9 +21,7 @@ type refEntry struct {
 	landing  string
 	fp       string
 	target   string
-	model    string
-	source   string // Record.Source (provenance tag)
-	scoredAt int64  // Record.ScoredAt.UnixNano()
+	scoredAt int64 // Record.ScoredAt.UnixNano()
 	phish    bool
 
 	// dead marks a superseded entry still occupying its bySeq slot.
@@ -43,8 +42,6 @@ func refMetaOf(rec *Record) *refEntry {
 		landing:  rec.LandingURL,
 		fp:       rec.Fingerprint,
 		target:   rec.Target,
-		model:    rec.ModelVersion,
-		source:   rec.Source,
 		scoredAt: rec.ScoredAt.UnixNano(),
 		phish:    rec.Outcome.FinalPhish,
 	}
@@ -75,7 +72,6 @@ type refIndex struct {
 	byURL    map[string][]*refEntry // landing URL → entries, ascending seq
 	byStart  map[string][]*refEntry // starting URL (≠ landing) → entries
 	byTarget map[string][]*refEntry // identified target RDN → entries
-	byModel  map[string][]*refEntry // model version → entries
 
 	// lazy holds snapshot rows whose map indexes have not been built
 	// yet (see bulkLoad/materialize). While set, bySeq aliases it and
@@ -91,7 +87,6 @@ func newRefIndex() *refIndex {
 		byURL:    make(map[string][]*refEntry),
 		byStart:  make(map[string][]*refEntry),
 		byTarget: make(map[string][]*refEntry),
-		byModel:  make(map[string][]*refEntry),
 		nextSeq:  1,
 	}
 }
@@ -123,9 +118,6 @@ func (ix *refIndex) insert(e *refEntry) (displaced *refEntry, installed bool) {
 	}
 	if e.target != "" {
 		ix.byTarget[e.target] = refSeqInsert(ix.byTarget[e.target], e)
-	}
-	if e.model != "" {
-		ix.byModel[e.model] = refSeqInsert(ix.byModel[e.model], e)
 	}
 	ix.maybeShrink()
 	return displaced, true
@@ -208,9 +200,6 @@ func (ix *refIndex) materialize() {
 		if e.target != "" {
 			ix.byTarget[e.target] = append(ix.byTarget[e.target], e)
 		}
-		if e.model != "" {
-			ix.byModel[e.model] = append(ix.byModel[e.model], e)
-		}
 	}
 	ix.byKey = byKey
 	ix.byURL = byURL
@@ -232,9 +221,6 @@ func (ix *refIndex) unindex(old *refEntry) {
 	}
 	if old.target != "" {
 		ix.byTarget[old.target] = refSeqRemove(ix.byTarget, old.target, old)
-	}
-	if old.model != "" {
-		ix.byModel[old.model] = refSeqRemove(ix.byModel, old.model, old)
 	}
 }
 
@@ -289,9 +275,6 @@ func (ix *refIndex) scan(dst []frameLoc, q Query, cursor uint64, hasCursor bool)
 	case q.URL != "":
 		ix.materialize()
 		lists[0], lists[1] = ix.byURL[q.URL], ix.byStart[q.URL]
-	case q.ModelVersion != "":
-		ix.materialize()
-		lists[0] = ix.byModel[q.ModelVersion]
 	default:
 		lists[0] = ix.bySeq // no map needed; stays fast on a lazy index
 	}
@@ -333,15 +316,6 @@ func refMatches(e *refEntry, q Query) bool {
 		return false
 	}
 	if q.URL != "" && e.landing != q.URL && e.start != q.URL {
-		return false
-	}
-	if q.ModelVersion != "" && e.model != q.ModelVersion {
-		return false
-	}
-	// Source has no dedicated index: it takes a handful of values at
-	// most, so a per-source list would cover most of the log anyway — filtering the seq walk costs the same and keeps the
-	// index (and its snapshot) lean.
-	if q.Source != "" && e.source != q.Source {
 		return false
 	}
 	if !q.Since.IsZero() && e.scoredAt < q.Since.UnixNano() {

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"testing"
 	"time"
+	"unsafe"
 
 	"knowphish/internal/core"
 )
@@ -21,11 +22,11 @@ import (
 // rowView is an index row as its record spells it: names resolved,
 // flags split out, links left behind.
 type rowView struct {
-	seq                                       uint64
-	scoredAt                                  int64
-	landing, start, fp, target, model, source string
-	loc                                       frameLoc
-	phish                                     bool
+	seq                        uint64
+	scoredAt                   int64
+	landing, start, fp, target string
+	loc                        frameLoc
+	phish                      bool
 }
 
 // liveRows lists the index's live rows in seq order, materializing it.
@@ -33,8 +34,7 @@ func liveRows(ix *memIndex) []rowView {
 	ix.materialize()
 	var out []rowView
 	for r := range ix.each {
-		out = append(out, rowView{r.seq, r.scoredAt, r.landing, r.start, r.fp,
-			ix.names[r.target], ix.names[r.model], ix.names[r.source], r.loc(), r.n&rowPhish != 0})
+		out = append(out, rowView{r.seq, r.scoredAt, r.landing, r.start, r.fp, ix.names[r.target], r.loc(), r.n&rowPhish != 0})
 	}
 	return out
 }
@@ -42,11 +42,7 @@ func liveRows(ix *memIndex) []rowView {
 // The fuzzer's alphabet: few enough values that keys supersede, chains
 // share rows and URL queries meet starting URLs that are someone's
 // landing.
-var (
-	fuzzTargets = []string{"", "a.example", "b.example", "c.example"}
-	fuzzModels  = []string{"", "v1", "v2", "v3"}
-	fuzzSources = []string{"", "tank", "hunt"}
-)
+var fuzzTargets = []string{"", "a.example", "b.example", "c.example"}
 
 func fuzzLanding(b byte) string { return "http://l" + strconv.Itoa(int(b%40)) + ".test/" }
 func fuzzStart(b byte) string   { return "http://s" + strconv.Itoa(int(b%30)) + ".test/" }
@@ -68,8 +64,7 @@ type indexPair struct {
 
 func (p *indexPair) record(seq uint64, b0, b1, b2 byte) Record {
 	r := Record{Seq: seq, LandingURL: fuzzLanding(b0), Fingerprint: "fp" + strconv.Itoa(int(b2%3)),
-		Target: fuzzTargets[b2/3%4], ModelVersion: fuzzModels[b2/12%4], Source: fuzzSources[b1%3],
-		ScoredAt: time.Unix(int64(b1)*60, 0)}
+		Target: fuzzTargets[b2/3%4], ScoredAt: time.Unix(int64(b1)*60, 0)}
 	r.URL = r.LandingURL
 	switch b1 / 3 % 4 {
 	case 0:
@@ -196,17 +191,17 @@ func (p *indexPair) query(b0, b1, b2 byte) (q Query, cursor uint64, hasCursor bo
 	case 3:
 		q.URL = fuzzStart(b1)
 	case 4:
-		q.ModelVersion = fuzzModels[b1%4]
+		q.Since = time.Unix(int64(b1)*30, 0)
 	case 5:
-		q.Source = fuzzSources[b1%3]
+		q.Until = time.Unix(int64(b1)*60, 0)
 	case 6:
 		q.Since, q.Until = time.Unix(int64(b1)*30, 0), time.Unix(int64(b1)*30+int64(b2)*60, 0)
 	case 7:
 		q.Target = "unknown.example" // a name no record carries
 	}
 	q.PhishOnly = b0&0x80 != 0
-	if b0&0x40 != 0 {
-		q.Source = fuzzSources[b2%3]
+	if b0&0x40 != 0 && q.Until.IsZero() {
+		q.Until = time.Unix(int64(b2)*120, 0) // a filter the walk cannot narrow by
 	}
 	q.Limit = int(b2 % 5)
 	if b2&0x80 != 0 {
@@ -335,6 +330,20 @@ func FuzzIndexMatchesReference(f *testing.F) {
 	})
 }
 
+// TestRowChunkFillsWholePages pins the row size rowChunk is derived
+// from: a field added to or dropped from row fails here until the count
+// and its comment are worked out again.
+func TestRowChunkFillsWholePages(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("rowChunk's arithmetic is for 64-bit platforms")
+	}
+	const page = 8 << 10 // the runtime's page
+	if size := unsafe.Sizeof(row{}); size != 104 || rowChunk*size%page != 0 {
+		t.Fatalf("%d rows of %d B are %.2f runtime pages; rowChunk assumes 104 B rows and whole pages",
+			rowChunk, size, float64(rowChunk*size)/page)
+	}
+}
+
 // chainLen counts the rows, dead or live, a chain holds from row i down.
 func chainLen(ix *memIndex, i int32, link int) int {
 	n := 0
@@ -348,26 +357,25 @@ func chainLen(ix *memIndex, i int32, link int) int {
 // each, under the rebuild threshold, and holds what a read walks to the
 // live rows. One URL is re-scored as the same page: its row heads the
 // chain, so the new row links past it. The other alternates two pages,
-// through a lure, with a target and a model: each superseded row sits
-// below a live one until a walk cuts it out. After one read every chain
+// through a lure, with a target: each superseded row sits below a live
+// one until a walk cuts it out. After one read every chain
 // holds its live rows only, so no later Get or Scan walks a dead one.
 func TestSupersededRowsLeaveTheChains(t *testing.T) {
 	const others, rescores = 25_000, 10_000
 	ix := newMemIndex()
 	var seq uint64
-	put := func(landing, start, fp, target, model string) {
+	put := func(landing, start, fp, target string) {
 		seq++
-		ix.insert(&Record{Seq: seq, URL: start, LandingURL: landing, Fingerprint: fp,
-			Target: target, ModelVersion: model}, locOf(seq))
+		ix.insert(&Record{Seq: seq, URL: start, LandingURL: landing, Fingerprint: fp, Target: target}, locOf(seq))
 	}
 	for i := 0; i < others; i++ {
 		l := "http://other" + strconv.Itoa(i) + ".test/"
-		put(l, l, "fp", "", "v1")
+		put(l, l, "fp", "")
 	}
 	const same, alt, lure = "http://same.test/", "http://alt.test/", "http://lure.test/"
 	for i := 0; i < rescores; i++ {
-		put(same, same, "fp", "", "v1")
-		put(alt, lure, "fp"+strconv.Itoa(i%2), "brand.example", "v2")
+		put(same, same, "fp", "")
+		put(alt, lure, "fp"+strconv.Itoa(i%2), "brand.example")
 	}
 	if ix.rows != others+2*rescores || ix.holes != 2*rescores-3 {
 		t.Fatalf("rows %d, holes %d: a rebuild ran and dropped the dead rows under test", ix.rows, ix.holes)
@@ -389,7 +397,7 @@ func TestSupersededRowsLeaveTheChains(t *testing.T) {
 			t.Errorf("get(%s) = %v, %v; want seq %d's frame", url, l, ok, want)
 		}
 	}
-	for _, q := range []Query{{URL: alt}, {URL: lure}, {Target: "brand.example"}, {ModelVersion: "v2"}} {
+	for _, q := range []Query{{URL: alt}, {URL: lure}, {Target: "brand.example"}} {
 		if locs, _, more := ix.scan(nil, q, 0, false); more || !slices.Equal(locs, []frameLoc{locOf(seq), locOf(seq - 2)}) {
 			t.Errorf("scan %+v = %v, more %v; want the two live rows, newest first", q, locs, more)
 		}
@@ -403,7 +411,6 @@ func TestSupersededRowsLeaveTheChains(t *testing.T) {
 		}{
 			{"lure", ix.byStart[lure], linkStart},
 			{"target", ix.byTarget[ix.ids["brand.example"]], linkTarget},
-			{"model", ix.byModel[ix.ids["v2"]], linkModel},
 		} {
 			if n := chainLen(ix, c.head-1, c.link); n != want {
 				t.Errorf("%s, the %s chain holds %d rows, want %d", when, c.name, n, want)
@@ -415,17 +422,15 @@ func TestSupersededRowsLeaveTheChains(t *testing.T) {
 		t.Errorf("after a read, the URL chain holds %d rows, want the 2 live ones", n)
 	}
 
-	// Re-scored with no lure, target or model v2, both pages leave dead
-	// rows at the head of those chains; a read cuts them off too.
-	put(alt, alt, "fp0", "", "v1")
-	put(alt, alt, "fp1", "", "v1")
+	// Re-scored with no lure or target, both pages leave dead rows at
+	// the head of those chains; a read cuts them off too.
+	put(alt, alt, "fp0", "")
+	put(alt, alt, "fp1", "")
 	if l, ok := ix.get(lure); ok {
 		t.Errorf("get(%s) = %v after both its pages moved off it", lure, l)
 	}
-	for _, q := range []Query{{Target: "brand.example"}, {ModelVersion: "v2"}} {
-		if locs, _, _ := ix.scan(nil, q, 0, false); len(locs) != 0 {
-			t.Errorf("scan %+v = %v, want no rows", q, locs)
-		}
+	if locs, _, _ := ix.scan(nil, Query{Target: "brand.example"}, 0, false); len(locs) != 0 {
+		t.Errorf("scan by target = %v, want no rows", locs)
 	}
 	checkChains("after the pages moved off and a read", 0)
 }
@@ -438,8 +443,6 @@ func naiveScan(live []Record, q Query, cursor uint64, hasCursor bool) (page []Re
 		case hasCursor && r.Seq >= cursor,
 			q.Target != "" && r.Target != q.Target,
 			q.URL != "" && r.LandingURL != q.URL && r.URL != q.URL,
-			q.ModelVersion != "" && r.ModelVersion != q.ModelVersion,
-			q.Source != "" && r.Source != q.Source,
 			!q.Since.IsZero() && r.ScoredAt.Before(q.Since),
 			!q.Until.IsZero() && !r.ScoredAt.Before(q.Until),
 			q.PhishOnly && !r.Outcome.FinalPhish:
@@ -498,8 +501,8 @@ func checkStore(t *testing.T, b Backend, live []Record, queries []Query) {
 func TestStoreMatchesLiveRecordList(t *testing.T) {
 	const ops = 2000
 	t0 := time.Date(2026, 5, 1, 0, 0, 0, 0, time.UTC)
-	queries := []Query{{Limit: 7}, {Target: "a.example", Limit: 5}, {ModelVersion: "v2", Limit: 9},
-		{Source: "tank", Limit: 4}, {PhishOnly: true, Limit: 11}, {URL: "http://l3.test/", Limit: 2},
+	queries := []Query{{Limit: 7}, {Target: "a.example", Limit: 5}, {Target: "b.example", PhishOnly: true, Limit: 9},
+		{Until: t0.Add(2 * time.Hour), Limit: 4}, {PhishOnly: true, Limit: 11}, {URL: "http://l3.test/", Limit: 2},
 		{URL: "http://s4.test/", Limit: 2}, {Since: t0.Add(time.Hour), Until: t0.Add(3 * time.Hour), Limit: 6}}
 	for seed := uint64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
@@ -542,8 +545,8 @@ func TestStoreMatchesLiveRecordList(t *testing.T) {
 				default:
 					seq++
 					r := Record{URL: fuzzLanding(byte(rng.IntN(40))), Fingerprint: fmt.Sprintf("%032x", rng.IntN(3)),
-						Target: fuzzTargets[rng.IntN(4)], ModelVersion: fuzzModels[rng.IntN(4)], Source: fuzzSources[rng.IntN(3)],
-						Outcome: core.Outcome{Score: 0.25, FinalPhish: rng.IntN(2) == 0}, ScoredAt: t0.Add(time.Duration(rng.IntN(300)) * time.Minute)}
+						Target: fuzzTargets[rng.IntN(4)], Outcome: core.Outcome{Score: 0.25, FinalPhish: rng.IntN(2) == 0},
+						ScoredAt: t0.Add(time.Duration(rng.IntN(300)) * time.Minute)}
 					r.LandingURL = r.URL
 					if rng.IntN(4) == 0 {
 						r.URL = fuzzStart(byte(rng.IntN(30)))
@@ -562,12 +565,14 @@ func TestStoreMatchesLiveRecordList(t *testing.T) {
 
 // TestCompatFixtureReopens reopens a store the pointer index wrote
 // (testdata/compat/store: two sealed segments with superseded records in
-// them, an active segment and snapshot.bin), with its snapshot and
-// without it, and holds every Get and Scan to the live records that
+// them, an active segment and a KPSNAP2 snapshot.bin), with its snapshot
+// and without it, and holds every Get and Scan to the live records that
 // engine listed at the time (testdata/compat/records.json, newest
-// first). Re-encoding the index reopened from the snapshot must give
-// back snapshot.bin byte for byte. The fixture is never regenerated:
-// it is the format as it was.
+// first; the model_version and source members it lists decode to
+// nothing). The old snapshot is refused, so both reopens replay every
+// segment. Close then writes the current format, and a second reopen
+// from it replays nothing and re-encodes to the same bytes. The fixture
+// is never regenerated: it is the format as it was.
 func TestCompatFixtureReopens(t *testing.T) {
 	var want []Record
 	raw, err := os.ReadFile(filepath.Join("testdata", "compat", "records.json"))
@@ -577,15 +582,11 @@ func TestCompatFixtureReopens(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := os.ReadFile(filepath.Join("testdata", "compat", "store", snapshotFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []Query{{}, {Limit: 4}, {PhishOnly: true, Limit: 3}, {Source: "phishtank"}, {Target: "unknown.example"},
+	queries := []Query{{}, {Limit: 4}, {PhishOnly: true, Limit: 3}, {Target: "unknown.example"},
 		{Since: want[len(want)-1].ScoredAt.Add(5 * time.Minute), Until: want[0].ScoredAt, Limit: 2}}
 	seen := map[string]bool{}
 	for _, r := range want {
-		for _, q := range []Query{{Target: r.Target, Limit: 2}, {ModelVersion: r.ModelVersion, Limit: 3}, {URL: r.URL}, {URL: r.LandingURL, Limit: 1}} {
+		for _, q := range []Query{{Target: r.Target, Limit: 2}, {URL: r.URL}, {URL: r.LandingURL, Limit: 1}} {
 			if k := fmt.Sprint(q); !seen[k] {
 				seen[k] = true
 				queries = append(queries, q)
@@ -603,17 +604,29 @@ func TestCompatFixtureReopens(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			s := segOpen(t, Config{Path: dir, CompactEvery: -1})
-			if st := s.Stats(); withSnapshot != (st.TailReplayed == 0) || st.Segments != 3 {
-				t.Fatalf("reopen stats %+v: want 3 segments and a replayed tail only without the snapshot", st)
+			cfg := Config{Path: dir, CompactEvery: -1}
+			s := segOpen(t, cfg)
+			if st := s.Stats(); st.TailReplayed == 0 || st.Segments != 3 {
+				t.Fatalf("reopen stats %+v: want 3 segments, every one replayed", st)
 			}
-			if withSnapshot {
-				s.mu.Lock()
-				data, _ := s.encodeSnapshotLocked()
-				s.mu.Unlock()
-				if !bytes.Equal(data, snap) {
-					t.Fatalf("re-encoded snapshot differs from snapshot.bin (%d vs %d bytes)", len(data), len(snap))
-				}
+			checkStore(t, s, want, queries)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			snap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+			if err != nil || !bytes.HasPrefix(snap, []byte(snapshotMagic)) {
+				t.Fatalf("Close left no current-format snapshot (err %v, %.8q)", err, snap)
+			}
+			s = segOpen(t, cfg)
+			if st := s.Stats(); st.TailReplayed != 0 || st.Segments != 3 {
+				t.Fatalf("second reopen stats %+v: want 3 segments and nothing replayed", st)
+			}
+			s.mu.Lock()
+			data, _ := s.encodeSnapshotLocked()
+			s.mu.Unlock()
+			if !bytes.Equal(data, snap) {
+				t.Fatalf("re-encoded snapshot differs from the one Close wrote (%d vs %d bytes)", len(data), len(snap))
 			}
 			checkStore(t, s, want, queries)
 		})

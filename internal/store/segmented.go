@@ -666,7 +666,6 @@ func (s *segStore) Stats() Stats {
 		segs++
 	}
 	return Stats{
-		Backend:       "segmented",
 		Records:       s.ix.live(),
 		Appends:       s.appends,
 		Compactions:   s.compactions,

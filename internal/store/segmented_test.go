@@ -243,7 +243,6 @@ func TestScanOrderDeterministic(t *testing.T) {
 		{},
 		{Target: "brand.com"},
 		{URL: "http://shared.test/"},
-		{ModelVersion: "v2"},
 		{PhishOnly: true},
 		{Target: "brand.com", PhishOnly: true, Limit: 4},
 	}
@@ -252,9 +251,6 @@ func TestScanOrderDeterministic(t *testing.T) {
 		r := rec("http://start.test/"+strconv.Itoa(i), "http://shared.test/", "fp"+strconv.Itoa(i%10), "", i%2 == 0)
 		if i%3 == 0 {
 			r.Target = "brand.com"
-		}
-		if i%2 == 1 {
-			r.ModelVersion = "v2"
 		}
 		if err := b.Append(ctxb(), r); err != nil {
 			t.Fatalf("Append: %v", err)
@@ -272,7 +268,7 @@ func TestScanOrderDeterministic(t *testing.T) {
 					qi, j, recs[j-1].Seq, recs[j].Seq)
 			}
 		}
-		if len(recs) == 0 && !q.PhishOnly && q.Limit == 0 && q.Target == "" && q.URL == "" && q.ModelVersion == "" {
+		if len(recs) == 0 && !q.PhishOnly && q.Limit == 0 && q.Target == "" && q.URL == "" {
 			t.Fatal("unfiltered scan returned nothing")
 		}
 	}
@@ -614,7 +610,7 @@ func TestSnapshotCodec(t *testing.T) {
 	a := rec("http://a.test/", "http://a.test/", "fp1", "", true)
 	a.Seq, a.ScoredAt = 1, time.Unix(0, 12345)
 	b := rec("http://s.test/", "http://b.test/", "", "brand.com", false)
-	b.Seq, b.ModelVersion, b.ScoredAt = 9, "v3", time.Unix(0, -1)
+	b.Seq, b.ScoredAt = 9, time.Unix(0, -1)
 	ix.insert(&a, frameLoc{1, 0, 100})
 	ix.insert(&b, frameLoc{2, 4096, 220})
 	act := activeState{id: 3, off: 8192, meta: segMeta{count: 7, minSeq: 3, maxSeq: 9, sparse: []sparsePoint{{Seq: 3, Off: 0}}}}

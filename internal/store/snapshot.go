@@ -26,8 +26,7 @@ import (
 //
 //	uvarint seq · varint scoredAt · flag byte (bit0 phish) ·
 //	uvarint seg · uvarint off · uvarint frameLen ·
-//	6 length-prefixed strings (landing, start, fp, target, model,
-//	source)
+//	4 length-prefixed strings (landing, start, fp, target)
 //
 // The active state lets reopen resume the active segment's replay at
 // the watermark's byte offset (frames below it are already in the
@@ -41,23 +40,24 @@ import (
 // with a row whose frame could not be a frame (no payload, or an end no
 // file offset reaches) or does not lie inside its segment file
 // (rowsFit): reads size their buffers by those numbers. The magic
-// doubles as the format version: KPSNAP2 added the source string, and
-// a store opened with a KPSNAP1 snapshot simply replays its segments
-// once and writes the current format on the next snapshot.
+// doubles as the format version: KPSNAP2 added a source string, and
+// KPSNAP3 dropped it and the model name. A store opened with an older
+// snapshot simply replays its segments once and writes the current
+// format on the next snapshot.
 const (
 	snapshotFile  = "snapshot.bin"
-	snapshotMagic = "KPSNAP2\n"
+	snapshotMagic = "KPSNAP3\n"
 )
 
 var errBadSnapshot = errors.New("store: unreadable snapshot")
 
-// The fewest bytes a row (six one-byte numbers and flags, six empty
+// The fewest bytes a row (six one-byte numbers and flags, four empty
 // strings) and a sparse point (two one-byte numbers) can encode to:
 // decodeSnapshot holds the counts it is told against them before it
 // allocates, so a snapshot cannot ask for more memory than a small
 // multiple of its own size.
 const (
-	minSnapshotRowBytes    = 12
+	minSnapshotRowBytes    = 10
 	minSnapshotSparseBytes = 2
 )
 
@@ -107,8 +107,6 @@ func encodeSnapshot(ix *memIndex, watermark uint64, act activeState) []byte {
 		buf = appendSnapshotString(buf, r.start)
 		buf = appendSnapshotString(buf, r.fp)
 		buf = appendSnapshotString(buf, ix.names[r.target])
-		buf = appendSnapshotString(buf, ix.names[r.model])
-		buf = appendSnapshotString(buf, ix.names[r.source])
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[len(snapshotMagic):], castagnoli))
 }
@@ -204,21 +202,11 @@ func decodeSnapshot(data []byte) (ix *memIndex, watermark uint64, act activeStat
 	if r.bad || count > uint64(len(r.buf)/minSnapshotRowBytes) || count > math.MaxInt32 {
 		return nil, 0, activeState{}, errBadSnapshot
 	}
-	// A name is mostly "" or the one the row before had in its place:
-	// only another one is looked up in the name table.
-	var names [3]string
-	var ids [3]uint32
+	// A target is mostly "" or the one the row before had: only another
+	// one is looked up in the name table.
+	var target string
+	var targetID uint32
 	var last uint64
-	name := func(k int) uint32 {
-		s := r.string()
-		if s == "" {
-			return 0
-		}
-		if s != names[k] {
-			names[k], ids[k] = s, ix.intern(s)
-		}
-		return ids[k]
-	}
 	block := make([]row, count, (count+rowChunk-1)/rowChunk*rowChunk)
 	for lo := 0; lo < len(block); lo += rowChunk {
 		ix.chunks = append(ix.chunks, block[lo:min(lo+rowChunk, len(block)):lo+rowChunk])
@@ -239,7 +227,10 @@ func decodeSnapshot(data []byte) (ix *memIndex, watermark uint64, act activeStat
 		e.landing = r.string()
 		e.start = r.string()
 		e.fp = r.string()
-		e.target, e.model, e.source = name(0), name(1), name(2)
+		if s := r.string(); s != target {
+			target, targetID = s, ix.intern(s)
+		}
+		e.target = targetID
 		if r.bad {
 			return nil, 0, activeState{}, errBadSnapshot
 		}

@@ -110,3 +110,22 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeSnapshotMinimalRows decodes a sealed snapshot made of the
+// smallest rows the format has: six one-byte numbers and flags and four
+// empty strings, ten bytes each. The bound decodeSnapshot holds a row
+// count to (minSnapshotRowBytes) must admit them, or it refuses
+// snapshots a store can write.
+func TestDecodeSnapshotMinimalRows(t *testing.T) {
+	const rows = 12
+	body := []byte{rows + 1, rows, 0, 0, 0, 0, 0, 0} // nextSeq, watermark, no active segment
+	body = binary.AppendUvarint(body, rows)
+	for seq := byte(1); seq <= rows; seq++ {
+		// seq · scoredAt · flags · seg · off · frame length · landing, start, fp, target
+		body = append(body, seq, 0, 0, 1, 0, frameHeader+1, 0, 0, 0, 0)
+	}
+	ix, wm, _, err := decodeSnapshot(sealSnapshot(body))
+	if err != nil || ix.rows != rows || wm != rows {
+		t.Fatalf("decode = %v; want %d rows, watermark %d", err, rows, rows)
+	}
+}

@@ -1,17 +1,17 @@
 // Package store is the durable verdict store of the feed-ingestion
 // pipeline: every scored URL becomes a Record, persisted by the storage
 // engine behind the Backend interface and queryable through secondary
-// indexes (by URL, by identified target brand, by model version, by
-// time range) with cursor-based pagination.
+// indexes (by URL, by identified target brand, by time range) with
+// cursor-based pagination.
 //
 // The engine is a segmented write-ahead log. Records are appended to a
 // fixed-size active segment as CRC-framed JSON; full segments are
 // sealed with a per-segment sparse index sidecar and become immutable.
-// Only the in-memory index (seq, URLs, target, model version,
-// timestamp, on-disk location) is held in RAM — frames are read back
+// Only the in-memory index (seq, URLs, target, timestamp, on-disk
+// location) is held in RAM — frames are read back
 // from their segment on demand, so memory stays proportional to the
-// index, not the log: about 235 B per record at 1 000 records and
-// 180 B at 100 000, the records' strings aside
+// index, not the log: about 226 B per record at 1 000 records and
+// 172 B at 100 000, the records' strings aside
 // (TestHeapAllocRetainedPerRecord). Recovery loads a binary snapshot of
 // the index plus the log tail past the snapshot's watermark (skipping
 // sealed segments the snapshot already covers), and truncates a torn
@@ -93,20 +93,9 @@ type Record struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Outcome is the pipeline verdict.
 	Outcome core.Outcome `json:"outcome"`
-	// ModelVersion is an optional tag naming the model that produced the
-	// verdict. The feed leaves it empty; like Source, a record appended
-	// with one, or read from a log that carries one, keeps it, and
-	// Query.ModelVersion filters on it. Omitted when empty.
-	ModelVersion string `json:"model_version,omitempty"`
 	// Target is the top identified target RDN for phishing verdicts
 	// ("" when identification did not run or named nothing).
 	Target string `json:"target,omitempty"`
-	// Source is an optional provenance tag naming where the URL came
-	// from. The feed leaves it empty; a record appended with one, or
-	// read from a log that carries one, keeps it, and Query.Source
-	// filters on it. Omitted when empty, so untagged records render
-	// byte-identically.
-	Source string `json:"source,omitempty"`
 	// ScoredAt is when the verdict was produced (UTC).
 	ScoredAt time.Time `json:"scored_at"`
 	// Error records a terminal ingestion failure (e.g. a URL the
@@ -138,8 +127,6 @@ type Config struct {
 
 // Stats are the store counters exported at /metrics.
 type Stats struct {
-	// Backend names the engine serving the store: always "segmented".
-	Backend string `json:"backend,omitempty"`
 	// Records is the number of live (indexed) verdicts.
 	Records int `json:"records"`
 	// Appends counts records written since Open.
@@ -170,12 +157,6 @@ type Query struct {
 	Target string
 	// URL restricts to records whose landing or starting URL matches.
 	URL string
-	// ModelVersion restricts to records carrying that model tag
-	// (Record.ModelVersion).
-	ModelVersion string
-	// Source restricts to records carrying that provenance tag
-	// (Record.Source).
-	Source string
 	// Since restricts to records scored at or after this time
 	// (inclusive lower bound).
 	Since time.Time
@@ -206,11 +187,14 @@ type ScanPage struct {
 	//
 	// Append stores only documents that decode and re-encode to
 	// themselves, so splicing a payload into a response is
-	// indistinguishable from marshalling its Record. The one exception
-	// is a frame written before that rule held whose strings carried
-	// invalid UTF-8: it is served as stored, with the six-character
-	// \ufffd escape where a re-encode would write U+FFFD itself — the
-	// same JSON value in other bytes.
+	// indistinguishable from marshalling its Record. Two kinds of older
+	// frame are exceptions, served as stored because compaction copies
+	// frames undecoded. One written before that rule held whose strings
+	// carried invalid UTF-8 keeps the six-character \ufffd escape where
+	// a re-encode would write U+FFFD itself — the same JSON value in
+	// other bytes. One that carries a member Record no longer has
+	// (explanation, model_version, source) keeps it; Get and Decode drop
+	// it, as encoding/json skips unknown keys.
 	Payloads []json.RawMessage
 	// NextCursor resumes the scan after the last record of this page.
 	// Empty when the scan is exhausted.

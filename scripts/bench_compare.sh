@@ -11,18 +11,22 @@
 #
 # Environment:
 #   BENCH          benchmark regexp       (default: the key-benchmark set)
-#   COUNT          runs per benchmark     (default: 3; medians compared)
+#   COUNT          rounds per side        (default: 3; medians compared)
 #   BENCHTIME      go test -benchtime     (default: 1s)
 #   GATE           1 = fail on regression (default: 0, report only)
 #   GATE_BENCHES   regexp of benchmarks held to the threshold
 #                  (default: the key-benchmark set)
 #   GATE_THRESHOLD max tolerated regression in percent (default: 15)
 #
-# Statistics: each benchmark runs COUNT times per side and the medians
-# are compared (benchstat's robust central estimate; a single noisy run
-# on a shared CI machine cannot fake or mask a regression). allocs/op
-# gates alongside ns/op because an allocation regression is invisible
-# in wall time until the GC bill arrives under production load.
+# Statistics: each side's test binary is built once, then run COUNT
+# rounds, one run of every benchmark per side per round, the two sides
+# alternating which goes first. Drift on a shared host (another tenant,
+# thermal state) then falls on both sides alike instead of wholly on
+# whichever ran second. The medians of the COUNT runs are compared
+# (benchstat's robust central estimate; a single noisy run cannot fake
+# or mask a regression). allocs/op gates alongside ns/op because an
+# allocation regression is invisible in wall time until the GC bill
+# arrives under production load.
 set -eu
 
 # KEY_BENCHES / KEY_GATE come from bench_lib.sh, the single source of
@@ -42,9 +46,10 @@ cd "$ROOT"
 
 TMP=$(mktemp -d)
 BASE_DIR="$TMP/base"
-trap 'git worktree remove --force "$BASE_DIR" >/dev/null 2>&1 || true; rm -rf "$TMP"' EXIT INT TERM
+trap 'rm -rf "$TMP"' EXIT INT TERM
 
-git worktree add --detach "$BASE_DIR" "$BASE_REF" >/dev/null
+mkdir "$BASE_DIR"
+git archive "$BASE_REF" | tar -x -C "$BASE_DIR"
 
 # median_stats reduces raw `go test -bench -benchmem` output to one
 # line per benchmark: "name median-ns/op median-allocs/op". Units are
@@ -90,17 +95,37 @@ median_stats() {
         }'
 }
 
-run_bench() {
-    # $1 = dir, $2 = output file.
-    (cd "$1" && go test -run '^$' -bench "$BENCH" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .) |
-        median_stats | sort > "$2"
+build_bench() {
+    # $1 = package dir, $2 = test binary to write.
+    (cd "$1" && go test -c -o "$2" .)
+}
+
+bench_once() {
+    # $1 = package dir, $2 = test binary; appends one run to $3.
+    (cd "$1" && "$2" -test.run '^$' -test.bench "$BENCH" -test.benchmem \
+        -test.benchtime "$BENCHTIME" -test.count 1 -test.timeout 10m) >> "$3"
 }
 
 echo "bench-compare: base=$BASE_REF ($(git rev-parse --short "$BASE_REF")) vs HEAD ($(git rev-parse --short HEAD))"
 echo "bench-compare: bench=$BENCH count=$COUNT benchtime=$BENCHTIME gate=$GATE threshold=${GATE_THRESHOLD}%"
 
-run_bench "$BASE_DIR" "$TMP/base.txt"
-run_bench "$ROOT" "$TMP/head.txt"
+build_bench "$BASE_DIR" "$TMP/base.test"
+build_bench "$ROOT" "$TMP/head.test"
+: > "$TMP/base.out"
+: > "$TMP/head.out"
+round=1
+while [ "$round" -le "$COUNT" ]; do
+    if [ $((round % 2)) -eq 1 ]; then
+        bench_once "$BASE_DIR" "$TMP/base.test" "$TMP/base.out"
+        bench_once "$ROOT" "$TMP/head.test" "$TMP/head.out"
+    else
+        bench_once "$ROOT" "$TMP/head.test" "$TMP/head.out"
+        bench_once "$BASE_DIR" "$TMP/base.test" "$TMP/base.out"
+    fi
+    round=$((round + 1))
+done
+median_stats < "$TMP/base.out" | sort > "$TMP/base.txt"
+median_stats < "$TMP/head.out" | sort > "$TMP/head.txt"
 
 # join output fields: 1 name, 2 base ns/op, 3 base allocs/op,
 # 4 head ns/op, 5 head allocs/op.
