@@ -219,7 +219,9 @@ assembly-check:
 # packages import nothing of this module but each other and the
 # stdlib-only worker pool — no tracing, no store, no serving stack —
 # and they build for the browser (GOOS=js GOARCH=wasm), the client-side
-# deployment the paper argues for (examples/clientside).
+# deployment the paper argues for. internal/core's tests compile there
+# too, so its Example_clientSide (train, export, load, score) builds for
+# the browser.
 LEAF_PKGS = urlx htmlx terms webpage features ml search target ocr ranking core
 leaf-check:
 	@deps="$$($(GO) list -deps $(addprefix ./internal/,$(LEAF_PKGS)) | grep '^knowphish')"; \
@@ -227,7 +229,8 @@ leaf-check:
 	if [ -n "$$out" ]; then \
 		echo "outside the paper's leaf closure:" >&2; echo "$$out" >&2; exit 1; fi; \
 	echo "leaf closure: $$(echo "$$deps" | wc -l) packages, paper code and pool only"
-	GOOS=js GOARCH=wasm $(GO) build -o /dev/null ./internal/core ./internal/target ./examples/clientside
+	GOOS=js GOARCH=wasm $(GO) build -o /dev/null ./internal/core ./internal/target
+	GOOS=js GOARCH=wasm $(GO) test -c -o /dev/null ./internal/core
 
 # Size of the program: non-test Go lines and files in the working tree
 # (tracked or untracked, not ignored, and present on disk, so an

@@ -39,6 +39,7 @@ import (
 	"knowphish/internal/loadgen"
 	"knowphish/internal/ml"
 	"knowphish/internal/obs"
+	"knowphish/internal/racecheck"
 	"knowphish/internal/serve"
 	"knowphish/internal/slo"
 	"knowphish/internal/store"
@@ -54,7 +55,7 @@ var (
 	benchErr    error
 )
 
-func benchSetup(b *testing.B) *experiments.Runner {
+func benchSetup(b testing.TB) *experiments.Runner {
 	b.Helper()
 	benchOnce.Do(func() {
 		benchRunner, benchErr = experiments.NewRunner(dataset.Config{
@@ -647,18 +648,14 @@ func BenchmarkDecodeScoreRequest(b *testing.B) {
 	}
 }
 
-// BenchmarkCoalescedScore measures the content-addressed stage memo
-// (internal/coalesce) under conc concurrent callers, with the score and
-// target tables cold (disabled, so every request computes every stage) or
-// warm (pre-populated, so requests ride the content-addressed fast
-// path). Per-op time is one scored page. The warm sub-benchmarks are
-// the steady-state claim: repeated content must be near-free and
-// allocation-free.
-func BenchmarkCoalescedScore(b *testing.B) {
-	r := benchSetup(b)
+// coalescedScorePages is BenchmarkCoalescedScore's pipeline and its 32
+// requests: generated phish at even indices, English legitimate pages at
+// odd ones.
+func coalescedScorePages(tb testing.TB) (*core.Pipeline, []core.ScoreRequest) {
+	r := benchSetup(tb)
 	d, err := r.Detector(0)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pipe := &core.Pipeline{Detector: d, Identifier: target.New(r.Corpus.Engine)}
 	rng := rand.New(rand.NewSource(11))
@@ -672,11 +669,37 @@ func BenchmarkCoalescedScore(b *testing.B) {
 		}
 		snap, err := crawl.VisitSite(r.Corpus.World, site)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		reqs = append(reqs, core.NewScoreRequest(snap))
 	}
+	return pipe, reqs
+}
 
+// BenchmarkCoalescedScore measures the content-addressed stage memo
+// (internal/coalesce) under conc concurrent callers, with the score and
+// target tables cold (disabled, so every request computes every stage) or
+// warm (pre-populated, so requests ride the content-addressed fast
+// path). Per-op time is one scored page. The warm sub-benchmarks are
+// the steady-state claim: repeated content must be near-free and
+// allocation-free.
+//
+// A cold arm's allocs/op is a mean over the 32 pages, which testing
+// truncates to an integer. In steady state each of the 21 pages scored
+// below the threshold costs 1 allocation, each of the nine phish whose
+// target is named 4, the one the identifier confirms legitimate 3, and
+// one phish (index 8) 193: its identification falls back to OCR (step
+// 4), and ocr.Recognizer draws a fresh math/rand source per word. The 32
+// pages sum to 253 allocations, a mean of 7.906
+// (TestCoalescedScoreColdAllocs pins the phish and the legitimate page
+// counts). A run adds a warm-up cost of roughly 300 to 1 800
+// allocations (each of the conc×GOMAXPROCS goroutines fills the pools
+// and grows its lent target buffer, and every GC cycle empties the pools
+// again), so the arm reads 8 when that cost exceeds 0.094×b.N and 7
+// otherwise. On a 2-vCPU host it read 10–11 at
+// 100x, 8 at 1000x and 5000x, and 7 at the default 1s (≈15 000 ops).
+func BenchmarkCoalescedScore(b *testing.B) {
+	pipe, reqs := coalescedScorePages(b)
 	ctx := context.Background()
 	for _, conc := range []int{1, 8, 64} {
 		for _, mode := range []string{"cold", "warm"} {
@@ -710,6 +733,33 @@ func BenchmarkCoalescedScore(b *testing.B) {
 				})
 			})
 		}
+	}
+}
+
+// TestCoalescedScoreColdAllocs pins the steady-state allocations behind
+// BenchmarkCoalescedScore's memo=cold arms: one phish whose target is
+// named and one page scored below the threshold, each through a
+// memo-disabled Do with a lent target buffer.
+func TestCoalescedScoreColdAllocs(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	pipe, reqs := coalescedScorePages(t)
+	coal := coalesce.New(coalesce.Config{MemoEntries: -1})
+	var buf core.TargetBuffer
+	allocs := func(req core.ScoreRequest) float64 {
+		req = req.WithTargetBuffer(&buf)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := coal.Do(context.Background(), pipe, req, coalesce.CacheDefault, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if got := allocs(reqs[0]); got != 4 {
+		t.Errorf("phish (target named): %v allocs, want 4", got)
+	}
+	if got := allocs(reqs[1]); got != 1 {
+		t.Errorf("legitimate page: %v allocs, want 1", got)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command kpexperiments regenerates the paper's tables and figures
-// (experiments.Index: E1–E12 plus ablations A1–A6).
+// (experiments.Index: E1–E12 plus ablations A1–A7).
 //
 // Usage:
 //

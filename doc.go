@@ -14,8 +14,11 @@
 //   - a core.Pipeline chaining both, using target identification to
 //     discard detector false positives.
 //
-// This package holds no code: only this comment and the root tests and
-// benchmarks, which call those packages directly, as examples/ does.
+// This package holds no code: only this comment and the root tests,
+// benchmarks and Examples, which call those packages directly. The
+// Examples (quick start, target identification, language independence)
+// are walkthroughs whose printed output go test checks; the client-side
+// deployment's Example is in internal/core.
 // The binaries under cmd/ drive the same packages; cmd/kpexperiments
 // reproduces the paper's tables and figures. README.md describes the
 // layout and the experiments.

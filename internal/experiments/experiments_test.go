@@ -392,6 +392,12 @@ func TestAblations(t *testing.T) {
 	if gbAUC+0.02 < lrAUC {
 		t.Errorf("A6: boosting AUC %v clearly below logistic %v", gbAUC, lrAUC)
 	}
+
+	a7, err := r.AblationEvasion()
+	if err != nil {
+		t.Fatalf("A7: %v", err)
+	}
+	pinRendering(t, "ablation_evasion", a7)
 }
 
 func TestTableRender(t *testing.T) {

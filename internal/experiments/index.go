@@ -25,7 +25,7 @@ func (a Artifact) Render() string {
 }
 
 // Experiment is one entry of the experiment index: Key selects it on the
-// kpexperiments command line, ID is its paper-order id (E1–E12, A1–A6).
+// kpexperiments command line, ID is its paper-order id (E1–E12, A1–A7).
 type Experiment struct {
 	Key string
 	ID  string
@@ -33,7 +33,7 @@ type Experiment struct {
 }
 
 // Index lists every experiment in paper order: E1–E12, then the
-// ablations A1–A6.
+// ablations A1–A7.
 var Index = []Experiment{
 	table("tablev", "E1/TableV", func(r *Runner) (*Table, error) { return r.TableV(), nil }),
 	table("tablevi", "E2/TableVI", (*Runner).TableVI),
@@ -53,6 +53,7 @@ var Index = []Experiment{
 	table("ablation-trainsize", "A4/TrainSize", (*Runner).AblationTrainSize),
 	table("ablation-unseen", "A5/UnseenBrands", (*Runner).AblationUnseenBrands),
 	table("ablation-classifier", "A6/Classifier", (*Runner).AblationClassifier),
+	table("ablation-evasion", "A7/Evasion", (*Runner).AblationEvasion),
 }
 
 func table(key, id string, run func(*Runner) (*Table, error)) Experiment {

@@ -8,13 +8,13 @@ import (
 )
 
 // TestIndexOrderAndIdentity: every key and id is unique, and the index
-// runs in paper order, E1…E12 then A1…A6.
+// runs in paper order, E1…E12 then A1…A7.
 func TestIndexOrderAndIdentity(t *testing.T) {
 	var want []string
 	for i := 1; i <= 12; i++ {
 		want = append(want, fmt.Sprintf("E%d", i))
 	}
-	for i := 1; i <= 6; i++ {
+	for i := 1; i <= 7; i++ {
 		want = append(want, fmt.Sprintf("A%d", i))
 	}
 	if len(Index) != len(want) {

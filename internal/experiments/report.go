@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section VI) plus the design ablations (A1–A6).
+// evaluation (Section VI) plus the design ablations (A1–A7).
 // Each experiment is a method on Runner returning renderable Tables and
 // Figures; Index lists them once, in paper order, for Runner.Run and
 // cmd/kpexperiments, and bench_test.go wraps each in a benchmark.

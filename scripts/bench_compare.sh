@@ -27,6 +27,15 @@
 # or mask a regression). allocs/op gates alongside ns/op because an
 # allocation regression is invisible in wall time until the GC bill
 # arrives under production load.
+#
+# A median of three or five cannot resolve the threshold on an arm whose
+# own base runs spread as wide as the threshold. So after the COUNT
+# rounds, every gated arm whose base ns/op quartiles span more than half
+# the threshold of its median is "wide", and its whole benchmark gets
+# further interleaved rounds, one at a time, until no arm is wide or the
+# wide ones have had COUNT + 2 rounds. The cap bounds the wall time: at
+# COUNT=5 on a shared 2-vCPU host, 14 of the 22 key benchmarks were
+# wide, and a cap of 2 × COUNT made the gate take 1 031 s.
 set -eu
 
 # KEY_BENCHES / KEY_GATE come from bench_lib.sh, the single source of
@@ -51,21 +60,25 @@ trap 'rm -rf "$TMP"' EXIT INT TERM
 mkdir "$BASE_DIR"
 git archive "$BASE_REF" | tar -x -C "$BASE_DIR"
 
-# median_stats reduces raw `go test -bench -benchmem` output to one
-# line per benchmark: "name median-ns/op median-allocs/op". Units are
-# located by marker field, so benchmarks reporting extra metrics
-# (urls/op, p99-ns/op) parse the same as plain ones. Benchmarks from a
-# base ref predating -benchmem in this script report allocs as "na".
-median_stats() {
+# arm_stats reduces raw `go test -bench -benchmem` output to one line
+# per benchmark: "name median-ns/op median-allocs/op q1-ns/op q3-ns/op",
+# the quartiles by nearest rank. Units are located by marker field, so
+# benchmarks reporting extra metrics (urls/op, p99-ns/op) parse the same
+# as plain ones. Benchmarks from a base ref predating -benchmem in this
+# script report allocs as "na".
+arm_stats() {
     awk '
-        function median(vals, n,    i, j, tmp, srt) {
-            if (n == 0) return "na"
+        # sortn copies vals[1..n] into srt, sorted ascending.
+        function sortn(vals, n, srt,    i, j, tmp) {
             for (i = 1; i <= n; i++) srt[i] = vals[i] + 0
             for (i = 2; i <= n; i++) {
                 tmp = srt[i]
                 for (j = i - 1; j >= 1 && srt[j] > tmp; j--) srt[j + 1] = srt[j]
                 srt[j + 1] = tmp
             }
+        }
+        function median(srt, n) {
+            if (n == 0) return "na"
             if (n % 2 == 1) return srt[(n + 1) / 2]
             return (srt[n / 2] + srt[n / 2 + 1]) / 2
         }
@@ -86,11 +99,12 @@ median_stats() {
             for (b in nns) {
                 n = nns[b]
                 for (i = 1; i <= n; i++) v[i] = ns[b, i]
-                m1 = median(v, n)
+                sortn(v, n, s)
                 n2 = nal[b]
                 for (i = 1; i <= n2; i++) w[i] = al[b, i]
-                m2 = median(w, n2)
-                printf "%s %s %s\n", b, m1, m2
+                sortn(w, n2, t)
+                printf "%s %s %s %s %s\n", b, median(s, n), median(t, n2), \
+                    s[int((n + 3) / 4)], s[int((3 * n + 3) / 4)]
             }
         }'
 }
@@ -101,9 +115,39 @@ build_bench() {
 }
 
 bench_once() {
-    # $1 = package dir, $2 = test binary; appends one run to $3.
-    (cd "$1" && "$2" -test.run '^$' -test.bench "$BENCH" -test.benchmem \
-        -test.benchtime "$BENCHTIME" -test.count 1 -test.timeout 10m) >> "$3"
+    # $1 = package dir, $2 = test binary, $3 = benchmark regexp; appends
+    # one run to $4.
+    (cd "$1" && "$2" -test.run '^$' -test.bench "$3" -test.benchmem \
+        -test.benchtime "$BENCHTIME" -test.count 1 -test.timeout 10m) >> "$4"
+}
+
+round() {
+    # $1 = round number, $2 = benchmark regexp. Odd rounds run base
+    # first, even rounds HEAD first.
+    if [ $(($1 % 2)) -eq 1 ]; then
+        bench_once "$BASE_DIR" "$TMP/base.test" "$2" "$TMP/base.out"
+        bench_once "$ROOT" "$TMP/head.test" "$2" "$TMP/head.out"
+    else
+        bench_once "$ROOT" "$TMP/head.test" "$2" "$TMP/head.out"
+        bench_once "$BASE_DIR" "$TMP/base.test" "$2" "$TMP/base.out"
+    fi
+}
+
+# wide_benches reads raw base output and prints, as one alternation, the
+# top-level benchmark of every gated arm whose ns/op quartiles span more
+# than half the threshold of its median.
+wide_benches() {
+    arm_stats | awk -v gate="$GATE_BENCHES" -v thr="$GATE_THRESHOLD" '
+        $1 ~ gate && $2 > 0 && ($5 - $4) / $2 * 100 > thr / 2 {
+            top = $1
+            sub(/\/.*/, "", top)
+            sub(/-[0-9]+$/, "", top)
+            wide[top] = 1
+        }
+        END {
+            for (t in wide) out = out (out == "" ? "" : "|") t
+            print out
+        }'
 }
 
 echo "bench-compare: base=$BASE_REF ($(git rev-parse --short "$BASE_REF")) vs HEAD ($(git rev-parse --short HEAD))"
@@ -113,19 +157,20 @@ build_bench "$BASE_DIR" "$TMP/base.test"
 build_bench "$ROOT" "$TMP/head.test"
 : > "$TMP/base.out"
 : > "$TMP/head.out"
-round=1
-while [ "$round" -le "$COUNT" ]; do
-    if [ $((round % 2)) -eq 1 ]; then
-        bench_once "$BASE_DIR" "$TMP/base.test" "$TMP/base.out"
-        bench_once "$ROOT" "$TMP/head.test" "$TMP/head.out"
-    else
-        bench_once "$ROOT" "$TMP/head.test" "$TMP/head.out"
-        bench_once "$BASE_DIR" "$TMP/base.test" "$TMP/base.out"
-    fi
-    round=$((round + 1))
+n=1
+while [ "$n" -le "$COUNT" ]; do
+    round "$n" "$BENCH"
+    n=$((n + 1))
 done
-median_stats < "$TMP/base.out" | sort > "$TMP/base.txt"
-median_stats < "$TMP/head.out" | sort > "$TMP/head.txt"
+while [ "$n" -le $((COUNT + 2)) ]; do
+    wide=$(wide_benches < "$TMP/base.out")
+    [ -n "$wide" ] || break
+    echo "bench-compare: round $n, base quartiles wider than half the ${GATE_THRESHOLD}% threshold: $wide"
+    round "$n" "^($wide)\$"
+    n=$((n + 1))
+done
+arm_stats < "$TMP/base.out" | cut -d' ' -f1-3 | sort > "$TMP/base.txt"
+arm_stats < "$TMP/head.out" | cut -d' ' -f1-3 | sort > "$TMP/head.txt"
 
 # join output fields: 1 name, 2 base ns/op, 3 base allocs/op,
 # 4 head ns/op, 5 head allocs/op.
