@@ -236,11 +236,15 @@ leaf-check:
 # (tracked or untracked, not ignored, and present on disk, so an
 # unstaged deletion or a new file counts before `git add`), outside the
 # frozen benchmark/ harness. "Net-negative" and "N% fewer lines"
-# criteria (ROADMAP item 9) are read off this command.
+# criteria (ROADMAP item 9) are read off this command. It also prints
+# the line counts of the two documents every change edits, README.md
+# and the verify skill, so that CI shows them base → head (not gated).
+LOC_DOCS = README.md .claude/skills/verify/SKILL.md
 LOC_FILES = git ls-files -co --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' \
 	| while read -r f; do [ ! -f "$$f" ] || echo "$$f"; done
 loc:
 	@echo "non-test Go outside benchmark/: $$($(LOC_FILES) | xargs cat | wc -l) lines in $$($(LOC_FILES) | wc -l) files"
+	@for f in $(LOC_DOCS); do echo "$$f: $$(wc -l < "$$f") lines"; done
 
 # Size of the program's settable surface: exported fields of every
 # *Config struct under internal/, per package, and the flag counts of

@@ -688,16 +688,15 @@ func coalescedScorePages(tb testing.TB) (*core.Pipeline, []core.ScoreRequest) {
 // truncates to an integer. In steady state each of the 21 pages scored
 // below the threshold costs 1 allocation, each of the nine phish whose
 // target is named 4, the one the identifier confirms legitimate 3, and
-// one phish (index 8) 193: its identification falls back to OCR (step
-// 4), and ocr.Recognizer draws a fresh math/rand source per word. The 32
-// pages sum to 253 allocations, a mean of 7.906
-// (TestCoalescedScoreColdAllocs pins the phish and the legitimate page
-// counts). A run adds a warm-up cost of roughly 300 to 1 800
+// one phish (index 8) 42: its identification falls back to OCR (step 4).
+// The 32 pages sum to 102 allocations, a mean of 3.19
+// (TestCoalescedScoreColdAllocs pins a named phish, a legitimate page
+// and the OCR phish). A run adds a warm-up cost of roughly 300 to 1 800
 // allocations (each of the conc×GOMAXPROCS goroutines fills the pools
 // and grows its lent target buffer, and every GC cycle empties the pools
-// again), so the arm reads 8 when that cost exceeds 0.094×b.N and 7
-// otherwise. On a 2-vCPU host it read 10–11 at
-// 100x, 8 at 1000x and 5000x, and 7 at the default 1s (≈15 000 ops).
+// again), so the arm reads 3 unless that cost exceeds 0.81×b.N. On a
+// 2-vCPU host conc=8 read 6–7 at 100x, 3–4 at 1000x, and 3 at 5000x and
+// at the default 1s (≈10 000 ops) that the bench gate runs.
 func BenchmarkCoalescedScore(b *testing.B) {
 	pipe, reqs := coalescedScorePages(b)
 	ctx := context.Background()
@@ -738,8 +737,9 @@ func BenchmarkCoalescedScore(b *testing.B) {
 
 // TestCoalescedScoreColdAllocs pins the steady-state allocations behind
 // BenchmarkCoalescedScore's memo=cold arms: one phish whose target is
-// named and one page scored below the threshold, each through a
-// memo-disabled Do with a lent target buffer.
+// named, one page scored below the threshold and the phish whose
+// identification falls back to OCR, each through a memo-disabled Do with
+// a lent target buffer.
 func TestCoalescedScoreColdAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("-race instrumentation allocates")
@@ -760,6 +760,9 @@ func TestCoalescedScoreColdAllocs(t *testing.T) {
 	}
 	if got := allocs(reqs[1]); got != 1 {
 		t.Errorf("legitimate page: %v allocs, want 1", got)
+	}
+	if got := allocs(reqs[8]); got != 42 {
+		t.Errorf("OCR-fallback phish: %v allocs, want 42", got)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package app is the process assembly: the one place that builds the
-// serving stack — event journal → SLO engine → tracer → model source →
-// target identifier → stage memo → verdict store → feed scheduler →
-// serve.Server — and the one place that takes it down again in order.
+// serving stack — event journal → SLO engine → tracer → detector and
+// world → target identifier → stage memo → verdict store → feed
+// scheduler → serve.Server — and the one place that takes it down in order.
 // cmd/kpserve binds its flags to Config and listens; `kpload run -self`
 // and BenchmarkLoadEndToEnd call Start with a throwaway store directory
 // and their own worker counts.

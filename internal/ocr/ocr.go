@@ -1,15 +1,14 @@
 // Package ocr simulates optical character recognition over the synthetic
 // screenshot layer. The paper applies OCR to webpage screenshots to
 // produce the Timage term set used as a fallback keyterm source for
-// image-based pages (Sections III-B, V-A). Real OCR is noisy and slow;
-// this simulator reproduces the noise (character confusions that destroy
-// terms, dropped words) deterministically so experiments are repeatable,
-// and the paper's "OCR is a slow process" cost shows up in the Table VIII
-// benchmark as a tunable constant.
+// image-based pages (Sections III-B, V-A), running tesseract on real
+// screenshots. This package is a deterministic noise simulator instead:
+// it reproduces OCR's character confusions, which destroy terms, and its
+// dropped words, so that experiments are repeatable. It models none of
+// OCR's cost.
 package ocr
 
 import (
-	"hash/fnv"
 	"math/rand"
 	"strings"
 )
@@ -45,11 +44,12 @@ func (r *Recognizer) Recognize(lines []string) []string {
 		return nil
 	}
 	out := make([]string, 0, len(lines))
+	rng := rand.New(rand.NewSource(0)) // reseeded per word
 	for _, line := range lines {
 		words := strings.Fields(line)
 		kept := make([]string, 0, len(words))
 		for _, word := range words {
-			rng := r.wordRNG(word)
+			rng.Seed(r.wordSeed(word))
 			if rng.Float64() < r.DropRate {
 				continue
 			}
@@ -68,11 +68,13 @@ func (r *Recognizer) Recognize(lines []string) []string {
 	return out
 }
 
-// wordRNG derives a deterministic RNG from the word content and seed.
-func (r *Recognizer) wordRNG(word string) *rand.Rand {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(word))
-	return rand.New(rand.NewSource(int64(h.Sum64()) ^ r.Seed))
+// wordSeed derives a word's noise seed from its FNV-1a hash and r.Seed.
+func (r *Recognizer) wordSeed(word string) int64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(word); i++ {
+		h = (h ^ uint64(word[i])) * 1099511628211
+	}
+	return int64(h) ^ r.Seed
 }
 
 func confuse(rng *rand.Rand, word string) string {

@@ -1,9 +1,13 @@
 package ocr
 
 import (
+	"hash/fnv"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"knowphish/internal/racecheck"
 )
 
 func TestZeroValuePerfectRecognition(t *testing.T) {
@@ -78,5 +82,84 @@ func TestDefaultRatesModerate(t *testing.T) {
 	ratio := float64(len(out)) / float64(len(words))
 	if ratio < 0.7 {
 		t.Errorf("default OCR keeps only %.0f%% of words", ratio*100)
+	}
+}
+
+// referenceRecognize is Recognize as it was when every word built its own
+// generator from fnv.New64a and rand.NewSource; the one reseeded generator
+// must reproduce its output exactly.
+func referenceRecognize(r *Recognizer, lines []string) []string {
+	if len(lines) == 0 {
+		return nil
+	}
+	out := make([]string, 0, len(lines))
+	for _, line := range lines {
+		words := strings.Fields(line)
+		kept := make([]string, 0, len(words))
+		for _, word := range words {
+			h := fnv.New64a()
+			_, _ = h.Write([]byte(word))
+			rng := rand.New(rand.NewSource(int64(h.Sum64()) ^ r.Seed))
+			if rng.Float64() < r.DropRate {
+				continue
+			}
+			if rng.Float64() < r.ConfuseRate {
+				word = confuse(rng, word)
+			}
+			kept = append(kept, word)
+		}
+		if len(kept) > 0 {
+			out = append(out, strings.Join(kept, " "))
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+func TestRecognizeMatchesReference(t *testing.T) {
+	vocab := strings.Fields("nova bank secure login verify account password Sign In PayPal " +
+		"zebra glass bills 0ffice é ß 登录 a x")
+	rng := rand.New(rand.NewSource(7))
+	for seed := int64(0); seed < 50; seed++ {
+		r := &Recognizer{DropRate: 0.3, ConfuseRate: 0.5, Seed: seed*7919 - 100}
+		if seed%5 == 0 {
+			r = Default()
+			r.Seed = seed
+		}
+		for n := 0; n < 20; n++ {
+			lines := make([]string, rng.Intn(4))
+			for i := range lines {
+				words := make([]string, rng.Intn(30))
+				for j := range words {
+					words[j] = vocab[rng.Intn(len(vocab))]
+				}
+				lines[i] = strings.Join(words, " ")
+			}
+			if got, want := r.Recognize(lines), referenceRecognize(r, lines); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, lines %q: Recognize = %q, reference %q", r.Seed, lines, got, want)
+			}
+		}
+	}
+}
+
+// TestRecognizeAllocsIndependentOfWords pins one generator per call: a
+// 100-word line allocates what a 10-word line does. Confusion is off,
+// since each confused word owns its new spelling.
+func TestRecognizeAllocsIndependentOfWords(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	r := &Recognizer{DropRate: Default().DropRate, Seed: 1}
+	allocs := func(words int) float64 {
+		line := []string{strings.TrimSpace(strings.Repeat("nova bank secure login verify ", words/5))}
+		return testing.AllocsPerRun(50, func() { r.Recognize(line) })
+	}
+	short, long := allocs(10), allocs(100)
+	if short != long {
+		t.Errorf("10 words: %v allocs, 100 words: %v; want equal", short, long)
+	} else {
+		t.Logf("%v allocs per Recognize at 10 and 100 words", short)
 	}
 }

@@ -3,8 +3,13 @@ package knowphish_test
 import (
 	"bytes"
 	"context"
+	"io/fs"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"knowphish/internal/core"
@@ -121,5 +126,51 @@ func TestWorldHelpers(t *testing.T) {
 	}
 	if snap.StartingURL == "" || snap.InputCount < 2 {
 		t.Errorf("phish snapshot malformed: %+v", snap)
+	}
+}
+
+// TestDocsNameExistingTests keeps the test names README and the verify
+// skill cite real: every Test…, Benchmark…, Fuzz… or Example… name they
+// spell must be a prefix of a function some _test.go defines, since a
+// -run or -bench pattern matches by prefix.
+func TestDocsNameExistingTests(t *testing.T) {
+	name := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z_][A-Za-z0-9_]*`)
+	def := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz|Example)\w*)\(`)
+	var defined []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, "_test.go") {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range def.FindAllSubmatch(src, -1) {
+				defined = append(defined, string(m[1]))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{"README.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+	names:
+		for _, n := range name.FindAllString(string(text), -1) {
+			for _, d := range defined {
+				if strings.HasPrefix(d, n) {
+					continue names
+				}
+			}
+			t.Errorf("%s names %s, which prefixes no test function", doc, n)
+		}
 	}
 }
