@@ -5,10 +5,10 @@ GO ?= go
 
 # The key-benchmark set (what the CI gate holds to a threshold and
 # BENCH_PR.json records) is defined once, in scripts/bench_lib.sh; the
-# bench-* targets below inherit it by not setting BENCH. Override per
-# run with BENCH=<regexp>.
+# bench-compare and bench-gate targets inherit it by not setting BENCH.
+# Override per run with BENCH=<regexp>.
 
-.PHONY: all build test race race-cover bench bench-smoke bench-compare bench-gate bench-json fuzz-smoke fuzz-long store-stress load-smoke overload-smoke cover fmt fmt-check vet staticcheck vulncheck serve alloc-check assembly-check leaf-check loc config-surface profile ci
+.PHONY: all build test race race-cover bench bench-smoke bench-compare bench-gate fuzz-smoke fuzz-long store-stress load-smoke overload-smoke cover fmt fmt-check vet staticcheck vulncheck serve alloc-check assembly-check leaf-check loc config-surface profile ci
 
 all: build
 
@@ -123,9 +123,12 @@ staticcheck:
 	fi
 
 # Benchmark delta between a base ref (default HEAD~1, override with
-# BASE=<ref>) and the working tree; see scripts/bench_compare.sh.
-# Defaults to the key-benchmark set so local runs and the CI gate
-# measure the same thing.
+# BASE=<ref>) and the working tree, in alternating rounds; see
+# scripts/bench_compare.sh. Prints the delta table and writes
+# BENCH_PR.json (both sides' medians, quartiles and rounds, the ratio
+# and the host line), which CI uploads from every run. Defaults to the
+# key-benchmark set so local runs and the CI gate measure the same
+# thing; BASE=HEAD measures the working tree against its own commit.
 bench-compare:
 	BENCH="$(BENCH)" ./scripts/bench_compare.sh $(BASE)
 
@@ -134,12 +137,6 @@ bench-compare:
 # the base ref. This is the perf job CI requires on every PR.
 bench-gate:
 	BENCH="$(BENCH)" GATE=1 ./scripts/bench_compare.sh $(BASE)
-
-# Machine-readable key-benchmark summary (ns/op, B/op, allocs/op);
-# written to BENCH_PR.json and uploaded as a CI artifact per run so the
-# perf trajectory across PRs is tracked.
-bench-json:
-	BENCH="$(BENCH)" ./scripts/bench_json.sh
 
 # Load smoke: kpload drives a complete in-process kpserve (-self) for a
 # few seconds at a modest open-loop rate and writes LOAD_PR.json — the

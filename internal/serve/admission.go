@@ -16,10 +16,10 @@ import (
 // endpointClass carrying a shed priority; the engine's shed level L
 // rejects every class with 0 < priority <= L, so background feed
 // ingestion goes first, batch/stream/verdict queries second, and
-// interactive single-page scoring only at the highest level. Ops
-// surfaces (healthz, metrics, debug, model management) are priority 0
-// and never shed — an overloaded server must stay observable and
-// steerable.
+// interactive single-page scoring only at the highest level. The ops
+// surfaces (healthz, metrics, debug) are priority 0 and never shed: an
+// overloaded server must stay observable, or no one can see what it
+// sheds.
 //
 // Shedding happens at two boundaries. The entry check in instrument
 // rejects before any work. The re-check inside boundedCtx converts
@@ -52,7 +52,7 @@ type endpointClass struct {
 	name     string
 	priority int
 	// window is the class's latency histogram (nil for the classes
-	// excluded from the latency percentiles: stream, models, ops).
+	// excluded from the latency percentiles: stream, ops).
 	window *obs.WindowedHist
 	// shed counts requests this class rejected at the entry check.
 	shed atomic.Int64

@@ -10,7 +10,7 @@
 // Only the in-memory index (seq, URLs, target, timestamp, on-disk
 // location) is held in RAM — frames are read back
 // from their segment on demand, so memory stays proportional to the
-// index, not the log: about 226 B per record at 1 000 records and
+// index, not the log: about 212–226 B per record at 1 000 records and
 // 172 B at 100 000, the records' strings aside
 // (TestHeapAllocRetainedPerRecord). Recovery loads a binary snapshot of
 // the index plus the log tail past the snapshot's watermark (skipping

@@ -174,3 +174,79 @@ func TestDocsNameExistingTests(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsNameExistingTooling keeps the commands README, the verify
+// skill and the CI workflows give runnable: every `make` target in their
+// code (markdown code spans and blocks; workflow lines, and code spans in
+// workflow comments) must be one the Makefile defines, and every
+// scripts/*.sh they name must exist.
+func TestDocsNameExistingTooling(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllSubmatch(mk, -1) {
+		targets[string(m[1])] = true
+	}
+	workflows, err := filepath.Glob(".github/workflows/*.yml")
+	if err != nil || len(workflows) == 0 {
+		t.Fatalf("no workflows found: %v", err)
+	}
+	fence := regexp.MustCompile("(?s)```.*?```")
+	span := regexp.MustCompile("`[^`\n]+`")
+	invocation := regexp.MustCompile(`\bmake[ \t]+([^\n` + "`" + `]*)`)
+	comment := regexp.MustCompile(`#[^\n]*`)
+	target := regexp.MustCompile(`^[a-z][a-z0-9-]*$`)
+	script := regexp.MustCompile(`scripts/[A-Za-z0-9_-]+\.sh`)
+	for _, doc := range append([]string{"README.md", ".claude/skills/verify/SKILL.md"}, workflows...) {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(raw)
+		var code []string
+		if strings.HasSuffix(doc, ".md") {
+			code = append(fence.FindAllString(text, -1), span.FindAllString(fence.ReplaceAllString(text, ""), -1)...)
+		} else {
+			for _, line := range strings.Split(text, "\n") {
+				if strings.HasPrefix(strings.TrimSpace(line), "#") {
+					code = append(code, span.FindAllString(line, -1)...)
+				} else {
+					code = append(code, line)
+				}
+			}
+		}
+		for _, c := range code {
+			// A shell comment is prose: "# make sure …" runs nothing.
+			c = comment.ReplaceAllString(c, "")
+			for _, m := range invocation.FindAllStringSubmatch(c, -1) {
+				// `make [-s] [-C dir] target… [VAR=value…]`: the targets
+				// run from the first word past the options to the first
+				// word that is not one.
+				words := strings.Fields(m[1])
+				for i := 0; i < len(words); i++ {
+					w := strings.TrimRight(words[i], `)";`)
+					if w == "-C" {
+						i++
+						continue
+					}
+					if strings.HasPrefix(w, "-") {
+						continue
+					}
+					if !target.MatchString(w) {
+						break
+					}
+					if !targets[w] {
+						t.Errorf("%s runs make %s, which the Makefile does not define", doc, w)
+					}
+				}
+			}
+		}
+		for _, s := range script.FindAllString(text, -1) {
+			if _, err := os.Stat(s); err != nil {
+				t.Errorf("%s names %s: %v", doc, s, err)
+			}
+		}
+	}
+}

@@ -1,10 +1,11 @@
 #!/bin/sh
-# bench_compare.sh — run benchmarks on a base ref and on the working
-# tree, print a base-vs-HEAD delta table (ns/op and allocs/op), and
-# optionally gate: with GATE=1 the script exits nonzero when a key
-# benchmark regresses beyond the threshold. The CI perf job runs it on
-# every pull request so hot-path regressions fail the PR instead of
-# scrolling past in a log.
+# bench_compare.sh — the repository's one micro-benchmark measurement:
+# run benchmarks on a base ref and on the working tree, print a
+# base-vs-HEAD delta table (ns/op and allocs/op), write both sides'
+# figures to BENCH_PR.json, and optionally gate: with GATE=1 the script
+# exits nonzero when a key benchmark regresses beyond the threshold.
+# CI runs it on every pull request with the gate armed, on pushes and
+# nightly against HEAD~1, and uploads BENCH_PR.json from each run.
 #
 # Usage:
 #   scripts/bench_compare.sh [base-ref]      # default: HEAD~1
@@ -22,24 +23,27 @@
 # rounds, one run of every benchmark per side per round, the two sides
 # alternating which goes first. Drift on a shared host (another tenant,
 # thermal state) then falls on both sides alike instead of wholly on
-# whichever ran second. The medians of the COUNT runs are compared
+# whichever ran second. The medians of the runs are compared
 # (benchstat's robust central estimate; a single noisy run cannot fake
 # or mask a regression). allocs/op gates alongside ns/op because an
 # allocation regression is invisible in wall time until the GC bill
 # arrives under production load.
 #
-# A median of three or five cannot resolve the threshold on an arm whose
-# own base runs spread as wide as the threshold. So after the COUNT
-# rounds, every gated arm whose base ns/op quartiles span more than half
-# the threshold of its median is "wide", and its whole benchmark gets
-# further interleaved rounds, one at a time, until no arm is wide or the
-# wide ones have had COUNT + 2 rounds. The cap bounds the wall time: at
-# COUNT=5 on a shared 2-vCPU host, 14 of the 22 key benchmarks were
-# wide, and a cap of 2 × COUNT made the gate take 1 031 s.
+# A median of three or five cannot resolve the threshold on a noisy
+# arm, and more rounds do not narrow the spread of single runs; they
+# narrow the median's. So an arm's median counts as resolved once
+# (q3 − q1) / median / √rounds, about its standard error (for normal
+# noise the quartile span over √n is 1.08 standard errors of the
+# median), is within a quarter of the threshold on both sides: a
+# change of the threshold's size then sits about four standard errors
+# away. After the COUNT rounds, every benchmark with an unresolved gated
+# arm gets further interleaved rounds, one at a time, up to 2 × COUNT.
+# BENCH_PR.json carries every run, extra rounds included, so CI pays
+# for one measurement, not a gate and a snapshot.
 set -eu
 
 # KEY_BENCHES / KEY_GATE come from bench_lib.sh, the single source of
-# the key-benchmark set shared with bench_json.sh.
+# the key-benchmark set.
 . "$(dirname "$0")/bench_lib.sh"
 
 BASE_REF=${1:-HEAD~1}
@@ -53,6 +57,11 @@ GATE_THRESHOLD=${GATE_THRESHOLD:-15}
 ROOT=$(git rev-parse --show-toplevel)
 cd "$ROOT"
 
+# A run of uncommitted code is not stamped with its parent's hash.
+COMMIT=$(git rev-parse HEAD)
+git diff --quiet HEAD || COMMIT=$COMMIT-dirty
+BASE_SHA=$(git rev-parse --short "$BASE_REF")
+
 TMP=$(mktemp -d)
 BASE_DIR="$TMP/base"
 trap 'rm -rf "$TMP"' EXIT INT TERM
@@ -61,50 +70,44 @@ mkdir "$BASE_DIR"
 git archive "$BASE_REF" | tar -x -C "$BASE_DIR"
 
 # arm_stats reduces raw `go test -bench -benchmem` output to one line
-# per benchmark: "name median-ns/op median-allocs/op q1-ns/op q3-ns/op",
-# the quartiles by nearest rank. Units are located by marker field, so
-# benchmarks reporting extra metrics (urls/op, p99-ns/op) parse the same
-# as plain ones. Benchmarks from a base ref predating -benchmem in this
-# script report allocs as "na".
+# per benchmark: "name ns/op B/op allocs/op q1-ns/op q3-ns/op rounds",
+# medians of the runs and ns/op quartiles by nearest rank. Units are
+# located by marker field, so benchmarks reporting extra metrics
+# (urls/op, p99-ns/op) parse the same as plain ones. Benchmarks from a
+# base ref predating -benchmem in this script report B/op and allocs/op
+# as "na".
 arm_stats() {
     awk '
-        # sortn copies vals[1..n] into srt, sorted ascending.
-        function sortn(vals, n, srt,    i, j, tmp) {
-            for (i = 1; i <= n; i++) srt[i] = vals[i] + 0
+        # median sorts vals[name, 1..n] ascending into srt and returns
+        # the middle value ("na" for none).
+        function median(vals, name, n,    i, j, tmp) {
+            if (n == 0) return "na"
+            for (i = 1; i <= n; i++) srt[i] = vals[name, i] + 0
             for (i = 2; i <= n; i++) {
                 tmp = srt[i]
                 for (j = i - 1; j >= 1 && srt[j] > tmp; j--) srt[j + 1] = srt[j]
                 srt[j + 1] = tmp
             }
-        }
-        function median(srt, n) {
-            if (n == 0) return "na"
             if (n % 2 == 1) return srt[(n + 1) / 2]
             return (srt[n / 2] + srt[n / 2 + 1]) / 2
         }
         /^Benchmark/ {
             name = $1
             for (i = 2; i < NF; i++) {
-                if ($(i + 1) == "ns/op" && i == 3) {
-                    nns[name]++
-                    ns[name, nns[name]] = $i
-                }
-                if ($(i + 1) == "allocs/op") {
-                    nal[name]++
-                    al[name, nal[name]] = $i
-                }
+                if ($(i + 1) == "ns/op" && i == 3) ns[name, ++nns[name]] = $i
+                if ($(i + 1) == "B/op") bp[name, ++nbp[name]] = $i
+                if ($(i + 1) == "allocs/op") al[name, ++nal[name]] = $i
             }
         }
         END {
             for (b in nns) {
                 n = nns[b]
-                for (i = 1; i <= n; i++) v[i] = ns[b, i]
-                sortn(v, n, s)
-                n2 = nal[b]
-                for (i = 1; i <= n2; i++) w[i] = al[b, i]
-                sortn(w, n2, t)
-                printf "%s %s %s %s %s\n", b, median(s, n), median(t, n2), \
-                    s[int((n + 3) / 4)], s[int((3 * n + 3) / 4)]
+                mbp = median(bp, b, nbp[b] + 0)
+                mal = median(al, b, nal[b] + 0)
+                # ns/op last: srt then holds its runs for the quartiles.
+                mns = median(ns, b, n)
+                printf "%s %s %s %s %s %s %d\n", b, mns, mbp, mal, \
+                    srt[int((n + 3) / 4)], srt[int((3 * n + 3) / 4)], n
             }
         }'
 }
@@ -133,12 +136,12 @@ round() {
     fi
 }
 
-# wide_benches reads raw base output and prints, as one alternation, the
-# top-level benchmark of every gated arm whose ns/op quartiles span more
-# than half the threshold of its median.
-wide_benches() {
-    arm_stats | awk -v gate="$GATE_BENCHES" -v thr="$GATE_THRESHOLD" '
-        $1 ~ gate && $2 > 0 && ($5 - $4) / $2 * 100 > thr / 2 {
+# unresolved prints, as one alternation, the top-level benchmark of
+# every gated arm whose median is not resolved on one side or both.
+unresolved() {
+    { arm_stats < "$TMP/base.out"; arm_stats < "$TMP/head.out"; } |
+        awk -v gate="$GATE_BENCHES" -v thr="$GATE_THRESHOLD" '
+        $1 ~ gate && $2 > 0 && ($6 - $5) / $2 * 100 / sqrt($7) > thr / 4 {
             top = $1
             sub(/\/.*/, "", top)
             sub(/-[0-9]+$/, "", top)
@@ -150,7 +153,7 @@ wide_benches() {
         }'
 }
 
-echo "bench-compare: base=$BASE_REF ($(git rev-parse --short "$BASE_REF")) vs HEAD ($(git rev-parse --short HEAD))"
+echo "bench-compare: base=$BASE_REF ($BASE_SHA) vs HEAD ($COMMIT)"
 echo "bench-compare: bench=$BENCH count=$COUNT benchtime=$BENCHTIME gate=$GATE threshold=${GATE_THRESHOLD}%"
 
 build_bench "$BASE_DIR" "$TMP/base.test"
@@ -162,15 +165,17 @@ while [ "$n" -le "$COUNT" ]; do
     round "$n" "$BENCH"
     n=$((n + 1))
 done
-while [ "$n" -le $((COUNT + 2)) ]; do
-    wide=$(wide_benches < "$TMP/base.out")
+while [ "$n" -le $((2 * COUNT)) ]; do
+    wide=$(unresolved)
     [ -n "$wide" ] || break
-    echo "bench-compare: round $n, base quartiles wider than half the ${GATE_THRESHOLD}% threshold: $wide"
+    echo "bench-compare: round $n, medians not resolved to a quarter of the ${GATE_THRESHOLD}% threshold: $wide"
     round "$n" "^($wide)\$"
     n=$((n + 1))
 done
-arm_stats < "$TMP/base.out" | cut -d' ' -f1-3 | sort > "$TMP/base.txt"
-arm_stats < "$TMP/head.out" | cut -d' ' -f1-3 | sort > "$TMP/head.txt"
+arm_stats < "$TMP/base.out" | sort > "$TMP/base.stats"
+arm_stats < "$TMP/head.out" | sort > "$TMP/head.stats"
+cut -d' ' -f1,2,4 "$TMP/base.stats" > "$TMP/base.txt"
+cut -d' ' -f1,2,4 "$TMP/head.stats" > "$TMP/head.txt"
 
 # join output fields: 1 name, 2 base ns/op, 3 base allocs/op,
 # 4 head ns/op, 5 head allocs/op.
@@ -193,6 +198,41 @@ cut -d' ' -f1 "$TMP/base.txt" > "$TMP/base.names"
 cut -d' ' -f1 "$TMP/head.txt" > "$TMP/head.names"
 comm -23 "$TMP/base.names" "$TMP/head.names" | sed 's/^/only in base: /'
 comm -13 "$TMP/base.names" "$TMP/head.names" | sed 's/^/only in head: /'
+
+# BENCH_PR.json: every benchmark either side ran, "null" for the side
+# that did not. The host line is what go test printed for HEAD.
+join -a 1 -a 2 -e na -o 0,1.2,1.3,1.4,1.5,1.6,1.7,2.2,2.3,2.4,2.5,2.6,2.7 \
+    "$TMP/base.stats" "$TMP/head.stats" |
+    awk -v commit="$COMMIT" -v base="$BASE_REF" -v basesha="$BASE_SHA" \
+        -v gover="$(go env GOVERSION)" -v nproc="$(getconf _NPROCESSORS_ONLN)" \
+        -v count="$COUNT" -v benchtime="$BENCHTIME" -v headout="$TMP/head.out" '
+        function num(x) { return x == "na" ? "null" : sprintf("%.10g", x) }
+        function side(f) {
+            if ($(f + 5) == "na") return "null"
+            return sprintf("{\"ns_per_op\": %s, \"b_per_op\": %s, \"allocs_per_op\": %s, \"ns_q1\": %s, \"ns_q3\": %s, \"rounds\": %d}", \
+                num($f), num($(f + 1)), num($(f + 2)), num($(f + 3)), num($(f + 4)), $(f + 5))
+        }
+        BEGIN {
+            while ((getline line < headout) > 0) {
+                if (line ~ /^goos: /) os = substr(line, 7)
+                if (line ~ /^goarch: /) arch = substr(line, 9)
+                if (line ~ /^cpu: /) cpu = substr(line, 6)
+            }
+            printf "{\n  \"schema\": 2,\n"
+            printf "  \"commit\": \"%s\",\n", commit
+            printf "  \"base\": {\"ref\": \"%s\", \"commit\": \"%s\"},\n", base, basesha
+            printf "  \"go\": \"%s\",\n", gover
+            printf "  \"host\": \"%s/%s, %s, %d CPUs\",\n", os, arch, cpu, nproc
+            printf "  \"count\": %d,\n  \"benchtime\": \"%s\",\n", count, benchtime
+            printf "  \"benchmarks\": ["
+        }
+        {
+            ratio = ($2 == "na" || $8 == "na" || $2 == 0) ? "null" : sprintf("%.4f", $8 / $2)
+            printf "%s\n    {\"name\": \"%s\", \"ratio\": %s,\n     \"base\": %s,\n     \"head\": %s}", \
+                (NR > 1 ? "," : ""), $1, ratio, side(2), side(8)
+        }
+        END { printf "\n  ]\n}\n" }' > BENCH_PR.json
+echo "bench-compare: wrote BENCH_PR.json"
 
 [ "$GATE" = "1" ] || exit 0
 

@@ -1,8 +1,7 @@
 # bench_lib.sh — the single source of truth for the key-benchmark set.
-# Sourced by bench_compare.sh and bench_json.sh; the Makefile targets
-# invoke those scripts without setting BENCH, so changing the set here
-# changes the gate, the local delta table and the BENCH_PR.json
-# artifact together — they can never silently diverge.
+# Sourced by bench_compare.sh; the Makefile targets invoke it without
+# setting BENCH, so changing the set here changes the gate, the local
+# delta table and BENCH_PR.json together: all three come from one run.
 #
 # KEY_BENCHES selects what runs; KEY_GATE is the gate filter over the
 # resulting (sub-)benchmark names. BenchmarkGBMPredict is gated by its
