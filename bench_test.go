@@ -41,7 +41,6 @@ import (
 	"knowphish/internal/obs"
 	"knowphish/internal/racecheck"
 	"knowphish/internal/serve"
-	"knowphish/internal/slo"
 	"knowphish/internal/store"
 	"knowphish/internal/target"
 	"knowphish/internal/terms"
@@ -314,21 +313,6 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 		if v := e.ExtractSnapshot(snap); len(v) != features.TotalCount {
 			b.Fatal("bad vector")
 		}
-	}
-}
-
-func BenchmarkGBMScore(b *testing.B) {
-	r := benchSetup(b)
-	d, err := r.Detector(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap := benchSnapshot(b, true)
-	e := features.Extractor{Rank: r.Corpus.World.Ranking()}
-	v := e.ExtractSnapshot(snap)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = d.ScoreVector(v)
 	}
 }
 
@@ -1217,28 +1201,6 @@ func BenchmarkWindowedHist(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Observe(time.Duration(i%1000) * time.Microsecond)
-	}
-}
-
-// BenchmarkAdmission prices the admission-control fast path as the
-// serving layer executes it on every request: one atomic shed-level
-// load from the SLO engine plus a priority comparison. Runs against an
-// armed engine in the healthy state (shed level 0, everything
-// admitted) — the path every request pays whether or not overload ever
-// happens. The gate pins it at 0 allocs/op.
-func BenchmarkAdmission(b *testing.B) {
-	objs, err := slo.ParseObjectives([]string{"score:p99<250ms,avail>99.9"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := slo.New(slo.Config{Objectives: objs})
-	const pri = 3 // interactive class: sheddable, admitted at level 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if admitted := pri == 0 || pri > eng.ShedLevel(); !admitted {
-			b.Fatal("unexpected shed")
-		}
 	}
 }
 

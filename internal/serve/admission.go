@@ -106,7 +106,7 @@ func (s *Server) writeShed(w http.ResponseWriter) {
 
 // admit reports whether a class passes admission at the current shed
 // level. One atomic load on the accept path — this is the check
-// BenchmarkAdmission pins at zero allocations.
+// TestAdmitAllocs pins at zero allocations.
 func (s *Server) admit(cls *endpointClass) bool {
 	return cls.priority == 0 || cls.priority > s.cfg.SLO.ShedLevel()
 }

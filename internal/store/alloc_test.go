@@ -167,12 +167,24 @@ func liveHeap() uint64 {
 // memory: the live heap a store holds per feed-shaped record, the
 // records' own strings excluded (they are built, and kept, before the
 // first reading). That is the index row and its share of the maps the
-// lookups go through; the frame itself stays on disk. A one-landing
-// shape — a cloaking URL serving ten thousand versions — must keep
-// every version live and find them newest first.
+// lookups go through; the frame itself stays on disk. A throwaway store
+// is opened, filled and closed first: whatever the process's first
+// store sets up once is then in place before either reading, so the
+// figure does not depend on which tests ran before this one. A
+// one-landing shape — a cloaking URL serving ten thousand versions —
+// must keep every version live and find them newest first.
 func TestHeapAllocRetainedPerRecord(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("heap readings are not meaningful under -race")
+	}
+	warm := openStore(t, Config{CompactEvery: -1})
+	for _, r := range feedRecords(100) {
+		if err := warm.Append(ctxb(), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := warm.Close(); err != nil {
+		t.Fatal(err)
 	}
 	for _, c := range []struct {
 		records int

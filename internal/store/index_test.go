@@ -114,7 +114,7 @@ func (p *indexPair) replay(b0, b1, b2 byte) {
 // does; the reference takes the live rows through bulkLoad.
 func (p *indexPair) reopen(materialize bool) {
 	p.ix.inOrder()
-	ix, _, _, err := decodeSnapshot(encodeSnapshot(p.ix, p.ix.nextSeq-1, activeState{}))
+	ix, _, err := decodeSnapshot(encodeSnapshot(p.ix, activeState{}))
 	if err != nil {
 		p.t.Fatalf("snapshot of the index does not decode: %v", err)
 	}

@@ -21,9 +21,8 @@ import (
 // where the payload is one Record as JSON. The CRC detects torn or
 // bit-rotted frames; a frame that fails its CRC (or runs past EOF) ends
 // the readable prefix of the segment. Sealed segments additionally
-// carry a "<id>.idx" sidecar with segment stats and a sparse seq→offset
-// index so recovery can seek into the tail instead of replaying from
-// offset zero.
+// carry a "<id>.idx" sidecar with the segment's frame count, highest
+// seq and framed length.
 const (
 	frameHeader = 8
 	// maxFramePayload bounds a single frame; anything larger in a
@@ -31,8 +30,6 @@ const (
 	maxFramePayload = 64 << 20
 	segSuffix       = ".seg"
 	idxSuffix       = ".idx"
-	// sparseEvery is the record interval between sparse-index points.
-	sparseEvery = 512
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -91,37 +88,17 @@ func checkFrame(frame []byte) error {
 	return nil
 }
 
-// sparsePoint is one sparse-index row: the frame at Off holds Seq.
-type sparsePoint struct {
-	Seq uint64 `json:"seq"`
-	Off int64  `json:"off"`
-}
-
-// sidecar is the per-segment index written when a segment seals
-// ("<id>.idx", JSON). Bytes is the exact framed length — anything past
-// it in the .seg file is garbage from a crashed write and is ignored.
-// The sparse index has one point every sparseEvery records; recovery
-// past a snapshot watermark seeks to the last point at or below the
-// watermark instead of replaying the segment from the start.
+// sidecar describes a segment when it seals ("<id>.idx", JSON). Count
+// is its frame count, which compaction holds against the live rows;
+// MaxSeq lets recovery skip a segment the snapshot watermark covers.
+// Bytes is the exact framed length — anything past it in the .seg file
+// is garbage from a crashed write and is ignored. Sidecars written
+// before the format lost "min_seq" and "sparse" still load:
+// encoding/json skips the keys.
 type sidecar struct {
-	Count  int           `json:"count"`
-	MinSeq uint64        `json:"min_seq"`
-	MaxSeq uint64        `json:"max_seq"`
-	Bytes  int64         `json:"bytes"`
-	Sparse []sparsePoint `json:"sparse,omitempty"`
-}
-
-// seekPoint returns the best known start offset for replaying frames
-// with seq > watermark.
-func (sc *sidecar) seekPoint(watermark uint64) int64 {
-	off := int64(0)
-	for _, p := range sc.Sparse {
-		if p.Seq > watermark {
-			break
-		}
-		off = p.Off
-	}
-	return off
+	Count  int    `json:"count"`
+	MaxSeq uint64 `json:"max_seq"`
+	Bytes  int64  `json:"bytes"`
 }
 
 func segName(dir string, id uint64) string {

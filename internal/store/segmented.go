@@ -16,8 +16,8 @@ import (
 )
 
 // The segmented engine. Appends go to a single active segment; when it
-// would grow past SegmentBytes it is fsynced, described by a sidecar
-// index, and sealed — sealed segments are immutable, which is what lets
+// would grow past SegmentBytes it is fsynced, described by a sidecar,
+// and sealed — sealed segments are immutable, which is what lets
 // compaction and recovery reason about them without coordination.
 // Only the index lives in memory; frames are read from their segment
 // on demand, by the (segment, offset, length) the index holds.
@@ -35,8 +35,9 @@ import (
 //     and replay deduplicates by sequence number (newest wins per
 //     landing URL + fingerprint, whatever order segments are read in).
 //   - The snapshot is advisory: it only short-circuits replay of sealed
-//     segments wholly below its watermark. Losing or corrupting it
-//     costs a full replay, never data.
+//     segments wholly below its watermark, and of the settled prefix of
+//     the segment that was active when it was taken. Losing or
+//     corrupting it costs a full replay, never data.
 type segStore struct {
 	dir          string
 	syncEvery    bool
@@ -85,26 +86,17 @@ type segStore struct {
 
 // segMeta accumulates the sidecar-to-be of the segment being written.
 type segMeta struct {
-	count          int
-	minSeq, maxSeq uint64
-	sparse         []sparsePoint
+	count  int
+	maxSeq uint64
 }
 
-func (m *segMeta) note(seq uint64, off int64) {
-	if m.count == 0 || seq < m.minSeq {
-		m.minSeq = seq
-	}
-	if seq > m.maxSeq {
-		m.maxSeq = seq
-	}
-	if m.count%sparseEvery == 0 {
-		m.sparse = append(m.sparse, sparsePoint{Seq: seq, Off: off})
-	}
+func (m *segMeta) note(seq uint64) {
+	m.maxSeq = max(m.maxSeq, seq)
 	m.count++
 }
 
 func (m *segMeta) sidecar(bytes int64) *sidecar {
-	return &sidecar{Count: m.count, MinSeq: m.minSeq, MaxSeq: m.maxSeq, Bytes: bytes, Sparse: m.sparse}
+	return &sidecar{Count: m.count, MaxSeq: m.maxSeq, Bytes: bytes}
 }
 
 // failpoints are test-only crash injection hooks: a non-nil hook runs
@@ -179,7 +171,9 @@ func openSegmented(cfg Config) (*segStore, error) {
 
 // recover rebuilds the index: snapshot first, then replay of every
 // segment not wholly covered by the snapshot watermark, then reopening
-// (or creating) the active segment.
+// (or creating) the active segment. Replay of a segment starts at 0,
+// except in the one that was active when the snapshot was taken: every
+// frame below the snapshot's offset there is already in its rows.
 func (s *segStore) recover() error {
 	ids, err := listSegments(s.dir)
 	if err != nil {
@@ -194,15 +188,17 @@ func (s *segStore) recover() error {
 			sizes[id] = fi.Size()
 		}
 	}
-	ix, watermark, act, snapOK := loadSnapshot(s.dir)
+	ix, act, snapOK := loadSnapshot(s.dir)
 	// Reads size their buffers by a row's frame length and trust its
 	// offset, so a snapshot naming a frame its segment does not hold
 	// (the tail of an unsynced active segment lost with the machine, a
 	// segment swapped underneath it) is not loaded at all: the segments
 	// are replayed, which indexes exactly the frames that are there.
 	snapOK = snapOK && rowsFit(ix, sizes)
+	var watermark uint64
 	if snapOK {
 		s.ix = ix
+		watermark = ix.nextSeq - 1
 		s.snapshotSeq = watermark
 	}
 	// The active segment is the newest one never sealed (no sidecar).
@@ -219,24 +215,22 @@ func (s *segStore) recover() error {
 		if sealedSeg && snapOK && sc.MaxSeq <= watermark {
 			continue // every live frame here is already in the snapshot
 		}
-		start := int64(0)
-		limit := int64(-1)
+		start, limit, end := int64(0), int64(-1), sizes[id]
 		var seed segMeta
 		if sealedSeg {
-			limit = sc.Bytes
-			if snapOK {
-				start = sc.seekPoint(watermark)
-			}
-		} else if i == len(ids)-1 && snapOK && act.id == id {
-			// The snapshot recorded where the active segment stood when it
-			// was taken: every frame below act.off is already in the rows,
-			// so replay resumes there with the sidecar meta seeded — the
-			// fast-start path never re-parses the settled part of the
-			// active segment. A shorter file than act.off means the
-			// segment was tampered with; fall back to a full replay.
-			if sizes[id] >= act.off {
-				start, seed = act.off, act.meta
-			}
+			limit, end = sc.Bytes, min(end, sc.Bytes)
+		}
+		// Only the segment that was active when the snapshot was taken
+		// can straddle its watermark, whether it is still active or has
+		// sealed since: every frame below act.off is already in the rows,
+		// so replay resumes there with the sidecar meta seeded. A segment
+		// shorter than act.off was tampered with and is replayed whole.
+		// Any other segment past the watermark is replayed from 0: the
+		// only other way one holds frames at or below the watermark is
+		// a compaction output left by a crash, and insert drops those
+		// copies.
+		if snapOK && id == act.id && act.off <= end {
+			start, seed = act.off, act.meta
 		}
 		meta, good, replayed, err := s.replaySegment(id, start, limit, watermark, snapOK, seed)
 		if err != nil {
@@ -288,7 +282,7 @@ func (s *segStore) recover() error {
 // replaySegment indexes the frames of one segment from offset start up
 // to limit (-1 → until the frames stop parsing). It returns the
 // segment meta accumulated over the frames it read — on top of seed,
-// for an active segment partially covered by the snapshot — the end
+// for the segment the snapshot only partly covers — the end
 // offset of the last whole frame, and how many frames were past the
 // snapshot watermark (the replayed tail).
 func (s *segStore) replaySegment(id uint64, start, limit int64, watermark uint64, useWM bool, seed segMeta) (meta segMeta, good int64, replayed int64, err error) {
@@ -317,7 +311,7 @@ func (s *segStore) replaySegment(id uint64, start, limit int64, watermark uint64
 		if json.Unmarshal(payload, &rec) != nil {
 			break // undecodable payload: treat like a torn frame
 		}
-		meta.note(rec.Seq, off)
+		meta.note(rec.Seq)
 		if !useWM || rec.Seq > watermark {
 			replayed++
 		}
@@ -386,7 +380,7 @@ func (s *segStore) appendLocked(rec *Record) error {
 	}
 	s.activeOff += int64(len(frame))
 	s.ix.insert(rec, frameLoc{s.activeID, off, uint32(len(frame))})
-	s.activeMeta.note(rec.Seq, off)
+	s.activeMeta.note(rec.Seq)
 	s.snapDirty = true
 	s.appends++
 	s.sinceCompact++
@@ -449,7 +443,7 @@ func (s *segStore) encodeSnapshotLocked() (data []byte, watermark uint64) {
 	if s.active != nil {
 		act = activeState{id: s.activeID, off: s.activeOff, meta: s.activeMeta}
 	}
-	return encodeSnapshot(s.ix, watermark, act), watermark
+	return encodeSnapshot(s.ix, act), watermark
 }
 
 // persistSnapshot writes an encoded snapshot unless a newer one already
@@ -889,7 +883,7 @@ func (w *compactWriter) write(frame []byte, seq uint64) (frameLoc, error) {
 		return frameLoc{}, fmt.Errorf("store: writing compaction output: %w", err)
 	}
 	w.off += int64(len(frame))
-	w.meta.note(seq, off)
+	w.meta.note(seq)
 	return frameLoc{seg: w.id, off: off, n: uint32(len(frame))}, nil
 }
 

@@ -96,31 +96,56 @@ func TestSegmentedAppendGetReopen(t *testing.T) {
 	}
 }
 
+// TestSegmentedReplayWithoutSnapshot: a snapshot recovery cannot use —
+// garbage, or one under the previous format's magic even though the
+// rest of it would decode — is ignored, and the open rebuilds the
+// identical view from the segments alone. Close then writes the current
+// format, which the next open replays nothing past.
 func TestSegmentedReplayWithoutSnapshot(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "verdicts")
-	s := segOpen(t, Config{Path: dir, SegmentBytes: 2048})
-	for i := 0; i < 30; i++ {
-		if err := s.Append(ctxb(), rec("http://u.test/"+strconv.Itoa(i), "http://u.test/"+strconv.Itoa(i), "fp", "", false)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the snapshot: recovery must ignore it and rebuild the
-	// identical view from the segments alone.
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2 := segOpen(t, Config{Path: dir, SegmentBytes: 2048})
-	if s2.Len() != 30 {
-		t.Fatalf("Len after corrupt-snapshot reopen = %d, want 30", s2.Len())
-	}
-	if st := s2.Stats(); st.TailReplayed != 30 {
-		t.Fatalf("TailReplayed = %d, want 30 (full replay)", st.TailReplayed)
-	}
-	if _, ok, _ := s2.Get(ctxb(), "http://u.test/29"); !ok {
-		t.Fatal("record lost on full replay")
+	for _, c := range []struct {
+		name    string
+		rewrite func(snap []byte) []byte
+	}{
+		{"garbage", func([]byte) []byte { return []byte("garbage") }},
+		{"KPSNAP3", func(snap []byte) []byte { return append([]byte("KPSNAP3\n"), snap[len(snapshotMagic):]...) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "verdicts")
+			cfg := Config{Path: dir, SegmentBytes: 2048}
+			s := segOpen(t, cfg)
+			for i := 0; i < 30; i++ {
+				if err := s.Append(ctxb(), rec("http://u.test/"+strconv.Itoa(i), "http://u.test/"+strconv.Itoa(i), "fp", "", false)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, snapshotFile)
+			snap, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, c.rewrite(snap), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s2 := segOpen(t, cfg)
+			if s2.Len() != 30 {
+				t.Fatalf("Len after reopen = %d, want 30", s2.Len())
+			}
+			if st := s2.Stats(); st.TailReplayed != 30 || st.SnapshotSeq != 0 {
+				t.Fatalf("stats %+v, want TailReplayed=30 (full replay) and no snapshot", st)
+			}
+			if _, ok, _ := s2.Get(ctxb(), "http://u.test/29"); !ok {
+				t.Fatal("record lost on full replay")
+			}
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st := segOpen(t, cfg).Stats(); st.Records != 30 || st.TailReplayed != 0 {
+				t.Fatalf("reopen after Close: stats %+v, want 30 records and nothing replayed", st)
+			}
+		})
 	}
 }
 
@@ -479,6 +504,121 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	})
 }
 
+// crashAfterSnapshotSeals builds the crash image that replay's one
+// resume point serves. A compaction writes a snapshot recording the
+// active segment's offset; appends carry on, without Close, until that
+// segment has sealed, and then until `later` more have, and a copy of
+// the directory is taken. It returns the copy, the snapshot's active
+// state and watermark, every live record of the dying store (newest
+// first), and how many frames were appended after the snapshot.
+func crashAfterSnapshotSeals(t *testing.T, later int) (copyDir string, act activeState, watermark uint64, live []Record, tail int) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "v")
+	s := segOpen(t, Config{Path: dir, SegmentBytes: 2048, CompactEvery: -1})
+	// Superseded frames in sealed segments give the compaction victims.
+	for i := 0; i < 40; i++ {
+		r := rec("http://lure.test/"+strconv.Itoa(i), "http://land.test/"+strconv.Itoa(i%7), "fp"+strconv.Itoa(i%3), "", i%2 == 0)
+		if err := s.Append(ctxb(), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Compact(ctxb()); err != nil {
+		t.Fatal(err)
+	}
+	ix, act, ok := loadSnapshot(dir)
+	if !ok || act.id == 0 || act.off == 0 {
+		t.Fatalf("compaction snapshot: ok=%v, active state %+v; want a part-filled active segment", ok, act)
+	}
+	watermark = ix.nextSeq - 1
+	for seals := 0; seals <= later; tail++ {
+		id := s.activeID
+		r := rec("http://tail.test/"+strconv.Itoa(tail), "http://tail.test/"+strconv.Itoa(tail), "fp", "", tail%2 == 0)
+		if err := s.Append(ctxb(), r); err != nil {
+			t.Fatal(err)
+		}
+		if s.activeID != id {
+			seals++
+		}
+	}
+	if sc := s.sealed[act.id]; sc == nil || sc.MaxSeq <= watermark {
+		t.Fatalf("segment %d: sidecar %+v, want it sealed with frames past watermark %d", act.id, sc, watermark)
+	}
+	copyDir = filepath.Join(t.TempDir(), "crashed")
+	if err := os.CopyFS(copyDir, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	return copyDir, act, watermark, scanAll(t, s, Query{}, 50), tail
+}
+
+// TestRecoverResumesAtSnapshotOffset reopens a store that crashed after
+// the segment its snapshot called active had sealed: that sealed
+// segment straddles the watermark, and replay resumes in it at the
+// snapshot's offset. The reopen recovers every record and replays
+// exactly the frames appended after the snapshot. Zeroing everything
+// below the offset in a second copy proves where replay starts: the
+// open still indexes every later frame.
+func TestRecoverResumesAtSnapshotOffset(t *testing.T) {
+	dir, act, watermark, live, tail := crashAfterSnapshotSeals(t, 0)
+	zeroed := filepath.Join(t.TempDir(), "zeroed")
+	if err := os.CopyFS(zeroed, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(segName(zeroed, act.id), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, act.off), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := segOpen(t, Config{Path: dir, SegmentBytes: 2048, CompactEvery: -1})
+	if st := s.Stats(); st.TailReplayed != int64(tail) || st.SnapshotSeq != watermark {
+		t.Fatalf("reopen stats %+v: want %d frames replayed past watermark %d", st, tail, watermark)
+	}
+	if got := scanAll(t, s, Query{}, 50); !reflect.DeepEqual(got, live) {
+		t.Fatalf("reopen holds %d records, the crashed store %d (or they differ)", len(got), len(live))
+	}
+	z := segOpen(t, Config{Path: zeroed, SegmentBytes: 2048, CompactEvery: -1})
+	if z.Len() != len(live) || z.Stats().TailReplayed != int64(tail) {
+		t.Fatalf("zeroed prefix: Len %d, stats %+v; want %d live and %d replayed", z.Len(), z.Stats(), len(live), tail)
+	}
+	for _, r := range live {
+		if r.Seq <= watermark {
+			continue // its frame was zeroed, or lies in a segment the snapshot covers
+		}
+		got, ok, err := z.Get(ctxb(), r.URL)
+		if err != nil || !ok || got.Seq != r.Seq {
+			t.Fatalf("record %d past the watermark: seq %d, ok=%v, err %v", r.Seq, got.Seq, ok, err)
+		}
+	}
+}
+
+// TestRecoverReplaysLaterSegmentsWhole crashes one whole sealed segment
+// further on: a segment sealed wholly past the watermark is replayed
+// from 0, so none of its frames below the snapshot's offset is lost.
+func TestRecoverReplaysLaterSegmentsWhole(t *testing.T) {
+	dir, act, watermark, live, tail := crashAfterSnapshotSeals(t, 1)
+	s := segOpen(t, Config{Path: dir, SegmentBytes: 2048, CompactEvery: -1})
+	var later *sidecar
+	for id, sc := range s.sealed {
+		if id > act.id && sc.MaxSeq > watermark {
+			later = sc
+		}
+	}
+	if later == nil || later.Bytes <= act.off {
+		t.Fatalf("no sealed segment past segment %d holds frames below offset %d", act.id, act.off)
+	}
+	if st := s.Stats(); st.TailReplayed != int64(tail) {
+		t.Fatalf("reopen stats %+v: want %d frames replayed", st, tail)
+	}
+	if got := scanAll(t, s, Query{}, 50); !reflect.DeepEqual(got, live) {
+		t.Fatalf("reopen holds %d records, the crashed store %d (or they differ)", len(got), len(live))
+	}
+}
+
 // TestCompactionNeverBlocksAppends parks a compaction mid-flight (after
 // its outputs are written, before the index flip — the point where a
 // blocking design would hold the store lock) and asserts appends keep
@@ -613,11 +753,11 @@ func TestSnapshotCodec(t *testing.T) {
 	b.Seq, b.ScoredAt = 9, time.Unix(0, -1)
 	ix.insert(&a, frameLoc{1, 0, 100})
 	ix.insert(&b, frameLoc{2, 4096, 220})
-	act := activeState{id: 3, off: 8192, meta: segMeta{count: 7, minSeq: 3, maxSeq: 9, sparse: []sparsePoint{{Seq: 3, Off: 0}}}}
-	data := encodeSnapshot(ix, 9, act)
-	got, wm, actOut, err := decodeSnapshot(data)
-	if err != nil || got.nextSeq != 10 || wm != 9 {
-		t.Fatalf("decode: %v nextSeq=%d wm=%d", err, got.nextSeq, wm)
+	act := activeState{id: 3, off: 8192, meta: segMeta{count: 7, maxSeq: 9}}
+	data := encodeSnapshot(ix, act)
+	got, actOut, err := decodeSnapshot(data)
+	if err != nil || got.nextSeq != 10 {
+		t.Fatalf("decode: %v nextSeq=%d", err, got.nextSeq)
 	}
 	if !reflect.DeepEqual(actOut, act) {
 		t.Fatalf("active state differs: %+v vs %+v", actOut, act)
@@ -629,18 +769,21 @@ func TestSnapshotCodec(t *testing.T) {
 	for i := 0; i < len(data); i += 7 {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0x40
-		if _, _, _, err := decodeSnapshot(mut); err == nil {
+		if _, _, err := decodeSnapshot(mut); err == nil {
 			t.Fatalf("corruption at byte %d went undetected", i)
 		}
 	}
-	if _, _, _, err := decodeSnapshot(data[:len(data)-2]); err == nil {
+	if _, _, err := decodeSnapshot(data[:len(data)-2]); err == nil {
 		t.Fatal("truncated snapshot went undetected")
 	}
 }
 
 // TestStoreStress is the nightly 100k round-trip: append (with
-// supersede churn), compact concurrently, reopen, verify. Gated behind
-// STORE_STRESS=1 because it moves real data volumes.
+// supersede churn), compact concurrently, then reopen and verify twice:
+// once a copy of the directory taken without Close, after the segment
+// the snapshot called active has sealed (replay resumes inside it), and
+// once after a clean Close. Gated behind STORE_STRESS=1 because it
+// moves real data volumes.
 func TestStoreStress(t *testing.T) {
 	if os.Getenv("STORE_STRESS") == "" {
 		t.Skip("set STORE_STRESS=1 (STORE_STRESS_N to size) to run")
@@ -652,6 +795,50 @@ func TestStoreStress(t *testing.T) {
 		}
 	}
 	keys := n / 4 // 4 generations per page on average
+	churnRec := func(i int) Record {
+		k := i % keys
+		r := rec("http://lure.test/"+strconv.Itoa(i), "http://land.test/"+strconv.Itoa(k), "fp", "", i%2 == 0)
+		if k%5 == 0 {
+			r.Target = "brand" + strconv.Itoa(k%17) + ".com"
+		}
+		return r
+	}
+	// verify holds a reopened store to the first total churn records:
+	// every page's newest generation survived, and a paged scan reads
+	// exactly one record a page.
+	verify := func(t *testing.T, b Backend, total int) {
+		t.Helper()
+		if b.Len() != keys {
+			t.Fatalf("Len after reopen = %d, want %d", b.Len(), keys)
+		}
+		for k := 0; k < keys; k += max(1, keys/100) {
+			got, ok, err := b.Get(ctxb(), "http://land.test/"+strconv.Itoa(k))
+			if err != nil || !ok {
+				t.Fatalf("Get key %d: ok=%v err=%v", k, ok, err)
+			}
+			newest := k + (total-1-k)/keys*keys
+			if wantStart := "http://lure.test/" + strconv.Itoa(newest); got.URL != wantStart {
+				t.Fatalf("key %d: newest generation = %q, want %q", k, got.URL, wantStart)
+			}
+		}
+		cnt := 0
+		q := Query{Limit: 1000}
+		for {
+			page, err := b.Scan(ctxb(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cnt += len(page.Payloads)
+			if page.NextCursor == "" {
+				break
+			}
+			q.Cursor = page.NextCursor
+		}
+		if cnt != keys {
+			t.Fatalf("full paged scan = %d, want %d", cnt, keys)
+		}
+	}
+
 	dir := filepath.Join(t.TempDir(), "stress")
 	b, err := Open(Config{Path: dir})
 	if err != nil {
@@ -659,12 +846,7 @@ func TestStoreStress(t *testing.T) {
 	}
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		k := i % keys
-		r := rec("http://lure.test/"+strconv.Itoa(i), "http://land.test/"+strconv.Itoa(k), "fp", "", i%2 == 0)
-		if k%5 == 0 {
-			r.Target = "brand" + strconv.Itoa(k%17) + ".com"
-		}
-		if err := b.Append(ctxb(), r); err != nil {
+		if err := b.Append(ctxb(), churnRec(i)); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
 	}
@@ -675,10 +857,48 @@ func TestStoreStress(t *testing.T) {
 	if b.Len() != keys {
 		t.Fatalf("Len after churn = %d, want %d", b.Len(), keys)
 	}
-	if err := b.Close(); err != nil {
+
+	// Crash leg. With compaction held off, write a snapshot as
+	// compaction does (it records the active segment's offset) and
+	// append further generations until that segment seals; a periodic
+	// snapshot at that seal would record no active segment, so none is
+	// due. Then reopen a copy of the directory, as a crash leaves it.
+	s := b.(*segStore)
+	s.compactMu.Lock()
+	s.mu.Lock()
+	data, wm := s.encodeSnapshotLocked()
+	act := s.activeID
+	s.sinceSnap = 0
+	s.mu.Unlock()
+	s.persistSnapshot(data, wm)
+	total := n
+	for ; s.sealed[act] == nil; total++ {
+		if err := b.Append(ctxb(), churnRec(total)); err != nil {
+			t.Fatalf("Append %d: %v", total, err)
+		}
+	}
+	crashed := filepath.Join(t.TempDir(), "crashed")
+	if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	s.compactMu.Unlock()
+	start = time.Now()
+	c, err := Open(Config{Path: crashed})
+	if err != nil {
+		t.Fatalf("reopen after crash: %v", err)
+	}
+	t.Logf("reopened a crash copy %d appends past its snapshot in %v (stats %+v)", total-n, time.Since(start), c.Stats())
+	if st := c.Stats(); st.TailReplayed != int64(total-n) {
+		t.Fatalf("crash reopen replayed %d frames, want the %d past the snapshot", st.TailReplayed, total-n)
+	}
+	verify(t, c, total)
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
 	start = time.Now()
 	b2, err := Open(Config{Path: dir})
 	if err != nil {
@@ -686,33 +906,5 @@ func TestStoreStress(t *testing.T) {
 	}
 	t.Logf("reopened %d live records in %v (stats %+v)", b2.Len(), time.Since(start), b2.Stats())
 	defer b2.Close()
-	if b2.Len() != keys {
-		t.Fatalf("Len after reopen = %d, want %d", b2.Len(), keys)
-	}
-	// Spot-check: every page's newest generation survived.
-	for k := 0; k < keys; k += keys / 100 {
-		got, ok, err := b2.Get(ctxb(), "http://land.test/"+strconv.Itoa(k))
-		if err != nil || !ok {
-			t.Fatalf("Get key %d: ok=%v err=%v", k, ok, err)
-		}
-		if wantStart := "http://lure.test/" + strconv.Itoa(n-keys+k); got.URL != wantStart {
-			t.Fatalf("key %d: newest generation = %q, want %q", k, got.URL, wantStart)
-		}
-	}
-	cnt := 0
-	q := Query{Limit: 1000}
-	for {
-		page, err := b2.Scan(ctxb(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cnt += len(page.Payloads)
-		if page.NextCursor == "" {
-			break
-		}
-		q.Cursor = page.NextCursor
-	}
-	if cnt != keys {
-		t.Fatalf("full paged scan = %d, want %d", cnt, keys)
-	}
+	verify(t, b2, total)
 }

@@ -11,55 +11,56 @@ import (
 
 // Index snapshot ("snapshot.bin"): the segmented engine's fast-start
 // path. It holds every live index row (meta + on-disk location, not
-// the records themselves) plus a watermark; reopening loads it and
-// replays only frames with seq > watermark, so startup cost is
+// the records themselves); reopening loads it and replays only frames
+// with a seq past its watermark, nextSeq − 1, so startup cost is
 // proportional to the index plus the un-snapshotted tail instead of the
 // whole log. The format is a hand-rolled varint codec rather than JSON
 // because the snapshot is read on every open and decoding 100k JSON
 // rows would eat most of the fast-start budget.
 //
-// Layout: magic, then uvarint(nextSeq), uvarint(watermark), the active
-// segment state (uvarint id — 0 for none — then uvarint offset,
-// uvarint count, uvarint minSeq, uvarint maxSeq, uvarint sparse count
-// and that many seq/off pairs), uvarint(count), count rows, and a
-// trailing CRC-32C of everything after the magic. A row is:
+// Layout: magic, then uvarint(nextSeq), the active segment state
+// (uvarint id — 0 for none — then uvarint offset, uvarint count,
+// uvarint maxSeq), uvarint(count), count rows, and a trailing CRC-32C
+// of everything after the magic. A row is:
 //
 //	uvarint seq · varint scoredAt · flag byte (bit0 phish) ·
 //	uvarint seg · uvarint off · uvarint frameLen ·
 //	4 length-prefixed strings (landing, start, fp, target)
 //
-// The active state lets reopen resume the active segment's replay at
-// the watermark's byte offset (frames below it are already in the
-// snapshot rows) — without it, a clean restart would re-parse the whole
-// unsealed segment, which for a hot store is most of a segment's worth
-// of JSON. The embedded segMeta seeds the sidecar-to-be so a later seal
-// still records the segment's true count, seq range, and sparse index.
+// The active state is where replay resumes in the one segment that can
+// straddle the watermark: the segment being appended to when the
+// snapshot was taken (at compaction or Close; a snapshot taken at a
+// seal has none). Every frame below its offset is already in the rows,
+// whether that segment is still active at reopen or sealed since.
+// Without it a clean restart would re-parse the whole unsealed
+// segment, which for a hot store is most of a segment's worth of JSON.
+// The count and maxSeq seed the sidecar-to-be, so a later seal still
+// records the segment's true frame count and seq range.
 //
 // A snapshot that fails its magic or CRC is ignored — recovery falls
 // back to a full segment replay, never to a partial index. So is one
 // with a row whose frame could not be a frame (no payload, or an end no
 // file offset reaches) or does not lie inside its segment file
 // (rowsFit): reads size their buffers by those numbers. The magic
-// doubles as the format version: KPSNAP2 added a source string, and
-// KPSNAP3 dropped it and the model name. A store opened with an older
-// snapshot simply replays its segments once and writes the current
-// format on the next snapshot.
+// doubles as the format version: KPSNAP2 added a source string,
+// KPSNAP3 dropped it and the model name, and KPSNAP4 dropped the
+// stored watermark, the active segment's min seq and its sparse
+// seq→offset points. A store opened with an older snapshot simply
+// replays its segments once and writes the current format on the next
+// snapshot.
 const (
 	snapshotFile  = "snapshot.bin"
-	snapshotMagic = "KPSNAP3\n"
+	snapshotMagic = "KPSNAP4\n"
 )
 
 var errBadSnapshot = errors.New("store: unreadable snapshot")
 
-// The fewest bytes a row (six one-byte numbers and flags, four empty
-// strings) and a sparse point (two one-byte numbers) can encode to:
-// decodeSnapshot holds the counts it is told against them before it
-// allocates, so a snapshot cannot ask for more memory than a small
-// multiple of its own size.
-const (
-	minSnapshotRowBytes    = 10
-	minSnapshotSparseBytes = 2
-)
+// minSnapshotRowBytes is the fewest bytes a row (six one-byte numbers
+// and flags, four empty strings) can encode to: decodeSnapshot holds
+// the row count it is told against it before it allocates, so a
+// snapshot cannot ask for more memory than a small multiple of its own
+// size.
+const minSnapshotRowBytes = 10
 
 // appendSnapshotString appends a length-prefixed string.
 func appendSnapshotString(buf []byte, s string) []byte {
@@ -80,21 +81,14 @@ type activeState struct {
 // encodeSnapshot serializes the index's live rows, seq-ascending (the
 // caller puts an unsorted index in order first), so decode can lay the
 // slab out as it reads.
-func encodeSnapshot(ix *memIndex, watermark uint64, act activeState) []byte {
+func encodeSnapshot(ix *memIndex, act activeState) []byte {
 	buf := make([]byte, 0, 64+ix.live()*96)
 	buf = append(buf, snapshotMagic...)
 	buf = binary.AppendUvarint(buf, ix.nextSeq)
-	buf = binary.AppendUvarint(buf, watermark)
 	buf = binary.AppendUvarint(buf, act.id)
 	buf = binary.AppendUvarint(buf, uint64(act.off))
 	buf = binary.AppendUvarint(buf, uint64(act.meta.count))
-	buf = binary.AppendUvarint(buf, act.meta.minSeq)
 	buf = binary.AppendUvarint(buf, act.meta.maxSeq)
-	buf = binary.AppendUvarint(buf, uint64(len(act.meta.sparse)))
-	for _, p := range act.meta.sparse {
-		buf = binary.AppendUvarint(buf, p.Seq)
-		buf = binary.AppendUvarint(buf, uint64(p.Off))
-	}
 	buf = binary.AppendUvarint(buf, uint64(ix.live()))
 	for r := range ix.each {
 		buf = binary.AppendUvarint(buf, r.seq)
@@ -167,40 +161,31 @@ func (r *snapshotReader) string() string {
 
 // decodeSnapshot parses a snapshot payload back into a lazy index: the
 // rows laid out in the slab and their names interned, nothing else
-// built (see memIndex.lazy).
-func decodeSnapshot(data []byte) (ix *memIndex, watermark uint64, act activeState, err error) {
+// built (see memIndex.lazy). The snapshot's watermark is the decoded
+// index's nextSeq − 1: every seq below nextSeq was assigned before the
+// snapshot was taken.
+func decodeSnapshot(data []byte) (ix *memIndex, act activeState, err error) {
 	if len(data) < len(snapshotMagic)+4 || string(data[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, 0, act, errBadSnapshot
+		return nil, act, errBadSnapshot
 	}
 	body := data[len(snapshotMagic) : len(data)-4]
 	want := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if crc32.Checksum(body, castagnoli) != want {
-		return nil, 0, act, errBadSnapshot
+		return nil, act, errBadSnapshot
 	}
 	r := &snapshotReader{buf: body, str: string(body)}
 	ix = newMemIndex()
 	ix.nextSeq = max(r.uvarint(), 1)
-	watermark = r.uvarint()
 	act.id = r.uvarint()
 	act.off = int64(r.uvarint())
 	act.meta.count = int(r.uvarint())
-	act.meta.minSeq = r.uvarint()
 	act.meta.maxSeq = r.uvarint()
-	sparseCount := r.uvarint()
-	if r.bad || sparseCount > uint64(len(r.buf)/minSnapshotSparseBytes) {
-		return nil, 0, activeState{}, errBadSnapshot
-	}
-	for i := uint64(0); i < sparseCount; i++ {
-		seq := r.uvarint()
-		off := int64(r.uvarint())
-		act.meta.sparse = append(act.meta.sparse, sparsePoint{Seq: seq, Off: off})
-	}
 	// One block holds the rows, cut into the slab's chunks: a single
 	// allocation of whole chunks, sized by a count bounded by the bytes
 	// left to decode rows from.
 	count := r.uvarint()
 	if r.bad || count > uint64(len(r.buf)/minSnapshotRowBytes) || count > math.MaxInt32 {
-		return nil, 0, activeState{}, errBadSnapshot
+		return nil, activeState{}, errBadSnapshot
 	}
 	// A target is mostly "" or the one the row before had: only another
 	// one is looked up in the name table.
@@ -232,7 +217,7 @@ func decodeSnapshot(data []byte) (ix *memIndex, watermark uint64, act activeStat
 		}
 		e.target = targetID
 		if r.bad {
-			return nil, 0, activeState{}, errBadSnapshot
+			return nil, activeState{}, errBadSnapshot
 		}
 		ix.unsorted = ix.unsorted || e.seq < last
 		if last = e.seq; e.seq >= ix.nextSeq {
@@ -241,7 +226,7 @@ func decodeSnapshot(data []byte) (ix *memIndex, watermark uint64, act activeStat
 	}
 	ix.rows = int32(len(block))
 	ix.lazy = true
-	return ix, watermark, act, nil
+	return ix, act, nil
 }
 
 // rowsFit reports whether every row's frame [off, off+n) lies inside
@@ -266,14 +251,11 @@ func writeSnapshot(dir string, data []byte, fp func() error) error {
 
 // loadSnapshot reads and decodes the directory's snapshot; ok is false
 // (full replay) when absent or unreadable.
-func loadSnapshot(dir string) (ix *memIndex, watermark uint64, act activeState, ok bool) {
+func loadSnapshot(dir string) (ix *memIndex, act activeState, ok bool) {
 	data, err := os.ReadFile(filepath.Join(dir, snapshotFile))
 	if err != nil {
-		return nil, 0, act, false
+		return nil, act, false
 	}
-	ix, watermark, act, err = decodeSnapshot(data)
-	if err != nil {
-		return nil, 0, activeState{}, false
-	}
-	return ix, watermark, act, true
+	ix, act, err = decodeSnapshot(data)
+	return ix, act, err == nil
 }

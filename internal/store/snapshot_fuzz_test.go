@@ -54,7 +54,7 @@ func sealSnapshot(body []byte) []byte {
 // (readers size buffers by it; rowsFit then holds each row to its
 // segment's size, to the byte), and whatever it accepts must survive
 // encodeSnapshot → decodeSnapshot unchanged: live rows, sequence
-// numbers, watermark and active state.
+// numbers and active state.
 func FuzzDecodeSnapshot(f *testing.F) {
 	real := realSnapshot(f)
 	body := real[len(snapshotMagic) : len(real)-4]
@@ -64,20 +64,22 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	f.Add(body)
 	f.Add(body[:len(body)/2])
-	// Counts that promise more rows and sparse points than there are bytes.
-	f.Add(binary.AppendUvarint([]byte{1, 1, 0, 0, 0, 0, 0, 0}, 1<<40))
-	f.Add(binary.AppendUvarint([]byte{1, 1, 0, 0, 0, 0, 0}, 1<<40))
+	// Row counts that promise more rows than there are bytes: after
+	// nextSeq and an empty active state, far too many, and one more than
+	// the minimal row that follows.
+	f.Add(binary.AppendUvarint([]byte{1, 0, 0, 0, 0}, 1<<40))
+	f.Add([]byte{2, 0, 0, 0, 0, 2, 1, 0, 0, 1, 0, frameHeader + 1, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, sealSnapshot(data)} {
-			ix, wm, act, err := decodeSnapshot(in)
+			ix, act, err := decodeSnapshot(in)
 			if err != nil {
-				if ix != nil || wm != 0 || !reflect.DeepEqual(act, activeState{}) {
-					t.Fatalf("rejected snapshot still returned state: index %v, watermark %d, active %+v", ix != nil, wm, act)
+				if ix != nil || act != (activeState{}) {
+					t.Fatalf("rejected snapshot still returned state: index %v, active %+v", ix != nil, act)
 				}
 				continue
 			}
-			if int(ix.rows)*minSnapshotRowBytes > len(in) || len(act.meta.sparse)*minSnapshotSparseBytes > len(in) {
-				t.Fatalf("%d rows and %d sparse points out of %d bytes", ix.rows, len(act.meta.sparse), len(in))
+			if int(ix.rows)*minSnapshotRowBytes > len(in) {
+				t.Fatalf("%d rows out of %d bytes", ix.rows, len(in))
 			}
 			ends := map[uint64]int64{}
 			for r := range ix.each {
@@ -99,13 +101,13 @@ func FuzzDecodeSnapshot(f *testing.F) {
 				ends[seg]++
 			}
 			rows := liveRows(ix) // in seq order, a duplicate key superseded
-			ix2, wm2, act2, err := decodeSnapshot(encodeSnapshot(ix, wm, act))
+			ix2, act2, err := decodeSnapshot(encodeSnapshot(ix, act))
 			if err != nil {
 				t.Fatalf("re-encoded snapshot does not decode: %v", err)
 			}
-			if rows2 := liveRows(ix2); ix2.nextSeq != ix.nextSeq || wm2 != wm || !reflect.DeepEqual(act2, act) || !reflect.DeepEqual(rows2, rows) {
-				t.Fatalf("round trip changed the snapshot:\n got %d/%d %+v %d rows\nwant %d/%d %+v %d rows",
-					ix2.nextSeq, wm2, act2, len(rows2), ix.nextSeq, wm, act, len(rows))
+			if rows2 := liveRows(ix2); ix2.nextSeq != ix.nextSeq || act2 != act || !reflect.DeepEqual(rows2, rows) {
+				t.Fatalf("round trip changed the snapshot:\n got %d %+v %d rows\nwant %d %+v %d rows",
+					ix2.nextSeq, act2, len(rows2), ix.nextSeq, act, len(rows))
 			}
 		}
 	})
@@ -118,14 +120,14 @@ func FuzzDecodeSnapshot(f *testing.F) {
 // snapshots a store can write.
 func TestDecodeSnapshotMinimalRows(t *testing.T) {
 	const rows = 12
-	body := []byte{rows + 1, rows, 0, 0, 0, 0, 0, 0} // nextSeq, watermark, no active segment
+	body := []byte{rows + 1, 0, 0, 0, 0} // nextSeq, no active segment
 	body = binary.AppendUvarint(body, rows)
 	for seq := byte(1); seq <= rows; seq++ {
 		// seq · scoredAt · flags · seg · off · frame length · landing, start, fp, target
 		body = append(body, seq, 0, 0, 1, 0, frameHeader+1, 0, 0, 0, 0)
 	}
-	ix, wm, _, err := decodeSnapshot(sealSnapshot(body))
-	if err != nil || ix.rows != rows || wm != rows {
+	ix, _, err := decodeSnapshot(sealSnapshot(body))
+	if err != nil || ix.rows != rows || ix.nextSeq-1 != rows {
 		t.Fatalf("decode = %v; want %d rows, watermark %d", err, rows, rows)
 	}
 }

@@ -6,16 +6,17 @@
 //
 // The engine is a segmented write-ahead log. Records are appended to a
 // fixed-size active segment as CRC-framed JSON; full segments are
-// sealed with a per-segment sparse index sidecar and become immutable.
-// Only the in-memory index (seq, URLs, target, timestamp, on-disk
-// location) is held in RAM — frames are read back
+// sealed with a sidecar (frame count, highest seq, framed length) and
+// become immutable. Only the in-memory index (seq, URLs, target,
+// timestamp, on-disk location) is held in RAM — frames are read back
 // from their segment on demand, so memory stays proportional to the
-// index, not the log: about 212–226 B per record at 1 000 records and
+// index, not the log: about 212 B per record at 1 000 records and
 // 172 B at 100 000, the records' strings aside
 // (TestHeapAllocRetainedPerRecord). Recovery loads a binary snapshot of
-// the index plus the log tail past the snapshot's watermark (skipping
-// sealed segments the snapshot already covers), and truncates a torn
-// tail on the active segment only. Background merge compaction rewrites sealed
+// the index plus the log tail past the snapshot's watermark: it skips
+// sealed segments the snapshot already covers, resumes at the
+// snapshot's offset in the segment that was active when it was taken,
+// and truncates a torn tail on the active segment only. Background merge compaction rewrites sealed
 // segments dropping superseded verdicts (an older record for the same
 // landing URL + content fingerprint) without ever blocking appends:
 // sealed segments are immutable, so the rewrite happens outside the

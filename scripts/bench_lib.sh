@@ -19,5 +19,5 @@
 # set-up (every self-trained server, kptrain and the benchmark's
 # setup_s pay both).
 
-KEY_BENCHES='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkContentKey|BenchmarkStoreAppend|BenchmarkStoreScan|BenchmarkVerdictsPage|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkAdmission|BenchmarkTargetIdentification|BenchmarkSearchQuery|BenchmarkAnalyze$|BenchmarkFeatureExtraction|BenchmarkTermExtraction|BenchmarkDecodeScoreRequest|BenchmarkGBMTrain|BenchmarkCorpusBuild'
-KEY_GATE='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict/layout=flat|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkContentKey|BenchmarkStoreAppend/backend=segmented|BenchmarkStoreScan/backend=segmented|BenchmarkVerdictsPage|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkAdmission|BenchmarkTargetIdentification|BenchmarkSearchQuery|BenchmarkAnalyze(-|$)|BenchmarkFeatureExtraction|BenchmarkTermExtraction|BenchmarkDecodeScoreRequest/path=fast|BenchmarkGBMTrain|BenchmarkCorpusBuild'
+KEY_BENCHES='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkContentKey|BenchmarkStoreAppend|BenchmarkStoreScan|BenchmarkVerdictsPage|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkTargetIdentification|BenchmarkSearchQuery|BenchmarkAnalyze$|BenchmarkFeatureExtraction|BenchmarkTermExtraction|BenchmarkDecodeScoreRequest|BenchmarkGBMTrain|BenchmarkCorpusBuild'
+KEY_GATE='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict/layout=flat|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkContentKey|BenchmarkStoreAppend/backend=segmented|BenchmarkStoreScan/backend=segmented|BenchmarkVerdictsPage|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkTargetIdentification|BenchmarkSearchQuery|BenchmarkAnalyze(-|$)|BenchmarkFeatureExtraction|BenchmarkTermExtraction|BenchmarkDecodeScoreRequest/path=fast|BenchmarkGBMTrain|BenchmarkCorpusBuild'
