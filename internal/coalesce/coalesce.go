@@ -215,18 +215,12 @@ func (c *Coalescer) Do(ctx context.Context, pipe *core.Pipeline, req core.ScoreR
 		}
 		return pipe.AnalyzeCtx(ctx, req)
 	}
-	snap := req.Snapshot
-	if snap == nil {
-		if a := req.PrecomputedAnalysis(); a != nil {
-			snap = a.Snap
-		}
-	}
-	if snap == nil {
+	if req.Snapshot == nil {
 		return core.Verdict{}, core.ErrNoSnapshot
 	}
 	c.passes.Add(1)
 
-	key := req.ContentKey(snap)
+	key := req.ContentKey()
 	reads := cc == CacheDefault && c.Enabled()
 	writes := cc != CacheNoMemo && c.Enabled()
 

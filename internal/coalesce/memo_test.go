@@ -87,8 +87,8 @@ func TestMemoTableGetZeroAllocs(t *testing.T) {
 
 // BenchmarkMemoLookup times one warm sharded-LRU lookup, the unit cost
 // every memoized stage saves against. The bench gate runs only the
-// root package's benchmarks; its BenchmarkMemoLookup is the whole warm
-// Coalescer.Do path around this lookup.
+// root package's benchmarks; its BenchmarkTracedScore/tracing=off is
+// the whole warm Coalescer.Do path around this lookup.
 func BenchmarkMemoLookup(b *testing.B) {
 	tb := newMemoTable[scoreEntry](DefaultMemoEntries)
 	const n = 4096

@@ -26,53 +26,39 @@ import (
 // during the run, not code growth.
 const fullPathAllocBudget = 3
 
+// TestScoreCtxWarmPathZeroAllocs pins extraction and classification
+// at zero allocations for an all-features detector: once its pools are
+// warm, a ScoreCtx allocates exactly what webpage.Analyze and Release
+// allocate on the same page.
 func TestScoreCtxWarmPathZeroAllocs(t *testing.T) {
-	if racecheck.Enabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	c := corpus(t)
-	d := trainDetector(t, c, 0)
-	snap := c.LangTests[webgen.English].Snapshots()[0]
-	a := webpage.Analyze(snap)
-	req := NewScoreRequest(snap, WithAnalysis(a))
-	ctx := context.Background()
-	if _, err := d.ScoreCtx(ctx, req); err != nil { // warm pools + flat layout
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		v, err := d.ScoreCtx(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.Score < 0 || v.Score > 1 {
-			t.Fatal("score out of range")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm ScoreCtx allocated %.1f times per run, want 0", allocs)
-	}
+	assertScoreCtxAllocsAreAnalysis(t, 0)
 }
 
+// TestScoreCtxProjectedWarmPathZeroAllocs is the same contract for a
+// column-projected (F15) detector, pinning projection at zero too.
 func TestScoreCtxProjectedWarmPathZeroAllocs(t *testing.T) {
+	assertScoreCtxAllocsAreAnalysis(t, features.F15)
+}
+
+func assertScoreCtxAllocsAreAnalysis(t *testing.T, set features.Set) {
+	t.Helper()
 	if racecheck.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	c := corpus(t)
-	d := trainDetector(t, c, features.F15) // column-projected detector
 	snap := c.LangTests[webgen.English].Snapshots()[0]
-	a := webpage.Analyze(snap)
-	req := NewScoreRequest(snap, WithAnalysis(a))
 	ctx := context.Background()
-	if _, err := d.ScoreCtx(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
+	d := trainDetector(t, c, set)
+	req := NewScoreRequest(snap)
+	score := func() {
 		if _, err := d.ScoreCtx(ctx, req); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm projected ScoreCtx allocated %.1f times per run, want 0", allocs)
+	}
+	score() // warm pools + flat layout
+	analysis := testing.AllocsPerRun(200, func() { webpage.Analyze(snap).Release() })
+	if got := testing.AllocsPerRun(200, score); got != analysis {
+		t.Fatalf("ScoreCtx allocated %.0f times per run, Analyze + Release %.0f", got, analysis)
 	}
 }
 
@@ -169,46 +155,6 @@ func TestScoreCoalescedWarmPathZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("warm staged pass (target run: %v) allocated %.1f times per run, want 0", cold.TargetRun, allocs)
 		}
-	}
-}
-
-// TestWithAnalysisMatchesColdPath pins that the cached-page path is a
-// pure shortcut: same verdict, same score, bit for bit.
-func TestWithAnalysisMatchesColdPath(t *testing.T) {
-	c := corpus(t)
-	d := trainDetector(t, c, 0)
-	pipe := &Pipeline{Detector: d, Identifier: target.New(c.Engine)}
-	ctx := context.Background()
-	snaps := append(append([]*webpage.Snapshot{}, c.LangTests[webgen.English].Snapshots()[:8]...), c.PhishTest.Snapshots()[:8]...)
-	for i, snap := range snaps {
-		cold, err := pipe.AnalyzeCtx(ctx, NewScoreRequest(snap))
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := pipe.AnalyzeCtx(ctx, NewScoreRequest(snap, WithAnalysis(webpage.Analyze(snap))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.Score != cold.Score || warm.FinalPhish != cold.FinalPhish || warm.Label != cold.Label {
-			t.Fatalf("snap %d: warm verdict (%v, %v) != cold (%v, %v)",
-				i, warm.Score, warm.FinalPhish, cold.Score, cold.FinalPhish)
-		}
-		if warm.Timings.AnalyzeNS != 0 {
-			t.Fatalf("snap %d: warm path reports AnalyzeNS %d, want 0 (stage skipped)", i, warm.Timings.AnalyzeNS)
-		}
-	}
-	// An analysis-only request (no snapshot) scores via a.Snap.
-	a := webpage.Analyze(snaps[0])
-	v, err := d.ScoreCtx(ctx, NewScoreRequest(nil, WithAnalysis(a)))
-	if err != nil {
-		t.Fatalf("analysis-only request: %v", err)
-	}
-	want, err := d.ScoreCtx(ctx, NewScoreRequest(snaps[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Score != want.Score {
-		t.Fatalf("analysis-only score %v != snapshot score %v", v.Score, want.Score)
 	}
 }
 

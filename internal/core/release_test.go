@@ -56,8 +56,8 @@ func untimed(v Verdict) Verdict {
 // TestReleasedAnalysisLeavesVerdictIntact: a cold score releases the
 // analysis it computed, and the pages scored after it refill that
 // analysis. The verdict kept from the first page must still equal, field
-// for field and byte for byte in JSON, one built from an analysis that
-// was never released.
+// for field and byte for byte in JSON, one scored afresh from the same
+// page after them.
 func TestReleasedAnalysisLeavesVerdictIntact(t *testing.T) {
 	c := corpus(t)
 	d := trainDetector(t, c, 0)
@@ -90,11 +90,11 @@ func TestReleasedAnalysisLeavesVerdictIntact(t *testing.T) {
 		t.Fatal("no other page ran target identification")
 	}
 
-	refScored, err := d.ScoreCtx(ctx, NewScoreRequest(page, WithAnalysis(webpage.Analyze(page))))
+	refScored, err := d.ScoreCtx(ctx, NewScoreRequest(page))
 	if err != nil {
 		t.Fatal(err)
 	}
-	refAnalyzed, err := pipe.AnalyzeCtx(ctx, NewScoreRequest(page, WithAnalysis(webpage.Analyze(page))))
+	refAnalyzed, err := pipe.AnalyzeCtx(ctx, NewScoreRequest(page))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,56 +112,6 @@ func TestReleasedAnalysisLeavesVerdictIntact(t *testing.T) {
 		}
 		if string(now) != string(want) || string(keptJSON[i]) != string(want) {
 			t.Fatalf("verdict %d JSON differs:\n kept %s\n  now %s\n want %s", i, keptJSON[i], now, want)
-		}
-	}
-}
-
-// TestWithAnalysisIsNotReleased: an analysis the caller supplies stays
-// the caller's. Scoring with it, on every entry point, and then scoring
-// other pages cold leaves it equal to a fresh analysis of its page.
-func TestWithAnalysisIsNotReleased(t *testing.T) {
-	c := corpus(t)
-	d := trainDetector(t, c, 0)
-	pipe := &Pipeline{Detector: d, Identifier: target.New(c.Engine)}
-	ctx := context.Background()
-	page := c.PhishTest.Snapshots()[0]
-	a := webpage.Analyze(page)
-
-	req := NewScoreRequest(page, WithAnalysis(a))
-	if _, err := d.ScoreCtx(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	v, err := pipe.AnalyzeCtx(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.TargetRun {
-		t.Fatal("the first phishing page did not run target identification")
-	}
-	var st StageResults
-	if _, err := pipe.AnalyzeStagedCtx(ctx, req, &st); err != nil {
-		t.Fatal(err)
-	}
-	scoreAll(t, pipe, otherPages(t))
-
-	want := webpage.Analyze(page)
-	for _, f := range []struct {
-		name      string
-		got, want any
-	}{
-		{"Snap", a.Snap, want.Snap}, {"Start", a.Start, want.Start}, {"Land", a.Land, want.Land},
-		{"Chain", a.Chain, want.Chain}, {"ControlledRDNs", a.ControlledRDNs, want.ControlledRDNs},
-		{"IntLog", a.IntLog, want.IntLog}, {"ExtLog", a.ExtLog, want.ExtLog},
-		{"IntLink", a.IntLink, want.IntLink}, {"ExtLink", a.ExtLink, want.ExtLink},
-	} {
-		if !reflect.DeepEqual(f.got, f.want) {
-			t.Fatalf("supplied analysis changed: %s = %#v, want %#v", f.name, f.got, f.want)
-		}
-	}
-	for id := webpage.DistText; id <= webpage.DistImage; id++ {
-		g, w := a.Dist(id), want.Dist(id)
-		if !reflect.DeepEqual(g.Terms(), w.Terms()) || !reflect.DeepEqual(g.Probs(), w.Probs()) || g.TotalOccurrences() != w.TotalOccurrences() {
-			t.Fatalf("supplied analysis changed: %v = %q, want %q", id, g.Terms(), w.Terms())
 		}
 	}
 }

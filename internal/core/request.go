@@ -64,7 +64,6 @@ type ScoreRequest struct {
 	explain    ExplainLevel
 	topN       int
 	skipTarget bool
-	analysis   *webpage.Analysis
 	contentKey webpage.Key128 // zero: not supplied
 	targetBuf  *TargetBuffer  // nil: a memo hit's target result is decoded onto the heap
 }
@@ -117,23 +116,8 @@ func WithoutTargetID() ScoreOption {
 	return func(r *ScoreRequest) { r.skipTarget = true }
 }
 
-// WithAnalysis supplies a precomputed page analysis (from
-// webpage.Analyze), skipping the analysis stage — the cached-page fast
-// path. Callers that score one page repeatedly (benchmark loops, cache
-// refreshes, several detectors over the same snapshot) analyze once and
-// reuse; with it, the warm scoring path performs zero heap
-// allocations. a must be the analysis of the request's snapshot; when
-// the request has no snapshot, a.Snap stands in for it.
-func WithAnalysis(a *webpage.Analysis) ScoreOption {
-	return func(r *ScoreRequest) { r.analysis = a }
-}
-
 // Explains reports whether the request asks for an explanation.
 func (r *ScoreRequest) Explains() bool { return r.explain != ExplainNone }
-
-// PrecomputedAnalysis returns the analysis supplied by WithAnalysis
-// (nil when the request analyzes its snapshot itself).
-func (r *ScoreRequest) PrecomputedAnalysis() *webpage.Analysis { return r.analysis }
 
 // WithContentKey returns the request carrying its page's content
 // identity, for a caller that already hashed the page (a batch deduping
@@ -168,12 +152,12 @@ func (r ScoreRequest) WithTargetBuffer(buf *TargetBuffer) ScoreRequest {
 func (r *ScoreRequest) TargetBuffer() *TargetBuffer { return r.targetBuf }
 
 // ContentKey returns the page's content identity: the one supplied by
-// WithContentKey, else the hash of snap.
-func (r *ScoreRequest) ContentKey(snap *webpage.Snapshot) webpage.Key128 {
+// WithContentKey, else the hash of the request's snapshot.
+func (r *ScoreRequest) ContentKey() webpage.Key128 {
 	if r.contentKey != (webpage.Key128{}) {
 		return r.contentKey
 	}
-	return webpage.ContentKey(snap)
+	return webpage.ContentKey(r.Snapshot)
 }
 
 // topFeatures resolves the contribution cap for the request's level.

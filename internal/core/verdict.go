@@ -154,8 +154,8 @@ const (
 // (internal/coalesce's content-addressed memo is the intended caller);
 // the stage machine runs only the rest. Model-independent intermediates
 // — the analysis, the feature vector — are neither supplied nor handed
-// back: a precomputed analysis arrives through WithAnalysis, and the
-// vector never leaves the call.
+// back: the call analyzes the page itself when a stage needs it, and
+// the vector never leaves the call.
 type StageResults struct {
 	// HasScore marks Score as the page's detector score under this
 	// detector, skipping extraction and classification. Explain requests
@@ -205,17 +205,16 @@ func (p *Pipeline) AnalyzeStagedCtx(ctx context.Context, req ScoreRequest, st *S
 // which is what makes a fully memoised request cheap (analysis is the
 // expensive stage).
 //
-// An analysis the call computes itself is released when the call
-// returns: the verdict keeps nothing of it (target results hold term
-// strings, which outlive the analysis, never its arrays), so a cold
-// score leaves only its verdict behind. An analysis supplied through
-// WithAnalysis belongs to the caller and is never released here.
+// The analysis is released when the call returns: the verdict keeps
+// nothing of it (target results hold term strings, which outlive the
+// analysis, never its arrays), so a cold score leaves only its verdict
+// behind.
 //
 // Unless the vector must outlive the call (capture, explanation) it is
-// extracted into a pooled buffer returned at every exit. Combined with
-// a supplied analysis (WithAnalysis) and the model's flattened tree
-// layout this makes a warm score fully allocation-free (pinned by
-// TestScoreCtxWarmPathZeroAllocs).
+// extracted into a pooled buffer returned at every exit. With that and
+// the model's flattened tree layout, extraction and classification
+// allocate nothing: a cold score allocates what the analysis does
+// (pinned by TestScoreCtxWarmPathZeroAllocs).
 //
 // Every stage that runs is measured into Verdict.Timings; a caller that
 // traces its requests turns those timings into spans itself, so the
@@ -226,8 +225,7 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 	if st == nil {
 		st = &none
 	}
-	a := req.analysis
-	if req.Snapshot == nil && a == nil {
+	if req.Snapshot == nil {
 		return Verdict{}, ErrNoSnapshot
 	}
 	if req.deadline > 0 {
@@ -251,7 +249,8 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 
 	// Stage 1: snapshot analysis, the input of extraction and
 	// identification.
-	if a == nil && (extract || mayIdentify) {
+	var a *webpage.Analysis
+	if extract || mayIdentify {
 		ts := time.Now()
 		a = webpage.Analyze(req.Snapshot)
 		defer a.Release()

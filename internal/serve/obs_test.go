@@ -23,7 +23,6 @@ import (
 	"knowphish/internal/slo"
 	"knowphish/internal/store"
 	"knowphish/internal/target"
-	"knowphish/internal/webpage"
 )
 
 // rawCall sends a request and returns the recorder (for tests that need
@@ -598,7 +597,7 @@ func TestDebugTracesEndpoint(t *testing.T) {
 
 // TestScoreHeldTracesStagesThatRan: the trace owner records a span for
 // each stage the verdict measured and none for a stage that did not
-// run — a supplied analysis leaves no analyze span, and a memo hit ran
+// run — a cold request traces its three stages, and a memo hit ran
 // nothing and leaves no span at all.
 func TestScoreHeldTracesStagesThatRan(t *testing.T) {
 	c, _ := fixtures(t)
@@ -618,11 +617,11 @@ func TestScoreHeldTracesStagesThatRan(t *testing.T) {
 		}
 		return got
 	}
-	warm := core.NewScoreRequest(snap, core.WithAnalysis(webpage.Analyze(snap)), core.WithoutTargetID())
-	if got := stagesOf(warm); strings.Join(got, ",") != "extract,score" {
-		t.Errorf("warm request spans = %v, want [extract score] (no analyze under WithAnalysis)", got)
+	req := core.NewScoreRequest(snap, core.WithoutTargetID())
+	if got := stagesOf(req); strings.Join(got, ",") != "analyze,extract,score" {
+		t.Errorf("cold request spans = %v, want [analyze extract score]", got)
 	}
-	if got := stagesOf(warm); len(got) != 0 {
+	if got := stagesOf(req); len(got) != 0 {
 		t.Errorf("memo hit spans = %v, want none", got)
 	}
 }

@@ -18,6 +18,15 @@
 # BenchmarkGBMTrain and BenchmarkCorpusBuild are the two halves of
 # set-up (every self-trained server, kptrain and the benchmark's
 # setup_s pay both).
+#
+# Dropped arms, each with the gated arm that covers its code:
+# BenchmarkStoreScan/backend=segmented by its form=append arm (Scan is
+# AppendScan into an empty page); CoalescedScore's conc=8 arms by conc=1
+# and conc=64 on either side of them; the deleted ScoreHotPath/path=cold
+# by CoalescedScore/conc=1/memo=cold (the same stage machine, through
+# the memo) with Analyze, FeatureExtraction and GBMPredict; and the
+# deleted MemoLookup by TracedScore/tracing=off, the same memo hit.
+# ScoreHotPath/path=warm timed a supplied-analysis path that is gone.
 
-KEY_BENCHES='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkContentKey|BenchmarkStoreAppend|BenchmarkStoreScan|BenchmarkVerdictsPage|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkTargetIdentification|BenchmarkSearchQuery|BenchmarkAnalyze$|BenchmarkFeatureExtraction|BenchmarkTermExtraction|BenchmarkDecodeScoreRequest|BenchmarkGBMTrain|BenchmarkCorpusBuild'
-KEY_GATE='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict/layout=flat|BenchmarkFeedIngest|BenchmarkScoreHotPath|BenchmarkCoalescedScore|BenchmarkMemoLookup|BenchmarkContentKey|BenchmarkStoreAppend/backend=segmented|BenchmarkStoreScan/backend=segmented|BenchmarkVerdictsPage|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkTargetIdentification|BenchmarkSearchQuery|BenchmarkAnalyze(-|$)|BenchmarkFeatureExtraction|BenchmarkTermExtraction|BenchmarkDecodeScoreRequest/path=fast|BenchmarkGBMTrain|BenchmarkCorpusBuild'
+KEY_BENCHES='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict|BenchmarkFeedIngest|BenchmarkCoalescedScore|BenchmarkContentKey|BenchmarkStoreAppend|BenchmarkStoreScan|BenchmarkVerdictsPage|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkTargetIdentification|BenchmarkSearchQuery|BenchmarkAnalyze$|BenchmarkFeatureExtraction|BenchmarkTermExtraction|BenchmarkDecodeScoreRequest|BenchmarkGBMTrain|BenchmarkCorpusBuild'
+KEY_GATE='BenchmarkServeScore|BenchmarkLoadEndToEnd|BenchmarkGBMPredict/layout=flat|BenchmarkFeedIngest|BenchmarkCoalescedScore/conc=(1|64)/|BenchmarkContentKey|BenchmarkStoreAppend/backend=segmented|BenchmarkStoreScan/backend=segmented/form=append|BenchmarkVerdictsPage|BenchmarkTracedScore|BenchmarkWindowedHist|BenchmarkTargetIdentification|BenchmarkSearchQuery|BenchmarkAnalyze(-|$)|BenchmarkFeatureExtraction|BenchmarkTermExtraction|BenchmarkDecodeScoreRequest/path=fast|BenchmarkGBMTrain|BenchmarkCorpusBuild'
