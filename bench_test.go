@@ -285,14 +285,16 @@ func BenchmarkTermExtraction(b *testing.B) {
 	}
 }
 
+// BenchmarkHellinger times one f2 distance as appendF2 computes it: two
+// distributions of a page over its ranked dictionary.
 func BenchmarkHellinger(b *testing.B) {
 	snap := benchSnapshot(b, false)
 	a := webpage.Analyze(snap)
-	p := a.Dist(webpage.DistText)
-	q := a.Dist(webpage.DistTitle)
+	p := a.Ranked(webpage.DistText)
+	q := a.Ranked(webpage.DistTitle)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = terms.Hellinger(p, q)
+		_ = terms.HellingerRanked(p, q)
 	}
 }
 
@@ -721,14 +723,14 @@ func TestCoalescedScoreColdAllocs(t *testing.T) {
 			}
 		})
 	}
-	if got := allocs(reqs[0]); got != 4 {
-		t.Errorf("phish (target named): %v allocs, want 4", got)
+	if got := allocs(reqs[0]); got != 3 {
+		t.Errorf("phish (target named): %v allocs, want 3", got)
 	}
-	if got := allocs(reqs[1]); got != 1 {
-		t.Errorf("legitimate page: %v allocs, want 1", got)
+	if got := allocs(reqs[1]); got != 0 {
+		t.Errorf("legitimate page: %v allocs, want 0", got)
 	}
-	if got := allocs(reqs[8]); got != 42 {
-		t.Errorf("OCR-fallback phish: %v allocs, want 42", got)
+	if got := allocs(reqs[8]); got != 41 {
+		t.Errorf("OCR-fallback phish: %v allocs, want 41", got)
 	}
 }
 

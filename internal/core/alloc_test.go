@@ -17,19 +17,20 @@ import (
 // fullPathAllocBudget bounds the allocations of one cold ScoreCtx call
 // (webpage.Analyze + extraction + classification) on the corpus's legit
 // fixture page. The call releases the analysis it computed, so in
-// steady state Analyze refills a pooled one and what is left is the
-// string behind the page's distinct terms; urlx.Parse cuts every part
-// from the URL it is given, so the page's 31 links add nothing. The
-// fixture page measures 1 (9 while every call kept a fresh analysis,
-// 174 while urlx split and joined labels, about 1040 before the
-// map-free term kernel); the margin absorbs a pool emptied by a GC
-// during the run, not code growth.
+// steady state Analyze refills a pooled one, dictionary included;
+// urlx.Parse cuts every part from the URL it is given, so the page's
+// 31 links add nothing. The fixture page measures 0 (1 while the
+// page's distinct terms were copied into a string of their own, 9
+// while every call kept a fresh analysis, 174 while urlx split and
+// joined labels, about 1040 before the map-free term kernel); the
+// margin absorbs a pool emptied by a GC during the run, not code
+// growth.
 const fullPathAllocBudget = 3
 
-// TestScoreCtxWarmPathZeroAllocs pins extraction and classification
-// at zero allocations for an all-features detector: once its pools are
-// warm, a ScoreCtx allocates exactly what webpage.Analyze and Release
-// allocate on the same page.
+// TestScoreCtxWarmPathZeroAllocs pins a cold score of a legitimate
+// page at zero allocations for an all-features detector: once its pools
+// are warm, a ScoreCtx allocates nothing, and neither do
+// webpage.Analyze and Release on the same page.
 func TestScoreCtxWarmPathZeroAllocs(t *testing.T) {
 	assertScoreCtxAllocsAreAnalysis(t, 0)
 }
@@ -57,8 +58,8 @@ func assertScoreCtxAllocsAreAnalysis(t *testing.T, set features.Set) {
 	}
 	score() // warm pools + flat layout
 	analysis := testing.AllocsPerRun(200, func() { webpage.Analyze(snap).Release() })
-	if got := testing.AllocsPerRun(200, score); got != analysis {
-		t.Fatalf("ScoreCtx allocated %.0f times per run, Analyze + Release %.0f", got, analysis)
+	if got := testing.AllocsPerRun(200, score); got != 0 || analysis != 0 {
+		t.Fatalf("ScoreCtx allocated %.0f times per run, Analyze + Release %.0f; want 0 and 0", got, analysis)
 	}
 }
 

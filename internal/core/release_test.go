@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"knowphish/internal/target"
@@ -113,5 +116,73 @@ func TestReleasedAnalysisLeavesVerdictIntact(t *testing.T) {
 		if string(now) != string(want) || string(keptJSON[i]) != string(want) {
 			t.Fatalf("verdict %d JSON differs:\n kept %s\n  now %s\n want %s", i, keptJSON[i], now, want)
 		}
+	}
+}
+
+// ownedCopy is a deep copy of v's target result: every list and string
+// in storage of its own.
+func ownedCopy(r target.Result) target.Result {
+	clone := func(ss []string) []string {
+		if ss == nil {
+			return nil
+		}
+		out := make([]string, len(ss))
+		for i, s := range ss {
+			out[i] = strings.Clone(s)
+		}
+		return out
+	}
+	r.Keyterms = target.Keyterms{Boosted: clone(r.Keyterms.Boosted), Prominent: clone(r.Keyterms.Prominent)}
+	r.OCRProminent = clone(r.OCRProminent)
+	r.Candidates = slices.Clone(r.Candidates)
+	return r
+}
+
+// wordsPage returns a page of n distinct words, each in its own part of
+// the alphabet's order.
+func wordsPage(n int) *webpage.Snapshot {
+	var text strings.Builder
+	for i := range n {
+		fmt.Fprintf(&text, "overwrite%c%c%c ", 'a'+i%26, 'a'+i/26%26, 'a'+i/676%26)
+	}
+	return &webpage.Snapshot{StartingURL: "http://b.example/", LandingURL: "http://b.example/", Title: "zzz yyy", Text: text.String()}
+}
+
+// TestVerdictOutlivesItsAnalysis: a cold verdict's target result owns
+// its keyterms. Phishing page A is scored without the memo and a deep
+// copy of its verdict kept; page B is then analysed on the same
+// goroutine, so the pool hands back the analysis A released and B's
+// terms overwrite its dictionary. A's verdict must still equal the
+// copy, keyterms included. A larger page analysed first leaves the
+// pooled dictionary room for both, so that B's bytes land where A's
+// were instead of in a grown array.
+func TestVerdictOutlivesItsAnalysis(t *testing.T) {
+	c := corpus(t)
+	d := trainDetector(t, c, 0)
+	pipe := &Pipeline{Detector: d, Identifier: target.New(c.Engine)}
+	ctx := context.Background()
+	webpage.Analyze(wordsPage(2000)).Release()
+	v, err := pipe.AnalyzeCtx(ctx, NewScoreRequest(c.PhishTest.Snapshots()[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.TargetRun || len(v.Target.Keyterms.Prominent) == 0 {
+		t.Fatalf("the first phishing page did not run target identification: %+v", v.Outcome)
+	}
+	kept := untimed(v)
+	kept.Target = ownedCopy(v.Target)
+	keptJSON, err := json.Marshal(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b := webpage.Analyze(wordsPage(500))
+	defer b.Release()
+
+	if !reflect.DeepEqual(untimed(v), kept) {
+		t.Fatalf("the verdict changed once another page was analysed:\n got %+v\nwant %+v", untimed(v).Target, kept.Target)
+	}
+	if now, err := json.Marshal(untimed(v)); err != nil || string(now) != string(keptJSON) {
+		t.Fatalf("the verdict's JSON changed once another page was analysed (%v):\n got %s\nwant %s", err, now, keptJSON)
 	}
 }

@@ -206,15 +206,15 @@ func (p *Pipeline) AnalyzeStagedCtx(ctx context.Context, req ScoreRequest, st *S
 // expensive stage).
 //
 // The analysis is released when the call returns: the verdict keeps
-// nothing of it (target results hold term strings, which outlive the
-// analysis, never its arrays), so a cold score leaves only its verdict
-// behind.
+// nothing of it (a target result's keyterms are copied out of the
+// analysis's dictionary, which the next page overwrites), so a cold
+// score leaves only its verdict behind.
 //
 // Unless the vector must outlive the call (capture, explanation) it is
-// extracted into a pooled buffer returned at every exit. With that and
-// the model's flattened tree layout, extraction and classification
-// allocate nothing: a cold score allocates what the analysis does
-// (pinned by TestScoreCtxWarmPathZeroAllocs).
+// extracted into a pooled buffer returned at every exit. With that, the
+// pooled analysis and the model's flattened tree layout, a cold score
+// of a page below the threshold allocates nothing once the pools are
+// warm (pinned by TestScoreCtxWarmPathZeroAllocs).
 //
 // Every stage that runs is measured into Verdict.Timings; a caller that
 // traces its requests turns those timings into spans itself, so the

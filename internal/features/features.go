@@ -181,12 +181,16 @@ func (e *Extractor) appendGroupStats(out []float64, group []urlx.Parts, sc *scra
 }
 
 // appendF2 emits the 66 pairwise Hellinger distances between the twelve
-// feature distributions of Table I, pairs in canonical order.
+// feature distributions of Table I, pairs in canonical order. The
+// distributions are read over the page's ranked dictionary, so each
+// pair merges ranks and each √p was taken once, when the page was
+// analysed; the distances are terms.Hellinger's, bit for bit.
 func appendF2(out []float64, a *webpage.Analysis) []float64 {
 	ids := webpage.FeatureDistIDs
 	for i := 0; i < len(ids); i++ {
+		p := a.Ranked(ids[i])
 		for j := i + 1; j < len(ids); j++ {
-			out = append(out, terms.Hellinger(a.Dist(ids[i]), a.Dist(ids[j])))
+			out = append(out, terms.HellingerRanked(p, a.Ranked(ids[j])))
 		}
 	}
 	return out

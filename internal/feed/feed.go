@@ -303,6 +303,10 @@ func (s *Scheduler) next() *item {
 		// head keep flowing.
 		for len(s.ready) > 0 {
 			it := s.ready[0]
+			// The slot is cleared, or the backing array would keep every
+			// processed item (its URL, domain and key) reachable until
+			// the next append reallocates it.
+			s.ready[0] = nil
 			s.ready = s.ready[1:]
 			if wait, limited := s.takeTokenLocked(it.domain, now); limited {
 				it.readyAt = now.Add(wait)

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"knowphish/internal/coalesce"
 	"knowphish/internal/core"
@@ -211,6 +213,51 @@ func TestEndToEndIngestion(t *testing.T) {
 	if again, ok := get(t, st, site.StartURL); !ok || again.Outcome.Score != rec.Outcome.Score {
 		t.Errorf("record changed across reload: %+v vs %+v", again, rec)
 	}
+}
+
+// TestDrainedFeedRetainsNoURL: once a URL's verdict is persisted, the
+// scheduler holds nothing of its item, so the garbage collector can
+// take it with its URL, domain and key.
+func TestDrainedFeedRetainsNoURL(t *testing.T) {
+	_, pipe := fixtures(t)
+	st := newStore(t)
+	s, err := New(Config{Fetcher: staticFetcher, Pipeline: pipe, Store: st, Workers: 1, DomainRate: -1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	const n = 4
+	var items []weak.Pointer[item]
+	for i := range n {
+		if err := s.Enqueue(fmt.Sprintf("http://site%d.example/page", i)); err != nil {
+			t.Fatalf("Enqueue: %v", err)
+		}
+		s.mu.Lock()
+		if len(s.ready) > 0 {
+			items = append(items, weak.Make(s.ready[len(s.ready)-1]))
+		}
+		s.mu.Unlock()
+	}
+	for deadline := time.Now().Add(30 * time.Second); st.Len() < n; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d verdicts persisted", st.Len(), n)
+		}
+	}
+	for deadline := time.Now().Add(30 * time.Second); s.Stats().Processed < n; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats = %+v, want %d processed", s.Stats(), n)
+		}
+	}
+	if len(items) == 0 {
+		t.Fatal("no item was seen queued")
+	}
+	runtime.GC()
+	runtime.GC()
+	for i, p := range items {
+		if p.Value() != nil {
+			t.Errorf("item %d is still reachable after its verdict was persisted", i)
+		}
+	}
+	drain(t, s)
 }
 
 // TestTracedItemRecordsEveryStage: one traced URL carries the crawl

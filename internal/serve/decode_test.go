@@ -604,6 +604,66 @@ func positiveBody(t *testing.T, probe *Server, extra string) []byte {
 	return nil
 }
 
+// wordsBody returns a page request of n distinct words.
+func wordsBody(t *testing.T, n int) []byte {
+	t.Helper()
+	var html strings.Builder
+	html.WriteString("<title>zzz yyy</title><p>")
+	for i := range n {
+		fmt.Fprintf(&html, "overwrite%c%c%c ", 'a'+i%26, 'a'+i/26%26, 'a'+i/676%26)
+	}
+	b, err := json.Marshal(PageRequest{HTML: html.String(), LandingURL: "http://b.example/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestVerdictOutlivesItsAnalysis: a verdict's target result owns its
+// keyterms, so a verdict rendered after its analysis was released and
+// refilled still reads its own page. A one-worker /v2/score/batch
+// without the memo scores a page of many words (growing the pooled
+// dictionary), then phishing page A, then page B, all on the handler's
+// goroutine, before any verdict is written: B's terms overwrite the
+// dictionary A's were read from. A's result must answer, JSON byte for
+// byte, what /v2/score answers for A alone (timings zeroed).
+func TestVerdictOutlivesItsAnalysis(t *testing.T) {
+	s := newServer(t, nil)
+	page := positiveBody(t, s, "")
+	alone, _, err := postRaw(s, "/v2/score", append(bytes.TrimSuffix(bytes.TrimSpace(page), []byte("}")), `,"cache_control":"no-memo"}`...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, _, err := postRaw(s, "/v2/score/batch", []byte(`{"workers":1,"cache_control":"no-memo","pages":[`+
+		string(wordsBody(t, 2000))+`,`+string(page)+`,`+string(wordsBody(t, 500))+`]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want V2ScoreResponse
+	var got V2BatchResponse
+	if err := json.Unmarshal(alone, &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(batch, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !want.TargetRun || len(want.Target.Keyterms.Prominent) == 0 || want.Cached || len(got.Results) != 3 || got.Results[1].Cached {
+		t.Fatalf("page A ran no target identification or was not scored cold:\n%s\n%s", alone, batch)
+	}
+	want.Timings, got.Results[1].Timings = core.StageTimings{}, core.StageTimings{}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, err := json.Marshal(got.Results[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("page A scored before page B in one batch answered\n %s\nalone\n %s", gotJSON, wantJSON)
+	}
+}
+
 // TestBorrowedHTMLDoesNotOutliveResolve is the page-lifetime test. A
 // single-page request's html is a view of the pooled body buffer, and
 // the snapshot an html request resolves to lives in pooled parser

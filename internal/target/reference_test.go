@@ -464,9 +464,10 @@ func FuzzIdentifyMatchesReference(f *testing.F) {
 
 // identifyAllocBudget bounds one warm identification by the step it
 // ends at: what Identify allocates is what it returns. A page confirmed
-// legitimate at step 1 returns its two keyterm lists (measured 2); a
-// phishing page that runs both queries and ranks candidates returns the
-// candidates as well (measured 3).
+// legitimate at step 1 returns its keyterms, copied out of the analysis
+// into one array for both lists and one string for their bytes
+// (measured 2); a phishing page that runs both queries and ranks
+// candidates returns the candidates as well (measured 3).
 var identifyAllocBudget = map[int]float64{1: 2, 3: 4}
 
 func TestIdentifyAllocs(t *testing.T) {

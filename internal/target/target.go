@@ -33,8 +33,9 @@
 // string it held cleared — terms are substrings of client-chosen page
 // bytes, which a pool must not keep alive — unless the page grew its
 // term table past maxPooledTerms, in which case it is dropped. What
-// Identify allocates is what it returns: the keyterm lists and the
-// candidates.
+// Identify allocates is what it returns: the keyterms, copied out of
+// the analysis (one array for both lists, one string for their bytes),
+// and the candidates.
 package target
 
 import (
@@ -125,7 +126,9 @@ type Keyterms struct {
 
 // ExtractKeyterms computes the boosted and prominent keyterms of an
 // analyzed page, at most n of each. Deterministic: ties break
-// lexicographically.
+// lexicographically. The term strings are the analysis's own (see
+// webpage.Analysis): valid until a.Release; a caller that keeps them
+// longer copies them. Identify's Result owns its keyterms.
 func ExtractKeyterms(a *webpage.Analysis, n int) Keyterms {
 	s := scratchPool.Get().(*identifyScratch)
 	defer s.release()
@@ -191,38 +194,40 @@ func (s *identifyScratch) release() {
 }
 
 // mergeTerms builds the page's term table: a k-way merge of the keyterm
-// sources, each already sorted with parallel probabilities. A term's
-// probabilities are added in ascending source order, one source at a
-// time, so its score has the bits a pass over the sources in that order
-// gives it.
+// sources, each already sorted with parallel probabilities, by the
+// terms' ranks in the page's dictionary, which order them as their
+// bytes do. A term's probabilities are added in ascending source order,
+// one source at a time, so its score has the bits a pass over the
+// sources in that order gives it.
 func (s *identifyScratch) mergeTerms(a *webpage.Analysis) {
 	var src [len(keytermSources)]struct {
+		ranks []int32
 		terms []string
 		probs []float64
 	}
 	for i, id := range keytermSources {
 		d := a.Dist(id)
-		src[i].terms, src[i].probs = d.Terms(), d.Probs()
+		src[i].ranks, src[i].terms, src[i].probs = a.Ranked(id).Ranks(), d.Terms(), d.Probs()
 	}
 	for {
-		least, found := "", false
+		least, term := int32(-1), ""
 		for i := range src {
-			if len(src[i].terms) > 0 && (!found || src[i].terms[0] < least) {
-				least, found = src[i].terms[0], true
+			if len(src[i].ranks) > 0 && (least < 0 || src[i].ranks[0] < least) {
+				least, term = src[i].ranks[0], src[i].terms[0]
 			}
 		}
-		if !found {
+		if least < 0 {
 			return
 		}
 		var st termStat
 		for i := range src {
-			if len(src[i].terms) > 0 && src[i].terms[0] == least {
+			if len(src[i].ranks) > 0 && src[i].ranks[0] == least {
 				st.score += src[i].probs[0]
 				st.sources++
-				src[i].terms, src[i].probs = src[i].terms[1:], src[i].probs[1:]
+				src[i].ranks, src[i].terms, src[i].probs = src[i].ranks[1:], src[i].terms[1:], src[i].probs[1:]
 			}
 		}
-		s.terms = append(s.terms, least)
+		s.terms = append(s.terms, term)
 		s.stats = append(s.stats, st)
 	}
 }
@@ -264,18 +269,51 @@ func (s *identifyScratch) keyterms(n int) Keyterms {
 			s.boosted = keepBest(s.boosted, int32(i), n, s.byBoost)
 		}
 	}
-	return Keyterms{Boosted: s.termsOf(s.boosted), Prominent: s.termsOf(s.prominent)}
+	nb, n := len(s.boosted), len(s.boosted)+len(s.prominent)
+	if n == 0 {
+		return Keyterms{}
+	}
+	// Both lists are cut from one array, each capacity-limited.
+	all := make([]string, n)
+	for i, j := range s.boosted {
+		all[i] = s.terms[j]
+	}
+	for i, j := range s.prominent {
+		all[nb+i] = s.terms[j]
+	}
+	var k Keyterms
+	if nb > 0 {
+		k.Boosted = all[:nb:nb]
+	}
+	if n > nb {
+		k.Prominent = all[nb:]
+	}
+	return k
 }
 
-func (s *identifyScratch) termsOf(ranked []int32) []string {
-	if len(ranked) == 0 {
-		return nil
+// own copies the bytes of k's terms into one string and points the
+// terms at it, in place: keyterms that outlive the analysis they were
+// read from.
+func (k Keyterms) own() {
+	lists, size := [2][]string{k.Boosted, k.Prominent}, 0
+	for _, list := range lists {
+		for _, t := range list {
+			size += len(t)
+		}
 	}
-	out := make([]string, len(ranked))
-	for i, j := range ranked {
-		out[i] = s.terms[j]
+	var b strings.Builder
+	b.Grow(size)
+	for _, list := range lists {
+		for _, t := range list {
+			b.WriteString(t)
+		}
 	}
-	return out
+	rest := b.String()
+	for _, list := range lists {
+		for i, t := range list {
+			list[i], rest = rest[:len(t)], rest[len(t):]
+		}
+	}
 }
 
 // Candidate is one potential phishing target.
@@ -343,6 +381,7 @@ func (id *Identifier) Identify(a *webpage.Analysis) Result {
 	// sorted terms are what candidate evidence is looked up in.
 	s.mergeTerms(a)
 	res := Result{Keyterms: s.keyterms(k)}
+	res.Keyterms.own()
 
 	// Step 1: boosted prominent terms.
 	q1 := res.Keyterms.Boosted

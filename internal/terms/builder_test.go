@@ -1,6 +1,7 @@
 package terms
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -27,6 +28,7 @@ func checkPieces(t testing.TB, pieces []string) {
 	for i, p := range pieces {
 		checkAgainstReference(t, got[i], refNewDistribution(refExtract(p)))
 	}
+	checkDictionary(t, b, pieces, new(Dictionary))
 
 	for _, p := range pieces {
 		b.Add(p)
@@ -40,6 +42,53 @@ func checkPieces(t testing.TB, pieces []string) {
 	}
 	if sorted := b.AppendSorted([]string{"held"}); sorted[0] != "held" || !slices.Equal(sorted[1:], want) {
 		t.Fatalf("AppendSorted over %q = %q, want held + %q", pieces, sorted, want)
+	}
+}
+
+// checkDictionary builds pieces, one distribution each, into d with
+// BuildDictionary and holds every distribution to the reference, and
+// every pair's HellingerRanked to Hellinger over the same pair, bit for
+// bit: the ranks must order the distributions' terms as the terms do.
+func checkDictionary(t testing.TB, b *Builder, pieces []string, d *Dictionary) {
+	t.Helper()
+	for _, p := range pieces {
+		b.Add(p)
+		b.Next()
+	}
+	got := make([]Distribution, len(pieces))
+	ranked := make([]Ranked, len(pieces))
+	b.BuildDictionary(got, ranked, d)
+	for i, p := range pieces {
+		checkAgainstReference(t, got[i], refNewDistribution(refExtract(p)))
+		if r := ranked[i].Ranks(); len(r) != got[i].Len() || !slices.IsSorted(r) || len(slices.Compact(slices.Clone(r))) != len(r) {
+			t.Fatalf("distribution %d (%q) has ranks %v for %d terms", i, p, r, got[i].Len())
+		}
+		for j := range pieces {
+			h, hr := Hellinger(got[i], got[j]), HellingerRanked(ranked[i], ranked[j])
+			if math.Float64bits(h) != math.Float64bits(hr) {
+				t.Fatalf("HellingerRanked(%q, %q) = %v, Hellinger %v", p, pieces[j], hr, h)
+			}
+		}
+	}
+}
+
+// A Dictionary is reused from page to page: each page built into it
+// must equal the reference, whatever the page before it held.
+func TestBuildDictionaryReuse(t *testing.T) {
+	b := AcquireBuilder()
+	defer b.Release()
+	var d Dictionary
+	pages := [][]string{
+		referenceTexts,
+		{"foo foo bar", "", "bar baz foo", "foo", "12 34", "foo foo foo foo"},
+		nil,
+		{strings.Repeat("login secure account verify ", 40), "account verify", "zzz"},
+		{"pay\u200bpal se\u00adcure", "paypal secure"},
+	}
+	for round := 0; round < 2; round++ {
+		for _, pieces := range pages {
+			checkDictionary(t, b, pieces, &d)
+		}
 	}
 }
 

@@ -56,6 +56,52 @@ func Hellinger(p, q Distribution) float64 {
 	return h
 }
 
+// HellingerRanked is Hellinger for two distributions over one
+// dictionary (Builder.BuildDictionary): the same merge, visiting the
+// same terms in the same order and adding the same values, so the
+// result is bit for bit Hellinger's on their Distributions. It compares
+// ranks instead of strings and reads each term's √p from the
+// distribution instead of taking it per pair.
+func HellingerRanked(p, q Ranked) float64 {
+	if len(p.ranks) == 0 && len(q.ranks) == 0 {
+		return 0
+	}
+	if len(p.ranks) == 0 || len(q.ranks) == 0 {
+		return 1
+	}
+	var sum float64
+	i, j := 0, 0
+	for i < len(p.ranks) && j < len(q.ranks) {
+		switch {
+		case p.ranks[i] == q.ranks[j]:
+			d := p.roots[i] - q.roots[j]
+			sum += d * d
+			i++
+			j++
+		case p.ranks[i] < q.ranks[j]:
+			sum += p.probs[i] // (√p − 0)²
+			i++
+		default:
+			sum += q.probs[j]
+			j++
+		}
+	}
+	for ; i < len(p.ranks); i++ {
+		sum += p.probs[i]
+	}
+	for ; j < len(q.ranks); j++ {
+		sum += q.probs[j]
+	}
+	h := sum / 2
+	if h < 0 {
+		return 0
+	}
+	if h > 1 {
+		return 1
+	}
+	return h
+}
+
 // TotalVariation computes the total-variation distance
 // ½ Σ |P(x) − Q(x)| ∈ [0,1]. It is used only by the distance-metric
 // ablation (A2 in experiments.Index), not by the paper's feature set.

@@ -8,13 +8,16 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unicode"
 
 	"knowphish/internal/racecheck"
 )
 
-// The pre-Builder implementations, verbatim: one string per term, a
-// counting map and an index map per distribution. They are the oracle
-// the pooled kernel is differentially tested against.
+// The pre-Builder implementations, verbatim but for the one rule term
+// folding gained after them (format characters are dropped, not
+// split on): one string per term, a counting map and an index map per
+// distribution. They are the oracle the pooled kernel is differentially
+// tested against.
 
 func refExtract(s string) []string {
 	var out []string
@@ -27,6 +30,10 @@ func refExtract(s string) []string {
 	}
 	for _, r := range s {
 		c := Canonicalize(r)
+		// A format character (unicode.Cf) is dropped without a split.
+		if c < 0 && unicode.Is(unicode.Cf, r) {
+			continue
+		}
 		if c < 0 {
 			flush()
 			continue
@@ -167,6 +174,8 @@ var referenceTexts = []string{
 	"zzz aaa mmm aaa zzz aaa",
 	"abcdefghijklm abcdefghijkl abcdefghijklmn abcdefghijklm",
 	strings.Repeat("login secure account verify ", 12),
+	"pay\u200bpal se\u00adcure \ufefflogin sign\u2060in ac\u200d\u200ccount",
+	"\u200b\u200b\u200b ab\u00adc a\u00ad\u00adb \U000e0001xy\u202ez",
 }
 
 func TestDistributionMatchesReference(t *testing.T) {
@@ -272,6 +281,19 @@ func TestBuildAllocBudget(t *testing.T) {
 		terms, probs = b.BuildAllInto(dst[:], terms, probs)
 	}); n > 1 {
 		t.Errorf("BuildAllInto into arrays with room allocates %v times, want <= 1 (backing string)", n)
+	}
+	var dict Dictionary
+	var ranked [2]Ranked
+	build := func() {
+		b.Add(text)
+		b.Next()
+		b.Add("account verify")
+		b.Next()
+		b.BuildDictionary(dst[:], ranked[:], &dict)
+	}
+	build()
+	if n := testing.AllocsPerRun(100, build); n != 0 {
+		t.Errorf("BuildDictionary into a warm dictionary allocates %v times, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { FromText("12 34") }); n != 0 {
 		t.Errorf("empty distribution allocates %v times, want 0", n)

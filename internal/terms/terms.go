@@ -5,24 +5,28 @@
 // A "term" is a maximal run of characters from the 26-letter lowercase
 // English alphabet A = {a..z} of length at least 3, after canonicalizing
 // upper-case, accented and look-alike characters to their base letter
-// (e.g. B, β, b̀, b̂ → b). Everything outside A splits the input. The scheme
-// is deliberately language-independent: no dictionary, no stop-word list,
+// (e.g. B, β, b̀, b̂ → b). Everything outside A splits the input, except
+// the format characters a browser does not draw (soft hyphen, zero-width
+// space and the rest of unicode.Cf), which are dropped. The scheme is
+// deliberately language-independent: no dictionary, no stop-word list,
 // no stemming.
 //
-// A Distribution holds its distinct terms sorted, every one a substring
-// of a single backing string, beside a parallel probability slice.
-// Sorted order is what the Hellinger merge needs anyway, so lookups are
-// a binary search over it and a distribution carries no hash map: a page
-// has fourteen distributions, most of them a handful of terms, and each
-// one is kept alive in the serving memo tables long after it was built.
-// They are built by a pooled Builder that folds and splits its input
-// straight into a byte arena, collapses the occurrences into distinct
-// terms with their counts in a seeded hash table it reuses, and sorts
-// only the distinct terms — three allocations (backing string, terms,
-// probabilities) for one distribution or for all fourteen of a page
-// built together, none of them aliasing the pooled arena. A caller that
-// keeps its term and probability arrays for reuse (BuildAllInto) pays
-// only for the backing string.
+// A Distribution holds its distinct terms sorted, beside a parallel
+// probability slice. Sorted order is what the Hellinger merge needs
+// anyway, so lookups are a binary search over it and a distribution
+// carries no hash map. Distributions are built by a pooled Builder that
+// folds and splits its input straight into a byte arena, collapses the
+// occurrences of all the distributions it holds into distinct terms in
+// one seeded hash table it reuses, and sorts those distinct terms once:
+// a term's place in that order is its rank, and each distribution lists
+// its terms by rank without a sort of its own. BuildAll cuts the
+// distributions from three allocations (backing string, terms,
+// probabilities), none of them aliasing the pooled arena; BuildAllInto
+// reuses the caller's arrays and pays only for the backing string. A
+// page's analysis builds into a Dictionary it owns (BuildDictionary):
+// no allocation once warm, term strings that are views of the
+// dictionary's bytes, and each distribution also as a Ranked, which the
+// Hellinger distance merges by rank.
 package terms
 
 import (
@@ -30,10 +34,13 @@ import (
 	"cmp"
 	"encoding/binary"
 	"hash/maphash"
+	"math"
 	"slices"
 	"sort"
 	"sync"
 	"unicode"
+	"unicode/utf8"
+	"unsafe"
 )
 
 // MinTermLength is the minimum length of an extracted term. Shorter
@@ -46,15 +53,29 @@ const MinTermLength = 3
 // characters fold to their base letter; Greek look-alikes used in
 // homograph attacks fold to the Latin letter they resemble.
 func Canonicalize(r rune) rune {
-	switch {
-	case 'a' <= r && r <= 'z':
-		return r
-	case 'A' <= r && r <= 'Z':
-		return r + ('a' - 'A')
+	if uint32(r) < utf8.RuneSelf {
+		return rune(asciiFold[r]) // inlined: most of a page is ASCII
 	}
-	if r < 128 {
-		return -1
+	return canonicalizeRune(r)
+}
+
+// asciiFold is Canonicalize below utf8.RuneSelf.
+var asciiFold = func() (fold [utf8.RuneSelf]int8) {
+	for r := range fold {
+		switch {
+		case 'a' <= r && r <= 'z':
+			fold[r] = int8(r)
+		case 'A' <= r && r <= 'Z':
+			fold[r] = int8(r + ('a' - 'A'))
+		default:
+			fold[r] = -1
+		}
 	}
+	return fold
+}()
+
+// canonicalizeRune is Canonicalize from utf8.RuneSelf up.
+func canonicalizeRune(r rune) rune {
 	if f, ok := foldTable[r]; ok {
 		return f
 	}
@@ -69,7 +90,19 @@ func Canonicalize(r rune) rune {
 	return -1
 }
 
-// Extract splits s into terms per the paper's scheme. The returned slice
+// isFormat reports whether r is a format character (unicode.Cf: the
+// soft hyphen U+00AD, the zero-width space and joiners U+200B–U+200F,
+// the word joiner U+2060, the byte-order mark U+FEFF and the rest of
+// the class). A browser draws none of them, so term extraction drops
+// them without splitting the term around them. No Cf character lies
+// in [U+2070, U+FEFF), so the scripts in that block (CJK among them)
+// skip the table search.
+func isFormat(r rune) bool {
+	return r >= 0xAD && (r < 0x2070 || r >= 0xFEFF) && unicode.Is(unicode.Cf, r)
+}
+
+// Extract splits s into terms per the paper's scheme; format characters
+// (isFormat) are dropped without splitting a term. The returned slice
 // preserves occurrence order and repetitions (one entry per occurrence);
 // its strings share one backing string.
 func Extract(s string) []string {
@@ -88,6 +121,9 @@ func Count(s string) int {
 	n, run := 0, 0
 	for _, r := range s {
 		if Canonicalize(r) < 0 {
+			if isFormat(r) {
+				continue
+			}
 			if run >= MinTermLength {
 				n++
 			}
@@ -122,24 +158,42 @@ func AppendFolded(dst []byte, s string) []byte {
 // arena, so no per-term string or []string exists on the way. A Builder
 // comes from AcquireBuilder and goes back with Release; between the two
 // it builds any number of distributions, one by one (Build) or several
-// that are kept together in one set of arrays (Next, BuildAll). Nothing
-// a Builder returns references its scratch.
+// that are kept together in one set of arrays (Next, BuildAll,
+// BuildDictionary). Nothing a Builder returns references its scratch.
 type Builder struct {
-	arena  []byte  // folded occurrences, back to back
-	ends   []int   // ends[i]: end offset of occurrence i in arena
-	bounds []int   // bounds[k]: len(ends) when Next closed distribution k
-	cuts   []int   // cuts[k]: len(uniq) once distribution k is collapsed
-	uniq   []entry // distinct terms, a sorted run per distribution
-	slots  []int32 // open-addressed table over uniq: 1 + index, 0 empty
+	arena  []byte      // folded occurrences, back to back
+	ends   []int       // ends[i]: end offset of occurrence i in arena
+	bounds []int       // bounds[k]: len(ends) when Next closed distribution k
+	uniq   []entry     // the distinct terms of every distribution, in rank order once collapsed
+	pairs  []pair      // each distribution's count of each of its terms, in the order collapse meets them
+	cuts   []int       // cuts[k]: end of distribution k's run in pairs and ranked
+	ranked []rankCount // the runs of pairs, each in rank order
+	at     []int       // at[k]: where distribution k's next entry in ranked goes
+	slots  []int32     // open-addressed table over uniq: 1 + index, 0 empty
 	seed   maphash.Seed
 }
 
-// entry is one distinct term of a distribution: its first eight bytes
-// as a big-endian number, zero-padded, where its first occurrence lies
-// in the arena, and how many occurrences it has.
+// entry is one distinct term: its first eight bytes as a big-endian
+// number, zero-padded, where it lies in the arena, and its pair in the
+// latest distribution that holds it.
 type entry struct {
-	key           uint64
-	start, end, n int
+	key        uint64
+	start, end int
+	last       int32 // 1 + index in pairs, 0 before the first
+}
+
+// pair is one distinct term of one distribution: the distribution, the
+// term's count there, and the term's pair in an earlier distribution
+// (1 + index in pairs, 0 for none). The pairs of one term form a chain
+// back through every distribution that holds it. A page has fewer than
+// 2³¹ occurrences, so counts and indexes fit in 32 bits.
+type pair struct {
+	dist, n, prev int32
+}
+
+// rankCount is one distinct term of one distribution, by rank.
+type rankCount struct {
+	rank, n int32
 }
 
 // prefixKey packs the first eight bytes of t, zero-padded, so that two
@@ -150,10 +204,9 @@ func prefixKey(t []byte) uint64 {
 	return binary.BigEndian.Uint64(k[:])
 }
 
-// maxPooledSlots bounds the table a pooled Builder keeps: a
-// distribution of more than half as many occurrences (a hostile page;
-// crawled pages have a few hundred) gets its table for the call and the
-// Builder is dropped.
+// maxPooledSlots bounds the table a pooled Builder keeps: a page of
+// more than half as many occurrences (a hostile one; crawled pages have
+// a few hundred) gets its table for the call and the Builder is dropped.
 const maxPooledSlots = 1 << 14
 
 var builderPool = sync.Pool{New: func() any { return &Builder{seed: maphash.MakeSeed()} }}
@@ -161,9 +214,8 @@ var builderPool = sync.Pool{New: func() any { return &Builder{seed: maphash.Make
 // AcquireBuilder returns an empty Builder from the pool.
 func AcquireBuilder() *Builder { return builderPool.Get().(*Builder) }
 
-// Release returns b, emptied, to the pool, or drops it when a
-// distribution grew its table past maxPooledSlots; b must not be used
-// afterwards.
+// Release returns b, emptied, to the pool, or drops it when a page grew
+// its table past maxPooledSlots; b must not be used afterwards.
 func (b *Builder) Release() {
 	if cap(b.slots) > maxPooledSlots {
 		return
@@ -176,21 +228,25 @@ func (b *Builder) reset() {
 	b.arena = b.arena[:0]
 	b.ends = b.ends[:0]
 	b.bounds = b.bounds[:0]
-	b.cuts = b.cuts[:0]
 	b.uniq = b.uniq[:0]
+	b.pairs = b.pairs[:0]
+	b.cuts = b.cuts[:0]
+	b.ranked = b.ranked[:0]
 }
 
 // Add appends the terms of s as occurrences. A term never spans two
 // Add calls: the end of s splits like any character outside the
-// alphabet.
+// alphabet. A format character (isFormat) neither joins a term nor
+// splits one: "pay​pal" is the one term "paypal", as a browser
+// shows it.
 func (b *Builder) Add(s string) {
 	start := len(b.arena)
 	for _, r := range s {
 		if c := Canonicalize(r); c >= 0 {
 			b.arena = append(b.arena, byte(c))
-			continue
+		} else if !isFormat(r) {
+			start = b.cut(start)
 		}
-		start = b.cut(start)
 	}
 	b.cut(start)
 }
@@ -254,18 +310,23 @@ func (b *Builder) Build() Distribution {
 	return d[0]
 }
 
-// collapse appends the distinct terms of occurrences [lo, hi) to uniq,
-// each with its count, sorted bytewise — the order sort.Strings gives.
-// Equal occurrences meet in an open-addressed table probed with a
-// seeded hash and confirmed byte for byte, so only the distinct terms
-// are sorted, however often a page repeats them.
-func (b *Builder) collapse(lo, hi int) {
-	first := len(b.uniq)
-	if lo == hi {
+// collapse collapses the occurrences of every distribution closed by
+// Next once, into the page's distinct terms (uniq) and each
+// distribution's count of each of its terms (pairs). Equal occurrences
+// meet in one open-addressed table probed with a seeded hash and
+// confirmed byte for byte. It then sorts the distinct terms bytewise —
+// the order sort.Strings gives — once for all distributions, so that a
+// term's index in uniq is its rank, and lists each distribution's terms
+// in ranked by rank: walking the ranks in order, every pair of a term
+// lands at its distribution's next place, so no distribution is sorted
+// on its own.
+func (b *Builder) collapse() {
+	b.uniq, b.pairs, b.cuts = b.uniq[:0], b.pairs[:0], b.cuts[:0]
+	if len(b.bounds) == 0 {
 		return
 	}
 	size := 4
-	for size < 2*(hi-lo) {
+	for size < 2*b.bounds[len(b.bounds)-1] {
 		size <<= 1
 	}
 	if cap(b.slots) < size {
@@ -275,50 +336,79 @@ func (b *Builder) collapse(lo, hi int) {
 		clear(b.slots)
 	}
 	mask := uint64(size - 1)
-	start := 0
-	if lo > 0 {
-		start = b.ends[lo-1]
-	}
-	for _, end := range b.ends[lo:hi] {
-		t := b.arena[start:end]
-		for h := maphash.Bytes(b.seed, t) & mask; ; h = (h + 1) & mask {
-			s := b.slots[h]
-			if s == 0 {
-				b.uniq = append(b.uniq, entry{key: prefixKey(t), start: start, end: end, n: 1})
-				b.slots[h] = int32(len(b.uniq))
-				break
+	start, lo := 0, 0
+	for k, hi := range b.bounds {
+		first := int32(len(b.pairs)) // distribution k's pairs follow
+		for _, end := range b.ends[lo:hi] {
+			t := b.arena[start:end]
+			var e *entry
+			for h := maphash.Bytes(b.seed, t) & mask; ; h = (h + 1) & mask {
+				s := b.slots[h]
+				if s == 0 {
+					b.uniq = append(b.uniq, entry{key: prefixKey(t), start: start, end: end})
+					b.slots[h] = int32(len(b.uniq))
+					e = &b.uniq[len(b.uniq)-1]
+					break
+				}
+				if e = &b.uniq[s-1]; bytes.Equal(b.bytes(*e), t) {
+					break
+				}
 			}
-			if e := &b.uniq[s-1]; bytes.Equal(b.bytes(*e), t) {
-				e.n++
-				break
+			if e.last > first {
+				b.pairs[e.last-1].n++
+			} else {
+				b.pairs = append(b.pairs, pair{dist: int32(k), n: 1, prev: e.last})
+				e.last = int32(len(b.pairs))
 			}
+			start = end
 		}
-		start = end
+		b.cuts = append(b.cuts, len(b.pairs))
+		lo = hi
 	}
-	slices.SortFunc(b.uniq[first:], func(x, y entry) int {
+	slices.SortFunc(b.uniq, func(x, y entry) int {
 		if x.key != y.key {
 			return cmp.Compare(x.key, y.key)
 		}
 		return bytes.Compare(b.bytes(x), b.bytes(y))
 	})
+	b.ranked = sized(b.ranked, len(b.pairs))
+	b.at = append(b.at[:0], 0)
+	b.at = append(b.at, b.cuts[:len(b.cuts)-1]...)
+	for r := range b.uniq {
+		for p := b.uniq[r].last; p != 0; {
+			pr := b.pairs[p-1]
+			b.ranked[b.at[pr.dist]] = rankCount{rank: int32(r), n: pr.n}
+			b.at[pr.dist]++
+			p = pr.prev
+		}
+	}
 }
 
-// collapseAll collapses every distribution closed by Next and stages
-// the distinct terms, in order, behind the occurrences in the arena.
-// It returns where the staged terms begin.
-func (b *Builder) collapseAll() int {
-	b.uniq, b.cuts = b.uniq[:0], b.cuts[:0]
+// run returns distribution k's run [first, last) in ranked and its
+// number of occurrences.
+func (b *Builder) run(k int) (first, last, total int) {
 	lo := 0
-	for _, hi := range b.bounds {
-		b.collapse(lo, hi)
-		b.cuts = append(b.cuts, len(b.uniq))
-		lo = hi
+	if k > 0 {
+		first, lo = b.cuts[k-1], b.bounds[k-1]
 	}
-	staged := len(b.arena)
+	return first, b.cuts[k], b.bounds[k] - lo
+}
+
+// stage appends the distinct terms, in rank order, to dst and points
+// each at its copy there.
+func (b *Builder) stage(dst []byte) []byte {
+	size := 0
 	for _, e := range b.uniq {
-		b.arena = append(b.arena, b.bytes(e)...)
+		size += e.end - e.start
 	}
-	return staged
+	dst = slices.Grow(dst, size)
+	for i := range b.uniq {
+		e := &b.uniq[i]
+		start := len(dst)
+		dst = append(dst, b.arena[e.start:e.end]...)
+		e.start, e.end = start, len(dst)
+	}
+	return dst
 }
 
 // BuildAll stores the distributions closed by Next, in order, in dst
@@ -336,24 +426,24 @@ func (b *Builder) BuildAll(dst []Distribution) { b.BuildAllInto(dst, nil, nil) }
 // the distributions any more; the backing string is the one
 // allocation left.
 func (b *Builder) BuildAllInto(dst []Distribution, terms []string, probs []float64) ([]string, []float64) {
-	staged := b.collapseAll()
+	b.collapse()
 	clear(dst)
-	n := len(b.uniq)
+	n := len(b.ranked)
 	terms, probs = sized(terms, n), sized(probs, n)
 	if n > 0 {
-		rest := string(b.arena[staged:])
-		lo, first := 0, 0
-		for k, hi := range b.bounds {
-			last := b.cuts[k]
-			for j, e := range b.uniq[first:last] {
-				size := e.end - e.start
-				terms[first+j], rest = rest[:size], rest[size:]
-				probs[first+j] = float64(e.n) / float64(hi-lo)
+		staged := len(b.arena)
+		b.arena = b.stage(b.arena)
+		backing := string(b.arena[staged:])
+		for k := range b.bounds {
+			first, last, total := b.run(k)
+			for i, rc := range b.ranked[first:last] {
+				e := b.uniq[rc.rank]
+				terms[first+i] = backing[e.start-staged : e.end-staged]
+				probs[first+i] = float64(rc.n) / float64(total)
 			}
 			if last > first {
-				dst[k] = Distribution{terms: terms[first:last:last], probs: probs[first:last:last], total: hi - lo}
+				dst[k] = Distribution{terms: terms[first:last:last], probs: probs[first:last:last], total: total}
 			}
-			lo, first = hi, last
 		}
 	}
 	b.reset()
@@ -376,20 +466,94 @@ func sized[T any](s []T, n int) []T {
 // backing string. It is what a term-frequency index wants from a page:
 // the counts, without the probabilities.
 func (b *Builder) AppendSorted(dst []string) []string {
-	staged := b.collapseAll()
-	if len(b.uniq) > 0 {
-		dst = slices.Grow(dst, len(b.ends))
-		rest := string(b.arena[staged:])
-		for _, e := range b.uniq {
-			size := e.end - e.start
-			for range e.n {
-				dst = append(dst, rest[:size])
+	b.collapse()
+	if len(b.ranked) > 0 {
+		dst = slices.Grow(dst, b.bounds[len(b.bounds)-1])
+		staged := len(b.arena)
+		b.arena = b.stage(b.arena)
+		backing := string(b.arena[staged:])
+		for _, rc := range b.ranked {
+			e := b.uniq[rc.rank]
+			for t := backing[e.start-staged : e.end-staged]; rc.n > 0; rc.n-- {
+				dst = append(dst, t)
 			}
-			rest = rest[size:]
 		}
 	}
 	b.reset()
 	return dst
+}
+
+// Dictionary is the storage of a page's distributions built over one
+// ranked dictionary (BuildDictionary): the page's distinct terms,
+// sorted, back to back in one byte array, and the arrays the
+// distributions are cut from. It is reused from page to page, so a
+// page built into a warm Dictionary allocates nothing. The term strings
+// of its distributions are views of its bytes: they are valid until the
+// next BuildDictionary into it, and whatever must outlive that copies
+// them. The zero Dictionary is empty and ready for use.
+type Dictionary struct {
+	bytes  []byte    // the distinct terms in rank order, back to back
+	terms  []string  // each distribution's terms, views of bytes
+	ranks  []int32   // each distribution's terms' ranks
+	floats []float64 // each distribution's probabilities, then their square roots
+}
+
+// Cap returns how many distribution terms and how many bytes of
+// distinct terms d holds room for: what a pool that keeps d keeps.
+func (d *Dictionary) Cap() (termCap, byteCap int) { return cap(d.terms), cap(d.bytes) }
+
+// Ranked is a distribution over a page's dictionary (BuildDictionary):
+// the lexicographic ranks of its terms, ascending, beside each term's
+// probability and the square root of it. Two distributions over one
+// dictionary compare by rank exactly as their Distributions compare by
+// term, so HellingerRanked merges integers and takes no square root.
+type Ranked struct {
+	ranks        []int32
+	probs, roots []float64
+}
+
+// Ranks returns the ranks of the distribution's terms, ascending and
+// parallel to its Distribution's Terms. The slice is shared; callers
+// must not modify it.
+func (r Ranked) Ranks() []int32 { return r.ranks }
+
+// BuildDictionary stores the distributions closed by Next, in order, in
+// dst and, ranked, in ranked (one element of each per Next call), and
+// empties the builder. The page's distinct terms are sorted once, and
+// every distribution is cut from d's arrays: its terms are views of d's
+// bytes, valid until the next BuildDictionary into d. Each distribution
+// equals the one BuildAll would store, term for term and bit for bit.
+func (b *Builder) BuildDictionary(dst []Distribution, ranked []Ranked, d *Dictionary) {
+	b.collapse()
+	clear(dst)
+	clear(ranked)
+	n := len(b.ranked)
+	d.bytes = b.stage(d.bytes[:0])
+	d.terms, d.ranks, d.floats = sized(d.terms, n), sized(d.ranks, n), sized(d.floats, 2*n)
+	probs, roots := d.floats[:n], d.floats[n:]
+	for k := range b.bounds {
+		first, last, total := b.run(k)
+		for i := first; i < last; i++ {
+			rc := b.ranked[i]
+			e := b.uniq[rc.rank]
+			p := float64(rc.n) / float64(total)
+			d.terms[i], d.ranks[i], probs[i], roots[i] = view(d.bytes[e.start:e.end]), rc.rank, p, math.Sqrt(p)
+		}
+		if last > first {
+			dst[k] = Distribution{terms: d.terms[first:last:last], probs: probs[first:last:last], total: total}
+			ranked[k] = Ranked{ranks: d.ranks[first:last:last], probs: probs[first:last:last], roots: roots[first:last:last]}
+		}
+	}
+	b.reset()
+}
+
+// view returns the bytes of t as a string without copying them; the
+// string reads whatever is later written there.
+func view(t []byte) string {
+	if len(t) == 0 {
+		return ""
+	}
+	return unsafe.String(&t[0], len(t))
 }
 
 // Distribution is a probabilistic term distribution D_S: each extracted
@@ -403,7 +567,7 @@ func (b *Builder) AppendSorted(dst []string) []string {
 // serves lookups: P, Contains and ContainsBytes binary-search it, so a
 // distribution carries no index beside its two slices.
 type Distribution struct {
-	terms []string  // sorted ascending, substrings of one backing string
+	terms []string  // sorted ascending: substrings of one backing string, or views of a Dictionary
 	probs []float64 // parallel to terms
 	total int
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestCanonicalizePaperExample(t *testing.T) {
@@ -30,6 +31,33 @@ func TestCanonicalizePaperExample(t *testing.T) {
 	}
 }
 
+// Below utf8.RuneSelf, Canonicalize keeps a–z, lowers A–Z and rejects
+// everything else.
+func TestCanonicalizeASCII(t *testing.T) {
+	for r := rune(-1); r < 128; r++ {
+		want := rune(-1)
+		switch {
+		case 'a' <= r && r <= 'z':
+			want = r
+		case 'A' <= r && r <= 'Z':
+			want = r - 'A' + 'a'
+		}
+		if got := Canonicalize(r); got != want {
+			t.Errorf("Canonicalize(%q) = %q, want %q", r, got, want)
+		}
+	}
+}
+
+// isFormat's shortcut around the table search must not change its
+// answer for any rune.
+func TestIsFormatIsCf(t *testing.T) {
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if got, want := isFormat(r), unicode.Is(unicode.Cf, r); got != want {
+			t.Fatalf("isFormat(%U) = %v, unicode.Cf says %v", r, got, want)
+		}
+	}
+}
+
 func TestExtract(t *testing.T) {
 	tests := []struct {
 		in   string
@@ -44,6 +72,9 @@ func TestExtract(t *testing.T) {
 		{"123 456", nil},
 		{"Crédit Agricole", []string{"credit", "agricole"}},
 		{"foo foo bar", []string{"foo", "foo", "bar"}},
+		// Format characters are dropped, not split on.
+		{"Pay\u200bPal se\u00adcure \ufeffLogin", []string{"paypal", "secure", "login"}},
+		{"ab\u200dc \u2060", []string{"abc"}},
 	}
 	for _, tt := range tests {
 		if got := Extract(tt.in); !reflect.DeepEqual(got, tt.want) {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unicode"
 
 	"knowphish/internal/racecheck"
 	"knowphish/internal/terms"
@@ -16,7 +17,8 @@ import (
 	"knowphish/internal/webgen"
 )
 
-// The pre-kernel Analyze, verbatim, with the term layer it was written
+// The pre-kernel Analyze, verbatim (but for the format-character rule
+// term folding gained after it), with the term layer it was written
 // against (one string per term, a counting map and an index map per
 // distribution) carried along so the oracle shares nothing with the
 // pooled builder it checks: a map of distributions, link lists grown by
@@ -40,6 +42,10 @@ func refExtract(s string) []string {
 	}
 	for _, r := range s {
 		c := terms.Canonicalize(r)
+		// A format character (unicode.Cf) is dropped without a split.
+		if c < 0 && unicode.Is(unicode.Cf, r) {
+			continue
+		}
 		if c < 0 {
 			flush()
 			continue
@@ -263,6 +269,17 @@ func checkAnalyzed(t testing.TB, got *Analysis, s *Snapshot) {
 	if got.Dist(0).Len() != 0 || got.Dist(DistImage+1).Len() != 0 || got.Dist(-1).Len() != 0 {
 		t.Fatal("an unknown DistID must read as the empty distribution")
 	}
+	// The ranked distributions are the same distributions over one
+	// dictionary: every pair's distance, by rank, is the distance by
+	// term, bit for bit.
+	for p := DistText - 1; p <= DistImage+1; p++ {
+		for q := DistText - 1; q <= DistImage+1; q++ {
+			h, hr := terms.Hellinger(got.Dist(p), got.Dist(q)), terms.HellingerRanked(got.Ranked(p), got.Ranked(q))
+			if math.Float64bits(h) != math.Float64bits(hr) || len(got.Ranked(p).Ranks()) != got.Dist(p).Len() {
+				t.Fatalf("H(%v,%v) = %v by rank, %v by term", p, q, hr, h)
+			}
+		}
+	}
 }
 
 // visit is the crawl a browser would make of site, without the iframe
@@ -411,17 +428,19 @@ func TestAnalyzeConcurrent(t *testing.T) {
 func exposed(a *Analysis) Analysis {
 	return Analysis{
 		Snap: a.Snap, Start: a.Start, Land: a.Land, Chain: a.Chain, ControlledRDNs: a.ControlledRDNs,
-		IntLog: a.IntLog, ExtLog: a.ExtLog, IntLink: a.IntLink, ExtLink: a.ExtLink, dists: a.dists,
+		IntLog: a.IntLog, ExtLog: a.ExtLog, IntLink: a.IntLink, ExtLink: a.ExtLink, dists: a.dists, ranked: a.ranked,
 	}
 }
 
 // analyzeAllocBudget bounds one Analyze of the English test snapshot
 // that is never released: the Analysis, the controlled-RDN map and its
-// first group, one array for the chain and the link lists, and three
-// allocations for the fourteen distributions together; urlx.Parse
-// allocates only for a host that is not already lower-case. 7 measured
-// (9 with an array per link list and a fresh Analysis; 86 while urlx
-// split and joined labels; the map-per-distribution kernel took 607).
+// first group, one array for the chain and the link lists, and four
+// allocations for the fourteen distributions together (the dictionary's
+// bytes, terms, ranks, and probabilities with their roots); urlx.Parse
+// allocates only for a host that is not already lower-case. 8 measured
+// (7 with three arrays and no ranks, 9 with an array per link list and
+// a fresh Analysis; 86 while urlx split and joined labels; the
+// map-per-distribution kernel took 607).
 const analyzeAllocBudget = 11
 
 // allocTestPage is the English legitimate page the allocation tests
@@ -449,8 +468,8 @@ func TestAnalyzeAllocBudget(t *testing.T) {
 }
 
 // TestAnalyzeReleasedAllocs: an owner that releases every analysis
-// reaches a steady state in which Analyze refills pooled arrays, and
-// the one allocation left is the string behind the distinct terms.
+// reaches a steady state in which Analyze refills pooled arrays and its
+// pooled dictionary, and allocates nothing.
 func TestAnalyzeReleasedAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -459,8 +478,8 @@ func TestAnalyzeReleasedAllocs(t *testing.T) {
 	Analyze(s).Release()
 	n := testing.AllocsPerRun(100, func() { Analyze(s).Release() })
 	t.Logf("Analyze + Release: %.0f allocs/page", n)
-	if n > 1 {
-		t.Errorf("Analyze + Release allocated %.0f times per page, want at most 1 (the distinct-term string)", n)
+	if n != 0 {
+		t.Errorf("Analyze + Release allocated %.0f times per page, want 0", n)
 	}
 }
 
@@ -521,16 +540,16 @@ func TestAnalysisHostilePages(t *testing.T) {
 	} {
 		a := Analyze(s)
 		checkAnalyzed(t, a, s)
-		if cap(a.parts) <= maxPooledParts && cap(a.terms) <= maxPooledTerms && len(a.ControlledRDNs) <= maxPooledRDNs {
-			t.Fatalf("a hostile page grew %d parts, %d terms and %d RDNs, not past the pooling bounds", cap(a.parts), cap(a.terms), len(a.ControlledRDNs))
+		if termCap, byteCap := a.dict.Cap(); cap(a.parts) <= maxPooledParts && termCap <= maxPooledTerms && byteCap <= maxPooledDictBytes && len(a.ControlledRDNs) <= maxPooledRDNs {
+			t.Fatalf("a hostile page grew %d parts, %d terms, %d dictionary bytes and %d RDNs, not past the pooling bounds", cap(a.parts), termCap, byteCap, len(a.ControlledRDNs))
 		}
 		a.Release()
 		held := make([]*Analysis, 8)
 		for i := range held {
 			held[i] = analysisPool.Get().(*Analysis)
 			h := held[i]
-			if h == a || cap(h.parts) > maxPooledParts || cap(h.terms) > maxPooledTerms || cap(h.probs) > maxPooledTerms || len(h.ControlledRDNs) != 0 {
-				t.Errorf("the pool kept the hostile page's analysis, or one of %d parts, %d terms, %d probabilities and %d RDNs", cap(h.parts), cap(h.terms), cap(h.probs), len(h.ControlledRDNs))
+			if termCap, byteCap := h.dict.Cap(); h == a || cap(h.parts) > maxPooledParts || termCap > maxPooledTerms || byteCap > maxPooledDictBytes || len(h.ControlledRDNs) != 0 {
+				t.Errorf("the pool kept the hostile page's analysis, or one of %d parts, %d terms, %d dictionary bytes and %d RDNs", cap(h.parts), termCap, byteCap, len(h.ControlledRDNs))
 			}
 		}
 		for _, h := range held {

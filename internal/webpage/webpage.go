@@ -251,6 +251,13 @@ func (d DistID) String() string {
 // arrays it kept; Release, called by the analysis's owner once nothing
 // reads it any more, hands it back. An analysis that is never released
 // is an ordinary value the garbage collector reclaims.
+//
+// The page's distinct terms are stored once, sorted, in a dictionary
+// the analysis owns and reuses, and every term string an analysis hands
+// out (its distributions' Terms, and what is derived from them, such as
+// target.ExtractKeyterms) is a view of that storage: valid until
+// Release, when the next page may overwrite it. Whatever outlives the
+// analysis copies the strings it keeps.
 type Analysis struct {
 	// Snap is the analyzed snapshot.
 	Snap *Snapshot
@@ -265,25 +272,27 @@ type Analysis struct {
 	// IntLink/ExtLink likewise for HREF links.
 	IntLog, ExtLog, IntLink, ExtLink []urlx.Parts
 
-	dists [DistImage + 1]terms.Distribution // indexed by DistID
+	dists  [DistImage + 1]terms.Distribution // indexed by DistID
+	ranked [DistImage + 1]terms.Ranked       // the same, over the page's dictionary
 
-	// The arrays a reused analysis refills: parts is cut into Chain and
-	// the four link lists, terms and probs into the distributions.
+	// The storage a reused analysis refills: parts is cut into Chain and
+	// the four link lists, dict into the distributions.
 	parts []urlx.Parts
-	terms []string
-	probs []float64
+	dict  terms.Dictionary
 }
 
 var analysisPool = sync.Pool{New: func() any { return new(Analysis) }}
 
 // Bounds on what a pooled Analysis keeps. A page with more URLs,
-// distinct terms or controlled RDNs than these (a hostile one; crawled
-// pages have a few hundred links and terms) is analysed into arrays of
-// its own, and Release drops them instead of pooling them.
+// distribution terms, dictionary bytes or controlled RDNs than these (a
+// hostile one; crawled pages have a few hundred links and terms) is
+// analysed into arrays of its own, and Release drops them instead of
+// pooling them.
 const (
-	maxPooledParts = 1024 // ≈170 KB of urlx.Parts
-	maxPooledTerms = 4096
-	maxPooledRDNs  = 64
+	maxPooledParts     = 1024 // ≈170 KB of urlx.Parts
+	maxPooledTerms     = 4096
+	maxPooledDictBytes = 64 << 10
+	maxPooledRDNs      = 64
 )
 
 // Analyze parses and classifies every URL of the snapshot and computes all
@@ -342,30 +351,31 @@ func (a *Analysis) fill(s *Snapshot) {
 	a.buildDistributions()
 }
 
-// Release returns a to the pool with its arrays zeroed, so that no
-// snapshot or term string stays reachable from the pool — or drops it,
-// when a page grew its arrays past the pooling bounds.
+// Release returns a to the pool with its URL arrays zeroed, so that no
+// snapshot string stays reachable from the pool — or drops it, when a
+// page grew its arrays past the pooling bounds.
 //
 // Only the owner of an analysis releases it: the caller of Analyze that
-// has not handed it on. After Release nothing may use a, nor hold the
-// Dist(…).Terms() and Probs() slices or the Chain and link lists it
-// gave out: the next Analyze refills them. The term strings themselves
-// stay valid; their bytes are never reused.
+// has not handed it on. After Release nothing may use a, nor hold
+// anything it gave out: the Chain and link lists, the Dist(…).Terms()
+// and Probs() slices, and the term strings themselves, whose bytes the
+// next Analyze overwrites.
 func (a *Analysis) Release() {
-	if cap(a.parts) > maxPooledParts || cap(a.terms) > maxPooledTerms || len(a.ControlledRDNs) > maxPooledRDNs {
+	termCap, byteCap := a.dict.Cap()
+	if cap(a.parts) > maxPooledParts || termCap > maxPooledTerms || byteCap > maxPooledDictBytes || len(a.ControlledRDNs) > maxPooledRDNs {
 		return
 	}
 	a.reset()
 	analysisPool.Put(a)
 }
 
-// reset empties a, keeping its arrays and its map for the next fill.
+// reset empties a, keeping its arrays, its map and its dictionary for
+// the next fill. The dictionary holds only the page's own folded bytes
+// and views of them, nothing of the snapshot.
 func (a *Analysis) reset() {
 	clear(a.parts)
-	clear(a.terms)
-	clear(a.probs)
 	clear(a.ControlledRDNs)
-	*a = Analysis{ControlledRDNs: a.ControlledRDNs, parts: a.parts[:0], terms: a.terms[:0], probs: a.probs[:0]}
+	*a = Analysis{ControlledRDNs: a.ControlledRDNs, parts: a.parts[:0], dict: a.dict}
 }
 
 // parseURL is urlx.Parse, except that the starting and the landing URL
@@ -426,7 +436,8 @@ func (a *Analysis) isInternal(p urlx.Parts) bool {
 }
 
 // Dist returns the term distribution identified by id; an id outside
-// Table I reads as the empty distribution.
+// Table I reads as the empty distribution. Its term strings are views
+// of the analysis's dictionary, valid until Release.
 func (a *Analysis) Dist(id DistID) terms.Distribution {
 	if id < 0 || int(id) >= len(a.dists) {
 		return terms.Distribution{}
@@ -434,9 +445,19 @@ func (a *Analysis) Dist(id DistID) terms.Distribution {
 	return a.dists[id]
 }
 
+// Ranked returns distribution id over the page's dictionary: Dist(id)'s
+// terms as ranks, for terms.HellingerRanked. An id outside Table I
+// reads as the empty distribution.
+func (a *Analysis) Ranked(id DistID) terms.Ranked {
+	if id < 0 || int(id) >= len(a.ranked) {
+		return terms.Ranked{}
+	}
+	return a.ranked[id]
+}
+
 // buildDistributions feeds the sources of Table I, in DistID order,
 // through one pooled builder; the fourteen distributions are built
-// together and share the analysis's term and probability arrays.
+// together over one dictionary, in the analysis's own storage.
 func (a *Analysis) buildDistributions() {
 	b := terms.AcquireBuilder()
 	defer b.Release()
@@ -444,7 +465,7 @@ func (a *Analysis) buildDistributions() {
 		a.addSource(b, id)
 		b.Next()
 	}
-	a.terms, a.probs = b.BuildAllInto(a.dists[DistText:], a.terms, a.probs)
+	b.BuildDictionary(a.dists[DistText:], a.ranked[DistText:], &a.dict)
 }
 
 // addSource adds the terms of distribution id's source to b.
