@@ -46,7 +46,9 @@ func putBuf(buf *bytes.Buffer) bool {
 // into a pooled buffer and parses it into v, replying with 413 when the
 // body is over the limit and with 400 when it is not one well-formed
 // JSON document of v's shape. The body is read before it is parsed, so an
-// oversized body is a 413 whatever its bytes are.
+// oversized body is a 413 whatever its bytes are; one that declares so
+// is refused unread. net/http ends a body at its declared length, so
+// only a chunked body is read through http.MaxBytesReader.
 //
 // A single-page score document's html may be a view of the buffer
 // (decodeDoc), so a PageRequest or V2ScoreRequest keeps it, and the
@@ -55,11 +57,17 @@ func putBuf(buf *bytes.Buffer) bool {
 // already.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	buf := getBuf()
-	if n := r.ContentLength; n > 0 && n <= DefaultMaxBodyBytes {
+	var err error
+	switch n := r.ContentLength; {
+	case n > DefaultMaxBodyBytes:
+		err = &http.MaxBytesError{Limit: DefaultMaxBodyBytes}
+	case n < 0:
+		_, err = buf.ReadFrom(http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes))
+	default:
 		// ReadFrom wants MinRead spare bytes to see EOF without growing.
 		buf.Grow(int(n) + bytes.MinRead)
+		_, err = buf.ReadFrom(r.Body)
 	}
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes))
 	if err == nil {
 		err = decodeDoc(buf.Bytes(), v)
 	}
@@ -142,20 +150,22 @@ func decodeDoc(b []byte, v any) error {
 // The html is not copied: once the whole document has passed, it is
 // unescaped in place, in b — an escape is never shorter than its value
 // — and page.HTML is a view of those bytes. Every other string is
-// allocated once, at its unescaped length.
+// decoded into one allocation they share (own).
 func scanScoreDoc(b []byte, page *PageRequest, opts *ScoreOptions) bool {
-	// Decoded into copies, stored once the whole document has passed.
+	// Kept as written, stored once the whole document has passed.
 	s := docScanner{b: b, options: opts != nil}
-	p, o := *page, ScoreOptions{}
+	o := ScoreOptions{}
 	if s.options {
 		o = *opts
 	}
-	var html []byte // as written, until the document has passed
+	var html []byte
+	var strs [4][]byte       // starting_url, landing_url, explain, cache_control
+	chain, chainLen := 0, -1 // where the chain's entries start, how many (-1: none)
 	if !s.take('{') {
 		return false
 	}
 	for more := !s.take('}'); more; {
-		key, _, ok := s.rawString()
+		key, ok := s.rawString()
 		if !ok || !s.take(':') {
 			return false
 		}
@@ -163,15 +173,15 @@ func scanScoreDoc(b []byte, page *PageRequest, opts *ScoreOptions) bool {
 		case "html":
 			ok = s.once(0) && s.raw(&html)
 		case "starting_url":
-			ok = s.once(1) && s.string(&p.StartingURL)
+			ok = s.once(1) && s.raw(&strs[0])
 		case "landing_url":
-			ok = s.once(2) && s.string(&p.LandingURL)
+			ok = s.once(2) && s.raw(&strs[1])
 		case "redirection_chain":
-			ok = s.once(3) && s.strings(&p.RedirectionChain)
+			ok = s.once(3) && s.strings(&chain, &chainLen)
 		case "explain":
-			ok = s.option(4) && s.string(&o.Explain)
+			ok = s.option(4) && s.raw(&strs[2])
 		case "cache_control":
-			ok = s.option(5) && s.string(&o.CacheControl)
+			ok = s.option(5) && s.raw(&strs[3])
 		case "skip_target":
 			ok = s.option(6) && s.bool(&o.SkipTarget)
 		case "deadline_ms":
@@ -195,14 +205,72 @@ func scanScoreDoc(b []byte, page *PageRequest, opts *ScoreOptions) bool {
 	if s.space(); s.i != len(b) {
 		return false
 	}
-	if s.seen&(1<<0) != 0 { // the html key was met
-		p.HTML = view(unescape(html[:0], html))
+	s.own(strs, [4]*string{&page.StartingURL, &page.LandingURL, &o.Explain, &o.CacheControl}, &page.RedirectionChain, chain, chainLen)
+	if s.seen&(1<<0) != 0 {
+		page.HTML = view(unescape(html[:0], html))
 	}
-	*page = p
 	if s.options {
 		*opts = o
 	}
 	return true
+}
+
+// own stores a passed document's strings: into dst[k] the value of
+// raws[k] (nil: absent), into *chain — never nil, its array refilled
+// when large enough, as encoding/json does — the n entries at offset at
+// (n < 0: absent). The values share one allocation of their own, and a
+// string written exactly as an earlier one is that one's string.
+func (s *docScanner) own(raws [4][]byte, dst [4]*string, chain *[]string, at, n int) {
+	// first returns the first of raws[:k] written as raw, -1 if none is.
+	first := func(raw []byte, k int) int {
+		for j, r := range raws[:k] {
+			if r != nil && bytes.Equal(r, raw) {
+				return j
+			}
+		}
+		return -1
+	}
+	size := 0 // values are never longer than the bytes as written
+	for k, raw := range raws {
+		if first(raw, k) < 0 {
+			size += len(raw)
+		}
+	}
+	s.i = at
+	for range max(n, 0) {
+		if raw, _ := s.rawString(); first(raw, len(raws)) < 0 {
+			size += len(raw)
+		}
+		s.take(',')
+	}
+	own := make([]byte, 0, size)
+	value := func(raw []byte, k int) string {
+		if j := first(raw, k); j >= 0 {
+			return *dst[j]
+		}
+		from := len(own)
+		own = unescape(own, raw) // within capacity: no value moves
+		return view(own[from:])
+	}
+	for k, raw := range raws {
+		if raw != nil {
+			*dst[k] = value(raw, k)
+		}
+	}
+	if n < 0 {
+		return
+	}
+	list := (*chain)[:0]
+	if list == nil || cap(list) < n {
+		list = make([]string, 0, n)
+	}
+	s.i = at
+	for range n {
+		raw, _ := s.rawString()
+		list = append(list, value(raw, len(raws)))
+		s.take(',')
+	}
+	*chain = list
 }
 
 // docScanner is a cursor over a document. Its methods consume what
@@ -240,44 +308,39 @@ func (s *docScanner) once(k uint) bool {
 func (s *docScanner) option(k uint) bool { return s.options && s.once(k) }
 
 // rawString consumes a JSON string and returns the bytes between its
-// quotes and the length they unescape to. It refuses a control
-// character, invalid UTF-8, a malformed escape and a \u escape of a
-// surrogate half (which encoding/json pairs up or replaces).
-func (s *docScanner) rawString() (raw []byte, n int, ok bool) {
+// quotes. It refuses a control character, invalid UTF-8, a malformed
+// escape and a \u escape of a surrogate half (which encoding/json pairs
+// up or replaces).
+func (s *docScanner) rawString() (raw []byte, ok bool) {
 	if !s.take('"') {
-		return nil, 0, false
+		return nil, false
 	}
 	b := s.b
 	for i := s.i; i < len(b); {
 		switch c := b[i]; {
 		case c >= ' ' && c != '"' && c != '\\' && c < utf8.RuneSelf:
-			n++
 			i++
 		case c == '"':
 			raw, s.i = b[s.i:i], i+1
-			return raw, n, true
+			return raw, true
 		case c == '\\' && i+1 < len(b) && b[i+1] == 'u':
-			r := hex4(b[i+2:])
-			if r < 0 || (r >= 0xD800 && r < 0xE000) {
-				return nil, 0, false
+			if r := hex4(b[i+2:]); r < 0 || (r >= 0xD800 && r < 0xE000) {
+				return nil, false
 			}
-			n += utf8.RuneLen(r)
 			i += 6
 		case c == '\\' && i+1 < len(b) && strings.IndexByte(escapeChars, b[i+1]) >= 0:
-			n++
 			i += 2
 		case c >= utf8.RuneSelf:
 			r, size := utf8.DecodeRune(b[i:])
 			if r == utf8.RuneError && size == 1 {
-				return nil, 0, false
+				return nil, false
 			}
-			n += size
 			i += size
 		default:
-			return nil, 0, false
+			return nil, false
 		}
 	}
-	return nil, 0, false
+	return nil, false
 }
 
 // escapeChars[k] after a backslash stands for escapeValues[k].
@@ -327,55 +390,27 @@ func unescape(dst, raw []byte) []byte {
 // constant as b: nothing may write b while the string is in use.
 func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// unquote returns the value of a string rawString accepted, in one
-// allocation of n bytes.
-func unquote(raw []byte, n int) string {
-	if n == len(raw) {
-		return string(raw) // no escapes: an escape is longer than its value
-	}
-	// The new bytes are the string's alone, and never written again.
-	return view(unescape(make([]byte, 0, n), raw))
-}
-
-func (s *docScanner) string(dst *string) bool {
-	raw, n, ok := s.rawString()
-	if ok {
-		*dst = unquote(raw, n)
-	}
-	return ok
-}
-
 // raw consumes a string and leaves its bytes, escapes and all, in dst.
-func (s *docScanner) raw(dst *[]byte) bool {
-	raw, _, ok := s.rawString()
-	*dst = raw
+func (s *docScanner) raw(dst *[]byte) (ok bool) {
+	*dst, ok = s.rawString()
 	return ok
 }
 
-// strings consumes an array of strings. It walks the array twice: once
-// to validate and count, so that the slice is allocated at its exact
-// size (and is non-nil even when empty, as encoding/json leaves it).
-func (s *docScanner) strings(dst *[]string) bool {
+// strings consumes an array of strings and reports the offset of its
+// first entry and how many it holds, for own to decode.
+func (s *docScanner) strings(at, n *int) bool {
 	if !s.take('[') {
 		return false
 	}
-	first, count := s.i, 0
-	for more := !s.take(']'); more; count++ {
-		if _, _, ok := s.rawString(); !ok {
+	*at, *n = s.i, 0
+	for more := !s.take(']'); more; *n++ {
+		if _, ok := s.rawString(); !ok {
 			return false
 		}
 		if more = s.take(','); !more && !s.take(']') {
 			return false
 		}
 	}
-	end := s.i
-	list := make([]string, count)
-	s.i = first
-	for k := range list {
-		s.string(&list[k])
-		s.take(',')
-	}
-	*dst, s.i = list, end
 	return true
 }
 

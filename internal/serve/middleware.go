@@ -22,9 +22,12 @@ func (s *Server) reply(w http.ResponseWriter, status int, v any) {
 	s.send(w, status, buf.Bytes())
 }
 
+// jsonContentType is shared: net/http never writes a header value slice.
+var jsonContentType = []string{"application/json"}
+
 // send writes a complete JSON document as the response.
 func (s *Server) send(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	if _, err := w.Write(body); err != nil {
@@ -102,7 +105,8 @@ func (s *Server) instrument(h http.HandlerFunc, cls *endpointClass) http.Handler
 			s.shedClass(rec, cls)
 			return
 		}
-		ctx, tr := s.cfg.Tracer.StartRequest(r.Context(), r.URL.Path, r.Header.Get("traceparent"))
+		// Spelled canonically: Get would allocate the canonical key.
+		ctx, tr := s.cfg.Tracer.StartRequest(r.Context(), r.URL.Path, r.Header.Get("Traceparent"))
 		if tr != nil {
 			rec.Header().Set("Traceparent", tr.Traceparent())
 			r = r.WithContext(ctx)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"knowphish/internal/coalesce"
@@ -31,20 +32,30 @@ import (
 // than Workers heavy executions at once. The deferred release survives
 // a panic in fn.
 //
-// pri is the caller's shed priority (admission.go). After a slot is
-// won, admission is re-checked: under overload, time queued for a slot
-// is exactly what busts the latency SLO, so work admitted before the
-// burn crossed the threshold is shed here instead of completing late
-// and poisoning the accepted-request percentiles. The errShed return
-// maps to a 503 via failScore. pri is threaded as an explicit parameter
-// — not a context value — to keep the warm path allocation-free.
+// Only a call that has to wait for a slot asks ctx for its done
+// channel, which net/http's request context allocates on first use; a
+// cancelled call never runs, however it won its slot.
+//
+// pri is the caller's shed priority (admission.go), re-checked once a
+// slot is won: under overload, time queued for a slot is what busts the
+// latency SLO, so work admitted before the burn crossed the threshold
+// is shed (errShed, a 503 via failScore) instead of completing late. It
+// is a parameter, not a context value, to keep the warm path
+// allocation-free.
 func (s *Server) boundedCtx(ctx context.Context, pri int, fn func()) error {
 	select {
 	case s.scoreSem <- struct{}{}:
-	case <-ctx.Done():
-		return context.Cause(ctx)
+	default:
+		select {
+		case s.scoreSem <- struct{}{}:
+		case <-ctx.Done():
+			return context.Cause(ctx)
+		}
 	}
 	defer func() { <-s.scoreSem }()
+	if ctx.Err() != nil {
+		return context.Cause(ctx)
+	}
 	if pri > 0 && pri <= s.cfg.SLO.ShedLevel() {
 		return errShed
 	}
@@ -293,80 +304,111 @@ func etagMatch(header, etag string) bool {
 // ---------------------------------------------------------------------
 // Single-page endpoints.
 
+// pageCall holds the request and response documents of one single-page
+// score or target request, pooled so that neither is boxed for decode
+// or reply. A response may alias the request's borrows (PageRequest),
+// so release zeroes it all once the response is written, keeping only
+// the chain's array, cleared, for the next request to decode into.
+type pageCall struct {
+	req      V2ScoreRequest
+	score    V2ScoreResponse  // /v2/score
+	scoreV1  ScoreResponse    // /v1/score
+	target   V2TargetResponse // /v2/target
+	targetV1 TargetResponse   // /v1/target
+}
+
+var callPool = sync.Pool{New: func() any { return new(pageCall) }}
+
+// maxPooledChain caps the chain array a pooled call keeps.
+const maxPooledChain = 64
+
+func (c *pageCall) release() {
+	c.req.release()
+	chain := c.req.RedirectionChain
+	if cap(chain) > maxPooledChain {
+		chain = nil
+	}
+	clear(chain[:cap(chain)])
+	*c = pageCall{}
+	c.req.RedirectionChain = chain[:0]
+	callPool.Put(c)
+}
+
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	var req PageRequest
-	if !s.decode(w, r, &req) {
+	c := callPool.Get().(*pageCall)
+	defer c.release()
+	if !s.decode(w, r, &c.req.PageRequest) {
 		return
 	}
-	defer req.release()
-	resp, err := s.scorePage(r.Context(), prioInteractive, &req, s.defaultOpts, coalesce.CacheDefault)
+	resp, err := s.scorePage(r.Context(), prioInteractive, &c.req.PageRequest, s.defaultOpts, coalesce.CacheDefault)
 	if err != nil {
 		s.failScore(w, err)
 		return
 	}
-	s.reply(w, http.StatusOK, ScoreResponse{Outcome: resp.Outcome, LandingURL: resp.LandingURL, Cached: resp.Cached})
+	c.scoreV1 = ScoreResponse{Outcome: resp.Outcome, LandingURL: resp.LandingURL, Cached: resp.Cached}
+	s.reply(w, http.StatusOK, &c.scoreV1)
 }
 
 func (s *Server) handleScoreV2(w http.ResponseWriter, r *http.Request) {
-	var req V2ScoreRequest
-	if !s.decode(w, r, &req) {
+	c := callPool.Get().(*pageCall)
+	defer c.release()
+	if !s.decode(w, r, &c.req) {
 		return
 	}
-	defer req.release()
-	opts, cc, err := s.coreOptions(req.ScoreOptions)
+	opts, cc, err := s.coreOptions(c.req.ScoreOptions)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	resp, err := s.scorePage(r.Context(), prioInteractive, &req.PageRequest, opts, cc)
-	if err != nil {
+	if c.score, err = s.scorePage(r.Context(), prioInteractive, &c.req.PageRequest, opts, cc); err != nil {
 		s.failScore(w, err)
 		return
 	}
-	if etag := scoreETag(&resp.Verdict); etag != "" {
+	if etag := scoreETag(&c.score.Verdict); etag != "" {
 		w.Header().Set("ETag", etag)
 		// 304 only on the default cache mode and for evidence-free
 		// verdicts: no-memo/refresh ask for recomputation (the client
 		// wants the body), and an explain response carries evidence a
 		// bare 304 would withhold.
-		if cc == coalesce.CacheDefault && resp.Explanation == nil && etagMatch(r.Header.Get("If-None-Match"), etag) {
+		if cc == coalesce.CacheDefault && c.score.Explanation == nil && etagMatch(r.Header.Get("If-None-Match"), etag) {
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
 	}
-	s.reply(w, http.StatusOK, resp)
+	s.reply(w, http.StatusOK, &c.score)
 }
 
 func (s *Server) handleTarget(w http.ResponseWriter, r *http.Request) {
-	var req PageRequest
-	if !s.decode(w, r, &req) {
+	c := callPool.Get().(*pageCall)
+	defer c.release()
+	if !s.decode(w, r, &c.req.PageRequest) {
 		return
 	}
-	defer req.release()
-	resp, err := s.identifyPage(r.Context(), &req, s.cfg.DefaultDeadline)
+	resp, err := s.identifyPage(r.Context(), &c.req.PageRequest, s.cfg.DefaultDeadline)
 	if err != nil {
 		s.failScore(w, err)
 		return
 	}
-	s.reply(w, http.StatusOK, TargetResponse{LandingURL: resp.LandingURL, Result: resp.Result})
+	c.targetV1 = TargetResponse{LandingURL: resp.LandingURL, Result: resp.Result}
+	s.reply(w, http.StatusOK, &c.targetV1)
 }
 
 func (s *Server) handleTargetV2(w http.ResponseWriter, r *http.Request) {
-	var req V2ScoreRequest
-	if !s.decode(w, r, &req) {
+	c := callPool.Get().(*pageCall)
+	defer c.release()
+	if !s.decode(w, r, &c.req) {
 		return
 	}
-	defer req.release()
-	if _, _, err := s.coreOptions(req.ScoreOptions); err != nil {
+	_, _, err := s.coreOptions(c.req.ScoreOptions)
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	resp, err := s.identifyPage(r.Context(), &req.PageRequest, s.resolveDeadline(req.DeadlineMS))
-	if err != nil {
+	if c.target, err = s.identifyPage(r.Context(), &c.req.PageRequest, s.resolveDeadline(c.req.DeadlineMS)); err != nil {
 		s.failScore(w, err)
 		return
 	}
-	s.reply(w, http.StatusOK, resp)
+	s.reply(w, http.StatusOK, &c.target)
 }
 
 // ---------------------------------------------------------------------

@@ -414,6 +414,39 @@ func TestOversizedBodyRejectedWith413(t *testing.T) {
 			}
 		}
 	}
+
+	// A body declaring more than the limit is refused before a byte of
+	// it is read. One of unknown length (chunked) is cut at the limit,
+	// and taken when it is within it.
+	small := `{"html":"<p>x</p>","landing_url":"http://a.test/"}`
+	for _, tc := range []struct {
+		name     string
+		body     string
+		declared int64
+		code     int
+	}{
+		{"declared over the limit", small, DefaultMaxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+		{"chunked over the limit", overLimitBody(`{"landing_url":"http://big.test/","html":"`, `"}`), -1, http.StatusRequestEntityTooLarge},
+		{"chunked within the limit", small, -1, http.StatusOK},
+	} {
+		for _, path := range []string{"/v1/score", "/v2/score", "/v2/score/batch"} {
+			body := tc.body
+			if path == "/v2/score/batch" && tc.code == http.StatusOK {
+				body = `{"pages":[` + small + `]}`
+			}
+			rd := strings.NewReader(body)
+			req := httptest.NewRequest(http.MethodPost, path, rd)
+			req.ContentLength = tc.declared
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			if rec.Code != tc.code {
+				t.Errorf("%s, %s: status %d, want %d: %s", tc.name, path, rec.Code, tc.code, rec.Body.String())
+			}
+			if tc.declared > DefaultMaxBodyBytes && rd.Len() != len(body) {
+				t.Errorf("%s, %s: %d bytes of the body were read", tc.name, path, len(body)-rd.Len())
+			}
+		}
+	}
 }
 
 func TestTargetEndpoint(t *testing.T) {

@@ -23,7 +23,8 @@ import (
 // on a memo hit. The handler calls release once the response that reads
 // them is written; nothing the server keeps past that reads any of them
 // (the memo keeps content keys and packed target results, never
-// snapshot strings).
+// snapshot strings). Its URLs own their bytes and may be kept. A
+// single-page handler's request lives in a pooled pageCall.
 type PageRequest struct {
 	Snapshot *webpage.Snapshot `json:"snapshot,omitempty"`
 

@@ -77,9 +77,21 @@ func (v Verdict) String() string {
 	}
 }
 
+// verdictText holds each verdict's name, then any other value's.
+var verdictText = func() (t [VerdictPhish + 2][]byte) {
+	for v := range t {
+		t[v] = []byte(Verdict(v).String())
+	}
+	return t
+}()
+
 // MarshalText encodes the verdict as its name, so JSON payloads carry
-// "phish" rather than an opaque integer.
-func (v Verdict) MarshalText() ([]byte, error) { return []byte(v.String()), nil }
+// "phish" rather than an opaque integer. The slice is shared: callers
+// must not write it (encoding/json does not), and an append copies.
+func (v Verdict) MarshalText() ([]byte, error) {
+	t := verdictText[min(uint(v), uint(len(verdictText)-1))]
+	return t[:len(t):len(t)], nil
+}
 
 // UnmarshalText decodes a verdict name (unknown names → suspicious).
 func (v *Verdict) UnmarshalText(b []byte) error {

@@ -8,6 +8,7 @@ import (
 
 	"knowphish/internal/crawl"
 	"knowphish/internal/dataset"
+	"knowphish/internal/racecheck"
 	"knowphish/internal/webgen"
 	"knowphish/internal/webpage"
 )
@@ -59,6 +60,30 @@ func TestVerdictJSONRoundTrip(t *testing.T) {
 		if back != v {
 			t.Errorf("roundtrip %v -> %s -> %v", v, blob, back)
 		}
+	}
+}
+
+// TestVerdictMarshalTextAllocs: every verdict, out-of-range values
+// included, marshals to its String() without allocating, in a slice
+// whose capacity ends at its length, so that an append copies instead
+// of writing the shared bytes.
+func TestVerdictMarshalTextAllocs(t *testing.T) {
+	verdicts := []Verdict{VerdictSuspicious, VerdictLegitimate, VerdictPhish, -1, 3, 99}
+	for _, v := range verdicts {
+		b, err := v.MarshalText()
+		if err != nil || string(b) != v.String() || cap(b) != len(b) {
+			t.Errorf("%d.MarshalText() = %q (cap %d), %v; want %q at capacity", int(v), b, cap(b), err, v.String())
+		}
+	}
+	if racecheck.Enabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, v := range verdicts {
+			v.MarshalText()
+		}
+	}); n != 0 {
+		t.Errorf("MarshalText allocated %.0f times, want 0", n)
 	}
 }
 
