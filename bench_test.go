@@ -868,8 +868,8 @@ func BenchmarkPhishGeneration(b *testing.B) {
 // the explanation feature: explain=none is the production fast path,
 // explain=top adds one decision-path walk per tree, explain=full adds
 // the same walk plus full contribution sorting. The delta between
-// sub-benchmarks is the exact cost a client opts into with
-// WithExplain.
+// sub-benchmarks is the exact cost a client opts into with an explain
+// level.
 func BenchmarkAnalyzeCtx(b *testing.B) {
 	r := benchSetup(b)
 	d, err := r.Detector(0)
@@ -894,17 +894,17 @@ func BenchmarkAnalyzeCtx(b *testing.B) {
 	}
 	ctx := context.Background()
 	for _, lvl := range []struct {
-		name string
-		opts []core.ScoreOption
+		name  string
+		level core.ExplainLevel
 	}{
-		{"explain=none", nil},
-		{"explain=top", []core.ScoreOption{core.WithExplain(core.ExplainTop)}},
-		{"explain=full", []core.ScoreOption{core.WithExplain(core.ExplainFull)}},
+		{"explain=none", core.ExplainNone},
+		{"explain=top", core.ExplainTop},
+		{"explain=full", core.ExplainFull},
 	} {
 		b.Run(lvl.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				snap := snaps[i%len(snaps)]
-				v, err := pipe.AnalyzeCtx(ctx, core.NewScoreRequest(snap, lvl.opts...))
+				v, err := pipe.AnalyzeCtx(ctx, core.ScoreRequest{Snapshot: snap, Options: core.Options{Explain: lvl.level}})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -50,8 +50,8 @@ func Example_quickstart() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		v, err := pipeline.AnalyzeCtx(context.Background(), core.NewScoreRequest(snap,
-			core.WithExplain(core.ExplainTop), core.WithTopFeatures(3)))
+		v, err := pipeline.AnalyzeCtx(context.Background(), core.ScoreRequest{Snapshot: snap,
+			Options: core.Options{Explain: core.ExplainTop, TopFeatures: 3}})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -325,12 +325,12 @@ func TestDeadlinePropagation(t *testing.T) {
 		go func(i int, snap *webpage.Snapshot) {
 			defer wg.Done()
 			ctx := context.Background()
-			var opts []core.ScoreOption
+			req := core.NewScoreRequest(snap)
 			if i == 0 {
 				// A deadline that has certainly expired before scoring.
-				opts = append(opts, core.WithDeadline(time.Nanosecond))
+				req.Options.Deadline = time.Nanosecond
 			}
-			_, errs[i] = c.Do(ctx, pipe, core.NewScoreRequest(snap, opts...), CacheDefault, nil)
+			_, errs[i] = c.Do(ctx, pipe, req, CacheDefault, nil)
 		}(i, snap)
 	}
 	wg.Wait()
@@ -371,7 +371,7 @@ func TestExplainBypass(t *testing.T) {
 	_, pipe := fixtures(t)
 	c := New(Config{})
 	snap := mixedSnaps(t, 1)[0]
-	v, err := c.Do(context.Background(), pipe, core.NewScoreRequest(snap, core.WithExplain(core.ExplainTop)), CacheDefault, nil)
+	v, err := c.Do(context.Background(), pipe, core.ScoreRequest{Snapshot: snap, Options: core.Options{Explain: core.ExplainTop}}, CacheDefault, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

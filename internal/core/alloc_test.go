@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"knowphish/internal/features"
 	"knowphish/internal/racecheck"
@@ -84,44 +83,6 @@ func TestScoreCtxFullPathAllocBudget(t *testing.T) {
 		t.Fatalf("full ScoreCtx path allocated %.0f times per run, budget %d", allocs, fullPathAllocBudget)
 	}
 	t.Logf("full-extraction path: %.0f allocs/op (budget %d)", allocs, fullPathAllocBudget)
-}
-
-// TestHoistedOptionsAllocContract pins the contract the serving
-// layer's option hoist relies on. An option-free request — no options,
-// or an empty hoisted slice, what a server without a default deadline
-// hoists — builds on the stack (zero allocations). Applying a non-empty
-// precomputed option slice costs exactly one allocation — the request
-// materializing on the heap because its address flows into the option
-// closures — independent of option count; the slice and the closures
-// themselves were paid for once at hoist time, never per request.
-func TestHoistedOptionsAllocContract(t *testing.T) {
-	if racecheck.Enabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	c := corpus(t)
-	snap := c.LangTests[webgen.English].Snapshots()[0]
-	var none []ScoreOption
-	if allocs := testing.AllocsPerRun(200, func() {
-		req := NewScoreRequest(snap, none...)
-		if req.Snapshot == nil {
-			t.Fatal("request lost its snapshot")
-		}
-	}); allocs != 0 {
-		t.Fatalf("option-free NewScoreRequest allocated %.1f times per run, want 0", allocs)
-	}
-	for _, hoisted := range [][]ScoreOption{
-		{WithDeadline(time.Second)},
-		{WithDeadline(time.Second), WithExplain(ExplainTop), WithTopFeatures(4)},
-	} {
-		if allocs := testing.AllocsPerRun(200, func() {
-			req := NewScoreRequest(snap, hoisted...)
-			if req.Snapshot == nil {
-				t.Fatal("request lost its snapshot")
-			}
-		}); allocs != 1 {
-			t.Fatalf("applying a hoisted %d-option slice allocated %.1f times per run, want exactly 1 (the request escape)", len(hoisted), allocs)
-		}
-	}
 }
 
 // TestScoreCoalescedWarmPathZeroAllocs pins the memo's warm steady

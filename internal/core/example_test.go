@@ -69,8 +69,8 @@ from our harborfield community garden plots around town</p>
 
 	ctx := context.Background()
 	// The evidence is what an add-on can show the user.
-	v, err := detector.ScoreCtx(ctx, core.NewScoreRequest(&phish,
-		core.WithExplain(core.ExplainTop), core.WithTopFeatures(4)))
+	v, err := detector.ScoreCtx(ctx, core.ScoreRequest{Snapshot: &phish,
+		Options: core.Options{Explain: core.ExplainTop, TopFeatures: 4}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,7 +15,7 @@ const (
 	// ExplainNone produces no explanation (the fast default).
 	ExplainNone ExplainLevel = iota
 	// ExplainTop attaches the top feature contributions by |log-odds|
-	// (DefaultTopFeatures unless overridden with WithTopFeatures).
+	// (DefaultTopFeatures unless Options.TopFeatures overrides it).
 	ExplainTop
 	// ExplainFull attaches every feature with a nonzero contribution.
 	ExplainFull
@@ -54,76 +54,52 @@ func ParseExplainLevel(s string) (ExplainLevel, error) {
 	}
 }
 
+// Options are how to score a request. The zero value reproduces the
+// classic behavior: no deadline, no explanation, target identification
+// on detector positives.
+type Options struct {
+	// Deadline bounds the scoring work: the request's context is capped
+	// to it, so a slow page stops consuming CPU once its budget is spent.
+	// <= 0 means no per-request deadline.
+	Deadline time.Duration
+	// Explain attaches per-feature evidence to the verdict.
+	Explain ExplainLevel
+	// TopFeatures caps an ExplainTop explanation at that many
+	// contributions (<= 0 → DefaultTopFeatures).
+	TopFeatures int
+	// SkipTarget skips target identification even for detector
+	// positives: the verdict reports the raw detector call without the
+	// false-positive-removal pass — cheaper, and what a client wants when
+	// it only consumes the score.
+	SkipTarget bool
+}
+
 // ScoreRequest describes one page to score plus how to score it. Build
-// one with NewScoreRequest; the zero value scores nothing.
+// one with NewScoreRequest or as a literal; the zero value scores
+// nothing.
 type ScoreRequest struct {
 	// Snapshot is the page to score. Required.
 	Snapshot *webpage.Snapshot
+	// Options say how to score it.
+	Options Options
 
-	deadline   time.Duration
-	explain    ExplainLevel
-	topN       int
-	skipTarget bool
 	contentKey webpage.Key128 // zero: not supplied
 	targetBuf  *TargetBuffer  // nil: a memo hit's target result is decoded onto the heap
 }
 
-// ScoreOption is a functional option of NewScoreRequest.
-type ScoreOption func(*ScoreRequest)
-
-// NewScoreRequest builds a request for one snapshot. With no options it
-// reproduces the classic behavior: no deadline, no explanation, target
-// identification on detector positives.
-func NewScoreRequest(snap *webpage.Snapshot, opts ...ScoreOption) ScoreRequest {
-	// Option-free requests never take the request's address, so they
-	// build entirely on the caller's stack — the hot default for the
-	// feed drain and memoized scoring. With options, &req flows into
-	// the option closures and escape analysis materializes the request
-	// on the heap: one allocation, regardless of option count.
-	if len(opts) == 0 {
-		return ScoreRequest{Snapshot: snap}
-	}
-	req := ScoreRequest{Snapshot: snap}
-	for _, opt := range opts {
-		opt(&req)
-	}
-	return req
-}
-
-// WithDeadline bounds the scoring work: the request's context is capped
-// to d, so a slow page stops consuming CPU once its budget is spent.
-// d <= 0 means no per-request deadline.
-func WithDeadline(d time.Duration) ScoreOption {
-	return func(r *ScoreRequest) { r.deadline = d }
-}
-
-// WithExplain attaches per-feature evidence to the verdict.
-func WithExplain(level ExplainLevel) ScoreOption {
-	return func(r *ScoreRequest) { r.explain = level }
-}
-
-// WithTopFeatures caps an ExplainTop explanation at n contributions
-// (n <= 0 → DefaultTopFeatures).
-func WithTopFeatures(n int) ScoreOption {
-	return func(r *ScoreRequest) { r.topN = n }
-}
-
-// WithoutTargetID skips target identification even for detector
-// positives: the verdict reports the raw detector call without the
-// false-positive-removal pass — cheaper, and what a client wants when
-// it only consumes the score.
-func WithoutTargetID() ScoreOption {
-	return func(r *ScoreRequest) { r.skipTarget = true }
+// NewScoreRequest builds a request for one snapshot with the zero
+// Options.
+func NewScoreRequest(snap *webpage.Snapshot) ScoreRequest {
+	return ScoreRequest{Snapshot: snap}
 }
 
 // Explains reports whether the request asks for an explanation.
-func (r *ScoreRequest) Explains() bool { return r.explain != ExplainNone }
+func (r *ScoreRequest) Explains() bool { return r.Options.Explain != ExplainNone }
 
 // WithContentKey returns the request carrying its page's content
 // identity, for a caller that already hashed the page (a batch deduping
 // its pages) so the memoizing path does not hash it again. k must be
-// webpage.ContentKey of the request's snapshot. A method rather than a
-// ScoreOption: options cost a heap allocation per request.
+// webpage.ContentKey of the request's snapshot.
 func (r ScoreRequest) WithContentKey(k webpage.Key128) ScoreRequest {
 	r.contentKey = k
 	return r
@@ -142,7 +118,7 @@ type TargetBuffer struct {
 
 // WithTargetBuffer returns the request lending buf to the memo (see
 // TargetBuffer), so that a hit on the page's target result allocates
-// nothing. A method rather than a ScoreOption, like WithContentKey.
+// nothing.
 func (r ScoreRequest) WithTargetBuffer(buf *TargetBuffer) ScoreRequest {
 	r.targetBuf = buf
 	return r
@@ -162,12 +138,12 @@ func (r *ScoreRequest) ContentKey() webpage.Key128 {
 
 // topFeatures resolves the contribution cap for the request's level.
 func (r *ScoreRequest) topFeatures() int {
-	switch r.explain {
+	switch r.Options.Explain {
 	case ExplainFull:
 		return 0 // everything nonzero
 	default:
-		if r.topN > 0 {
-			return r.topN
+		if r.Options.TopFeatures > 0 {
+			return r.Options.TopFeatures
 		}
 		return DefaultTopFeatures
 	}

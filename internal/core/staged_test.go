@@ -45,11 +45,10 @@ func TestScoreCoalescedMatchesAnalyzeCtx(t *testing.T) {
 	const supS, supT = 1, 2
 	options := []struct {
 		name string
-		opts []ScoreOption
-		skip bool
+		opts Options
 	}{
 		{name: "default"},
-		{name: "skip_target", opts: []ScoreOption{WithoutTargetID()}, skip: true},
+		{name: "skip_target", opts: Options{SkipTarget: true}},
 	}
 	for page, snap := range stagedPages(t, p) {
 		// One cold pass yields both stage results to pre-supply.
@@ -64,13 +63,13 @@ func TestScoreCoalescedMatchesAnalyzeCtx(t *testing.T) {
 			tres = coldV.Target
 		}
 		for _, o := range options {
-			req := NewScoreRequest(snap, o.opts...)
+			req := ScoreRequest{Snapshot: snap, Options: o.opts}
 			want, err := p.AnalyzeCtx(ctx, req)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want.Timings = StageTimings{}
-			identifies := want.DetectorPhish && !o.skip
+			identifies := want.DetectorPhish && !o.opts.SkipTarget
 			for sup := 0; sup < 4; sup++ {
 				var st StageResults
 				if sup&supS != 0 {
@@ -98,7 +97,7 @@ func TestScoreCoalescedMatchesAnalyzeCtx(t *testing.T) {
 				}
 				// Analysis feeds extraction and identification; before
 				// classification any page may still need identifying.
-				mayIdentify := !o.skip && sup&supT == 0 && (sup&supS == 0 || want.DetectorPhish)
+				mayIdentify := !o.opts.SkipTarget && sup&supT == 0 && (sup&supS == 0 || want.DetectorPhish)
 				if need&StageMaskFeatures != 0 || mayIdentify {
 					need |= StageMaskAnalysis
 				}

@@ -228,9 +228,9 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 	if req.Snapshot == nil {
 		return Verdict{}, ErrNoSnapshot
 	}
-	if req.deadline > 0 {
+	if req.Options.Deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.deadline)
+		ctx, cancel = context.WithTimeout(ctx, req.Options.Deadline)
 		defer cancel()
 	}
 	if err := ctxCause(ctx); err != nil {
@@ -244,7 +244,7 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 	extract := !hasScore
 	// Identification runs on detector positives; before classification
 	// any page may turn out to be one.
-	mayIdentify := id != nil && !req.skipTarget && st.TargetResult == nil &&
+	mayIdentify := id != nil && !req.Options.SkipTarget && st.TargetResult == nil &&
 		(!hasScore || st.Score >= d.threshold)
 
 	// Stage 1: snapshot analysis, the input of extraction and
@@ -304,7 +304,7 @@ func (d *Detector) scoreCtx(ctx context.Context, req ScoreRequest, id *target.Id
 
 	// Stage 4: target identification confirms detector positives and
 	// overturns false ones (Section VI-D).
-	if id != nil && v.DetectorPhish && !req.skipTarget {
+	if id != nil && v.DetectorPhish && !req.Options.SkipTarget {
 		v.TargetRun = true
 		if st.TargetResult != nil {
 			v.Target = *st.TargetResult

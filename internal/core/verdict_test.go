@@ -55,7 +55,7 @@ func TestAnalyzeCtxMatchesAnalyze(t *testing.T) {
 			t.Errorf("threshold = %v", v.Threshold)
 		}
 		if v.Explanation != nil {
-			t.Error("explanation attached without WithExplain")
+			t.Error("explanation attached without Options.Explain")
 		}
 		if v.Timings.TotalNS <= 0 {
 			t.Errorf("timings missing: %+v", v.Timings)
@@ -70,7 +70,7 @@ func TestScoreCtxExplanationReassemblesScore(t *testing.T) {
 		if i == 10 {
 			break
 		}
-		v, err := p.Detector.ScoreCtx(context.Background(), NewScoreRequest(ex.Snapshot, WithExplain(ExplainFull)))
+		v, err := p.Detector.ScoreCtx(context.Background(), ScoreRequest{Snapshot: ex.Snapshot, Options: Options{Explain: ExplainFull}})
 		if err != nil {
 			t.Fatalf("ScoreCtx: %v", err)
 		}
@@ -111,7 +111,7 @@ func TestScoreCtxExplainTopCapsCount(t *testing.T) {
 	c, p := verdictFixtures(t)
 	snap := c.PhishTest.Examples[0].Snapshot
 	v, err := p.Detector.ScoreCtx(context.Background(),
-		NewScoreRequest(snap, WithExplain(ExplainTop), WithTopFeatures(3)))
+		ScoreRequest{Snapshot: snap, Options: Options{Explain: ExplainTop, TopFeatures: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestScoreCtxExplainTopCapsCount(t *testing.T) {
 		t.Errorf("top-3 request returned %d contributions", len(v.Explanation.Contributions))
 	}
 	// Default cap applies when none is given.
-	v, err = p.Detector.ScoreCtx(context.Background(), NewScoreRequest(snap, WithExplain(ExplainTop)))
+	v, err = p.Detector.ScoreCtx(context.Background(), ScoreRequest{Snapshot: snap, Options: Options{Explain: ExplainTop}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +143,12 @@ func TestAnalyzeCtxSkipTarget(t *testing.T) {
 		if !full.DetectorPhish {
 			continue
 		}
-		skip, err := p.AnalyzeCtx(context.Background(), NewScoreRequest(ex.Snapshot, WithoutTargetID()))
+		skip, err := p.AnalyzeCtx(context.Background(), ScoreRequest{Snapshot: ex.Snapshot, Options: Options{SkipTarget: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if skip.TargetRun {
-			t.Fatal("target identification ran despite WithoutTargetID")
+			t.Fatal("target identification ran despite Options.SkipTarget")
 		}
 		if !skip.FinalPhish || skip.Timings.TargetNS != 0 {
 			t.Fatalf("skip-target verdict malformed: %+v", skip)
@@ -172,7 +172,7 @@ func TestScoreCtxCancellation(t *testing.T) {
 	// An already-expired per-request deadline surfaces as
 	// context.DeadlineExceeded.
 	if _, err := p.AnalyzeCtx(context.Background(),
-		NewScoreRequest(snap, WithDeadline(time.Nanosecond))); !errors.Is(err, context.DeadlineExceeded) {
+		ScoreRequest{Snapshot: snap, Options: Options{Deadline: time.Nanosecond}}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("expired deadline: err = %v, want DeadlineExceeded", err)
 	}
 

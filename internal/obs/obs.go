@@ -211,17 +211,9 @@ type Config struct {
 // retention is a struct copy into a preallocated slot, never an
 // allocation on the request path.
 type record struct {
-	id        [16]byte
-	parent    [8]byte
-	hasParent bool
-	endpoint  string
-	start     time.Time
-	durNS     int64
-	err       bool
-	slow      bool
-	spans     [MaxSpans]Span
-	nspans    uint8
-	dropped   uint8
+	Trace
+	durNS int64
+	slow  bool
 }
 
 // Tracer records request traces into a fixed-size ring buffer plus a
@@ -348,19 +340,7 @@ func (t *Tracer) Finish(tr *Trace) {
 	if tr.err {
 		t.errors.Add(1)
 	}
-	rec := record{
-		id:        tr.id,
-		parent:    tr.parent,
-		hasParent: tr.hasParent,
-		endpoint:  tr.endpoint,
-		start:     tr.start,
-		durNS:     durNS,
-		err:       tr.err,
-		slow:      slow,
-		spans:     tr.spans,
-		nspans:    tr.nspans,
-		dropped:   tr.dropped,
-	}
+	rec := record{Trace: *tr, durNS: durNS, slow: slow}
 	t.mu.Lock()
 	t.ring[t.ringN%uint64(len(t.ring))] = rec
 	t.ringN++

@@ -263,70 +263,52 @@ func TestScoreBatchV2(t *testing.T) {
 	}
 }
 
-// TestCoreOptionsHoistedSlices pins the allocation fix: the two common
-// request shapes reuse option slices built once in New instead of
-// assembling them per request. Without a default deadline the
-// option-free shape has no options at all.
-func TestCoreOptionsHoistedSlices(t *testing.T) {
-	s := newServer(t, nil)
-	a, cc, err := s.coreOptions(ScoreOptions{})
-	if err != nil || cc != coalesce.CacheDefault {
-		t.Fatalf("defaulted options: cc=%v err=%v", cc, err)
-	}
-	if a != nil {
-		t.Errorf("defaulted request without a server deadline got %d options, want none", len(a))
-	}
-	// cache_control rides the hoisted fast path too — it is not a core
-	// option, so it must not force a fresh slice.
-	nm, cc, err := s.coreOptions(ScoreOptions{CacheControl: "no-memo"})
-	if err != nil || cc != coalesce.CacheNoMemo || nm != nil {
-		t.Fatalf("no-memo options: %d options, cc=%v err=%v", len(nm), cc, err)
-	}
-	sk1, _, _ := s.coreOptions(ScoreOptions{SkipTarget: true})
-	sk2, _, _ := s.coreOptions(ScoreOptions{SkipTarget: true})
-	if len(sk1) != 1 || &sk1[0] != &sk2[0] {
-		t.Error("skip_target requests do not share the hoisted option slice")
-	}
-	// Customized requests build their own.
-	custom, _, _ := s.coreOptions(ScoreOptions{DeadlineMS: 50})
-	if len(custom) == 0 || &custom[0] == &sk1[0] {
-		t.Error("customized request reused a hoisted slice")
-	}
-
-	// A server-wide deadline is the one option a default request carries,
-	// shared by v1 and v2 alike.
-	dl := newServer(t, func(cfg *Config) { cfg.DefaultDeadline = time.Second })
-	d1, _, _ := dl.coreOptions(ScoreOptions{})
-	d2, _, _ := dl.coreOptions(ScoreOptions{})
-	if len(d1) != 1 || &d1[0] != &d2[0] || &d1[0] != &dl.defaultOpts[0] {
-		t.Error("defaulted requests do not share the hoisted deadline slice")
-	}
-	dsk, _, _ := dl.coreOptions(ScoreOptions{SkipTarget: true})
-	if len(dsk) != 2 || &dsk[0] == &d1[0] {
-		t.Error("skip_target shares the no-skip slice")
-	}
-}
-
-// TestDefaultScoreRequestAllocs: on a server without a default
-// deadline, resolving a default /v2/score request's options and
-// building its core.ScoreRequest allocates nothing — the request stays
-// on the stack.
-func TestDefaultScoreRequestAllocs(t *testing.T) {
+// TestScoreRequestOptionsAllocs pins the option path of every scoring
+// endpoint: for each wire shape, on a server with and without a default
+// deadline, coreOptions resolves the documented core options and
+// cache-control mode, and it plus the request build allocate nothing.
+func TestScoreRequestOptionsAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	c, _ := fixtures(t)
-	s := newServer(t, nil)
 	snap := c.PhishTest.Examples[0].Snapshot
-	if allocs := testing.AllocsPerRun(200, func() {
-		opts, _, err := s.coreOptions(ScoreOptions{})
-		if err != nil {
-			t.Fatal(err)
+	shapes := []struct {
+		name string
+		wire ScoreOptions
+		want core.Options // Deadline 0: the server default
+		cc   coalesce.CacheControl
+	}{
+		{"defaulted", ScoreOptions{}, core.Options{}, coalesce.CacheDefault},
+		{"skip_target+no-memo", ScoreOptions{SkipTarget: true, CacheControl: "no-memo"},
+			core.Options{SkipTarget: true}, coalesce.CacheNoMemo},
+		{"deadline+top", ScoreOptions{DeadlineMS: 250, Explain: "top", TopFeatures: 4},
+			core.Options{Deadline: 250 * time.Millisecond, Explain: core.ExplainTop, TopFeatures: 4}, coalesce.CacheDefault},
+		{"full+refresh", ScoreOptions{Explain: "full", CacheControl: "refresh"},
+			core.Options{Explain: core.ExplainFull}, coalesce.CacheRefresh},
+	}
+	for _, dl := range []time.Duration{0, time.Second} {
+		s := newServer(t, func(cfg *Config) { cfg.DefaultDeadline = dl })
+		for _, sh := range shapes {
+			want := sh.want
+			if want.Deadline == 0 {
+				want.Deadline = dl
+			}
+			opts, cc, err := s.coreOptions(sh.wire)
+			if err != nil || opts != want || cc != sh.cc {
+				t.Errorf("default deadline %v, %s: got %+v cc=%v err=%v, want %+v cc=%v", dl, sh.name, opts, cc, err, want, sh.cc)
+			}
+			if allocs := testing.AllocsPerRun(200, func() {
+				opts, _, err := s.coreOptions(sh.wire)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if req := (core.ScoreRequest{Snapshot: snap, Options: opts}); req.Snapshot == nil {
+					t.Fatal("request lost its snapshot")
+				}
+			}); allocs != 0 {
+				t.Errorf("default deadline %v, %s: request build allocated %.1f times per run, want 0", dl, sh.name, allocs)
+			}
 		}
-		if req := core.NewScoreRequest(snap, opts...); req.Snapshot == nil {
-			t.Fatal("request lost its snapshot")
-		}
-	}); allocs != 0 {
-		t.Fatalf("default request build allocated %.1f times per run, want 0", allocs)
 	}
 }

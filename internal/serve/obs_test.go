@@ -617,7 +617,7 @@ func TestScoreHeldTracesStagesThatRan(t *testing.T) {
 		}
 		return got
 	}
-	req := core.NewScoreRequest(snap, core.WithoutTargetID())
+	req := core.ScoreRequest{Snapshot: snap, Options: core.Options{SkipTarget: true}}
 	if got := stagesOf(req); strings.Join(got, ",") != "analyze,extract,score" {
 		t.Errorf("cold request spans = %v, want [analyze extract score]", got)
 	}

@@ -123,7 +123,7 @@ func (s *Server) scoreSnap(ctx context.Context, pri int, req core.ScoreRequest, 
 // the caller releases it.
 // The error is a badPageError for an unresolvable page, else what cut
 // scoring short (deadline, cancellation, errShed).
-func (s *Server) scorePage(ctx context.Context, pri int, page *PageRequest, opts []core.ScoreOption, cc coalesce.CacheControl) (resp V2ScoreResponse, err error) {
+func (s *Server) scorePage(ctx context.Context, pri int, page *PageRequest, opts core.Options, cc coalesce.CacheControl) (resp V2ScoreResponse, err error) {
 	if berr := s.boundedCtx(ctx, pri, func() {
 		snap, key, rerr := page.resolve()
 		if rerr != nil {
@@ -131,7 +131,7 @@ func (s *Server) scorePage(ctx context.Context, pri int, page *PageRequest, opts
 			return
 		}
 		resp.LandingURL = snap.LandingURL
-		req := core.NewScoreRequest(snap, opts...).WithContentKey(key).WithTargetBuffer(page.targetBuffer())
+		req := core.ScoreRequest{Snapshot: snap, Options: opts}.WithContentKey(key).WithTargetBuffer(page.targetBuffer())
 		resp.Verdict, resp.Cached, err = s.scoreHeld(ctx, req, cc)
 	}); berr != nil {
 		err = berr
@@ -144,7 +144,7 @@ func (s *Server) scorePage(ctx context.Context, pri int, page *PageRequest, opts
 // The deadline budgets identification work, not resolution or time
 // queued for the slot, so it starts once the snapshot is in hand — the
 // same semantics the score path gets from AnalyzeCtx applying
-// WithDeadline inside the slot. ctx is observed between the analysis
+// Options.Deadline inside the slot. ctx is observed between the analysis
 // and identification stages.
 func (s *Server) identifyPage(ctx context.Context, page *PageRequest, deadline time.Duration) (resp V2TargetResponse, err error) {
 	if berr := s.boundedCtx(ctx, prioInteractive, func() {
@@ -194,52 +194,30 @@ func (s *Server) failScore(w http.ResponseWriter, err error) {
 	}
 }
 
-// resolveDeadline maps a wire deadline_ms onto the server default.
-func (s *Server) resolveDeadline(ms int64) time.Duration {
-	if ms > 0 {
-		return time.Duration(ms) * time.Millisecond
-	}
-	return s.cfg.DefaultDeadline
-}
-
-// coreOptions validates wire options and resolves them, with the
-// server's default deadline, into core functional options plus the
-// parsed cache-control mode. It is the single option-validation path of
-// the v2 surface; /v2/target calls it too (discarding the scoring
-// options) so the endpoints reject the same malformed requests.
-//
-// The two common request shapes — all options defaulted, with or
-// without skip_target — return slices hoisted once in New instead of
-// assembling (and allocating) them per request; only requests that
-// actually customize an option build a fresh slice.
-func (s *Server) coreOptions(o ScoreOptions) ([]core.ScoreOption, coalesce.CacheControl, error) {
+// coreOptions validates wire options and resolves them into core
+// options plus the parsed cache-control mode; a request without
+// deadline_ms gets the server's default deadline. It is the single
+// option-validation path of the v2 surface; /v2/target calls it too
+// (reading only the deadline) so the endpoints reject the same
+// malformed requests.
+func (s *Server) coreOptions(o ScoreOptions) (core.Options, coalesce.CacheControl, error) {
 	cc, err := coalesce.ParseCacheControl(o.CacheControl)
 	if err != nil {
-		return nil, cc, err
+		return core.Options{}, cc, err
 	}
 	if o.DeadlineMS < 0 {
-		return nil, cc, fmt.Errorf("negative deadline_ms %d", o.DeadlineMS)
+		return core.Options{}, cc, fmt.Errorf("negative deadline_ms %d", o.DeadlineMS)
 	}
 	if o.TopFeatures < 0 {
-		return nil, cc, fmt.Errorf("negative top_features %d", o.TopFeatures)
-	}
-	if o.DeadlineMS == 0 && o.Explain == "" && o.TopFeatures == 0 {
-		if o.SkipTarget {
-			return s.defaultOptsSkip, cc, nil
-		}
-		return s.defaultOpts, cc, nil
+		return core.Options{}, cc, fmt.Errorf("negative top_features %d", o.TopFeatures)
 	}
 	level, err := core.ParseExplainLevel(o.Explain)
 	if err != nil {
-		return nil, cc, err
+		return core.Options{}, cc, err
 	}
-	opts := []core.ScoreOption{
-		core.WithDeadline(s.resolveDeadline(o.DeadlineMS)),
-		core.WithExplain(level),
-		core.WithTopFeatures(o.TopFeatures),
-	}
-	if o.SkipTarget {
-		opts = append(opts, core.WithoutTargetID())
+	opts := core.Options{Deadline: s.cfg.DefaultDeadline, Explain: level, TopFeatures: o.TopFeatures, SkipTarget: o.SkipTarget}
+	if o.DeadlineMS > 0 {
+		opts.Deadline = time.Duration(o.DeadlineMS) * time.Millisecond
 	}
 	return opts, cc, nil
 }
@@ -340,7 +318,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &c.req.PageRequest) {
 		return
 	}
-	resp, err := s.scorePage(r.Context(), prioInteractive, &c.req.PageRequest, s.defaultOpts, coalesce.CacheDefault)
+	resp, err := s.scorePage(r.Context(), prioInteractive, &c.req.PageRequest, core.Options{Deadline: s.cfg.DefaultDeadline}, coalesce.CacheDefault)
 	if err != nil {
 		s.failScore(w, err)
 		return
@@ -399,12 +377,12 @@ func (s *Server) handleTargetV2(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &c.req) {
 		return
 	}
-	_, _, err := s.coreOptions(c.req.ScoreOptions)
+	opts, _, err := s.coreOptions(c.req.ScoreOptions)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if c.target, err = s.identifyPage(r.Context(), &c.req.PageRequest, s.resolveDeadline(c.req.DeadlineMS)); err != nil {
+	if c.target, err = s.identifyPage(r.Context(), &c.req.PageRequest, opts.Deadline); err != nil {
 		s.failScore(w, err)
 		return
 	}
@@ -511,7 +489,7 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 		if first[i] != i {
 			return nil
 		}
-		sreq := core.NewScoreRequest(snaps[i], s.defaultOpts...).WithContentKey(keys[i]).WithTargetBuffer(req.Pages[i].targetBuffer())
+		sreq := core.ScoreRequest{Snapshot: snaps[i], Options: core.Options{Deadline: s.cfg.DefaultDeadline}}.WithContentKey(keys[i]).WithTargetBuffer(req.Pages[i].targetBuffer())
 		v, cached, err := s.scoreSnap(ctx, prioBatch, sreq, coalesce.CacheDefault)
 		results[i] = ScoreResponse{Outcome: v.Outcome, LandingURL: snaps[i].LandingURL, Cached: cached}
 		return err

@@ -248,3 +248,38 @@ func TestEveryEndpointSameErrors(t *testing.T) {
 		t.Errorf("shed.queued = %d, want 1", m.Shed.Queued)
 	}
 }
+
+// TestDeadlineMSOverridesServerDefault pins the deadline mapping of the
+// v2 surface: on a server whose default deadline expires at once, a
+// request's deadline_ms replaces that default on every v2 endpoint, and
+// without it the default holds (504, or the stream's per-item error).
+func TestDeadlineMSOverridesServerDefault(t *testing.T) {
+	c, _ := fixtures(t)
+	good := PageRequest{Snapshot: c.PhishTest.Examples[0].Snapshot}
+	hurried := newServer(t, func(cfg *Config) { cfg.DefaultDeadline = time.Nanosecond })
+	for _, ms := range []int64{0, 60000} {
+		opts := ScoreOptions{DeadlineMS: ms}
+		single := V2ScoreRequest{PageRequest: good, ScoreOptions: opts}
+		for path, body := range map[string]any{
+			"/v2/score":       single,
+			"/v2/score/batch": V2BatchRequest{Pages: []PageRequest{good}, ScoreOptions: opts},
+			"/v2/target":      single,
+		} {
+			want := http.StatusOK
+			if ms == 0 {
+				want = http.StatusGatewayTimeout
+			}
+			if code := rawCall(t, hurried, http.MethodPost, path, body, nil).Code; code != want {
+				t.Errorf("%s deadline_ms=%d: status %d, want %d", path, ms, code, want)
+			}
+		}
+		var line V2StreamResult
+		mustUnmarshal(t, bytes.TrimSpace(rawCall(t, hurried, http.MethodPost, "/v2/score/stream", single, nil).Body.Bytes()), &line)
+		if ms == 0 && (line.Error != "scoring deadline exceeded" || line.V2ScoreResponse != nil) {
+			t.Errorf("stream without deadline_ms: %+v, want the item's deadline error", line)
+		}
+		if ms > 0 && (line.Error != "" || line.V2ScoreResponse == nil) {
+			t.Errorf("stream with deadline_ms=%d: error %q, want a verdict", ms, line.Error)
+		}
+	}
+}

@@ -154,15 +154,8 @@ type Server struct {
 	pipe *core.Pipeline
 	// coal is the content-addressed stage memo every scoring call goes
 	// through — the only verdict reuse in the server.
-	coal *coalesce.Coalescer
-	// defaultOpts / defaultOptsSkip are the hoisted option slices of the
-	// common request shapes, built once in New so the hot paths never
-	// rebuild (and re-allocate) them per request. defaultOpts is nil
-	// unless DefaultDeadline is set, so a default request builds on the
-	// stack.
-	defaultOpts     []core.ScoreOption
-	defaultOptsSkip []core.ScoreOption
-	metrics         *Metrics
+	coal    *coalesce.Coalescer
+	metrics *Metrics
 	// classes lists every endpoint class, for metrics iteration; batch
 	// is the one whose histogram the batch latency figures read.
 	classes []*endpointClass
@@ -207,16 +200,6 @@ func New(cfg Config) (*Server, error) {
 	if s.coal == nil {
 		s.coal = coalesce.New(coalesce.Config{})
 	}
-	// Hoist the option slices of the common request shapes: an
-	// option-free request (v1, or v2 with every option defaulted) and
-	// the same with skip_target. Built once, they keep per-request
-	// option assembly off the allocator (pinned by
-	// TestHoistedOptionsAllocContract in internal/core and
-	// TestCoreOptionsHoistedSlices here).
-	if s.cfg.DefaultDeadline > 0 {
-		s.defaultOpts = []core.ScoreOption{core.WithDeadline(s.cfg.DefaultDeadline)}
-	}
-	s.defaultOptsSkip = append(append([]core.ScoreOption{}, s.defaultOpts...), core.WithoutTargetID())
 	// Endpoint classes group routes for latency, SLO observation and
 	// admission control (see admission.go). Only the request endpoints
 	// carry a latency histogram: healthz and metrics probes are counted

@@ -21,9 +21,8 @@
 // a term's place in that order is its rank, and each distribution lists
 // its terms by rank without a sort of its own. BuildAll cuts the
 // distributions from three allocations (backing string, terms,
-// probabilities), none of them aliasing the pooled arena; BuildAllInto
-// reuses the caller's arrays and pays only for the backing string. A
-// page's analysis builds into a Dictionary it owns (BuildDictionary):
+// probabilities), none of them aliasing the pooled arena. A page's
+// analysis builds into a Dictionary it owns (BuildDictionary):
 // no allocation once warm, term strings that are views of the
 // dictionary's bytes, and each distribution also as a Ranked, which the
 // Hellinger distance merges by rank.
@@ -416,21 +415,11 @@ func (b *Builder) stage(dst []byte) []byte {
 // distributions share three allocations — one backing string, one term
 // slice, one probability slice — and each is cut from them
 // capacity-limited.
-func (b *Builder) BuildAll(dst []Distribution) { b.BuildAllInto(dst, nil, nil) }
-
-// BuildAllInto is BuildAll with the term and probability arrays
-// supplied by the caller: the distributions are cut from terms and
-// probs when their capacity allows, and from arrays of exactly the
-// needed size otherwise. It returns the arrays used, cut to the number
-// of distinct terms, for the caller to pass again once nothing reads
-// the distributions any more; the backing string is the one
-// allocation left.
-func (b *Builder) BuildAllInto(dst []Distribution, terms []string, probs []float64) ([]string, []float64) {
+func (b *Builder) BuildAll(dst []Distribution) {
 	b.collapse()
 	clear(dst)
-	n := len(b.ranked)
-	terms, probs = sized(terms, n), sized(probs, n)
-	if n > 0 {
+	if n := len(b.ranked); n > 0 {
+		terms, probs := make([]string, n), make([]float64, n)
 		staged := len(b.arena)
 		b.arena = b.stage(b.arena)
 		backing := string(b.arena[staged:])
@@ -447,7 +436,6 @@ func (b *Builder) BuildAllInto(dst []Distribution, terms []string, probs []float
 		}
 	}
 	b.reset()
-	return terms, probs
 }
 
 // sized returns s cut to length n when its capacity allows, else a new
