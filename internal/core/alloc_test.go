@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"knowphish/internal/features"
 	"knowphish/internal/racecheck"
@@ -83,6 +84,43 @@ func TestScoreCtxFullPathAllocBudget(t *testing.T) {
 		t.Fatalf("full ScoreCtx path allocated %.0f times per run, budget %d", allocs, fullPathAllocBudget)
 	}
 	t.Logf("full-extraction path: %.0f allocs/op (budget %d)", allocs, fullPathAllocBudget)
+}
+
+// TestHoistedOptionsAllocContract pins the contract the serving layer
+// relies on when it builds a request per call: a request, option-free
+// or carrying any set of options, builds on the stack (zero
+// allocations). The name is kept from when a server hoisted option
+// closures whose application cost the request one heap escape; a
+// request's options are now a plain value, so no shape pays it.
+func TestHoistedOptionsAllocContract(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c := corpus(t)
+	snap := c.LangTests[webgen.English].Snapshots()[0]
+	if allocs := testing.AllocsPerRun(200, func() {
+		req := NewScoreRequest(snap)
+		if req.Snapshot == nil {
+			t.Fatal("request lost its snapshot")
+		}
+	}); allocs != 0 {
+		t.Fatalf("option-free NewScoreRequest allocated %.1f times per run, want 0", allocs)
+	}
+	for _, opts := range []Options{
+		{Deadline: time.Second},
+		{Deadline: time.Second, Explain: ExplainTop, TopFeatures: 4},
+		{Explain: ExplainFull, SkipTarget: true},
+	} {
+		if allocs := testing.AllocsPerRun(200, func() {
+			req := NewScoreRequest(snap)
+			req.Options = opts
+			if req.Snapshot == nil || req.Options != opts {
+				t.Fatal("request lost its snapshot or options")
+			}
+		}); allocs != 0 {
+			t.Fatalf("request with options %+v allocated %.1f times per run, want 0", opts, allocs)
+		}
+	}
 }
 
 // TestScoreCoalescedWarmPathZeroAllocs pins the memo's warm steady

@@ -263,33 +263,33 @@ func TestScoreBatchV2(t *testing.T) {
 	}
 }
 
-// TestScoreRequestOptionsAllocs pins the option path of every scoring
-// endpoint: for each wire shape, on a server with and without a default
-// deadline, coreOptions resolves the documented core options and
-// cache-control mode, and it plus the request build allocate nothing.
-func TestScoreRequestOptionsAllocs(t *testing.T) {
-	if racecheck.Enabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	c, _ := fixtures(t)
-	snap := c.PhishTest.Examples[0].Snapshot
-	shapes := []struct {
-		name string
-		wire ScoreOptions
-		want core.Options // Deadline 0: the server default
-		cc   coalesce.CacheControl
-	}{
-		{"defaulted", ScoreOptions{}, core.Options{}, coalesce.CacheDefault},
-		{"skip_target+no-memo", ScoreOptions{SkipTarget: true, CacheControl: "no-memo"},
-			core.Options{SkipTarget: true}, coalesce.CacheNoMemo},
-		{"deadline+top", ScoreOptions{DeadlineMS: 250, Explain: "top", TopFeatures: 4},
-			core.Options{Deadline: 250 * time.Millisecond, Explain: core.ExplainTop, TopFeatures: 4}, coalesce.CacheDefault},
-		{"full+refresh", ScoreOptions{Explain: "full", CacheControl: "refresh"},
-			core.Options{Explain: core.ExplainFull}, coalesce.CacheRefresh},
-	}
+// optionShapes are the wire shapes of a score request's options and what
+// coreOptions resolves each to; a zero want.Deadline stands for the
+// server's default deadline.
+var optionShapes = []struct {
+	name string
+	wire ScoreOptions
+	want core.Options
+	cc   coalesce.CacheControl
+}{
+	{"defaulted", ScoreOptions{}, core.Options{}, coalesce.CacheDefault},
+	{"skip_target+no-memo", ScoreOptions{SkipTarget: true, CacheControl: "no-memo"},
+		core.Options{SkipTarget: true}, coalesce.CacheNoMemo},
+	{"deadline+top", ScoreOptions{DeadlineMS: 250, Explain: "top", TopFeatures: 4},
+		core.Options{Deadline: 250 * time.Millisecond, Explain: core.ExplainTop, TopFeatures: 4}, coalesce.CacheDefault},
+	{"full+refresh", ScoreOptions{Explain: "full", CacheControl: "refresh"},
+		core.Options{Explain: core.ExplainFull}, coalesce.CacheRefresh},
+}
+
+// TestCoreOptionsHoistedSlices pins what coreOptions resolves: for each
+// wire shape, on a server with and without a default deadline, the
+// documented core options with the deadline filled in, and the
+// cache-control mode, which is not a core option. The name is kept from
+// when the common shapes shared option slices built once in New.
+func TestCoreOptionsHoistedSlices(t *testing.T) {
 	for _, dl := range []time.Duration{0, time.Second} {
 		s := newServer(t, func(cfg *Config) { cfg.DefaultDeadline = dl })
-		for _, sh := range shapes {
+		for _, sh := range optionShapes {
 			want := sh.want
 			if want.Deadline == 0 {
 				want.Deadline = dl
@@ -298,6 +298,49 @@ func TestScoreRequestOptionsAllocs(t *testing.T) {
 			if err != nil || opts != want || cc != sh.cc {
 				t.Errorf("default deadline %v, %s: got %+v cc=%v err=%v, want %+v cc=%v", dl, sh.name, opts, cc, err, want, sh.cc)
 			}
+		}
+	}
+}
+
+// TestDefaultScoreRequestAllocs: on a server without a default
+// deadline, resolving a default /v2/score request's options and
+// building its core.ScoreRequest allocates nothing — the request stays
+// on the stack.
+func TestDefaultScoreRequestAllocs(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c, _ := fixtures(t)
+	s := newServer(t, nil)
+	snap := c.PhishTest.Examples[0].Snapshot
+	if allocs := testing.AllocsPerRun(200, func() {
+		opts, _, err := s.coreOptions(ScoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := core.NewScoreRequest(snap)
+		req.Options = opts
+		if req.Snapshot == nil {
+			t.Fatal("request lost its snapshot")
+		}
+	}); allocs != 0 {
+		t.Fatalf("default request build allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestScoreRequestOptionsAllocs pins the option path of every scoring
+// endpoint at zero allocations: for each wire shape, on a server with
+// and without a default deadline, coreOptions plus the request build
+// allocate nothing.
+func TestScoreRequestOptionsAllocs(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	c, _ := fixtures(t)
+	snap := c.PhishTest.Examples[0].Snapshot
+	for _, dl := range []time.Duration{0, time.Second} {
+		s := newServer(t, func(cfg *Config) { cfg.DefaultDeadline = dl })
+		for _, sh := range optionShapes {
 			if allocs := testing.AllocsPerRun(200, func() {
 				opts, _, err := s.coreOptions(sh.wire)
 				if err != nil {
