@@ -8,7 +8,7 @@ GO ?= go
 # bench-compare and bench-gate targets inherit it by not setting BENCH.
 # Override per run with BENCH=<regexp>.
 
-.PHONY: all build test race race-cover bench bench-smoke bench-compare bench-gate fuzz-smoke fuzz-long store-stress load-smoke overload-smoke cover fmt fmt-check vet staticcheck vulncheck serve alloc-check assembly-check leaf-check loc config-surface profile ci
+.PHONY: all build test race race-cover bench bench-smoke bench-compare bench-gate fuzz-smoke fuzz-long store-stress load-smoke overload-smoke cover fmt fmt-check vet staticcheck vulncheck serve alloc-check assembly-check leaf-check test-386 loc config-surface profile ci
 
 all: build
 
@@ -229,6 +229,14 @@ leaf-check:
 	GOOS=js GOARCH=wasm $(GO) build -o /dev/null ./internal/core ./internal/target
 	GOOS=js GOARCH=wasm $(GO) test -c -o /dev/null ./internal/core
 
+# The packages whose tests once failed on 32-bit (an int overflow in a
+# test literal, a fuzz oracle that read a 4 GiB frame length as a
+# negative int) build and pass under GOARCH=386, natively on amd64.
+# The whole-module leg (ROADMAP 1(b)) still waits on the portable
+# exp/log of 1(a) and on one line of benchmark/workloads.go.
+test-386:
+	GOARCH=386 $(GO) test ./internal/store ./internal/coalesce
+
 # Size of the program: non-test Go lines and files in the working tree
 # (tracked or untracked, not ignored, and present on disk, so an
 # unstaged deletion or a new file counts before `git add`), outside the
@@ -245,8 +253,9 @@ loc:
 
 # Size of the program's settable surface: exported fields of every
 # *Config struct under internal/, per package, and the flag counts of
-# `kpserve -h` and `kpload run -h`. Printed next to `make loc` in CI, not
-# gated; "fewer knobs" criteria are read off this command.
+# `kpserve -h`, `kpload run -h`, `kptrain -h` and `kpgen -h`. Printed
+# next to `make loc` in CI, not gated; "fewer knobs" criteria are read
+# off this command.
 config-surface:
 	@./scripts/config_surface.sh
 
@@ -259,4 +268,4 @@ profile:
 	curl -fsS "http://$(DEBUG_ADDR)/debug/pprof/profile?seconds=10" -o cpu.pprof
 	@echo "wrote cpu.pprof; inspect with: $(GO) tool pprof cpu.pprof"
 
-ci: fmt-check vet staticcheck vulncheck assembly-check leaf-check build race-cover alloc-check bench-smoke fuzz-smoke
+ci: fmt-check vet staticcheck vulncheck assembly-check leaf-check test-386 build race-cover alloc-check bench-smoke fuzz-smoke

@@ -30,7 +30,6 @@ func run() error {
 		out       = flag.String("out", "data", "output directory")
 		scale     = flag.Int("scale", 10, "divide Table V sizes by this factor (1 = paper scale)")
 		seed      = flag.Int64("seed", 1, "generation seed")
-		brands    = flag.Int("brands", 140, "number of brands in the world")
 		skipLangs = flag.Bool("english-only", false, "skip the five non-English test sets")
 	)
 	flag.Parse()
@@ -38,7 +37,6 @@ func run() error {
 	corpus, err := dataset.Build(dataset.Config{
 		Seed:              *seed,
 		Scale:             *scale,
-		World:             webgen.Config{Brands: *brands},
 		SkipLanguageTests: *skipLangs,
 	})
 	if err != nil {

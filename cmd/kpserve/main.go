@@ -126,11 +126,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (app.Config, options, error) {
 
 	fs.StringVar(&cfg.StorePath, "store", "", "verdict store directory (enables GET /v1/verdicts and /v2/verdicts; with the self-train world, also POST /v1/feed)")
 	fs.BoolVar(&cfg.StoreSync, "store-sync", false, "fsync the verdict store on every append")
-	fs.IntVar(&cfg.FeedQueue, "feed-queue", feed.DefaultQueueDepth, "feed queue depth, the backpressure bound")
-	fs.IntVar(&cfg.FeedWorkers, "feed-workers", 0, "feed crawl/score workers (0 = GOMAXPROCS)")
 	fs.Float64Var(&cfg.DomainRate, "domain-rate", feed.DefaultDomainRate, "per-registered-domain crawl rate in URLs/sec, with a burst of two seconds of it (negative: unlimited)")
-
-	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", app.DefaultDrainTimeout, "max wait for the feed to drain on shutdown")
 
 	logLevel := fs.String("log-level", "info", "structured log level: debug, info, warn or error")
 	logFormat := fs.String("log-format", "text", "structured log encoding: text or json")

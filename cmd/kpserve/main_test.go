@@ -20,10 +20,7 @@ var nonDefault = []string{
 	"-seed", "9",
 	"-store", "verdicts",
 	"-store-sync",
-	"-feed-queue", "17",
-	"-feed-workers", "2",
 	"-domain-rate", "-1",
-	"-drain-timeout", "3s",
 	"-log-level", "debug",
 	"-log-format", "json",
 	"-debug-addr", "127.0.0.1:6060",

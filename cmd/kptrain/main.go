@@ -16,11 +16,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"knowphish/internal/app"
 	"knowphish/internal/core"
-	"knowphish/internal/features"
 	"knowphish/internal/ml"
 	"knowphish/internal/webgen"
 )
@@ -38,16 +36,8 @@ func run() error {
 		scale     = flag.Int("scale", 10, "corpus scale divisor")
 		seed      = flag.Int64("seed", 1, "generation and training seed")
 		trees     = flag.Int("trees", 120, "boosting rounds")
-		depth     = flag.Int("depth", 4, "tree depth")
-		threshold = flag.Float64("threshold", core.DefaultThreshold, "discrimination threshold")
-		set       = flag.String("features", "fall", "feature set: "+setNames())
 	)
 	flag.Parse()
-
-	fset, err := parseFeatureSet(*set)
-	if err != nil {
-		return err
-	}
 
 	fmt.Printf("building corpus (scale 1/%d)...\n", *scale)
 	corpus, err := app.BuildCorpus(*scale, *seed)
@@ -55,17 +45,12 @@ func run() error {
 		return err
 	}
 
-	snaps := append(corpus.LegTrain.Snapshots(), corpus.PhishTrain.Snapshots()...)
-	labels := append(corpus.LegTrain.Labels(), corpus.PhishTrain.Labels()...)
-	fmt.Printf("training on %d instances (%d legitimate, %d phishing)...\n",
-		len(snaps), corpus.LegTrain.Clean(), corpus.PhishTrain.Clean())
+	leg, phish := corpus.LegTrain.Clean(), corpus.PhishTrain.Clean()
+	fmt.Printf("training on %d instances (%d legitimate, %d phishing)...\n", leg+phish, leg, phish)
 
-	det, err := core.Train(snaps, labels, core.TrainConfig{
-		GBM:        ml.GBMConfig{Trees: *trees, MaxDepth: *depth, Subsample: 0.8, MinLeaf: 5, Seed: *seed + 2},
-		Threshold:  *threshold,
-		FeatureSet: fset,
-		Rank:       corpus.World.Ranking(),
-	})
+	// The self-trained server's recipe (all feature groups, the paper's
+	// threshold), at -trees rounds.
+	det, err := app.TrainDemo(corpus, *seed, *trees)
 	if err != nil {
 		return err
 	}
@@ -108,26 +93,4 @@ func run() error {
 	}
 	fmt.Printf("model written to %s\n", *modelPath)
 	return nil
-}
-
-// parseFeatureSet maps a -features value to one of the paper's feature
-// sets by its String name; empty means fall.
-func parseFeatureSet(s string) (features.Set, error) {
-	if s == "" {
-		return features.All, nil
-	}
-	for _, set := range features.PaperSets {
-		if set.String() == s {
-			return set, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown feature set %q (want one of: %s)", s, setNames())
-}
-
-func setNames() string {
-	names := make([]string, len(features.PaperSets))
-	for i, set := range features.PaperSets {
-		names[i] = set.String()
-	}
-	return strings.Join(names, " ")
 }

@@ -1,10 +1,10 @@
 // Package app is the process assembly: the one place that builds the
-// serving stack — event journal → SLO engine → tracer → detector and
-// world → target identifier → stage memo → verdict store → feed
-// scheduler → serve.Server — and the one place that takes it down in order.
-// cmd/kpserve binds its flags to Config and listens; `kpload run -self`
-// and BenchmarkLoadEndToEnd call Start with a throwaway store directory
-// and their own worker counts.
+// serving stack — SLO engine (which owns the event journal) → tracer →
+// detector and world → target identifier → stage memo → verdict store →
+// feed scheduler → serve.Server — and the one place that takes it down
+// in order. cmd/kpserve binds its flags to Config and listens;
+// `kpload run -self` and BenchmarkLoadEndToEnd call Start with a
+// throwaway store directory.
 // What they measure is therefore what kpserve runs: one stage memo
 // shared by the HTTP surface and the feed drain, the same verdict
 // store, the same tracer, the same shutdown order.
@@ -35,18 +35,18 @@ import (
 	"knowphish/internal/target"
 )
 
-// DefaultDrainTimeout is how long Close waits for the feed to drain
-// when Config leaves DrainTimeout zero.
-const DefaultDrainTimeout = 30 * time.Second
-
 // DefaultSeed is kpserve's -seed default. kpload's -seed defaults to it
 // too, so the URLs kpload replays resolve in the world a default kpserve
 // crawls.
 const DefaultSeed = 1
 
 // shutdownTimeout bounds how long Close waits for in-flight HTTP
-// requests to finish once intake has stopped.
-const shutdownTimeout = 15 * time.Second
+// requests to finish once intake has stopped, and drainTimeout how long
+// it then waits for accepted feed URLs to be scored and persisted.
+const (
+	shutdownTimeout = 15 * time.Second
+	drainTimeout    = 30 * time.Second
+)
 
 // Config describes one process. Every field is what a kpserve flag of
 // the same meaning sets; zero values take the owning package's default
@@ -81,13 +81,9 @@ type Config struct {
 	StoreSync bool
 
 	// The feed scheduler runs when there is a store and the model source
-	// has a crawl source (the synthetic world).
-	FeedWorkers int
-	FeedQueue   int
-	DomainRate  float64
-	// DrainTimeout is the most Close waits for accepted feed URLs to be
-	// scored and persisted (0 → DefaultDrainTimeout).
-	DrainTimeout time.Duration
+	// has a crawl source (the synthetic world), on feed's default queue
+	// depth and worker count.
+	DomainRate float64
 
 	// Logger receives every subsystem's structured logs (nil → discard).
 	Logger *slog.Logger
@@ -110,7 +106,6 @@ type App struct {
 
 	logger    *slog.Logger
 	http      *http.Server
-	drain     time.Duration
 	stopTick  func()
 	closeOnce sync.Once
 	closeErr  error
@@ -121,12 +116,9 @@ type App struct {
 // The caller serves HTTP with Serve and ends the process with Close. On
 // error, whatever was already built has been closed again.
 func Start(cfg Config) (_ *App, err error) {
-	a := &App{logger: cfg.Logger, drain: cfg.DrainTimeout}
+	a := &App{logger: cfg.Logger}
 	if a.logger == nil {
 		a.logger = obs.NopLogger()
-	}
-	if a.drain <= 0 {
-		a.drain = DefaultDrainTimeout
 	}
 	defer func() {
 		if err != nil {
@@ -134,9 +126,8 @@ func Start(cfg Config) (_ *App, err error) {
 		}
 	}()
 
-	// The SLO engine and the event journal come before the tracer, which
-	// may take its slow threshold from them.
-	journal := obs.NewJournal(0)
+	// The SLO engine comes before the tracer, which may take its slow
+	// threshold from it.
 	var eng *slo.Engine
 	if len(cfg.SLO) > 0 {
 		objs, err := slo.ParseObjectives(cfg.SLO)
@@ -146,7 +137,6 @@ func Start(cfg Config) (_ *App, err error) {
 		eng = slo.New(slo.Config{
 			Objectives: objs,
 			FastWindow: cfg.SLOFast,
-			Journal:    journal,
 		})
 	}
 	// Zero (no latency objective) takes obs.DefaultSlowThreshold.
@@ -211,7 +201,6 @@ func Start(cfg Config) (_ *App, err error) {
 		Tracer:          tracer,
 		Logger:          a.logger,
 		SLO:             eng,
-		Journal:         journal,
 	})
 	if err != nil {
 		return nil, err
@@ -237,7 +226,7 @@ func Start(cfg Config) (_ *App, err error) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			eng.Run(ctx, 0)
+			eng.Run(ctx)
 		}()
 		a.stopTick = func() { cancel(); <-done }
 	}
@@ -252,8 +241,6 @@ func (a *App) startFeed(cfg Config, m World, identifier *target.Identifier, coal
 		Fetcher:    m.Fetcher,
 		Pipeline:   &core.Pipeline{Detector: m.Detector, Identifier: identifier},
 		Store:      a.Store,
-		Workers:    cfg.FeedWorkers,
-		QueueDepth: cfg.FeedQueue,
 		DomainRate: cfg.DomainRate,
 		Tracer:     tracer,
 		Logger:     a.logger,
@@ -277,7 +264,7 @@ func (a *App) Serve(ln net.Listener) error {
 // Close takes the process down in dependency order: HTTP intake stops
 // and in-flight requests finish, so no new URLs arrive; the SLO tick
 // stops; the feed drains — every accepted URL is scored and persisted,
-// or counted dropped after DrainTimeout; and only then the store takes
+// or counted dropped after drainTimeout; and only then the store takes
 // its final sync and closes. It returns what failed — a store that could
 // not flush is an error the process must exit non-zero on. Later calls return the first call's result.
 func (a *App) Close() error {
@@ -303,7 +290,7 @@ func (a *App) close() error {
 		a.stopTick()
 	}
 	if a.Feed != nil {
-		dropped := a.Feed.Drain(time.Now().Add(a.drain))
+		dropped := a.Feed.Drain(time.Now().Add(drainTimeout))
 		fs := a.Feed.Stats()
 		a.logger.Info("feed drained", "processed", fs.Processed, "failed", fs.Failed, "dropped", dropped)
 	}

@@ -123,7 +123,7 @@ func TestFeedAndHTTPShareOneIdentifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := TrainDemo(corpus, seed)
+	det, err := TrainDemo(corpus, seed, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

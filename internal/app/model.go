@@ -38,12 +38,13 @@ func BuildCorpus(scale int, seed int64) (*dataset.Corpus, error) {
 }
 
 // TrainDemo fits the demo detector — the fixed recipe of every
-// self-trained server — on the corpus training campaigns.
-func TrainDemo(corpus *dataset.Corpus, seed int64) (*core.Detector, error) {
+// self-trained server and of kptrain, trees boosting rounds deep — on
+// the corpus training campaigns.
+func TrainDemo(corpus *dataset.Corpus, seed int64, trees int) (*core.Detector, error) {
 	snaps := append(corpus.LegTrain.Snapshots(), corpus.PhishTrain.Snapshots()...)
 	labels := append(corpus.LegTrain.Labels(), corpus.PhishTrain.Labels()...)
 	return core.Train(snaps, labels, core.TrainConfig{
-		GBM:  ml.GBMConfig{Trees: 100, MaxDepth: 4, Subsample: 0.8, MinLeaf: 5, Seed: seed + 2},
+		GBM:  ml.GBMConfig{Trees: trees, MaxDepth: 4, Subsample: 0.8, MinLeaf: 5, Seed: seed + 2},
 		Rank: corpus.World.Ranking(),
 	})
 }
@@ -63,7 +64,7 @@ func loadWorld(cfg Config, logger *slog.Logger) (World, error) {
 	if err != nil {
 		return World{}, err
 	}
-	det, err := TrainDemo(corpus, cfg.Seed)
+	det, err := TrainDemo(corpus, cfg.Seed, 100)
 	return World{Detector: det, Engine: corpus.Engine, Fetcher: corpus.World}, err
 }
 

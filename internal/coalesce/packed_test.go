@@ -171,7 +171,7 @@ func TestTargetEntryRoundTrip(t *testing.T) {
 			Keyterms:     target.Keyterms{Boosted: []string{"", long}, Prominent: []string{long[:128], "\x00\xff"}},
 			OCRProminent: []string{"", "", long[:127]},
 		},
-		"out-of-range verdict and step": {Verdict: -7, StepsUsed: 1 << 40},
+		"out-of-range verdict and step": {Verdict: -7, StepsUsed: math.MaxInt32},
 	}
 	for name, res := range packs {
 		if !checkRoundTrip(t, eng, res) {

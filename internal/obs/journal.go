@@ -6,20 +6,16 @@ import (
 )
 
 // Journal is a fixed-size ring of structured operational events — the
-// flight recorder behind GET /debug/events. Subsystems record the
-// moments an operator asks "what happened around then": SLO state
-// transitions, shed episodes starting and ending. Recording is off
-// every hot path
-// (events are rare by definition), so a mutex and per-event allocation
-// are fine here in a package otherwise built from atomics.
+// flight recorder behind GET /debug/events. The SLO engine, which owns
+// it, records the moments an operator asks "what happened around then":
+// state transitions, shed episodes starting and ending. Recording is off
+// every hot path (events are rare by definition), so a mutex and
+// per-event allocation are fine here in a package otherwise built from
+// atomics.
 //
-// All methods are nil-receiver safe: subsystems take an optional
-// *Journal and call Record unconditionally.
+// All methods are nil-receiver safe, so a missing journal reads as an
+// empty one.
 type Journal struct {
-	// Clock is the event timestamp source, for deterministic tests.
-	// Set it before the first Record; nil means time.Now.
-	Clock func() time.Time
-
 	mu    sync.Mutex
 	ring  []Event
 	total uint64
@@ -34,21 +30,19 @@ type Event struct {
 	Fields map[string]string `json:"fields,omitempty"`
 }
 
-// DefaultJournalSize is the event retention when NewJournal is given a
-// non-positive size.
+// DefaultJournalSize is the journal's event retention.
 const DefaultJournalSize = 256
 
-// NewJournal builds a journal retaining the last size events.
-func NewJournal(size int) *Journal {
-	if size <= 0 {
-		size = DefaultJournalSize
-	}
-	return &Journal{ring: make([]Event, size)}
+// NewJournal builds a journal retaining the last DefaultJournalSize
+// events.
+func NewJournal() *Journal {
+	return &Journal{ring: make([]Event, DefaultJournalSize)}
 }
 
-// Record appends one event. kv lists alternating key/value strings; a
-// trailing key without a value is dropped. Nil-safe no-op.
-func (j *Journal) Record(typ, msg string, kv ...string) {
+// Record appends one event stamped now, the recorder's clock reading.
+// kv lists alternating key/value strings; a trailing key without a
+// value is dropped. Nil-safe no-op.
+func (j *Journal) Record(now time.Time, typ, msg string, kv ...string) {
 	if j == nil {
 		return
 	}
@@ -59,11 +53,7 @@ func (j *Journal) Record(typ, msg string, kv ...string) {
 			fields[kv[i]] = kv[i+1]
 		}
 	}
-	now := time.Now
-	if j.Clock != nil {
-		now = j.Clock
-	}
-	ev := Event{Time: now(), Type: typ, Msg: msg, Fields: fields}
+	ev := Event{Time: now, Type: typ, Msg: msg, Fields: fields}
 	j.mu.Lock()
 	j.total++
 	ev.Seq = j.total

@@ -597,26 +597,31 @@ func TestWindowedCounter(t *testing.T) {
 
 func TestJournal(t *testing.T) {
 	clk := newFakeClock(windowT0)
-	j := NewJournal(4)
-	j.Clock = clk.Now
+	j := NewJournal()
 
-	for i := 0; i < 6; i++ {
-		j.Record("slo_transition", "state change", "objective", "score", "idx", string(rune('a'+i)))
+	const n = DefaultJournalSize + 2
+	for i := 0; i < n; i++ {
+		j.Record(clk.Now(), "slo_transition", "state change", "objective", "score", "idx", string(rune('a'+i%26)))
 		clk.Advance(time.Second)
 	}
 	evs := j.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4 (ring size)", len(evs))
+	if len(evs) != DefaultJournalSize {
+		t.Fatalf("retained %d events, want %d (ring size)", len(evs), DefaultJournalSize)
 	}
-	if j.Total() != 6 {
-		t.Errorf("total = %d, want 6", j.Total())
+	if j.Total() != n {
+		t.Errorf("total = %d, want %d", j.Total(), n)
 	}
-	// Newest first, sequence numbers preserved across eviction.
-	if evs[0].Seq != 6 || evs[3].Seq != 3 {
-		t.Errorf("seqs = %d..%d, want 6..3", evs[0].Seq, evs[3].Seq)
+	// Newest first, sequence numbers preserved across eviction, each
+	// event stamped with the time its recorder passed.
+	last := evs[len(evs)-1]
+	if evs[0].Seq != n || last.Seq != 3 {
+		t.Errorf("seqs = %d..%d, want %d..3", evs[0].Seq, last.Seq, n)
 	}
-	if !evs[0].Time.After(evs[3].Time) {
-		t.Errorf("events not newest-first: %v vs %v", evs[0].Time, evs[3].Time)
+	if want := windowT0.Add((n - 1) * time.Second); !evs[0].Time.Equal(want) {
+		t.Errorf("newest event time = %v, want %v", evs[0].Time, want)
+	}
+	if !evs[0].Time.After(last.Time) {
+		t.Errorf("events not newest-first: %v vs %v", evs[0].Time, last.Time)
 	}
 	if evs[0].Fields["objective"] != "score" {
 		t.Errorf("fields = %v", evs[0].Fields)
@@ -624,7 +629,7 @@ func TestJournal(t *testing.T) {
 
 	// Nil safety: a subsystem with no journal records into the void.
 	var nilJ *Journal
-	nilJ.Record("x", "y")
+	nilJ.Record(windowT0, "x", "y")
 	if got := nilJ.Events(); len(got) != 0 {
 		t.Errorf("nil journal events = %v", got)
 	}

@@ -1,8 +1,10 @@
 // End-to-end acceptance: a live kpserve-shaped server (real HTTP
 // listener, feed pipeline, verdict store) while the loadgen harness
 // drives POST /v1/feed at a target rate. The test asserts the two load
-// invariants the feed promises: the target rate is sustained, and no
-// accepted URL is lost between the scheduler and the verdict store.
+// invariants the feed promises: the server keeps pace with the
+// generator (every arrival answered, none refused for a full queue),
+// and no accepted URL is lost between the scheduler and the verdict
+// store. Neither check reads a clock; `make load-smoke` reports the rate.
 //
 // This lives in an external test package: loadgen imports serve for
 // the wire types, so an in-package test would be an import cycle.
@@ -101,24 +103,29 @@ func TestLoadEndToEnd(t *testing.T) {
 		corpus = append(corpus, c.World.BrandSiteURLs(b)...)
 	}
 
-	const targetQPS = 100.0
-	rep, err := loadgen.Run(context.Background(), loadgen.Config{
+	// Two seconds of arrivals at 100 URL/s, as a budget rather than a
+	// deadline: no request is cut off by the end of the run, so every
+	// one the generator issues must come back answered.
+	const arrivals = 200
+	ctx, cancel := context.WithCancel(context.Background())
+	rep, err := loadgen.Run(ctx, loadgen.Config{
 		TargetURL: ts.URL,
 		Corpus:    corpus,
-		QPS:       targetQPS,
+		QPS:       100,
 		Workers:   4,
-		Duration:  2 * time.Second,
+		Requests:  arrivals,
 	})
+	cancel() // stops the pacer, which a budgeted run leaves ticking
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sustained ≥ target with a pacing allowance: the first arrival
-	// waits one tick, so a 2s window carries 199 of 200 arrivals.
-	if rep.SustainedQPS < 0.9*targetQPS {
-		t.Fatalf("sustained %.1f URL/s, want ≥ %.1f (target %.0f)", rep.SustainedQPS, 0.9*targetQPS, targetQPS)
+	t.Logf("sustained %.1f URL/s over %d arrivals", rep.SustainedQPS, arrivals)
+	if rep.Requests != arrivals || rep.Errors != 0 || rep.Shed != 0 {
+		t.Fatalf("issued %d arrivals: %d answered, %d errors, %d shed", arrivals, rep.Requests, rep.Errors, rep.Shed)
 	}
-	if rep.Errors > 0 {
-		t.Fatalf("load run saw %d request errors", rep.Errors)
+	// Keeping pace: intake never refused a URL for want of queue room.
+	if n := rep.Rejected["queue_full"]; n != 0 {
+		t.Fatalf("%d URLs rejected queue_full", n)
 	}
 
 	// Stop intake, drain, and check the zero-loss ledger: every
@@ -128,6 +135,9 @@ func TestLoadEndToEnd(t *testing.T) {
 		t.Fatalf("drain dropped %d accepted URLs", dropped)
 	}
 	fs := sched.Stats()
+	if fs.Accepted != rep.Accepted {
+		t.Fatalf("scheduler accepted %d URLs, the generator saw %d acks", fs.Accepted, rep.Accepted)
+	}
 	if fs.Accepted != fs.Processed+fs.Failed {
 		t.Fatalf("verdict loss: accepted %d != processed %d + failed %d", fs.Accepted, fs.Processed, fs.Failed)
 	}

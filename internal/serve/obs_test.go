@@ -408,15 +408,13 @@ func fullSurfaceServer(t *testing.T, n int) *Server {
 	if err != nil {
 		t.Fatalf("slo.ParseObjectives: %v", err)
 	}
-	journal := obs.NewJournal(0)
 	s, err := New(Config{
 		Detector:   d,
 		Identifier: target.New(c.Engine),
 		Feed:       sched,
 		Store:      st,
 		Tracer:     obs.NewTracer(obs.Config{}),
-		SLO:        slo.New(slo.Config{Objectives: objs, Journal: journal}),
-		Journal:    journal,
+		SLO:        slo.New(slo.Config{Objectives: objs}),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

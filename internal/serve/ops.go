@@ -139,9 +139,10 @@ type eventsResponse struct {
 	Total  uint64      `json:"total"`
 }
 
-// handleDebugEvents serves the operational event journal: SLO
-// transitions and shed-level changes. Without a journal it answers an
+// handleDebugEvents serves the SLO engine's event journal: state
+// transitions and shed-level changes. Without an engine it answers an
 // empty document rather than 404.
 func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
-	s.reply(w, http.StatusOK, eventsResponse{Events: s.cfg.Journal.Events(), Total: s.cfg.Journal.Total()})
+	j := s.cfg.SLO.Journal()
+	s.reply(w, http.StatusOK, eventsResponse{Events: j.Events(), Total: j.Total()})
 }

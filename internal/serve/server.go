@@ -131,11 +131,9 @@ type Config struct {
 	// SLI events, drives the ok/warn/page state at GET /debug/slo and
 	// /healthz, and its shed level powers the adaptive admission
 	// controller (optional; nil disables SLO tracking and shedding).
-	// The caller owns ticking it (slo.Engine.Run).
+	// The caller owns ticking it (slo.Engine.Run). Its event journal is
+	// what GET /debug/events serves.
 	SLO *slo.Engine
-	// Journal is the operational event ring served at GET /debug/events
-	// (optional; without it the endpoint answers an empty document).
-	Journal *obs.Journal
 	// Clock feeds the windowed per-endpoint histograms, for
 	// deterministic tests (nil → time.Now).
 	Clock func() time.Time

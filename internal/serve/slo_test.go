@@ -37,25 +37,21 @@ func sloServer(t *testing.T, clock *sloClock, specs ...string) (*Server, *slo.En
 	if err != nil {
 		t.Fatalf("ParseObjectives: %v", err)
 	}
-	journal := obs.NewJournal(0)
-	journal.Clock = clock.Now
 	eng := slo.New(slo.Config{
 		Objectives: objs,
 		FastWindow: 10 * time.Second,
 		Clock:      clock.Now,
-		Journal:    journal,
 	})
 	s, err := New(Config{
 		Detector:   d,
 		Identifier: target.New(c.Engine),
 		SLO:        eng,
-		Journal:    journal,
 		Clock:      clock.Now,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	return s, eng, journal
+	return s, eng, eng.Journal()
 }
 
 // drive feeds n SLI events for endpoint into the engine.
@@ -223,6 +219,12 @@ func TestNoSLOEngine(t *testing.T) {
 	}
 	if len(events.Events) != 0 || events.Total != 0 {
 		t.Errorf("/debug/events = %+v, want empty", events)
+	}
+	// The same bytes as an armed engine that has recorded nothing yet.
+	armed, _, _ := sloServer(t, newSLOClock(), "score:avail>99")
+	none := rawCall(t, s, http.MethodGet, "/debug/events", nil, nil).Body.String()
+	if quiet := rawCall(t, armed, http.MethodGet, "/debug/events", nil, nil).Body.String(); none != quiet {
+		t.Errorf("/debug/events without an engine = %q, with a quiet one = %q", none, quiet)
 	}
 	var health HealthResponse
 	call(t, s, http.MethodGet, "/healthz", nil, &health)

@@ -236,9 +236,6 @@ type Config struct {
 	// Clock is the time source, for deterministic tests (nil →
 	// time.Now).
 	Clock func() time.Time
-	// Journal, when set, records state transitions and shed-level
-	// changes.
-	Journal *obs.Journal
 }
 
 // tracked is one objective plus its live SLI counters and state.
@@ -267,6 +264,9 @@ type Engine struct {
 	holdDown   time.Duration // 2/5 × FastWindow
 	clock      func() time.Time
 	objs       []*tracked
+	// journal records state transitions and shed-level changes, stamped
+	// with the tick's clock reading.
+	journal *obs.Journal
 
 	// shedLevel is atomic, not under mu: the admission controller
 	// loads it on every request.
@@ -291,7 +291,7 @@ func New(cfg Config) *Engine {
 	if clock == nil {
 		clock = time.Now
 	}
-	e := &Engine{cfg: cfg, slowWindow: 12 * cfg.FastWindow, holdDown: cfg.FastWindow * 2 / 5, clock: clock}
+	e := &Engine{cfg: cfg, slowWindow: 12 * cfg.FastWindow, holdDown: cfg.FastWindow * 2 / 5, clock: clock, journal: obs.NewJournal()}
 	// Slot resolution: fine enough that the fast window spans several
 	// slots (burn reacts within a fraction of the window), floored at
 	// 1 s by the counter itself.
@@ -424,7 +424,7 @@ func (e *Engine) Tick() {
 		}
 		t.mu.Unlock()
 		if cur != prev {
-			e.cfg.Journal.Record("slo_transition", "slo "+t.obj.Name+" "+prev.String()+" -> "+cur.String(),
+			e.journal.Record(now, "slo_transition", "slo "+t.obj.Name+" "+prev.String()+" -> "+cur.String(),
 				"objective", t.obj.Name,
 				"from", prev.String(),
 				"to", cur.String(),
@@ -465,7 +465,7 @@ func (e *Engine) Tick() {
 	e.shedLevel.Store(curShed)
 	e.mu.Unlock()
 	if curShed != prevShed {
-		e.cfg.Journal.Record("shed_level", "admission shed level "+strconv.Itoa(int(prevShed))+" -> "+strconv.Itoa(int(curShed)),
+		e.journal.Record(now, "shed_level", "admission shed level "+strconv.Itoa(int(prevShed))+" -> "+strconv.Itoa(int(curShed)),
 			"from", strconv.Itoa(int(prevShed)),
 			"to", strconv.Itoa(int(curShed)),
 			"max_fast_burn", strconv.FormatFloat(maxFastBurn, 'f', 2, 64),
@@ -473,16 +473,13 @@ func (e *Engine) Tick() {
 	}
 }
 
-// Run ticks the engine until ctx is done. interval <= 0 defaults to
-// 1 s. Nil-safe no-op (returns immediately).
-func (e *Engine) Run(ctx context.Context, interval time.Duration) {
+// Run ticks the engine once a second until ctx is done. Nil-safe no-op
+// (returns immediately).
+func (e *Engine) Run(ctx context.Context) {
 	if e == nil {
 		return
 	}
-	if interval <= 0 {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(time.Second)
 	defer t.Stop()
 	for {
 		select {
@@ -492,6 +489,16 @@ func (e *Engine) Run(ctx context.Context, interval time.Duration) {
 			e.Tick()
 		}
 	}
+}
+
+// Journal returns the event journal the engine records its state
+// transitions and shed-level changes into, served at GET /debug/events.
+// Nil-safe (nil, which reads as an empty journal).
+func (e *Engine) Journal() *obs.Journal {
+	if e == nil {
+		return nil
+	}
+	return e.journal
 }
 
 // State returns the worst objective state as of the last Tick.

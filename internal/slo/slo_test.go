@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"knowphish/internal/obs"
 	"knowphish/internal/racecheck"
 )
 
@@ -90,7 +89,7 @@ func (c *testClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
 
 // testEngine builds an engine with short windows and an injected
 // clock: fast 10s, so slow 120s and hold-down 4s.
-func testEngine(t *testing.T, j *obs.Journal, specs ...string) (*Engine, *testClock) {
+func testEngine(t *testing.T, specs ...string) (*Engine, *testClock) {
 	t.Helper()
 	if len(specs) == 0 {
 		specs = []string{"score:p99<100ms,avail>99"}
@@ -104,7 +103,6 @@ func testEngine(t *testing.T, j *obs.Journal, specs ...string) (*Engine, *testCl
 		Objectives: objs,
 		FastWindow: 10 * time.Second,
 		Clock:      clk.Now,
-		Journal:    j,
 	})
 	if e == nil {
 		t.Fatal("New returned nil with objectives")
@@ -125,7 +123,7 @@ func drive(e *Engine, clk *testClock, seconds int, perSec int, dur time.Duration
 }
 
 func TestEngineStaysOKUnderGoodTraffic(t *testing.T) {
-	e, clk := testEngine(t, nil)
+	e, clk := testEngine(t)
 	drive(e, clk, 30, 20, 10*time.Millisecond, false)
 	if got := e.State(); got != StateOK {
 		t.Errorf("state under good traffic = %v, want ok", got)
@@ -140,9 +138,8 @@ func TestEngineStaysOKUnderGoodTraffic(t *testing.T) {
 }
 
 func TestEnginePagesAndRecovers(t *testing.T) {
-	j := obs.NewJournal(32)
-	e, clk := testEngine(t, j)
-	j.Clock = clk.Now
+	e, clk := testEngine(t)
+	j := e.Journal()
 
 	// Healthy baseline.
 	drive(e, clk, 15, 20, 10*time.Millisecond, false)
@@ -176,9 +173,12 @@ func TestEnginePagesAndRecovers(t *testing.T) {
 		t.Errorf("shed level after recovery = %d, want 0", got)
 	}
 
-	// The journal saw both transitions.
+	// The journal saw both transitions, stamped by the engine's clock.
 	var sawPage, sawRecover, sawShed bool
 	for _, ev := range j.Events() {
+		if ev.Time.After(clk.Now()) {
+			t.Errorf("event %q stamped %v, after the engine clock's %v", ev.Msg, ev.Time, clk.Now())
+		}
 		if ev.Type == "slo_transition" && ev.Fields["to"] == "page" {
 			sawPage = true
 		}
@@ -198,7 +198,7 @@ func TestEnginePagesAndRecovers(t *testing.T) {
 // TestEngineFastBlipDoesNotPage: a burst shorter than the slow
 // window's significance bar must not page (multi-window condition).
 func TestEngineFastBlipDoesNotPage(t *testing.T) {
-	e, clk := testEngine(t, nil)
+	e, clk := testEngine(t)
 	// 50s of healthy traffic fills the slow window with good events.
 	drive(e, clk, 50, 50, 10*time.Millisecond, false)
 	// A 2-second blip of slow requests: the fast window burns hot but
@@ -211,7 +211,7 @@ func TestEngineFastBlipDoesNotPage(t *testing.T) {
 }
 
 func TestEngineAvailabilityObjective(t *testing.T) {
-	e, clk := testEngine(t, nil, "score:avail>99")
+	e, clk := testEngine(t, "score:avail>99")
 	// 100% failures: avail burn = 1/0.01 = 100×.
 	drive(e, clk, 20, 20, time.Millisecond, true)
 	if got := e.State(); got != StatePage {
@@ -227,7 +227,7 @@ func TestEngineAvailabilityObjective(t *testing.T) {
 }
 
 func TestEngineWarnState(t *testing.T) {
-	e, clk := testEngine(t, nil, "score:avail>99")
+	e, clk := testEngine(t, "score:avail>99")
 	// 8% failures: burn = 0.08/0.01 = 8× — above warn (6), below page
 	// (14.4).
 	for s := 0; s < 70; s++ {
@@ -247,7 +247,7 @@ func TestEngineWarnState(t *testing.T) {
 }
 
 func TestEngineEndpointMatching(t *testing.T) {
-	e, clk := testEngine(t, nil, "score:avail>99", "*:avail>90")
+	e, clk := testEngine(t, "score:avail>99", "*:avail>90")
 	// Failures on "feed" must burn the wildcard objective only.
 	drive(e, clk, 20, 0, 0, false) // warm the clock/ticks
 	for s := 0; s < 20; s++ {
@@ -273,7 +273,7 @@ func TestEngineEndpointMatching(t *testing.T) {
 }
 
 func TestMinLatencyTarget(t *testing.T) {
-	e, _ := testEngine(t, nil, "score:p99<250ms,p999<1s", "batch:p99<50ms")
+	e, _ := testEngine(t, "score:p99<250ms,p999<1s", "batch:p99<50ms")
 	d, name := e.MinLatencyTarget()
 	if d != 50*time.Millisecond || name != "batch:p99<50ms" {
 		t.Errorf("MinLatencyTarget = %v %q", d, name)
@@ -297,10 +297,13 @@ func TestEngineNilSafe(t *testing.T) {
 	if d, _ := e.MinLatencyTarget(); d != 0 {
 		t.Error("nil MinLatencyTarget != 0")
 	}
+	if j := e.Journal(); j != nil || len(j.Events()) != 0 || j.Total() != 0 {
+		t.Error("nil engine's journal not empty")
+	}
 }
 
 func TestStatusDocument(t *testing.T) {
-	e, clk := testEngine(t, nil)
+	e, clk := testEngine(t)
 	drive(e, clk, 5, 10, time.Millisecond, false)
 	st := e.Status()
 	if st.FastWindowMS != 10_000 || st.SlowWindowMS != 120_000 || st.HoldDownMS != 4_000 {
@@ -352,7 +355,7 @@ func TestObserveAllocs(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts are unreliable under -race")
 	}
-	e, _ := testEngine(t, nil)
+	e, _ := testEngine(t)
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.Observe("score", 5*time.Millisecond, false)
 	})

@@ -301,17 +301,19 @@ func FuzzReplaySegment(f *testing.F) {
 			if len(rest) < frameHeader {
 				break
 			}
-			n := int(binary.LittleEndian.Uint32(rest))
-			if n > maxFramePayload || n > len(rest)-frameHeader {
+			// In int64, as readFrameAt reads it: a 4 GiB length is
+			// negative as a 32-bit int.
+			n := int64(binary.LittleEndian.Uint32(rest))
+			if n > maxFramePayload || n > int64(len(rest)-frameHeader) {
 				break
 			}
-			payload := rest[frameHeader : frameHeader+n]
+			payload := rest[frameHeader : frameHeader+int(n)]
 			var r Record
 			if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rest[4:]) || json.Unmarshal(payload, &r) != nil {
 				break
 			}
 			want.note(r.Seq)
-			wantGood += frameHeader + n
+			wantGood += frameHeader + int(n)
 		}
 
 		br := boundedReader{t, seg}
