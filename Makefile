@@ -126,15 +126,18 @@ staticcheck:
 # BASE=<ref>) and the working tree, in alternating rounds; see
 # scripts/bench_compare.sh. Prints the delta table and writes
 # BENCH_PR.json (both sides' medians, quartiles and rounds, the ratio
-# and the host line), which CI uploads from every run. Defaults to the
+# and the host line), which CI uploads from every run. Every benchmark
+# runs COUNT rounds (default 3); nothing is re-measured. Defaults to the
 # key-benchmark set so local runs and the CI gate measure the same
 # thing; BASE=HEAD measures the working tree against its own commit.
 bench-compare:
 	BENCH="$(BENCH)" ./scripts/bench_compare.sh $(BASE)
 
-# bench-compare with the regression gate armed: exits nonzero when a
-# key benchmark regresses more than 15% in ns/op or allocs/op versus
-# the base ref. This is the perf job CI requires on every PR.
+# bench-compare with the regression gate armed: a key benchmark arm
+# past 7.5% in ns/op or allocs/op on its COUNT rounds gets a second look
+# of 2 × COUNT fresh rounds, and the gate exits nonzero when those
+# regress more than 15% versus the base ref. This is the perf job CI
+# requires on every PR.
 bench-gate:
 	BENCH="$(BENCH)" GATE=1 ./scripts/bench_compare.sh $(BASE)
 

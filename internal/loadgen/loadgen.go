@@ -261,13 +261,17 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	if cfg.Endpoint == "score" {
 		r.pageHTML = buildScorePage()
 	}
+	// The run ends on return: a budgeted run's pacer stops with its
+	// workers, and the transport's idle connections close.
+	var cancel context.CancelFunc
 	if cfg.Requests > 0 {
 		r.budget.Store(int64(cfg.Requests))
+		ctx, cancel = context.WithCancel(ctx)
 	} else {
-		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.Duration)
-		defer cancel()
 	}
+	defer cancel()
+	defer tr.CloseIdleConnections()
 
 	// Open loop: a pacer goroutine emits each arrival's due time at the
 	// target rate into a bounded queue (one second of arrivals); workers

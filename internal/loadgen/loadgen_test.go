@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -205,6 +206,31 @@ func TestQPSOutOfRange(t *testing.T) {
 		})
 		if err == nil {
 			t.Errorf("QPS %v: Run accepted it", qps)
+		}
+	}
+}
+
+// TestBudgetedOpenLoopLeavesNothingRunning: a budgeted open-loop run
+// on a context that never ends stops its pacer when Run returns, and
+// closes its transport's idle connections. Both exit asynchronously, so
+// the test polls a goroutine dump for up to five seconds.
+func TestBudgetedOpenLoopLeavesNothingRunning(t *testing.T) {
+	srv, _ := stubServer(t, 0, 0)
+	if _, err := Run(context.Background(), Config{
+		TargetURL: srv.URL, Corpus: []string{"http://a.test/"},
+		QPS: 1000, Requests: 5, Workers: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		dump := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(dump, "created by knowphish/internal/loadgen.Run") &&
+			!strings.Contains(dump, "net/http.(*persistConn)") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pacer or client connections still running after Run returned:\n%s", dump)
 		}
 	}
 }

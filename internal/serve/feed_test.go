@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"net/http"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -19,12 +18,12 @@ import (
 )
 
 // feedServer assembles a server with the full ingestion pipeline wired
-// in: a store in a temp dir and a scheduler crawling the synthetic
-// world plus any extra sites.
-func feedServer(t *testing.T, extra []crawl.Fetcher, mutate func(*feed.Config)) (*Server, *feed.Scheduler, store.Backend) {
+// in: a store in dir and a scheduler crawling the synthetic world plus
+// any extra sites.
+func feedServer(t *testing.T, dir string, extra []crawl.Fetcher, mutate func(*feed.Config)) (*Server, *feed.Scheduler, store.Backend) {
 	t.Helper()
 	c, d := fixtures(t)
-	st, err := store.Open(store.Config{Path: filepath.Join(t.TempDir(), "verdicts")})
+	st, err := store.Open(store.Config{Path: dir})
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
 	}
@@ -62,7 +61,8 @@ func TestFeedEndToEnd(t *testing.T) {
 	c, _ := fixtures(t)
 	rng := rand.New(rand.NewSource(9))
 	site := c.World.NewPhishSite(rng, c.World.RandomPhishOptions(rng))
-	s, sched, st := feedServer(t, []crawl.Fetcher{site}, nil)
+	dir := t.TempDir()
+	s, sched, st := feedServer(t, dir, []crawl.Fetcher{site}, nil)
 
 	var fr FeedResponse
 	code := call(t, s, http.MethodPost, "/v1/feed", FeedRequest{URLs: []string{site.StartURL}}, &fr)
@@ -119,7 +119,7 @@ func TestFeedEndToEnd(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	reopened, err := store.Open(store.Config{Path: st.Path()})
+	reopened, err := store.Open(store.Config{Path: dir})
 	if err != nil {
 		t.Fatalf("reopening the store: %v", err)
 	}
@@ -155,7 +155,7 @@ func TestFeedEndpointRejections(t *testing.T) {
 	// The one worker is held inside a fetch for the whole call, so the
 	// depth-1 queue fills and stays full: every result is determined.
 	held := &heldFetcher{url: "http://held.test/", entered: make(chan struct{}), release: make(chan struct{})}
-	s, sched, _ := feedServer(t, []crawl.Fetcher{held}, func(cfg *feed.Config) {
+	s, sched, _ := feedServer(t, t.TempDir(), []crawl.Fetcher{held}, func(cfg *feed.Config) {
 		cfg.Workers = 1
 		cfg.QueueDepth = 1
 	})
@@ -217,7 +217,7 @@ func TestFeedAndVerdictsUnconfigured(t *testing.T) {
 }
 
 func TestVerdictsQueryValidation(t *testing.T) {
-	s, _, st := feedServer(t, nil, nil)
+	s, _, st := feedServer(t, t.TempDir(), nil, nil)
 	for _, bad := range []string{
 		"/v1/verdicts?since=yesterday",
 		"/v1/verdicts?phish_only=perhaps",
@@ -252,7 +252,7 @@ func TestVerdictsQueryValidation(t *testing.T) {
 // contract across the whole surface, including the feed endpoints:
 // cheap rejections must not drag the scoring percentiles toward zero.
 func TestErrorResponsesExcludedFromLatency(t *testing.T) {
-	s, _, _ := feedServer(t, nil, nil)
+	s, _, _ := feedServer(t, t.TempDir(), nil, nil)
 	bad := []struct {
 		method, path string
 		body         any

@@ -279,7 +279,7 @@ func TestCloakingIsTwoPages(t *testing.T) {
 		{URL: url, HTML: "<title>Sign in</title><body><form><input name=user><input type=password name=pass></form> verify your account</body>"},
 		{URL: url, HTML: "<title>Garden notes</title><body>tomatoes want sun and water</body>"},
 	}}
-	s, sched, _ := feedServer(t, []crawl.Fetcher{site}, nil)
+	s, sched, _ := feedServer(t, t.TempDir(), []crawl.Fetcher{site}, nil)
 
 	score := func(shown int, hdr map[string]string) (V2ScoreResponse, *httptest.ResponseRecorder) {
 		t.Helper()
@@ -373,7 +373,7 @@ func TestFingerprintSpelledWhereRendered(t *testing.T) {
 		legitURL: "<title>Garden notes</title><body>tomatoes want sun and water</body>",
 	}
 	var s *Server
-	s, sched, _ := feedServer(t, []crawl.Fetcher{site}, func(fc *feed.Config) {
+	s, sched, _ := feedServer(t, t.TempDir(), []crawl.Fetcher{site}, func(fc *feed.Config) {
 		fc.Score = func(ctx context.Context, pipe *core.Pipeline, req core.ScoreRequest) (core.Verdict, error) {
 			return s.coal.Do(ctx, pipe, req, coalesce.CacheDefault, nil)
 		}

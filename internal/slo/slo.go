@@ -408,18 +408,10 @@ func (e *Engine) Tick() {
 		t.fastGood, t.fastBad = fg, fb
 		t.slowGood, t.slowBad = sg, sb
 		prev := t.state
-		if target >= t.state {
-			t.lastHigh = now
-			if target > t.state {
-				t.state = target
-				t.since = now
-			}
-		} else if now.Sub(t.lastHigh) >= e.holdDown {
-			t.state = target
-			t.since = now
-		}
-		cur := t.state
+		cur := hold(prev, target, &t.lastHigh, now, e.holdDown)
 		if cur != prev {
+			t.state = cur
+			t.since = now
 			t.lastTrans++
 		}
 		t.mu.Unlock()
@@ -455,13 +447,7 @@ func (e *Engine) Tick() {
 	e.ticks++
 	e.worst = worst
 	prevShed := e.shedLevel.Load()
-	curShed := prevShed
-	if shedTarget >= prevShed {
-		e.shedHigh = now
-		curShed = shedTarget
-	} else if now.Sub(e.shedHigh) >= e.holdDown {
-		curShed = shedTarget
-	}
+	curShed := hold(prevShed, shedTarget, &e.shedHigh, now, e.holdDown)
 	e.shedLevel.Store(curShed)
 	e.mu.Unlock()
 	if curShed != prevShed {
@@ -471,6 +457,18 @@ func (e *Engine) Tick() {
 			"max_fast_burn", strconv.FormatFloat(maxFastBurn, 'f', 2, 64),
 		)
 	}
+}
+
+// hold is the engine's one hysteresis rule, for objective states and
+// the shed level: a level rises to target at once and falls to it only
+// holdDown after high, the last tick whose target was at or above it.
+func hold[L ~int32](cur, target L, high *time.Time, now time.Time, holdDown time.Duration) L {
+	if target >= cur {
+		*high = now
+	} else if now.Sub(*high) < holdDown {
+		return cur
+	}
+	return target
 }
 
 // Run ticks the engine once a second until ctx is done. Nil-safe no-op

@@ -650,8 +650,6 @@ func (s *segStore) Len() int {
 	return s.ix.live()
 }
 
-func (s *segStore) Path() string { return s.dir }
-
 func (s *segStore) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

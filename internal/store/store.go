@@ -282,8 +282,6 @@ type Backend interface {
 	Stats() Stats
 	// Len returns the number of live records.
 	Len() int
-	// Path locates the store on disk.
-	Path() string
 	// Close flushes and closes the store. Further appends fail.
 	Close() error
 }
