@@ -256,7 +256,7 @@ loc:
 
 # Size of the program's settable surface: exported fields of every
 # *Config struct under internal/, per package, and the flag counts of
-# `kpserve -h`, `kpload run -h`, `kptrain -h` and `kpgen -h`. Printed
+# `kpserve -h`, `kpload run -h` and `kptrain -h`. Printed
 # next to `make loc` in CI, not gated; "fewer knobs" criteria are read
 # off this command.
 config-surface:

@@ -10,16 +10,17 @@
 // Usage:
 //
 //	kpserve -addr :8080 -store verdicts/                     # demo + feed
-//	kpserve -addr :8080 -model model.json -ranking data/ranking.csv -index index.json
+//	kpserve -addr :8080 -model model/                        # kptrain -out model/
 //	kpserve -addr :8080 -deadline 250ms                      # bounded verdicts
 //	kpserve -addr :8080 -slo "score:p99<250ms,avail>99.9"    # error budgets + load shedding
-
-// The model comes from -model (artifacts written by kptrain and kpgen)
+//
+// The model comes from -model (the artifact directory kptrain writes)
 // or, without it, from a detector self-trained on the synthetic corpus,
 // a one-command demo. The process serves that one model until it exits;
-// to change the model, restart it with a new -model file. The synthetic
-// world doubles as the crawl source, so outside -model mode -store also
-// enables the feed pipeline (POST /v1/feed → crawl → score → persist).
+// to change the model, restart it with a new -model directory. The
+// synthetic world doubles as the crawl source, so outside -model mode
+// -store also enables the feed pipeline (POST /v1/feed → crawl → score
+// → persist).
 // Structured logs go to stderr; -debug-addr binds net/http/pprof on a
 // separate listener.
 //
@@ -115,13 +116,11 @@ func parseFlags(fs *flag.FlagSet, args []string) (app.Config, options, error) {
 	var cfg app.Config
 	var o options
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
-	fs.StringVar(&cfg.Model, "model", "", "detector JSON from kptrain (empty: train a fresh one)")
-	fs.StringVar(&cfg.Ranking, "ranking", "", "popularity list CSV from kpgen (optional)")
-	fs.StringVar(&cfg.Index, "index", "", "search index JSON (optional; required with -model for target identification)")
+	fs.StringVar(&cfg.Model, "model", "", "artifact directory from kptrain -out: model.json, ranking.csv, index.json (empty: train a fresh one)")
 	fs.IntVar(&cfg.Workers, "workers", 0, "batch fan-out cap (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.MemoEntries, "memo-size", coalesce.DefaultMemoEntries, "entries per content-addressed memo table, score and target: ~45 bytes per scored page plus ~0.23 KB per detector positive, whatever the page size (negative: no verdict reuse, every request computes every stage)")
 	fs.DurationVar(&cfg.Deadline, "deadline", 0, "default per-request scoring deadline (0 = none; requests may set their own deadline_ms)")
-	fs.IntVar(&cfg.Scale, "scale", 25, "corpus scale for the self-train path")
+	fs.IntVar(&cfg.Scale, "scale", app.DefaultScale, "corpus scale for the self-train path")
 	fs.Int64Var(&cfg.Seed, "seed", app.DefaultSeed, "seed for the self-train path")
 
 	fs.StringVar(&cfg.StorePath, "store", "", "verdict store directory (enables GET /v1/verdicts and /v2/verdicts; with the self-train world, also POST /v1/feed)")

@@ -10,9 +10,7 @@ import (
 // nonDefault sets every kpserve flag to a value other than its default.
 var nonDefault = []string{
 	"-addr", ":9090",
-	"-model", "model.json",
-	"-ranking", "ranking.csv",
-	"-index", "index.json",
+	"-model", "model",
 	"-workers", "3",
 	"-memo-size", "99",
 	"-deadline", "250ms",

@@ -1,14 +1,17 @@
-// Command kptrain trains the phishing detection model on the synthetic
-// training campaigns (legTrain + phishTrain) and saves it as JSON, along
-// with a quick held-out evaluation.
+// Command kptrain builds the synthetic corpus, trains the phishing
+// detection model on its training campaigns (legTrain + phishTrain),
+// prints a quick held-out evaluation and writes the world's artifact
+// set: the model, the ranking list, the search index and the campaigns.
 //
 // Usage:
 //
-//	kptrain -model model.json -scale 10 -seed 1 -trees 120
+//	kptrain -out model/ -scale 25 -seed 1 -trees 100
 //
-// Training is deterministic for a fixed -seed: the same flags write the
-// same bytes. kpserve -model serves the file; to change the model a
-// server scores with, restart it on a new one.
+// Its defaults are the self-train recipe, so `kpserve -model model/`
+// serves what a self-trained kpserve of the same -scale and -seed
+// serves. Training is deterministic for a fixed -seed: the same flags
+// write the same bytes. To change the model a server scores with,
+// restart it on a new directory.
 package main
 
 import (
@@ -32,10 +35,10 @@ func main() {
 
 func run() error {
 	var (
-		modelPath = flag.String("model", "model.json", "output model path")
-		scale     = flag.Int("scale", 10, "corpus scale divisor")
-		seed      = flag.Int64("seed", 1, "generation and training seed")
-		trees     = flag.Int("trees", 120, "boosting rounds")
+		out   = flag.String("out", "model", "artifact directory: model.json, ranking.csv, index.json and one JSON file per campaign")
+		scale = flag.Int("scale", app.DefaultScale, "corpus scale divisor")
+		seed  = flag.Int64("seed", app.DefaultSeed, "generation and training seed")
+		trees = flag.Int("trees", app.DemoTrees, "boosting rounds")
 	)
 	flag.Parse()
 
@@ -80,17 +83,10 @@ func run() error {
 	fmt.Printf("held-out: precision=%.3f recall=%.3f fpr=%.4f auc=%.4f\n",
 		conf.Precision(), conf.Recall(), conf.FPR(), auc)
 
-	f, err := os.Create(*modelPath)
-	if err != nil {
+	if err := app.WriteArtifacts(*out, corpus, det); err != nil {
 		return err
 	}
-	if err := det.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("model written to %s\n", *modelPath)
+	fmt.Printf("artifacts written to %s (%d ranked domains, %d indexed documents)\n",
+		*out, corpus.World.Ranking().Len(), corpus.Engine.Len())
 	return nil
 }

@@ -35,10 +35,14 @@ import (
 	"knowphish/internal/target"
 )
 
-// DefaultSeed is kpserve's -seed default. kpload's -seed defaults to it
-// too, so the URLs kpload replays resolve in the world a default kpserve
-// crawls.
+// DefaultSeed is kpserve's and kptrain's -seed default. kpload's -seed
+// defaults to it too, so the URLs kpload replays resolve in the world a
+// default kpserve crawls.
 const DefaultSeed = 1
+
+// DefaultScale is kpserve's and kptrain's -scale default, the corpus
+// scale divisor of the self-train recipe.
+const DefaultScale = 25
 
 // shutdownTimeout bounds how long Close waits for in-flight HTTP
 // requests to finish once intake has stopped, and drainTimeout how long
@@ -53,16 +57,14 @@ const (
 // unless the field says otherwise.
 type Config struct {
 	// The model source, first match wins: a World the caller already
-	// holds; Model, a detector file from kptrain with its optional
-	// Ranking CSV and search Index; else the self-train recipe — build
-	// the synthetic corpus at Scale/Seed and fit the demo detector. The
-	// process serves that one detector until it exits.
-	World   *World
-	Model   string
-	Ranking string
-	Index   string
-	Scale   int
-	Seed    int64
+	// holds; Model, the artifact directory kptrain writes (see
+	// WriteArtifacts); else the self-train recipe — build the synthetic
+	// corpus at Scale/Seed and fit the demo detector. The process serves
+	// that one detector until it exits.
+	World *World
+	Model string
+	Scale int
+	Seed  int64
 
 	// Workers bounds concurrent pipeline executions (0 → GOMAXPROCS).
 	Workers int

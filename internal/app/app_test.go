@@ -123,7 +123,7 @@ func TestFeedAndHTTPShareOneIdentifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := TrainDemo(corpus, seed, 100)
+	det, err := TrainDemo(corpus, seed, DemoTrees)
 	if err != nil {
 		t.Fatal(err)
 	}

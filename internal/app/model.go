@@ -1,11 +1,12 @@
 package app
 
 import (
-	"errors"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
+	"path/filepath"
 
 	"knowphish/internal/core"
 	"knowphish/internal/crawl"
@@ -13,6 +14,7 @@ import (
 	"knowphish/internal/ml"
 	"knowphish/internal/ranking"
 	"knowphish/internal/search"
+	"knowphish/internal/webgen"
 )
 
 // World is a trained stack: the detector, the legitimate-web search
@@ -24,6 +26,10 @@ type World struct {
 	Engine   *search.Engine
 	Fetcher  crawl.Fetcher
 }
+
+// DemoTrees is the demo detector's boosting rounds: every self-trained
+// server's, and kptrain's default.
+const DemoTrees = 100
 
 // BuildCorpus generates the synthetic world and its campaigns — the
 // substrate of the self-train mode and of kptrain.
@@ -55,17 +61,73 @@ func loadWorld(cfg Config, logger *slog.Logger) (World, error) {
 	case cfg.World != nil:
 		return *cfg.World, nil
 	case cfg.Model != "":
-		return loadArtifacts(cfg.Model, cfg.Ranking, cfg.Index, logger)
-	case cfg.Ranking != "" || cfg.Index != "":
-		return World{}, errors.New("a ranking or index needs a model file; the self-train path would silently ignore them")
+		return loadArtifacts(cfg.Model)
 	}
 	logger.Info("no model given; self-training", "scale", cfg.Scale)
 	corpus, err := BuildCorpus(cfg.Scale, cfg.Seed)
 	if err != nil {
 		return World{}, err
 	}
-	det, err := TrainDemo(corpus, cfg.Seed, 100)
+	det, err := TrainDemo(corpus, cfg.Seed, DemoTrees)
 	return World{Detector: det, Engine: corpus.Engine, Fetcher: corpus.World}, err
+}
+
+// The artifact set of one world, as files in one directory. The
+// detector file leaves the ranking list out (see Detector.Save), so the
+// set carries it beside the search index.
+const (
+	modelFile   = "model.json"
+	rankingFile = "ranking.csv"
+	indexFile   = "index.json"
+)
+
+// WriteArtifacts saves the world of corpus and det into dir, creating
+// it: the detector, the ranking list its popularity feature reads, the
+// legitimate-web index target identification queries, and one JSON file
+// per campaign, named after it, for people and tools to inspect. A
+// server started with Config.Model = dir serves what a self-trained one
+// of the same corpus and detector serves.
+func WriteArtifacts(dir string, corpus *dataset.Corpus, det *core.Detector) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	type artifact struct {
+		name  string
+		write func(io.Writer) error
+	}
+	set := []artifact{
+		{modelFile, det.Save},
+		{rankingFile, func(w io.Writer) error { _, err := corpus.World.Ranking().WriteTo(w); return err }},
+		{indexFile, corpus.Engine.Save},
+	}
+	camps := []*dataset.Campaign{corpus.PhishTrain, corpus.PhishTest, corpus.PhishBrand, corpus.LegTrain}
+	for _, lang := range webgen.Languages {
+		if camp, ok := corpus.LangTests[lang]; ok {
+			camps = append(camps, camp)
+		}
+	}
+	for _, camp := range camps {
+		set = append(set, artifact{camp.Name + ".json", func(w io.Writer) error { return json.NewEncoder(w).Encode(camp) }})
+	}
+	for _, a := range set {
+		if err := writeArtifact(filepath.Join(dir, a.name), a.write); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeArtifact creates the file at path and fills it with write.
+func writeArtifact(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	return f.Close()
 }
 
 // readArtifact decodes the file at path with read.
@@ -83,27 +145,18 @@ func readArtifact[T any](path string, read func(io.Reader) (T, error)) (T, error
 	return v, err
 }
 
-// loadArtifacts assembles the detector and search index from saved
-// artifacts. There is no crawl source on this path.
-func loadArtifacts(modelPath, rankPath, indexPath string, logger *slog.Logger) (w World, err error) {
-	var rank *ranking.List
-	if rankPath == "" {
-		// The ranking is not embedded in the model (see Detector.Save);
-		// without it the popularity feature sees every domain as
-		// unranked — a distribution the model never trained on.
-		logger.Warn("no ranking; popularity feature will treat all domains as unranked")
-	} else if rank, err = readArtifact(rankPath, ranking.Read); err != nil {
-		return World{}, err
-	}
-	w.Detector, err = readArtifact(modelPath, func(r io.Reader) (*core.Detector, error) { return core.Load(r, rank) })
+// loadArtifacts assembles the detector and search index from the
+// artifact set in dir. Every file it reads is required; an error names
+// the file. There is no crawl source on this path.
+func loadArtifacts(dir string) (w World, err error) {
+	rank, err := readArtifact(filepath.Join(dir, rankingFile), ranking.Read)
 	if err != nil {
 		return World{}, err
 	}
-	if indexPath == "" {
-		logger.Warn("no index; target identification will mostly report suspicious")
-		w.Engine = search.NewEngine()
-	} else if w.Engine, err = readArtifact(indexPath, search.Load); err != nil {
+	w.Detector, err = readArtifact(filepath.Join(dir, modelFile), func(r io.Reader) (*core.Detector, error) { return core.Load(r, rank) })
+	if err != nil {
 		return World{}, err
 	}
-	return w, nil
+	w.Engine, err = readArtifact(filepath.Join(dir, indexFile), search.Load)
+	return w, err
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -25,10 +26,20 @@ func (s *Server) reply(w http.ResponseWriter, status int, v any) {
 // jsonContentType is shared: net/http never writes a header value slice.
 var jsonContentType = []string{"application/json"}
 
-// send writes a complete JSON document as the response.
+// bufferBeforeChunking is net/http's response buffer size
+// (bufferBeforeChunkingSize). A response that fits it goes out with a
+// Content-Length net/http sets when the handler returns; a longer one
+// would go out chunked unless the handler sets the header.
+const bufferBeforeChunking = 2048
+
+// send writes a complete JSON document as the response. It sets
+// Content-Length only where net/http would not: spelling the header
+// costs two allocations.
 func (s *Server) send(w http.ResponseWriter, status int, body []byte) {
 	w.Header()["Content-Type"] = jsonContentType
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if len(body) > bufferBeforeChunking {
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	}
 	w.WriteHeader(status)
 	if _, err := w.Write(body); err != nil {
 		// Headers are gone; nothing to do but count it.
@@ -70,6 +81,21 @@ func (sr *statusRecorder) Flush() {
 // Unwrap lets http.ResponseController reach the underlying writer.
 func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
 
+// recorderPool keeps instrument's status recorders: one per request,
+// held until its bookkeeping is done.
+var recorderPool = sync.Pool{New: func() any { return new(statusRecorder) }}
+
+func getRecorder(w http.ResponseWriter) *statusRecorder {
+	sr := recorderPool.Get().(*statusRecorder)
+	*sr = statusRecorder{ResponseWriter: w, status: http.StatusOK}
+	return sr
+}
+
+func (sr *statusRecorder) release() {
+	sr.ResponseWriter = nil
+	recorderPool.Put(sr)
+}
+
 // slowLogSample is the slow-request log sampling interval: the first
 // slow request and every slowLogSample-th after it are logged.
 const slowLogSample = 8
@@ -100,9 +126,10 @@ func (s *Server) instrument(h http.HandlerFunc, cls *endpointClass) http.Handler
 			s.metrics.inFlight.Add(1)
 			defer s.metrics.inFlight.Add(-1)
 		}
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := getRecorder(w)
 		if !s.admit(cls) {
 			s.shedClass(rec, cls)
+			rec.release()
 			return
 		}
 		// Spelled canonically: Get would allocate the canonical key.
@@ -144,6 +171,7 @@ func (s *Server) instrument(h http.HandlerFunc, cls *endpointClass) http.Handler
 		if !rec.shed && r.Context().Err() == nil {
 			s.cfg.SLO.Observe(cls.name, dur, rec.status >= 500)
 		}
+		rec.release()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -414,6 +415,61 @@ func spliceStore(t *testing.T) store.Backend {
 	return b
 }
 
+// lengthAsSent checks rec's Content-Length against the rule send
+// follows: the body's length above net/http's response buffer, and no
+// header within it, where net/http sets one itself
+// (TestRepliesCarryContentLength).
+func lengthAsSent(rec *httptest.ResponseRecorder) error {
+	want := ""
+	if rec.Body.Len() > bufferBeforeChunking {
+		want = strconv.Itoa(rec.Body.Len())
+	}
+	if cl := rec.Header().Get("Content-Length"); cl != want {
+		return fmt.Errorf("Content-Length %q for %d bytes, want %q", cl, rec.Body.Len(), want)
+	}
+	return nil
+}
+
+// TestRepliesCarryContentLength: a small JSON reply, a verdict page over
+// net/http's response buffer and a HEAD /healthz all reach a client
+// with a Content-Length, never chunked.
+func TestRepliesCarryContentLength(t *testing.T) {
+	ts := httptest.NewServer(newServer(t, func(cfg *Config) { cfg.Store = spliceStore(t) }))
+	defer ts.Close()
+	for _, tc := range []struct {
+		method, path string
+		body         string
+		big          bool
+	}{
+		{http.MethodPost, "/v2/score", `{"html":"<p>a</p>","landing_url":"http://a.test/"}`, false},
+		{http.MethodGet, "/v2/verdicts?limit=100", "", true},
+		{http.MethodHead, "/healthz", "", false},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d, %v", tc.method, tc.path, resp.StatusCode, err)
+		}
+		if tc.big != (resp.ContentLength > bufferBeforeChunking) {
+			t.Errorf("%s %s: Content-Length %d; over net/http's buffer: %v, want %v",
+				tc.method, tc.path, resp.ContentLength, !tc.big, tc.big)
+		}
+		if resp.ContentLength <= 0 || len(resp.TransferEncoding) > 0 ||
+			(tc.method != http.MethodHead && resp.ContentLength != int64(len(body))) {
+			t.Errorf("%s %s: Content-Length %d, Transfer-Encoding %q for %d bytes",
+				tc.method, tc.path, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+}
+
 // TestVerdictsSpliceMatchesMarshal: the verdict handlers splice stored
 // documents into a hand-written envelope. What a client receives must
 // be, byte for byte, the wire type built from the decoded page and
@@ -429,8 +485,11 @@ func TestVerdictsSpliceMatchesMarshal(t *testing.T) {
 			req := httptest.NewRequest(http.MethodGet, path, nil)
 			rec := httptest.NewRecorder()
 			s.ServeHTTP(rec, req)
-			if rec.Code != http.StatusOK || rec.Header().Get("Content-Length") != strconv.Itoa(rec.Body.Len()) {
-				t.Fatalf("GET %s: status %d, Content-Length %q for %d bytes", path, rec.Code, rec.Header().Get("Content-Length"), rec.Body.Len())
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET %s: status %d", path, rec.Code)
+			}
+			if err := lengthAsSent(rec); err != nil {
+				t.Fatalf("GET %s: %v", path, err)
 			}
 			q, err := parseVerdictQuery(req, v2)
 			if err != nil {
@@ -741,8 +800,8 @@ func TestVerdictPagesConcurrentReaders(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			return nil, fmt.Errorf("status %d: %s", rec.Code, rec.Body)
 		}
-		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
-			return nil, fmt.Errorf("Content-Length %s for %d bytes", cl, rec.Body.Len())
+		if err := lengthAsSent(rec.ResponseRecorder); err != nil {
+			return nil, err
 		}
 		return rec.Body.Bytes(), nil
 	}

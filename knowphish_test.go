@@ -179,7 +179,7 @@ func TestDocsNameExistingTests(t *testing.T) {
 // skill and the CI workflows give runnable: every `make` target in their
 // code (markdown code spans and blocks; workflow lines, and code spans in
 // workflow comments) must be one the Makefile defines, and every
-// scripts/*.sh they name must exist.
+// scripts/*.sh and ./cmd/<name> they name must exist.
 func TestDocsNameExistingTooling(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -198,7 +198,7 @@ func TestDocsNameExistingTooling(t *testing.T) {
 	invocation := regexp.MustCompile(`\bmake[ \t]+([^\n` + "`" + `]*)`)
 	comment := regexp.MustCompile(`#[^\n]*`)
 	target := regexp.MustCompile(`^[a-z][a-z0-9-]*$`)
-	script := regexp.MustCompile(`scripts/[A-Za-z0-9_-]+\.sh`)
+	tool := regexp.MustCompile(`scripts/[A-Za-z0-9_-]+\.sh|\./cmd/[A-Za-z0-9_-]+`)
 	for _, doc := range append([]string{"README.md", ".claude/skills/verify/SKILL.md"}, workflows...) {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -243,7 +243,7 @@ func TestDocsNameExistingTooling(t *testing.T) {
 				}
 			}
 		}
-		for _, s := range script.FindAllString(text, -1) {
+		for _, s := range tool.FindAllString(text, -1) {
 			if _, err := os.Stat(s); err != nil {
 				t.Errorf("%s names %s: %v", doc, s, err)
 			}

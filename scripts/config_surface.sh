@@ -1,7 +1,7 @@
 #!/bin/sh
 # config_surface.sh — count the program's settable values: the exported
 # fields of every *Config struct under internal/, per package, and the
-# flags of `kpserve -h`, `kpload run -h`, `kptrain -h` and `kpgen -h`.
+# flags of `kpserve -h`, `kpload run -h` and `kptrain -h`.
 # Printed, not gated, so a "fewer knobs" claim in a PR is a number in
 # its log (ROADMAP aim 2: a setting stays only if something earns it).
 # Runs on the tree in the current directory, so the same script
@@ -34,9 +34,9 @@ done | sort > "$TMP/structs"
 cat "$TMP/structs"
 awk '{ total += $3 } END { printf "Config fields under internal/: %d in %d structs\n", total, NR }' "$TMP/structs"
 
-go build -o "$TMP/" ./cmd/kpserve ./cmd/kpload ./cmd/kptrain ./cmd/kpgen
+go build -o "$TMP/" ./cmd/kpserve ./cmd/kpload ./cmd/kptrain
 # PrintDefaults writes one "  -name ..." line per flag.
-for cmd in kpserve "kpload run" kptrain kpgen; do
+for cmd in kpserve "kpload run" kptrain; do
 	# $cmd is word-split on purpose: "kpload run" is binary + subcommand.
 	# shellcheck disable=SC2086
 	echo "$cmd -h flags: $("$TMP"/$cmd -h 2>&1 | grep -c '^  -' || true)"
